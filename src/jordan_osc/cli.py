@@ -24,12 +24,14 @@ from fractions import Fraction
 from .gaussint import gram_block, h_block
 from .model import Params, build_psi
 from .verifier import SUITES, Report, load_relations, run_suites
-from .weyl import EXACT, FLOAT
+from .weyl import EXACT, FLOAT, format_coeff
 
 ENV_NMAX = "JORDAN_OSC_NMAX"
 NMAX_RANGE = (1, 24)
 TOL_MAX = 1e-4
 FORMATS = ("json", "csv", "text")
+#: parameter point for flags left unset, per mode (a = 1, b = 1/4 in both)
+PARAM_DEFAULTS = {EXACT: {"p": Fraction(1), "q": Fraction(1, 2)}, FLOAT: {"a": 1.0, "b": 0.25}}
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class RunConfig:
     """Validated inputs for one verify run."""
 
     mode: str = EXACT
-    p: Fraction | None = Fraction(1)
-    q: Fraction | None = Fraction(1, 2)
+    p: Fraction | None = PARAM_DEFAULTS[EXACT]["p"]
+    q: Fraction | None = PARAM_DEFAULTS[EXACT]["q"]
     a: float | None = None
     b: float | None = None
     n_max: int = 10
@@ -210,28 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.mode == EXACT:
-        p = args.p if args.p is not None else Fraction(1)
-        q = args.q if args.q is not None else Fraction(1, 2)
-        a = b = None
-    else:
-        p = q = None
-        a = args.a if args.a is not None else 1.0
-        b = args.b if args.b is not None else 0.25
+    """Config of any subcommand; unset parameter flags take PARAM_DEFAULTS."""
+    point = {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in PARAM_DEFAULTS[args.mode].items()
+    }
+    if args.command != "verify":
+        return RunConfig(mode=args.mode, **point)
     suites = SUITES if args.suites == "all" else tuple(s.strip() for s in args.suites.split(","))
     n_max = args.nmax if args.nmax is not None else _default_nmax()
-    return RunConfig(mode=args.mode, p=p, q=q, a=a, b=b, n_max=n_max,
+    return RunConfig(mode=args.mode, **point, n_max=n_max,
                      tol=args.tol, suites=suites, fmt=args.fmt, catalog=args.catalog)
-
-
-def _params_for(args: argparse.Namespace) -> Params:
-    if args.mode == EXACT:
-        p = args.p if args.p is not None else Fraction(1)
-        q = args.q if args.q is not None else Fraction(1, 2)
-        return Params.exact(p, q)
-    a = args.a if args.a is not None else 1.0
-    b = args.b if args.b is not None else 0.25
-    return Params.from_ab(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +254,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_basis(args: argparse.Namespace) -> int:
     try:
-        params = _params_for(args)
+        params = _config_from_args(args).params()
         if not (0 <= args.m <= args.n):
             raise ValueError("need 0 <= m <= n")
         fn = build_psi(params, args.n, args.m)
@@ -273,13 +264,13 @@ def _run_basis(args: argparse.Namespace) -> int:
     print(f"psi[{args.n},{args.m}] = kappa * P(z, zbar) * exp(-a*z*zbar - b*zbar^2)")
     print("kappa = sqrt(2a/pi); the reduced polynomial P is")
     for (i, j), coeff in fn.poly.sorted_terms():
-        print(f"  z^{i} zbar^{j}: {coeff}")
+        print(f"  z^{i} zbar^{j}: {format_coeff(coeff)}")
     return 0
 
 
 def _run_matrices(args: argparse.Namespace) -> int:
     try:
-        params = _params_for(args)
+        params = _config_from_args(args).params()
         if args.n < 0 or args.n > NMAX_RANGE[1]:
             raise ValueError(f"need 0 <= n <= {NMAX_RANGE[1]}")
     except ValueError as exc:
@@ -287,16 +278,12 @@ def _run_matrices(args: argparse.Namespace) -> int:
         return 2
     gram = gram_block(params, args.n)
     ham = h_block(params, args.n)
-
-    def fmt(scalar) -> str:
-        return str(scalar)
-
     print(f"pairing block <<psi[{args.n},k] | psi[{args.n},m]>>, rows k = 0..{args.n}:")
     for row in gram.entries:
-        print("  [" + ", ".join(fmt(v) for v in row) + "]")
+        print("  [" + ", ".join(map(format_coeff, row)) + "]")
     print(f"Hamiltonian block <<psi[{args.n},n-k] | H psi[{args.n},m]>>, rows k = 0..{args.n}:")
     for row in ham:
-        print("  [" + ", ".join(fmt(v) for v in row) + "]")
+        print("  [" + ", ".join(map(format_coeff, row)) + "]")
     return 0
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import Params, ReducedFn, apply, build_psi, make_operator
-from .weyl import EXACT, FLOAT, Poly2, Scalar
+from .weyl import Coeff, Poly2, one, zero
 
 
 class OracleUnavailableError(RuntimeError):
@@ -34,7 +34,7 @@ class OracleUnavailableError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def moment(params: Params, p_deg: int, q_deg: int) -> Scalar:
+def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
     """I(p, q) in units of pi/(2a), via the two integration-by-parts rules
 
         p I(p-1, q) = 2a I(p, q+1)
@@ -43,23 +43,23 @@ def moment(params: Params, p_deg: int, q_deg: int) -> Scalar:
     with base I(0,0) = pi/(2a); negative indices vanish.
     """
     if p_deg < 0 or q_deg < 0:
-        return Scalar.zero(params.mode)
+        return zero(params.mode)
     if q_deg >= 1:
         # raise-q rule, rearranged: I(p, q) = p/(2a) I(p-1, q-1)
         factor = params.s(p_deg) / (params.s(2) * params.a_scalar)
         return factor * moment(params, p_deg - 1, q_deg - 1)
     if p_deg == 0:
-        return Scalar.one(params.mode)
+        return one(params.mode)
     # q = 0, p >= 1: combining both rules gives
     # I(p, 0) = -(2b/a) I(p-1, 1) = -b (p-1)/a^2 I(p-2, 0), so odd p vanish
     factor = params.s(-(p_deg - 1)) * params.b_scalar / (params.a_scalar * params.a_scalar)
     return factor * moment(params, p_deg - 2, 0)
 
 
-def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Scalar:
-    """<<f|g>> as a plain Scalar (bilinear, symmetric; no conjugation)."""
+def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Coeff:
+    """<<f|g>> as a plain coefficient (bilinear, symmetric; no conjugation)."""
     prod = f.poly * g.poly
-    total = Scalar.zero(params.mode)
+    total = zero(params.mode)
     for (i, j), c in prod.terms.items():
         total = total + c * moment(params, i, j)
     return total
@@ -68,7 +68,7 @@ def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Scalar:
 def _eval_on_grid(poly: Poly2, zgrid: np.ndarray, zbgrid: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(zgrid, dtype=complex)
     for (i, j), c in poly.sorted_terms():
-        acc += c.to_complex() * zgrid**i * zbgrid**j
+        acc += complex(c) * zgrid**i * zbgrid**j
     return acc
 
 
@@ -156,6 +156,6 @@ def expand_in_basis(params: Params, f: ReducedFn, n_max: int) -> ReducedFn:
     for n in range(n_max + 1):
         for m in range(n + 1):
             coeff = inner_product(params, build_psi(params, n, n - m), f)
-            if not coeff.is_zero():
+            if coeff:
                 out = out + build_psi(params, n, m).scale(coeff)
     return out

@@ -16,7 +16,8 @@ obeying (H - E_n) psi_{n,m} = psi_{n,m-1}.
 
 Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
 positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
-are rational and all ladder/action coefficients stay Gaussian rational.
+are rational and all ladder/action coefficients are plain ``Fraction``s; in
+float mode every coefficient is a ``complex``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ from math import factorial
 from .weyl import (
     EXACT,
     FLOAT,
+    Coeff,
     DiffOp,
     ModeMismatchError,
     Number,
     Poly2,
-    Scalar,
     anticommutator,
     exact_sqrt,
+    lift,
+    one,
 )
 
 #: every name make_operator accepts (D+21/D-21 are accepted as aliases)
@@ -114,36 +117,29 @@ class Params:
     def g(self) -> Number:
         return 4 * self.lam * self.b
 
-    # ---- scalar views ----
-    def s(self, value) -> Scalar:
-        return Scalar.lift(value, self.mode)
+    # ---- coefficient views (Fraction in exact mode, complex in float mode) ----
+    def s(self, value) -> Coeff:
+        return lift(value, self.mode)
 
     @property
-    def a_scalar(self) -> Scalar:
-        return self.s(self.a) if self.mode == EXACT else Scalar.of_float(self.a)
+    def a_scalar(self) -> Coeff:
+        return self.s(self.a)
 
     @property
-    def b_scalar(self) -> Scalar:
-        return self.s(self.b) if self.mode == EXACT else Scalar.of_float(self.b)
+    def b_scalar(self) -> Coeff:
+        return self.s(self.b)
 
     @property
-    def sqrt_ab(self) -> Scalar:
-        v = self.p * self.q
-        return self.s(v) if self.mode == EXACT else Scalar.of_float(v)
+    def sqrt_ab(self) -> Coeff:
+        return self.s(self.p * self.q)
 
     @property
-    def sqrt_a_over_b(self) -> Scalar:
-        v = self.p / self.q
-        return self.s(v) if self.mode == EXACT else Scalar.of_float(v)
+    def sqrt_a_over_b(self) -> Coeff:
+        return self.s(self.p / self.q)
 
     @property
-    def sqrt_b_over_a(self) -> Scalar:
-        v = self.q / self.p
-        return self.s(v) if self.mode == EXACT else Scalar.of_float(v)
-
-
-def params_from_frequencies(omega1: float, omega2: float) -> Params:
-    return Params.from_frequencies(omega1, omega2)
+    def sqrt_b_over_a(self) -> Coeff:
+        return self.s(self.q / self.p)
 
 
 @dataclass(frozen=True)
@@ -227,14 +223,16 @@ class ReducedFn:
 class PhiFn:
     """A rescaled basis function sqrt(residual_scale_sq) * fn.
 
-    In float mode the rescaling sqrt(m!/(n-m)!) is always folded into ``fn``
-    and ``residual_scale_sq`` is 1. In exact mode the square root is folded in
-    only when it is rational; otherwise ``fn`` stays unscaled and the squared
-    factor is tracked here, so su(2)-type checks can run on squared values.
+    ``residual_scale_sq`` is a coefficient of the parameters' mode: a Fraction
+    in exact mode, a complex in float mode. In float mode the rescaling
+    sqrt(m!/(n-m)!) is always folded into ``fn`` and ``residual_scale_sq`` is 1.
+    In exact mode the square root is folded in only when it is rational;
+    otherwise ``fn`` stays unscaled and the squared factor is tracked here, so
+    su(2)-type checks can run on squared values.
     """
 
     fn: ReducedFn
-    residual_scale_sq: Scalar
+    residual_scale_sq: Coeff
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +278,12 @@ def _check_index(n: int, m: int) -> None:
         raise ValueError(f"need integers 0 <= m <= n, got n={n!r}, m={m!r}")
 
 
-def _cn0_reduced(params: Params, n: int) -> Scalar:
+def _cn0_reduced(params: Params, n: int) -> Coeff:
     # c_{n,0} / kappa = 4^n (ab)^(n/2) = (4 sqrt(ab))^n
     return (params.s(4) * params.sqrt_ab) ** n
 
 
-def _cn_reduced(params: Params, n: int) -> Scalar:
+def _cn_reduced(params: Params, n: int) -> Coeff:
     # c_n = c_{n,0} / ((8ab)^n n!)
     denom = (params.s(8) * params.a_scalar * params.b_scalar) ** n * params.s(factorial(n))
     return _cn0_reduced(params, n) / denom
@@ -347,14 +345,14 @@ def build_phi(params: Params, n: int, m: int) -> PhiFn:
     base = build_psi(params, n, m)
     ratio = phi_scale_sq(n, m)
     if params.mode == FLOAT:
-        return PhiFn(base.scale(math.sqrt(ratio)), Scalar.one(FLOAT))
+        return PhiFn(base.scale(math.sqrt(ratio)), one(FLOAT))
     root = exact_sqrt(ratio)
     if root is not None:
-        return PhiFn(base.scale(root), Scalar.one(EXACT))
+        return PhiFn(base.scale(root), one(EXACT))
     return PhiFn(base, params.s(ratio))
 
 
-def energy(params: Params, n: int) -> Scalar:
+def energy(params: Params, n: int) -> Coeff:
     """Level-n eigenvalue E_n = 4a(n+1)."""
     return params.s(4 * (n + 1)) * params.a_scalar
 
@@ -381,11 +379,9 @@ def make_operator(params: Params, name: str) -> DiffOp:
     hand-expanded. Unknown names raise ValueError.
     """
     name = _canonical_name(name)
-    mode = params.mode
     s = params.s
     a, b = params.a_scalar, params.b_scalar
     mono = DiffOp.monomial
-    one = Scalar.one(mode)
 
     if name == "H":
         return (
@@ -395,11 +391,11 @@ def make_operator(params: Params, name: str) -> DiffOp:
         )
     if name in ("A+", "A-"):
         sign = s(-1) if name == "A+" else s(1)
-        return mono((0, 0, 1, 0), one) + mono((0, 1, 0, 0), sign * a)
+        return mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), sign * a)
     if name in ("B+", "B-"):
         sign = s(-1) if name == "B+" else s(1)
         return (
-            mono((0, 0, 0, 1), one)
+            mono((0, 0, 0, 1), s(1))
             + mono((1, 0, 0, 0), sign * a)
             + mono((0, 1, 0, 0), sign * s(2) * b)
         )
@@ -455,11 +451,9 @@ def explicit_form(params: Params, name: str) -> DiffOp:
     so agreement with the catalog is a genuine cross-check."""
     if name not in EXPLICIT_NAMES:
         raise ValueError(f"no explicit form for {name!r}; available: {', '.join(EXPLICIT_NAMES)}")
-    mode = params.mode
     s = params.s
     a, b = params.a_scalar, params.b_scalar
     mono = DiffOp.monomial
-    one = Scalar.one(mode)
 
     # shared first-order pieces: X = b dz - a dzbar, W = (a z + b zbar) as
     # a multiplication operator (X and W commute)
@@ -469,9 +463,9 @@ def explicit_form(params: Params, name: str) -> DiffOp:
     if name == "a1+":
         return (X + W.scale(a)).scale(s(1) / (s(4) * a * params.sqrt_ab))
     if name == "a1-":
-        return (mono((0, 0, 1, 0), one) + mono((0, 1, 0, 0), a)).scale(s(2) * params.sqrt_b_over_a)
+        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), a)).scale(s(2) * params.sqrt_b_over_a)
     if name == "a2+":
-        return (mono((0, 0, 1, 0), one) + mono((0, 1, 0, 0), -a)).scale(s(-2) * params.sqrt_b_over_a)
+        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), -a)).scale(s(-2) * params.sqrt_b_over_a)
     if name == "a2-":
         return (X - W.scale(a)).scale(s(-1) / (s(4) * a * params.sqrt_ab))
 
@@ -482,7 +476,7 @@ def explicit_form(params: Params, name: str) -> DiffOp:
     if name == "J+":
         return (X * X - (W * W).scale(a * a)).scale(s(-1) / (s(16) * a**3 * b))
     if name == "J-":
-        return (mono((0, 0, 2, 0), one) + mono((0, 2, 0, 0), -(a * a))).scale(s(-4) * b / a)
+        return (mono((0, 0, 2, 0), s(1)) + mono((0, 2, 0, 0), -(a * a))).scale(s(-4) * b / a)
     if name == "K":
         return (
             mono((0, 0, 2, 0), b)
@@ -497,7 +491,7 @@ def explicit_form(params: Params, name: str) -> DiffOp:
         return quad.scale(s(1) / (s(16) * a**3 * b))
     if name in ("D+22", "D-11"):
         sign = s(-1) if name == "D+22" else s(1)
-        quad = mono((0, 0, 2, 0), one) + mono((0, 1, 1, 0), sign * s(2) * a) + mono((0, 2, 0, 0), a * a)
+        quad = mono((0, 0, 2, 0), s(1)) + mono((0, 1, 1, 0), sign * s(2) * a) + mono((0, 2, 0, 0), a * a)
         return quad.scale(s(4) * b / a)
 
     # D+12 / D-12

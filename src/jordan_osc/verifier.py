@@ -50,13 +50,14 @@ from .model import (
 from .weyl import (
     EXACT,
     FLOAT,
+    Coeff,
     DiffOp,
     Poly2,
-    Scalar,
     adjoint,
     anticommutator,
     commutator,
     swap_vars,
+    zero,
 )
 
 DEFAULT_TOL = 1e-10
@@ -122,7 +123,7 @@ def load_negative_controls() -> list[RelationSpec]:
     return parse_relations(text)
 
 
-def _scalar_literal(token: str, params: Params) -> Scalar:
+def _scalar_literal(token: str, params: Params) -> Coeff:
     match = _SCALAR_TOKEN.match(token)
     if match is None:
         raise ValueError(f"bad scalar literal {token!r}")
@@ -224,7 +225,7 @@ class ActionRule:
     terms: ActionTerms
 
 
-def _half(params: Params) -> Scalar:
+def _half(params: Params) -> Coeff:
     return params.s(Fraction(1, 2))
 
 
@@ -345,7 +346,7 @@ ACTION_RULES: tuple[ActionRule, ...] = (
 def _predicted_combination(params: Params, terms: list) -> ReducedFn:
     out = ReducedFn.zero(params.mode)
     for n2, m2, coeff in terms:
-        if coeff.is_zero():
+        if not coeff:
             continue
         out = out + build_psi(params, n2, m2).scale(coeff)
     return out
@@ -444,12 +445,12 @@ def _jmu(n: int, m: int) -> tuple[Fraction, Fraction]:
     return Fraction(n, 2), Fraction(2 * m - n, 2)
 
 
-def _extract_ratio(got: ReducedFn, target: ReducedFn) -> tuple[Scalar | None, object]:
+def _extract_ratio(got: ReducedFn, target: ReducedFn) -> tuple[Coeff | None, object]:
     """Solve got == d * target; returns (d, residual of the fit) or (None, big)
     when got is not proportional to target."""
     mode = got.mode
     if got.is_zero():
-        return Scalar.zero(mode), Fraction(0) if mode == EXACT else 0.0
+        return zero(mode), Fraction(0) if mode == EXACT else 0.0
     if target.is_zero():
         return None, got.poly.max_magnitude()
     key = next(iter(sorted(target.poly.terms)))
@@ -477,12 +478,12 @@ def _check_ladder_exact(params: Params, rule: LadderRule, n_max: int):
                 worst = max(worst, Fraction(1), fit_residual)
                 continue
             worst = max(worst, fit_residual)
-            if d.im != 0 or d.re < 0:
-                # the su(2)-type coefficients are nonnegative reals
-                worst = max(worst, d.magnitude())
+            if d < 0:
+                # the su(2)-type coefficients are nonnegative
+                worst = max(worst, abs(d))
                 continue
             ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
-            worst = max(worst, abs(d.re * d.re * ratio - c2))
+            worst = max(worst, abs(d * d * ratio - c2))
     return worst
 
 
@@ -607,7 +608,7 @@ def check_integrals(
         for m in range(n + 1):
             for mp in range(n + 1):
                 want = params.s(1 if m + mp == n else 0)
-                worst = max(worst, (block[m][mp] - want).magnitude())
+                worst = max(worst, abs(block[m][mp] - want))
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}",
                           mode, _verdict(params, worst, tol), str(worst), ms))
@@ -620,17 +621,17 @@ def check_integrals(
         for k in range(n + 1):
             for m in range(n + 1):
                 want = e_n if k == m else params.s(1 if m == k + 1 else 0)
-                worst = max(worst, (block[k][m] - want).magnitude())
+                worst = max(worst, abs(block[k][m] - want))
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}",
                           mode, _verdict(params, worst, tol), str(worst), ms))
 
     start = time.perf_counter()
     ground = build_psi(params, 0, 0)
-    worst = (inner_product(params, ground, ground) - params.s(1)).magnitude()
+    worst = abs(inner_product(params, ground, ground) - params.s(1))
     for n in range(1, n_max + 1):
         head = build_psi(params, n, 0)
-        worst = max(worst, inner_product(params, head, head).magnitude())
+        worst = max(worst, abs(inner_product(params, head, head)))
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.norms", f"<<psi00|psi00>> = 1 and <<psi_n0|psi_n0>> = 0 for 1 <= n <= {n_max}",
                           mode, _verdict(params, worst, tol), str(worst), ms))
@@ -659,8 +660,8 @@ def check_integrals(
             continue
         exact_val = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
         est = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
-        scale = max(1.0, abs(exact_val.to_complex()))
-        worst_f = max(worst_f, abs(est - exact_val.to_complex()) / scale)
+        scale = max(1.0, abs(complex(exact_val)))
+        worst_f = max(worst_f, abs(est - complex(exact_val)) / scale)
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.oracle", "moment recursion vs Gauss-Hermite on sampled pairs",
                           mode, worst_f <= oracle_tol, repr(worst_f), ms))

@@ -1,14 +1,14 @@
 """Exact arithmetic for the Weyl algebra in two commuting formal variables.
 
 Values come in two coefficient modes sharing one arithmetic contract:
-``exact`` coefficients are Gaussian rationals (pairs of ``Fraction``), for
-which every identity checked by the verification suites is decidable, and
-``float`` coefficients are complex doubles, whose comparisons are always
-tolerance based, never bitwise.
+``exact`` coefficients are ``Fraction``s, for which every identity checked by
+the verification suites is decidable, and ``float`` coefficients are
+``complex`` doubles, whose comparisons are always tolerance based, never
+bitwise. Coefficients are stored as these plain numbers; ``lift`` coerces a
+number into a mode and refuses to let an inexact value into exact mode.
 
-Three layers build on the coefficients:
+Two layers build on the coefficients:
 
-* ``Scalar`` -- a single coefficient,
 * ``Poly2``  -- a sparse polynomial in z, zbar,
 * ``DiffOp`` -- a normally ordered differential operator: a finite sum of
   terms ``c * z^i * zbar^j * dz^k * dzbar^l`` with every multiplication
@@ -24,16 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 EXACT = "exact"
 FLOAT = "float"
 
-# Default tolerance for float-mode equality of Scalar/Poly2/DiffOp. The
+# Default tolerance for float-mode equality of Poly2/DiffOp. The
 # verification suites always pass their own tolerance explicitly.
 DEFAULT_TOL = 1e-12
 
 Number = Fraction | float
+#: a stored coefficient: Fraction in exact mode, complex in float mode
+Coeff = Fraction | complex
 
 
 class ModeMismatchError(ValueError):
@@ -65,171 +67,59 @@ def falling(x: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Scalar:
-    """A single coefficient: Gaussian rational (exact) or complex double (float)."""
-
-    mode: str
-    re: Number
-    im: Number
-
-    # ---- constructors ----
-    @staticmethod
-    def exact(re: int | str | Fraction = 0, im: int | str | Fraction = 0) -> "Scalar":
-        return Scalar(EXACT, Fraction(re), Fraction(im))
-
-    @staticmethod
-    def of_float(re: float = 0.0, im: float = 0.0) -> "Scalar":
-        return Scalar(FLOAT, float(re), float(im))
-
-    @staticmethod
-    def zero(mode: str) -> "Scalar":
-        return Scalar.exact() if mode == EXACT else Scalar.of_float()
-
-    @staticmethod
-    def one(mode: str) -> "Scalar":
-        return Scalar.exact(1) if mode == EXACT else Scalar.of_float(1.0)
-
-    @staticmethod
-    def lift(value, mode: str) -> "Scalar":
-        """Coerce a number into the given mode.
-
-        Ints and Fractions lift into either mode; floats and complexes only
-        into float mode (an inexact value must not enter an exact computation).
-        """
-        if isinstance(value, Scalar):
-            if value.mode != mode:
-                raise ModeMismatchError(f"scalar is {value.mode!r}, expected {mode!r}")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar.exact(value) if mode == EXACT else Scalar.of_float(float(value))
-        if isinstance(value, (float, complex)):
-            if mode == EXACT:
-                raise ModeMismatchError("cannot lift an inexact value into exact mode")
-            c = complex(value)
-            return Scalar.of_float(c.real, c.imag)
-        raise TypeError(f"cannot interpret {value!r} as a scalar")
-
-    # ---- arithmetic ----
-    def _coerce(self, other) -> "Scalar":
-        return other if isinstance(other, Scalar) else Scalar.lift(other, self.mode)
-
-    def __add__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        _join_modes(self, other)
-        return Scalar(self.mode, self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.mode, -self.re, -self.im)
-
-    def __sub__(self, other) -> "Scalar":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Scalar":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        _join_modes(self, other)
-        return Scalar(
-            self.mode,
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        _join_modes(self, other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar(
-            self.mode,
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            raise ValueError("negative scalar powers are not supported")
-        out = Scalar.one(self.mode)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.mode, self.re, -self.im)
-
-    # ---- predicates ----
-    def is_zero(self) -> bool:
-        """Structural zero test (used for canonical term storage)."""
-        return self.re == 0 and self.im == 0
-
-    def magnitude(self) -> Number:
-        """|re| + |im| in exact mode (a decidable norm), |z| in float mode."""
-        if self.mode == EXACT:
-            return abs(self.re) + abs(self.im)
-        return abs(complex(self.re, self.im))
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def close_to(self, other: "Scalar", tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.to_complex() - other.to_complex()) <= tol
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            try:
-                other = self._coerce(other)
-            except (TypeError, ModeMismatchError):
-                return NotImplemented
-        if self.mode != other.mode:
-            return False
-        if self.mode == EXACT:
-            return self.re == other.re and self.im == other.im
-        return self.close_to(other)
-
-    __hash__ = None  # mutable-equality semantics in float mode
-
-    def __str__(self) -> str:
-        if self.mode == FLOAT:
-            if self.im == 0.0:
-                return repr(self.re)
-            return repr(complex(self.re, self.im))
-        if self.im == 0:
-            return str(self.re)
-        im = f"{self.im}i" if self.im > 0 else f"-{-self.im}i"
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.mode}, {self})"
-
-
 # ---------------------------------------------------------------------------
-# sparse polynomials in z, zbar
+# coefficients
 # ---------------------------------------------------------------------------
 
 
-def _bump(terms: dict, key, value: Scalar) -> None:
+def lift(value, mode: str) -> Coeff:
+    """Coerce a number into the coefficient type of ``mode``.
+
+    Ints and Fractions lift into either mode; floats and complexes only into
+    float mode (an inexact value must not enter an exact computation).
+    """
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value) if mode == EXACT else complex(value)
+    if isinstance(value, (float, complex)):
+        if mode == EXACT:
+            raise ModeMismatchError("cannot lift an inexact value into exact mode")
+        return complex(value)
+    raise TypeError(f"cannot interpret {value!r} as a coefficient")
+
+
+def zero(mode: str) -> Coeff:
+    return lift(0, mode)
+
+
+def one(mode: str) -> Coeff:
+    return lift(1, mode)
+
+
+def format_coeff(c: Coeff) -> str:
+    """``3/4`` for a Fraction; a complex with zero imaginary part as a float."""
+    if isinstance(c, complex) and c.imag == 0:
+        return repr(c.real)
+    return str(c)
+
+
+def _bump(terms: dict, key, value: Coeff) -> None:
     # accumulate into a term map, never storing structural zeros
     cur = terms.get(key)
     new = value if cur is None else cur + value
-    if new.is_zero():
-        terms.pop(key, None)
-    else:
+    if new:
         terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+# ---------------------------------------------------------------------------
+# term maps: the shared linear structure of Poly2 and DiffOp
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class Poly2:
-    """Sparse polynomial in z, zbar: map (deg_z, deg_zbar) -> Scalar.
+class _TermMap:
+    """Sparse map from exponent tuples to nonzero coefficients of one mode.
 
     Canonical form never stores zero coefficients, so exact-mode equality is
     term-map equality. Instances are treated as immutable.
@@ -238,68 +128,44 @@ class Poly2:
     mode: str
     terms: dict
 
-    # ---- constructors ----
-    @staticmethod
-    def zero(mode: str) -> "Poly2":
-        return Poly2(mode, {})
+    _ARITY = 0  # length of the exponent tuples
+    _NAMES = ("z", "zb", "dz", "dzb")
 
-    @staticmethod
-    def monomial(deg_z: int, deg_zbar: int, coeff: Scalar) -> "Poly2":
-        if deg_z < 0 or deg_zbar < 0:
-            raise ValueError("monomial degrees must be nonnegative")
-        if coeff.is_zero():
-            return Poly2(coeff.mode, {})
-        return Poly2(coeff.mode, {(deg_z, deg_zbar): coeff})
+    @classmethod
+    def _single(cls, key: tuple, coeff):
+        # the coefficient's type picks the mode: floats and complexes are float
+        if any(e < 0 for e in key):
+            raise ValueError("exponents must be nonnegative")
+        mode = FLOAT if isinstance(coeff, (float, complex)) else EXACT
+        coeff = lift(coeff, mode)
+        return cls(mode, {key: coeff} if coeff else {})
 
-    @staticmethod
-    def one(mode: str) -> "Poly2":
-        return Poly2.monomial(0, 0, Scalar.one(mode))
-
-    @staticmethod
-    def z(mode: str) -> "Poly2":
-        return Poly2.monomial(1, 0, Scalar.one(mode))
-
-    @staticmethod
-    def zbar(mode: str) -> "Poly2":
-        return Poly2.monomial(0, 1, Scalar.one(mode))
-
-    # ---- ring operations ----
-    def __add__(self, other: "Poly2") -> "Poly2":
+    def __add__(self, other):
         mode = _join_modes(self, other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             _bump(out, key, c)
-        return Poly2(mode, out)
+        return type(self)(mode, out)
 
-    def __neg__(self) -> "Poly2":
-        return Poly2(self.mode, {k: -c for k, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.mode, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "Poly2") -> "Poly2":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, value) -> "Poly2":
-        s = Scalar.lift(value, self.mode)
-        if s.is_zero():
-            return Poly2.zero(self.mode)
-        return Poly2(self.mode, {k: c * s for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Poly2):
-            mode = _join_modes(self, other)
-            out: dict = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    _bump(out, (i1 + i2, j1 + j2), c1 * c2)
-            return Poly2(mode, out)
-        return self.scale(other)
+    def scale(self, value):
+        s = lift(value, self.mode)
+        if not s:
+            return type(self)(self.mode, {})
+        return type(self)(self.mode, {k: c * s for k, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __pow__(self, k: int) -> "Poly2":
+    def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative polynomial powers are not supported")
-        out = Poly2.one(self.mode)
+            raise ValueError("negative powers are not supported")
+        out = self._single((0,) * self._ARITY, one(self.mode))
         for _ in range(k):
             out = out * self
         return out
@@ -308,43 +174,26 @@ class Poly2:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> Iterator[tuple[tuple[int, int], Scalar]]:
+    def sorted_terms(self) -> Iterator[tuple[tuple, Coeff]]:
         for key in sorted(self.terms):
             yield key, self.terms[key]
-
-    def total_degree(self) -> int:
-        """Max of deg_z + deg_zbar over stored terms; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(i + j for (i, j) in self.terms)
 
     def max_magnitude(self) -> Number:
         if not self.terms:
             return Fraction(0) if self.mode == EXACT else 0.0
-        return max(c.magnitude() for c in self.terms.values())
+        return max(abs(c) for c in self.terms.values())
 
-    def coeff(self, deg_z: int, deg_zbar: int) -> Scalar:
-        return self.terms.get((deg_z, deg_zbar), Scalar.zero(self.mode))
-
-    def eval_at(self, zval: complex, zbarval: complex) -> complex:
-        """Evaluate the polynomial with z, zbar treated as independent values."""
-        total = 0j
-        for (i, j), c in self.terms.items():
-            total += c.to_complex() * zval**i * zbarval**j
-        return total
-
-    def to_float(self) -> "Poly2":
+    def to_float(self):
         if self.mode == FLOAT:
             return self
-        return Poly2(FLOAT, {k: Scalar.of_float(float(c.re), float(c.im)) for k, c in self.terms.items()})
+        return type(self)(FLOAT, {k: complex(c) for k, c in self.terms.items()})
 
-    def close_to(self, other: "Poly2", tol: float = DEFAULT_TOL) -> bool:
+    def close_to(self, other, tol: float = DEFAULT_TOL) -> bool:
         keys = set(self.terms) | set(other.terms)
-        zero = Scalar.zero(self.mode)
-        return all(self.terms.get(k, zero).close_to(other.terms.get(k, zero), tol) for k in keys)
+        return all(abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= tol for k in keys)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly2):
+        if type(other) is not type(self):
             return NotImplemented
         if self.mode != other.mode:
             return False
@@ -358,12 +207,13 @@ class Poly2:
         if not self.terms:
             return "0"
         parts = []
-        for (i, j), c in self.sorted_terms():
-            factors = [f"({c})"]
-            if i:
-                factors.append("z" if i == 1 else f"z^{i}")
-            if j:
-                factors.append("zb" if j == 1 else f"zb^{j}")
+        for key, c in self.sorted_terms():
+            factors = [f"({format_coeff(c)})"]
+            for name, e in zip(self._NAMES, key):
+                if e == 1:
+                    factors.append(name)
+                elif e > 1:
+                    factors.append(f"{name}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -371,11 +221,71 @@ class Poly2:
 
 
 # ---------------------------------------------------------------------------
+# sparse polynomials in z, zbar
+# ---------------------------------------------------------------------------
+
+
+class Poly2(_TermMap):
+    """Sparse polynomial in z, zbar: map (deg_z, deg_zbar) -> coefficient."""
+
+    _ARITY = 2
+
+    # ---- constructors ----
+    @staticmethod
+    def zero(mode: str) -> "Poly2":
+        return Poly2(mode, {})
+
+    @staticmethod
+    def monomial(deg_z: int, deg_zbar: int, coeff) -> "Poly2":
+        return Poly2._single((deg_z, deg_zbar), coeff)
+
+    @staticmethod
+    def one(mode: str) -> "Poly2":
+        return Poly2.monomial(0, 0, one(mode))
+
+    @staticmethod
+    def z(mode: str) -> "Poly2":
+        return Poly2.monomial(1, 0, one(mode))
+
+    @staticmethod
+    def zbar(mode: str) -> "Poly2":
+        return Poly2.monomial(0, 1, one(mode))
+
+    # ---- ring operations ----
+    def __mul__(self, other):
+        if isinstance(other, Poly2):
+            mode = _join_modes(self, other)
+            out: dict = {}
+            for (i1, j1), c1 in self.terms.items():
+                for (i2, j2), c2 in other.terms.items():
+                    _bump(out, (i1 + i2, j1 + j2), c1 * c2)
+            return Poly2(mode, out)
+        return self.scale(other)
+
+    # ---- inspection ----
+    def total_degree(self) -> int:
+        """Max of deg_z + deg_zbar over stored terms; 0 for the zero polynomial."""
+        if not self.terms:
+            return 0
+        return max(i + j for (i, j) in self.terms)
+
+    def coeff(self, deg_z: int, deg_zbar: int) -> Coeff:
+        return self.terms.get((deg_z, deg_zbar), zero(self.mode))
+
+    def eval_at(self, zval: complex, zbarval: complex) -> complex:
+        """Evaluate the polynomial with z, zbar treated as independent values."""
+        total = 0j
+        for (i, j), c in self.terms.items():
+            total += complex(c) * zval**i * zbarval**j
+        return total
+
+
+# ---------------------------------------------------------------------------
 # normally ordered differential operators
 # ---------------------------------------------------------------------------
 
 
-def _accumulate_product(out: dict, key1, c1: Scalar, key2, c2: Scalar) -> None:
+def _accumulate_product(out: dict, key1, c1: Coeff, key2, c2: Coeff) -> None:
     """Add the normal ordering of (term1 . term2) into ``out``.
 
     Uses dz^k z^i = sum_s C(k,s) C(i,s) s! z^(i-s) dz^(k-s) (same for the
@@ -392,12 +302,10 @@ def _accumulate_product(out: dict, key1, c1: Scalar, key2, c2: Scalar) -> None:
             _bump(out, key, base * (ws * wt))
 
 
-@dataclass(frozen=True, eq=False)
-class DiffOp:
-    """Normally ordered operator: map (i, j, k, l) -> Scalar for z^i zbar^j dz^k dzbar^l."""
+class DiffOp(_TermMap):
+    """Normally ordered operator: map (i, j, k, l) -> coefficient for z^i zbar^j dz^k dzbar^l."""
 
-    mode: str
-    terms: dict
+    _ARITY = 4
 
     # ---- constructors ----
     @staticmethod
@@ -405,61 +313,37 @@ class DiffOp:
         return DiffOp(mode, {})
 
     @staticmethod
-    def monomial(key: tuple[int, int, int, int], coeff: Scalar) -> "DiffOp":
-        if any(e < 0 for e in key):
-            raise ValueError("operator exponents must be nonnegative")
-        if coeff.is_zero():
-            return DiffOp(coeff.mode, {})
-        return DiffOp(coeff.mode, {key: coeff})
+    def monomial(key: tuple[int, int, int, int], coeff) -> "DiffOp":
+        return DiffOp._single(key, coeff)
 
     @staticmethod
     def identity(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 0, 0, 0), Scalar.one(mode))
+        return DiffOp.monomial((0, 0, 0, 0), one(mode))
 
     @staticmethod
-    def constant(coeff: Scalar) -> "DiffOp":
+    def constant(coeff) -> "DiffOp":
         return DiffOp.monomial((0, 0, 0, 0), coeff)
 
     @staticmethod
     def z(mode: str) -> "DiffOp":
-        return DiffOp.monomial((1, 0, 0, 0), Scalar.one(mode))
+        return DiffOp.monomial((1, 0, 0, 0), one(mode))
 
     @staticmethod
     def zbar(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 1, 0, 0), Scalar.one(mode))
+        return DiffOp.monomial((0, 1, 0, 0), one(mode))
 
     @staticmethod
     def dz(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 0, 1, 0), Scalar.one(mode))
+        return DiffOp.monomial((0, 0, 1, 0), one(mode))
 
     @staticmethod
     def dzbar(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 0, 0, 1), Scalar.one(mode))
+        return DiffOp.monomial((0, 0, 0, 1), one(mode))
 
     @staticmethod
     def from_poly(poly: Poly2) -> "DiffOp":
         """The multiplication operator f -> p*f."""
         return DiffOp(poly.mode, {(i, j, 0, 0): c for (i, j), c in poly.terms.items()})
-
-    # ---- linear structure ----
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        mode = _join_modes(self, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _bump(out, key, c)
-        return DiffOp(mode, out)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.mode, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def scale(self, value) -> "DiffOp":
-        s = Scalar.lift(value, self.mode)
-        if s.is_zero():
-            return DiffOp.zero(self.mode)
-        return DiffOp(self.mode, {k: c * s for k, c in self.terms.items()})
 
     # ---- composition ----
     def __mul__(self, other):
@@ -472,17 +356,6 @@ class DiffOp:
             return DiffOp(mode, out)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, k: int) -> "DiffOp":
-        if k < 0:
-            raise ValueError("negative operator powers are not supported")
-        out = DiffOp.identity(self.mode)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def apply_to(self, poly: Poly2) -> Poly2:
         """Act on a plain polynomial (no envelope; see model.apply for that)."""
         mode = _join_modes(self, poly)
@@ -494,57 +367,6 @@ class DiffOp:
                 w = falling(pz, k) * falling(pb, l)
                 _bump(out, (pz - k + i, pb - l + j), c * u * w)
         return Poly2(mode, out)
-
-    # ---- inspection ----
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> Iterator[tuple[tuple[int, int, int, int], Scalar]]:
-        for key in sorted(self.terms):
-            yield key, self.terms[key]
-
-    def max_magnitude(self) -> Number:
-        if not self.terms:
-            return Fraction(0) if self.mode == EXACT else 0.0
-        return max(c.magnitude() for c in self.terms.values())
-
-    def to_float(self) -> "DiffOp":
-        if self.mode == FLOAT:
-            return self
-        return DiffOp(FLOAT, {k: Scalar.of_float(float(c.re), float(c.im)) for k, c in self.terms.items()})
-
-    def close_to(self, other: "DiffOp", tol: float = DEFAULT_TOL) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        zero = Scalar.zero(self.mode)
-        return all(self.terms.get(k, zero).close_to(other.terms.get(k, zero), tol) for k in keys)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        if self.mode != other.mode:
-            return False
-        if self.mode == EXACT:
-            return self.terms == other.terms
-        return self.close_to(other)
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = ("z", "zb", "dz", "dzb")
-        parts = []
-        for key, c in self.sorted_terms():
-            factors = [f"({c})"]
-            for name, e in zip(names, key):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +384,15 @@ def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
 
 def adjoint(op: DiffOp) -> DiffOp:
     """Formal adjoint: z <-> zbar, dz -> -dzbar, dzbar -> -dz, coefficients
-    conjugated, factor order reversed; the result is re-normal-ordered."""
+    conjugated (a rational is its own conjugate), factor order reversed; the
+    result is re-normal-ordered."""
     out: dict = {}
-    one = Scalar.one(op.mode)
+    unit = one(op.mode)
     for (i, j, k, l), c in op.terms.items():
         sign = -1 if (k + l) % 2 else 1
         cc = c.conjugate() * sign
         # (z^i zb^j dz^k dzb^l)^† = (-dz)^l (-dzb)^k z^j zb^i
-        _accumulate_product(out, (0, 0, l, k), cc, (j, i, 0, 0), one)
+        _accumulate_product(out, (0, 0, l, k), cc, (j, i, 0, 0), unit)
     return DiffOp(op.mode, out)
 
 

@@ -153,6 +153,12 @@ class TestBasisCommand:
         assert main(["basis", "--n", "2", "--m", "5"]) == 2
         assert "0 <= m <= n" in capsys.readouterr().err
 
+    def test_float_coefficients_print_as_floats(self, capsys):
+        assert main(["basis", "--mode", "float", "--n", "1", "--m", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "z^1 zbar^0: 1.0" in out and "z^0 zbar^1: 0.25" in out
+        assert "j)" not in out
+
 
 class TestMatricesCommand:
     def test_level_one(self, capsys):
@@ -160,6 +166,13 @@ class TestMatricesCommand:
         out = capsys.readouterr().out
         assert "[0, 1]" in out and "[1, 0]" in out  # pairing block
         assert "[8, 1]" in out and "[0, 8]" in out  # Jordan block at E_1 = 8
+
+    def test_float_level_one(self, capsys):
+        assert main(["matrices", "--mode", "float", "--n", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "[0.0, 1.0]" in out and "[1.0, 0.0]" in out
+        assert "[8.0, 1.0]" in out and "[0.0, 8.0]" in out
+        assert "j)" not in out
 
     def test_out_of_range(self, capsys):
         assert main(["matrices", "--n", "25"]) == 2

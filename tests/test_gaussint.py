@@ -12,7 +12,6 @@ from jordan_osc import (
     Params,
     Poly2,
     ReducedFn,
-    Scalar,
     build_psi,
     energy,
     expand_in_basis,
@@ -65,51 +64,51 @@ FROZEN_MOMENTS = {
 class TestMoments:
     def test_frozen_table(self, params):
         for (p, q), want in FROZEN_MOMENTS.items():
-            assert moment(params, p, q) == Scalar.exact(want), (p, q)
+            assert moment(params, p, q) == F(want), (p, q)
 
     def test_base_cases(self, params):
-        assert moment(params, 0, 0) == Scalar.exact(1)
-        assert moment(params, 0, 1) == Scalar.exact(0)
-        assert moment(params, 1, 1) == Scalar.exact(F(1, 2))  # 1/(2a)
-        assert moment(params, 2, 0) == Scalar.exact(F(-1, 4))  # -b/a^2
+        assert moment(params, 0, 0) == F(1)
+        assert moment(params, 0, 1) == F(0)
+        assert moment(params, 1, 1) == F(1, 2)  # 1/(2a)
+        assert moment(params, 2, 0) == F(-1, 4)  # -b/a^2
 
     def test_odd_total_degree_vanishes(self, params):
         for p in range(8):
             for q in range(8):
                 if (p + q) % 2 == 1:
-                    assert moment(params, p, q).is_zero()
+                    assert moment(params, p, q) == 0
 
     def test_zbar_excess_vanishes(self, params):
         # all the zbar-heavy moments die: the paired envelope is analytic in z
         for q in range(1, 7):
-            assert moment(params, 0, q).is_zero()
+            assert moment(params, 0, q) == 0
 
     def test_other_parameter_point(self):
         P = Params.exact(F(3, 2), F(2, 3))
         a, b = P.a, P.b
-        assert moment(P, 1, 1) == Scalar.exact(F(1, 1) / (2 * a))
-        assert moment(P, 2, 0) == Scalar.exact(-b / a**2)
-        assert moment(P, 2, 2) == Scalar.exact(F(2, 1) / (2 * a) ** 2)
+        assert moment(P, 1, 1) == F(1, 1) / (2 * a)
+        assert moment(P, 2, 0) == F(-b / a**2)
+        assert moment(P, 2, 2) == F(2, 1) / (2 * a) ** 2
 
 
 class TestInnerProduct:
     def test_ground_norm(self, params):
         fn = build_psi(params, 0, 0)
-        assert inner_product(params, fn, fn) == Scalar.exact(1)
+        assert inner_product(params, fn, fn) == F(1)
 
     def test_chain_heads_self_orthogonal(self, params):
         for n in range(1, 6):
             fn = build_psi(params, n, 0)
-            assert inner_product(params, fn, fn).is_zero()
+            assert inner_product(params, fn, fn) == 0
 
     def test_anti_diagonal_partner(self, params):
         got = inner_product(params, build_psi(params, 1, 0), build_psi(params, 1, 1))
-        assert got == Scalar.exact(1)
+        assert got == F(1)
 
     def test_cross_level_orthogonal(self, params):
         for n1, m1, n2, m2 in [(0, 0, 1, 0), (0, 0, 2, 1), (1, 1, 3, 2), (2, 0, 3, 3)]:
             got = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
-            assert got.is_zero(), (n1, m1, n2, m2)
+            assert got == 0, (n1, m1, n2, m2)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -136,7 +135,7 @@ class TestBlocks:
             block = gram_block(params, n)
             for m in range(n + 1):
                 for mp in range(n + 1):
-                    want = Scalar.exact(1 if m + mp == n else 0)
+                    want = F(1 if m + mp == n else 0)
                     assert block[m][mp] == want, (n, m, mp)
 
     def test_h_block_level0(self, params):
@@ -146,15 +145,15 @@ class TestBlocks:
         block = h_block(params, 1)
         e1 = energy(params, 1)
         assert block[0][0] == e1 and block[1][1] == e1
-        assert block[0][1] == Scalar.exact(1)
-        assert block[1][0] == Scalar.exact(0)
+        assert block[0][1] == F(1)
+        assert block[1][0] == F(0)
 
     def test_h_block_level3_structure(self, params):
         block = h_block(params, 3)
         e3 = energy(params, 3)
         for k in range(4):
             for m in range(4):
-                want = e3 if k == m else Scalar.exact(1 if m == k + 1 else 0)
+                want = e3 if k == m else F(1 if m == k + 1 else 0)
                 assert block[k][m] == want, (k, m)
 
 
@@ -167,10 +166,10 @@ class TestResolutionOfIdentity:
 
     def test_reproduces_generic_polynomial(self, params):
         terms = {
-            (0, 0): Scalar.exact(F(2, 3)),
-            (1, 2): Scalar.exact(-1),
-            (3, 0): Scalar.exact(F(1, 5)),
-            (2, 2): Scalar.exact(7),
+            (0, 0): F(2, 3),
+            (1, 2): F(-1),
+            (3, 0): F(1, 5),
+            (2, 2): F(7),
         }
         f = ReducedFn(Poly2(EXACT, terms))
         assert expand_in_basis(params, f, 4) == f
@@ -196,7 +195,7 @@ class TestQuadratureOracle:
         for n1, m1, n2, m2 in pairs:
             want = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
             got = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
-            assert abs(got - complex(want.to_complex())) < 1e-10, (n1, m1, n2, m2)
+            assert abs(got - complex(want)) < 1e-10, (n1, m1, n2, m2)
 
     def test_requires_a_greater_than_b(self):
         P = Params.from_ab(0.25, 1.0)

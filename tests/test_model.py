@@ -13,7 +13,6 @@ from jordan_osc import (
     DiffOp,
     Params,
     Poly2,
-    Scalar,
     alpha_coeffs,
     apply,
     build_phi,
@@ -22,7 +21,6 @@ from jordan_osc import (
     energy,
     explicit_form,
     make_operator,
-    params_from_frequencies,
     phi_scale_sq,
     pochhammer,
     psi_series,
@@ -35,8 +33,8 @@ class TestParams:
     def test_exact_point(self, params):
         assert params.a == 1 and params.b == F(1, 4)
         assert params.lam == 2 and params.g == 2
-        assert params.sqrt_ab == Scalar.exact(F(1, 2))
-        assert params.sqrt_a_over_b == Scalar.exact(2)
+        assert params.sqrt_ab == F(1, 2)
+        assert params.sqrt_a_over_b == F(2)
 
     def test_positivity_required(self):
         with pytest.raises(ValueError):
@@ -46,22 +44,22 @@ class TestParams:
 
     def test_from_frequencies(self):
         # omega1^2 = 3, omega2^2 = 1: mean square 2, half difference 1
-        P = params_from_frequencies(math.sqrt(3), 1.0)
+        P = Params.from_frequencies(math.sqrt(3), 1.0)
         lam = math.sqrt(2)
         assert P.a == pytest.approx(lam / 2)
         assert P.b == pytest.approx(1 / (4 * lam))
 
     def test_from_frequencies_inverts_reference_point(self):
         # the point a=1, b=1/4 has lam=2, g=2, so omega^2 = 4 +- 2
-        P = params_from_frequencies(math.sqrt(6), math.sqrt(2))
+        P = Params.from_frequencies(math.sqrt(6), math.sqrt(2))
         assert P.a == pytest.approx(1.0)
         assert P.b == pytest.approx(0.25)
 
     def test_equal_frequencies_rejected(self):
         with pytest.raises(ValueError):
-            params_from_frequencies(1.0, 1.0)
+            Params.from_frequencies(1.0, 1.0)
         with pytest.raises(ValueError):
-            params_from_frequencies(1.0, 2.0)
+            Params.from_frequencies(1.0, 2.0)
 
     def test_to_float(self, params):
         P = params.to_float()
@@ -108,15 +106,22 @@ class TestBasis:
     def test_chain_top_is_simple(self, params):
         # psi_{1,1} = z + (b/a) ... at a=1, b=1/4: z + zbar/4
         fn = build_psi(params, 1, 1)
-        assert fn.poly.coeff(1, 0) == Scalar.exact(1)
-        assert fn.poly.coeff(0, 1) == Scalar.exact(F(1, 4))
+        assert fn.poly.coeff(1, 0) == F(1)
+        assert fn.poly.coeff(0, 1) == F(1, 4)
 
     def test_chain_head_closed_form(self, params):
         # psi_{n,0} = (4 sqrt(ab))^n zbar^n; at the reference point 2^n zbar^n
         for n in range(5):
             fn = build_psi(params, n, 0)
-            assert fn.poly.coeff(0, n) == Scalar.exact(2**n)
+            assert fn.poly.coeff(0, n) == F(2**n)
             assert len(fn.poly.terms) == 1
+
+    def test_coefficient_types(self, params, fparams):
+        # one plain number type per mode, stored directly in the term map
+        assert all(type(c) is Fraction for c in build_psi(params, 4, 2).poly.terms.values())
+        assert all(type(c) is complex for c in build_psi(fparams, 4, 2).poly.terms.values())
+        assert all(type(c) is Fraction for c in make_operator(params, "J+").terms.values())
+        assert all(type(c) is complex for c in make_operator(fparams, "J+").terms.values())
 
     def test_series_matches_chain_head(self, params):
         # the general double-sum construction must reproduce the closed-form
@@ -151,25 +156,25 @@ class TestPhi:
 
     def test_rational_scale_folded(self, params):
         phi = build_phi(params, 7, 4)
-        assert phi.residual_scale_sq == Scalar.exact(1)
-        assert phi.fn == build_psi(params, 7, 4).scale(Scalar.exact(2))
+        assert phi.residual_scale_sq == F(1)
+        assert phi.fn == build_psi(params, 7, 4).scale(F(2))
 
     def test_irrational_scale_tracked(self, params):
         phi = build_phi(params, 3, 1)
-        assert phi.residual_scale_sq == Scalar.exact(F(1, 2))
+        assert phi.residual_scale_sq == F(1, 2)
         assert phi.fn == build_psi(params, 3, 1)
 
     def test_float_always_folds(self, fparams):
         phi = build_phi(fparams, 3, 1)
-        assert phi.residual_scale_sq == Scalar.of_float(1.0)
-        want = build_psi(fparams, 3, 1).scale(Scalar.of_float(math.sqrt(0.5)))
+        assert phi.residual_scale_sq == 1.0
+        want = build_psi(fparams, 3, 1).scale(math.sqrt(0.5))
         assert phi.fn.close_to(want, 1e-12)
 
 
 class TestCatalog:
     def test_energy(self, params):
-        assert energy(params, 0) == Scalar.exact(4)
-        assert energy(params, 3) == Scalar.exact(16)
+        assert energy(params, 0) == F(4)
+        assert energy(params, 3) == F(16)
 
     def test_lowering_operator_form(self, params):
         # A- = dz + a zbar at a=1
@@ -179,18 +184,16 @@ class TestCatalog:
     def test_hamiltonian_form(self, params):
         H = make_operator(params, "H")
         want = (
-            DiffOp.monomial((0, 0, 1, 1), Scalar.exact(-4))
-            + DiffOp.monomial((1, 1, 0, 0), Scalar.exact(4))
-            + DiffOp.monomial((0, 2, 0, 0), Scalar.exact(2))
+            DiffOp.monomial((0, 0, 1, 1), F(-4))
+            + DiffOp.monomial((1, 1, 0, 0), F(4))
+            + DiffOp.monomial((0, 2, 0, 0), F(2))
         )
         assert H == want
 
     def test_u_is_affine_in_h(self, params):
         # U = -H/2 + 2a: the central combination collapses to the Hamiltonian
         u = make_operator(params, "U")
-        want = make_operator(params, "H").scale(Scalar.exact(F(-1, 2))) + DiffOp.constant(
-            Scalar.exact(2)
-        )
+        want = make_operator(params, "H").scale(F(-1, 2)) + DiffOp.constant(F(2))
         assert u == want
 
     def test_unknown_name_rejected(self, params):
@@ -219,7 +222,7 @@ class TestEnvelopeConjugation:
         want = (
             DiffOp.dzbar(EXACT)
             - DiffOp.z(EXACT)
-            - DiffOp.zbar(EXACT).scale(Scalar.exact(F(1, 2)))
+            - DiffOp.zbar(EXACT).scale(F(1, 2))
         )
         assert got == want
 

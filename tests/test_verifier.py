@@ -10,7 +10,6 @@ from jordan_osc import (
     DiffOp,
     Params,
     RelationSpec,
-    Scalar,
     adjoint,
     check_actions,
     check_explicit_forms,
@@ -73,13 +72,13 @@ class TestExpressionGrammar:
 
     def test_scalar_literals(self, params):
         # 4*a = 4, -1/2, 8*ab = 2 at the reference point
-        assert eval_expression("4*a", params) == DiffOp.constant(Scalar.exact(4))
-        assert eval_expression("-1/2", params) == DiffOp.constant(Scalar.exact(F(-1, 2)))
-        assert eval_expression("8*ab", params) == DiffOp.constant(Scalar.exact(2))
+        assert eval_expression("4*a", params) == DiffOp.constant(F(4))
+        assert eval_expression("-1/2", params) == DiffOp.constant(F(-1, 2))
+        assert eval_expression("8*ab", params) == DiffOp.constant(F(2))
 
     def test_smul(self, params):
         got = eval_expression("smul -4*b J0", params)
-        assert got == make_operator(params, "J0").scale(Scalar.exact(-1))
+        assert got == make_operator(params, "J0").scale(F(-1))
 
     def test_trailing_tokens_rejected(self, params):
         with pytest.raises(ValueError):
@@ -178,10 +177,12 @@ class TestPseudoHermiticity:
         report = check_pseudo_hermiticity(params)
         assert report.passed and report.residual == "0"
 
-    def test_detects_imaginary_defect(self, params):
-        # H + i z zbar is no longer swap-Hermitian ...
-        ham = make_operator(params, "H") + DiffOp.monomial((1, 1, 0, 0), Scalar.exact(0, 1))
+    def test_detects_imaginary_defect(self, fparams):
+        # H + i z zbar is no longer swap-Hermitian (exact coefficients are
+        # rational, so the imaginary defect needs float mode) ...
+        ham = make_operator(fparams, "H") + DiffOp.monomial((1, 1, 0, 0), 1j)
         assert not (swap_vars(ham) - adjoint(ham)).is_zero()
+        assert (swap_vars(ham) - adjoint(ham)).max_magnitude() == pytest.approx(2.0)
 
     def test_real_defect_stays_invisible(self, params):
         # ... while H + z is: the property constrains phases, not realness

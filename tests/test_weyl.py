@@ -1,4 +1,4 @@
-"""Scalar/polynomial/operator arithmetic, normal ordering, adjoints."""
+"""Coefficient/polynomial/operator arithmetic, normal ordering, adjoints."""
 
 from fractions import Fraction
 
@@ -10,66 +10,53 @@ from jordan_osc import (
     FLOAT,
     DiffOp,
     ModeMismatchError,
+    Params,
     Poly2,
-    Scalar,
     adjoint,
     anticommutator,
     commutator,
     exact_sqrt,
+    lift,
     swap_vars,
 )
 
-from conftest import diff_ops, exact_scalars
+from conftest import diff_ops, polys, small_fractions
 
 F = Fraction
 
 
-class TestScalar:
+class TestCoefficients:
     def test_exact_arithmetic(self):
-        x = Scalar.exact(F(1, 2), F(1, 3))
-        y = Scalar.exact(2, -1)
-        assert (x + y) == Scalar.exact(F(5, 2), F(-2, 3))
-        assert (x * y) == Scalar.exact(F(4, 3), F(1, 6))
+        x = Poly2.one(EXACT).scale(F(1, 2))
+        y = Poly2.one(EXACT).scale(-2)
+        assert (x + y).coeff(0, 0) == F(-3, 2)
+        assert (x * y).coeff(0, 0) == -1
         assert (x - x).is_zero()
-        assert -y == Scalar.exact(-2, 1)
-
-    def test_exact_division(self):
-        x = Scalar.exact(1, 1)
-        y = Scalar.exact(0, 2)
-        # (1+i)/(2i) = (1-i)/2
-        assert x / y == Scalar.exact(F(1, 2), F(-1, 2))
-        with pytest.raises(ZeroDivisionError):
-            x / Scalar.zero(EXACT)
-
-    def test_conjugate_and_magnitude(self):
-        x = Scalar.exact(3, -4)
-        assert x.conjugate() == Scalar.exact(3, 4)
-        assert x.magnitude() == 7  # |re| + |im| in exact mode
-        assert Scalar.of_float(3.0, -4.0).magnitude() == pytest.approx(5.0)
+        assert (-y).coeff(0, 0) == 2
+        assert all(type(c) is Fraction for c in (x * y).terms.values())
 
     def test_lifting_ints_into_exact(self):
-        x = Scalar.exact(1) + 2
-        assert x == Scalar.exact(3)
-        assert Scalar.exact(1) * F(1, 2) == Scalar.exact(F(1, 2))
+        assert lift(3, EXACT) == 3 and type(lift(3, EXACT)) is Fraction
+        assert lift(F(1, 2), FLOAT) == 0.5 and type(lift(F(1, 2), FLOAT)) is complex
+        assert DiffOp.identity(EXACT).scale(2) == DiffOp.constant(F(2))
 
     def test_float_never_lifts_into_exact(self):
         with pytest.raises(ModeMismatchError):
-            Scalar.exact(1) + 0.5
+            lift(0.5, EXACT)
         with pytest.raises(ModeMismatchError):
-            Scalar.exact(1) + Scalar.of_float(0.5)
+            Poly2.z(EXACT).scale(0.5)
+        with pytest.raises(ModeMismatchError):
+            DiffOp.z(EXACT).scale(1j)
+        with pytest.raises(ModeMismatchError):
+            Params.exact(1, F(1, 2)).s(0.5)
 
     def test_float_equality_is_tolerant(self):
-        x = Scalar.of_float(1.0)
-        assert x == Scalar.of_float(1.0 + 1e-15)
-        assert x != Scalar.of_float(1.0 + 1e-9)
-
-    def test_power(self):
-        assert Scalar.exact(0, 1) ** 2 == Scalar.exact(-1)
-        assert Scalar.exact(F(1, 2)) ** 3 == Scalar.exact(F(1, 8))
-
-    def test_str(self):
-        assert str(Scalar.exact(F(3, 4))) == "3/4"
-        assert "i" in str(Scalar.exact(1, F(1, 2)))
+        x = Poly2.z(FLOAT)
+        assert x == x.scale(1.0 + 1e-15)
+        assert x != x.scale(1.0 + 1e-9)
+        op = DiffOp.dz(FLOAT)
+        assert op == op.scale(1.0 + 1e-15)
+        assert op != op.scale(1.0 + 1e-9)
 
     def test_exact_sqrt(self):
         assert exact_sqrt(F(9, 4)) == F(3, 2)
@@ -80,14 +67,14 @@ class TestScalar:
 class TestPoly2:
     def test_product(self):
         # (a z + b zbar)^2 at a=1, b=1/4
-        lin = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(Scalar.exact(F(1, 4)))
+        lin = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 4))
         sq = lin * lin
-        assert sq.coeff(2, 0) == Scalar.exact(1)
-        assert sq.coeff(1, 1) == Scalar.exact(F(1, 2))
-        assert sq.coeff(0, 2) == Scalar.exact(F(1, 16))
+        assert sq.coeff(2, 0) == 1
+        assert sq.coeff(1, 1) == F(1, 2)
+        assert sq.coeff(0, 2) == F(1, 16)
 
     def test_eval_matches_expansion(self):
-        lin = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(Scalar.exact(F(1, 4)))
+        lin = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 4))
         zv, zbv = 0.3 + 0.7j, 0.3 - 0.7j
         assert (lin * lin).eval_at(zv, zbv) == pytest.approx((zv + zbv / 4) ** 2)
 
@@ -113,8 +100,8 @@ class TestDiffOp:
         got = (dz * dz) * (z * z)
         want = (
             z * z * dz * dz
-            + (z * dz).scale(Scalar.exact(4))
-            + DiffOp.constant(Scalar.exact(2))
+            + (z * dz).scale(4)
+            + DiffOp.constant(F(2))
         )
         assert got == want
 
@@ -126,7 +113,7 @@ class TestDiffOp:
     def test_apply_to(self):
         dz = DiffOp.dz(EXACT)
         p = Poly2.z(EXACT) ** 3
-        assert dz.apply_to(p) == (Poly2.z(EXACT) ** 2).scale(Scalar.exact(3))
+        assert dz.apply_to(p) == (Poly2.z(EXACT) ** 2).scale(3)
 
     def test_apply_composition_consistent(self):
         # (L M) f == L (M f) for a mixed operator
@@ -141,8 +128,8 @@ class TestDiffOp:
         assert got == -(DiffOp.zbar(EXACT) * DiffOp.dz(EXACT))
 
     def test_adjoint_conjugates_coefficients(self):
-        op = DiffOp.z(EXACT).scale(Scalar.exact(0, 1))
-        assert adjoint(op) == DiffOp.zbar(EXACT).scale(Scalar.exact(0, -1))
+        op = DiffOp.z(FLOAT).scale(1j)
+        assert adjoint(op) == DiffOp.zbar(FLOAT).scale(-1j)
 
     def test_swap_vars(self):
         op = DiffOp.z(EXACT) * DiffOp.dzbar(EXACT) ** 2
@@ -191,7 +178,7 @@ class TestAlgebraLaws:
         assert swap_vars(swap_vars(x)) == x
 
     @settings(max_examples=30, deadline=None)
-    @given(exact_scalars, diff_ops(), diff_ops())
+    @given(small_fractions, diff_ops(), diff_ops())
     def test_scale_distributes(self, c, x, y):
         assert (x + y).scale(c) == x.scale(c) + y.scale(c)
 
@@ -199,3 +186,23 @@ class TestAlgebraLaws:
     @given(diff_ops(), diff_ops())
     def test_anticommutator_symmetric(self, x, y):
         assert anticommutator(x, y) == anticommutator(y, x)
+
+
+
+class TestFloatMirrorsExact:
+    """to_float is a homomorphism: both coefficient types run one code path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(diff_ops(), diff_ops())
+    def test_product(self, x, y):
+        assert (x * y).to_float() == x.to_float() * y.to_float()
+
+    @settings(max_examples=30, deadline=None)
+    @given(diff_ops())
+    def test_adjoint(self, x):
+        assert adjoint(x).to_float() == adjoint(x.to_float())
+
+    @settings(max_examples=30, deadline=None)
+    @given(diff_ops(), polys())
+    def test_apply_to(self, x, f):
+        assert x.apply_to(f).to_float() == x.to_float().apply_to(f.to_float())
