@@ -6,8 +6,8 @@ Subcommands:
 * basis    -- print one reduced basis function
 * matrices -- print the pairing and Hamiltonian blocks at level n
 
-Exit codes: 0 all checks passed, 1 at least one check failed (the report is
-still written), 2 usage error.
+Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
+check failed (the report is still written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class RunResult:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
+        """No check failed; a skipped check is not a failure."""
+        return not any(r.failed for r in self.reports)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,7 @@ def emit_json(result: RunResult) -> str:
             {
                 "id": r.relation_id,
                 "anchor": r.anchor,
-                "status": "pass" if r.passed else "fail",
+                "status": r.status,
                 "residual": r.residual,
                 "ms": r.ms,
             }
@@ -126,6 +127,7 @@ def parse_json(text: str) -> RunResult:
             passed=entry["status"] == "pass",
             residual=entry["residual"],
             ms=entry["ms"],
+            skipped=entry["status"] == "skip",
         )
         for entry in payload["suites"]
     )
@@ -137,7 +139,7 @@ def emit_csv(result: RunResult) -> str:
     writer = csv.writer(buf)
     writer.writerow(["id", "anchor", "status", "residual", "ms"])
     for r in result.reports:
-        writer.writerow([r.relation_id, r.anchor, "pass" if r.passed else "fail", r.residual, f"{r.ms:.3f}"])
+        writer.writerow([r.relation_id, r.anchor, r.status, r.residual, f"{r.ms:.3f}"])
     return buf.getvalue()
 
 
@@ -145,10 +147,10 @@ def emit_text(result: RunResult) -> str:
     lines = [f"mode={result.mode} params={result.params} n_max={result.n_max} tol={result.tol}"]
     width = max((len(r.relation_id) for r in result.reports), default=0)
     for r in result.reports:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status}  {r.relation_id:<{width}}  residual={r.residual}  ({r.ms:.1f} ms)")
-    failed = sum(1 for r in result.reports if not r.passed)
-    lines.append(f"{len(result.reports)} checks, {failed} failed")
+        lines.append(f"{r.status.upper()}  {r.relation_id:<{width}}  residual={r.residual}  ({r.ms:.1f} ms)")
+    failed = sum(1 for r in result.reports if r.failed)
+    skipped = sum(1 for r in result.reports if r.skipped)
+    lines.append(f"{len(result.reports)} checks, {failed} failed, {skipped} skipped")
     return "\n".join(lines) + "\n"
 
 
@@ -247,7 +249,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
-        failed = sum(1 for r in reports if not r.passed)
+        failed = sum(1 for r in reports if r.failed)
         print(f"wrote {len(reports)} check results to {args.out} ({failed} failed)")
     return 0 if result.passed else 1
 

@@ -539,12 +539,24 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     return out
 
 
+# (params, id(op)) -> (op, conjugated op) for the last few operators applied;
+# an entry holds its operator, so the id cannot be reused while it is cached
+_RECENT_CONJUGATIONS: dict = {}
+_RECENT_MAX = 4
+
+
 def apply(params: Params, op: DiffOp, fn: ReducedFn) -> ReducedFn:
     """Act with an operator on a reduced function.
 
     The envelope is never materialized: the operator is conjugated through
     exp(-a z zbar - b zbar^2) and the substituted operator acts on the
-    polynomial part.
+    polynomial part. Callers apply one operator to many functions in a row,
+    so the conjugations of the last few operators are reused.
     """
-    conj = conjugate_through_envelope(params, op)
-    return ReducedFn(conj.apply_to(fn.poly))
+    key = (params, id(op))
+    entry = _RECENT_CONJUGATIONS.get(key)
+    if entry is None:
+        if len(_RECENT_CONJUGATIONS) >= _RECENT_MAX:
+            del _RECENT_CONJUGATIONS[next(iter(_RECENT_CONJUGATIONS))]
+        entry = _RECENT_CONJUGATIONS[key] = (op, conjugate_through_envelope(params, op))
+    return ReducedFn(entry[1].apply_to(fn.poly))

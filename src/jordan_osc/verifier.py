@@ -12,15 +12,28 @@ Every identity the model asserts is checked here, grouped into five suites:
 * integrals  -- biorthogonality, Jordan blocks of the pairing, truncated
                 resolution of identity, and the quadrature cross-check.
 
+The actions and irrep suites are two readings of the same images
+op.psi_{n,m}, so one image pass serves both: it takes one operator at a time
+(``apply`` reuses the operator's conjugation through the envelope), and each
+image is built once, handed to every check that reads it, and dropped. The
+exact squared-value report irrep.<rule>.sq derives from the same operator's
+action rule: op psi_{n,m} = c psi_{n',m'} with the ladder target, c >= 0, and
+c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, so its residual also carries the
+image's residual against the action rule.
+irrep.J0 and irrep.K likewise check the J0 and K images and compare the
+action coefficient with the eigenvalue. The float direct reports rescale the
+shared image in float mode and build their own float images in exact mode.
+
 Exact mode is authoritative: a pass there means residual identically zero.
-Float mode compares residuals against a tolerance.
+Float mode compares residuals against a tolerance. A check that cannot run at
+the given point is reported as skipped, never as passed.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import factorial, sqrt
@@ -57,7 +70,6 @@ from .weyl import (
     anticommutator,
     commutator,
     swap_vars,
-    zero,
 )
 
 DEFAULT_TOL = 1e-10
@@ -66,7 +78,10 @@ SUITES = ("structure", "actions", "irrep", "pseudo", "integrals")
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of one verified relation (or one aggregated family)."""
+    """Outcome of one verified relation (or one aggregated family).
+
+    A skipped check did not run: it is neither passed nor failed.
+    """
 
     relation_id: str
     anchor: str
@@ -74,6 +89,22 @@ class Report:
     passed: bool
     residual: str
     ms: float
+    skipped: bool = False
+
+    def __post_init__(self) -> None:
+        if self.passed and self.skipped:
+            raise ValueError("a skipped check cannot pass")
+
+    @property
+    def failed(self) -> bool:
+        return not (self.passed or self.skipped)
+
+    @property
+    def status(self) -> str:
+        """``pass``, ``fail`` or ``skip``."""
+        if self.skipped:
+            return "skip"
+        return "pass" if self.passed else "fail"
 
 
 @dataclass(frozen=True)
@@ -175,8 +206,8 @@ def eval_expression(expr: str, params: Params) -> DiffOp:
     return op
 
 
-def _verdict(params: Params, residual, tol: float) -> bool:
-    if params.mode == EXACT:
+def _verdict(mode: str, residual, tol: float) -> bool:
+    if mode == EXACT:
         return residual == 0
     return float(residual) <= tol
 
@@ -190,7 +221,7 @@ def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL)
         relation_id=spec.rel_id,
         anchor=f"{spec.lhs} == {spec.rhs}",
         mode=params.mode,
-        passed=_verdict(params, residual, tol),
+        passed=_verdict(params.mode, residual, tol),
         residual=str(residual),
         ms=ms,
     )
@@ -356,32 +387,8 @@ def _residual_of(diff: ReducedFn):
     return diff.poly.max_magnitude()
 
 
-def check_actions(params: Params, n_max: int = 10, tol: float = DEFAULT_TOL) -> list[Report]:
-    """Compare apply(op, psi_{n,m}) against the asserted expansion for every
-    action formula and every 0 <= m <= n <= n_max; one report per formula."""
-    reports = []
-    for rule in ACTION_RULES:
-        start = time.perf_counter()
-        op = make_operator(params, rule.op_name)
-        worst = Fraction(0) if params.mode == EXACT else 0.0
-        worst_at = None
-        for n in range(n_max + 1):
-            for m in range(n + 1):
-                got = apply(params, op, build_psi(params, n, m))
-                want = _predicted_combination(params, rule.terms(params, n, m))
-                residual = _residual_of(got - want)
-                if residual > worst:
-                    worst, worst_at = residual, (n, m)
-        ms = (time.perf_counter() - start) * 1e3
-        anchor = rule.anchor if worst_at is None else f"{rule.anchor} [worst at n,m={worst_at}]"
-        reports.append(
-            Report(rule.rule_id, anchor, params.mode, _verdict(params, worst, tol), str(worst), ms)
-        )
-    return reports
-
-
 # ---------------------------------------------------------------------------
-# irrep suite
+# irrep rules
 # ---------------------------------------------------------------------------
 
 # Ladder rules: op phi_{j,mu} = sqrt(coeff_sq(j,mu)) phi_{j',mu'}, with the
@@ -445,102 +452,167 @@ def _jmu(n: int, m: int) -> tuple[Fraction, Fraction]:
     return Fraction(n, 2), Fraction(2 * m - n, 2)
 
 
-def _extract_ratio(got: ReducedFn, target: ReducedFn) -> tuple[Coeff | None, object]:
-    """Solve got == d * target; returns (d, residual of the fit) or (None, big)
-    when got is not proportional to target."""
-    mode = got.mode
-    if got.is_zero():
-        return zero(mode), Fraction(0) if mode == EXACT else 0.0
-    if target.is_zero():
-        return None, got.poly.max_magnitude()
-    key = next(iter(sorted(target.poly.terms)))
-    if key not in got.poly.terms:
-        return None, got.poly.max_magnitude()
-    d = got.poly.terms[key] / target.poly.terms[key]
-    residual = (got - target.scale(d)).poly.max_magnitude()
-    return d, residual
+# ---------------------------------------------------------------------------
+# the image pass shared by the action and irrep suites
+# ---------------------------------------------------------------------------
 
 
-def _check_ladder_exact(params: Params, rule: LadderRule, n_max: int):
-    worst = Fraction(0)
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            j, mu = _jmu(n, m)
-            c2 = Fraction(rule.coeff_sq(j, mu))
-            n2, m2 = n + rule.dn, m + rule.dm
-            got = apply(params, make_operator(params, rule.op_name), build_psi(params, n, m))
-            if not (0 <= m2 <= n2):
-                # outside the grid the formula coefficient must vanish
-                worst = max(worst, abs(c2), got.poly.max_magnitude())
-                continue
-            d, fit_residual = _extract_ratio(got, build_psi(params, n2, m2))
-            if d is None:
-                worst = max(worst, Fraction(1), fit_residual)
-                continue
-            worst = max(worst, fit_residual)
-            if d < 0:
-                # the su(2)-type coefficients are nonnegative
-                worst = max(worst, abs(d))
-                continue
-            ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
-            worst = max(worst, abs(d * d * ratio - c2))
-    return worst
+class _Worst:
+    """One report's worst residual so far, where it sits, and the time spent
+    on the report."""
+
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
+        self.value = Fraction(0) if mode == EXACT else 0.0
+        self.at: tuple | None = None
+        self.seconds = 0.0
+
+    def add(self, n: int, m: int, residual, since: float) -> None:
+        """Record the residual at (n, m), computed since ``since``."""
+        if residual > self.value:
+            self.value, self.at = residual, (n, m)
+        self.seconds += time.perf_counter() - since
+
+    def report(self, relation_id: str, anchor: str, tol: float, locate: bool = False) -> Report:
+        if locate and self.at is not None:
+            anchor = f"{anchor} [worst at n,m={self.at}]"
+        return Report(relation_id, anchor, self.mode, _verdict(self.mode, self.value, tol),
+                      str(self.value), self.seconds * 1e3)
 
 
-def _check_ladder_float(params: Params, rule: LadderRule, n_max: int):
-    """Direct check on materialized phi functions, normalized residual."""
+def _split_terms(terms: list, n2: int, m2: int):
+    """An action expansion's coefficient at psi[n2,m2], and the largest
+    magnitude it puts anywhere else (nonzero when the action and irrep claims
+    name different targets)."""
+    coeff, stray = 0, 0
+    for t_n, t_m, c in terms:
+        if (t_n, t_m) == (n2, m2):
+            coeff = coeff + c
+        else:
+            stray = max(stray, abs(c))
+    return coeff, stray
+
+
+# Each irrep residual reads one image op.psi_{n,m}: its arguments are the
+# parameters, the irrep rule, n, m, the action rule's expansion terms, the
+# image, and the image's residual against those terms.
+
+
+def _eigenvalue_residual(params, rule, n, m, terms, image, image_residual):
+    """op psi_{n,m} = c psi_{n,m} holds (the image residual) and c equals the
+    irrep eigenvalue."""
+    coeff, stray = _split_terms(terms, n, m)
+    eigenvalue = params.s(Fraction(rule.eigenvalue(*_jmu(n, m))))
+    return max(image_residual, stray, abs(coeff - eigenvalue))
+
+
+def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
+    """Exact mode: op psi_{n,m} = c psi_{n',m'} holds (the image residual), the
+    action target is the ladder target, c >= 0, and, as phi is psi scaled by
+    sqrt(m!/(n-m)!), c^2 m!(n'-m')!/((n-m)! m'!) equals coeff_sq; outside the
+    grid coeff_sq must vanish."""
+    c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
+    n2, m2 = n + rule.dn, m + rule.dm
+    coeff, stray = _split_terms(terms, n2, m2)
+    if not (0 <= m2 <= n2):
+        return max(image_residual, stray, abs(c2))
+    if coeff < 0:
+        # the su(2)-type coefficients are nonnegative
+        return max(image_residual, stray, abs(coeff))
+    ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
+    return max(image_residual, stray, abs(coeff * coeff * ratio - c2))
+
+
+def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
+    """Float mode, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
+    normalized by the size of the target. A float run rescales the shared image
+    (phi is a multiple of psi, so by linearity this is op phi); an exact run
+    applies the float operator to the float phi."""
     fparams = params.to_float()
-    worst = 0.0
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            j, mu = _jmu(n, m)
-            c2 = Fraction(rule.coeff_sq(j, mu))
-            n2, m2 = n + rule.dn, m + rule.dm
-            phi = build_phi(fparams, n, m).fn
-            got = apply(fparams, make_operator(fparams, rule.op_name), phi)
-            if not (0 <= m2 <= n2):
-                worst = max(worst, abs(float(c2)), float(got.poly.max_magnitude()))
-                continue
-            want = build_phi(fparams, n2, m2).fn.scale(sqrt(float(c2)))
-            scale = max(1.0, float(want.poly.max_magnitude()))
-            worst = max(worst, float((got - want).poly.max_magnitude()) / scale)
-    return worst
+    if params.mode == FLOAT:
+        got = image.scale(sqrt(phi_scale_sq(n, m)))
+    else:
+        got = apply(fparams, make_operator(fparams, rule.op_name), build_phi(fparams, n, m).fn)
+    c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
+    n2, m2 = n + rule.dn, m + rule.dm
+    if not (0 <= m2 <= n2):
+        return max(abs(float(c2)), float(got.poly.max_magnitude()))
+    want = build_phi(fparams, n2, m2).fn.scale(sqrt(float(c2)))
+    scale = max(1.0, float(want.poly.max_magnitude()))
+    return float((got - want).poly.max_magnitude()) / scale
+
+
+def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule) -> list[tuple]:
+    """(report id, anchor, report mode, residual) of each report of one irrep
+    rule, in report order."""
+    if isinstance(rule, DiagonalRule):
+        return [(rule.rule_id, rule.anchor, mode, _eigenvalue_residual)]
+    checks = [(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT,
+               _float_ladder_residual)]
+    if mode == EXACT:
+        checks.insert(0, (f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT,
+                          _squared_ladder_residual))
+    return checks
+
+
+def _image_pass(
+    params: Params, suites: Iterable[str], n_max: int, tol: float
+) -> tuple[list[Report], list[Report]]:
+    """Reports of the actions and irrep suites among ``suites``, each in report
+    order.
+
+    One operator at a time (``apply`` conjugates it through the envelope
+    once), each image op.psi_{n,m} (0 <= m <= n <= n_max) is built once,
+    compared with the action rule's expansion, handed to the irrep reports of
+    the same operator, and dropped. The image's cost is timed into the action
+    report, or into the first irrep report when the actions suite is not run.
+    """
+    irrep_rules = DIAGONAL_RULES + LADDER_RULES if "irrep" in suites else ()
+    by_op = {rule.op_name: rule for rule in irrep_rules}
+    missing = set(by_op) - {rule.op_name for rule in ACTION_RULES}
+    if missing:
+        raise ValueError(f"no action rule for {', '.join(sorted(missing))}, whose images the irrep suite reads")
+    actions, irrep = [], {}
+    for rule in ACTION_RULES:
+        irrep_rule = by_op.get(rule.op_name)
+        if irrep_rule is None and "actions" not in suites:
+            continue
+        checks = [] if irrep_rule is None else _irrep_checks(params.mode, irrep_rule)
+        image_worst = _Worst(params.mode)
+        worsts = [_Worst(check_mode) for _, _, check_mode, _ in checks]
+        op = make_operator(params, rule.op_name)
+        for n in range(n_max + 1):
+            for m in range(n + 1):
+                start = time.perf_counter()
+                terms = rule.terms(params, n, m)
+                image = apply(params, op, build_psi(params, n, m))
+                image_residual = _residual_of(image - _predicted_combination(params, terms))
+                image_worst.add(n, m, image_residual, start)
+                for (_, _, _, residual), worst in zip(checks, worsts):
+                    start = time.perf_counter()
+                    worst.add(n, m, residual(params, irrep_rule, n, m, terms, image, image_residual), start)
+        if "actions" in suites:
+            actions.append(image_worst.report(rule.rule_id, rule.anchor, tol, locate=True))
+        else:
+            worsts[0].seconds += image_worst.seconds
+        if irrep_rule is not None:
+            irrep[irrep_rule.rule_id] = [
+                worst.report(report_id, anchor, tol) for (report_id, anchor, _, _), worst in zip(checks, worsts)
+            ]
+    return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
+
+
+def check_actions(params: Params, n_max: int = 10, tol: float = DEFAULT_TOL) -> list[Report]:
+    """Compare op.psi_{n,m} against the asserted expansion for every action
+    formula and every 0 <= m <= n <= n_max; one report per formula."""
+    return _image_pass(params, ("actions",), n_max, tol)[0]
 
 
 def check_irrep(params: Params, n_max: int = 10, tol: float = DEFAULT_TOL) -> list[Report]:
-    """su(2)/superalgebra coefficients on phi: one exact squared-value report
-    and one float direct report per rule, plus exact diagonal reports."""
-    reports = []
-    for diag in DIAGONAL_RULES:
-        start = time.perf_counter()
-        worst = Fraction(0) if params.mode == EXACT else 0.0
-        for n in range(n_max + 1):
-            for m in range(n + 1):
-                j, mu = _jmu(n, m)
-                got = apply(params, make_operator(params, diag.op_name), build_psi(params, n, m))
-                want = build_psi(params, n, m).scale(params.s(Fraction(diag.eigenvalue(j, mu))))
-                worst = max(worst, _residual_of(got - want))
-        ms = (time.perf_counter() - start) * 1e3
-        reports.append(
-            Report(diag.rule_id, diag.anchor, params.mode, _verdict(params, worst, tol), str(worst), ms)
-        )
-    for rule in LADDER_RULES:
-        if params.mode == EXACT:
-            start = time.perf_counter()
-            worst = _check_ladder_exact(params, rule, n_max)
-            ms = (time.perf_counter() - start) * 1e3
-            reports.append(
-                Report(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT,
-                       worst == 0, str(worst), ms)
-            )
-        start = time.perf_counter()
-        worst = _check_ladder_float(params, rule, n_max)
-        ms = (time.perf_counter() - start) * 1e3
-        reports.append(
-            Report(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT,
-                   worst <= tol, repr(worst), ms)
-        )
-    return reports
+    """su(2)/superalgebra coefficients on phi, read off the action images: the
+    diagonal reports, then per ladder rule an exact squared-value report (exact
+    mode only) and a float direct report."""
+    return _image_pass(params, ("irrep",), n_max, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +627,7 @@ def check_pseudo_hermiticity(params: Params, tol: float = DEFAULT_TOL) -> Report
     residual = (swap_vars(ham) - adjoint(ham)).max_magnitude()
     ms = (time.perf_counter() - start) * 1e3
     return Report("pseudo.H", "swap_vars(H) == adjoint(H)", params.mode,
-                  _verdict(params, residual, tol), str(residual), ms)
+                  _verdict(params.mode, residual, tol), str(residual), ms)
 
 
 def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Report]:
@@ -567,7 +639,7 @@ def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Repor
         ms = (time.perf_counter() - start) * 1e3
         reports.append(
             Report(f"explicit.{name}", f"make_operator({name}) == explicit_form({name})",
-                   params.mode, _verdict(params, residual, tol), str(residual), ms)
+                   params.mode, _verdict(params.mode, residual, tol), str(residual), ms)
         )
     return reports
 
@@ -611,7 +683,7 @@ def check_integrals(
                 worst = max(worst, abs(block[m][mp] - want))
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}",
-                          mode, _verdict(params, worst, tol), str(worst), ms))
+                          mode, _verdict(mode, worst, tol), str(worst), ms))
 
     start = time.perf_counter()
     worst = Fraction(0) if mode == EXACT else 0.0
@@ -624,7 +696,7 @@ def check_integrals(
                 worst = max(worst, abs(block[k][m] - want))
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}",
-                          mode, _verdict(params, worst, tol), str(worst), ms))
+                          mode, _verdict(mode, worst, tol), str(worst), ms))
 
     start = time.perf_counter()
     ground = build_psi(params, 0, 0)
@@ -634,7 +706,7 @@ def check_integrals(
         worst = max(worst, abs(inner_product(params, head, head)))
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.norms", f"<<psi00|psi00>> = 1 and <<psi_n0|psi_n0>> = 0 for 1 <= n <= {n_max}",
-                          mode, _verdict(params, worst, tol), str(worst), ms))
+                          mode, _verdict(mode, worst, tol), str(worst), ms))
 
     start = time.perf_counter()
     span = min(n_max, 5)
@@ -644,14 +716,14 @@ def check_integrals(
         worst = max(worst, _residual_of(expand_in_basis(params, f, span) - f))
     ms = (time.perf_counter() - start) * 1e3
     reports.append(Report("integrals.resolution", f"truncated resolution of identity on degree <= {span} functions",
-                          mode, _verdict(params, worst, tol), str(worst), ms))
+                          mode, _verdict(mode, worst, tol), str(worst), ms))
 
     start = time.perf_counter()
     fparams = params.to_float()
     if not float(params.a) > float(params.b):
         ms = (time.perf_counter() - start) * 1e3
         reports.append(Report("integrals.oracle", "quadrature cross-check skipped: needs a > b",
-                              mode, True, "0", ms))
+                              mode, False, "n/a", ms, skipped=True))
         return reports
     worst_f = 0.0
     pairs = [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]
@@ -680,19 +752,24 @@ def run_suites(
     tol: float = DEFAULT_TOL,
     catalog_path: str | None = None,
 ) -> list[Report]:
+    """Reports of the given suites, suite by suite in the given order; the
+    actions and irrep suites share one image pass."""
+    suites = tuple(suites)
+    for suite in suites:
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    action_reports, irrep_reports = _image_pass(params, suites, n_max, tol)
     reports: list[Report] = []
     for suite in suites:
         if suite == "structure":
             reports += check_structure(params, load_relations(catalog_path), tol)
             reports += check_explicit_forms(params, tol)
         elif suite == "actions":
-            reports += check_actions(params, n_max, tol)
+            reports += action_reports
         elif suite == "irrep":
-            reports += check_irrep(params, n_max, tol)
+            reports += irrep_reports
         elif suite == "pseudo":
             reports.append(check_pseudo_hermiticity(params, tol))
-        elif suite == "integrals":
-            reports += check_integrals(params, min(n_max, 8), tol)
         else:
-            raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+            reports += check_integrals(params, min(n_max, 8), tol)
     return reports

@@ -1,8 +1,11 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+import jordan_osc.model
 from jordan_osc import EXACT, DiffOp, Params, Poly2
 
 
@@ -15,6 +18,32 @@ def params():
 @pytest.fixture(scope="session")
 def fparams():
     return Params.from_ab(1.0, 0.25)
+
+
+@pytest.fixture
+def image_counts(monkeypatch):
+    """Counts envelope conjugations ("conjugate") and DiffOp.apply_to calls
+    ("apply_to") made while the test runs, at every module that binds
+    conjugate_through_envelope. The test starts with no conjugation reused
+    from earlier calls of ``apply``."""
+    counts = Counter()
+    monkeypatch.setattr(jordan_osc.model, "_RECENT_CONJUGATIONS", {})
+    conjugate = jordan_osc.model.conjugate_through_envelope
+    apply_to = DiffOp.apply_to
+
+    def counted_conjugate(*args, **kwargs):
+        counts["conjugate"] += 1
+        return conjugate(*args, **kwargs)
+
+    def counted_apply_to(self, poly):
+        counts["apply_to"] += 1
+        return apply_to(self, poly)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jordan_osc") and getattr(module, "conjugate_through_envelope", None) is conjugate:
+            monkeypatch.setattr(module, "conjugate_through_envelope", counted_conjugate)
+    monkeypatch.setattr(DiffOp, "apply_to", counted_apply_to)
+    return counts
 
 
 small_fractions = st.fractions(

@@ -14,7 +14,7 @@ from jordan_osc.cli import (
     main,
     parse_json,
 )
-from jordan_osc.verifier import load_relations
+from jordan_osc.verifier import Report, load_relations
 
 F = Fraction
 
@@ -176,6 +176,36 @@ class TestMatricesCommand:
 
     def test_out_of_range(self, capsys):
         assert main(["matrices", "--n", "25"]) == 2
+
+
+class TestSkippedChecks:
+    # a = 1/4 < b = 1: the quadrature cross-check cannot run
+    ARGV = ["verify", "--p", "1/2", "--q", "1", "--suites", "integrals", "--nmax", "2"]
+
+    def test_json_reports_skip_and_round_trips(self, capsys):
+        assert main(self.ARGV + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        statuses = {e["id"]: e["status"] for e in json.loads(out)["suites"]}
+        assert statuses["integrals.oracle"] == "skip"
+        assert {s for rid, s in statuses.items() if rid != "integrals.oracle"} == {"pass"}
+        result = parse_json(out)
+        assert result.passed and emit_json(result) == out
+        oracle = next(r for r in result.reports if r.relation_id == "integrals.oracle")
+        assert oracle.skipped and not oracle.passed
+
+    def test_csv_and_text_show_skip(self, capsys):
+        assert main(self.ARGV + ["--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert next(r for r in rows if r.startswith("integrals.oracle,")).split(",")[2] == "skip"
+        assert main(self.ARGV + ["--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert "SKIP  integrals.oracle" in text and "0 failed, 1 skipped" in text
+
+    def test_skip_does_not_hide_a_failure(self):
+        skip = Report("s", "s", "exact", False, "n/a", 0.0, skipped=True)
+        fail = Report("f", "f", "exact", False, "1", 0.0)
+        assert RunResult({}, "exact", 2, 1e-10, (skip,)).passed
+        assert not RunResult({}, "exact", 2, 1e-10, (skip, fail)).passed
 
 
 class TestEmitters:

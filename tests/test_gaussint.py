@@ -148,6 +148,10 @@ class TestBlocks:
         assert block[0][1] == F(1)
         assert block[1][0] == F(0)
 
+    def test_h_block_conjugates_once(self, params, image_counts):
+        h_block(params, 3)
+        assert image_counts == {"conjugate": 1, "apply_to": 4}
+
     def test_h_block_level3_structure(self, params):
         block = h_block(params, 3)
         e3 = energy(params, 3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordan_osc import model
 from jordan_osc import (
     CATALOG_NAMES,
     EXACT,
@@ -261,3 +262,26 @@ class TestApply:
         y = make_operator(params, "A+")
         fn = build_psi(params, 2, 1)
         assert apply(params, x + y, fn) == apply(params, x, fn) + apply(params, y, fn)
+
+    def test_reuses_conjugations_of_recent_operators(self, params, fparams, image_counts):
+        H, J0 = make_operator(params, "H"), make_operator(params, "J0")
+        fH = make_operator(fparams, "H")
+        for m in range(3):
+            fn = build_psi(params, 2, m)
+            apply(params, H, fn)
+            apply(params, J0, fn)
+            apply(fparams, fH, build_psi(fparams, 2, m))
+        assert image_counts == {"conjugate": 3, "apply_to": 9}
+
+    def test_new_operator_is_conjugated_anew(self, params):
+        H = make_operator(params, "H")
+        fn = build_psi(params, 2, 1)
+        once = apply(params, H, fn)
+        assert apply(params, H.scale(F(2)), fn) == once.scale(F(2))
+        assert apply(params, H, fn) == once
+
+    def test_remembers_only_a_few_operators(self, params):
+        fn = build_psi(params, 1, 0)
+        for name in CATALOG_NAMES:
+            apply(params, make_operator(params, name), fn)
+        assert len(model._RECENT_CONJUGATIONS) <= model._RECENT_MAX

@@ -1,5 +1,6 @@
 """Relation catalog, expression grammar, and the five verification suites."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from jordan_osc import (
     DiffOp,
     Params,
     RelationSpec,
+    Report,
     adjoint,
     check_actions,
     check_explicit_forms,
@@ -172,6 +174,83 @@ class TestIrrepSuite:
         assert all(r.passed for r in reports)
 
 
+def _failing(reports):
+    return {r.relation_id for r in reports if not r.passed}
+
+
+def _replace_rule(rules, rule_id, **changes):
+    assert any(r.rule_id == rule_id for r in rules)
+    return tuple(replace(r, **changes) if r.rule_id == rule_id else r for r in rules)
+
+
+class TestDerivedChecksCanFail:
+    """irrep.*.sq, irrep.J0 and irrep.K reuse the action images; each still
+    fails when its own claim, or the image it reads, is wrong."""
+
+    def test_wrong_ladder_coefficient_fails_sq(self, params, monkeypatch):
+        import jordan_osc.verifier as v
+
+        # doubled, so still zero at the top of each chain: only in-grid values are wrong
+        monkeypatch.setattr(v, "LADDER_RULES", _replace_rule(
+            v.LADDER_RULES, "irrep.J+", coeff_sq=lambda j, mu: 2 * (j - mu) * (j + mu + 1)))
+        assert _failing(v.check_irrep(params, n_max=3)) == {"irrep.J+.sq", "irrep.J+.float"}
+
+    def test_wrong_action_coefficient_fails_action_and_sq(self, params, monkeypatch):
+        import jordan_osc.verifier as v
+
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(
+            v.ACTION_RULES, "action.a1+", terms=lambda P, n, m: [(n + 1, m + 1, P.s(m + 2))]))
+        failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
+        # the float direct report builds its own images in exact mode
+        assert failing == {"action.a1+", "irrep.a1+.sq"}
+
+    def test_wrong_image_fails_sq(self, params, monkeypatch):
+        import jordan_osc.verifier as v
+
+        make = v.make_operator
+        monkeypatch.setattr(v, "make_operator", lambda P, name: (
+            make(P, name).scale(P.s(2)) if name == "a1+" else make(P, name)))
+        failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
+        assert failing == {"action.a1+", "irrep.a1+.sq", "irrep.a1+.float"}
+
+    def test_wrong_eigenvalue_fails_diagonal(self, params, monkeypatch):
+        import jordan_osc.verifier as v
+
+        monkeypatch.setattr(v, "DIAGONAL_RULES", _replace_rule(
+            v.DIAGONAL_RULES, "irrep.J0", eigenvalue=lambda j, mu: mu + 1))
+        assert _failing(v.run_suites(params, ("actions", "irrep"), n_max=3)) == {"irrep.J0"}
+
+
+class TestImagePass:
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_suites_agree_however_requested(self, point, request):
+        P = request.getfixturevalue(point)
+        strip = lambda r: (r.relation_id, r.anchor, r.mode, r.status, r.residual)  # noqa: E731
+        together = [strip(r) for r in run_suites(P, ("actions", "irrep"), n_max=4)]
+        apart = [strip(r) for r in check_actions(P, n_max=4) + check_irrep(P, n_max=4)]
+        irrep_alone = [strip(r) for r in run_suites(P, ("irrep",), n_max=4)]
+        assert together == apart
+        n_actions = len(ACTION_RULES)
+        assert together[n_actions:] == irrep_alone
+        assert all(rid.startswith("irrep.") for rid, *_ in irrep_alone)
+
+    @pytest.mark.parametrize("point, conjugations, images", [
+        ("params", 23 + 12, (23 + 12) * 15),  # exact: action images + float irrep images
+        ("fparams", 23, 23 * 15),  # float: the irrep suite reuses the action images
+    ])
+    def test_each_image_built_once(self, point, conjugations, images, request, image_counts):
+        P = request.getfixturevalue(point)
+        run_suites(P, ("actions", "irrep"), n_max=4)
+        assert image_counts == {"conjugate": conjugations, "apply_to": images}
+
+    def test_irrep_rule_without_action_rule_rejected(self, params, monkeypatch):
+        import jordan_osc.verifier as v
+
+        monkeypatch.setattr(v, "ACTION_RULES", tuple(r for r in v.ACTION_RULES if r.op_name != "K"))
+        with pytest.raises(ValueError, match="K"):
+            v.check_irrep(params, n_max=1)
+
+
 class TestPseudoHermiticity:
     def test_passes(self, params):
         report = check_pseudo_hermiticity(params)
@@ -202,7 +281,13 @@ class TestIntegralSuite:
         P = Params.exact(F(1, 2), 1)  # a = 1/4 < b = 1
         reports = check_integrals(P, n_max=2)
         oracle = next(r for r in reports if r.relation_id == "integrals.oracle")
-        assert oracle.passed and "skip" in oracle.anchor
+        assert oracle.skipped and oracle.status == "skip" and "skip" in oracle.anchor
+        assert not oracle.passed and not oracle.failed
+        assert oracle.residual == "n/a"
+
+    def test_skipped_report_cannot_pass(self):
+        with pytest.raises(ValueError):
+            Report("x", "x", "exact", True, "0", 0.0, skipped=True)
 
 
 class TestRunSuites:
