@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .gaussint import gram_block, h_block
 from .model import Params, build_psi
-from .verifier import SUITES, Report, load_relations, run_suites
+from .verifier import SUITES, Report, load_relations, run_suites, suite_cutoffs
 from .weyl import EXACT, FLOAT, format_coeff
 
 ENV_NMAX = "JORDAN_OSC_NMAX"
@@ -85,6 +85,8 @@ class RunResult:
     n_max: int
     tol: float
     reports: tuple[Report, ...] = field(default_factory=tuple)
+    #: suite -> the basis cutoff it ran at (see verifier.suite_cutoffs)
+    cutoffs: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -103,6 +105,7 @@ def emit_json(result: RunResult) -> str:
         "mode": result.mode,
         "n_max": result.n_max,
         "tol": result.tol,
+        "cutoffs": result.cutoffs,
         "suites": [
             {
                 "id": r.relation_id,
@@ -131,7 +134,8 @@ def parse_json(text: str) -> RunResult:
         )
         for entry in payload["suites"]
     )
-    return RunResult(payload["params"], payload["mode"], payload["n_max"], payload["tol"], reports)
+    return RunResult(payload["params"], payload["mode"], payload["n_max"], payload["tol"], reports,
+                     payload.get("cutoffs", {}))
 
 
 def emit_csv(result: RunResult) -> str:
@@ -144,7 +148,10 @@ def emit_csv(result: RunResult) -> str:
 
 
 def emit_text(result: RunResult) -> str:
-    lines = [f"mode={result.mode} params={result.params} n_max={result.n_max} tol={result.tol}"]
+    lines = [
+        f"mode={result.mode} params={result.params} n_max={result.n_max} tol={result.tol}",
+        "cutoffs: " + " ".join(f"{suite}={'none' if c is None else c}" for suite, c in result.cutoffs.items()),
+    ]
     width = max((len(r.relation_id) for r in result.reports), default=0)
     for r in result.reports:
         lines.append(f"{r.status.upper()}  {r.relation_id:<{width}}  residual={r.residual}  ({r.ms:.1f} ms)")
@@ -184,7 +191,9 @@ def _default_nmax() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(
+            f"{ENV_NMAX} must be an integer in [{NMAX_RANGE[0]}, {NMAX_RANGE[1]}], got {raw!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +251,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = run_suites(params, config.suites, config.n_max, config.tol, config.catalog)
-    result = RunResult(config.params_repr(), config.mode, config.n_max, config.tol, tuple(reports))
+    result = RunResult(config.params_repr(), config.mode, config.n_max, config.tol, tuple(reports),
+                       suite_cutoffs(config.suites, config.n_max))
     rendered = EMITTERS[config.fmt](result)
     if args.out is None:
         sys.stdout.write(rendered)

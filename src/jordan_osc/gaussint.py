@@ -14,14 +14,22 @@ M with I(p,q) = integral z^p zbar^q envelope^2 = M * pi/(2a). Since each
 reduced function carries one factor kappa = sqrt(2a/pi), the pairing of two
 reduced functions is kappa^2 * (pi/(2a)) * sum(...) = sum(...), a plain scalar,
 so inner_product never needs pi at all.
+
+Most moments vanish: I(p, q) = 0 unless p >= q and p - q is even. Each
+parameter point therefore keeps a dense table of the support alone, indexed
+by ((p - q)/2, q), built by the integration-by-parts rules and grown when a
+larger total degree is asked for; only the tables of the last few points are
+kept, so memory stays bounded over a sweep of parameter points. The pairing
+never forms the product polynomial f*g: it walks the pairs of terms, skips
+every pair whose moment is structurally zero, and sums c_f * sum(c_g * I) one
+term of f at a time. The pairing is symmetric term by term, so gram_block
+computes the entries with m <= m' and mirrors them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,35 +41,70 @@ class OracleUnavailableError(RuntimeError):
     """The quadrature oracle needs a > b for a convergent real-space measure."""
 
 
-@lru_cache(maxsize=None)
-def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
-    """I(p, q) in units of pi/(2a), via the two integration-by-parts rules
+# params -> rows of the moment table of the last few parameter points paired
+_MOMENT_TABLES: dict = {}
+_MOMENT_TABLES_MAX = 4
+
+
+def _moment_rows(params: Params, degree: int) -> list[list[Coeff]]:
+    """The moment table of ``params``, covering every total degree up to ``degree``.
+
+    rows[r][q] = I(q + 2r, q) in units of pi/(2a); row r holds q <= T - r,
+    where T = len(rows) - 1 is the half-degree built so far. The rows come
+    from the two integration-by-parts rules
 
         p I(p-1, q) = 2a I(p, q+1)
         q I(p, q-1) = 2a I(p+1, q) + 4b I(p, q+1)
 
-    with base I(0,0) = pi/(2a); negative indices vanish.
+    with base I(0,0) = pi/(2a): along a row, I(p, q) = p/(2a) I(p-1, q-1),
+    and down the first column, I(p, 0) = -b (p-1)/a^2 I(p-2, 0). Every other
+    moment (p < q, or p - q odd) vanishes and is not stored.
     """
-    if p_deg < 0 or q_deg < 0:
+    rows = _MOMENT_TABLES.get(params)
+    if rows is None:
+        if len(_MOMENT_TABLES) >= _MOMENT_TABLES_MAX:
+            del _MOMENT_TABLES[next(iter(_MOMENT_TABLES))]
+        rows = _MOMENT_TABLES[params] = [[one(params.mode)]]
+    top = degree // 2
+    built = len(rows) - 1
+    if top <= built:
+        return rows
+    s, a, b = params.s, params.a_scalar, params.b_scalar
+    for r in range(built + 1, top + 1):
+        rows.append([s(-(2 * r - 1)) * b / (a * a) * rows[r - 1][0]])
+    for r, row in enumerate(rows):
+        for q in range(len(row), top - r + 1):
+            row.append(s(2 * r + q) / (s(2) * a) * row[q - 1])
+    return rows
+
+
+def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
+    """I(p, q) = integral z^p zbar^q envelope^2 in units of pi/(2a); zero
+    outside the support p >= q >= 0, p - q even (see _moment_rows)."""
+    excess = p_deg - q_deg
+    if q_deg < 0 or excess < 0 or excess % 2:
         return zero(params.mode)
-    if q_deg >= 1:
-        # raise-q rule, rearranged: I(p, q) = p/(2a) I(p-1, q-1)
-        factor = params.s(p_deg) / (params.s(2) * params.a_scalar)
-        return factor * moment(params, p_deg - 1, q_deg - 1)
-    if p_deg == 0:
-        return one(params.mode)
-    # q = 0, p >= 1: combining both rules gives
-    # I(p, 0) = -(2b/a) I(p-1, 1) = -b (p-1)/a^2 I(p-2, 0), so odd p vanish
-    factor = params.s(-(p_deg - 1)) * params.b_scalar / (params.a_scalar * params.a_scalar)
-    return factor * moment(params, p_deg - 2, 0)
+    return _moment_rows(params, p_deg + q_deg)[excess // 2][q_deg]
 
 
 def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Coeff:
-    """<<f|g>> as a plain coefficient (bilinear, symmetric; no conjugation)."""
-    prod = f.poly * g.poly
-    total = zero(params.mode)
-    for (i, j), c in prod.terms.items():
-        total = total + c * moment(params, i, j)
+    """<<f|g>> as a plain coefficient (bilinear, symmetric; no conjugation).
+
+    The term pair z^i zbar^j (of f), z^i' zbar^j' (of g) contributes
+    c c' I(i + i', j + j'); pairs outside the moment support are skipped.
+    """
+    rows = _moment_rows(params, f.poly.total_degree() + g.poly.total_degree())
+    g_terms = [(i - j, j, c) for (i, j), c in g.poly.terms.items()]
+    total = nothing = zero(params.mode)
+    for (i, j), cf in f.poly.terms.items():
+        excess = i - j
+        partial = nothing
+        for g_excess, g_j, cg in g_terms:
+            e = excess + g_excess
+            if e >= 0 and not e & 1:
+                partial += cg * rows[e >> 1][j + g_j]
+        if partial:
+            total += cf * partial
     return total
 
 
@@ -129,9 +172,16 @@ class GramBlock:
 
 
 def gram_block(params: Params, n: int) -> GramBlock:
+    """Pairing block of level n; the pairing is symmetric, so only the
+    entries with m <= m' are paired and the rest mirror them."""
     fns = [build_psi(params, n, m) for m in range(n + 1)]
+    upper = {
+        (m, mp): inner_product(params, fns[m], fns[mp])
+        for m in range(n + 1)
+        for mp in range(m, n + 1)
+    }
     rows = tuple(
-        tuple(inner_product(params, fns[m], fns[mp]) for mp in range(n + 1))
+        tuple(upper[min(m, mp), max(m, mp)] for mp in range(n + 1))
         for m in range(n + 1)
     )
     return GramBlock(n, rows)

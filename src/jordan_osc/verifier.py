@@ -74,6 +74,10 @@ from .weyl import (
 
 DEFAULT_TOL = 1e-10
 SUITES = ("structure", "actions", "irrep", "pseudo", "integrals")
+#: the integrals suite stops at level min(n_max, INTEGRALS_NMAX), and its
+#: resolution check at degree min(n_max, RESOLUTION_DEGREE)
+INTEGRALS_NMAX = 8
+RESOLUTION_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -709,7 +713,7 @@ def check_integrals(
                           mode, _verdict(mode, worst, tol), str(worst), ms))
 
     start = time.perf_counter()
-    span = min(n_max, 5)
+    span = min(n_max, RESOLUTION_DEGREE)
     worst = Fraction(0) if mode == EXACT else 0.0
     for salt in (1, 2):
         f = _fixed_test_poly(params, span, salt)
@@ -745,6 +749,25 @@ def check_integrals(
 # ---------------------------------------------------------------------------
 
 
+def suite_cutoffs(suites: Iterable[str], n_max: int) -> dict[str, int | None]:
+    """The basis cutoff each suite runs at, given ``n_max``, in suite order.
+
+    structure and pseudo check operator identities and pair no basis
+    functions, so their cutoff is None; the integrals suite also names the
+    degree of its resolution check, as "integrals.resolution".
+    """
+    cutoffs: dict[str, int | None] = {}
+    for suite in suites:
+        if suite in ("structure", "pseudo"):
+            cutoffs[suite] = None
+        elif suite == "integrals":
+            cutoffs[suite] = min(n_max, INTEGRALS_NMAX)
+            cutoffs["integrals.resolution"] = min(cutoffs[suite], RESOLUTION_DEGREE)
+        else:
+            cutoffs[suite] = n_max
+    return cutoffs
+
+
 def run_suites(
     params: Params,
     suites: Iterable[str],
@@ -759,6 +782,7 @@ def run_suites(
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     action_reports, irrep_reports = _image_pass(params, suites, n_max, tol)
+    cutoffs = suite_cutoffs(suites, n_max)
     reports: list[Report] = []
     for suite in suites:
         if suite == "structure":
@@ -771,5 +795,5 @@ def run_suites(
         elif suite == "pseudo":
             reports.append(check_pseudo_hermiticity(params, tol))
         else:
-            reports += check_integrals(params, min(n_max, 8), tol)
+            reports += check_integrals(params, cutoffs[suite], tol)
     return reports

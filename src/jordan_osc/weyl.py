@@ -285,18 +285,19 @@ class Poly2(_TermMap):
 # ---------------------------------------------------------------------------
 
 
-def _accumulate_product(out: dict, key1, c1: Coeff, key2, c2: Coeff) -> None:
-    """Add the normal ordering of (term1 . term2) into ``out``.
+def _accumulate_product(out: dict, key1, key2, base: Coeff, contractions_only: bool = False) -> None:
+    """Add ``base`` times the normal ordering of (term1 . term2) into ``out``.
 
     Uses dz^k z^i = sum_s C(k,s) C(i,s) s! z^(i-s) dz^(k-s) (same for the
-    zbar pair); the z-family and zbar-family commute with each other.
+    zbar pair); the z-family and zbar-family commute with each other. With
+    ``contractions_only`` the leading term s = t = 0, which is the product
+    with no derivative contracted against a variable, is left out.
     """
     i1, j1, k1, l1 = key1
     i2, j2, k2, l2 = key2
-    base = c1 * c2
     for s in range(min(k1, i2) + 1):
         ws = comb(k1, s) * comb(i2, s) * factorial(s)
-        for t in range(min(l1, j2) + 1):
+        for t in range(1 if contractions_only and not s else 0, min(l1, j2) + 1):
             wt = comb(l1, t) * comb(j2, t) * factorial(t)
             key = (i1 + i2 - s, j1 + j2 - t, k1 - s + k2, l1 - t + l2)
             _bump(out, key, base * (ws * wt))
@@ -352,7 +353,7 @@ class DiffOp(_TermMap):
             out: dict = {}
             for key1, c1 in self.terms.items():
                 for key2, c2 in other.terms.items():
-                    _accumulate_product(out, key1, c1, key2, c2)
+                    _accumulate_product(out, key1, key2, c1 * c2)
             return DiffOp(mode, out)
         return self.scale(other)
 
@@ -375,7 +376,27 @@ class DiffOp(_TermMap):
 
 
 def commutator(left: DiffOp, right: DiffOp) -> DiffOp:
-    return left * right - right * left
+    """[left, right] = left*right - right*left, with neither product formed.
+
+    For each pair of terms, the leading term of the normal ordering (no
+    derivative contracted against a variable) is the same in both orders, so
+    it cancels in the difference and is never computed: only the contraction
+    terms of the two orders are accumulated, and a pair with none is skipped.
+    Exact results equal left*right - right*left; in float mode the cancelled
+    terms leave no rounding residue.
+    """
+    mode = _join_modes(left, right)
+    out: dict = {}
+    for key1, c1 in left.terms.items():
+        i1, j1, k1, l1 = key1
+        for key2, c2 in right.terms.items():
+            i2, j2, k2, l2 = key2
+            if not (k1 and i2 or l1 and j2 or k2 and i1 or l2 and j1):
+                continue
+            base = c1 * c2
+            _accumulate_product(out, key1, key2, base, contractions_only=True)
+            _accumulate_product(out, key2, key1, -base, contractions_only=True)
+    return DiffOp(mode, out)
 
 
 def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
@@ -387,12 +408,11 @@ def adjoint(op: DiffOp) -> DiffOp:
     conjugated (a rational is its own conjugate), factor order reversed; the
     result is re-normal-ordered."""
     out: dict = {}
-    unit = one(op.mode)
     for (i, j, k, l), c in op.terms.items():
         sign = -1 if (k + l) % 2 else 1
         cc = c.conjugate() * sign
         # (z^i zb^j dz^k dzb^l)^† = (-dz)^l (-dzb)^k z^j zb^i
-        _accumulate_product(out, (0, 0, l, k), cc, (j, i, 0, 0), unit)
+        _accumulate_product(out, (0, 0, l, k), (j, i, 0, 0), cc)
     return DiffOp(op.mode, out)
 
 

@@ -46,6 +46,20 @@ def image_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def poly_products(monkeypatch):
+    """Counts Poly2 products (``Poly2.__mul__`` calls) made while the test runs."""
+    counts = Counter()
+    mul = Poly2.__mul__
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly2, "__mul__", counted_mul)
+    return counts
+
+
 small_fractions = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
 )

@@ -93,7 +93,7 @@ class TestVerifyCommand:
         code = main(["verify", "--suites", "pseudo", "--format", "json", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"params", "mode", "n_max", "tol", "suites"}
+        assert set(payload) == {"params", "mode", "n_max", "tol", "cutoffs", "suites"}
         assert payload["params"] == {"p": "1", "q": "1/2"}
         entry = payload["suites"][0]
         assert set(entry) == {"id", "anchor", "status", "residual", "ms"}
@@ -105,6 +105,20 @@ class TestVerifyCommand:
         assert code == 0
         result = parse_json(capsys.readouterr().out)
         assert parse_json(emit_json(result)) == result
+
+    def test_cutoffs_reported_and_round_trip(self, capsys):
+        argv = ["verify", "--suites", "pseudo,integrals", "--nmax", "16"]
+        assert main(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["n_max"] == 16
+        assert payload["cutoffs"] == {"pseudo": None, "integrals": 8, "integrals.resolution": 5}
+        assert payload["suites"][0]["id"] == "pseudo.H"
+        result = parse_json(out)
+        assert result.cutoffs == payload["cutoffs"] and emit_json(result) == out
+        assert main(argv + ["--format", "text"]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        assert header == "cutoffs: pseudo=none integrals=8 integrals.resolution=5"
 
     def test_csv_format(self, capsys):
         code = main(["verify", "--suites", "pseudo", "--format", "csv"])
@@ -127,9 +141,9 @@ class TestVerifyCommand:
 
     def test_invalid_env_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("JORDAN_OSC_NMAX", "many")
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suites", "pseudo"])
-        assert exc.value.code == 2
+        assert main(["verify", "--suites", "pseudo"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: JORDAN_OSC_NMAX must be an integer in [1, 24], got 'many'\n"
 
     def test_float_mode_run(self, capsys):
         code = main(["verify", "--mode", "float", "--a", "1.0", "--b", "0.25",

@@ -15,6 +15,7 @@ from jordan_osc import (
     build_psi,
     energy,
     expand_in_basis,
+    gaussint,
     gram_block,
     h_block,
     inner_product,
@@ -22,6 +23,8 @@ from jordan_osc import (
     moment,
     quadrature_oracle,
 )
+
+from conftest import polys
 
 F = Fraction
 
@@ -83,6 +86,33 @@ class TestMoments:
         for q in range(1, 7):
             assert moment(params, 0, q) == 0
 
+    def test_grown_table_matches_recursion(self, monkeypatch):
+        monkeypatch.setattr(gaussint, "_MOMENT_TABLES", {})
+        P = Params.exact(F(5, 3), F(3, 4))
+        assert moment(P, 2, 0) == -P.b / P.a**2
+        assert len(gaussint._MOMENT_TABLES[P]) == 2  # half-degree 1: built to the degree asked
+
+        def reference(p, q):
+            # the integration-by-parts recursion, one moment at a time
+            if p < 0 or q < 0:
+                return F(0)
+            if q >= 1:
+                return p / (2 * P.a) * reference(p - 1, q - 1)
+            if p == 0:
+                return F(1)
+            return -(p - 1) * P.b / P.a**2 * reference(p - 2, 0)
+
+        for total in range(30, -1, -1):
+            for q in range(total + 1):
+                assert moment(P, total - q, q) == reference(total - q, q), (total - q, q)
+
+    def test_only_recent_points_keep_a_table(self):
+        points = [Params.exact(F(k + 2, 2), F(1, 3)) for k in range(10)]
+        for P in points:
+            assert inner_product(P, build_psi(P, 1, 0), build_psi(P, 1, 1)) == 1
+        assert len(gaussint._MOMENT_TABLES) <= gaussint._MOMENT_TABLES_MAX
+        assert points[-1] in gaussint._MOMENT_TABLES
+
     def test_other_parameter_point(self):
         P = Params.exact(F(3, 2), F(2, 3))
         a, b = P.a, P.b
@@ -109,6 +139,23 @@ class TestInnerProduct:
         for n1, m1, n2, m2 in [(0, 0, 1, 0), (0, 0, 2, 1), (1, 1, 3, 2), (2, 0, 3, 3)]:
             got = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
             assert got == 0, (n1, m1, n2, m2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys(), polys())
+    def test_matches_product_then_moments(self, f, g):
+        P = Params.exact(F(3, 2), F(2, 3))
+        # oracle: multiply out f*g, then pair each product term with its moment
+        want = sum((c * moment(P, i, j) for (i, j), c in (f * g).terms.items()), F(0))
+        assert inner_product(P, ReducedFn(f), ReducedFn(g)) == want
+        got = inner_product(P.to_float(), ReducedFn(f.to_float()), ReducedFn(g.to_float()))
+        assert abs(got - complex(want)) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys(), polys())
+    def test_symmetric(self, f, g):
+        # term by term, which is why gram_block mirrors its upper triangle
+        P = Params.exact(F(3, 2), F(2, 3))
+        assert inner_product(P, ReducedFn(f), ReducedFn(g)) == inner_product(P, ReducedFn(g), ReducedFn(f))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -151,6 +198,17 @@ class TestBlocks:
     def test_h_block_conjugates_once(self, params, image_counts):
         h_block(params, 3)
         assert image_counts == {"conjugate": 1, "apply_to": 4}
+
+    def test_blocks_form_no_product_polynomial(self, params, poly_products):
+        for n in range(5):
+            for m in range(n + 1):
+                build_psi(params, n, m)  # built and cached before counting
+        f = ReducedFn(Poly2(EXACT, {(0, 0): F(2, 3), (1, 2): F(-1), (3, 0): F(1, 5)}))
+        poly_products.clear()
+        gram_block(params, 4)
+        h_block(params, 4)
+        expand_in_basis(params, f, 4)
+        assert poly_products["mul"] == 0
 
     def test_h_block_level3_structure(self, params):
         block = h_block(params, 3)

@@ -28,6 +28,7 @@ from jordan_osc import (
     run_suites,
     swap_vars,
 )
+from jordan_osc.verifier import SUITES, suite_cutoffs
 
 F = Fraction
 
@@ -296,6 +297,19 @@ class TestRunSuites:
                              n_max=4)
         assert all(r.passed for r in reports)
         assert len(reports) > 180
+
+    def test_cutoffs_name_what_each_suite_ran_at(self, params):
+        assert suite_cutoffs(SUITES, 16) == {
+            "structure": None, "actions": 16, "irrep": 16, "pseudo": None,
+            "integrals": 8, "integrals.resolution": 5,
+        }
+        assert suite_cutoffs(("integrals", "actions"), 3) == {
+            "integrals": 3, "integrals.resolution": 3, "actions": 3,
+        }
+        cutoffs = suite_cutoffs(("integrals",), 9)
+        anchors = {r.relation_id: r.anchor for r in run_suites(params, ("integrals",), n_max=9)}
+        assert anchors["integrals.gram"].endswith(f"n <= {cutoffs['integrals']}")
+        assert f"degree <= {cutoffs['integrals.resolution']} " in anchors["integrals.resolution"]
 
     def test_unknown_suite_rejected(self, params):
         with pytest.raises(ValueError):

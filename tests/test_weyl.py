@@ -152,6 +152,13 @@ class TestAlgebraLaws:
     def test_commutator_antisymmetric(self, x, y):
         assert commutator(x, y) == -commutator(y, x)
 
+    @settings(max_examples=50, deadline=None)
+    @given(diff_ops(), diff_ops())
+    def test_commutator_is_difference_of_products(self, x, y):
+        assert commutator(x, y) == x * y - y * x
+        xf, yf = x.to_float(), y.to_float()
+        assert commutator(xf, yf).close_to(xf * yf - yf * xf)
+
     @settings(max_examples=20, deadline=None)
     @given(diff_ops(), diff_ops(), diff_ops())
     def test_jacobi(self, x, y, w):
@@ -201,6 +208,11 @@ class TestFloatMirrorsExact:
     @given(diff_ops())
     def test_adjoint(self, x):
         assert adjoint(x).to_float() == adjoint(x.to_float())
+
+    @settings(max_examples=30, deadline=None)
+    @given(diff_ops(), diff_ops())
+    def test_commutator(self, x, y):
+        assert commutator(x, y).to_float() == commutator(x.to_float(), y.to_float())
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops(), polys())
