@@ -291,7 +291,7 @@ def _run_matrices(args: argparse.Namespace) -> int:
     gram = gram_block(params, args.n)
     ham = h_block(params, args.n)
     print(f"pairing block <<psi[{args.n},k] | psi[{args.n},m]>>, rows k = 0..{args.n}:")
-    for row in gram.entries:
+    for row in gram:
         print("  [" + ", ".join(map(format_coeff, row)) + "]")
     print(f"Hamiltonian block <<psi[{args.n},n-k] | H psi[{args.n},m]>>, rows k = 0..{args.n}:")
     for row in ham:

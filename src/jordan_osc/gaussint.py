@@ -18,32 +18,27 @@ so inner_product never needs pi at all.
 Most moments vanish: I(p, q) = 0 unless p >= q and p - q is even. Each
 parameter point therefore keeps a dense table of the support alone, indexed
 by ((p - q)/2, q), built by the integration-by-parts rules and grown when a
-larger total degree is asked for; only the tables of the last few points are
-kept, so memory stays bounded over a sweep of parameter points. The pairing
-never forms the product polynomial f*g: it walks the pairs of terms, skips
-every pair whose moment is structurally zero, and sums c_f * sum(c_g * I) one
-term of f at a time. The pairing is symmetric term by term, so gram_block
-computes the entries with m <= m' and mirrors them.
+larger total degree is asked for. The table lives in the point's store
+(model.point_cache), which only the last few points keep, so memory stays
+bounded over a sweep of parameter points. The pairing never forms the
+product polynomial f*g: it walks the pairs of terms, skips every pair whose
+moment is structurally zero, and sums c_f * sum(c_g * I) one term of f at a
+time. The pairing is symmetric term by term, so gram_block computes the
+entries with m <= m' and mirrors them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Params, ReducedFn, apply, build_psi, make_operator
+from .model import Params, ReducedFn, apply, build_psi, make_operator, point_cache
 from .weyl import Coeff, Poly2, one, zero
 
 
 class OracleUnavailableError(RuntimeError):
     """The quadrature oracle needs a > b for a convergent real-space measure."""
-
-
-# params -> rows of the moment table of the last few parameter points paired
-_MOMENT_TABLES: dict = {}
-_MOMENT_TABLES_MAX = 4
 
 
 def _moment_rows(params: Params, degree: int) -> list[list[Coeff]]:
@@ -60,11 +55,10 @@ def _moment_rows(params: Params, degree: int) -> list[list[Coeff]]:
     and down the first column, I(p, 0) = -b (p-1)/a^2 I(p-2, 0). Every other
     moment (p < q, or p - q odd) vanishes and is not stored.
     """
-    rows = _MOMENT_TABLES.get(params)
+    cache = point_cache(params)
+    rows = cache.get("moments")
     if rows is None:
-        if len(_MOMENT_TABLES) >= _MOMENT_TABLES_MAX:
-            del _MOMENT_TABLES[next(iter(_MOMENT_TABLES))]
-        rows = _MOMENT_TABLES[params] = [[one(params.mode)]]
+        rows = cache["moments"] = [[one(params.mode)]]
     top = degree // 2
     built = len(rows) - 1
     if top <= built:
@@ -160,31 +154,19 @@ def quadrature_oracle(params: Params, f: ReducedFn, g: ReducedFn, order: int | N
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramBlock:
-    """Pairing matrix of one level: entries[m][m'] = <<psi_{n,m} | psi_{n,m'}>>."""
-
-    n: int
-    entries: tuple
-
-    def __getitem__(self, m: int):
-        return self.entries[m]
-
-
-def gram_block(params: Params, n: int) -> GramBlock:
-    """Pairing block of level n; the pairing is symmetric, so only the
-    entries with m <= m' are paired and the rest mirror them."""
+def gram_block(params: Params, n: int) -> tuple:
+    """Matrix G[m][m'] = <<psi_{n,m} | psi_{n,m'}>>; the pairing is symmetric,
+    so only the entries with m <= m' are paired and the rest mirror them."""
     fns = [build_psi(params, n, m) for m in range(n + 1)]
     upper = {
         (m, mp): inner_product(params, fns[m], fns[mp])
         for m in range(n + 1)
         for mp in range(m, n + 1)
     }
-    rows = tuple(
+    return tuple(
         tuple(upper[min(m, mp), max(m, mp)] for mp in range(n + 1))
         for m in range(n + 1)
     )
-    return GramBlock(n, rows)
 
 
 def h_block(params: Params, n: int) -> tuple:

@@ -18,6 +18,11 @@ Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
 positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
 are rational and all ladder/action coefficients are plain ``Fraction``s; in
 float mode every coefficient is a ``complex``.
+
+Caching: a parameter point fixes every basis function, operator and pairing
+moment, so all of them live in one store per point (``point_cache``), and
+only the last few points keep a store. ``apply`` separately reuses the
+envelope conjugations of the last few operators it applied.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import factorial
 
 from .weyl import (
@@ -37,9 +42,7 @@ from .weyl import (
     Number,
     Poly2,
     anticommutator,
-    exact_sqrt,
     lift,
-    one,
 )
 
 #: every name make_operator accepts (D+21/D-21 are accepted as aliases)
@@ -71,6 +74,8 @@ class Params:
     q: Number
 
     def __post_init__(self):
+        if self.mode == FLOAT and not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise ValueError("parameters must be finite")
         if not (self.p > 0 and self.q > 0):
             raise ValueError("parameters require a > 0 and b > 0")
 
@@ -142,26 +147,6 @@ class Params:
         return self.s(self.q / self.p)
 
 
-@dataclass(frozen=True)
-class BlockIndex:
-    """Position inside the Jordan structure: level n, chain position m."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not (0 <= self.m <= self.n):
-            raise ValueError(f"need 0 <= m <= n, got n={self.n}, m={self.m}")
-
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.n, 2)
-
-    @property
-    def mu(self) -> Fraction:
-        return Fraction(2 * self.m - self.n, 2)
-
-
 @dataclass(frozen=True, eq=False)
 class ReducedFn:
     """Polynomial part of kappa * P(z, zbar) * exp(-a z zbar - b zbar^2).
@@ -219,20 +204,41 @@ class ReducedFn:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class PhiFn:
-    """A rescaled basis function sqrt(residual_scale_sq) * fn.
+# ---------------------------------------------------------------------------
+# the per-point store
+# ---------------------------------------------------------------------------
 
-    ``residual_scale_sq`` is a coefficient of the parameters' mode: a Fraction
-    in exact mode, a complex in float mode. In float mode the rescaling
-    sqrt(m!/(n-m)!) is always folded into ``fn`` and ``residual_scale_sq`` is 1.
-    In exact mode the square root is folded in only when it is rational;
-    otherwise ``fn`` stays unscaled and the squared factor is tracked here, so
-    su(2)-type checks can run on squared values.
-    """
+# params -> the store of that point; the oldest point is dropped first
+_POINTS: dict = {}
+_POINTS_MAX = 4
 
-    fn: ReducedFn
-    residual_scale_sq: Coeff
+
+def point_cache(params: Params) -> dict:
+    """The store of everything fixed once the parameter point is: basis
+    functions, operators and the moment table (see gaussint). Only the last
+    few points keep a store, so memory stays bounded over a sweep of points."""
+    cache = _POINTS.get(params)
+    if cache is None:
+        if len(_POINTS) >= _POINTS_MAX:
+            del _POINTS[next(iter(_POINTS))]
+        cache = _POINTS[params] = {}
+    return cache
+
+
+def _per_point(fn):
+    """Keep fn(params, *args) in the store of params."""
+
+    @wraps(fn)
+    def cached(params: Params, *args):
+        key = (fn, *args)
+        try:
+            return _POINTS[params][key]
+        except KeyError:
+            pass
+        value = point_cache(params)[key] = fn(params, *args)
+        return value
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +295,11 @@ def _cn_reduced(params: Params, n: int) -> Coeff:
     return _cn0_reduced(params, n) / denom
 
 
-@lru_cache(maxsize=None)
 def _psi_chain_head(params: Params, n: int) -> ReducedFn:
     # psi_{n,0} = c_{n,0} zbar^n  (direct closed form for the chain head)
     return ReducedFn(Poly2.monomial(0, n, _cn0_reduced(params, n)))
 
 
-@lru_cache(maxsize=None)
 def psi_series(params: Params, n: int, m: int) -> ReducedFn:
     """The full associated-function sum, valid for every 0 <= m <= n:
 
@@ -323,7 +327,7 @@ def psi_series(params: Params, n: int, m: int) -> ReducedFn:
     return ReducedFn(acc.scale(front))
 
 
-@lru_cache(maxsize=None)
+@_per_point
 def build_psi(params: Params, n: int, m: int) -> ReducedFn:
     """Reduced basis function psi_{n,m}; m = 0 uses the direct chain-head form,
     m >= 1 the associated-function sum (psi_series agrees at m = 0, tested)."""
@@ -339,17 +343,12 @@ def phi_scale_sq(n: int, m: int) -> Fraction:
     return Fraction(factorial(m), factorial(n - m))
 
 
-def build_phi(params: Params, n: int, m: int) -> PhiFn:
+def build_phi(params: Params, n: int, m: int) -> ReducedFn:
     """su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m} with j = n/2,
-    mu = m - n/2; the square root is tracked when it is irrational in exact mode."""
-    base = build_psi(params, n, m)
-    ratio = phi_scale_sq(n, m)
-    if params.mode == FLOAT:
-        return PhiFn(base.scale(math.sqrt(ratio)), one(FLOAT))
-    root = exact_sqrt(ratio)
-    if root is not None:
-        return PhiFn(base.scale(root), one(EXACT))
-    return PhiFn(base, params.s(ratio))
+    mu = m - n/2. Float mode only: the square root is irrational in general."""
+    if params.mode != FLOAT:
+        raise ModeMismatchError(f"build_phi needs float parameters, got {params.mode!r}")
+    return build_psi(params, n, m).scale(math.sqrt(phi_scale_sq(n, m)))
 
 
 def energy(params: Params, n: int) -> Coeff:
@@ -369,7 +368,7 @@ def _canonical_name(name: str) -> str:
     return name
 
 
-@lru_cache(maxsize=None)
+@_per_point
 def make_operator(params: Params, name: str) -> DiffOp:
     """Catalog operator by name.
 
@@ -444,7 +443,6 @@ def make_operator(params: Params, name: str) -> DiffOp:
     return anticommutator(left, right).scale(s(Fraction(1, 2)))
 
 
-@lru_cache(maxsize=None)
 def explicit_form(params: Params, name: str) -> DiffOp:
     """Independently transcribed explicit z/zbar form of the 14 superalgebra
     generators; built from first-order pieces only, never from make_operator,
@@ -513,7 +511,7 @@ def explicit_form(params: Params, name: str) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_point
 def _shifted_derivative_powers(params: Params, k: int, l: int) -> DiffOp:
     # conjugation by the envelope sends dz -> dz - a zbar and
     # dzbar -> dzbar - a z - 2b zbar; the two shifted derivatives commute

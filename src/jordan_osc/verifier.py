@@ -36,16 +36,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import factorial, sqrt
+from math import sqrt
 from typing import Callable, Iterable
 
 from .gaussint import (
-    OracleUnavailableError,
     expand_in_basis,
     gram_block,
     h_block,
     inner_product,
-    moment,
     quadrature_oracle,
 )
 from .model import (
@@ -536,12 +534,12 @@ def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
     if params.mode == FLOAT:
         got = image.scale(sqrt(phi_scale_sq(n, m)))
     else:
-        got = apply(fparams, make_operator(fparams, rule.op_name), build_phi(fparams, n, m).fn)
+        got = apply(fparams, make_operator(fparams, rule.op_name), build_phi(fparams, n, m))
     c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return max(abs(float(c2)), float(got.poly.max_magnitude()))
-    want = build_phi(fparams, n2, m2).fn.scale(sqrt(float(c2)))
+    want = build_phi(fparams, n2, m2).scale(sqrt(float(c2)))
     scale = max(1.0, float(want.poly.max_magnitude()))
     return float((got - want).poly.max_magnitude()) / scale
 

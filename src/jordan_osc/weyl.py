@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial
 from typing import Iterator
 
 EXACT = "exact"
@@ -46,17 +46,6 @@ def _join_modes(x, y) -> str:
     if x.mode != y.mode:
         raise ModeMismatchError(f"cannot combine {x.mode!r} and {y.mode!r} values")
     return x.mode
-
-
-def exact_sqrt(x: Fraction) -> Fraction | None:
-    """Square root of a nonnegative rational, or None when it is irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def falling(x: int, k: int) -> int:
@@ -340,11 +329,6 @@ class DiffOp(_TermMap):
     @staticmethod
     def dzbar(mode: str) -> "DiffOp":
         return DiffOp.monomial((0, 0, 0, 1), one(mode))
-
-    @staticmethod
-    def from_poly(poly: Poly2) -> "DiffOp":
-        """The multiplication operator f -> p*f."""
-        return DiffOp(poly.mode, {(i, j, 0, 0): c for (i, j), c in poly.terms.items()})
 
     # ---- composition ----
     def __mul__(self, other):

@@ -192,6 +192,21 @@ class TestMatricesCommand:
         assert main(["matrices", "--n", "25"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "float", "--a", "inf", "--b", "0.25", "--nmax", "3"],
+    ["verify", "--mode", "float", "--a", "inf", "--b", "0.25", "--nmax", "3",
+     "--suites", "integrals,pseudo"],
+    ["verify", "--mode", "float", "--a", "1.0", "--b", "inf", "--nmax", "3"],
+    ["basis", "--mode", "float", "--a", "inf", "--n", "1", "--m", "1"],
+    ["matrices", "--mode", "float", "--a", "inf", "--n", "1"],
+])
+def test_non_finite_parameters_rejected(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameters must be finite")
+
+
 class TestSkippedChecks:
     # a = 1/4 < b = 1: the quadrature cross-check cannot run
     ARGV = ["verify", "--p", "1/2", "--q", "1", "--suites", "integrals", "--nmax", "2"]

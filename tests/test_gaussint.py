@@ -15,11 +15,11 @@ from jordan_osc import (
     build_psi,
     energy,
     expand_in_basis,
-    gaussint,
     gram_block,
     h_block,
     inner_product,
     minimum_order,
+    model,
     moment,
     quadrature_oracle,
 )
@@ -87,10 +87,10 @@ class TestMoments:
             assert moment(params, 0, q) == 0
 
     def test_grown_table_matches_recursion(self, monkeypatch):
-        monkeypatch.setattr(gaussint, "_MOMENT_TABLES", {})
+        monkeypatch.setattr(model, "_POINTS", {})
         P = Params.exact(F(5, 3), F(3, 4))
         assert moment(P, 2, 0) == -P.b / P.a**2
-        assert len(gaussint._MOMENT_TABLES[P]) == 2  # half-degree 1: built to the degree asked
+        assert len(model.point_cache(P)["moments"]) == 2  # half-degree 1: built to the degree asked
 
         def reference(p, q):
             # the integration-by-parts recursion, one moment at a time
@@ -110,8 +110,9 @@ class TestMoments:
         points = [Params.exact(F(k + 2, 2), F(1, 3)) for k in range(10)]
         for P in points:
             assert inner_product(P, build_psi(P, 1, 0), build_psi(P, 1, 1)) == 1
-        assert len(gaussint._MOMENT_TABLES) <= gaussint._MOMENT_TABLES_MAX
-        assert points[-1] in gaussint._MOMENT_TABLES
+        tables = [cache for cache in model._POINTS.values() if "moments" in cache]
+        assert len(tables) <= model._POINTS_MAX
+        assert "moments" in model._POINTS[points[-1]]
 
     def test_other_parameter_point(self):
         P = Params.exact(F(3, 2), F(2, 3))

@@ -10,8 +10,8 @@ from jordan_osc import (
     CATALOG_NAMES,
     EXACT,
     EXPLICIT_NAMES,
-    BlockIndex,
     DiffOp,
+    ModeMismatchError,
     Params,
     Poly2,
     alpha_coeffs,
@@ -21,6 +21,7 @@ from jordan_osc import (
     conjugate_through_envelope,
     energy,
     explicit_form,
+    inner_product,
     make_operator,
     phi_scale_sq,
     pochhammer,
@@ -42,6 +43,13 @@ class TestParams:
             Params.exact(0, 1)
         with pytest.raises(ValueError):
             Params.from_ab(1.0, -0.5)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 0.25), (1.0, math.inf), (math.nan, 0.25)])
+    def test_finite_required(self, a, b):
+        with pytest.raises(ValueError):
+            Params.from_ab(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            Params("float", math.sqrt(a), math.sqrt(b))
 
     def test_from_frequencies(self):
         # omega1^2 = 3, omega2^2 = 1: mean square 2, half difference 1
@@ -67,18 +75,6 @@ class TestParams:
         assert P.mode == "float"
         assert P.a == pytest.approx(1.0)
         assert P.to_float() is P
-
-
-class TestBlockIndex:
-    def test_weights(self):
-        idx = BlockIndex(3, 1)
-        assert idx.j == F(3, 2) and idx.mu == F(-1, 2)
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            BlockIndex(2, 3)
-        with pytest.raises(ValueError):
-            BlockIndex(2, -1)
 
 
 class TestCombinatorics:
@@ -155,21 +151,33 @@ class TestPhi:
         assert phi_scale_sq(2, 1) == 1
         assert phi_scale_sq(7, 4) == 4
 
-    def test_rational_scale_folded(self, params):
-        phi = build_phi(params, 7, 4)
-        assert phi.residual_scale_sq == F(1)
-        assert phi.fn == build_psi(params, 7, 4).scale(F(2))
-
-    def test_irrational_scale_tracked(self, params):
-        phi = build_phi(params, 3, 1)
-        assert phi.residual_scale_sq == F(1, 2)
-        assert phi.fn == build_psi(params, 3, 1)
-
     def test_float_always_folds(self, fparams):
-        phi = build_phi(fparams, 3, 1)
-        assert phi.residual_scale_sq == 1.0
         want = build_psi(fparams, 3, 1).scale(math.sqrt(0.5))
-        assert phi.fn.close_to(want, 1e-12)
+        assert build_phi(fparams, 3, 1).close_to(want, 1e-12)
+
+    def test_exact_params_rejected(self, params):
+        # sqrt(m!/(n-m)!) is irrational in general, so phi exists in float mode only
+        with pytest.raises(ModeMismatchError):
+            build_phi(params, 7, 4)
+
+
+class TestPointCache:
+    def test_only_recent_points_keep_a_cache(self):
+        points = [Params.exact(F(k + 7, 4), F(1, 5)) for k in range(10)]
+        first = build_psi(points[0], 3, 2)
+        for P in points:
+            fn = build_psi(P, 2, 1)
+            apply(P, make_operator(P, "H"), fn)
+            inner_product(P, build_psi(P, 1, 0), build_psi(P, 1, 1))
+        assert len(model._POINTS) <= model._POINTS_MAX
+        assert points[-1] in model._POINTS and points[0] not in model._POINTS
+        rebuilt = build_psi(points[0], 3, 2)
+        assert rebuilt == first and rebuilt is not first
+
+    def test_equal_params_share_a_cache(self, params):
+        assert model.point_cache(params.to_float()) is model.point_cache(params.to_float())
+        assert build_psi(params, 4, 1) is build_psi(Params.exact(1, F(1, 2)), 4, 1)
+        assert make_operator(params, "J+") is make_operator(params, "J+")
 
 
 class TestCatalog:

@@ -1,4 +1,5 @@
-"""The shipped relation catalogs are exactly what tools/gen_relations.py writes."""
+"""The shipped relation catalogs are exactly what tools/gen_relations.py writes,
+and every call boundary the benchmark traces still exists."""
 
 import importlib.util
 from importlib import resources
@@ -6,15 +7,38 @@ from pathlib import Path
 
 import pytest
 
-GENERATOR = Path(__file__).resolve().parents[1] / "tools" / "gen_relations.py"
+from jordan_osc import model
+
+ROOT = Path(__file__).resolve().parents[1]
+GENERATOR = ROOT / "tools" / "gen_relations.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name", ["relations_v1.txt", "negative_controls_v1.txt"])
 def test_generator_reproduces_shipped_catalog(tmp_path, monkeypatch, capsys, name):
-    spec = importlib.util.spec_from_file_location("gen_relations", GENERATOR)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = _load("gen_relations", GENERATOR)
     monkeypatch.setattr(gen, "OUT", tmp_path)
     gen.main()
     shipped = resources.files("jordan_osc").joinpath("data", name).read_bytes()
     assert (tmp_path / name).read_bytes() == shipped
+
+
+def test_benchmark_traces_only_existing_boundaries():
+    # a boundary the code no longer has reads 0 in the benchmark instead of failing it
+    tracing = _load("perfbench_tracing", TRACING)
+    build_psi = model.build_psi
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        assert model.build_psi is not build_psi
+    finally:
+        tracer.uninstall()
+    assert model.build_psi is build_psi

@@ -15,7 +15,6 @@ from jordan_osc import (
     adjoint,
     anticommutator,
     commutator,
-    exact_sqrt,
     lift,
     swap_vars,
 )
@@ -57,11 +56,6 @@ class TestCoefficients:
         op = DiffOp.dz(FLOAT)
         assert op == op.scale(1.0 + 1e-15)
         assert op != op.scale(1.0 + 1e-9)
-
-    def test_exact_sqrt(self):
-        assert exact_sqrt(F(9, 4)) == F(3, 2)
-        assert exact_sqrt(F(2)) is None
-        assert exact_sqrt(F(0)) == 0
 
 
 class TestPoly2:
