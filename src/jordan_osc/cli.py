@@ -7,7 +7,8 @@ Subcommands:
 * matrices -- print the pairing and Hamiltonian blocks at level n
 
 Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
-check failed (the report is still written), 2 usage error.
+check failed (the report is still written), 2 usage error, or a float-mode
+point whose arithmetic overflows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .gaussint import gram_block, h_block
 from .model import Params, build_psi
-from .verifier import SUITES, Report, load_relations, run_suites, suite_cutoffs
+from .verifier import DEFAULT_NMAX, DEFAULT_TOL, SUITES, Report, load_relations, run_suites, suite_cutoffs
 from .weyl import EXACT, FLOAT, format_coeff
 
 ENV_NMAX = "JORDAN_OSC_NMAX"
@@ -43,8 +44,8 @@ class RunConfig:
     q: Fraction | None = PARAM_DEFAULTS[EXACT]["q"]
     a: float | None = None
     b: float | None = None
-    n_max: int = 10
-    tol: float = 1e-10
+    n_max: int = DEFAULT_NMAX
+    tol: float = DEFAULT_TOL
     suites: tuple[str, ...] = SUITES
     fmt: str = "text"
     catalog: str | None = None
@@ -187,7 +188,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 def _default_nmax() -> int:
     raw = os.environ.get(ENV_NMAX)
     if raw is None:
-        return 10
+        return DEFAULT_NMAX
     try:
         return int(raw)
     except ValueError:
@@ -203,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run verification suites")
     _add_param_flags(verify)
     verify.add_argument("--nmax", type=int, default=None,
-                        help=f"basis cutoff, 1..24 (default: ${ENV_NMAX} or 10)")
-    verify.add_argument("--tol", type=float, default=1e-10)
+                        help=f"basis cutoff, 1..{NMAX_RANGE[1]} (default: ${ENV_NMAX} or {DEFAULT_NMAX})")
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--suites", default="all",
                         help="comma list from: " + ",".join(SUITES) + " (or 'all')")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -303,7 +304,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = {"verify": _run_verify, "basis": _run_basis, "matrices": _run_matrices}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OverflowError as exc:
+        point = _config_from_args(args).params_repr()
+        print(f"error: {args.mode} arithmetic overflows at {point} ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,15 +24,19 @@ irrep.J0 and irrep.K likewise check the J0 and K images and compare the
 action coefficient with the eigenvalue. The float direct reports rescale the
 shared image in float mode and build their own float images in exact mode.
 
-Exact mode is authoritative: a pass there means residual identically zero.
-Float mode compares residuals against a tolerance. A check that cannot run at
-the given point is reported as skipped, never as passed.
+Every report is built by one accumulator, ``_Check``: it keeps the check's
+worst residual and where it sits, times the work, and gives the verdict. Exact
+mode is authoritative: a pass there means residual identically zero. Float
+mode compares residuals against a tolerance, and a NaN residual counts as the
+worst, so a check that met one fails. A check that cannot run at the given
+point is reported as skipped, never as passed.
 """
 
 from __future__ import annotations
 
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -71,6 +75,7 @@ from .weyl import (
 )
 
 DEFAULT_TOL = 1e-10
+DEFAULT_NMAX = 10
 SUITES = ("structure", "actions", "irrep", "pseudo", "integrals")
 #: the integrals suite stops at level min(n_max, INTEGRALS_NMAX), and its
 #: resolution check at degree min(n_max, RESOLUTION_DEGREE)
@@ -107,6 +112,40 @@ class Report:
         if self.skipped:
             return "skip"
         return "pass" if self.passed else "fail"
+
+
+class _Check:
+    """The one builder of a Report: the check's id, anchor and mode, its worst
+    residual and the (n, m) where that sits, the time spent inside its
+    ``timed()`` blocks, and the verdict (exact: residual == 0, float:
+    residual <= tol). A NaN residual beats any number and is kept, so a check
+    that met one fails."""
+
+    def __init__(self, relation_id: str, anchor: str, mode: str, tol: float) -> None:
+        self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
+        self.worst = Fraction(0) if mode == EXACT else 0.0
+        self.at, self.seconds, self.skipped = None, 0.0, False
+
+    @contextmanager
+    def timed(self):
+        start = time.perf_counter()
+        yield
+        self.seconds += time.perf_counter() - start
+
+    def add(self, residual, at: tuple | None = None) -> None:
+        """Keep ``residual``, found at basis index ``at``, if it is the worst so far."""
+        if residual > self.worst or (residual != residual and self.worst == self.worst):
+            self.worst, self.at = residual, at
+
+    def skip(self, why: str) -> None:
+        """The check cannot run here: report it as skipped, with ``why`` as its anchor."""
+        self.anchor, self.skipped = why, True
+
+    def report(self) -> Report:
+        anchor = self.anchor if self.at is None else f"{self.anchor} [worst at n,m={self.at}]"
+        passed = self.worst == 0 if self.mode == EXACT else self.worst <= self.tol
+        return Report(self.relation_id, anchor, self.mode, passed and not self.skipped,
+                      "n/a" if self.skipped else str(self.worst), self.seconds * 1e3, self.skipped)
 
 
 @dataclass(frozen=True)
@@ -208,25 +247,11 @@ def eval_expression(expr: str, params: Params) -> DiffOp:
     return op
 
 
-def _verdict(mode: str, residual, tol: float) -> bool:
-    if mode == EXACT:
-        return residual == 0
-    return float(residual) <= tol
-
-
 def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL) -> Report:
-    start = time.perf_counter()
-    diff = eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)
-    residual = diff.max_magnitude()
-    ms = (time.perf_counter() - start) * 1e3
-    return Report(
-        relation_id=spec.rel_id,
-        anchor=f"{spec.lhs} == {spec.rhs}",
-        mode=params.mode,
-        passed=_verdict(params.mode, residual, tol),
-        residual=str(residual),
-        ms=ms,
-    )
+    check = _Check(spec.rel_id, f"{spec.lhs} == {spec.rhs}", params.mode, tol)
+    with check.timed():
+        check.add((eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude())
+    return check.report()
 
 
 def check_structure(
@@ -385,10 +410,6 @@ def _predicted_combination(params: Params, terms: list) -> ReducedFn:
     return out
 
 
-def _residual_of(diff: ReducedFn):
-    return diff.poly.max_magnitude()
-
-
 # ---------------------------------------------------------------------------
 # irrep rules
 # ---------------------------------------------------------------------------
@@ -459,29 +480,6 @@ def _jmu(n: int, m: int) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-class _Worst:
-    """One report's worst residual so far, where it sits, and the time spent
-    on the report."""
-
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
-        self.value = Fraction(0) if mode == EXACT else 0.0
-        self.at: tuple | None = None
-        self.seconds = 0.0
-
-    def add(self, n: int, m: int, residual, since: float) -> None:
-        """Record the residual at (n, m), computed since ``since``."""
-        if residual > self.value:
-            self.value, self.at = residual, (n, m)
-        self.seconds += time.perf_counter() - since
-
-    def report(self, relation_id: str, anchor: str, tol: float, locate: bool = False) -> Report:
-        if locate and self.at is not None:
-            anchor = f"{anchor} [worst at n,m={self.at}]"
-        return Report(relation_id, anchor, self.mode, _verdict(self.mode, self.value, tol),
-                      str(self.value), self.seconds * 1e3)
-
-
 def _split_terms(terms: list, n2: int, m2: int):
     """An action expansion's coefficient at psi[n2,m2], and the largest
     magnitude it puts anywhere else (nonzero when the action and irrep claims
@@ -544,17 +542,14 @@ def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
     return float((got - want).poly.max_magnitude()) / scale
 
 
-def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule) -> list[tuple]:
-    """(report id, anchor, report mode, residual) of each report of one irrep
-    rule, in report order."""
+def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float) -> list[tuple[_Check, Callable]]:
+    """(report, residual function) of each report of one irrep rule, in report
+    order."""
     if isinstance(rule, DiagonalRule):
-        return [(rule.rule_id, rule.anchor, mode, _eigenvalue_residual)]
-    checks = [(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT,
-               _float_ladder_residual)]
-    if mode == EXACT:
-        checks.insert(0, (f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT,
-                          _squared_ladder_residual))
-    return checks
+        return [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
+    squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT, tol)
+    direct = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
+    return ([(squared, _squared_ladder_residual)] if mode == EXACT else []) + [(direct, _float_ladder_residual)]
 
 
 def _image_pass(
@@ -579,38 +574,34 @@ def _image_pass(
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
             continue
-        checks = [] if irrep_rule is None else _irrep_checks(params.mode, irrep_rule)
-        image_worst = _Worst(params.mode)
-        worsts = [_Worst(check_mode) for _, _, check_mode, _ in checks]
+        action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
+        checks = [] if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol)
+        image_clock = action if "actions" in suites else checks[0][0]
         op = make_operator(params, rule.op_name)
         for n in range(n_max + 1):
             for m in range(n + 1):
-                start = time.perf_counter()
-                terms = rule.terms(params, n, m)
-                image = apply(params, op, build_psi(params, n, m))
-                image_residual = _residual_of(image - _predicted_combination(params, terms))
-                image_worst.add(n, m, image_residual, start)
-                for (_, _, _, residual), worst in zip(checks, worsts):
-                    start = time.perf_counter()
-                    worst.add(n, m, residual(params, irrep_rule, n, m, terms, image, image_residual), start)
+                with image_clock.timed():
+                    terms = rule.terms(params, n, m)
+                    image = apply(params, op, build_psi(params, n, m))
+                    image_residual = (image - _predicted_combination(params, terms)).poly.max_magnitude()
+                action.add(image_residual, (n, m))
+                for check, residual in checks:
+                    with check.timed():
+                        check.add(residual(params, irrep_rule, n, m, terms, image, image_residual))
         if "actions" in suites:
-            actions.append(image_worst.report(rule.rule_id, rule.anchor, tol, locate=True))
-        else:
-            worsts[0].seconds += image_worst.seconds
+            actions.append(action.report())
         if irrep_rule is not None:
-            irrep[irrep_rule.rule_id] = [
-                worst.report(report_id, anchor, tol) for (report_id, anchor, _, _), worst in zip(checks, worsts)
-            ]
+            irrep[irrep_rule.rule_id] = [check.report() for check, _ in checks]
     return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
 
 
-def check_actions(params: Params, n_max: int = 10, tol: float = DEFAULT_TOL) -> list[Report]:
+def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """Compare op.psi_{n,m} against the asserted expansion for every action
     formula and every 0 <= m <= n <= n_max; one report per formula."""
     return _image_pass(params, ("actions",), n_max, tol)[0]
 
 
-def check_irrep(params: Params, n_max: int = 10, tol: float = DEFAULT_TOL) -> list[Report]:
+def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """su(2)/superalgebra coefficients on phi, read off the action images: the
     diagonal reports, then per ladder rule an exact squared-value report (exact
     mode only) and a float direct report."""
@@ -624,25 +615,21 @@ def check_irrep(params: Params, n_max: int = 10, tol: float = DEFAULT_TOL) -> li
 
 def check_pseudo_hermiticity(params: Params, tol: float = DEFAULT_TOL) -> Report:
     """swap_vars(H) == adjoint(H): H is Hermitian up to the z <-> zbar swap."""
-    start = time.perf_counter()
-    ham = make_operator(params, "H")
-    residual = (swap_vars(ham) - adjoint(ham)).max_magnitude()
-    ms = (time.perf_counter() - start) * 1e3
-    return Report("pseudo.H", "swap_vars(H) == adjoint(H)", params.mode,
-                  _verdict(params.mode, residual, tol), str(residual), ms)
+    check = _Check("pseudo.H", "swap_vars(H) == adjoint(H)", params.mode, tol)
+    with check.timed():
+        ham = make_operator(params, "H")
+        check.add((swap_vars(ham) - adjoint(ham)).max_magnitude())
+    return check.report()
 
 
 def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Report]:
     """Catalog operators against their independently transcribed z/zbar forms."""
     reports = []
     for name in EXPLICIT_NAMES:
-        start = time.perf_counter()
-        residual = (make_operator(params, name) - explicit_form(params, name)).max_magnitude()
-        ms = (time.perf_counter() - start) * 1e3
-        reports.append(
-            Report(f"explicit.{name}", f"make_operator({name}) == explicit_form({name})",
-                   params.mode, _verdict(params.mode, residual, tol), str(residual), ms)
-        )
+        check = _Check(f"explicit.{name}", f"make_operator({name}) == explicit_form({name})", params.mode, tol)
+        with check.timed():
+            check.add((make_operator(params, name) - explicit_form(params, name)).max_magnitude())
+        reports.append(check.report())
     return reports
 
 
@@ -665,81 +652,64 @@ def _fixed_test_poly(params: Params, n_max: int, salt: int) -> ReducedFn:
 
 def check_integrals(
     params: Params,
-    n_max: int = 8,
+    n_max: int = INTEGRALS_NMAX,
     tol: float = DEFAULT_TOL,
     oracle_tol: float = 1e-8,
 ) -> list[Report]:
     """Biorthogonality (gram blocks are anti-diagonal identities), Jordan form
     of the pairing with H, ground norm, truncated resolution of identity, and
     the exact-vs-quadrature cross-check (skipped with a note when a <= b)."""
-    reports = []
-    mode = params.mode
+    mode, span = params.mode, min(n_max, RESOLUTION_DEGREE)
+    gram = _Check("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}", mode, tol)
+    jordan = _Check("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}",
+                    mode, tol)
+    norms = _Check("integrals.norms", f"<<psi00|psi00>> = 1 and <<psi_n0|psi_n0>> = 0 for 1 <= n <= {n_max}",
+                   mode, tol)
+    resolution = _Check("integrals.resolution", f"truncated resolution of identity on degree <= {span} functions",
+                        mode, tol)
+    oracle = _Check("integrals.oracle", "moment recursion vs Gauss-Hermite on sampled pairs", FLOAT, oracle_tol)
 
-    start = time.perf_counter()
-    worst = Fraction(0) if mode == EXACT else 0.0
-    for n in range(n_max + 1):
-        block = gram_block(params, n)
-        for m in range(n + 1):
-            for mp in range(n + 1):
-                want = params.s(1 if m + mp == n else 0)
-                worst = max(worst, abs(block[m][mp] - want))
-    ms = (time.perf_counter() - start) * 1e3
-    reports.append(Report("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}",
-                          mode, _verdict(mode, worst, tol), str(worst), ms))
-
-    start = time.perf_counter()
-    worst = Fraction(0) if mode == EXACT else 0.0
-    for n in range(n_max + 1):
-        block = h_block(params, n)
-        e_n = energy(params, n)
-        for k in range(n + 1):
+    with gram.timed():
+        for n in range(n_max + 1):
+            block = gram_block(params, n)
             for m in range(n + 1):
-                want = e_n if k == m else params.s(1 if m == k + 1 else 0)
-                worst = max(worst, abs(block[k][m] - want))
-    ms = (time.perf_counter() - start) * 1e3
-    reports.append(Report("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}",
-                          mode, _verdict(mode, worst, tol), str(worst), ms))
+                for mp in range(n + 1):
+                    gram.add(abs(block[m][mp] - params.s(1 if m + mp == n else 0)))
 
-    start = time.perf_counter()
-    ground = build_psi(params, 0, 0)
-    worst = abs(inner_product(params, ground, ground) - params.s(1))
-    for n in range(1, n_max + 1):
-        head = build_psi(params, n, 0)
-        worst = max(worst, abs(inner_product(params, head, head)))
-    ms = (time.perf_counter() - start) * 1e3
-    reports.append(Report("integrals.norms", f"<<psi00|psi00>> = 1 and <<psi_n0|psi_n0>> = 0 for 1 <= n <= {n_max}",
-                          mode, _verdict(mode, worst, tol), str(worst), ms))
+    with jordan.timed():
+        for n in range(n_max + 1):
+            block = h_block(params, n)
+            e_n = energy(params, n)
+            for k in range(n + 1):
+                for m in range(n + 1):
+                    want = e_n if k == m else params.s(1 if m == k + 1 else 0)
+                    jordan.add(abs(block[k][m] - want))
 
-    start = time.perf_counter()
-    span = min(n_max, RESOLUTION_DEGREE)
-    worst = Fraction(0) if mode == EXACT else 0.0
-    for salt in (1, 2):
-        f = _fixed_test_poly(params, span, salt)
-        worst = max(worst, _residual_of(expand_in_basis(params, f, span) - f))
-    ms = (time.perf_counter() - start) * 1e3
-    reports.append(Report("integrals.resolution", f"truncated resolution of identity on degree <= {span} functions",
-                          mode, _verdict(mode, worst, tol), str(worst), ms))
+    with norms.timed():
+        ground = build_psi(params, 0, 0)
+        norms.add(abs(inner_product(params, ground, ground) - params.s(1)))
+        for n in range(1, n_max + 1):
+            head = build_psi(params, n, 0)
+            norms.add(abs(inner_product(params, head, head)))
 
-    start = time.perf_counter()
-    fparams = params.to_float()
-    if not float(params.a) > float(params.b):
-        ms = (time.perf_counter() - start) * 1e3
-        reports.append(Report("integrals.oracle", "quadrature cross-check skipped: needs a > b",
-                              mode, False, "n/a", ms, skipped=True))
-        return reports
-    worst_f = 0.0
-    pairs = [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]
-    for n1, m1, n2, m2 in pairs:
-        if n1 > n_max or n2 > n_max:
-            continue
-        exact_val = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
-        est = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
-        scale = max(1.0, abs(complex(exact_val)))
-        worst_f = max(worst_f, abs(est - complex(exact_val)) / scale)
-    ms = (time.perf_counter() - start) * 1e3
-    reports.append(Report("integrals.oracle", "moment recursion vs Gauss-Hermite on sampled pairs",
-                          mode, worst_f <= oracle_tol, repr(worst_f), ms))
-    return reports
+    with resolution.timed():
+        for salt in (1, 2):
+            f = _fixed_test_poly(params, span, salt)
+            resolution.add((expand_in_basis(params, f, span) - f).poly.max_magnitude())
+
+    with oracle.timed():
+        fparams = params.to_float()
+        if not float(params.a) > float(params.b):
+            oracle.skip("quadrature cross-check skipped: needs a > b")
+        else:
+            for n1, m1, n2, m2 in [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]:
+                if n1 > n_max or n2 > n_max:
+                    continue
+                exact_val = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
+                est = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
+                scale = max(1.0, abs(complex(exact_val)))
+                oracle.add(abs(est - complex(exact_val)) / scale)
+    return [check.report() for check in (gram, jordan, norms, resolution, oracle)]
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +739,7 @@ def suite_cutoffs(suites: Iterable[str], n_max: int) -> dict[str, int | None]:
 def run_suites(
     params: Params,
     suites: Iterable[str],
-    n_max: int = 10,
+    n_max: int = DEFAULT_NMAX,
     tol: float = DEFAULT_TOL,
     catalog_path: str | None = None,
 ) -> list[Report]:

@@ -249,3 +249,28 @@ class TestEmitters:
         result = parse_json(json.dumps(payload))
         csv_text = emit_csv(result)
         assert csv_text.count("pass") == len(payload["suites"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "float", "--a", "1e120", "--b", "1e119", "--nmax", "2", "--suites", "structure"],
+    ["basis", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3", "--m", "1"],
+    ["matrices", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3"],
+])
+def test_float_overflow_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: float arithmetic overflows at {'a': ")
+
+
+def test_nan_residuals_never_pass(capsys):
+    # at a = 1e100, b = 1e-100 most float images hold NaN coefficients
+    argv = ["verify", "--mode", "float", "--a", "1e100", "--b", "1e-100", "--nmax", "12",
+            "--suites", "irrep", "--format", "json"]
+    assert main(argv) == 1
+    reports = json.loads(capsys.readouterr().out)["suites"]
+    assert len(reports) == 14
+    assert [r["id"] for r in reports if r["status"] != "fail"] == []
+    nan = {r["id"] for r in reports if r["residual"] == "nan"}
+    assert {"irrep.J-.float", "irrep.a1-.float", "irrep.a2+.float", "irrep.D+12.float", "irrep.D+22.float"} <= nan

@@ -1,0 +1,35 @@
+"""Reports against recorded ones: a refactor of the verifier must leave every
+id, anchor, status and residual as it was (only the timings may move).
+
+The files under tests/data hold `jordan-osc verify --suites all --nmax 6
+--format json` at the exact reference point p = 1, q = 1/2 with "ms" dropped,
+and the ids and statuses of the same run in float mode at a = 0.79, b = 0.23.
+"""
+
+import json
+from pathlib import Path
+
+from jordan_osc.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+
+def _run(capsys, argv):
+    assert main(["verify", "--suites", "all", "--nmax", "6", "--format", "json"] + argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_exact_report_matches_recorded(capsys):
+    recorded = json.loads((DATA / "golden_exact_n6.json").read_text())
+    payload = _run(capsys, ["--p", "1", "--q", "1/2"])
+    for entry in payload["suites"]:
+        assert entry.pop("ms") >= 0
+    assert payload == recorded
+
+
+def test_float_statuses_match_recorded(capsys):
+    recorded = json.loads((DATA / "golden_float_n6.json").read_text())
+    payload = _run(capsys, ["--mode", "float", "--a", "0.79", "--b", "0.23"])
+    payload["suites"] = [{"id": e["id"], "status": e["status"]} for e in payload["suites"]]
+    assert payload == recorded
+

@@ -320,3 +320,29 @@ class TestRunSuites:
         second = run_suites(params, ("pseudo",))
         strip = lambda r: (r.relation_id, r.anchor, r.mode, r.passed, r.residual)  # noqa: E731
         assert [strip(r) for r in first] == [strip(r) for r in second]
+
+
+class TestCheckAccumulator:
+    """_Check builds every report: worst residual, its location, verdict."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_fails_a_float_report_in_any_order(self, position):
+        from jordan_osc.verifier import _Check
+
+        residuals = [1e-13, 1e-12]
+        residuals.insert(position, float("nan"))
+        check = _Check("x", "x", "float", 1e-10)
+        for m, residual in enumerate(residuals):
+            check.add(residual, (2, m))
+        report = check.report()
+        assert report.failed and report.residual == "nan"
+        assert report.anchor == f"x [worst at n,m={(2, position)}]"
+
+    def test_verdict_by_mode(self):
+        from jordan_osc.verifier import _Check
+
+        exact, close = _Check("e", "e", "exact", 1e-10), _Check("f", "f", "float", 1e-10)
+        exact.add(F(1, 10**20))
+        close.add(1e-11)
+        assert exact.report().failed and close.report().passed
+        assert _Check("z", "z", "exact", 1e-10).report().residual == "0"
