@@ -7,8 +7,8 @@ Subcommands:
 * matrices -- print the pairing and Hamiltonian blocks at level n
 
 Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
-check failed (the report is still written), 2 usage error, or a float-mode
-point whose arithmetic overflows.
+check failed (the report is still written), 2 usage error, or a point whose
+float arithmetic overflows (an exact run's float cross-checks included).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from .gaussint import gram_block, h_block
 from .model import Params, build_psi
 from .verifier import DEFAULT_NMAX, DEFAULT_TOL, SUITES, Report, load_relations, run_suites, suite_cutoffs
-from .weyl import EXACT, FLOAT, format_coeff
+from .weyl import EXACT, FLOAT
 
 ENV_NMAX = "JORDAN_OSC_NMAX"
 NMAX_RANGE = (1, 24)
@@ -179,7 +179,7 @@ def _fraction(text: str) -> Fraction:
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
-    parser.add_argument("--p", type=_fraction, default=None, help="sqrt of a (exact mode), e.g. 1 or 3/2")
+    parser.add_argument("--p", type=_fraction, default=None, help="sqrt of a (exact mode), for example 1 or 3/2")
     parser.add_argument("--q", type=_fraction, default=None, help="sqrt of b (exact mode), must be < p for a > b")
     parser.add_argument("--a", type=float, default=None, help="oscillator strength (float mode)")
     parser.add_argument("--b", type=float, default=None, help="coupling strength (float mode)")
@@ -277,7 +277,7 @@ def _run_basis(args: argparse.Namespace) -> int:
     print(f"psi[{args.n},{args.m}] = kappa * P(z, zbar) * exp(-a*z*zbar - b*zbar^2)")
     print("kappa = sqrt(2a/pi); the reduced polynomial P is")
     for (i, j), coeff in fn.poly.sorted_terms():
-        print(f"  z^{i} zbar^{j}: {format_coeff(coeff)}")
+        print(f"  z^{i} zbar^{j}: {coeff}")
     return 0
 
 
@@ -293,10 +293,10 @@ def _run_matrices(args: argparse.Namespace) -> int:
     ham = h_block(params, args.n)
     print(f"pairing block <<psi[{args.n},k] | psi[{args.n},m]>>, rows k = 0..{args.n}:")
     for row in gram:
-        print("  [" + ", ".join(map(format_coeff, row)) + "]")
+        print("  [" + ", ".join(map(str, row)) + "]")
     print(f"Hamiltonian block <<psi[{args.n},n-k] | H psi[{args.n},m]>>, rows k = 0..{args.n}:")
     for row in ham:
-        print("  [" + ", ".join(map(format_coeff, row)) + "]")
+        print("  [" + ", ".join(map(str, row)) + "]")
     return 0
 
 
@@ -306,9 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"verify": _run_verify, "basis": _run_basis, "matrices": _run_matrices}[args.command]
     try:
         return handler(args)
-    except OverflowError as exc:
+    except OverflowError:
+        # only floats overflow, and the exception's own text can be a raw
+        # errno tuple (from pow), so a plain reason is printed instead
         point = _config_from_args(args).params_repr()
-        print(f"error: {args.mode} arithmetic overflows at {point} ({exc})", file=sys.stderr)
+        print(f"error: float arithmetic overflows at {point} (a value exceeds the float range)", file=sys.stderr)
         return 2
 
 

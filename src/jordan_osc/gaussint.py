@@ -63,12 +63,12 @@ def _moment_rows(params: Params, degree: int) -> list[list[Coeff]]:
     built = len(rows) - 1
     if top <= built:
         return rows
-    s, a, b = params.s, params.a_scalar, params.b_scalar
+    a, b = params.a, params.b
     for r in range(built + 1, top + 1):
-        rows.append([s(-(2 * r - 1)) * b / (a * a) * rows[r - 1][0]])
+        rows.append([-(2 * r - 1) * b / (a * a) * rows[r - 1][0]])
     for r, row in enumerate(rows):
         for q in range(len(row), top - r + 1):
-            row.append(s(2 * r + q) / (s(2) * a) * row[q - 1])
+            row.append((2 * r + q) / (2 * a) * row[q - 1])
     return rows
 
 

@@ -1,6 +1,6 @@
 """Model layer: parameters, basis functions, and the operator catalog.
 
-The model is the 2D complex oscillator
+The model is the 2D oscillator in the variables z, zbar
 
     H = -4 dz dzbar + 4 a^2 z zbar + 8 a b zbar^2,        a > 0, b > 0,
 
@@ -17,7 +17,9 @@ obeying (H - E_n) psi_{n,m} = psi_{n,m-1}.
 Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
 positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
 are rational and all ladder/action coefficients are plain ``Fraction``s; in
-float mode every coefficient is a ``complex``.
+float mode every coefficient is a ``float``. Either way p, q and every view of
+them (a, b, sqrt_ab, ...) already are coefficients of the mode, so they enter
+products directly; ``Params.s`` lifts a literal into the mode.
 
 Caching: a parameter point fixes every basis function, operator and pairing
 moment, so all of them live in one store per point (``point_cache``), and
@@ -39,7 +41,6 @@ from .weyl import (
     Coeff,
     DiffOp,
     ModeMismatchError,
-    Number,
     Poly2,
     anticommutator,
     lift,
@@ -70,10 +71,12 @@ class Params:
     """Model parameters, stored through their square roots p = sqrt(a), q = sqrt(b)."""
 
     mode: str
-    p: Number
-    q: Number
+    p: Coeff
+    q: Coeff
 
     def __post_init__(self):
+        for name in ("p", "q"):  # so that every view of them is a coefficient
+            object.__setattr__(self, name, lift(getattr(self, name), self.mode))
         if self.mode == FLOAT and not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise ValueError("parameters must be finite")
         if not (self.p > 0 and self.q > 0):
@@ -103,48 +106,31 @@ class Params:
     def to_float(self) -> "Params":
         if self.mode == FLOAT:
             return self
-        return Params(FLOAT, float(self.p), float(self.q))
+        return Params(FLOAT, self.p, self.q)
 
-    # ---- plain-number views ----
-    @property
-    def a(self) -> Number:
-        return self.p * self.p
-
-    @property
-    def b(self) -> Number:
-        return self.q * self.q
-
-    @property
-    def lam(self) -> Number:
-        return 2 * self.a
-
-    @property
-    def g(self) -> Number:
-        return 4 * self.lam * self.b
-
-    # ---- coefficient views (Fraction in exact mode, complex in float mode) ----
+    # ---- coefficient views (Fraction in exact mode, float in float mode) ----
     def s(self, value) -> Coeff:
         return lift(value, self.mode)
 
     @property
-    def a_scalar(self) -> Coeff:
-        return self.s(self.a)
+    def a(self) -> Coeff:
+        return self.p * self.p
 
     @property
-    def b_scalar(self) -> Coeff:
-        return self.s(self.b)
+    def b(self) -> Coeff:
+        return self.q * self.q
 
     @property
     def sqrt_ab(self) -> Coeff:
-        return self.s(self.p * self.q)
+        return self.p * self.q
 
     @property
     def sqrt_a_over_b(self) -> Coeff:
-        return self.s(self.p / self.q)
+        return self.p / self.q
 
     @property
     def sqrt_b_over_a(self) -> Coeff:
-        return self.s(self.q / self.p)
+        return self.q / self.p
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,12 +272,12 @@ def _check_index(n: int, m: int) -> None:
 
 def _cn0_reduced(params: Params, n: int) -> Coeff:
     # c_{n,0} / kappa = 4^n (ab)^(n/2) = (4 sqrt(ab))^n
-    return (params.s(4) * params.sqrt_ab) ** n
+    return (4 * params.sqrt_ab) ** n
 
 
 def _cn_reduced(params: Params, n: int) -> Coeff:
     # c_n = c_{n,0} / ((8ab)^n n!)
-    denom = (params.s(8) * params.a_scalar * params.b_scalar) ** n * params.s(factorial(n))
+    denom = (8 * params.a * params.b) ** n * factorial(n)
     return _cn0_reduced(params, n) / denom
 
 
@@ -313,7 +299,7 @@ def psi_series(params: Params, n: int, m: int) -> ReducedFn:
     mode = params.mode
     k = n - m
     alphas = alpha_coeffs(k)
-    w = Poly2.monomial(1, 0, params.a_scalar) + Poly2.monomial(0, 1, params.b_scalar)
+    w = Poly2.monomial(1, 0, params.a) + Poly2.monomial(0, 1, params.b)
     acc = Poly2.zero(mode)
     for i in range(k + 1):
         poch = pochhammer(2 * m - n + i + 1, 2 * n - 2 * m - i)
@@ -323,7 +309,7 @@ def psi_series(params: Params, n: int, m: int) -> ReducedFn:
         assert e >= 0
         term = Poly2.monomial(0, i, params.s(alphas[i] * poch)) * w**e
         acc = acc + term
-    front = _cn_reduced(params, n) * (params.s(2) * params.a_scalar * params.b_scalar) ** k
+    front = _cn_reduced(params, n) * (2 * params.a * params.b) ** k
     return ReducedFn(acc.scale(front))
 
 
@@ -353,7 +339,7 @@ def build_phi(params: Params, n: int, m: int) -> ReducedFn:
 
 def energy(params: Params, n: int) -> Coeff:
     """Level-n eigenvalue E_n = 4a(n+1)."""
-    return params.s(4 * (n + 1)) * params.a_scalar
+    return 4 * (n + 1) * params.a
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +365,24 @@ def make_operator(params: Params, name: str) -> DiffOp:
     """
     name = _canonical_name(name)
     s = params.s
-    a, b = params.a_scalar, params.b_scalar
+    a, b = params.a, params.b
     mono = DiffOp.monomial
 
     if name == "H":
         return (
             mono((0, 0, 1, 1), s(-4))
-            + mono((1, 1, 0, 0), s(4) * a * a)
-            + mono((0, 2, 0, 0), s(8) * a * b)
+            + mono((1, 1, 0, 0), 4 * a * a)
+            + mono((0, 2, 0, 0), 8 * a * b)
         )
     if name in ("A+", "A-"):
-        sign = s(-1) if name == "A+" else s(1)
+        sign = -1 if name == "A+" else 1
         return mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), sign * a)
     if name in ("B+", "B-"):
-        sign = s(-1) if name == "B+" else s(1)
+        sign = -1 if name == "B+" else 1
         return (
             mono((0, 0, 0, 1), s(1))
             + mono((1, 0, 0, 0), sign * a)
-            + mono((0, 1, 0, 0), sign * s(2) * b)
+            + mono((0, 1, 0, 0), sign * 2 * b)
         )
 
     op = lambda nm: make_operator(params, nm)  # noqa: E731
@@ -411,36 +397,36 @@ def make_operator(params: Params, name: str) -> DiffOp:
         return op("A+") * op("B-") + op("B+") * op("A-")
 
     if name == "J0":
-        return op("T").scale(s(1) / (s(4) * a))
+        return op("T").scale(1 / (4 * a))
     if name == "J+":
         inner = op("S") + op("R").scale(b * b / (a * a)) - op("U").scale(b / a)
-        return inner.scale(s(-1) / (s(16) * a * b))
+        return inner.scale(-1 / (16 * a * b))
     if name == "J-":
-        return op("R").scale(s(-4) * b / a)
+        return op("R").scale(-4 * b / a)
     if name == "K":
-        inner = op("R").scale(s(2) * b / a) - op("U") + DiffOp.constant(s(2) * a)
-        return inner.scale(s(1) / (s(2) * a))
+        inner = op("R").scale(2 * b / a) - op("U") + DiffOp.constant(2 * a)
+        return inner.scale(1 / (2 * a))
 
     if name in ("a1+", "a2-"):
         core = op("A+" if name == "a1+" else "A-").scale(b) - op("B+" if name == "a1+" else "B-").scale(a)
-        core = core.scale(s(1) / (s(4) * a * params.sqrt_ab))
+        core = core.scale(1 / (4 * a * params.sqrt_ab))
         return core if name == "a1+" else -core
     if name == "a1-":
-        return op("A-").scale(s(2) * params.sqrt_b_over_a)
+        return op("A-").scale(2 * params.sqrt_b_over_a)
     if name == "a2+":
-        return op("A+").scale(s(-2) * params.sqrt_b_over_a)
+        return op("A+").scale(-2 * params.sqrt_b_over_a)
 
     if name.startswith("E"):
         i, j = int(name[1]), int(name[2])
         raising = op(f"a{i}+")
         lowering = op(f"a{j}-")
-        return anticommutator(raising, lowering).scale(s(Fraction(1, 2)))
+        return anticommutator(raising, lowering).scale(Fraction(1, 2))
 
     # D+ij / D-ij = (1/2){a_i^pm, a_j^pm}
     sign, i, j = name[1], int(name[2]), int(name[3])
     left = op(f"a{i}{sign}")
     right = op(f"a{j}{sign}")
-    return anticommutator(left, right).scale(s(Fraction(1, 2)))
+    return anticommutator(left, right).scale(Fraction(1, 2))
 
 
 def explicit_form(params: Params, name: str) -> DiffOp:
@@ -450,7 +436,7 @@ def explicit_form(params: Params, name: str) -> DiffOp:
     if name not in EXPLICIT_NAMES:
         raise ValueError(f"no explicit form for {name!r}; available: {', '.join(EXPLICIT_NAMES)}")
     s = params.s
-    a, b = params.a_scalar, params.b_scalar
+    a, b = params.a, params.b
     mono = DiffOp.monomial
 
     # shared first-order pieces: X = b dz - a dzbar, W = (a z + b zbar) as
@@ -459,41 +445,41 @@ def explicit_form(params: Params, name: str) -> DiffOp:
     W = mono((1, 0, 0, 0), a) + mono((0, 1, 0, 0), b)
 
     if name == "a1+":
-        return (X + W.scale(a)).scale(s(1) / (s(4) * a * params.sqrt_ab))
+        return (X + W.scale(a)).scale(1 / (4 * a * params.sqrt_ab))
     if name == "a1-":
-        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), a)).scale(s(2) * params.sqrt_b_over_a)
+        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), a)).scale(2 * params.sqrt_b_over_a)
     if name == "a2+":
-        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), -a)).scale(s(-2) * params.sqrt_b_over_a)
+        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), -a)).scale(-2 * params.sqrt_b_over_a)
     if name == "a2-":
-        return (X - W.scale(a)).scale(s(-1) / (s(4) * a * params.sqrt_ab))
+        return (X - W.scale(a)).scale(-1 / (4 * a * params.sqrt_ab))
 
     if name == "J0":
         return (
-            mono((1, 0, 1, 0), a) + mono((0, 1, 1, 0), s(2) * b) + mono((0, 1, 0, 1), -a)
-        ).scale(s(1) / (s(2) * a))
+            mono((1, 0, 1, 0), a) + mono((0, 1, 1, 0), 2 * b) + mono((0, 1, 0, 1), -a)
+        ).scale(1 / (2 * a))
     if name == "J+":
-        return (X * X - (W * W).scale(a * a)).scale(s(-1) / (s(16) * a**3 * b))
+        return (X * X - (W * W).scale(a * a)).scale(-1 / (16 * a**3 * b))
     if name == "J-":
-        return (mono((0, 0, 2, 0), s(1)) + mono((0, 2, 0, 0), -(a * a))).scale(s(-4) * b / a)
+        return (mono((0, 0, 2, 0), s(1)) + mono((0, 2, 0, 0), -(a * a))).scale(-4 * b / a)
     if name == "K":
         return (
             mono((0, 0, 2, 0), b)
             + mono((0, 0, 1, 1), -a)
             + mono((1, 1, 0, 0), a**3)
             + mono((0, 2, 0, 0), a * a * b)
-        ).scale(s(1) / (a * a))
+        ).scale(1 / (a * a))
 
     if name in ("D+11", "D-22"):
-        sign = s(1) if name == "D+11" else s(-1)
-        quad = X * X + (W * X).scale(sign * s(2) * a) + (W * W).scale(a * a)
-        return quad.scale(s(1) / (s(16) * a**3 * b))
+        sign = 1 if name == "D+11" else -1
+        quad = X * X + (W * X).scale(sign * 2 * a) + (W * W).scale(a * a)
+        return quad.scale(1 / (16 * a**3 * b))
     if name in ("D+22", "D-11"):
-        sign = s(-1) if name == "D+22" else s(1)
-        quad = mono((0, 0, 2, 0), s(1)) + mono((0, 1, 1, 0), sign * s(2) * a) + mono((0, 2, 0, 0), a * a)
-        return quad.scale(s(4) * b / a)
+        sign = -1 if name == "D+22" else 1
+        quad = mono((0, 0, 2, 0), s(1)) + mono((0, 1, 1, 0), sign * 2 * a) + mono((0, 2, 0, 0), a * a)
+        return quad.scale(4 * b / a)
 
     # D+12 / D-12
-    sign = s(1) if name == "D+12" else s(-1)
+    sign = 1 if name == "D+12" else -1
     quad = (
         mono((0, 0, 2, 0), b)
         + mono((0, 0, 1, 1), -a)
@@ -503,7 +489,7 @@ def explicit_form(params: Params, name: str) -> DiffOp:
         + mono((0, 2, 0, 0), -(a * a * b))
         + DiffOp.constant(sign * a * a)
     )
-    return quad.scale(s(-1) / (s(2) * a * a))
+    return quad.scale(-1 / (2 * a * a))
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +502,11 @@ def _shifted_derivative_powers(params: Params, k: int, l: int) -> DiffOp:
     # conjugation by the envelope sends dz -> dz - a zbar and
     # dzbar -> dzbar - a z - 2b zbar; the two shifted derivatives commute
     mode = params.mode
-    a, b = params.a_scalar, params.b_scalar
-    dz_shift = DiffOp.dz(mode) + DiffOp.monomial((0, 1, 0, 0), -a)
+    dz_shift = DiffOp.dz(mode) + DiffOp.monomial((0, 1, 0, 0), -params.a)
     dzb_shift = (
         DiffOp.dzbar(mode)
-        + DiffOp.monomial((1, 0, 0, 0), -a)
-        + DiffOp.monomial((0, 1, 0, 0), params.s(-2) * b)
+        + DiffOp.monomial((1, 0, 0, 0), -params.a)
+        + DiffOp.monomial((0, 1, 0, 0), -2 * params.b)
     )
     return dz_shift**k * dzb_shift**l
 

@@ -71,7 +71,9 @@ from .weyl import (
     adjoint,
     anticommutator,
     commutator,
+    max_or_nan,
     swap_vars,
+    zero,
 )
 
 DEFAULT_TOL = 1e-10
@@ -123,7 +125,7 @@ class _Check:
 
     def __init__(self, relation_id: str, anchor: str, mode: str, tol: float) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
-        self.worst = Fraction(0) if mode == EXACT else 0.0
+        self.worst = zero(mode)
         self.at, self.seconds, self.skipped = None, 0.0, False
 
     @contextmanager
@@ -203,9 +205,9 @@ def _scalar_literal(token: str, params: Params) -> Coeff:
     value = params.s(rational)
     unit = match.group(1)
     if unit in ("a", "ab"):
-        value = value * params.a_scalar
+        value = value * params.a
     if unit in ("b", "ab"):
-        value = value * params.b_scalar
+        value = value * params.b
     return value
 
 
@@ -283,32 +285,28 @@ class ActionRule:
     terms: ActionTerms
 
 
-def _half(params: Params) -> Coeff:
-    return params.s(Fraction(1, 2))
-
-
 ACTION_RULES: tuple[ActionRule, ...] = (
     ActionRule(
         "action.B-", "B-", "B- psi = 4(n-m) sqrt(ab) psi[n-1,m] + (1/2) sqrt(b/a) psi[n-1,m-1]",
-        lambda P, n, m: [(n - 1, 0, P.s(4 * n) * P.sqrt_ab)] if m == 0 else [
-            (n - 1, m, P.s(4 * (n - m)) * P.sqrt_ab),
-            (n - 1, m - 1, _half(P) * P.sqrt_b_over_a),
+        lambda P, n, m: [(n - 1, 0, 4 * n * P.sqrt_ab)] if m == 0 else [
+            (n - 1, m, 4 * (n - m) * P.sqrt_ab),
+            (n - 1, m - 1, P.sqrt_b_over_a / 2),
         ],
     ),
     ActionRule(
         "action.B+", "B+", "B+ psi = -4(m+1) sqrt(ab) psi[n+1,m+1] - (1/2) sqrt(b/a) psi[n+1,m]",
         lambda P, n, m: [
-            (n + 1, m + 1, P.s(-4 * (m + 1)) * P.sqrt_ab),
-            (n + 1, m, -_half(P) * P.sqrt_b_over_a),
+            (n + 1, m + 1, -4 * (m + 1) * P.sqrt_ab),
+            (n + 1, m, -P.sqrt_b_over_a / 2),
         ],
     ),
     ActionRule(
         "action.A-", "A-", "A- psi = (1/2) sqrt(a/b) psi[n-1,m-1] (0 at m=0)",
-        lambda P, n, m: [] if m == 0 else [(n - 1, m - 1, _half(P) * P.sqrt_a_over_b)],
+        lambda P, n, m: [] if m == 0 else [(n - 1, m - 1, P.sqrt_a_over_b / 2)],
     ),
     ActionRule(
         "action.A+", "A+", "A+ psi = -(1/2) sqrt(a/b) psi[n+1,m]",
-        lambda P, n, m: [(n + 1, m, -_half(P) * P.sqrt_a_over_b)],
+        lambda P, n, m: [(n + 1, m, -P.sqrt_a_over_b / 2)],
     ),
     ActionRule(
         "action.jordan-H", "H", "(H - 4a(n+1)) psi[n,m] = psi[n,m-1] (0 at m=0)",
@@ -316,31 +314,27 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.R", "R", "R psi = -(a/4b) psi[n,m-1] (0 at m=0)",
-        lambda P, n, m: [] if m == 0 else [
-            (n, m - 1, -P.a_scalar / (P.s(4) * P.b_scalar)),
-        ],
+        lambda P, n, m: [] if m == 0 else [(n, m - 1, -P.a / (4 * P.b))],
     ),
     ActionRule(
         "action.S", "S",
         "S psi = -(b/4a) psi[n,m-1] - 2bn psi[n,m] - 16ab(n-m)(m+1) psi[n,m+1]",
         lambda P, n, m: [
-            (n, 0, P.s(-2 * n) * P.b_scalar),
-            (n, 1, P.s(-16 * n) * P.a_scalar * P.b_scalar),
+            (n, 0, -2 * n * P.b),
+            (n, 1, -16 * n * P.a * P.b),
         ] if m == 0 else [
-            (n, m - 1, -P.b_scalar / (P.s(4) * P.a_scalar)),
-            (n, m, P.s(-2 * n) * P.b_scalar),
-            (n, m + 1, P.s(-16 * (n - m) * (m + 1)) * P.a_scalar * P.b_scalar),
+            (n, m - 1, -P.b / (4 * P.a)),
+            (n, m, -2 * n * P.b),
+            (n, m + 1, -16 * (n - m) * (m + 1) * P.a * P.b),
         ],
     ),
     ActionRule(
         "action.T", "T", "T psi = -2a(n-2m) psi[n,m]",
-        lambda P, n, m: [(n, m, P.s(-2 * (n - 2 * m)) * P.a_scalar)],
+        lambda P, n, m: [(n, m, -2 * (n - 2 * m) * P.a)],
     ),
     ActionRule(
         "action.U", "U", "U psi = -2an psi[n,m] - (1/2) psi[n,m-1] (last term absent at m=0)",
-        lambda P, n, m: [(n, m, P.s(-2 * n) * P.a_scalar)] + (
-            [] if m == 0 else [(n, m - 1, -_half(P))]
-        ),
+        lambda P, n, m: [(n, m, -2 * n * P.a)] + ([] if m == 0 else [(n, m - 1, P.s(Fraction(-1, 2)))]),
     ),
     ActionRule(
         "action.J0", "J0", "J0 psi = (m - n/2) psi[n,m]",
@@ -484,12 +478,8 @@ def _split_terms(terms: list, n2: int, m2: int):
     """An action expansion's coefficient at psi[n2,m2], and the largest
     magnitude it puts anywhere else (nonzero when the action and irrep claims
     name different targets)."""
-    coeff, stray = 0, 0
-    for t_n, t_m, c in terms:
-        if (t_n, t_m) == (n2, m2):
-            coeff = coeff + c
-        else:
-            stray = max(stray, abs(c))
+    coeff = sum((c for t_n, t_m, c in terms if (t_n, t_m) == (n2, m2)), 0)
+    stray = max_or_nan(0, *(abs(c) for t_n, t_m, c in terms if (t_n, t_m) != (n2, m2)))
     return coeff, stray
 
 
@@ -503,7 +493,7 @@ def _eigenvalue_residual(params, rule, n, m, terms, image, image_residual):
     irrep eigenvalue."""
     coeff, stray = _split_terms(terms, n, m)
     eigenvalue = params.s(Fraction(rule.eigenvalue(*_jmu(n, m))))
-    return max(image_residual, stray, abs(coeff - eigenvalue))
+    return max_or_nan(image_residual, stray, abs(coeff - eigenvalue))
 
 
 def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
@@ -515,12 +505,12 @@ def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
     n2, m2 = n + rule.dn, m + rule.dm
     coeff, stray = _split_terms(terms, n2, m2)
     if not (0 <= m2 <= n2):
-        return max(image_residual, stray, abs(c2))
+        return max_or_nan(image_residual, stray, abs(c2))
     if coeff < 0:
         # the su(2)-type coefficients are nonnegative
-        return max(image_residual, stray, abs(coeff))
+        return max_or_nan(image_residual, stray, abs(coeff))
     ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
-    return max(image_residual, stray, abs(coeff * coeff * ratio - c2))
+    return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
 
 def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
@@ -536,10 +526,9 @@ def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
     c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
-        return max(abs(float(c2)), float(got.poly.max_magnitude()))
-    want = build_phi(fparams, n2, m2).scale(sqrt(float(c2)))
-    scale = max(1.0, float(want.poly.max_magnitude()))
-    return float((got - want).poly.max_magnitude()) / scale
+        return max_or_nan(abs(float(c2)), got.poly.max_magnitude())
+    want = build_phi(fparams, n2, m2).scale(sqrt(c2))
+    return (got - want).poly.max_magnitude() / max_or_nan(1.0, want.poly.max_magnitude())
 
 
 def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float) -> list[tuple[_Check, Callable]]:

@@ -3,9 +3,10 @@
 Values come in two coefficient modes sharing one arithmetic contract:
 ``exact`` coefficients are ``Fraction``s, for which every identity checked by
 the verification suites is decidable, and ``float`` coefficients are
-``complex`` doubles, whose comparisons are always tolerance based, never
+``float`` doubles, whose comparisons are always tolerance based, never
 bitwise. Coefficients are stored as these plain numbers; ``lift`` coerces a
-number into a mode and refuses to let an inexact value into exact mode.
+number into a mode and refuses to let an inexact value into exact mode. Float
+mode still accepts a ``complex`` coefficient, and ``adjoint`` conjugates it.
 
 Two layers build on the coefficients:
 
@@ -33,9 +34,9 @@ FLOAT = "float"
 # verification suites always pass their own tolerance explicitly.
 DEFAULT_TOL = 1e-12
 
-Number = Fraction | float
-#: a stored coefficient: Fraction in exact mode, complex in float mode
-Coeff = Fraction | complex
+#: a stored coefficient: Fraction in exact mode, float (or a complex given by
+#: the caller) in float mode
+Coeff = Fraction | float | complex
 
 
 class ModeMismatchError(ValueError):
@@ -46,6 +47,15 @@ def _join_modes(x, y) -> str:
     if x.mode != y.mode:
         raise ModeMismatchError(f"cannot combine {x.mode!r} and {y.mode!r} values")
     return x.mode
+
+
+def max_or_nan(first, *rest):
+    """The largest of the arguments, or a NaN if any of them is one (a plain
+    ``max`` keeps a NaN only when it comes first)."""
+    for value in rest:
+        if value > first or value != value:
+            first = value
+    return first
 
 
 def falling(x: int, k: int) -> int:
@@ -65,14 +75,15 @@ def lift(value, mode: str) -> Coeff:
     """Coerce a number into the coefficient type of ``mode``.
 
     Ints and Fractions lift into either mode; floats and complexes only into
-    float mode (an inexact value must not enter an exact computation).
+    float mode (an inexact value must not enter an exact computation), where a
+    complex stays complex.
     """
     if isinstance(value, (int, Fraction)):
-        return Fraction(value) if mode == EXACT else complex(value)
+        return Fraction(value) if mode == EXACT else float(value)
     if isinstance(value, (float, complex)):
         if mode == EXACT:
             raise ModeMismatchError("cannot lift an inexact value into exact mode")
-        return complex(value)
+        return value if isinstance(value, complex) else float(value)
     raise TypeError(f"cannot interpret {value!r} as a coefficient")
 
 
@@ -82,13 +93,6 @@ def zero(mode: str) -> Coeff:
 
 def one(mode: str) -> Coeff:
     return lift(1, mode)
-
-
-def format_coeff(c: Coeff) -> str:
-    """``3/4`` for a Fraction; a complex with zero imaginary part as a float."""
-    if isinstance(c, complex) and c.imag == 0:
-        return repr(c.real)
-    return str(c)
 
 
 def _bump(terms: dict, key, value: Coeff) -> None:
@@ -167,15 +171,15 @@ class _TermMap:
         for key in sorted(self.terms):
             yield key, self.terms[key]
 
-    def max_magnitude(self) -> Number:
-        if not self.terms:
-            return Fraction(0) if self.mode == EXACT else 0.0
-        return max(abs(c) for c in self.terms.values())
+    def max_magnitude(self) -> Coeff:
+        """The largest coefficient magnitude (zero if there is none), or a NaN
+        if any coefficient is one."""
+        return max_or_nan(zero(self.mode), *map(abs, self.terms.values()))
 
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return type(self)(FLOAT, {k: complex(c) for k, c in self.terms.items()})
+        return type(self)(FLOAT, {k: float(c) for k, c in self.terms.items()})
 
     def close_to(self, other, tol: float = DEFAULT_TOL) -> bool:
         keys = set(self.terms) | set(other.terms)
@@ -197,7 +201,7 @@ class _TermMap:
             return "0"
         parts = []
         for key, c in self.sorted_terms():
-            factors = [f"({format_coeff(c)})"]
+            factors = [f"({c})"]
             for name, e in zip(self._NAMES, key):
                 if e == 1:
                     factors.append(name)
@@ -265,7 +269,7 @@ class Poly2(_TermMap):
         """Evaluate the polynomial with z, zbar treated as independent values."""
         total = 0j
         for (i, j), c in self.terms.items():
-            total += complex(c) * zval**i * zbarval**j
+            total += c * zval**i * zbarval**j
         return total
 
 

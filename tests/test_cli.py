@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, round-trips, env defaults."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,9 @@ def test_float_overflow_exits_two(capsys, argv):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: float arithmetic overflows at {'a': ")
+    # a plain reason, never the errno tuple a float pow raises with
+    assert not re.search(r"\(\d+, '", line)
+    assert line.endswith("(a value exceeds the float range)")
 
 
 def test_nan_residuals_never_pass(capsys):

@@ -1,13 +1,17 @@
 """Reports against recorded ones: a refactor of the verifier must leave every
 id, anchor, status and residual as it was (only the timings may move).
 
-The files under tests/data hold `jordan-osc verify --suites all --nmax 6
---format json` at the exact reference point p = 1, q = 1/2 with "ms" dropped,
-and the ids and statuses of the same run in float mode at a = 0.79, b = 0.23.
+The golden_*.json files under tests/data hold `jordan-osc verify --suites all
+--nmax 6 --format json` at the exact reference point p = 1, q = 1/2 with "ms"
+dropped, and the ids and statuses of the same run in float mode at a = 0.79,
+b = 0.23. The golden_*.txt files hold the exact `basis` and `matrices` output
+at the default point.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from jordan_osc.cli import main
 
@@ -33,3 +37,13 @@ def test_float_statuses_match_recorded(capsys):
     payload["suites"] = [{"id": e["id"], "status": e["status"]} for e in payload["suites"]]
     assert payload == recorded
 
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["basis", "--n", "5", "--m", "2"], "golden_basis_n5_m2.txt"),
+    (["matrices", "--n", "3"], "golden_matrices_n3.txt"),
+])
+def test_cli_text_matches_recorded(capsys, argv, recorded):
+    # exact coefficients print as before: `basis` and `matrices` at the
+    # default point p = 1, q = 1/2, byte for byte
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / recorded).read_text()

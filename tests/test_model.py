@@ -21,8 +21,11 @@ from jordan_osc import (
     conjugate_through_envelope,
     energy,
     explicit_form,
+    gram_block,
+    h_block,
     inner_product,
     make_operator,
+    moment,
     phi_scale_sq,
     pochhammer,
     psi_series,
@@ -34,7 +37,6 @@ F = Fraction
 class TestParams:
     def test_exact_point(self, params):
         assert params.a == 1 and params.b == F(1, 4)
-        assert params.lam == 2 and params.g == 2
         assert params.sqrt_ab == F(1, 2)
         assert params.sqrt_a_over_b == F(2)
 
@@ -76,6 +78,12 @@ class TestParams:
         assert P.a == pytest.approx(1.0)
         assert P.to_float() is P
 
+    def test_parameters_are_coefficients_of_their_mode(self):
+        assert type(Params("float", 1, 2).p) is float and type(Params("float", 1, 2).sqrt_ab) is float
+        assert type(Params("exact", 1, 2).q) is Fraction
+        with pytest.raises(ModeMismatchError):
+            Params("exact", 0.5, 1)
+
 
 class TestCombinatorics:
     def test_pochhammer(self):
@@ -116,9 +124,9 @@ class TestBasis:
     def test_coefficient_types(self, params, fparams):
         # one plain number type per mode, stored directly in the term map
         assert all(type(c) is Fraction for c in build_psi(params, 4, 2).poly.terms.values())
-        assert all(type(c) is complex for c in build_psi(fparams, 4, 2).poly.terms.values())
+        assert all(type(c) is float for c in build_psi(fparams, 4, 2).poly.terms.values())
         assert all(type(c) is Fraction for c in make_operator(params, "J+").terms.values())
-        assert all(type(c) is complex for c in make_operator(fparams, "J+").terms.values())
+        assert all(type(c) is float for c in make_operator(fparams, "J+").terms.values())
 
     def test_series_matches_chain_head(self, params):
         # the general double-sum construction must reproduce the closed-form
@@ -293,3 +301,17 @@ class TestApply:
         for name in CATALOG_NAMES:
             apply(params, make_operator(params, name), fn)
         assert len(model._RECENT_CONJUGATIONS) <= model._RECENT_MAX
+
+
+@pytest.mark.parametrize("a, b", [(0.79, 0.23), (3.0, 1.0)])
+def test_float_coefficients_are_floats(a, b):
+    # one number type per mode: whatever float mode builds holds floats only
+    P = Params.from_ab(a, b)
+    ops = [make_operator(P, name) for name in CATALOG_NAMES] + [explicit_form(P, name) for name in EXPLICIT_NAMES]
+    objects = ops + [conjugate_through_envelope(P, op) for op in ops]
+    objects += [build_psi(P, n, m).poly for n in range(9) for m in range(n + 1)]
+    coeffs = [c for obj in objects for c in obj.terms.values()]
+    coeffs += [c for n in range(5) for block in (gram_block(P, n), h_block(P, n)) for row in block for c in row]
+    coeffs += [moment(P, p, q) for p in range(12) for q in range(12)]
+    coeffs += [P.a, P.b, P.sqrt_ab, P.sqrt_a_over_b, P.sqrt_b_over_a, energy(P, 3)]
+    assert {type(c) for c in coeffs} == {float}

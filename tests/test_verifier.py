@@ -2,14 +2,19 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import isnan
 
 import pytest
 
 from jordan_osc import (
     ACTION_RULES,
+    DIAGONAL_RULES,
+    FLOAT,
     LADDER_RULES,
     DiffOp,
     Params,
+    Poly2,
+    ReducedFn,
     RelationSpec,
     Report,
     adjoint,
@@ -28,6 +33,7 @@ from jordan_osc import (
     run_suites,
     swap_vars,
 )
+from jordan_osc import verifier
 from jordan_osc.verifier import SUITES, suite_cutoffs
 
 F = Fraction
@@ -346,3 +352,52 @@ class TestCheckAccumulator:
         close.add(1e-11)
         assert exact.report().failed and close.report().passed
         assert _Check("z", "z", "exact", 1e-10).report().residual == "0"
+
+
+NAN = float("nan")
+
+
+def _with_nan(values: list, position: int) -> list:
+    return values[:position] + [NAN] + values[position:]
+
+
+class TestResidualsKeepNaN:
+    """A NaN in any part of one residual makes that residual NaN, whether it
+    comes first, in the middle or last (a plain max keeps it only when first)."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_max_magnitude(self, position):
+        coeffs = _with_nan([1.0, -2.0], position)
+        assert isnan(Poly2(FLOAT, {(i, 0): c for i, c in enumerate(coeffs)}).max_magnitude())
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_split_terms(self, position):
+        terms = [(n, 0, c) for n, c in enumerate(_with_nan([1.0, -2.0], position), start=1)]
+        coeff, stray = verifier._split_terms(terms + [(0, 0, 3.0)], 0, 0)
+        assert coeff == 3.0 and isnan(stray)
+
+    @pytest.mark.parametrize("part", ["image", "stray", "coefficient"])
+    def test_eigenvalue_residual(self, fparams, part):
+        # J0 psi_{2,1} = 0: the parts are the image residual, the stray terms
+        # and the coefficient's distance from the eigenvalue, in that order
+        terms = [(2, 1, NAN if part == "coefficient" else 5.0), (2, 0, NAN if part == "stray" else 3.0)]
+        image_residual = NAN if part == "image" else 1.0
+        rule = DIAGONAL_RULES[0]
+        assert isnan(verifier._eigenvalue_residual(fparams, rule, 2, 1, terms, None, image_residual))
+
+    @pytest.mark.parametrize("part", ["image", "stray", "coefficient"])
+    def test_squared_ladder_residual(self, params, part):
+        # J+ psi_{2,0} targets psi_{2,1}
+        terms = [(2, 1, NAN if part == "coefficient" else 1.0), (2, 0, NAN if part == "stray" else 3.0)]
+        image_residual = NAN if part == "image" else F(1)
+        rule = LADDER_RULES[0]
+        assert isnan(verifier._squared_ladder_residual(params, rule, 2, 0, terms, None, image_residual))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_float_ladder_residual_off_the_grid(self, fparams, position):
+        # J+ phi_{1,1} should vanish (its target lies off the grid), so the
+        # residual is the image's largest magnitude
+        coeffs = _with_nan([1e-20, 2e-20], position)
+        image = ReducedFn(Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)}))
+        rule = LADDER_RULES[0]
+        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, [], image, 0.0))

@@ -36,7 +36,7 @@ class TestCoefficients:
 
     def test_lifting_ints_into_exact(self):
         assert lift(3, EXACT) == 3 and type(lift(3, EXACT)) is Fraction
-        assert lift(F(1, 2), FLOAT) == 0.5 and type(lift(F(1, 2), FLOAT)) is complex
+        assert lift(F(1, 2), FLOAT) == 0.5 and type(lift(F(1, 2), FLOAT)) is float
         assert DiffOp.identity(EXACT).scale(2) == DiffOp.constant(F(2))
 
     def test_float_never_lifts_into_exact(self):
