@@ -7,8 +7,8 @@ Subcommands:
 * matrices -- print the pairing and Hamiltonian blocks at level n
 
 Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
-check failed (the report is still written), 2 usage error, or a point whose
-float arithmetic overflows (an exact run's float cross-checks included).
+check failed (the report is still written), 2 usage error, or a float-mode
+point whose arithmetic overflows (an exact run skips its overflowing checks).
 """
 
 from __future__ import annotations
@@ -307,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except OverflowError:
-        # only floats overflow, and the exception's own text can be a raw
+        # only floats overflow (an exact run skips its float cross-checks
+        # that do, see verifier), and the exception's own text can be a raw
         # errno tuple (from pow), so a plain reason is printed instead
         point = _config_from_args(args).params_repr()
         print(f"error: float arithmetic overflows at {point} (a value exceeds the float range)", file=sys.stderr)

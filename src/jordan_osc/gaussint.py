@@ -25,6 +25,9 @@ product polynomial f*g: it walks the pairs of terms, skips every pair whose
 moment is structurally zero, and sums c_f * sum(c_g * I) one term of f at a
 time. The pairing is symmetric term by term, so gram_block computes the
 entries with m <= m' and mirrors them.
+
+The pairing sums the integer views (see weyl) of f, g and the table, and
+divides once; the table's view sits next to it in the point's store.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 import numpy as np
 
 from .model import Params, ReducedFn, apply, build_psi, make_operator, point_cache
-from .weyl import Coeff, Poly2, one, zero
+from .weyl import Coeff, Poly2, from_ints, join_modes, linear_combination, one, to_ints, zero
 
 
 class OracleUnavailableError(RuntimeError):
@@ -72,6 +75,18 @@ def _moment_rows(params: Params, degree: int) -> list[list[Coeff]]:
     return rows
 
 
+def _moment_view(params: Params, degree: int) -> tuple[list[list], int]:
+    """The integer view of the moment table, rebuilt whenever the table grows."""
+    rows = _moment_rows(params, degree)
+    cache = point_cache(params)
+    view = cache.get("moment_ints")
+    if view is None or len(view[0]) != len(rows):
+        nums, den = to_ints(params.mode, [c for row in rows for c in row])
+        flat = iter(nums)
+        view = cache["moment_ints"] = ([[next(flat) for _ in row] for row in rows], den)
+    return view
+
+
 def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
     """I(p, q) = integral z^p zbar^q envelope^2 in units of pi/(2a); zero
     outside the support p >= q >= 0, p - q even (see _moment_rows)."""
@@ -87,19 +102,21 @@ def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Coeff:
     The term pair z^i zbar^j (of f), z^i' zbar^j' (of g) contributes
     c c' I(i + i', j + j'); pairs outside the moment support are skipped.
     """
-    rows = _moment_rows(params, f.poly.total_degree() + g.poly.total_degree())
-    g_terms = [(i - j, j, c) for (i, j), c in g.poly.terms.items()]
-    total = nothing = zero(params.mode)
-    for (i, j), cf in f.poly.terms.items():
+    mode = join_modes(params, f, g)
+    rows, moment_den = _moment_view(params, f.poly.total_degree() + g.poly.total_degree())
+    (f_nums, f_den), (g_nums, g_den) = f.poly.int_view, g.poly.int_view
+    g_terms = [(i - j, j, c) for (i, j), c in g_nums.items()]
+    total = 0
+    for (i, j), cf in f_nums.items():
         excess = i - j
-        partial = nothing
+        partial = 0
         for g_excess, g_j, cg in g_terms:
             e = excess + g_excess
             if e >= 0 and not e & 1:
                 partial += cg * rows[e >> 1][j + g_j]
         if partial:
             total += cf * partial
-    return total
+    return from_ints(mode, total, f_den * g_den * moment_den)
 
 
 def _eval_on_grid(poly: Poly2, zgrid: np.ndarray, zbgrid: np.ndarray) -> np.ndarray:
@@ -184,10 +201,8 @@ def h_block(params: Params, n: int) -> tuple:
 def expand_in_basis(params: Params, f: ReducedFn, n_max: int) -> ReducedFn:
     """Truncated resolution of identity: sum over n <= n_max of
     <<psi_{n,n-m}|f>> psi_{n,m}; reproduces any f in the span of those levels."""
-    out = ReducedFn.zero(params.mode)
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            coeff = inner_product(params, build_psi(params, n, n - m), f)
-            if coeff:
-                out = out + build_psi(params, n, m).scale(coeff)
-    return out
+    return ReducedFn(linear_combination(params.mode, (
+        (inner_product(params, build_psi(params, n, n - m), f), build_psi(params, n, m).poly)
+        for n in range(n_max + 1)
+        for m in range(n + 1)
+    )))

@@ -22,9 +22,9 @@ them (a, b, sqrt_ab, ...) already are coefficients of the mode, so they enter
 products directly; ``Params.s`` lifts a literal into the mode.
 
 Caching: a parameter point fixes every basis function, operator and pairing
-moment, so all of them live in one store per point (``point_cache``), and
-only the last few points keep a store. ``apply`` separately reuses the
-envelope conjugations of the last few operators it applied.
+moment, so they and their integer views (see weyl) live in one store per
+point (``point_cache``), kept for the last few points only. ``apply`` reuses
+the envelope conjugations (and so their views) of the last operators applied.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import factorial
+from math import comb, factorial
 
 from .weyl import (
     EXACT,
@@ -43,7 +43,9 @@ from .weyl import (
     ModeMismatchError,
     Poly2,
     anticommutator,
+    from_ints,
     lift,
+    to_ints,
 )
 
 #: every name make_operator accepts (D+21/D-21 are accepted as aliases)
@@ -242,22 +244,16 @@ def pochhammer(x, k: int):
     return out
 
 
-def alpha_coeffs(k: int) -> list[Fraction]:
+def alpha_coeffs(k: int) -> list[int]:
     """Expansion coefficients of the degree-k associated-function sum.
 
     alpha_0 = (-2)^k, alpha_k = 2^(2k), and for 0 < i < k
-    alpha_i = (-2)^i (k-i+1)_i alpha_0 / i!. All values are integers.
+    alpha_i = (-2)^i (k-i+1)_i alpha_0 / i!. As (k-i+1)_i / i! = C(k, i),
+    every alpha_i, the two ends included, is the integer (-2)^(k+i) C(k, i).
     """
     if k < 0:
         raise ValueError("alpha_coeffs needs k >= 0")
-    first = Fraction((-2) ** k)
-    if k == 0:
-        return [first]
-    coeffs = [first]
-    for i in range(1, k):
-        coeffs.append(Fraction((-2) ** i * pochhammer(k - i + 1, i), factorial(i)) * first)
-    coeffs.append(Fraction(2 ** (2 * k)))
-    return coeffs
+    return [(-2) ** (k + i) * comb(k, i) for i in range(k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,45 +277,45 @@ def _cn_reduced(params: Params, n: int) -> Coeff:
     return _cn0_reduced(params, n) / denom
 
 
-def _psi_chain_head(params: Params, n: int) -> ReducedFn:
-    # psi_{n,0} = c_{n,0} zbar^n  (direct closed form for the chain head)
-    return ReducedFn(Poly2.monomial(0, n, _cn0_reduced(params, n)))
-
-
 def psi_series(params: Params, n: int, m: int) -> ReducedFn:
     """The full associated-function sum, valid for every 0 <= m <= n:
 
     psi_{n,m} = c_n (2ab)^(n-m) sum_i alpha_i^(n-m) (2m-n+i+1)_(2n-2m-i)
                 zbar^i (a z + b zbar)^(2m-n+i).
 
-    Whenever the exponent 2m-n+i would be negative the rising factorial
-    contains a zero factor, so no negative powers ever materialize.
+    The rising factorial vanishes exactly when e = 2m-n+i < 0, so the sum
+    starts at i = max(0, n-2m). Each power expands binomially into C(e,t)
+    a^t b^(e-t) z^t zbar^(i+e-t), one monomial per (i, t), summed as integers
+    over d^m with a, b over one denominator d. The powers of a and b are
+    running products: a float overflows to inf, where float ** int would raise.
     """
     _check_index(n, m)
-    mode = params.mode
-    k = n - m
+    mode, k = params.mode, n - m
     alphas = alpha_coeffs(k)
-    w = Poly2.monomial(1, 0, params.a) + Poly2.monomial(0, 1, params.b)
-    acc = Poly2.zero(mode)
-    for i in range(k + 1):
-        poch = pochhammer(2 * m - n + i + 1, 2 * n - 2 * m - i)
-        if poch == 0:
-            continue
+    (a, b), den = to_ints(mode, [params.a, params.b])
+    a_pows, b_pows = [1], [1]
+    for _ in range(m):
+        a_pows.append(a_pows[-1] * a)
+        b_pows.append(b_pows[-1] * b)
+    sums = {}
+    for i in range(max(0, n - 2 * m), k + 1):
         e = 2 * m - n + i
-        assert e >= 0
-        term = Poly2.monomial(0, i, params.s(alphas[i] * poch)) * w**e
-        acc = acc + term
-    front = _cn_reduced(params, n) * (2 * params.a * params.b) ** k
-    return ReducedFn(acc.scale(front))
+        weight = alphas[i] * pochhammer(e + 1, 2 * n - 2 * m - i) * den ** (m - e)
+        for t in range(e + 1):
+            sums[t, i + e - t] = weight * comb(e, t) * a_pows[t] * b_pows[e - t]
+    (front,), front_den = to_ints(mode, [_cn_reduced(params, n) * (2 * params.a * params.b) ** k])
+    den = front_den * den**m
+    return ReducedFn(Poly2(mode, {key: from_ints(mode, front * v, den) for key, v in sums.items() if v}))
 
 
 @_per_point
 def build_psi(params: Params, n: int, m: int) -> ReducedFn:
-    """Reduced basis function psi_{n,m}; m = 0 uses the direct chain-head form,
-    m >= 1 the associated-function sum (psi_series agrees at m = 0, tested)."""
+    """Reduced basis function psi_{n,m}; m = 0 uses the direct chain-head form
+    psi_{n,0} = c_{n,0} zbar^n, m >= 1 the associated-function sum
+    (psi_series agrees at m = 0, tested)."""
     _check_index(n, m)
     if m == 0:
-        return _psi_chain_head(params, n)
+        return ReducedFn(Poly2.monomial(0, n, _cn0_reduced(params, n)))
     return psi_series(params, n, m)
 
 

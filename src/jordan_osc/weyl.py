@@ -8,6 +8,10 @@ bitwise. Coefficients are stored as these plain numbers; ``lift`` coerces a
 number into a mode and refuses to let an inexact value into exact mode. Float
 mode still accepts a ``complex`` coefficient, and ``adjoint`` conjugates it.
 
+Hot loops sum integers, not ``Fraction``s (each of which reduces by a gcd): a
+term map caches its ``int_view``, numerators over one common denominator, and
+a kernel divides once per result term; a float view is the floats over 1.
+
 Two layers build on the coefficients:
 
 * ``Poly2``  -- a sparse polynomial in z, zbar,
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import cached_property
+from math import comb, factorial, lcm, perm
 from typing import Iterator
 
 EXACT = "exact"
@@ -43,10 +48,11 @@ class ModeMismatchError(ValueError):
     """Raised when exact and float values meet in a single operation."""
 
 
-def _join_modes(x, y) -> str:
-    if x.mode != y.mode:
-        raise ModeMismatchError(f"cannot combine {x.mode!r} and {y.mode!r} values")
-    return x.mode
+def join_modes(first, *rest) -> str:
+    for other in rest:
+        if other.mode != first.mode:
+            raise ModeMismatchError(f"cannot combine {first.mode!r} and {other.mode!r} values")
+    return first.mode
 
 
 def max_or_nan(first, *rest):
@@ -56,14 +62,6 @@ def max_or_nan(first, *rest):
         if value > first or value != value:
             first = value
     return first
-
-
-def falling(x: int, k: int) -> int:
-    """Falling factorial x (x-1) ... (x-k+1)."""
-    out = 1
-    for t in range(k):
-        out *= x - t
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +91,19 @@ def zero(mode: str) -> Coeff:
 
 def one(mode: str) -> Coeff:
     return lift(1, mode)
+
+
+def to_ints(mode: str, values: list) -> tuple[list, int]:
+    """(numerators, common denominator) of ``values``; (values, 1) in float mode."""
+    if mode != EXACT:
+        return values, 1
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def from_ints(mode: str, value, den: int) -> Coeff:
+    """value / den as a coefficient; + 0.0 makes an empty float sum a float."""
+    return Fraction(value, den) if mode == EXACT else value + 0.0
 
 
 def _bump(terms: dict, key, value: Coeff) -> None:
@@ -134,7 +145,7 @@ class _TermMap:
         return cls(mode, {key: coeff} if coeff else {})
 
     def __add__(self, other):
-        mode = _join_modes(self, other)
+        mode = join_modes(self, other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             _bump(out, key, c)
@@ -162,6 +173,22 @@ class _TermMap:
         for _ in range(k):
             out = out * self
         return out
+
+    @classmethod
+    def from_view(cls, mode: str, sums: dict, den: int):
+        """A kernel's result ``sums`` / ``den``, which keeps the sums as its view."""
+        nums = {key: v for key, v in sums.items() if v}
+        out = cls(mode, {key: from_ints(mode, v, den) for key, v in nums.items()})
+        out.__dict__["int_view"] = (nums, den)  # where int_view caches itself
+        return out
+
+    @cached_property
+    def int_view(self) -> tuple[dict, int]:
+        """(key -> numerator, common denominator); (terms, 1) in float mode."""
+        if self.mode != EXACT:
+            return self.terms, 1
+        nums, den = to_ints(EXACT, list(self.terms.values()))
+        return dict(zip(self.terms, nums)), den
 
     # ---- inspection ----
     def is_zero(self) -> bool:
@@ -247,7 +274,7 @@ class Poly2(_TermMap):
     # ---- ring operations ----
     def __mul__(self, other):
         if isinstance(other, Poly2):
-            mode = _join_modes(self, other)
+            mode = join_modes(self, other)
             out: dict = {}
             for (i1, j1), c1 in self.terms.items():
                 for (i2, j2), c2 in other.terms.items():
@@ -337,7 +364,7 @@ class DiffOp(_TermMap):
     # ---- composition ----
     def __mul__(self, other):
         if isinstance(other, DiffOp):
-            mode = _join_modes(self, other)
+            mode = join_modes(self, other)
             out: dict = {}
             for key1, c1 in self.terms.items():
                 for key2, c2 in other.terms.items():
@@ -347,15 +374,35 @@ class DiffOp(_TermMap):
 
     def apply_to(self, poly: Poly2) -> Poly2:
         """Act on a plain polynomial (no envelope; see model.apply for that)."""
-        mode = _join_modes(self, poly)
-        out: dict = {}
-        for (i, j, k, l), c in self.terms.items():
-            for (pz, pb), u in poly.terms.items():
+        mode = join_modes(self, poly)
+        (op_nums, op_den), (poly_nums, poly_den) = self.int_view, poly.int_view
+        sums: dict = {}
+        for (i, j, k, l), c in op_nums.items():
+            for (pz, pb), u in poly_nums.items():
                 if pz < k or pb < l:
                     continue
-                w = falling(pz, k) * falling(pb, l)
-                _bump(out, (pz - k + i, pb - l + j), c * u * w)
-        return Poly2(mode, out)
+                key = (pz - k + i, pb - l + j)
+                sums[key] = sums.get(key, 0) + c * u * (perm(pz, k) * perm(pb, l))
+        return Poly2.from_view(mode, sums, op_den * poly_den)
+
+
+def linear_combination(mode: str, pairs) -> Poly2:
+    """sum c * poly over the (c, poly) pairs with c != 0, over one denominator."""
+    parts = []
+    for c, poly in pairs:
+        if poly.mode != mode:
+            raise ModeMismatchError(f"cannot combine {mode!r} and {poly.mode!r} values")
+        c = lift(c, mode)
+        if c:
+            (c_num,), c_den = to_ints(mode, [c])
+            parts.append((c_num, c_den, *poly.int_view))
+    common = lcm(*(c_den * den for _, c_den, _, den in parts))
+    sums: dict = {}
+    for c_num, c_den, nums, den in parts:
+        factor = c_num * (common // (c_den * den))
+        for key, u in nums.items():
+            sums[key] = sums.get(key, 0) + factor * u
+    return Poly2.from_view(mode, sums, common)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +420,7 @@ def commutator(left: DiffOp, right: DiffOp) -> DiffOp:
     Exact results equal left*right - right*left; in float mode the cancelled
     terms leave no rounding residue.
     """
-    mode = _join_modes(left, right)
+    mode = join_modes(left, right)
     out: dict = {}
     for key1, c1 in left.terms.items():
         i1, j1, k1, l1 = key1

@@ -64,14 +64,19 @@ small_fractions = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
 )
 
+# coefficients whose denominators differ from term to term
+mixed_fractions = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
+)
+
 _term_keys = st.tuples(
     st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)
 )
 
 
 @st.composite
-def diff_ops(draw):
-    terms = draw(st.dictionaries(_term_keys, small_fractions, min_size=0, max_size=3))
+def diff_ops(draw, coeffs=small_fractions):
+    terms = draw(st.dictionaries(_term_keys, coeffs, min_size=0, max_size=3))
     out = DiffOp.zero(EXACT)
     for key, coeff in terms.items():
         out = out + DiffOp.monomial(key, coeff)
@@ -79,9 +84,9 @@ def diff_ops(draw):
 
 
 @st.composite
-def polys(draw):
+def polys(draw, coeffs=small_fractions):
     terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                                 small_fractions, min_size=0, max_size=4))
+                                 coeffs, min_size=0, max_size=4))
     out = Poly2.zero(EXACT)
     for (i, j), coeff in terms.items():
         out = out + Poly2.monomial(i, j, coeff)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jordan_osc import (
     EXACT,
+    ModeMismatchError,
     OracleUnavailableError,
     Params,
     Poly2,
@@ -24,9 +25,37 @@ from jordan_osc import (
     quadrature_oracle,
 )
 
-from conftest import polys
+from conftest import mixed_fractions, polys
 
 F = Fraction
+
+
+def reference_moment(P, p, q):
+    """The integration-by-parts recursion, one moment at a time."""
+    if p < 0 or q < 0:
+        return F(0)
+    if q >= 1:
+        return p / (2 * P.a) * reference_moment(P, p - 1, q - 1)
+    if p == 0:
+        return F(1)
+    return -(p - 1) * P.b / P.a**2 * reference_moment(P, p - 2, 0)
+
+
+def pair_term_by_term(f: Poly2, g: Poly2, moment_of):
+    """The pairing as the per-term coefficient loop the integer kernel replaced."""
+    return sum((cf * cg * moment_of(i + i2, j + j2)
+                for (i, j), cf in f.terms.items() for (i2, j2), cg in g.terms.items()), 0)
+
+
+def _magnitudes(poly: Poly2) -> Poly2:
+    return Poly2(poly.mode, {key: abs(c) for key, c in poly.terms.items()})
+
+
+# exact points with unequal denominators in a and b
+exact_points = st.tuples(
+    st.fractions(min_value=F(1, 3), max_value=F(3), max_denominator=5),
+    st.fractions(min_value=F(1, 3), max_value=F(3), max_denominator=7),
+).map(lambda pq: Params.exact(*pq))
 
 # Moments of the paired envelope at a = 1, b = 1/4, computed independently
 # with a computer algebra system from the defining two-dimensional integral
@@ -91,20 +120,22 @@ class TestMoments:
         P = Params.exact(F(5, 3), F(3, 4))
         assert moment(P, 2, 0) == -P.b / P.a**2
         assert len(model.point_cache(P)["moments"]) == 2  # half-degree 1: built to the degree asked
-
-        def reference(p, q):
-            # the integration-by-parts recursion, one moment at a time
-            if p < 0 or q < 0:
-                return F(0)
-            if q >= 1:
-                return p / (2 * P.a) * reference(p - 1, q - 1)
-            if p == 0:
-                return F(1)
-            return -(p - 1) * P.b / P.a**2 * reference(p - 2, 0)
-
         for total in range(30, -1, -1):
             for q in range(total + 1):
-                assert moment(P, total - q, q) == reference(total - q, q), (total - q, q)
+                assert moment(P, total - q, q) == reference_moment(P, total - q, q), (total - q, q)
+
+    def test_integer_view_follows_table_growth(self, monkeypatch):
+        # low-degree pairs build a small table and its integer view first;
+        # higher-degree pairs at the same point must see both grown
+        monkeypatch.setattr(model, "_POINTS", {})
+        P = Params.exact(F(5, 3), F(3, 4))
+        store = model.point_cache(P)
+        for n in (1, 2, 4, 7):
+            for m in range(n + 1):
+                f, g = build_psi(P, n, m).poly, build_psi(P, n, n - m).poly
+                want = pair_term_by_term(f, g, lambda p, q: reference_moment(P, p, q))
+                assert inner_product(P, ReducedFn(f), ReducedFn(g)) == want, (n, m)
+            assert len(store["moment_ints"][0]) == len(store["moments"]) == n + 1
 
     def test_only_recent_points_keep_a_table(self):
         points = [Params.exact(F(k + 2, 2), F(1, 3)) for k in range(10)]
@@ -113,6 +144,7 @@ class TestMoments:
         tables = [cache for cache in model._POINTS.values() if "moments" in cache]
         assert len(tables) <= model._POINTS_MAX
         assert "moments" in model._POINTS[points[-1]]
+        assert "moment_ints" in model._POINTS[points[-1]]
 
     def test_other_parameter_point(self):
         P = Params.exact(F(3, 2), F(2, 3))
@@ -150,6 +182,35 @@ class TestInnerProduct:
         assert inner_product(P, ReducedFn(f), ReducedFn(g)) == want
         got = inner_product(P.to_float(), ReducedFn(f.to_float()), ReducedFn(g.to_float()))
         assert abs(got - complex(want)) <= 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(exact_points, polys(mixed_fractions), polys(mixed_fractions))
+    def test_matches_per_term_fraction_loop(self, P, f, g):
+        want = pair_term_by_term(f, g, lambda p, q: moment(P, p, q))
+        got = inner_product(P, ReducedFn(f), ReducedFn(g))
+        assert type(got) is Fraction and got == want
+        fP, ff, fg = P.to_float(), f.to_float(), g.to_float()
+        fwant = pair_term_by_term(ff, fg, lambda p, q: moment(fP, p, q))
+        # the sum of magnitudes bounds the rounding of either loop
+        scale = pair_term_by_term(_magnitudes(ff), _magnitudes(fg), lambda p, q: abs(moment(fP, p, q)))
+        fgot = inner_product(fP, ReducedFn(ff), ReducedFn(fg))
+        assert type(fgot) is float and abs(fgot - fwant) <= 1e-12 * max(1.0, scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(exact_points, polys(mixed_fractions), polys(mixed_fractions), polys(mixed_fractions))
+    def test_cancels_to_zero(self, P, f, g, h):
+        # <<f | <<f|h>> g - <<f|g>> h>> = 0, summed in one integer total
+        f, g, h = map(ReducedFn, (f, g, h))
+        combo = g.scale(inner_product(P, f, h)) - h.scale(inner_product(P, f, g))
+        got = inner_product(P, f, combo)
+        assert type(got) is Fraction and got == 0
+
+    def test_rejects_mixed_modes(self, params):
+        f = build_psi(params, 2, 1)
+        with pytest.raises(ModeMismatchError):
+            inner_product(params, f, f.to_float())
+        with pytest.raises(ModeMismatchError):
+            inner_product(params.to_float(), f, f)
 
     @settings(max_examples=40, deadline=None)
     @given(polys(), polys())

@@ -5,7 +5,8 @@ The golden_*.json files under tests/data hold `jordan-osc verify --suites all
 --nmax 6 --format json` at the exact reference point p = 1, q = 1/2 with "ms"
 dropped, and the ids and statuses of the same run in float mode at a = 0.79,
 b = 0.23. The golden_*.txt files hold the exact `basis` and `matrices` output
-at the default point.
+at the default point, and `basis --p 3/2 --q 2/3 --n 6 --m 3`, where a and b
+have different denominators.
 """
 
 import json
@@ -41,9 +42,9 @@ def test_float_statuses_match_recorded(capsys):
 @pytest.mark.parametrize("argv, recorded", [
     (["basis", "--n", "5", "--m", "2"], "golden_basis_n5_m2.txt"),
     (["matrices", "--n", "3"], "golden_matrices_n3.txt"),
+    (["basis", "--p", "3/2", "--q", "2/3", "--n", "6", "--m", "3"], "golden_basis_p3_2_q2_3_n6_m3.txt"),
 ])
 def test_cli_text_matches_recorded(capsys, argv, recorded):
-    # exact coefficients print as before: `basis` and `matrices` at the
-    # default point p = 1, q = 1/2, byte for byte
+    # exact coefficients print as before, byte for byte
     assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / recorded).read_text()

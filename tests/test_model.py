@@ -1,6 +1,8 @@
 """Parameters, basis construction, operator catalog, envelope conjugation."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -173,12 +175,19 @@ class TestPointCache:
     def test_only_recent_points_keep_a_cache(self):
         points = [Params.exact(F(k + 7, 4), F(1, 5)) for k in range(10)]
         first = build_psi(points[0], 3, 2)
+        psi_polys = []
         for P in points:
             fn = build_psi(P, 2, 1)
             apply(P, make_operator(P, "H"), fn)
             inner_product(P, build_psi(P, 1, 0), build_psi(P, 1, 1))
+            psi_polys.append(weakref.ref(fn.poly))
         assert len(model._POINTS) <= model._POINTS_MAX
         assert points[-1] in model._POINTS and points[0] not in model._POINTS
+        # integer views live on the cached objects and in the point's store,
+        # so an evicted point takes its views with it
+        gc.collect()
+        assert "int_view" in vars(psi_polys[-1]()) and psi_polys[0]() is None
+        assert [P in model._POINTS for P in points] == ["moment_ints" in model._POINTS.get(P, {}) for P in points]
         rebuilt = build_psi(points[0], 3, 2)
         assert rebuilt == first and rebuilt is not first
 

@@ -1,9 +1,11 @@
 """Coefficient/polynomial/operator arithmetic, normal ordering, adjoints."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordan_osc import (
     EXACT,
@@ -16,10 +18,11 @@ from jordan_osc import (
     anticommutator,
     commutator,
     lift,
+    linear_combination,
     swap_vars,
 )
 
-from conftest import diff_ops, polys, small_fractions
+from conftest import diff_ops, mixed_fractions, polys, small_fractions
 
 F = Fraction
 
@@ -212,3 +215,124 @@ class TestFloatMirrorsExact:
     @given(diff_ops(), polys())
     def test_apply_to(self, x, f):
         assert x.apply_to(f).to_float() == x.to_float().apply_to(f.to_float())
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the per-term coefficient loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _bump(out: dict, key, value) -> None:
+    new = out.get(key, 0) + value
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
+
+
+def _falling(x: int, k: int) -> int:
+    out = 1
+    for t in range(k):
+        out *= x - t
+    return out
+
+
+def oracle_apply_to(op: DiffOp, poly: Poly2) -> dict:
+    """One coefficient product and sum per pair of terms."""
+    out: dict = {}
+    for (i, j, k, l), c in op.terms.items():
+        for (pz, pb), u in poly.terms.items():
+            if pz >= k and pb >= l:
+                _bump(out, (pz - k + i, pb - l + j), c * u * (_falling(pz, k) * _falling(pb, l)))
+    return out
+
+
+def oracle_linear_combination(pairs) -> dict:
+    out: dict = {}
+    for c, poly in pairs:
+        if c:
+            for key, u in poly.terms.items():
+                _bump(out, key, u * c)
+    return out
+
+
+def _stored_exactly(poly: Poly2) -> bool:
+    # exact results hold nonzero Fractions only
+    return all(type(c) is Fraction and c != 0 for c in poly.terms.values())
+
+
+@st.composite
+def homogeneous_polys(draw):
+    degree = draw(st.integers(0, 4))
+    coeffs = draw(st.lists(mixed_fractions, min_size=degree + 1, max_size=degree + 1))
+    return degree, Poly2(EXACT, {(i, degree - i): c for i, c in enumerate(coeffs) if c})
+
+
+class TestIntegerKernels:
+    def test_integer_view(self):
+        p = Poly2(EXACT, {(0, 0): F(1, 6), (1, 0): F(-3, 4), (0, 2): F(5)})
+        nums, den = p.int_view
+        assert den == 12 and nums == {(0, 0): 2, (1, 0): -9, (0, 2): 60}
+        assert p.int_view is p.int_view  # computed once
+        assert Poly2.zero(EXACT).int_view == ({}, 1)
+        f = p.to_float()
+        assert f.int_view == (f.terms, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diff_ops(mixed_fractions), polys(mixed_fractions))
+    def test_apply_to_matches_fraction_loop(self, x, f):
+        got = x.apply_to(f)
+        assert got.terms == oracle_apply_to(x, f)
+        assert _stored_exactly(got)
+        fx, ff = x.to_float(), f.to_float()
+        assert fx.apply_to(ff).close_to(Poly2(FLOAT, oracle_apply_to(fx, ff)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(homogeneous_polys(), mixed_fractions)
+    def test_apply_to_cancels_to_zero(self, homogeneous, c):
+        # the Euler operator z dz + zbar dzbar - degree kills a homogeneous
+        # polynomial: three terms of the operator meet at every key and cancel
+        degree, f = homogeneous
+        euler = (DiffOp.monomial((1, 0, 1, 0), c) + DiffOp.monomial((0, 1, 0, 1), c)
+                 + DiffOp.constant(-degree * c))
+        assert euler.apply_to(f).terms == {} == oracle_apply_to(euler, f)
+        assert euler.to_float().apply_to(f.to_float()).close_to(Poly2.zero(FLOAT))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_fractions, polys(mixed_fractions), mixed_fractions, polys(mixed_fractions))
+    def test_linear_combination_matches_fraction_loop(self, c1, f, c2, g):
+        # the third pair takes the first one back out
+        pairs = [(c1, f), (c2, g), (-c1, f)]
+        got = linear_combination(EXACT, pairs)
+        assert got.terms == oracle_linear_combination(pairs) == g.scale(c2).terms
+        assert _stored_exactly(got)
+        fpairs = [(float(c), p.to_float()) for c, p in pairs]
+        assert got.to_float().close_to(linear_combination(FLOAT, fpairs))
+        assert linear_combination(FLOAT, fpairs).close_to(Poly2(FLOAT, oracle_linear_combination(fpairs)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_fractions, polys(mixed_fractions), polys(mixed_fractions))
+    def test_linear_combination_cancels_to_zero(self, c, f, g):
+        pairs = [(c, f), (c, g), (-c, f + g), (0, f)]
+        assert linear_combination(EXACT, pairs).terms == {} == oracle_linear_combination(pairs)
+        assert linear_combination(EXACT, []).terms == {}
+
+    def test_common_denominator_is_reduced_once(self):
+        # 1/6 z + 1/10 z - 4/15 z = 0: the sum runs over lcm(6, 10, 15) = 30
+        z = Poly2.z(EXACT)
+        assert linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z), (F(-4, 15), z)]).is_zero()
+        got = linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z)])
+        assert got.terms == {(1, 0): F(4, 15)} and got.int_view[1] % lcm(6, 10) == 0
+
+    def test_kernels_reject_mixed_modes(self):
+        f = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 3))
+        with pytest.raises(ModeMismatchError):
+            DiffOp.dz(EXACT).apply_to(f.to_float())
+        with pytest.raises(ModeMismatchError):
+            DiffOp.dz(FLOAT).apply_to(f)
+        with pytest.raises(ModeMismatchError):
+            linear_combination(EXACT, [(1, f), (1, f.to_float())])
+        with pytest.raises(ModeMismatchError):
+            linear_combination(FLOAT, [(1.0, f)])
+        with pytest.raises(ModeMismatchError):
+            linear_combination(EXACT, [(0.5, f)])
