@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .gaussint import gram_block, h_block
 from .model import Params, build_psi
-from .verifier import DEFAULT_NMAX, DEFAULT_TOL, SUITES, Report, load_relations, run_suites, suite_cutoffs
+from .verifier import (DEFAULT_NMAX, DEFAULT_TOL, SUITES, Report, check_suites, load_relations, run_suites,
+                       suite_cutoffs)
 from .weyl import EXACT, FLOAT
 
 ENV_NMAX = "JORDAN_OSC_NMAX"
@@ -59,9 +60,7 @@ class RunConfig:
             raise ValueError(f"tol must lie in (0, {TOL_MAX}]")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {', '.join(FORMATS)}")
-        unknown = set(self.suites) - set(SUITES)
-        if unknown or not self.suites:
-            raise ValueError(f"suites must be a nonempty subset of {', '.join(SUITES)}")
+        check_suites(self.suites)
         if self.mode == EXACT:
             if self.p is None or self.q is None:
                 raise ValueError("exact mode needs rational --p and --q")

@@ -80,6 +80,8 @@ from .weyl import (
 DEFAULT_TOL = 1e-10
 DEFAULT_NMAX = 10
 SUITES = ("structure", "actions", "irrep", "pseudo", "integrals")
+#: the id namespaces of the built-in checks, which no catalog relation may use
+BUILTIN_ID_PREFIXES = ("explicit.", "pseudo.", "action.", "irrep.", "integrals.")
 #: the integrals suite stops at level min(n_max, INTEGRALS_NMAX), and its
 #: resolution check at degree min(n_max, RESOLUTION_DEGREE)
 INTEGRALS_NMAX = 8
@@ -184,6 +186,9 @@ def parse_relations(text: str) -> list[RelationSpec]:
     ids = [s.rel_id for s in specs]
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate relation ids in catalog")
+    builtin = [rel_id for rel_id in ids if rel_id.startswith(BUILTIN_ID_PREFIXES)]
+    if builtin:
+        raise ValueError(f"catalog ids {', '.join(builtin)} lie in a built-in namespace {BUILTIN_ID_PREFIXES}")
     return specs
 
 
@@ -711,6 +716,18 @@ def check_integrals(
 # ---------------------------------------------------------------------------
 
 
+def check_suites(suites: tuple[str, ...]) -> None:
+    """Raise ValueError unless the suites are known, at least one, and each
+    named once (a repeated suite would report each of its ids twice)."""
+    if not suites:
+        raise ValueError(f"suites must be a nonempty subset of {', '.join(SUITES)}")
+    for i, suite in enumerate(suites):
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+        if suite in suites[:i]:
+            raise ValueError(f"suite {suite!r} is named twice")
+
+
 def suite_cutoffs(suites: Iterable[str], n_max: int) -> dict[str, int | None]:
     """The basis cutoff each suite runs at, given ``n_max``, in suite order.
 
@@ -740,9 +757,7 @@ def run_suites(
     """Reports of the given suites, suite by suite in the given order; the
     actions and irrep suites share one image pass."""
     suites = tuple(suites)
-    for suite in suites:
-        if suite not in SUITES:
-            raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    check_suites(suites)
     action_reports, irrep_reports = _image_pass(params, suites, n_max, tol)
     cutoffs = suite_cutoffs(suites, n_max)
     reports: list[Report] = []

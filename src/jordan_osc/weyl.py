@@ -8,9 +8,15 @@ bitwise. Coefficients are stored as these plain numbers; ``lift`` coerces a
 number into a mode and refuses to let an inexact value into exact mode. Float
 mode still accepts a ``complex`` coefficient, and ``adjoint`` conjugates it.
 
-Hot loops sum integers, not ``Fraction``s (each of which reduces by a gcd): a
-term map caches its ``int_view``, numerators over one common denominator, and
-a kernel divides once per result term; a float view is the floats over 1.
+Every sum of terms takes one path, in integers, not ``Fraction``s (each of
+which reduces by a gcd): a term map caches its ``int_view``, numerators over
+one common denominator, and a kernel sums numerators and divides once per
+result term in ``from_view``, which keeps the sums as the result's view; a
+float view is the floats over 1, so each kernel is one loop for both modes.
+The kernels are ``linear_combination`` (behind binary ``+`` and ``-``),
+``_product`` (both ``*`` and ``commutator``), ``adjoint`` and ``apply_to``.
+``scale``, negation, ``to_float`` and ``swap_vars`` map terms one to one and
+stay maps over ``.terms``.
 
 Two layers build on the coefficients:
 
@@ -106,16 +112,6 @@ def from_ints(mode: str, value, den: int) -> Coeff:
     return Fraction(value, den) if mode == EXACT else value + 0.0
 
 
-def _bump(terms: dict, key, value: Coeff) -> None:
-    # accumulate into a term map, never storing structural zeros
-    cur = terms.get(key)
-    new = value if cur is None else cur + value
-    if new:
-        terms[key] = new
-    else:
-        terms.pop(key, None)
-
-
 # ---------------------------------------------------------------------------
 # term maps: the shared linear structure of Poly2 and DiffOp
 # ---------------------------------------------------------------------------
@@ -144,27 +140,51 @@ class _TermMap:
         coeff = lift(coeff, mode)
         return cls(mode, {key: coeff} if coeff else {})
 
+    @classmethod
+    def linear_combination(cls, mode: str, pairs):
+        """sum c * x over the (c, x) pairs with c != 0, over one denominator."""
+        parts = []
+        for c, x in pairs:
+            if x.mode != mode:
+                raise ModeMismatchError(f"cannot combine {mode!r} and {x.mode!r} values")
+            # an int is its own numerator in either mode (+ and - pass 1 and -1)
+            (c_num,), c_den = ([c], 1) if isinstance(c, int) else to_ints(mode, [lift(c, mode)])
+            if c_num:
+                parts.append((c_num, c_den, *x.int_view))
+        common = lcm(*(c_den * den for _, c_den, _, den in parts))
+        sums: dict = {}
+        for c_num, c_den, nums, den in parts:
+            factor = c_num * (common // (c_den * den))
+            for key, u in nums.items():
+                sums[key] = sums.get(key, 0) + factor * u
+        return cls.from_view(mode, sums, common)
+
     def __add__(self, other):
-        mode = join_modes(self, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _bump(out, key, c)
-        return type(self)(mode, out)
+        return self.linear_combination(self.mode, ((1, self), (1, other)))
 
     def __neg__(self):
         return type(self)(self.mode, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.linear_combination(self.mode, ((1, self), (-1, other)))
 
     def scale(self, value):
         s = lift(value, self.mode)
-        if not s:
-            return type(self)(self.mode, {})
-        return type(self)(self.mode, {k: c * s for k, c in self.terms.items()})
+        return type(self)(self.mode, {k: c * s for k, c in self.terms.items()} if s else {})
 
     def __rmul__(self, other):
         return self.scale(other)
+
+    def _product(self, other, accumulate):
+        """The product kernel: ``accumulate(sums, key1, key2, u1 * u2)`` for each
+        pair of terms, over the product of the two denominators."""
+        mode = join_modes(self, other)
+        (nums1, den1), (nums2, den2) = self.int_view, other.int_view
+        sums: dict = {}
+        for key1, u1 in nums1.items():
+            for key2, u2 in nums2.items():
+                accumulate(sums, key1, key2, u1 * u2)
+        return self.from_view(mode, sums, den1 * den2)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -178,7 +198,7 @@ class _TermMap:
     def from_view(cls, mode: str, sums: dict, den: int):
         """A kernel's result ``sums`` / ``den``, which keeps the sums as its view."""
         nums = {key: v for key, v in sums.items() if v}
-        out = cls(mode, {key: from_ints(mode, v, den) for key, v in nums.items()})
+        out = cls(mode, {key: Fraction(v, den) for key, v in nums.items()} if mode == EXACT else nums)
         out.__dict__["int_view"] = (nums, den)  # where int_view caches itself
         return out
 
@@ -245,6 +265,11 @@ class _TermMap:
 # ---------------------------------------------------------------------------
 
 
+def _add_degrees(sums: dict, key1, key2, base) -> None:
+    key = (key1[0] + key2[0], key1[1] + key2[1])
+    sums[key] = sums.get(key, 0) + base
+
+
 class Poly2(_TermMap):
     """Sparse polynomial in z, zbar: map (deg_z, deg_zbar) -> coefficient."""
 
@@ -273,14 +298,7 @@ class Poly2(_TermMap):
 
     # ---- ring operations ----
     def __mul__(self, other):
-        if isinstance(other, Poly2):
-            mode = join_modes(self, other)
-            out: dict = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    _bump(out, (i1 + i2, j1 + j2), c1 * c2)
-            return Poly2(mode, out)
-        return self.scale(other)
+        return self._product(other, _add_degrees) if isinstance(other, Poly2) else self.scale(other)
 
     # ---- inspection ----
     def total_degree(self) -> int:
@@ -305,8 +323,8 @@ class Poly2(_TermMap):
 # ---------------------------------------------------------------------------
 
 
-def _accumulate_product(out: dict, key1, key2, base: Coeff, contractions_only: bool = False) -> None:
-    """Add ``base`` times the normal ordering of (term1 . term2) into ``out``.
+def _accumulate_product(sums: dict, key1, key2, base, contractions_only: bool = False) -> None:
+    """Add ``base`` times the normal ordering of (term1 . term2) into ``sums``.
 
     Uses dz^k z^i = sum_s C(k,s) C(i,s) s! z^(i-s) dz^(k-s) (same for the
     zbar pair); the z-family and zbar-family commute with each other. With
@@ -320,7 +338,7 @@ def _accumulate_product(out: dict, key1, key2, base: Coeff, contractions_only: b
         for t in range(1 if contractions_only and not s else 0, min(l1, j2) + 1):
             wt = comb(l1, t) * comb(j2, t) * factorial(t)
             key = (i1 + i2 - s, j1 + j2 - t, k1 - s + k2, l1 - t + l2)
-            _bump(out, key, base * (ws * wt))
+            sums[key] = sums.get(key, 0) + base * (ws * wt)
 
 
 class DiffOp(_TermMap):
@@ -363,14 +381,7 @@ class DiffOp(_TermMap):
 
     # ---- composition ----
     def __mul__(self, other):
-        if isinstance(other, DiffOp):
-            mode = join_modes(self, other)
-            out: dict = {}
-            for key1, c1 in self.terms.items():
-                for key2, c2 in other.terms.items():
-                    _accumulate_product(out, key1, key2, c1 * c2)
-            return DiffOp(mode, out)
-        return self.scale(other)
+        return self._product(other, _accumulate_product) if isinstance(other, DiffOp) else self.scale(other)
 
     def apply_to(self, poly: Poly2) -> Poly2:
         """Act on a plain polynomial (no envelope; see model.apply for that)."""
@@ -386,23 +397,8 @@ class DiffOp(_TermMap):
         return Poly2.from_view(mode, sums, op_den * poly_den)
 
 
-def linear_combination(mode: str, pairs) -> Poly2:
-    """sum c * poly over the (c, poly) pairs with c != 0, over one denominator."""
-    parts = []
-    for c, poly in pairs:
-        if poly.mode != mode:
-            raise ModeMismatchError(f"cannot combine {mode!r} and {poly.mode!r} values")
-        c = lift(c, mode)
-        if c:
-            (c_num,), c_den = to_ints(mode, [c])
-            parts.append((c_num, c_den, *poly.int_view))
-    common = lcm(*(c_den * den for _, c_den, _, den in parts))
-    sums: dict = {}
-    for c_num, c_den, nums, den in parts:
-        factor = c_num * (common // (c_den * den))
-        for key, u in nums.items():
-            sums[key] = sums.get(key, 0) + factor * u
-    return Poly2.from_view(mode, sums, common)
+#: sum c * poly over (c, poly) pairs, the linear kernel for polynomials
+linear_combination = Poly2.linear_combination
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +416,15 @@ def commutator(left: DiffOp, right: DiffOp) -> DiffOp:
     Exact results equal left*right - right*left; in float mode the cancelled
     terms leave no rounding residue.
     """
-    mode = join_modes(left, right)
-    out: dict = {}
-    for key1, c1 in left.terms.items():
-        i1, j1, k1, l1 = key1
-        for key2, c2 in right.terms.items():
-            i2, j2, k2, l2 = key2
-            if not (k1 and i2 or l1 and j2 or k2 and i1 or l2 and j1):
-                continue
-            base = c1 * c2
-            _accumulate_product(out, key1, key2, base, contractions_only=True)
-            _accumulate_product(out, key2, key1, -base, contractions_only=True)
-    return DiffOp(mode, out)
+    return left._product(right, _accumulate_contractions)
+
+
+def _accumulate_contractions(sums: dict, key1, key2, base) -> None:
+    # base * (term1 . term2 - term2 . term1); nothing if no pair contracts
+    (i1, j1, k1, l1), (i2, j2, k2, l2) = key1, key2
+    if k1 and i2 or l1 and j2 or k2 and i1 or l2 and j1:
+        _accumulate_product(sums, key1, key2, base, contractions_only=True)
+        _accumulate_product(sums, key2, key1, -base, contractions_only=True)
 
 
 def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
@@ -442,13 +435,13 @@ def adjoint(op: DiffOp) -> DiffOp:
     """Formal adjoint: z <-> zbar, dz -> -dzbar, dzbar -> -dz, coefficients
     conjugated (a rational is its own conjugate), factor order reversed; the
     result is re-normal-ordered."""
-    out: dict = {}
-    for (i, j, k, l), c in op.terms.items():
+    nums, den = op.int_view
+    sums: dict = {}
+    for (i, j, k, l), u in nums.items():
         sign = -1 if (k + l) % 2 else 1
-        cc = c.conjugate() * sign
         # (z^i zb^j dz^k dzb^l)^† = (-dz)^l (-dzb)^k z^j zb^i
-        _accumulate_product(out, (0, 0, l, k), (j, i, 0, 0), cc)
-    return DiffOp(op.mode, out)
+        _accumulate_product(sums, (0, 0, l, k), (j, i, 0, 0), u.conjugate() * sign)
+    return DiffOp.from_view(op.mode, sums, den)
 
 
 def swap_vars(op: DiffOp) -> DiffOp:

@@ -44,6 +44,8 @@ class TestRunConfig:
             RunConfig(suites=("structure", "nope"))
         with pytest.raises(ValueError):
             RunConfig(suites=())
+        with pytest.raises(ValueError, match="twice"):
+            RunConfig(suites=("structure", "pseudo", "structure"))
 
     def test_mode_needs_matching_params(self):
         with pytest.raises(ValueError):
@@ -88,6 +90,24 @@ class TestVerifyCommand:
 
     def test_exit_two_on_missing_catalog(self, capsys):
         assert main(["verify", "--catalog", "/nonexistent/x.txt"]) == 2
+
+    def test_exit_two_on_repeated_suite(self, capsys):
+        # each id of the suite would be reported twice
+        assert main(["verify", "--suites", "pseudo,pseudo"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "'pseudo'" in captured.err
+
+    @pytest.mark.parametrize("rel_id", ["explicit.H", "pseudo.H", "action.K", "irrep.J0", "integrals.gram"])
+    def test_exit_two_on_catalog_id_of_a_builtin_check(self, tmp_path, capsys, rel_id):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"shape.ok | identity | H | H\n{rel_id} | identity | H | H\n")
+        assert main(["verify", "--suites", "structure", "--catalog", str(catalog)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert rel_id in captured.err
 
     def test_json_report_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"

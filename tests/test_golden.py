@@ -6,7 +6,10 @@ The golden_*.json files under tests/data hold `jordan-osc verify --suites all
 dropped, and the ids and statuses of the same run in float mode at a = 0.79,
 b = 0.23. The golden_*.txt files hold the exact `basis` and `matrices` output
 at the default point, and `basis --p 3/2 --q 2/3 --n 6 --m 3`, where a and b
-have different denominators.
+have different denominators. golden_catalog_p3_2_q2_3.json holds every catalog
+operator and its conjugation through the envelope at that point, exact terms
+in sorted order: the `explicit.*` checks build both of their sides with the
+same `+` and `*`, so only a recorded value catches a wrong sum or product.
 """
 
 import json
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from jordan_osc import model
 from jordan_osc.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -48,3 +52,17 @@ def test_cli_text_matches_recorded(capsys, argv, recorded):
     # exact coefficients print as before, byte for byte
     assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / recorded).read_text()
+
+
+def test_catalog_operators_match_recorded():
+    recorded = json.loads((DATA / "golden_catalog_p3_2_q2_3.json").read_text())
+    params = model.Params.exact("3/2", "2/3")
+
+    def rows(op):
+        return {" ".join(map(str, key)): str(c) for key, c in op.sorted_terms()}
+
+    assert list(recorded) == list(model.CATALOG_NAMES)
+    for name, entry in recorded.items():
+        op = model.make_operator(params, name)
+        assert rows(op) == entry["operator"], name
+        assert rows(model.conjugate_through_envelope(params, op)) == entry["conjugated"], name

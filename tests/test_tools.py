@@ -1,7 +1,10 @@
 """The shipped relation catalogs are exactly what tools/gen_relations.py writes,
-and every call boundary the benchmark traces still exists."""
+every call boundary the benchmark traces still exists, and
+tools/count_lines.py counts every module of the package."""
 
 import importlib.util
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from jordan_osc import model
 
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "gen_relations.py"
+COUNTER = ROOT / "tools" / "count_lines.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
@@ -42,3 +46,12 @@ def test_benchmark_traces_only_existing_boundaries():
     finally:
         tracer.uninstall()
     assert model.build_psi is build_psi
+
+
+def test_line_count_totals_every_module():
+    out = subprocess.run([sys.executable, str(COUNTER)], capture_output=True, text=True, check=True).stdout
+    *modules, total = [line.rsplit(" ", 1) for line in out.splitlines()]
+    package = ROOT / "src" / "jordan_osc"
+    assert [name for name, _ in modules] == sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py"))
+    assert all(int(n) > 0 for _, n in modules)
+    assert total == ["total", str(sum(int(n) for _, n in modules))]

@@ -60,6 +60,11 @@ class TestCatalogParsing:
         with pytest.raises(ValueError):
             parse_relations(text)
 
+    @pytest.mark.parametrize("rel_id", ["explicit.a1+", "pseudo.H", "action.B-", "irrep.K.sq", "integrals.norms"])
+    def test_rejects_ids_of_builtin_checks(self, rel_id):
+        with pytest.raises(ValueError, match="built-in"):
+            parse_relations(f"x | identity | H | H\n{rel_id} | identity | K | K\n")
+
     def test_comments_and_blanks_skipped(self):
         text = "# a comment\n\nx | identity | H | H\n"
         assert len(parse_relations(text)) == 1
@@ -320,6 +325,22 @@ class TestRunSuites:
     def test_unknown_suite_rejected(self, params):
         with pytest.raises(ValueError):
             run_suites(params, ("nonsense",))
+
+    def test_repeated_suite_rejected(self, params):
+        with pytest.raises(ValueError, match="'pseudo' is named twice"):
+            run_suites(params, ("pseudo", "integrals", "pseudo"))
+
+    def test_report_ids_are_unique_and_builtin_ones_reserved(self, params):
+        # a catalog id cannot take a built-in check's id, since those lie in
+        # namespaces parse_relations rejects
+        reports = run_suites(params, SUITES, n_max=2)
+        ids = [r.relation_id for r in reports]
+        assert len(set(ids)) == len(ids)
+        catalog_ids = {s.rel_id for s in load_relations()}
+        builtin = [i for i in ids if i not in catalog_ids]
+        assert len(builtin) == len(ids) - len(catalog_ids) > 0
+        assert all(i.startswith(verifier.BUILTIN_ID_PREFIXES) for i in builtin)
+        assert not any(i.startswith(verifier.BUILTIN_ID_PREFIXES) for i in catalog_ids)
 
     def test_reports_deterministic_modulo_timing(self, params):
         first = run_suites(params, ("pseudo",))

@@ -1,7 +1,7 @@
 """Coefficient/polynomial/operator arithmetic, normal ordering, adjoints."""
 
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -256,9 +256,72 @@ def oracle_linear_combination(pairs) -> dict:
     return out
 
 
-def _stored_exactly(poly: Poly2) -> bool:
+def oracle_add(x, y, sign: int = 1) -> dict:
+    """x + sign * y, one coefficient sum per term of y."""
+    out = dict(x.terms)
+    for key, c in y.terms.items():
+        _bump(out, key, c if sign == 1 else -c)
+    return out
+
+
+def oracle_poly_product(f: Poly2, g: Poly2) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in f.terms.items():
+        for (i2, j2), c2 in g.terms.items():
+            _bump(out, (i1 + i2, j1 + j2), c1 * c2)
+    return out
+
+
+def _normal_order(out: dict, key1, key2, base, contractions_only: bool = False) -> None:
+    # base * (term1 . term2), by dz^k z^i = sum_s C(k,s) C(i,s) s! z^(i-s) dz^(k-s)
+    i1, j1, k1, l1 = key1
+    i2, j2, k2, l2 = key2
+    for s in range(min(k1, i2) + 1):
+        ws = comb(k1, s) * comb(i2, s) * factorial(s)
+        for t in range(min(l1, j2) + 1):
+            if contractions_only and s == t == 0:
+                continue
+            wt = comb(l1, t) * comb(j2, t) * factorial(t)
+            _bump(out, (i1 + i2 - s, j1 + j2 - t, k1 - s + k2, l1 - t + l2), base * (ws * wt))
+
+
+def oracle_op_product(x: DiffOp, y: DiffOp) -> dict:
+    out: dict = {}
+    for key1, c1 in x.terms.items():
+        for key2, c2 in y.terms.items():
+            _normal_order(out, key1, key2, c1 * c2)
+    return out
+
+
+def oracle_commutator(x: DiffOp, y: DiffOp) -> dict:
+    # the leading terms of the two orders cancel, so only contractions are summed
+    out: dict = {}
+    for key1, c1 in x.terms.items():
+        for key2, c2 in y.terms.items():
+            _normal_order(out, key1, key2, c1 * c2, contractions_only=True)
+            _normal_order(out, key2, key1, -(c1 * c2), contractions_only=True)
+    return out
+
+
+def oracle_adjoint(x: DiffOp) -> dict:
+    out: dict = {}
+    for (i, j, k, l), c in x.terms.items():
+        # (c z^i zb^j dz^k dzb^l)^† = conj(c) (-dz)^l (-dzb)^k z^j zb^i
+        _normal_order(out, (0, 0, l, k), (j, i, 0, 0), c.conjugate() * (-1) ** (k + l))
+    return out
+
+
+def _stored_exactly(x) -> bool:
     # exact results hold nonzero Fractions only
-    return all(type(c) is Fraction and c != 0 for c in poly.terms.values())
+    return all(type(c) is Fraction and c != 0 for c in x.terms.values())
+
+
+def _kernel_result(x) -> bool:
+    # built by a kernel: it keeps its sums as its view, and the view holds x
+    if "int_view" not in vars(x):
+        return False
+    nums, den = x.int_view
+    return nums.keys() == x.terms.keys() and all(F(v, den) == x.terms[k] for k, v in nums.items())
 
 
 @st.composite
@@ -323,6 +386,84 @@ class TestIntegerKernels:
         assert linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z), (F(-4, 15), z)]).is_zero()
         got = linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z)])
         assert got.terms == {(1, 0): F(4, 15)} and got.int_view[1] % lcm(6, 10) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(diff_ops(mixed_fractions), diff_ops(mixed_fractions))
+    def test_sum_and_difference_match_fraction_loop(self, x, y):
+        for got, want in ((x + y, oracle_add(x, y)), (x - y, oracle_add(x, y, -1)),
+                          (x - x, {}), (x + y - y, oracle_add(x + y, y, -1))):
+            assert got.terms == want
+            assert _stored_exactly(got) and _kernel_result(got)
+        assert (x - x).terms == {} and (x + y - y).terms == x.terms
+        fx, fy = x.to_float(), y.to_float()
+        assert (fx + fy).terms == oracle_add(fx, fy)
+        assert (fx - fy).terms == oracle_add(fx, fy, -1)
+        assert "int_view" in vars(fx + fy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(mixed_fractions), polys(mixed_fractions))
+    def test_poly_product_matches_fraction_loop(self, f, g):
+        # the cross terms of (f + g)(f - g) cancel in the kernel
+        for got, want in ((f * g, oracle_poly_product(f, g)),
+                          ((f + g) * (f - g), oracle_poly_product(f + g, f - g))):
+            assert got.terms == want
+            assert _stored_exactly(got) and _kernel_result(got)
+        assert ((f + g) * (f - g)).terms == (f * f - g * g).terms
+        ff, fg = f.to_float(), g.to_float()
+        assert (ff * fg).terms == oracle_poly_product(ff, fg)
+        assert "int_view" in vars(ff * fg)
+
+    def test_poly_product_cancels_cross_terms(self):
+        z, zb = Poly2.z(EXACT).scale(F(1, 6)), Poly2.zbar(EXACT).scale(F(3, 10))
+        got = (z + zb) * (z - zb)
+        assert got.terms == {(2, 0): F(1, 36), (0, 2): F(-9, 100)} == oracle_poly_product(z + zb, z - zb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diff_ops(mixed_fractions), diff_ops(mixed_fractions))
+    def test_op_product_matches_fraction_loop(self, x, y):
+        got = x * y
+        assert got.terms == oracle_op_product(x, y)
+        assert _stored_exactly(got) and _kernel_result(got)
+        fx, fy = x.to_float(), y.to_float()
+        assert (fx * fy).terms == oracle_op_product(fx, fy)
+        assert "int_view" in vars(fx * fy)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_fractions)
+    def test_op_product_cancels_to_zero(self, c):
+        # (dz + c z)(dz - c z) = dz^2 - c^2 z^2 - c: the z dz terms cancel
+        dz, z = DiffOp.dz(EXACT), DiffOp.z(EXACT).scale(c)
+        got = (dz + z) * (dz - z)
+        want = {(0, 0, 2, 0): F(1), (2, 0, 0, 0): -c * c, (0, 0, 0, 0): -c}
+        assert got.terms == {k: v for k, v in want.items() if v} == oracle_op_product(dz + z, dz - z)
+        assert _stored_exactly(got) and _kernel_result(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diff_ops(mixed_fractions), diff_ops(mixed_fractions))
+    def test_commutator_matches_fraction_loop(self, x, y):
+        got = commutator(x, y)
+        assert got.terms == oracle_commutator(x, y)
+        assert got.terms == oracle_add(x * y, y * x, -1)
+        assert _stored_exactly(got) and _kernel_result(got)
+        # every contraction cancels against the other order
+        for zero in (commutator(x, x), commutator(x, x * x)):
+            assert zero.terms == {} and _kernel_result(zero)
+        fx, fy = x.to_float(), y.to_float()
+        assert commutator(fx, fy).terms == oracle_commutator(fx, fy)
+        assert "int_view" in vars(commutator(fx, fy))
+
+    @settings(max_examples=60, deadline=None)
+    @given(diff_ops(mixed_fractions), mixed_fractions)
+    def test_adjoint_matches_fraction_loop(self, x, c):
+        got = adjoint(x)
+        assert got.terms == oracle_adjoint(x)
+        assert _stored_exactly(got) and _kernel_result(got)
+        # (c z dz + c)^† = -c zb dzb - c + c: the constant cancels in the kernel
+        op = DiffOp.monomial((1, 0, 1, 0), c) + DiffOp.constant(c)
+        assert adjoint(op).terms == oracle_adjoint(op) == ({(0, 1, 0, 1): -c} if c else {})
+        fx = x.to_float()
+        assert adjoint(fx).terms == oracle_adjoint(fx)
+        assert "int_view" in vars(adjoint(fx))
 
     def test_kernels_reject_mixed_modes(self):
         f = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 3))
