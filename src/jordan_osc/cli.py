@@ -247,6 +247,10 @@ def _run_verify(args: argparse.Namespace) -> int:
         params = config.params()
         if config.catalog is not None:
             load_relations(config.catalog)
+        if args.out is not None:
+            # opened before any suite runs, so an unwritable path costs no run;
+            # appending keeps an earlier report until this one is written
+            open(args.out, "a", encoding="utf-8").close()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,8 +26,8 @@ moment is structurally zero, and sums c_f * sum(c_g * I) one term of f at a
 time. The pairing is symmetric term by term, so gram_block computes the
 entries with m <= m' and mirrors them.
 
-The pairing sums the integer views (see weyl) of f, g and the table, and
-divides once; the table's view sits next to it in the point's store.
+The table is stored like a term map (see weyl), as integer numerators over
+one denominator; the pairing sums those of f, g and the table, dividing once.
 """
 
 from __future__ import annotations
@@ -37,54 +37,49 @@ import math
 import numpy as np
 
 from .model import Params, ReducedFn, apply, build_psi, make_operator, point_cache
-from .weyl import Coeff, Poly2, from_ints, join_modes, linear_combination, one, to_ints, zero
+from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
 
 
 class OracleUnavailableError(RuntimeError):
     """The quadrature oracle needs a > b for a convergent real-space measure."""
 
 
-def _moment_rows(params: Params, degree: int) -> list[list[Coeff]]:
-    """The moment table of ``params``, covering every total degree up to ``degree``.
+def _moment_rows(params: Params, degree: int) -> tuple[list[list], int]:
+    """(rows, den), the moment table of ``params`` up to total degree ``degree``.
 
-    rows[r][q] = I(q + 2r, q) in units of pi/(2a); row r holds q <= T - r,
-    where T = len(rows) - 1 is the half-degree built so far. The rows come
-    from the two integration-by-parts rules
+    rows[r][q] / den = I(q + 2r, q) in units of pi/(2a), rows of integers (of
+    floats over 1 in float mode); row r holds q <= T - r, where
+    T = len(rows) - 1 is the half-degree built so far. The moments come from
+    the two integration-by-parts rules
 
         p I(p-1, q) = 2a I(p, q+1)
         q I(p, q-1) = 2a I(p+1, q) + 4b I(p, q+1)
 
     with base I(0,0) = pi/(2a): along a row, I(p, q) = p/(2a) I(p-1, q-1),
     and down the first column, I(p, 0) = -b (p-1)/a^2 I(p-2, 0). Every other
-    moment (p < q, or p - q odd) vanishes and is not stored.
+    moment (p < q, or p - q odd) vanishes and is not stored. New moments are
+    computed from the last one of each row, then all rescaled to one den.
     """
     cache = point_cache(params)
-    rows = cache.get("moments")
-    if rows is None:
-        rows = cache["moments"] = [[one(params.mode)]]
-    top = degree // 2
-    built = len(rows) - 1
+    rows, den = cache.get("moments", ([[1]], 1))
+    top, built = degree // 2, len(rows) - 1
     if top <= built:
-        return rows
-    a, b = params.a, params.b
+        return rows, den
+    a, b, unit = params.a, params.b, lift(den, params.mode)
+    grown = [[row[-1] / unit] for row in rows]
     for r in range(built + 1, top + 1):
-        rows.append([-(2 * r - 1) * b / (a * a) * rows[r - 1][0]])
-    for r, row in enumerate(rows):
-        for q in range(len(row), top - r + 1):
-            row.append((2 * r + q) / (2 * a) * row[q - 1])
-    return rows
-
-
-def _moment_view(params: Params, degree: int) -> tuple[list[list], int]:
-    """The integer view of the moment table, rebuilt whenever the table grows."""
-    rows = _moment_rows(params, degree)
-    cache = point_cache(params)
-    view = cache.get("moment_ints")
-    if view is None or len(view[0]) != len(rows):
-        nums, den = to_ints(params.mode, [c for row in rows for c in row])
-        flat = iter(nums)
-        view = cache["moment_ints"] = ([[next(flat) for _ in row] for row in rows], den)
-    return view
+        grown.append([-(2 * r - 1) * b / (a * a) * grown[r - 1][0]])
+    for r, row in enumerate(grown):
+        for q in range(len(rows[r]) if r <= built else 1, top - r + 1):
+            row.append((2 * r + q) / (2 * a) * row[-1])
+    new = [row[1:] if r <= built else row for r, row in enumerate(grown)]
+    nums, new_den = to_ints(params.mode, [c for row in new for c in row])
+    common, flat = math.lcm(den, new_den), iter(nums)
+    old_scale, new_scale = common // den, common // new_den
+    rows = [[v * old_scale for v in old] + [next(flat) * new_scale for _ in row]
+            for old, row in zip(rows + [[]] * (top - built), new)]
+    cache["moments"] = rows, common
+    return rows, common
 
 
 def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
@@ -93,7 +88,8 @@ def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
     excess = p_deg - q_deg
     if q_deg < 0 or excess < 0 or excess % 2:
         return zero(params.mode)
-    return _moment_rows(params, p_deg + q_deg)[excess // 2][q_deg]
+    rows, den = _moment_rows(params, p_deg + q_deg)
+    return rows[excess // 2][q_deg] / lift(den, params.mode)
 
 
 def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Coeff:
@@ -103,11 +99,11 @@ def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Coeff:
     c c' I(i + i', j + j'); pairs outside the moment support are skipped.
     """
     mode = join_modes(params, f, g)
-    rows, moment_den = _moment_view(params, f.poly.total_degree() + g.poly.total_degree())
-    (f_nums, f_den), (g_nums, g_den) = f.poly.int_view, g.poly.int_view
-    g_terms = [(i - j, j, c) for (i, j), c in g_nums.items()]
+    f, g = f.poly, g.poly
+    rows, moment_den = _moment_rows(params, f.total_degree() + g.total_degree())
+    g_terms = [(i - j, j, c) for (i, j), c in g.nums.items()]
     total = 0
-    for (i, j), cf in f_nums.items():
+    for (i, j), cf in f.nums.items():
         excess = i - j
         partial = 0
         for g_excess, g_j, cg in g_terms:
@@ -116,7 +112,7 @@ def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Coeff:
                 partial += cg * rows[e >> 1][j + g_j]
         if partial:
             total += cf * partial
-    return from_ints(mode, total, f_den * g_den * moment_den)
+    return total / lift(f.den * g.den * moment_den, mode)
 
 
 def _eval_on_grid(poly: Poly2, zgrid: np.ndarray, zbgrid: np.ndarray) -> np.ndarray:

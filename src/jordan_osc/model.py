@@ -21,10 +21,11 @@ float mode every coefficient is a ``float``. Either way p, q and every view of
 them (a, b, sqrt_ab, ...) already are coefficients of the mode, so they enter
 products directly; ``Params.s`` lifts a literal into the mode.
 
-Caching: a parameter point fixes every basis function, operator and pairing
-moment, so they and their integer views (see weyl) live in one store per
-point (``point_cache``), kept for the last few points only. ``apply`` reuses
-the envelope conjugations (and so their views) of the last operators applied.
+Polynomials and operators store integer numerators over one denominator (see
+weyl), which ``psi_series`` and ``conjugate_through_envelope`` build directly.
+Every basis function, operator and pairing moment of a parameter point lives
+in one store per point (``point_cache``), kept for the last few points only;
+``apply`` reuses the envelope conjugations of the last operators applied.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .weyl import (
     ModeMismatchError,
     Poly2,
     anticommutator,
-    from_ints,
     lift,
     to_ints,
 )
@@ -303,9 +303,8 @@ def psi_series(params: Params, n: int, m: int) -> ReducedFn:
         weight = alphas[i] * pochhammer(e + 1, 2 * n - 2 * m - i) * den ** (m - e)
         for t in range(e + 1):
             sums[t, i + e - t] = weight * comb(e, t) * a_pows[t] * b_pows[e - t]
-    (front,), front_den = to_ints(mode, [_cn_reduced(params, n) * (2 * params.a * params.b) ** k])
-    den = front_den * den**m
-    return ReducedFn(Poly2(mode, {key: from_ints(mode, front * v, den) for key, v in sums.items() if v}))
+    front = _cn_reduced(params, n) * (2 * params.a * params.b) ** k
+    return ReducedFn(Poly2._normalized(mode, sums, den**m).scale(front))
 
 
 @_per_point
@@ -343,7 +342,7 @@ def energy(params: Params, n: int) -> Coeff:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_name(name: str) -> str:
+def canonical_name(name: str) -> str:
     name = _ALIASES.get(name, name)
     if name not in CATALOG_NAMES:
         raise ValueError(f"unknown operator {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
@@ -359,7 +358,7 @@ def make_operator(params: Params, name: str) -> DiffOp:
     compositionally from those via products and linear combinations, never
     hand-expanded. Unknown names raise ValueError.
     """
-    name = _canonical_name(name)
+    name = canonical_name(name)
     s = params.s
     a, b = params.a, params.b
     mono = DiffOp.monomial
@@ -512,8 +511,8 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     if op.mode != params.mode:
         raise ModeMismatchError(f"operator is {op.mode!r}, parameters are {params.mode!r}")
     out = DiffOp.zero(params.mode)
-    for (i, j, k, l), c in op.terms.items():
-        head = DiffOp.monomial((i, j, 0, 0), c)
+    for (i, j, k, l), v in op.nums.items():
+        head = DiffOp._normalized(op.mode, {(i, j, 0, 0): v}, op.den)
         out = out + head * _shifted_derivative_powers(params, k, l)
     return out
 

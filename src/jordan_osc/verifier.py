@@ -34,6 +34,7 @@ point is reported as skipped, never as passed.
 
 from __future__ import annotations
 
+import operator
 import re
 import time
 from contextlib import contextmanager
@@ -57,6 +58,7 @@ from .model import (
     apply,
     build_phi,
     build_psi,
+    canonical_name,
     energy,
     explicit_form,
     make_operator,
@@ -170,10 +172,14 @@ class RelationSpec:
 # relation catalog: parsing and evaluation
 # ---------------------------------------------------------------------------
 
-_SCALAR_TOKEN = re.compile(r"^[+-]?\d+(?:/\d+)?(?:\*(a|b|ab))?$")
+_SCALAR_TOKEN = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?(?:\*(a|b|ab))?$")
+#: the binary operations of the prefix grammar
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "comm": commutator, "acomm": anticommutator}
 
 
 def parse_relations(text: str) -> list[RelationSpec]:
+    """The relations of a catalog, each side checked against the prefix grammar."""
     specs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -182,6 +188,10 @@ def parse_relations(text: str) -> list[RelationSpec]:
         fields = [f.strip() for f in line.split("|")]
         if len(fields) != 4:
             raise ValueError(f"catalog line {lineno}: expected 4 '|'-separated fields")
+        try:
+            parse_expression(fields[2]), parse_expression(fields[3])
+        except ValueError as exc:
+            raise ValueError(f"catalog line {lineno}: {exc}") from None
         specs.append(RelationSpec(*fields))
     ids = [s.rel_id for s in specs]
     if len(ids) != len(set(ids)):
@@ -207,55 +217,56 @@ def load_negative_controls() -> list[RelationSpec]:
 
 
 def _scalar_literal(token: str, params: Params) -> Coeff:
-    match = _SCALAR_TOKEN.match(token)
-    if match is None:
-        raise ValueError(f"bad scalar literal {token!r}")
-    rational = Fraction(token.split("*")[0])
-    value = params.s(rational)
-    unit = match.group(1)
-    if unit in ("a", "ab"):
-        value = value * params.a
-    if unit in ("b", "ab"):
-        value = value * params.b
-    return value
+    unit = _SCALAR_TOKEN.match(token).group(1) or ""  # a, b, ab or none
+    return params.s(Fraction(token.split("*")[0])) * params.a ** unit.count("a") * params.b ** unit.count("b")
 
 
-def _eval_prefix(tokens: list[str], pos: int, params: Params) -> tuple[DiffOp, int]:
+def _parse_prefix(tokens: list[str], pos: int) -> tuple:
+    """(tree, next position) of the expression at tokens[pos]: an operator
+    name, a scalar literal, or (operation, *arguments), smul's scalar a literal."""
     if pos >= len(tokens):
         raise ValueError("unexpected end of expression")
     tok = tokens[pos]
-    if tok in ("add", "sub", "mul", "comm", "acomm"):
-        left, pos = _eval_prefix(tokens, pos + 1, params)
-        right, pos = _eval_prefix(tokens, pos, params)
-        if tok == "add":
-            return left + right, pos
-        if tok == "sub":
-            return left - right, pos
-        if tok == "mul":
-            return left * right, pos
-        if tok == "comm":
-            return commutator(left, right), pos
-        return anticommutator(left, right), pos
     if tok == "neg":
-        arg, pos = _eval_prefix(tokens, pos + 1, params)
-        return -arg, pos
+        arg, pos = _parse_prefix(tokens, pos + 1)
+        return (tok, arg), pos
+    if tok in _BINARY:
+        left, pos = _parse_prefix(tokens, pos + 1)
+        right, pos = _parse_prefix(tokens, pos)
+        return (tok, left, right), pos
     if tok == "smul":
-        if pos + 1 >= len(tokens):
-            raise ValueError("smul needs a scalar literal")
-        coeff = _scalar_literal(tokens[pos + 1], params)
-        arg, pos = _eval_prefix(tokens, pos + 2, params)
-        return arg.scale(coeff), pos
-    if _SCALAR_TOKEN.match(tok):
-        return DiffOp.constant(_scalar_literal(tok, params)), pos + 1
-    return make_operator(params, tok), pos + 1
+        if pos + 1 >= len(tokens) or not _SCALAR_TOKEN.match(tokens[pos + 1]):
+            raise ValueError("smul needs a scalar literal with a nonzero denominator")
+        arg, end = _parse_prefix(tokens, pos + 2)
+        return (tok, tokens[pos + 1], arg), end
+    if not _SCALAR_TOKEN.match(tok):
+        canonical_name(tok)  # an unknown name or a bad literal stops here
+    return tok, pos + 1
+
+
+def parse_expression(expr: str) -> tuple | str:
+    """The tree of one prefix expression; ValueError if it is not exactly one."""
+    tokens = expr.split()
+    tree, pos = _parse_prefix(tokens, 0)
+    if pos != len(tokens):
+        raise ValueError(f"trailing tokens in expression {expr!r}")
+    return tree
+
+
+def _evaluate(tree, params: Params) -> DiffOp:
+    if isinstance(tree, str):  # an operator name or a scalar literal
+        literal = _SCALAR_TOKEN.match(tree)
+        return DiffOp.constant(_scalar_literal(tree, params)) if literal else make_operator(params, tree)
+    tok, *args = tree
+    if tok == "neg":
+        return -_evaluate(args[0], params)
+    if tok == "smul":
+        return _evaluate(args[1], params).scale(_scalar_literal(args[0], params))
+    return _BINARY[tok](_evaluate(args[0], params), _evaluate(args[1], params))
 
 
 def eval_expression(expr: str, params: Params) -> DiffOp:
-    tokens = expr.split()
-    op, pos = _eval_prefix(tokens, 0, params)
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in expression {expr!r}")
-    return op
+    return _evaluate(parse_expression(expr), params)
 
 
 def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL) -> Report:

@@ -1,22 +1,23 @@
 """Exact arithmetic for the Weyl algebra in two commuting formal variables.
 
 Values come in two coefficient modes sharing one arithmetic contract:
-``exact`` coefficients are ``Fraction``s, for which every identity checked by
+``exact`` coefficients are rationals, for which every identity checked by
 the verification suites is decidable, and ``float`` coefficients are
 ``float`` doubles, whose comparisons are always tolerance based, never
-bitwise. Coefficients are stored as these plain numbers; ``lift`` coerces a
-number into a mode and refuses to let an inexact value into exact mode. Float
-mode still accepts a ``complex`` coefficient, and ``adjoint`` conjugates it.
+bitwise. ``lift`` coerces a number into a mode (a ``Fraction`` or a
+``float``) and refuses to let an inexact value into exact mode. Float mode
+still accepts a ``complex`` coefficient, and ``adjoint`` conjugates it.
 
-Every sum of terms takes one path, in integers, not ``Fraction``s (each of
-which reduces by a gcd): a term map caches its ``int_view``, numerators over
-one common denominator, and a kernel sums numerators and divides once per
-result term in ``from_view``, which keeps the sums as the result's view; a
-float view is the floats over 1, so each kernel is one loop for both modes.
-The kernels are ``linear_combination`` (behind binary ``+`` and ``-``),
-``_product`` (both ``*`` and ``commutator``), ``adjoint`` and ``apply_to``.
-``scale``, negation, ``to_float`` and ``swap_vars`` map terms one to one and
-stay maps over ``.terms``.
+A term map stores its coefficients once: integer numerators ``nums`` over one
+positive denominator ``den`` (in float mode, the floats over 1), canonical
+with no zero and ``gcd(den, *nums) == 1``, so exact equality is equality of
+both. Every kernel sums integers and builds its result with the one
+normalizing constructor ``_normalized``, reducing once per result, never per
+term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
+negation and ``scale``), ``_product`` (both ``*`` and ``commutator``),
+``adjoint``, ``apply_to``, ``swap_vars`` and ``to_float``. ``.terms`` (key ->
+``Fraction`` or ``float``) is derived on demand for readers such as printing;
+no kernel reads it.
 
 Two layers build on the coefficients:
 
@@ -32,11 +33,8 @@ unique term map and operator equality reduces to map comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, factorial, lcm, perm
-from typing import Iterator
+from math import comb, factorial, gcd, lcm, perm
 
 EXACT = "exact"
 FLOAT = "float"
@@ -45,8 +43,8 @@ FLOAT = "float"
 # verification suites always pass their own tolerance explicitly.
 DEFAULT_TOL = 1e-12
 
-#: a stored coefficient: Fraction in exact mode, float (or a complex given by
-#: the caller) in float mode
+#: a coefficient: Fraction in exact mode, float (or a complex given by the
+#: caller) in float mode
 Coeff = Fraction | float | complex
 
 
@@ -83,7 +81,8 @@ def lift(value, mode: str) -> Coeff:
     complex stays complex.
     """
     if isinstance(value, (int, Fraction)):
-        return Fraction(value) if mode == EXACT else float(value)
+        # a Fraction is immutable, so exact mode passes one through uncopied
+        return (value if type(value) is Fraction else Fraction(value)) if mode == EXACT else float(value)
     if isinstance(value, (float, complex)):
         if mode == EXACT:
             raise ModeMismatchError("cannot lift an inexact value into exact mode")
@@ -107,38 +106,53 @@ def to_ints(mode: str, values: list) -> tuple[list, int]:
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
-def from_ints(mode: str, value, den: int) -> Coeff:
-    """value / den as a coefficient; + 0.0 makes an empty float sum a float."""
-    return Fraction(value, den) if mode == EXACT else value + 0.0
-
-
 # ---------------------------------------------------------------------------
 # term maps: the shared linear structure of Poly2 and DiffOp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class _TermMap:
-    """Sparse map from exponent tuples to nonzero coefficients of one mode.
+    """Sparse map from exponent tuples to nonzero coefficients of one mode,
+    stored as ``nums`` (key -> int numerator; the float coefficient in float
+    mode) over ``den`` (a positive int; 1 in float mode).
 
-    Canonical form never stores zero coefficients, so exact-mode equality is
-    term-map equality. Instances are treated as immutable.
+    ``cls(mode, terms)`` takes a dict of coefficients; kernels pass their
+    integer sums to ``_normalized``. Instances are treated as immutable.
     """
 
-    mode: str
-    terms: dict
+    __slots__ = ("mode", "nums", "den", "__weakref__")
 
     _ARITY = 0  # length of the exponent tuples
     _NAMES = ("z", "zb", "dz", "dzb")
+
+    def __new__(cls, mode: str, terms: dict):
+        nums, den = to_ints(mode, [lift(c, mode) for c in terms.values()])
+        return cls._normalized(mode, dict(zip(terms, nums)), den)
+
+    @classmethod
+    def _normalized(cls, mode: str, sums: dict, den: int):
+        """The map of ``sums`` (key -> numerator) over ``den`` in canonical form:
+        zeros dropped, and in exact mode numerators and den divided by their gcd."""
+        out = object.__new__(cls)
+        nums = {key: v for key, v in sums.items() if v}
+        if mode == EXACT:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {key: v // g for key, v in nums.items()}
+                den //= g
+        out.mode, out.nums, out.den = mode, nums, den
+        return out
+
+    @classmethod
+    def zero(cls, mode: str):
+        return cls(mode, {})
 
     @classmethod
     def _single(cls, key: tuple, coeff):
         # the coefficient's type picks the mode: floats and complexes are float
         if any(e < 0 for e in key):
             raise ValueError("exponents must be nonnegative")
-        mode = FLOAT if isinstance(coeff, (float, complex)) else EXACT
-        coeff = lift(coeff, mode)
-        return cls(mode, {key: coeff} if coeff else {})
+        return cls(FLOAT if isinstance(coeff, (float, complex)) else EXACT, {key: coeff})
 
     @classmethod
     def linear_combination(cls, mode: str, pairs):
@@ -150,41 +164,42 @@ class _TermMap:
             # an int is its own numerator in either mode (+ and - pass 1 and -1)
             (c_num,), c_den = ([c], 1) if isinstance(c, int) else to_ints(mode, [lift(c, mode)])
             if c_num:
-                parts.append((c_num, c_den, *x.int_view))
+                parts.append((c_num, c_den, x.nums, x.den))
         common = lcm(*(c_den * den for _, c_den, _, den in parts))
         sums: dict = {}
         for c_num, c_den, nums, den in parts:
             factor = c_num * (common // (c_den * den))
+            if not sums:  # one pass builds the dict (scale is a single pair)
+                sums = {key: factor * u for key, u in nums.items()}
+                continue
             for key, u in nums.items():
                 sums[key] = sums.get(key, 0) + factor * u
-        return cls.from_view(mode, sums, common)
+        return cls._normalized(mode, sums, common)
 
     def __add__(self, other):
         return self.linear_combination(self.mode, ((1, self), (1, other)))
 
     def __neg__(self):
-        return type(self)(self.mode, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self.linear_combination(self.mode, ((1, self), (-1, other)))
 
     def scale(self, value):
-        s = lift(value, self.mode)
-        return type(self)(self.mode, {k: c * s for k, c in self.terms.items()} if s else {})
+        return self.linear_combination(self.mode, ((value, self),))
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = scale
 
     def _product(self, other, accumulate):
         """The product kernel: ``accumulate(sums, key1, key2, u1 * u2)`` for each
         pair of terms, over the product of the two denominators."""
         mode = join_modes(self, other)
-        (nums1, den1), (nums2, den2) = self.int_view, other.int_view
+        nums2 = other.nums
         sums: dict = {}
-        for key1, u1 in nums1.items():
+        for key1, u1 in self.nums.items():
             for key2, u2 in nums2.items():
                 accumulate(sums, key1, key2, u1 * u2)
-        return self.from_view(mode, sums, den1 * den2)
+        return self._normalized(mode, sums, self.den * other.den)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -194,43 +209,34 @@ class _TermMap:
             out = out * self
         return out
 
-    @classmethod
-    def from_view(cls, mode: str, sums: dict, den: int):
-        """A kernel's result ``sums`` / ``den``, which keeps the sums as its view."""
-        nums = {key: v for key, v in sums.items() if v}
-        out = cls(mode, {key: Fraction(v, den) for key, v in nums.items()} if mode == EXACT else nums)
-        out.__dict__["int_view"] = (nums, den)  # where int_view caches itself
-        return out
-
-    @cached_property
-    def int_view(self) -> tuple[dict, int]:
-        """(key -> numerator, common denominator); (terms, 1) in float mode."""
-        if self.mode != EXACT:
-            return self.terms, 1
-        nums, den = to_ints(EXACT, list(self.terms.values()))
-        return dict(zip(self.terms, nums)), den
-
     # ---- inspection ----
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict:
+        """key -> coefficient, derived from ``nums`` and ``den``."""
+        if self.mode != EXACT:
+            return self.nums
+        return {key: Fraction(v, self.den) for key, v in self.nums.items()}
 
-    def sorted_terms(self) -> Iterator[tuple[tuple, Coeff]]:
-        for key in sorted(self.terms):
-            yield key, self.terms[key]
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def sorted_terms(self) -> list[tuple[tuple, Coeff]]:
+        return sorted(self.terms.items())  # the keys are distinct, so no coefficients are compared
 
     def max_magnitude(self) -> Coeff:
         """The largest coefficient magnitude (zero if there is none), or a NaN
         if any coefficient is one."""
-        return max_or_nan(zero(self.mode), *map(abs, self.terms.values()))
+        return max_or_nan(0, *map(abs, self.nums.values())) / lift(self.den, self.mode)
 
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return type(self)(FLOAT, {k: float(c) for k, c in self.terms.items()})
+        # int / int rounds exactly like float(Fraction)
+        return self._normalized(FLOAT, {k: v / self.den for k, v in self.nums.items()}, 1)
 
     def close_to(self, other, tol: float = DEFAULT_TOL) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= tol for k in keys)
+        mine, theirs = self.terms, other.terms
+        return all(abs(mine.get(k, 0) - theirs.get(k, 0)) <= tol for k in mine.keys() | theirs.keys())
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -238,13 +244,13 @@ class _TermMap:
         if self.mode != other.mode:
             return False
         if self.mode == EXACT:
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         return self.close_to(other)
 
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for key, c in self.sorted_terms():
@@ -277,10 +283,6 @@ class Poly2(_TermMap):
 
     # ---- constructors ----
     @staticmethod
-    def zero(mode: str) -> "Poly2":
-        return Poly2(mode, {})
-
-    @staticmethod
     def monomial(deg_z: int, deg_zbar: int, coeff) -> "Poly2":
         return Poly2._single((deg_z, deg_zbar), coeff)
 
@@ -303,12 +305,10 @@ class Poly2(_TermMap):
     # ---- inspection ----
     def total_degree(self) -> int:
         """Max of deg_z + deg_zbar over stored terms; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(i + j for (i, j) in self.terms)
+        return max((i + j for (i, j) in self.nums), default=0)
 
     def coeff(self, deg_z: int, deg_zbar: int) -> Coeff:
-        return self.terms.get((deg_z, deg_zbar), zero(self.mode))
+        return self.nums.get((deg_z, deg_zbar), 0) / lift(self.den, self.mode)
 
     def eval_at(self, zval: complex, zbarval: complex) -> complex:
         """Evaluate the polynomial with z, zbar treated as independent values."""
@@ -348,10 +348,6 @@ class DiffOp(_TermMap):
 
     # ---- constructors ----
     @staticmethod
-    def zero(mode: str) -> "DiffOp":
-        return DiffOp(mode, {})
-
-    @staticmethod
     def monomial(key: tuple[int, int, int, int], coeff) -> "DiffOp":
         return DiffOp._single(key, coeff)
 
@@ -386,15 +382,15 @@ class DiffOp(_TermMap):
     def apply_to(self, poly: Poly2) -> Poly2:
         """Act on a plain polynomial (no envelope; see model.apply for that)."""
         mode = join_modes(self, poly)
-        (op_nums, op_den), (poly_nums, poly_den) = self.int_view, poly.int_view
+        poly_nums = poly.nums
         sums: dict = {}
-        for (i, j, k, l), c in op_nums.items():
+        for (i, j, k, l), c in self.nums.items():
             for (pz, pb), u in poly_nums.items():
                 if pz < k or pb < l:
                     continue
                 key = (pz - k + i, pb - l + j)
                 sums[key] = sums.get(key, 0) + c * u * (perm(pz, k) * perm(pb, l))
-        return Poly2.from_view(mode, sums, op_den * poly_den)
+        return Poly2._normalized(mode, sums, self.den * poly.den)
 
 
 #: sum c * poly over (c, poly) pairs, the linear kernel for polynomials
@@ -435,15 +431,14 @@ def adjoint(op: DiffOp) -> DiffOp:
     """Formal adjoint: z <-> zbar, dz -> -dzbar, dzbar -> -dz, coefficients
     conjugated (a rational is its own conjugate), factor order reversed; the
     result is re-normal-ordered."""
-    nums, den = op.int_view
     sums: dict = {}
-    for (i, j, k, l), u in nums.items():
+    for (i, j, k, l), u in op.nums.items():
         sign = -1 if (k + l) % 2 else 1
         # (z^i zb^j dz^k dzb^l)^† = (-dz)^l (-dzb)^k z^j zb^i
         _accumulate_product(sums, (0, 0, l, k), (j, i, 0, 0), u.conjugate() * sign)
-    return DiffOp.from_view(op.mode, sums, den)
+    return DiffOp._normalized(op.mode, sums, op.den)
 
 
 def swap_vars(op: DiffOp) -> DiffOp:
     """The substitution z <-> zbar, dz <-> dzbar (coefficients untouched)."""
-    return DiffOp(op.mode, {(j, i, l, k): c for (i, j, k, l), c in op.terms.items()})
+    return DiffOp._normalized(op.mode, {(j, i, l, k): v for (i, j, k, l), v in op.nums.items()}, op.den)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordan_osc import cli
 from jordan_osc.cli import (
     RunConfig,
     RunResult,
@@ -108,6 +109,30 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert rel_id in captured.err
+
+    @pytest.mark.parametrize("lhs, rhs, why", [
+        ("comm A+ Foo", "0", "unknown operator 'Foo'"),
+        ("comm A+ A- B+", "0", "trailing tokens"),
+        ("0", "smul 1/0 A+", "nonzero denominator"),
+    ])
+    def test_exit_two_on_malformed_catalog_expression(self, tmp_path, capsys, lhs, rhs, why):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"shape.ok | identity | H | H\nshape.bad | commutator | {lhs} | {rhs}\n")
+        assert main(["verify", "--suites", "structure", "--catalog", str(catalog)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: catalog line 2: ") and captured.err.count("\n") == 1
+        assert why in captured.err
+
+    def test_exit_two_on_unwritable_out_before_any_suite_runs(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_suites", lambda *args: runs.append(args) or [])
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--nmax", "2", "--suites", "pseudo", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert runs == [] and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_json_report_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"

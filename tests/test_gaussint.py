@@ -1,6 +1,7 @@
 """Gaussian moments, bilinear pairing, block matrices, quadrature oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -119,14 +120,14 @@ class TestMoments:
         monkeypatch.setattr(model, "_POINTS", {})
         P = Params.exact(F(5, 3), F(3, 4))
         assert moment(P, 2, 0) == -P.b / P.a**2
-        assert len(model.point_cache(P)["moments"]) == 2  # half-degree 1: built to the degree asked
+        assert len(model.point_cache(P)["moments"][0]) == 2  # half-degree 1: built to the degree asked
         for total in range(30, -1, -1):
             for q in range(total + 1):
                 assert moment(P, total - q, q) == reference_moment(P, total - q, q), (total - q, q)
 
     def test_integer_view_follows_table_growth(self, monkeypatch):
-        # low-degree pairs build a small table and its integer view first;
-        # higher-degree pairs at the same point must see both grown
+        # low-degree pairs build a small integer table first; higher-degree
+        # pairs at the same point must see it grown and rescaled
         monkeypatch.setattr(model, "_POINTS", {})
         P = Params.exact(F(5, 3), F(3, 4))
         store = model.point_cache(P)
@@ -135,7 +136,10 @@ class TestMoments:
                 f, g = build_psi(P, n, m).poly, build_psi(P, n, n - m).poly
                 want = pair_term_by_term(f, g, lambda p, q: reference_moment(P, p, q))
                 assert inner_product(P, ReducedFn(f), ReducedFn(g)) == want, (n, m)
-            assert len(store["moment_ints"][0]) == len(store["moments"]) == n + 1
+            rows, den = store["moments"]
+            numerators = [v for row in rows for v in row]
+            assert len(rows) == n + 1 and all(type(v) is int for v in numerators)
+            assert gcd(den, *numerators) == 1  # rescaled to one reduced denominator as it grows
 
     def test_only_recent_points_keep_a_table(self):
         points = [Params.exact(F(k + 2, 2), F(1, 3)) for k in range(10)]
@@ -144,7 +148,8 @@ class TestMoments:
         tables = [cache for cache in model._POINTS.values() if "moments" in cache]
         assert len(tables) <= model._POINTS_MAX
         assert "moments" in model._POINTS[points[-1]]
-        assert "moment_ints" in model._POINTS[points[-1]]
+        rows, den = model._POINTS[points[-1]]["moments"]
+        assert all(type(v) is int for row in rows for v in row) and type(den) is int
 
     def test_other_parameter_point(self):
         P = Params.exact(F(3, 2), F(2, 3))

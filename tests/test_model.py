@@ -183,11 +183,12 @@ class TestPointCache:
             psi_polys.append(weakref.ref(fn.poly))
         assert len(model._POINTS) <= model._POINTS_MAX
         assert points[-1] in model._POINTS and points[0] not in model._POINTS
-        # integer views live on the cached objects and in the point's store,
-        # so an evicted point takes its views with it
+        # the integer numerators live on the cached objects and the moment
+        # table in the point's store, so an evicted point takes both with it
         gc.collect()
-        assert "int_view" in vars(psi_polys[-1]()) and psi_polys[0]() is None
-        assert [P in model._POINTS for P in points] == ["moment_ints" in model._POINTS.get(P, {}) for P in points]
+        kept = psi_polys[-1]()
+        assert kept is not None and all(type(v) is int for v in kept.nums.values()) and psi_polys[0]() is None
+        assert [P in model._POINTS for P in points] == ["moments" in model._POINTS.get(P, {}) for P in points]
         rebuilt = build_psi(points[0], 3, 2)
         assert rebuilt == first and rebuilt is not first
 

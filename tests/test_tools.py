@@ -1,16 +1,18 @@
 """The shipped relation catalogs are exactly what tools/gen_relations.py writes,
-every call boundary the benchmark traces still exists, and
-tools/count_lines.py counts every module of the package."""
+every call boundary the benchmark traces still exists, the benchmark's
+coefficient metrics see coefficients, and tools/count_lines.py counts every
+module of the package."""
 
 import importlib.util
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from jordan_osc import model
+from jordan_osc import Params, model
 
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "gen_relations.py"
@@ -46,6 +48,23 @@ def test_benchmark_traces_only_existing_boundaries():
     finally:
         tracer.uninstall()
     assert model.build_psi is build_psi
+
+
+def test_benchmark_coefficient_metrics_read_coefficients():
+    # the traced image size and coefficient bits, and the coefficient-multiply
+    # probe, read .terms: it must keep yielding Fractions, or they read 0
+    tracing = _load("perfbench_tracing", TRACING)
+    P = Params.exact(1, Fraction(1, 2))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model.apply(P, model.make_operator(P, "H"), model.build_psi(P, 3, 1))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["weyl.image_terms_max"] > 0 and metrics["weyl.coeff_bits_max"] > 0
+    terms = model.build_psi(P, 16, 8).poly.terms
+    assert terms and all(type(c) is Fraction for c in terms.values())
 
 
 def test_line_count_totals_every_module():

@@ -1,7 +1,7 @@
 """Coefficient/polynomial/operator arithmetic, normal ordering, adjoints."""
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -316,12 +316,15 @@ def _stored_exactly(x) -> bool:
     return all(type(c) is Fraction and c != 0 for c in x.terms.values())
 
 
-def _kernel_result(x) -> bool:
-    # built by a kernel: it keeps its sums as its view, and the view holds x
-    if "int_view" not in vars(x):
-        return False
-    nums, den = x.int_view
-    return nums.keys() == x.terms.keys() and all(F(v, den) == x.terms[k] for k, v in nums.items())
+def _canonical(x) -> bool:
+    # the one stored form: nonzero numerators over a positive den (floats over
+    # 1 in float mode), reduced as a whole, with .terms derived from it
+    if x.mode == FLOAT:
+        return x.den == 1 and all(type(v) is float and v for v in x.nums.values()) and x.terms == x.nums
+    return (all(type(v) is int and v for v in x.nums.values()) and x.den > 0
+            and gcd(x.den, *x.nums.values()) == 1
+            and x.den == lcm(*(c.denominator for c in x.terms.values()))
+            and x.terms == {k: F(v, x.den) for k, v in x.nums.items()})
 
 
 @st.composite
@@ -331,15 +334,60 @@ def homogeneous_polys(draw):
     return degree, Poly2(EXACT, {(i, degree - i): c for i, c in enumerate(coeffs) if c})
 
 
+_poly_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), mixed_fractions, max_size=5)
+_op_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), mixed_fractions, max_size=4)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+class TestOneRepresentation:
+    """Every map stores nonzero int numerators over one reduced denominator."""
+
+    def test_coefficients_are_never_read_as_numerators(self):
+        x = Poly2(EXACT, {(0, 0): F(1, 2), (1, 0): F(2, 3), (2, 0): F(0)})
+        assert (x.nums, x.den) == ({(0, 0): 3, (1, 0): 4}, 6)
+        assert DiffOp(EXACT, {(0, 0, 1, 0): F(3, 2)}).terms == {(0, 0, 1, 0): F(3, 2)}
+        with pytest.raises(ModeMismatchError):
+            Poly2(EXACT, {(0, 0): 0.5})
+
+    @settings(max_examples=80, deadline=None)
+    @given(_poly_terms, _poly_terms, mixed_fractions)
+    def test_poly_maps_are_canonical(self, terms, other, c):
+        x, y = Poly2(EXACT, terms), Poly2(EXACT, other)
+        assert x.terms == _nonzero(terms) and y.terms == _nonzero(other)
+        assert gcd(x.den, *x.nums.values()) == 1
+        assert x.den == lcm(*(v.denominator for v in _nonzero(terms).values()))
+        for got in (x + y, x - y, -x, x.scale(c), c * x, x * y, x**2, x.to_float(),
+                    linear_combination(EXACT, [(c, x), (-1, y)])):
+            assert _canonical(got)
+        # equal maps built by different routes are stored alike
+        for route in (x + y - y, -(-x), x * Poly2.one(EXACT), x.scale(3).scale(F(1, 3)),
+                      linear_combination(EXACT, [(c, x), (1, x), (-c, x)])):
+            assert route == x and (route.nums, route.den) == (x.nums, x.den)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_op_terms, _op_terms, _poly_terms)
+    def test_op_maps_are_canonical(self, terms, other, poly_terms):
+        x, y, f = DiffOp(EXACT, terms), DiffOp(EXACT, other), Poly2(EXACT, poly_terms)
+        assert x.terms == _nonzero(terms)
+        for got in (x * y, commutator(x, y), anticommutator(x, y), adjoint(x), swap_vars(x),
+                    x.apply_to(f), x.to_float()):
+            assert _canonical(got)
+        for route in (x + y - y, swap_vars(swap_vars(x)), adjoint(adjoint(x))):
+            assert route == x and (route.nums, route.den) == (x.nums, x.den)
+        assert commutator(x, y) == x * y - y * x
+
+
 class TestIntegerKernels:
     def test_integer_view(self):
         p = Poly2(EXACT, {(0, 0): F(1, 6), (1, 0): F(-3, 4), (0, 2): F(5)})
-        nums, den = p.int_view
-        assert den == 12 and nums == {(0, 0): 2, (1, 0): -9, (0, 2): 60}
-        assert p.int_view is p.int_view  # computed once
-        assert Poly2.zero(EXACT).int_view == ({}, 1)
+        assert p.den == 12 and p.nums == {(0, 0): 2, (1, 0): -9, (0, 2): 60}
+        assert _canonical(p) and _canonical(Poly2.zero(EXACT))
+        assert (Poly2.zero(EXACT).nums, Poly2.zero(EXACT).den) == ({}, 1)
         f = p.to_float()
-        assert f.int_view == (f.terms, 1)
+        assert f.den == 1 and f.nums == {k: float(c) for k, c in p.terms.items()} and _canonical(f)
 
     @settings(max_examples=60, deadline=None)
     @given(diff_ops(mixed_fractions), polys(mixed_fractions))
@@ -385,7 +433,7 @@ class TestIntegerKernels:
         z = Poly2.z(EXACT)
         assert linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z), (F(-4, 15), z)]).is_zero()
         got = linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z)])
-        assert got.terms == {(1, 0): F(4, 15)} and got.int_view[1] % lcm(6, 10) == 0
+        assert got.terms == {(1, 0): F(4, 15)} and (got.nums, got.den) == ({(1, 0): 4}, 15)
 
     @settings(max_examples=60, deadline=None)
     @given(diff_ops(mixed_fractions), diff_ops(mixed_fractions))
@@ -393,12 +441,12 @@ class TestIntegerKernels:
         for got, want in ((x + y, oracle_add(x, y)), (x - y, oracle_add(x, y, -1)),
                           (x - x, {}), (x + y - y, oracle_add(x + y, y, -1))):
             assert got.terms == want
-            assert _stored_exactly(got) and _kernel_result(got)
+            assert _stored_exactly(got) and _canonical(got)
         assert (x - x).terms == {} and (x + y - y).terms == x.terms
         fx, fy = x.to_float(), y.to_float()
         assert (fx + fy).terms == oracle_add(fx, fy)
         assert (fx - fy).terms == oracle_add(fx, fy, -1)
-        assert "int_view" in vars(fx + fy)
+        assert _canonical(fx + fy)
 
     @settings(max_examples=60, deadline=None)
     @given(polys(mixed_fractions), polys(mixed_fractions))
@@ -407,11 +455,11 @@ class TestIntegerKernels:
         for got, want in ((f * g, oracle_poly_product(f, g)),
                           ((f + g) * (f - g), oracle_poly_product(f + g, f - g))):
             assert got.terms == want
-            assert _stored_exactly(got) and _kernel_result(got)
+            assert _stored_exactly(got) and _canonical(got)
         assert ((f + g) * (f - g)).terms == (f * f - g * g).terms
         ff, fg = f.to_float(), g.to_float()
         assert (ff * fg).terms == oracle_poly_product(ff, fg)
-        assert "int_view" in vars(ff * fg)
+        assert _canonical(ff * fg)
 
     def test_poly_product_cancels_cross_terms(self):
         z, zb = Poly2.z(EXACT).scale(F(1, 6)), Poly2.zbar(EXACT).scale(F(3, 10))
@@ -423,10 +471,10 @@ class TestIntegerKernels:
     def test_op_product_matches_fraction_loop(self, x, y):
         got = x * y
         assert got.terms == oracle_op_product(x, y)
-        assert _stored_exactly(got) and _kernel_result(got)
+        assert _stored_exactly(got) and _canonical(got)
         fx, fy = x.to_float(), y.to_float()
         assert (fx * fy).terms == oracle_op_product(fx, fy)
-        assert "int_view" in vars(fx * fy)
+        assert _canonical(fx * fy)
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_fractions)
@@ -436,7 +484,7 @@ class TestIntegerKernels:
         got = (dz + z) * (dz - z)
         want = {(0, 0, 2, 0): F(1), (2, 0, 0, 0): -c * c, (0, 0, 0, 0): -c}
         assert got.terms == {k: v for k, v in want.items() if v} == oracle_op_product(dz + z, dz - z)
-        assert _stored_exactly(got) and _kernel_result(got)
+        assert _stored_exactly(got) and _canonical(got)
 
     @settings(max_examples=60, deadline=None)
     @given(diff_ops(mixed_fractions), diff_ops(mixed_fractions))
@@ -444,26 +492,26 @@ class TestIntegerKernels:
         got = commutator(x, y)
         assert got.terms == oracle_commutator(x, y)
         assert got.terms == oracle_add(x * y, y * x, -1)
-        assert _stored_exactly(got) and _kernel_result(got)
+        assert _stored_exactly(got) and _canonical(got)
         # every contraction cancels against the other order
         for zero in (commutator(x, x), commutator(x, x * x)):
-            assert zero.terms == {} and _kernel_result(zero)
+            assert zero.terms == {} and _canonical(zero)
         fx, fy = x.to_float(), y.to_float()
         assert commutator(fx, fy).terms == oracle_commutator(fx, fy)
-        assert "int_view" in vars(commutator(fx, fy))
+        assert _canonical(commutator(fx, fy))
 
     @settings(max_examples=60, deadline=None)
     @given(diff_ops(mixed_fractions), mixed_fractions)
     def test_adjoint_matches_fraction_loop(self, x, c):
         got = adjoint(x)
         assert got.terms == oracle_adjoint(x)
-        assert _stored_exactly(got) and _kernel_result(got)
+        assert _stored_exactly(got) and _canonical(got)
         # (c z dz + c)^† = -c zb dzb - c + c: the constant cancels in the kernel
         op = DiffOp.monomial((1, 0, 1, 0), c) + DiffOp.constant(c)
         assert adjoint(op).terms == oracle_adjoint(op) == ({(0, 1, 0, 1): -c} if c else {})
         fx = x.to_float()
         assert adjoint(fx).terms == oracle_adjoint(fx)
-        assert "int_view" in vars(adjoint(fx))
+        assert _canonical(adjoint(fx))
 
     def test_kernels_reject_mixed_modes(self):
         f = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 3))
