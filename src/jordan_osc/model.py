@@ -510,11 +510,10 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     """exp(a z zbar + b zbar^2) . op . exp(-a z zbar - b zbar^2) as a DiffOp."""
     if op.mode != params.mode:
         raise ModeMismatchError(f"operator is {op.mode!r}, parameters are {params.mode!r}")
-    out = DiffOp.zero(params.mode)
-    for (i, j, k, l), v in op.nums.items():
-        head = DiffOp._normalized(op.mode, {(i, j, 0, 0): v}, op.den)
-        out = out + head * _shifted_derivative_powers(params, k, l)
-    return out
+    return DiffOp.linear_combination(params.mode, (
+        (1, DiffOp._normalized(op.mode, {(i, j, 0, 0): v}, op.den) * _shifted_derivative_powers(params, k, l))
+        for (i, j, k, l), v in op.nums.items()
+    ))
 
 
 # (params, id(op)) -> (op, conjugated op) for the last few operators applied;

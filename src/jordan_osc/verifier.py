@@ -21,8 +21,10 @@ action rule: op psi_{n,m} = c psi_{n',m'} with the ladder target, c >= 0, and
 c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, so its residual also carries the
 image's residual against the action rule.
 irrep.J0 and irrep.K likewise check the J0 and K images and compare the
-action coefficient with the eigenvalue. The float direct reports rescale the
-shared image in float mode and build their own float images in exact mode.
+action coefficient with the eigenvalue. The direct reports irrep.<rule>.float
+read the same shared image in both modes, in floats and rescaled to op phi,
+and compare it with the float basis; in an exact run they check that the float
+basis matches the exact images to rounding.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work, and gives the verdict. Exact
@@ -525,15 +527,12 @@ def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
 
 
 def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
-    """Float mode, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
-    normalized by the size of the target. A float run rescales the shared image
-    (phi is a multiple of psi, so by linearity this is op phi); an exact run
-    applies the float operator to the float phi."""
+    """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
+    normalized by the size of the target. op phi is the shared image rescaled
+    (phi is a multiple of psi, so by linearity), in floats; the target is the
+    float basis, so an exact run checks that basis against its exact image."""
     fparams = params.to_float()
-    if params.mode == FLOAT:
-        got = image.scale(sqrt(phi_scale_sq(n, m)))
-    else:
-        got = apply(fparams, make_operator(fparams, rule.op_name), build_phi(fparams, n, m))
+    got = image.to_float().scale(sqrt(phi_scale_sq(n, m)))
     c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):

@@ -196,8 +196,8 @@ def _replace_rule(rules, rule_id, **changes):
 
 
 class TestDerivedChecksCanFail:
-    """irrep.*.sq, irrep.J0 and irrep.K reuse the action images; each still
-    fails when its own claim, or the image it reads, is wrong."""
+    """irrep.*.sq, irrep.*.float, irrep.J0 and irrep.K reuse the action images;
+    each still fails when its own claim, or the image it reads, is wrong."""
 
     def test_wrong_ladder_coefficient_fails_sq(self, params, monkeypatch):
         import jordan_osc.verifier as v
@@ -213,7 +213,7 @@ class TestDerivedChecksCanFail:
         monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(
             v.ACTION_RULES, "action.a1+", terms=lambda P, n, m: [(n + 1, m + 1, P.s(m + 2))]))
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
-        # the float direct report builds its own images in exact mode
+        # the float direct report reads the image, not the action rule
         assert failing == {"action.a1+", "irrep.a1+.sq"}
 
     def test_wrong_image_fails_sq(self, params, monkeypatch):
@@ -224,6 +224,25 @@ class TestDerivedChecksCanFail:
             make(P, name).scale(P.s(2)) if name == "a1+" else make(P, name)))
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         assert failing == {"action.a1+", "irrep.a1+.sq", "irrep.a1+.float"}
+
+    def test_wrong_float_basis_fails_float_in_exact_run(self, params, monkeypatch):
+        import jordan_osc.verifier as v
+
+        build = v.build_phi
+
+        def perturbed(P, n, m):
+            phi = build(P, n, m)
+            if (n, m) != (2, 1):
+                return phi
+            terms = phi.poly.terms
+            key = min(terms)
+            return ReducedFn(Poly2(FLOAT, {**terms, key: terms[key] * (1 + 1e-6)}))
+
+        monkeypatch.setattr(v, "build_phi", perturbed)
+        failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
+        # exactly the rules with a nonzero coefficient into phi[2,1] from inside the
+        # grid: from (2,0), (2,2), (1,0), (3,2), (1,1), (3,1) and (0,0)
+        assert failing == {f"irrep.{op}.float" for op in ("J+", "J-", "a1+", "a1-", "a2+", "a2-", "D+12")}
 
     def test_wrong_eigenvalue_fails_diagonal(self, params, monkeypatch):
         import jordan_osc.verifier as v
@@ -246,9 +265,11 @@ class TestImagePass:
         assert together[n_actions:] == irrep_alone
         assert all(rid.startswith("irrep.") for rid, *_ in irrep_alone)
 
+    # in both modes the irrep suite reads the action images: one conjugation
+    # per operator, one image per (operator, n, m), and no float rebuild
     @pytest.mark.parametrize("point, conjugations, images", [
-        ("params", 23 + 12, (23 + 12) * 15),  # exact: action images + float irrep images
-        ("fparams", 23, 23 * 15),  # float: the irrep suite reuses the action images
+        ("params", 23, 23 * 15),
+        ("fparams", 23, 23 * 15),
     ])
     def test_each_image_built_once(self, point, conjugations, images, request, image_counts):
         P = request.getfixturevalue(point)
