@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
 check failed (the report is still written), 2 usage error, or a float-mode
-point whose arithmetic overflows (an exact run skips its overflowing checks).
+point whose arithmetic overflows or underflows to a zero divisor (an exact run
+skips the float cross-checks that do).
 """
 
 from __future__ import annotations
@@ -309,10 +310,13 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"verify": _run_verify, "basis": _run_basis, "matrices": _run_matrices}[args.command]
     try:
         return handler(args)
-    except OverflowError:
-        # only floats overflow (an exact run skips its float cross-checks
-        # that do, see verifier), and the exception's own text can be a raw
-        # errno tuple (from pow), so a plain reason is printed instead
+    except (OverflowError, ZeroDivisionError) as exc:
+        # only floats overflow, or divide by a product that underflows to 0
+        # (an exact run skips its float cross-checks that do, see verifier),
+        # and the exception's own text can be a raw errno tuple (from pow),
+        # so a plain reason is printed instead
+        if isinstance(exc, ZeroDivisionError) and args.mode == EXACT:
+            raise
         point = _config_from_args(args).params_repr()
         print(f"error: float arithmetic overflows at {point} (a value exceeds the float range)", file=sys.stderr)
         return 2

@@ -23,9 +23,11 @@ products directly; ``Params.s`` lifts a literal into the mode.
 
 Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``psi_series`` and ``conjugate_through_envelope`` build directly.
-Every basis function, operator and pairing moment of a parameter point lives
-in one store per point (``point_cache``), kept for the last few points only;
-``apply`` reuses the envelope conjugations of the last operators applied.
+Every basis function (psi, and phi in float mode), operator and pairing moment
+of a parameter point lives in one store per point (``point_cache``), kept for
+the last few points only; ``apply`` reuses the envelope conjugations of the
+last operators applied. A ``Params`` computes its hash once, so a lookup in
+these stores does not rehash the point.
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ class Params:
             raise ValueError("parameters must be finite")
         if not (self.p > 0 and self.q > 0):
             raise ValueError("parameters require a > 0 and b > 0")
+        # every per-point cache lookup hashes the point, so hash it once; the
+        # mode enters as a bool, not a str, so the hash survives pickling
+        object.__setattr__(self, "_hash", hash((self.mode == EXACT, self.p, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ---- constructors ----
     @staticmethod
@@ -272,8 +280,11 @@ def _cn0_reduced(params: Params, n: int) -> Coeff:
 
 
 def _cn_reduced(params: Params, n: int) -> Coeff:
-    # c_n = c_{n,0} / ((8ab)^n n!)
+    # c_n = c_{n,0} / ((8ab)^n n!); where the float denominator underflows to
+    # 0, the quotient leaves the float range like any overflow
     denom = (8 * params.a * params.b) ** n * factorial(n)
+    if not denom:
+        raise OverflowError(f"(8ab)^{n} {n}! underflows to zero")
     return _cn0_reduced(params, n) / denom
 
 
@@ -324,6 +335,7 @@ def phi_scale_sq(n: int, m: int) -> Fraction:
     return Fraction(factorial(m), factorial(n - m))
 
 
+@_per_point
 def build_phi(params: Params, n: int, m: int) -> ReducedFn:
     """su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m} with j = n/2,
     mu = m - n/2. Float mode only: the square root is irrational in general."""

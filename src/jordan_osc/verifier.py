@@ -23,8 +23,8 @@ image's residual against the action rule.
 irrep.J0 and irrep.K likewise check the J0 and K images and compare the
 action coefficient with the eigenvalue. The direct reports irrep.<rule>.float
 read the same shared image in both modes, in floats and rescaled to op phi,
-and compare it with the float basis; in an exact run they check that the float
-basis matches the exact images to rounding.
+and compare it with the float basis phi in one pass; in an exact run they check
+that the float basis matches the exact images to rounding.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work, and gives the verdict. Exact
@@ -530,15 +530,17 @@ def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
     """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
     normalized by the size of the target. op phi is the shared image rescaled
     (phi is a multiple of psi, so by linearity), in floats; the target is the
-    float basis, so an exact run checks that basis against its exact image."""
-    fparams = params.to_float()
-    got = image.to_float().scale(sqrt(phi_scale_sq(n, m)))
+    float basis, so an exact run checks that basis against its exact image.
+    got - want is one pass over both. Rounding is monotone, so for c >= 0 the
+    largest magnitude of c * f is c times that of f, bit for bit."""
+    fimage, scale = image.to_float().poly, sqrt(phi_scale_sq(n, m))
     c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
-        return max_or_nan(abs(float(c2)), got.poly.max_magnitude())
-    want = build_phi(fparams, n2, m2).scale(sqrt(c2))
-    return (got - want).poly.max_magnitude() / max_or_nan(1.0, want.poly.max_magnitude())
+        return max_or_nan(abs(float(c2)), fimage.max_magnitude() * scale)
+    phi, c = build_phi(params.to_float(), n2, m2).poly, sqrt(c2)
+    diff = linear_combination(FLOAT, [(scale, fimage), (-c, phi)])
+    return diff.max_magnitude() / max_or_nan(1.0, c * phi.max_magnitude())
 
 
 def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float) -> list[tuple[_Check, Callable]]:

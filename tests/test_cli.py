@@ -313,6 +313,45 @@ def test_float_overflow_exits_two(capsys, argv):
     assert line.endswith("(a value exceeds the float range)")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--nmax", "24", "--suites", "actions"],
+    ["verify", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--nmax", "3"],
+    ["verify", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--nmax", "3", "--suites", "structure"],
+    ["basis", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--n", "3", "--m", "1"],
+    ["basis", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--n", "24", "--m", "1"],
+])
+def test_float_underflow_exits_two(capsys, argv):
+    # a product such as (8ab)^n n! or 16ab underflows to 0, and dividing by it
+    # leaves the float range: the overflow contract, not a crash with exit 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: float arithmetic overflows at {{'a': {float(argv[4])!r}, 'b': ")
+
+
+def test_exact_zero_division_is_not_caught(monkeypatch):
+    # exact arithmetic never underflows, so a zero division there is a bug
+    def broken(params, n, m):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "build_psi", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["basis", "--n", "3", "--m", "1"])
+
+
+def test_exact_run_skips_float_checks_that_underflow(capsys):
+    # the float basis at n = 8 divides by (8ab)^8 8!, which underflows to 0
+    argv = ["verify", "--p", "1/10000000000", "--q", "1/100000000000", "--nmax", "6", "--suites", "irrep"]
+    assert main(argv + ["--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["suites"]
+    skipped = {f"irrep.{op}.float" for op in ("D+11", "D+12", "D+22")}
+    assert {r["id"] for r in reports if r["status"] == "skip"} == skipped
+    assert {r["status"] for r in reports if r["id"] not in skipped} == {"pass"}
+    assert {r["anchor"] for r in reports if r["id"] in skipped} == {
+        "float cross-check skipped: the point overflows float arithmetic"}
+
+
 @pytest.mark.parametrize("argv, skipped", [
     (["verify", "--p", "1e100", "--q", "1", "--nmax", "2", "--suites", "irrep"],
      {f"irrep.{op}.float" for op in ("J+", "J-", "a1+", "a2+", "D+11", "D+12", "D+22")}),

@@ -194,8 +194,42 @@ class TestPointCache:
 
     def test_equal_params_share_a_cache(self, params):
         assert model.point_cache(params.to_float()) is model.point_cache(params.to_float())
+        assert model.point_cache(Params.exact("3/2", "2/3")) is model.point_cache(Params.exact(F(3, 2), F(2, 3)))
+        assert model.point_cache(Params.from_ab(0.79, 0.23)) is model.point_cache(Params.from_ab(0.79, 0.23))
         assert build_psi(params, 4, 1) is build_psi(Params.exact(1, F(1, 2)), 4, 1)
         assert make_operator(params, "J+") is make_operator(params, "J+")
+        assert build_phi(params.to_float(), 4, 1) is build_phi(Params.from_ab(1.0, 0.25), 4, 1)
+
+    def test_hash_agrees_with_equality(self):
+        assert hash(Params.exact(1, F(1, 2))) == hash(Params.exact("1", "1/2"))
+        # 1 and 1/2 are floats too: equal values, different modes, unequal points
+        assert Params.exact(1, F(1, 2)) != Params.from_ab(1.0, 0.25)
+        assert len({Params.exact(1, F(1, 2)), Params.from_ab(1.0, 0.25), Params.exact(1, F(1, 2))}) == 2
+
+    def test_cache_hit_rehashes_no_fraction(self, monkeypatch):
+        P, Q = Params.exact(F(5, 3), F(2, 7)), Params.exact(F(5, 3), F(2, 7))  # equal, built apart
+        op = make_operator(P, "J+")
+        apply(P, op, build_psi(P, 3, 1))
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        assert build_psi(Q, 3, 1) is build_psi(P, 3, 1) and make_operator(Q, "J+") is op
+        assert model.point_cache(Q) is model.point_cache(P)
+        apply(P, op, build_psi(P, 3, 1))
+        assert hashed == []
+
+    def test_float_phi_leaves_with_its_point(self):
+        points = [Params.from_ab(1.0 + k / 8, 0.25) for k in range(model._POINTS_MAX + 2)]
+        phi_polys = [weakref.ref(build_phi(P, 3, 1).poly) for P in points]
+        assert points[-1] in model._POINTS and points[0] not in model._POINTS
+        gc.collect()
+        assert phi_polys[0]() is None and phi_polys[-1]() is not None
+        assert build_phi(points[-1], 3, 1).poly is phi_polys[-1]()
 
 
 class TestCatalog:

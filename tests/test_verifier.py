@@ -1,8 +1,9 @@
 """Relation catalog, expression grammar, and the five verification suites."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import isnan
+from math import isnan, sqrt
 
 import pytest
 
@@ -33,7 +34,7 @@ from jordan_osc import (
     run_suites,
     swap_vars,
 )
-from jordan_osc import verifier
+from jordan_osc import model, verifier
 from jordan_osc.verifier import SUITES, suite_cutoffs
 
 F = Fraction
@@ -195,6 +196,38 @@ def _replace_rule(rules, rule_id, **changes):
     return tuple(replace(r, **changes) if r.rule_id == rule_id else r for r in rules)
 
 
+def _four_pass_residual(params, rule, n, m, image):
+    """The direct irrep residual as four term-map passes: scale the image,
+    build phi, scale phi, subtract (the oracle of the one-pass residual)."""
+    got = image.to_float().scale(sqrt(model.phi_scale_sq(n, m)))
+    c2 = Fraction(rule.coeff_sq(*verifier._jmu(n, m)))
+    n2, m2 = n + rule.dn, m + rule.dm
+    if not (0 <= m2 <= n2):
+        return verifier.max_or_nan(abs(float(c2)), got.poly.max_magnitude())
+    phi = model.build_psi(params.to_float(), n2, m2).scale(sqrt(model.phi_scale_sq(n2, m2)))
+    want = phi.scale(sqrt(c2))
+    return (got - want).poly.max_magnitude() / verifier.max_or_nan(1.0, want.poly.max_magnitude())
+
+
+class TestFloatLadderResidual:
+    @pytest.mark.parametrize("point", [
+        Params.from_ab(0.79, 0.23), Params.from_ab(3.0, 1.0),
+        Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
+    ], ids=["float-0.79-0.23", "float-3-1", "exact-1-1/2", "exact-3/2-2/3"])
+    def test_one_pass_equals_four_passes_bit_for_bit(self, point):
+        outside = 0
+        for rule in LADDER_RULES:
+            op = make_operator(point, rule.op_name)
+            for n in range(7):
+                for m in range(n + 1):
+                    image = model.apply(point, op, model.build_psi(point, n, m))
+                    got = verifier._float_ladder_residual(point, rule, n, m, None, image, None)
+                    want = _four_pass_residual(point, rule, n, m, image)
+                    assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
+                    outside += not (0 <= m + rule.dm <= n + rule.dn)
+        assert outside > 0  # out-of-grid targets were compared too
+
+
 class TestDerivedChecksCanFail:
     """irrep.*.sq, irrep.*.float, irrep.J0 and irrep.K reuse the action images;
     each still fails when its own claim, or the image it reads, is wrong."""
@@ -275,6 +308,23 @@ class TestImagePass:
         P = request.getfixturevalue(point)
         run_suites(P, ("actions", "irrep"), n_max=4)
         assert image_counts == {"conjugate": conjugations, "apply_to": images}
+
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_each_float_phi_built_once(self, point, request, monkeypatch):
+        P = request.getfixturevalue(point)
+        monkeypatch.setattr(model, "_POINTS", {})
+        built = Counter()
+        scale_sq = model.phi_scale_sq
+
+        def counted(n, m):  # build_phi's body calls it once per phi
+            built[n, m] += 1
+            return scale_sq(n, m)
+
+        monkeypatch.setattr(model, "phi_scale_sq", counted)
+        run_suites(P, ("actions", "irrep"), n_max=4)
+        # every in-grid ladder target phi_{n,m}, n <= 6, and each only once
+        assert set(built) == {(n, m) for n in range(7) for m in range(n + 1)}
+        assert set(built.values()) == {1}
 
     def test_irrep_rule_without_action_rule_rejected(self, params, monkeypatch):
         import jordan_osc.verifier as v
