@@ -25,9 +25,10 @@ Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``psi_series`` and ``conjugate_through_envelope`` build directly.
 Every basis function (psi, and phi in float mode), operator and pairing moment
 of a parameter point lives in one store per point (``point_cache``), kept for
-the last few points only; ``apply`` reuses the envelope conjugations of the
-last operators applied. A ``Params`` computes its hash once, so a lookup in
-these stores does not rehash the point.
+the last few points only. ``apply`` keeps the envelope conjugations of the
+last len(CATALOG_NAMES) operators applied, and hands a caller's derivative
+table (see weyl) to ``apply_to``. A ``Params`` computes its hash once, so a
+lookup in these stores does not rehash the point, and its float twin once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
 from math import comb, factorial
 
 from .weyl import (
@@ -114,8 +115,11 @@ class Params:
         return Params.from_ab(lam / 2, g / (4 * lam))
 
     def to_float(self) -> "Params":
-        if self.mode == FLOAT:
-            return self
+        return self if self.mode == FLOAT else self._float_point
+
+    @cached_property
+    def _float_point(self) -> "Params":
+        # built once per point; a point outside the float range raises each time
         return Params(FLOAT, self.p, self.q)
 
     # ---- coefficient views (Fraction in exact mode, float in float mode) ----
@@ -528,19 +532,19 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     ))
 
 
-# (params, id(op)) -> (op, conjugated op) for the last few operators applied;
-# an entry holds its operator, so the id cannot be reused while it is cached
+# (params, id(op)) -> (op, conjugated op), one slot per catalog operator; an
+# entry holds its operator, so the id cannot be reused while it is cached
 _RECENT_CONJUGATIONS: dict = {}
-_RECENT_MAX = 4
+_RECENT_MAX = len(CATALOG_NAMES)
 
 
-def apply(params: Params, op: DiffOp, fn: ReducedFn) -> ReducedFn:
+def apply(params: Params, op: DiffOp, fn: ReducedFn, derivatives: dict | None = None) -> ReducedFn:
     """Act with an operator on a reduced function.
 
     The envelope is never materialized: the operator is conjugated through
     exp(-a z zbar - b zbar^2) and the substituted operator acts on the
-    polynomial part. Callers apply one operator to many functions in a row,
-    so the conjugations of the last few operators are reused.
+    polynomial part, reading the derivatives of fn.poly from ``derivatives``
+    if given; the last len(CATALOG_NAMES) conjugations are reused.
     """
     key = (params, id(op))
     entry = _RECENT_CONJUGATIONS.get(key)
@@ -548,4 +552,4 @@ def apply(params: Params, op: DiffOp, fn: ReducedFn) -> ReducedFn:
         if len(_RECENT_CONJUGATIONS) >= _RECENT_MAX:
             del _RECENT_CONJUGATIONS[next(iter(_RECENT_CONJUGATIONS))]
         entry = _RECENT_CONJUGATIONS[key] = (op, conjugate_through_envelope(params, op))
-    return ReducedFn(entry[1].apply_to(fn.poly))
+    return ReducedFn(entry[1].apply_to(fn.poly, derivatives))

@@ -13,9 +13,10 @@ Every identity the model asserts is checked here, grouped into five suites:
                 resolution of identity, and the quadrature cross-check.
 
 The actions and irrep suites are two readings of the same images
-op.psi_{n,m}, so one image pass serves both: it takes one operator at a time
-(``apply`` reuses the operator's conjugation through the envelope), and each
-image is built once, handed to every check that reads it, and dropped. The
+op.psi_{n,m}, so one image pass serves both. It runs basis-outer: each
+psi_{n,m} gets one derivative table that every operator applied to it reads
+(``apply`` conjugates each operator once per pass), and each image is built
+once, handed to every check that reads it, and dropped, as is the table. The
 exact squared-value report irrep.<rule>.sq derives from the same operator's
 action rule: op psi_{n,m} = c psi_{n',m'} with the ladder target, c >= 0, and
 c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, so its residual also carries the
@@ -91,8 +92,9 @@ BUILTIN_ID_PREFIXES = ("explicit.", "pseudo.", "action.", "irrep.", "integrals."
 INTEGRALS_NMAX = 8
 RESOLUTION_DEGREE = 5
 #: the anchor of a float cross-check (irrep.*.float, integrals.oracle) skipped
-#: because the point overflows float arithmetic; the exact checks still run
-FLOAT_OVERFLOW = "float cross-check skipped: the point overflows float arithmetic"
+#: because the point leaves the float range, by overflow or by underflow to a
+#: zero divisor; the exact checks still run
+FLOAT_OVERFLOW = "float cross-check skipped: the point leaves the float range"
 
 
 @dataclass(frozen=True)
@@ -559,18 +561,20 @@ def _image_pass(
     """Reports of the actions and irrep suites among ``suites``, each in report
     order.
 
-    One operator at a time (``apply`` conjugates it through the envelope
-    once), each image op.psi_{n,m} (0 <= m <= n <= n_max) is built once,
-    compared with the action rule's expansion, handed to the irrep reports of
-    the same operator, and dropped. The image's cost is timed into the action
-    report, or into the first irrep report when the actions suite is not run.
+    Basis-outer: each psi_{n,m} (0 <= m <= n <= n_max) gets one derivative
+    table, read by every operator's image op.psi_{n,m} and dropped after the
+    step. Each image is built once, compared with the action rule's expansion,
+    handed to the irrep reports of the same operator, and dropped, so each
+    report still meets its residuals in (n, m) order. The image's cost is
+    timed into the action report, or into the first irrep report otherwise.
     """
     irrep_rules = DIAGONAL_RULES + LADDER_RULES if "irrep" in suites else ()
     by_op = {rule.op_name: rule for rule in irrep_rules}
     missing = set(by_op) - {rule.op_name for rule in ACTION_RULES}
     if missing:
         raise ValueError(f"no action rule for {', '.join(sorted(missing))}, whose images the irrep suite reads")
-    actions, irrep = [], {}
+    # (action rule, its report, irrep rule, irrep reports, image clock, operator)
+    plan = []
     for rule in ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
@@ -578,12 +582,15 @@ def _image_pass(
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
         checks = [] if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol)
         image_clock = action if "actions" in suites else checks[0][0]
-        op = make_operator(params, rule.op_name)
-        for n in range(n_max + 1):
-            for m in range(n + 1):
+        plan.append((rule, action, irrep_rule, checks, image_clock, make_operator(params, rule.op_name)))
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            psi = build_psi(params, n, m)
+            derivatives: dict = {}  # the derivative table of psi_{n,m}
+            for rule, action, irrep_rule, checks, image_clock, op in plan:
                 with image_clock.timed():
                     terms = rule.terms(params, n, m)
-                    image = apply(params, op, build_psi(params, n, m))
+                    image = apply(params, op, psi, derivatives)
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
                     image_residual = linear_combination(params.mode, [
@@ -596,10 +603,9 @@ def _image_pass(
                             check.add(residual(params, irrep_rule, n, m, terms, image, image_residual))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
-        if "actions" in suites:
-            actions.append(action.report())
-        if irrep_rule is not None:
-            irrep[irrep_rule.rule_id] = [check.report() for check, _ in checks]
+    actions = [action.report() for _, action, *_ in plan] if "actions" in suites else []
+    irrep = {irrep_rule.rule_id: [check.report() for check, _ in checks]
+             for _, _, irrep_rule, checks, *_ in plan if irrep_rule is not None}
     return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
 
 

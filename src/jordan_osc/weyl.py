@@ -15,7 +15,8 @@ both. Every kernel sums integers and builds its result with the one
 normalizing constructor ``_normalized``, reducing once per result, never per
 term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
 negation and ``scale``), ``_product`` (both ``*`` and ``commutator``),
-``adjoint``, ``apply_to``, ``swap_vars`` and ``to_float``. ``.terms`` (key ->
+``adjoint``, ``apply_to`` (whose table of derivatives several operators can
+share), ``swap_vars`` and ``to_float``. ``.terms`` (key ->
 ``Fraction`` or ``float``) is derived on demand for readers such as printing;
 no kernel reads it.
 
@@ -33,6 +34,7 @@ unique term map and operator equality reduces to map comparison.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
 
@@ -379,17 +381,24 @@ class DiffOp(_TermMap):
     def __mul__(self, other):
         return self._product(other, _accumulate_product) if isinstance(other, DiffOp) else self.scale(other)
 
-    def apply_to(self, poly: Poly2) -> Poly2:
-        """Act on a plain polynomial (no envelope; see model.apply for that)."""
+    def apply_to(self, poly: Poly2, derivatives: dict | None = None) -> Poly2:
+        """Act on a plain polynomial (no envelope; see model.apply for that).
+
+        ``derivatives`` is the table of poly's derivatives by order, (k, l) ->
+        [(pz - k, pb - l, u, perm(pz, k) * perm(pb, l)) for each term u z^pz
+        zbar^pb with pz >= k, pb >= l], in term order; an order is filled on
+        first use, so a table passed to every operator applied to poly is built
+        once for all of them (and one is made here if none is given)."""
         mode = join_modes(self, poly)
-        poly_nums = poly.nums
-        sums: dict = {}
+        derivatives = {} if derivatives is None else derivatives
+        sums: dict = defaultdict(int)
         for (i, j, k, l), c in self.nums.items():
-            for (pz, pb), u in poly_nums.items():
-                if pz < k or pb < l:
-                    continue
-                key = (pz - k + i, pb - l + j)
-                sums[key] = sums.get(key, 0) + c * u * (perm(pz, k) * perm(pb, l))
+            rows = derivatives.get((k, l))
+            if rows is None:
+                rows = derivatives[k, l] = [(pz - k, pb - l, u, perm(pz, k) * perm(pb, l))
+                                            for (pz, pb), u in poly.nums.items() if pz >= k and pb >= l]
+            for dz, db, u, w in rows:
+                sums[dz + i, db + j] += c * u * w
         return Poly2._normalized(mode, sums, self.den * poly.den)
 
 

@@ -35,9 +35,9 @@ def image_counts(monkeypatch):
         counts["conjugate"] += 1
         return conjugate(*args, **kwargs)
 
-    def counted_apply_to(self, poly):
+    def counted_apply_to(self, poly, *args, **kwargs):
         counts["apply_to"] += 1
-        return apply_to(self, poly)
+        return apply_to(self, poly, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("jordan_osc") and getattr(module, "conjugate_through_envelope", None) is conjugate:

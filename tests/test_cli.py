@@ -349,7 +349,7 @@ def test_exact_run_skips_float_checks_that_underflow(capsys):
     assert {r["id"] for r in reports if r["status"] == "skip"} == skipped
     assert {r["status"] for r in reports if r["id"] not in skipped} == {"pass"}
     assert {r["anchor"] for r in reports if r["id"] in skipped} == {
-        "float cross-check skipped: the point overflows float arithmetic"}
+        "float cross-check skipped: the point leaves the float range"}
 
 
 @pytest.mark.parametrize("argv, skipped", [
@@ -368,7 +368,7 @@ def test_exact_run_skips_float_checks_that_overflow(capsys, argv, skipped):
     assert {r["status"] for r in reports if r["id"] not in skipped} == {"pass"}
     assert {r["residual"] for r in reports if r["id"].endswith(".float") and r["id"] not in skipped} <= {"0.0"}
     assert {r["anchor"] for r in reports if r["id"] in skipped} == {
-        "float cross-check skipped: the point overflows float arithmetic"}
+        "float cross-check skipped: the point leaves the float range"}
 
 
 def test_nan_residuals_never_pass(capsys):

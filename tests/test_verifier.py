@@ -19,6 +19,7 @@ from jordan_osc import (
     RelationSpec,
     Report,
     adjoint,
+    build_psi,
     check_actions,
     check_explicit_forms,
     check_integrals,
@@ -310,6 +311,28 @@ class TestImagePass:
         assert image_counts == {"conjugate": conjugations, "apply_to": images}
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_one_derivative_table_per_basis_function(self, point, request, image_counts, monkeypatch):
+        # basis-outer: every image of psi_{n,m} reads one table, which no
+        # store keeps once the pass is over
+        P = request.getfixturevalue(point)
+        tables = {}  # id -> (table, the polynomial it was read for); holding both keeps each id unique
+        apply_to = DiffOp.apply_to  # image_counts' counting wrapper
+
+        def recorded(self, poly, derivatives=None):
+            assert derivatives is not None
+            assert tables.setdefault(id(derivatives), (derivatives, poly))[1] is poly
+            return apply_to(self, poly, derivatives)
+
+        monkeypatch.setattr(DiffOp, "apply_to", recorded)
+        run_suites(P, ("actions", "irrep"), n_max=4)
+        assert len(tables) == 15 and image_counts["apply_to"] == 23 * 15
+        assert {id(poly) for _, poly in tables.values()} == {id(build_psi(P, n, m).poly)
+                                                              for n in range(5) for m in range(n + 1)}
+        stored = [*model.point_cache(P).values(), *model.point_cache(P.to_float()).values(),
+                  *(entry for pair in model._RECENT_CONJUGATIONS.values() for entry in pair)]
+        assert not any(value is table for value in stored for table, _ in tables.values())
+
+    @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_each_float_phi_built_once(self, point, request, monkeypatch):
         P = request.getfixturevalue(point)
         monkeypatch.setattr(model, "_POINTS", {})
@@ -325,6 +348,21 @@ class TestImagePass:
         # every in-grid ladder target phi_{n,m}, n <= 6, and each only once
         assert set(built) == {(n, m) for n in range(7) for m in range(n + 1)}
         assert set(built.values()) == {1}
+
+    def test_exact_run_builds_its_float_point_once(self, monkeypatch):
+        # the .float reports and the quadrature oracle share the point's float twin
+        built = Counter()
+        post_init = Params.__post_init__
+
+        def counted(self):
+            built[self.mode] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Params, "__post_init__", counted)
+        P = Params.exact(F(5, 3), F(2, 7))  # a point no other test builds a float twin of
+        run_suites(P, ("irrep", "integrals"), n_max=4)
+        assert built == {"exact": 1, "float": 1}
+        assert P.to_float() is P.to_float() == Params(FLOAT, F(5, 3), F(2, 7))
 
     def test_irrep_rule_without_action_rule_rejected(self, params, monkeypatch):
         import jordan_osc.verifier as v

@@ -398,6 +398,24 @@ class TestIntegerKernels:
         fx, ff = x.to_float(), f.to_float()
         assert fx.apply_to(ff).close_to(Poly2(FLOAT, oracle_apply_to(fx, ff)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(diff_ops(mixed_fractions), min_size=1, max_size=4), polys(mixed_fractions))
+    def test_shared_derivative_table_changes_no_image(self, ops, f):
+        # one table filled and read by several operators gives each operator
+        # what its own apply_to gives: the same numerators in the same key
+        # order over the same den, in both modes (floats bit for bit)
+        for mode_ops, g in ((ops, f), ([x.to_float() for x in ops], f.to_float())):
+            table: dict = {}
+            for x in mode_ops:
+                shared, own = x.apply_to(g, table), x.apply_to(g)
+                assert list(shared.nums.items()) == list(own.nums.items()) and shared.den == own.den
+                if g.mode == EXACT:
+                    assert shared.terms == oracle_apply_to(x, g)
+                else:
+                    assert shared.close_to(Poly2(FLOAT, oracle_apply_to(x, g)))
+            # every order the operators read, and only those, is in the table
+            assert set(table) == {(k, l) for x in mode_ops for (_, _, k, l) in x.nums}
+
     @settings(max_examples=40, deadline=None)
     @given(homogeneous_polys(), mixed_fractions)
     def test_apply_to_cancels_to_zero(self, homogeneous, c):
