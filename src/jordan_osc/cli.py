@@ -280,7 +280,7 @@ def _run_basis(args: argparse.Namespace) -> int:
         return 2
     print(f"psi[{args.n},{args.m}] = kappa * P(z, zbar) * exp(-a*z*zbar - b*zbar^2)")
     print("kappa = sqrt(2a/pi); the reduced polynomial P is")
-    for (i, j), coeff in fn.poly.sorted_terms():
+    for (i, j), coeff in fn.sorted_terms():
         print(f"  z^{i} zbar^{j}: {coeff}")
     return 0
 
@@ -317,8 +317,8 @@ def main(argv: list[str] | None = None) -> int:
         # so a plain reason is printed instead
         if isinstance(exc, ZeroDivisionError) and args.mode == EXACT:
             raise
-        point = _config_from_args(args).params_repr()
-        print(f"error: float arithmetic overflows at {point} (a value exceeds the float range)", file=sys.stderr)
+        print(f"error: float arithmetic leaves the float range at {_config_from_args(args).params_repr()} "
+              "(a value overflows, or underflows to a zero divisor)", file=sys.stderr)
         return 2
 
 

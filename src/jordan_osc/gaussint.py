@@ -4,15 +4,16 @@ Everything here evaluates the bilinear pairing
 
     <<f|g>> = integral f(x) g(x) dx1 dx2,      z = x1 + i x2, zbar = x1 - i x2,
 
-for reduced functions f = kappa * P * envelope (see model). Two independent
+for basis functions f = kappa * P * envelope, each given by its ``Poly2`` P
+(kappa and the envelope are implied by the point, see model). Two independent
 routes are provided: an exact rational route through the moment recursion, and
 a numerical Gauss-Hermite route (the oracle). The exact route is authoritative;
 the oracle exists to catch transcription errors in the recursion.
 
 Moments are stored in units of pi/(2a): moment(p, q) is the rational multiple
 M with I(p,q) = integral z^p zbar^q envelope^2 = M * pi/(2a). Since each
-reduced function carries one factor kappa = sqrt(2a/pi), the pairing of two
-reduced functions is kappa^2 * (pi/(2a)) * sum(...) = sum(...), a plain scalar,
+function carries one factor kappa = sqrt(2a/pi), the pairing of two
+functions is kappa^2 * (pi/(2a)) * sum(...) = sum(...), a plain scalar,
 so inner_product never needs pi at all.
 
 Most moments vanish: I(p, q) = 0 unless p >= q and p - q is even. Each
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .model import Params, ReducedFn, apply, build_psi, make_operator, point_cache
+from .model import Params, apply, build_psi, make_operator, point_cache
 from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
 
 
@@ -92,14 +93,13 @@ def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
     return rows[excess // 2][q_deg] / lift(den, params.mode)
 
 
-def inner_product(params: Params, f: ReducedFn, g: ReducedFn) -> Coeff:
+def inner_product(params: Params, f: Poly2, g: Poly2) -> Coeff:
     """<<f|g>> as a plain coefficient (bilinear, symmetric; no conjugation).
 
     The term pair z^i zbar^j (of f), z^i' zbar^j' (of g) contributes
     c c' I(i + i', j + j'); pairs outside the moment support are skipped.
     """
     mode = join_modes(params, f, g)
-    f, g = f.poly, g.poly
     rows, moment_den = _moment_rows(params, f.total_degree() + g.total_degree())
     g_terms = [(i - j, j, c) for (i, j), c in g.nums.items()]
     total = 0
@@ -122,12 +122,12 @@ def _eval_on_grid(poly: Poly2, zgrid: np.ndarray, zbgrid: np.ndarray) -> np.ndar
     return acc
 
 
-def minimum_order(f: ReducedFn, g: ReducedFn) -> int:
+def minimum_order(f: Poly2, g: Poly2) -> int:
     """Per-axis Gauss-Hermite order floor for a given integrand pair."""
-    return max(32, f.poly.total_degree() + g.poly.total_degree() + 8)
+    return max(32, f.total_degree() + g.total_degree() + 8)
 
 
-def quadrature_oracle(params: Params, f: ReducedFn, g: ReducedFn, order: int | None = None) -> complex:
+def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = None) -> complex:
     """<<f|g>> by tensor-product Gauss-Hermite quadrature on (x1, x2).
 
     With z = x1 + i x2 the squared envelope is
@@ -152,13 +152,13 @@ def quadrature_oracle(params: Params, f: ReducedFn, g: ReducedFn, order: int | N
     zgrid = x1 + 1j * x2
     zbgrid = x1 - 1j * x2
     integrand = (
-        _eval_on_grid(f.poly.to_float(), zgrid, zbgrid)
-        * _eval_on_grid(g.poly.to_float(), zgrid, zbgrid)
+        _eval_on_grid(f.to_float(), zgrid, zbgrid)
+        * _eval_on_grid(g.to_float(), zgrid, zbgrid)
         * np.exp(4j * b * x1 * x2)
     )
     w2d = weights[:, None] * weights[None, :]
     total = (w2d * integrand).sum() / (s1 * s2)
-    # kappa^2 = 2a/pi for the two reduced-function normalizations
+    # kappa^2 = 2a/pi for the normalizations of the two functions
     return complex(total * 2 * a / math.pi)
 
 
@@ -194,11 +194,11 @@ def h_block(params: Params, n: int) -> tuple:
     )
 
 
-def expand_in_basis(params: Params, f: ReducedFn, n_max: int) -> ReducedFn:
+def expand_in_basis(params: Params, f: Poly2, n_max: int) -> Poly2:
     """Truncated resolution of identity: sum over n <= n_max of
     <<psi_{n,n-m}|f>> psi_{n,m}; reproduces any f in the span of those levels."""
-    return ReducedFn(linear_combination(params.mode, (
-        (inner_product(params, build_psi(params, n, n - m), f), build_psi(params, n, m).poly)
+    return linear_combination(params.mode, (
+        (inner_product(params, build_psi(params, n, n - m), f), build_psi(params, n, m))
         for n in range(n_max + 1)
         for m in range(n + 1)
-    )))
+    ))

@@ -4,15 +4,15 @@ The model is the 2D oscillator in the variables z, zbar
 
     H = -4 dz dzbar + 4 a^2 z zbar + 8 a b zbar^2,        a > 0, b > 0,
 
-whose eigenvalue problem is solved by reduced functions: every basis function
-is stored as its polynomial part P with the global envelope and normalization
+whose eigenvalue problem is solved by functions of the form
 
     function = kappa * P(z, zbar) * exp(-a z zbar - b zbar^2),
-    kappa    = sqrt(2a / pi),
+    kappa    = sqrt(2a / pi).
 
-never materialized. H has eigenvalues E_n = 4a(n+1); each level carries an
-(n+1)-dimensional Jordan block spanned by functions psi_{n,m} (0 <= m <= n)
-obeying (H - E_n) psi_{n,m} = psi_{n,m-1}.
+A basis function is the ``Poly2`` P: kappa and the envelope are implied by
+the parameter point and never materialized. H has eigenvalues E_n = 4a(n+1);
+each level carries an (n+1)-dimensional Jordan block spanned by functions
+psi_{n,m} (0 <= m <= n) obeying (H - E_n) psi_{n,m} = psi_{n,m-1}.
 
 Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
 positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
@@ -147,63 +147,6 @@ class Params:
         return self.q / self.p
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedFn:
-    """Polynomial part of kappa * P(z, zbar) * exp(-a z zbar - b zbar^2).
-
-    The envelope and kappa are fixed once the parameters are; equality of
-    reduced functions is equality of the stored polynomials.
-    """
-
-    poly: Poly2
-
-    @property
-    def mode(self) -> str:
-        return self.poly.mode
-
-    @staticmethod
-    def zero(mode: str) -> "ReducedFn":
-        return ReducedFn(Poly2.zero(mode))
-
-    def __add__(self, other: "ReducedFn") -> "ReducedFn":
-        return ReducedFn(self.poly + other.poly)
-
-    def __sub__(self, other: "ReducedFn") -> "ReducedFn":
-        return ReducedFn(self.poly - other.poly)
-
-    def __neg__(self) -> "ReducedFn":
-        return ReducedFn(-self.poly)
-
-    def scale(self, value) -> "ReducedFn":
-        return ReducedFn(self.poly.scale(value))
-
-    def __mul__(self, value) -> "ReducedFn":
-        return self.scale(value)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def to_float(self) -> "ReducedFn":
-        return ReducedFn(self.poly.to_float())
-
-    def close_to(self, other: "ReducedFn", tol: float) -> bool:
-        return self.poly.close_to(other.poly, tol)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReducedFn):
-            return NotImplemented
-        return self.poly == other.poly
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
-    __repr__ = __str__
-
-
 # ---------------------------------------------------------------------------
 # the per-point store
 # ---------------------------------------------------------------------------
@@ -292,7 +235,7 @@ def _cn_reduced(params: Params, n: int) -> Coeff:
     return _cn0_reduced(params, n) / denom
 
 
-def psi_series(params: Params, n: int, m: int) -> ReducedFn:
+def psi_series(params: Params, n: int, m: int) -> Poly2:
     """The full associated-function sum, valid for every 0 <= m <= n:
 
     psi_{n,m} = c_n (2ab)^(n-m) sum_i alpha_i^(n-m) (2m-n+i+1)_(2n-2m-i)
@@ -319,17 +262,17 @@ def psi_series(params: Params, n: int, m: int) -> ReducedFn:
         for t in range(e + 1):
             sums[t, i + e - t] = weight * comb(e, t) * a_pows[t] * b_pows[e - t]
     front = _cn_reduced(params, n) * (2 * params.a * params.b) ** k
-    return ReducedFn(Poly2._normalized(mode, sums, den**m).scale(front))
+    return Poly2._normalized(mode, sums, den**m).scale(front)
 
 
 @_per_point
-def build_psi(params: Params, n: int, m: int) -> ReducedFn:
-    """Reduced basis function psi_{n,m}; m = 0 uses the direct chain-head form
+def build_psi(params: Params, n: int, m: int) -> Poly2:
+    """Basis function psi_{n,m}; m = 0 uses the direct chain-head form
     psi_{n,0} = c_{n,0} zbar^n, m >= 1 the associated-function sum
     (psi_series agrees at m = 0, tested)."""
     _check_index(n, m)
     if m == 0:
-        return ReducedFn(Poly2.monomial(0, n, _cn0_reduced(params, n)))
+        return Poly2.monomial(0, n, _cn0_reduced(params, n))
     return psi_series(params, n, m)
 
 
@@ -340,7 +283,7 @@ def phi_scale_sq(n: int, m: int) -> Fraction:
 
 
 @_per_point
-def build_phi(params: Params, n: int, m: int) -> ReducedFn:
+def build_phi(params: Params, n: int, m: int) -> Poly2:
     """su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m} with j = n/2,
     mu = m - n/2. Float mode only: the square root is irrational in general."""
     if params.mode != FLOAT:
@@ -538,13 +481,13 @@ _RECENT_CONJUGATIONS: dict = {}
 _RECENT_MAX = len(CATALOG_NAMES)
 
 
-def apply(params: Params, op: DiffOp, fn: ReducedFn, derivatives: dict | None = None) -> ReducedFn:
-    """Act with an operator on a reduced function.
+def apply(params: Params, op: DiffOp, fn: Poly2, derivatives: dict | None = None) -> Poly2:
+    """Act with an operator on the basis function whose polynomial is fn.
 
     The envelope is never materialized: the operator is conjugated through
-    exp(-a z zbar - b zbar^2) and the substituted operator acts on the
-    polynomial part, reading the derivatives of fn.poly from ``derivatives``
-    if given; the last len(CATALOG_NAMES) conjugations are reused.
+    exp(-a z zbar - b zbar^2) and the substituted operator acts on fn,
+    reading the derivatives of fn from ``derivatives`` if given; the last
+    len(CATALOG_NAMES) conjugations are reused.
     """
     key = (params, id(op))
     entry = _RECENT_CONJUGATIONS.get(key)
@@ -552,4 +495,4 @@ def apply(params: Params, op: DiffOp, fn: ReducedFn, derivatives: dict | None = 
         if len(_RECENT_CONJUGATIONS) >= _RECENT_MAX:
             del _RECENT_CONJUGATIONS[next(iter(_RECENT_CONJUGATIONS))]
         entry = _RECENT_CONJUGATIONS[key] = (op, conjugate_through_envelope(params, op))
-    return ReducedFn(entry[1].apply_to(fn.poly, derivatives))
+    return entry[1].apply_to(fn, derivatives)

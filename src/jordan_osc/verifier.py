@@ -57,7 +57,6 @@ from .gaussint import (
 from .model import (
     EXPLICIT_NAMES,
     Params,
-    ReducedFn,
     apply,
     build_phi,
     build_psi,
@@ -535,12 +534,12 @@ def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
     float basis, so an exact run checks that basis against its exact image.
     got - want is one pass over both. Rounding is monotone, so for c >= 0 the
     largest magnitude of c * f is c times that of f, bit for bit."""
-    fimage, scale = image.to_float().poly, sqrt(phi_scale_sq(n, m))
+    fimage, scale = image.to_float(), sqrt(phi_scale_sq(n, m))
     c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return max_or_nan(abs(float(c2)), fimage.max_magnitude() * scale)
-    phi, c = build_phi(params.to_float(), n2, m2).poly, sqrt(c2)
+    phi, c = build_phi(params.to_float(), n2, m2), sqrt(c2)
     diff = linear_combination(FLOAT, [(scale, fimage), (-c, phi)])
     return diff.max_magnitude() / max_or_nan(1.0, c * phi.max_magnitude())
 
@@ -594,7 +593,7 @@ def _image_pass(
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
                     image_residual = linear_combination(params.mode, [
-                        *((-c, build_psi(params, n2, m2).poly) for n2, m2, c in terms if c), (1, image.poly)
+                        *((-c, build_psi(params, n2, m2)) for n2, m2, c in terms if c), (1, image)
                     ]).max_magnitude()
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
@@ -652,7 +651,7 @@ def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Repor
 # ---------------------------------------------------------------------------
 
 
-def _fixed_test_poly(params: Params, n_max: int, salt: int) -> ReducedFn:
+def _fixed_test_poly(params: Params, n_max: int, salt: int) -> Poly2:
     # deterministic full-degree polynomial with varied rational coefficients
     terms = {}
     for i in range(n_max + 1):
@@ -661,7 +660,7 @@ def _fixed_test_poly(params: Params, n_max: int, salt: int) -> ReducedFn:
             den = (i + j + salt) % 4 + 1
             if num:
                 terms[(i, j)] = params.s(Fraction(num, den))
-    return ReducedFn(Poly2(params.mode, terms))
+    return Poly2(params.mode, terms)
 
 
 def check_integrals(
@@ -709,7 +708,7 @@ def check_integrals(
     with resolution.timed():
         for salt in (1, 2):
             f = _fixed_test_poly(params, span, salt)
-            resolution.add((expand_in_basis(params, f, span) - f).poly.max_magnitude())
+            resolution.add((expand_in_basis(params, f, span) - f).max_magnitude())
 
     with oracle.timed():
         try:

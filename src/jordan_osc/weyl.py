@@ -300,6 +300,12 @@ class Poly2(_TermMap):
     def zbar(mode: str) -> "Poly2":
         return Poly2.monomial(0, 1, one(mode))
 
+    # the polynomial itself; only the benchmark probe coeff_mul_ns
+    # (perfbench/worker.py), which reads build_psi(...).poly.terms, uses it
+    @property
+    def poly(self) -> "Poly2":
+        return self
+
     # ---- ring operations ----
     def __mul__(self, other):
         return self._product(other, _add_degrees) if isinstance(other, Poly2) else self.scale(other)

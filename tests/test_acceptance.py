@@ -14,7 +14,6 @@ from jordan_osc import (
     LADDER_RULES,
     Params,
     Poly2,
-    ReducedFn,
     build_psi,
     check_actions,
     check_explicit_forms,
@@ -86,7 +85,7 @@ def test_criterion_3_jordan_chains():
         e_n = energy(P, n)
         for m in range(n + 1):
             got = apply(P, ham, build_psi(P, n, m)) - build_psi(P, n, m).scale(e_n)
-            want = build_psi(P, n, m - 1) if m else ReducedFn.zero(P.mode)
+            want = build_psi(P, n, m - 1) if m else Poly2.zero(P.mode)
             ok = ok and (got == want)
     elapsed = time.perf_counter() - start
     _report(3, "Jordan chain action of H on all levels n <= 10", ok, elapsed, 10.0)
@@ -155,11 +154,11 @@ def test_criterion_7_oracle_equivalence():
             return abs(estimate) <= 1e-8
         return abs(estimate - exact_value) / abs(exact_value) <= 1e-8
 
-    one = ReducedFn(Poly2.one(FP.mode))
+    one = Poly2.one(FP.mode)
     for p in range(13):
         for q in range(13 - p):
             want = complex(moment(P, p, q))
-            mono = ReducedFn(Poly2.monomial(p, q, 1.0))
+            mono = Poly2.monomial(p, q, 1.0)
             got = quadrature_oracle(FP, mono, one)
             ok = ok and agree(want, got)
     rng = random.Random(7)

@@ -13,7 +13,6 @@ from jordan_osc import (
     OracleUnavailableError,
     Params,
     Poly2,
-    ReducedFn,
     build_psi,
     energy,
     expand_in_basis,
@@ -133,9 +132,9 @@ class TestMoments:
         store = model.point_cache(P)
         for n in (1, 2, 4, 7):
             for m in range(n + 1):
-                f, g = build_psi(P, n, m).poly, build_psi(P, n, n - m).poly
+                f, g = build_psi(P, n, m), build_psi(P, n, n - m)
                 want = pair_term_by_term(f, g, lambda p, q: reference_moment(P, p, q))
-                assert inner_product(P, ReducedFn(f), ReducedFn(g)) == want, (n, m)
+                assert inner_product(P, f, g) == want, (n, m)
             rows, den = store["moments"]
             numerators = [v for row in rows for v in row]
             assert len(rows) == n + 1 and all(type(v) is int for v in numerators)
@@ -184,28 +183,27 @@ class TestInnerProduct:
         P = Params.exact(F(3, 2), F(2, 3))
         # oracle: multiply out f*g, then pair each product term with its moment
         want = sum((c * moment(P, i, j) for (i, j), c in (f * g).terms.items()), F(0))
-        assert inner_product(P, ReducedFn(f), ReducedFn(g)) == want
-        got = inner_product(P.to_float(), ReducedFn(f.to_float()), ReducedFn(g.to_float()))
+        assert inner_product(P, f, g) == want
+        got = inner_product(P.to_float(), f.to_float(), g.to_float())
         assert abs(got - complex(want)) <= 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(exact_points, polys(mixed_fractions), polys(mixed_fractions))
     def test_matches_per_term_fraction_loop(self, P, f, g):
         want = pair_term_by_term(f, g, lambda p, q: moment(P, p, q))
-        got = inner_product(P, ReducedFn(f), ReducedFn(g))
+        got = inner_product(P, f, g)
         assert type(got) is Fraction and got == want
         fP, ff, fg = P.to_float(), f.to_float(), g.to_float()
         fwant = pair_term_by_term(ff, fg, lambda p, q: moment(fP, p, q))
         # the sum of magnitudes bounds the rounding of either loop
         scale = pair_term_by_term(_magnitudes(ff), _magnitudes(fg), lambda p, q: abs(moment(fP, p, q)))
-        fgot = inner_product(fP, ReducedFn(ff), ReducedFn(fg))
+        fgot = inner_product(fP, ff, fg)
         assert type(fgot) is float and abs(fgot - fwant) <= 1e-12 * max(1.0, scale)
 
     @settings(max_examples=30, deadline=None)
     @given(exact_points, polys(mixed_fractions), polys(mixed_fractions), polys(mixed_fractions))
     def test_cancels_to_zero(self, P, f, g, h):
         # <<f | <<f|h>> g - <<f|g>> h>> = 0, summed in one integer total
-        f, g, h = map(ReducedFn, (f, g, h))
         combo = g.scale(inner_product(P, f, h)) - h.scale(inner_product(P, f, g))
         got = inner_product(P, f, combo)
         assert type(got) is Fraction and got == 0
@@ -222,7 +220,7 @@ class TestInnerProduct:
     def test_symmetric(self, f, g):
         # term by term, which is why gram_block mirrors its upper triangle
         P = Params.exact(F(3, 2), F(2, 3))
-        assert inner_product(P, ReducedFn(f), ReducedFn(g)) == inner_product(P, ReducedFn(g), ReducedFn(f))
+        assert inner_product(P, f, g) == inner_product(P, g, f)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -270,7 +268,7 @@ class TestBlocks:
         for n in range(5):
             for m in range(n + 1):
                 build_psi(params, n, m)  # built and cached before counting
-        f = ReducedFn(Poly2(EXACT, {(0, 0): F(2, 3), (1, 2): F(-1), (3, 0): F(1, 5)}))
+        f = Poly2(EXACT, {(0, 0): F(2, 3), (1, 2): F(-1), (3, 0): F(1, 5)})
         poly_products.clear()
         gram_block(params, 4)
         h_block(params, 4)
@@ -300,7 +298,7 @@ class TestResolutionOfIdentity:
             (3, 0): F(1, 5),
             (2, 2): F(7),
         }
-        f = ReducedFn(Poly2(EXACT, terms))
+        f = Poly2(EXACT, terms)
         assert expand_in_basis(params, f, 4) == f
 
 
@@ -313,8 +311,8 @@ class TestQuadratureOracle:
 
     def test_matches_moment(self, fparams):
         # pairing z against zbar samples moment(1,1) = 1/(2a) = 1/2 here
-        f = ReducedFn(Poly2.z("float"))
-        g = ReducedFn(Poly2.zbar("float"))
+        f = Poly2.z("float")
+        g = Poly2.zbar("float")
         assert quadrature_oracle(fparams, f, g) == pytest.approx(0.5, abs=1e-12)
         # while z against z samples moment(2,0) = -b/a^2 = -1/4
         assert quadrature_oracle(fparams, f, f) == pytest.approx(-0.25, abs=1e-12)
@@ -328,7 +326,7 @@ class TestQuadratureOracle:
 
     def test_requires_a_greater_than_b(self):
         P = Params.from_ab(0.25, 1.0)
-        f = ReducedFn(Poly2.one("float"))
+        f = Poly2.one("float")
         with pytest.raises(OracleUnavailableError):
             quadrature_oracle(P, f, f)
 

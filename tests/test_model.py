@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import jordan_osc
 from jordan_osc import model
 from jordan_osc import (
     CATALOG_NAMES,
@@ -22,6 +23,7 @@ from jordan_osc import (
     build_psi,
     conjugate_through_envelope,
     energy,
+    expand_in_basis,
     explicit_form,
     gram_block,
     h_block,
@@ -108,25 +110,25 @@ class TestCombinatorics:
 
 class TestBasis:
     def test_ground_state(self, params):
-        assert build_psi(params, 0, 0).poly == Poly2.one(EXACT)
+        assert build_psi(params, 0, 0) == Poly2.one(EXACT)
 
     def test_chain_top_is_simple(self, params):
         # psi_{1,1} = z + (b/a) ... at a=1, b=1/4: z + zbar/4
         fn = build_psi(params, 1, 1)
-        assert fn.poly.coeff(1, 0) == F(1)
-        assert fn.poly.coeff(0, 1) == F(1, 4)
+        assert fn.coeff(1, 0) == F(1)
+        assert fn.coeff(0, 1) == F(1, 4)
 
     def test_chain_head_closed_form(self, params):
         # psi_{n,0} = (4 sqrt(ab))^n zbar^n; at the reference point 2^n zbar^n
         for n in range(5):
             fn = build_psi(params, n, 0)
-            assert fn.poly.coeff(0, n) == F(2**n)
-            assert len(fn.poly.terms) == 1
+            assert fn.coeff(0, n) == F(2**n)
+            assert len(fn.terms) == 1
 
     def test_coefficient_types(self, params, fparams):
         # one plain number type per mode, stored directly in the term map
-        assert all(type(c) is Fraction for c in build_psi(params, 4, 2).poly.terms.values())
-        assert all(type(c) is float for c in build_psi(fparams, 4, 2).poly.terms.values())
+        assert all(type(c) is Fraction for c in build_psi(params, 4, 2).terms.values())
+        assert all(type(c) is float for c in build_psi(fparams, 4, 2).terms.values())
         assert all(type(c) is Fraction for c in make_operator(params, "J+").terms.values())
         assert all(type(c) is float for c in make_operator(fparams, "J+").terms.values())
 
@@ -180,7 +182,7 @@ class TestPointCache:
             fn = build_psi(P, 2, 1)
             apply(P, make_operator(P, "H"), fn)
             inner_product(P, build_psi(P, 1, 0), build_psi(P, 1, 1))
-            psi_polys.append(weakref.ref(fn.poly))
+            psi_polys.append(weakref.ref(fn))
         assert len(model._POINTS) <= model._POINTS_MAX
         assert points[-1] in model._POINTS and points[0] not in model._POINTS
         # the integer numerators live on the cached objects and the moment
@@ -225,11 +227,11 @@ class TestPointCache:
 
     def test_float_phi_leaves_with_its_point(self):
         points = [Params.from_ab(1.0 + k / 8, 0.25) for k in range(model._POINTS_MAX + 2)]
-        phi_polys = [weakref.ref(build_phi(P, 3, 1).poly) for P in points]
+        phi_polys = [weakref.ref(build_phi(P, 3, 1)) for P in points]
         assert points[-1] in model._POINTS and points[0] not in model._POINTS
         gc.collect()
         assert phi_polys[0]() is None and phi_polys[-1]() is not None
-        assert build_phi(points[-1], 3, 1).poly is phi_polys[-1]()
+        assert build_phi(points[-1], 3, 1) is phi_polys[-1]()
 
 
 class TestCatalog:
@@ -353,9 +355,21 @@ def test_float_coefficients_are_floats(a, b):
     P = Params.from_ab(a, b)
     ops = [make_operator(P, name) for name in CATALOG_NAMES] + [explicit_form(P, name) for name in EXPLICIT_NAMES]
     objects = ops + [conjugate_through_envelope(P, op) for op in ops]
-    objects += [build_psi(P, n, m).poly for n in range(9) for m in range(n + 1)]
+    objects += [build_psi(P, n, m) for n in range(9) for m in range(n + 1)]
     coeffs = [c for obj in objects for c in obj.terms.values()]
     coeffs += [c for n in range(5) for block in (gram_block(P, n), h_block(P, n)) for row in block for c in row]
     coeffs += [moment(P, p, q) for p in range(12) for q in range(12)]
     coeffs += [P.a, P.b, P.sqrt_ab, P.sqrt_a_over_b, P.sqrt_b_over_a, energy(P, 3)]
     assert {type(c) for c in coeffs} == {float}
+
+
+@pytest.mark.parametrize("P", [Params.exact(1, F(1, 2)), Params.from_ab(1.0, 0.25)], ids=["exact", "float"])
+def test_basis_functions_are_poly2(P):
+    # a basis function is its polynomial P: kappa and the envelope are implied by the point
+    psi = build_psi(P, 3, 2)
+    results = [psi_series(P, 3, 2), psi, apply(P, make_operator(P, "H"), psi), expand_in_basis(P, psi, 3)]
+    if P.mode == "float":
+        results.append(build_phi(P, 3, 2))
+    assert [type(x) for x in results] == [Poly2] * len(results)
+    # and no wrapper type around it is left in the package or the model
+    assert [name for name in {**vars(jordan_osc), **vars(model)} if name.endswith("Fn")] == []

@@ -1,9 +1,10 @@
 """The shipped relation catalogs are exactly what tools/gen_relations.py writes,
 every call boundary the benchmark traces still exists, the benchmark's
-coefficient metrics see coefficients, and tools/count_lines.py counts every
-module of the package."""
+coefficient metrics see coefficients, tools/count_lines.py counts every
+module of the package, and the README's library tour runs."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "gen_relations.py"
 COUNTER = ROOT / "tools" / "count_lines.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def _load(name, path):
@@ -74,3 +76,10 @@ def test_line_count_totals_every_module():
     assert [name for name, _ in modules] == sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py"))
     assert all(int(n) > 0 for _, n in modules)
     assert total == ["total", str(sum(int(n) for _, n in modules))]
+
+
+def test_readme_library_tour_runs():
+    # the python block under "## Library tour", run as written
+    section = README.read_text(encoding="utf-8").split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    [tour] = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(tour, str(README), "exec"), {})

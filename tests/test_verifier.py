@@ -15,7 +15,6 @@ from jordan_osc import (
     DiffOp,
     Params,
     Poly2,
-    ReducedFn,
     RelationSpec,
     Report,
     adjoint,
@@ -204,10 +203,10 @@ def _four_pass_residual(params, rule, n, m, image):
     c2 = Fraction(rule.coeff_sq(*verifier._jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
-        return verifier.max_or_nan(abs(float(c2)), got.poly.max_magnitude())
+        return verifier.max_or_nan(abs(float(c2)), got.max_magnitude())
     phi = model.build_psi(params.to_float(), n2, m2).scale(sqrt(model.phi_scale_sq(n2, m2)))
     want = phi.scale(sqrt(c2))
-    return (got - want).poly.max_magnitude() / verifier.max_or_nan(1.0, want.poly.max_magnitude())
+    return (got - want).max_magnitude() / verifier.max_or_nan(1.0, want.max_magnitude())
 
 
 class TestFloatLadderResidual:
@@ -268,9 +267,9 @@ class TestDerivedChecksCanFail:
             phi = build(P, n, m)
             if (n, m) != (2, 1):
                 return phi
-            terms = phi.poly.terms
+            terms = phi.terms
             key = min(terms)
-            return ReducedFn(Poly2(FLOAT, {**terms, key: terms[key] * (1 + 1e-6)}))
+            return Poly2(FLOAT, {**terms, key: terms[key] * (1 + 1e-6)})
 
         monkeypatch.setattr(v, "build_phi", perturbed)
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
@@ -326,7 +325,7 @@ class TestImagePass:
         monkeypatch.setattr(DiffOp, "apply_to", recorded)
         run_suites(P, ("actions", "irrep"), n_max=4)
         assert len(tables) == 15 and image_counts["apply_to"] == 23 * 15
-        assert {id(poly) for _, poly in tables.values()} == {id(build_psi(P, n, m).poly)
+        assert {id(poly) for _, poly in tables.values()} == {id(build_psi(P, n, m))
                                                               for n in range(5) for m in range(n + 1)}
         stored = [*model.point_cache(P).values(), *model.point_cache(P.to_float()).values(),
                   *(entry for pair in model._RECENT_CONJUGATIONS.values() for entry in pair)]
@@ -528,6 +527,6 @@ class TestResidualsKeepNaN:
         # J+ phi_{1,1} should vanish (its target lies off the grid), so the
         # residual is the image's largest magnitude
         coeffs = _with_nan([1e-20, 2e-20], position)
-        image = ReducedFn(Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)}))
+        image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDER_RULES[0]
         assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, [], image, 0.0))
