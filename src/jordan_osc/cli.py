@@ -224,7 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Config of any subcommand; unset parameter flags take PARAM_DEFAULTS."""
+    """Config of any subcommand; unset parameter flags take PARAM_DEFAULTS, and
+    a parameter flag of the other mode is an error, not silently ignored."""
+    foreign = [f"--{name}" for mode, names in PARAM_DEFAULTS.items() if mode != args.mode
+               for name in names if getattr(args, name) is not None]
+    if foreign:
+        own = " and ".join(f"--{name}" for name in PARAM_DEFAULTS[args.mode])
+        raise ValueError(f"{', '.join(foreign)} not valid in {args.mode} mode, which takes {own}")
     point = {
         name: default if getattr(args, name) is None else getattr(args, name)
         for name, default in PARAM_DEFAULTS[args.mode].items()

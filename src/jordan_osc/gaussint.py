@@ -4,11 +4,13 @@ Everything here evaluates the bilinear pairing
 
     <<f|g>> = integral f(x) g(x) dx1 dx2,      z = x1 + i x2, zbar = x1 - i x2,
 
-for basis functions f = kappa * P * envelope, each given by its ``Poly2`` P
-(kappa and the envelope are implied by the point, see model). Two independent
-routes are provided: an exact rational route through the moment recursion, and
-a numerical Gauss-Hermite route (the oracle). The exact route is authoritative;
-the oracle exists to catch transcription errors in the recursion.
+for basis functions f = kappa * P * envelope, each given by its ``Poly2`` P in
+(z, zbar) (kappa and the envelope are implied by the point, see model), so
+``h_block`` writes each chain-form image H psi in (z, zbar) with
+``model.from_chain`` before pairing it. Two independent routes are provided:
+an exact rational route through the moment recursion, and a numerical
+Gauss-Hermite route (the oracle). The exact route is authoritative; the oracle
+exists to catch transcription errors in the recursion.
 
 Moments are stored in units of pi/(2a): moment(p, q) is the rational multiple
 M with I(p,q) = integral z^p zbar^q envelope^2 = M * pi/(2a). Since each
@@ -37,7 +39,7 @@ import math
 
 import numpy as np
 
-from .model import Params, apply, build_psi, make_operator, point_cache
+from .model import Params, apply, build_psi, chain_psi, from_chain, make_operator, point_cache
 from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
 
 
@@ -187,7 +189,7 @@ def h_block(params: Params, n: int) -> tuple:
     into the level-n Jordan block E_n I + superdiagonal of ones."""
     ham = make_operator(params, "H")
     fns = [build_psi(params, n, m) for m in range(n + 1)]
-    images = [apply(params, ham, fn) for fn in fns]
+    images = [from_chain(params, apply(params, ham, chain_psi(params, n, m))) for m in range(n + 1)]
     return tuple(
         tuple(inner_product(params, fns[n - k], images[m]) for m in range(n + 1))
         for k in range(n + 1)

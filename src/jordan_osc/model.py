@@ -14,6 +14,14 @@ the parameter point and never materialized. H has eigenvalues E_n = 4a(n+1);
 each level carries an (n+1)-dimensional Jordan block spanned by functions
 psi_{n,m} (0 <= m <= n) obeying (H - E_n) psi_{n,m} = psi_{n,m-1}.
 
+Two coordinate systems carry basis functions. The chain variables (w, zbar),
+w = a z + b zbar, are where the paper writes psi_{n,m}: ``chain_psi`` has one
+term per term of that sum, and the envelope is exp(-w zbar).
+``conjugate_through_envelope`` returns operators in (w, zbar), and ``apply``
+acts on chain forms, so the image pass never expands a power of w.
+``from_chain`` writes a chain form in (z, zbar), where the pairing and the
+printed output live; ``build_psi`` is ``from_chain`` of ``chain_psi``.
+
 Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
 positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
 are rational and all ladder/action coefficients are plain ``Fraction``s; in
@@ -22,18 +30,20 @@ them (a, b, sqrt_ab, ...) already are coefficients of the mode, so they enter
 products directly; ``Params.s`` lifts a literal into the mode.
 
 Polynomials and operators store integer numerators over one denominator (see
-weyl), which ``psi_series`` and ``conjugate_through_envelope`` build directly.
-Every basis function (psi, and phi in float mode), operator and pairing moment
-of a parameter point lives in one store per point (``point_cache``), kept for
-the last few points only. ``apply`` keeps the envelope conjugations of the
-last len(CATALOG_NAMES) operators applied, and hands a caller's derivative
-table (see weyl) to ``apply_to``. A ``Params`` computes its hash once, so a
-lookup in these stores does not rehash the point, and its float twin once.
+weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
+build directly. Every basis function (psi in both coordinate systems, and phi
+in float mode), operator and pairing moment of a parameter point lives in one
+store per point (``point_cache``), kept for the last few points only. ``apply``
+keeps the envelope conjugations of the last len(CATALOG_NAMES) operators
+applied, and hands a caller's derivative table (see weyl) to ``apply_to``. A
+``Params`` computes its hash once, so a lookup in these stores does not rehash
+the point, and its float twin once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -47,6 +57,7 @@ from .weyl import (
     ModeMismatchError,
     Poly2,
     anticommutator,
+    join_modes,
     lift,
     to_ints,
 )
@@ -235,45 +246,88 @@ def _cn_reduced(params: Params, n: int) -> Coeff:
     return _cn0_reduced(params, n) / denom
 
 
-def psi_series(params: Params, n: int, m: int) -> Poly2:
-    """The full associated-function sum, valid for every 0 <= m <= n:
+def _chain_series(params: Params, n: int, m: int) -> Poly2:
+    """The full associated-function sum in the chain variables (w, zbar),
+    w = a z + b zbar, valid for every 0 <= m <= n:
 
-    psi_{n,m} = c_n (2ab)^(n-m) sum_i alpha_i^(n-m) (2m-n+i+1)_(2n-2m-i)
-                zbar^i (a z + b zbar)^(2m-n+i).
+    psi_{n,m} = c_n (2ab)^(n-m) sum_i alpha_i^(n-m) (2m-n+i+1)_(2n-2m-i) zbar^i w^(2m-n+i).
 
     The rising factorial vanishes exactly when e = 2m-n+i < 0, so the sum
-    starts at i = max(0, n-2m). Each power expands binomially into C(e,t)
-    a^t b^(e-t) z^t zbar^(i+e-t), one monomial per (i, t), summed as integers
-    over d^m with a, b over one denominator d. The powers of a and b are
-    running products: a float overflows to inf, where float ** int would raise.
+    starts at i = max(0, n-2m): one term w^e zbar^i per i, at most
+    min(m, n-m) + 1 of them.
     """
     _check_index(n, m)
-    mode, k = params.mode, n - m
+    k = n - m
     alphas = alpha_coeffs(k)
-    (a, b), den = to_ints(mode, [params.a, params.b])
-    a_pows, b_pows = [1], [1]
-    for _ in range(m):
-        a_pows.append(a_pows[-1] * a)
-        b_pows.append(b_pows[-1] * b)
-    sums = {}
-    for i in range(max(0, n - 2 * m), k + 1):
-        e = 2 * m - n + i
-        weight = alphas[i] * pochhammer(e + 1, 2 * n - 2 * m - i) * den ** (m - e)
-        for t in range(e + 1):
-            sums[t, i + e - t] = weight * comb(e, t) * a_pows[t] * b_pows[e - t]
-    front = _cn_reduced(params, n) * (2 * params.a * params.b) ** k
-    return Poly2._normalized(mode, sums, den**m).scale(front)
+    sums = {(2 * m - n + i, i): alphas[i] * pochhammer(2 * m - n + i + 1, 2 * n - 2 * m - i)
+            for i in range(max(0, n - 2 * m), k + 1)}
+    (front,), den = to_ints(params.mode, [_cn_reduced(params, n) * (2 * params.a * params.b) ** k])
+    return Poly2._normalized(params.mode, {key: front * v for key, v in sums.items()}, den)
+
+
+def _w_powers(params: Params, top: int) -> tuple[int, list]:
+    """(d, rows): a = A/d and b = B/d over one denominator d (in float mode A, B
+    are the floats and d = 1), and rows[e], e <= top, the numerators of
+    w^e = (a z + b zbar)^e over d^e by powers of z, C(e,t) A^t B^(e-t).
+
+    The table lives in the point's store and grows in place to the largest
+    top asked for; each row comes from the last by Pascal's rule, so a float
+    overflows to inf where float ** int would raise.
+    """
+    cache = point_cache(params)
+    entry = cache.get("w_powers")
+    if entry is None:
+        (a, b), d = to_ints(params.mode, [params.a, params.b])
+        entry = cache["w_powers"] = (a, b, d, [[1]])
+    a, b, d, rows = entry
+    while len(rows) <= top:
+        last = rows[-1]
+        rows.append([b * last[0], *(a * x + b * y for x, y in zip(last, last[1:])), a * last[-1]])
+    return d, rows
+
+
+def from_chain(params: Params, g: Poly2) -> Poly2:
+    """The polynomial g(w, zbar), w = a z + b zbar, written in (z, zbar).
+
+    Each w^e zbar^i expands binomially into C(e,t) a^t b^(e-t) z^t zbar^(i+e-t),
+    summed as integers over g's denominator times d^E, with a, b over one
+    denominator d and E the largest power of w.
+    """
+    mode = join_modes(params, g)
+    top = max((e for e, _ in g.nums), default=0)
+    if not top:
+        return g  # no power of w: the same polynomial in both coordinates
+    d, rows = _w_powers(params, top)
+    sums: dict = defaultdict(int)
+    for (e, i), u in g.nums.items():
+        weight, degree = u * d ** (top - e), i + e
+        for t, c in enumerate(rows[e]):
+            sums[t, degree - t] += weight * c
+    return Poly2._normalized(mode, sums, g.den * d**top)
+
+
+def psi_series(params: Params, n: int, m: int) -> Poly2:
+    """psi_{n,m} in (z, zbar) from the full associated-function sum, for every
+    0 <= m <= n (see _chain_series)."""
+    return from_chain(params, _chain_series(params, n, m))
+
+
+@_per_point
+def chain_psi(params: Params, n: int, m: int) -> Poly2:
+    """Basis function psi_{n,m} in the chain variables (w, zbar); m = 0 uses
+    the direct chain-head form psi_{n,0} = c_{n,0} zbar^n, the same polynomial
+    in both coordinates, m >= 1 the associated-function sum (psi_series
+    agrees at m = 0, tested)."""
+    _check_index(n, m)
+    if m == 0:
+        return Poly2.monomial(0, n, _cn0_reduced(params, n))
+    return _chain_series(params, n, m)
 
 
 @_per_point
 def build_psi(params: Params, n: int, m: int) -> Poly2:
-    """Basis function psi_{n,m}; m = 0 uses the direct chain-head form
-    psi_{n,0} = c_{n,0} zbar^n, m >= 1 the associated-function sum
-    (psi_series agrees at m = 0, tested)."""
-    _check_index(n, m)
-    if m == 0:
-        return Poly2.monomial(0, n, _cn0_reduced(params, n))
-    return psi_series(params, n, m)
+    """Basis function psi_{n,m} in (z, zbar), for the pairing and for printing."""
+    return from_chain(params, chain_psi(params, n, m))
 
 
 def phi_scale_sq(n: int, m: int) -> Fraction:
@@ -285,10 +339,11 @@ def phi_scale_sq(n: int, m: int) -> Fraction:
 @_per_point
 def build_phi(params: Params, n: int, m: int) -> Poly2:
     """su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m} with j = n/2,
-    mu = m - n/2. Float mode only: the square root is irrational in general."""
+    mu = m - n/2, in the chain variables (w, zbar) like the images it is
+    compared with. Float mode only: the square root is irrational in general."""
     if params.mode != FLOAT:
         raise ModeMismatchError(f"build_phi needs float parameters, got {params.mode!r}")
-    return build_psi(params, n, m).scale(math.sqrt(phi_scale_sq(n, m)))
+    return chain_psi(params, n, m).scale(math.sqrt(phi_scale_sq(n, m)))
 
 
 def energy(params: Params, n: int) -> Coeff:
@@ -452,25 +507,35 @@ def explicit_form(params: Params, name: str) -> DiffOp:
 
 
 @_per_point
-def _shifted_derivative_powers(params: Params, k: int, l: int) -> DiffOp:
-    # conjugation by the envelope sends dz -> dz - a zbar and
-    # dzbar -> dzbar - a z - 2b zbar; the two shifted derivatives commute
-    mode = params.mode
-    dz_shift = DiffOp.dz(mode) + DiffOp.monomial((0, 1, 0, 0), -params.a)
-    dzb_shift = (
-        DiffOp.dzbar(mode)
-        + DiffOp.monomial((1, 0, 0, 0), -params.a)
-        + DiffOp.monomial((0, 1, 0, 0), -2 * params.b)
+def _chain_generators(params: Params) -> tuple[DiffOp, DiffOp, DiffOp]:
+    # the images of z, dz and dzbar under conjugation through the envelope, in
+    # the chain variables (w, zbar), where the envelope is exp(-w zbar):
+    # z -> (w - b zbar)/a, dz -> a (dw - zbar), dzbar -> b dw + dzbar - w - b zbar
+    # (zbar is unchanged); the two derivative images commute
+    a, b, one = params.a, params.b, params.s(1)
+    mono = DiffOp.monomial
+    return (
+        mono((1, 0, 0, 0), one / a) + mono((0, 1, 0, 0), -b / a),
+        mono((0, 0, 1, 0), a) + mono((0, 1, 0, 0), -a),
+        mono((0, 0, 1, 0), b) + mono((0, 0, 0, 1), one) + mono((1, 0, 0, 0), -one) + mono((0, 1, 0, 0), -b),
     )
-    return dz_shift**k * dzb_shift**l
+
+
+@_per_point
+def _chain_image(params: Params, i: int, k: int, l: int) -> DiffOp:
+    # the image of z^i dz^k dzbar^l (see _chain_generators)
+    z_image, dz_image, dzb_image = _chain_generators(params)
+    return z_image**i * dz_image**k * dzb_image**l
 
 
 def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
-    """exp(a z zbar + b zbar^2) . op . exp(-a z zbar - b zbar^2) as a DiffOp."""
+    """exp(a z zbar + b zbar^2) . op . exp(-a z zbar - b zbar^2) as a DiffOp in
+    the chain variables (w, zbar), w = a z + b zbar: its keys (i, j, k, l) read
+    w^i zbar^j dw^k dzbar^l, and it acts on a basis function's chain form."""
     if op.mode != params.mode:
         raise ModeMismatchError(f"operator is {op.mode!r}, parameters are {params.mode!r}")
     return DiffOp.linear_combination(params.mode, (
-        (1, DiffOp._normalized(op.mode, {(i, j, 0, 0): v}, op.den) * _shifted_derivative_powers(params, k, l))
+        (1, DiffOp._normalized(op.mode, {(0, j, 0, 0): v}, op.den) * _chain_image(params, i, k, l))
         for (i, j, k, l), v in op.nums.items()
     ))
 
@@ -482,10 +547,11 @@ _RECENT_MAX = len(CATALOG_NAMES)
 
 
 def apply(params: Params, op: DiffOp, fn: Poly2, derivatives: dict | None = None) -> Poly2:
-    """Act with an operator on the basis function whose polynomial is fn.
+    """Act with an operator on the basis function whose chain form is fn (see
+    chain_psi); the image is in chain form too (from_chain writes it in z, zbar).
 
     The envelope is never materialized: the operator is conjugated through
-    exp(-a z zbar - b zbar^2) and the substituted operator acts on fn,
+    exp(-w zbar) and written in (w, zbar), and the result acts on fn,
     reading the derivatives of fn from ``derivatives`` if given; the last
     len(CATALOG_NAMES) conjugations are reused.
     """

@@ -13,14 +13,16 @@ Every identity the model asserts is checked here, grouped into five suites:
                 resolution of identity, and the quadrature cross-check.
 
 The actions and irrep suites are two readings of the same images
-op.psi_{n,m}, so one image pass serves both. It runs basis-outer: each
-psi_{n,m} gets one derivative table that every operator applied to it reads
-(``apply`` conjugates each operator once per pass), and each image is built
-once, handed to every check that reads it, and dropped, as is the table. The
-exact squared-value report irrep.<rule>.sq derives from the same operator's
-action rule: op psi_{n,m} = c psi_{n',m'} with the ladder target, c >= 0, and
-c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, so its residual also carries the
-image's residual against the action rule.
+op.psi_{n,m}, so one image pass serves both. It runs in the chain variables
+(w, zbar), w = a z + b zbar (see model): every psi, image and phi it reads is
+a chain form, so a float residual is the largest coefficient over (w, zbar)
+monomials. It runs basis-outer: each psi_{n,m} gets one derivative table that
+every operator applied to it reads (``apply`` conjugates each operator once
+per pass), and each image is built once, handed to every check that reads it,
+and dropped, as is the table. The exact squared-value report irrep.<rule>.sq
+derives from the same operator's action rule: op psi_{n,m} = c psi_{n',m'}
+with the ladder target, c >= 0, and c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq,
+so its residual also carries the image's residual against the action rule.
 irrep.J0 and irrep.K likewise check the J0 and K images and compare the
 action coefficient with the eigenvalue. The direct reports irrep.<rule>.float
 read the same shared image in both modes, in floats and rescaled to op phi,
@@ -61,6 +63,7 @@ from .model import (
     build_phi,
     build_psi,
     canonical_name,
+    chain_psi,
     energy,
     explicit_form,
     make_operator,
@@ -584,7 +587,7 @@ def _image_pass(
         plan.append((rule, action, irrep_rule, checks, image_clock, make_operator(params, rule.op_name)))
     for n in range(n_max + 1):
         for m in range(n + 1):
-            psi = build_psi(params, n, m)
+            psi = chain_psi(params, n, m)
             derivatives: dict = {}  # the derivative table of psi_{n,m}
             for rule, action, irrep_rule, checks, image_clock, op in plan:
                 with image_clock.timed():
@@ -593,7 +596,7 @@ def _image_pass(
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
                     image_residual = linear_combination(params.mode, [
-                        *((-c, build_psi(params, n2, m2)) for n2, m2, c in terms if c), (1, image)
+                        *((-c, chain_psi(params, n2, m2)) for n2, m2, c in terms if c), (1, image)
                     ]).max_magnitude()
                 action.add(image_residual, (n, m))
                 for check, residual in checks:

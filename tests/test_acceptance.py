@@ -15,6 +15,7 @@ from jordan_osc import (
     Params,
     Poly2,
     build_psi,
+    chain_psi,
     check_actions,
     check_explicit_forms,
     check_irrep,
@@ -84,8 +85,9 @@ def test_criterion_3_jordan_chains():
     for n in range(11):
         e_n = energy(P, n)
         for m in range(n + 1):
-            got = apply(P, ham, build_psi(P, n, m)) - build_psi(P, n, m).scale(e_n)
-            want = build_psi(P, n, m - 1) if m else Poly2.zero(P.mode)
+            # apply reads and returns the chain form (w, zbar)
+            got = apply(P, ham, chain_psi(P, n, m)) - chain_psi(P, n, m).scale(e_n)
+            want = chain_psi(P, n, m - 1) if m else Poly2.zero(P.mode)
             ok = ok and (got == want)
     elapsed = time.perf_counter() - start
     _report(3, "Jordan chain action of H on all levels n <= 10", ok, elapsed, 10.0)

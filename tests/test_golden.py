@@ -7,9 +7,10 @@ q = 1/2 and in float mode at a = 0.79, b = 0.23; float residuals are compared
 as recorded, so a rewrite of a float kernel must round as the old one did. The golden_*.txt files hold the exact `basis` and `matrices` output
 at the default point, and `basis --p 3/2 --q 2/3 --n 6 --m 3`, where a and b
 have different denominators. golden_catalog_p3_2_q2_3.json holds every catalog
-operator and its conjugation through the envelope at that point, exact terms
-in sorted order: the `explicit.*` checks build both of their sides with the
-same `+` and `*`, so only a recorded value catches a wrong sum or product.
+operator and its conjugation through the envelope at that point, in the chain
+variables (w, zbar) (see model), exact terms in sorted order: the `explicit.*`
+checks build both of their sides with the same `+` and `*`, so only a recorded
+value catches a wrong sum or product.
 """
 
 import json

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import jordan_osc
 from jordan_osc import model
@@ -21,10 +22,13 @@ from jordan_osc import (
     apply,
     build_phi,
     build_psi,
+    chain_psi,
+    commutator,
     conjugate_through_envelope,
     energy,
     expand_in_basis,
     explicit_form,
+    from_chain,
     gram_block,
     h_block,
     inner_product,
@@ -34,6 +38,8 @@ from jordan_osc import (
     pochhammer,
     psi_series,
 )
+
+from conftest import diff_ops, polys
 
 F = Fraction
 
@@ -164,7 +170,7 @@ class TestPhi:
         assert phi_scale_sq(7, 4) == 4
 
     def test_float_always_folds(self, fparams):
-        want = build_psi(fparams, 3, 1).scale(math.sqrt(0.5))
+        want = chain_psi(fparams, 3, 1).scale(math.sqrt(0.5))
         assert build_phi(fparams, 3, 1).close_to(want, 1e-12)
 
     def test_exact_params_rejected(self, params):
@@ -277,21 +283,31 @@ class TestCatalog:
 
 
 class TestEnvelopeConjugation:
+    # the image is in the chain variables (w, zbar), w = a z + b zbar: DiffOp.z
+    # and DiffOp.dz stand for w and dw there; at a = 1, b = 1/4
     def test_shifted_derivatives(self, params):
+        # dz -> a (dw - zbar)
         got = conjugate_through_envelope(params, DiffOp.dz(EXACT))
         want = DiffOp.dz(EXACT) - DiffOp.zbar(EXACT)
         assert got == want
+        # dzbar -> b dw + dzbar - w - b zbar
         got = conjugate_through_envelope(params, DiffOp.dzbar(EXACT))
         want = (
-            DiffOp.dzbar(EXACT)
+            DiffOp.dz(EXACT).scale(F(1, 4))
+            + DiffOp.dzbar(EXACT)
             - DiffOp.z(EXACT)
-            - DiffOp.zbar(EXACT).scale(F(1, 2))
+            - DiffOp.zbar(EXACT).scale(F(1, 4))
         )
         assert got == want
 
     def test_multiplication_ops_unchanged(self, params):
-        op = DiffOp.z(EXACT) * DiffOp.zbar(EXACT)
+        # the envelope commutes with multiplication operators; only the
+        # change of variables z -> (w - b zbar)/a acts on them
+        op = DiffOp.zbar(EXACT) * DiffOp.zbar(EXACT)
         assert conjugate_through_envelope(params, op) == op
+        op = DiffOp.z(EXACT) * DiffOp.zbar(EXACT)
+        want = (DiffOp.z(EXACT) - DiffOp.zbar(EXACT).scale(F(1, 4))) * DiffOp.zbar(EXACT)
+        assert conjugate_through_envelope(params, op) == want
 
     def test_homomorphism(self, params):
         x = make_operator(params, "A+")
@@ -309,9 +325,9 @@ class TestApply:
 
     def test_jordan_step(self, params):
         H = make_operator(params, "H")
-        img = apply(params, H, build_psi(params, 1, 1))
-        img = img - build_psi(params, 1, 1).scale(energy(params, 1))
-        assert img == build_psi(params, 1, 0)
+        img = apply(params, H, chain_psi(params, 1, 1))
+        img = img - chain_psi(params, 1, 1).scale(energy(params, 1))
+        assert img == chain_psi(params, 1, 0)
 
     def test_eigenvalue_on_chain_head(self, params):
         H = make_operator(params, "H")
@@ -349,6 +365,88 @@ class TestApply:
         assert len(model._RECENT_CONJUGATIONS) <= model._RECENT_MAX
 
 
+def _zzbar_conjugate(P, op):
+    """The conjugation through the envelope in (z, zbar), with no change of
+    variables: dz -> dz - a zbar, dzbar -> dzbar - a z - 2b zbar (the oracle
+    of the chain form)."""
+    dz = DiffOp.dz(P.mode) + DiffOp.monomial((0, 1, 0, 0), -P.a)
+    dzb = DiffOp.dzbar(P.mode) + DiffOp.monomial((1, 0, 0, 0), -P.a) + DiffOp.monomial((0, 1, 0, 0), -2 * P.b)
+    out = DiffOp.zero(P.mode)
+    for (i, j, k, l), c in op.terms.items():
+        out = out + DiffOp.monomial((i, j, 0, 0), c) * dz**k * dzb**l
+    return out
+
+
+def _substitute_w(P, g):
+    """g(w, zbar) with w = a z + b zbar multiplied out by Poly2 products (the
+    oracle of from_chain)."""
+    w = Poly2.monomial(1, 0, P.a) + Poly2.monomial(0, 1, P.b)
+    out = Poly2.zero(P.mode)
+    for (e, i), c in g.terms.items():
+        out = out + w**e * Poly2.monomial(0, i, c)
+    return out
+
+
+def _same(x, y):
+    # exact: equal; float: equal up to rounding relative to the larger size
+    if x.mode == EXACT:
+        return x == y
+    return (x - y).max_magnitude() <= 1e-12 * max(1.0, x.max_magnitude(), y.max_magnitude())
+
+
+CHAIN_POINTS = [Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
+                Params.from_ab(0.79, 0.23), Params.exact(F(3, 2), F(2, 3)).to_float()]
+CHAIN_IDS = ["exact-1-1/2", "exact-3/2-2/3", "float-0.79-0.23", "float-9/4-4/9"]
+
+
+class TestChainCoordinates:
+    """The image pass runs in the chain variables (w, zbar), w = a z + b zbar:
+    the change of variables is exact, so it changes no identity."""
+
+    @pytest.mark.parametrize("P", CHAIN_POINTS, ids=CHAIN_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(x=diff_ops(), y=diff_ops())
+    def test_conjugation_respects_products_and_commutators(self, P, x, y):
+        if P.mode != EXACT:
+            x, y = x.to_float(), y.to_float()
+        conj = lambda op: conjugate_through_envelope(P, op)  # noqa: E731
+        assert _same(conj(x * y), conj(x) * conj(y))
+        assert _same(conj(commutator(x, y)), commutator(conj(x), conj(y)))
+
+    @pytest.mark.parametrize("P", CHAIN_POINTS, ids=CHAIN_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(op=diff_ops(), g=polys())
+    def test_apply_in_chain_form_is_apply_in_z_zbar(self, P, op, g):
+        if P.mode != EXACT:
+            op, g = op.to_float(), g.to_float()
+        assert _same(from_chain(P, apply(P, op, g)), _zzbar_conjugate(P, op).apply_to(from_chain(P, g)))
+
+    @pytest.mark.parametrize("P", CHAIN_POINTS, ids=CHAIN_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(g=polys())
+    def test_from_chain_substitutes_w(self, P, g):
+        if P.mode != EXACT:
+            g = g.to_float()
+        assert _same(from_chain(P, g), _substitute_w(P, g))
+
+    @pytest.mark.parametrize("P", CHAIN_POINTS[:2], ids=CHAIN_IDS[:2])
+    def test_chain_basis_is_the_series(self, P):
+        for n in range(11):
+            for m in range(n + 1):
+                chain = chain_psi(P, n, m)
+                assert len(chain.nums) <= min(m, n - m) + 1
+                assert from_chain(P, chain) == psi_series(P, n, m) == build_psi(P, n, m)
+                assert from_chain(P, chain) == _substitute_w(P, chain)
+
+    def test_catalog_conjugations_agree_with_z_zbar(self):
+        # every catalog operator, applied to a full polynomial of degree 6
+        P = Params.exact(F(3, 2), F(2, 3))
+        g = Poly2(EXACT, {(i, j): F(i + 2 * j + 1, j + 1) for i in range(4) for j in range(4 - i)})
+        for name in CATALOG_NAMES:
+            op = make_operator(P, name)
+            assert from_chain(P, apply(P, op, g)) == _zzbar_conjugate(P, op).apply_to(from_chain(P, g)), name
+
+
 @pytest.mark.parametrize("a, b", [(0.79, 0.23), (3.0, 1.0)])
 def test_float_coefficients_are_floats(a, b):
     # one number type per mode: whatever float mode builds holds floats only
@@ -366,8 +464,8 @@ def test_float_coefficients_are_floats(a, b):
 @pytest.mark.parametrize("P", [Params.exact(1, F(1, 2)), Params.from_ab(1.0, 0.25)], ids=["exact", "float"])
 def test_basis_functions_are_poly2(P):
     # a basis function is its polynomial P: kappa and the envelope are implied by the point
-    psi = build_psi(P, 3, 2)
-    results = [psi_series(P, 3, 2), psi, apply(P, make_operator(P, "H"), psi), expand_in_basis(P, psi, 3)]
+    psi, chain = build_psi(P, 3, 2), chain_psi(P, 3, 2)
+    results = [psi_series(P, 3, 2), psi, chain, apply(P, make_operator(P, "H"), chain), expand_in_basis(P, psi, 3)]
     if P.mode == "float":
         results.append(build_phi(P, 3, 2))
     assert [type(x) for x in results] == [Poly2] * len(results)

@@ -1,9 +1,11 @@
 """The shipped relation catalogs are exactly what tools/gen_relations.py writes,
 every call boundary the benchmark traces still exists, the benchmark's
 coefficient metrics see coefficients, tools/count_lines.py counts every
-module of the package, and the README's library tour runs."""
+module of the package, tools/diff_reports.py flags what moved between two
+reports, and the README's library tour runs."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from jordan_osc import Params, model
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "gen_relations.py"
 COUNTER = ROOT / "tools" / "count_lines.py"
+DIFF_REPORTS = ROOT / "tools" / "diff_reports.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
 
@@ -76,6 +79,32 @@ def test_line_count_totals_every_module():
     assert [name for name, _ in modules] == sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py"))
     assert all(int(n) > 0 for _, n in modules)
     assert total == ["total", str(sum(int(n) for _, n in modules))]
+
+
+def test_diff_reports_flags_ids_and_statuses(tmp_path):
+    def entry(rid, status="pass", residual="0", anchor="x", ms=1.0):
+        return {"id": rid, "anchor": anchor, "status": status, "residual": residual, "ms": ms}
+
+    def run(old, new):
+        paths = []
+        for name, entries in (("old.json", old), ("new.json", new)):
+            (tmp_path / name).write_text(json.dumps({"mode": "exact", "suites": entries}))
+            paths.append(str(tmp_path / name))
+        proc = subprocess.run([sys.executable, str(DIFF_REPORTS), *paths], capture_output=True, text=True)
+        return proc.returncode, proc.stdout.splitlines()
+
+    old = [entry("a"), entry("b", residual="1e-16")]
+    # only the timings moved
+    assert run(old, [entry("a", ms=9.0), entry("b", residual="1e-16", ms=0.1)]) == (0, [])
+    # a residual and an anchor moved, no verdict did
+    assert run(old, [entry("a", anchor="y"), entry("b", residual="2e-16")]) == (
+        0, ["a: anchor 'x' -> 'y'", "b: residual '1e-16' -> '2e-16'"])
+    # a verdict flipped
+    assert run(old, [entry("a"), entry("b", status="fail", residual="1e-16")]) == (
+        1, ["b: status 'pass' -> 'fail'"])
+    # a check vanished, another appeared, or the ids changed order
+    assert run(old, [entry("a"), entry("c", residual="1e-16")]) == (1, ["b: only in old", "c: only in new"])
+    assert run(old, old[::-1]) == (1, ["the same ids in a different order"])
 
 
 def test_readme_library_tour_runs():

@@ -18,7 +18,7 @@ from jordan_osc import (
     RelationSpec,
     Report,
     adjoint,
-    build_psi,
+    chain_psi,
     check_actions,
     check_explicit_forms,
     check_integrals,
@@ -204,7 +204,7 @@ def _four_pass_residual(params, rule, n, m, image):
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return verifier.max_or_nan(abs(float(c2)), got.max_magnitude())
-    phi = model.build_psi(params.to_float(), n2, m2).scale(sqrt(model.phi_scale_sq(n2, m2)))
+    phi = model.chain_psi(params.to_float(), n2, m2).scale(sqrt(model.phi_scale_sq(n2, m2)))
     want = phi.scale(sqrt(c2))
     return (got - want).max_magnitude() / verifier.max_or_nan(1.0, want.max_magnitude())
 
@@ -220,7 +220,7 @@ class TestFloatLadderResidual:
             op = make_operator(point, rule.op_name)
             for n in range(7):
                 for m in range(n + 1):
-                    image = model.apply(point, op, model.build_psi(point, n, m))
+                    image = model.apply(point, op, model.chain_psi(point, n, m))
                     got = verifier._float_ladder_residual(point, rule, n, m, None, image, None)
                     want = _four_pass_residual(point, rule, n, m, image)
                     assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
@@ -277,6 +277,33 @@ class TestDerivedChecksCanFail:
         # grid: from (2,0), (2,2), (1,0), (3,2), (1,1), (3,1) and (0,0)
         assert failing == {f"irrep.{op}.float" for op in ("J+", "J-", "a1+", "a1-", "a2+", "a2-", "D+12")}
 
+    # (which generator, which of its terms to drop, the key index that marks an
+    # operator term using that generator: z^i zbar^j dz^k dzbar^l)
+    @pytest.mark.parametrize("generator, dropped, uses", [
+        (2, (0, 0, 1, 0), 3),  # dzbar -> b dw + dzbar - w - b zbar, without b dw
+        (1, (0, 1, 0, 0), 2),  # dz -> a (dw - zbar), without -a zbar
+        (0, (0, 1, 0, 0), 0),  # z -> (w - b zbar)/a, without -b zbar/a
+    ], ids=["dzbar-without-b-dw", "dz-without-zbar", "z-without-zbar"])
+    def test_broken_coordinate_map_fails_actions(self, params, monkeypatch, generator, dropped, uses):
+        # a wrong image of one generator in the chain variables fails the action
+        # report of every operator that uses that generator, and only those
+        images = model._chain_generators
+
+        def broken(P):
+            out = list(images(P))
+            out[generator] = DiffOp._normalized(P.mode, {key: v for key, v in out[generator].nums.items()
+                                                         if key != dropped}, out[generator].den)
+            assert out[generator] != images(P)
+            return tuple(out)
+
+        monkeypatch.setattr(model, "_POINTS", {})
+        monkeypatch.setattr(model, "_RECENT_CONJUGATIONS", {})
+        monkeypatch.setattr(model, "_chain_generators", broken)
+        users = {rule.rule_id for rule in ACTION_RULES
+                 if any(key[uses] for key in make_operator(params, rule.op_name).nums)}
+        assert len(users) > 5
+        assert _failing(check_actions(params, n_max=3)) == users
+
     def test_wrong_eigenvalue_fails_diagonal(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
@@ -325,7 +352,7 @@ class TestImagePass:
         monkeypatch.setattr(DiffOp, "apply_to", recorded)
         run_suites(P, ("actions", "irrep"), n_max=4)
         assert len(tables) == 15 and image_counts["apply_to"] == 23 * 15
-        assert {id(poly) for _, poly in tables.values()} == {id(build_psi(P, n, m))
+        assert {id(poly) for _, poly in tables.values()} == {id(chain_psi(P, n, m))
                                                               for n in range(5) for m in range(n + 1)}
         stored = [*model.point_cache(P).values(), *model.point_cache(P.to_float()).values(),
                   *(entry for pair in model._RECENT_CONJUGATIONS.values() for entry in pair)]

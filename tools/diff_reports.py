@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Compare two JSON reports of `jordan-osc verify --format json`.
+
+Prints one line per check id whose anchor, status or residual differs, and
+one per id that only one report has; the timing field `ms` is ignored.
+Exits 1 if any id or status differs (a check appeared, vanished or changed
+its verdict), 0 otherwise, so a run whose anchors or residuals moved but
+whose verdicts did not still exits 0.
+
+Run from anywhere:  python tools/diff_reports.py OLD.json NEW.json
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+FIELDS = ("anchor", "status", "residual")
+
+
+def load(path: str) -> dict[str, dict]:
+    """id -> report entry, in report order."""
+    with open(path, encoding="utf-8") as fh:
+        return {entry["id"]: entry for entry in json.load(fh)["suites"]}
+
+
+def diff(old: dict[str, dict], new: dict[str, dict]) -> tuple[list[str], bool]:
+    """(lines to print, in report order; whether an id or a status differs)."""
+    lines, statuses_differ = [], False
+    for rid, entry in old.items():
+        if rid not in new:
+            lines.append(f"{rid}: only in old")
+            continue
+        for name in FIELDS:
+            if entry[name] != new[rid][name]:
+                lines.append(f"{rid}: {name} {entry[name]!r} -> {new[rid][name]!r}")
+                statuses_differ |= name == "status"
+    lines += [f"{rid}: only in new" for rid in new if rid not in old]
+    ids_differ = list(old) != list(new)
+    if ids_differ and old.keys() == new.keys():
+        lines.append("the same ids in a different order")
+    return lines, ids_differ or statuses_differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: diff_reports.py OLD.json NEW.json", file=sys.stderr)
+        return 2
+    lines, verdicts_differ = diff(load(args[0]), load(args[1]))
+    for line in lines:
+        print(line)
+    return 1 if verdicts_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
