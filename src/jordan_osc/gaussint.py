@@ -4,42 +4,37 @@ Everything here evaluates the bilinear pairing
 
     <<f|g>> = integral f(x) g(x) dx1 dx2,      z = x1 + i x2, zbar = x1 - i x2,
 
-for basis functions f = kappa * P * envelope, each given by its ``Poly2`` P in
-(z, zbar) (kappa and the envelope are implied by the point, see model), so
-``h_block`` writes each chain-form image H psi in (z, zbar) with
-``model.from_chain`` before pairing it. Two independent routes are provided:
-an exact rational route through the moment recursion, and a numerical
-Gauss-Hermite route (the oracle). The exact route is authoritative; the oracle
-exists to catch transcription errors in the recursion.
+for basis functions f = kappa * P * envelope, each given by its chain form P
+in (w, zbar), w = a z + b zbar, as ``chain_psi`` and ``apply`` return it
+(kappa and the envelope are implied by the point, see model). Two independent
+routes are provided: an exact rational route in the chain variables, and a
+numerical Gauss-Hermite route in (x1, x2) on the (z, zbar) form
+``build_psi`` (the oracle). The exact route is authoritative; the oracle
+exists to catch an error in it.
 
-Moments are stored in units of pi/(2a): moment(p, q) is the rational multiple
-M with I(p,q) = integral z^p zbar^q envelope^2 = M * pi/(2a). Since each
-function carries one factor kappa = sqrt(2a/pi), the pairing of two
-functions is kappa^2 * (pi/(2a)) * sum(...) = sum(...), a plain scalar,
-so inner_product never needs pi at all.
-
-Most moments vanish: I(p, q) = 0 unless p >= q and p - q is even. Each
-parameter point therefore keeps a dense table of the support alone, indexed
-by ((p - q)/2, q), built by the integration-by-parts rules and grown when a
-larger total degree is asked for. The table lives in the point's store
-(model.point_cache), which only the last few points keep, so memory stays
-bounded over a sweep of parameter points. The pairing never forms the
-product polynomial f*g: it walks the pairs of terms, skips every pair whose
-moment is structurally zero, and sums c_f * sum(c_g * I) one term of f at a
-time. The pairing is symmetric term by term, so gram_block computes the
-entries with m <= m' and mirrors them.
-
-The table is stored like a term map (see weyl), as integer numerators over
-one denominator; the pairing sums those of f, g and the table, dividing once.
+In the chain variables the squared envelope is exp(-2 w zbar), whose second
+moments are <w w> = <zbar zbar> = 0 and <w zbar> = 1/2; so by Wick's theorem
+integral w^p zbar^q envelope^2 = delta_pq p!/2^p * pi/(2a), whatever a and b
+are. Each function carries one factor kappa = sqrt(2a/pi), so the pairing is
+the plain scalar sum(...) with no pi, and no moment table is needed: a term
+pair w^e zbar^i, w^e' zbar^i' contributes u u' s!/2^s when
+e + e' = i + i' = s, and nothing otherwise. The weights s!/2^s are integers
+over one power of two (floats over 1 in float mode), and the pairing sums
+them with the numerators of f and g in integers, dividing once. Every term
+of psi_{n,m} has e - i = 2m - n, so two functions of one level pair to zero
+unless m + m' = n, found from one lookup. The pairing is symmetric term by
+term, so gram_block computes the entries with m <= m' and mirrors them.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .model import Params, apply, build_psi, chain_psi, from_chain, make_operator, point_cache
+from .model import Params, apply, chain_psi, make_operator
 from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
 
 
@@ -47,74 +42,44 @@ class OracleUnavailableError(RuntimeError):
     """The quadrature oracle needs a > b for a convergent real-space measure."""
 
 
-def _moment_rows(params: Params, degree: int) -> tuple[list[list], int]:
-    """(rows, den), the moment table of ``params`` up to total degree ``degree``.
-
-    rows[r][q] / den = I(q + 2r, q) in units of pi/(2a), rows of integers (of
-    floats over 1 in float mode); row r holds q <= T - r, where
-    T = len(rows) - 1 is the half-degree built so far. The moments come from
-    the two integration-by-parts rules
-
-        p I(p-1, q) = 2a I(p, q+1)
-        q I(p, q-1) = 2a I(p+1, q) + 4b I(p, q+1)
-
-    with base I(0,0) = pi/(2a): along a row, I(p, q) = p/(2a) I(p-1, q-1),
-    and down the first column, I(p, 0) = -b (p-1)/a^2 I(p-2, 0). Every other
-    moment (p < q, or p - q odd) vanishes and is not stored. New moments are
-    computed from the last one of each row, then all rescaled to one den.
-    """
-    cache = point_cache(params)
-    rows, den = cache.get("moments", ([[1]], 1))
-    top, built = degree // 2, len(rows) - 1
-    if top <= built:
-        return rows, den
-    a, b, unit = params.a, params.b, lift(den, params.mode)
-    grown = [[row[-1] / unit] for row in rows]
-    for r in range(built + 1, top + 1):
-        grown.append([-(2 * r - 1) * b / (a * a) * grown[r - 1][0]])
-    for r, row in enumerate(grown):
-        for q in range(len(rows[r]) if r <= built else 1, top - r + 1):
-            row.append((2 * r + q) / (2 * a) * row[-1])
-    new = [row[1:] if r <= built else row for r, row in enumerate(grown)]
-    nums, new_den = to_ints(params.mode, [c for row in new for c in row])
-    common, flat = math.lcm(den, new_den), iter(nums)
-    old_scale, new_scale = common // den, common // new_den
-    rows = [[v * old_scale for v in old] + [next(flat) * new_scale for _ in row]
-            for old, row in zip(rows + [[]] * (top - built), new)]
-    cache["moments"] = rows, common
-    return rows, common
-
-
 def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
-    """I(p, q) = integral z^p zbar^q envelope^2 in units of pi/(2a); zero
-    outside the support p >= q >= 0, p - q even (see _moment_rows)."""
-    excess = p_deg - q_deg
-    if q_deg < 0 or excess < 0 or excess % 2:
+    """integral w^p zbar^q envelope^2 in units of pi/(2a): p!/2^p if p == q,
+    else zero (see the module docstring); the same at every point."""
+    if p_deg != q_deg or p_deg < 0:
         return zero(params.mode)
-    rows, den = _moment_rows(params, p_deg + q_deg)
-    return rows[excess // 2][q_deg] / lift(den, params.mode)
+    return lift(Fraction(math.factorial(p_deg), 2**p_deg), params.mode)
+
+
+@lru_cache(maxsize=None)
+def _chain_weights(mode: str, top: int) -> tuple[tuple, int]:
+    """(weights, den): weights[s] / den = s!/2^s for s <= top, as integers over
+    one denominator (floats over 1 in float mode)."""
+    weights, den = to_ints(mode, [lift(Fraction(math.factorial(s), 2**s), mode) for s in range(top + 1)])
+    return tuple(weights), den
 
 
 def inner_product(params: Params, f: Poly2, g: Poly2) -> Coeff:
-    """<<f|g>> as a plain coefficient (bilinear, symmetric; no conjugation).
+    """<<f|g>> of two chain forms as a plain coefficient (bilinear, symmetric;
+    no conjugation).
 
-    The term pair z^i zbar^j (of f), z^i' zbar^j' (of g) contributes
-    c c' I(i + i', j + j'); pairs outside the moment support are skipped.
+    The term pair w^e zbar^i (of f), w^e' zbar^i' (of g) contributes
+    u u' s!/2^s when e + e' = i + i' = s, that is when e' - i' = i - e; g's
+    terms are grouped by e' - i', so each term of f reads only its partners.
     """
     mode = join_modes(params, f, g)
-    rows, moment_den = _moment_rows(params, f.total_degree() + g.total_degree())
-    g_terms = [(i - j, j, c) for (i, j), c in g.nums.items()]
+    partners: dict = {}
+    for (e, i), u in g.nums.items():
+        partners.setdefault(e - i, []).append((e, u))
+    top = max((e for e, _ in f.nums), default=0) + max((e for e, _ in g.nums), default=0)
+    weights, weight_den = _chain_weights(mode, top)
     total = 0
-    for (i, j), cf in f.nums.items():
-        excess = i - j
+    for (e, i), uf in f.nums.items():
         partial = 0
-        for g_excess, g_j, cg in g_terms:
-            e = excess + g_excess
-            if e >= 0 and not e & 1:
-                partial += cg * rows[e >> 1][j + g_j]
+        for e2, ug in partners.get(i - e, ()):
+            partial += ug * weights[e + e2]
         if partial:
-            total += cf * partial
-    return total / lift(f.den * g.den * moment_den, mode)
+            total += uf * partial
+    return total / lift(f.den * g.den * weight_den, mode)
 
 
 def _eval_on_grid(poly: Poly2, zgrid: np.ndarray, zbgrid: np.ndarray) -> np.ndarray:
@@ -129,8 +94,19 @@ def minimum_order(f: Poly2, g: Poly2) -> int:
     return max(32, f.total_degree() + g.total_degree() + 8)
 
 
+@lru_cache(maxsize=8)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite nodes and weights of one order, read-only since every
+    call of that order shares them."""
+    rule = np.polynomial.hermite.hermgauss(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = None) -> complex:
-    """<<f|g>> by tensor-product Gauss-Hermite quadrature on (x1, x2).
+    """<<f|g>> of two (z, zbar) forms (see build_psi) by tensor-product
+    Gauss-Hermite quadrature on (x1, x2).
 
     With z = x1 + i x2 the squared envelope is
     exp(-2(a+b) x1^2 - 2(a-b) x2^2 + 4 i b x1 x2); the real Gaussian factors
@@ -146,7 +122,7 @@ def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = No
         order = floor
     elif order < floor:
         raise ValueError(f"order {order} is below the degree-dependent minimum {floor}")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _hermite_rule(order)
     s1 = math.sqrt(2 * (a + b))
     s2 = math.sqrt(2 * (a - b))
     x1 = (nodes / s1)[:, None]
@@ -172,7 +148,7 @@ def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = No
 def gram_block(params: Params, n: int) -> tuple:
     """Matrix G[m][m'] = <<psi_{n,m} | psi_{n,m'}>>; the pairing is symmetric,
     so only the entries with m <= m' are paired and the rest mirror them."""
-    fns = [build_psi(params, n, m) for m in range(n + 1)]
+    fns = [chain_psi(params, n, m) for m in range(n + 1)]
     upper = {
         (m, mp): inner_product(params, fns[m], fns[mp])
         for m in range(n + 1)
@@ -188,8 +164,8 @@ def h_block(params: Params, n: int) -> tuple:
     """Matrix M[k][m] = <<psi_{n,n-k} | H psi_{n,m}>>; biorthogonality turns it
     into the level-n Jordan block E_n I + superdiagonal of ones."""
     ham = make_operator(params, "H")
-    fns = [build_psi(params, n, m) for m in range(n + 1)]
-    images = [from_chain(params, apply(params, ham, chain_psi(params, n, m))) for m in range(n + 1)]
+    fns = [chain_psi(params, n, m) for m in range(n + 1)]
+    images = [apply(params, ham, fn) for fn in fns]
     return tuple(
         tuple(inner_product(params, fns[n - k], images[m]) for m in range(n + 1))
         for k in range(n + 1)
@@ -197,10 +173,11 @@ def h_block(params: Params, n: int) -> tuple:
 
 
 def expand_in_basis(params: Params, f: Poly2, n_max: int) -> Poly2:
-    """Truncated resolution of identity: sum over n <= n_max of
-    <<psi_{n,n-m}|f>> psi_{n,m}; reproduces any f in the span of those levels."""
+    """Truncated resolution of identity on a chain form: sum over n <= n_max of
+    <<psi_{n,n-m}|f>> psi_{n,m}, in chain form; reproduces any f in the span
+    of those levels."""
     return linear_combination(params.mode, (
-        (inner_product(params, build_psi(params, n, n - m), f), build_psi(params, n, m))
+        (inner_product(params, chain_psi(params, n, n - m), f), chain_psi(params, n, m))
         for n in range(n_max + 1)
         for m in range(n + 1)
     ))

@@ -18,9 +18,10 @@ Two coordinate systems carry basis functions. The chain variables (w, zbar),
 w = a z + b zbar, are where the paper writes psi_{n,m}: ``chain_psi`` has one
 term per term of that sum, and the envelope is exp(-w zbar).
 ``conjugate_through_envelope`` returns operators in (w, zbar), and ``apply``
-acts on chain forms, so the image pass never expands a power of w.
-``from_chain`` writes a chain form in (z, zbar), where the pairing and the
-printed output live; ``build_psi`` is ``from_chain`` of ``chain_psi``.
+acts on chain forms, so neither the image pass nor the pairing (see gaussint)
+expands a power of w. ``from_chain`` writes a chain form in (z, zbar), where
+the quadrature oracle and the printed output live; ``build_psi`` is
+``from_chain`` of ``chain_psi``.
 
 Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
 positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
@@ -32,12 +33,12 @@ products directly; ``Params.s`` lifts a literal into the mode.
 Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
 build directly. Every basis function (psi in both coordinate systems, and phi
-in float mode), operator and pairing moment of a parameter point lives in one
-store per point (``point_cache``), kept for the last few points only. ``apply``
+in float mode) and operator of a parameter point lives in one store per point
+(``point_cache``), kept for the last few points only. ``apply``
 keeps the envelope conjugations of the last len(CATALOG_NAMES) operators
 applied, and hands a caller's derivative table (see weyl) to ``apply_to``. A
 ``Params`` computes its hash once, so a lookup in these stores does not rehash
-the point, and its float twin once.
+the point, and its float twin and scalar views once.
 """
 
 from __future__ import annotations
@@ -133,27 +134,28 @@ class Params:
         # built once per point; a point outside the float range raises each time
         return Params(FLOAT, self.p, self.q)
 
-    # ---- coefficient views (Fraction in exact mode, float in float mode) ----
+    # ---- coefficient views (Fraction in exact mode, float in float mode),
+    # each computed on first read and kept on the point ----
     def s(self, value) -> Coeff:
         return lift(value, self.mode)
 
-    @property
+    @cached_property
     def a(self) -> Coeff:
         return self.p * self.p
 
-    @property
+    @cached_property
     def b(self) -> Coeff:
         return self.q * self.q
 
-    @property
+    @cached_property
     def sqrt_ab(self) -> Coeff:
         return self.p * self.q
 
-    @property
+    @cached_property
     def sqrt_a_over_b(self) -> Coeff:
         return self.p / self.q
 
-    @property
+    @cached_property
     def sqrt_b_over_a(self) -> Coeff:
         return self.q / self.p
 
@@ -169,7 +171,7 @@ _POINTS_MAX = 4
 
 def point_cache(params: Params) -> dict:
     """The store of everything fixed once the parameter point is: basis
-    functions, operators and the moment table (see gaussint). Only the last
+    functions, operators and the powers of w (see from_chain). Only the last
     few points keep a store, so memory stays bounded over a sweep of points."""
     cache = _POINTS.get(params)
     if cache is None:

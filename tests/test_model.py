@@ -2,6 +2,7 @@
 
 import gc
 import math
+import pickle
 import weakref
 from fractions import Fraction
 
@@ -87,6 +88,22 @@ class TestParams:
         assert P.mode == "float"
         assert P.a == pytest.approx(1.0)
         assert P.to_float() is P
+
+    @pytest.mark.parametrize("make", [lambda: Params.exact(F(5, 3), F(2, 7)), lambda: Params.from_ab(0.79, 0.23)],
+                             ids=["exact", "float"])
+    def test_scalar_views_computed_once(self, make):
+        P, fresh = make(), make()
+        views = ("a", "b", "sqrt_ab", "sqrt_a_over_b", "sqrt_b_over_a")
+        values = [getattr(P, name) for name in views]
+        assert [getattr(P, name) for name in views] == values
+        assert all(getattr(P, name) is value for name, value in zip(views, values))  # kept, not recomputed
+        assert values == [P.p * P.p, P.q * P.q, P.p * P.q, P.p / P.q, P.q / P.p]
+        # reading the views changes neither equality nor the hash, nor what a pickle restores
+        assert P == fresh and hash(P) == hash(fresh)
+        for point in (P, fresh):
+            restored = pickle.loads(pickle.dumps(point))
+            assert restored == P and hash(restored) == hash(P)
+            assert [getattr(restored, name) for name in views] == values
 
     def test_parameters_are_coefficients_of_their_mode(self):
         assert type(Params("float", 1, 2).p) is float and type(Params("float", 1, 2).sqrt_ab) is float
@@ -187,16 +204,18 @@ class TestPointCache:
         for P in points:
             fn = build_psi(P, 2, 1)
             apply(P, make_operator(P, "H"), fn)
-            inner_product(P, build_psi(P, 1, 0), build_psi(P, 1, 1))
+            inner_product(P, chain_psi(P, 1, 0), chain_psi(P, 1, 1))
             psi_polys.append(weakref.ref(fn))
         assert len(model._POINTS) <= model._POINTS_MAX
         assert points[-1] in model._POINTS and points[0] not in model._POINTS
-        # the integer numerators live on the cached objects and the moment
-        # table in the point's store, so an evicted point takes both with it
+        # the integer numerators live on the cached objects and the powers of
+        # w in the point's store, so an evicted point takes both with it; the
+        # pairing keeps no table in any store
         gc.collect()
         kept = psi_polys[-1]()
         assert kept is not None and all(type(v) is int for v in kept.nums.values()) and psi_polys[0]() is None
-        assert [P in model._POINTS for P in points] == ["moments" in model._POINTS.get(P, {}) for P in points]
+        assert [P in model._POINTS for P in points] == ["w_powers" in model._POINTS.get(P, {}) for P in points]
+        assert not any("moments" in cache for cache in model._POINTS.values())
         rebuilt = build_psi(points[0], 3, 2)
         assert rebuilt == first and rebuilt is not first
 

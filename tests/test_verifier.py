@@ -3,7 +3,7 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import isnan, sqrt
+from math import factorial, isnan, sqrt
 
 import pytest
 
@@ -34,7 +34,8 @@ from jordan_osc import (
     run_suites,
     swap_vars,
 )
-from jordan_osc import model, verifier
+from jordan_osc import gaussint, model, verifier
+from jordan_osc.weyl import lift, to_ints
 from jordan_osc.verifier import SUITES, suite_cutoffs
 
 F = Fraction
@@ -69,6 +70,28 @@ class TestCatalogParsing:
     def test_comments_and_blanks_skipped(self):
         text = "# a comment\n\nx | identity | H | H\n"
         assert len(parse_relations(text)) == 1
+
+    def test_shipped_catalog_parsed_once_returned_fresh(self):
+        first = load_relations()
+        n = len(first)
+        first.pop()
+        first[0] = None
+        second = load_relations()
+        assert len(second) == n and isinstance(second[0], RelationSpec) and second is not first
+        controls = load_negative_controls()
+        controls.clear()
+        assert len(load_negative_controls()) == 5
+        # a side is parsed once and its tree, nested tuples, is shared
+        side = second[1].lhs
+        assert verifier.parse_expression(side) is verifier.parse_expression(side)
+        assert isinstance(verifier.parse_expression(side), tuple)
+
+    def test_catalog_file_read_on_every_call(self, tmp_path):
+        path = tmp_path / "catalog.txt"
+        path.write_text("x | identity | H | H\n")
+        assert [s.rel_id for s in load_relations(str(path))] == ["x"]
+        path.write_text("y | identity | K | K\nz | identity | H | H\n")
+        assert [s.rel_id for s in load_relations(str(path))] == ["y", "z"]
 
 
 class TestExpressionGrammar:
@@ -431,6 +454,30 @@ class TestIntegralSuite:
         assert oracle.skipped and oracle.status == "skip" and "skip" in oracle.anchor
         assert not oracle.passed and not oracle.failed
         assert oracle.residual == "n/a"
+
+    def test_wrong_chain_weight_cannot_pass(self, params, monkeypatch):
+        # (s+1)!/2^s in place of s!/2^s: equal at s = 0 only
+        def wrong_weights(mode, top):
+            return to_ints(mode, [lift(F(factorial(s + 1), 2**s), mode) for s in range(top + 1)])
+
+        monkeypatch.setattr(gaussint, "_chain_weights", wrong_weights)
+        statuses = {r.relation_id: r.status for r in check_integrals(params, n_max=8)}
+        assert statuses["integrals.gram"] == statuses["integrals.jordan"] == "fail"
+        assert statuses["integrals.oracle"] == "fail"
+
+    def test_corrupted_basis_coefficient_cannot_pass(self, monkeypatch):
+        # one coefficient of chain_psi at one level n <= 8, seen by every caller;
+        # a top-degree one, since a term of degree < n lies in the span of the
+        # lower levels, which the within-level pairs do not read
+        monkeypatch.setattr(model, "_POINTS", {})
+        P = Params.exact(F(3, 2), F(2, 3))
+        psi = chain_psi(P, 5, 2)
+        key = max(psi.nums, key=sum)
+        corrupted = Poly2._normalized(psi.mode, {**psi.nums, key: psi.nums[key] + 1}, psi.den)
+        model.point_cache(P)[model.chain_psi.__wrapped__, 5, 2] = corrupted
+        assert chain_psi(P, 5, 2) is corrupted
+        statuses = {r.relation_id: r.status for r in check_integrals(P, n_max=8)}
+        assert statuses["integrals.gram"] == statuses["integrals.jordan"] == "fail"
 
     def test_skipped_report_cannot_pass(self):
         with pytest.raises(ValueError):
