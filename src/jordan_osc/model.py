@@ -171,8 +171,9 @@ _POINTS_MAX = 4
 
 def point_cache(params: Params) -> dict:
     """The store of everything fixed once the parameter point is: basis
-    functions, operators and the powers of w (see from_chain). Only the last
-    few points keep a store, so memory stays bounded over a sweep of points."""
+    functions, operators, the powers of w (see from_chain) and the quadrature
+    grids (see gaussint). Only the last few points keep a store, so memory
+    stays bounded over a sweep of points."""
     cache = _POINTS.get(params)
     if cache is None:
         if len(_POINTS) >= _POINTS_MAX:

@@ -595,6 +595,8 @@ def _image_pass(
         checks = [] if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol)
         image_clock = action if "actions" in suites else checks[0][0]
         plan.append((rule, action, irrep_rule, checks, image_clock, make_operator(params, rule.op_name)))
+    if not plan:
+        return [], []  # neither suite asked for: no image feeds a check
     for n in range(n_max + 1):
         for m in range(n + 1):
             psi = chain_psi(params, n, m)
@@ -697,9 +699,11 @@ def check_integrals(
                         mode, tol)
     oracle = _Check("integrals.oracle", "chain pairing vs Gauss-Hermite on sampled pairs", FLOAT, oracle_tol)
 
+    heads = []  # <<psi_n0|psi_n0>> = G[0][0] of level n, for integrals.norms
     with gram.timed():
         for n in range(n_max + 1):
             block = gram_block(params, n)
+            heads.append(block[0][0])
             for m in range(n + 1):
                 for mp in range(n + 1):
                     gram.add(abs(block[m][mp] - params.s(1 if m + mp == n else 0)))
@@ -714,11 +718,9 @@ def check_integrals(
                     jordan.add(abs(block[k][m] - want))
 
     with norms.timed():
-        ground = chain_psi(params, 0, 0)
-        norms.add(abs(inner_product(params, ground, ground) - params.s(1)))
+        norms.add(abs(heads[0] - params.s(1)))
         for n in range(1, n_max + 1):
-            head = chain_psi(params, n, 0)
-            norms.add(abs(inner_product(params, head, head)))
+            norms.add(abs(heads[n]))
 
     with resolution.timed():
         for salt in (1, 2):

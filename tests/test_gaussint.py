@@ -1,9 +1,10 @@
 """Gaussian moments, bilinear pairing, block matrices, quadrature oracle."""
 
+import cmath
+import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, pi, sqrt
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,21 @@ def pair_term_by_term(f: Poly2, g: Poly2, moment_of):
     """The pairing as the per-term coefficient loop the integer kernel replaced."""
     return sum((cf * cg * moment_of(i + i2, j + j2)
                 for (i, j), cf in f.terms.items() for (i2, j2), cg in g.terms.items()), 0)
+
+
+def grid_quadrature(P, f: Poly2, g: Poly2, order: int) -> complex:
+    """The oracle's quadrature as written: kappa^2 times the sum over every
+    point of the full tensor-product grid, with no folding and no moments."""
+    a, b = float(P.a), float(P.b)
+    s1, s2 = sqrt(2 * (a + b)), sqrt(2 * (a - b))
+    nodes, weights = gaussint._hermite_rule(order)
+    total = 0j
+    for t1, w1 in zip(nodes, weights):
+        for t2, w2 in zip(nodes, weights):
+            x1, x2 = t1 / s1, t2 / s2
+            z = complex(x1, x2)
+            total += w1 * w2 * f.eval_at(z, z.conjugate()) * g.eval_at(z, z.conjugate()) * cmath.exp(4j * b * x1 * x2)
+    return total * 2 * a / (pi * s1 * s2)
 
 
 def _magnitudes(poly: Poly2) -> Poly2:
@@ -378,8 +394,10 @@ class TestQuadratureOracle:
         pairs = [(1, 0, 1, 1), (2, 1, 2, 1), (3, 0, 3, 3), (2, 0, 3, 1)]
         for n1, m1, n2, m2 in pairs:
             want = inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2))
-            got = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
-            assert abs(got - complex(want)) < 1e-10, (n1, m1, n2, m2)
+            f, g = build_psi(fparams, n1, m1), build_psi(fparams, n2, m2)
+            for order in (None, 33, 41):  # odd orders keep a middle node of their own
+                got = quadrature_oracle(fparams, f, g, order)
+                assert abs(got - complex(want)) < 1e-10, (n1, m1, n2, m2, order)
 
     def test_requires_a_greater_than_b(self):
         P = Params.from_ab(0.25, 1.0)
@@ -397,13 +415,66 @@ class TestQuadratureOracle:
         nodes, weights = gaussint._hermite_rule(32)
         again = gaussint._hermite_rule(32)
         assert again[0] is nodes and again[1] is weights
-        fresh_nodes, fresh_weights = np.polynomial.hermite.hermgauss(32)
-        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
-        for array in (nodes, weights):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-        # a shared rule gives every call the same bits
+        for values in (nodes, weights):
+            with pytest.raises(TypeError):
+                values[0] = 0.0
+        # a shared rule gives every call the same bits, also a rule and a grid
+        # built again from nothing
         f, g = build_psi(fparams, 3, 1), build_psi(fparams, 3, 2)
         first = quadrature_oracle(fparams, f, g)
         gaussint._hermite_rule.cache_clear()
+        del model.point_cache(fparams)["quadrature_grid", 32]
         assert quadrature_oracle(fparams, f, g) == first
+
+    @pytest.mark.parametrize("order", [32, 33, 40, 60])
+    def test_hermite_rule_matches_numpy(self, order):
+        hermite = pytest.importorskip("numpy.polynomial.hermite")
+        nodes, weights = gaussint._hermite_rule(order)
+        want_nodes, want_weights = hermite.hermgauss(order)
+        assert len(nodes) == len(weights) == order
+        for x, want in zip(nodes, want_nodes):
+            assert abs(x - want) <= 1e-13 * max(1.0, abs(want))
+        for w, want in zip(weights, want_weights):
+            assert abs(w - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("order", [7, 32, 33])
+    def test_hermite_rule_mirrored_and_exact(self, order):
+        nodes, weights = gaussint._hermite_rule(order)
+        assert list(nodes) == sorted(nodes)
+        assert nodes == tuple(-x for x in reversed(nodes)) and weights == weights[::-1]
+        # exact for x^(2k), k < order: integral x^(2k) exp(-x^2) = Gamma(k + 1/2)
+        moment = sqrt(pi)
+        for k in range(order):
+            got = sum(w * x ** (2 * k) for x, w in zip(nodes, weights))
+            assert got == pytest.approx(moment, rel=1e-12), k
+            moment *= k + 0.5
+
+    def test_precision_floor_on_criterion_7_inputs(self, params, fparams):
+        # the inputs of acceptance criterion 7: every (z, zbar) moment with
+        # p + q <= 12, and 20 seeded basis pairs with n <= 8
+        cases = [(complex(zz_moment(params, p, q)), Poly2.monomial(p, q, 1.0), Poly2.one("float"))
+                 for p in range(13) for q in range(13 - p)]
+        rng = random.Random(7)
+        for _ in range(20):
+            n1, n2 = rng.randint(0, 8), rng.randint(0, 8)
+            m1, m2 = rng.randint(0, n1), rng.randint(0, n2)
+            want = complex(inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2)))
+            cases.append((want, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2)))
+        worst = 0.0
+        for want, f, g in cases:
+            got = quadrature_oracle(fparams, f, g)
+            worst = max(worst, abs(got - want) / (abs(want) or 1.0))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("order", [32, 33])
+    def test_matches_the_grid_sum(self, fparams, order):
+        # folding by the mirror symmetry and summing moments reorders the
+        # grid sum only; odd degrees, a monomial alone and a non-basis
+        # polynomial included
+        cases = [(build_psi(fparams, 3, 1), build_psi(fparams, 3, 2)),
+                 (build_psi(fparams, 2, 0), build_psi(fparams, 3, 1)),
+                 (Poly2.monomial(4, 1, 1.0), Poly2.one("float")),
+                 (Poly2("float", {(0, 0): 0.5, (2, 1): -1.25, (1, 3): 2.0}), Poly2.monomial(1, 1, 0.75))]
+        for f, g in cases:
+            want = grid_quadrature(fparams, f, g, order)
+            assert abs(quadrature_oracle(fparams, f, g, order=order) - want) <= 1e-12 * max(1.0, abs(want))

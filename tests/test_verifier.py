@@ -413,6 +413,14 @@ class TestImagePass:
         assert built == {"exact": 1, "float": 1}
         assert P.to_float() is P.to_float() == Params(FLOAT, F(5, 3), F(2, 7))
 
+    def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
+        # structure alone reads no image, so the pass builds no psi at all
+        monkeypatch.setattr(model, "_POINTS", {})
+        P = Params.exact(F(7, 4), F(3, 5))
+        run_suites(P, ("structure",), n_max=24)
+        keys = [key for key in model.point_cache(P) if isinstance(key, tuple)]
+        assert keys and not any(key[0] is model.chain_psi.__wrapped__ for key in keys)
+
     def test_irrep_rule_without_action_rule_rejected(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
@@ -454,6 +462,20 @@ class TestIntegralSuite:
         assert oracle.skipped and oracle.status == "skip" and "skip" in oracle.anchor
         assert not oracle.passed and not oracle.failed
         assert oracle.residual == "n/a"
+
+    def test_norms_read_the_gram_blocks(self, params, monkeypatch):
+        # integrals.norms takes each <<psi_n0|psi_n0>> from the gram block of
+        # level n; the suite pairs nothing itself but the oracle's exact values
+        calls = Counter()
+        pair = verifier.inner_product
+
+        def counted(*args):
+            calls["pair"] += 1
+            return pair(*args)
+
+        monkeypatch.setattr(verifier, "inner_product", counted)
+        reports = check_integrals(params, n_max=8)
+        assert all(r.passed for r in reports) and calls["pair"] == 5
 
     def test_wrong_chain_weight_cannot_pass(self, params, monkeypatch):
         # (s+1)!/2^s in place of s!/2^s: equal at s = 0 only
