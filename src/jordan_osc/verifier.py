@@ -19,22 +19,25 @@ a chain form, so a float residual is the largest coefficient over (w, zbar)
 monomials. It runs basis-outer: each psi_{n,m} gets one derivative table that
 every operator applied to it reads (``apply`` conjugates each operator once
 per pass), and each image is built once, handed to every check that reads it,
-and dropped, as is the table. The exact squared-value report irrep.<rule>.sq
-derives from the same operator's action rule: op psi_{n,m} = c psi_{n',m'}
-with the ladder target, c >= 0, and c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq,
-so its residual also carries the image's residual against the action rule.
-irrep.J0 and irrep.K likewise check the J0 and K images and compare the
-action coefficient with the eigenvalue. The direct reports irrep.<rule>.float
-read the same shared image in both modes, in floats and rescaled to op phi,
-and compare it with the float basis phi in one pass; in an exact run they check
-that the float basis matches the exact images to rounding.
+and dropped, as is the table. A residual is read off the image and its
+targets in one pass over their terms (``weyl.residual_magnitude``): no
+difference polynomial is built. The exact squared-value report
+irrep.<rule>.sq derives from the same operator's action rule:
+op psi_{n,m} = c psi_{n',m'} with the ladder target, c >= 0, and
+c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, decided in integers, so its residual
+also carries the image's residual against the action rule. irrep.J0 and
+irrep.K likewise check the J0 and K images and compare the action coefficient
+with the eigenvalue. The direct reports irrep.<rule>.float read the same
+shared image in both modes, in floats and rescaled to op phi, against the
+float basis phi; in an exact run they check that the float basis matches the
+exact images to rounding.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
-worst residual and where it sits, times the work, and gives the verdict. Exact
-mode is authoritative: a pass there means residual identically zero. Float
-mode compares residuals against a tolerance, and a NaN residual counts as the
-worst, so a check that met one fails. A check that cannot run at the given
-point is reported as skipped, never as passed.
+worst residual and where it sits, times the work done inside ``with check:``,
+and gives the verdict. Exact mode is authoritative: a pass there means
+residual identically zero. Float mode compares residuals against a tolerance,
+and a NaN residual counts as the worst, so a check that met one fails. A check
+that cannot run at the given point is reported as skipped, never as passed.
 """
 
 from __future__ import annotations
@@ -42,12 +45,11 @@ from __future__ import annotations
 import operator
 import re
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
-from math import sqrt
+from math import factorial, sqrt
 from typing import Callable, Iterable
 
 from .gaussint import (
@@ -79,8 +81,8 @@ from .weyl import (
     adjoint,
     anticommutator,
     commutator,
-    linear_combination,
     max_or_nan,
+    residual_magnitude,
     swap_vars,
     zero,
 )
@@ -134,23 +136,25 @@ class Report:
 class _Check:
     """The one builder of a Report: the check's id, anchor and mode, its worst
     residual and the (n, m) where that sits, the time spent inside its
-    ``timed()`` blocks, and the verdict (exact: residual == 0, float:
+    ``with check:`` blocks, and the verdict (exact: residual == 0, float:
     residual <= tol). A NaN residual beats any number and is kept, so a check
-    that met one fails."""
+    that met one fails; a zero never replaces the worst."""
 
     def __init__(self, relation_id: str, anchor: str, mode: str, tol: float) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
         self.worst = zero(mode)
         self.at, self.seconds, self.skipped = None, 0.0, False
 
-    @contextmanager
-    def timed(self):
-        start = time.perf_counter()
-        yield
-        self.seconds += time.perf_counter() - start
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self.seconds += time.perf_counter() - self._start
 
     def add(self, residual, at: tuple | None = None) -> None:
         """Keep ``residual``, found at basis index ``at``, if it is the worst so far."""
+        if not residual:
+            return
         if residual > self.worst or (residual != residual and self.worst == self.worst):
             self.worst, self.at = residual, at
 
@@ -287,7 +291,7 @@ def eval_expression(expr: str, params: Params) -> DiffOp:
 
 def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL) -> Report:
     check = _Check(spec.rel_id, f"{spec.lhs} == {spec.rhs}", params.mode, tol)
-    with check.timed():
+    with check:
         check.add((eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude())
     return check.report()
 
@@ -492,7 +496,9 @@ LADDER_RULES: tuple[LadderRule, ...] = (
 )
 
 
+@cache
 def _jmu(n: int, m: int) -> tuple[Fraction, Fraction]:
+    # kept per basis index: every irrep rule reads it at every (n, m)
     return Fraction(n, 2), Fraction(2 * m - n, 2)
 
 
@@ -505,8 +511,12 @@ def _split_terms(terms: list, n2: int, m2: int):
     """An action expansion's coefficient at psi[n2,m2], and the largest
     magnitude it puts anywhere else (nonzero when the action and irrep claims
     name different targets)."""
-    coeff = sum((c for t_n, t_m, c in terms if (t_n, t_m) == (n2, m2)), 0)
-    stray = max_or_nan(0, *(abs(c) for t_n, t_m, c in terms if (t_n, t_m) != (n2, m2)))
+    coeff = stray = 0
+    for t_n, t_m, c in terms:
+        if t_n == n2 and t_m == m2:
+            coeff += c
+        else:
+            stray = max_or_nan(stray, abs(c))
     return coeff, stray
 
 
@@ -536,6 +546,13 @@ def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
     if coeff < 0:
         # the su(2)-type coefficients are nonnegative
         return max_or_nan(image_residual, stray, abs(coeff))
+    # c^2 ratio == c2 with ratio = m!(n'-m')!/((n-m)! m'!), decided in integers;
+    # only a failure, or a coefficient that is no Fraction (the int 0 when no
+    # term meets the target), builds the Fraction residual
+    if isinstance(coeff, Fraction) and (
+            coeff.numerator ** 2 * factorial(m) * factorial(n2 - m2) * c2.denominator
+            == c2.numerator * coeff.denominator ** 2 * factorial(n - m) * factorial(m2)):
+        return max_or_nan(image_residual, stray)
     ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
     return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
@@ -543,18 +560,17 @@ def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
 def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
     """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
     normalized by the size of the target. op phi is the shared image rescaled
-    (phi is a multiple of psi, so by linearity), in floats; the target is the
-    float basis, so an exact run checks that basis against its exact image.
-    got - want is one pass over both. Rounding is monotone, so for c >= 0 the
-    largest magnitude of c * f is c times that of f, bit for bit."""
-    fimage, scale = image.to_float(), sqrt(phi_scale_sq(n, m))
+    (phi is a multiple of psi, so by linearity), read in floats; the target is
+    the float basis, so an exact run checks that basis against its exact
+    image. Rounding is monotone, so for c >= 0 the largest magnitude of c * f
+    is c times that of f, bit for bit."""
+    scale = sqrt(phi_scale_sq(n, m))
     c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
-        return max_or_nan(abs(float(c2)), fimage.max_magnitude() * scale)
+        return max_or_nan(abs(float(c2)), residual_magnitude(FLOAT, [], image, scale))
     phi, c = build_phi(params.to_float(), n2, m2), sqrt(c2)
-    diff = linear_combination(FLOAT, [(scale, fimage), (-c, phi)])
-    return diff.max_magnitude() / max_or_nan(1.0, c * phi.max_magnitude())
+    return residual_magnitude(FLOAT, [(c, phi)], image, scale) / max_or_nan(1.0, c * phi.max_magnitude())
 
 
 def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float) -> list[tuple[_Check, Callable]]:
@@ -602,17 +618,16 @@ def _image_pass(
             psi = chain_psi(params, n, m)
             derivatives: dict = {}  # the derivative table of psi_{n,m}
             for rule, action, irrep_rule, checks, image_clock, op in plan:
-                with image_clock.timed():
+                with image_clock:
                     terms = rule.terms(params, n, m)
                     image = apply(params, op, psi, derivatives)
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
-                    image_residual = linear_combination(params.mode, [
-                        *((-c, chain_psi(params, n2, m2)) for n2, m2, c in terms if c), (1, image)
-                    ]).max_magnitude()
+                    image_residual = residual_magnitude(
+                        params.mode, [(c, chain_psi(params, n2, m2)) for n2, m2, c in terms if c], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
-                    with check.timed():
+                    with check:
                         try:
                             check.add(residual(params, irrep_rule, n, m, terms, image, image_residual))
                         except OverflowError:
@@ -644,7 +659,7 @@ def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_
 def check_pseudo_hermiticity(params: Params, tol: float = DEFAULT_TOL) -> Report:
     """swap_vars(H) == adjoint(H): H is Hermitian up to the z <-> zbar swap."""
     check = _Check("pseudo.H", "swap_vars(H) == adjoint(H)", params.mode, tol)
-    with check.timed():
+    with check:
         ham = make_operator(params, "H")
         check.add((swap_vars(ham) - adjoint(ham)).max_magnitude())
     return check.report()
@@ -655,7 +670,7 @@ def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Repor
     reports = []
     for name in EXPLICIT_NAMES:
         check = _Check(f"explicit.{name}", f"make_operator({name}) == explicit_form({name})", params.mode, tol)
-        with check.timed():
+        with check:
             check.add((make_operator(params, name) - explicit_form(params, name)).max_magnitude())
         reports.append(check.report())
     return reports
@@ -700,7 +715,7 @@ def check_integrals(
     oracle = _Check("integrals.oracle", "chain pairing vs Gauss-Hermite on sampled pairs", FLOAT, oracle_tol)
 
     heads = []  # <<psi_n0|psi_n0>> = G[0][0] of level n, for integrals.norms
-    with gram.timed():
+    with gram:
         for n in range(n_max + 1):
             block = gram_block(params, n)
             heads.append(block[0][0])
@@ -708,7 +723,7 @@ def check_integrals(
                 for mp in range(n + 1):
                     gram.add(abs(block[m][mp] - params.s(1 if m + mp == n else 0)))
 
-    with jordan.timed():
+    with jordan:
         for n in range(n_max + 1):
             block = h_block(params, n)
             e_n = energy(params, n)
@@ -717,17 +732,17 @@ def check_integrals(
                     want = e_n if k == m else params.s(1 if m == k + 1 else 0)
                     jordan.add(abs(block[k][m] - want))
 
-    with norms.timed():
+    with norms:
         norms.add(abs(heads[0] - params.s(1)))
         for n in range(1, n_max + 1):
             norms.add(abs(heads[n]))
 
-    with resolution.timed():
+    with resolution:
         for salt in (1, 2):
             f = _fixed_test_poly(params, span, salt)
             resolution.add((expand_in_basis(params, f, span) - f).max_magnitude())
 
-    with oracle.timed():
+    with oracle:
         try:
             fparams = params.to_float()
             if not float(params.a) > float(params.b):

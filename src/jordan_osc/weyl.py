@@ -16,9 +16,10 @@ normalizing constructor ``_normalized``, reducing once per result, never per
 term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
 negation and ``scale``), ``_product`` (both ``*`` and ``commutator``),
 ``adjoint``, ``apply_to`` (whose table of derivatives several operators can
-share), ``swap_vars`` and ``to_float``. ``.terms`` (key ->
-``Fraction`` or ``float``) is derived on demand for readers such as printing;
-no kernel reads it.
+share), ``swap_vars`` and ``to_float``. ``residual_magnitude`` reads the
+largest coefficient of a linear combination without building it. ``.terms``
+(key -> ``Fraction`` or ``float``) is derived on demand for readers such as
+printing; no kernel reads it.
 
 Two layers build on the coefficients:
 
@@ -410,6 +411,33 @@ class DiffOp(_TermMap):
 
 #: sum c * poly over (c, poly) pairs, the linear kernel for polynomials
 linear_combination = Poly2.linear_combination
+
+
+def residual_magnitude(mode: str, targets, image: Poly2, scale=1) -> Coeff:
+    """The largest coefficient magnitude of sum (-c) x + scale * image over the
+    (c, x) targets with c != 0, without building that polynomial: the value of
+    ``linear_combination(mode, [*((-c, x) for c, x in targets), (scale,
+    image)]).max_magnitude()``, bit for bit, a NaN winning as there.
+
+    Exact: the numerators are summed over one common denominator, and only
+    the result is a Fraction. Float: each monomial adds the targets in order
+    and the image last, as linear_combination does, reading an exact
+    polynomial in floats as to_float would."""
+    sums: dict = {}
+    if mode == EXACT:
+        parts = [(-c.numerator, c.denominator * x.den, x.nums) for c, x in targets if c]
+        parts.append((scale.numerator, scale.denominator * image.den, image.nums))
+        common = lcm(*(den for _, den, _ in parts))
+        for num, den, nums in parts:
+            factor = num * (common // den)
+            for key, u in nums.items():
+                sums[key] = sums.get(key, 0) + factor * u
+        return Fraction(max(map(abs, sums.values()), default=0), common)
+    for c, x in [*((-c, x) for c, x in targets if c), (scale, image)]:
+        den = x.den
+        for key, u in x.nums.items():
+            sums[key] = sums.get(key, 0) + c * (u / den)
+    return max_or_nan(0.0, *map(abs, sums.values()))
 
 
 # ---------------------------------------------------------------------------

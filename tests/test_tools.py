@@ -85,20 +85,24 @@ def test_diff_reports_flags_ids_and_statuses(tmp_path):
     def entry(rid, status="pass", residual="0", anchor="x", ms=1.0):
         return {"id": rid, "anchor": anchor, "status": status, "residual": residual, "ms": ms}
 
-    def run(old, new):
+    def run(old, new, *flags):
         paths = []
         for name, entries in (("old.json", old), ("new.json", new)):
             (tmp_path / name).write_text(json.dumps({"mode": "exact", "suites": entries}))
             paths.append(str(tmp_path / name))
-        proc = subprocess.run([sys.executable, str(DIFF_REPORTS), *paths], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, str(DIFF_REPORTS), *flags, *paths], capture_output=True, text=True)
         return proc.returncode, proc.stdout.splitlines()
 
     old = [entry("a"), entry("b", residual="1e-16")]
-    # only the timings moved
-    assert run(old, [entry("a", ms=9.0), entry("b", residual="1e-16", ms=0.1)]) == (0, [])
-    # a residual and an anchor moved, no verdict did
-    assert run(old, [entry("a", anchor="y"), entry("b", residual="2e-16")]) == (
-        0, ["a: anchor 'x' -> 'y'", "b: residual '1e-16' -> '2e-16'"])
+    # only the timings moved: identical, even under --strict
+    timed = [entry("a", ms=9.0), entry("b", residual="1e-16", ms=0.1)]
+    assert run(old, timed) == run(old, timed, "--strict") == (0, [])
+    # a residual and an anchor moved, no verdict did; --strict fails on either
+    moved = ["a: anchor 'x' -> 'y'", "b: residual '1e-16' -> '2e-16'"]
+    assert run(old, [entry("a", anchor="y"), entry("b", residual="2e-16")]) == (0, moved)
+    assert run(old, [entry("a", anchor="y"), entry("b", residual="2e-16")], "--strict") == (1, moved)
+    assert run(old, [entry("a"), entry("b", residual="2e-16")], "--strict") == (1, moved[1:])
+    assert run(old, [entry("a", anchor="y"), entry("b", residual="1e-16")], "--strict") == (1, moved[:1])
     # a verdict flipped
     assert run(old, [entry("a"), entry("b", status="fail", residual="1e-16")]) == (
         1, ["b: status 'pass' -> 'fail'"])

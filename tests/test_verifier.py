@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial, isnan, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordan_osc import (
     ACTION_RULES,
@@ -34,7 +36,7 @@ from jordan_osc import (
     run_suites,
     swap_vars,
 )
-from jordan_osc import gaussint, model, verifier
+from jordan_osc import gaussint, model, verifier, weyl
 from jordan_osc.weyl import lift, to_ints
 from jordan_osc.verifier import SUITES, suite_cutoffs
 
@@ -251,6 +253,47 @@ class TestFloatLadderResidual:
         assert outside > 0  # out-of-grid targets were compared too
 
 
+def _fraction_squared_ladder_residual(params, rule, n, m, terms, image_residual):
+    """The squared-value residual in Fractions throughout (the oracle of the
+    integer decision)."""
+    c2 = Fraction(rule.coeff_sq(*verifier._jmu(n, m)))
+    n2, m2 = n + rule.dn, m + rule.dm
+    coeff = sum((c for t_n, t_m, c in terms if (t_n, t_m) == (n2, m2)), 0)
+    stray = verifier.max_or_nan(0, *(abs(c) for t_n, t_m, c in terms if (t_n, t_m) != (n2, m2)))
+    if not (0 <= m2 <= n2):
+        return verifier.max_or_nan(image_residual, stray, abs(c2))
+    if coeff < 0:
+        return verifier.max_or_nan(image_residual, stray, abs(coeff))
+    ratio = model.phi_scale_sq(n, m) / model.phi_scale_sq(n2, m2)
+    return verifier.max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
+
+
+_ACTION_OF = {rule.op_name: rule for rule in ACTION_RULES}
+
+
+class TestSquaredLadderResidual:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LADDER_RULES), st.integers(0, 9).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.sampled_from([1, 1, -1, F(2), F(1, 3), F(-5, 4), 0]),
+           st.sampled_from([None, (0, 0), (1, 1), (30, 0), (2, 5)]),
+           st.sampled_from([F(0), F(1, 7)]),
+           st.sampled_from([Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3))]))
+    def test_integer_decision_equals_the_fraction_expression(self, rule, nm, factor, stray_at, image_residual,
+                                                             point):
+        # the true action terms, their coefficients scaled (negated, zeroed),
+        # and a term at another target, possibly off the grid
+        n, m = nm
+        terms = [(t_n, t_m, c * factor) for t_n, t_m, c in _ACTION_OF[rule.op_name].terms(point, n, m)]
+        if stray_at is not None:
+            terms.append((*stray_at, F(3, 2)))
+        got = verifier._squared_ladder_residual(point, rule, n, m, terms, None, image_residual)
+        want = _fraction_squared_ladder_residual(point, rule, n, m, terms, image_residual)
+        assert got == want and str(got) == str(want)
+        if factor == 1 and stray_at is None and not image_residual:
+            assert got == 0  # the true coefficients pass
+
+
 class TestDerivedChecksCanFail:
     """irrep.*.sq, irrep.*.float, irrep.J0 and irrep.K reuse the action images;
     each still fails when its own claim, or the image it reads, is wrong."""
@@ -428,6 +471,24 @@ class TestImagePass:
         with pytest.raises(ValueError, match="K"):
             v.check_irrep(params, n_max=1)
 
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_no_difference_polynomial_is_built(self, point, request, monkeypatch):
+        # each residual is read off the image and its targets in one pass: with
+        # the polynomial linear combination disabled the suites still pass. The
+        # first run fills the point's store with psi and phi (build_phi scales
+        # psi); the image pass itself then combines nothing.
+        P = request.getfixturevalue(point)
+        before = check_actions(P, n_max=4) + check_irrep(P, n_max=4)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the image pass built a linear combination")
+
+        for owner in (Poly2, weyl, verifier):  # the verifier too, should it import the name
+            monkeypatch.setattr(owner, "linear_combination", refused, raising=False)
+        after = check_actions(P, n_max=4) + check_irrep(P, n_max=4)
+        assert all(r.passed for r in after)
+        assert [(r.relation_id, r.residual) for r in after] == [(r.relation_id, r.residual) for r in before]
+
 
 class TestPseudoHermiticity:
     def test_passes(self, params):
@@ -568,6 +629,22 @@ class TestCheckAccumulator:
         report = check.report()
         assert report.failed and report.residual == "nan"
         assert report.anchor == f"x [worst at n,m={(2, position)}]"
+
+    @pytest.mark.parametrize("mode, worst", [("exact", F(1, 3)), ("float", 1e-13)])
+    def test_a_zero_changes_nothing_and_a_nan_still_wins(self, mode, worst):
+        from jordan_osc.verifier import _Check
+
+        check = _Check("x", "x", mode, 1e-10)
+        check.add(lift(0, mode), (1, 0))
+        assert (check.worst, check.at) == (0, None)
+        check.add(worst, (2, 1))
+        for zero in (0, lift(0, mode), -0.0 if mode == "float" else F(0)):
+            check.add(zero, (3, 0))
+            assert check.worst is worst and check.at == (2, 1)
+        if mode == "float":
+            check.add(NAN, (4, 0))
+            check.add(0.0, (5, 0))
+            assert isnan(check.worst) and check.at == (4, 0)
 
     def test_verdict_by_mode(self):
         from jordan_osc.verifier import _Check

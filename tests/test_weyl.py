@@ -1,7 +1,7 @@
 """Coefficient/polynomial/operator arithmetic, normal ordering, adjoints."""
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isnan, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from jordan_osc import (
     linear_combination,
     swap_vars,
 )
+from jordan_osc.weyl import residual_magnitude
 
 from conftest import diff_ops, mixed_fractions, polys, small_fractions
 
@@ -543,3 +544,72 @@ class TestIntegerKernels:
             linear_combination(FLOAT, [(1.0, f)])
         with pytest.raises(ModeMismatchError):
             linear_combination(EXACT, [(0.5, f)])
+
+
+# ---------------------------------------------------------------------------
+# residual_magnitude: the largest coefficient of a combination never built
+# ---------------------------------------------------------------------------
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+float_coeffs = st.one_of(st.floats(-1e3, 1e3), SPECIAL_FLOATS)
+
+
+@st.composite
+def float_polys(draw):
+    # an exact polynomial read in floats, sometimes with one non-finite or zero term
+    extra = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), SPECIAL_FLOATS, max_size=1))
+    return Poly2(FLOAT, {**draw(polys(mixed_fractions)).to_float().terms, **extra})
+
+
+def _combined_magnitude(mode, targets, image, scale):
+    # the oracle: build sum (-c) x + scale * image, then read its largest coefficient
+    return linear_combination(mode, [*((-c, x) for c, x in targets), (scale, image)]).max_magnitude()
+
+
+class TestResidualMagnitude:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(mixed_fractions, polys(mixed_fractions)), max_size=3), polys(mixed_fractions),
+           st.sampled_from([1, F(-2, 3), F(5, 2)]))
+    def test_exact_equals_the_built_combination(self, targets, image, scale):
+        got = residual_magnitude(EXACT, targets, image, scale)
+        assert type(got) is Fraction and got == _combined_magnitude(EXACT, targets, image, scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(mixed_fractions, polys(mixed_fractions)), max_size=3), polys(mixed_fractions))
+    def test_exact_cancels_to_zero(self, targets, extra):
+        # the image is exactly the sum of the targets, with no key left over
+        image = linear_combination(EXACT, targets)
+        assert residual_magnitude(EXACT, targets, image) == 0
+        assert residual_magnitude(EXACT, [], Poly2.zero(EXACT)) == 0
+        assert residual_magnitude(EXACT, [(F(0), extra)], image) == residual_magnitude(EXACT, [], image)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(float_coeffs, float_polys()), max_size=3), float_polys(),
+           st.one_of(st.just(1), st.floats(0.01, 100.0)))
+    def test_float_equals_the_built_combination_bit_for_bit(self, targets, image, scale):
+        got = residual_magnitude(FLOAT, targets, image, scale)
+        assert type(got) is float and got.hex() == _combined_magnitude(FLOAT, targets, image, scale).hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), float_polys()), max_size=3), polys(mixed_fractions),
+           st.floats(0.01, 100.0))
+    def test_float_reads_an_exact_image_as_to_float(self, targets, image, scale):
+        got = residual_magnitude(FLOAT, targets, image, scale)
+        assert got.hex() == _combined_magnitude(FLOAT, targets, image.to_float(), scale).hex()
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_a_nan_wins_wherever_it_sits(self, position):
+        nan, z, zb = float("nan"), Poly2.z(FLOAT), Poly2.zbar(FLOAT)
+        targets = [(2.0, z), (-0.0, zb), (1.0, zb)]
+        targets.insert(position, (nan, z))
+        image = Poly2(FLOAT, {(1, 0): 5.0, (2, 2): 7.0})
+        assert isnan(residual_magnitude(FLOAT, targets, image))
+        assert isnan(_combined_magnitude(FLOAT, targets, image, 1))
+
+    def test_a_zero_target_adds_nothing(self):
+        # a zero coefficient drops its target, as in the built combination, so
+        # 0 * inf makes no NaN
+        infinite = Poly2(FLOAT, {(0, 0): float("inf")})
+        image = Poly2(FLOAT, {(1, 0): 5.0, (2, 2): -7.0})
+        assert residual_magnitude(FLOAT, [(-0.0, infinite), (0.0, infinite)], image) == 7.0
+        assert residual_magnitude(FLOAT, [], Poly2.zero(FLOAT)).hex() == (0.0).hex()

@@ -5,9 +5,10 @@ Prints one line per check id whose anchor, status or residual differs, and
 one per id that only one report has; the timing field `ms` is ignored.
 Exits 1 if any id or status differs (a check appeared, vanished or changed
 its verdict), 0 otherwise, so a run whose anchors or residuals moved but
-whose verdicts did not still exits 0.
+whose verdicts did not still exits 0. With --strict it exits 1 on any
+printed line, so exit 0 means the reports are identical apart from `ms`.
 
-Run from anywhere:  python tools/diff_reports.py OLD.json NEW.json
+Run from anywhere:  python tools/diff_reports.py [--strict] OLD.json NEW.json
 """
 
 from __future__ import annotations
@@ -44,13 +45,15 @@ def diff(old: dict[str, dict], new: dict[str, dict]) -> tuple[list[str], bool]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    strict = args[:1] == ["--strict"]
+    args = args[strict:]
     if len(args) != 2:
-        print("usage: diff_reports.py OLD.json NEW.json", file=sys.stderr)
+        print("usage: diff_reports.py [--strict] OLD.json NEW.json", file=sys.stderr)
         return 2
     lines, verdicts_differ = diff(load(args[0]), load(args[1]))
     for line in lines:
         print(line)
-    return 1 if verdicts_differ else 0
+    return 1 if verdicts_differ or (strict and lines) else 0
 
 
 if __name__ == "__main__":
