@@ -9,8 +9,8 @@ in (w, zbar), w = a z + b zbar, as ``chain_psi`` and ``apply`` return it
 (kappa and the envelope are implied by the point, see model). Two independent
 routes are provided: an exact rational route in the chain variables, and a
 numerical route (the oracle), plain-Python tensor-product Gauss-Hermite
-quadrature in (x1, x2) on the (z, zbar) form ``build_psi``. The exact route
-is authoritative; the oracle exists to catch an error in it.
+quadrature in (x1, x2) on the (z, zbar) form ``build_psi``, read in floats.
+The exact route is authoritative; the oracle exists to catch an error in it.
 
 In the chain variables the squared envelope is exp(-2 w zbar), whose second
 moments are <w w> = <zbar zbar> = 0 and <w zbar> = 1/2; so by Wick's theorem
@@ -28,6 +28,7 @@ term, so gram_block computes the entries with m <= m' and mirrors them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -134,8 +135,8 @@ def _hermite_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 class _QuadratureGrid:
-    """The tensor-product rule of one point and order in (x1, x2), and the
-    moments of the squared envelope read from it so far.
+    """The tensor-product rule in (x1, x2) of one point (a, b read in floats)
+    and order, and the moments of the squared envelope read from it so far.
 
     The rule is folded by the mirror symmetry of its nodes: the nonnegative
     nodes, each positive one carrying its mirror's weight too. Under either
@@ -147,8 +148,7 @@ class _QuadratureGrid:
     from them, are computed once each, when a call first needs them.
     """
 
-    def __init__(self, params: Params, order: int):
-        a, b = float(params.a), float(params.b)
+    def __init__(self, a: float, b: float, order: int):
         s1, s2 = math.sqrt(2 * (a + b)), math.sqrt(2 * (a - b))
         nodes, weights = _hermite_rule(order)
         half = order // 2
@@ -214,14 +214,18 @@ def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = No
     With z = x1 + i x2 the squared envelope is
     exp(-2(a+b) x1^2 - 2(a-b) x2^2 + 4 i b x1 x2); the real Gaussian factors
     become the Hermite weights and the bounded oscillatory factor stays in the
-    integrand. Requires a > b; the default order is max(32, total degree + 8)
-    per axis and a caller-supplied order below that floor is rejected. The
-    grid of each order lives in the point's store (see _QuadratureGrid), and
-    the pairing sums the terms of f g against its moments.
+    integrand. Requires a > b in the point's own arithmetic, and
+    OverflowError where a reading in floats leaves the float range (a, a - b
+    or a coefficient, or the estimate). The default order is max(32, total
+    degree + 8) per axis and a caller-supplied order below that floor is
+    rejected. The grid of each order lives in the point's store (see
+    _QuadratureGrid), and the pairing sums the terms of f g against its moments.
     """
+    if not params.a > params.b:
+        raise OracleUnavailableError(f"quadrature needs a > b, got a={params.a}, b={params.b}")
     a, b = float(params.a), float(params.b)
-    if not a > b:
-        raise OracleUnavailableError(f"quadrature needs a > b, got a={a}, b={b}")
+    if not (math.isfinite(a) and a > b):
+        raise OverflowError(f"a = {a} and b = {b} in floats: the point leaves the float range")
     floor = minimum_order(f, g)
     if order is None:
         order = floor
@@ -230,13 +234,16 @@ def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = No
     store = point_cache(params)
     grid = store.get(("quadrature_grid", order))
     if grid is None:
-        grid = store["quadrature_grid", order] = _QuadratureGrid(params, order)
+        grid = store["quadrature_grid", order] = _QuadratureGrid(a, b, order)
     g_terms = g.to_float().nums.items()
     product: dict = defaultdict(int)
     for (p, q), cf in f.to_float().nums.items():
         for (p2, q2), cg in g_terms:
             product[p + p2, q + q2] += cf * cg
-    return complex(sum(c * grid.moment(p, q) for (p, q), c in product.items()))
+    estimate = complex(sum(c * grid.moment(p, q) for (p, q), c in product.items()))
+    if not cmath.isfinite(estimate):
+        raise OverflowError(f"the quadrature estimate {estimate} leaves the float range")
+    return estimate
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ products directly; ``Params.s`` lifts a literal into the mode.
 
 Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
-build directly. Every basis function (psi in both coordinate systems, and phi
-in float mode) and operator of a parameter point lives in one store per point
-(``point_cache``), kept for the last few points only. ``apply``
-keeps the envelope conjugations of the last len(CATALOG_NAMES) operators
-applied, and hands a caller's derivative table (see weyl) to ``apply_to``. A
-``Params`` computes its hash once, so a lookup in these stores does not rehash
-the point, and its float twin and scalar views once.
+build directly. Every basis function psi (in both coordinate systems) and
+operator of a parameter point lives in one store per point (``point_cache``),
+kept for the last few points only; phi is not stored. ``apply`` keeps the
+envelope conjugations of the last len(CATALOG_NAMES) operators applied, and
+hands a caller's derivative table (see weyl) to ``apply_to``. A ``Params``
+computes its hash once, so a lookup in these stores does not rehash the
+point, and its scalar views once. An exact run builds nothing in floats: its
+float cross-checks read its own exact objects in floats (see verifier).
 """
 
 from __future__ import annotations
@@ -127,12 +128,7 @@ class Params:
         return Params.from_ab(lam / 2, g / (4 * lam))
 
     def to_float(self) -> "Params":
-        return self if self.mode == FLOAT else self._float_point
-
-    @cached_property
-    def _float_point(self) -> "Params":
-        # built once per point; a point outside the float range raises each time
-        return Params(FLOAT, self.p, self.q)
+        return self if self.mode == FLOAT else Params(FLOAT, self.p, self.q)
 
     # ---- coefficient views (Fraction in exact mode, float in float mode),
     # each computed on first read and kept on the point ----
@@ -171,9 +167,9 @@ _POINTS_MAX = 4
 
 def point_cache(params: Params) -> dict:
     """The store of everything fixed once the parameter point is: basis
-    functions, operators, the powers of w (see from_chain) and the quadrature
-    grids (see gaussint). Only the last few points keep a store, so memory
-    stays bounded over a sweep of points."""
+    functions, operators and the quadrature grids (see gaussint). Only the
+    last few points keep a store, so memory stays bounded over a sweep of
+    points."""
     cache = _POINTS.get(params)
     if cache is None:
         if len(_POINTS) >= _POINTS_MAX:
@@ -268,39 +264,25 @@ def _chain_series(params: Params, n: int, m: int) -> Poly2:
     return Poly2._normalized(params.mode, {key: front * v for key, v in sums.items()}, den)
 
 
-def _w_powers(params: Params, top: int) -> tuple[int, list]:
-    """(d, rows): a = A/d and b = B/d over one denominator d (in float mode A, B
-    are the floats and d = 1), and rows[e], e <= top, the numerators of
-    w^e = (a z + b zbar)^e over d^e by powers of z, C(e,t) A^t B^(e-t).
-
-    The table lives in the point's store and grows in place to the largest
-    top asked for; each row comes from the last by Pascal's rule, so a float
-    overflows to inf where float ** int would raise.
-    """
-    cache = point_cache(params)
-    entry = cache.get("w_powers")
-    if entry is None:
-        (a, b), d = to_ints(params.mode, [params.a, params.b])
-        entry = cache["w_powers"] = (a, b, d, [[1]])
-    a, b, d, rows = entry
-    while len(rows) <= top:
-        last = rows[-1]
-        rows.append([b * last[0], *(a * x + b * y for x, y in zip(last, last[1:])), a * last[-1]])
-    return d, rows
-
-
 def from_chain(params: Params, g: Poly2) -> Poly2:
     """The polynomial g(w, zbar), w = a z + b zbar, written in (z, zbar).
 
     Each w^e zbar^i expands binomially into C(e,t) a^t b^(e-t) z^t zbar^(i+e-t),
-    summed as integers over g's denominator times d^E, with a, b over one
-    denominator d and E the largest power of w.
+    summed as integers over g's denominator times d^E, with a = A/d and
+    b = B/d over one denominator d (in float mode A, B are the floats and
+    d = 1) and E the largest power of w. The numerators C(e,t) A^t B^(e-t)
+    of w^e come row by row from Pascal's rule, so a float overflows to inf
+    where float ** int would raise.
     """
     mode = join_modes(params, g)
     top = max((e for e, _ in g.nums), default=0)
     if not top:
         return g  # no power of w: the same polynomial in both coordinates
-    d, rows = _w_powers(params, top)
+    (a, b), d = to_ints(params.mode, [params.a, params.b])
+    rows = [[1]]
+    while len(rows) <= top:
+        last = rows[-1]
+        rows.append([b * last[0], *(a * x + b * y for x, y in zip(last, last[1:])), a * last[-1]])
     sums: dict = defaultdict(int)
     for (e, i), u in g.nums.items():
         weight, degree = u * d ** (top - e), i + e
@@ -339,11 +321,10 @@ def phi_scale_sq(n: int, m: int) -> Fraction:
     return Fraction(factorial(m), factorial(n - m))
 
 
-@_per_point
 def build_phi(params: Params, n: int, m: int) -> Poly2:
     """su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m} with j = n/2,
-    mu = m - n/2, in the chain variables (w, zbar) like the images it is
-    compared with. Float mode only: the square root is irrational in general."""
+    mu = m - n/2, in the chain variables (w, zbar). Float mode only: the
+    square root is irrational in general."""
     if params.mode != FLOAT:
         raise ModeMismatchError(f"build_phi needs float parameters, got {params.mode!r}")
     return chain_psi(params, n, m).scale(math.sqrt(phi_scale_sq(n, m)))

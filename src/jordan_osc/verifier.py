@@ -7,7 +7,7 @@ Every identity the model asserts is checked here, grouped into five suites:
 * actions    -- operator actions on the basis functions psi_{n,m},
 * irrep      -- su(2)/superalgebra ladder coefficients on the rescaled
                 functions phi (squared-value checks in exact mode, direct
-                tolerance checks in float mode),
+                tolerance checks, read in floats, in both modes),
 * pseudo     -- pseudo-Hermiticity swap(H) == adjoint(H),
 * integrals  -- biorthogonality, Jordan blocks of the pairing, truncated
                 resolution of identity, and the quadrature cross-check.
@@ -29,8 +29,11 @@ also carries the image's residual against the action rule. irrep.J0 and
 irrep.K likewise check the J0 and K images and compare the action coefficient
 with the eigenvalue. The direct reports irrep.<rule>.float read the same
 shared image in both modes, in floats and rescaled to op phi, against the
-float basis phi; in an exact run they check that the float basis matches the
-exact images to rounding.
+run's own psi_{n',m'} times sqrt(coeff_sq) and its su(2) factor
+sqrt(m'!/(n'-m')!), the only irrational number of an exact run. The
+quadrature oracle too reads the run's own basis, so an exact run builds
+nothing in floats; a reading that leaves the float range skips its check,
+unless a residual already failed it.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work done inside ``with check:``,
@@ -49,10 +52,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
-from math import factorial, sqrt
+from math import factorial, isfinite, sqrt
 from typing import Callable, Iterable
 
 from .gaussint import (
+    OracleUnavailableError,
     expand_in_basis,
     gram_block,
     h_block,
@@ -63,7 +67,6 @@ from .model import (
     EXPLICIT_NAMES,
     Params,
     apply,
-    build_phi,
     build_psi,
     canonical_name,
     chain_psi,
@@ -97,8 +100,8 @@ BUILTIN_ID_PREFIXES = ("explicit.", "pseudo.", "action.", "irrep.", "integrals."
 INTEGRALS_NMAX = 8
 RESOLUTION_DEGREE = 5
 #: the anchor of a float cross-check (irrep.*.float, integrals.oracle) skipped
-#: because the point leaves the float range, by overflow or by underflow to a
-#: zero divisor; the exact checks still run
+#: because the point leaves the float range: a value read in floats overflows,
+#: or (the oracle's a) underflows to zero; the exact checks still run
 FLOAT_OVERFLOW = "float cross-check skipped: the point leaves the float range"
 
 
@@ -138,12 +141,13 @@ class _Check:
     residual and the (n, m) where that sits, the time spent inside its
     ``with check:`` blocks, and the verdict (exact: residual == 0, float:
     residual <= tol). A NaN residual beats any number and is kept, so a check
-    that met one fails; a zero never replaces the worst."""
+    that met one fails; a zero never replaces the worst. A found failure beats
+    a skip: a skipped check whose residuals so far fail reports the failure."""
 
     def __init__(self, relation_id: str, anchor: str, mode: str, tol: float) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
         self.worst = zero(mode)
-        self.at, self.seconds, self.skipped = None, 0.0, False
+        self.at, self.seconds, self.skipped = None, 0.0, None  # skipped: why, if the check was
 
     def __enter__(self) -> None:
         self._start = time.perf_counter()
@@ -159,14 +163,17 @@ class _Check:
             self.worst, self.at = residual, at
 
     def skip(self, why: str) -> None:
-        """The check cannot run here: report it as skipped, with ``why`` as its anchor."""
-        self.anchor, self.skipped = why, True
+        """The check cannot run (any further) here: report it as skipped, with
+        ``why`` as its anchor, unless a residual already failed it."""
+        self.skipped = why
 
     def report(self) -> Report:
-        anchor = self.anchor if self.at is None else f"{self.anchor} [worst at n,m={self.at}]"
         passed = self.worst == 0 if self.mode == EXACT else self.worst <= self.tol
-        return Report(self.relation_id, anchor, self.mode, passed and not self.skipped,
-                      "n/a" if self.skipped else str(self.worst), self.seconds * 1e3, self.skipped)
+        if self.skipped and passed:
+            return Report(self.relation_id, self.skipped, self.mode, False, "n/a", self.seconds * 1e3, True)
+        anchor = self.anchor if self.at is None else f"{self.anchor} [worst at n,m={self.at}]"
+        anchor += f"; {self.skipped}" if self.skipped else ""
+        return Report(self.relation_id, anchor, self.mode, passed, str(self.worst), self.seconds * 1e3)
 
 
 @dataclass(frozen=True)
@@ -496,12 +503,6 @@ LADDER_RULES: tuple[LadderRule, ...] = (
 )
 
 
-@cache
-def _jmu(n: int, m: int) -> tuple[Fraction, Fraction]:
-    # kept per basis index: every irrep rule reads it at every (n, m)
-    return Fraction(n, 2), Fraction(2 * m - n, 2)
-
-
 # ---------------------------------------------------------------------------
 # the image pass shared by the action and irrep suites
 # ---------------------------------------------------------------------------
@@ -521,24 +522,24 @@ def _split_terms(terms: list, n2: int, m2: int):
 
 
 # Each irrep residual reads one image op.psi_{n,m}: its arguments are the
-# parameters, the irrep rule, n, m, the action rule's expansion terms, the
-# image, and the image's residual against those terms.
+# parameters, the irrep rule, n, m, the rule's claimed value there (the
+# eigenvalue or coeff_sq at j = n/2, mu = m - n/2, computed once for all
+# reports of the rule), the action rule's expansion terms, the image, and the
+# image's residual against those terms.
 
 
-def _eigenvalue_residual(params, rule, n, m, terms, image, image_residual):
+def _eigenvalue_residual(params, rule, n, m, eigenvalue, terms, image, image_residual):
     """op psi_{n,m} = c psi_{n,m} holds (the image residual) and c equals the
     irrep eigenvalue."""
     coeff, stray = _split_terms(terms, n, m)
-    eigenvalue = params.s(Fraction(rule.eigenvalue(*_jmu(n, m))))
-    return max_or_nan(image_residual, stray, abs(coeff - eigenvalue))
+    return max_or_nan(image_residual, stray, abs(coeff - params.s(eigenvalue)))
 
 
-def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
+def _squared_ladder_residual(params, rule, n, m, c2, terms, image, image_residual):
     """Exact mode: op psi_{n,m} = c psi_{n',m'} holds (the image residual), the
     action target is the ladder target, c >= 0, and, as phi is psi scaled by
-    sqrt(m!/(n-m)!), c^2 m!(n'-m')!/((n-m)! m'!) equals coeff_sq; outside the
-    grid coeff_sq must vanish."""
-    c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
+    sqrt(m!/(n-m)!), c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = coeff_sq;
+    outside the grid coeff_sq must vanish."""
     n2, m2 = n + rule.dn, m + rule.dm
     coeff, stray = _split_terms(terms, n2, m2)
     if not (0 <= m2 <= n2):
@@ -557,30 +558,34 @@ def _squared_ladder_residual(params, rule, n, m, terms, image, image_residual):
     return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
 
-def _float_ladder_residual(params, rule, n, m, terms, image, image_residual):
+def _float_ladder_residual(params, rule, n, m, c2, terms, image, image_residual):
     """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
-    normalized by the size of the target. op phi is the shared image rescaled
-    (phi is a multiple of psi, so by linearity), read in floats; the target is
-    the float basis, so an exact run checks that basis against its exact
-    image. Rounding is monotone, so for c >= 0 the largest magnitude of c * f
-    is c times that of f, bit for bit."""
+    normalized by the size of the target. phi is psi times its su(2) factor
+    sqrt(m!/(n-m)!), so op phi is the image times the factor of (n, m), and
+    the target is the run's own psi_{n',m'} times c = sqrt(c2) sqrt(m'!/(n'-m')!),
+    both read in floats. Rounding is monotone, so for c >= 0 the largest
+    magnitude of c * psi is c times that of psi, bit for bit. OverflowError
+    where a scaled reading in an exact run overflows (inf, or NaN = inf - inf)."""
     scale = sqrt(phi_scale_sq(n, m))
-    c2 = Fraction(rule.coeff_sq(*_jmu(n, m)))
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return max_or_nan(abs(float(c2)), residual_magnitude(FLOAT, [], image, scale))
-    phi, c = build_phi(params.to_float(), n2, m2), sqrt(c2)
-    return residual_magnitude(FLOAT, [(c, phi)], image, scale) / max_or_nan(1.0, c * phi.max_magnitude())
+    psi, c = chain_psi(params, n2, m2), sqrt(c2) * sqrt(phi_scale_sq(n2, m2))
+    residual, size = residual_magnitude(FLOAT, [(c, psi)], image, scale), c * float(psi.max_magnitude())
+    if params.mode == EXACT and not isfinite(residual + size):  # both >= 0 or NaN
+        raise OverflowError("a float reading of the exact image or target leaves the float range")
+    return residual / max_or_nan(1.0, size)
 
 
-def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float) -> list[tuple[_Check, Callable]]:
-    """(report, residual function) of each report of one irrep rule, in report
-    order."""
+def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float) -> tuple[Callable, list]:
+    """The claimed value of one irrep rule as a function of (j, mu), and the
+    (report, residual function) of each of its reports, in report order."""
     if isinstance(rule, DiagonalRule):
-        return [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
+        return rule.eigenvalue, [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
     squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT, tol)
     direct = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
-    return ([(squared, _squared_ladder_residual)] if mode == EXACT else []) + [(direct, _float_ladder_residual)]
+    checks = [(squared, _squared_ladder_residual)] if mode == EXACT else []
+    return rule.coeff_sq, checks + [(direct, _float_ladder_residual)]
 
 
 def _image_pass(
@@ -601,25 +606,28 @@ def _image_pass(
     missing = set(by_op) - {rule.op_name for rule in ACTION_RULES}
     if missing:
         raise ValueError(f"no action rule for {', '.join(sorted(missing))}, whose images the irrep suite reads")
-    # (action rule, its report, irrep rule, irrep reports, image clock, operator)
+    # (action rule, its report, irrep rule, its claimed value, irrep reports,
+    # image clock, operator)
     plan = []
     for rule in ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        checks = [] if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol)
+        claim, checks = (None, []) if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol)
         image_clock = action if "actions" in suites else checks[0][0]
-        plan.append((rule, action, irrep_rule, checks, image_clock, make_operator(params, rule.op_name)))
+        plan.append((rule, action, irrep_rule, claim, checks, image_clock, make_operator(params, rule.op_name)))
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
     for n in range(n_max + 1):
         for m in range(n + 1):
             psi = chain_psi(params, n, m)
             derivatives: dict = {}  # the derivative table of psi_{n,m}
-            for rule, action, irrep_rule, checks, image_clock, op in plan:
+            j, mu = Fraction(n, 2), Fraction(2 * m - n, 2)
+            for rule, action, irrep_rule, claim, checks, image_clock, op in plan:
                 with image_clock:
                     terms = rule.terms(params, n, m)
+                    value = None if claim is None else Fraction(claim(j, mu))
                     image = apply(params, op, psi, derivatives)
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
@@ -629,12 +637,12 @@ def _image_pass(
                 for check, residual in checks:
                     with check:
                         try:
-                            check.add(residual(params, irrep_rule, n, m, terms, image, image_residual))
+                            check.add(residual(params, irrep_rule, n, m, value, terms, image, image_residual))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for _, action, *_ in plan] if "actions" in suites else []
     irrep = {irrep_rule.rule_id: [check.report() for check, _ in checks]
-             for _, _, irrep_rule, checks, *_ in plan if irrep_rule is not None}
+             for _, _, irrep_rule, _, checks, *_ in plan if irrep_rule is not None}
     return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
 
 
@@ -744,17 +752,15 @@ def check_integrals(
 
     with oracle:
         try:
-            fparams = params.to_float()
-            if not float(params.a) > float(params.b):
-                oracle.skip("quadrature cross-check skipped: needs a > b")
-            else:
-                for n1, m1, n2, m2 in [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]:
-                    if n1 > n_max or n2 > n_max:
-                        continue
-                    exact_val = inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2))
-                    est = quadrature_oracle(fparams, build_psi(fparams, n1, m1), build_psi(fparams, n2, m2))
-                    scale = max(1.0, abs(complex(exact_val)))
-                    oracle.add(abs(est - complex(exact_val)) / scale)
+            for n1, m1, n2, m2 in [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]:
+                if n1 > n_max or n2 > n_max:
+                    continue
+                exact_val = inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2))
+                est = quadrature_oracle(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
+                scale = max(1.0, abs(complex(exact_val)))
+                oracle.add(abs(est - complex(exact_val)) / scale)
+        except OracleUnavailableError:
+            oracle.skip("quadrature cross-check skipped: needs a > b")
         except OverflowError:
             oracle.skip(FLOAT_OVERFLOW)
     return [check.report() for check in (gram, jordan, norms, resolution, oracle)]

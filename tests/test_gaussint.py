@@ -405,6 +405,27 @@ class TestQuadratureOracle:
         with pytest.raises(OracleUnavailableError):
             quadrature_oracle(P, f, f)
 
+    def test_decides_a_greater_than_b_exactly(self):
+        # a = 1e-350 > b = 1e-354 exactly: the point is fine, its float reading
+        # is not (both read 0.0), and neither is a > b that reads a == b
+        f = Poly2.one("exact")
+        for p, q in ((F(1, 10**175), F(1, 10**177)), (1 + F(1, 2**60), 1)):
+            with pytest.raises(OverflowError):
+                quadrature_oracle(Params.exact(p, q), f, f)
+        with pytest.raises(OracleUnavailableError):
+            quadrature_oracle(Params.exact(1, 1), f, f)
+
+    def test_a_non_finite_estimate_raises(self):
+        # both basis functions read finite in floats (largest coefficients
+        # 1.6e199 and 8e199); their products overflow, and the sum reads NaN
+        P = Params.exact(10**50, 10**49)
+        with pytest.raises(OverflowError):
+            quadrature_oracle(P, build_psi(P, 2, 0), build_psi(P, 3, 1))
+
+    def test_reads_an_exact_basis_as_the_float_one(self, params, fparams):
+        f, g = build_psi(params, 2, 1), build_psi(params, 3, 1)
+        assert quadrature_oracle(params, f, g) == quadrature_oracle(fparams, f.to_float(), g.to_float())
+
     def test_order_floor_enforced(self, fparams):
         f = build_psi(fparams, 2, 1)
         with pytest.raises(ValueError):

@@ -221,16 +221,23 @@ def _replace_rule(rules, rule_id, **changes):
     return tuple(replace(r, **changes) if r.rule_id == rule_id else r for r in rules)
 
 
+def _at(rule, n, m):
+    """An irrep rule's claimed value at psi_{n,m}: its coeff_sq or eigenvalue
+    at j = n/2, mu = m - n/2."""
+    claim = rule.eigenvalue if isinstance(rule, verifier.DiagonalRule) else rule.coeff_sq
+    return F(claim(F(n, 2), F(2 * m - n, 2)))
+
+
 def _four_pass_residual(params, rule, n, m, image):
-    """The direct irrep residual as four term-map passes: scale the image,
-    build phi, scale phi, subtract (the oracle of the one-pass residual)."""
+    """The direct irrep residual as term-map passes: read the image and the
+    run's own target psi in floats, scale each, subtract (the oracle of the
+    one-pass residual)."""
     got = image.to_float().scale(sqrt(model.phi_scale_sq(n, m)))
-    c2 = Fraction(rule.coeff_sq(*verifier._jmu(n, m)))
+    c2 = _at(rule, n, m)
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return verifier.max_or_nan(abs(float(c2)), got.max_magnitude())
-    phi = model.chain_psi(params.to_float(), n2, m2).scale(sqrt(model.phi_scale_sq(n2, m2)))
-    want = phi.scale(sqrt(c2))
+    want = model.chain_psi(params, n2, m2).to_float().scale(sqrt(c2) * sqrt(model.phi_scale_sq(n2, m2)))
     return (got - want).max_magnitude() / verifier.max_or_nan(1.0, want.max_magnitude())
 
 
@@ -246,7 +253,7 @@ class TestFloatLadderResidual:
             for n in range(7):
                 for m in range(n + 1):
                     image = model.apply(point, op, model.chain_psi(point, n, m))
-                    got = verifier._float_ladder_residual(point, rule, n, m, None, image, None)
+                    got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, image, None)
                     want = _four_pass_residual(point, rule, n, m, image)
                     assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
                     outside += not (0 <= m + rule.dm <= n + rule.dn)
@@ -256,7 +263,7 @@ class TestFloatLadderResidual:
 def _fraction_squared_ladder_residual(params, rule, n, m, terms, image_residual):
     """The squared-value residual in Fractions throughout (the oracle of the
     integer decision)."""
-    c2 = Fraction(rule.coeff_sq(*verifier._jmu(n, m)))
+    c2 = _at(rule, n, m)
     n2, m2 = n + rule.dn, m + rule.dm
     coeff = sum((c for t_n, t_m, c in terms if (t_n, t_m) == (n2, m2)), 0)
     stray = verifier.max_or_nan(0, *(abs(c) for t_n, t_m, c in terms if (t_n, t_m) != (n2, m2)))
@@ -287,7 +294,7 @@ class TestSquaredLadderResidual:
         terms = [(t_n, t_m, c * factor) for t_n, t_m, c in _ACTION_OF[rule.op_name].terms(point, n, m)]
         if stray_at is not None:
             terms.append((*stray_at, F(3, 2)))
-        got = verifier._squared_ladder_residual(point, rule, n, m, terms, None, image_residual)
+        got = verifier._squared_ladder_residual(point, rule, n, m, _at(rule, n, m), terms, None, image_residual)
         want = _fraction_squared_ladder_residual(point, rule, n, m, terms, image_residual)
         assert got == want and str(got) == str(want)
         if factor == 1 and stray_at is None and not image_residual:
@@ -327,21 +334,21 @@ class TestDerivedChecksCanFail:
     def test_wrong_float_basis_fails_float_in_exact_run(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
-        build = v.build_phi
+        # the float basis phi is the exact psi times its su(2) factor: a wrong
+        # factor at (2, 1)
+        scale_sq = v.phi_scale_sq
 
-        def perturbed(P, n, m):
-            phi = build(P, n, m)
-            if (n, m) != (2, 1):
-                return phi
-            terms = phi.terms
-            key = min(terms)
-            return Poly2(FLOAT, {**terms, key: terms[key] * (1 + 1e-6)})
+        def perturbed(n, m):
+            return scale_sq(n, m) * (F(1000001, 1000000) if (n, m) == (2, 1) else 1)
 
-        monkeypatch.setattr(v, "build_phi", perturbed)
+        monkeypatch.setattr(v, "phi_scale_sq", perturbed)
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
-        # exactly the rules with a nonzero coefficient into phi[2,1] from inside the
-        # grid: from (2,0), (2,2), (1,0), (3,2), (1,1), (3,1) and (0,0)
-        assert failing == {f"irrep.{op}.float" for op in ("J+", "J-", "a1+", "a1-", "a2+", "a2-", "D+12")}
+        # exactly the .float reports that read phi[2,1] with a nonzero
+        # coefficient: as the target, from (2,0), (2,2), (1,0), (3,2), (1,1),
+        # (3,1) and (0,0), and as op phi[2,1], under every rule but D-11 and
+        # D-22, which take phi[2,1] off the grid with coefficient 0
+        assert failing == {f"irrep.{op}.float" for op in ("J+", "J-", "a1+", "a1-", "a2+", "a2-",
+                                                           "D+11", "D+12", "D-12", "D+22")}
 
     # (which generator, which of its terms to drop, the key index that marks an
     # operator term using that generator: z^i zbar^j dz^k dzbar^l)
@@ -420,29 +427,13 @@ class TestImagePass:
         assert len(tables) == 15 and image_counts["apply_to"] == 23 * 15
         assert {id(poly) for _, poly in tables.values()} == {id(chain_psi(P, n, m))
                                                               for n in range(5) for m in range(n + 1)}
-        stored = [*model.point_cache(P).values(), *model.point_cache(P.to_float()).values(),
+        stored = [*model.point_cache(P).values(),
                   *(entry for pair in model._RECENT_CONJUGATIONS.values() for entry in pair)]
         assert not any(value is table for value in stored for table, _ in tables.values())
 
-    @pytest.mark.parametrize("point", ["params", "fparams"])
-    def test_each_float_phi_built_once(self, point, request, monkeypatch):
-        P = request.getfixturevalue(point)
-        monkeypatch.setattr(model, "_POINTS", {})
-        built = Counter()
-        scale_sq = model.phi_scale_sq
-
-        def counted(n, m):  # build_phi's body calls it once per phi
-            built[n, m] += 1
-            return scale_sq(n, m)
-
-        monkeypatch.setattr(model, "phi_scale_sq", counted)
-        run_suites(P, ("actions", "irrep"), n_max=4)
-        # every in-grid ladder target phi_{n,m}, n <= 6, and each only once
-        assert set(built) == {(n, m) for n in range(7) for m in range(n + 1)}
-        assert set(built.values()) == {1}
-
-    def test_exact_run_builds_its_float_point_once(self, monkeypatch):
-        # the .float reports and the quadrature oracle share the point's float twin
+    def test_exact_run_builds_nothing_in_floats(self, monkeypatch):
+        # the .float reports and the quadrature oracle read the run's own exact
+        # objects in floats: no float point, so no float basis, and no phi
         built = Counter()
         post_init = Params.__post_init__
 
@@ -450,11 +441,33 @@ class TestImagePass:
             built[self.mode] += 1
             post_init(self)
 
+        def refused(*args):
+            raise AssertionError("an exact run built phi")
+
         monkeypatch.setattr(Params, "__post_init__", counted)
-        P = Params.exact(F(5, 3), F(2, 7))  # a point no other test builds a float twin of
-        run_suites(P, ("irrep", "integrals"), n_max=4)
-        assert built == {"exact": 1, "float": 1}
-        assert P.to_float() is P.to_float() == Params(FLOAT, F(5, 3), F(2, 7))
+        monkeypatch.setattr(model, "build_phi", refused)
+        P = Params.exact(F(5, 3), F(2, 7))
+        reports = run_suites(P, SUITES, n_max=4)
+        assert built == {"exact": 1}
+        assert all(r.passed for r in reports) and len(reports) == 202
+
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
+        # the .sq and .float reports of a ladder rule share its coeff_sq at (n, m)
+        import jordan_osc.verifier as v
+
+        P = request.getfixturevalue(point)
+        calls = Counter()
+
+        def counted(rule):
+            def coeff_sq(j, mu):
+                calls[rule.rule_id, j, mu] += 1
+                return rule.coeff_sq(j, mu)
+            return replace(rule, coeff_sq=coeff_sq)
+
+        monkeypatch.setattr(v, "LADDER_RULES", tuple(counted(rule) for rule in v.LADDER_RULES))
+        assert all(r.passed for r in v.check_irrep(P, n_max=4))
+        assert len(calls) == len(LADDER_RULES) * 15 and set(calls.values()) == {1}
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure alone reads no image, so the pass builds no psi at all
@@ -475,8 +488,8 @@ class TestImagePass:
     def test_no_difference_polynomial_is_built(self, point, request, monkeypatch):
         # each residual is read off the image and its targets in one pass: with
         # the polynomial linear combination disabled the suites still pass. The
-        # first run fills the point's store with psi and phi (build_phi scales
-        # psi); the image pass itself then combines nothing.
+        # first run fills the point's store with psi; the image pass itself
+        # combines nothing.
         P = request.getfixturevalue(point)
         before = check_actions(P, n_max=4) + check_irrep(P, n_max=4)
 
@@ -646,6 +659,44 @@ class TestCheckAccumulator:
             check.add(0.0, (5, 0))
             assert isnan(check.worst) and check.at == (4, 0)
 
+    @pytest.mark.parametrize("mode, bad", [("exact", F(1, 3)), ("float", 1e-3), ("float", float("nan"))])
+    def test_a_found_failure_beats_a_skip(self, mode, bad):
+        from jordan_osc.verifier import _Check
+
+        for first_skip in (True, False):
+            check = _Check("x", "x", mode, 1e-10)
+            if first_skip:
+                check.skip("why")
+            check.add(bad, (1, 0))
+            check.skip("why")
+            report = check.report()
+            assert report.status == "fail" and report.residual == str(bad)
+            assert report.anchor == "x [worst at n,m=(1, 0)]; why"
+        check = _Check("x", "x", mode, 1e-10)
+        check.add(lift(0, mode) if mode == "exact" else 1e-12, (1, 0))
+        check.skip("why")
+        assert (check.report().status, check.report().anchor, check.report().residual) == ("skip", "why", "n/a")
+
+    def test_a_failure_below_an_overflow_is_reported(self, monkeypatch):
+        # at p = 1e100 the float readings of the higher levels overflow, so the
+        # .float reports skip; a wrong su(2) factor at (2, 1) fails each of them
+        # that reads phi[2,1] before that
+        import jordan_osc.verifier as v
+
+        P = Params.exact(F(10) ** 100, 1)
+        assert {r.status for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")} == {"skip"}
+        scale_sq = v.phi_scale_sq
+        monkeypatch.setattr(v, "phi_scale_sq", lambda n, m: scale_sq(n, m) * (
+            F(1000001, 1000000) if (n, m) == (2, 1) else 1))
+        reports = {r.relation_id: r for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")}
+        skipped = {rid for rid, r in reports.items() if r.skipped}
+        assert skipped == {"irrep.D+11.float"}  # its only step at phi[2,1] targets psi[4,3], which overflows
+        for rid, r in reports.items():
+            if rid not in skipped:
+                assert r.failed and 4e-7 < float(r.residual) < 6e-7, rid
+                assert r.anchor.startswith(rid[len("irrep."):-len(".float")] + " phi = "), rid
+                assert r.anchor.endswith(f"; {v.FLOAT_OVERFLOW}"), rid
+
     def test_verdict_by_mode(self):
         from jordan_osc.verifier import _Check
 
@@ -685,7 +736,7 @@ class TestResidualsKeepNaN:
         terms = [(2, 1, NAN if part == "coefficient" else 5.0), (2, 0, NAN if part == "stray" else 3.0)]
         image_residual = NAN if part == "image" else 1.0
         rule = DIAGONAL_RULES[0]
-        assert isnan(verifier._eigenvalue_residual(fparams, rule, 2, 1, terms, None, image_residual))
+        assert isnan(verifier._eigenvalue_residual(fparams, rule, 2, 1, _at(rule, 2, 1), terms, None, image_residual))
 
     @pytest.mark.parametrize("part", ["image", "stray", "coefficient"])
     def test_squared_ladder_residual(self, params, part):
@@ -693,7 +744,17 @@ class TestResidualsKeepNaN:
         terms = [(2, 1, NAN if part == "coefficient" else 1.0), (2, 0, NAN if part == "stray" else 3.0)]
         image_residual = NAN if part == "image" else F(1)
         rule = LADDER_RULES[0]
-        assert isnan(verifier._squared_ladder_residual(params, rule, 2, 0, terms, None, image_residual))
+        assert isnan(verifier._squared_ladder_residual(params, rule, 2, 0, _at(rule, 2, 0), terms, None,
+                                                       image_residual))
+
+    def test_exact_float_reading_that_overflows_raises(self, params, monkeypatch):
+        # a target psi near the top of the float range: c psi overflows to inf,
+        # and so does the scaled image, so the difference would read NaN
+        big = Poly2("exact", {(1, 0): F(10**308)})
+        monkeypatch.setattr(verifier, "chain_psi", lambda P, n, m: big)
+        rule = next(r for r in LADDER_RULES if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
+        with pytest.raises(OverflowError):
+            verifier._float_ladder_residual(params, rule, 1, 0, _at(rule, 1, 0), [], big.scale(F(2)), None)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_float_ladder_residual_off_the_grid(self, fparams, position):
@@ -702,4 +763,4 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDER_RULES[0]
-        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, [], image, 0.0))
+        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], image, 0.0))
