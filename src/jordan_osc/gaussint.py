@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .model import Params, apply, chain_psi, make_operator, point_cache
+from .model import Params, apply, chain_psi, point_cache
 from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
 
 
@@ -269,9 +269,8 @@ def gram_block(params: Params, n: int) -> tuple:
 def h_block(params: Params, n: int) -> tuple:
     """Matrix M[k][m] = <<psi_{n,n-k} | H psi_{n,m}>>; biorthogonality turns it
     into the level-n Jordan block E_n I + superdiagonal of ones."""
-    ham = make_operator(params, "H")
     fns = [chain_psi(params, n, m) for m in range(n + 1)]
-    images = [apply(params, ham, fn) for fn in fns]
+    images = [apply(params, "H", fn) for fn in fns]
     return tuple(
         tuple(inner_product(params, fns[n - k], images[m]) for m in range(n + 1))
         for k in range(n + 1)

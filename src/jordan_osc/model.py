@@ -32,14 +32,12 @@ products directly; ``Params.s`` lifts a literal into the mode.
 
 Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
-build directly. Every basis function psi (in both coordinate systems) and
-operator of a parameter point lives in one store per point (``point_cache``),
-kept for the last few points only; phi is not stored. ``apply`` keeps the
-envelope conjugations of the last len(CATALOG_NAMES) operators applied, and
-hands a caller's derivative table (see weyl) to ``apply_to``. A ``Params``
-computes its hash once, so a lookup in these stores does not rehash the
-point, and its scalar views once. An exact run builds nothing in floats: its
-float cross-checks read its own exact objects in floats (see verifier).
+build directly. Every basis function psi, operator and catalog conjugation
+(``conjugated``, read by ``apply``) of a point lives in one store per point
+(``point_cache``), kept for the last few points only; phi is not stored. A
+float point's conjugations are rounded once from the exact ones at its dyadic
+twin, the same point read as rationals. A ``Params`` computes its hash and
+scalar views once. An exact run builds nothing in floats (see verifier).
 """
 
 from __future__ import annotations
@@ -321,13 +319,18 @@ def phi_scale_sq(n: int, m: int) -> Fraction:
     return Fraction(factorial(m), factorial(n - m))
 
 
+def su2_factor(n: int, m: int) -> float:
+    """sqrt(m!/(n-m)!) in floats, with no Fraction: int / int rounds as float(phi_scale_sq) does."""
+    return math.sqrt(factorial(m) / factorial(n - m))
+
+
 def build_phi(params: Params, n: int, m: int) -> Poly2:
     """su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m} with j = n/2,
     mu = m - n/2, in the chain variables (w, zbar). Float mode only: the
     square root is irrational in general."""
     if params.mode != FLOAT:
         raise ModeMismatchError(f"build_phi needs float parameters, got {params.mode!r}")
-    return chain_psi(params, n, m).scale(math.sqrt(phi_scale_sq(n, m)))
+    return chain_psi(params, n, m).scale(su2_factor(n, m))
 
 
 def energy(params: Params, n: int) -> Coeff:
@@ -524,25 +527,22 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     ))
 
 
-# (params, id(op)) -> (op, conjugated op), one slot per catalog operator; an
-# entry holds its operator, so the id cannot be reused while it is cached
-_RECENT_CONJUGATIONS: dict = {}
-_RECENT_MAX = len(CATALOG_NAMES)
+@_per_point
+def conjugated(params: Params, name: str) -> DiffOp:
+    """The envelope conjugation of catalog operator ``name``. At a float point it
+    is ``to_float`` of the exact one at the dyadic twin, the same p, q read as
+    rationals (a finite float is a dyadic rational): the exact terms, each
+    coefficient rounded once, with no residue where exact terms cancel."""
+    twin = params if params.mode == EXACT else Params.exact(params.p, params.q)
+    conjugate = conjugate_through_envelope(twin, make_operator(twin, name))
+    return conjugate if twin is params else conjugate.to_float()
 
 
-def apply(params: Params, op: DiffOp, fn: Poly2, derivatives: dict | None = None) -> Poly2:
-    """Act with an operator on the basis function whose chain form is fn (see
-    chain_psi); the image is in chain form too (from_chain writes it in z, zbar).
-
-    The envelope is never materialized: the operator is conjugated through
-    exp(-w zbar) and written in (w, zbar), and the result acts on fn,
-    reading the derivatives of fn from ``derivatives`` if given; the last
-    len(CATALOG_NAMES) conjugations are reused.
-    """
-    key = (params, id(op))
-    entry = _RECENT_CONJUGATIONS.get(key)
-    if entry is None:
-        if len(_RECENT_CONJUGATIONS) >= _RECENT_MAX:
-            del _RECENT_CONJUGATIONS[next(iter(_RECENT_CONJUGATIONS))]
-        entry = _RECENT_CONJUGATIONS[key] = (op, conjugate_through_envelope(params, op))
-    return entry[1].apply_to(fn, derivatives)
+def apply(params: Params, op: str | DiffOp, fn: Poly2, derivatives: dict | None = None) -> Poly2:
+    """Act with an operator, a catalog name (conjugated once per point, see
+    conjugated) or any DiffOp (conjugated anew), on the basis function whose
+    chain form is fn (see chain_psi); the image is in chain form too. The
+    envelope is never materialized: the conjugated operator, in (w, zbar),
+    acts on fn, reading fn's derivatives from ``derivatives`` if given."""
+    conjugate = conjugated(params, op) if isinstance(op, str) else conjugate_through_envelope(params, op)
+    return conjugate.apply_to(fn, derivatives)

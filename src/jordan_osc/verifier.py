@@ -12,28 +12,28 @@ Every identity the model asserts is checked here, grouped into five suites:
 * integrals  -- biorthogonality, Jordan blocks of the pairing, truncated
                 resolution of identity, and the quadrature cross-check.
 
-The actions and irrep suites are two readings of the same images
-op.psi_{n,m}, so one image pass serves both. It runs in the chain variables
-(w, zbar), w = a z + b zbar (see model): every psi, image and phi it reads is
-a chain form, so a float residual is the largest coefficient over (w, zbar)
-monomials. It runs basis-outer: each psi_{n,m} gets one derivative table that
-every operator applied to it reads (``apply`` conjugates each operator once
-per pass), and each image is built once, handed to every check that reads it,
-and dropped, as is the table. A residual is read off the image and its
-targets in one pass over their terms (``weyl.residual_magnitude``): no
-difference polynomial is built. The exact squared-value report
-irrep.<rule>.sq derives from the same operator's action rule:
-op psi_{n,m} = c psi_{n',m'} with the ladder target, c >= 0, and
-c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, decided in integers, so its residual
-also carries the image's residual against the action rule. irrep.J0 and
-irrep.K likewise check the J0 and K images and compare the action coefficient
-with the eigenvalue. The direct reports irrep.<rule>.float read the same
-shared image in both modes, in floats and rescaled to op phi, against the
-run's own psi_{n',m'} times sqrt(coeff_sq) and its su(2) factor
-sqrt(m'!/(n'-m')!), the only irrational number of an exact run. The
-quadrature oracle too reads the run's own basis, so an exact run builds
-nothing in floats; a reading that leaves the float range skips its check,
-unless a residual already failed it.
+The actions and irrep suites are two readings of the same images op.psi_{n,m},
+so one image pass serves both. It runs in the chain variables (w, zbar),
+w = a z + b zbar (see model): every psi, image and phi it reads is a chain
+form, so a float residual is the largest coefficient over (w, zbar) monomials. It runs
+basis-outer: each psi_{n,m} gets one derivative table that every operator
+applied to it reads (``apply`` reads each catalog conjugation from the point's
+store), and each image is built once, handed to every check that reads it, and
+dropped, as is the table. A residual is read off the image and its targets in
+one pass over their terms (``weyl.residual_magnitude``): no difference
+polynomial is built. The exact squared-value report irrep.<rule>.sq derives
+from the same operator's action rule: op psi_{n,m} = c psi_{n',m'} with the
+ladder target, c >= 0, and c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, decided in
+integers, so its residual also carries the image's residual against the action
+rule. irrep.J0 and irrep.K likewise check the J0 and K images and compare the
+action coefficient with the eigenvalue. The direct reports irrep.<rule>.float
+read the same image in both modes, in floats and rescaled to op phi, against
+the run's own psi_{n',m'} times sqrt(coeff_sq) and its su(2) factor
+sqrt(m'!/(n'-m')!) (``su2_factor``), the only irrational number of an exact
+run. A float run evaluates each claim at j = n/2, mu = m - n/2 in floats,
+which hold those values exactly. The quadrature oracle too reads the run's own
+basis, so an exact run builds nothing in floats; a reading that leaves the
+float range skips its check, unless a residual already failed it.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work done inside ``with check:``,
@@ -73,7 +73,7 @@ from .model import (
     energy,
     explicit_form,
     make_operator,
-    phi_scale_sq,
+    su2_factor,
 )
 from .weyl import (
     EXACT,
@@ -554,23 +554,23 @@ def _squared_ladder_residual(params, rule, n, m, c2, terms, image, image_residua
             coeff.numerator ** 2 * factorial(m) * factorial(n2 - m2) * c2.denominator
             == c2.numerator * coeff.denominator ** 2 * factorial(n - m) * factorial(m2)):
         return max_or_nan(image_residual, stray)
-    ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
+    ratio = Fraction(factorial(m) * factorial(n2 - m2), factorial(n - m) * factorial(m2))
     return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
 
 def _float_ladder_residual(params, rule, n, m, c2, terms, image, image_residual):
     """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
-    normalized by the size of the target. phi is psi times its su(2) factor
-    sqrt(m!/(n-m)!), so op phi is the image times the factor of (n, m), and
-    the target is the run's own psi_{n',m'} times c = sqrt(c2) sqrt(m'!/(n'-m')!),
-    both read in floats. Rounding is monotone, so for c >= 0 the largest
-    magnitude of c * psi is c times that of psi, bit for bit. OverflowError
-    where a scaled reading in an exact run overflows (inf, or NaN = inf - inf)."""
-    scale = sqrt(phi_scale_sq(n, m))
+    normalized by the size of the target. phi is psi times its su(2) factor,
+    so op phi is the image times the factor of (n, m), and the target is the
+    run's own psi_{n',m'} times c = sqrt(c2) su2_factor(n', m'), both read in
+    floats. Rounding is monotone, so for c >= 0 the largest magnitude of c * psi
+    is c times that of psi, bit for bit. OverflowError where a scaled reading in
+    an exact run overflows (inf, or NaN = inf - inf)."""
+    scale = su2_factor(n, m)
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return max_or_nan(abs(float(c2)), residual_magnitude(FLOAT, [], image, scale))
-    psi, c = chain_psi(params, n2, m2), sqrt(c2) * sqrt(phi_scale_sq(n2, m2))
+    psi, c = chain_psi(params, n2, m2), sqrt(c2) * su2_factor(n2, m2)
     residual, size = residual_magnitude(FLOAT, [(c, psi)], image, scale), c * float(psi.max_magnitude())
     if params.mode == EXACT and not isfinite(residual + size):  # both >= 0 or NaN
         raise OverflowError("a float reading of the exact image or target leaves the float range")
@@ -607,7 +607,7 @@ def _image_pass(
     if missing:
         raise ValueError(f"no action rule for {', '.join(sorted(missing))}, whose images the irrep suite reads")
     # (action rule, its report, irrep rule, its claimed value, irrep reports,
-    # image clock, operator)
+    # image clock)
     plan = []
     for rule in ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
@@ -616,19 +616,20 @@ def _image_pass(
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
         claim, checks = (None, []) if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol)
         image_clock = action if "actions" in suites else checks[0][0]
-        plan.append((rule, action, irrep_rule, claim, checks, image_clock, make_operator(params, rule.op_name)))
+        plan.append((rule, action, irrep_rule, claim, checks, image_clock))
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
     for n in range(n_max + 1):
         for m in range(n + 1):
             psi = chain_psi(params, n, m)
             derivatives: dict = {}  # the derivative table of psi_{n,m}
-            j, mu = Fraction(n, 2), Fraction(2 * m - n, 2)
-            for rule, action, irrep_rule, claim, checks, image_clock, op in plan:
+            # halves of small integers, exact in floats too, as is each claim
+            j, mu = (Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
+            for rule, action, irrep_rule, claim, checks, image_clock in plan:
                 with image_clock:
                     terms = rule.terms(params, n, m)
-                    value = None if claim is None else Fraction(claim(j, mu))
-                    image = apply(params, op, psi, derivatives)
+                    value = None if claim is None else params.s(claim(j, mu))
+                    image = apply(params, rule.op_name, psi, derivatives)
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
                     image_residual = residual_magnitude(
@@ -637,7 +638,7 @@ def _image_pass(
                 for check, residual in checks:
                     with check:
                         try:
-                            check.add(residual(params, irrep_rule, n, m, value, terms, image, image_residual))
+                            check.add(residual(params, irrep_rule, n, m, value, terms, image, image_residual), (n, m))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for _, action, *_ in plan] if "actions" in suites else []

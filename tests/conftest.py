@@ -24,10 +24,10 @@ def fparams():
 def image_counts(monkeypatch):
     """Counts envelope conjugations ("conjugate") and DiffOp.apply_to calls
     ("apply_to") made while the test runs, at every module that binds
-    conjugate_through_envelope. The test starts with no conjugation reused
-    from earlier calls of ``apply``."""
+    conjugate_through_envelope. The test starts with empty point stores, so
+    no conjugation is reused from earlier calls of ``apply``."""
     counts = Counter()
-    monkeypatch.setattr(jordan_osc.model, "_RECENT_CONJUGATIONS", {})
+    monkeypatch.setattr(jordan_osc.model, "_POINTS", {})
     conjugate = jordan_osc.model.conjugate_through_envelope
     apply_to = DiffOp.apply_to
 

@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jordan_osc
 from jordan_osc import model
 from jordan_osc import (
+    ACTION_RULES,
     CATALOG_NAMES,
     EXACT,
     EXPLICIT_NAMES,
@@ -203,7 +205,7 @@ class TestPointCache:
         psi_polys = []
         for P in points:
             fn = build_psi(P, 2, 1)
-            apply(P, make_operator(P, "H"), fn)
+            apply(P, "H", fn)
             inner_product(P, chain_psi(P, 1, 0), chain_psi(P, 1, 1))
             psi_polys.append(weakref.ref(fn))
         assert len(model._POINTS) <= model._POINTS_MAX
@@ -234,7 +236,7 @@ class TestPointCache:
     def test_cache_hit_rehashes_no_fraction(self, monkeypatch):
         P, Q = Params.exact(F(5, 3), F(2, 7)), Params.exact(F(5, 3), F(2, 7))  # equal, built apart
         op = make_operator(P, "J+")
-        apply(P, op, build_psi(P, 3, 1))
+        apply(P, "J+", build_psi(P, 3, 1))
         hashed = []
         fraction_hash = Fraction.__hash__
 
@@ -245,7 +247,7 @@ class TestPointCache:
         monkeypatch.setattr(Fraction, "__hash__", counted)
         assert build_psi(Q, 3, 1) is build_psi(P, 3, 1) and make_operator(Q, "J+") is op
         assert model.point_cache(Q) is model.point_cache(P)
-        apply(P, op, build_psi(P, 3, 1))
+        apply(P, "J+", build_psi(P, 3, 1))
         assert hashed == []
 
 
@@ -326,6 +328,37 @@ class TestEnvelopeConjugation:
         assert got == want
 
 
+class TestFloatConjugation:
+    """A float point's catalog conjugations are read from its dyadic twin, the
+    same p, q as exact rationals: the exact terms, each coefficient rounded once."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), ratio=st.floats(1e-3, 0.999))
+    def test_rounded_once_from_the_dyadic_twin(self, a, ratio):
+        P = Params.from_ab(a, a * ratio)
+        twin = Params.exact(F(P.p), F(P.q))
+        for name in CATALOG_NAMES:
+            exact = conjugate_through_envelope(twin, make_operator(twin, name))
+            got = model.conjugated(P, name)
+            assert got.mode == "float" and got.nums.keys() == exact.nums.keys(), name
+            assert [got.nums[key].hex() for key in exact.nums] == [float(F(u, exact.den)).hex()
+                                                                 for u in exact.nums.values()], name
+
+    def test_action_operators_hold_the_exact_terms(self):
+        # built in floats, the 23 action operators' conjugations held 97 terms:
+        # rounding residue where the exact terms cancel
+        P = Params.from_ab(0.79, 0.23)
+        names = {rule.op_name for rule in ACTION_RULES}
+        assert len(names) == 23
+        assert sum(len(model.conjugated(P, name).nums) for name in names) == 61
+        assert sum(len(conjugate_through_envelope(P, make_operator(P, name)).nums) for name in names) == 97
+
+    def test_su2_factor_is_the_rounded_root(self):
+        for n in range(25):
+            for m in range(n + 1):
+                assert model.su2_factor(n, m).hex() == math.sqrt(phi_scale_sq(n, m)).hex(), (n, m)
+
+
 class TestApply:
     def test_lowering_kills_chain_heads(self, params):
         lower = make_operator(params, "A-")
@@ -351,13 +384,13 @@ class TestApply:
         assert apply(params, x + y, fn) == apply(params, x, fn) + apply(params, y, fn)
 
     def test_reuses_conjugations_of_recent_operators(self, params, fparams, image_counts):
-        H, J0 = make_operator(params, "H"), make_operator(params, "J0")
-        fH = make_operator(fparams, "H")
+        # a catalog name is conjugated once per point (the float point's at its
+        # dyadic twin) and kept in the point's store
         for m in range(3):
             fn = build_psi(params, 2, m)
-            apply(params, H, fn)
-            apply(params, J0, fn)
-            apply(fparams, fH, build_psi(fparams, 2, m))
+            apply(params, "H", fn)
+            apply(params, "J0", fn)
+            apply(fparams, "H", build_psi(fparams, 2, m))
         assert image_counts == {"conjugate": 3, "apply_to": 9}
 
     def test_new_operator_is_conjugated_anew(self, params):
@@ -368,10 +401,15 @@ class TestApply:
         assert apply(params, H, fn) == once
 
     def test_remembers_only_a_few_operators(self, params):
+        # one stored conjugation per catalog name, in the store of its point
+        # (so it leaves with the point); an operator given as such is not kept
         fn = build_psi(params, 1, 0)
         for name in CATALOG_NAMES:
-            apply(params, make_operator(params, name), fn)
-        assert len(model._RECENT_CONJUGATIONS) <= model._RECENT_MAX
+            apply(params, name, fn)
+            apply(params, make_operator(params, name).scale(F(2)), fn)
+        stored = [key[1:] for key in model.point_cache(params)
+                  if isinstance(key, tuple) and key[0] is model.conjugated.__wrapped__]
+        assert sorted(stored) == sorted((name,) for name in CATALOG_NAMES)
 
 
 def _zzbar_conjugate(P, op):
@@ -480,6 +518,7 @@ def test_float_coefficients_are_floats(a, b):
     P = Params.from_ab(a, b)
     ops = [make_operator(P, name) for name in CATALOG_NAMES] + [explicit_form(P, name) for name in EXPLICIT_NAMES]
     objects = ops + [conjugate_through_envelope(P, op) for op in ops]
+    objects += [model.conjugated(P, name) for name in CATALOG_NAMES]
     objects += [build_psi(P, n, m) for n in range(9) for m in range(n + 1)]
     coeffs = [c for obj in objects for c in obj.terms.values()]
     coeffs += [c for n in range(5) for block in (gram_block(P, n), h_block(P, n)) for row in block for c in row]

@@ -249,10 +249,9 @@ class TestFloatLadderResidual:
     def test_one_pass_equals_four_passes_bit_for_bit(self, point):
         outside = 0
         for rule in LADDER_RULES:
-            op = make_operator(point, rule.op_name)
             for n in range(7):
                 for m in range(n + 1):
-                    image = model.apply(point, op, model.chain_psi(point, n, m))
+                    image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
                     got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, image, None)
                     want = _four_pass_residual(point, rule, n, m, image)
                     assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
@@ -325,9 +324,10 @@ class TestDerivedChecksCanFail:
     def test_wrong_image_fails_sq(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
-        make = v.make_operator
-        monkeypatch.setattr(v, "make_operator", lambda P, name: (
-            make(P, name).scale(P.s(2)) if name == "a1+" else make(P, name)))
+        # the image pass applies each operator by name, through its stored conjugation
+        conjugated = model.conjugated
+        monkeypatch.setattr(model, "conjugated", lambda P, name: (
+            conjugated(P, name).scale(P.s(2)) if name == "a1+" else conjugated(P, name)))
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         assert failing == {"action.a1+", "irrep.a1+.sq", "irrep.a1+.float"}
 
@@ -336,12 +336,12 @@ class TestDerivedChecksCanFail:
 
         # the float basis phi is the exact psi times its su(2) factor: a wrong
         # factor at (2, 1)
-        scale_sq = v.phi_scale_sq
+        factor = v.su2_factor
 
         def perturbed(n, m):
-            return scale_sq(n, m) * (F(1000001, 1000000) if (n, m) == (2, 1) else 1)
+            return factor(n, m) * (sqrt(1.000001) if (n, m) == (2, 1) else 1)
 
-        monkeypatch.setattr(v, "phi_scale_sq", perturbed)
+        monkeypatch.setattr(v, "su2_factor", perturbed)
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         # exactly the .float reports that read phi[2,1] with a nonzero
         # coefficient: as the target, from (2,0), (2,2), (1,0), (3,2), (1,1),
@@ -369,8 +369,7 @@ class TestDerivedChecksCanFail:
             assert out[generator] != images(P)
             return tuple(out)
 
-        monkeypatch.setattr(model, "_POINTS", {})
-        monkeypatch.setattr(model, "_RECENT_CONJUGATIONS", {})
+        monkeypatch.setattr(model, "_POINTS", {})  # and with them the stored conjugations
         monkeypatch.setattr(model, "_chain_generators", broken)
         users = {rule.rule_id for rule in ACTION_RULES
                  if any(key[uses] for key in make_operator(params, rule.op_name).nums)}
@@ -427,8 +426,7 @@ class TestImagePass:
         assert len(tables) == 15 and image_counts["apply_to"] == 23 * 15
         assert {id(poly) for _, poly in tables.values()} == {id(chain_psi(P, n, m))
                                                               for n in range(5) for m in range(n + 1)}
-        stored = [*model.point_cache(P).values(),
-                  *(entry for pair in model._RECENT_CONJUGATIONS.values() for entry in pair)]
+        stored = model.point_cache(P).values()  # the conjugations too
         assert not any(value is table for value in stored for table, _ in tables.values())
 
     def test_exact_run_builds_nothing_in_floats(self, monkeypatch):
@@ -501,6 +499,41 @@ class TestImagePass:
         after = check_actions(P, n_max=4) + check_irrep(P, n_max=4)
         assert all(r.passed for r in after)
         assert [(r.relation_id, r.residual) for r in after] == [(r.relation_id, r.residual) for r in before]
+
+    def test_float_claims_are_the_rounded_exact_claims(self, monkeypatch):
+        # a float run evaluates every claim on j = n/2, mu = m - n/2 in floats,
+        # with no Fraction: equal floats are equal bits, but for the sign of a
+        # zero (0.0 * -1.0 is -0.0), which no residual reads (abs, sqrt and a
+        # falsy coefficient treat both alike)
+        import jordan_osc.verifier as v
+
+        seen = []
+
+        def recorded(rule, field):
+            claim = getattr(rule, field)
+
+            def recording(j, mu):
+                value = claim(j, mu)
+                seen.append((claim, j, mu, value))
+                return value
+            return replace(rule, **{field: recording})
+
+        monkeypatch.setattr(v, "DIAGONAL_RULES", tuple(recorded(r, "eigenvalue") for r in v.DIAGONAL_RULES))
+        monkeypatch.setattr(v, "LADDER_RULES", tuple(recorded(r, "coeff_sq") for r in v.LADDER_RULES))
+        v.check_irrep(Params.from_ab(0.79, 0.23), n_max=24)
+        assert len(seen) == (len(DIAGONAL_RULES) + len(LADDER_RULES)) * 25 * 26 // 2
+        for claim, j, mu, value in seen:
+            assert type(j) is float and type(mu) is float and type(value) is float
+            n, m = int(2 * j), int(mu + j)
+            assert (j, mu) == (F(n, 2), F(2 * m - n, 2))
+            assert value == float(F(claim(F(n, 2), F(2 * m - n, 2))))
+
+    def test_float_point_3_1_passes_the_lowering_d_ladders(self):
+        # with the conjugations rounded once from the dyadic twin; built in
+        # floats, D-11 and D-12 failed here (residuals 3.5e-8 and 5.5e-9)
+        reports = {r.relation_id: r for r in check_irrep(Params.from_ab(3.0, 1.0), n_max=16)}
+        for rid in ("irrep.D-11.float", "irrep.D-12.float"):
+            assert reports[rid].passed and float(reports[rid].residual) < 1e-15, rid
 
 
 class TestPseudoHermiticity:
@@ -685,9 +718,8 @@ class TestCheckAccumulator:
 
         P = Params.exact(F(10) ** 100, 1)
         assert {r.status for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")} == {"skip"}
-        scale_sq = v.phi_scale_sq
-        monkeypatch.setattr(v, "phi_scale_sq", lambda n, m: scale_sq(n, m) * (
-            F(1000001, 1000000) if (n, m) == (2, 1) else 1))
+        factor = v.su2_factor
+        monkeypatch.setattr(v, "su2_factor", lambda n, m: factor(n, m) * (sqrt(1.000001) if (n, m) == (2, 1) else 1))
         reports = {r.relation_id: r for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")}
         skipped = {rid for rid, r in reports.items() if r.skipped}
         assert skipped == {"irrep.D+11.float"}  # its only step at phi[2,1] targets psi[4,3], which overflows
