@@ -74,9 +74,13 @@ class RunConfig:
         return Params.from_ab(self.a, self.b)
 
     def params_repr(self) -> dict:
+        """The point as a report names it: exact p and q, or the requested
+        float a and b with the p = sqrt(a) and q = sqrt(b) the run used (at
+        a = 3 the run's a is p^2 = 2.9999999999999996)."""
         if self.mode == EXACT:
             return {"p": str(self.p), "q": str(self.q)}
-        return {"a": self.a, "b": self.b}
+        params = self.params()
+        return {"a": self.a, "b": self.b, "p": params.p, "q": params.q}
 
 
 @dataclass(frozen=True)

@@ -289,18 +289,12 @@ def from_chain(params: Params, g: Poly2) -> Poly2:
     return Poly2._normalized(mode, sums, g.den * d**top)
 
 
-def psi_series(params: Params, n: int, m: int) -> Poly2:
-    """psi_{n,m} in (z, zbar) from the full associated-function sum, for every
-    0 <= m <= n (see _chain_series)."""
-    return from_chain(params, _chain_series(params, n, m))
-
-
 @_per_point
 def chain_psi(params: Params, n: int, m: int) -> Poly2:
     """Basis function psi_{n,m} in the chain variables (w, zbar); m = 0 uses
     the direct chain-head form psi_{n,0} = c_{n,0} zbar^n, the same polynomial
-    in both coordinates, m >= 1 the associated-function sum (psi_series
-    agrees at m = 0, tested)."""
+    in both coordinates, m >= 1 the associated-function sum (which agrees at
+    m = 0, tested)."""
     _check_index(n, m)
     if m == 0:
         return Poly2.monomial(0, n, _cn0_reduced(params, n))
@@ -313,14 +307,9 @@ def build_psi(params: Params, n: int, m: int) -> Poly2:
     return from_chain(params, chain_psi(params, n, m))
 
 
-def phi_scale_sq(n: int, m: int) -> Fraction:
-    """Squared su(2) rescaling m!/(n-m)! of phi relative to psi."""
-    _check_index(n, m)
-    return Fraction(factorial(m), factorial(n - m))
-
-
 def su2_factor(n: int, m: int) -> float:
-    """sqrt(m!/(n-m)!) in floats, with no Fraction: int / int rounds as float(phi_scale_sq) does."""
+    """The su(2) rescaling sqrt(m!/(n-m)!) of phi relative to psi, in floats,
+    with no Fraction: int / int rounds as float(Fraction(m!, (n-m)!)) does."""
     return math.sqrt(factorial(m) / factorial(n - m))
 
 

@@ -93,6 +93,8 @@ from .weyl import (
 DEFAULT_TOL = 1e-10
 DEFAULT_NMAX = 10
 SUITES = ("structure", "actions", "irrep", "pseudo", "integrals")
+#: the kinds a catalog relation may declare
+RELATION_KINDS = ("commutator", "anticommutator", "identity")
 #: the id namespaces of the built-in checks, which no catalog relation may use
 BUILTIN_ID_PREFIXES = ("explicit.", "pseudo.", "action.", "irrep.", "integrals.")
 #: the integrals suite stops at level min(n_max, INTEGRALS_NMAX), and its
@@ -206,6 +208,9 @@ def parse_relations(text: str) -> list[RelationSpec]:
         fields = [f.strip() for f in line.split("|")]
         if len(fields) != 4:
             raise ValueError(f"catalog line {lineno}: expected 4 '|'-separated fields")
+        if fields[1] not in RELATION_KINDS:
+            raise ValueError(f"catalog line {lineno}: unknown kind {fields[1]!r}; "
+                             f"choose from {', '.join(RELATION_KINDS)}")
         try:
             parse_expression(fields[2]), parse_expression(fields[3])
         except ValueError as exc:
@@ -532,7 +537,7 @@ def _eigenvalue_residual(params, rule, n, m, eigenvalue, terms, image, image_res
     """op psi_{n,m} = c psi_{n,m} holds (the image residual) and c equals the
     irrep eigenvalue."""
     coeff, stray = _split_terms(terms, n, m)
-    return max_or_nan(image_residual, stray, abs(coeff - params.s(eigenvalue)))
+    return max_or_nan(image_residual, stray, abs(coeff - eigenvalue))
 
 
 def _squared_ladder_residual(params, rule, n, m, c2, terms, image, image_residual):
@@ -623,12 +628,13 @@ def _image_pass(
         for m in range(n + 1):
             psi = chain_psi(params, n, m)
             derivatives: dict = {}  # the derivative table of psi_{n,m}
-            # halves of small integers, exact in floats too, as is each claim
+            # halves of small integers, exact in floats too, as is each claim,
+            # which is so a coefficient of the mode as it stands
             j, mu = (Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
             for rule, action, irrep_rule, claim, checks, image_clock in plan:
                 with image_clock:
                     terms = rule.terms(params, n, m)
-                    value = None if claim is None else params.s(claim(j, mu))
+                    value = None if claim is None else claim(j, mu)
                     image = apply(params, rule.op_name, psi, derivatives)
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does

@@ -1,16 +1,17 @@
 """Exact arithmetic for the Weyl algebra in two commuting formal variables.
 
 Values come in two coefficient modes sharing one arithmetic contract:
-``exact`` coefficients are rationals, for which every identity checked by
+``exact`` coefficients are ``Fraction``s, for which every identity checked by
 the verification suites is decidable, and ``float`` coefficients are
-``float`` doubles, whose comparisons are always tolerance based, never
-bitwise. ``lift`` coerces a number into a mode (a ``Fraction`` or a
-``float``) and refuses to let an inexact value into exact mode. Float mode
-still accepts a ``complex`` coefficient, and ``adjoint`` conjugates it.
+``float`` doubles. Every coefficient is real, as every coefficient of the
+model in (z, zbar) is. ``lift`` coerces a number into a mode (ints lift into
+either) and refuses to let a float into exact mode. Equality is one bitwise
+rule in both modes; a verdict that needs a tolerance reads a residual's size
+instead (see verifier).
 
 A term map stores its coefficients once: integer numerators ``nums`` over one
 positive denominator ``den`` (in float mode, the floats over 1), canonical
-with no zero and ``gcd(den, *nums) == 1``, so exact equality is equality of
+with no zero and ``gcd(den, *nums) == 1``, so equality is equality of
 both. Every kernel sums integers and builds its result with the one
 normalizing constructor ``_normalized``, reducing once per result, never per
 term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
@@ -42,13 +43,8 @@ from math import comb, factorial, gcd, lcm, perm
 EXACT = "exact"
 FLOAT = "float"
 
-# Default tolerance for float-mode equality of Poly2/DiffOp. The
-# verification suites always pass their own tolerance explicitly.
-DEFAULT_TOL = 1e-12
-
-#: a coefficient: Fraction in exact mode, float (or a complex given by the
-#: caller) in float mode
-Coeff = Fraction | float | complex
+#: a coefficient: Fraction in exact mode, float in float mode
+Coeff = Fraction | float
 
 
 class ModeMismatchError(ValueError):
@@ -79,17 +75,17 @@ def max_or_nan(first, *rest):
 def lift(value, mode: str) -> Coeff:
     """Coerce a number into the coefficient type of ``mode``.
 
-    Ints and Fractions lift into either mode; floats and complexes only into
-    float mode (an inexact value must not enter an exact computation), where a
-    complex stays complex.
+    Ints and Fractions lift into either mode; floats only into float mode (an
+    inexact value must not enter an exact computation). Any other number is
+    no coefficient: TypeError.
     """
     if isinstance(value, (int, Fraction)):
         # a Fraction is immutable, so exact mode passes one through uncopied
         return (value if type(value) is Fraction else Fraction(value)) if mode == EXACT else float(value)
-    if isinstance(value, (float, complex)):
+    if isinstance(value, float):
         if mode == EXACT:
             raise ModeMismatchError("cannot lift an inexact value into exact mode")
-        return value if isinstance(value, complex) else float(value)
+        return value
     raise TypeError(f"cannot interpret {value!r} as a coefficient")
 
 
@@ -152,10 +148,10 @@ class _TermMap:
 
     @classmethod
     def _single(cls, key: tuple, coeff):
-        # the coefficient's type picks the mode: floats and complexes are float
+        # the coefficient's type picks the mode: a float makes a float map
         if any(e < 0 for e in key):
             raise ValueError("exponents must be nonnegative")
-        return cls(FLOAT if isinstance(coeff, (float, complex)) else EXACT, {key: coeff})
+        return cls(FLOAT if isinstance(coeff, float) else EXACT, {key: coeff})
 
     @classmethod
     def linear_combination(cls, mode: str, pairs):
@@ -237,18 +233,11 @@ class _TermMap:
         # int / int rounds exactly like float(Fraction)
         return self._normalized(FLOAT, {k: v / self.den for k, v in self.nums.items()}, 1)
 
-    def close_to(self, other, tol: float = DEFAULT_TOL) -> bool:
-        mine, theirs = self.terms, other.terms
-        return all(abs(mine.get(k, 0) - theirs.get(k, 0)) <= tol for k in mine.keys() | theirs.keys())
-
     def __eq__(self, other) -> bool:
+        """The same mode and the same stored form: bitwise in float mode too."""
         if type(other) is not type(self):
             return NotImplemented
-        if self.mode != other.mode:
-            return False
-        if self.mode == EXACT:
-            return self.den == other.den and self.nums == other.nums
-        return self.close_to(other)
+        return self.mode == other.mode and self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
@@ -318,13 +307,6 @@ class Poly2(_TermMap):
 
     def coeff(self, deg_z: int, deg_zbar: int) -> Coeff:
         return self.nums.get((deg_z, deg_zbar), 0) / lift(self.den, self.mode)
-
-    def eval_at(self, zval: complex, zbarval: complex) -> complex:
-        """Evaluate the polynomial with z, zbar treated as independent values."""
-        total = 0j
-        for (i, j), c in self.terms.items():
-            total += c * zval**i * zbarval**j
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +453,14 @@ def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
 
 
 def adjoint(op: DiffOp) -> DiffOp:
-    """Formal adjoint: z <-> zbar, dz -> -dzbar, dzbar -> -dz, coefficients
-    conjugated (a rational is its own conjugate), factor order reversed; the
-    result is re-normal-ordered."""
+    """Formal adjoint: z <-> zbar, dz -> -dzbar, dzbar -> -dz, factor order
+    reversed (a real coefficient is its own conjugate); the result is
+    re-normal-ordered."""
     sums: dict = {}
     for (i, j, k, l), u in op.nums.items():
         sign = -1 if (k + l) % 2 else 1
         # (z^i zb^j dz^k dzb^l)^† = (-dz)^l (-dzb)^k z^j zb^i
-        _accumulate_product(sums, (0, 0, l, k), (j, i, 0, 0), u.conjugate() * sign)
+        _accumulate_product(sums, (0, 0, l, k), (j, i, 0, 0), u * sign)
     return DiffOp._normalized(op.mode, sums, op.den)
 
 

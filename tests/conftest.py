@@ -9,6 +9,14 @@ import jordan_osc.model
 from jordan_osc import EXACT, DiffOp, Params, Poly2
 
 
+def close(x, y, tol: float) -> bool:
+    """Whether two term maps agree term by term within ``tol``. Equality of
+    term maps is bitwise, so a test comparing two roundings of one value
+    states its tolerance here."""
+    mine, theirs = x.terms, y.terms
+    return all(abs(mine.get(k, 0) - theirs.get(k, 0)) <= tol for k in mine.keys() | theirs.keys())
+
+
 @pytest.fixture(scope="session")
 def params():
     # a = 1, b = 1/4: the reference admissible point (a > b > 0)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import jordan_osc
 from jordan_osc import DiffOp, cli, model
 from jordan_osc.cli import (
     RunConfig,
@@ -26,6 +27,10 @@ class TestRunConfig:
     def test_defaults_valid(self):
         config = RunConfig()
         assert config.params().a == 1
+
+    def test_exported_tolerance_is_the_tol_default(self):
+        # one default tolerance: the package's is the one a float verdict uses
+        assert jordan_osc.DEFAULT_TOL == RunConfig().tol == cli.build_parser().parse_args(["verify"]).tol == 1e-10
 
     def test_nmax_bounds(self):
         with pytest.raises(ValueError):
@@ -57,10 +62,20 @@ class TestRunConfig:
     def test_float_params(self):
         config = RunConfig(mode="float", a=2.0, b=0.5)
         assert config.params().mode == "float"
-        assert config.params_repr() == {"a": 2.0, "b": 0.5}
+        assert config.params_repr() == {"a": 2.0, "b": 0.5, "p": math.sqrt(2.0), "q": math.sqrt(0.5)}
 
 
 class TestVerifyCommand:
+    def test_float_report_names_the_point_it_ran_at(self, capsys):
+        # the run reads a and b as p = sqrt(a), q = sqrt(b), and p^2 need not be a
+        argv = ["verify", "--mode", "float", "--a", "3", "--b", "1", "--suites", "pseudo"]
+        assert main(argv + ["--format", "json"]) == 0
+        point = json.loads(capsys.readouterr().out)["params"]
+        assert point == {"a": 3.0, "b": 1.0, "p": 1.7320508075688772, "q": 1.0}
+        assert point["p"] ** 2 == 2.9999999999999996
+        assert main(argv) == 0
+        assert "params={'a': 3.0, 'b': 1.0, 'p': 1.7320508075688772, 'q': 1.0}" in capsys.readouterr().out
+
     def test_exit_zero_on_pass(self, capsys):
         code = main(["verify", "--suites", "pseudo", "--nmax", "2"])
         assert code == 0
@@ -124,6 +139,16 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: catalog line 2: ") and captured.err.count("\n") == 1
         assert why in captured.err
+
+    def test_exit_two_on_unknown_catalog_kind(self, tmp_path, capsys):
+        # a true relation under a kind outside the grammar is still rejected
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("shape.ok | identity | H | H\nx.one | bogus-kind | comm H A+ | smul 4*a A+\n")
+        assert main(["verify", "--suites", "structure", "--catalog", str(catalog)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: catalog line 2: unknown kind 'bogus-kind'")
+        assert captured.err.count("\n") == 1
 
     def test_exit_two_on_unwritable_out_before_any_suite_runs(self, tmp_path, capsys, monkeypatch):
         runs = []

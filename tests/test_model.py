@@ -37,12 +37,11 @@ from jordan_osc import (
     inner_product,
     make_operator,
     moment,
-    phi_scale_sq,
     pochhammer,
-    psi_series,
 )
 
-from conftest import diff_ops, polys
+from conftest import close, diff_ops, polys
+from reference_forms import phi_scale_sq, psi_series
 
 F = Fraction
 
@@ -173,7 +172,7 @@ class TestBasis:
             for m in range(n + 1):
                 exact_fn = build_psi(params, n, m).to_float()
                 float_fn = build_psi(fparams, n, m)
-                assert float_fn.close_to(exact_fn, 1e-9)
+                assert close(float_fn, exact_fn, 1e-9)
 
     def test_invalid_index_rejected(self, params):
         with pytest.raises(ValueError):
@@ -190,7 +189,7 @@ class TestPhi:
 
     def test_float_always_folds(self, fparams):
         want = chain_psi(fparams, 3, 1).scale(math.sqrt(0.5))
-        assert build_phi(fparams, 3, 1).close_to(want, 1e-12)
+        assert close(build_phi(fparams, 3, 1), want, 1e-12)
 
     def test_exact_params_rejected(self, params):
         # sqrt(m!/(n-m)!) is irrational in general, so phi exists in float mode only

@@ -2,7 +2,8 @@
 every call boundary the benchmark traces still exists, the benchmark's
 coefficient metrics see coefficients, tools/count_lines.py counts every
 module of the package, tools/diff_reports.py flags what moved between two
-reports, and the README's library tour runs."""
+reports, tools/bench_log.py appends a benchmark run to its log, and the
+README's library tour runs."""
 
 import importlib.util
 import json
@@ -21,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "gen_relations.py"
 COUNTER = ROOT / "tools" / "count_lines.py"
 DIFF_REPORTS = ROOT / "tools" / "diff_reports.py"
+BENCH_LOG = ROOT / "tools" / "bench_log.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
 
@@ -109,6 +111,38 @@ def test_diff_reports_flags_ids_and_statuses(tmp_path):
     # a check vanished, another appeared, or the ids changed order
     assert run(old, [entry("a"), entry("c", residual="1e-16")]) == (1, ["b: only in old", "c: only in new"])
     assert run(old, old[::-1]) == (1, ["the same ids in a different order"])
+
+
+@pytest.mark.parametrize("content", [None, "", "not json", '{"mode": "exact"}', "[1, 2]"],
+                         ids=["missing", "empty", "not-json", "no-suites", "not-a-report"])
+def test_diff_reports_exits_two_on_unreadable_report(tmp_path, content):
+    # exit 1 would read as "verdicts differ"; a float-range exit 2 of verify
+    # leaves an empty --out file
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"mode": "exact", "suites": []}))
+    if content is not None:
+        bad.write_text(content)
+    for paths in ((good, bad), (bad, good)):
+        proc = subprocess.run([sys.executable, str(DIFF_REPORTS), "--strict", *map(str, paths)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read report {bad}") and proc.stderr.count("\n") == 1
+
+
+def test_bench_log_appends_one_run(tmp_path, monkeypatch, capsys):
+    bench_log = _load("bench_log", BENCH_LOG)
+    monkeypatch.setattr(bench_log, "OUT", tmp_path)
+    log = tmp_path / "BENCH_exact-n16.json"
+    log.write_text('[\n{"commit": "earlier", "info": {}, "result": {}}\n]\n')
+    argv = ["--workload", "exact-n16", "--seed", "1", "--seconds", "1", "--trace", "0", "--tiny"]
+    assert bench_log.main(argv) == 0
+    earlier, entry = json.loads(log.read_text())
+    assert earlier["commit"] == "earlier" and list(entry) == ["commit", "info", "result"]
+    assert entry["commit"].startswith(entry["info"]["commit"]) and entry["info"]["workload"] == "exact-n16"
+    assert entry["result"]["correct"] and entry["result"]["metrics"]["checks_run"]["value"] == 202
+    # a run that fails appends nothing and passes its exit code on
+    assert bench_log.main(["--workload", "exact-n16", "--seed", "one"]) == 2
+    assert len(json.loads(log.read_text())) == 2
 
 
 def test_readme_library_tour_runs():

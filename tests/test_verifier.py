@@ -40,6 +40,8 @@ from jordan_osc import gaussint, model, verifier, weyl
 from jordan_osc.weyl import lift, to_ints
 from jordan_osc.verifier import SUITES, suite_cutoffs
 
+from reference_forms import phi_scale_sq
+
 F = Fraction
 
 
@@ -232,12 +234,12 @@ def _four_pass_residual(params, rule, n, m, image):
     """The direct irrep residual as term-map passes: read the image and the
     run's own target psi in floats, scale each, subtract (the oracle of the
     one-pass residual)."""
-    got = image.to_float().scale(sqrt(model.phi_scale_sq(n, m)))
+    got = image.to_float().scale(sqrt(phi_scale_sq(n, m)))
     c2 = _at(rule, n, m)
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return verifier.max_or_nan(abs(float(c2)), got.max_magnitude())
-    want = model.chain_psi(params, n2, m2).to_float().scale(sqrt(c2) * sqrt(model.phi_scale_sq(n2, m2)))
+    want = model.chain_psi(params, n2, m2).to_float().scale(sqrt(c2) * sqrt(phi_scale_sq(n2, m2)))
     return (got - want).max_magnitude() / verifier.max_or_nan(1.0, want.max_magnitude())
 
 
@@ -270,7 +272,7 @@ def _fraction_squared_ladder_residual(params, rule, n, m, terms, image_residual)
         return verifier.max_or_nan(image_residual, stray, abs(c2))
     if coeff < 0:
         return verifier.max_or_nan(image_residual, stray, abs(coeff))
-    ratio = model.phi_scale_sq(n, m) / model.phi_scale_sq(n2, m2)
+    ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
     return verifier.max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
 
@@ -541,15 +543,19 @@ class TestPseudoHermiticity:
         report = check_pseudo_hermiticity(params)
         assert report.passed and report.residual == "0"
 
-    def test_detects_imaginary_defect(self, fparams):
-        # H + i z zbar is no longer swap-Hermitian (exact coefficients are
-        # rational, so the imaginary defect needs float mode) ...
-        ham = make_operator(fparams, "H") + DiffOp.monomial((1, 1, 0, 0), 1j)
-        assert not (swap_vars(ham) - adjoint(ham)).is_zero()
-        assert (swap_vars(ham) - adjoint(ham)).max_magnitude() == pytest.approx(2.0)
+    def test_detects_a_derivative_defect(self, params, monkeypatch):
+        # H + z dz and H + dz are no longer swap-Hermitian: the adjoint sends
+        # z dz to -(zbar dzbar + 1) and dz to -dzbar, so each leaves a
+        # pseudo.H residual of exactly 2 ...
+        for defect in (DiffOp.z("exact") * DiffOp.dz("exact"), DiffOp.dz("exact")):
+            ham = make_operator(params, "H") + defect
+            monkeypatch.setattr(verifier, "make_operator", lambda P, name: ham)
+            report = check_pseudo_hermiticity(params)
+            assert not report.passed and report.residual == "2"
 
     def test_real_defect_stays_invisible(self, params):
-        # ... while H + z is: the property constrains phases, not realness
+        # ... while H + z is not: a multiplication operator with real
+        # coefficients is its own swapped adjoint
         ham = make_operator(params, "H") + DiffOp.z("exact")
         assert (swap_vars(ham) - adjoint(ham)).is_zero()
 

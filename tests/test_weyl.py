@@ -23,7 +23,7 @@ from jordan_osc import (
 )
 from jordan_osc.weyl import residual_magnitude
 
-from conftest import diff_ops, mixed_fractions, polys, small_fractions
+from conftest import close, diff_ops, mixed_fractions, polys, small_fractions
 
 F = Fraction
 
@@ -49,17 +49,28 @@ class TestCoefficients:
         with pytest.raises(ModeMismatchError):
             Poly2.z(EXACT).scale(0.5)
         with pytest.raises(ModeMismatchError):
-            DiffOp.z(EXACT).scale(1j)
-        with pytest.raises(ModeMismatchError):
             Params.exact(1, F(1, 2)).s(0.5)
 
-    def test_float_equality_is_tolerant(self):
-        x = Poly2.z(FLOAT)
-        assert x == x.scale(1.0 + 1e-15)
-        assert x != x.scale(1.0 + 1e-9)
-        op = DiffOp.dz(FLOAT)
-        assert op == op.scale(1.0 + 1e-15)
-        assert op != op.scale(1.0 + 1e-9)
+    def test_float_equality_is_bitwise(self):
+        # one rule in both modes (the same mode, den and nums), so equality is
+        # transitive: a 1e-12 tolerance made 1 == 1 + 5e-13 == 1 + 1e-12 but
+        # 1 != 1 + 1e-12
+        for unit in (Poly2.z(FLOAT), DiffOp.dz(FLOAT)):
+            triple = [unit.scale(c) for c in (1.0, 1.0 + 5e-13, 1.0 + 1e-12)]
+            assert [[u == v for v in triple] for u in triple] == [[i == j for j in range(3)] for i in range(3)]
+            assert unit.scale(2.0) == unit + unit and unit != unit.scale(1.0 + 1e-15)
+        assert Poly2.z(FLOAT) != Poly2.z(EXACT) and DiffOp.dz(EXACT) != DiffOp.dz(FLOAT)
+
+    def test_complex_is_no_coefficient(self):
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(TypeError):
+                lift(1j, mode)
+            with pytest.raises(TypeError):
+                DiffOp.z(mode).scale(1j)
+        with pytest.raises(TypeError):
+            DiffOp.monomial((1, 0, 0, 0), 1j)
+        with pytest.raises(TypeError):
+            Poly2.monomial(1, 0, 0.5 + 0j)
 
 
 class TestPoly2:
@@ -70,11 +81,6 @@ class TestPoly2:
         assert sq.coeff(2, 0) == 1
         assert sq.coeff(1, 1) == F(1, 2)
         assert sq.coeff(0, 2) == F(1, 16)
-
-    def test_eval_matches_expansion(self):
-        lin = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 4))
-        zv, zbv = 0.3 + 0.7j, 0.3 - 0.7j
-        assert (lin * lin).eval_at(zv, zbv) == pytest.approx((zv + zbv / 4) ** 2)
 
     def test_zero_collapse(self):
         p = Poly2.z(EXACT) - Poly2.z(EXACT)
@@ -126,8 +132,9 @@ class TestDiffOp:
         assert got == -(DiffOp.zbar(EXACT) * DiffOp.dz(EXACT))
 
     def test_adjoint_conjugates_coefficients(self):
-        op = DiffOp.z(FLOAT).scale(1j)
-        assert adjoint(op) == DiffOp.zbar(FLOAT).scale(-1j)
+        # every coefficient is real, its own conjugate: (c z)^dagger = c zbar
+        for mode, c in ((EXACT, F(-3, 4)), (FLOAT, -0.75), (FLOAT, 2.5)):
+            assert adjoint(DiffOp.z(mode).scale(c)) == DiffOp.zbar(mode).scale(c)
 
     def test_swap_vars(self):
         op = DiffOp.z(EXACT) * DiffOp.dzbar(EXACT) ** 2
@@ -155,7 +162,7 @@ class TestAlgebraLaws:
     def test_commutator_is_difference_of_products(self, x, y):
         assert commutator(x, y) == x * y - y * x
         xf, yf = x.to_float(), y.to_float()
-        assert commutator(xf, yf).close_to(xf * yf - yf * xf)
+        assert close(commutator(xf, yf), xf * yf - yf * xf, 1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(diff_ops(), diff_ops(), diff_ops())
@@ -195,27 +202,28 @@ class TestAlgebraLaws:
 
 
 class TestFloatMirrorsExact:
-    """to_float is a homomorphism: both coefficient types run one code path."""
+    """to_float is a homomorphism up to rounding: both coefficient types run
+    one code path."""
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops(), diff_ops())
     def test_product(self, x, y):
-        assert (x * y).to_float() == x.to_float() * y.to_float()
+        assert close((x * y).to_float(), x.to_float() * y.to_float(), 1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops())
     def test_adjoint(self, x):
-        assert adjoint(x).to_float() == adjoint(x.to_float())
+        assert close(adjoint(x).to_float(), adjoint(x.to_float()), 1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops(), diff_ops())
     def test_commutator(self, x, y):
-        assert commutator(x, y).to_float() == commutator(x.to_float(), y.to_float())
+        assert close(commutator(x, y).to_float(), commutator(x.to_float(), y.to_float()), 1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops(), polys())
     def test_apply_to(self, x, f):
-        assert x.apply_to(f).to_float() == x.to_float().apply_to(f.to_float())
+        assert close(x.apply_to(f).to_float(), x.to_float().apply_to(f.to_float()), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +405,7 @@ class TestIntegerKernels:
         assert got.terms == oracle_apply_to(x, f)
         assert _stored_exactly(got)
         fx, ff = x.to_float(), f.to_float()
-        assert fx.apply_to(ff).close_to(Poly2(FLOAT, oracle_apply_to(fx, ff)))
+        assert close(fx.apply_to(ff), Poly2(FLOAT, oracle_apply_to(fx, ff)), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(diff_ops(mixed_fractions), min_size=1, max_size=4), polys(mixed_fractions))
@@ -413,7 +421,7 @@ class TestIntegerKernels:
                 if g.mode == EXACT:
                     assert shared.terms == oracle_apply_to(x, g)
                 else:
-                    assert shared.close_to(Poly2(FLOAT, oracle_apply_to(x, g)))
+                    assert close(shared, Poly2(FLOAT, oracle_apply_to(x, g)), 1e-12)
             # every order the operators read, and only those, is in the table
             assert set(table) == {(k, l) for x in mode_ops for (_, _, k, l) in x.nums}
 
@@ -426,7 +434,7 @@ class TestIntegerKernels:
         euler = (DiffOp.monomial((1, 0, 1, 0), c) + DiffOp.monomial((0, 1, 0, 1), c)
                  + DiffOp.constant(-degree * c))
         assert euler.apply_to(f).terms == {} == oracle_apply_to(euler, f)
-        assert euler.to_float().apply_to(f.to_float()).close_to(Poly2.zero(FLOAT))
+        assert close(euler.to_float().apply_to(f.to_float()), Poly2.zero(FLOAT), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_fractions, polys(mixed_fractions), mixed_fractions, polys(mixed_fractions))
@@ -437,8 +445,8 @@ class TestIntegerKernels:
         assert got.terms == oracle_linear_combination(pairs) == g.scale(c2).terms
         assert _stored_exactly(got)
         fpairs = [(float(c), p.to_float()) for c, p in pairs]
-        assert got.to_float().close_to(linear_combination(FLOAT, fpairs))
-        assert linear_combination(FLOAT, fpairs).close_to(Poly2(FLOAT, oracle_linear_combination(fpairs)))
+        assert close(got.to_float(), linear_combination(FLOAT, fpairs), 1e-12)
+        assert close(linear_combination(FLOAT, fpairs), Poly2(FLOAT, oracle_linear_combination(fpairs)), 1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_fractions, polys(mixed_fractions), polys(mixed_fractions))

@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Run the benchmark once and append its outcome to BENCH_<workload>.json.
+
+Runs the checkout's own perfbench/run.py in a source checkout (--root,
+default this repository), passing every other argument through, and appends
+one entry {"commit", "info", "result"} to BENCH_<workload>.json at the root
+of this repository: "info" and "result" are run.py's last two output lines,
+and "commit" is the checkout's commit as run.py reads it, marked when the
+checkout's src/ holds uncommitted changes. The file is a JSON list, one entry
+per line in run order, so it keeps the performance trajectory across commits.
+A failed run appends nothing and exits with run.py's code.
+
+Run from anywhere:
+    python tools/bench_log.py [--root DIR] --workload exact-n16 --seed 1 --seconds 20 --trace 0
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+OUT = REPO  # where the BENCH_<workload>.json files live
+
+
+def uncommitted(root: pathlib.Path) -> bool:
+    """Whether the git checkout at root has changes under src/ that no commit holds."""
+    if not (root / ".git").exists():
+        return False
+    out = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root, capture_output=True, text=True)
+    return bool(out.stdout.strip())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("--root", type=pathlib.Path, default=REPO, help="the source checkout to measure")
+    parser.add_argument("--workload", required=True)
+    args, passed = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
+    root = args.root.resolve()
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload, *passed],
+                          cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return proc.returncode
+    *_, info_line, result_line = proc.stdout.splitlines()
+    info, result = json.loads(info_line)["info"], json.loads(result_line)
+    commit = info["commit"] + (" (with uncommitted changes)" if uncommitted(root) else "")
+    path = OUT / f"BENCH_{args.workload}.json"
+    entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    entries.append({"commit": commit, "info": info, "result": result})
+    path.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n", encoding="utf-8")
+    metrics = " ".join(f"{name}={m['value']}" for name, m in result["metrics"].items())
+    print(f"appended run {len(entries)} of {args.workload} at {commit} to {path}: {metrics}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,8 @@ Exits 1 if any id or status differs (a check appeared, vanished or changed
 its verdict), 0 otherwise, so a run whose anchors or residuals moved but
 whose verdicts did not still exits 0. With --strict it exits 1 on any
 printed line, so exit 0 means the reports are identical apart from `ms`.
+Exits 2 on a usage error, or with one `error:` line on a report it cannot
+read (missing, empty, not JSON, or not a report).
 
 Run from anywhere:  python tools/diff_reports.py [--strict] OLD.json NEW.json
 """
@@ -50,7 +52,14 @@ def main(argv: list[str] | None = None) -> int:
     if len(args) != 2:
         print("usage: diff_reports.py [--strict] OLD.json NEW.json", file=sys.stderr)
         return 2
-    lines, verdicts_differ = diff(load(args[0]), load(args[1]))
+    reports = []
+    for path in args:
+        try:
+            reports.append(load(path))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"error: cannot read report {path}: {exc!r}", file=sys.stderr)
+            return 2
+    lines, verdicts_differ = diff(*reports)
     for line in lines:
         print(line)
     return 1 if verdicts_differ or (strict and lines) else 0
