@@ -256,8 +256,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     try:
         config = _config_from_args(args)
         params = config.params()
-        if config.catalog is not None:
-            load_relations(config.catalog)
+        # parsed once, before any suite runs, so a bad catalog costs no run
+        relations = None if config.catalog is None else load_relations(config.catalog)
         if args.out is not None:
             # opened before any suite runs, so an unwritable path costs no run;
             # appending keeps an earlier report until this one is written
@@ -265,7 +265,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = run_suites(params, config.suites, config.n_max, config.tol, config.catalog)
+    reports = run_suites(params, config.suites, config.n_max, config.tol, relations)
     result = RunResult(config.params_repr(), config.mode, config.n_max, config.tol, tuple(reports),
                        suite_cutoffs(config.suites, config.n_max))
     rendered = EMITTERS[config.fmt](result)

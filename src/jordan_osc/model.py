@@ -79,6 +79,23 @@ EXPLICIT_NAMES = (
     "D+11", "D+12", "D+22", "D-11", "D-12", "D-22",
 )
 
+#: the weight (alpha, beta) of each catalog operator X under the scaling
+#: automorphism sigma_P of the Weyl algebra, z -> lambda z, zbar -> mu zbar,
+#: dz -> dz / lambda, dzbar -> dzbar / mu with lambda = q/a, mu = 1/q:
+#: sigma_P(X at P) = p^alpha q^beta (X at p = q = 1). Claims, which the
+#: structure suite checks at every point where it relies on them (see verifier)
+OPERATOR_WEIGHTS = {
+    **dict.fromkeys(("H", "T", "U", "J-", "E21", "D+22", "D-11"), (2, 0)),
+    **dict.fromkeys(("A+", "A-"), (2, -1)),
+    **dict.fromkeys(("B+", "B-"), (0, 1)),
+    "R": (4, -2),
+    "S": (0, 2),
+    **dict.fromkeys(("J0", "K", "E11", "E22", "D+12", "D-12"), (0, 0)),
+    **dict.fromkeys(("J+", "E12", "D+11", "D-22"), (-2, 0)),
+    **dict.fromkeys(("a1+", "a2-"), (-1, 0)),
+    **dict.fromkeys(("a1-", "a2+"), (1, 0)),
+}
+
 _ALIASES = {"D+21": "D+12", "D-21": "D-12"}
 
 

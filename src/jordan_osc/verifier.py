@@ -35,6 +35,21 @@ which hold those values exactly. The quadrature oracle too reads the run's own
 basis, so an exact run builds nothing in floats; a reading that leaves the
 float range skips its check, unless a residual already failed it.
 
+The structure suite proves each catalog relation once per process. The Weyl
+algebra automorphism sigma_P (z -> lambda z, zbar -> mu zbar, dz -> dz/lambda,
+dzbar -> dzbar/mu, lambda = q/a, mu = 1/q) scales each normally ordered term
+and maps each catalog operator X at P to p^alpha q^beta times X at p = q = 1,
+(alpha, beta) its weight (model.OPERATOR_WEIGHTS); a literal c*a^i b^j has
+weight (2i, 2j). So a relation whose two sides of every add and sub have one
+weight holds at P if and only if it holds at R, the first exact point the
+process checks. R evaluates every relation. A later exact point P builds its
+own operators and checks each against R's once (the leaf check: each term is
+R's, rescaled), and a homogeneous relation proven at R whose operators all
+pass reports pass with residual 0 and forms no commutator. Everything else is
+evaluated directly: an inhomogeneous relation, one that failed at R or has a
+failed leaf, and every relation in float mode; so a failing report keeps its
+residual. The explicit forms and pseudo.H are still computed at every point.
+
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work done inside ``with check:``,
 and gives the verdict. Exact mode is authoritative: a pass there means
@@ -50,7 +65,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from importlib import resources
 from math import factorial, isfinite, sqrt
 from typing import Callable, Iterable
@@ -65,6 +80,7 @@ from .gaussint import (
 )
 from .model import (
     EXPLICIT_NAMES,
+    OPERATOR_WEIGHTS,
     Params,
     apply,
     build_psi,
@@ -73,6 +89,7 @@ from .model import (
     energy,
     explicit_form,
     make_operator,
+    point_cache,
     su2_factor,
 )
 from .weyl import (
@@ -301,10 +318,125 @@ def eval_expression(expr: str, params: Params) -> DiffOp:
     return _evaluate(parse_expression(expr), params)
 
 
+# ---------------------------------------------------------------------------
+# the reference point: each relation proven once per process
+# ---------------------------------------------------------------------------
+
+#: the weight of an expression that is zero at every point, which has every weight
+_ANY_WEIGHT = "any"
+
+
+def _weight(tree, leaves: set):
+    """The weight (alpha, beta) of an expression tree (see the module
+    docstring): _ANY_WEIGHT for a zero literal or product, None if both sides
+    of an add or sub differ in weight or an operator has no declared weight.
+    Adds the canonical name of each operator met to ``leaves``."""
+    if isinstance(tree, str):
+        literal = _SCALAR_TOKEN.match(tree)
+        if literal is None:
+            name = canonical_name(tree)
+            leaves.add(name)
+            return OPERATOR_WEIGHTS.get(name)
+        if not Fraction(tree.split("*")[0]):
+            return _ANY_WEIGHT
+        unit = literal.group(1) or ""  # a = p^2, b = q^2
+        return 2 * unit.count("a"), 2 * unit.count("b")
+    tok, *args = tree
+    weights = [_weight(arg, leaves) for arg in args]  # smul's scalar literal included
+    if None in weights:
+        return None
+    if tok == "neg":
+        return weights[0]
+    if tok in ("add", "sub"):
+        left, right = weights
+        return right if left == _ANY_WEIGHT else left if right in (_ANY_WEIGHT, left) else None
+    if _ANY_WEIGHT in weights:
+        return _ANY_WEIGHT
+    (a1, b1), (a2, b2) = weights
+    return a1 + a2, b1 + b2
+
+
+@lru_cache(maxsize=1024)
+def _homogeneous_leaves(lhs: str, rhs: str) -> frozenset[str] | None:
+    """The operators of the relation lhs == rhs if it is homogeneous (both
+    sides of every add and sub of one weight), else None. Text only: kept
+    and shared, like parse_expression."""
+    leaves: set = set()
+    homogeneous = _weight(("sub", parse_expression(lhs), parse_expression(rhs)), leaves) is not None
+    return frozenset(leaves) if homogeneous else None
+
+
+class _Reference:
+    """The reference point R (see the module docstring), the (lhs, rhs) of
+    each relation that holds there, and R's operators, each kept once a later
+    point first reads it, so that the store's eviction of R cannot lose them.
+
+    tau = sigma_R^-1 sigma_P maps z^i zbar^j dz^k dzbar^l to x^(2(k-i))
+    y^(i-k+l-j) times itself, x = p/p_R, y = q/q_R, and fixes the scalars.
+    If tau maps each operator X at P onto x^alpha y^beta X at R, it maps
+    lhs - rhs of a homogeneous relation at P onto a nonzero multiple of
+    lhs - rhs at R."""
+
+    def __init__(self, params: Params) -> None:
+        self.params = params
+        self.proven: set[tuple[str, str]] = set()
+        self.operators: dict[str, DiffOp] = {}
+
+    def proves(self, params: Params, spec: RelationSpec) -> bool:
+        """Whether the relation is proven at R, homogeneous, and each of its
+        operators passes the leaf check at params, which runs once per
+        operator and is kept in the store of params."""
+        leaves = _homogeneous_leaves(spec.lhs, spec.rhs) if (spec.lhs, spec.rhs) in self.proven else None
+        if leaves is None:
+            return False
+        passed = point_cache(params).setdefault(("rescales", self.params), {})  # name -> leaf check
+        for name in leaves:
+            if name not in passed:
+                passed[name] = self._rescales(params, name)
+            if not passed[name]:
+                return False
+        return True
+
+    def _rescales(self, params: Params, name: str) -> bool:
+        """The leaf check: X at params has the terms of X at R, each times
+        x^(alpha + 2(i-k)) y^(beta - i + k + j - l), decided in integers."""
+        if name not in self.operators:
+            self.operators[name] = make_operator(self.params, name)
+        op, ref = make_operator(params, name), self.operators[name]
+        if op.nums.keys() != ref.nums.keys():
+            return False
+        alpha, beta = OPERATOR_WEIGHTS[name]
+        x, y = params.p / self.params.p, params.q / self.params.q
+        factors: dict = {}  # exponents of x and y -> x^e y^f
+        for (i, j, k, l), u in op.nums.items():
+            exponents = alpha + 2 * (i - k), beta - i + k + j - l
+            if exponents not in factors:
+                factors[exponents] = x ** exponents[0] * y ** exponents[1]
+            factor = factors[exponents]
+            if u * ref.den * factor.denominator != ref.nums[i, j, k, l] * op.den * factor.numerator:
+                return False
+        return True
+
+
+#: set by the first exact check_relation of the process
+_REFERENCE: _Reference | None = None
+
+
 def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL) -> Report:
+    """lhs == rhs at params, evaluated directly unless the reference point
+    proves it (see _Reference)."""
+    global _REFERENCE
+    if params.mode == EXACT and _REFERENCE is None:
+        _REFERENCE = _Reference(params)
+    reference = _REFERENCE if params.mode == EXACT else None
+    at_reference = reference is not None and reference.params == params
     check = _Check(spec.rel_id, f"{spec.lhs} == {spec.rhs}", params.mode, tol)
     with check:
-        check.add((eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude())
+        if at_reference or reference is None or not reference.proves(params, spec):
+            residual = (eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude()
+            if at_reference and residual == 0:
+                reference.proven.add((spec.lhs, spec.rhs))
+            check.add(residual)
     return check.report()
 
 
@@ -563,34 +695,39 @@ def _squared_ladder_residual(params, rule, n, m, c2, terms, image, image_residua
     return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
 
-def _float_ladder_residual(params, rule, n, m, c2, terms, image, image_residual):
+def _float_ladder_residual(params, rule, n, m, c2, terms, image, image_residual, *, sizes):
     """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
     normalized by the size of the target. phi is psi times its su(2) factor,
     so op phi is the image times the factor of (n, m), and the target is the
     run's own psi_{n',m'} times c = sqrt(c2) su2_factor(n', m'), both read in
     floats. Rounding is monotone, so for c >= 0 the largest magnitude of c * psi
-    is c times that of psi, bit for bit. OverflowError where a scaled reading in
-    an exact run overflows (inf, or NaN = inf - inf)."""
+    is c times that of psi, bit for bit; ``sizes`` keeps that of each psi read,
+    by (n', m'), for the other rules that target it. OverflowError where a
+    scaled reading in an exact run overflows (inf, or NaN = inf - inf)."""
     scale = su2_factor(n, m)
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return max_or_nan(abs(float(c2)), residual_magnitude(FLOAT, [], image, scale))
     psi, c = chain_psi(params, n2, m2), sqrt(c2) * su2_factor(n2, m2)
-    residual, size = residual_magnitude(FLOAT, [(c, psi)], image, scale), c * float(psi.max_magnitude())
+    psi_size = sizes.get((n2, m2))
+    if psi_size is None:
+        psi_size = sizes[n2, m2] = float(psi.max_magnitude())
+    residual, size = residual_magnitude(FLOAT, [(c, psi)], image, scale), c * psi_size
     if params.mode == EXACT and not isfinite(residual + size):  # both >= 0 or NaN
         raise OverflowError("a float reading of the exact image or target leaves the float range")
     return residual / max_or_nan(1.0, size)
 
 
-def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float) -> tuple[Callable, list]:
+def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float, sizes: dict) -> tuple[Callable, list]:
     """The claimed value of one irrep rule as a function of (j, mu), and the
-    (report, residual function) of each of its reports, in report order."""
+    (report, residual function) of each of its reports, in report order; the
+    direct reports of every rule share ``sizes`` (see _float_ladder_residual)."""
     if isinstance(rule, DiagonalRule):
         return rule.eigenvalue, [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
     squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT, tol)
     direct = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
     checks = [(squared, _squared_ladder_residual)] if mode == EXACT else []
-    return rule.coeff_sq, checks + [(direct, _float_ladder_residual)]
+    return rule.coeff_sq, checks + [(direct, partial(_float_ladder_residual, sizes=sizes))]
 
 
 def _image_pass(
@@ -613,13 +750,13 @@ def _image_pass(
         raise ValueError(f"no action rule for {', '.join(sorted(missing))}, whose images the irrep suite reads")
     # (action rule, its report, irrep rule, its claimed value, irrep reports,
     # image clock)
-    plan = []
+    plan, sizes = [], {}
     for rule in ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        claim, checks = (None, []) if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol)
+        claim, checks = (None, []) if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol, sizes)
         image_clock = action if "actions" in suites else checks[0][0]
         plan.append((rule, action, irrep_rule, claim, checks, image_clock))
     if not plan:
@@ -814,10 +951,11 @@ def run_suites(
     suites: Iterable[str],
     n_max: int = DEFAULT_NMAX,
     tol: float = DEFAULT_TOL,
-    catalog_path: str | None = None,
+    relations: Iterable[RelationSpec] | None = None,
 ) -> list[Report]:
     """Reports of the given suites, suite by suite in the given order; the
-    actions and irrep suites share one image pass."""
+    actions and irrep suites share one image pass, and the structure suite
+    checks ``relations`` (default: the shipped catalog)."""
     suites = tuple(suites)
     check_suites(suites)
     action_reports, irrep_reports = _image_pass(params, suites, n_max, tol)
@@ -825,7 +963,7 @@ def run_suites(
     reports: list[Report] = []
     for suite in suites:
         if suite == "structure":
-            reports += check_structure(params, load_relations(catalog_path), tol)
+            reports += check_structure(params, relations, tol)
             reports += check_explicit_forms(params, tol)
         elif suite == "actions":
             reports += action_reports

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import jordan_osc
-from jordan_osc import DiffOp, cli, model
+from jordan_osc import DiffOp, cli, model, verifier
 from jordan_osc.cli import (
     RunConfig,
     RunResult,
@@ -94,6 +94,16 @@ class TestVerifyCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "shape.H-Aplus" in out
+
+    def test_catalog_file_parsed_once(self, tmp_path, capsys, monkeypatch):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("shape.H-Aplus | commutator | comm H A+ | smul 4*a A+\n")
+        calls = []
+        parse = verifier.parse_relations
+        monkeypatch.setattr(verifier, "parse_relations", lambda text: calls.append(text) or parse(text))
+        assert main(["verify", "--suites", "structure", "--catalog", str(catalog)]) == 0
+        assert len(calls) == 1
+        assert "PASS  shape.H-Aplus" in capsys.readouterr().out
 
     def test_exit_two_on_bad_nmax(self, capsys):
         assert main(["verify", "--nmax", "0", "--suites", "pseudo"]) == 2

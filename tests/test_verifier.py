@@ -1,12 +1,14 @@
 """Relation catalog, expression grammar, and the five verification suites."""
 
+import importlib.util
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, isnan, sqrt
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jordan_osc import (
@@ -163,6 +165,114 @@ class TestStructureSuite:
         assert report.residual != "0"
 
 
+def _sweep_points(seed: int) -> list[Params]:
+    """The exact points of the benchmark's exact-sweep workload for ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return [Params.exact(F(pt["p"]), F(pt["q"])) for pt in bench.sweep_points(seed, bench.SWEEP_POINTS)]
+
+
+def _direct(params, spec) -> tuple:
+    """(anchor, passed, residual) of a relation with both sides evaluated at params."""
+    residual = (eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude()
+    return f"{spec.lhs} == {spec.rhs}", residual == 0, str(residual)
+
+
+def _verdicts(reports) -> list[tuple]:
+    return [(r.relation_id, r.anchor, r.passed, r.residual) for r in reports]
+
+
+INHOMOGENEOUS = RelationSpec("x.inhomogeneous", "commutator", "comm A+ B-", "2*b")  # 2a == 2b: only at a = b
+
+
+@pytest.fixture
+def fresh_reference(monkeypatch):
+    """No reference point and no point stores yet: the test's first exact
+    point becomes the reference."""
+    monkeypatch.setattr(verifier, "_REFERENCE", None)
+    monkeypatch.setattr(model, "_POINTS", {})
+
+
+class TestReferencePoint:
+    """Relations proven at the process's first exact point R hold at a later
+    exact point whose operators rescale onto R's; every other case is
+    evaluated directly, so every report is what direct evaluation gives."""
+
+    def test_weights_cover_the_catalog(self):
+        assert set(model.OPERATOR_WEIGHTS) == set(model.CATALOG_NAMES)
+
+    @pytest.mark.parametrize("P", [Params.exact(2, 3), Params.exact(F(7, 3), F(7, 6)), Params.exact(1, 1)],
+                             ids=["2-3", "7/3-7/6", "a=b"])
+    def test_every_declared_weight_passes_the_leaf_check(self, fresh_reference, P):
+        check_structure(Params.exact(F(3, 2), F(2, 3)))
+        assert all(verifier._REFERENCE._rescales(P, name) for name in model.CATALOG_NAMES)
+
+    def test_a_wrong_weight_only_turns_the_shortcut_off(self, fresh_reference, monkeypatch):
+        check_structure(Params.exact(F(3, 2), F(2, 3)))
+        monkeypatch.setitem(model.OPERATOR_WEIGHTS, "S", (2, 0))
+        verifier._homogeneous_leaves.cache_clear()  # homogeneity is read off the weights
+        try:
+            P = Params.exact(F(5, 4), F(1, 3))
+            reports = check_structure(P)
+            assert not verifier._REFERENCE._rescales(P, "S")
+            assert all(r.passed for r in reports)
+            assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
+        finally:
+            verifier._homogeneous_leaves.cache_clear()
+
+    def test_inhomogeneous_relation_is_evaluated_at_each_point(self, fresh_reference):
+        assert check_relation(Params.exact(1, 1), INHOMOGENEOUS).passed  # R, where a = b
+        assert verifier._homogeneous_leaves(INHOMOGENEOUS.lhs, INHOMOGENEOUS.rhs) is None
+        report = check_relation(Params.exact(2, 1), INHOMOGENEOUS)
+        assert not report.passed and report.residual == "6"
+
+    def test_a_corrupted_operator_fails_its_relations(self, fresh_reference):
+        check_structure(Params.exact(1, F(1, 2)))
+        P = Params.exact(F(3, 2), F(2, 3))
+        model.point_cache(P)[model.make_operator.__wrapped__, "S"] = make_operator(P, "S") + DiffOp.identity("exact")
+        reports = check_structure(P)
+        assert {r.relation_id for r in reports if not r.passed} == {
+            "block.S-T", "gl2.J0-Jplus", "gl2.embed-Jplus", "sp4.acomm-a2m-a1p"}
+        assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
+
+    def test_negative_controls_fail_at_every_sweep_point(self, fresh_reference):
+        for P in _sweep_points(5):
+            assert all(r.passed for r in check_structure(P))
+            for spec in load_negative_controls():
+                report = check_relation(P, spec)
+                assert not report.passed and report.residual != "0", (spec.rel_id, P)
+        assert len(verifier._REFERENCE.proven) == len(load_relations())
+
+    def test_no_product_at_a_second_point(self, fresh_reference, monkeypatch):
+        check_structure(Params.exact(1, F(1, 2)))
+        P = Params.exact(F(5, 4), F(1, 3))
+        for name in model.CATALOG_NAMES:
+            make_operator(P, name)  # the point's own operators are built as ever
+        products = Counter()
+        product = weyl._TermMap._product
+
+        def counted(self, *args):
+            products["product"] += 1
+            return product(self, *args)
+
+        monkeypatch.setattr(weyl._TermMap, "_product", counted)
+        assert all(r.passed and r.residual == "0" for r in check_structure(P))
+        assert products["product"] == 0
+        assert ("rescales", verifier._REFERENCE.params) in model.point_cache(P)
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(p=st.fractions(min_value=F(1, 4), max_value=6, max_denominator=7),
+           ratio=st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9))
+    def test_reports_equal_direct_evaluation(self, fresh_reference, p, ratio):
+        check_structure(Params.exact(1, F(1, 2)))  # the reference, once for all examples
+        P = Params.exact(p, p * ratio)
+        specs = load_relations() + load_negative_controls() + [INHOMOGENEOUS]
+        reports = [check_relation(P, spec) for spec in specs]
+        assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in specs]
+
+
 class TestExplicitForms:
     def test_all_fourteen_pass(self, params):
         reports = check_explicit_forms(params)
@@ -254,7 +364,8 @@ class TestFloatLadderResidual:
             for n in range(7):
                 for m in range(n + 1):
                     image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
-                    got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, image, None)
+                    got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, image, None,
+                                                          sizes={})
                     want = _four_pass_residual(point, rule, n, m, image)
                     assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
                     outside += not (0 <= m + rule.dm <= n + rule.dn)
@@ -537,6 +648,21 @@ class TestImagePass:
         for rid in ("irrep.D-11.float", "irrep.D-12.float"):
             assert reports[rid].passed and float(reports[rid].residual) < 1e-15, rid
 
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_each_target_size_read_once(self, point, request, monkeypatch):
+        # a psi is the target of up to 12 ladder rules, and the direct reports
+        # read its largest coefficient once for all of them
+        reads = Counter()
+        max_magnitude = Poly2.max_magnitude
+
+        def counted(self):
+            reads[id(self)] += 1
+            return max_magnitude(self)
+
+        monkeypatch.setattr(Poly2, "max_magnitude", counted)
+        check_irrep(request.getfixturevalue(point), n_max=6)
+        assert len(reads) > 1 and set(reads.values()) == {1}
+
 
 class TestPseudoHermiticity:
     def test_passes(self, params):
@@ -792,7 +918,7 @@ class TestResidualsKeepNaN:
         monkeypatch.setattr(verifier, "chain_psi", lambda P, n, m: big)
         rule = next(r for r in LADDER_RULES if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
         with pytest.raises(OverflowError):
-            verifier._float_ladder_residual(params, rule, 1, 0, _at(rule, 1, 0), [], big.scale(F(2)), None)
+            verifier._float_ladder_residual(params, rule, 1, 0, _at(rule, 1, 0), [], big.scale(F(2)), None, sizes={})
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_float_ladder_residual_off_the_grid(self, fparams, position):
@@ -801,4 +927,4 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDER_RULES[0]
-        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], image, 0.0))
+        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], image, 0.0, sizes={}))
