@@ -35,20 +35,20 @@ which hold those values exactly. The quadrature oracle too reads the run's own
 basis, so an exact run builds nothing in floats; a reading that leaves the
 float range skips its check, unless a residual already failed it.
 
-The structure suite proves each catalog relation once per process. The Weyl
-algebra automorphism sigma_P (z -> lambda z, zbar -> mu zbar, dz -> dz/lambda,
-dzbar -> dzbar/mu, lambda = q/a, mu = 1/q) scales each normally ordered term
-and maps each catalog operator X at P to p^alpha q^beta times X at p = q = 1,
-(alpha, beta) its weight (model.OPERATOR_WEIGHTS); a literal c*a^i b^j has
-weight (2i, 2j). So a relation whose two sides of every add and sub have one
-weight holds at P if and only if it holds at R, the first exact point the
-process checks. R evaluates every relation. A later exact point P builds its
-own operators and checks each against R's once (the leaf check: each term is
-R's, rescaled), and a homogeneous relation proven at R whose operators all
-pass reports pass with residual 0 and forms no commutator. Everything else is
-evaluated directly: an inhomogeneous relation, one that failed at R or has a
-failed leaf, and every relation in float mode; so a failing report keeps its
-residual. The explicit forms and pseudo.H are still computed at every point.
+The structure suite proves each catalog relation once per process, at
+p = q = 1. The Weyl algebra automorphism sigma_P (z -> lambda z,
+zbar -> mu zbar, dz -> dz/lambda, dzbar -> dzbar/mu, lambda = q/a, mu = 1/q)
+scales each normally ordered term and maps each catalog operator X at P to
+p^alpha q^beta times X at p = q = 1, (alpha, beta) its weight
+(model.OPERATOR_WEIGHTS); a literal c*a^i b^j has weight (2i, 2j). So a
+relation whose two sides of every add and sub have one weight holds at P if
+and only if it holds at p = q = 1. An exact point checks each of its
+operators against sigma_P once (the leaf check), and a homogeneous relation
+that holds at p = q = 1 and whose operators pass reports pass with residual
+0, with no commutator formed. Everything else is evaluated directly, so a
+failing report keeps its residual: an inhomogeneous relation, one that fails
+at p = q = 1 or has a failed leaf, and every float relation. The explicit
+forms and pseudo.H are still computed at every point.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work done inside ``with check:``,
@@ -63,6 +63,7 @@ from __future__ import annotations
 import operator
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -82,6 +83,7 @@ from .model import (
     EXPLICIT_NAMES,
     OPERATOR_WEIGHTS,
     Params,
+    _per_point,
     apply,
     build_psi,
     canonical_name,
@@ -89,7 +91,6 @@ from .model import (
     energy,
     explicit_form,
     make_operator,
-    point_cache,
     su2_factor,
 )
 from .weyl import (
@@ -234,8 +235,9 @@ def parse_relations(text: str) -> list[RelationSpec]:
             raise ValueError(f"catalog line {lineno}: {exc}") from None
         specs.append(RelationSpec(*fields))
     ids = [s.rel_id for s in specs]
-    if len(ids) != len(set(ids)):
-        raise ValueError("duplicate relation ids in catalog")
+    duplicates = [rel_id for rel_id, count in Counter(ids).items() if count > 1]
+    if duplicates:
+        raise ValueError(f"duplicate relation ids in catalog: {', '.join(duplicates)}")
     builtin = [rel_id for rel_id in ids if rel_id.startswith(BUILTIN_ID_PREFIXES)]
     if builtin:
         raise ValueError(f"catalog ids {', '.join(builtin)} lie in a built-in namespace {BUILTIN_ID_PREFIXES}")
@@ -319,9 +321,11 @@ def eval_expression(expr: str, params: Params) -> DiffOp:
 
 
 # ---------------------------------------------------------------------------
-# the reference point: each relation proven once per process
+# the unit point: each relation proven once per process
 # ---------------------------------------------------------------------------
 
+#: where each homogeneous relation is proven for every exact point
+_UNIT = Params.exact(1, 1)
 #: the weight of an expression that is zero at every point, which has every weight
 _ANY_WEIGHT = "any"
 
@@ -357,86 +361,52 @@ def _weight(tree, leaves: set):
 
 
 @lru_cache(maxsize=1024)
-def _homogeneous_leaves(lhs: str, rhs: str) -> frozenset[str] | None:
+def _proven_leaves(lhs: str, rhs: str) -> frozenset[str] | None:
     """The operators of the relation lhs == rhs if it is homogeneous (both
-    sides of every add and sub of one weight), else None. Text only: kept
-    and shared, like parse_expression."""
+    sides of every add and sub of one weight) and holds at _UNIT, else None.
+    Text only: kept and shared, like parse_expression."""
     leaves: set = set()
-    homogeneous = _weight(("sub", parse_expression(lhs), parse_expression(rhs)), leaves) is not None
-    return frozenset(leaves) if homogeneous else None
+    if _weight(("sub", parse_expression(lhs), parse_expression(rhs)), leaves) is None:
+        return None
+    holds = (eval_expression(lhs, _UNIT) - eval_expression(rhs, _UNIT)).is_zero()
+    return frozenset(leaves) if holds else None
 
 
-class _Reference:
-    """The reference point R (see the module docstring), the (lhs, rhs) of
-    each relation that holds there, and R's operators, each kept once a later
-    point first reads it, so that the store's eviction of R cannot lose them.
+@cache
+def _unit_operator(name: str) -> DiffOp:
+    """X at _UNIT, kept for the process, as the store of _UNIT may be evicted."""
+    return make_operator(_UNIT, name)
 
-    tau = sigma_R^-1 sigma_P maps z^i zbar^j dz^k dzbar^l to x^(2(k-i))
-    y^(i-k+l-j) times itself, x = p/p_R, y = q/q_R, and fixes the scalars.
-    If tau maps each operator X at P onto x^alpha y^beta X at R, it maps
-    lhs - rhs of a homogeneous relation at P onto a nonzero multiple of
-    lhs - rhs at R."""
 
-    def __init__(self, params: Params) -> None:
-        self.params = params
-        self.proven: set[tuple[str, str]] = set()
-        self.operators: dict[str, DiffOp] = {}
-
-    def proves(self, params: Params, spec: RelationSpec) -> bool:
-        """Whether the relation is proven at R, homogeneous, and each of its
-        operators passes the leaf check at params, which runs once per
-        operator and is kept in the store of params."""
-        leaves = _homogeneous_leaves(spec.lhs, spec.rhs) if (spec.lhs, spec.rhs) in self.proven else None
-        if leaves is None:
+@_per_point
+def _rescales(params: Params, name: str) -> bool:
+    """The leaf check: X at params has the terms of X at _UNIT, each times
+    p^(alpha + 2(i-k)) q^(beta - i + k + j - l), decided in integers; this is
+    sigma_P(X at params) = p^alpha q^beta (X at _UNIT), term by term."""
+    op, unit = make_operator(params, name), _unit_operator(name)
+    if op.nums.keys() != unit.nums.keys():
+        return False
+    alpha, beta = OPERATOR_WEIGHTS[name]
+    factors: dict = {}  # exponents of p and q -> p^e q^f
+    for (i, j, k, l), u in op.nums.items():
+        exponents = alpha + 2 * (i - k), beta - i + k + j - l
+        if exponents not in factors:
+            factors[exponents] = params.p ** exponents[0] * params.q ** exponents[1]
+        factor = factors[exponents]
+        if u * unit.den * factor.denominator != unit.nums[i, j, k, l] * op.den * factor.numerator:
             return False
-        passed = point_cache(params).setdefault(("rescales", self.params), {})  # name -> leaf check
-        for name in leaves:
-            if name not in passed:
-                passed[name] = self._rescales(params, name)
-            if not passed[name]:
-                return False
-        return True
-
-    def _rescales(self, params: Params, name: str) -> bool:
-        """The leaf check: X at params has the terms of X at R, each times
-        x^(alpha + 2(i-k)) y^(beta - i + k + j - l), decided in integers."""
-        if name not in self.operators:
-            self.operators[name] = make_operator(self.params, name)
-        op, ref = make_operator(params, name), self.operators[name]
-        if op.nums.keys() != ref.nums.keys():
-            return False
-        alpha, beta = OPERATOR_WEIGHTS[name]
-        x, y = params.p / self.params.p, params.q / self.params.q
-        factors: dict = {}  # exponents of x and y -> x^e y^f
-        for (i, j, k, l), u in op.nums.items():
-            exponents = alpha + 2 * (i - k), beta - i + k + j - l
-            if exponents not in factors:
-                factors[exponents] = x ** exponents[0] * y ** exponents[1]
-            factor = factors[exponents]
-            if u * ref.den * factor.denominator != ref.nums[i, j, k, l] * op.den * factor.numerator:
-                return False
-        return True
-
-
-#: set by the first exact check_relation of the process
-_REFERENCE: _Reference | None = None
+    return True
 
 
 def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL) -> Report:
-    """lhs == rhs at params, evaluated directly unless the reference point
-    proves it (see _Reference)."""
-    global _REFERENCE
-    if params.mode == EXACT and _REFERENCE is None:
-        _REFERENCE = _Reference(params)
-    reference = _REFERENCE if params.mode == EXACT else None
-    at_reference = reference is not None and reference.params == params
+    """lhs == rhs at params: in exact mode a pass with residual 0 if it is
+    proven at _UNIT and each of its operators passes the leaf check at params;
+    else evaluated directly."""
     check = _Check(spec.rel_id, f"{spec.lhs} == {spec.rhs}", params.mode, tol)
     with check:
-        if at_reference or reference is None or not reference.proves(params, spec):
-            residual = (eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude()
-            if at_reference and residual == 0:
-                reference.proven.add((spec.lhs, spec.rhs))
-            check.add(residual)
+        leaves = _proven_leaves(spec.lhs, spec.rhs) if params.mode == EXACT else None
+        if leaves is None or not all(_rescales(params, name) for name in leaves):
+            check.add((eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude())
     return check.report()
 
 
@@ -695,39 +665,36 @@ def _squared_ladder_residual(params, rule, n, m, c2, terms, image, image_residua
     return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
 
-def _float_ladder_residual(params, rule, n, m, c2, terms, image, image_residual, *, sizes):
+def _float_ladder_residual(params, rule, n, m, c2, terms, image, image_residual, *, basis, sizes):
     """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
     normalized by the size of the target. phi is psi times its su(2) factor,
     so op phi is the image times the factor of (n, m), and the target is the
-    run's own psi_{n',m'} times c = sqrt(c2) su2_factor(n', m'), both read in
-    floats. Rounding is monotone, so for c >= 0 the largest magnitude of c * psi
-    is c times that of psi, bit for bit; ``sizes`` keeps that of each psi read,
-    by (n', m'), for the other rules that target it. OverflowError where a
-    scaled reading in an exact run overflows (inf, or NaN = inf - inf)."""
+    run's own psi_{n',m'} = basis(n', m') times c = sqrt(c2) su2_factor(n', m'),
+    both read in floats. Rounding is monotone, so for c >= 0 the largest
+    magnitude of c * psi is c times sizes(n', m'), that of psi, bit for bit.
+    OverflowError where a scaled reading in an exact run overflows (inf, or
+    NaN = inf - inf)."""
     scale = su2_factor(n, m)
     n2, m2 = n + rule.dn, m + rule.dm
     if not (0 <= m2 <= n2):
         return max_or_nan(abs(float(c2)), residual_magnitude(FLOAT, [], image, scale))
-    psi, c = chain_psi(params, n2, m2), sqrt(c2) * su2_factor(n2, m2)
-    psi_size = sizes.get((n2, m2))
-    if psi_size is None:
-        psi_size = sizes[n2, m2] = float(psi.max_magnitude())
-    residual, size = residual_magnitude(FLOAT, [(c, psi)], image, scale), c * psi_size
+    psi, c = basis(n2, m2), sqrt(c2) * su2_factor(n2, m2)
+    residual, size = residual_magnitude(FLOAT, [(c, psi)], image, scale), c * sizes(n2, m2)
     if params.mode == EXACT and not isfinite(residual + size):  # both >= 0 or NaN
         raise OverflowError("a float reading of the exact image or target leaves the float range")
     return residual / max_or_nan(1.0, size)
 
 
-def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float, sizes: dict) -> tuple[Callable, list]:
+def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float, direct: Callable) -> tuple[Callable, list]:
     """The claimed value of one irrep rule as a function of (j, mu), and the
     (report, residual function) of each of its reports, in report order; the
-    direct reports of every rule share ``sizes`` (see _float_ladder_residual)."""
+    direct reports of every rule share the residual function ``direct``."""
     if isinstance(rule, DiagonalRule):
         return rule.eigenvalue, [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
     squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT, tol)
-    direct = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
+    direct_check = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
     checks = [(squared, _squared_ladder_residual)] if mode == EXACT else []
-    return rule.coeff_sq, checks + [(direct, partial(_float_ladder_residual, sizes=sizes))]
+    return rule.coeff_sq, checks + [(direct_check, direct)]
 
 
 def _image_pass(
@@ -748,22 +715,27 @@ def _image_pass(
     missing = set(by_op) - {rule.op_name for rule in ACTION_RULES}
     if missing:
         raise ValueError(f"no action rule for {', '.join(sorted(missing))}, whose images the irrep suite reads")
+    # psi_{n,m} by (n, m), and its largest magnitude in floats: the pass reads
+    # each at up to a dozen steps, and from the point's store once
+    basis = cache(partial(chain_psi, params))
+    sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
+    direct = partial(_float_ladder_residual, basis=basis, sizes=sizes)
     # (action rule, its report, irrep rule, its claimed value, irrep reports,
     # image clock)
-    plan, sizes = [], {}
+    plan = []
     for rule in ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        claim, checks = (None, []) if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol, sizes)
+        claim, checks = (None, []) if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol, direct)
         image_clock = action if "actions" in suites else checks[0][0]
         plan.append((rule, action, irrep_rule, claim, checks, image_clock))
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
     for n in range(n_max + 1):
         for m in range(n + 1):
-            psi = chain_psi(params, n, m)
+            psi = basis(n, m)
             derivatives: dict = {}  # the derivative table of psi_{n,m}
             # halves of small integers, exact in floats too, as is each claim,
             # which is so a coefficient of the mode as it stands
@@ -776,7 +748,7 @@ def _image_pass(
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
                     image_residual = residual_magnitude(
-                        params.mode, [(c, chain_psi(params, n2, m2)) for n2, m2, c in terms if c], image)
+                        params.mode, [(c, basis(n2, m2)) for n2, m2, c in terms if c], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
                     with check:

@@ -4,6 +4,7 @@ import importlib.util
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import factorial, isnan, sqrt
 from pathlib import Path
 
@@ -64,8 +65,8 @@ class TestCatalogParsing:
             parse_relations("broken | only | three")
 
     def test_rejects_duplicate_ids(self):
-        text = "x | identity | H | H\nx | identity | K | K\n"
-        with pytest.raises(ValueError):
+        text = "".join(f"{rel_id} | identity | H | H\n" for rel_id in ["y", "x", "z", "x", "y", "x"])
+        with pytest.raises(ValueError, match=r"^duplicate relation ids in catalog: y, x$"):
             parse_relations(text)
 
     @pytest.mark.parametrize("rel_id", ["explicit.a1+", "pseudo.H", "action.B-", "irrep.K.sq", "integrals.norms"])
@@ -188,85 +189,137 @@ INHOMOGENEOUS = RelationSpec("x.inhomogeneous", "commutator", "comm A+ B-", "2*b
 
 
 @pytest.fixture
-def fresh_reference(monkeypatch):
-    """No reference point and no point stores yet: the test's first exact
-    point becomes the reference."""
-    monkeypatch.setattr(verifier, "_REFERENCE", None)
+def fresh_process(monkeypatch):
+    """No relation proven, no unit operator built and no point store yet, as
+    in a new process; what the test proves or builds is dropped after it."""
+    verifier._proven_leaves.cache_clear()
+    verifier._unit_operator.cache_clear()
     monkeypatch.setattr(model, "_POINTS", {})
+    yield
+    verifier._proven_leaves.cache_clear()
+    verifier._unit_operator.cache_clear()
+
+
+CORRUPTED_BY_S = {"block.S-T", "gl2.J0-Jplus", "gl2.embed-Jplus", "sp4.acomm-a2m-a1p"}
+
+
+def _corrupt_s(P) -> None:
+    """Put S + 1 in the store of P; it fails exactly CORRUPTED_BY_S."""
+    model.point_cache(P)[model.make_operator.__wrapped__, "S"] = make_operator(P, "S") + DiffOp.identity("exact")
+
+
+def _count_products(monkeypatch) -> Counter:
+    """Count every weyl._TermMap._product from now on, under "product"."""
+    products = Counter()
+    product = weyl._TermMap._product
+
+    def counted(self, *args):
+        products["product"] += 1
+        return product(self, *args)
+
+    monkeypatch.setattr(weyl._TermMap, "_product", counted)
+    return products
 
 
 class TestReferencePoint:
-    """Relations proven at the process's first exact point R hold at a later
-    exact point whose operators rescale onto R's; every other case is
-    evaluated directly, so every report is what direct evaluation gives."""
+    """Each relation is proven at p = q = 1 and holds at an exact point whose
+    operators rescale onto theirs at p = q = 1; every other case is evaluated
+    directly, so every report is what direct evaluation gives."""
 
     def test_weights_cover_the_catalog(self):
         assert set(model.OPERATOR_WEIGHTS) == set(model.CATALOG_NAMES)
 
+    @pytest.mark.parametrize("expr, undeclared, weight, leaves", [
+        ("add 0 H", None, (2, 0), {"H"}),
+        ("sub S 0*a", None, (0, 2), {"S"}),
+        ("mul 0 H", None, "any", {"H"}),
+        ("smul 0 K", None, "any", {"K"}),
+        ("add 0 0*ab", None, "any", set()),
+        ("neg A+", None, (2, -1), {"A+"}),
+        ("2*a", None, (2, 0), set()),
+        ("-1/2*b", None, (0, 2), set()),
+        ("3*ab", None, (2, 2), set()),
+        ("comm D+21 D-12", None, (0, 0), {"D+12", "D-12"}),
+        ("comm R S", "R", None, {"R", "S"}),
+        ("add H S", None, None, {"H", "S"}),
+    ])
+    def test_weight(self, monkeypatch, expr, undeclared, weight, leaves):
+        if undeclared:
+            monkeypatch.delitem(model.OPERATOR_WEIGHTS, undeclared)
+        met: set = set()
+        assert verifier._weight(verifier.parse_expression(expr), met) == weight
+        assert met == leaves
+
     @pytest.mark.parametrize("P", [Params.exact(2, 3), Params.exact(F(7, 3), F(7, 6)), Params.exact(1, 1)],
                              ids=["2-3", "7/3-7/6", "a=b"])
-    def test_every_declared_weight_passes_the_leaf_check(self, fresh_reference, P):
-        check_structure(Params.exact(F(3, 2), F(2, 3)))
-        assert all(verifier._REFERENCE._rescales(P, name) for name in model.CATALOG_NAMES)
+    def test_every_declared_weight_passes_the_leaf_check(self, fresh_process, P):
+        assert all(verifier._rescales(P, name) for name in model.CATALOG_NAMES)
 
-    def test_a_wrong_weight_only_turns_the_shortcut_off(self, fresh_reference, monkeypatch):
-        check_structure(Params.exact(F(3, 2), F(2, 3)))
-        monkeypatch.setitem(model.OPERATOR_WEIGHTS, "S", (2, 0))
-        verifier._homogeneous_leaves.cache_clear()  # homogeneity is read off the weights
-        try:
-            P = Params.exact(F(5, 4), F(1, 3))
-            reports = check_structure(P)
-            assert not verifier._REFERENCE._rescales(P, "S")
-            assert all(r.passed for r in reports)
-            assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
-        finally:
-            verifier._homogeneous_leaves.cache_clear()
+    def test_a_wrong_weight_only_turns_the_shortcut_off(self, fresh_process, monkeypatch):
+        monkeypatch.setitem(model.OPERATOR_WEIGHTS, "S", (2, 0))  # before any relation is proven
+        P = Params.exact(F(5, 4), F(1, 3))
+        reports = check_structure(P)
+        assert not verifier._rescales(P, "S")
+        assert all(r.passed for r in reports)
+        assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
 
-    def test_inhomogeneous_relation_is_evaluated_at_each_point(self, fresh_reference):
-        assert check_relation(Params.exact(1, 1), INHOMOGENEOUS).passed  # R, where a = b
-        assert verifier._homogeneous_leaves(INHOMOGENEOUS.lhs, INHOMOGENEOUS.rhs) is None
+    def test_inhomogeneous_relation_is_evaluated_at_each_point(self, fresh_process):
+        assert check_relation(Params.exact(1, 1), INHOMOGENEOUS).passed  # a = b
+        assert verifier._proven_leaves(INHOMOGENEOUS.lhs, INHOMOGENEOUS.rhs) is None
         report = check_relation(Params.exact(2, 1), INHOMOGENEOUS)
         assert not report.passed and report.residual == "6"
 
-    def test_a_corrupted_operator_fails_its_relations(self, fresh_reference):
+    def test_a_corrupted_operator_fails_its_relations(self, fresh_process):
         check_structure(Params.exact(1, F(1, 2)))
         P = Params.exact(F(3, 2), F(2, 3))
-        model.point_cache(P)[model.make_operator.__wrapped__, "S"] = make_operator(P, "S") + DiffOp.identity("exact")
+        _corrupt_s(P)
         reports = check_structure(P)
-        assert {r.relation_id for r in reports if not r.passed} == {
-            "block.S-T", "gl2.J0-Jplus", "gl2.embed-Jplus", "sp4.acomm-a2m-a1p"}
+        assert {r.relation_id for r in reports if not r.passed} == CORRUPTED_BY_S
         assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
 
-    def test_negative_controls_fail_at_every_sweep_point(self, fresh_reference):
+    def test_no_verdict_depends_on_the_first_point(self, fresh_process, monkeypatch):
+        # the relations a corrupted first point fails are still proven, so a
+        # clean later point forms no commutator for them either
+        first = Params.exact(F(3, 2), F(2, 3))
+        _corrupt_s(first)
+        assert {r.relation_id for r in check_structure(first) if not r.passed} == CORRUPTED_BY_S
+        P = Params.exact(F(5, 4), F(1, 3))
+        for name in model.CATALOG_NAMES:
+            make_operator(P, name)
+        products = _count_products(monkeypatch)
+        assert all(r.passed and r.residual == "0" for r in check_structure(P))
+        assert products["product"] == 0
+
+    def test_negative_controls_fail_at_every_sweep_point(self, fresh_process):
         for P in _sweep_points(5):
             assert all(r.passed for r in check_structure(P))
             for spec in load_negative_controls():
                 report = check_relation(P, spec)
                 assert not report.passed and report.residual != "0", (spec.rel_id, P)
-        assert len(verifier._REFERENCE.proven) == len(load_relations())
+        assert all(verifier._proven_leaves(s.lhs, s.rhs) is not None for s in load_relations())
 
-    def test_no_product_at_a_second_point(self, fresh_reference, monkeypatch):
+    def test_each_unit_operator_built_once(self, fresh_process):
+        points = _sweep_points(5)
+        assert len(points) > model._POINTS_MAX
+        for P in points:
+            check_structure(P)
+        assert verifier._unit_operator.cache_info().misses == len(model.CATALOG_NAMES)
+        assert verifier._UNIT not in model._POINTS  # its store was evicted on the way
+
+    def test_no_product_at_a_second_point(self, fresh_process, monkeypatch):
         check_structure(Params.exact(1, F(1, 2)))
         P = Params.exact(F(5, 4), F(1, 3))
         for name in model.CATALOG_NAMES:
             make_operator(P, name)  # the point's own operators are built as ever
-        products = Counter()
-        product = weyl._TermMap._product
-
-        def counted(self, *args):
-            products["product"] += 1
-            return product(self, *args)
-
-        monkeypatch.setattr(weyl._TermMap, "_product", counted)
+        products = _count_products(monkeypatch)
         assert all(r.passed and r.residual == "0" for r in check_structure(P))
         assert products["product"] == 0
-        assert ("rescales", verifier._REFERENCE.params) in model.point_cache(P)
+        assert all((verifier._rescales.__wrapped__, name) in model.point_cache(P) for name in model.CATALOG_NAMES)
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(p=st.fractions(min_value=F(1, 4), max_value=6, max_denominator=7),
            ratio=st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9))
-    def test_reports_equal_direct_evaluation(self, fresh_reference, p, ratio):
-        check_structure(Params.exact(1, F(1, 2)))  # the reference, once for all examples
+    def test_reports_equal_direct_evaluation(self, fresh_process, p, ratio):
         P = Params.exact(p, p * ratio)
         specs = load_relations() + load_negative_controls() + [INHOMOGENEOUS]
         reports = [check_relation(P, spec) for spec in specs]
@@ -359,13 +412,18 @@ class TestFloatLadderResidual:
         Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
     ], ids=["float-0.79-0.23", "float-3-1", "exact-1-1/2", "exact-3/2-2/3"])
     def test_one_pass_equals_four_passes_bit_for_bit(self, point):
+        basis = partial(model.chain_psi, point)
+
+        def sizes(n, m):
+            return float(basis(n, m).max_magnitude())
+
         outside = 0
         for rule in LADDER_RULES:
             for n in range(7):
                 for m in range(n + 1):
                     image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
                     got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, image, None,
-                                                          sizes={})
+                                                          basis=basis, sizes=sizes)
                     want = _four_pass_residual(point, rule, n, m, image)
                     assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
                     outside += not (0 <= m + rule.dm <= n + rule.dn)
@@ -663,6 +721,20 @@ class TestImagePass:
         check_irrep(request.getfixturevalue(point), n_max=6)
         assert len(reads) > 1 and set(reads.values()) == {1}
 
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_each_basis_function_read_once(self, point, request, monkeypatch):
+        # each psi_{n,m} is the target of up to a dozen steps, and the pass
+        # reads it from the point's store once
+        reads = Counter()
+
+        def counted(P, n, m):
+            reads[n, m] += 1
+            return model.chain_psi(P, n, m)
+
+        monkeypatch.setattr(verifier, "chain_psi", counted)
+        run_suites(request.getfixturevalue(point), ("actions", "irrep"), n_max=6)
+        assert set(reads.values()) == {1} and len(reads) == 45  # up to level 6 + 2
+
 
 class TestPseudoHermiticity:
     def test_passes(self, params):
@@ -911,14 +983,14 @@ class TestResidualsKeepNaN:
         assert isnan(verifier._squared_ladder_residual(params, rule, 2, 0, _at(rule, 2, 0), terms, None,
                                                        image_residual))
 
-    def test_exact_float_reading_that_overflows_raises(self, params, monkeypatch):
+    def test_exact_float_reading_that_overflows_raises(self, params):
         # a target psi near the top of the float range: c psi overflows to inf,
         # and so does the scaled image, so the difference would read NaN
         big = Poly2("exact", {(1, 0): F(10**308)})
-        monkeypatch.setattr(verifier, "chain_psi", lambda P, n, m: big)
         rule = next(r for r in LADDER_RULES if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
         with pytest.raises(OverflowError):
-            verifier._float_ladder_residual(params, rule, 1, 0, _at(rule, 1, 0), [], big.scale(F(2)), None, sizes={})
+            verifier._float_ladder_residual(params, rule, 1, 0, _at(rule, 1, 0), [], big.scale(F(2)), None,
+                                            basis=lambda n, m: big, sizes=lambda n, m: float(big.max_magnitude()))
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_float_ladder_residual_off_the_grid(self, fparams, position):
@@ -927,4 +999,5 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDER_RULES[0]
-        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], image, 0.0, sizes={}))
+        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], image, 0.0,
+                                                     basis=None, sizes=None))
