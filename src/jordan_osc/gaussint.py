@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .model import Params, apply, chain_psi, point_cache
+from .model import Params, _per_point, apply, chain_psi
 from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
 
 
@@ -207,6 +207,11 @@ class _QuadratureGrid:
         return value
 
 
+@_per_point
+def _quadrature_grid(params: Params, order: int) -> _QuadratureGrid:
+    return _QuadratureGrid(float(params.a), float(params.b), order)
+
+
 def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = None) -> complex:
     """<<f|g>> of two (z, zbar) forms (see build_psi) by tensor-product
     Gauss-Hermite quadrature on (x1, x2).
@@ -231,10 +236,7 @@ def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = No
         order = floor
     elif order < floor:
         raise ValueError(f"order {order} is below the degree-dependent minimum {floor}")
-    store = point_cache(params)
-    grid = store.get(("quadrature_grid", order))
-    if grid is None:
-        grid = store["quadrature_grid", order] = _QuadratureGrid(a, b, order)
+    grid = _quadrature_grid(params, order)
     g_terms = g.to_float().nums.items()
     product: dict = defaultdict(int)
     for (p, q), cf in f.to_float().nums.items():

@@ -23,6 +23,16 @@ expands a power of w. ``from_chain`` writes a chain form in (z, zbar), where
 the quadrature oracle and the printed output live; ``build_psi`` is
 ``from_chain`` of ``chain_psi``.
 
+The operator catalog is text. Each catalog operator (``DEFINITIONS``) and
+each explicit form (``EXPLICIT_FORMS``) is one expression of the prefix
+grammar the relation catalog uses too (``parse_expression``): the generators
+z, zbar, dz, dzbar, scalar literals c*f^k*... (f one of a, b, ab, p, q),
+operator names, and neg, smul, add, sub, mul, comm, acomm. ``make_operator``
+evaluates a definition at a point, reading the operators it names from the
+point's store; ``explicit_form`` evaluates a form, which names no catalog
+operator. The weight of a tree under the scaling automorphism sigma_P (see
+verifier) is derived from the trees (``_weight``), never declared.
+
 Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
 positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
 are rational and all ladder/action coefficients are plain ``Fraction``s; in
@@ -43,10 +53,12 @@ scalar views once. An exact run builds nothing in floats (see verifier).
 from __future__ import annotations
 
 import math
+import operator
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cache, cached_property, lru_cache, wraps
 from math import comb, factorial
 
 from .weyl import (
@@ -57,44 +69,79 @@ from .weyl import (
     ModeMismatchError,
     Poly2,
     anticommutator,
+    commutator,
     join_modes,
     lift,
     to_ints,
 )
 
-#: every name make_operator accepts (D+21/D-21 are accepted as aliases)
-CATALOG_NAMES = (
-    "H", "A+", "A-", "B+", "B-",
-    "R", "S", "T", "U",
-    "J0", "J+", "J-", "K",
-    "a1+", "a1-", "a2+", "a2-",
-    "E11", "E12", "E21", "E22",
-    "D+11", "D+12", "D+22", "D-11", "D-12", "D-22",
-)
-
-#: generators with an independently transcribed explicit z/zbar form
-EXPLICIT_NAMES = (
-    "a1+", "a1-", "a2+", "a2-",
-    "J0", "J+", "J-", "K",
-    "D+11", "D+12", "D+22", "D-11", "D-12", "D-22",
-)
-
-#: the weight (alpha, beta) of each catalog operator X under the scaling
-#: automorphism sigma_P of the Weyl algebra, z -> lambda z, zbar -> mu zbar,
-#: dz -> dz / lambda, dzbar -> dzbar / mu with lambda = q/a, mu = 1/q:
-#: sigma_P(X at P) = p^alpha q^beta (X at p = q = 1). Claims, which the
-#: structure suite checks at every point where it relies on them (see verifier)
-OPERATOR_WEIGHTS = {
-    **dict.fromkeys(("H", "T", "U", "J-", "E21", "D+22", "D-11"), (2, 0)),
-    **dict.fromkeys(("A+", "A-"), (2, -1)),
-    **dict.fromkeys(("B+", "B-"), (0, 1)),
-    "R": (4, -2),
-    "S": (0, 2),
-    **dict.fromkeys(("J0", "K", "E11", "E22", "D+12", "D-12"), (0, 0)),
-    **dict.fromkeys(("J+", "E12", "D+11", "D-22"), (-2, 0)),
-    **dict.fromkeys(("a1+", "a2-"), (-1, 0)),
-    **dict.fromkeys(("a1-", "a2+"), (1, 0)),
+#: the definition of each catalog operator in the prefix grammar (see
+#: parse_expression); D+21/D-21 are accepted as aliases. H, A+/-, B+/- are
+#: written in the generators z, zbar, dz, dzbar, every composite name (R, S,
+#: T, U, the gl(2) and boson generators, E_ij, D+/-_ij) in those by products
+#: and linear combinations, never hand-expanded
+DEFINITIONS = {
+    "H": "add add smul -4 mul dz dzbar smul 4*a^2 mul z zbar smul 8*ab mul zbar zbar",
+    "A+": "add dz smul -1*a zbar",
+    "A-": "add dz smul 1*a zbar",
+    "B+": "add add dzbar smul -1*a z smul -2*b zbar",
+    "B-": "add add dzbar smul 1*a z smul 2*b zbar",
+    "R": "mul A+ A-",
+    "S": "mul B+ B-",
+    "T": "sub mul A+ B- mul B+ A-",
+    "U": "add mul A+ B- mul B+ A-",
+    "J0": "smul 1/4*a^-1 T",
+    "J+": "smul -1/16*a^-1*b^-1 sub add S smul 1*a^-2*b^2 R smul 1*a^-1*b U",
+    "J-": "smul -4*a^-1*b R",
+    "K": "smul 1/2*a^-1 add sub smul 2*a^-1*b R U 2*a",
+    "a1+": "smul 1/4*p^-3*q^-1 sub smul 1*b A+ smul 1*a B+",
+    "a1-": "smul 2*q*p^-1 A-",
+    "a2+": "smul -2*q*p^-1 A+",
+    "a2-": "smul -1/4*p^-3*q^-1 sub smul 1*b A- smul 1*a B-",
+    # E_ij = (1/2){a_i+, a_j-}, D+/-_ij = (1/2){a_i+/-, a_j+/-}
+    "E11": "smul 1/2 acomm a1+ a1-",
+    "E12": "smul 1/2 acomm a1+ a2-",
+    "E21": "smul 1/2 acomm a2+ a1-",
+    "E22": "smul 1/2 acomm a2+ a2-",
+    "D+11": "smul 1/2 acomm a1+ a1+",
+    "D+12": "smul 1/2 acomm a1+ a2+",
+    "D+22": "smul 1/2 acomm a2+ a2+",
+    "D-11": "smul 1/2 acomm a1- a1-",
+    "D-12": "smul 1/2 acomm a1- a2-",
+    "D-22": "smul 1/2 acomm a2- a2-",
 }
+CATALOG_NAMES = tuple(DEFINITIONS)
+
+# first-order pieces of the explicit forms: X = b dz - a dzbar, and
+# W = a z + b zbar as a multiplication operator (X and W commute)
+_X = "sub smul 1*b dz smul 1*a dzbar"
+_W = "add smul 1*a z smul 1*b zbar"
+
+#: the independently transcribed explicit z/zbar form of the 14 superalgebra
+#: generators, in the generators only: no form names a catalog operator, so
+#: agreement with the catalog is a genuine cross-check
+EXPLICIT_FORMS = {
+    "a1+": f"smul 1/4*p^-3*q^-1 add {_X} smul 1*a {_W}",
+    "a1-": "smul 2*q*p^-1 add dz smul 1*a zbar",
+    "a2+": "smul -2*q*p^-1 add dz smul -1*a zbar",
+    "a2-": f"smul -1/4*p^-3*q^-1 sub {_X} smul 1*a {_W}",
+    "J0": "smul 1/2*a^-1 add add smul 1*a mul z dz smul 2*b mul zbar dz smul -1*a mul zbar dzbar",
+    "J+": f"smul -1/16*a^-3*b^-1 sub mul {_X} {_X} smul 1*a^2 mul {_W} {_W}",
+    "J-": "smul -4*a^-1*b sub mul dz dz smul 1*a^2 mul zbar zbar",
+    "K": "smul 1*a^-2 add add add smul 1*b mul dz dz smul -1*a mul dz dzbar"
+         " smul 1*a^3 mul z zbar smul 1*a^2*b mul zbar zbar",
+    "D+11": f"smul 1/16*a^-3*b^-1 add add mul {_X} {_X} smul 2*a mul {_W} {_X} smul 1*a^2 mul {_W} {_W}",
+    "D+12": "smul -1/2*a^-2 add add add add add add smul 1*b mul dz dz smul -1*a mul dz dzbar"
+            " smul 1*a^2 mul z dz smul 1*a^2 mul zbar dzbar smul -1*a^3 mul z zbar smul -1*a^2*b mul zbar zbar"
+            " 1*a^2",
+    "D+22": "smul 4*a^-1*b add add mul dz dz smul -2*a mul zbar dz smul 1*a^2 mul zbar zbar",
+    "D-11": "smul 4*a^-1*b add add mul dz dz smul 2*a mul zbar dz smul 1*a^2 mul zbar zbar",
+    "D-12": "smul -1/2*a^-2 add add add add add add smul 1*b mul dz dz smul -1*a mul dz dzbar"
+            " smul -1*a^2 mul z dz smul -1*a^2 mul zbar dzbar smul -1*a^3 mul z zbar smul -1*a^2*b mul zbar zbar"
+            " -1*a^2",
+    "D-22": f"smul 1/16*a^-3*b^-1 add add mul {_X} {_X} smul -2*a mul {_W} {_X} smul 1*a^2 mul {_W} {_W}",
+}
+EXPLICIT_NAMES = tuple(EXPLICIT_FORMS)
 
 _ALIASES = {"D+21": "D+12", "D-21": "D-12"}
 
@@ -358,140 +405,148 @@ def canonical_name(name: str) -> str:
 
 @_per_point
 def make_operator(params: Params, name: str) -> DiffOp:
-    """Catalog operator by name.
-
-    H, A+/-, B+/- are entered from their defining forms; every composite name
-    (R, S, T, U, the gl(2) and boson generators, E_ij, D+/-_ij) is built
-    compositionally from those via products and linear combinations, never
-    hand-expanded. Unknown names raise ValueError.
-    """
-    name = canonical_name(name)
-    s = params.s
-    a, b = params.a, params.b
-    mono = DiffOp.monomial
-
-    if name == "H":
-        return (
-            mono((0, 0, 1, 1), s(-4))
-            + mono((1, 1, 0, 0), 4 * a * a)
-            + mono((0, 2, 0, 0), 8 * a * b)
-        )
-    if name in ("A+", "A-"):
-        sign = -1 if name == "A+" else 1
-        return mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), sign * a)
-    if name in ("B+", "B-"):
-        sign = -1 if name == "B+" else 1
-        return (
-            mono((0, 0, 0, 1), s(1))
-            + mono((1, 0, 0, 0), sign * a)
-            + mono((0, 1, 0, 0), sign * 2 * b)
-        )
-
-    op = lambda nm: make_operator(params, nm)  # noqa: E731
-
-    if name == "R":
-        return op("A+") * op("A-")
-    if name == "S":
-        return op("B+") * op("B-")
-    if name == "T":
-        return op("A+") * op("B-") - op("B+") * op("A-")
-    if name == "U":
-        return op("A+") * op("B-") + op("B+") * op("A-")
-
-    if name == "J0":
-        return op("T").scale(1 / (4 * a))
-    if name == "J+":
-        inner = op("S") + op("R").scale(b * b / (a * a)) - op("U").scale(b / a)
-        return inner.scale(-1 / (16 * a * b))
-    if name == "J-":
-        return op("R").scale(-4 * b / a)
-    if name == "K":
-        inner = op("R").scale(2 * b / a) - op("U") + DiffOp.constant(2 * a)
-        return inner.scale(1 / (2 * a))
-
-    if name in ("a1+", "a2-"):
-        core = op("A+" if name == "a1+" else "A-").scale(b) - op("B+" if name == "a1+" else "B-").scale(a)
-        core = core.scale(1 / (4 * a * params.sqrt_ab))
-        return core if name == "a1+" else -core
-    if name == "a1-":
-        return op("A-").scale(2 * params.sqrt_b_over_a)
-    if name == "a2+":
-        return op("A+").scale(-2 * params.sqrt_b_over_a)
-
-    if name.startswith("E"):
-        i, j = int(name[1]), int(name[2])
-        raising = op(f"a{i}+")
-        lowering = op(f"a{j}-")
-        return anticommutator(raising, lowering).scale(Fraction(1, 2))
-
-    # D+ij / D-ij = (1/2){a_i^pm, a_j^pm}
-    sign, i, j = name[1], int(name[2]), int(name[3])
-    left = op(f"a{i}{sign}")
-    right = op(f"a{j}{sign}")
-    return anticommutator(left, right).scale(Fraction(1, 2))
+    """Catalog operator by name: its definition evaluated at the point, every
+    operator the definition names read from the point's store. Unknown names
+    raise ValueError."""
+    return _evaluate(parse_expression(DEFINITIONS[canonical_name(name)]), params)
 
 
 def explicit_form(params: Params, name: str) -> DiffOp:
-    """Independently transcribed explicit z/zbar form of the 14 superalgebra
-    generators; built from first-order pieces only, never from make_operator,
-    so agreement with the catalog is a genuine cross-check."""
-    if name not in EXPLICIT_NAMES:
+    """The explicit z/zbar form of one of the 14 superalgebra generators,
+    evaluated at the point."""
+    if name not in EXPLICIT_FORMS:
         raise ValueError(f"no explicit form for {name!r}; available: {', '.join(EXPLICIT_NAMES)}")
-    s = params.s
-    a, b = params.a, params.b
-    mono = DiffOp.monomial
+    return _evaluate(parse_expression(EXPLICIT_FORMS[name]), params)
 
-    # shared first-order pieces: X = b dz - a dzbar, W = (a z + b zbar) as
-    # a multiplication operator (X and W commute)
-    X = mono((0, 0, 1, 0), b) + mono((0, 0, 0, 1), -a)
-    W = mono((1, 0, 0, 0), a) + mono((0, 1, 0, 0), b)
 
-    if name == "a1+":
-        return (X + W.scale(a)).scale(1 / (4 * a * params.sqrt_ab))
-    if name == "a1-":
-        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), a)).scale(2 * params.sqrt_b_over_a)
-    if name == "a2+":
-        return (mono((0, 0, 1, 0), s(1)) + mono((0, 1, 0, 0), -a)).scale(-2 * params.sqrt_b_over_a)
-    if name == "a2-":
-        return (X - W.scale(a)).scale(-1 / (4 * a * params.sqrt_ab))
+# ---------------------------------------------------------------------------
+# the prefix grammar of definitions and relations
+# ---------------------------------------------------------------------------
 
-    if name == "J0":
-        return (
-            mono((1, 0, 1, 0), a) + mono((0, 1, 1, 0), 2 * b) + mono((0, 1, 0, 1), -a)
-        ).scale(1 / (2 * a))
-    if name == "J+":
-        return (X * X - (W * W).scale(a * a)).scale(-1 / (16 * a**3 * b))
-    if name == "J-":
-        return (mono((0, 0, 2, 0), s(1)) + mono((0, 2, 0, 0), -(a * a))).scale(-4 * b / a)
-    if name == "K":
-        return (
-            mono((0, 0, 2, 0), b)
-            + mono((0, 0, 1, 1), -a)
-            + mono((1, 1, 0, 0), a**3)
-            + mono((0, 2, 0, 0), a * a * b)
-        ).scale(1 / (a * a))
+#: the generators of the Weyl algebra, the same at every point: each one's key
+#: and its weight (alpha, beta) under the scaling automorphism sigma_P,
+#: z -> lambda z, zbar -> mu zbar, dz -> dz / lambda, dzbar -> dzbar / mu with
+#: lambda = q/a, mu = 1/q
+GENERATORS = {"z": ((1, 0, 0, 0), (-2, 1)), "zbar": ((0, 1, 0, 0), (0, -1)),
+              "dz": ((0, 0, 1, 0), (2, -1)), "dzbar": ((0, 0, 0, 1), (0, 1))}
+#: the factors f of a scalar literal c*f^k*..., ab being a times b, each with
+#: its weight (a = p^2, b = q^2); c is a rational, k an integer (1 if left out)
+_FACTORS = {"a": (2, 0), "b": (0, 2), "p": (1, 0), "q": (0, 1)}
+_FACTOR = re.compile(r"\*(ab|[abpq])(?:\^([+-]?\d+))?")
+_SCALAR_TOKEN = re.compile(rf"[+-]?\d+(?:/0*[1-9]\d*)?(?:{_FACTOR.pattern})*")
+#: the binary operations of the prefix grammar
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "comm": commutator, "acomm": anticommutator}
+#: the weight of an expression that is zero at every point, which has every weight
+_ANY_WEIGHT = "any"
 
-    if name in ("D+11", "D-22"):
-        sign = 1 if name == "D+11" else -1
-        quad = X * X + (W * X).scale(sign * 2 * a) + (W * W).scale(a * a)
-        return quad.scale(1 / (16 * a**3 * b))
-    if name in ("D+22", "D-11"):
-        sign = -1 if name == "D+22" else 1
-        quad = mono((0, 0, 2, 0), s(1)) + mono((0, 1, 1, 0), sign * 2 * a) + mono((0, 2, 0, 0), a * a)
-        return quad.scale(4 * b / a)
 
-    # D+12 / D-12
-    sign = 1 if name == "D+12" else -1
-    quad = (
-        mono((0, 0, 2, 0), b)
-        + mono((0, 0, 1, 1), -a)
-        + mono((1, 0, 1, 0), sign * a * a)
-        + mono((0, 1, 0, 1), sign * a * a)
-        + mono((1, 1, 0, 0), -(a**3))
-        + mono((0, 2, 0, 0), -(a * a * b))
-        + DiffOp.constant(sign * a * a)
-    )
-    return quad.scale(-1 / (2 * a * a))
+def _parse_prefix(tokens: list[str], pos: int) -> tuple:
+    """(tree, next position) of the expression at tokens[pos]: a generator,
+    an operator name, a scalar literal, or (operation, *arguments), smul's
+    scalar a literal."""
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of expression")
+    tok = tokens[pos]
+    if tok == "neg":
+        arg, pos = _parse_prefix(tokens, pos + 1)
+        return (tok, arg), pos
+    if tok in _BINARY:
+        left, pos = _parse_prefix(tokens, pos + 1)
+        right, pos = _parse_prefix(tokens, pos)
+        return (tok, left, right), pos
+    if tok == "smul":
+        if pos + 1 >= len(tokens) or not _SCALAR_TOKEN.fullmatch(tokens[pos + 1]):
+            raise ValueError("smul needs a scalar literal c*f^k*...: c a rational with a nonzero denominator, "
+                             "each f one of a, b, ab, p, q and k an integer")
+        arg, end = _parse_prefix(tokens, pos + 2)
+        return (tok, tokens[pos + 1], arg), end
+    if tok not in GENERATORS and not _SCALAR_TOKEN.fullmatch(tok):
+        canonical_name(tok)  # an unknown name or a bad literal stops here
+    return tok, pos + 1
+
+
+@lru_cache(maxsize=1024)
+def parse_expression(expr: str) -> tuple | str:
+    """The tree of one prefix expression; ValueError if it is not exactly one.
+    A tree is nested tuples and strings, so the recent ones are kept and
+    shared: a definition or a catalog side is parsed once, though it is
+    evaluated at every point."""
+    tokens = expr.split()
+    tree, pos = _parse_prefix(tokens, 0)
+    if pos != len(tokens):
+        raise ValueError(f"trailing tokens in expression {expr!r}")
+    return tree
+
+
+@cache
+def _literal(token: str) -> tuple[Fraction, tuple]:
+    """(c, ((f, k), ...)) of a scalar literal, ab read as a, then b."""
+    return Fraction(token.split("*", 1)[0]), tuple(
+        (view, int(k or 1)) for factor, k in _FACTOR.findall(token) for view in factor)
+
+
+def _scalar(token: str, params: Params) -> Coeff:
+    c, factors = _literal(token)
+    value = params.s(c)
+    for view, k in factors:
+        value = value * getattr(params, view) ** k
+    return value
+
+
+def _evaluate(tree, params: Params) -> DiffOp:
+    if isinstance(tree, str):  # a generator, an operator name or a scalar literal
+        if tree in GENERATORS:
+            return DiffOp.monomial(GENERATORS[tree][0], params.s(1))
+        if tree in DEFINITIONS or tree in _ALIASES:
+            return make_operator(params, tree)
+        return DiffOp.constant(_scalar(tree, params))
+    tok, *args = tree
+    if tok == "neg":
+        return -_evaluate(args[0], params)
+    if tok == "smul":
+        return _evaluate(args[1], params).scale(_scalar(args[0], params))
+    return _BINARY[tok](_evaluate(args[0], params), _evaluate(args[1], params))
+
+
+def eval_expression(expr: str, params: Params) -> DiffOp:
+    return _evaluate(parse_expression(expr), params)
+
+
+@cache
+def _token_weight(token: str):
+    if token in GENERATORS:
+        return GENERATORS[token][1]
+    if token in DEFINITIONS or token in _ALIASES:  # an operator: the weight of its definition
+        return _weight(parse_expression(DEFINITIONS[canonical_name(token)]))
+    c, factors = _literal(token)
+    if not c:
+        return _ANY_WEIGHT
+    return (sum(k * _FACTORS[view][0] for view, k in factors),
+            sum(k * _FACTORS[view][1] for view, k in factors))
+
+
+def _weight(tree):
+    """The weight (alpha, beta) of an expression tree under sigma_P, derived
+    from the generators' and factors' weights and, for an operator name, from
+    its definition: sigma_P(tree at P) = p^alpha q^beta (tree at p = q = 1).
+    _ANY_WEIGHT for a zero literal or product; None if the two sides of an
+    add or sub, the definitions included, differ in weight."""
+    if isinstance(tree, str):
+        return _token_weight(tree)
+    tok, *args = tree
+    weights = [_weight(arg) for arg in args]  # smul's scalar literal included
+    if None in weights:
+        return None
+    if tok == "neg":
+        return weights[0]
+    if tok in ("add", "sub"):
+        left, right = weights
+        return right if left == _ANY_WEIGHT else left if right in (_ANY_WEIGHT, left) else None
+    if _ANY_WEIGHT in weights:
+        return _ANY_WEIGHT
+    (a1, b1), (a2, b2) = weights
+    return a1 + a2, b1 + b2
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,20 @@ basis, so an exact run builds nothing in floats; a reading that leaves the
 float range skips its check, unless a residual already failed it.
 
 The structure suite proves each catalog relation once per process, at
-p = q = 1. The Weyl algebra automorphism sigma_P (z -> lambda z,
-zbar -> mu zbar, dz -> dz/lambda, dzbar -> dzbar/mu, lambda = q/a, mu = 1/q)
-scales each normally ordered term and maps each catalog operator X at P to
-p^alpha q^beta times X at p = q = 1, (alpha, beta) its weight
-(model.OPERATOR_WEIGHTS); a literal c*a^i b^j has weight (2i, 2j). So a
-relation whose two sides of every add and sub have one weight holds at P if
-and only if it holds at p = q = 1. An exact point checks each of its
-operators against sigma_P once (the leaf check), and a homogeneous relation
-that holds at p = q = 1 and whose operators pass reports pass with residual
-0, with no commutator formed. Everything else is evaluated directly, so a
+p = q = 1. Every catalog operator and explicit form is a tree of the prefix
+grammar (see model) over the generators z, zbar, dz, dzbar, which are the
+same at every point, and scalar literals c*f^k*... in a, b, ab, p, q. The
+Weyl algebra automorphism sigma_P (z -> lambda z, zbar -> mu zbar,
+dz -> dz/lambda, dzbar -> dzbar/mu, lambda = q/a, mu = 1/q) gives each
+generator and factor a weight, and so each tree one (model._weight), derived
+through the definitions of the operators it names: sigma_P(tree at P) =
+p^alpha q^beta (tree at p = q = 1) when the two sides of every add and sub
+have one weight. Such a relation holds at P if and only if it holds at
+p = q = 1, so at an exact point a homogeneous relation that holds there
+reports pass with residual 0, with nothing built at P; the explicit forms
+are checked the same way. Everything else is evaluated directly, so a
 failing report keeps its residual: an inhomogeneous relation, one that fails
-at p = q = 1 or has a failed leaf, and every float relation. The explicit
-forms and pseudo.H are still computed at every point.
+at p = q = 1, and every float relation. pseudo.H is computed at every point.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work done inside ``with check:``,
@@ -60,8 +61,6 @@ that cannot run at the given point is reported as skipped, never as passed.
 
 from __future__ import annotations
 
-import operator
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -80,28 +79,24 @@ from .gaussint import (
     quadrature_oracle,
 )
 from .model import (
+    EXPLICIT_FORMS,
     EXPLICIT_NAMES,
-    OPERATOR_WEIGHTS,
     Params,
-    _per_point,
+    _weight,
     apply,
     build_psi,
-    canonical_name,
     chain_psi,
     energy,
-    explicit_form,
+    eval_expression,
     make_operator,
+    parse_expression,
     su2_factor,
 )
 from .weyl import (
     EXACT,
     FLOAT,
-    Coeff,
-    DiffOp,
     Poly2,
     adjoint,
-    anticommutator,
-    commutator,
     max_or_nan,
     residual_magnitude,
     swap_vars,
@@ -207,14 +202,8 @@ class RelationSpec:
 
 
 # ---------------------------------------------------------------------------
-# relation catalog: parsing and evaluation
+# relation catalog
 # ---------------------------------------------------------------------------
-
-_SCALAR_TOKEN = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?(?:\*(a|b|ab))?$")
-#: the binary operations of the prefix grammar
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "comm": commutator, "acomm": anticommutator}
-
 
 def parse_relations(text: str) -> list[RelationSpec]:
     """The relations of a catalog, each side checked against the prefix grammar."""
@@ -263,150 +252,38 @@ def load_negative_controls() -> list[RelationSpec]:
     return list(_shipped("negative_controls_v1.txt"))
 
 
-def _scalar_literal(token: str, params: Params) -> Coeff:
-    unit = _SCALAR_TOKEN.match(token).group(1) or ""  # a, b, ab or none
-    return params.s(Fraction(token.split("*")[0])) * params.a ** unit.count("a") * params.b ** unit.count("b")
-
-
-def _parse_prefix(tokens: list[str], pos: int) -> tuple:
-    """(tree, next position) of the expression at tokens[pos]: an operator
-    name, a scalar literal, or (operation, *arguments), smul's scalar a literal."""
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of expression")
-    tok = tokens[pos]
-    if tok == "neg":
-        arg, pos = _parse_prefix(tokens, pos + 1)
-        return (tok, arg), pos
-    if tok in _BINARY:
-        left, pos = _parse_prefix(tokens, pos + 1)
-        right, pos = _parse_prefix(tokens, pos)
-        return (tok, left, right), pos
-    if tok == "smul":
-        if pos + 1 >= len(tokens) or not _SCALAR_TOKEN.match(tokens[pos + 1]):
-            raise ValueError("smul needs a scalar literal with a nonzero denominator")
-        arg, end = _parse_prefix(tokens, pos + 2)
-        return (tok, tokens[pos + 1], arg), end
-    if not _SCALAR_TOKEN.match(tok):
-        canonical_name(tok)  # an unknown name or a bad literal stops here
-    return tok, pos + 1
-
-
-@lru_cache(maxsize=1024)
-def parse_expression(expr: str) -> tuple | str:
-    """The tree of one prefix expression; ValueError if it is not exactly one.
-    A tree is nested tuples and strings, so the recent ones are kept and
-    shared: a catalog side is parsed once, though it is checked at every
-    point."""
-    tokens = expr.split()
-    tree, pos = _parse_prefix(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in expression {expr!r}")
-    return tree
-
-
-def _evaluate(tree, params: Params) -> DiffOp:
-    if isinstance(tree, str):  # an operator name or a scalar literal
-        literal = _SCALAR_TOKEN.match(tree)
-        return DiffOp.constant(_scalar_literal(tree, params)) if literal else make_operator(params, tree)
-    tok, *args = tree
-    if tok == "neg":
-        return -_evaluate(args[0], params)
-    if tok == "smul":
-        return _evaluate(args[1], params).scale(_scalar_literal(args[0], params))
-    return _BINARY[tok](_evaluate(args[0], params), _evaluate(args[1], params))
-
-
-def eval_expression(expr: str, params: Params) -> DiffOp:
-    return _evaluate(parse_expression(expr), params)
-
-
 # ---------------------------------------------------------------------------
 # the unit point: each relation proven once per process
 # ---------------------------------------------------------------------------
 
 #: where each homogeneous relation is proven for every exact point
 _UNIT = Params.exact(1, 1)
-#: the weight of an expression that is zero at every point, which has every weight
-_ANY_WEIGHT = "any"
-
-
-def _weight(tree, leaves: set):
-    """The weight (alpha, beta) of an expression tree (see the module
-    docstring): _ANY_WEIGHT for a zero literal or product, None if both sides
-    of an add or sub differ in weight or an operator has no declared weight.
-    Adds the canonical name of each operator met to ``leaves``."""
-    if isinstance(tree, str):
-        literal = _SCALAR_TOKEN.match(tree)
-        if literal is None:
-            name = canonical_name(tree)
-            leaves.add(name)
-            return OPERATOR_WEIGHTS.get(name)
-        if not Fraction(tree.split("*")[0]):
-            return _ANY_WEIGHT
-        unit = literal.group(1) or ""  # a = p^2, b = q^2
-        return 2 * unit.count("a"), 2 * unit.count("b")
-    tok, *args = tree
-    weights = [_weight(arg, leaves) for arg in args]  # smul's scalar literal included
-    if None in weights:
-        return None
-    if tok == "neg":
-        return weights[0]
-    if tok in ("add", "sub"):
-        left, right = weights
-        return right if left == _ANY_WEIGHT else left if right in (_ANY_WEIGHT, left) else None
-    if _ANY_WEIGHT in weights:
-        return _ANY_WEIGHT
-    (a1, b1), (a2, b2) = weights
-    return a1 + a2, b1 + b2
 
 
 @lru_cache(maxsize=1024)
-def _proven_leaves(lhs: str, rhs: str) -> frozenset[str] | None:
-    """The operators of the relation lhs == rhs if it is homogeneous (both
-    sides of every add and sub of one weight) and holds at _UNIT, else None.
-    Text only: kept and shared, like parse_expression."""
-    leaves: set = set()
-    if _weight(("sub", parse_expression(lhs), parse_expression(rhs)), leaves) is None:
-        return None
-    holds = (eval_expression(lhs, _UNIT) - eval_expression(rhs, _UNIT)).is_zero()
-    return frozenset(leaves) if holds else None
-
-
-@cache
-def _unit_operator(name: str) -> DiffOp:
-    """X at _UNIT, kept for the process, as the store of _UNIT may be evicted."""
-    return make_operator(_UNIT, name)
-
-
-@_per_point
-def _rescales(params: Params, name: str) -> bool:
-    """The leaf check: X at params has the terms of X at _UNIT, each times
-    p^(alpha + 2(i-k)) q^(beta - i + k + j - l), decided in integers; this is
-    sigma_P(X at params) = p^alpha q^beta (X at _UNIT), term by term."""
-    op, unit = make_operator(params, name), _unit_operator(name)
-    if op.nums.keys() != unit.nums.keys():
+def _proven(lhs: str, rhs: str) -> bool:
+    """Whether lhs == rhs is homogeneous (the two sides of every add and sub,
+    in the definitions of the operators it names too, of one weight) and
+    holds at _UNIT, so at every exact point. Text only: kept and shared,
+    like parse_expression."""
+    if _weight(("sub", parse_expression(lhs), parse_expression(rhs))) is None:
         return False
-    alpha, beta = OPERATOR_WEIGHTS[name]
-    factors: dict = {}  # exponents of p and q -> p^e q^f
-    for (i, j, k, l), u in op.nums.items():
-        exponents = alpha + 2 * (i - k), beta - i + k + j - l
-        if exponents not in factors:
-            factors[exponents] = params.p ** exponents[0] * params.q ** exponents[1]
-        factor = factors[exponents]
-        if u * unit.den * factor.denominator != unit.nums[i, j, k, l] * op.den * factor.numerator:
-            return False
-    return True
+    return (eval_expression(lhs, _UNIT) - eval_expression(rhs, _UNIT)).is_zero()
+
+
+def _check_equal(check: _Check, params: Params, lhs: str, rhs: str) -> None:
+    """lhs == rhs at params into ``check``: nothing to add if it is proven and
+    the point exact, else the residual of direct evaluation."""
+    with check:
+        if params.mode != EXACT or not _proven(lhs, rhs):
+            check.add((eval_expression(lhs, params) - eval_expression(rhs, params)).max_magnitude())
 
 
 def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL) -> Report:
     """lhs == rhs at params: in exact mode a pass with residual 0 if it is
-    proven at _UNIT and each of its operators passes the leaf check at params;
-    else evaluated directly."""
+    proven at _UNIT, else evaluated directly."""
     check = _Check(spec.rel_id, f"{spec.lhs} == {spec.rhs}", params.mode, tol)
-    with check:
-        leaves = _proven_leaves(spec.lhs, spec.rhs) if params.mode == EXACT else None
-        if leaves is None or not all(_rescales(params, name) for name in leaves):
-            check.add((eval_expression(spec.lhs, params) - eval_expression(spec.rhs, params)).max_magnitude())
+    _check_equal(check, params, spec.lhs, spec.rhs)
     return check.report()
 
 
@@ -712,9 +589,6 @@ def _image_pass(
     """
     irrep_rules = DIAGONAL_RULES + LADDER_RULES if "irrep" in suites else ()
     by_op = {rule.op_name: rule for rule in irrep_rules}
-    missing = set(by_op) - {rule.op_name for rule in ACTION_RULES}
-    if missing:
-        raise ValueError(f"no action rule for {', '.join(sorted(missing))}, whose images the irrep suite reads")
     # psi_{n,m} by (n, m), and its largest magnitude in floats: the pass reads
     # each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
@@ -790,12 +664,12 @@ def check_pseudo_hermiticity(params: Params, tol: float = DEFAULT_TOL) -> Report
 
 
 def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Report]:
-    """Catalog operators against their independently transcribed z/zbar forms."""
+    """Catalog operators against their independently transcribed z/zbar
+    forms, each proven or evaluated as a catalog relation is."""
     reports = []
     for name in EXPLICIT_NAMES:
         check = _Check(f"explicit.{name}", f"make_operator({name}) == explicit_form({name})", params.mode, tol)
-        with check:
-            check.add((make_operator(params, name) - explicit_form(params, name)).max_magnitude())
+        _check_equal(check, params, name, EXPLICIT_FORMS[name])
         reports.append(check.report())
     return reports
 

@@ -8,6 +8,7 @@ README's library tour runs."""
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,6 +144,24 @@ def test_bench_log_appends_one_run(tmp_path, monkeypatch, capsys):
     # a run that fails appends nothing and passes its exit code on
     assert bench_log.main(["--workload", "exact-n16", "--seed", "one"]) == 2
     assert len(json.loads(log.read_text())) == 2
+
+
+def test_bench_log_compiles_the_measured_checkout(tmp_path, monkeypatch):
+    # with no bytecode written on import, the compiled modules of a fresh
+    # copy of the checkout come from bench_log alone
+    bench_log = _load("bench_log", BENCH_LOG)
+    monkeypatch.setattr(bench_log, "OUT", tmp_path)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    root = tmp_path / "checkout"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    assert bench_log.main(["--root", str(root), "--workload", "exact-n16", "--seed", "1", "--seconds", "1",
+                           "--trace", "0", "--tiny"]) == 0
+    package = root / "src" / "jordan_osc"
+    compiled = {path.name.split(".")[0] for path in (package / "__pycache__").glob("*.pyc")}
+    assert compiled == {path.stem for path in package.glob("*.py")}
+    assert not (root / "perfbench" / "__pycache__").exists()
 
 
 def test_readme_library_tour_runs():

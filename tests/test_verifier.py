@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from jordan_osc import (
     ACTION_RULES,
     DIAGONAL_RULES,
+    EXPLICIT_NAMES,
     FLOAT,
     LADDER_RULES,
     DiffOp,
@@ -137,6 +138,41 @@ class TestExpressionGrammar:
         with pytest.raises(ValueError):
             eval_expression("bogus", params)
 
+    @pytest.mark.parametrize("token, value, weight", [
+        ("4*a", 9, (2, 0)),
+        ("-1/16*a^-1*b^-1", F(-1, 16), (-2, -2)),
+        ("2*q*p^-1", F(8, 9), (-1, 1)),
+        ("1*ab", 1, (2, 2)),
+        ("0*a^-3", 0, "any"),
+    ])
+    def test_scalar_literal_table(self, token, value, weight):
+        # at p = 3/2, q = 2/3: a = 9/4, b = 4/9
+        P = Params.exact(F(3, 2), F(2, 3))
+        assert eval_expression(token, P) == DiffOp.constant(F(value))
+        assert eval_expression(f"smul {token} H", P) == make_operator(P, "H").scale(F(value))
+        assert model._weight(token) == weight
+
+    @pytest.mark.parametrize("token", ["1*a^", "1*c", "1/0*a", "1*p^1/2"])
+    def test_malformed_literal_rejected(self, token):
+        for expr in (token, f"smul {token} H"):
+            with pytest.raises(ValueError):
+                model.parse_expression(expr)
+
+    @pytest.mark.parametrize("point", [Params.from_ab(0.79, 0.23), Params.from_ab(3.0, 1.0), Params.from_ab(1.0, 0.25)],
+                             ids=["0.79-0.23", "3-1", "1-0.25"])
+    def test_catalog_literals_keep_their_float_bits(self, point):
+        # every literal of the shipped catalogs, and of the form c*ab they do
+        # not use, is read as the grammar before c*f^k*... read c, c*a, c*b and
+        # c*ab: c, times a^i, times b^j
+        tokens = {tok for spec in load_relations() + load_negative_controls()
+                  for side in (spec.lhs, spec.rhs) for tok in side.split() if model._SCALAR_TOKEN.fullmatch(tok)}
+        tokens |= {"8*ab", "-3/7*ab"}
+        assert {tok.partition("*")[2] for tok in tokens} == {"", "a", "b", "ab"}
+        for tok in tokens:
+            c, _, unit = tok.partition("*")
+            want = point.s(F(c)) * point.a ** unit.count("a") * point.b ** unit.count("b")
+            assert model._scalar(tok, point).hex() == want.hex(), tok
+
 
 class TestStructureSuite:
     def test_all_relations_pass_exact(self, params):
@@ -187,47 +223,95 @@ def _verdicts(reports) -> list[tuple]:
 
 INHOMOGENEOUS = RelationSpec("x.inhomogeneous", "commutator", "comm A+ B-", "2*b")  # 2a == 2b: only at a = b
 
+#: the weight of each catalog operator as once declared by hand and checked
+#: at every point, before weights were derived: reference data for them
+DECLARED_WEIGHTS = {
+    **dict.fromkeys(("H", "T", "U", "J-", "E21", "D+22", "D-11"), (2, 0)),
+    **dict.fromkeys(("A+", "A-"), (2, -1)),
+    **dict.fromkeys(("B+", "B-"), (0, 1)),
+    "R": (4, -2),
+    "S": (0, 2),
+    **dict.fromkeys(("J0", "K", "E11", "E22", "D+12", "D-12"), (0, 0)),
+    **dict.fromkeys(("J+", "E12", "D+11", "D-22"), (-2, 0)),
+    **dict.fromkeys(("a1+", "a2-"), (-1, 0)),
+    **dict.fromkeys(("a1-", "a2+"), (1, 0)),
+}
+
 
 @pytest.fixture
 def fresh_process(monkeypatch):
-    """No relation proven, no unit operator built and no point store yet, as
-    in a new process; what the test proves or builds is dropped after it."""
-    verifier._proven_leaves.cache_clear()
-    verifier._unit_operator.cache_clear()
+    """No relation proven, no weight derived and no point store yet, as in a
+    new process; what the test proves, derives or builds is dropped after it,
+    so a definition the test changes leaves nothing behind."""
+    verifier._proven.cache_clear()
+    model._token_weight.cache_clear()
     monkeypatch.setattr(model, "_POINTS", {})
     yield
-    verifier._proven_leaves.cache_clear()
-    verifier._unit_operator.cache_clear()
+    verifier._proven.cache_clear()
+    model._token_weight.cache_clear()
 
 
 CORRUPTED_BY_S = {"block.S-T", "gl2.J0-Jplus", "gl2.embed-Jplus", "sp4.acomm-a2m-a1p"}
 
 
-def _corrupt_s(P) -> None:
-    """Put S + 1 in the store of P; it fails exactly CORRUPTED_BY_S."""
-    model.point_cache(P)[model.make_operator.__wrapped__, "S"] = make_operator(P, "S") + DiffOp.identity("exact")
-
-
 def _count_products(monkeypatch) -> Counter:
-    """Count every weyl._TermMap._product from now on, under "product"."""
-    products = Counter()
-    product = weyl._TermMap._product
+    """Count every weyl._TermMap._product from now on, under "product", and
+    every evaluation of an expression tree, under "evaluate"."""
+    counts = Counter()
+    product, evaluate = weyl._TermMap._product, model._evaluate
 
     def counted(self, *args):
-        products["product"] += 1
+        counts["product"] += 1
         return product(self, *args)
 
+    def counted_evaluate(*args):
+        counts["evaluate"] += 1
+        return evaluate(*args)
+
     monkeypatch.setattr(weyl._TermMap, "_product", counted)
-    return products
+    monkeypatch.setattr(model, "_evaluate", counted_evaluate)
+    return counts
+
+
+def _catalog_names(tree) -> set:
+    """The canonical names of the catalog operators a tree names."""
+    if isinstance(tree, tuple):
+        return set().union(*map(_catalog_names, tree[1:]))
+    if tree in model.GENERATORS or model._SCALAR_TOKEN.fullmatch(tree):
+        return set()
+    return {model.canonical_name(tree)}
+
+
+def _sigma_rescales(P, name) -> bool:
+    """sigma_P(X at P) = p^alpha q^beta (X at p = q = 1), term by term, with
+    (alpha, beta) the derived weight of X: each term of X at P is the term of
+    X at p = q = 1 times p^(alpha + 2(i-k)) q^(beta - i + k + j - l)."""
+    op, unit = make_operator(P, name), make_operator(verifier._UNIT, name)
+    alpha, beta = model._weight(name)
+    return op.terms.keys() == unit.terms.keys() and all(
+        c == unit.terms[i, j, k, l] * P.p ** (alpha + 2 * (i - k)) * P.q ** (beta - i + k + j - l)
+        for (i, j, k, l), c in op.terms.items())
+
+
+def _assert_s_relations_fail(P) -> None:
+    """S shifted by a constant fails exactly CORRUPTED_BY_S and explicit.J+ at
+    P, each with the residual of direct evaluation."""
+    reports = check_structure(P)
+    assert {r.relation_id for r in reports if not r.passed} == CORRUPTED_BY_S
+    assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
+    explicit = check_explicit_forms(P)
+    assert [r.relation_id for r in explicit if not r.passed] == ["explicit.J+"]
+    direct = (make_operator(P, "J+") - model.explicit_form(P, "J+")).max_magnitude()
+    assert explicit[EXPLICIT_NAMES.index("J+")].residual == str(direct) != "0"
 
 
 class TestReferencePoint:
-    """Each relation is proven at p = q = 1 and holds at an exact point whose
-    operators rescale onto theirs at p = q = 1; every other case is evaluated
-    directly, so every report is what direct evaluation gives."""
+    """Each relation is proven at p = q = 1 when it is homogeneous, its
+    operators' definitions included; every other case is evaluated directly,
+    so every report is what direct evaluation gives."""
 
     def test_weights_cover_the_catalog(self):
-        assert set(model.OPERATOR_WEIGHTS) == set(model.CATALOG_NAMES)
+        assert {name: model._weight(name) for name in model.CATALOG_NAMES} == DECLARED_WEIGHTS
 
     @pytest.mark.parametrize("expr, undeclared, weight, leaves", [
         ("add 0 H", None, (2, 0), {"H"}),
@@ -243,52 +327,54 @@ class TestReferencePoint:
         ("comm R S", "R", None, {"R", "S"}),
         ("add H S", None, None, {"H", "S"}),
     ])
-    def test_weight(self, monkeypatch, expr, undeclared, weight, leaves):
+    def test_weight(self, fresh_process, monkeypatch, expr, undeclared, weight, leaves):
+        # ``undeclared`` names an operator whose definition loses its weight
         if undeclared:
-            monkeypatch.delitem(model.OPERATOR_WEIGHTS, undeclared)
-        met: set = set()
-        assert verifier._weight(verifier.parse_expression(expr), met) == weight
-        assert met == leaves
+            monkeypatch.setitem(model.DEFINITIONS, undeclared, f"add {model.DEFINITIONS[undeclared]} 1")
+        tree = model.parse_expression(expr)
+        assert model._weight(tree) == weight
+        assert _catalog_names(tree) == leaves
+
+    @pytest.mark.parametrize("expr, weight", [
+        ("z", (-2, 1)), ("zbar", (0, -1)), ("dz", (2, -1)), ("dzbar", (0, 1)),
+        ("comm dz z", (0, 0)), ("comm dzbar zbar", (0, 0)), ("comm dz zbar", (2, -2)),
+    ])
+    def test_generator_weights(self, expr, weight):
+        # [dz, z] = [dzbar, zbar] = 1 have weight (0, 0), as 1 does: what
+        # makes sigma_P an automorphism of the Weyl algebra
+        assert model._weight(model.parse_expression(expr)) == weight
 
     @pytest.mark.parametrize("P", [Params.exact(2, 3), Params.exact(F(7, 3), F(7, 6)), Params.exact(1, 1)],
                              ids=["2-3", "7/3-7/6", "a=b"])
     def test_every_declared_weight_passes_the_leaf_check(self, fresh_process, P):
-        assert all(verifier._rescales(P, name) for name in model.CATALOG_NAMES)
-
-    def test_a_wrong_weight_only_turns_the_shortcut_off(self, fresh_process, monkeypatch):
-        monkeypatch.setitem(model.OPERATOR_WEIGHTS, "S", (2, 0))  # before any relation is proven
-        P = Params.exact(F(5, 4), F(1, 3))
-        reports = check_structure(P)
-        assert not verifier._rescales(P, "S")
-        assert all(r.passed for r in reports)
-        assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
+        # the declared weights of the generators and factors, carried through
+        # every definition, are those of sigma_P
+        assert all(_sigma_rescales(P, name) for name in model.CATALOG_NAMES)
 
     def test_inhomogeneous_relation_is_evaluated_at_each_point(self, fresh_process):
         assert check_relation(Params.exact(1, 1), INHOMOGENEOUS).passed  # a = b
-        assert verifier._proven_leaves(INHOMOGENEOUS.lhs, INHOMOGENEOUS.rhs) is None
+        assert not verifier._proven(INHOMOGENEOUS.lhs, INHOMOGENEOUS.rhs)
         report = check_relation(Params.exact(2, 1), INHOMOGENEOUS)
         assert not report.passed and report.residual == "6"
 
-    def test_a_corrupted_operator_fails_its_relations(self, fresh_process):
-        check_structure(Params.exact(1, F(1, 2)))
-        P = Params.exact(F(3, 2), F(2, 3))
-        _corrupt_s(P)
-        reports = check_structure(P)
-        assert {r.relation_id for r in reports if not r.passed} == CORRUPTED_BY_S
-        assert _verdicts(reports) == [(s.rel_id, *_direct(P, s)) for s in load_relations()]
+    def test_a_corrupted_operator_fails_its_relations(self, fresh_process, monkeypatch):
+        # S + 1 has no weight, so no relation that names S is proven
+        monkeypatch.setitem(model.DEFINITIONS, "S", "add mul B+ B- 1")
+        assert model._weight("S") is None
+        _assert_s_relations_fail(Params.exact(F(3, 2), F(2, 3)))
 
-    def test_no_verdict_depends_on_the_first_point(self, fresh_process, monkeypatch):
-        # the relations a corrupted first point fails are still proven, so a
-        # clean later point forms no commutator for them either
-        first = Params.exact(F(3, 2), F(2, 3))
-        _corrupt_s(first)
-        assert {r.relation_id for r in check_structure(first) if not r.passed} == CORRUPTED_BY_S
-        P = Params.exact(F(5, 4), F(1, 3))
-        for name in model.CATALOG_NAMES:
-            make_operator(P, name)
-        products = _count_products(monkeypatch)
-        assert all(r.passed and r.residual == "0" for r in check_structure(P))
-        assert products["product"] == 0
+    def test_a_wrong_homogeneous_definition_fails_its_relations(self, fresh_process, monkeypatch):
+        # B- B+ = S - 4b has the weight of S, and fails where S + 1 does, at p = q = 1 too
+        monkeypatch.setitem(model.DEFINITIONS, "S", "mul B- B+")
+        assert model._weight("S") == DECLARED_WEIGHTS["S"]
+        _assert_s_relations_fail(Params.exact(F(3, 2), F(2, 3)))
+
+    def test_no_verdict_depends_on_the_first_point(self, fresh_process):
+        points = _sweep_points(5)
+        forward = [_verdicts(check_structure(P) + check_explicit_forms(P)) for P in points]
+        verifier._proven.cache_clear()
+        backward = [_verdicts(check_structure(P) + check_explicit_forms(P)) for P in reversed(points)]
+        assert forward == backward[::-1]
 
     def test_negative_controls_fail_at_every_sweep_point(self, fresh_process):
         for P in _sweep_points(5):
@@ -296,25 +382,27 @@ class TestReferencePoint:
             for spec in load_negative_controls():
                 report = check_relation(P, spec)
                 assert not report.passed and report.residual != "0", (spec.rel_id, P)
-        assert all(verifier._proven_leaves(s.lhs, s.rhs) is not None for s in load_relations())
+        assert all(verifier._proven(s.lhs, s.rhs) for s in load_relations())
 
     def test_each_unit_operator_built_once(self, fresh_process):
+        # the proofs build the operators at p = q = 1 once; no other point of
+        # the sweep, more than a store holds, builds or stores anything
         points = _sweep_points(5)
         assert len(points) > model._POINTS_MAX
         for P in points:
             check_structure(P)
-        assert verifier._unit_operator.cache_info().misses == len(model.CATALOG_NAMES)
-        assert verifier._UNIT not in model._POINTS  # its store was evicted on the way
+            check_explicit_forms(P)
+        assert list(model._POINTS) == [verifier._UNIT]
+        built = [key[1] for key in model.point_cache(verifier._UNIT) if key[0] is model.make_operator.__wrapped__]
+        assert sorted(built) == sorted(model.CATALOG_NAMES)
 
     def test_no_product_at_a_second_point(self, fresh_process, monkeypatch):
         check_structure(Params.exact(1, F(1, 2)))
+        check_explicit_forms(Params.exact(1, F(1, 2)))
         P = Params.exact(F(5, 4), F(1, 3))
-        for name in model.CATALOG_NAMES:
-            make_operator(P, name)  # the point's own operators are built as ever
-        products = _count_products(monkeypatch)
-        assert all(r.passed and r.residual == "0" for r in check_structure(P))
-        assert products["product"] == 0
-        assert all((verifier._rescales.__wrapped__, name) in model.point_cache(P) for name in model.CATALOG_NAMES)
+        counts = _count_products(monkeypatch)
+        assert all(r.passed and r.residual == "0" for r in check_structure(P) + check_explicit_forms(P))
+        assert counts == {} and P not in model._POINTS
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(p=st.fractions(min_value=F(1, 4), max_value=6, max_denominator=7),
@@ -331,6 +419,13 @@ class TestExplicitForms:
         reports = check_explicit_forms(params)
         assert len(reports) == 14
         assert all(r.passed and r.residual == "0" for r in reports)
+
+    def test_no_form_names_a_catalog_operator(self):
+        # a form is written in the generators only, so it is no restatement of
+        # the catalog's definitions
+        assert tuple(model.EXPLICIT_FORMS) == EXPLICIT_NAMES
+        for name, form in model.EXPLICIT_FORMS.items():
+            assert _catalog_names(model.parse_expression(form)) == set(), name
 
 
 class TestActionSuite:
@@ -641,17 +736,15 @@ class TestImagePass:
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure alone reads no image, so the pass builds no psi at all
         monkeypatch.setattr(model, "_POINTS", {})
-        P = Params.exact(F(7, 4), F(3, 5))
+        P = Params.from_ab(49 / 16, 9 / 25)  # a float point: structure evaluates directly
         run_suites(P, ("structure",), n_max=24)
         keys = [key for key in model.point_cache(P) if isinstance(key, tuple)]
         assert keys and not any(key[0] is model.chain_psi.__wrapped__ for key in keys)
 
-    def test_irrep_rule_without_action_rule_rejected(self, params, monkeypatch):
-        import jordan_osc.verifier as v
-
-        monkeypatch.setattr(v, "ACTION_RULES", tuple(r for r in v.ACTION_RULES if r.op_name != "K"))
-        with pytest.raises(ValueError, match="K"):
-            v.check_irrep(params, n_max=1)
+    def test_every_irrep_rule_has_an_action_rule(self):
+        # the image pass reads each irrep rule off the images of its
+        # operator's action rule
+        assert {rule.op_name for rule in DIAGONAL_RULES + LADDER_RULES} <= {rule.op_name for rule in ACTION_RULES}
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_no_difference_polynomial_is_built(self, point, request, monkeypatch):

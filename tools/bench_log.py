@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the benchmark once and append its outcome to BENCH_<workload>.json.
 
-Runs the checkout's own perfbench/run.py in a source checkout (--root,
-default this repository), passing every other argument through, and appends
+Byte-compiles the src/ of a source checkout (--root, default this
+repository) with `python -m compileall -q`, so that no timed execution
+compiles the package, then runs the checkout's own perfbench/run.py there,
+passing every other argument through, and appends
 one entry {"commit", "info", "result"} to BENCH_<workload>.json at the root
 of this repository: "info" and "result" are run.py's last two output lines,
 and "commit" is the checkout's commit as run.py reads it, marked when the
@@ -40,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     args, passed = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
     root = args.root.resolve()
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")], check=True)
     proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload, *passed],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:

@@ -2,9 +2,9 @@
 """Regenerate the shipped relation catalogs.
 
 The catalog is data: one relation per line, `id | kind | lhs | rhs`, with
-expressions in the prefix grammar understood by jordan_osc.verifier (tokens:
-add, sub, mul, smul, comm, acomm, neg, operator names, scalar literals like
-4*a, -1/2, 8*b). Index families (gl(2) E-pairs, the E-D / D-D / a-E / a-D
+expressions in the prefix grammar understood by jordan_osc.model (tokens:
+add, sub, mul, smul, comm, acomm, neg, operator names, the generators z,
+zbar, dz, dzbar, scalar literals like 4*a, -1/2, 8*b, 2*q*p^-1). Index families (gl(2) E-pairs, the E-D / D-D / a-E / a-D
 families) are expanded here programmatically so no delta bookkeeping is ever
 transcribed by hand into the file.
 
