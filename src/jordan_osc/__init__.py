@@ -23,7 +23,6 @@ from .model import (
     CATALOG_NAMES,
     EXPLICIT_NAMES,
     Params,
-    alpha_coeffs,
     apply,
     build_phi,
     build_psi,
@@ -34,7 +33,6 @@ from .model import (
     explicit_form,
     from_chain,
     make_operator,
-    pochhammer,
 )
 from .verifier import (
     ACTION_RULES,
@@ -90,7 +88,6 @@ __all__ = [
     "Report",
     "SUITES",
     "adjoint",
-    "alpha_coeffs",
     "anticommutator",
     "apply",
     "build_phi",
@@ -121,7 +118,6 @@ __all__ = [
     "minimum_order",
     "moment",
     "parse_relations",
-    "pochhammer",
     "quadrature_oracle",
     "run_suites",
     "swap_vars",

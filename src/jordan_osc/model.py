@@ -15,8 +15,9 @@ each level carries an (n+1)-dimensional Jordan block spanned by functions
 psi_{n,m} (0 <= m <= n) obeying (H - E_n) psi_{n,m} = psi_{n,m-1}.
 
 Two coordinate systems carry basis functions. The chain variables (w, zbar),
-w = a z + b zbar, are where the paper writes psi_{n,m}: ``chain_psi`` has one
-term per term of that sum, and the envelope is exp(-w zbar).
+w = a z + b zbar, are where psi_{n,m} has one closed form, a Laguerre
+polynomial in 2 w zbar as for the two-dimensional real oscillator, graded by
+(pq)^(n-2m) (see ``chain_psi``), and the envelope is exp(-w zbar).
 ``conjugate_through_envelope`` returns operators in (w, zbar), and ``apply``
 acts on chain forms, so neither the image pass nor the pairing (see gaussint)
 expands a power of w. ``from_chain`` writes a chain form in (z, zbar), where
@@ -60,6 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, wraps
 from math import comb, factorial
+from sys import float_info
 
 from .weyl import (
     EXACT,
@@ -257,33 +259,6 @@ def _per_point(fn):
 
 
 # ---------------------------------------------------------------------------
-# combinatorial helpers
-# ---------------------------------------------------------------------------
-
-
-def pochhammer(x, k: int):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1); (x)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    out = 1
-    for t in range(k):
-        out = out * (x + t)
-    return out
-
-
-def alpha_coeffs(k: int) -> list[int]:
-    """Expansion coefficients of the degree-k associated-function sum.
-
-    alpha_0 = (-2)^k, alpha_k = 2^(2k), and for 0 < i < k
-    alpha_i = (-2)^i (k-i+1)_i alpha_0 / i!. As (k-i+1)_i / i! = C(k, i),
-    every alpha_i, the two ends included, is the integer (-2)^(k+i) C(k, i).
-    """
-    if k < 0:
-        raise ValueError("alpha_coeffs needs k >= 0")
-    return [(-2) ** (k + i) * comb(k, i) for i in range(k + 1)]
-
-
-# ---------------------------------------------------------------------------
 # basis functions
 # ---------------------------------------------------------------------------
 
@@ -293,37 +268,12 @@ def _check_index(n: int, m: int) -> None:
         raise ValueError(f"need integers 0 <= m <= n, got n={n!r}, m={m!r}")
 
 
-def _cn0_reduced(params: Params, n: int) -> Coeff:
-    # c_{n,0} / kappa = 4^n (ab)^(n/2) = (4 sqrt(ab))^n
-    return (4 * params.sqrt_ab) ** n
-
-
-def _cn_reduced(params: Params, n: int) -> Coeff:
-    # c_n = c_{n,0} / ((8ab)^n n!); where the float denominator underflows to
-    # 0, the quotient leaves the float range like any overflow
-    denom = (8 * params.a * params.b) ** n * factorial(n)
-    if not denom:
-        raise OverflowError(f"(8ab)^{n} {n}! underflows to zero")
-    return _cn0_reduced(params, n) / denom
-
-
-def _chain_series(params: Params, n: int, m: int) -> Poly2:
-    """The full associated-function sum in the chain variables (w, zbar),
-    w = a z + b zbar, valid for every 0 <= m <= n:
-
-    psi_{n,m} = c_n (2ab)^(n-m) sum_i alpha_i^(n-m) (2m-n+i+1)_(2n-2m-i) zbar^i w^(2m-n+i).
-
-    The rising factorial vanishes exactly when e = 2m-n+i < 0, so the sum
-    starts at i = max(0, n-2m): one term w^e zbar^i per i, at most
-    min(m, n-m) + 1 of them.
-    """
-    _check_index(n, m)
-    k = n - m
-    alphas = alpha_coeffs(k)
-    sums = {(2 * m - n + i, i): alphas[i] * pochhammer(2 * m - n + i + 1, 2 * n - 2 * m - i)
-            for i in range(max(0, n - 2 * m), k + 1)}
-    (front,), den = to_ints(params.mode, [_cn_reduced(params, n) * (2 * params.a * params.b) ** k])
-    return Poly2._normalized(params.mode, {key: front * v for key, v in sums.items()}, den)
+def _check_float_range(values, what: str) -> None:
+    """OverflowError unless every float of ``values`` is finite and normal:
+    a value that overflows, or underflows to a subnormal or to zero, has lost
+    its relative precision."""
+    if not all(float_info.min <= abs(v) < math.inf for v in values):
+        raise OverflowError(f"{what} leaves the float range")
 
 
 def from_chain(params: Params, g: Poly2) -> Poly2:
@@ -355,20 +305,50 @@ def from_chain(params: Params, g: Poly2) -> Poly2:
 
 @_per_point
 def chain_psi(params: Params, n: int, m: int) -> Poly2:
-    """Basis function psi_{n,m} in the chain variables (w, zbar); m = 0 uses
-    the direct chain-head form psi_{n,0} = c_{n,0} zbar^n, the same polynomial
-    in both coordinates, m >= 1 the associated-function sum (which agrees at
-    m = 0, tested)."""
+    """Basis function psi_{n,m} in the chain variables (w, zbar), for every
+    0 <= m <= n, from one closed form: the coefficient of zbar^i w^e is
+
+        (-1)^(n-m) (2pq)^(n-2m) (-2)^i C(n-m, i) / e!,    e = i - (n-2m) >= 0,
+
+    one term per i from max(0, n-2m) to n-m, at most min(m, n-m) + 1 of them,
+    summed as integers over m!. For n >= 2m this reads
+
+        psi_{n,m} = (-1)^(n-m) (-4pq)^(n-2m) zbar^(n-2m) L_m^(n-2m)(2 w zbar),
+
+    with L the associated Laguerre polynomial, as for the two-dimensional
+    real oscillator; the head psi_{n,0} is (4pq)^n zbar^n. The point enters
+    only through (pq)^(n-2m): chain_psi at P is (pq)^(n-2m) times chain_psi
+    at p = q = 1. It equals the paper's associated-function sum, whose n! and
+    (8ab)^n cancel (tests/reference_forms.py). In float mode OverflowError
+    where the leading factor (2pq)^(n-2m)/m! or a coefficient leaves the
+    float range."""
     _check_index(n, m)
-    if m == 0:
-        return Poly2.monomial(0, n, _cn0_reduced(params, n))
-    return _chain_series(params, n, m)
+    k, shift = n - m, n - 2 * m  # e = i - shift
+    (lead,), den = to_ints(params.mode, [(-1) ** k * (2 * params.sqrt_ab) ** shift / factorial(m)])
+    sums = {(i - shift, i): lead * ((-2) ** i * comb(k, i) * (factorial(m) // factorial(i - shift)))
+            for i in range(max(0, shift), k + 1)}
+    if params.mode == FLOAT:
+        _check_float_range([lead, *sums.values()], f"psi_{{{n},{m}}} in floats")
+    return Poly2._normalized(params.mode, sums, den)
 
 
 @_per_point
 def build_psi(params: Params, n: int, m: int) -> Poly2:
-    """Basis function psi_{n,m} in (z, zbar), for the pairing and for printing."""
-    return from_chain(params, chain_psi(params, n, m))
+    """Basis function psi_{n,m} in (z, zbar), for the pairing and for printing.
+
+    Its chain terms w^e zbar^i have distinct total degrees e + i, so it has
+    exactly one nonzero coefficient per term of each w^e: sum (e+1) of them.
+    In float mode OverflowError where one is missing (underflowed to zero), or
+    a power of a or b or a coefficient leaves the float range."""
+    chain = chain_psi(params, n, m)
+    psi = from_chain(params, chain)
+    if params.mode == FLOAT:
+        # a missing coefficient underflowed: it is read as the zero it became
+        missing = [0.0] * (sum(e + 1 for e, _ in chain.nums) - len(psi.nums))
+        top = max(e for e, _ in chain.nums)
+        _check_float_range([min(params.a, params.b) ** top, *psi.nums.values(), *missing],
+                           f"psi_{{{n},{m}}} in (z, zbar) in floats")
+    return psi
 
 
 def su2_factor(n: int, m: int) -> float:

@@ -114,6 +114,8 @@ BUILTIN_ID_PREFIXES = ("explicit.", "pseudo.", "action.", "irrep.", "integrals."
 #: resolution check at degree min(n_max, RESOLUTION_DEGREE)
 INTEGRALS_NMAX = 8
 RESOLUTION_DEGREE = 5
+#: the relative tolerance of integrals.oracle, the quadrature cross-check
+ORACLE_TOL = 1e-8
 #: the anchor of a float cross-check (irrep.*.float, integrals.oracle) skipped
 #: because the point leaves the float range: a value read in floats overflows,
 #: or (the oracle's a) underflows to zero; the exact checks still run
@@ -303,8 +305,9 @@ def check_structure(
 # ---------------------------------------------------------------------------
 
 # Each rule maps (params, n, m) to the exact expansion of op.psi_{n,m} in the
-# basis, as (n', m', coefficient) triples; zero coefficients may be emitted
-# and are dropped. Entries with nonzero coefficient must be valid indices.
+# basis, as (n', m', coefficient) triples, one formula for every 0 <= m <= n:
+# zero coefficients are dropped, and a target outside the grid (m' < 0 or
+# m' > n') reads as zero, as no basis function sits there.
 ActionTerms = Callable[[Params, int, int], list]
 
 
@@ -319,10 +322,7 @@ class ActionRule:
 ACTION_RULES: tuple[ActionRule, ...] = (
     ActionRule(
         "action.B-", "B-", "B- psi = 4(n-m) sqrt(ab) psi[n-1,m] + (1/2) sqrt(b/a) psi[n-1,m-1]",
-        lambda P, n, m: [(n - 1, 0, 4 * n * P.sqrt_ab)] if m == 0 else [
-            (n - 1, m, 4 * (n - m) * P.sqrt_ab),
-            (n - 1, m - 1, P.sqrt_b_over_a / 2),
-        ],
+        lambda P, n, m: [(n - 1, m, 4 * (n - m) * P.sqrt_ab), (n - 1, m - 1, P.sqrt_b_over_a / 2)],
     ),
     ActionRule(
         "action.B+", "B+", "B+ psi = -4(m+1) sqrt(ab) psi[n+1,m+1] - (1/2) sqrt(b/a) psi[n+1,m]",
@@ -333,7 +333,7 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.A-", "A-", "A- psi = (1/2) sqrt(a/b) psi[n-1,m-1] (0 at m=0)",
-        lambda P, n, m: [] if m == 0 else [(n - 1, m - 1, P.sqrt_a_over_b / 2)],
+        lambda P, n, m: [(n - 1, m - 1, P.sqrt_a_over_b / 2)],
     ),
     ActionRule(
         "action.A+", "A+", "A+ psi = -(1/2) sqrt(a/b) psi[n+1,m]",
@@ -341,19 +341,16 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.jordan-H", "H", "(H - 4a(n+1)) psi[n,m] = psi[n,m-1] (0 at m=0)",
-        lambda P, n, m: [(n, m, energy(P, n))] + ([] if m == 0 else [(n, m - 1, P.s(1))]),
+        lambda P, n, m: [(n, m, energy(P, n)), (n, m - 1, P.s(1))],
     ),
     ActionRule(
         "action.R", "R", "R psi = -(a/4b) psi[n,m-1] (0 at m=0)",
-        lambda P, n, m: [] if m == 0 else [(n, m - 1, -P.a / (4 * P.b))],
+        lambda P, n, m: [(n, m - 1, -P.a / (4 * P.b))],
     ),
     ActionRule(
         "action.S", "S",
         "S psi = -(b/4a) psi[n,m-1] - 2bn psi[n,m] - 16ab(n-m)(m+1) psi[n,m+1]",
         lambda P, n, m: [
-            (n, 0, -2 * n * P.b),
-            (n, 1, -16 * n * P.a * P.b),
-        ] if m == 0 else [
             (n, m - 1, -P.b / (4 * P.a)),
             (n, m, -2 * n * P.b),
             (n, m + 1, -16 * (n - m) * (m + 1) * P.a * P.b),
@@ -365,7 +362,7 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.U", "U", "U psi = -2an psi[n,m] - (1/2) psi[n,m-1] (last term absent at m=0)",
-        lambda P, n, m: [(n, m, -2 * n * P.a)] + ([] if m == 0 else [(n, m - 1, P.s(Fraction(-1, 2)))]),
+        lambda P, n, m: [(n, m, -2 * n * P.a), (n, m - 1, P.s(Fraction(-1, 2)))],
     ),
     ActionRule(
         "action.J0", "J0", "J0 psi = (m - n/2) psi[n,m]",
@@ -373,11 +370,11 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.J+", "J+", "J+ psi = (n-m)(m+1) psi[n,m+1]",
-        lambda P, n, m: [(n, m + 1, P.s((n - m) * (m + 1)))] if m < n else [],
+        lambda P, n, m: [(n, m + 1, P.s((n - m) * (m + 1)))],
     ),
     ActionRule(
         "action.J-", "J-", "J- psi = psi[n,m-1] (0 at m=0)",
-        lambda P, n, m: [] if m == 0 else [(n, m - 1, P.s(1))],
+        lambda P, n, m: [(n, m - 1, P.s(1))],
     ),
     ActionRule(
         "action.K", "K", "K psi = (n+1) psi[n,m]",
@@ -389,7 +386,7 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.a1-", "a1-", "a1- psi = psi[n-1,m-1] (0 at m=0)",
-        lambda P, n, m: [] if m == 0 else [(n - 1, m - 1, P.s(1))],
+        lambda P, n, m: [(n - 1, m - 1, P.s(1))],
     ),
     ActionRule(
         "action.a2+", "a2+", "a2+ psi = psi[n+1,m]",
@@ -397,7 +394,7 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.a2-", "a2-", "a2- psi = (n-m) psi[n-1,m]",
-        lambda P, n, m: [(n - 1, m, P.s(n - m))] if m < n else [],
+        lambda P, n, m: [(n - 1, m, P.s(n - m))],
     ),
     ActionRule(
         "action.D+11", "D+11", "D+11 psi = (m+1)(m+2) psi[n+2,m+2]",
@@ -413,15 +410,15 @@ ACTION_RULES: tuple[ActionRule, ...] = (
     ),
     ActionRule(
         "action.D-11", "D-11", "D-11 psi = psi[n-2,m-2] (0 at m<2)",
-        lambda P, n, m: [] if m < 2 else [(n - 2, m - 2, P.s(1))],
+        lambda P, n, m: [(n - 2, m - 2, P.s(1))],
     ),
     ActionRule(
         "action.D-12", "D-12", "D-12 psi = (n-m) psi[n-2,m-1] (0 at m=0)",
-        lambda P, n, m: [] if m == 0 or m == n else [(n - 2, m - 1, P.s(n - m))],
+        lambda P, n, m: [(n - 2, m - 1, P.s(n - m))],
     ),
     ActionRule(
         "action.D-22", "D-22", "D-22 psi = (n-m)(n-m-1) psi[n-2,m]",
-        lambda P, n, m: [] if m >= n - 1 else [(n - 2, m, P.s((n - m) * (n - m - 1)))],
+        lambda P, n, m: [(n - 2, m, P.s((n - m) * (n - m - 1)))],
     ),
 )
 
@@ -622,7 +619,7 @@ def _image_pass(
                     # image - sum c psi, with the image last so that a float
                     # sum rounds as image - (sum c psi) does
                     image_residual = residual_magnitude(
-                        params.mode, [(c, basis(n2, m2)) for n2, m2, c in terms if c], image)
+                        params.mode, [(c, basis(n2, m2)) for n2, m2, c in terms if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
                     with check:
@@ -693,12 +690,7 @@ def _fixed_test_poly(params: Params, n_max: int, salt: int) -> Poly2:
     return Poly2(params.mode, terms)
 
 
-def check_integrals(
-    params: Params,
-    n_max: int = INTEGRALS_NMAX,
-    tol: float = DEFAULT_TOL,
-    oracle_tol: float = 1e-8,
-) -> list[Report]:
+def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """Biorthogonality (gram blocks are anti-diagonal identities), Jordan form
     of the pairing with H, ground norm, truncated resolution of identity, and
     the exact-vs-quadrature cross-check (skipped with a note when a <= b)."""
@@ -710,7 +702,7 @@ def check_integrals(
                    mode, tol)
     resolution = _Check("integrals.resolution", f"truncated resolution of identity on degree <= {span} functions",
                         mode, tol)
-    oracle = _Check("integrals.oracle", "chain pairing vs Gauss-Hermite on sampled pairs", FLOAT, oracle_tol)
+    oracle = _Check("integrals.oracle", "chain pairing vs Gauss-Hermite on sampled pairs", FLOAT, ORACLE_TOL)
 
     heads = []  # <<psi_n0|psi_n0>> = G[0][0] of level n, for integrals.norms
     with gram:

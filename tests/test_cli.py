@@ -372,8 +372,10 @@ def test_float_overflow_exits_two(capsys, argv):
     ["basis", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--n", "24", "--m", "1"],
 ])
 def test_float_underflow_exits_two(capsys, argv):
-    # a product such as (8ab)^n n! or 16ab underflows to 0, and dividing by it
-    # leaves the float range: the overflow contract, not a crash with exit 1
+    # the leading factor (2pq)^(n-2m)/m! of a basis function overflows or
+    # underflows, a power of b in its (z, zbar) form underflows, or a product
+    # such as 16ab underflows to a zero divisor: the overflow contract, not a
+    # crash with exit 1
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -393,9 +395,10 @@ def test_exact_zero_division_is_not_caught(monkeypatch):
 
 
 def test_exact_run_skips_float_checks_that_underflow(capsys):
-    # a float basis built at this point would divide by (8ab)^8 8!, which
-    # underflows to 0; the exact run reads its own basis in floats, where
-    # the smallest values only lose digits, so every float cross-check runs
+    # a float run at this point fails irrep.J0 and irrep.K on the absolute
+    # residuals of its basis, whose coefficients reach (2pq)^-6/6!, about
+    # 2e121; the exact run reads its own basis in floats, where the smallest
+    # values only lose digits, so every float cross-check runs
     argv = ["verify", "--p", "1/10000000000", "--q", "1/100000000000", "--nmax", "6", "--suites", "irrep"]
     assert main(argv + ["--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)["suites"]

@@ -21,7 +21,6 @@ from jordan_osc import (
     ModeMismatchError,
     Params,
     Poly2,
-    alpha_coeffs,
     apply,
     build_phi,
     build_psi,
@@ -37,11 +36,10 @@ from jordan_osc import (
     inner_product,
     make_operator,
     moment,
-    pochhammer,
 )
 
 from conftest import close, diff_ops, polys
-from reference_forms import phi_scale_sq, psi_series
+from reference_forms import alpha_coeffs, chain_series, phi_scale_sq, pochhammer, psi_series
 
 F = Fraction
 
@@ -132,6 +130,10 @@ class TestCombinatorics:
             assert all(isinstance(v, int) or v.denominator == 1 for v in alphas)
 
 
+CLOSED_FORM_POINTS = [Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)), Params.exact(F(7, 3), F(1, 5))]
+CLOSED_FORM_IDS = ["1-1/2", "3/2-2/3", "7/3-1/5"]
+
+
 class TestBasis:
     def test_ground_state(self, params):
         assert build_psi(params, 0, 0) == Poly2.one(EXACT)
@@ -167,6 +169,25 @@ class TestBasis:
             for m in range(1, n + 1):
                 assert build_psi(params, n, m) == psi_series(params, n, m)
 
+    @pytest.mark.parametrize("P", CLOSED_FORM_POINTS, ids=CLOSED_FORM_IDS)
+    def test_closed_form_is_the_paper_series(self, P):
+        # the one closed form against the paper's three-factor sum, whose n!
+        # and (8ab)^n cancel, in either coordinates
+        for n in range(25):
+            for m in range(n + 1):
+                assert chain_psi(P, n, m) == chain_series(P, n, m), (n, m)
+                assert build_psi(P, n, m) == psi_series(P, n, m), (n, m)
+
+    @pytest.mark.parametrize("P", CLOSED_FORM_POINTS, ids=CLOSED_FORM_IDS)
+    def test_graded_by_pq(self, P):
+        # the point enters psi_{n,m} in (w, zbar) only through (pq)^(n-2m)
+        unit = Params.exact(1, 1)
+        for n in range(25):
+            for m in range(n + 1):
+                scale = P.sqrt_ab ** (n - 2 * m)
+                want = {key: scale * c for key, c in chain_psi(unit, n, m).terms.items()}
+                assert chain_psi(P, n, m).terms == want, (n, m)
+
     def test_float_construction_tracks_exact(self, params, fparams):
         for n in range(6):
             for m in range(n + 1):
@@ -179,6 +200,41 @@ class TestBasis:
             build_psi(params, 2, 3)
         with pytest.raises(ValueError):
             build_psi(params, -1, 0)
+
+
+def _raises_or_matches_twin(build, P, n, m) -> bool:
+    """True if build(P, n, m) raises OverflowError; otherwise it must have the
+    exact terms of the dyadic twin, the same p, q read as rationals, each
+    coefficient within 1e-13 relative."""
+    try:
+        got = build(P, n, m).terms
+    except OverflowError:
+        return True
+    want = build(Params.exact(F(P.p), F(P.q)), n, m).terms
+    assert got.keys() == want.keys(), (build.__name__, n, m)
+    for key, c in got.items():
+        assert math.isfinite(c) and abs(F(c) / want[key] - 1) <= 1e-13, (build.__name__, n, m, key, c)
+    return False
+
+
+#: float points a > b > 0 from 1e-300 to 1e300; a basis built at the first two
+#: lost terms or digits to the paper's normalization (8ab)^n n!, and at the next
+#: four the expansion of w meets a subnormal power of b, which a guard on the
+#: finished coefficients alone would miss
+FLOAT_RANGE_POINTS = [(1e10, 1e9), (1e-10, 1e-11), (1e-12, 1e-13), (1e-12, 1e-19), (1e-18, 1e-19), (1e-45, 1e-46),
+                      (0.79, 0.23), (1e-20, 1e-21), (1e20, 1e13), (1e-200, 1e-201), (1e200, 1e199),
+                      (1e-300, 1e-301), (1e300, 1e299)]
+
+
+@pytest.mark.parametrize("a, b", FLOAT_RANGE_POINTS, ids=[f"{a:g}-{b:g}" for a, b in FLOAT_RANGE_POINTS])
+def test_float_basis_is_never_silently_wrong(a, b):
+    # every chain_psi and build_psi up to the CLI's largest cutoff raises
+    # OverflowError or holds the exact terms to rounding
+    P = Params.from_ab(a, b)
+    raised = [(build.__name__, n, m) for n in range(25) for m in range(n + 1) for build in (chain_psi, build_psi)
+              if _raises_or_matches_twin(build, P, n, m)]
+    if 1e-10 <= b < a <= 1e10:
+        assert raised == []
 
 
 class TestPhi:
