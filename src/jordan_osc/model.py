@@ -44,11 +44,12 @@ products directly; ``Params.s`` lifts a literal into the mode.
 Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
 build directly. Every basis function psi, operator and catalog conjugation
-(``conjugated``, read by ``apply``) of a point lives in one store per point
-(``point_cache``), kept for the last few points only; phi is not stored. A
-float point's conjugations are rounded once from the exact ones at its dyadic
-twin, the same point read as rationals. A ``Params`` computes its hash and
-scalar views once. An exact run builds nothing in floats (see verifier).
+(``conjugated``, read by ``apply`` and by the image pass) of a point lives in
+one store per point (``point_cache``), kept for the last few points only; phi
+is not stored. A float point's conjugations are rounded once from the exact
+ones at its dyadic twin, the same point read as rationals. A ``Params``
+computes its hash and scalar views once. An exact run builds nothing in
+floats (see verifier).
 """
 
 from __future__ import annotations
@@ -284,7 +285,10 @@ def from_chain(params: Params, g: Poly2) -> Poly2:
     b = B/d over one denominator d (in float mode A, B are the floats and
     d = 1) and E the largest power of w. The numerators C(e,t) A^t B^(e-t)
     of w^e come row by row from Pascal's rule, so a float overflows to inf
-    where float ** int would raise.
+    where float ** int would raise. In float mode OverflowError where a term
+    of some power of w up to w^E, a term of some w^e times its coefficient, or
+    a coefficient of the result leaves the float range: no term is lost to
+    underflow or read off a subnormal, and none is infinite.
     """
     mode = join_modes(params, g)
     top = max((e for e, _ in g.nums), default=0)
@@ -300,7 +304,12 @@ def from_chain(params: Params, g: Poly2) -> Poly2:
         weight, degree = u * d ** (top - e), i + e
         for t, c in enumerate(rows[e]):
             sums[t, degree - t] += weight * c
-    return Poly2._normalized(mode, sums, g.den * d**top)
+    out = Poly2._normalized(mode, sums, g.den * d**top)
+    if mode == FLOAT:  # d = 1, so each weight * c is u * c
+        products = (u * c for (e, _), u in g.nums.items() for c in rows[e])
+        _check_float_range([*(c for row in rows for c in row), *products, *out.nums.values()],
+                           "a chain form in (z, zbar) in floats")
+    return out
 
 
 @_per_point
@@ -324,7 +333,11 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
     float range."""
     _check_index(n, m)
     k, shift = n - m, n - 2 * m  # e = i - shift
-    (lead,), den = to_ints(params.mode, [(-1) ** k * (2 * params.sqrt_ab) ** shift / factorial(m)])
+    try:
+        lead = (-1) ** k * (2 * params.sqrt_ab) ** shift / factorial(m)
+    except OverflowError:  # float ** int beyond the float range: inf, which the guard below names
+        lead = math.inf
+    (lead,), den = to_ints(params.mode, [lead])
     sums = {(i - shift, i): lead * ((-2) ** i * comb(k, i) * (factorial(m) // factorial(i - shift)))
             for i in range(max(0, shift), k + 1)}
     if params.mode == FLOAT:
@@ -334,21 +347,10 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
 
 @_per_point
 def build_psi(params: Params, n: int, m: int) -> Poly2:
-    """Basis function psi_{n,m} in (z, zbar), for the pairing and for printing.
-
-    Its chain terms w^e zbar^i have distinct total degrees e + i, so it has
-    exactly one nonzero coefficient per term of each w^e: sum (e+1) of them.
-    In float mode OverflowError where one is missing (underflowed to zero), or
-    a power of a or b or a coefficient leaves the float range."""
-    chain = chain_psi(params, n, m)
-    psi = from_chain(params, chain)
-    if params.mode == FLOAT:
-        # a missing coefficient underflowed: it is read as the zero it became
-        missing = [0.0] * (sum(e + 1 for e, _ in chain.nums) - len(psi.nums))
-        top = max(e for e, _ in chain.nums)
-        _check_float_range([min(params.a, params.b) ** top, *psi.nums.values(), *missing],
-                           f"psi_{{{n},{m}}} in (z, zbar) in floats")
-    return psi
+    """Basis function psi_{n,m} in (z, zbar), for the pairing and for printing:
+    ``from_chain`` of ``chain_psi``, so in float mode OverflowError where a
+    term leaves the float range."""
+    return from_chain(params, chain_psi(params, n, m))
 
 
 def su2_factor(n: int, m: int) -> float:
@@ -579,11 +581,11 @@ def conjugated(params: Params, name: str) -> DiffOp:
     return conjugate if twin is params else conjugate.to_float()
 
 
-def apply(params: Params, op: str | DiffOp, fn: Poly2, derivatives: dict | None = None) -> Poly2:
+def apply(params: Params, op: str | DiffOp, fn: Poly2) -> Poly2:
     """Act with an operator, a catalog name (conjugated once per point, see
     conjugated) or any DiffOp (conjugated anew), on the basis function whose
     chain form is fn (see chain_psi); the image is in chain form too. The
     envelope is never materialized: the conjugated operator, in (w, zbar),
-    acts on fn, reading fn's derivatives from ``derivatives`` if given."""
+    acts on fn."""
     conjugate = conjugated(params, op) if isinstance(op, str) else conjugate_through_envelope(params, op)
-    return conjugate.apply_to(fn, derivatives)
+    return conjugate.apply_to(fn)

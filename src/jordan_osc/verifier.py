@@ -15,25 +15,36 @@ Every identity the model asserts is checked here, grouped into five suites:
 The actions and irrep suites are two readings of the same images op.psi_{n,m},
 so one image pass serves both. It runs in the chain variables (w, zbar),
 w = a z + b zbar (see model): every psi, image and phi it reads is a chain
-form, so a float residual is the largest coefficient over (w, zbar) monomials. It runs
-basis-outer: each psi_{n,m} gets one derivative table that every operator
-applied to it reads (``apply`` reads each catalog conjugation from the point's
-store), and each image is built once, handed to every check that reads it, and
-dropped, as is the table. A residual is read off the image and its targets in
-one pass over their terms (``weyl.residual_magnitude``): no difference
-polynomial is built. The exact squared-value report irrep.<rule>.sq derives
-from the same operator's action rule: op psi_{n,m} = c psi_{n',m'} with the
-ladder target, c >= 0, and c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, decided in
-integers, so its residual also carries the image's residual against the action
-rule. irrep.J0 and irrep.K likewise check the J0 and K images and compare the
+form, so a float residual is the largest coefficient over (w, zbar) monomials.
+
+It runs level-outer, on charge lines. The charge of w^e zbar^i is e - i,
+and every term of psi_{n,m} has charge 2m - n, so the psi of one level lie on
+distinct lines and their sum Lambda_n is one polynomial, with one derivative
+table. A term w^i zbar^j dw^k dzbar^l of an operator shifts the charge by
+i - j - k + l, so each operator, read from the point's store
+(``model.conjugated``), is split into parts of one shift each. A part maps
+line 2m - n to line 2m - n + shift, so its image of Lambda_n holds the image
+of each psi_{n,m} on its own line, unmixed, and the line gives back m. Each
+part's image of a level is built once, read for every check of every step of
+the level, and dropped with the table; each report still meets its residuals
+in (n, m) order. A residual is read per charge off the image and its targets
+in one pass over their terms (``weyl.residual_magnitude``), so no difference
+polynomial is built, and the charges of one part are the steps' residuals.
+
+The exact squared-value report irrep.<rule>.sq derives from the same
+operator's action rule: op psi_{n,m} = c psi_{n',m'} with the ladder target,
+c >= 0, and c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, decided in integers, so
+its residual also carries the image's residual against the action rule.
+irrep.J0 and irrep.K likewise check the J0 and K images and compare the
 action coefficient with the eigenvalue. The direct reports irrep.<rule>.float
-read the same image in both modes, in floats and rescaled to op phi, against
-the run's own psi_{n',m'} times sqrt(coeff_sq) and its su(2) factor
-sqrt(m'!/(n'-m')!) (``su2_factor``), the only irrational number of an exact
-run. A float run evaluates each claim at j = n/2, mu = m - n/2 in floats,
-which hold those values exactly. The quadrature oracle too reads the run's own
-basis, so an exact run builds nothing in floats; a reading that leaves the
-float range skips its check, unless a residual already failed it.
+read the same images in both modes, in floats and each line rescaled to
+op phi, against the run's own psi_{n',m'} times sqrt(coeff_sq) and its su(2)
+factor sqrt(m'!/(n'-m')!) (``su2_factor``), the only irrational number of an
+exact run. A float run evaluates each claim at j = n/2, mu = m - n/2 in
+floats, which hold those values exactly. The quadrature oracle too reads the
+run's own basis, so an exact run builds nothing in floats; a reading that
+leaves the float range skips its check at that step, unless a residual
+already failed it.
 
 The structure suite proves each catalog relation once per process, at
 p = q = 1. Every catalog operator and explicit form is a tree of the prefix
@@ -67,9 +78,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from importlib import resources
-from math import factorial, isfinite, sqrt
+from math import factorial, isfinite, lcm, sqrt
 from typing import Callable, Iterable
 
+from . import model
 from .gaussint import (
     OracleUnavailableError,
     expand_in_basis,
@@ -83,7 +95,7 @@ from .model import (
     EXPLICIT_NAMES,
     Params,
     _weight,
-    apply,
+    apply,  # unused here, but bound: perfbench/test_perfbench.py patches and restores verifier.apply
     build_psi,
     chain_psi,
     energy,
@@ -95,6 +107,7 @@ from .model import (
 from .weyl import (
     EXACT,
     FLOAT,
+    DiffOp,
     Poly2,
     adjoint,
     max_or_nan,
@@ -502,21 +515,22 @@ def _split_terms(terms: list, n2: int, m2: int):
     return coeff, stray
 
 
-# Each irrep residual reads one image op.psi_{n,m}: its arguments are the
-# parameters, the irrep rule, n, m, the rule's claimed value there (the
-# eigenvalue or coeff_sq at j = n/2, mu = m - n/2, computed once for all
-# reports of the rule), the action rule's expansion terms, the image, and the
-# image's residual against those terms.
+# Each irrep residual reads one step op.psi_{n,m} of the pass: its arguments
+# are the parameters, the irrep rule, n, m, the rule's claimed value there
+# (the eigenvalue or coeff_sq at j = n/2, mu = m - n/2, computed once for all
+# reports of the rule), the action rule's expansion terms, the step's float
+# reading against its direct target (see _float_ladder_residual; None for the
+# other reports), and the image's residual against the action terms.
 
 
-def _eigenvalue_residual(params, rule, n, m, eigenvalue, terms, image, image_residual):
+def _eigenvalue_residual(params, rule, n, m, eigenvalue, terms, reading, image_residual):
     """op psi_{n,m} = c psi_{n,m} holds (the image residual) and c equals the
     irrep eigenvalue."""
     coeff, stray = _split_terms(terms, n, m)
     return max_or_nan(image_residual, stray, abs(coeff - eigenvalue))
 
 
-def _squared_ladder_residual(params, rule, n, m, c2, terms, image, image_residual):
+def _squared_ladder_residual(params, rule, n, m, c2, terms, reading, image_residual):
     """Exact mode: op psi_{n,m} = c psi_{n',m'} holds (the image residual), the
     action target is the ladder target, c >= 0, and, as phi is psi scaled by
     sqrt(m!/(n-m)!), c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = coeff_sq;
@@ -539,24 +553,31 @@ def _squared_ladder_residual(params, rule, n, m, c2, terms, image, image_residua
     return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
 
 
-def _float_ladder_residual(params, rule, n, m, c2, terms, image, image_residual, *, basis, sizes):
+def _direct_target(rule: LadderRule, n: int, m: int, c2) -> list:
+    """The target of the direct report at psi_{n,m}: [(c, n', m')], the
+    ladder target with c = sqrt(c2) su2_factor(n', m'), or [] off the grid."""
+    n2, m2 = n + rule.dn, m + rule.dm
+    return [(sqrt(c2) * su2_factor(n2, m2), n2, m2)] if 0 <= m2 <= n2 else []
+
+
+def _float_ladder_residual(params, rule, n, m, c2, terms, reading, image_residual, *, sizes):
     """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
     normalized by the size of the target. phi is psi times its su(2) factor,
     so op phi is the image times the factor of (n, m), and the target is the
-    run's own psi_{n',m'} = basis(n', m') times c = sqrt(c2) su2_factor(n', m'),
-    both read in floats. Rounding is monotone, so for c >= 0 the largest
-    magnitude of c * psi is c times sizes(n', m'), that of psi, bit for bit.
-    OverflowError where a scaled reading in an exact run overflows (inf, or
-    NaN = inf - inf)."""
-    scale = su2_factor(n, m)
+    run's own psi_{n',m'} times c = sqrt(c2) su2_factor(n', m')
+    (``_direct_target``); ``reading`` is the largest magnitude of their
+    difference, of op phi alone off the grid, read in floats. Rounding is
+    monotone, so for c >= 0 the largest magnitude of c * psi is c times
+    sizes(n', m'), that of psi, bit for bit. OverflowError where a reading in
+    an exact run leaves the float range (inf, or NaN = inf - inf)."""
     n2, m2 = n + rule.dn, m + rule.dm
-    if not (0 <= m2 <= n2):
-        return max_or_nan(abs(float(c2)), residual_magnitude(FLOAT, [], image, scale))
-    psi, c = basis(n2, m2), sqrt(c2) * su2_factor(n2, m2)
-    residual, size = residual_magnitude(FLOAT, [(c, psi)], image, scale), c * sizes(n2, m2)
-    if params.mode == EXACT and not isfinite(residual + size):  # both >= 0 or NaN
+    if 0 <= m2 <= n2:
+        size = sqrt(c2) * su2_factor(n2, m2) * sizes(n2, m2)
+    else:
+        reading, size = max_or_nan(abs(float(c2)), reading), 0.0
+    if params.mode == EXACT and not isfinite(reading + size):  # both >= 0 or NaN
         raise OverflowError("a float reading of the exact image or target leaves the float range")
-    return residual / max_or_nan(1.0, size)
+    return reading / max_or_nan(1.0, size)
 
 
 def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float, direct: Callable) -> tuple[Callable, list]:
@@ -571,18 +592,58 @@ def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float, direct
     return rule.coeff_sq, checks + [(direct_check, direct)]
 
 
+def _charge_parts(op: DiffOp) -> dict:
+    """op split by the charge shift i - j - k + l of its terms w^i zbar^j
+    dw^k dzbar^l: shift -> the part, which maps a monomial of charge e - i
+    (w^e zbar^i) to monomials of charge e - i + shift."""
+    parts: dict = {}
+    for key, v in op.nums.items():
+        i, j, k, l = key
+        parts.setdefault(i - j - k + l, {})[key] = v
+    return {shift: DiffOp._normalized(op.mode, nums, op.den) for shift, nums in parts.items()}
+
+
+def _level(mode: str, psis: list) -> Poly2:
+    """sum_m psi_{n,m} as one polynomial over one denominator: each psi_{n,m}
+    lies on charge 2m - n alone, so no two of them share a monomial."""
+    den = lcm(*(psi.den for psi in psis))
+    return Poly2._normalized(mode, {key: u * (den // psi.den) for psi in psis for key, u in psi.nums.items()}, den)
+
+
+def _step_residuals(mode: str, n: int, images: dict, targets: list, basis: Callable, factors=None) -> list:
+    """For each step m of level n, the largest magnitude of op psi_{n,m} -
+    sum c psi_{n',m'} over the (c, n', m') of ``targets[m]``, read in ``mode``
+    (with op psi_{n,m} times ``factors[m]`` if given, in floats). ``images``
+    holds op applied to the level, by charge shift (``_charge_parts``): step
+    m's image under the part of shift s lies on charge 2m - n + s, as does a
+    target with 2m' - n' = 2m - n + s, so each charge read against one part
+    belongs to one step."""
+    groups: dict = {shift: [] for shift in images}
+    for m, step in enumerate(targets):
+        for c, n2, m2 in step:
+            groups.setdefault(2 * (m2 - m) - n2 + n, []).append((c, basis(n2, m2)))
+    worst = [zero(mode)] * (n + 1)
+    for shift, group in groups.items():
+        image = images[shift] if shift in images else Poly2.zero(mode)
+        scale = 1 if factors is None else {2 * m - n + shift: f for m, f in enumerate(factors)}
+        for charge, residual in residual_magnitude(mode, group, image, scale).items():
+            m = (charge - shift + n) // 2
+            if residual > worst[m] or residual != residual:  # max_or_nan, inline
+                worst[m] = residual
+    return worst
+
+
 def _image_pass(
     params: Params, suites: Iterable[str], n_max: int, tol: float
 ) -> tuple[list[Report], list[Report]]:
     """Reports of the actions and irrep suites among ``suites``, each in report
     order.
 
-    Basis-outer: each psi_{n,m} (0 <= m <= n <= n_max) gets one derivative
-    table, read by every operator's image op.psi_{n,m} and dropped after the
-    step. Each image is built once, compared with the action rule's expansion,
-    handed to the irrep reports of the same operator, and dropped, so each
-    report still meets its residuals in (n, m) order. The image's cost is
-    timed into the action report, or into the first irrep report otherwise.
+    Level-outer, on charge lines (see the module docstring): each operator
+    is split by charge shift once per pass, and each level is one polynomial
+    with one derivative table, which every part's image of it reads. The
+    images' cost is timed into the action report, or into the first irrep
+    report otherwise.
     """
     irrep_rules = DIAGONAL_RULES + LADDER_RULES if "irrep" in suites else ()
     by_op = {rule.op_name: rule for rule in irrep_rules}
@@ -590,7 +651,7 @@ def _image_pass(
     # each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
     sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
-    direct = partial(_float_ladder_residual, basis=basis, sizes=sizes)
+    direct = partial(_float_ladder_residual, sizes=sizes)
     # (action rule, its report, irrep rule, its claimed value, irrep reports,
     # image clock)
     plan = []
@@ -604,27 +665,36 @@ def _image_pass(
         plan.append((rule, action, irrep_rule, claim, checks, image_clock))
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
+    # split from each operator's stored conjugation (see model.conjugated)
+    parts = {rule.op_name: _charge_parts(model.conjugated(params, rule.op_name)) for rule, *_ in plan}
     for n in range(n_max + 1):
-        for m in range(n + 1):
-            psi = basis(n, m)
-            derivatives: dict = {}  # the derivative table of psi_{n,m}
-            # halves of small integers, exact in floats too, as is each claim,
-            # which is so a coefficient of the mode as it stands
-            j, mu = (Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
-            for rule, action, irrep_rule, claim, checks, image_clock in plan:
-                with image_clock:
-                    terms = rule.terms(params, n, m)
-                    value = None if claim is None else claim(j, mu)
-                    image = apply(params, rule.op_name, psi, derivatives)
-                    # image - sum c psi, with the image last so that a float
-                    # sum rounds as image - (sum c psi) does
-                    image_residual = residual_magnitude(
-                        params.mode, [(c, basis(n2, m2)) for n2, m2, c in terms if c and 0 <= m2 <= n2], image)
-                action.add(image_residual, (n, m))
-                for check, residual in checks:
-                    with check:
+        steps = range(n + 1)
+        level = _level(params.mode, [basis(n, m) for m in steps])
+        derivatives: dict = {}  # the derivative table of the level
+        factors = [su2_factor(n, m) for m in steps]
+        # halves of small integers, exact in floats too, as is each claim,
+        # which is so a coefficient of the mode as it stands
+        halves = [(Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
+                  for m in steps]
+        for rule, action, irrep_rule, claim, checks, image_clock in plan:
+            with image_clock:
+                terms = [rule.terms(params, n, m) for m in steps]
+                values = [None] * (n + 1) if claim is None else [claim(j, mu) for j, mu in halves]
+                images = {shift: part.apply_to(level, derivatives) for shift, part in parts[rule.op_name].items()}
+                image_residuals = _step_residuals(params.mode, n, images, [
+                    [(c, n2, m2) for n2, m2, c in step if c and 0 <= m2 <= n2] for step in terms], basis)
+            for m in steps:
+                action.add(image_residuals[m], (n, m))
+            readings = [None] * (n + 1)
+            for check, residual in checks:
+                with check:
+                    if residual is direct:
+                        readings = _step_residuals(FLOAT, n, images, [
+                            _direct_target(irrep_rule, n, m, value) for m, value in zip(steps, values)], basis, factors)
+                    for m in steps:
                         try:
-                            check.add(residual(params, irrep_rule, n, m, value, terms, image, image_residual), (n, m))
+                            check.add(residual(params, irrep_rule, n, m, values[m], terms[m], readings[m],
+                                               image_residuals[m]), (n, m))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for _, action, *_ in plan] if "actions" in suites else []

@@ -18,9 +18,9 @@ term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
 negation and ``scale``), ``_product`` (both ``*`` and ``commutator``),
 ``adjoint``, ``apply_to`` (whose table of derivatives several operators can
 share), ``swap_vars`` and ``to_float``. ``residual_magnitude`` reads the
-largest coefficient of a linear combination without building it. ``.terms``
-(key -> ``Fraction`` or ``float``) is derived on demand for readers such as
-printing; no kernel reads it.
+largest coefficient of a linear combination on each charge deg_z - deg_zbar
+without building it. ``.terms`` (key -> ``Fraction`` or ``float``) is
+derived on demand for readers such as printing; no kernel reads it.
 
 Two layers build on the coefficients:
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, inf, lcm, perm
 
 EXACT = "exact"
 FLOAT = "float"
@@ -395,31 +395,59 @@ class DiffOp(_TermMap):
 linear_combination = Poly2.linear_combination
 
 
-def residual_magnitude(mode: str, targets, image: Poly2, scale=1) -> Coeff:
-    """The largest coefficient magnitude of sum (-c) x + scale * image over the
-    (c, x) targets with c != 0, without building that polynomial: the value of
-    ``linear_combination(mode, [*((-c, x) for c, x in targets), (scale,
-    image)]).max_magnitude()``, bit for bit, a NaN winning as there.
+def _float_values(x: _TermMap) -> dict:
+    """The coefficients of x read in floats, key -> value: a float map's own
+    ``nums``, an exact map's as to_float reads them, except that a coefficient
+    beyond the float range reads as an infinity of its sign, as float
+    arithmetic rounds an overflow, where to_float raises."""
+    if x.mode == FLOAT:
+        return x.nums
+    values = {}
+    for key, u in x.nums.items():
+        try:
+            values[key] = u / x.den
+        except OverflowError:  # an int / int beyond the float range
+            values[key] = inf if u > 0 else -inf
+    return values
+
+
+def residual_magnitude(mode: str, targets, image: Poly2, scale=1) -> dict:
+    """Per charge deg_z - deg_zbar, the largest coefficient magnitude of
+    sum (-c) x + scale * image over the (c, x) targets with c != 0, without
+    building that polynomial: charge -> the value of ``linear_combination(mode,
+    [*((-c, x) for c, x in targets), (scale, image)]).max_magnitude()`` over
+    that charge's monomials, bit for bit, a NaN winning as there. A charge with
+    no monomial in the targets or the image is absent. In float mode ``scale``
+    may be a dict, charge -> the factor of the image's monomials of that
+    charge.
 
     Exact: the numerators are summed over one common denominator, and only
-    the result is a Fraction. Float: each monomial adds the targets in order
-    and the image last, as linear_combination does, reading an exact
-    polynomial in floats as to_float would."""
-    sums: dict = {}
+    each charge's largest is a Fraction. Float: each monomial adds the targets
+    in order and the image last, as linear_combination does, reading an exact
+    polynomial in floats by ``_float_values``."""
     if mode == EXACT:
         parts = [(-c.numerator, c.denominator * x.den, x.nums) for c, x in targets if c]
         parts.append((scale.numerator, scale.denominator * image.den, image.nums))
         common = lcm(*(den for _, den, _ in parts))
-        for num, den, nums in parts:
-            factor = num * (common // den)
+        parts = [(num * (common // den), nums) for num, den, nums in parts]
+    else:
+        parts = [*((-c, _float_values(x)) for c, x in targets if c), (scale, _float_values(image))]
+    sums: dict = {}
+    for c, nums in parts:
+        if type(c) is dict:
             for key, u in nums.items():
-                sums[key] = sums.get(key, 0) + factor * u
-        return Fraction(max(map(abs, sums.values()), default=0), common)
-    for c, x in [*((-c, x) for c, x in targets if c), (scale, image)]:
-        den = x.den
-        for key, u in x.nums.items():
-            sums[key] = sums.get(key, 0) + c * (u / den)
-    return max_or_nan(0.0, *map(abs, sums.values()))
+                sums[key] = sums.get(key, 0) + c[key[0] - key[1]] * u
+        else:
+            for key, u in nums.items():
+                sums[key] = sums.get(key, 0) + c * u
+    worst: dict = {}
+    for (i, j), v in sums.items():
+        v, charge = abs(v), i - j
+        if charge not in worst or v > worst[charge] or v != v:
+            worst[charge] = v
+    if mode == EXACT:
+        return {charge: Fraction(v, common) for charge, v in worst.items()}
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -553,10 +553,30 @@ class TestChainCoordinates:
 
     def test_from_chain_overflows_to_inf(self):
         # the powers of w come from Pascal's rule, so a float overflows to inf
-        # where a ** 2 would raise
+        # where a ** 2 would raise with no word of where; the float guard then
+        # names the range
         P = Params.from_ab(1e200, 1e199)
-        got = from_chain(P, Poly2.monomial(2, 0, 1.0)).terms  # w^2 = a^2 z^2 + 2ab z zbar + b^2 zbar^2
-        assert got == {(2, 0): math.inf, (1, 1): math.inf, (0, 2): math.inf}
+        with pytest.raises(OverflowError, match="^a chain form in \\(z, zbar\\) in floats leaves the float range$"):
+            from_chain(P, Poly2.monomial(2, 0, 1.0))  # w^2 = a^2 z^2 + 2ab z zbar + b^2 zbar^2
+
+    @pytest.mark.parametrize("a, b, n, m", [(1e-18, 1e-19, 20, 18), (1e-15, 1e-16, 22, 21)])
+    def test_from_chain_loses_no_term_to_underflow(self, a, b, n, m):
+        # here a term of the expansion underflows to zero: from_chain raises
+        # rather than drop it, and so does build_psi, which reads it
+        P = Params.from_ab(a, b)
+        chain = chain_psi(P, n, m)
+        for build in (lambda: from_chain(P, chain), lambda: build_psi(P, n, m)):
+            with pytest.raises(OverflowError, match="leaves the float range"):
+                build()
+        # the same expansion at the dyadic twin has every term
+        twin = from_chain(Params.exact(F(P.p), F(P.q)), chain_psi(Params.exact(F(P.p), F(P.q)), n, m))
+        assert len(twin.nums) == sum(e + 1 for e, _ in chain.nums)
+
+    def test_chain_psi_names_the_float_range(self):
+        # (2pq)^(n-2m) = (2pq)^-24 overflows at this point: chain_psi raises its
+        # own OverflowError, not float ** int's
+        with pytest.raises(OverflowError, match="^psi_\\{24,24\\} in floats leaves the float range$"):
+            chain_psi(Params.from_ab(1e-20, 1e-21), 24, 24)
 
     def test_catalog_conjugations_agree_with_z_zbar(self):
         # every catalog operator, applied to a full polynomial of degree 6

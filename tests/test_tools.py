@@ -2,8 +2,8 @@
 every call boundary the benchmark traces still exists, the benchmark's
 coefficient metrics see coefficients, tools/count_lines.py counts every
 module of the package, tools/diff_reports.py flags what moved between two
-reports, tools/bench_log.py appends a benchmark run to its log, and the
-README's library tour runs."""
+reports, tools/bench_log.py appends a benchmark run to its log and prints
+its counts beside its metrics, and the README's library tour runs."""
 
 import importlib.util
 import json
@@ -144,6 +144,20 @@ def test_bench_log_appends_one_run(tmp_path, monkeypatch, capsys):
     # a run that fails appends nothing and passes its exit code on
     assert bench_log.main(["--workload", "exact-n16", "--seed", "one"]) == 2
     assert len(json.loads(log.read_text())) == 2
+
+
+def test_bench_log_prints_attempted_and_executions(tmp_path, monkeypatch, capsys):
+    # the harness's memory follows the execution count, so the printed line
+    # names the counts beside the metrics, as the appended entry holds them
+    bench_log = _load("bench_log", BENCH_LOG)
+    monkeypatch.setattr(bench_log, "OUT", tmp_path)
+    argv = ["--workload", "exact-sweep", "--seed", "5", "--seconds", "1", "--trace", "0", "--tiny"]
+    assert bench_log.main(argv) == 0
+    [entry] = json.loads((tmp_path / "BENCH_exact-sweep.json").read_text())
+    line = capsys.readouterr().out.strip()
+    assert line.endswith(f" attempted={entry['result']['attempted']} executions={entry['info']['executions']}")
+    assert f" peak_rss_mb={entry['result']['metrics']['peak_rss_mb']['value']} " in line
+    assert entry["result"]["attempted"] >= entry["info"]["executions"] >= 1
 
 
 def test_bench_log_compiles_the_measured_checkout(tmp_path, monkeypatch):

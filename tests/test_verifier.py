@@ -44,6 +44,7 @@ from jordan_osc import gaussint, model, verifier, weyl
 from jordan_osc.weyl import lift, to_ints
 from jordan_osc.verifier import SUITES, suite_cutoffs
 
+import reference_pass
 from reference_forms import phi_scale_sq
 
 F = Fraction
@@ -501,12 +502,25 @@ def _four_pass_residual(params, rule, n, m, image):
     return (got - want).max_magnitude() / verifier.max_or_nan(1.0, want.max_magnitude())
 
 
+def _stacked_direct_readings(point, rule, n, basis):
+    """The direct readings of one ladder rule at every step of level n, as the
+    pass reads them: off its operator's images of the stacked level."""
+    level = verifier._level(point.mode, [basis(n, m) for m in range(n + 1)])
+    parts = verifier._charge_parts(model.conjugated(point, rule.op_name))
+    images = {shift: part.apply_to(level, {}) for shift, part in parts.items()}
+    targets = [verifier._direct_target(rule, n, m, _at(rule, n, m)) for m in range(n + 1)]
+    factors = [model.su2_factor(n, m) for m in range(n + 1)]
+    return verifier._step_residuals(FLOAT, n, images, targets, basis, factors)
+
+
 class TestFloatLadderResidual:
     @pytest.mark.parametrize("point", [
         Params.from_ab(0.79, 0.23), Params.from_ab(3.0, 1.0),
         Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
     ], ids=["float-0.79-0.23", "float-3-1", "exact-1-1/2", "exact-3/2-2/3"])
     def test_one_pass_equals_four_passes_bit_for_bit(self, point):
+        # the reading off the stacked level, normalized, against the image of
+        # each step built alone and read by term-map passes
         basis = partial(model.chain_psi, point)
 
         def sizes(n, m):
@@ -515,10 +529,11 @@ class TestFloatLadderResidual:
         outside = 0
         for rule in LADDER_RULES:
             for n in range(7):
+                readings = _stacked_direct_readings(point, rule, n, basis)
                 for m in range(n + 1):
                     image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
-                    got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, image, None,
-                                                          basis=basis, sizes=sizes)
+                    got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, readings[m], None,
+                                                          sizes=sizes)
                     want = _four_pass_residual(point, rule, n, m, image)
                     assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
                     outside += not (0 <= m + rule.dm <= n + rule.dn)
@@ -664,20 +679,21 @@ class TestImagePass:
         assert all(rid.startswith("irrep.") for rid, *_ in irrep_alone)
 
     # in both modes the irrep suite reads the action images: one conjugation
-    # per operator, one image per (operator, n, m), and no float rebuild
-    @pytest.mark.parametrize("point, conjugations, images", [
-        ("params", 23, 23 * 15),
-        ("fparams", 23, 23 * 15),
-    ])
-    def test_each_image_built_once(self, point, conjugations, images, request, image_counts):
+    # per operator, one image per (level, operator, charge part), and no
+    # float rebuild
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_one_image_per_level_operator_and_charge_part(self, point, request, image_counts):
         P = request.getfixturevalue(point)
         run_suites(P, ("actions", "irrep"), n_max=4)
-        assert image_counts == {"conjugate": conjugations, "apply_to": images}
+        counts = dict(image_counts)
+        parts = [verifier._charge_parts(model.conjugated(P, rule.op_name)) for rule in ACTION_RULES]
+        assert sum(map(len, parts)) == 29
+        assert counts == {"conjugate": 23, "apply_to": 29 * 5}
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
-    def test_one_derivative_table_per_basis_function(self, point, request, image_counts, monkeypatch):
-        # basis-outer: every image of psi_{n,m} reads one table, which no
-        # store keeps once the pass is over
+    def test_one_derivative_table_per_level(self, point, request, image_counts, monkeypatch):
+        # level-outer: every image of level n reads one table, built for the
+        # level sum_m psi_{n,m}, which no store keeps once the pass is over
         P = request.getfixturevalue(point)
         tables = {}  # id -> (table, the polynomial it was read for); holding both keeps each id unique
         apply_to = DiffOp.apply_to  # image_counts' counting wrapper
@@ -689,11 +705,61 @@ class TestImagePass:
 
         monkeypatch.setattr(DiffOp, "apply_to", recorded)
         run_suites(P, ("actions", "irrep"), n_max=4)
-        assert len(tables) == 15 and image_counts["apply_to"] == 23 * 15
-        assert {id(poly) for _, poly in tables.values()} == {id(chain_psi(P, n, m))
-                                                              for n in range(5) for m in range(n + 1)}
+        assert len(tables) == 5 and image_counts["apply_to"] == 29 * 5
+        levels = [poly for _, poly in tables.values()]
+        psis = [[chain_psi(P, n, m) for m in range(n + 1)] for n in range(5)]
+        assert levels == [weyl.linear_combination(P.mode, [(1, psi) for psi in level]) for level in psis]
+        # no two psi of a level share a monomial: each lies on its own charge
+        assert [len(level.nums) for level in levels] == [sum(len(psi.nums) for psi in level) for level in psis]
         stored = model.point_cache(P).values()  # the conjugations too
         assert not any(value is table for value in stored for table, _ in tables.values())
+
+    def test_charge_parts_sum_to_the_operator(self, params):
+        # each part of an operator shifts the charge by one amount; together
+        # they are the operator
+        for rule in ACTION_RULES:
+            op = model.conjugated(params, rule.op_name)
+            parts = verifier._charge_parts(op)
+            assert sum(parts.values(), DiffOp.zero(op.mode)) == op
+            for shift, part in parts.items():
+                assert {i - j - k + l for i, j, k, l in part.nums} == {shift}
+
+    @pytest.mark.parametrize("point, n_max", [
+        (Params.exact(1, F(1, 2)), 8), (Params.exact(F(3, 2), F(2, 3)), 8),
+        (Params.from_ab(0.79, 0.23), 10), (Params.from_ab(1.0, 0.25), 10), (Params.from_ab(3.0, 1.0), 10),
+        (Params.from_ab(100.0, 1.0), 10), (Params.exact(F(10) ** 100, 1), 8),
+    ], ids=["exact-1-1/2", "exact-3/2-2/3", "float-0.79-0.23", "float-1-0.25", "float-3-1", "float-100-1",
+            "exact-1e100-1"])
+    def test_reports_equal_the_per_step_reference(self, point, n_max):
+        # the stacked pass reports what the per-(n, m) pass reports: ids,
+        # anchors, statuses and residuals
+        strip = lambda r: (r.relation_id, r.anchor, r.mode, r.status, r.residual)  # noqa: E731
+        got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
+        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max)
+        assert [list(map(strip, reports)) for reports in got] == [list(map(strip, reports)) for reports in want]
+        if point.p > 10**50:  # the float readings of the higher levels overflow
+            assert {r.status for r in got[1] if r.relation_id.endswith(".float")} == {"skip"}
+
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_a_wrong_coefficient_fails_at_its_own_step(self, point, request, monkeypatch):
+        # a stacked image carries every step of its level; a relative error of
+        # 1e-3 in B-'s psi[n-1,m-1] coefficient at (5, 2) alone fails
+        # action.B- there, as the per-(n, m) pass sees it, and nothing else
+        import jordan_osc.verifier as v
+
+        P = request.getfixturevalue(point)
+        terms = next(r for r in v.ACTION_RULES if r.rule_id == "action.B-").terms
+
+        def perturbed(P, n, m):
+            return [(n2, m2, c * P.s(F(1001, 1000)) if (n, m, n2, m2) == (5, 2, 4, 1) else c)
+                    for n2, m2, c in terms(P, n, m)]
+
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.B-", terms=perturbed))
+        reports = check_actions(P, n_max=7)
+        assert _failing(reports) == {"action.B-"}
+        assert next(r for r in reports if r.failed).anchor.endswith("[worst at n,m=(5, 2)]")
+        strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
+        assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 7)[0]))
 
     def test_exact_run_builds_nothing_in_floats(self, monkeypatch):
         # the .float reports and the quadrature oracle read the run's own exact
@@ -1077,13 +1143,17 @@ class TestResidualsKeepNaN:
                                                        image_residual))
 
     def test_exact_float_reading_that_overflows_raises(self, params):
-        # a target psi near the top of the float range: c psi overflows to inf,
-        # and so does the scaled image, so the difference would read NaN
+        # a scaled image beyond the float range: its int / int reading is an
+        # infinity, so the residual is no number to compare
         big = Poly2("exact", {(1, 0): F(10**308)})
         rule = next(r for r in LADDER_RULES if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
+        c2 = _at(rule, 1, 0)
+        [(c, _, _)] = verifier._direct_target(rule, 1, 0, c2)
+        [reading] = weyl.residual_magnitude(FLOAT, [(c, big)], big.scale(F(2)), {1: model.su2_factor(1, 0)}).values()
+        assert reading == float("inf")
         with pytest.raises(OverflowError):
-            verifier._float_ladder_residual(params, rule, 1, 0, _at(rule, 1, 0), [], big.scale(F(2)), None,
-                                            basis=lambda n, m: big, sizes=lambda n, m: float(big.max_magnitude()))
+            verifier._float_ladder_residual(params, rule, 1, 0, c2, [], reading, None,
+                                            sizes=lambda n, m: float(big.max_magnitude()))
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_float_ladder_residual_off_the_grid(self, fparams, position):
@@ -1092,5 +1162,6 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDER_RULES[0]
-        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], image, 0.0,
-                                                     basis=None, sizes=None))
+        reading = verifier.max_or_nan(0.0, *weyl.residual_magnitude(FLOAT, [], image).values())
+        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], reading, 0.0,
+                                                     sizes=None))

@@ -570,8 +570,22 @@ def float_polys(draw):
 
 
 def _combined_magnitude(mode, targets, image, scale):
-    # the oracle: build sum (-c) x + scale * image, then read its largest coefficient
-    return linear_combination(mode, [*((-c, x) for c, x in targets), (scale, image)]).max_magnitude()
+    # the oracle: build sum (-c) x + scale * image (scale a dict: image's
+    # monomials of each charge scaled by its factor), then read its largest
+    # coefficient on each charge its terms meet
+    if isinstance(scale, dict):
+        image = linear_combination(mode, [(scale[charge], Poly2._normalized(
+            mode, {(i, j): u for (i, j), u in image.nums.items() if i - j == charge}, image.den)) for charge in scale])
+        scale = 1
+    built = linear_combination(mode, [*((-c, x) for c, x in targets), (scale, image)])
+    keys = [key for c, x in targets if c for key in x.nums] + list(image.nums)
+    return {charge: Poly2._normalized(mode, {(i, j): u for (i, j), u in built.nums.items() if i - j == charge},
+                                      built.den).max_magnitude()
+            for charge in {i - j for i, j in keys}}
+
+
+def _hex(per_charge):
+    return {charge: v.hex() for charge, v in per_charge.items()}
 
 
 class TestResidualMagnitude:
@@ -580,15 +594,16 @@ class TestResidualMagnitude:
            st.sampled_from([1, F(-2, 3), F(5, 2)]))
     def test_exact_equals_the_built_combination(self, targets, image, scale):
         got = residual_magnitude(EXACT, targets, image, scale)
-        assert type(got) is Fraction and got == _combined_magnitude(EXACT, targets, image, scale)
+        assert all(type(v) is Fraction for v in got.values())
+        assert got == _combined_magnitude(EXACT, targets, image, scale)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(mixed_fractions, polys(mixed_fractions)), max_size=3), polys(mixed_fractions))
     def test_exact_cancels_to_zero(self, targets, extra):
         # the image is exactly the sum of the targets, with no key left over
         image = linear_combination(EXACT, targets)
-        assert residual_magnitude(EXACT, targets, image) == 0
-        assert residual_magnitude(EXACT, [], Poly2.zero(EXACT)) == 0
+        assert not any(residual_magnitude(EXACT, targets, image).values())
+        assert residual_magnitude(EXACT, [], Poly2.zero(EXACT)) == {}
         assert residual_magnitude(EXACT, [(F(0), extra)], image) == residual_magnitude(EXACT, [], image)
 
     @settings(max_examples=150, deadline=None)
@@ -596,14 +611,34 @@ class TestResidualMagnitude:
            st.one_of(st.just(1), st.floats(0.01, 100.0)))
     def test_float_equals_the_built_combination_bit_for_bit(self, targets, image, scale):
         got = residual_magnitude(FLOAT, targets, image, scale)
-        assert type(got) is float and got.hex() == _combined_magnitude(FLOAT, targets, image, scale).hex()
+        assert all(type(v) is float for v in got.values())
+        assert _hex(got) == _hex(_combined_magnitude(FLOAT, targets, image, scale))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(float_coeffs, float_polys()), max_size=3), float_polys(),
+           st.lists(st.floats(0.01, 100.0), min_size=7, max_size=7))
+    def test_a_scale_per_charge_equals_the_built_combination(self, targets, image, factors):
+        # the keys run over 0..3, so the charges over -3..3
+        scale = {charge: f for charge, f in zip(range(-3, 4), factors)}
+        got = residual_magnitude(FLOAT, targets, image, scale)
+        assert _hex(got) == _hex(_combined_magnitude(FLOAT, targets, image, scale))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1e3, 1e3), float_polys()), max_size=3), polys(mixed_fractions),
            st.floats(0.01, 100.0))
     def test_float_reads_an_exact_image_as_to_float(self, targets, image, scale):
         got = residual_magnitude(FLOAT, targets, image, scale)
-        assert got.hex() == _combined_magnitude(FLOAT, targets, image.to_float(), scale).hex()
+        assert _hex(got) == _hex(_combined_magnitude(FLOAT, targets, image.to_float(), scale))
+
+    def test_a_reading_beyond_the_float_range_is_an_infinity(self):
+        # to_float raises there; the float reading rounds as float arithmetic
+        # does, so each charge it meets reads inf, or NaN where inf - inf
+        huge = Poly2(EXACT, {(2, 0): F(10**400), (0, 2): F(-(10**400)), (1, 1): F(1, 3)})
+        with pytest.raises(OverflowError):
+            huge.to_float()
+        got = residual_magnitude(FLOAT, [], huge)
+        assert got[2] == got[-2] == float("inf") and got[0] == 1 / 3
+        assert isnan(residual_magnitude(FLOAT, [(float("inf"), Poly2.monomial(2, 0, 1.0))], huge)[2])
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3])
     def test_a_nan_wins_wherever_it_sits(self, position):
@@ -611,13 +646,14 @@ class TestResidualMagnitude:
         targets = [(2.0, z), (-0.0, zb), (1.0, zb)]
         targets.insert(position, (nan, z))
         image = Poly2(FLOAT, {(1, 0): 5.0, (2, 2): 7.0})
-        assert isnan(residual_magnitude(FLOAT, targets, image))
-        assert isnan(_combined_magnitude(FLOAT, targets, image, 1))
+        got = residual_magnitude(FLOAT, targets, image)
+        assert isnan(got[1]) and isnan(_combined_magnitude(FLOAT, targets, image, 1)[1])
+        assert got[-1] == 1.0 and got[0] == 7.0  # the other charges keep their own
 
     def test_a_zero_target_adds_nothing(self):
         # a zero coefficient drops its target, as in the built combination, so
         # 0 * inf makes no NaN
         infinite = Poly2(FLOAT, {(0, 0): float("inf")})
         image = Poly2(FLOAT, {(1, 0): 5.0, (2, 2): -7.0})
-        assert residual_magnitude(FLOAT, [(-0.0, infinite), (0.0, infinite)], image) == 7.0
-        assert residual_magnitude(FLOAT, [], Poly2.zero(FLOAT)).hex() == (0.0).hex()
+        assert residual_magnitude(FLOAT, [(-0.0, infinite), (0.0, infinite)], image) == {1: 5.0, 0: 7.0}
+        assert residual_magnitude(FLOAT, [], Poly2.zero(FLOAT)) == {}

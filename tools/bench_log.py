@@ -10,6 +10,7 @@ of this repository: "info" and "result" are run.py's last two output lines,
 and "commit" is the checkout's commit as run.py reads it, marked when the
 checkout's src/ holds uncommitted changes. The file is a JSON list, one entry
 per line in run order, so it keeps the performance trajectory across commits.
+It prints the run's metrics with its attempted operations and executions.
 A failed run appends nothing and exits with run.py's code.
 
 Run from anywhere:
@@ -36,6 +37,14 @@ def uncommitted(root: pathlib.Path) -> bool:
     return bool(out.stdout.strip())
 
 
+def summary(info: dict, result: dict) -> str:
+    """The run's metrics, then its attempted operations and executions: the
+    harness's own memory grows with those counts, so an RSS move that only
+    follows them shows beside it."""
+    metrics = [f"{name}={m['value']}" for name, m in result["metrics"].items()]
+    return " ".join([*metrics, f"attempted={result['attempted']}", f"executions={info['executions']}"])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path, default=REPO, help="the source checkout to measure")
@@ -55,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
     entries.append({"commit": commit, "info": info, "result": result})
     path.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n", encoding="utf-8")
-    metrics = " ".join(f"{name}={m['value']}" for name, m in result["metrics"].items())
-    print(f"appended run {len(entries)} of {args.workload} at {commit} to {path}: {metrics}")
+    print(f"appended run {len(entries)} of {args.workload} at {commit} to {path}: {summary(info, result)}")
     return 0
 
 
