@@ -37,8 +37,7 @@ from .model import (
 from .verifier import (
     ACTION_RULES,
     DEFAULT_TOL,
-    DIAGONAL_RULES,
-    LADDER_RULES,
+    IRREP_RULES,
     SUITES,
     RelationSpec,
     Report,
@@ -74,12 +73,11 @@ __all__ = [
     "ACTION_RULES",
     "CATALOG_NAMES",
     "DEFAULT_TOL",
-    "DIAGONAL_RULES",
     "DiffOp",
     "EXACT",
     "EXPLICIT_NAMES",
     "FLOAT",
-    "LADDER_RULES",
+    "IRREP_RULES",
     "ModeMismatchError",
     "OracleUnavailableError",
     "Params",

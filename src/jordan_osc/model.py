@@ -212,14 +212,6 @@ class Params:
     def sqrt_ab(self) -> Coeff:
         return self.p * self.q
 
-    @cached_property
-    def sqrt_a_over_b(self) -> Coeff:
-        return self.p / self.q
-
-    @cached_property
-    def sqrt_b_over_a(self) -> Coeff:
-        return self.q / self.p
-
 
 # ---------------------------------------------------------------------------
 # the per-point store

@@ -31,20 +31,31 @@ in (n, m) order. A residual is read per charge off the image and its targets
 in one pass over their terms (``weyl.residual_magnitude``), so no difference
 polynomial is built, and the charges of one part are the steps' residuals.
 
-The exact squared-value report irrep.<rule>.sq derives from the same
-operator's action rule: op psi_{n,m} = c psi_{n',m'} with the ladder target,
-c >= 0, and c^2 m!(n'-m')!/((n-m)! m'!) = coeff_sq, decided in integers, so
-its residual also carries the image's residual against the action rule.
-irrep.J0 and irrep.K likewise check the J0 and K images and compare the
-action coefficient with the eigenvalue. The direct reports irrep.<rule>.float
+The action and irrep rules are data. An action rule (``ACTION_RULES``)
+writes op psi_{n,m} as terms (dn, dm, literal, poly): a scalar literal of the
+prefix grammar (see model), evaluated once per pass, times poly(n, m), an
+integer-valued function, at psi_{n+dn,m+dm}. psi_{n,m} has weight (n - 2m, 0)
+under sigma_P (see below), so each term's weight is derived from its literal
+and shift, and a rule with a term off its operator's weight is refused when it
+is built. An irrep rule (``IRREP_RULES``) names an operator and a claim in
+(j, mu); its target is the one term of that operator's action rule, so each
+shift is stated once, and it is diagonal when that term keeps (n, m). A table
+in which an irrep rule finds no action rule of one term, or an operator that
+another irrep rule reads, is refused before any image is built.
+
+The exact squared-value report irrep.<rule>.sq of a ladder rule reads the
+step's action coefficient c: c >= 0 and c^2 m!(n'-m')!/((n-m)! m'!) equals
+the claim, decided in integers, so its residual also carries the image's
+residual against the action rule. irrep.J0 and irrep.K compare the action
+coefficient with the claimed eigenvalue. The direct reports irrep.<rule>.float
 read the same images in both modes, in floats and each line rescaled to
-op phi, against the run's own psi_{n',m'} times sqrt(coeff_sq) and its su(2)
-factor sqrt(m'!/(n'-m')!) (``su2_factor``), the only irrational number of an
-exact run. A float run evaluates each claim at j = n/2, mu = m - n/2 in
-floats, which hold those values exactly. The quadrature oracle too reads the
-run's own basis, so an exact run builds nothing in floats; a reading that
-leaves the float range skips its check at that step, unless a residual
-already failed it.
+op phi, against the run's own psi_{n',m'} times the square root of the claim
+and its su(2) factor sqrt(m'!/(n'-m')!) (``su2_factor``), the only irrational
+number of an exact run. A float run evaluates each claim at j = n/2,
+mu = m - n/2 in floats, which hold those values exactly. The quadrature oracle
+too reads the run's own basis, so an exact run builds nothing in floats; a
+reading that leaves the float range skips its check at that step, unless a
+residual already failed it.
 
 The structure suite proves each catalog relation once per process, at
 p = q = 1. Every catalog operator and explicit form is a tree of the prefix
@@ -94,6 +105,7 @@ from .model import (
     EXPLICIT_FORMS,
     EXPLICIT_NAMES,
     Params,
+    _scalar,
     _weight,
     apply,  # unused here, but bound: perfbench/test_perfbench.py patches and restores verifier.apply
     build_psi,
@@ -317,122 +329,68 @@ def check_structure(
 # action suite
 # ---------------------------------------------------------------------------
 
-# Each rule maps (params, n, m) to the exact expansion of op.psi_{n,m} in the
-# basis, as (n', m', coefficient) triples, one formula for every 0 <= m <= n:
-# zero coefficients are dropped, and a target outside the grid (m' < 0 or
-# m' > n') reads as zero, as no basis function sits there.
-ActionTerms = Callable[[Params, int, int], list]
-
 
 @dataclass(frozen=True)
 class ActionRule:
+    """op psi_{n,m} = sum literal poly(n, m) psi_{n+dn,m+dm} over the terms
+    (dn, dm, literal, poly), one formula for every 0 <= m <= n: literal is a
+    scalar of the prefix grammar (see model), poly an integer-valued function
+    of (n, m), and a target outside the grid (m' < 0 or m' > n') reads as
+    zero, as no basis function sits there. psi_{n,m} has weight (n - 2m, 0)
+    under sigma_P, so each term's weight is derived and checked when the rule
+    is built: weight(op) = weight(literal) + (dn - 2 dm, 0), or ValueError."""
+
     rule_id: str
     op_name: str
     anchor: str
-    terms: ActionTerms
+    terms: tuple
+
+    def __post_init__(self) -> None:
+        want = _weight(self.op_name)
+        for dn, dm, literal, _ in self.terms:
+            alpha, beta = _weight(parse_expression(literal))
+            if (alpha + dn - 2 * dm, beta) != want:
+                raise ValueError(f"{self.rule_id}: the term {literal} psi[n{dn:+},m{dm:+}] has weight "
+                                 f"{(alpha + dn - 2 * dm, beta)}, the operator {want}")
 
 
 ACTION_RULES: tuple[ActionRule, ...] = (
-    ActionRule(
-        "action.B-", "B-", "B- psi = 4(n-m) sqrt(ab) psi[n-1,m] + (1/2) sqrt(b/a) psi[n-1,m-1]",
-        lambda P, n, m: [(n - 1, m, 4 * (n - m) * P.sqrt_ab), (n - 1, m - 1, P.sqrt_b_over_a / 2)],
-    ),
-    ActionRule(
-        "action.B+", "B+", "B+ psi = -4(m+1) sqrt(ab) psi[n+1,m+1] - (1/2) sqrt(b/a) psi[n+1,m]",
-        lambda P, n, m: [
-            (n + 1, m + 1, -4 * (m + 1) * P.sqrt_ab),
-            (n + 1, m, -P.sqrt_b_over_a / 2),
-        ],
-    ),
-    ActionRule(
-        "action.A-", "A-", "A- psi = (1/2) sqrt(a/b) psi[n-1,m-1] (0 at m=0)",
-        lambda P, n, m: [(n - 1, m - 1, P.sqrt_a_over_b / 2)],
-    ),
-    ActionRule(
-        "action.A+", "A+", "A+ psi = -(1/2) sqrt(a/b) psi[n+1,m]",
-        lambda P, n, m: [(n + 1, m, -P.sqrt_a_over_b / 2)],
-    ),
-    ActionRule(
-        "action.jordan-H", "H", "(H - 4a(n+1)) psi[n,m] = psi[n,m-1] (0 at m=0)",
-        lambda P, n, m: [(n, m, energy(P, n)), (n, m - 1, P.s(1))],
-    ),
-    ActionRule(
-        "action.R", "R", "R psi = -(a/4b) psi[n,m-1] (0 at m=0)",
-        lambda P, n, m: [(n, m - 1, -P.a / (4 * P.b))],
-    ),
-    ActionRule(
-        "action.S", "S",
-        "S psi = -(b/4a) psi[n,m-1] - 2bn psi[n,m] - 16ab(n-m)(m+1) psi[n,m+1]",
-        lambda P, n, m: [
-            (n, m - 1, -P.b / (4 * P.a)),
-            (n, m, -2 * n * P.b),
-            (n, m + 1, -16 * (n - m) * (m + 1) * P.a * P.b),
-        ],
-    ),
-    ActionRule(
-        "action.T", "T", "T psi = -2a(n-2m) psi[n,m]",
-        lambda P, n, m: [(n, m, -2 * (n - 2 * m) * P.a)],
-    ),
-    ActionRule(
-        "action.U", "U", "U psi = -2an psi[n,m] - (1/2) psi[n,m-1] (last term absent at m=0)",
-        lambda P, n, m: [(n, m, -2 * n * P.a), (n, m - 1, P.s(Fraction(-1, 2)))],
-    ),
-    ActionRule(
-        "action.J0", "J0", "J0 psi = (m - n/2) psi[n,m]",
-        lambda P, n, m: [(n, m, P.s(Fraction(2 * m - n, 2)))],
-    ),
-    ActionRule(
-        "action.J+", "J+", "J+ psi = (n-m)(m+1) psi[n,m+1]",
-        lambda P, n, m: [(n, m + 1, P.s((n - m) * (m + 1)))],
-    ),
-    ActionRule(
-        "action.J-", "J-", "J- psi = psi[n,m-1] (0 at m=0)",
-        lambda P, n, m: [(n, m - 1, P.s(1))],
-    ),
-    ActionRule(
-        "action.K", "K", "K psi = (n+1) psi[n,m]",
-        lambda P, n, m: [(n, m, P.s(n + 1))],
-    ),
-    ActionRule(
-        "action.a1+", "a1+", "a1+ psi = (m+1) psi[n+1,m+1]",
-        lambda P, n, m: [(n + 1, m + 1, P.s(m + 1))],
-    ),
-    ActionRule(
-        "action.a1-", "a1-", "a1- psi = psi[n-1,m-1] (0 at m=0)",
-        lambda P, n, m: [(n - 1, m - 1, P.s(1))],
-    ),
-    ActionRule(
-        "action.a2+", "a2+", "a2+ psi = psi[n+1,m]",
-        lambda P, n, m: [(n + 1, m, P.s(1))],
-    ),
-    ActionRule(
-        "action.a2-", "a2-", "a2- psi = (n-m) psi[n-1,m]",
-        lambda P, n, m: [(n - 1, m, P.s(n - m))],
-    ),
-    ActionRule(
-        "action.D+11", "D+11", "D+11 psi = (m+1)(m+2) psi[n+2,m+2]",
-        lambda P, n, m: [(n + 2, m + 2, P.s((m + 1) * (m + 2)))],
-    ),
-    ActionRule(
-        "action.D+12", "D+12", "D+12 psi = (m+1) psi[n+2,m+1]",
-        lambda P, n, m: [(n + 2, m + 1, P.s(m + 1))],
-    ),
-    ActionRule(
-        "action.D+22", "D+22", "D+22 psi = psi[n+2,m]",
-        lambda P, n, m: [(n + 2, m, P.s(1))],
-    ),
-    ActionRule(
-        "action.D-11", "D-11", "D-11 psi = psi[n-2,m-2] (0 at m<2)",
-        lambda P, n, m: [(n - 2, m - 2, P.s(1))],
-    ),
-    ActionRule(
-        "action.D-12", "D-12", "D-12 psi = (n-m) psi[n-2,m-1] (0 at m=0)",
-        lambda P, n, m: [(n - 2, m - 1, P.s(n - m))],
-    ),
-    ActionRule(
-        "action.D-22", "D-22", "D-22 psi = (n-m)(n-m-1) psi[n-2,m]",
-        lambda P, n, m: [(n - 2, m, P.s((n - m) * (n - m - 1)))],
-    ),
+    ActionRule("action.B-", "B-", "B- psi = 4(n-m) sqrt(ab) psi[n-1,m] + (1/2) sqrt(b/a) psi[n-1,m-1]",
+               ((-1, 0, "4*p*q", lambda n, m: n - m), (-1, -1, "1/2*q*p^-1", lambda n, m: 1))),
+    ActionRule("action.B+", "B+", "B+ psi = -4(m+1) sqrt(ab) psi[n+1,m+1] - (1/2) sqrt(b/a) psi[n+1,m]",
+               ((1, 1, "-4*p*q", lambda n, m: m + 1), (1, 0, "-1/2*q*p^-1", lambda n, m: 1))),
+    ActionRule("action.A-", "A-", "A- psi = (1/2) sqrt(a/b) psi[n-1,m-1] (0 at m=0)",
+               ((-1, -1, "1/2*p*q^-1", lambda n, m: 1),)),
+    ActionRule("action.A+", "A+", "A+ psi = -(1/2) sqrt(a/b) psi[n+1,m]",
+               ((1, 0, "-1/2*p*q^-1", lambda n, m: 1),)),
+    ActionRule("action.jordan-H", "H", "(H - 4a(n+1)) psi[n,m] = psi[n,m-1] (0 at m=0)",
+               ((0, 0, "4*a", lambda n, m: n + 1), (0, -1, "1", lambda n, m: 1))),
+    ActionRule("action.R", "R", "R psi = -(a/4b) psi[n,m-1] (0 at m=0)",
+               ((0, -1, "-1/4*a*b^-1", lambda n, m: 1),)),
+    ActionRule("action.S", "S", "S psi = -(b/4a) psi[n,m-1] - 2bn psi[n,m] - 16ab(n-m)(m+1) psi[n,m+1]",
+               ((0, -1, "-1/4*b*a^-1", lambda n, m: 1), (0, 0, "-2*b", lambda n, m: n),
+                (0, 1, "-16*a*b", lambda n, m: (n - m) * (m + 1)))),
+    ActionRule("action.T", "T", "T psi = -2a(n-2m) psi[n,m]",
+               ((0, 0, "-2*a", lambda n, m: n - 2 * m),)),
+    ActionRule("action.U", "U", "U psi = -2an psi[n,m] - (1/2) psi[n,m-1] (last term absent at m=0)",
+               ((0, 0, "-2*a", lambda n, m: n), (0, -1, "-1/2", lambda n, m: 1))),
+    ActionRule("action.J0", "J0", "J0 psi = (m - n/2) psi[n,m]", ((0, 0, "1/2", lambda n, m: 2 * m - n),)),
+    ActionRule("action.J+", "J+", "J+ psi = (n-m)(m+1) psi[n,m+1]", ((0, 1, "1", lambda n, m: (n - m) * (m + 1)),)),
+    ActionRule("action.J-", "J-", "J- psi = psi[n,m-1] (0 at m=0)", ((0, -1, "1", lambda n, m: 1),)),
+    ActionRule("action.K", "K", "K psi = (n+1) psi[n,m]", ((0, 0, "1", lambda n, m: n + 1),)),
+    ActionRule("action.a1+", "a1+", "a1+ psi = (m+1) psi[n+1,m+1]", ((1, 1, "1", lambda n, m: m + 1),)),
+    ActionRule("action.a1-", "a1-", "a1- psi = psi[n-1,m-1] (0 at m=0)", ((-1, -1, "1", lambda n, m: 1),)),
+    ActionRule("action.a2+", "a2+", "a2+ psi = psi[n+1,m]", ((1, 0, "1", lambda n, m: 1),)),
+    ActionRule("action.a2-", "a2-", "a2- psi = (n-m) psi[n-1,m]", ((-1, 0, "1", lambda n, m: n - m),)),
+    ActionRule("action.D+11", "D+11", "D+11 psi = (m+1)(m+2) psi[n+2,m+2]",
+               ((2, 2, "1", lambda n, m: (m + 1) * (m + 2)),)),
+    ActionRule("action.D+12", "D+12", "D+12 psi = (m+1) psi[n+2,m+1]", ((2, 1, "1", lambda n, m: m + 1),)),
+    ActionRule("action.D+22", "D+22", "D+22 psi = psi[n+2,m]", ((2, 0, "1", lambda n, m: 1),)),
+    ActionRule("action.D-11", "D-11", "D-11 psi = psi[n-2,m-2] (0 at m<2)", ((-2, -2, "1", lambda n, m: 1),)),
+    ActionRule("action.D-12", "D-12", "D-12 psi = (n-m) psi[n-2,m-1] (0 at m=0)",
+               ((-2, -1, "1", lambda n, m: n - m),)),
+    ActionRule("action.D-22", "D-22", "D-22 psi = (n-m)(n-m-1) psi[n-2,m]",
+               ((-2, 0, "1", lambda n, m: (n - m) * (n - m - 1)),)),
 )
 
 
@@ -440,60 +398,42 @@ ACTION_RULES: tuple[ActionRule, ...] = (
 # irrep rules
 # ---------------------------------------------------------------------------
 
-# Ladder rules: op phi_{j,mu} = sqrt(coeff_sq(j,mu)) phi_{j',mu'}, with the
-# (n,m) shift recording (j',mu') on the psi grid. Diagonal rules carry the
-# eigenvalue itself (which may be negative, so no square root is involved).
-CoeffSq = Callable[[Fraction, Fraction], Fraction]
-
 
 @dataclass(frozen=True)
-class LadderRule:
+class IrrepRule:
+    """A claim on phi_{j,mu} (j = n/2, mu = m - n/2) at the one term
+    (dn, dm) of op's action rule: op phi = claim(j, mu) phi when the term
+    keeps (n, m), a diagonal rule whose claim is the eigenvalue (which may be
+    negative), else op phi = sqrt(claim(j, mu)) phi_{j',mu'}, a ladder rule
+    with j' = j + dn/2, mu' = mu + dm - dn/2."""
+
     rule_id: str
     op_name: str
-    dn: int
-    dm: int
-    coeff_sq: CoeffSq
+    claim: Callable
     anchor: str
 
 
-@dataclass(frozen=True)
-class DiagonalRule:
-    rule_id: str
-    op_name: str
-    eigenvalue: Callable[[Fraction, Fraction], Fraction]
-    anchor: str
-
-
-DIAGONAL_RULES: tuple[DiagonalRule, ...] = (
-    DiagonalRule("irrep.J0", "J0", lambda j, mu: mu, "J0 phi = mu phi"),
-    DiagonalRule("irrep.K", "K", lambda j, mu: 2 * j + 1, "K phi = (2j+1) phi"),
-)
-
-LADDER_RULES: tuple[LadderRule, ...] = (
-    LadderRule("irrep.J+", "J+", 0, 1, lambda j, mu: (j - mu) * (j + mu + 1),
-               "J+ phi = sqrt((j-mu)(j+mu+1)) phi[mu+1]"),
-    LadderRule("irrep.J-", "J-", 0, -1, lambda j, mu: (j + mu) * (j - mu + 1),
-               "J- phi = sqrt((j+mu)(j-mu+1)) phi[mu-1]"),
-    LadderRule("irrep.a1+", "a1+", 1, 1, lambda j, mu: j + mu + 1,
-               "a1+ phi = sqrt(j+mu+1) phi[j+1/2,mu+1/2]"),
-    LadderRule("irrep.a1-", "a1-", -1, -1, lambda j, mu: j + mu,
-               "a1- phi = sqrt(j+mu) phi[j-1/2,mu-1/2]"),
-    LadderRule("irrep.a2+", "a2+", 1, 0, lambda j, mu: j - mu + 1,
-               "a2+ phi = sqrt(j-mu+1) phi[j+1/2,mu-1/2]"),
-    LadderRule("irrep.a2-", "a2-", -1, 0, lambda j, mu: j - mu,
-               "a2- phi = sqrt(j-mu) phi[j-1/2,mu+1/2]"),
-    LadderRule("irrep.D+11", "D+11", 2, 2, lambda j, mu: (j + mu + 1) * (j + mu + 2),
-               "D+11 phi = sqrt((j+mu+1)(j+mu+2)) phi[j+1,mu+1]"),
-    LadderRule("irrep.D-11", "D-11", -2, -2, lambda j, mu: (j + mu) * (j + mu - 1),
-               "D-11 phi = sqrt((j+mu)(j+mu-1)) phi[j-1,mu-1]"),
-    LadderRule("irrep.D+12", "D+12", 2, 1, lambda j, mu: (j - mu + 1) * (j + mu + 1),
-               "D+12 phi = sqrt((j-mu+1)(j+mu+1)) phi[j+1,mu]"),
-    LadderRule("irrep.D-12", "D-12", -2, -1, lambda j, mu: (j - mu) * (j + mu),
-               "D-12 phi = sqrt((j-mu)(j+mu)) phi[j-1,mu]"),
-    LadderRule("irrep.D+22", "D+22", 2, 0, lambda j, mu: (j - mu + 1) * (j - mu + 2),
-               "D+22 phi = sqrt((j-mu+1)(j-mu+2)) phi[j+1,mu-1]"),
-    LadderRule("irrep.D-22", "D-22", -2, 0, lambda j, mu: (j - mu) * (j - mu - 1),
-               "D-22 phi = sqrt((j-mu)(j-mu-1)) phi[j-1,mu+1]"),
+#: in report order, which is not the order of ACTION_RULES
+IRREP_RULES: tuple[IrrepRule, ...] = (
+    IrrepRule("irrep.J0", "J0", lambda j, mu: mu, "J0 phi = mu phi"),
+    IrrepRule("irrep.K", "K", lambda j, mu: 2 * j + 1, "K phi = (2j+1) phi"),
+    IrrepRule("irrep.J+", "J+", lambda j, mu: (j - mu) * (j + mu + 1), "J+ phi = sqrt((j-mu)(j+mu+1)) phi[mu+1]"),
+    IrrepRule("irrep.J-", "J-", lambda j, mu: (j + mu) * (j - mu + 1), "J- phi = sqrt((j+mu)(j-mu+1)) phi[mu-1]"),
+    IrrepRule("irrep.a1+", "a1+", lambda j, mu: j + mu + 1, "a1+ phi = sqrt(j+mu+1) phi[j+1/2,mu+1/2]"),
+    IrrepRule("irrep.a1-", "a1-", lambda j, mu: j + mu, "a1- phi = sqrt(j+mu) phi[j-1/2,mu-1/2]"),
+    IrrepRule("irrep.a2+", "a2+", lambda j, mu: j - mu + 1, "a2+ phi = sqrt(j-mu+1) phi[j+1/2,mu-1/2]"),
+    IrrepRule("irrep.a2-", "a2-", lambda j, mu: j - mu, "a2- phi = sqrt(j-mu) phi[j-1/2,mu+1/2]"),
+    IrrepRule("irrep.D+11", "D+11", lambda j, mu: (j + mu + 1) * (j + mu + 2),
+              "D+11 phi = sqrt((j+mu+1)(j+mu+2)) phi[j+1,mu+1]"),
+    IrrepRule("irrep.D-11", "D-11", lambda j, mu: (j + mu) * (j + mu - 1),
+              "D-11 phi = sqrt((j+mu)(j+mu-1)) phi[j-1,mu-1]"),
+    IrrepRule("irrep.D+12", "D+12", lambda j, mu: (j - mu + 1) * (j + mu + 1),
+              "D+12 phi = sqrt((j-mu+1)(j+mu+1)) phi[j+1,mu]"),
+    IrrepRule("irrep.D-12", "D-12", lambda j, mu: (j - mu) * (j + mu), "D-12 phi = sqrt((j-mu)(j+mu)) phi[j-1,mu]"),
+    IrrepRule("irrep.D+22", "D+22", lambda j, mu: (j - mu + 1) * (j - mu + 2),
+              "D+22 phi = sqrt((j-mu+1)(j-mu+2)) phi[j+1,mu-1]"),
+    IrrepRule("irrep.D-22", "D-22", lambda j, mu: (j - mu) * (j - mu - 1),
+              "D-22 phi = sqrt((j-mu)(j-mu-1)) phi[j-1,mu+1]"),
 )
 
 
@@ -502,94 +442,77 @@ LADDER_RULES: tuple[LadderRule, ...] = (
 # ---------------------------------------------------------------------------
 
 
-def _split_terms(terms: list, n2: int, m2: int):
-    """An action expansion's coefficient at psi[n2,m2], and the largest
-    magnitude it puts anywhere else (nonzero when the action and irrep claims
-    name different targets)."""
-    coeff = stray = 0
-    for t_n, t_m, c in terms:
-        if t_n == n2 and t_m == m2:
-            coeff += c
-        else:
-            stray = max_or_nan(stray, abs(c))
-    return coeff, stray
-
-
 # Each irrep residual reads one step op.psi_{n,m} of the pass: its arguments
-# are the parameters, the irrep rule, n, m, the rule's claimed value there
-# (the eigenvalue or coeff_sq at j = n/2, mu = m - n/2, computed once for all
-# reports of the rule), the action rule's expansion terms, the step's float
-# reading against its direct target (see _float_ladder_residual; None for the
-# other reports), and the image's residual against the action terms.
+# are n, m, the rule's claimed value there (at j = n/2,
+# mu = m - n/2, computed once for all reports of the rule), the one action
+# term (c, n', m') of the step, its float reading against its direct target
+# (see _float_ladder_residual; None for the other reports), and the image's
+# residual against the action rule.
 
 
-def _eigenvalue_residual(params, rule, n, m, eigenvalue, terms, reading, image_residual):
+def _eigenvalue_residual(n, m, eigenvalue, target, reading, image_residual):
     """op psi_{n,m} = c psi_{n,m} holds (the image residual) and c equals the
     irrep eigenvalue."""
-    coeff, stray = _split_terms(terms, n, m)
-    return max_or_nan(image_residual, stray, abs(coeff - eigenvalue))
+    return max_or_nan(image_residual, abs(target[0] - eigenvalue))
 
 
-def _squared_ladder_residual(params, rule, n, m, c2, terms, reading, image_residual):
-    """Exact mode: op psi_{n,m} = c psi_{n',m'} holds (the image residual), the
-    action target is the ladder target, c >= 0, and, as phi is psi scaled by
-    sqrt(m!/(n-m)!), c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = coeff_sq;
-    outside the grid coeff_sq must vanish."""
-    n2, m2 = n + rule.dn, m + rule.dm
-    coeff, stray = _split_terms(terms, n2, m2)
+def _squared_ladder_residual(n, m, c2, target, reading, image_residual):
+    """Exact mode: op psi_{n,m} = c psi_{n',m'} holds (the image residual),
+    c >= 0, and, as phi is psi scaled by sqrt(m!/(n-m)!),
+    c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = claim; outside the grid the
+    claim must vanish."""
+    c, n2, m2 = target
     if not (0 <= m2 <= n2):
-        return max_or_nan(image_residual, stray, abs(c2))
-    if coeff < 0:
-        # the su(2)-type coefficients are nonnegative
-        return max_or_nan(image_residual, stray, abs(coeff))
-    # c^2 ratio == c2 with ratio = m!(n'-m')!/((n-m)! m'!), decided in integers;
-    # only a failure, or a coefficient that is no Fraction (the int 0 when no
-    # term meets the target), builds the Fraction residual
-    if isinstance(coeff, Fraction) and (
-            coeff.numerator ** 2 * factorial(m) * factorial(n2 - m2) * c2.denominator
-            == c2.numerator * coeff.denominator ** 2 * factorial(n - m) * factorial(m2)):
-        return max_or_nan(image_residual, stray)
+        return max_or_nan(image_residual, abs(c2))
+    if not c >= 0:
+        # the su(2)-type coefficients are nonnegative (and a NaN is none)
+        return max_or_nan(image_residual, abs(c))
+    # c^2 ratio == c2 with ratio = m!(n'-m')!/((n-m)! m'!), decided in
+    # integers; only a failure builds the Fraction residual
+    if (c.numerator ** 2 * factorial(m) * factorial(n2 - m2) * c2.denominator
+            == c2.numerator * c.denominator ** 2 * factorial(n - m) * factorial(m2)):
+        return image_residual
     ratio = Fraction(factorial(m) * factorial(n2 - m2), factorial(n - m) * factorial(m2))
-    return max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
+    return max_or_nan(image_residual, abs(c * c * ratio - c2))
 
 
-def _direct_target(rule: LadderRule, n: int, m: int, c2) -> list:
-    """The target of the direct report at psi_{n,m}: [(c, n', m')], the
-    ladder target with c = sqrt(c2) su2_factor(n', m'), or [] off the grid."""
-    n2, m2 = n + rule.dn, m + rule.dm
+def _direct_target(target: tuple, c2) -> list:
+    """The target of the direct report at a step whose action term is
+    ``target`` (c, n', m'): [(sqrt(c2) su2_factor(n', m'), n', m')], or []
+    off the grid."""
+    _, n2, m2 = target
     return [(sqrt(c2) * su2_factor(n2, m2), n2, m2)] if 0 <= m2 <= n2 else []
 
 
-def _float_ladder_residual(params, rule, n, m, c2, terms, reading, image_residual, *, sizes):
-    """Float, direct: op phi_{n,m} against sqrt(coeff_sq) phi_{n',m'},
-    normalized by the size of the target. phi is psi times its su(2) factor,
-    so op phi is the image times the factor of (n, m), and the target is the
-    run's own psi_{n',m'} times c = sqrt(c2) su2_factor(n', m')
+def _float_ladder_residual(n, m, c2, target, reading, image_residual, *, sizes, mode):
+    """Float, direct: op phi_{n,m} against sqrt(c2) phi_{n',m'}, c2 the
+    claim, normalized by the size of the target. phi is psi times its su(2)
+    factor, so op phi is the image times the factor of (n, m), and the target
+    is the run's own psi_{n',m'} times sqrt(c2) su2_factor(n', m')
     (``_direct_target``); ``reading`` is the largest magnitude of their
     difference, of op phi alone off the grid, read in floats. Rounding is
     monotone, so for c >= 0 the largest magnitude of c * psi is c times
     sizes(n', m'), that of psi, bit for bit. OverflowError where a reading in
-    an exact run leaves the float range (inf, or NaN = inf - inf)."""
-    n2, m2 = n + rule.dn, m + rule.dm
+    an exact run (``mode``) leaves the float range (inf, or NaN = inf - inf)."""
+    _, n2, m2 = target
     if 0 <= m2 <= n2:
         size = sqrt(c2) * su2_factor(n2, m2) * sizes(n2, m2)
     else:
         reading, size = max_or_nan(abs(float(c2)), reading), 0.0
-    if params.mode == EXACT and not isfinite(reading + size):  # both >= 0 or NaN
+    if mode == EXACT and not isfinite(reading + size):  # both >= 0 or NaN
         raise OverflowError("a float reading of the exact image or target leaves the float range")
     return reading / max_or_nan(1.0, size)
 
 
-def _irrep_checks(mode: str, rule: DiagonalRule | LadderRule, tol: float, direct: Callable) -> tuple[Callable, list]:
-    """The claimed value of one irrep rule as a function of (j, mu), and the
-    (report, residual function) of each of its reports, in report order; the
-    direct reports of every rule share the residual function ``direct``."""
-    if isinstance(rule, DiagonalRule):
-        return rule.eigenvalue, [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
+def _irrep_checks(mode: str, rule: IrrepRule, diagonal: bool, tol: float, direct: Callable) -> list:
+    """The (report, residual function) of each report of one irrep rule, in
+    report order; the direct reports of every rule share the residual
+    function ``direct``."""
+    if diagonal:
+        return [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
     squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT, tol)
     direct_check = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
-    checks = [(squared, _squared_ladder_residual)] if mode == EXACT else []
-    return rule.coeff_sq, checks + [(direct_check, direct)]
+    return ([(squared, _squared_ladder_residual)] if mode == EXACT else []) + [(direct_check, direct)]
 
 
 def _charge_parts(op: DiffOp) -> dict:
@@ -645,24 +568,31 @@ def _image_pass(
     images' cost is timed into the action report, or into the first irrep
     report otherwise.
     """
-    irrep_rules = DIAGONAL_RULES + LADDER_RULES if "irrep" in suites else ()
-    by_op = {rule.op_name: rule for rule in irrep_rules}
+    irrep_rules = IRREP_RULES if "irrep" in suites else ()
+    term_counts = {rule.op_name: len(rule.terms) for rule in ACTION_RULES}
+    by_op: dict = {}
+    for irrep_rule in irrep_rules:  # each reads the one term of its operator's action rule
+        if term_counts.get(irrep_rule.op_name) != 1:
+            raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has no action rule of one term")
+        if by_op.setdefault(irrep_rule.op_name, irrep_rule) is not irrep_rule:
+            raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has an irrep rule already")
     # psi_{n,m} by (n, m), and its largest magnitude in floats: the pass reads
     # each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
     sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
-    direct = partial(_float_ladder_residual, sizes=sizes)
-    # (action rule, its report, irrep rule, its claimed value, irrep reports,
-    # image clock)
+    direct = partial(_float_ladder_residual, sizes=sizes, mode=params.mode)
+    # (action rule, its terms with each literal evaluated, its report, irrep
+    # rule, irrep reports, image clock)
     plan = []
     for rule in ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        claim, checks = (None, []) if irrep_rule is None else _irrep_checks(params.mode, irrep_rule, tol, direct)
-        image_clock = action if "actions" in suites else checks[0][0]
-        plan.append((rule, action, irrep_rule, claim, checks, image_clock))
+        checks = [] if irrep_rule is None else _irrep_checks(
+            params.mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, direct)
+        terms = [(dn, dm, _scalar(literal, params), poly) for dn, dm, literal, poly in rule.terms]
+        plan.append((rule, terms, action, irrep_rule, checks, action if "actions" in suites else checks[0][0]))
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
     # split from each operator's stored conjugation (see model.conjugated)
@@ -676,13 +606,13 @@ def _image_pass(
         # which is so a coefficient of the mode as it stands
         halves = [(Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
                   for m in steps]
-        for rule, action, irrep_rule, claim, checks, image_clock in plan:
+        for rule, terms, action, irrep_rule, checks, image_clock in plan:
             with image_clock:
-                terms = [rule.terms(params, n, m) for m in steps]
-                values = [None] * (n + 1) if claim is None else [claim(j, mu) for j, mu in halves]
+                targets = [[(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms] for m in steps]
+                values = [None] * (n + 1) if irrep_rule is None else [irrep_rule.claim(j, mu) for j, mu in halves]
                 images = {shift: part.apply_to(level, derivatives) for shift, part in parts[rule.op_name].items()}
                 image_residuals = _step_residuals(params.mode, n, images, [
-                    [(c, n2, m2) for n2, m2, c in step if c and 0 <= m2 <= n2] for step in terms], basis)
+                    [(c, n2, m2) for c, n2, m2 in step if c and 0 <= m2 <= n2] for step in targets], basis)
             for m in steps:
                 action.add(image_residuals[m], (n, m))
             readings = [None] * (n + 1)
@@ -690,16 +620,15 @@ def _image_pass(
                 with check:
                     if residual is direct:
                         readings = _step_residuals(FLOAT, n, images, [
-                            _direct_target(irrep_rule, n, m, value) for m, value in zip(steps, values)], basis, factors)
+                            _direct_target(target, value) for [target], value in zip(targets, values)], basis, factors)
                     for m in steps:
                         try:
-                            check.add(residual(params, irrep_rule, n, m, values[m], terms[m], readings[m],
-                                               image_residuals[m]), (n, m))
+                            check.add(residual(n, m, values[m], targets[m][0], readings[m], image_residuals[m]), (n, m))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
-    actions = [action.report() for _, action, *_ in plan] if "actions" in suites else []
+    actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
     irrep = {irrep_rule.rule_id: [check.report() for check, _ in checks]
-             for _, _, irrep_rule, _, checks, *_ in plan if irrep_rule is not None}
+             for *_, irrep_rule, checks, _ in plan if irrep_rule is not None}
     return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
 
 

@@ -28,11 +28,12 @@ def whole_residual(mode, targets, image, scale=1):
     return linear_combination(mode, [*((-c, x) for c, x in targets), (scale, image)]).max_magnitude()
 
 
-def direct_reading(rule, n, m, c2, image, basis):
-    """op phi_{n,m} - c psi_{n',m'} in floats, read whole: the reading that
+def direct_reading(target, n, m, c2, image, basis):
+    """op phi_{n,m} - c psi_{n',m'} in floats, read whole, at a step whose
+    action term is ``target`` (c, n', m'): the reading that
     verifier._float_ladder_residual normalizes."""
     scale = verifier.su2_factor(n, m)
-    n2, m2 = n + rule.dn, m + rule.dm
+    _, n2, m2 = target
     if not (0 <= m2 <= n2):
         return whole_residual(FLOAT, [], image.to_float(), scale)
     c = sqrt(c2) * verifier.su2_factor(n2, m2)
@@ -42,41 +43,41 @@ def direct_reading(rule, n, m, c2, image, basis):
 def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier._image_pass gives them, from the verifier's rules as they stand."""
-    irrep_rules = verifier.DIAGONAL_RULES + verifier.LADDER_RULES if "irrep" in suites else ()
+    irrep_rules = verifier.IRREP_RULES if "irrep" in suites else ()
     by_op = {rule.op_name: rule for rule in irrep_rules}
     basis = cache(partial(model.chain_psi, params))
     sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
-    direct = partial(verifier._float_ladder_residual, sizes=sizes)
+    direct = partial(verifier._float_ladder_residual, sizes=sizes, mode=params.mode)
     plan = []
     for rule in verifier.ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        claim, checks = ((None, []) if irrep_rule is None
-                         else verifier._irrep_checks(params.mode, irrep_rule, tol, direct))
-        plan.append((rule, action, irrep_rule, claim, checks))
+        checks = [] if irrep_rule is None else verifier._irrep_checks(
+            params.mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, direct)
+        terms = [(dn, dm, model._scalar(literal, params), poly) for dn, dm, literal, poly in rule.terms]
+        plan.append((rule, terms, action, irrep_rule, checks))
     for n in range(n_max + 1):
         for m in range(n + 1):
             psi = basis(n, m)
             j, mu = (Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
-            for rule, action, irrep_rule, claim, checks in plan:
-                terms = rule.terms(params, n, m)
-                value = None if claim is None else claim(j, mu)
+            for rule, terms, action, irrep_rule, checks in plan:
+                targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
+                value = None if irrep_rule is None else irrep_rule.claim(j, mu)
                 image = model.apply(params, rule.op_name, psi)
                 image_residual = whole_residual(
-                    params.mode, [(c, basis(n2, m2)) for n2, m2, c in terms if c and 0 <= m2 <= n2], image)
+                    params.mode, [(c, basis(n2, m2)) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
                     try:
                         reading = None
                         if residual is direct:
-                            reading = direct_reading(irrep_rule, n, m, value, image, basis)
-                        check.add(residual(params, irrep_rule, n, m, value, terms, reading, image_residual), (n, m))
+                            reading = direct_reading(targets[0], n, m, value, image, basis)
+                        check.add(residual(n, m, value, targets[0], reading, image_residual), (n, m))
                     except OverflowError:
                         check.skip(FLOAT_OVERFLOW)
-    actions = [action.report() for _, action, *_ in plan] if "actions" in suites else []
+    actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
     irrep = {irrep_rule.rule_id: [check.report() for check, _ in checks]
-             for _, _, irrep_rule, _, checks in plan if irrep_rule is not None}
+             for *_, irrep_rule, checks in plan if irrep_rule is not None}
     return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
-

@@ -48,7 +48,6 @@ class TestParams:
     def test_exact_point(self, params):
         assert params.a == 1 and params.b == F(1, 4)
         assert params.sqrt_ab == F(1, 2)
-        assert params.sqrt_a_over_b == F(2)
 
     def test_positivity_required(self):
         with pytest.raises(ValueError):
@@ -92,11 +91,11 @@ class TestParams:
                              ids=["exact", "float"])
     def test_scalar_views_computed_once(self, make):
         P, fresh = make(), make()
-        views = ("a", "b", "sqrt_ab", "sqrt_a_over_b", "sqrt_b_over_a")
+        views = ("a", "b", "sqrt_ab")
         values = [getattr(P, name) for name in views]
         assert [getattr(P, name) for name in views] == values
         assert all(getattr(P, name) is value for name, value in zip(views, values))  # kept, not recomputed
-        assert values == [P.p * P.p, P.q * P.q, P.p * P.q, P.p / P.q, P.q / P.p]
+        assert values == [P.p * P.p, P.q * P.q, P.p * P.q]
         # reading the views changes neither equality nor the hash, nor what a pickle restores
         assert P == fresh and hash(P) == hash(fresh)
         for point in (P, fresh):
@@ -598,7 +597,7 @@ def test_float_coefficients_are_floats(a, b):
     coeffs = [c for obj in objects for c in obj.terms.values()]
     coeffs += [c for n in range(5) for block in (gram_block(P, n), h_block(P, n)) for row in block for c in row]
     coeffs += [moment(P, p, q) for p in range(12) for q in range(12)]
-    coeffs += [P.a, P.b, P.sqrt_ab, P.sqrt_a_over_b, P.sqrt_b_over_a, energy(P, 3)]
+    coeffs += [P.a, P.b, P.sqrt_ab, energy(P, 3)]
     assert {type(c) for c in coeffs} == {float}
 
 

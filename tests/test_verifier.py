@@ -1,6 +1,7 @@
 """Relation catalog, expression grammar, and the five verification suites."""
 
 import importlib.util
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -14,10 +15,9 @@ from hypothesis import strategies as st
 
 from jordan_osc import (
     ACTION_RULES,
-    DIAGONAL_RULES,
     EXPLICIT_NAMES,
     FLOAT,
-    LADDER_RULES,
+    IRREP_RULES,
     DiffOp,
     Params,
     Poly2,
@@ -48,6 +48,16 @@ import reference_pass
 from reference_forms import phi_scale_sq
 
 F = Fraction
+
+_ACTION_OF = {rule.op_name: rule for rule in ACTION_RULES}
+#: the irrep rules whose action term moves (n, m)
+LADDERS = tuple(rule for rule in IRREP_RULES if _ACTION_OF[rule.op_name].terms[0][:2] != (0, 0))
+
+
+def _term(point, rule, n, m):
+    """The one action term (c, n', m') an irrep rule reads at psi_{n,m}."""
+    [(dn, dm, literal, poly)] = _ACTION_OF[rule.op_name].terms
+    return model._scalar(literal, point) * poly(n, m), n + dn, m + dm
 
 
 class TestCatalogParsing:
@@ -449,13 +459,39 @@ class TestActionSuite:
         # rerun with a single corrupted rule: sign flipped on the A+ action
         import jordan_osc.verifier as v
 
-        bad = v.ActionRule(
-            "action.bad", "A+", "deliberately wrong",
-            lambda P, n, m: [(n + 1, m, P.sqrt_a_over_b)],
-        )
+        bad = v.ActionRule("action.bad", "A+", "deliberately wrong", ((1, 0, "1/2*p*q^-1", lambda n, m: 1),))
         monkeypatch.setattr(v, "ACTION_RULES", (bad,))
         reports = v.check_actions(params, n_max=2)
         assert len(reports) == 1 and not reports[0].passed
+
+    @pytest.mark.parametrize("term", [
+        (-1, 0, "4*p", lambda n, m: n - m),  # 4*p*q written as 4*p
+        (-1, 1, "4*p*q", lambda n, m: n - m),  # psi[n-1,m+1] for psi[n-1,m]
+    ], ids=["literal", "shift"])
+    def test_term_of_wrong_weight_is_refused(self, term):
+        # psi_{n,m} has weight (n - 2m, 0): B- (weight (0, 1)) takes a term
+        # of weight (dn - 2 dm, 0) + weight(literal) = (0, 1) only
+        rule = _ACTION_OF["B-"]
+        with pytest.raises(ValueError, match=r"action\.B-: the term .* has weight .*, the operator \(0, 1\)"):
+            replace(rule, terms=(term, rule.terms[1]))
+
+    def test_anchors_state_the_term_shifts(self):
+        # an anchor names its targets in text: the same shifts as the rule's
+        # terms, and a ladder irrep anchor's phi[j',mu'] is its action shift
+        # read in (j, mu): j' = j + dn/2, mu' = mu + dm - dn/2
+        def offset(text):
+            return F(text or 0)
+
+        for rule in ACTION_RULES:
+            named = {(offset(dn), offset(dm)) for dn, dm in re.findall(r"psi\[n([+-]\d+)?,m([+-]\d+)?\]", rule.anchor)}
+            assert named == {(dn, dm) for dn, dm, *_ in rule.terms}, rule.rule_id
+        for rule in IRREP_RULES:
+            [(dn, dm, *_)] = _ACTION_OF[rule.op_name].terms
+            named = re.findall(r"phi\[(?:j([+-][\d/]+),)?mu([+-][\d/]+)?\]", rule.anchor)
+            if (dn, dm) == (0, 0):
+                assert named == [], rule.rule_id
+            else:
+                assert [(offset(dj), offset(dmu)) for dj, dmu in named] == [(F(dn, 2), dm - F(dn, 2))], rule.rule_id
 
 
 class TestIrrepSuite:
@@ -464,7 +500,7 @@ class TestIrrepSuite:
         assert all(r.passed for r in reports), [r.relation_id for r in reports if not r.passed]
         sq = [r for r in reports if r.relation_id.endswith(".sq")]
         fl = [r for r in reports if r.relation_id.endswith(".float")]
-        assert len(sq) == len(LADDER_RULES) == 12
+        assert len(sq) == len(LADDERS) == 12
         assert len(fl) == 12
 
     def test_float_params_skip_exact_path(self, fparams):
@@ -483,10 +519,8 @@ def _replace_rule(rules, rule_id, **changes):
 
 
 def _at(rule, n, m):
-    """An irrep rule's claimed value at psi_{n,m}: its coeff_sq or eigenvalue
-    at j = n/2, mu = m - n/2."""
-    claim = rule.eigenvalue if isinstance(rule, verifier.DiagonalRule) else rule.coeff_sq
-    return F(claim(F(n, 2), F(2 * m - n, 2)))
+    """An irrep rule's claimed value at psi_{n,m}, at j = n/2, mu = m - n/2."""
+    return F(rule.claim(F(n, 2), F(2 * m - n, 2)))
 
 
 def _four_pass_residual(params, rule, n, m, image):
@@ -495,7 +529,7 @@ def _four_pass_residual(params, rule, n, m, image):
     one-pass residual)."""
     got = image.to_float().scale(sqrt(phi_scale_sq(n, m)))
     c2 = _at(rule, n, m)
-    n2, m2 = n + rule.dn, m + rule.dm
+    _, n2, m2 = _term(params, rule, n, m)
     if not (0 <= m2 <= n2):
         return verifier.max_or_nan(abs(float(c2)), got.max_magnitude())
     want = model.chain_psi(params, n2, m2).to_float().scale(sqrt(c2) * sqrt(phi_scale_sq(n2, m2)))
@@ -508,7 +542,7 @@ def _stacked_direct_readings(point, rule, n, basis):
     level = verifier._level(point.mode, [basis(n, m) for m in range(n + 1)])
     parts = verifier._charge_parts(model.conjugated(point, rule.op_name))
     images = {shift: part.apply_to(level, {}) for shift, part in parts.items()}
-    targets = [verifier._direct_target(rule, n, m, _at(rule, n, m)) for m in range(n + 1)]
+    targets = [verifier._direct_target(_term(point, rule, n, m), _at(rule, n, m)) for m in range(n + 1)]
     factors = [model.su2_factor(n, m) for m in range(n + 1)]
     return verifier._step_residuals(FLOAT, n, images, targets, basis, factors)
 
@@ -527,58 +561,50 @@ class TestFloatLadderResidual:
             return float(basis(n, m).max_magnitude())
 
         outside = 0
-        for rule in LADDER_RULES:
+        for rule in LADDERS:
             for n in range(7):
                 readings = _stacked_direct_readings(point, rule, n, basis)
                 for m in range(n + 1):
                     image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
-                    got = verifier._float_ladder_residual(point, rule, n, m, _at(rule, n, m), None, readings[m], None,
-                                                          sizes=sizes)
+                    target = _term(point, rule, n, m)
+                    got = verifier._float_ladder_residual(n, m, _at(rule, n, m), target, readings[m], None,
+                                                          sizes=sizes, mode=point.mode)
                     want = _four_pass_residual(point, rule, n, m, image)
                     assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
-                    outside += not (0 <= m + rule.dm <= n + rule.dn)
+                    outside += not (0 <= target[2] <= target[1])
         assert outside > 0  # out-of-grid targets were compared too
 
 
-def _fraction_squared_ladder_residual(params, rule, n, m, terms, image_residual):
+def _fraction_squared_ladder_residual(rule, n, m, target, image_residual):
     """The squared-value residual in Fractions throughout (the oracle of the
     integer decision)."""
     c2 = _at(rule, n, m)
-    n2, m2 = n + rule.dn, m + rule.dm
-    coeff = sum((c for t_n, t_m, c in terms if (t_n, t_m) == (n2, m2)), 0)
-    stray = verifier.max_or_nan(0, *(abs(c) for t_n, t_m, c in terms if (t_n, t_m) != (n2, m2)))
+    c, n2, m2 = target
     if not (0 <= m2 <= n2):
-        return verifier.max_or_nan(image_residual, stray, abs(c2))
-    if coeff < 0:
-        return verifier.max_or_nan(image_residual, stray, abs(coeff))
+        return verifier.max_or_nan(image_residual, abs(c2))
+    if c < 0:
+        return verifier.max_or_nan(image_residual, abs(c))
     ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
-    return verifier.max_or_nan(image_residual, stray, abs(coeff * coeff * ratio - c2))
-
-
-_ACTION_OF = {rule.op_name: rule for rule in ACTION_RULES}
+    return verifier.max_or_nan(image_residual, abs(c * c * ratio - c2))
 
 
 class TestSquaredLadderResidual:
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(LADDER_RULES), st.integers(0, 9).flatmap(
+    @given(st.sampled_from(LADDERS), st.integers(0, 9).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(0, n))),
            st.sampled_from([1, 1, -1, F(2), F(1, 3), F(-5, 4), 0]),
-           st.sampled_from([None, (0, 0), (1, 1), (30, 0), (2, 5)]),
            st.sampled_from([F(0), F(1, 7)]),
            st.sampled_from([Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3))]))
-    def test_integer_decision_equals_the_fraction_expression(self, rule, nm, factor, stray_at, image_residual,
-                                                             point):
-        # the true action terms, their coefficients scaled (negated, zeroed),
-        # and a term at another target, possibly off the grid
+    def test_integer_decision_equals_the_fraction_expression(self, rule, nm, factor, image_residual, point):
+        # the true action term, its coefficient scaled (negated, zeroed)
         n, m = nm
-        terms = [(t_n, t_m, c * factor) for t_n, t_m, c in _ACTION_OF[rule.op_name].terms(point, n, m)]
-        if stray_at is not None:
-            terms.append((*stray_at, F(3, 2)))
-        got = verifier._squared_ladder_residual(point, rule, n, m, _at(rule, n, m), terms, None, image_residual)
-        want = _fraction_squared_ladder_residual(point, rule, n, m, terms, image_residual)
+        c, n2, m2 = _term(point, rule, n, m)
+        target = (c * factor, n2, m2)
+        got = verifier._squared_ladder_residual(n, m, _at(rule, n, m), target, None, image_residual)
+        want = _fraction_squared_ladder_residual(rule, n, m, target, image_residual)
         assert got == want and str(got) == str(want)
-        if factor == 1 and stray_at is None and not image_residual:
-            assert got == 0  # the true coefficients pass
+        if factor == 1 and not image_residual:
+            assert got == 0  # the true coefficient passes
 
 
 class TestDerivedChecksCanFail:
@@ -589,15 +615,15 @@ class TestDerivedChecksCanFail:
         import jordan_osc.verifier as v
 
         # doubled, so still zero at the top of each chain: only in-grid values are wrong
-        monkeypatch.setattr(v, "LADDER_RULES", _replace_rule(
-            v.LADDER_RULES, "irrep.J+", coeff_sq=lambda j, mu: 2 * (j - mu) * (j + mu + 1)))
+        monkeypatch.setattr(v, "IRREP_RULES", _replace_rule(
+            v.IRREP_RULES, "irrep.J+", claim=lambda j, mu: 2 * (j - mu) * (j + mu + 1)))
         assert _failing(v.check_irrep(params, n_max=3)) == {"irrep.J+.sq", "irrep.J+.float"}
 
     def test_wrong_action_coefficient_fails_action_and_sq(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
         monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(
-            v.ACTION_RULES, "action.a1+", terms=lambda P, n, m: [(n + 1, m + 1, P.s(m + 2))]))
+            v.ACTION_RULES, "action.a1+", terms=((1, 1, "1", lambda n, m: m + 2),)))
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         # the float direct report reads the image, not the action rule
         assert failing == {"action.a1+", "irrep.a1+.sq"}
@@ -660,8 +686,7 @@ class TestDerivedChecksCanFail:
     def test_wrong_eigenvalue_fails_diagonal(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
-        monkeypatch.setattr(v, "DIAGONAL_RULES", _replace_rule(
-            v.DIAGONAL_RULES, "irrep.J0", eigenvalue=lambda j, mu: mu + 1))
+        monkeypatch.setattr(v, "IRREP_RULES", _replace_rule(v.IRREP_RULES, "irrep.J0", claim=lambda j, mu: mu + 1))
         assert _failing(v.run_suites(params, ("actions", "irrep"), n_max=3)) == {"irrep.J0"}
 
 
@@ -748,13 +773,10 @@ class TestImagePass:
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
-        terms = next(r for r in v.ACTION_RULES if r.rule_id == "action.B-").terms
-
-        def perturbed(P, n, m):
-            return [(n2, m2, c * P.s(F(1001, 1000)) if (n, m, n2, m2) == (5, 2, 4, 1) else c)
-                    for n2, m2, c in terms(P, n, m)]
-
-        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.B-", terms=perturbed))
+        first, (dn, dm, literal, _) = _ACTION_OF["B-"].terms
+        assert (dn, dm, literal) == (-1, -1, "1/2*q*p^-1")
+        perturbed = (dn, dm, "1/2000*q*p^-1", lambda n, m: 1001 if (n, m) == (5, 2) else 1000)
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.B-", terms=(first, perturbed)))
         reports = check_actions(P, n_max=7)
         assert _failing(reports) == {"action.B-"}
         assert next(r for r in reports if r.failed).anchor.endswith("[worst at n,m=(5, 2)]")
@@ -783,21 +805,21 @@ class TestImagePass:
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
-        # the .sq and .float reports of a ladder rule share its coeff_sq at (n, m)
+        # the .sq and .float reports of a ladder rule share its claim at (n, m)
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
         calls = Counter()
 
         def counted(rule):
-            def coeff_sq(j, mu):
+            def claim(j, mu):
                 calls[rule.rule_id, j, mu] += 1
-                return rule.coeff_sq(j, mu)
-            return replace(rule, coeff_sq=coeff_sq)
+                return rule.claim(j, mu)
+            return replace(rule, claim=claim)
 
-        monkeypatch.setattr(v, "LADDER_RULES", tuple(counted(rule) for rule in v.LADDER_RULES))
+        monkeypatch.setattr(v, "IRREP_RULES", tuple(counted(rule) for rule in v.IRREP_RULES))
         assert all(r.passed for r in v.check_irrep(P, n_max=4))
-        assert len(calls) == len(LADDER_RULES) * 15 and set(calls.values()) == {1}
+        assert len(calls) == len(IRREP_RULES) * 15 and set(calls.values()) == {1}
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure alone reads no image, so the pass builds no psi at all
@@ -809,8 +831,27 @@ class TestImagePass:
 
     def test_every_irrep_rule_has_an_action_rule(self):
         # the image pass reads each irrep rule off the images of its
-        # operator's action rule
-        assert {rule.op_name for rule in DIAGONAL_RULES + LADDER_RULES} <= {rule.op_name for rule in ACTION_RULES}
+        # operator's action rule, at that rule's one term
+        assert all(len(_ACTION_OF[rule.op_name].terms) == 1 for rule in IRREP_RULES)
+        assert len(ACTION_RULES) == len(_ACTION_OF)
+
+    @pytest.mark.parametrize("op_name, why", [
+        ("X", "has no action rule of one term"), ("B-", "has no action rule of one term"),
+        ("J0", "has an irrep rule already"),
+    ], ids=["no-action-rule", "two-term-action-rule", "second-rule-on-one-operator"])
+    def test_malformed_irrep_table_is_refused_before_any_image(self, params, image_counts, monkeypatch, op_name, why):
+        # an irrep rule reads the one term of its operator's action rule: one
+        # naming an operator with no action rule, or with two terms, or one
+        # whose operator another irrep rule reads already, stops the pass
+        # before any operator is conjugated or applied
+        import jordan_osc.verifier as v
+
+        bad = v.IrrepRule("irrep.X", op_name, lambda j, mu: 1, "X phi = phi")
+        monkeypatch.setattr(v, "IRREP_RULES", v.IRREP_RULES + (bad,))
+        refused = rf"irrep rule irrep\.X: {re.escape(op_name)} {why}"
+        with pytest.raises(ValueError, match=refused):
+            v.run_suites(params, ("actions", "irrep"), n_max=3)
+        assert not image_counts
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_no_difference_polynomial_is_built(self, point, request, monkeypatch):
@@ -839,19 +880,16 @@ class TestImagePass:
 
         seen = []
 
-        def recorded(rule, field):
-            claim = getattr(rule, field)
-
+        def recorded(rule):
             def recording(j, mu):
-                value = claim(j, mu)
-                seen.append((claim, j, mu, value))
+                value = rule.claim(j, mu)
+                seen.append((rule.claim, j, mu, value))
                 return value
-            return replace(rule, **{field: recording})
+            return replace(rule, claim=recording)
 
-        monkeypatch.setattr(v, "DIAGONAL_RULES", tuple(recorded(r, "eigenvalue") for r in v.DIAGONAL_RULES))
-        monkeypatch.setattr(v, "LADDER_RULES", tuple(recorded(r, "coeff_sq") for r in v.LADDER_RULES))
+        monkeypatch.setattr(v, "IRREP_RULES", tuple(recorded(r) for r in v.IRREP_RULES))
         v.check_irrep(Params.from_ab(0.79, 0.23), n_max=24)
-        assert len(seen) == (len(DIAGONAL_RULES) + len(LADDER_RULES)) * 25 * 26 // 2
+        assert len(seen) == len(IRREP_RULES) * 25 * 26 // 2
         for claim, j, mu, value in seen:
             assert type(j) is float and type(mu) is float and type(value) is float
             n, m = int(2 * j), int(mu + j)
@@ -1118,42 +1156,35 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1.0, -2.0], position)
         assert isnan(Poly2(FLOAT, {(i, 0): c for i, c in enumerate(coeffs)}).max_magnitude())
 
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_split_terms(self, position):
-        terms = [(n, 0, c) for n, c in enumerate(_with_nan([1.0, -2.0], position), start=1)]
-        coeff, stray = verifier._split_terms(terms + [(0, 0, 3.0)], 0, 0)
-        assert coeff == 3.0 and isnan(stray)
-
-    @pytest.mark.parametrize("part", ["image", "stray", "coefficient"])
-    def test_eigenvalue_residual(self, fparams, part):
-        # J0 psi_{2,1} = 0: the parts are the image residual, the stray terms
-        # and the coefficient's distance from the eigenvalue, in that order
-        terms = [(2, 1, NAN if part == "coefficient" else 5.0), (2, 0, NAN if part == "stray" else 3.0)]
+    @pytest.mark.parametrize("part", ["image", "coefficient"])
+    def test_eigenvalue_residual(self, part):
+        # J0 psi_{2,1} = 0: the parts are the image residual and the
+        # coefficient's distance from the eigenvalue, in that order
+        target = (NAN if part == "coefficient" else 5.0, 2, 1)
         image_residual = NAN if part == "image" else 1.0
-        rule = DIAGONAL_RULES[0]
-        assert isnan(verifier._eigenvalue_residual(fparams, rule, 2, 1, _at(rule, 2, 1), terms, None, image_residual))
+        rule = IRREP_RULES[0]
+        assert isnan(verifier._eigenvalue_residual(2, 1, _at(rule, 2, 1), target, None, image_residual))
 
-    @pytest.mark.parametrize("part", ["image", "stray", "coefficient"])
-    def test_squared_ladder_residual(self, params, part):
+    @pytest.mark.parametrize("part", ["image", "coefficient"])
+    def test_squared_ladder_residual(self, part):
         # J+ psi_{2,0} targets psi_{2,1}
-        terms = [(2, 1, NAN if part == "coefficient" else 1.0), (2, 0, NAN if part == "stray" else 3.0)]
+        target = (NAN if part == "coefficient" else F(1), 2, 1)
         image_residual = NAN if part == "image" else F(1)
-        rule = LADDER_RULES[0]
-        assert isnan(verifier._squared_ladder_residual(params, rule, 2, 0, _at(rule, 2, 0), terms, None,
-                                                       image_residual))
+        rule = LADDERS[0]
+        assert isnan(verifier._squared_ladder_residual(2, 0, _at(rule, 2, 0), target, None, image_residual))
 
     def test_exact_float_reading_that_overflows_raises(self, params):
         # a scaled image beyond the float range: its int / int reading is an
         # infinity, so the residual is no number to compare
         big = Poly2("exact", {(1, 0): F(10**308)})
-        rule = next(r for r in LADDER_RULES if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
-        c2 = _at(rule, 1, 0)
-        [(c, _, _)] = verifier._direct_target(rule, 1, 0, c2)
+        rule = next(r for r in LADDERS if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
+        c2, target = _at(rule, 1, 0), _term(params, rule, 1, 0)
+        [(c, _, _)] = verifier._direct_target(target, c2)
         [reading] = weyl.residual_magnitude(FLOAT, [(c, big)], big.scale(F(2)), {1: model.su2_factor(1, 0)}).values()
         assert reading == float("inf")
         with pytest.raises(OverflowError):
-            verifier._float_ladder_residual(params, rule, 1, 0, c2, [], reading, None,
-                                            sizes=lambda n, m: float(big.max_magnitude()))
+            verifier._float_ladder_residual(1, 0, c2, target, reading, None,
+                                            sizes=lambda n, m: float(big.max_magnitude()), mode=params.mode)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_float_ladder_residual_off_the_grid(self, fparams, position):
@@ -1161,7 +1192,7 @@ class TestResidualsKeepNaN:
         # residual is the image's largest magnitude
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
-        rule = LADDER_RULES[0]
+        rule = LADDERS[0]
         reading = verifier.max_or_nan(0.0, *weyl.residual_magnitude(FLOAT, [], image).values())
-        assert isnan(verifier._float_ladder_residual(fparams, rule, 1, 1, _at(rule, 1, 1), [], reading, 0.0,
-                                                     sizes=None))
+        assert isnan(verifier._float_ladder_residual(1, 1, _at(rule, 1, 1), _term(fparams, rule, 1, 1), reading, 0.0,
+                                                     sizes=None, mode=fparams.mode))
