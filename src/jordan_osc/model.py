@@ -345,6 +345,7 @@ def build_psi(params: Params, n: int, m: int) -> Poly2:
     return from_chain(params, chain_psi(params, n, m))
 
 
+@cache
 def su2_factor(n: int, m: int) -> float:
     """The su(2) rescaling sqrt(m!/(n-m)!) of phi relative to psi, in floats,
     with no Fraction: int / int rounds as float(Fraction(m!, (n-m)!)) does."""
@@ -382,7 +383,7 @@ def make_operator(params: Params, name: str) -> DiffOp:
     """Catalog operator by name: its definition evaluated at the point, every
     operator the definition names read from the point's store. Unknown names
     raise ValueError."""
-    return _evaluate(parse_expression(DEFINITIONS[canonical_name(name)]), params)
+    return _evaluate(params, parse_expression(DEFINITIONS[canonical_name(name)]))
 
 
 def explicit_form(params: Params, name: str) -> DiffOp:
@@ -390,7 +391,7 @@ def explicit_form(params: Params, name: str) -> DiffOp:
     evaluated at the point."""
     if name not in EXPLICIT_FORMS:
         raise ValueError(f"no explicit form for {name!r}; available: {', '.join(EXPLICIT_NAMES)}")
-    return _evaluate(parse_expression(EXPLICIT_FORMS[name]), params)
+    return _evaluate(params, parse_expression(EXPLICIT_FORMS[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +469,9 @@ def _scalar(token: str, params: Params) -> Coeff:
     return value
 
 
-def _evaluate(tree, params: Params) -> DiffOp:
+def _evaluate(params: Params, tree) -> DiffOp:
+    """The value of a tree at the point. Each subtree below the root is kept in
+    the point's store (``_subtree``), so one that recurs is built once there."""
     if isinstance(tree, str):  # a generator, an operator name or a scalar literal
         if tree in GENERATORS:
             return DiffOp.monomial(GENERATORS[tree][0], params.s(1))
@@ -477,14 +480,19 @@ def _evaluate(tree, params: Params) -> DiffOp:
         return DiffOp.constant(_scalar(tree, params))
     tok, *args = tree
     if tok == "neg":
-        return -_evaluate(args[0], params)
+        return -_subtree(params, args[0])
     if tok == "smul":
-        return _evaluate(args[1], params).scale(_scalar(args[0], params))
-    return _BINARY[tok](_evaluate(args[0], params), _evaluate(args[1], params))
+        return _subtree(params, args[1]).scale(_scalar(args[0], params))
+    return _BINARY[tok](_subtree(params, args[0]), _subtree(params, args[1]))
+
+
+# X in mul X X, or a subtree shared by several forms and relations, is
+# evaluated once per point; a root is not kept (make_operator keeps its own)
+_subtree = _per_point(_evaluate)
 
 
 def eval_expression(expr: str, params: Params) -> DiffOp:
-    return _evaluate(parse_expression(expr), params)
+    return _evaluate(params, parse_expression(expr))
 
 
 @cache

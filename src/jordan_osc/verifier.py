@@ -21,38 +21,38 @@ It runs level-outer, on charge lines. The charge of w^e zbar^i is e - i,
 and every term of psi_{n,m} has charge 2m - n, so the psi of one level lie on
 distinct lines and their sum Lambda_n is one polynomial, with one derivative
 table. A term w^i zbar^j dw^k dzbar^l of an operator shifts the charge by
-i - j - k + l, so each operator, read from the point's store
-(``model.conjugated``), is split into parts of one shift each. A part maps
-line 2m - n to line 2m - n + shift, so its image of Lambda_n holds the image
-of each psi_{n,m} on its own line, unmixed, and the line gives back m. Each
-part's image of a level is built once, read for every check of every step of
-the level, and dropped with the table; each report still meets its residuals
-in (n, m) order. A residual is read per charge off the image and its targets
-in one pass over their terms (``weyl.residual_magnitude``), so no difference
-polynomial is built, and the charges of one part are the steps' residuals.
+i - j - k + l, so each operator (``model.conjugated``) is split into parts of
+one shift each, and a part's image of Lambda_n holds each op psi_{n,m} on its
+own line, which gives back m; it is built once and dropped with the level.
 
 The action and irrep rules are data. An action rule (``ACTION_RULES``)
 writes op psi_{n,m} as terms (dn, dm, literal, poly): a scalar literal of the
 prefix grammar (see model), evaluated once per pass, times poly(n, m), an
 integer-valued function, at psi_{n+dn,m+dm}. psi_{n,m} has weight (n - 2m, 0)
 under sigma_P (see below), so each term's weight is derived from its literal
-and shift, and a rule with a term off its operator's weight is refused when it
-is built. An irrep rule (``IRREP_RULES``) names an operator and a claim in
-(j, mu); its target is the one term of that operator's action rule, so each
-shift is stated once, and it is diagonal when that term keeps (n, m). A table
-in which an irrep rule finds no action rule of one term, or an operator that
-another irrep rule reads, is refused before any image is built.
+and shift, and a rule is refused when it is built if a term is off its
+operator's weight or two terms shift the charge, 2dm - dn, by one amount. So
+each part meets at most one target, the level Lambda_{n+dn} with each line
+weighted by its step's coefficient, and each image is read once against it
+(``weyl.line_residuals``): no difference polynomial is built, and an exact
+step that passes builds no Fraction. An irrep rule (``IRREP_RULES``) names an
+operator and a claim in (j, mu); its target is the one term of that
+operator's action rule, so each shift is stated once, and it is diagonal when
+that term keeps (n, m). A table in which an irrep rule finds no action rule
+of one term, or an operator that another irrep rule reads, is refused before
+any image is built.
 
 The exact squared-value report irrep.<rule>.sq of a ladder rule reads the
 step's action coefficient c: c >= 0 and c^2 m!(n'-m')!/((n-m)! m'!) equals
 the claim, decided in integers, so its residual also carries the image's
 residual against the action rule. irrep.J0 and irrep.K compare the action
 coefficient with the claimed eigenvalue. The direct reports irrep.<rule>.float
-read the same images in both modes, in floats and each line rescaled to
-op phi, against the run's own psi_{n',m'} times the square root of the claim
-and its su(2) factor sqrt(m'!/(n'-m')!) (``su2_factor``), the only irrational
-number of an exact run. A float run evaluates each claim at j = n/2,
-mu = m - n/2 in floats, which hold those values exactly. The quadrature oracle
+read the same images in the same walk, in both modes, in floats and each line
+rescaled to op phi, against the run's own psi_{n',m'} times the square root of
+the claim and its su(2) factor sqrt(m'!/(n'-m')!) (``su2_factor``), the only
+irrational number of an exact run. Each claim is evaluated at j = n/2,
+mu = m - n/2, held exactly: in floats in a float run, else in ints at an even
+n and Fractions at an odd one. The quadrature oracle
 too reads the run's own basis, so an exact run builds nothing in floats; a
 reading that leaves the float range skips its check at that step, unless a
 residual already failed it.
@@ -122,9 +122,11 @@ from .weyl import (
     DiffOp,
     Poly2,
     adjoint,
+    _float_values,
+    line_residuals,
     max_or_nan,
-    residual_magnitude,
     swap_vars,
+    to_ints,
     zero,
 )
 
@@ -346,6 +348,9 @@ class ActionRule:
     terms: tuple
 
     def __post_init__(self) -> None:
+        shifts = [2 * dm - dn for dn, dm, *_ in self.terms]
+        if len(set(shifts)) < len(shifts):  # each charge part of the operator meets one target
+            raise ValueError(f"{self.rule_id}: two terms shift the charge 2dm - dn by one amount, {shifts}")
         want = _weight(self.op_name)
         for dn, dm, literal, _ in self.terms:
             alpha, beta = _weight(parse_expression(literal))
@@ -405,7 +410,8 @@ class IrrepRule:
     (dn, dm) of op's action rule: op phi = claim(j, mu) phi when the term
     keeps (n, m), a diagonal rule whose claim is the eigenvalue (which may be
     negative), else op phi = sqrt(claim(j, mu)) phi_{j',mu'}, a ladder rule
-    with j' = j + dn/2, mu' = mu + dm - dn/2."""
+    with j' = j + dn/2, mu' = mu + dm - dn/2. claim uses +, - and * only: an
+    exact run passes ints at an even n."""
 
     rule_id: str
     op_name: str
@@ -476,20 +482,12 @@ def _squared_ladder_residual(n, m, c2, target, reading, image_residual):
     return max_or_nan(image_residual, abs(c * c * ratio - c2))
 
 
-def _direct_target(target: tuple, c2) -> list:
-    """The target of the direct report at a step whose action term is
-    ``target`` (c, n', m'): [(sqrt(c2) su2_factor(n', m'), n', m')], or []
-    off the grid."""
-    _, n2, m2 = target
-    return [(sqrt(c2) * su2_factor(n2, m2), n2, m2)] if 0 <= m2 <= n2 else []
-
-
 def _float_ladder_residual(n, m, c2, target, reading, image_residual, *, sizes, mode):
     """Float, direct: op phi_{n,m} against sqrt(c2) phi_{n',m'}, c2 the
     claim, normalized by the size of the target. phi is psi times its su(2)
     factor, so op phi is the image times the factor of (n, m), and the target
     is the run's own psi_{n',m'} times sqrt(c2) su2_factor(n', m')
-    (``_direct_target``); ``reading`` is the largest magnitude of their
+    (see _read_level); ``reading`` is the largest magnitude of their
     difference, of op phi alone off the grid, read in floats. Rounding is
     monotone, so for c >= 0 the largest magnitude of c * psi is c times
     sizes(n', m'), that of psi, bit for bit. OverflowError where a reading in
@@ -526,48 +524,57 @@ def _charge_parts(op: DiffOp) -> dict:
     return {shift: DiffOp._normalized(op.mode, nums, op.den) for shift, nums in parts.items()}
 
 
-def _level(mode: str, psis: list) -> Poly2:
-    """sum_m psi_{n,m} as one polynomial over one denominator: each psi_{n,m}
-    lies on charge 2m - n alone, so no two of them share a monomial."""
+def _level(mode: str, psis: list) -> tuple[Poly2, dict, dict]:
+    """Lambda_n = sum_m psi_{n,m} over one denominator (each psi_{n,m} lies on
+    charge 2m - n alone), its float reading, and charge -> monomial count."""
     den = lcm(*(psi.den for psi in psis))
-    return Poly2._normalized(mode, {key: u * (den // psi.den) for psi in psis for key, u in psi.nums.items()}, den)
+    level = Poly2._normalized(mode, {key: u * (den // psi.den) for psi in psis for key, u in psi.nums.items()}, den)
+    return level, _float_values(level), {2 * m - len(psis) + 1: len(psi.nums) for m, psi in enumerate(psis)}
 
 
-def _step_residuals(mode: str, n: int, images: dict, targets: list, basis: Callable, factors=None) -> list:
-    """For each step m of level n, the largest magnitude of op psi_{n,m} -
-    sum c psi_{n',m'} over the (c, n', m') of ``targets[m]``, read in ``mode``
-    (with op psi_{n,m} times ``factors[m]`` if given, in floats). ``images``
-    holds op applied to the level, by charge shift (``_charge_parts``): step
-    m's image under the part of shift s lies on charge 2m - n + s, as does a
-    target with 2m' - n' = 2m - n + s, so each charge read against one part
-    belongs to one step."""
-    groups: dict = {shift: [] for shift in images}
-    for m, step in enumerate(targets):
-        for c, n2, m2 in step:
-            groups.setdefault(2 * (m2 - m) - n2 + n, []).append((c, basis(n2, m2)))
-    worst = [zero(mode)] * (n + 1)
-    for shift, group in groups.items():
-        image = images[shift] if shift in images else Poly2.zero(mode)
-        scale = 1 if factors is None else {2 * m - n + shift: f for m, f in enumerate(factors)}
-        for charge, residual in residual_magnitude(mode, group, image, scale).items():
-            m = (charge - shift + n) // 2
-            if residual > worst[m] or residual != residual:  # max_or_nan, inline
-                worst[m] = residual
-    return worst
+def _reads(params: Params, rule: ActionRule) -> list:
+    """(shift, op's part of that charge shift or None, the term (dn, dm,
+    numerator, denominator, poly) that shifts the charge by 2dm - dn or None)
+    for each shift of op's parts (of its stored conjugation) or terms."""
+    parts = _charge_parts(model.conjugated(params, rule.op_name))
+    terms = {2 * dm - dn: (dn, dm, *to_ints(params.mode, [_scalar(literal, params)]), poly)
+             for dn, dm, literal, poly in rule.terms}
+    return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
+
+
+def _read_level(mode: str, n: int, reads: list, levels: Callable, derivatives: dict, values=None) -> tuple:
+    """Per step m of level n, the residual of op psi_{n,m} against the rule's
+    terms in ``mode``, and, given a ladder rule's claims ``values``, that of
+    op phi_{n,m} against sqrt(claim) phi_{n',m'} in floats (else zeros): each
+    part's image of Lambda_n read once against its term's level."""
+    level, worst, readings = levels(n)[0], [0] * (n + 1), [0] * (n + 1)
+    for shift, part, term in reads:
+        image = Poly2.zero(mode) if part is None else part.apply_to(level, derivatives)
+        (target, floats, counts), weights, den, grid = levels(-1), {}, 1, ()
+        if term is not None:
+            dn, dm, [num], den, poly = term
+            target, floats, counts = levels(n + dn)
+            grid = range(max(0, -dm), min(n, n + dn - dm) + 1)  # the steps whose target is on the grid
+            weights = {2 * m - n + shift: num * poly(n, m) for m in grid}
+        direct = None if values is None else (
+            {2 * m - n + shift: sqrt(values[m]) * su2_factor(n + dn, m + dm) for m in grid},
+            {2 * m - n + shift: su2_factor(n, m) for m in range(n + 1)}, floats)
+        for out, found in zip((worst, readings), line_residuals(image, target, counts, weights, den, direct)):
+            for charge, r in found.items():
+                m = (charge - shift + n) // 2
+                if r > out[m] or r != r:  # max_or_nan, inline
+                    out[m] = r
+    return worst, readings
 
 
 def _image_pass(
     params: Params, suites: Iterable[str], n_max: int, tol: float
 ) -> tuple[list[Report], list[Report]]:
     """Reports of the actions and irrep suites among ``suites``, each in report
-    order.
-
-    Level-outer, on charge lines (see the module docstring): each operator
-    is split by charge shift once per pass, and each level is one polynomial
-    with one derivative table, which every part's image of it reads. The
-    images' cost is timed into the action report, or into the first irrep
-    report otherwise.
-    """
+    order: level-outer, on charge lines (see the module docstring), each level
+    one polynomial with one derivative table. The images' cost is timed into
+    the action report, or into the first irrep report otherwise."""
+    mode = params.mode
     irrep_rules = IRREP_RULES if "irrep" in suites else ()
     term_counts = {rule.op_name: len(rule.terms) for rule in ACTION_RULES}
     by_op: dict = {}
@@ -577,58 +584,53 @@ def _image_pass(
         if by_op.setdefault(irrep_rule.op_name, irrep_rule) is not irrep_rule:
             raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has an irrep rule already")
     # psi_{n,m} by (n, m), and its largest magnitude in floats: the pass reads
-    # each at up to a dozen steps, and from the point's store once
+    # each at up to a dozen steps, and from the point's store once; a level
+    # below 0 is empty
     basis = cache(partial(chain_psi, params))
     sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
-    direct = partial(_float_ladder_residual, sizes=sizes, mode=params.mode)
-    # (action rule, its terms with each literal evaluated, its report, irrep
-    # rule, irrep reports, image clock)
+    levels = cache(lambda n: _level(mode, [basis(n, m) for m in range(n + 1)]))
+    direct = partial(_float_ladder_residual, sizes=sizes, mode=mode)
+    # (action report, irrep rule, irrep reports, image clock, the rule's reads)
     plan = []
     for rule in ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
         if irrep_rule is None and "actions" not in suites:
             continue
-        action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
+        action = _Check(rule.rule_id, rule.anchor, mode, tol)
         checks = [] if irrep_rule is None else _irrep_checks(
-            params.mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, direct)
-        terms = [(dn, dm, _scalar(literal, params), poly) for dn, dm, literal, poly in rule.terms]
-        plan.append((rule, terms, action, irrep_rule, checks, action if "actions" in suites else checks[0][0]))
+            mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, direct)
+        plan.append((action, irrep_rule, checks, action if "actions" in suites else checks[0][0],
+                     _reads(params, rule)))
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
-    # split from each operator's stored conjugation (see model.conjugated)
-    parts = {rule.op_name: _charge_parts(model.conjugated(params, rule.op_name)) for rule, *_ in plan}
     for n in range(n_max + 1):
         steps = range(n + 1)
-        level = _level(params.mode, [basis(n, m) for m in steps])
         derivatives: dict = {}  # the derivative table of the level
-        factors = [su2_factor(n, m) for m in steps]
-        # halves of small integers, exact in floats too, as is each claim,
-        # which is so a coefficient of the mode as it stands
-        halves = [(Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
-                  for m in steps]
-        for rule, terms, action, irrep_rule, checks, image_clock in plan:
+        # (j, mu) = (n/2, m - n/2): exact in floats too, as is each claim, so
+        # it is a coefficient of the mode as it stands; ints at an even n
+        halves = [(n / 2, m - n / 2) if mode == FLOAT else (n // 2, m - n // 2) if n % 2 == 0
+                  else (Fraction(n, 2), Fraction(2 * m - n, 2)) for m in steps]
+        for action, irrep_rule, checks, image_clock, reads in plan:
             with image_clock:
-                targets = [[(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms] for m in steps]
-                values = [None] * (n + 1) if irrep_rule is None else [irrep_rule.claim(j, mu) for j, mu in halves]
-                images = {shift: part.apply_to(level, derivatives) for shift, part in parts[rule.op_name].items()}
-                image_residuals = _step_residuals(params.mode, n, images, [
-                    [(c, n2, m2) for c, n2, m2 in step if c and 0 <= m2 <= n2] for step in targets], basis)
+                values = irrep_rule and [irrep_rule.claim(j, mu) for j, mu in halves]
+                if irrep_rule is not None:  # the one action term (c, n', m') of each step
+                    [(dn, dm, [num], den, poly)] = [term for _, _, term in reads if term is not None]
+                    targets = [(num * poly(n, m) if den == 1 else Fraction(num * poly(n, m), den), n + dn, m + dm)
+                               for m in steps]
+                ladder = any(residual is direct for _, residual in checks)
+                worst, readings = _read_level(mode, n, reads, levels, derivatives, values if ladder else None)
             for m in steps:
-                action.add(image_residuals[m], (n, m))
-            readings = [None] * (n + 1)
+                action.add(worst[m], (n, m))
             for check, residual in checks:
                 with check:
-                    if residual is direct:
-                        readings = _step_residuals(FLOAT, n, images, [
-                            _direct_target(target, value) for [target], value in zip(targets, values)], basis, factors)
                     for m in steps:
                         try:
-                            check.add(residual(n, m, values[m], targets[m][0], readings[m], image_residuals[m]), (n, m))
+                            check.add(residual(n, m, values[m], targets[m], readings[m], worst[m]), (n, m))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
-    actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
+    actions = [action.report() for action, *_ in plan] if "actions" in suites else []
     irrep = {irrep_rule.rule_id: [check.report() for check, _ in checks]
-             for *_, irrep_rule, checks, _ in plan if irrep_rule is not None}
+             for _, irrep_rule, checks, *_ in plan if irrep_rule is not None}
     return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
 
 

@@ -17,10 +17,10 @@ normalizing constructor ``_normalized``, reducing once per result, never per
 term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
 negation and ``scale``), ``_product`` (both ``*`` and ``commutator``),
 ``adjoint``, ``apply_to`` (whose table of derivatives several operators can
-share), ``swap_vars`` and ``to_float``. ``residual_magnitude`` reads the
-largest coefficient of a linear combination on each charge deg_z - deg_zbar
-without building it. ``.terms`` (key -> ``Fraction`` or ``float``) is
-derived on demand for readers such as printing; no kernel reads it.
+share), ``swap_vars`` and ``to_float``. ``line_residuals`` reads the
+largest coefficient of image - c * target on each charge deg_z - deg_zbar,
+one c per charge, without building it. ``.terms`` (key -> ``Fraction`` or
+``float``) is derived on demand for readers such as printing; no kernel reads it.
 
 Two layers build on the coefficients:
 
@@ -396,10 +396,9 @@ linear_combination = Poly2.linear_combination
 
 
 def _float_values(x: _TermMap) -> dict:
-    """The coefficients of x read in floats, key -> value: a float map's own
-    ``nums``, an exact map's as to_float reads them, except that a coefficient
-    beyond the float range reads as an infinity of its sign, as float
-    arithmetic rounds an overflow, where to_float raises."""
+    """x's coefficients in floats, key -> value: a float map's ``nums``, an
+    exact map's as to_float reads them, but one beyond the float range as an
+    infinity of its sign, as float arithmetic rounds it, where to_float raises."""
     if x.mode == FLOAT:
         return x.nums
     values = {}
@@ -411,43 +410,57 @@ def _float_values(x: _TermMap) -> dict:
     return values
 
 
-def residual_magnitude(mode: str, targets, image: Poly2, scale=1) -> dict:
-    """Per charge deg_z - deg_zbar, the largest coefficient magnitude of
-    sum (-c) x + scale * image over the (c, x) targets with c != 0, without
-    building that polynomial: charge -> the value of ``linear_combination(mode,
-    [*((-c, x) for c, x in targets), (scale, image)]).max_magnitude()`` over
-    that charge's monomials, bit for bit, a NaN winning as there. A charge with
-    no monomial in the targets or the image is absent. In float mode ``scale``
-    may be a dict, charge -> the factor of the image's monomials of that
-    charge.
-
-    Exact: the numerators are summed over one common denominator, and only
-    each charge's largest is a Fraction. Float: each monomial adds the targets
-    in order and the image last, as linear_combination does, reading an exact
-    polynomial in floats by ``_float_values``."""
-    if mode == EXACT:
-        parts = [(-c.numerator, c.denominator * x.den, x.nums) for c, x in targets if c]
-        parts.append((scale.numerator, scale.denominator * image.den, image.nums))
-        common = lcm(*(den for _, den, _ in parts))
-        parts = [(num * (common // den), nums) for num, den, nums in parts]
-    else:
-        parts = [*((-c, _float_values(x)) for c, x in targets if c), (scale, _float_values(image))]
-    sums: dict = {}
-    for c, nums in parts:
-        if type(c) is dict:
-            for key, u in nums.items():
-                sums[key] = sums.get(key, 0) + c[key[0] - key[1]] * u
+def line_residuals(image: Poly2, target: Poly2, sizes: dict, weights: dict, den: int = 1,
+                   direct: tuple | None = None) -> tuple[dict, dict]:
+    """Per charge deg_z - deg_zbar, the largest magnitude of image - (w / den)
+    target on that charge, w = weights[charge] (float mode: the coefficient,
+    den 1; none or 0: the image alone), bit for bit as linear_combination
+    then max_magnitude give it; a zero is absent. One walk reads the image,
+    looking each monomial up in the target; a match count against ``sizes``
+    (charge -> the target's monomials there) finds those the image lacks.
+    Exact: each monomial is decided in integers, and only a charge's largest
+    residual becomes a Fraction. With ``direct`` = (weights, scales, the
+    target's _float_values), the walk also reads scales * image - weights *
+    target, per charge, in floats."""
+    exact, inums, iden, tnums = image.mode == EXACT, image.nums, image.den, target.nums
+    dweights, scales, tfloats = direct or ({}, None, None)
+    ufloats = _float_values(image) if direct else None
+    # per charge with a target, (a, b): u a - t b over iden a is the exact
+    # residual of a monomial, -b t + u the float one; b = 0 for the direct reading's alone
+    mults = {charge: (1, 0) for charge, c in dweights.items() if c}
+    mults.update({charge: (den * target.den, w * iden) if exact else (1, w) for charge, w in weights.items() if w})
+    worst, dworst, matched = {}, {}, 0
+    for key, u in inums.items():
+        charge = key[0] - key[1]
+        ab = mults.get(charge)
+        t = None if ab is None else tnums.get(key)
+        if t is None:
+            v = u if ab is None else u * ab[0]
         else:
-            for key, u in nums.items():
-                sums[key] = sums.get(key, 0) + c * u
-    worst: dict = {}
-    for (i, j), v in sums.items():
-        v, charge = abs(v), i - j
-        if charge not in worst or v > worst[charge] or v != v:
-            worst[charge] = v
-    if mode == EXACT:
-        return {charge: Fraction(v, common) for charge, v in worst.items()}
-    return worst
+            a, b = ab
+            matched += 1
+            v = u * a - t * b if exact else -b * t + u if b else u
+        if v:
+            v = abs(v)
+            if v > worst.get(charge, 0) or v != v:
+                worst[charge] = v
+        if direct:
+            c = dweights.get(charge)
+            u = scales[charge] * ufloats[key]
+            v = abs(u if not c or t is None else -c * tfloats[key] + u)
+            if v > dworst.get(charge, 0) or v != v:
+                dworst[charge] = v
+    if matched < sum(sizes.get(charge, 0) for charge in mults):  # a target monomial the image lacks
+        for key, t in tnums.items():
+            charge = key[0] - key[1]
+            if charge in mults and key not in inums:
+                b, c = mults[charge][1], dweights.get(charge)
+                for out, v in ((worst, abs(t * b) if b else 0), (dworst, abs(c * tfloats[key]) if c else 0)):
+                    if v and (v > out.get(charge, 0) or v != v):  # the largest, a NaN winning
+                        out[charge] = v
+    if exact:
+        worst = {charge: Fraction(v, iden * mults.get(charge, (1,))[0]) for charge, v in worst.items()}
+    return worst, dworst
 
 
 # ---------------------------------------------------------------------------

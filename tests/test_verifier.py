@@ -475,6 +475,35 @@ class TestActionSuite:
         with pytest.raises(ValueError, match=r"action\.B-: the term .* has weight .*, the operator \(0, 1\)"):
             replace(rule, terms=(term, rule.terms[1]))
 
+    def test_two_terms_of_one_charge_shift_are_refused(self):
+        # J+ psi[n,m+1] and a psi[n+2,m+2] term both shift the charge by 2, so
+        # one charge part of J+ would meet two targets
+        rule = _ACTION_OF["J+"]
+        with pytest.raises(ValueError, match=r"action\.J\+: two terms shift the charge 2dm - dn by one amount"):
+            replace(rule, terms=(*rule.terms, (2, 2, "1", lambda n, m: 1)))
+
+    @pytest.mark.parametrize("point", ["params", "fparams"])
+    def test_a_target_no_part_reaches_reports_its_size(self, point, request, monkeypatch):
+        # J+ has no charge part of shift 0, so nothing of its image meets a
+        # psi[n,m] term: action.J+ then reads the size of that target, a^-1
+        # psi_{n,m}, at its largest, as the per-(n, m) pass does
+        import jordan_osc.verifier as v
+
+        P = request.getfixturevalue(point)
+        assert 0 not in v._charge_parts(model.conjugated(P, "J+"))
+        rule = _ACTION_OF["J+"]
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(
+            v.ACTION_RULES, "action.J+", terms=(*rule.terms, (0, 0, "1*a^-1", lambda n, m: 1))))
+        reports = check_actions(P, n_max=5)
+        assert _failing(reports) == {"action.J+"}
+        sizes = {(n, m): chain_psi(P, n, m).max_magnitude() / P.a for n in range(6) for m in range(n + 1)}
+        worst = max(sizes.values())
+        failed = next(r for r in reports if r.failed)
+        assert failed.residual == str(worst) != str(P.s(0))
+        assert failed.anchor.endswith(f"[worst at n,m={next(at for at, v in sizes.items() if v == worst)}]")
+        strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
+        assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5)[0]))
+
     def test_anchors_state_the_term_shifts(self):
         # an anchor names its targets in text: the same shifts as the rule's
         # terms, and a ladder irrep anchor's phi[j',mu'] is its action shift
@@ -539,12 +568,9 @@ def _four_pass_residual(params, rule, n, m, image):
 def _stacked_direct_readings(point, rule, n, basis):
     """The direct readings of one ladder rule at every step of level n, as the
     pass reads them: off its operator's images of the stacked level."""
-    level = verifier._level(point.mode, [basis(n, m) for m in range(n + 1)])
-    parts = verifier._charge_parts(model.conjugated(point, rule.op_name))
-    images = {shift: part.apply_to(level, {}) for shift, part in parts.items()}
-    targets = [verifier._direct_target(_term(point, rule, n, m), _at(rule, n, m)) for m in range(n + 1)]
-    factors = [model.su2_factor(n, m) for m in range(n + 1)]
-    return verifier._step_residuals(FLOAT, n, images, targets, basis, factors)
+    levels = lambda k: verifier._level(point.mode, [basis(k, m) for m in range(k + 1)])  # noqa: E731
+    reads = verifier._reads(point, _ACTION_OF[rule.op_name])
+    return verifier._read_level(point.mode, n, reads, levels, {}, [_at(rule, n, m) for m in range(n + 1)])[1]
 
 
 class TestFloatLadderResidual:
@@ -764,6 +790,41 @@ class TestImagePass:
         assert [list(map(strip, reports)) for reports in got] == [list(map(strip, reports)) for reports in want]
         if point.p > 10**50:  # the float readings of the higher levels overflow
             assert {r.status for r in got[1] if r.relation_id.endswith(".float")} == {"skip"}
+
+    # a1+ psi = (m+1) psi[n+1,m+1], a1+ = (2w - dzbar)/2 in the chain
+    # variables. A stray w^3 zbar^2 term of a1+'s charge shift puts image
+    # monomials on the target's lines above the target's degree; without its
+    # dzbar term the image of psi_{3,1}, w psi_{3,1}, lacks the constant of
+    # psi_{4,2}. At p = 10^100 a float reading of the images leaves the float
+    # range, so the .float steps skip, unless a residual already failed them
+    @pytest.mark.parametrize("point", [
+        Params.exact(1, F(1, 2)), Params.from_ab(1.0, 0.25), Params.exact(F(10) ** 100, 1),
+    ], ids=["exact-1-1/2", "float-1-0.25", "exact-1e100-1"])
+    @pytest.mark.parametrize("corruption", ["stray", "missing"])
+    def test_a_failing_reading_equals_the_reference(self, point, corruption, monkeypatch):
+        conjugated = model.conjugated
+
+        def corrupted(P, name):
+            op = conjugated(P, name)
+            if name != "a1+":
+                return op
+            if corruption == "stray":
+                return op + DiffOp.monomial((3, 2, 0, 0), P.s(F(1, 1000)))
+            return DiffOp._normalized(op.mode, {key: v for key, v in op.nums.items() if key != (0, 0, 0, 1)}, op.den)
+
+        monkeypatch.setattr(model, "conjugated", corrupted)
+        image, target = corrupted(point, "a1+").apply_to(chain_psi(point, 3, 1)).nums, chain_psi(point, 4, 2).nums
+        assert (image.keys() - target.keys()) if corruption == "stray" else (target.keys() - image.keys())
+        strip = lambda r: (r.relation_id, r.anchor, r.mode, r.status, r.residual)  # noqa: E731
+        got = verifier._image_pass(point, ("actions", "irrep"), 6, verifier.DEFAULT_TOL)
+        want = reference_pass.image_pass(point, ("actions", "irrep"), 6)
+        assert [list(map(strip, reports)) for reports in got] == [list(map(strip, reports)) for reports in want]
+        failing = {"action.a1+", "irrep.a1+.float"} | ({"irrep.a1+.sq"} if point.mode == "exact" else set())
+        assert {r.relation_id for r in got[0] + got[1] if r.failed} == failing
+        if point.p > 10**50:  # the failure found below the overflow is reported, beside the skipped steps
+            floats = {r.relation_id: r for r in got[1] if r.relation_id.endswith(".float")}
+            assert {rid for rid, r in floats.items() if r.skipped} == floats.keys() - failing
+            assert floats["irrep.a1+.float"].anchor.endswith(verifier.FLOAT_OVERFLOW)
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_a_wrong_coefficient_fails_at_its_own_step(self, point, request, monkeypatch):
@@ -1179,9 +1240,11 @@ class TestResidualsKeepNaN:
         big = Poly2("exact", {(1, 0): F(10**308)})
         rule = next(r for r in LADDERS if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
         c2, target = _at(rule, 1, 0), _term(params, rule, 1, 0)
-        [(c, _, _)] = verifier._direct_target(target, c2)
-        [reading] = weyl.residual_magnitude(FLOAT, [(c, big)], big.scale(F(2)), {1: model.su2_factor(1, 0)}).values()
-        assert reading == float("inf")
+        c = sqrt(c2) * model.su2_factor(1, 1)
+        _, readings = weyl.line_residuals(big.scale(F(2)), big, {1: 1}, {}, direct=(
+            {1: c}, {1: model.su2_factor(1, 0)}, weyl._float_values(big)))
+        assert readings == {1: float("inf")}
+        reading = readings[1]
         with pytest.raises(OverflowError):
             verifier._float_ladder_residual(1, 0, c2, target, reading, None,
                                             sizes=lambda n, m: float(big.max_magnitude()), mode=params.mode)
@@ -1193,6 +1256,6 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDERS[0]
-        reading = verifier.max_or_nan(0.0, *weyl.residual_magnitude(FLOAT, [], image).values())
+        reading = verifier.max_or_nan(0.0, *weyl.line_residuals(image, Poly2.zero(FLOAT), {}, {})[0].values())
         assert isnan(verifier._float_ladder_residual(1, 1, _at(rule, 1, 1), _term(fparams, rule, 1, 1), reading, 0.0,
                                                      sizes=None, mode=fparams.mode))

@@ -21,7 +21,8 @@ from jordan_osc import (
     linear_combination,
     swap_vars,
 )
-from jordan_osc.weyl import residual_magnitude
+from jordan_osc import weyl
+from jordan_osc.weyl import line_residuals
 
 from conftest import close, diff_ops, mixed_fractions, polys, small_fractions
 
@@ -555,11 +556,13 @@ class TestIntegerKernels:
 
 
 # ---------------------------------------------------------------------------
-# residual_magnitude: the largest coefficient of a combination never built
+# line_residuals: the largest coefficient of a combination never built, per
+# charge line
 # ---------------------------------------------------------------------------
 
 SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")])
 float_coeffs = st.one_of(st.floats(-1e3, 1e3), SPECIAL_FLOATS)
+CHARGES = range(-3, 4)  # the keys run over 0..3
 
 
 @st.composite
@@ -569,66 +572,101 @@ def float_polys(draw):
     return Poly2(FLOAT, {**draw(polys(mixed_fractions)).to_float().terms, **extra})
 
 
-def _combined_magnitude(mode, targets, image, scale):
-    # the oracle: build sum (-c) x + scale * image (scale a dict: image's
-    # monomials of each charge scaled by its factor), then read its largest
-    # coefficient on each charge its terms meet
-    if isinstance(scale, dict):
-        image = linear_combination(mode, [(scale[charge], Poly2._normalized(
-            mode, {(i, j): u for (i, j), u in image.nums.items() if i - j == charge}, image.den)) for charge in scale])
-        scale = 1
-    built = linear_combination(mode, [*((-c, x) for c, x in targets), (scale, image)])
-    keys = [key for c, x in targets if c for key in x.nums] + list(image.nums)
-    return {charge: Poly2._normalized(mode, {(i, j): u for (i, j), u in built.nums.items() if i - j == charge},
-                                      built.den).max_magnitude()
-            for charge in {i - j for i, j in keys}}
+def _line(x, charge):
+    return Poly2._normalized(x.mode, {(i, j): u for (i, j), u in x.nums.items() if i - j == charge}, x.den)
+
+
+def _combined_magnitude(mode, image, target, weights, scale=None):
+    # the oracle: on each charge of the image or of a weighted target line,
+    # build scale * image - c * target (c its weight, dropped if zero; scale
+    # that charge's factor, 1 if none) and read its largest coefficient; a
+    # zero is left out
+    charges = {i - j for i, j in image.nums} | {i - j for i, j in target.nums if weights.get(i - j)}
+    out = {}
+    for charge in charges:
+        c = weights.get(charge)
+        pairs = [(-c, _line(target, charge))] if c else []
+        v = linear_combination(mode, [*pairs, (1 if scale is None else scale[charge], _line(image, charge))])
+        out[charge] = v.max_magnitude()
+    return {charge: v for charge, v in out.items() if v}
 
 
 def _hex(per_charge):
     return {charge: v.hex() for charge, v in per_charge.items()}
 
 
+def _sizes(target):
+    return {charge: len(_line(target, charge).nums) for charge in CHARGES}
+
+
+@st.composite
+def exact_lines(draw):
+    # (image, target, numerators, den): the image is the weighted target plus
+    # a few stray terms, or a polynomial of its own
+    target, stray = draw(polys(mixed_fractions)), draw(polys(mixed_fractions))
+    nums = draw(st.dictionaries(st.sampled_from(CHARGES), st.integers(-4, 4), max_size=7))
+    den = draw(st.sampled_from([1, 3, 4]))
+    weighted = linear_combination(EXACT, [(F(nums.get(c, 0), den), _line(target, c)) for c in CHARGES])
+    image = draw(st.sampled_from([weighted + stray, weighted, stray]))
+    return image, target, nums, den
+
+
 class TestResidualMagnitude:
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.tuples(mixed_fractions, polys(mixed_fractions)), max_size=3), polys(mixed_fractions),
-           st.sampled_from([1, F(-2, 3), F(5, 2)]))
-    def test_exact_equals_the_built_combination(self, targets, image, scale):
-        got = residual_magnitude(EXACT, targets, image, scale)
-        assert all(type(v) is Fraction for v in got.values())
-        assert got == _combined_magnitude(EXACT, targets, image, scale)
+    @settings(max_examples=120, deadline=None)
+    @given(exact_lines())
+    def test_exact_equals_the_built_combination(self, lines):
+        image, target, nums, den = lines
+        want = _combined_magnitude(EXACT, image, target, {c: F(w, den) for c, w in nums.items()})
+        got, direct = line_residuals(image, target, _sizes(target), nums, den)
+        assert all(type(v) is Fraction for v in got.values()) and direct == {}
+        assert got == want
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(mixed_fractions, polys(mixed_fractions)), max_size=3), polys(mixed_fractions))
-    def test_exact_cancels_to_zero(self, targets, extra):
-        # the image is exactly the sum of the targets, with no key left over
-        image = linear_combination(EXACT, targets)
-        assert not any(residual_magnitude(EXACT, targets, image).values())
-        assert residual_magnitude(EXACT, [], Poly2.zero(EXACT)) == {}
-        assert residual_magnitude(EXACT, [(F(0), extra)], image) == residual_magnitude(EXACT, [], image)
+    @given(exact_lines())
+    def test_exact_cancels_to_zero(self, lines):
+        # the image is exactly the weighted target: every monomial is matched,
+        # and no residual is built
+        _, target, nums, den = lines
+        weighted = linear_combination(EXACT, [(F(nums.get(c, 0), den), _line(target, c)) for c in CHARGES])
+        assert line_residuals(weighted, target, _sizes(target), nums, den) == ({}, {})
+        assert line_residuals(Poly2.zero(EXACT), Poly2.zero(EXACT), {}, nums, den) == ({}, {})
+        # a zero weight drops its target line
+        assert line_residuals(weighted, target, _sizes(target), dict.fromkeys(nums, 0))[0] == _combined_magnitude(
+            EXACT, weighted, target, {})
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(float_coeffs, float_polys()), max_size=3), float_polys(),
-           st.one_of(st.just(1), st.floats(0.01, 100.0)))
-    def test_float_equals_the_built_combination_bit_for_bit(self, targets, image, scale):
-        got = residual_magnitude(FLOAT, targets, image, scale)
+    @given(float_polys(), float_polys(), st.dictionaries(st.sampled_from(CHARGES), float_coeffs, max_size=7),
+           st.booleans())
+    def test_float_equals_the_built_combination_bit_for_bit(self, image, target, weights, matched):
+        if matched:  # the image meets the target on its monomials
+            image = Poly2(FLOAT, {**target.nums, **image.nums})
+        got, _ = line_residuals(image, target, _sizes(target), weights)
         assert all(type(v) is float for v in got.values())
-        assert _hex(got) == _hex(_combined_magnitude(FLOAT, targets, image, scale))
+        assert _hex(got) == _hex(_combined_magnitude(FLOAT, image, target, weights))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(float_coeffs, float_polys()), max_size=3), float_polys(),
-           st.lists(st.floats(0.01, 100.0), min_size=7, max_size=7))
-    def test_a_scale_per_charge_equals_the_built_combination(self, targets, image, factors):
-        # the keys run over 0..3, so the charges over -3..3
-        scale = {charge: f for charge, f in zip(range(-3, 4), factors)}
-        got = residual_magnitude(FLOAT, targets, image, scale)
-        assert _hex(got) == _hex(_combined_magnitude(FLOAT, targets, image, scale))
+    @given(float_polys(), float_polys(), st.dictionaries(st.sampled_from(CHARGES), float_coeffs, max_size=7),
+           st.lists(st.floats(0.01, 100.0), min_size=7, max_size=7), st.booleans())
+    def test_a_scale_per_charge_equals_the_built_combination(self, image, target, weights, factors, matched):
+        # the direct reading: the image scaled per charge, in the same walk
+        scale = dict(zip(CHARGES, factors))
+        if matched:
+            image = Poly2(FLOAT, {**target.nums, **image.nums})
+        got, direct = line_residuals(image, target, _sizes(target), {}, direct=(weights, scale, target.nums))
+        assert _hex(got) == _hex(_combined_magnitude(FLOAT, image, target, {}))
+        assert _hex(direct) == _hex(_combined_magnitude(FLOAT, image, target, weights, scale))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), float_polys()), max_size=3), polys(mixed_fractions),
+    @given(exact_lines(), st.dictionaries(st.sampled_from(CHARGES), st.floats(-1e3, 1e3), max_size=7),
            st.floats(0.01, 100.0))
-    def test_float_reads_an_exact_image_as_to_float(self, targets, image, scale):
-        got = residual_magnitude(FLOAT, targets, image, scale)
-        assert _hex(got) == _hex(_combined_magnitude(FLOAT, targets, image.to_float(), scale))
+    def test_float_reads_an_exact_image_as_to_float(self, lines, weights, factor):
+        image, target, nums, den = lines
+        scale = dict.fromkeys(CHARGES, factor)
+        floats = weyl._float_values(target)
+        got, direct = line_residuals(image, target, _sizes(target), nums, den, direct=(weights, scale, floats))
+        assert got == _combined_magnitude(EXACT, image, target, {c: F(w, den) for c, w in nums.items()})
+        want = _combined_magnitude(FLOAT, image.to_float(), target.to_float(), weights, scale)
+        assert _hex(direct) == _hex(want)
 
     def test_a_reading_beyond_the_float_range_is_an_infinity(self):
         # to_float raises there; the float reading rounds as float arithmetic
@@ -636,24 +674,42 @@ class TestResidualMagnitude:
         huge = Poly2(EXACT, {(2, 0): F(10**400), (0, 2): F(-(10**400)), (1, 1): F(1, 3)})
         with pytest.raises(OverflowError):
             huge.to_float()
-        got = residual_magnitude(FLOAT, [], huge)
-        assert got[2] == got[-2] == float("inf") and got[0] == 1 / 3
-        assert isnan(residual_magnitude(FLOAT, [(float("inf"), Poly2.monomial(2, 0, 1.0))], huge)[2])
+        scale = dict.fromkeys(CHARGES, 1.0)
+        got, direct = line_residuals(huge, Poly2.zero(EXACT), {}, {}, direct=({}, scale, {}))
+        assert got == {2: F(10**400), -2: F(10**400), 0: F(1, 3)}
+        assert direct[2] == direct[-2] == float("inf") and direct[0] == 1 / 3
+        floats = weyl._float_values(huge)
+        assert floats[2, 0] == float("inf")
+        _, direct = line_residuals(huge, huge, _sizes(huge), {}, direct=({2: 1.0}, scale, floats))
+        assert isnan(direct[2]) and direct[-2] == float("inf")
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3])
     def test_a_nan_wins_wherever_it_sits(self, position):
-        nan, z, zb = float("nan"), Poly2.z(FLOAT), Poly2.zbar(FLOAT)
-        targets = [(2.0, z), (-0.0, zb), (1.0, zb)]
-        targets.insert(position, (nan, z))
-        image = Poly2(FLOAT, {(1, 0): 5.0, (2, 2): 7.0})
-        got = residual_magnitude(FLOAT, targets, image)
-        assert isnan(got[1]) and isnan(_combined_magnitude(FLOAT, targets, image, 1)[1])
-        assert got[-1] == 1.0 and got[0] == 7.0  # the other charges keep their own
+        # the NaN sits in a target weight, a target coefficient, an image
+        # coefficient or a direct scale, beside larger finite terms
+        nan, tnums, inums = float("nan"), {(1, 0): 1.0, (2, 1): 9.0}, {(1, 0): 5.0, (2, 1): 3.0, (2, 2): 7.0}
+        weights, scale = {1: 2.0}, {1: 1.0, 0: 1.0}
+        if position == 0:
+            weights[1] = nan
+        elif position == 1:
+            tnums[2, 1] = nan
+        elif position == 2:
+            inums[1, 0] = nan
+        else:
+            scale[1] = nan
+        image, target = Poly2(FLOAT, inums), Poly2(FLOAT, tnums)
+        got, direct = line_residuals(image, target, _sizes(target), weights, direct=(weights, scale, target.nums))
+        assert isnan(direct[1]) and isnan(_combined_magnitude(FLOAT, image, target, weights, scale)[1])
+        assert isnan(got[1]) == (position < 3)
+        assert got[0] == direct[0] == 7.0  # the other charge keeps its own
 
     def test_a_zero_target_adds_nothing(self):
-        # a zero coefficient drops its target, as in the built combination, so
-        # 0 * inf makes no NaN
-        infinite = Poly2(FLOAT, {(0, 0): float("inf")})
+        # a zero weight drops its target, as in the built combination, so
+        # 0 * inf makes no NaN, and -0.0 is a zero too
+        infinite = Poly2(FLOAT, {(1, 0): float("inf"), (2, 2): float("inf")})
         image = Poly2(FLOAT, {(1, 0): 5.0, (2, 2): -7.0})
-        assert residual_magnitude(FLOAT, [(-0.0, infinite), (0.0, infinite)], image) == {1: 5.0, 0: 7.0}
-        assert residual_magnitude(FLOAT, [], Poly2.zero(FLOAT)) == {}
+        scale = {1: 1.0, 0: 1.0}
+        zeros = {1: -0.0, 0: 0.0}
+        got = line_residuals(image, infinite, _sizes(infinite), zeros, direct=(zeros, scale, infinite.nums))
+        assert got == ({1: 5.0, 0: 7.0}, {1: 5.0, 0: 7.0})
+        assert line_residuals(Poly2.zero(FLOAT), Poly2.zero(FLOAT), {}, {}) == ({}, {})
