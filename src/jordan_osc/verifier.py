@@ -13,34 +13,29 @@ Every identity the model asserts is checked here, grouped into five suites:
                 resolution of identity, and the quadrature cross-check.
 
 The actions and irrep suites are two readings of the same images op.psi_{n,m},
-so one image pass serves both. It runs in the chain variables (w, zbar),
-w = a z + b zbar (see model): every psi, image and phi it reads is a chain
-form, so a float residual is the largest coefficient over (w, zbar) monomials.
-
-It runs level-outer, on charge lines. The charge of w^e zbar^i is e - i,
-and every term of psi_{n,m} has charge 2m - n, so the psi of one level lie on
-distinct lines and their sum Lambda_n is one polynomial, with one derivative
-table. A term w^i zbar^j dw^k dzbar^l of an operator shifts the charge by
-i - j - k + l, so each operator (``model.conjugated``) is split into parts of
-one shift each, and a part's image of Lambda_n holds each op psi_{n,m} on its
-own line, which gives back m; it is built once and dropped with the level.
+so one image pass serves both, in the chain variables (w, zbar),
+w = a z + b zbar (see model), level-outer, on charge lines. The charge of
+w^e zbar^i is e - i, and every term of psi_{n,m} has charge 2m - n (a term
+off its line fails its step in every check that reads it, and in
+integrals.gram), so the psi of one level sum to one polynomial Lambda_n, with
+one derivative table. A term w^i zbar^j dw^k dzbar^l of an operator
+(``model.conjugated``) shifts the charge by i - j - k + l, so each operator
+is split into parts of one shift each, and a part's image of Lambda_n holds
+each op psi_{n,m} on its own line.
 
 The action and irrep rules are data. An action rule (``ACTION_RULES``)
 writes op psi_{n,m} as terms (dn, dm, literal, poly): a scalar literal of the
 prefix grammar (see model), evaluated once per pass, times poly(n, m), an
 integer-valued function, at psi_{n+dn,m+dm}. psi_{n,m} has weight (n - 2m, 0)
-under sigma_P (see below), so each term's weight is derived from its literal
-and shift, and a rule is refused when it is built if a term is off its
-operator's weight or two terms shift the charge, 2dm - dn, by one amount. So
-each part meets at most one target, the level Lambda_{n+dn} with each line
-weighted by its step's coefficient, and each image is read once against it
-(``weyl.line_residuals``): no difference polynomial is built, and an exact
-step that passes builds no Fraction. An irrep rule (``IRREP_RULES``) names an
-operator and a claim in (j, mu); its target is the one term of that
-operator's action rule, so each shift is stated once, and it is diagonal when
-that term keeps (n, m). A table in which an irrep rule finds no action rule
-of one term, or an operator that another irrep rule reads, is refused before
-any image is built.
+under sigma_P (see below), so a rule is refused when it is built if a term
+is off its operator's weight or two terms shift the charge, 2dm - dn, by one
+amount. So each line of a part's image is one step with one target, kept in
+one record (``_Line``), and one walk reads the image against them
+(``_read_lines``): no difference polynomial is built, nor a Fraction for a
+step that passes. An irrep rule (``IRREP_RULES``) names an operator and a
+claim in (j, mu) and reads the one term of its action rule, diagonal when it
+keeps (n, m); a table in which it finds no such term, or an operator another
+irrep rule reads, is refused before any image is built.
 
 The exact squared-value report irrep.<rule>.sq of a ladder rule reads the
 step's action coefficient c: c >= 0 and c^2 m!(n'-m')!/((n-m)! m'!) equals
@@ -52,10 +47,9 @@ rescaled to op phi, against the run's own psi_{n',m'} times the square root of
 the claim and its su(2) factor sqrt(m'!/(n'-m')!) (``su2_factor``), the only
 irrational number of an exact run. Each claim is evaluated at j = n/2,
 mu = m - n/2, held exactly: in floats in a float run, else in ints at an even
-n and Fractions at an odd one. The quadrature oracle
-too reads the run's own basis, so an exact run builds nothing in floats; a
-reading that leaves the float range skips its check at that step, unless a
-residual already failed it.
+n and Fractions at an odd one. The quadrature oracle too reads the run's own
+basis, so an exact run builds nothing in floats; a reading that leaves the
+float range skips its check at that step, unless a residual already failed it.
 
 The structure suite proves each catalog relation once per process, at
 p = q = 1. Every catalog operator and explicit form is a tree of the prefix
@@ -89,7 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from importlib import resources
-from math import factorial, isfinite, lcm, sqrt
+from math import factorial, inf, isfinite, lcm, sqrt
 from typing import Callable, Iterable
 
 from . import model
@@ -122,8 +116,7 @@ from .weyl import (
     DiffOp,
     Poly2,
     adjoint,
-    _float_values,
-    line_residuals,
+    lift,
     max_or_nan,
     swap_vars,
     to_ints,
@@ -486,9 +479,9 @@ def _float_ladder_residual(n, m, c2, target, reading, image_residual, *, sizes, 
     """Float, direct: op phi_{n,m} against sqrt(c2) phi_{n',m'}, c2 the
     claim, normalized by the size of the target. phi is psi times its su(2)
     factor, so op phi is the image times the factor of (n, m), and the target
-    is the run's own psi_{n',m'} times sqrt(c2) su2_factor(n', m')
-    (see _read_level); ``reading`` is the largest magnitude of their
-    difference, of op phi alone off the grid, read in floats. Rounding is
+    is the run's own psi_{n',m'} times sqrt(c2) su2_factor(n', m');
+    ``reading`` is the largest magnitude of their difference, of op phi alone
+    off the grid, read in floats (_read_level). Rounding is
     monotone, so for c >= 0 the largest magnitude of c * psi is c times
     sizes(n', m'), that of psi, bit for bit. OverflowError where a reading in
     an exact run (``mode``) leaves the float range (inf, or NaN = inf - inf)."""
@@ -524,12 +517,37 @@ def _charge_parts(op: DiffOp) -> dict:
     return {shift: DiffOp._normalized(op.mode, nums, op.den) for shift, nums in parts.items()}
 
 
-def _level(mode: str, psis: list) -> tuple[Poly2, dict, dict]:
-    """Lambda_n = sum_m psi_{n,m} over one denominator (each psi_{n,m} lies on
-    charge 2m - n alone), its float reading, and charge -> monomial count."""
-    den = lcm(*(psi.den for psi in psis))
-    level = Poly2._normalized(mode, {key: u * (den // psi.den) for psi in psis for key, u in psi.nums.items()}, den)
-    return level, _float_values(level), {2 * m - len(psis) + 1: len(psi.nums) for m, psi in enumerate(psis)}
+def _off_line(psi: Poly2, n: int, m: int):
+    """The largest coefficient magnitude of psi_{n,m} off its line 2m - n; the int 0 if none."""
+    off = [abs(u) for (e, i), u in psi.nums.items() if e - i != 2 * m - n]
+    return max_or_nan(*off) / lift(psi.den, psi.mode) if off else 0
+
+
+def _as_float(x) -> float:
+    """x in floats, beyond the float range an infinity of its sign (where float() raises)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
+def _float_values(x: Poly2) -> dict:
+    """x's coefficients in floats, key -> value, as _as_float reads them."""
+    if x.mode == FLOAT:
+        return x.nums
+    try:
+        return {key: u / x.den for key, u in x.nums.items()}
+    except OverflowError:  # an int / int beyond the float range
+        return {key: _as_float(Fraction(u, x.den)) for key, u in x.nums.items()}
+
+
+def _level(psis: list) -> tuple[Poly2, list, dict]:
+    """Level n from psi_{n,m}, m = 0..n: Lambda_n over one denominator, each
+    step's off-line residual, and the level's derivative table."""
+    n, den = len(psis) - 1, lcm(*(psi.den for psi in psis))
+    level = Poly2._normalized(psis[0].mode, {key: u * (den // psi.den) for psi in psis
+                                             for key, u in psi.nums.items()}, den)
+    return level, [_off_line(psi, n, m) for m, psi in enumerate(psis)], {}
 
 
 def _reads(params: Params, rule: ActionRule) -> list:
@@ -542,29 +560,87 @@ def _reads(params: Params, rule: ActionRule) -> list:
     return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
 
 
-def _read_level(mode: str, n: int, reads: list, levels: Callable, derivatives: dict, values=None) -> tuple:
-    """Per step m of level n, the residual of op psi_{n,m} against the rule's
-    terms in ``mode``, and, given a ladder rule's claims ``values``, that of
-    op phi_{n,m} against sqrt(claim) phi_{n',m'} in floats (else zeros): each
-    part's image of Lambda_n read once against its term's level."""
-    level, worst, readings = levels(n)[0], [0] * (n + 1), [0] * (n + 1)
+class _Line:
+    """The record of step m of a level under one charge part: the image and
+    target multipliers a and b (exact: ints, u a - t b; float: 1 and the
+    weight w), the target line, psi_{n',m'}.nums or {}, and its floats, the
+    direct reading's target and image weights c and scale, two running maxima."""
+
+    __slots__ = ("scale", "a", "b", "target", "c", "floats", "worst", "dworst")
+
+    def __init__(self, scale: float = 1.0) -> None:
+        self.scale, self.a, self.b = scale, 1, 0  # in threes: a longer tuple is built, then unpacked
+        self.target, self.c, self.floats = {}, 0, None
+        self.worst = self.dworst = 0
+
+
+def _read_lines(image: Poly2, lines: dict, direct: bool) -> None:
+    """Read one image into its records' maxima, charge -> _Line: per line the
+    largest magnitude of image - (b / a) target, as linear_combination then
+    max_magnitude give it, bit for bit, and with ``direct`` that of scale *
+    image - c * target in floats. One walk looks each monomial up in its line;
+    a match count finds the target monomials the image lacks; a monomial on
+    no line is skipped. Exact: decided in integers, each maximum over a times
+    image.den."""
+    exact, inums = image.mode == EXACT, image.nums
+    matched = 0
+    for (key, u), uf in zip(inums.items(), _float_values(image).values() if direct else inums.values()):
+        line = lines.get(key[0] - key[1])
+        if line is None:
+            continue
+        t = line.target.get(key)
+        if t is None:
+            v = u * line.a if exact else u
+        else:
+            matched, b = matched + 1, line.b
+            v = u * line.a - t * b if exact else -b * t + u if b else u
+        if v and (abs(v) > line.worst or v != v):  # the largest, a NaN winning
+            line.worst = abs(v)
+        if direct:
+            c, uf = line.c, line.scale * uf
+            v = abs(uf if not c or t is None else -c * line.floats[key] + uf)
+            if v > line.dworst or v != v:
+                line.dworst = v
+    if matched < sum(len(line.target) for line in lines.values()):  # a target monomial the image lacks
+        for line in lines.values():
+            for key, t in line.target.items():
+                if key not in inums and line.b:  # a zero weight reads nothing, so 0 * inf makes no NaN
+                    line.worst = max_or_nan(line.worst, abs(t * line.b))
+                if key not in inums and line.c:
+                    line.dworst = max_or_nan(line.dworst, abs(line.c * line.floats[key]))
+
+
+def _read_level(reads: list, level: tuple, basis: Callable, floats: Callable | None = None, values=None) -> tuple:
+    """Per step m of ``level`` (see _level), from its off-line residual, each
+    part's image read against one record per step (_Line): the residual of
+    op psi_{n,m} against the rule's terms; given an irrep rule's ``values``,
+    the action term (c, n', m'); and with ``floats`` (a ladder rule) that of
+    op phi_{n,m} against sqrt(claim) phi_{n',m'} in floats, else zeros."""
+    source, off, derivatives = level
+    n, mode, direct = len(off) - 1, source.mode, floats is not None
+    worst, readings, terms = list(off), [r and _as_float(r) for r in off], [None] * (n + 1)
     for shift, part, term in reads:
-        image = Poly2.zero(mode) if part is None else part.apply_to(level, derivatives)
-        (target, floats, counts), weights, den, grid = levels(-1), {}, 1, ()
+        image = Poly2.zero(mode) if part is None else part.apply_to(source, derivatives)
+        lines = {2 * m - n + shift: _Line(su2_factor(n, m) if direct else 1.0) for m in range(n + 1)}
         if term is not None:
             dn, dm, [num], den, poly = term
-            target, floats, counts = levels(n + dn)
-            grid = range(max(0, -dm), min(n, n + dn - dm) + 1)  # the steps whose target is on the grid
-            weights = {2 * m - n + shift: num * poly(n, m) for m in grid}
-        direct = None if values is None else (
-            {2 * m - n + shift: sqrt(values[m]) * su2_factor(n + dn, m + dm) for m in grid},
-            {2 * m - n + shift: su2_factor(n, m) for m in range(n + 1)}, floats)
-        for out, found in zip((worst, readings), line_residuals(image, target, counts, weights, den, direct)):
-            for charge, r in found.items():
-                m = (charge - shift + n) // 2
-                if r > out[m] or r != r:  # max_or_nan, inline
-                    out[m] = r
-    return worst, readings
+            for m, line in enumerate(lines.values()):
+                n2, m2, w = n + dn, m + dm, num * poly(n, m)
+                terms[m] = values and (w if den == 1 else Fraction(w, den), n2, m2)  # for an irrep rule
+                c = sqrt(values[m]) * su2_factor(n2, m2) if direct and 0 <= m2 <= n2 else 0
+                if (w or c) and 0 <= m2 <= n2:
+                    psi = basis(n2, m2)
+                    line.target, line.c, line.floats = psi.nums, c, c and floats(n2, m2)
+                    if w:
+                        line.a, line.b = (den * psi.den, w * image.den) if mode == EXACT else (1, w)
+        _read_lines(image, lines, direct)
+        for m, line in enumerate(lines.values()):  # max_or_nan, inline; a Fraction only for a nonzero exact maximum
+            r = line.worst and (Fraction(line.worst, image.den * line.a) if mode == EXACT else line.worst)
+            if r and (r > worst[m] or r != r):
+                worst[m] = r
+            if line.dworst and (line.dworst > readings[m] or line.dworst != line.dworst):
+                readings[m] = line.dworst
+    return worst, readings, terms
 
 
 def _image_pass(
@@ -583,12 +659,12 @@ def _image_pass(
             raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has no action rule of one term")
         if by_op.setdefault(irrep_rule.op_name, irrep_rule) is not irrep_rule:
             raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has an irrep rule already")
-    # psi_{n,m} by (n, m), and its largest magnitude in floats: the pass reads
-    # each at up to a dozen steps, and from the point's store once; a level
-    # below 0 is empty
+    # psi_{n,m} by (n, m), its largest magnitude and its coefficients in
+    # floats: the pass reads each at up to a dozen steps, and from the point's
+    # store once
     basis = cache(partial(chain_psi, params))
     sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
-    levels = cache(lambda n: _level(mode, [basis(n, m) for m in range(n + 1)]))
+    floats = cache(lambda n, m: _float_values(basis(n, m)))
     direct = partial(_float_ladder_residual, sizes=sizes, mode=mode)
     # (action report, irrep rule, irrep reports, image clock, the rule's reads)
     plan = []
@@ -605,7 +681,8 @@ def _image_pass(
         return [], []  # neither suite asked for: no image feeds a check
     for n in range(n_max + 1):
         steps = range(n + 1)
-        derivatives: dict = {}  # the derivative table of the level
+        with plan[0][3]:  # the level is part of the images' cost
+            level = _level([basis(n, m) for m in steps])
         # (j, mu) = (n/2, m - n/2): exact in floats too, as is each claim, so
         # it is a coefficient of the mode as it stands; ints at an even n
         halves = [(n / 2, m - n / 2) if mode == FLOAT else (n // 2, m - n // 2) if n % 2 == 0
@@ -613,19 +690,15 @@ def _image_pass(
         for action, irrep_rule, checks, image_clock, reads in plan:
             with image_clock:
                 values = irrep_rule and [irrep_rule.claim(j, mu) for j, mu in halves]
-                if irrep_rule is not None:  # the one action term (c, n', m') of each step
-                    [(dn, dm, [num], den, poly)] = [term for _, _, term in reads if term is not None]
-                    targets = [(num * poly(n, m) if den == 1 else Fraction(num * poly(n, m), den), n + dn, m + dm)
-                               for m in steps]
                 ladder = any(residual is direct for _, residual in checks)
-                worst, readings = _read_level(mode, n, reads, levels, derivatives, values if ladder else None)
+                worst, readings, terms = _read_level(reads, level, basis, floats if ladder else None, values)
             for m in steps:
                 action.add(worst[m], (n, m))
             for check, residual in checks:
                 with check:
                     for m in steps:
                         try:
-                            check.add(residual(n, m, values[m], targets[m], readings[m], worst[m]), (n, m))
+                            check.add(residual(n, m, values[m], terms[m], readings[m], worst[m]), (n, m))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for action, *_ in plan] if "actions" in suites else []
@@ -711,6 +784,8 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX, tol: float = DE
             block = gram_block(params, n)
             heads.append(block[0][0])
             for m in range(n + 1):
+                # psi_{n,m} lies on charge line 2m - n; a term off it escapes the within-level pairs
+                gram.add(_off_line(chain_psi(params, n, m), n, m), (n, m))
                 for mp in range(n + 1):
                     gram.add(abs(block[m][mp] - params.s(1 if m + mp == n else 0)))
 

@@ -17,9 +17,7 @@ normalizing constructor ``_normalized``, reducing once per result, never per
 term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
 negation and ``scale``), ``_product`` (both ``*`` and ``commutator``),
 ``adjoint``, ``apply_to`` (whose table of derivatives several operators can
-share), ``swap_vars`` and ``to_float``. ``line_residuals`` reads the
-largest coefficient of image - c * target on each charge deg_z - deg_zbar,
-one c per charge, without building it. ``.terms`` (key -> ``Fraction`` or
+share), ``swap_vars`` and ``to_float``. ``.terms`` (key -> ``Fraction`` or
 ``float``) is derived on demand for readers such as printing; no kernel reads it.
 
 Two layers build on the coefficients:
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, gcd, inf, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 
 EXACT = "exact"
 FLOAT = "float"
@@ -393,74 +391,6 @@ class DiffOp(_TermMap):
 
 #: sum c * poly over (c, poly) pairs, the linear kernel for polynomials
 linear_combination = Poly2.linear_combination
-
-
-def _float_values(x: _TermMap) -> dict:
-    """x's coefficients in floats, key -> value: a float map's ``nums``, an
-    exact map's as to_float reads them, but one beyond the float range as an
-    infinity of its sign, as float arithmetic rounds it, where to_float raises."""
-    if x.mode == FLOAT:
-        return x.nums
-    values = {}
-    for key, u in x.nums.items():
-        try:
-            values[key] = u / x.den
-        except OverflowError:  # an int / int beyond the float range
-            values[key] = inf if u > 0 else -inf
-    return values
-
-
-def line_residuals(image: Poly2, target: Poly2, sizes: dict, weights: dict, den: int = 1,
-                   direct: tuple | None = None) -> tuple[dict, dict]:
-    """Per charge deg_z - deg_zbar, the largest magnitude of image - (w / den)
-    target on that charge, w = weights[charge] (float mode: the coefficient,
-    den 1; none or 0: the image alone), bit for bit as linear_combination
-    then max_magnitude give it; a zero is absent. One walk reads the image,
-    looking each monomial up in the target; a match count against ``sizes``
-    (charge -> the target's monomials there) finds those the image lacks.
-    Exact: each monomial is decided in integers, and only a charge's largest
-    residual becomes a Fraction. With ``direct`` = (weights, scales, the
-    target's _float_values), the walk also reads scales * image - weights *
-    target, per charge, in floats."""
-    exact, inums, iden, tnums = image.mode == EXACT, image.nums, image.den, target.nums
-    dweights, scales, tfloats = direct or ({}, None, None)
-    ufloats = _float_values(image) if direct else None
-    # per charge with a target, (a, b): u a - t b over iden a is the exact
-    # residual of a monomial, -b t + u the float one; b = 0 for the direct reading's alone
-    mults = {charge: (1, 0) for charge, c in dweights.items() if c}
-    mults.update({charge: (den * target.den, w * iden) if exact else (1, w) for charge, w in weights.items() if w})
-    worst, dworst, matched = {}, {}, 0
-    for key, u in inums.items():
-        charge = key[0] - key[1]
-        ab = mults.get(charge)
-        t = None if ab is None else tnums.get(key)
-        if t is None:
-            v = u if ab is None else u * ab[0]
-        else:
-            a, b = ab
-            matched += 1
-            v = u * a - t * b if exact else -b * t + u if b else u
-        if v:
-            v = abs(v)
-            if v > worst.get(charge, 0) or v != v:
-                worst[charge] = v
-        if direct:
-            c = dweights.get(charge)
-            u = scales[charge] * ufloats[key]
-            v = abs(u if not c or t is None else -c * tfloats[key] + u)
-            if v > dworst.get(charge, 0) or v != v:
-                dworst[charge] = v
-    if matched < sum(sizes.get(charge, 0) for charge in mults):  # a target monomial the image lacks
-        for key, t in tnums.items():
-            charge = key[0] - key[1]
-            if charge in mults and key not in inums:
-                b, c = mults[charge][1], dweights.get(charge)
-                for out, v in ((worst, abs(t * b) if b else 0), (dworst, abs(c * tfloats[key]) if c else 0)):
-                    if v and (v > out.get(charge, 0) or v != v):  # the largest, a NaN winning
-                        out[charge] = v
-    if exact:
-        worst = {charge: Fraction(v, iden * mults.get(charge, (1,))[0]) for charge, v in worst.items()}
-    return worst, dworst
 
 
 # ---------------------------------------------------------------------------

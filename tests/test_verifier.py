@@ -568,9 +568,10 @@ def _four_pass_residual(params, rule, n, m, image):
 def _stacked_direct_readings(point, rule, n, basis):
     """The direct readings of one ladder rule at every step of level n, as the
     pass reads them: off its operator's images of the stacked level."""
-    levels = lambda k: verifier._level(point.mode, [basis(k, m) for m in range(k + 1)])  # noqa: E731
+    level = verifier._level([basis(n, m) for m in range(n + 1)])
     reads = verifier._reads(point, _ACTION_OF[rule.op_name])
-    return verifier._read_level(point.mode, n, reads, levels, {}, [_at(rule, n, m) for m in range(n + 1)])[1]
+    floats = lambda k, m: verifier._float_values(basis(k, m))  # noqa: E731
+    return verifier._read_level(reads, level, basis, floats, [_at(rule, n, m) for m in range(n + 1)])[1]
 
 
 class TestFloatLadderResidual:
@@ -826,6 +827,34 @@ class TestImagePass:
             assert {rid for rid, r in floats.items() if r.skipped} == floats.keys() - failing
             assert floats["irrep.a1+.float"].anchor.endswith(verifier.FLOAT_OVERFLOW)
 
+    # psi_{3,1} lies on charge line -1; each of these terms lies off it, on a
+    # line of the wrong parity or beyond the level's lines
+    @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(9 / 4, 4 / 9)],
+                             ids=["exact-3/2-2/3", "float-9/4-4/9"])
+    @pytest.mark.parametrize("key", [(10, 0), (2, 0), (0, 2), (1, 1)], ids=["w^10", "w^2", "zbar^2", "w*zbar"])
+    def test_an_off_line_basis_term_fails_as_the_reference(self, point, key, monkeypatch):
+        # the image of such a term meets no step's line; the step of its psi
+        # fails every action and irrep check that reads its level instead
+        monkeypatch.setattr(model, "_POINTS", {})
+        psi = chain_psi(point, 3, 1)
+        model.point_cache(point)[model.chain_psi.__wrapped__, 3, 1] = psi + Poly2.monomial(*key, point.s(1))
+        got = verifier.run_suites(point, ("actions", "irrep"), 5)
+        want = reference_pass.image_pass(point, ("actions", "irrep"), 5)
+        assert _failing(got) == _failing(want[0] + want[1]) == {r.relation_id for r in got}
+        assert len(got) == (49 if point.mode == "exact" else 37)
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(3, 12), st.integers(2, 5), st.integers(1, 3), st.integers(4, 7), st.integers(0, 4))
+    def test_reports_equal_the_reference_at_sweep_points(self, p_num, p_den, q_num, q_den, n_max):
+        # admissible exact points drawn as the benchmark's sweep draws them:
+        # p = p_num/p_den and q = p q_num/q_den, so a = p^2 > b = q^2 > 0
+        p = F(p_num, p_den)
+        point = Params.exact(p, p * F(q_num, q_den))
+        strip = lambda r: (r.relation_id, r.anchor, r.mode, r.status, r.residual)  # noqa: E731
+        got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
+        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max)
+        assert [list(map(strip, reports)) for reports in got] == [list(map(strip, reports)) for reports in want]
+
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_a_wrong_coefficient_fails_at_its_own_step(self, point, request, monkeypatch):
         # a stacked image carries every step of its level; a relative error of
@@ -1070,6 +1099,19 @@ class TestIntegralSuite:
         statuses = {r.relation_id: r.status for r in check_integrals(P, n_max=8)}
         assert statuses["integrals.gram"] == statuses["integrals.jordan"] == "fail"
 
+    @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(9 / 4, 4 / 9)],
+                             ids=["exact-3/2-2/3", "float-9/4-4/9"])
+    @pytest.mark.parametrize("key", [(10, 0), (2, 0), (0, 2)], ids=["w^10", "w^2", "zbar^2"])
+    def test_an_off_line_basis_term_fails_gram(self, point, key, monkeypatch):
+        # psi_{7,3} lies on charge line -1; a term off it pairs to nothing the
+        # gram, jordan and norms blocks read, so gram reads the line itself
+        monkeypatch.setattr(model, "_POINTS", {})
+        psi = chain_psi(point, 7, 3)
+        model.point_cache(point)[model.chain_psi.__wrapped__, 7, 3] = psi + Poly2.monomial(*key, point.s(1))
+        reports = {r.relation_id: r for r in check_integrals(point, n_max=8)}
+        assert reports["integrals.gram"].failed
+        assert reports["integrals.gram"].anchor.endswith("[worst at n,m=(7, 3)]")
+
     def test_skipped_report_cannot_pass(self):
         with pytest.raises(ValueError):
             Report("x", "x", "exact", True, "0", 0.0, skipped=True)
@@ -1241,10 +1283,11 @@ class TestResidualsKeepNaN:
         rule = next(r for r in LADDERS if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
         c2, target = _at(rule, 1, 0), _term(params, rule, 1, 0)
         c = sqrt(c2) * model.su2_factor(1, 1)
-        _, readings = weyl.line_residuals(big.scale(F(2)), big, {1: 1}, {}, direct=(
-            {1: c}, {1: model.su2_factor(1, 0)}, weyl._float_values(big)))
-        assert readings == {1: float("inf")}
-        reading = readings[1]
+        line = verifier._Line(model.su2_factor(1, 0))
+        line.target, line.c, line.floats = big.nums, c, verifier._float_values(big)
+        verifier._read_lines(big.scale(F(2)), {1: line}, True)
+        reading = line.dworst
+        assert reading == float("inf")
         with pytest.raises(OverflowError):
             verifier._float_ladder_residual(1, 0, c2, target, reading, None,
                                             sizes=lambda n, m: float(big.max_magnitude()), mode=params.mode)
@@ -1256,6 +1299,8 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDERS[0]
-        reading = verifier.max_or_nan(0.0, *weyl.line_residuals(image, Poly2.zero(FLOAT), {}, {})[0].values())
+        lines = {charge: verifier._Line() for charge in (-1, 0, 1)}
+        verifier._read_lines(image, lines, False)
+        reading = verifier.max_or_nan(0.0, *(line.worst for line in lines.values()))
         assert isnan(verifier._float_ladder_residual(1, 1, _at(rule, 1, 1), _term(fparams, rule, 1, 1), reading, 0.0,
                                                      sizes=None, mode=fparams.mode))

@@ -21,8 +21,7 @@ from jordan_osc import (
     linear_combination,
     swap_vars,
 )
-from jordan_osc import weyl
-from jordan_osc.weyl import line_residuals
+from jordan_osc import verifier
 
 from conftest import close, diff_ops, mixed_fractions, polys, small_fractions
 
@@ -556,8 +555,9 @@ class TestIntegerKernels:
 
 
 # ---------------------------------------------------------------------------
-# line_residuals: the largest coefficient of a combination never built, per
-# charge line
+# the image pass's line kernel (verifier._read_lines): the largest coefficient
+# of a combination never built, per charge line, against linear_combination
+# then max_magnitude
 # ---------------------------------------------------------------------------
 
 SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")])
@@ -595,8 +595,27 @@ def _hex(per_charge):
     return {charge: v.hex() for charge, v in per_charge.items()}
 
 
-def _sizes(target):
-    return {charge: len(_line(target, charge).nums) for charge in CHARGES}
+def line_residuals(image, target, weights, den=1, direct=None):
+    """One read of image against a record per charge of CHARGES, as the pass
+    builds them: the target line is target's monomials on that charge,
+    weighted by weights[charge] / den (none or 0: the image alone), and
+    direct = (c per charge, scale per charge) adds the direct float reading.
+    Each record's two maxima, per charge, a zero left out; an exact one over
+    a times the image's den, as the pass reads it."""
+    exact = image.mode == EXACT
+    dweights, scales = direct or ({}, {})
+    lines = {}
+    for charge in CHARGES:
+        line = lines[charge] = verifier._Line(scales.get(charge, 1.0))
+        target_line, w, c = _line(target, charge), weights.get(charge, 0), dweights.get(charge, 0)
+        if w or c:
+            line.target, line.c, line.floats = target_line.nums, c, verifier._float_values(target_line)
+        if w:
+            line.a, line.b = (den * target_line.den, w * image.den) if exact else (1, w)
+    verifier._read_lines(image, lines, direct is not None)
+    return ({charge: F(line.worst, image.den * line.a) if exact else line.worst
+             for charge, line in lines.items() if line.worst},
+            {charge: line.dworst for charge, line in lines.items() if line.dworst})
 
 
 @st.composite
@@ -617,7 +636,7 @@ class TestResidualMagnitude:
     def test_exact_equals_the_built_combination(self, lines):
         image, target, nums, den = lines
         want = _combined_magnitude(EXACT, image, target, {c: F(w, den) for c, w in nums.items()})
-        got, direct = line_residuals(image, target, _sizes(target), nums, den)
+        got, direct = line_residuals(image, target, nums, den)
         assert all(type(v) is Fraction for v in got.values()) and direct == {}
         assert got == want
 
@@ -628,10 +647,10 @@ class TestResidualMagnitude:
         # and no residual is built
         _, target, nums, den = lines
         weighted = linear_combination(EXACT, [(F(nums.get(c, 0), den), _line(target, c)) for c in CHARGES])
-        assert line_residuals(weighted, target, _sizes(target), nums, den) == ({}, {})
-        assert line_residuals(Poly2.zero(EXACT), Poly2.zero(EXACT), {}, nums, den) == ({}, {})
+        assert line_residuals(weighted, target, nums, den) == ({}, {})
+        assert line_residuals(Poly2.zero(EXACT), Poly2.zero(EXACT), nums, den) == ({}, {})
         # a zero weight drops its target line
-        assert line_residuals(weighted, target, _sizes(target), dict.fromkeys(nums, 0))[0] == _combined_magnitude(
+        assert line_residuals(weighted, target, dict.fromkeys(nums, 0))[0] == _combined_magnitude(
             EXACT, weighted, target, {})
 
     @settings(max_examples=150, deadline=None)
@@ -640,7 +659,7 @@ class TestResidualMagnitude:
     def test_float_equals_the_built_combination_bit_for_bit(self, image, target, weights, matched):
         if matched:  # the image meets the target on its monomials
             image = Poly2(FLOAT, {**target.nums, **image.nums})
-        got, _ = line_residuals(image, target, _sizes(target), weights)
+        got, _ = line_residuals(image, target, weights)
         assert all(type(v) is float for v in got.values())
         assert _hex(got) == _hex(_combined_magnitude(FLOAT, image, target, weights))
 
@@ -652,7 +671,7 @@ class TestResidualMagnitude:
         scale = dict(zip(CHARGES, factors))
         if matched:
             image = Poly2(FLOAT, {**target.nums, **image.nums})
-        got, direct = line_residuals(image, target, _sizes(target), {}, direct=(weights, scale, target.nums))
+        got, direct = line_residuals(image, target, {}, direct=(weights, scale))
         assert _hex(got) == _hex(_combined_magnitude(FLOAT, image, target, {}))
         assert _hex(direct) == _hex(_combined_magnitude(FLOAT, image, target, weights, scale))
 
@@ -662,8 +681,7 @@ class TestResidualMagnitude:
     def test_float_reads_an_exact_image_as_to_float(self, lines, weights, factor):
         image, target, nums, den = lines
         scale = dict.fromkeys(CHARGES, factor)
-        floats = weyl._float_values(target)
-        got, direct = line_residuals(image, target, _sizes(target), nums, den, direct=(weights, scale, floats))
+        got, direct = line_residuals(image, target, nums, den, direct=(weights, scale))
         assert got == _combined_magnitude(EXACT, image, target, {c: F(w, den) for c, w in nums.items()})
         want = _combined_magnitude(FLOAT, image.to_float(), target.to_float(), weights, scale)
         assert _hex(direct) == _hex(want)
@@ -675,12 +693,11 @@ class TestResidualMagnitude:
         with pytest.raises(OverflowError):
             huge.to_float()
         scale = dict.fromkeys(CHARGES, 1.0)
-        got, direct = line_residuals(huge, Poly2.zero(EXACT), {}, {}, direct=({}, scale, {}))
+        got, direct = line_residuals(huge, Poly2.zero(EXACT), {}, direct=({}, scale))
         assert got == {2: F(10**400), -2: F(10**400), 0: F(1, 3)}
         assert direct[2] == direct[-2] == float("inf") and direct[0] == 1 / 3
-        floats = weyl._float_values(huge)
-        assert floats[2, 0] == float("inf")
-        _, direct = line_residuals(huge, huge, _sizes(huge), {}, direct=({2: 1.0}, scale, floats))
+        assert verifier._float_values(huge)[2, 0] == float("inf")
+        _, direct = line_residuals(huge, huge, {}, direct=({2: 1.0}, scale))
         assert isnan(direct[2]) and direct[-2] == float("inf")
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3])
@@ -698,7 +715,7 @@ class TestResidualMagnitude:
         else:
             scale[1] = nan
         image, target = Poly2(FLOAT, inums), Poly2(FLOAT, tnums)
-        got, direct = line_residuals(image, target, _sizes(target), weights, direct=(weights, scale, target.nums))
+        got, direct = line_residuals(image, target, weights, direct=(weights, scale))
         assert isnan(direct[1]) and isnan(_combined_magnitude(FLOAT, image, target, weights, scale)[1])
         assert isnan(got[1]) == (position < 3)
         assert got[0] == direct[0] == 7.0  # the other charge keeps its own
@@ -710,6 +727,6 @@ class TestResidualMagnitude:
         image = Poly2(FLOAT, {(1, 0): 5.0, (2, 2): -7.0})
         scale = {1: 1.0, 0: 1.0}
         zeros = {1: -0.0, 0: 0.0}
-        got = line_residuals(image, infinite, _sizes(infinite), zeros, direct=(zeros, scale, infinite.nums))
+        got = line_residuals(image, infinite, zeros, direct=(zeros, scale))
         assert got == ({1: 5.0, 0: 7.0}, {1: 5.0, 0: 7.0})
-        assert line_residuals(Poly2.zero(FLOAT), Poly2.zero(FLOAT), {}, {}) == ({}, {})
+        assert line_residuals(Poly2.zero(FLOAT), Poly2.zero(FLOAT), {}) == ({}, {})
