@@ -46,10 +46,10 @@ weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
 build directly. Every basis function psi, operator and catalog conjugation
 (``conjugated``, read by ``apply`` and by the image pass) of a point lives in
 one store per point (``point_cache``), kept for the last few points only; phi
-is not stored. A float point's conjugations are rounded once from the exact
-ones at its dyadic twin, the same point read as rationals. A ``Params``
-computes its hash and scalar views once. An exact run builds nothing in
-floats (see verifier).
+is not stored. A float point's dyadic twin (``Params.twin``), the same point
+read as rationals, gives its conjugations, each rounded once, and decides its
+operator identities (see verifier). A ``Params`` computes its hash, twin and
+scalar views once. An exact run builds nothing in floats.
 """
 
 from __future__ import annotations
@@ -192,8 +192,10 @@ class Params:
         g = (omega1**2 - omega2**2) / 2
         return Params.from_ab(lam / 2, g / (4 * lam))
 
-    def to_float(self) -> "Params":
-        return self if self.mode == FLOAT else Params(FLOAT, self.p, self.q)
+    @cached_property
+    def twin(self) -> "Params":
+        """The same p, q read as Fractions (a finite float is a dyadic rational); an exact point itself."""
+        return self if self.mode == EXACT else Params.exact(self.p, self.q)
 
     # ---- coefficient views (Fraction in exact mode, float in float mode),
     # each computed on first read and kept on the point ----
@@ -573,10 +575,9 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
 @_per_point
 def conjugated(params: Params, name: str) -> DiffOp:
     """The envelope conjugation of catalog operator ``name``. At a float point it
-    is ``to_float`` of the exact one at the dyadic twin, the same p, q read as
-    rationals (a finite float is a dyadic rational): the exact terms, each
-    coefficient rounded once, with no residue where exact terms cancel."""
-    twin = params if params.mode == EXACT else Params.exact(params.p, params.q)
+    is ``to_float`` of the exact one at its twin (``Params.twin``): the exact terms,
+    each coefficient rounded once, with no residue where exact terms cancel."""
+    twin = params.twin
     conjugate = conjugate_through_envelope(twin, make_operator(twin, name))
     return conjugate if twin is params else conjugate.to_float()
 

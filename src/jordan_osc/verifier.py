@@ -61,11 +61,12 @@ generator and factor a weight, and so each tree one (model._weight), derived
 through the definitions of the operators it names: sigma_P(tree at P) =
 p^alpha q^beta (tree at p = q = 1) when the two sides of every add and sub
 have one weight. Such a relation holds at P if and only if it holds at
-p = q = 1, so at an exact point a homogeneous relation that holds there
-reports pass with residual 0, with nothing built at P; the explicit forms
-are checked the same way. Everything else is evaluated directly, so a
-failing report keeps its residual: an inhomogeneous relation, one that fails
-at p = q = 1, and every float relation. pseudo.H is computed at every point.
+p = q = 1, so a homogeneous relation that holds there reports pass with
+residual 0, with nothing built at P; the explicit forms are checked the same
+way. Everything else (an inhomogeneous relation, one that fails at p = q = 1,
+pseudo.H) is evaluated exactly at the point's dyadic twin (``Params.twin``),
+so a failing report keeps its residual. These are exact checks in both
+modes: a float point builds no operator of its own.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work done inside ``with check:``,
@@ -181,7 +182,7 @@ class _Check:
     that met one fails; a zero never replaces the worst. A found failure beats
     a skip: a skipped check whose residuals so far fail reports the failure."""
 
-    def __init__(self, relation_id: str, anchor: str, mode: str, tol: float) -> None:
+    def __init__(self, relation_id: str, anchor: str, mode: str, tol: float = 0.0) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
         self.worst = zero(mode)
         self.at, self.seconds, self.skipped = None, 0.0, None  # skipped: why, if the check was
@@ -294,30 +295,26 @@ def _proven(lhs: str, rhs: str) -> bool:
 
 
 def _check_equal(check: _Check, params: Params, lhs: str, rhs: str) -> None:
-    """lhs == rhs at params into ``check``: nothing to add if it is proven and
-    the point exact, else the residual of direct evaluation."""
+    """lhs == rhs at params into ``check``: nothing to add if it is proven,
+    else the residual of exact evaluation at the point's twin."""
     with check:
-        if params.mode != EXACT or not _proven(lhs, rhs):
-            check.add((eval_expression(lhs, params) - eval_expression(rhs, params)).max_magnitude())
+        if not _proven(lhs, rhs):
+            check.add((eval_expression(lhs, params.twin) - eval_expression(rhs, params.twin)).max_magnitude())
 
 
-def check_relation(params: Params, spec: RelationSpec, tol: float = DEFAULT_TOL) -> Report:
-    """lhs == rhs at params: in exact mode a pass with residual 0 if it is
-    proven at _UNIT, else evaluated directly."""
-    check = _Check(spec.rel_id, f"{spec.lhs} == {spec.rhs}", params.mode, tol)
+def check_relation(params: Params, spec: RelationSpec) -> Report:
+    """lhs == rhs at params, an exact check in either mode: a pass with
+    residual 0 if it is proven at _UNIT, else evaluated at the point's twin."""
+    check = _Check(spec.rel_id, f"{spec.lhs} == {spec.rhs}", EXACT)
     _check_equal(check, params, spec.lhs, spec.rhs)
     return check.report()
 
 
-def check_structure(
-    params: Params,
-    relations: Iterable[RelationSpec] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> list[Report]:
+def check_structure(params: Params, relations: Iterable[RelationSpec] | None = None) -> list[Report]:
     """Check every catalog relation at the given parameter point."""
     if relations is None:
         relations = load_relations()
-    return [check_relation(params, spec, tol) for spec in relations]
+    return [check_relation(params, spec) for spec in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +498,7 @@ def _irrep_checks(mode: str, rule: IrrepRule, diagonal: bool, tol: float, direct
     function ``direct``."""
     if diagonal:
         return [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
-    squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT, tol)
+    squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT)
     direct_check = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
     return ([(squared, _squared_ladder_residual)] if mode == EXACT else []) + [(direct_check, direct)]
 
@@ -725,21 +722,21 @@ def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_
 # ---------------------------------------------------------------------------
 
 
-def check_pseudo_hermiticity(params: Params, tol: float = DEFAULT_TOL) -> Report:
-    """swap_vars(H) == adjoint(H): H is Hermitian up to the z <-> zbar swap."""
-    check = _Check("pseudo.H", "swap_vars(H) == adjoint(H)", params.mode, tol)
+def check_pseudo_hermiticity(params: Params) -> Report:
+    """swap_vars(H) == adjoint(H) at the point's twin: H is Hermitian up to the z <-> zbar swap."""
+    check = _Check("pseudo.H", "swap_vars(H) == adjoint(H)", EXACT)
     with check:
-        ham = make_operator(params, "H")
+        ham = make_operator(params.twin, "H")
         check.add((swap_vars(ham) - adjoint(ham)).max_magnitude())
     return check.report()
 
 
-def check_explicit_forms(params: Params, tol: float = DEFAULT_TOL) -> list[Report]:
+def check_explicit_forms(params: Params) -> list[Report]:
     """Catalog operators against their independently transcribed z/zbar
     forms, each proven or evaluated as a catalog relation is."""
     reports = []
     for name in EXPLICIT_NAMES:
-        check = _Check(f"explicit.{name}", f"make_operator({name}) == explicit_form({name})", params.mode, tol)
+        check = _Check(f"explicit.{name}", f"make_operator({name}) == explicit_form({name})", EXACT)
         _check_equal(check, params, name, EXPLICIT_FORMS[name])
         reports.append(check.report())
     return reports
@@ -877,14 +874,14 @@ def run_suites(
     reports: list[Report] = []
     for suite in suites:
         if suite == "structure":
-            reports += check_structure(params, relations, tol)
-            reports += check_explicit_forms(params, tol)
+            reports += check_structure(params, relations)
+            reports += check_explicit_forms(params)
         elif suite == "actions":
             reports += action_reports
         elif suite == "irrep":
             reports += irrep_reports
         elif suite == "pseudo":
-            reports.append(check_pseudo_hermiticity(params, tol))
+            reports.append(check_pseudo_hermiticity(params))
         else:
             reports += check_integrals(params, cutoffs[suite], tol)
     return reports

@@ -150,7 +150,7 @@ def test_criterion_7_oracle_equivalence():
     seeded random basis pairs, paired in chain form."""
     start = time.perf_counter()
     P = REFERENCE
-    FP = P.to_float()
+    FP = Params.from_ab(1.0, 0.25)
     ok = True
 
     def agree(exact_value: complex, estimate: complex) -> bool:

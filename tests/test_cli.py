@@ -349,9 +349,10 @@ class TestEmitters:
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--mode", "float", "--a", "1e120", "--b", "1e119", "--nmax", "2", "--suites", "structure"],
     ["basis", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3", "--m", "1"],
     ["matrices", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3"],
+    # the structure suite alone passes here, the full run still overflows
+    ["verify", "--mode", "float", "--a", "1e120", "--b", "1e119", "--nmax", "2"],
 ])
 def test_float_overflow_exits_two(capsys, argv):
     assert main(argv) == 2
@@ -367,9 +368,9 @@ def test_float_overflow_exits_two(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["verify", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--nmax", "24", "--suites", "actions"],
     ["verify", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--nmax", "3"],
-    ["verify", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--nmax", "3", "--suites", "structure"],
     ["basis", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--n", "3", "--m", "1"],
     ["basis", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--n", "24", "--m", "1"],
+    ["matrices", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--n", "3"],
 ])
 def test_float_underflow_exits_two(capsys, argv):
     # the leading factor (2pq)^(n-2m)/m! of a basis function overflows or
@@ -382,6 +383,21 @@ def test_float_underflow_exits_two(capsys, argv):
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: float arithmetic leaves the float range at {{'a': {float(argv[4])!r}, 'b': ")
     assert line.endswith("(a value overflows, or underflows to a zero divisor)")
+
+
+@pytest.mark.parametrize("a, b, nmax", [("1e120", "1e119", "2"), ("1e-200", "1e-201", "3"), ("1e300", "1e299", "2")])
+@pytest.mark.parametrize("suites", ["structure", "structure,pseudo"])
+def test_float_operator_identities_pass_where_the_basis_leaves_the_float_range(capsys, a, b, nmax, suites):
+    # the structure suite, the explicit forms and pseudo.H are decided
+    # exactly at the point's dyadic twin, so no operator is built in floats
+    # and none overflows or underflows
+    argv = ["verify", "--mode", "float", "--a", a, "--b", b, "--nmax", nmax, "--suites", suites, "--format", "json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    entries = json.loads(captured.out)["suites"]
+    assert len(entries) == 147 + ("pseudo" in suites)
+    assert all(e["status"] == "pass" and e["residual"] == "0" for e in entries)
 
 
 def test_exact_zero_division_is_not_caught(monkeypatch):

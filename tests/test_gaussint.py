@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jordan_osc import (
     EXACT,
+    FLOAT,
     ModeMismatchError,
     OracleUnavailableError,
     Params,
@@ -237,7 +238,7 @@ class TestInnerProduct:
         # oracle: multiply out f*g, then pair each product term with its moment
         want = sum((c * moment(P, i, j) for (i, j), c in (f * g).terms.items()), F(0))
         assert inner_product(P, f, g) == want
-        got = inner_product(P.to_float(), f.to_float(), g.to_float())
+        got = inner_product(Params(FLOAT, P.p, P.q), f.to_float(), g.to_float())
         assert abs(got - complex(want)) <= 1e-9
 
     @settings(max_examples=50, deadline=None)
@@ -246,7 +247,7 @@ class TestInnerProduct:
         want = pair_term_by_term(f, g, lambda p, q: moment(P, p, q))
         got = inner_product(P, f, g)
         assert type(got) is Fraction and got == want
-        fP, ff, fg = P.to_float(), f.to_float(), g.to_float()
+        fP, ff, fg = Params(FLOAT, P.p, P.q), f.to_float(), g.to_float()
         fwant = pair_term_by_term(ff, fg, lambda p, q: moment(fP, p, q))
         # the sum of magnitudes bounds the rounding of either loop
         scale = pair_term_by_term(_magnitudes(ff), _magnitudes(fg), lambda p, q: abs(moment(fP, p, q)))
@@ -260,7 +261,7 @@ class TestInnerProduct:
         want = zz_inner_product(P, from_chain(P, f), from_chain(P, g))
         got = inner_product(P, f, g)
         assert type(got) is Fraction and got == want
-        fP, ff, fg = P.to_float(), f.to_float(), g.to_float()
+        fP, ff, fg = Params(FLOAT, P.p, P.q), f.to_float(), g.to_float()
         fwant = zz_inner_product(fP, from_chain(fP, ff), from_chain(fP, fg))
         # from_chain of the magnitudes bounds every expanded coefficient (a, b > 0)
         scale = pair_term_by_term(from_chain(fP, _magnitudes(ff)), from_chain(fP, _magnitudes(fg)),
@@ -281,7 +282,7 @@ class TestInnerProduct:
         with pytest.raises(ModeMismatchError):
             inner_product(params, f, f.to_float())
         with pytest.raises(ModeMismatchError):
-            inner_product(params.to_float(), f, f)
+            inner_product(Params(FLOAT, params.p, params.q), f, f)
 
     @settings(max_examples=40, deadline=None)
     @given(polys(), polys())

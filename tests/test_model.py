@@ -17,6 +17,7 @@ from jordan_osc import (
     CATALOG_NAMES,
     EXACT,
     EXPLICIT_NAMES,
+    FLOAT,
     DiffOp,
     ModeMismatchError,
     Params,
@@ -81,11 +82,15 @@ class TestParams:
         with pytest.raises(ValueError):
             Params.from_frequencies(1.0, 2.0)
 
-    def test_to_float(self, params):
-        P = params.to_float()
-        assert P.mode == "float"
-        assert P.a == pytest.approx(1.0)
-        assert P.to_float() is P
+    @pytest.mark.parametrize("a, b", [(0.79, 0.23), (1e-200, 1e-201), (1e300, 1e299)])
+    def test_twin_is_the_same_point_read_exactly(self, a, b):
+        P = Params.from_ab(a, b)
+        twin = P.twin
+        assert twin.mode == EXACT and (twin.p, twin.q) == (F(P.p), F(P.q))
+        assert (float(twin.p), float(twin.q)) == (P.p, P.q) and P.twin is twin
+
+    def test_exact_point_is_its_own_twin(self, params):
+        assert params.twin is params
 
     @pytest.mark.parametrize("make", [lambda: Params.exact(F(5, 3), F(2, 7)), lambda: Params.from_ab(0.79, 0.23)],
                              ids=["exact", "float"])
@@ -275,7 +280,7 @@ class TestPointCache:
         assert rebuilt == first and rebuilt is not first
 
     def test_equal_params_share_a_cache(self, params):
-        assert model.point_cache(params.to_float()) is model.point_cache(params.to_float())
+        assert model.point_cache(Params(FLOAT, params.p, params.q)) is model.point_cache(Params.from_ab(1.0, 0.25))
         assert model.point_cache(Params.exact("3/2", "2/3")) is model.point_cache(Params.exact(F(3, 2), F(2, 3)))
         assert model.point_cache(Params.from_ab(0.79, 0.23)) is model.point_cache(Params.from_ab(0.79, 0.23))
         assert build_psi(params, 4, 1) is build_psi(Params.exact(1, F(1, 2)), 4, 1)
@@ -500,7 +505,7 @@ def _same(x, y, size=1.0):
 _ROUNDED_ZERO_COMMUTATOR = sum((DiffOp.monomial(key, F(1)) for key in ((0, 1, 2, 2), (1, 2, 2, 0), (2, 0, 2, 1))),
                                DiffOp.zero(EXACT))
 CHAIN_POINTS = [Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
-                Params.from_ab(0.79, 0.23), Params.exact(F(3, 2), F(2, 3)).to_float()]
+                Params.from_ab(0.79, 0.23), Params(FLOAT, F(3, 2), F(2, 3))]
 CHAIN_IDS = ["exact-1-1/2", "exact-3/2-2/3", "float-0.79-0.23", "float-9/4-4/9"]
 
 

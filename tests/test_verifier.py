@@ -53,6 +53,12 @@ _ACTION_OF = {rule.op_name: rule for rule in ACTION_RULES}
 #: the irrep rules whose action term moves (n, m)
 LADDERS = tuple(rule for rule in IRREP_RULES if _ACTION_OF[rule.op_name].terms[0][:2] != (0, 0))
 
+#: (a, b) of float points, from everyday to where a basis function or a float
+#: operator leaves the float range; (p, q) of exact ones
+FLOAT_POINTS = [(0.79, 0.23), (1.0, 0.25), (3.0, 1.0), (100.0, 1.0), (1e-10, 1e-11), (1e-200, 1e-201),
+                (1e120, 1e119), (1e300, 1e299)]
+EXACT_POINTS = [(1, F(1, 2)), (F(3, 2), F(2, 3)), (10**50, 1)]
+
 
 def _term(point, rule, n, m):
     """The one action term (c, n', m') an irrep rule reads at psi_{n,m}."""
@@ -192,8 +198,8 @@ class TestStructureSuite:
         assert all(r.residual == "0" for r in reports)
 
     def test_all_relations_pass_float(self, fparams):
-        reports = check_structure(fparams, tol=1e-10)
-        assert all(r.passed for r in reports)
+        reports = check_structure(fparams)
+        assert all(r.passed and r.residual == "0" for r in reports)
 
     def test_second_admissible_point(self):
         P = Params.exact(F(5, 4), F(1, 3))
@@ -204,6 +210,28 @@ class TestStructureSuite:
             report = check_relation(params, spec)
             assert not report.passed, spec.rel_id
             assert report.relation_id == spec.rel_id
+
+    @pytest.mark.parametrize("point", FLOAT_POINTS + EXACT_POINTS, ids=lambda pt: "-".join(map(str, pt)))
+    def test_negative_controls_fail_at_every_point(self, point):
+        # each control is decided at the point's twin: exactly, with no
+        # tolerance for a small residual to pass and no float to overflow
+        P = Params.from_ab(*point) if isinstance(point[0], float) else Params.exact(*point)
+        for spec in load_negative_controls():
+            report = check_relation(P, spec)
+            assert report.failed and report.residual != "0", spec.rel_id
+            assert _verdicts([report]) == [(spec.rel_id, *_direct(P.twin, spec))]
+
+    @settings(max_examples=25, deadline=None)
+    @given(u=st.floats(min_value=-150, max_value=150), ratio=st.floats(min_value=0.01, max_value=0.99))
+    def test_float_operator_identities_decided_at_the_twin(self, u, ratio):
+        # every admissible float point passes the operator identities with
+        # residual 0 and fails the controls, and builds no operator of its own
+        P = Params.from_ab(10.0**u, 10.0**u * ratio)
+        model._POINTS.pop(P, None)
+        reports = run_suites(P, ("structure", "pseudo"))
+        assert len(reports) == 148 and all(r.passed and r.residual == "0" for r in reports)
+        assert all(check_relation(P, spec).failed for spec in load_negative_controls())
+        assert not any(isinstance(value, DiffOp) for value in model._POINTS.get(P, {}).values())
 
     def test_corrupted_relation_named_in_report(self, params):
         bad = RelationSpec("bad.id", "commutator", "comm H A+", "smul -4*a A+")
@@ -912,12 +940,15 @@ class TestImagePass:
         assert len(calls) == len(IRREP_RULES) * 15 and set(calls.values()) == {1}
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
-        # structure alone reads no image, so the pass builds no psi at all
+        # structure and pseudo read no image, so the pass builds no psi at
+        # all: not at the point, nor at its twin, where pseudo.H builds H
         monkeypatch.setattr(model, "_POINTS", {})
-        P = Params.from_ab(49 / 16, 9 / 25)  # a float point: structure evaluates directly
-        run_suites(P, ("structure",), n_max=24)
-        keys = [key for key in model.point_cache(P) if isinstance(key, tuple)]
-        assert keys and not any(key[0] is model.chain_psi.__wrapped__ for key in keys)
+        P = Params.from_ab(49 / 16, 9 / 25)
+        run_suites(P, ("structure", "pseudo"), n_max=24)
+        assert P.twin in model._POINTS
+        for point in (P, P.twin):
+            keys = [key for key in model._POINTS.get(point, {}) if isinstance(key, tuple)]
+            assert not any(key[0] is model.chain_psi.__wrapped__ for key in keys)
 
     def test_every_irrep_rule_has_an_action_rule(self):
         # the image pass reads each irrep rule off the images of its
@@ -1027,6 +1058,12 @@ class TestPseudoHermiticity:
     def test_passes(self, params):
         report = check_pseudo_hermiticity(params)
         assert report.passed and report.residual == "0"
+
+    def test_float_point_is_checked_exactly_at_its_twin(self, fparams, monkeypatch):
+        monkeypatch.setattr(model, "_POINTS", {})
+        report = check_pseudo_hermiticity(fparams)
+        assert report.passed and report.residual == "0" and report.mode == "exact"
+        assert list(model._POINTS) == [fparams.twin]
 
     def test_detects_a_derivative_defect(self, params, monkeypatch):
         # H + z dz and H + dz are no longer swap-Hermitian: the adjoint sends
