@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .gaussint import gram_block, h_block
@@ -143,12 +144,19 @@ def parse_json(text: str) -> RunResult:
                      payload.get("cutoffs", {}))
 
 
+def _shown(residual: str) -> str:
+    """A residual as text and CSV print it: beyond 24 characters, to 6 significant digits."""
+    # through decimal, as an exact residual may lie beyond the float range
+    num, _, den = residual.partition("/")
+    return residual if len(residual) <= 24 else f"{Context(prec=6).divide(Decimal(num), Decimal(den or 1)):.5e}"
+
+
 def emit_csv(result: RunResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["id", "anchor", "status", "residual", "ms"])
     for r in result.reports:
-        writer.writerow([r.relation_id, r.anchor, r.status, r.residual, f"{r.ms:.3f}"])
+        writer.writerow([r.relation_id, r.anchor, r.status, _shown(r.residual), f"{r.ms:.3f}"])
     return buf.getvalue()
 
 
@@ -159,7 +167,7 @@ def emit_text(result: RunResult) -> str:
     ]
     width = max((len(r.relation_id) for r in result.reports), default=0)
     for r in result.reports:
-        lines.append(f"{r.status.upper()}  {r.relation_id:<{width}}  residual={r.residual}  ({r.ms:.1f} ms)")
+        lines.append(f"{r.status.upper()}  {r.relation_id:<{width}}  residual={_shown(r.residual)}  ({r.ms:.1f} ms)")
     failed = sum(1 for r in result.reports if r.failed)
     skipped = sum(1 for r in result.reports if r.skipped)
     lines.append(f"{len(result.reports)} checks, {failed} failed, {skipped} skipped")

@@ -34,22 +34,20 @@ point's store; ``explicit_form`` evaluates a form, which names no catalog
 operator. The weight of a tree under the scaling automorphism sigma_P (see
 verifier) is derived from the trees (``_weight``), never declared.
 
-Exactness strategy: in exact mode the parameters are a = p^2, b = q^2 for
-positive rationals p, q, so sqrt(ab) = p q, sqrt(a/b) = p/q and sqrt(b/a) = q/p
-are rational and all ladder/action coefficients are plain ``Fraction``s; in
-float mode every coefficient is a ``float``. Either way p, q and every view of
-them (a, b, sqrt_ab, ...) already are coefficients of the mode, so they enter
-products directly; ``Params.s`` lifts a literal into the mode.
+In exact mode a = p^2, b = q^2 for positive rationals p, q, so sqrt(ab),
+sqrt(a/b) and sqrt(b/a) are rational and every coefficient is a ``Fraction``.
+An operator is composed at exact points only: a float point's operators,
+forms and conjugations are its dyadic twin's (``Params.twin``, the same p, q
+read as rationals), rounded once (``_at_twin``); the twin also decides its
+operator identities (see verifier).
 
 Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
 build directly. Every basis function psi, operator and catalog conjugation
 (``conjugated``, read by ``apply`` and by the image pass) of a point lives in
 one store per point (``point_cache``), kept for the last few points only; phi
-is not stored. A float point's dyadic twin (``Params.twin``), the same point
-read as rationals, gives its conjugations, each rounded once, and decides its
-operator identities (see verifier). A ``Params`` computes its hash, twin and
-scalar views once. An exact run builds nothing in floats.
+is not stored. A ``Params`` computes its hash, twin and scalar views once. An
+exact run builds nothing in floats.
 """
 
 from __future__ import annotations
@@ -199,9 +197,6 @@ class Params:
 
     # ---- coefficient views (Fraction in exact mode, float in float mode),
     # each computed on first read and kept on the point ----
-    def s(self, value) -> Coeff:
-        return lift(value, self.mode)
-
     @cached_property
     def a(self) -> Coeff:
         return self.p * self.p
@@ -251,6 +246,17 @@ def _per_point(fn):
         return value
 
     return cached
+
+
+def _at_twin(fn):
+    """fn(params, *args) at an exact point; at a float point, fn at its twin rounded once (``to_float``)."""
+    # the exact terms, each coefficient rounded: no residue where exact terms cancel
+
+    @wraps(fn)
+    def value(params: Params, *args):
+        return fn(params, *args) if params.mode == EXACT else fn(params.twin, *args).to_float()
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +389,8 @@ def canonical_name(name: str) -> str:
 @_per_point
 def make_operator(params: Params, name: str) -> DiffOp:
     """Catalog operator by name: its definition evaluated at the point, every
-    operator the definition names read from the point's store. Unknown names
-    raise ValueError."""
-    return _evaluate(params, parse_expression(DEFINITIONS[canonical_name(name)]))
+    operator the definition names read from a store. Unknown names raise ValueError."""
+    return eval_expression(DEFINITIONS[canonical_name(name)], params)
 
 
 def explicit_form(params: Params, name: str) -> DiffOp:
@@ -393,7 +398,7 @@ def explicit_form(params: Params, name: str) -> DiffOp:
     evaluated at the point."""
     if name not in EXPLICIT_FORMS:
         raise ValueError(f"no explicit form for {name!r}; available: {', '.join(EXPLICIT_NAMES)}")
-    return _evaluate(params, parse_expression(EXPLICIT_FORMS[name]))
+    return eval_expression(EXPLICIT_FORMS[name], params)
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +468,19 @@ def _literal(token: str) -> tuple[Fraction, tuple]:
         (view, int(k or 1)) for factor, k in _FACTOR.findall(token) for view in factor)
 
 
-def _scalar(token: str, params: Params) -> Coeff:
-    c, factors = _literal(token)
-    value = params.s(c)
+def _scalar(token: str, params: Params) -> Fraction:
+    value, factors = _literal(token)
     for view, k in factors:
         value = value * getattr(params, view) ** k
     return value
 
 
 def _evaluate(params: Params, tree) -> DiffOp:
-    """The value of a tree at the point. Each subtree below the root is kept in
-    the point's store (``_subtree``), so one that recurs is built once there."""
+    """The value of a tree at an exact point. Each subtree below the root is kept
+    in the point's store (``_subtree``), so one that recurs is built once there."""
     if isinstance(tree, str):  # a generator, an operator name or a scalar literal
         if tree in GENERATORS:
-            return DiffOp.monomial(GENERATORS[tree][0], params.s(1))
+            return DiffOp.monomial(GENERATORS[tree][0], 1)
         if tree in DEFINITIONS or tree in _ALIASES:
             return make_operator(params, tree)
         return DiffOp.constant(_scalar(tree, params))
@@ -491,10 +495,11 @@ def _evaluate(params: Params, tree) -> DiffOp:
 # X in mul X X, or a subtree shared by several forms and relations, is
 # evaluated once per point; a root is not kept (make_operator keeps its own)
 _subtree = _per_point(_evaluate)
+_value = _at_twin(_evaluate)
 
 
 def eval_expression(expr: str, params: Params) -> DiffOp:
-    return _evaluate(params, parse_expression(expr))
+    return _value(params, parse_expression(expr))
 
 
 @cache
@@ -544,12 +549,12 @@ def _chain_generators(params: Params) -> tuple[DiffOp, DiffOp, DiffOp]:
     # the chain variables (w, zbar), where the envelope is exp(-w zbar):
     # z -> (w - b zbar)/a, dz -> a (dw - zbar), dzbar -> b dw + dzbar - w - b zbar
     # (zbar is unchanged); the two derivative images commute
-    a, b, one = params.a, params.b, params.s(1)
+    a, b = params.a, params.b
     mono = DiffOp.monomial
     return (
-        mono((1, 0, 0, 0), one / a) + mono((0, 1, 0, 0), -b / a),
+        mono((1, 0, 0, 0), 1 / a) + mono((0, 1, 0, 0), -b / a),
         mono((0, 0, 1, 0), a) + mono((0, 1, 0, 0), -a),
-        mono((0, 0, 1, 0), b) + mono((0, 0, 0, 1), one) + mono((1, 0, 0, 0), -one) + mono((0, 1, 0, 0), -b),
+        mono((0, 0, 1, 0), b) + mono((0, 0, 0, 1), 1) + mono((1, 0, 0, 0), -1) + mono((0, 1, 0, 0), -b),
     )
 
 
@@ -564,29 +569,25 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     """exp(a z zbar + b zbar^2) . op . exp(-a z zbar - b zbar^2) as a DiffOp in
     the chain variables (w, zbar), w = a z + b zbar: its keys (i, j, k, l) read
     w^i zbar^j dw^k dzbar^l, and it acts on a basis function's chain form."""
-    if op.mode != params.mode:
-        raise ModeMismatchError(f"operator is {op.mode!r}, parameters are {params.mode!r}")
-    return DiffOp.linear_combination(params.mode, (
-        (1, DiffOp._normalized(op.mode, {(0, j, 0, 0): v}, op.den) * _chain_image(params, i, k, l))
+    if params.mode != EXACT or op.mode != EXACT:
+        raise ModeMismatchError("exact points and operators only: conjugate at Params.twin, or apply(params, name, fn)")
+    return DiffOp.linear_combination(EXACT, (
+        (1, DiffOp._normalized(EXACT, {(0, j, 0, 0): v}, op.den) * _chain_image(params, i, k, l))
         for (i, j, k, l), v in op.nums.items()
     ))
 
 
 @_per_point
+@_at_twin
 def conjugated(params: Params, name: str) -> DiffOp:
-    """The envelope conjugation of catalog operator ``name``. At a float point it
-    is ``to_float`` of the exact one at its twin (``Params.twin``): the exact terms,
-    each coefficient rounded once, with no residue where exact terms cancel."""
-    twin = params.twin
-    conjugate = conjugate_through_envelope(twin, make_operator(twin, name))
-    return conjugate if twin is params else conjugate.to_float()
+    """The envelope conjugation of catalog operator ``name`` (see _at_twin)."""
+    return conjugate_through_envelope(params, make_operator(params, name))
 
 
 def apply(params: Params, op: str | DiffOp, fn: Poly2) -> Poly2:
     """Act with an operator, a catalog name (conjugated once per point, see
-    conjugated) or any DiffOp (conjugated anew), on the basis function whose
-    chain form is fn (see chain_psi); the image is in chain form too. The
-    envelope is never materialized: the conjugated operator, in (w, zbar),
-    acts on fn."""
-    conjugate = conjugated(params, op) if isinstance(op, str) else conjugate_through_envelope(params, op)
-    return conjugate.apply_to(fn)
+    conjugated) or, at an exact point, any DiffOp (conjugated anew), on the
+    basis function whose chain form is fn (see chain_psi); the image is in
+    chain form too. The envelope is never materialized: the conjugated
+    operator, in (w, zbar), acts on fn."""
+    return (conjugated(params, op) if isinstance(op, str) else conjugate_through_envelope(params, op)).apply_to(fn)

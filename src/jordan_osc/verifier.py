@@ -550,9 +550,9 @@ def _level(psis: list) -> tuple[Poly2, list, dict]:
 def _reads(params: Params, rule: ActionRule) -> list:
     """(shift, op's part of that charge shift or None, the term (dn, dm,
     numerator, denominator, poly) that shifts the charge by 2dm - dn or None)
-    for each shift of op's parts (of its stored conjugation) or terms."""
-    parts = _charge_parts(model.conjugated(params, rule.op_name))
-    terms = {2 * dm - dn: (dn, dm, *to_ints(params.mode, [_scalar(literal, params)]), poly)
+    for each shift of op's parts or terms, both read at the twin (see model)."""
+    parts, mode = _charge_parts(model.conjugated(params, rule.op_name)), params.mode
+    terms = {2 * dm - dn: (dn, dm, *to_ints(mode, [lift(_scalar(literal, params.twin), mode)]), poly)
              for dn, dm, literal, poly in rule.terms}
     return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
 
@@ -757,7 +757,7 @@ def _fixed_test_poly(params: Params, n_max: int, salt: int) -> Poly2:
             num = ((i + 2) * (j + 3) + salt * (7 * i + j)) % 11 - 5
             den = (i + j + salt) % 4 + 1
             if num:
-                terms[(i, j)] = params.s(Fraction(num, den))
+                terms[(i, j)] = Fraction(num, den)
     return Poly2(params.mode, terms)
 
 
@@ -784,7 +784,7 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX, tol: float = DE
                 # psi_{n,m} lies on charge line 2m - n; a term off it escapes the within-level pairs
                 gram.add(_off_line(chain_psi(params, n, m), n, m), (n, m))
                 for mp in range(n + 1):
-                    gram.add(abs(block[m][mp] - params.s(1 if m + mp == n else 0)))
+                    gram.add(abs(block[m][mp] - (1 if m + mp == n else 0)))
 
     with jordan:
         for n in range(n_max + 1):
@@ -792,11 +792,11 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX, tol: float = DE
             e_n = energy(params, n)
             for k in range(n + 1):
                 for m in range(n + 1):
-                    want = e_n if k == m else params.s(1 if m == k + 1 else 0)
+                    want = e_n if k == m else 1 if m == k + 1 else 0
                     jordan.add(abs(block[k][m] - want))
 
     with norms:
-        norms.add(abs(heads[0] - params.s(1)))
+        norms.add(abs(heads[0] - 1))
         for n in range(1, n_max + 1):
             norms.add(abs(heads[n]))
 

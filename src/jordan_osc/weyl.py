@@ -405,8 +405,6 @@ def commutator(left: DiffOp, right: DiffOp) -> DiffOp:
     derivative contracted against a variable) is the same in both orders, so
     it cancels in the difference and is never computed: only the contraction
     terms of the two orders are accumulated, and a pair with none is skipped.
-    Exact results equal left*right - right*left; in float mode the cancelled
-    terms leave no rounding residue.
     """
     return left._product(right, _accumulate_contractions)
 

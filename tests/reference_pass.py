@@ -20,7 +20,7 @@ from math import sqrt
 
 from jordan_osc import model, verifier
 from jordan_osc.verifier import FLOAT_OVERFLOW, _Check
-from jordan_osc.weyl import EXACT, FLOAT, linear_combination
+from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination
 
 
 def whole_residual(mode, targets, image, scale=1):
@@ -56,7 +56,9 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
         checks = [] if irrep_rule is None else verifier._irrep_checks(
             params.mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, direct)
-        terms = [(dn, dm, model._scalar(literal, params), poly) for dn, dm, literal, poly in rule.terms]
+        # each literal at the twin, rounded once at a float point
+        terms = [(dn, dm, lift(model._scalar(literal, params.twin), params.mode), poly)
+                 for dn, dm, literal, poly in rule.terms]
         plan.append((rule, terms, action, irrep_rule, checks))
     for n in range(n_max + 1):
         for m in range(n + 1):

@@ -117,9 +117,9 @@ def test_criterion_5_biorthogonality():
         block = gram_block(P, n)
         for m in range(n + 1):
             for mp in range(n + 1):
-                ok = ok and block[m][mp] == P.s(1 if m + mp == n else 0)
+                ok = ok and block[m][mp] == (1 if m + mp == n else 0)
     ground = chain_psi(P, 0, 0)
-    ok = ok and inner_product(P, ground, ground) == P.s(1)
+    ok = ok and inner_product(P, ground, ground) == 1
     for n in range(1, 9):
         head = chain_psi(P, n, 0)
         ok = ok and inner_product(P, head, head) == 0
@@ -138,7 +138,7 @@ def test_criterion_6_jordan_blocks_of_pairing():
         e_n = energy(P, n)
         for k in range(n + 1):
             for m in range(n + 1):
-                want = e_n if k == m else P.s(1 if m == k + 1 else 0)
+                want = e_n if k == m else 1 if m == k + 1 else 0
                 ok = ok and block[k][m] == want
     elapsed = time.perf_counter() - start
     _report(6, "Jordan form of the pairing with H, n <= 8", ok, elapsed, None)

@@ -347,6 +347,27 @@ class TestEmitters:
         csv_text = emit_csv(result)
         assert csv_text.count("pass") == len(payload["suites"])
 
+    def test_long_residuals_print_rounded_in_text_and_csv(self, tmp_path, capsys):
+        # at this point the twin's exact residual of a failing control is a
+        # 523-character Fraction near 1.25e400, beyond the float range: JSON keeps
+        # it, text and CSV print it to 6 significant digits
+        catalog = tmp_path / "control.txt"
+        catalog.write_text("".join(f"{s.rel_id} | {s.kind} | {s.lhs} | {s.rhs}\n"
+                                   for s in verifier.load_negative_controls() if s.rel_id == "neg.gl2.Jplus-Jminus"))
+        argv = ["verify", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--suites", "structure",
+                "--catalog", str(catalog)]
+        outputs = {}
+        for fmt in ("json", "csv", "text"):
+            assert main([*argv, "--format", fmt]) == 1
+            outputs[fmt] = capsys.readouterr().out
+        residuals = {e["id"]: e["residual"] for e in json.loads(outputs["json"])["suites"]}
+        exact = F(residuals["neg.gl2.Jplus-Jminus"])
+        assert len(residuals["neg.gl2.Jplus-Jminus"]) == 523 and F("1.249995e400") <= exact < F("1.250005e400")
+        assert ",fail,1.25000e+400," in outputs["csv"]
+        assert "FAIL  neg.gl2.Jplus-Jminus  residual=1.25000e+400  (" in outputs["text"]
+        # every shorter residual, here the 0 of each explicit form, prints as it stands
+        assert outputs["text"].count("residual=0  (") == len(residuals) - 1 == 14
+
 
 @pytest.mark.parametrize("argv", [
     ["basis", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3", "--m", "1"],

@@ -23,6 +23,7 @@ from jordan_osc import (
     gram_block,
     h_block,
     inner_product,
+    lift,
     minimum_order,
     model,
     moment,
@@ -136,7 +137,7 @@ class TestMoments:
         for P in (Params.exact(1, F(1, 2)), Params.exact(F(5, 3), F(3, 4)), Params.from_ab(0.79, 0.23)):
             for p in range(8):
                 for q in range(8):
-                    want = P.s(F(factorial(p), 2**p) if p == q else 0)
+                    want = lift(F(factorial(p), 2**p) if p == q else 0, P.mode)
                     got = moment(P, p, q)
                     assert got == want and type(got) is type(want), (P, p, q)
 
@@ -301,12 +302,12 @@ class TestInnerProduct:
         f1 = chain_psi(P, 1, 0)
         f2 = chain_psi(P, 2, 2)
         g = chain_psi(P, 1, 1)
-        combo = f1.scale(P.s(c1)) + f2.scale(P.s(c2))
+        combo = f1.scale(c1) + f2.scale(c2)
         got = inner_product(P, combo, g)
-        want = P.s(c1) * inner_product(P, f1, g) + P.s(c2) * inner_product(P, f2, g)
+        want = c1 * inner_product(P, f1, g) + c2 * inner_product(P, f2, g)
         assert got == want
         got = inner_product(P, g, combo)
-        want = P.s(c1) * inner_product(P, g, f1) + P.s(c2) * inner_product(P, g, f2)
+        want = c1 * inner_product(P, g, f1) + c2 * inner_product(P, g, f2)
         assert got == want
 
 

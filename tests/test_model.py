@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jordan_osc
-from jordan_osc import model
+from jordan_osc import gaussint, model, verifier, weyl
 from jordan_osc import (
     ACTION_RULES,
     CATALOG_NAMES,
@@ -21,6 +21,7 @@ from jordan_osc import (
     DiffOp,
     ModeMismatchError,
     Params,
+    SUITES,
     Poly2,
     apply,
     build_phi,
@@ -37,6 +38,7 @@ from jordan_osc import (
     inner_product,
     make_operator,
     moment,
+    run_suites,
 )
 
 from conftest import close, diff_ops, polys
@@ -75,6 +77,18 @@ class TestParams:
         P = Params.from_frequencies(math.sqrt(6), math.sqrt(2))
         assert P.a == pytest.approx(1.0)
         assert P.b == pytest.approx(0.25)
+
+    def test_frequency_point_passes_the_algebraic_suites(self):
+        # omega1 = 2, omega2 = 1: lam = sqrt(5/2), g = 3/2, a = lam/2 > b = g/(4 lam) > 0
+        P = Params.from_frequencies(2.0, 1.0)
+        lam, g = math.sqrt(2.5), 1.5
+        assert P.mode == FLOAT and P.a > P.b > 0
+        assert (P.a, P.b) == (pytest.approx(lam / 2, rel=1e-15), pytest.approx(g / (4 * lam), rel=1e-15))
+        reports = run_suites(P, ("structure", "pseudo", "integrals"), 8)
+        assert len(reports) == 153 and all(r.passed for r in reports)
+        for omega1, omega2 in [(1.0, 1.0), (1.0, 2.0), (2.0, 0.0), (2.0, -1.0)]:
+            with pytest.raises(ValueError):
+                Params.from_frequencies(omega1, omega2)
 
     def test_equal_frequencies_rejected(self):
         with pytest.raises(ValueError):
@@ -388,8 +402,9 @@ class TestEnvelopeConjugation:
 
 
 class TestFloatConjugation:
-    """A float point's catalog conjugations are read from its dyadic twin, the
-    same p, q as exact rationals: the exact terms, each coefficient rounded once."""
+    """A float point's operators, explicit forms and catalog conjugations are
+    read from its dyadic twin, the same p, q as exact rationals: the exact
+    terms, each coefficient rounded once. No operator is composed in floats."""
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(1e-3, 1e3), ratio=st.floats(1e-3, 0.999))
@@ -404,18 +419,63 @@ class TestFloatConjugation:
                                                                  for u in exact.nums.values()], name
 
     def test_action_operators_hold_the_exact_terms(self):
-        # built in floats, the 23 action operators' conjugations hold 88 terms:
-        # rounding residue where the exact terms cancel
+        # the 23 action operators' conjugations hold the exact terms, no
+        # rounding residue where they cancel
         P = Params.from_ab(0.79, 0.23)
         names = {rule.op_name for rule in ACTION_RULES}
         assert len(names) == 23
         assert sum(len(model.conjugated(P, name).nums) for name in names) == 61
-        assert sum(len(conjugate_through_envelope(P, make_operator(P, name)).nums) for name in names) == 88
 
     def test_su2_factor_is_the_rounded_root(self):
         for n in range(25):
             for m in range(n + 1):
                 assert model.su2_factor(n, m).hex() == math.sqrt(phi_scale_sq(n, m)).hex(), (n, m)
+
+    @pytest.mark.parametrize("a, b", [(0.79, 0.23), (3.0, 1.0)])
+    def test_operators_and_forms_are_the_twins_rounded_once(self, a, b):
+        P = Params.from_ab(a, b)
+        assert (len(CATALOG_NAMES), len(EXPLICIT_NAMES)) == (27, 14)
+        for name in CATALOG_NAMES:
+            assert make_operator(P, name) == make_operator(P.twin, name).to_float(), name
+        for name in EXPLICIT_NAMES:
+            assert explicit_form(P, name) == explicit_form(P.twin, name).to_float(), name
+
+    def test_a_float_point_composes_no_operator_in_floats(self, monkeypatch):
+        # every operator product, adjoint, swap, conjugation generator and
+        # literal read refuses a float operand or point; a float run of every
+        # suite, and every float operator, form and conjugation, still completes
+        def refuse(owner, name, mode_of):
+            original = getattr(owner, name)
+
+            def refusing(*args):
+                if mode_of(*args) == FLOAT:
+                    raise AssertionError(f"{name} met a float operand or point")
+                return original(*args)
+
+            for module in [owner] if isinstance(owner, type) else [weyl, model, verifier, gaussint]:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, refusing)
+
+        monkeypatch.setattr(model, "_POINTS", {})
+        refuse(weyl._TermMap, "_product", lambda x, *_: x.mode)
+        refuse(weyl, "adjoint", lambda op: op.mode)
+        refuse(weyl, "swap_vars", lambda op: op.mode)
+        refuse(model, "_chain_generators", lambda params: params.mode)
+        refuse(model, "_scalar", lambda token, params: params.mode)
+        P = Params.from_ab(0.79, 0.23)
+        assert len(run_suites(P, SUITES, 6)) == 190
+        for name in CATALOG_NAMES:
+            assert make_operator(P, name).mode == model.conjugated(P, name).mode == FLOAT
+        assert {explicit_form(P, name).mode for name in EXPLICIT_NAMES} == {FLOAT}
+
+    def test_an_operator_given_as_such_needs_an_exact_point(self, params, fparams):
+        op, fn = make_operator(fparams, "H"), chain_psi(fparams, 2, 1)
+        calls = [lambda: conjugate_through_envelope(fparams, op), lambda: apply(fparams, op, fn),
+                 lambda: conjugate_through_envelope(params, op)]
+        for call in calls:
+            with pytest.raises(ModeMismatchError, match=r"Params\.twin, or apply\(params, name, fn\)"):
+                call()
+        assert apply(fparams, "H", fn) == apply(fparams.twin, "H", chain_psi(fparams.twin, 2, 1)).to_float()
 
 
 class TestApply:
@@ -493,16 +553,17 @@ def _substitute_w(P, g):
     return out
 
 
-def _same(x, y, size=1.0):
+def _same(x, y):
     # exact: equal; float: equal up to rounding relative to the larger of
-    # size and the sizes of the two results
+    # 1 and the sizes of the two results
     if x.mode == EXACT:
         return x == y
-    return (x - y).max_magnitude() <= 1e-12 * max(size, x.max_magnitude(), y.max_magnitude())
+    return (x - y).max_magnitude() <= 1e-12 * max(1.0, x.max_magnitude(), y.max_magnitude())
 
 
-# zb dz^2 dzb^2 + z zb^2 dz^2 + z^2 dz^2 dzb
-_ROUNDED_ZERO_COMMUTATOR = sum((DiffOp.monomial(key, F(1)) for key in ((0, 1, 2, 2), (1, 2, 2, 0), (2, 0, 2, 1))),
+# zb dz^2 dzb^2 + z zb^2 dz^2 + z^2 dz^2 dzb, whose commutator with itself is
+# zero (in floats at the point 9/4, 4/9 it once left a rounding residue)
+_ZERO_COMMUTATOR = sum((DiffOp.monomial(key, F(1)) for key in ((0, 1, 2, 2), (1, 2, 2, 0), (2, 0, 2, 1))),
                                DiffOp.zero(EXACT))
 CHAIN_POINTS = [Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
                 Params.from_ab(0.79, 0.23), Params(FLOAT, F(3, 2), F(2, 3))]
@@ -513,30 +574,24 @@ class TestChainCoordinates:
     """The image pass runs in the chain variables (w, zbar), w = a z + b zbar:
     the change of variables is exact, so it changes no identity."""
 
-    @pytest.mark.parametrize("P", CHAIN_POINTS, ids=CHAIN_IDS)
+    # an operator is composed at exact points only (a float point's is its
+    # twin's, rounded once), so these two run at the exact points
+    @pytest.mark.parametrize("P", CHAIN_POINTS[:2], ids=CHAIN_IDS[:2])
     @settings(max_examples=25, deadline=None)
     @given(x=diff_ops(), y=diff_ops())
-    # exact-zero commutators whose float rounding exceeded a bound relative to
-    # the results' sizes alone, at the point 9/4, 4/9
-    @example(x=_ROUNDED_ZERO_COMMUTATOR, y=_ROUNDED_ZERO_COMMUTATOR)
+    @example(x=_ZERO_COMMUTATOR, y=_ZERO_COMMUTATOR)
     @example(x=DiffOp.monomial((0, 0, 2, 2), F(2)), y=DiffOp.monomial((0, 0, 2, 2), F(7, 3)))
     def test_conjugation_respects_products_and_commutators(self, P, x, y):
-        if P.mode != EXACT:
-            x, y = x.to_float(), y.to_float()
         conj = lambda op: conjugate_through_envelope(P, op)  # noqa: E731
         cx, cy = conj(x), conj(y)
-        # the rounding of a product or commutator scales with its operands
-        size = max(1.0, cx.max_magnitude() * cy.max_magnitude())
-        assert _same(conj(x * y), cx * cy, size)
-        assert _same(conj(commutator(x, y)), commutator(cx, cy), size)
+        assert conj(x * y) == cx * cy
+        assert conj(commutator(x, y)) == commutator(cx, cy)
 
-    @pytest.mark.parametrize("P", CHAIN_POINTS, ids=CHAIN_IDS)
+    @pytest.mark.parametrize("P", CHAIN_POINTS[:2], ids=CHAIN_IDS[:2])
     @settings(max_examples=25, deadline=None)
     @given(op=diff_ops(), g=polys())
     def test_apply_in_chain_form_is_apply_in_z_zbar(self, P, op, g):
-        if P.mode != EXACT:
-            op, g = op.to_float(), g.to_float()
-        assert _same(from_chain(P, apply(P, op, g)), _zzbar_conjugate(P, op).apply_to(from_chain(P, g)))
+        assert from_chain(P, apply(P, op, g)) == _zzbar_conjugate(P, op).apply_to(from_chain(P, g))
 
     @pytest.mark.parametrize("P", CHAIN_POINTS, ids=CHAIN_IDS)
     @settings(max_examples=25, deadline=None)
@@ -596,9 +651,9 @@ def test_float_coefficients_are_floats(a, b):
     # one number type per mode: whatever float mode builds holds floats only
     P = Params.from_ab(a, b)
     ops = [make_operator(P, name) for name in CATALOG_NAMES] + [explicit_form(P, name) for name in EXPLICIT_NAMES]
-    objects = ops + [conjugate_through_envelope(P, op) for op in ops]
-    objects += [model.conjugated(P, name) for name in CATALOG_NAMES]
+    objects = ops + [model.conjugated(P, name) for name in CATALOG_NAMES]
     objects += [build_psi(P, n, m) for n in range(9) for m in range(n + 1)]
+    objects += [apply(P, name, chain_psi(P, 3, 1)) for name in CATALOG_NAMES]
     coeffs = [c for obj in objects for c in obj.terms.values()]
     coeffs += [c for n in range(5) for block in (gram_block(P, n), h_block(P, n)) for row in block for c in row]
     coeffs += [moment(P, p, q) for p in range(12) for q in range(12)]
@@ -610,7 +665,7 @@ def test_float_coefficients_are_floats(a, b):
 def test_basis_functions_are_poly2(P):
     # a basis function is its polynomial P: kappa and the envelope are implied by the point
     psi, chain = build_psi(P, 3, 2), chain_psi(P, 3, 2)
-    results = [psi_series(P, 3, 2), psi, chain, apply(P, make_operator(P, "H"), chain), expand_in_basis(P, psi, 3)]
+    results = [psi_series(P, 3, 2), psi, chain, apply(P, "H", chain), expand_in_basis(P, psi, 3)]
     if P.mode == "float":
         results.append(build_phi(P, 3, 2))
     assert [type(x) for x in results] == [Poly2] * len(results)

@@ -119,6 +119,41 @@ class TestCatalogParsing:
         assert [s.rel_id for s in load_relations(str(path))] == ["y", "z"]
 
 
+#: the 14 osp(1/4) generators, the four odd ones first
+_ODD = ("a1+", "a1-", "a2+", "a2-")
+_OSP = _ODD + ("E11", "E12", "E21", "E22", "D+11", "D+12", "D+22", "D-11", "D-12", "D-22")
+
+
+def _graded_brackets(specs) -> Counter:
+    """How many lines of ``specs`` hold each unordered pair of osp(1/4)
+    generators under its graded bracket, on either side: acomm if both are
+    odd, else comm (D+21 and D-21 read as D+12 and D-12)."""
+    def brackets(tree) -> set:
+        if isinstance(tree, str):
+            return set()
+        found = set().union(*map(brackets, tree[1:]))
+        pair = frozenset(model._ALIASES.get(arg, arg) for arg in tree[1:])
+        if pair <= set(_OSP) and tree[0] == ("acomm" if pair <= set(_ODD) else "comm"):
+            found.add(pair)
+        return found
+
+    return Counter(pair for spec in specs
+                   for pair in brackets(model.parse_expression(spec.lhs)) | brackets(model.parse_expression(spec.rhs)))
+
+
+def test_every_osp_pair_has_one_graded_bracket():
+    # 45 even-even, 40 odd-even and 10 odd-odd pairs, an odd generator with
+    # itself included; dropping any of those lines is seen
+    pairs = {frozenset((x, y)) for i, x in enumerate(_OSP) for y in _OSP[i:] if x != y or x in _ODD}
+    assert len(pairs) == 95
+    specs = load_relations()
+    assert _graded_brackets(specs) == Counter(dict.fromkeys(pairs, 1))
+    stated = [spec for spec in specs if _graded_brackets([spec])]
+    assert len(stated) == 95
+    for dropped in stated:
+        assert _graded_brackets([spec for spec in specs if spec is not dropped]) != Counter(dict.fromkeys(pairs, 1))
+
+
 class TestExpressionGrammar:
     def test_operator_lookup(self, params):
         assert eval_expression("H", params) == make_operator(params, "H")
@@ -179,16 +214,21 @@ class TestExpressionGrammar:
                              ids=["0.79-0.23", "3-1", "1-0.25"])
     def test_catalog_literals_keep_their_float_bits(self, point):
         # every literal of the shipped catalogs, and of the form c*ab they do
-        # not use, is read as the grammar before c*f^k*... read c, c*a, c*b and
-        # c*ab: c, times a^i, times b^j
+        # not use, is c times a^i times b^j at the twin, rounded once at the
+        # float point; so is each action term's literal, as the image pass reads it
         tokens = {tok for spec in load_relations() + load_negative_controls()
                   for side in (spec.lhs, spec.rhs) for tok in side.split() if model._SCALAR_TOKEN.fullmatch(tok)}
         tokens |= {"8*ab", "-3/7*ab"}
         assert {tok.partition("*")[2] for tok in tokens} == {"", "a", "b", "ab"}
+        twin = point.twin
         for tok in tokens:
             c, _, unit = tok.partition("*")
-            want = point.s(F(c)) * point.a ** unit.count("a") * point.b ** unit.count("b")
-            assert model._scalar(tok, point).hex() == want.hex(), tok
+            want = float(F(c) * twin.a ** unit.count("a") * twin.b ** unit.count("b"))
+            assert eval_expression(tok, point) == DiffOp.constant(want), tok
+        for rule in ACTION_RULES:
+            terms = {shift: term for shift, _, term in verifier._reads(point, rule) if term is not None}
+            for dn, dm, literal, _ in rule.terms:
+                assert terms[2 * dm - dn][2:4] == ([float(model._scalar(literal, twin))], 1), (rule.rule_id, literal)
 
 
 class TestStructureSuite:
@@ -527,7 +567,7 @@ class TestActionSuite:
         sizes = {(n, m): chain_psi(P, n, m).max_magnitude() / P.a for n in range(6) for m in range(n + 1)}
         worst = max(sizes.values())
         failed = next(r for r in reports if r.failed)
-        assert failed.residual == str(worst) != str(P.s(0))
+        assert failed.residual == str(worst) != str(lift(0, P.mode))
         assert failed.anchor.endswith(f"[worst at n,m={next(at for at, v in sizes.items() if v == worst)}]")
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
         assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5)[0]))
@@ -549,6 +589,20 @@ class TestActionSuite:
                 assert named == [], rule.rule_id
             else:
                 assert [(offset(dj), offset(dmu)) for dj, dmu in named] == [(F(dn, 2), dm - F(dn, 2))], rule.rule_id
+
+    def test_anchors_name_each_target_and_their_operator(self):
+        # each action anchor names every term's target psi[n+dn,m+dm] as its
+        # terms write it, and its operator; each irrep anchor starts with its operator
+        def target(dn, dm):
+            return f"psi[n{f'{dn:+}' if dn else ''},m{f'{dm:+}' if dm else ''}]"
+
+        assert len(ACTION_RULES) == 23 and len(IRREP_RULES) == 14
+        for rule in ACTION_RULES:
+            assert rule.op_name in rule.anchor.split(" = ")[0], rule.rule_id
+            for dn, dm, *_ in rule.terms:
+                assert target(dn, dm) in rule.anchor, (rule.rule_id, dn, dm)
+        for rule in IRREP_RULES:
+            assert rule.anchor.startswith(f"{rule.op_name} phi"), rule.rule_id
 
 
 class TestIrrepSuite:
@@ -689,7 +743,7 @@ class TestDerivedChecksCanFail:
         # the image pass applies each operator by name, through its stored conjugation
         conjugated = model.conjugated
         monkeypatch.setattr(model, "conjugated", lambda P, name: (
-            conjugated(P, name).scale(P.s(2)) if name == "a1+" else conjugated(P, name)))
+            conjugated(P, name).scale(2) if name == "a1+" else conjugated(P, name)))
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         assert failing == {"action.a1+", "irrep.a1+.sq", "irrep.a1+.float"}
 
@@ -838,7 +892,7 @@ class TestImagePass:
             if name != "a1+":
                 return op
             if corruption == "stray":
-                return op + DiffOp.monomial((3, 2, 0, 0), P.s(F(1, 1000)))
+                return op + DiffOp.monomial((3, 2, 0, 0), lift(F(1, 1000), P.mode))
             return DiffOp._normalized(op.mode, {key: v for key, v in op.nums.items() if key != (0, 0, 0, 1)}, op.den)
 
         monkeypatch.setattr(model, "conjugated", corrupted)
@@ -865,7 +919,7 @@ class TestImagePass:
         # fails every action and irrep check that reads its level instead
         monkeypatch.setattr(model, "_POINTS", {})
         psi = chain_psi(point, 3, 1)
-        model.point_cache(point)[model.chain_psi.__wrapped__, 3, 1] = psi + Poly2.monomial(*key, point.s(1))
+        model.point_cache(point)[model.chain_psi.__wrapped__, 3, 1] = psi + Poly2.monomial(*key, lift(1, point.mode))
         got = verifier.run_suites(point, ("actions", "irrep"), 5)
         want = reference_pass.image_pass(point, ("actions", "irrep"), 5)
         assert _failing(got) == _failing(want[0] + want[1]) == {r.relation_id for r in got}
@@ -1144,7 +1198,7 @@ class TestIntegralSuite:
         # gram, jordan and norms blocks read, so gram reads the line itself
         monkeypatch.setattr(model, "_POINTS", {})
         psi = chain_psi(point, 7, 3)
-        model.point_cache(point)[model.chain_psi.__wrapped__, 7, 3] = psi + Poly2.monomial(*key, point.s(1))
+        model.point_cache(point)[model.chain_psi.__wrapped__, 7, 3] = psi + Poly2.monomial(*key, lift(1, point.mode))
         reports = {r.relation_id: r for r in check_integrals(point, n_max=8)}
         assert reports["integrals.gram"].failed
         assert reports["integrals.gram"].anchor.endswith("[worst at n,m=(7, 3)]")

@@ -49,7 +49,7 @@ class TestCoefficients:
         with pytest.raises(ModeMismatchError):
             Poly2.z(EXACT).scale(0.5)
         with pytest.raises(ModeMismatchError):
-            Params.exact(1, F(1, 2)).s(0.5)
+            Params(EXACT, 1, 0.5)
 
     def test_float_equality_is_bitwise(self):
         # one rule in both modes (the same mode, den and nums), so equality is
