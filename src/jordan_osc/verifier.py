@@ -40,16 +40,15 @@ irrep rule reads, is refused before any image is built.
 The exact squared-value report irrep.<rule>.sq of a ladder rule reads the
 step's action coefficient c: c >= 0 and c^2 m!(n'-m')!/((n-m)! m'!) equals
 the claim, decided in integers, so its residual also carries the image's
-residual against the action rule. irrep.J0 and irrep.K compare the action
-coefficient with the claimed eigenvalue. The direct reports irrep.<rule>.float
-read the same images in the same walk, in both modes, in floats and each line
-rescaled to op phi, against the run's own psi_{n',m'} times the square root of
-the claim and its su(2) factor sqrt(m'!/(n'-m')!) (``su2_factor``), the only
-irrational number of an exact run. Each claim is evaluated at j = n/2,
-mu = m - n/2, held exactly: in floats in a float run, else in ints at an even
-n and Fractions at an odd one. The quadrature oracle too reads the run's own
-basis, so an exact run builds nothing in floats; a reading that leaves the
-float range skips its check at that step, unless a residual already failed it.
+residual against the action rule. irrep.J0 and irrep.K compare c with the
+claimed eigenvalue. The direct reports irrep.<rule>.float, in both modes, are
+bounded from the same reading; only a step whose bound fails reads op phi in
+floats, against the run's own psi_{n',m'} times sqrt(claim) and its su(2)
+factor (``su2_factor``), the only irrational number of an exact run; a reading
+that leaves the float range skips its check at that step, unless a residual
+already failed it. Each claim is evaluated at j = n/2, mu = m - n/2, held
+exactly: in floats in a float run, else in ints at an even n and Fractions at
+an odd one.
 
 The structure suite proves each catalog relation once per process, at
 p = q = 1. Every catalog operator and explicit form is a tree of the prefix
@@ -85,6 +84,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from importlib import resources
 from math import factorial, inf, isfinite, lcm, sqrt
+from sys import float_info
 from typing import Callable, Iterable
 
 from . import model
@@ -102,7 +102,7 @@ from .model import (
     Params,
     _scalar,
     _weight,
-    apply,  # unused here, but bound: perfbench/test_perfbench.py patches and restores verifier.apply
+    apply,  # the .float reports' direct reading; perfbench/test_perfbench.py patches it here too
     build_psi,
     chain_psi,
     energy,
@@ -439,20 +439,18 @@ IRREP_RULES: tuple[IrrepRule, ...] = (
 
 
 # Each irrep residual reads one step op.psi_{n,m} of the pass: its arguments
-# are n, m, the rule's claimed value there (at j = n/2,
-# mu = m - n/2, computed once for all reports of the rule), the one action
-# term (c, n', m') of the step, its float reading against its direct target
-# (see _float_ladder_residual; None for the other reports), and the image's
-# residual against the action rule.
+# are n, m, the rule's claimed value there (at j = n/2, mu = m - n/2,
+# computed once for all reports of the rule), the one action term (c, n', m')
+# of the step, and the image's residual against the action rule.
 
 
-def _eigenvalue_residual(n, m, eigenvalue, target, reading, image_residual):
+def _eigenvalue_residual(n, m, eigenvalue, target, image_residual):
     """op psi_{n,m} = c psi_{n,m} holds (the image residual) and c equals the
     irrep eigenvalue."""
     return max_or_nan(image_residual, abs(target[0] - eigenvalue))
 
 
-def _squared_ladder_residual(n, m, c2, target, reading, image_residual):
+def _squared_ladder_residual(n, m, c2, target, image_residual):
     """Exact mode: op psi_{n,m} = c psi_{n',m'} holds (the image residual),
     c >= 0, and, as phi is psi scaled by sqrt(m!/(n-m)!),
     c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = claim; outside the grid the
@@ -472,30 +470,42 @@ def _squared_ladder_residual(n, m, c2, target, reading, image_residual):
     return max_or_nan(image_residual, abs(c * c * ratio - c2))
 
 
-def _float_ladder_residual(n, m, c2, target, reading, image_residual, *, sizes, mode):
-    """Float, direct: op phi_{n,m} against sqrt(c2) phi_{n',m'}, c2 the
-    claim, normalized by the size of the target. phi is psi times its su(2)
-    factor, so op phi is the image times the factor of (n, m), and the target
-    is the run's own psi_{n',m'} times sqrt(c2) su2_factor(n', m');
-    ``reading`` is the largest magnitude of their difference, of op phi alone
-    off the grid, read in floats (_read_level). Rounding is
-    monotone, so for c >= 0 the largest magnitude of c * psi is c times
-    sizes(n', m'), that of psi, bit for bit. OverflowError where a reading in
-    an exact run (``mode``) leaves the float range (inf, or NaN = inf - inf)."""
-    _, n2, m2 = target
+def _float_ladder_residual(n, m, c2, target, image_residual, *, sizes, off_line, tol, direct):
+    """Float: op phi_{n,m} against c psi_{n',m'}, c = sqrt(c2) su2_factor(n', m'),
+    over max(1, c T), T = sizes(n', m'). With s = su2_factor(n, m) and w the action
+    coefficient, op phi - c psi' = s (op psi - w psi') + (s w - c) psi', so the residual
+    is at most max(r_off/T, s r/T + |s w - c|) min(T, 1/c), r the image residual and
+    r_off = off_line(n, m) (unscaled: s may be 1e-12), each ratio formed exactly; off
+    the grid, max(|c2|, r_off, s r). Read ``direct`` where that bound exceeds tol."""
+    w, n2, m2 = target
+    s, off, r = su2_factor(n, m), off_line(n, m), image_residual
     if 0 <= m2 <= n2:
-        size = sqrt(c2) * su2_factor(n2, m2) * sizes(n2, m2)
+        c, size = sqrt(c2) * su2_factor(n2, m2), sizes(n2, m2)
+        bound = (max_or_nan(_ratio(off, size), s * _ratio(r, size) + abs(s * w - c))
+                 * float(min(size, 1 / c if c else inf)))
     else:
-        reading, size = max_or_nan(abs(float(c2)), reading), 0.0
-    if mode == EXACT and not isfinite(reading + size):  # both >= 0 or NaN
+        bound = max_or_nan(abs(float(c2)), float(off), s * float(r))
+    return bound if bound <= tol else direct(n, m, c2, target)
+
+
+def _direct_reading(params: Params, op_name: str, basis: Callable, n, m, c2, target) -> float:
+    """The .float residual read directly: op applied by name to psi_{n,m}, times
+    su2_factor(n, m), less c psi_{n',m'} (off the grid: at least |c2|), in floats.
+    OverflowError where a reading in an exact run leaves the float range."""
+    _, n2, m2 = target
+    c = sqrt(c2) * su2_factor(n2, m2) if 0 <= m2 <= n2 else 0.0
+    psi = basis(n2, m2).to_float() if c else Poly2.zero(FLOAT)
+    image = apply(params, op_name, basis(n, m)).to_float()
+    reading = max_or_nan(0.0 if c else abs(float(c2)), Poly2.linear_combination(
+        FLOAT, ((su2_factor(n, m), image), (-c, psi))).max_magnitude())
+    size = c * psi.max_magnitude()  # rounding is monotone: c T, bit for bit
+    if params.mode == EXACT and not isfinite(reading + size):  # both >= 0 or NaN
         raise OverflowError("a float reading of the exact image or target leaves the float range")
     return reading / max_or_nan(1.0, size)
 
 
 def _irrep_checks(mode: str, rule: IrrepRule, diagonal: bool, tol: float, direct: Callable) -> list:
-    """The (report, residual function) of each report of one irrep rule, in
-    report order; the direct reports of every rule share the residual
-    function ``direct``."""
+    """The (report, residual function) of each report of one irrep rule, in report order."""
     if diagonal:
         return [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
     squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT)
@@ -520,31 +530,25 @@ def _off_line(psi: Poly2, n: int, m: int):
     return max_or_nan(*off) / lift(psi.den, psi.mode) if off else 0
 
 
-def _as_float(x) -> float:
-    """x in floats, beyond the float range an infinity of its sign (where float() raises)."""
-    try:
-        return float(x)
-    except OverflowError:
-        return inf if x > 0 else -inf
+def _size(psi: Poly2):
+    """psi's largest coefficient magnitude, in floats where that float is normal, else as it is."""
+    size = psi.max_magnitude()
+    return float(size) if float_info.min <= size <= float_info.max else size
 
 
-def _float_values(x: Poly2) -> dict:
-    """x's coefficients in floats, key -> value, as _as_float reads them."""
-    if x.mode == FLOAT:
-        return x.nums
-    try:
-        return {key: u / x.den for key, u in x.nums.items()}
-    except OverflowError:  # an int / int beyond the float range
-        return {key: _as_float(Fraction(u, x.den)) for key, u in x.nums.items()}
+def _ratio(x, size) -> float:
+    """x / size in floats, formed exactly first where x is exact; inf beyond the float range."""
+    if not x or isinstance(x, float):
+        return x and x / size
+    q = x / Fraction(size)
+    return float(q) if q <= float_info.max else inf
 
 
-def _level(psis: list) -> tuple[Poly2, list, dict]:
-    """Level n from psi_{n,m}, m = 0..n: Lambda_n over one denominator, each
-    step's off-line residual, and the level's derivative table."""
-    n, den = len(psis) - 1, lcm(*(psi.den for psi in psis))
-    level = Poly2._normalized(psis[0].mode, {key: u * (den // psi.den) for psi in psis
-                                             for key, u in psi.nums.items()}, den)
-    return level, [_off_line(psi, n, m) for m, psi in enumerate(psis)], {}
+def _level(psis: list) -> tuple[Poly2, dict]:
+    """Lambda_n, the sum of psi_{n,m}, m = 0..n, over one denominator, and its derivative table."""
+    den = lcm(*(psi.den for psi in psis))
+    return Poly2._normalized(psis[0].mode, {key: u * (den // psi.den) for psi in psis
+                                            for key, u in psi.nums.items()}, den), {}
 
 
 def _reads(params: Params, rule: ActionRule) -> list:
@@ -560,28 +564,25 @@ def _reads(params: Params, rule: ActionRule) -> list:
 class _Line:
     """The record of step m of a level under one charge part: the image and
     target multipliers a and b (exact: ints, u a - t b; float: 1 and the
-    weight w), the target line, psi_{n',m'}.nums or {}, and its floats, the
-    direct reading's target and image weights c and scale, two running maxima."""
+    weight w), the target line psi_{n',m'}.nums or {}, the running maximum."""
 
-    __slots__ = ("scale", "a", "b", "target", "c", "floats", "worst", "dworst")
+    __slots__ = ("a", "b", "target", "worst")
 
-    def __init__(self, scale: float = 1.0) -> None:
-        self.scale, self.a, self.b = scale, 1, 0  # in threes: a longer tuple is built, then unpacked
-        self.target, self.c, self.floats = {}, 0, None
-        self.worst = self.dworst = 0
+    def __init__(self) -> None:
+        self.a, self.b = 1, 0
+        self.target, self.worst = {}, 0
 
 
-def _read_lines(image: Poly2, lines: dict, direct: bool) -> None:
+def _read_lines(image: Poly2, lines: dict) -> None:
     """Read one image into its records' maxima, charge -> _Line: per line the
     largest magnitude of image - (b / a) target, as linear_combination then
-    max_magnitude give it, bit for bit, and with ``direct`` that of scale *
-    image - c * target in floats. One walk looks each monomial up in its line;
-    a match count finds the target monomials the image lacks; a monomial on
-    no line is skipped. Exact: decided in integers, each maximum over a times
-    image.den."""
+    max_magnitude give it, bit for bit. One walk looks each monomial up in its
+    line; a match count finds the target monomials the image lacks; a
+    monomial on no line is skipped. Exact: decided in integers, each maximum
+    over a times image.den."""
     exact, inums = image.mode == EXACT, image.nums
     matched = 0
-    for (key, u), uf in zip(inums.items(), _float_values(image).values() if direct else inums.values()):
+    for key, u in inums.items():
         line = lines.get(key[0] - key[1])
         if line is None:
             continue
@@ -590,63 +591,47 @@ def _read_lines(image: Poly2, lines: dict, direct: bool) -> None:
             v = u * line.a if exact else u
         else:
             matched, b = matched + 1, line.b
-            v = u * line.a - t * b if exact else -b * t + u if b else u
+            v = u * line.a - t * b if exact else -b * t + u
         if v and (abs(v) > line.worst or v != v):  # the largest, a NaN winning
             line.worst = abs(v)
-        if direct:
-            c, uf = line.c, line.scale * uf
-            v = abs(uf if not c or t is None else -c * line.floats[key] + uf)
-            if v > line.dworst or v != v:
-                line.dworst = v
     if matched < sum(len(line.target) for line in lines.values()):  # a target monomial the image lacks
         for line in lines.values():
-            for key, t in line.target.items():
-                if key not in inums and line.b:  # a zero weight reads nothing, so 0 * inf makes no NaN
-                    line.worst = max_or_nan(line.worst, abs(t * line.b))
-                if key not in inums and line.c:
-                    line.dworst = max_or_nan(line.dworst, abs(line.c * line.floats[key]))
+            for key in line.target.keys() - inums.keys():
+                line.worst = max_or_nan(line.worst, abs(line.target[key] * line.b))
 
 
-def _read_level(reads: list, level: tuple, basis: Callable, floats: Callable | None = None, values=None) -> tuple:
-    """Per step m of ``level`` (see _level), from its off-line residual, each
-    part's image read against one record per step (_Line): the residual of
-    op psi_{n,m} against the rule's terms; given an irrep rule's ``values``,
-    the action term (c, n', m'); and with ``floats`` (a ladder rule) that of
-    op phi_{n,m} against sqrt(claim) phi_{n',m'} in floats, else zeros."""
-    source, off, derivatives = level
-    n, mode, direct = len(off) - 1, source.mode, floats is not None
-    worst, readings, terms = list(off), [r and _as_float(r) for r in off], [None] * (n + 1)
+def _read_level(reads: list, level: tuple, off: list, basis: Callable, irrep: bool) -> tuple:
+    """Per step m of ``level`` (see _level), from its off-line residual ``off[m]``,
+    each part's image read against one record per step (_Line): the residual of op
+    psi_{n,m} against the rule's terms, and for an ``irrep`` rule the action term (c, n', m')."""
+    (source, derivatives), n = level, len(off) - 1
+    mode, worst, terms = source.mode, list(off), [None] * (n + 1)
     for shift, part, term in reads:
         image = Poly2.zero(mode) if part is None else part.apply_to(source, derivatives)
-        lines = {2 * m - n + shift: _Line(su2_factor(n, m) if direct else 1.0) for m in range(n + 1)}
+        lines = {2 * m - n + shift: _Line() for m in range(n + 1)}
         if term is not None:
             dn, dm, [num], den, poly = term
             for m, line in enumerate(lines.values()):
                 n2, m2, w = n + dn, m + dm, num * poly(n, m)
-                terms[m] = values and (w if den == 1 else Fraction(w, den), n2, m2)  # for an irrep rule
-                c = sqrt(values[m]) * su2_factor(n2, m2) if direct and 0 <= m2 <= n2 else 0
-                if (w or c) and 0 <= m2 <= n2:
+                terms[m] = irrep and (w if den == 1 else Fraction(w, den), n2, m2)
+                if w and 0 <= m2 <= n2:  # a target to read: a zero weight reads nothing, so 0 * inf makes no NaN
                     psi = basis(n2, m2)
-                    line.target, line.c, line.floats = psi.nums, c, c and floats(n2, m2)
-                    if w:
-                        line.a, line.b = (den * psi.den, w * image.den) if mode == EXACT else (1, w)
-        _read_lines(image, lines, direct)
+                    line.target = psi.nums
+                    line.a, line.b = (den * psi.den, w * image.den) if mode == EXACT else (1, w)
+        _read_lines(image, lines)
         for m, line in enumerate(lines.values()):  # max_or_nan, inline; a Fraction only for a nonzero exact maximum
             r = line.worst and (Fraction(line.worst, image.den * line.a) if mode == EXACT else line.worst)
             if r and (r > worst[m] or r != r):
                 worst[m] = r
-            if line.dworst and (line.dworst > readings[m] or line.dworst != line.dworst):
-                readings[m] = line.dworst
-    return worst, readings, terms
+    return worst, terms
 
 
 def _image_pass(
     params: Params, suites: Iterable[str], n_max: int, tol: float
 ) -> tuple[list[Report], list[Report]]:
     """Reports of the actions and irrep suites among ``suites``, each in report
-    order: level-outer, on charge lines (see the module docstring), each level
-    one polynomial with one derivative table. The images' cost is timed into
-    the action report, or into the first irrep report otherwise."""
+    order: level-outer, on charge lines (see the module docstring). The images'
+    cost is timed into the action report, or into the first irrep report otherwise."""
     mode = params.mode
     irrep_rules = IRREP_RULES if "irrep" in suites else ()
     term_counts = {rule.op_name: len(rule.terms) for rule in ACTION_RULES}
@@ -656,13 +641,11 @@ def _image_pass(
             raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has no action rule of one term")
         if by_op.setdefault(irrep_rule.op_name, irrep_rule) is not irrep_rule:
             raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has an irrep rule already")
-    # psi_{n,m} by (n, m), its largest magnitude and its coefficients in
-    # floats: the pass reads each at up to a dozen steps, and from the point's
-    # store once
+    # psi_{n,m} by (n, m), its off-line residual and its size: the pass reads
+    # each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
-    sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
-    floats = cache(lambda n, m: _float_values(basis(n, m)))
-    direct = partial(_float_ladder_residual, sizes=sizes, mode=mode)
+    off_line = cache(lambda n, m: _off_line(basis(n, m), n, m))
+    bound = partial(_float_ladder_residual, sizes=cache(lambda n, m: _size(basis(n, m))), off_line=off_line, tol=tol)
     # (action report, irrep rule, irrep reports, image clock, the rule's reads)
     plan = []
     for rule in ACTION_RULES:
@@ -671,7 +654,8 @@ def _image_pass(
             continue
         action = _Check(rule.rule_id, rule.anchor, mode, tol)
         checks = [] if irrep_rule is None else _irrep_checks(
-            mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, direct)
+            mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol,
+            partial(bound, direct=partial(_direct_reading, params, rule.op_name, basis)))
         plan.append((action, irrep_rule, checks, action if "actions" in suites else checks[0][0],
                      _reads(params, rule)))
     if not plan:
@@ -679,7 +663,7 @@ def _image_pass(
     for n in range(n_max + 1):
         steps = range(n + 1)
         with plan[0][3]:  # the level is part of the images' cost
-            level = _level([basis(n, m) for m in steps])
+            level, off = _level([basis(n, m) for m in steps]), [off_line(n, m) for m in steps]
         # (j, mu) = (n/2, m - n/2): exact in floats too, as is each claim, so
         # it is a coefficient of the mode as it stands; ints at an even n
         halves = [(n / 2, m - n / 2) if mode == FLOAT else (n // 2, m - n // 2) if n % 2 == 0
@@ -687,15 +671,14 @@ def _image_pass(
         for action, irrep_rule, checks, image_clock, reads in plan:
             with image_clock:
                 values = irrep_rule and [irrep_rule.claim(j, mu) for j, mu in halves]
-                ladder = any(residual is direct for _, residual in checks)
-                worst, readings, terms = _read_level(reads, level, basis, floats if ladder else None, values)
+                worst, terms = _read_level(reads, level, off, basis, irrep_rule is not None)
             for m in steps:
                 action.add(worst[m], (n, m))
             for check, residual in checks:
                 with check:
                     for m in steps:
                         try:
-                            check.add(residual(n, m, values[m], terms[m], readings[m], worst[m]), (n, m))
+                            check.add(residual(n, m, values[m], terms[m], worst[m]), (n, m))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for action, *_ in plan] if "actions" in suites else []

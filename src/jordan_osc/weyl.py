@@ -303,9 +303,6 @@ class Poly2(_TermMap):
         """Max of deg_z + deg_zbar over stored terms; 0 for the zero polynomial."""
         return max((i + j for (i, j) in self.nums), default=0)
 
-    def coeff(self, deg_z: int, deg_zbar: int) -> Coeff:
-        return self.nums.get((deg_z, deg_zbar), 0) / lift(self.den, self.mode)
-
 
 # ---------------------------------------------------------------------------
 # normally ordered differential operators

@@ -6,21 +6,23 @@ name (``model.apply``), and each image op.psi_{n,m} is read whole. Its
 residuals are those of the built polynomials:
 ``linear_combination(...).max_magnitude()`` over every monomial of the image
 and its targets, and, for the direct irrep reports, of the image and the
-target read in floats by ``to_float``, so a reading beyond the float range
-raises ``OverflowError`` there. The reports come from the package's own
-rules, checks and per-step residual functions; only the way each image is
-built and read differs.
+target read in floats by ``to_float`` at every step, so a reading beyond the
+float range raises ``OverflowError`` there. The reports come from the
+package's own rules, checks and per-step residual functions, but for the
+direct reports, which the package bounds from the action reading and reads
+directly only where that bound fails; so a passing direct report reads at
+most the package's residual, and every other report the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from math import sqrt
+from math import isfinite, sqrt
 
 from jordan_osc import model, verifier
 from jordan_osc.verifier import FLOAT_OVERFLOW, _Check
-from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination
+from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination, max_or_nan
 
 
 def whole_residual(mode, targets, image, scale=1):
@@ -30,8 +32,8 @@ def whole_residual(mode, targets, image, scale=1):
 
 def direct_reading(target, n, m, c2, image, basis):
     """op phi_{n,m} - c psi_{n',m'} in floats, read whole, at a step whose
-    action term is ``target`` (c, n', m'): the reading that
-    verifier._float_ladder_residual normalizes."""
+    action term is ``target`` (c, n', m'): the reading that direct_residual
+    normalizes."""
     scale = verifier.su2_factor(n, m)
     _, n2, m2 = target
     if not (0 <= m2 <= n2):
@@ -40,14 +42,32 @@ def direct_reading(target, n, m, c2, image, basis):
     return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
 
 
+def direct_residual(target, n, m, c2, image, basis, mode):
+    """The direct report's residual at one step: direct_reading over the
+    target's size, max(1, sqrt(c2) su2_factor(n', m') |psi_{n',m'}|), and off
+    the grid at least |c2|; in an exact run OverflowError where a reading
+    leaves the float range."""
+    reading, size = direct_reading(target, n, m, c2, image, basis), 0.0
+    _, n2, m2 = target
+    if 0 <= m2 <= n2:
+        size = sqrt(c2) * verifier.su2_factor(n2, m2) * float(basis(n2, m2).max_magnitude())
+    else:
+        reading = max_or_nan(abs(float(c2)), reading)
+    if mode == EXACT and not isfinite(reading + size):
+        raise OverflowError("a float reading of the exact image or target leaves the float range")
+    return reading / max_or_nan(1.0, size)
+
+
+def _direct(*args):
+    raise AssertionError("the reference reads each direct step with direct_residual")
+
+
 def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier._image_pass gives them, from the verifier's rules as they stand."""
     irrep_rules = verifier.IRREP_RULES if "irrep" in suites else ()
     by_op = {rule.op_name: rule for rule in irrep_rules}
     basis = cache(partial(model.chain_psi, params))
-    sizes = cache(lambda n, m: float(basis(n, m).max_magnitude()))
-    direct = partial(verifier._float_ladder_residual, sizes=sizes, mode=params.mode)
     plan = []
     for rule in verifier.ACTION_RULES:
         irrep_rule = by_op.get(rule.op_name)
@@ -55,7 +75,7 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
         checks = [] if irrep_rule is None else verifier._irrep_checks(
-            params.mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, direct)
+            params.mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, _direct)
         # each literal at the twin, rounded once at a float point
         terms = [(dn, dm, lift(model._scalar(literal, params.twin), params.mode), poly)
                  for dn, dm, literal, poly in rule.terms]
@@ -73,10 +93,10 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
                     try:
-                        reading = None
-                        if residual is direct:
-                            reading = direct_reading(targets[0], n, m, value, image, basis)
-                        check.add(residual(n, m, value, targets[0], reading, image_residual), (n, m))
+                        if residual is _direct:
+                            check.add(direct_residual(targets[0], n, m, value, image, basis, params.mode), (n, m))
+                        else:
+                            check.add(residual(n, m, value, targets[0], image_residual), (n, m))
                     except OverflowError:
                         check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []

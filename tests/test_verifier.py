@@ -66,6 +66,25 @@ def _term(point, rule, n, m):
     return model._scalar(literal, point) * poly(n, m), n + dn, m + dm
 
 
+def _strip(report):
+    return report.relation_id, report.anchor, report.mode, report.status, report.residual
+
+
+def _assert_matches_the_reference(got, want):
+    """(action reports, irrep reports) as the per-step reference gives them:
+    each the same, but a direct report irrep.*.float that passes, whose
+    residual is its bound there: at least the reference's direct reading,
+    less rounding, or, where the reference skips because a float reading of
+    the point overflows, a pass that reads no float of the point."""
+    assert [[r.relation_id for r in reports] for reports in got] == [[r.relation_id for r in reports]
+                                                                     for reports in want]
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        if g.relation_id.endswith(".float") and g.passed and not w.failed:
+            assert w.skipped or float(g.residual) >= float(w.residual) - 1e-15, (g, w)
+        else:
+            assert _strip(g) == _strip(w)
+
+
 class TestCatalogParsing:
     def test_shipped_catalog_loads(self):
         specs = load_relations()
@@ -647,13 +666,23 @@ def _four_pass_residual(params, rule, n, m, image):
     return (got - want).max_magnitude() / verifier.max_or_nan(1.0, want.max_magnitude())
 
 
-def _stacked_direct_readings(point, rule, n, basis):
-    """The direct readings of one ladder rule at every step of level n, as the
-    pass reads them: off its operator's images of the stacked level."""
-    level = verifier._level([basis(n, m) for m in range(n + 1)])
-    reads = verifier._reads(point, _ACTION_OF[rule.op_name])
-    floats = lambda k, m: verifier._float_values(basis(k, m))  # noqa: E731
-    return verifier._read_level(reads, level, basis, floats, [_at(rule, n, m) for m in range(n + 1)])[1]
+def _float_residual(point, rule, n, m, image, tol=verifier.DEFAULT_TOL, claim=None):
+    """The .float residual of one step as the pass takes it: its bound from
+    the step's action residual, read directly where that bound exceeds tol."""
+    basis = partial(model.chain_psi, point)
+    rule = rule if claim is None else replace(rule, claim=claim)
+    target = _term(point, rule, n, m)
+    w, n2, m2 = target
+    targets = [(w, basis(n2, m2))] if w and 0 <= m2 <= n2 else []
+    image_residual = reference_pass.whole_residual(point.mode, targets, image)
+    return verifier._float_ladder_residual(
+        n, m, _at(rule, n, m), target, image_residual, sizes=lambda k, j: verifier._size(basis(k, j)),
+        off_line=lambda k, j: verifier._off_line(basis(k, j), k, j), tol=tol,
+        direct=partial(verifier._direct_reading, point, rule.op_name, basis))
+
+
+def _scaled(rule, factor):
+    return lambda j, mu: rule.claim(j, mu) * factor
 
 
 class TestFloatLadderResidual:
@@ -662,26 +691,74 @@ class TestFloatLadderResidual:
         Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
     ], ids=["float-0.79-0.23", "float-3-1", "exact-1-1/2", "exact-3/2-2/3"])
     def test_one_pass_equals_four_passes_bit_for_bit(self, point):
-        # the reading off the stacked level, normalized, against the image of
-        # each step built alone and read by term-map passes
-        basis = partial(model.chain_psi, point)
-
-        def sizes(n, m):
-            return float(basis(n, m).max_magnitude())
-
-        outside = 0
+        # where the bound exceeds the tolerance (a claim scaled by 1 + 1e-8),
+        # the direct reading of the step's image built alone, in one
+        # linear_combination, equals its reading by term-map passes bit for
+        # bit; elsewhere the residual is its bound, at least that reading
+        outside, direct = 0, 0
         for rule in LADDERS:
-            for n in range(7):
-                readings = _stacked_direct_readings(point, rule, n, basis)
-                for m in range(n + 1):
-                    image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
-                    target = _term(point, rule, n, m)
-                    got = verifier._float_ladder_residual(n, m, _at(rule, n, m), target, readings[m], None,
-                                                          sizes=sizes, mode=point.mode)
-                    want = _four_pass_residual(point, rule, n, m, image)
-                    assert type(got) is float and got.hex() == want.hex(), (rule.rule_id, n, m)
-                    outside += not (0 <= target[2] <= target[1])
-        assert outside > 0  # out-of-grid targets were compared too
+            for factor in (1, 1 + F(1, 10**8)):
+                claim = _scaled(rule, factor)
+                for n in range(7):
+                    for m in range(n + 1):
+                        image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
+                        got = _float_residual(point, rule, n, m, image, claim=claim)
+                        want = _four_pass_residual(point, replace(rule, claim=claim), n, m, image)
+                        assert type(got) is float, (rule.rule_id, n, m)
+                        if got > verifier.DEFAULT_TOL:
+                            assert got.hex() == want.hex(), (rule.rule_id, n, m)
+                            direct += 1
+                        else:
+                            assert want - 1e-15 <= got, (rule.rule_id, n, m)
+                        _, n2, m2 = _term(point, rule, n, m)
+                        outside += not 0 <= m2 <= n2
+        assert outside > 0 and direct > 0  # out-of-grid targets and direct readings were compared too
+
+
+class TestBoundDesign:
+    """The .float bound is at least the direct reading, so a pass it gives is
+    one the direct reading gives; and it still sees a wrong claim."""
+
+    @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)],
+                             ids=["exact-3/2-2/3", "float-0.79-0.23"])
+    def test_the_bound_is_at_least_the_direct_reading(self, point):
+        # at every step, normalized; a claim scaled by 1 + 1e-8 moves both
+        # above 1e-9 at the rule's worst step (a step whose target is small
+        # reads the absolute residual, which may be far smaller)
+        basis = partial(model.chain_psi, point)
+        for rule in LADDERS:
+            for factor in (1, 1 + F(1, 10**8)):
+                scaled = replace(rule, claim=_scaled(rule, factor))
+                worst = [0.0, 0.0]
+                for n in range(9):
+                    for m in range(n + 1):
+                        image = model.apply(point, rule.op_name, basis(n, m))
+                        target, c2 = _term(point, scaled, n, m), _at(scaled, n, m)
+                        direct = reference_pass.direct_residual(target, n, m, c2, image, basis, point.mode)
+                        bound = _float_residual(point, scaled, n, m, image, tol=float("inf"))
+                        assert bound >= direct - 1e-15, (rule.rule_id, factor, n, m)
+                        worst = [max(worst[0], bound), max(worst[1], direct)]
+                if factor != 1:
+                    assert min(worst) > 1e-9, rule.rule_id
+                else:
+                    assert max(worst) <= 1e-15, rule.rule_id
+
+    @pytest.mark.parametrize("point, n_max, failing", [
+        (Params.exact(1, F(1, 2)), 16, set()),
+        (Params.from_ab(0.79, 0.23), 24, {rule.rule_id for rule in ACTION_RULES} | {"irrep.J0", "irrep.K"}),
+    ], ids=["exact-1-1/2-n16", "float-0.79-0.23-n24"])
+    def test_the_benchmark_points_need_no_direct_reading(self, point, n_max, failing, monkeypatch):
+        # every .float step of the benchmark's image passes on its bound; the
+        # float point fails its action and diagonal checks on absolute
+        # residuals, as it always has
+        def refused(*args):
+            raise AssertionError("a .float step was read directly")
+
+        monkeypatch.setattr(verifier, "_direct_reading", refused)
+        reports = run_suites(point, SUITES, n_max=n_max)
+        assert len(reports) == (202 if point.mode == "exact" else 190)
+        assert {r.relation_id for r in reports if r.failed} == failing
+        assert not any(r.skipped for r in reports)
 
 
 def _fraction_squared_ladder_residual(rule, n, m, target, image_residual):
@@ -709,7 +786,7 @@ class TestSquaredLadderResidual:
         n, m = nm
         c, n2, m2 = _term(point, rule, n, m)
         target = (c * factor, n2, m2)
-        got = verifier._squared_ladder_residual(n, m, _at(rule, n, m), target, None, image_residual)
+        got = verifier._squared_ladder_residual(n, m, _at(rule, n, m), target, image_residual)
         want = _fraction_squared_ladder_residual(rule, n, m, target, image_residual)
         assert got == want and str(got) == str(want)
         if factor == 1 and not image_residual:
@@ -866,13 +943,15 @@ class TestImagePass:
             "exact-1e100-1"])
     def test_reports_equal_the_per_step_reference(self, point, n_max):
         # the stacked pass reports what the per-(n, m) pass reports: ids,
-        # anchors, statuses and residuals
-        strip = lambda r: (r.relation_id, r.anchor, r.mode, r.status, r.residual)  # noqa: E731
+        # anchors, statuses and residuals, but for the bounds of passing
+        # direct reports
         got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
         want = reference_pass.image_pass(point, ("actions", "irrep"), n_max)
-        assert [list(map(strip, reports)) for reports in got] == [list(map(strip, reports)) for reports in want]
-        if point.p > 10**50:  # the float readings of the higher levels overflow
-            assert {r.status for r in got[1] if r.relation_id.endswith(".float")} == {"skip"}
+        _assert_matches_the_reference(got, want)
+        floats = [(g, w) for g, w in zip(got[1], want[1]) if g.relation_id.endswith(".float")]
+        assert len(floats) == 12 and all(g.passed and float(g.residual) <= 1e-15 for g, _ in floats)
+        if point.p > 10**50:  # the reference's float readings of the higher levels overflow; the bounds read none
+            assert {w.status for _, w in floats} == {"skip"}
 
     # a1+ psi = (m+1) psi[n+1,m+1], a1+ = (2w - dzbar)/2 in the chain
     # variables. A stray w^3 zbar^2 term of a1+'s charge shift puts image
@@ -898,15 +977,14 @@ class TestImagePass:
         monkeypatch.setattr(model, "conjugated", corrupted)
         image, target = corrupted(point, "a1+").apply_to(chain_psi(point, 3, 1)).nums, chain_psi(point, 4, 2).nums
         assert (image.keys() - target.keys()) if corruption == "stray" else (target.keys() - image.keys())
-        strip = lambda r: (r.relation_id, r.anchor, r.mode, r.status, r.residual)  # noqa: E731
         got = verifier._image_pass(point, ("actions", "irrep"), 6, verifier.DEFAULT_TOL)
         want = reference_pass.image_pass(point, ("actions", "irrep"), 6)
-        assert [list(map(strip, reports)) for reports in got] == [list(map(strip, reports)) for reports in want]
+        _assert_matches_the_reference(got, want)
         failing = {"action.a1+", "irrep.a1+.float"} | ({"irrep.a1+.sq"} if point.mode == "exact" else set())
         assert {r.relation_id for r in got[0] + got[1] if r.failed} == failing
-        if point.p > 10**50:  # the failure found below the overflow is reported, beside the skipped steps
+        if point.p > 10**50:  # the failure found below the overflow of a1+'s direct readings is reported
             floats = {r.relation_id: r for r in got[1] if r.relation_id.endswith(".float")}
-            assert {rid for rid, r in floats.items() if r.skipped} == floats.keys() - failing
+            assert not any(r.skipped for r in floats.values())
             assert floats["irrep.a1+.float"].anchor.endswith(verifier.FLOAT_OVERFLOW)
 
     # psi_{3,1} lies on charge line -1; each of these terms lies off it, on a
@@ -932,10 +1010,9 @@ class TestImagePass:
         # p = p_num/p_den and q = p q_num/q_den, so a = p^2 > b = q^2 > 0
         p = F(p_num, p_den)
         point = Params.exact(p, p * F(q_num, q_den))
-        strip = lambda r: (r.relation_id, r.anchor, r.mode, r.status, r.residual)  # noqa: E731
         got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
         want = reference_pass.image_pass(point, ("actions", "irrep"), n_max)
-        assert [list(map(strip, reports)) for reports in got] == [list(map(strip, reports)) for reports in want]
+        _assert_matches_the_reference(got, want)
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_a_wrong_coefficient_fails_at_its_own_step(self, point, request, monkeypatch):
@@ -1306,23 +1383,29 @@ class TestCheckAccumulator:
         assert (check.report().status, check.report().anchor, check.report().residual) == ("skip", "why", "n/a")
 
     def test_a_failure_below_an_overflow_is_reported(self, monkeypatch):
-        # at p = 1e100 the float readings of the higher levels overflow, so the
-        # .float reports skip; a wrong su(2) factor at (2, 1) fails each of them
-        # that reads phi[2,1] before that
+        # at p = 1e100 the .float bounds read no float of the point, so every
+        # report passes. A wrong su(2) factor at (2, 1) and at (8, 0) fails
+        # the bound of each step that reads either in the grid, and so its
+        # direct reading: each report fails at phi[2,1], and notes the
+        # overflow of the direct readings at phi[8,0] where it read one
         import jordan_osc.verifier as v
 
         P = Params.exact(F(10) ** 100, 1)
-        assert {r.status for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")} == {"skip"}
+        assert {r.status for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")} == {"pass"}
         factor = v.su2_factor
-        monkeypatch.setattr(v, "su2_factor", lambda n, m: factor(n, m) * (sqrt(1.000001) if (n, m) == (2, 1) else 1))
+        monkeypatch.setattr(v, "su2_factor", lambda n, m: factor(n, m) * (
+            sqrt(1.000001) if (n, m) in ((2, 1), (8, 0)) else 1))
         reports = {r.relation_id: r for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")}
+        # D+11 takes phi[2,1] to psi[4,3], so small that its bound passes, and overflows at phi[8,0]
         skipped = {rid for rid, r in reports.items() if r.skipped}
-        assert skipped == {"irrep.D+11.float"}  # its only step at phi[2,1] targets psi[4,3], which overflows
+        assert skipped == {"irrep.D+11.float"}
+        noted = {rid for rid, r in reports.items() if r.anchor.endswith(f"; {v.FLOAT_OVERFLOW}")}
+        # a1-, D-11 and D-12 take phi[8,0] off the grid
+        assert noted == reports.keys() - skipped - {"irrep.a1-.float", "irrep.D-11.float", "irrep.D-12.float"}
         for rid, r in reports.items():
             if rid not in skipped:
                 assert r.failed and 4e-7 < float(r.residual) < 6e-7, rid
                 assert r.anchor.startswith(rid[len("irrep."):-len(".float")] + " phi = "), rid
-                assert r.anchor.endswith(f"; {v.FLOAT_OVERFLOW}"), rid
 
     def test_verdict_by_mode(self):
         from jordan_osc.verifier import _Check
@@ -1357,7 +1440,7 @@ class TestResidualsKeepNaN:
         target = (NAN if part == "coefficient" else 5.0, 2, 1)
         image_residual = NAN if part == "image" else 1.0
         rule = IRREP_RULES[0]
-        assert isnan(verifier._eigenvalue_residual(2, 1, _at(rule, 2, 1), target, None, image_residual))
+        assert isnan(verifier._eigenvalue_residual(2, 1, _at(rule, 2, 1), target, image_residual))
 
     @pytest.mark.parametrize("part", ["image", "coefficient"])
     def test_squared_ladder_residual(self, part):
@@ -1365,33 +1448,37 @@ class TestResidualsKeepNaN:
         target = (NAN if part == "coefficient" else F(1), 2, 1)
         image_residual = NAN if part == "image" else F(1)
         rule = LADDERS[0]
-        assert isnan(verifier._squared_ladder_residual(2, 0, _at(rule, 2, 0), target, None, image_residual))
+        assert isnan(verifier._squared_ladder_residual(2, 0, _at(rule, 2, 0), target, image_residual))
 
-    def test_exact_float_reading_that_overflows_raises(self, params):
-        # a scaled image beyond the float range: its int / int reading is an
-        # infinity, so the residual is no number to compare
+    def test_exact_float_reading_that_overflows_raises(self, params, monkeypatch):
+        # a scaled image beyond the float range fails its bound, and its
+        # direct int / int reading raises, so the residual is no number to compare
         big = Poly2("exact", {(1, 0): F(10**308)})
         rule = next(r for r in LADDERS if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
         c2, target = _at(rule, 1, 0), _term(params, rule, 1, 0)
-        c = sqrt(c2) * model.su2_factor(1, 1)
-        line = verifier._Line(model.su2_factor(1, 0))
-        line.target, line.c, line.floats = big.nums, c, verifier._float_values(big)
-        verifier._read_lines(big.scale(F(2)), {1: line}, True)
-        reading = line.dworst
-        assert reading == float("inf")
+        monkeypatch.setattr(verifier, "apply", lambda P, name, fn: fn.scale(F(2)))
+        direct = partial(verifier._direct_reading, params, "J+", lambda n, m: big)
         with pytest.raises(OverflowError):
-            verifier._float_ladder_residual(1, 0, c2, target, reading, None,
-                                            sizes=lambda n, m: float(big.max_magnitude()), mode=params.mode)
+            direct(1, 0, c2, target)
+        with pytest.raises(OverflowError):
+            verifier._float_ladder_residual(1, 0, c2, target, big.max_magnitude(),
+                                            sizes=lambda n, m: verifier._size(big), off_line=lambda n, m: 0,
+                                            tol=verifier.DEFAULT_TOL, direct=direct)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_float_ladder_residual_off_the_grid(self, fparams, position):
+    def test_float_ladder_residual_off_the_grid(self, fparams, position, monkeypatch):
         # J+ phi_{1,1} should vanish (its target lies off the grid), so the
-        # residual is the image's largest magnitude
+        # residual is the image's largest magnitude: its bound from the action
+        # reading, then its direct reading
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDERS[0]
         lines = {charge: verifier._Line() for charge in (-1, 0, 1)}
-        verifier._read_lines(image, lines, False)
-        reading = verifier.max_or_nan(0.0, *(line.worst for line in lines.values()))
-        assert isnan(verifier._float_ladder_residual(1, 1, _at(rule, 1, 1), _term(fparams, rule, 1, 1), reading, 0.0,
-                                                     sizes=None, mode=fparams.mode))
+        verifier._read_lines(image, lines)
+        image_residual = verifier.max_or_nan(0.0, *(line.worst for line in lines.values()))
+        assert isnan(image_residual)
+        monkeypatch.setattr(verifier, "apply", lambda P, name, fn: image)
+        direct = partial(verifier._direct_reading, fparams, "J+", partial(model.chain_psi, fparams))
+        assert isnan(verifier._float_ladder_residual(1, 1, _at(rule, 1, 1), _term(fparams, rule, 1, 1),
+                                                     image_residual, sizes=None, off_line=lambda n, m: 0,
+                                                     tol=verifier.DEFAULT_TOL, direct=direct))
