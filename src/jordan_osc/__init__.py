@@ -37,7 +37,6 @@ from .model import (
 from .verifier import (
     ACTION_RULES,
     DEFAULT_TOL,
-    IRREP_RULES,
     SUITES,
     RelationSpec,
     Report,
@@ -77,7 +76,6 @@ __all__ = [
     "EXACT",
     "EXPLICIT_NAMES",
     "FLOAT",
-    "IRREP_RULES",
     "ModeMismatchError",
     "OracleUnavailableError",
     "Params",

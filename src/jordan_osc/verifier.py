@@ -23,32 +23,21 @@ one derivative table. A term w^i zbar^j dw^k dzbar^l of an operator
 is split into parts of one shift each, and a part's image of Lambda_n holds
 each op psi_{n,m} on its own line.
 
-The action and irrep rules are data. An action rule (``ACTION_RULES``)
-writes op psi_{n,m} as terms (dn, dm, literal, poly): a scalar literal of the
-prefix grammar (see model), evaluated once per pass, times poly(n, m), an
-integer-valued function, at psi_{n+dn,m+dm}. psi_{n,m} has weight (n - 2m, 0)
-under sigma_P (see below), so a rule is refused when it is built if a term
-is off its operator's weight or two terms shift the charge, 2dm - dn, by one
-amount. So each line of a part's image is one step with one target, kept in
-one record (``_Line``), and one walk reads the image against them
-(``_read_lines``): no difference polynomial is built, nor a Fraction for a
-step that passes. An irrep rule (``IRREP_RULES``) names an operator and a
-claim in (j, mu) and reads the one term of its action rule, diagonal when it
-keeps (n, m); a table in which it finds no such term, or an operator another
-irrep rule reads, is refused before any image is built.
+Each action rule (``ACTION_RULES``) is one line of text, its data and its
+report anchor (see ActionRule). Its terms' targets lie on distinct charge
+lines, or the rule is refused when it is built, so each line of a part's
+image is one step with one target, kept in one record (``_Line``), and one
+walk reads the image against them (``_read_lines``): no difference
+polynomial is built, nor a Fraction for a step that passes.
 
-The exact squared-value report irrep.<rule>.sq of a ladder rule reads the
-step's action coefficient c: c >= 0 and c^2 m!(n'-m')!/((n-m)! m'!) equals
-the claim, decided in integers, so its residual also carries the image's
-residual against the action rule. irrep.J0 and irrep.K compare c with the
-claimed eigenvalue. The direct reports irrep.<rule>.float, in both modes, are
-bounded from the same reading; only a step whose bound fails reads op phi in
-floats, against the run's own psi_{n',m'} times sqrt(claim) and its su(2)
-factor (``su2_factor``), the only irrational number of an exact run; a reading
-that leaves the float range skips its check at that step, unless a residual
-already failed it. Each claim is evaluated at j = n/2, mu = m - n/2, held
-exactly: in floats in a float run, else in ints at an even n and Fractions at
-an odd one.
+A rule of one term may carry an irrep claim, read off the step's action
+coefficient c: irrep.J0 and irrep.K compare c with the eigenvalue, and the
+exact irrep.<op>.sq decides c >= 0 and c^2 m!(n'-m')!/((n-m)! m'!) == claim
+in integers. The direct irrep.<op>.float, in both modes, is bounded from the
+same reading; a step whose bound fails reads op phi in floats, against the
+run's psi_{n',m'} times sqrt(claim) and its su(2) factor (``su2_factor``),
+the only irrational number of an exact run, and skips its check there if
+that reading leaves the float range, unless a residual already failed it.
 
 The structure suite proves each catalog relation once per process, at
 p = q = 1. Every catalog operator and explicit form is a tree of the prefix
@@ -77,9 +66,11 @@ that cannot run at the given point is reported as skipped, never as passed.
 
 from __future__ import annotations
 
+import ast
+import re
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from importlib import resources
@@ -99,11 +90,13 @@ from .gaussint import (
 from .model import (
     EXPLICIT_FORMS,
     EXPLICIT_NAMES,
+    _SCALAR_TOKEN,
     Params,
     _scalar,
     _weight,
     apply,  # the .float reports' direct reading; perfbench/test_perfbench.py patches it here too
     build_psi,
+    canonical_name,
     chain_psi,
     energy,
     eval_expression,
@@ -172,6 +165,12 @@ class Report:
         if self.skipped:
             return "skip"
         return "pass" if self.passed else "fail"
+
+
+def _check_nmax(n_max) -> None:
+    """A cutoff is an int >= 0: below 0 no level would be read, and every check would pass unrun."""
+    if type(n_max) is not int or n_max < 0:
+        raise ValueError(f"n_max must be an int >= 0, not {n_max!r}")
 
 
 class _Check:
@@ -322,114 +321,125 @@ def check_structure(params: Params, relations: Iterable[RelationSpec] | None = N
 # ---------------------------------------------------------------------------
 
 
+#: the symbols of an index polynomial, as polynomials in (n, m): an action
+#: term's are n and m, an irrep claim's j = n/2 and mu = m - n/2
+_TERM_SYMBOLS = {"n": Poly2.z(EXACT), "m": Poly2.zbar(EXACT)}
+_CLAIM_SYMBOLS = {"j": Poly2.z(EXACT) * Fraction(1, 2), "mu": Poly2.zbar(EXACT) - Poly2.z(EXACT) * Fraction(1, 2)}
+_ARITHMETIC = {ast.Add: Poly2.__add__, ast.Sub: Poly2.__sub__, ast.Mult: Poly2.__mul__}
+#: a rule's term: a scalar literal, an optional index polynomial, the target
+_TERM = re.compile(r"(\S+)(?: (.+?))? psi\[n([+-]\d+)?,m([+-]\d+)?\]")
+
+
+def _index_poly(text: str, symbols: dict) -> tuple:
+    """The exact coefficient table (den, (((i, k), c), ...)) of p = sum c n^i m^k / den, read with
+    ast from integers and ``symbols`` under unary minus, +, - and *; else a ValueError or SyntaxError."""
+    def poly(node) -> Poly2:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return Poly2.monomial(0, 0, node.value)
+        if isinstance(node, ast.Name) and node.id in symbols:
+            return symbols[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -poly(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+            return _ARITHMETIC[type(node.op)](poly(node.left), poly(node.right))
+        raise ValueError(f"{ast.unparse(node)!r} in {text!r}: an index polynomial takes integers, "
+                         f"{', '.join(symbols)}, unary minus, +, - and * only")
+
+    p = poly(ast.parse(text, mode="eval").body)
+    return p.den, tuple(sorted(p.nums.items()))
+
+
+def _parse_rule(text: str, irrep: str) -> tuple:
+    """(op_name, terms, claim) of an action rule's text (see ActionRule)."""
+    op_name, _, rhs = text.partition(" psi = ")  # without " psi = ", the text names no operator
+    want, terms = _weight(canonical_name(op_name)), []
+    for term in rhs.split(" + "):
+        match = _TERM.fullmatch(term)
+        if match is None or not _SCALAR_TOKEN.fullmatch(match[1]):
+            raise ValueError(f"the term {term!r} is no 'c*f^k*... [polynomial] psi[n+dn,m+dm]'")
+        literal, poly, dn, dm = match[1], match[2], int(match[3] or 0), int(match[4] or 0)
+        alpha, beta = _weight(parse_expression(literal))
+        if (alpha + dn - 2 * dm, beta) != want:
+            raise ValueError(f"the term {literal} psi[n{dn:+},m{dm:+}] has weight {(alpha + dn - 2 * dm, beta)}, "
+                             f"the operator {want}")
+        terms.append((dn, dm, literal, _index_poly(poly or "1", _TERM_SYMBOLS)))
+    shifts = [2 * dm - dn for dn, dm, *_ in terms]
+    if len(set(shifts)) < len(shifts):  # each charge part of the operator meets one target
+        raise ValueError(f"two terms shift the charge 2dm - dn by one amount, {shifts}")
+    if irrep and len(terms) != 1:
+        raise ValueError(f"an irrep claim needs a rule of one term, not {len(terms)}")
+    return op_name, tuple(terms), _index_poly(irrep, _CLAIM_SYMBOLS) if irrep else None
+
+
+@cache
+def _levels(table: tuple, n_max: int, mode: str = EXACT) -> tuple:
+    """p(n, m), m = 0..n, per level n <= n_max of p's table (see _index_poly), by Horner's rule in m: ints
+    where its den is 1 (in either mode), else lifted into ``mode``. Kept: no level depends on the point."""
+    den, nums = table
+    if den == 1 and mode != EXACT:
+        return _levels(table, n_max)
+    levels, degree = [], max((k for (_, k), _ in nums), default=0)
+    for n in range(n_max + 1):
+        cs = [0] * (degree + 1)  # p's coefficients of m^k at n
+        for (i, k), c in nums:
+            cs[k] += c * n**i
+        values = [cs[-1]] * (n + 1)
+        for c in cs[-2::-1]:
+            values = [v * m + c for m, v in enumerate(values)]
+        levels.append(tuple(values) if den == 1 else tuple(lift(v, mode) / den for v in values))
+    return tuple(levels)
+
+
 @dataclass(frozen=True)
 class ActionRule:
-    """op psi_{n,m} = sum literal poly(n, m) psi_{n+dn,m+dm} over the terms
-    (dn, dm, literal, poly), one formula for every 0 <= m <= n: literal is a
-    scalar of the prefix grammar (see model), poly an integer-valued function
-    of (n, m), and a target outside the grid (m' < 0 or m' > n') reads as
-    zero, as no basis function sits there. psi_{n,m} has weight (n - 2m, 0)
-    under sigma_P, so each term's weight is derived and checked when the rule
-    is built: weight(op) = weight(literal) + (dn - 2 dm, 0), or ValueError."""
+    """op psi_{n,m}, 0 <= m <= n, as text "op psi = term + term ...", a term "literal [polynomial]
+    psi[n+dn,m+dm]" (the polynomial 1 if left out, written without spaces; a target off the grid reads
+    as zero). ``irrep``, on a rule of one term, claims op phi = claim phi in j and mu if the term keeps
+    (n, m), else op phi = sqrt(claim) phi[j+dn/2,mu+dm-dn/2]. Parsed once into op_name, the terms (dn, dm,
+    literal, table) and the claim's table or None (see _index_poly), and checked: weight(op) =
+    weight(literal) + (dn - 2 dm, 0) per term, and no two terms shift the charge 2dm - dn by one
+    amount. A fault is a ValueError naming the rule."""
 
     rule_id: str
-    op_name: str
     anchor: str
-    terms: tuple
+    irrep: str = ""
+    op_name: str = field(init=False)
+    terms: tuple = field(init=False)
+    claim: tuple | None = field(init=False)
 
     def __post_init__(self) -> None:
-        shifts = [2 * dm - dn for dn, dm, *_ in self.terms]
-        if len(set(shifts)) < len(shifts):  # each charge part of the operator meets one target
-            raise ValueError(f"{self.rule_id}: two terms shift the charge 2dm - dn by one amount, {shifts}")
-        want = _weight(self.op_name)
-        for dn, dm, literal, _ in self.terms:
-            alpha, beta = _weight(parse_expression(literal))
-            if (alpha + dn - 2 * dm, beta) != want:
-                raise ValueError(f"{self.rule_id}: the term {literal} psi[n{dn:+},m{dm:+}] has weight "
-                                 f"{(alpha + dn - 2 * dm, beta)}, the operator {want}")
+        try:
+            parsed = _parse_rule(self.anchor, self.irrep)
+        except (ValueError, SyntaxError) as exc:  # a SyntaxError from ast.parse
+            raise ValueError(f"{self.rule_id}: {exc}") from None
+        for name, value in zip(("op_name", "terms", "claim"), parsed):
+            object.__setattr__(self, name, value)
 
 
 ACTION_RULES: tuple[ActionRule, ...] = (
-    ActionRule("action.B-", "B-", "B- psi = 4(n-m) sqrt(ab) psi[n-1,m] + (1/2) sqrt(b/a) psi[n-1,m-1]",
-               ((-1, 0, "4*p*q", lambda n, m: n - m), (-1, -1, "1/2*q*p^-1", lambda n, m: 1))),
-    ActionRule("action.B+", "B+", "B+ psi = -4(m+1) sqrt(ab) psi[n+1,m+1] - (1/2) sqrt(b/a) psi[n+1,m]",
-               ((1, 1, "-4*p*q", lambda n, m: m + 1), (1, 0, "-1/2*q*p^-1", lambda n, m: 1))),
-    ActionRule("action.A-", "A-", "A- psi = (1/2) sqrt(a/b) psi[n-1,m-1] (0 at m=0)",
-               ((-1, -1, "1/2*p*q^-1", lambda n, m: 1),)),
-    ActionRule("action.A+", "A+", "A+ psi = -(1/2) sqrt(a/b) psi[n+1,m]",
-               ((1, 0, "-1/2*p*q^-1", lambda n, m: 1),)),
-    ActionRule("action.jordan-H", "H", "(H - 4a(n+1)) psi[n,m] = psi[n,m-1] (0 at m=0)",
-               ((0, 0, "4*a", lambda n, m: n + 1), (0, -1, "1", lambda n, m: 1))),
-    ActionRule("action.R", "R", "R psi = -(a/4b) psi[n,m-1] (0 at m=0)",
-               ((0, -1, "-1/4*a*b^-1", lambda n, m: 1),)),
-    ActionRule("action.S", "S", "S psi = -(b/4a) psi[n,m-1] - 2bn psi[n,m] - 16ab(n-m)(m+1) psi[n,m+1]",
-               ((0, -1, "-1/4*b*a^-1", lambda n, m: 1), (0, 0, "-2*b", lambda n, m: n),
-                (0, 1, "-16*a*b", lambda n, m: (n - m) * (m + 1)))),
-    ActionRule("action.T", "T", "T psi = -2a(n-2m) psi[n,m]",
-               ((0, 0, "-2*a", lambda n, m: n - 2 * m),)),
-    ActionRule("action.U", "U", "U psi = -2an psi[n,m] - (1/2) psi[n,m-1] (last term absent at m=0)",
-               ((0, 0, "-2*a", lambda n, m: n), (0, -1, "-1/2", lambda n, m: 1))),
-    ActionRule("action.J0", "J0", "J0 psi = (m - n/2) psi[n,m]", ((0, 0, "1/2", lambda n, m: 2 * m - n),)),
-    ActionRule("action.J+", "J+", "J+ psi = (n-m)(m+1) psi[n,m+1]", ((0, 1, "1", lambda n, m: (n - m) * (m + 1)),)),
-    ActionRule("action.J-", "J-", "J- psi = psi[n,m-1] (0 at m=0)", ((0, -1, "1", lambda n, m: 1),)),
-    ActionRule("action.K", "K", "K psi = (n+1) psi[n,m]", ((0, 0, "1", lambda n, m: n + 1),)),
-    ActionRule("action.a1+", "a1+", "a1+ psi = (m+1) psi[n+1,m+1]", ((1, 1, "1", lambda n, m: m + 1),)),
-    ActionRule("action.a1-", "a1-", "a1- psi = psi[n-1,m-1] (0 at m=0)", ((-1, -1, "1", lambda n, m: 1),)),
-    ActionRule("action.a2+", "a2+", "a2+ psi = psi[n+1,m]", ((1, 0, "1", lambda n, m: 1),)),
-    ActionRule("action.a2-", "a2-", "a2- psi = (n-m) psi[n-1,m]", ((-1, 0, "1", lambda n, m: n - m),)),
-    ActionRule("action.D+11", "D+11", "D+11 psi = (m+1)(m+2) psi[n+2,m+2]",
-               ((2, 2, "1", lambda n, m: (m + 1) * (m + 2)),)),
-    ActionRule("action.D+12", "D+12", "D+12 psi = (m+1) psi[n+2,m+1]", ((2, 1, "1", lambda n, m: m + 1),)),
-    ActionRule("action.D+22", "D+22", "D+22 psi = psi[n+2,m]", ((2, 0, "1", lambda n, m: 1),)),
-    ActionRule("action.D-11", "D-11", "D-11 psi = psi[n-2,m-2] (0 at m<2)", ((-2, -2, "1", lambda n, m: 1),)),
-    ActionRule("action.D-12", "D-12", "D-12 psi = (n-m) psi[n-2,m-1] (0 at m=0)",
-               ((-2, -1, "1", lambda n, m: n - m),)),
-    ActionRule("action.D-22", "D-22", "D-22 psi = (n-m)(n-m-1) psi[n-2,m]",
-               ((-2, 0, "1", lambda n, m: (n - m) * (n - m - 1)),)),
-)
-
-
-# ---------------------------------------------------------------------------
-# irrep rules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IrrepRule:
-    """A claim on phi_{j,mu} (j = n/2, mu = m - n/2) at the one term
-    (dn, dm) of op's action rule: op phi = claim(j, mu) phi when the term
-    keeps (n, m), a diagonal rule whose claim is the eigenvalue (which may be
-    negative), else op phi = sqrt(claim(j, mu)) phi_{j',mu'}, a ladder rule
-    with j' = j + dn/2, mu' = mu + dm - dn/2. claim uses +, - and * only: an
-    exact run passes ints at an even n."""
-
-    rule_id: str
-    op_name: str
-    claim: Callable
-    anchor: str
-
-
-#: in report order, which is not the order of ACTION_RULES
-IRREP_RULES: tuple[IrrepRule, ...] = (
-    IrrepRule("irrep.J0", "J0", lambda j, mu: mu, "J0 phi = mu phi"),
-    IrrepRule("irrep.K", "K", lambda j, mu: 2 * j + 1, "K phi = (2j+1) phi"),
-    IrrepRule("irrep.J+", "J+", lambda j, mu: (j - mu) * (j + mu + 1), "J+ phi = sqrt((j-mu)(j+mu+1)) phi[mu+1]"),
-    IrrepRule("irrep.J-", "J-", lambda j, mu: (j + mu) * (j - mu + 1), "J- phi = sqrt((j+mu)(j-mu+1)) phi[mu-1]"),
-    IrrepRule("irrep.a1+", "a1+", lambda j, mu: j + mu + 1, "a1+ phi = sqrt(j+mu+1) phi[j+1/2,mu+1/2]"),
-    IrrepRule("irrep.a1-", "a1-", lambda j, mu: j + mu, "a1- phi = sqrt(j+mu) phi[j-1/2,mu-1/2]"),
-    IrrepRule("irrep.a2+", "a2+", lambda j, mu: j - mu + 1, "a2+ phi = sqrt(j-mu+1) phi[j+1/2,mu-1/2]"),
-    IrrepRule("irrep.a2-", "a2-", lambda j, mu: j - mu, "a2- phi = sqrt(j-mu) phi[j-1/2,mu+1/2]"),
-    IrrepRule("irrep.D+11", "D+11", lambda j, mu: (j + mu + 1) * (j + mu + 2),
-              "D+11 phi = sqrt((j+mu+1)(j+mu+2)) phi[j+1,mu+1]"),
-    IrrepRule("irrep.D-11", "D-11", lambda j, mu: (j + mu) * (j + mu - 1),
-              "D-11 phi = sqrt((j+mu)(j+mu-1)) phi[j-1,mu-1]"),
-    IrrepRule("irrep.D+12", "D+12", lambda j, mu: (j - mu + 1) * (j + mu + 1),
-              "D+12 phi = sqrt((j-mu+1)(j+mu+1)) phi[j+1,mu]"),
-    IrrepRule("irrep.D-12", "D-12", lambda j, mu: (j - mu) * (j + mu), "D-12 phi = sqrt((j-mu)(j+mu)) phi[j-1,mu]"),
-    IrrepRule("irrep.D+22", "D+22", lambda j, mu: (j - mu + 1) * (j - mu + 2),
-              "D+22 phi = sqrt((j-mu+1)(j-mu+2)) phi[j+1,mu-1]"),
-    IrrepRule("irrep.D-22", "D-22", lambda j, mu: (j - mu) * (j - mu - 1),
-              "D-22 phi = sqrt((j-mu)(j-mu-1)) phi[j-1,mu+1]"),
+    ActionRule("action.B-", "B- psi = 4*p*q (n-m) psi[n-1,m] + 1/2*q*p^-1 psi[n-1,m-1]"),
+    ActionRule("action.B+", "B+ psi = -4*p*q (m+1) psi[n+1,m+1] + -1/2*q*p^-1 psi[n+1,m]"),
+    ActionRule("action.A-", "A- psi = 1/2*p*q^-1 psi[n-1,m-1]"),
+    ActionRule("action.A+", "A+ psi = -1/2*p*q^-1 psi[n+1,m]"),
+    ActionRule("action.jordan-H", "H psi = 4*a (n+1) psi[n,m] + 1 psi[n,m-1]"),
+    ActionRule("action.R", "R psi = -1/4*a*b^-1 psi[n,m-1]"),
+    ActionRule("action.S", "S psi = -1/4*b*a^-1 psi[n,m-1] + -2*b n psi[n,m] + -16*a*b (n-m)*(m+1) psi[n,m+1]"),
+    ActionRule("action.T", "T psi = -2*a (n-2*m) psi[n,m]"),
+    ActionRule("action.U", "U psi = -2*a n psi[n,m] + -1/2 psi[n,m-1]"),
+    ActionRule("action.J0", "J0 psi = 1/2 (2*m-n) psi[n,m]", "mu"),
+    ActionRule("action.J+", "J+ psi = 1 (n-m)*(m+1) psi[n,m+1]", "(j-mu)*(j+mu+1)"),
+    ActionRule("action.J-", "J- psi = 1 psi[n,m-1]", "(j+mu)*(j-mu+1)"),
+    ActionRule("action.K", "K psi = 1 (n+1) psi[n,m]", "2*j+1"),
+    ActionRule("action.a1+", "a1+ psi = 1 (m+1) psi[n+1,m+1]", "j+mu+1"),
+    ActionRule("action.a1-", "a1- psi = 1 psi[n-1,m-1]", "j+mu"),
+    ActionRule("action.a2+", "a2+ psi = 1 psi[n+1,m]", "j-mu+1"),
+    ActionRule("action.a2-", "a2- psi = 1 (n-m) psi[n-1,m]", "j-mu"),
+    ActionRule("action.D+11", "D+11 psi = 1 (m+1)*(m+2) psi[n+2,m+2]", "(j+mu+1)*(j+mu+2)"),
+    ActionRule("action.D+12", "D+12 psi = 1 (m+1) psi[n+2,m+1]", "(j-mu+1)*(j+mu+1)"),
+    ActionRule("action.D+22", "D+22 psi = 1 psi[n+2,m]", "(j-mu+1)*(j-mu+2)"),
+    ActionRule("action.D-11", "D-11 psi = 1 psi[n-2,m-2]", "(j+mu)*(j+mu-1)"),
+    ActionRule("action.D-12", "D-12 psi = 1 (n-m) psi[n-2,m-1]", "(j-mu)*(j+mu)"),
+    ActionRule("action.D-22", "D-22 psi = 1 (n-m)*(n-m-1) psi[n-2,m]", "(j-mu)*(j-mu-1)"),
 )
 
 
@@ -504,13 +514,21 @@ def _direct_reading(params: Params, op_name: str, basis: Callable, n, m, c2, tar
     return reading / max_or_nan(1.0, size)
 
 
-def _irrep_checks(mode: str, rule: IrrepRule, diagonal: bool, tol: float, direct: Callable) -> list:
-    """The (report, residual function) of each report of one irrep rule, in report order."""
-    if diagonal:
-        return [(_Check(rule.rule_id, rule.anchor, mode, tol), _eigenvalue_residual)]
-    squared = _Check(f"{rule.rule_id}.sq", f"{rule.anchor} (squared values)", EXACT)
-    direct_check = _Check(f"{rule.rule_id}.float", f"{rule.anchor} (direct, normalized residual)", FLOAT, tol)
-    return ([(squared, _squared_ladder_residual)] if mode == EXACT else []) + [(direct_check, direct)]
+def _offset(x: Fraction) -> str:
+    return f"{'+' if x > 0 else '-'}{abs(x)}" if x else ""
+
+
+def _irrep_checks(mode: str, rule: ActionRule, tol: float, direct: Callable) -> list:
+    """The (report, residual function) of each report of a rule's irrep claim,
+    in report order, each anchored on the claim and the action term's shift."""
+    (dn, dm, *_), rule_id, op = rule.terms[0], f"irrep.{rule.op_name}", rule.op_name
+    if (dn, dm) == (0, 0):
+        claim = rule.irrep if rule.irrep.isidentifier() else f"({rule.irrep})"
+        return [(_Check(rule_id, f"{op} phi = {claim} phi", mode, tol), _eigenvalue_residual)]
+    anchor = f"{op} phi = sqrt({rule.irrep}) phi[j{_offset(Fraction(dn, 2))},mu{_offset(dm - Fraction(dn, 2))}]"
+    squared = [(_Check(f"{rule_id}.sq", f"{anchor} (squared values)", EXACT), _squared_ladder_residual)]
+    return (squared if mode == EXACT else []) + [
+        (_Check(f"{rule_id}.float", f"{anchor} (direct, normalized residual)", FLOAT, tol), direct)]
 
 
 def _charge_parts(op: DiffOp) -> dict:
@@ -551,13 +569,13 @@ def _level(psis: list) -> tuple[Poly2, dict]:
                                             for key, u in psi.nums.items()}, den), {}
 
 
-def _reads(params: Params, rule: ActionRule) -> list:
-    """(shift, op's part of that charge shift or None, the term (dn, dm,
-    numerator, denominator, poly) that shifts the charge by 2dm - dn or None)
-    for each shift of op's parts or terms, both read at the twin (see model)."""
+def _reads(params: Params, rule: ActionRule, n_max: int) -> list:
+    """(shift, op's part of that charge shift or None, the term (dn, dm, numerator, denominator,
+    levels up to n_max) that shifts the charge by 2dm - dn or None) for each shift of op's parts or
+    terms, both read at the twin (see model)."""
     parts, mode = _charge_parts(model.conjugated(params, rule.op_name)), params.mode
-    terms = {2 * dm - dn: (dn, dm, *to_ints(mode, [lift(_scalar(literal, params.twin), mode)]), poly)
-             for dn, dm, literal, poly in rule.terms}
+    terms = {2 * dm - dn: (dn, dm, *to_ints(mode, [lift(_scalar(literal, params.twin), mode)]), _levels(table, n_max))
+             for dn, dm, literal, table in rule.terms}
     return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
 
 
@@ -610,9 +628,9 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, irrep: bo
         image = Poly2.zero(mode) if part is None else part.apply_to(source, derivatives)
         lines = {2 * m - n + shift: _Line() for m in range(n + 1)}
         if term is not None:
-            dn, dm, [num], den, poly = term
-            for m, line in enumerate(lines.values()):
-                n2, m2, w = n + dn, m + dm, num * poly(n, m)
+            dn, dm, [num], den, levels = term
+            for m, (line, value) in enumerate(zip(lines.values(), levels[n])):
+                n2, m2, w = n + dn, m + dm, num * value
                 terms[m] = irrep and (w if den == 1 else Fraction(w, den), n2, m2)
                 if w and 0 <= m2 <= n2:  # a target to read: a zero weight reads nothing, so 0 * inf makes no NaN
                     psi = basis(n2, m2)
@@ -629,62 +647,47 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, irrep: bo
 def _image_pass(
     params: Params, suites: Iterable[str], n_max: int, tol: float
 ) -> tuple[list[Report], list[Report]]:
-    """Reports of the actions and irrep suites among ``suites``, each in report
-    order: level-outer, on charge lines (see the module docstring). The images'
-    cost is timed into the action report, or into the first irrep report otherwise."""
-    mode = params.mode
-    irrep_rules = IRREP_RULES if "irrep" in suites else ()
-    term_counts = {rule.op_name: len(rule.terms) for rule in ACTION_RULES}
-    by_op: dict = {}
-    for irrep_rule in irrep_rules:  # each reads the one term of its operator's action rule
-        if term_counts.get(irrep_rule.op_name) != 1:
-            raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has no action rule of one term")
-        if by_op.setdefault(irrep_rule.op_name, irrep_rule) is not irrep_rule:
-            raise ValueError(f"irrep rule {irrep_rule.rule_id}: {irrep_rule.op_name} has an irrep rule already")
+    """Reports of the actions and irrep suites among ``suites``, each in the
+    order of ACTION_RULES: level-outer, on charge lines (see the module docstring).
+    The images' cost is timed into the action report, or into the first irrep report otherwise."""
+    _check_nmax(n_max)
+    mode, irrep = params.mode, "irrep" in suites
     # psi_{n,m} by (n, m), its off-line residual and its size: the pass reads
     # each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
     off_line = cache(lambda n, m: _off_line(basis(n, m), n, m))
     bound = partial(_float_ladder_residual, sizes=cache(lambda n, m: _size(basis(n, m))), off_line=off_line, tol=tol)
-    # (action report, irrep rule, irrep reports, image clock, the rule's reads)
+    # (action report, the claim's levels, irrep reports, image clock, the rule's reads)
     plan = []
     for rule in ACTION_RULES:
-        irrep_rule = by_op.get(rule.op_name)
-        if irrep_rule is None and "actions" not in suites:
+        claims = _levels(rule.claim, n_max, mode) if irrep and rule.claim is not None else None
+        if claims is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, mode, tol)
-        checks = [] if irrep_rule is None else _irrep_checks(
-            mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol,
-            partial(bound, direct=partial(_direct_reading, params, rule.op_name, basis)))
-        plan.append((action, irrep_rule, checks, action if "actions" in suites else checks[0][0],
-                     _reads(params, rule)))
+        checks = [] if claims is None else _irrep_checks(
+            mode, rule, tol, partial(bound, direct=partial(_direct_reading, params, rule.op_name, basis)))
+        plan.append((action, claims, checks, action if "actions" in suites else checks[0][0],
+                     _reads(params, rule, n_max)))
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
     for n in range(n_max + 1):
         steps = range(n + 1)
         with plan[0][3]:  # the level is part of the images' cost
             level, off = _level([basis(n, m) for m in steps]), [off_line(n, m) for m in steps]
-        # (j, mu) = (n/2, m - n/2): exact in floats too, as is each claim, so
-        # it is a coefficient of the mode as it stands; ints at an even n
-        halves = [(n / 2, m - n / 2) if mode == FLOAT else (n // 2, m - n // 2) if n % 2 == 0
-                  else (Fraction(n, 2), Fraction(2 * m - n, 2)) for m in steps]
-        for action, irrep_rule, checks, image_clock, reads in plan:
+        for action, claims, checks, image_clock, reads in plan:
             with image_clock:
-                values = irrep_rule and [irrep_rule.claim(j, mu) for j, mu in halves]
-                worst, terms = _read_level(reads, level, off, basis, irrep_rule is not None)
+                worst, terms = _read_level(reads, level, off, basis, claims is not None)
             for m in steps:
                 action.add(worst[m], (n, m))
             for check, residual in checks:
                 with check:
-                    for m in steps:
+                    for m, claim in enumerate(claims[n]):
                         try:
-                            check.add(residual(n, m, values[m], terms[m], worst[m]), (n, m))
+                            check.add(residual(n, m, claim, terms[m], worst[m]), (n, m))
                         except OverflowError:
                             check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for action, *_ in plan] if "actions" in suites else []
-    irrep = {irrep_rule.rule_id: [check.report() for check, _ in checks]
-             for _, irrep_rule, checks, *_ in plan if irrep_rule is not None}
-    return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
+    return actions, [check.report() for _, _, checks, *_ in plan for check, _ in checks]
 
 
 def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
@@ -694,9 +697,9 @@ def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAUL
 
 
 def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
-    """su(2)/superalgebra coefficients on phi, read off the action images: the
-    diagonal reports, then per ladder rule an exact squared-value report (exact
-    mode only) and a float direct report."""
+    """su(2)/superalgebra coefficients on phi, read off the action images, in
+    the order of ACTION_RULES: a diagonal rule's report, or a ladder rule's exact
+    squared-value report (exact mode only) and its float direct report."""
     return _image_pass(params, ("irrep",), n_max, tol)[1]
 
 
@@ -748,6 +751,7 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX, tol: float = DE
     """Biorthogonality (gram blocks are anti-diagonal identities), Jordan form
     of the pairing with H, ground norm, truncated resolution of identity, and
     the exact-vs-quadrature cross-check (skipped with a note when a <= b)."""
+    _check_nmax(n_max)
     mode, span = params.mode, min(n_max, RESOLUTION_DEGREE)
     gram = _Check("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}", mode, tol)
     jordan = _Check("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}",

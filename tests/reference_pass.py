@@ -12,6 +12,11 @@ package's own rules, checks and per-step residual functions, but for the
 direct reports, which the package bounds from the action reading and reads
 directly only where that bound fails; so a passing direct report reads at
 most the package's residual, and every other report the same.
+
+The pass reads each rule's coefficients from ``TERMS`` and ``CLAIMS``, the
+action terms and irrep claims as functions of (n, m) and (j, mu), keyed by
+rule id and written out by hand, not from the verifier's parsed rule texts;
+a test that changes a rule changes its entry here too.
 """
 
 from __future__ import annotations
@@ -23,6 +28,59 @@ from math import isfinite, sqrt
 from jordan_osc import model, verifier
 from jordan_osc.verifier import FLOAT_OVERFLOW, _Check
 from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination, max_or_nan
+
+#: rule id -> the terms (dn, dm, literal, poly) of op psi_{n,m} = sum literal
+#: poly(n, m) psi_{n+dn,m+dm}
+TERMS = {
+    "action.B-": ((-1, 0, "4*p*q", lambda n, m: n - m), (-1, -1, "1/2*q*p^-1", lambda n, m: 1)),
+    "action.B+": ((1, 1, "-4*p*q", lambda n, m: m + 1), (1, 0, "-1/2*q*p^-1", lambda n, m: 1)),
+    "action.A-": ((-1, -1, "1/2*p*q^-1", lambda n, m: 1),),
+    "action.A+": ((1, 0, "-1/2*p*q^-1", lambda n, m: 1),),
+    "action.jordan-H": ((0, 0, "4*a", lambda n, m: n + 1), (0, -1, "1", lambda n, m: 1)),
+    "action.R": ((0, -1, "-1/4*a*b^-1", lambda n, m: 1),),
+    "action.S": ((0, -1, "-1/4*b*a^-1", lambda n, m: 1), (0, 0, "-2*b", lambda n, m: n),
+                 (0, 1, "-16*a*b", lambda n, m: (n - m) * (m + 1))),
+    "action.T": ((0, 0, "-2*a", lambda n, m: n - 2 * m),),
+    "action.U": ((0, 0, "-2*a", lambda n, m: n), (0, -1, "-1/2", lambda n, m: 1)),
+    "action.J0": ((0, 0, "1/2", lambda n, m: 2 * m - n),),
+    "action.J+": ((0, 1, "1", lambda n, m: (n - m) * (m + 1)),),
+    "action.J-": ((0, -1, "1", lambda n, m: 1),),
+    "action.K": ((0, 0, "1", lambda n, m: n + 1),),
+    "action.a1+": ((1, 1, "1", lambda n, m: m + 1),),
+    "action.a1-": ((-1, -1, "1", lambda n, m: 1),),
+    "action.a2+": ((1, 0, "1", lambda n, m: 1),),
+    "action.a2-": ((-1, 0, "1", lambda n, m: n - m),),
+    "action.D+11": ((2, 2, "1", lambda n, m: (m + 1) * (m + 2)),),
+    "action.D+12": ((2, 1, "1", lambda n, m: m + 1),),
+    "action.D+22": ((2, 0, "1", lambda n, m: 1),),
+    "action.D-11": ((-2, -2, "1", lambda n, m: 1),),
+    "action.D-12": ((-2, -1, "1", lambda n, m: n - m),),
+    "action.D-22": ((-2, 0, "1", lambda n, m: (n - m) * (n - m - 1)),),
+}
+
+#: rule id -> its irrep claim in (j, mu): the eigenvalue of a diagonal rule,
+#: the squared ladder coefficient of any other
+CLAIMS = {
+    "action.J0": lambda j, mu: mu,
+    "action.K": lambda j, mu: 2 * j + 1,
+    "action.J+": lambda j, mu: (j - mu) * (j + mu + 1),
+    "action.J-": lambda j, mu: (j + mu) * (j - mu + 1),
+    "action.a1+": lambda j, mu: j + mu + 1,
+    "action.a1-": lambda j, mu: j + mu,
+    "action.a2+": lambda j, mu: j - mu + 1,
+    "action.a2-": lambda j, mu: j - mu,
+    "action.D+11": lambda j, mu: (j + mu + 1) * (j + mu + 2),
+    "action.D-11": lambda j, mu: (j + mu) * (j + mu - 1),
+    "action.D+12": lambda j, mu: (j - mu + 1) * (j + mu + 1),
+    "action.D-12": lambda j, mu: (j - mu) * (j + mu),
+    "action.D+22": lambda j, mu: (j - mu + 1) * (j - mu + 2),
+    "action.D-22": lambda j, mu: (j - mu) * (j - mu - 1),
+}
+
+
+def claim_at(rule_id, n, m):
+    """The claim of a rule at psi_{n,m}, j = n/2, mu = m - n/2, exactly."""
+    return Fraction(CLAIMS[rule_id](Fraction(n, 2), Fraction(2 * m - n, 2)))
 
 
 def whole_residual(mode, targets, image, scale=1):
@@ -64,29 +122,27 @@ def _direct(*args):
 
 def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
     """(action reports, irrep reports) of the suites among ``suites``, as
-    verifier._image_pass gives them, from the verifier's rules as they stand."""
-    irrep_rules = verifier.IRREP_RULES if "irrep" in suites else ()
-    by_op = {rule.op_name: rule for rule in irrep_rules}
+    verifier._image_pass gives them, in the verifier's rule order and with its
+    anchors, from the coefficients of TERMS and CLAIMS."""
     basis = cache(partial(model.chain_psi, params))
     plan = []
     for rule in verifier.ACTION_RULES:
-        irrep_rule = by_op.get(rule.op_name)
-        if irrep_rule is None and "actions" not in suites:
+        claim = CLAIMS.get(rule.rule_id) if "irrep" in suites else None
+        if claim is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        checks = [] if irrep_rule is None else verifier._irrep_checks(
-            params.mode, irrep_rule, rule.terms[0][:2] == (0, 0), tol, _direct)
+        checks = [] if claim is None else verifier._irrep_checks(params.mode, rule, tol, _direct)
         # each literal at the twin, rounded once at a float point
         terms = [(dn, dm, lift(model._scalar(literal, params.twin), params.mode), poly)
-                 for dn, dm, literal, poly in rule.terms]
-        plan.append((rule, terms, action, irrep_rule, checks))
+                 for dn, dm, literal, poly in TERMS[rule.rule_id]]
+        plan.append((rule, terms, action, claim, checks))
     for n in range(n_max + 1):
         for m in range(n + 1):
             psi = basis(n, m)
             j, mu = (Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
-            for rule, terms, action, irrep_rule, checks in plan:
+            for rule, terms, action, claim, checks in plan:
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
-                value = None if irrep_rule is None else irrep_rule.claim(j, mu)
+                value = None if claim is None else claim(j, mu)
                 image = model.apply(params, rule.op_name, psi)
                 image_residual = whole_residual(
                     params.mode, [(c, basis(n2, m2)) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
@@ -100,6 +156,4 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
                     except OverflowError:
                         check.skip(FLOAT_OVERFLOW)
     actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
-    irrep = {irrep_rule.rule_id: [check.report() for check, _ in checks]
-             for *_, irrep_rule, checks in plan if irrep_rule is not None}
-    return actions, [report for rule in irrep_rules for report in irrep[rule.rule_id]]
+    return actions, [check.report() for *_, checks in plan for check, _ in checks]

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from jordan_osc import (
     ACTION_RULES,
-    IRREP_RULES,
     Params,
     Poly2,
     build_psi,
@@ -185,9 +184,8 @@ def test_criterion_8_irrep_coefficients():
     reports = check_irrep(REFERENCE, n_max=10, tol=1e-10)
     sq = [r for r in reports if r.relation_id.endswith(".sq")]
     fl = [r for r in reports if r.relation_id.endswith(".float")]
-    # a ladder rule's operator moves (n, m): its action rule's one term shifts it
-    shifts = {rule.op_name: rule.terms[0][:2] for rule in ACTION_RULES}
-    ladders = sum(shifts[rule.op_name] != (0, 0) for rule in IRREP_RULES)
+    # a ladder claim's operator moves (n, m): its action rule's one term shifts it
+    ladders = sum(rule.claim is not None and rule.terms[0][:2] != (0, 0) for rule in ACTION_RULES)
     ok = (
         len(sq) == ladders
         and len(fl) == ladders

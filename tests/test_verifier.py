@@ -17,7 +17,6 @@ from jordan_osc import (
     ACTION_RULES,
     EXPLICIT_NAMES,
     FLOAT,
-    IRREP_RULES,
     DiffOp,
     Params,
     Poly2,
@@ -50,8 +49,8 @@ from reference_forms import phi_scale_sq
 F = Fraction
 
 _ACTION_OF = {rule.op_name: rule for rule in ACTION_RULES}
-#: the irrep rules whose action term moves (n, m)
-LADDERS = tuple(rule for rule in IRREP_RULES if _ACTION_OF[rule.op_name].terms[0][:2] != (0, 0))
+#: the rules with an irrep claim whose action term moves (n, m)
+LADDERS = tuple(rule for rule in ACTION_RULES if rule.claim is not None and rule.terms[0][:2] != (0, 0))
 
 #: (a, b) of float points, from everyday to where a basis function or a float
 #: operator leaves the float range; (p, q) of exact ones
@@ -61,9 +60,9 @@ EXACT_POINTS = [(1, F(1, 2)), (F(3, 2), F(2, 3)), (10**50, 1)]
 
 
 def _term(point, rule, n, m):
-    """The one action term (c, n', m') an irrep rule reads at psi_{n,m}."""
-    [(dn, dm, literal, poly)] = _ACTION_OF[rule.op_name].terms
-    return model._scalar(literal, point) * poly(n, m), n + dn, m + dm
+    """The one action term (c, n', m') an irrep claim reads at psi_{n,m}."""
+    [(dn, dm, literal, table)] = rule.terms
+    return model._scalar(literal, point) * verifier._levels(table, n)[n][m], n + dn, m + dm
 
 
 def _strip(report):
@@ -245,7 +244,7 @@ class TestExpressionGrammar:
             want = float(F(c) * twin.a ** unit.count("a") * twin.b ** unit.count("b"))
             assert eval_expression(tok, point) == DiffOp.constant(want), tok
         for rule in ACTION_RULES:
-            terms = {shift: term for shift, _, term in verifier._reads(point, rule) if term is not None}
+            terms = {shift: term for shift, _, term in verifier._reads(point, rule, 0) if term is not None}
             for dn, dm, literal, _ in rule.terms:
                 assert terms[2 * dm - dn][2:4] == ([float(model._scalar(literal, twin))], 1), (rule.rule_id, literal)
 
@@ -546,28 +545,30 @@ class TestActionSuite:
         # rerun with a single corrupted rule: sign flipped on the A+ action
         import jordan_osc.verifier as v
 
-        bad = v.ActionRule("action.bad", "A+", "deliberately wrong", ((1, 0, "1/2*p*q^-1", lambda n, m: 1),))
+        bad = v.ActionRule("action.bad", "A+ psi = 1/2*p*q^-1 psi[n+1,m]")
         monkeypatch.setattr(v, "ACTION_RULES", (bad,))
         reports = v.check_actions(params, n_max=2)
         assert len(reports) == 1 and not reports[0].passed
 
     @pytest.mark.parametrize("term", [
-        (-1, 0, "4*p", lambda n, m: n - m),  # 4*p*q written as 4*p
-        (-1, 1, "4*p*q", lambda n, m: n - m),  # psi[n-1,m+1] for psi[n-1,m]
+        "4*p (n-m) psi[n-1,m]",  # 4*p*q written as 4*p
+        "4*p*q (n-m) psi[n-1,m+1]",  # psi[n-1,m+1] for psi[n-1,m]
     ], ids=["literal", "shift"])
     def test_term_of_wrong_weight_is_refused(self, term):
         # psi_{n,m} has weight (n - 2m, 0): B- (weight (0, 1)) takes a term
         # of weight (dn - 2 dm, 0) + weight(literal) = (0, 1) only
         rule = _ACTION_OF["B-"]
+        assert rule.anchor.startswith("B- psi = 4*p*q (n-m) psi[n-1,m] + ")
+        text = rule.anchor.replace("4*p*q (n-m) psi[n-1,m]", term)
         with pytest.raises(ValueError, match=r"action\.B-: the term .* has weight .*, the operator \(0, 1\)"):
-            replace(rule, terms=(term, rule.terms[1]))
+            replace(rule, anchor=text)
 
     def test_two_terms_of_one_charge_shift_are_refused(self):
         # J+ psi[n,m+1] and a psi[n+2,m+2] term both shift the charge by 2, so
         # one charge part of J+ would meet two targets
         rule = _ACTION_OF["J+"]
         with pytest.raises(ValueError, match=r"action\.J\+: two terms shift the charge 2dm - dn by one amount"):
-            replace(rule, terms=(*rule.terms, (2, 2, "1", lambda n, m: 1)))
+            replace(rule, anchor=rule.anchor + " + 1 psi[n+2,m+2]", irrep="")
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_a_target_no_part_reaches_reports_its_size(self, point, request, monkeypatch):
@@ -580,7 +581,9 @@ class TestActionSuite:
         assert 0 not in v._charge_parts(model.conjugated(P, "J+"))
         rule = _ACTION_OF["J+"]
         monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(
-            v.ACTION_RULES, "action.J+", terms=(*rule.terms, (0, 0, "1*a^-1", lambda n, m: 1))))
+            v.ACTION_RULES, "action.J+", anchor=rule.anchor + " + 1*a^-1 psi[n,m]", irrep=""))
+        terms = reference_pass.TERMS["action.J+"] + ((0, 0, "1*a^-1", lambda n, m: 1),)
+        monkeypatch.setitem(reference_pass.TERMS, "action.J+", terms)
         reports = check_actions(P, n_max=5)
         assert _failing(reports) == {"action.J+"}
         sizes = {(n, m): chain_psi(P, n, m).max_magnitude() / P.a for n in range(6) for m in range(n + 1)}
@@ -591,37 +594,55 @@ class TestActionSuite:
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
         assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5)[0]))
 
-    def test_anchors_state_the_term_shifts(self):
-        # an anchor names its targets in text: the same shifts as the rule's
-        # terms, and a ladder irrep anchor's phi[j',mu'] is its action shift
-        # read in (j, mu): j' = j + dn/2, mu' = mu + dm - dn/2
-        def offset(text):
-            return F(text or 0)
+    def test_each_report_anchor_is_its_rule_text(self, params):
+        # a rule is stated once: its text is the data the pass reads and,
+        # verbatim, the anchor of its report
+        reports = check_actions(params, n_max=3)
+        assert [(r.relation_id, r.anchor) for r in reports] == [(rule.rule_id, rule.anchor) for rule in ACTION_RULES]
 
+    def test_the_texts_hold_the_reference_coefficients(self):
+        # every parsed term (shift, literal, value) and every claim equals its
+        # hand-written copy in the reference pass at every 0 <= m <= n <= 25;
+        # J0's half-integer claims compare exactly
+        assert len(ACTION_RULES) == len(reference_pass.TERMS) == 23
+        assert {rule.rule_id for rule in ACTION_RULES if rule.claim is not None} == reference_pass.CLAIMS.keys()
         for rule in ACTION_RULES:
-            named = {(offset(dn), offset(dm)) for dn, dm in re.findall(r"psi\[n([+-]\d+)?,m([+-]\d+)?\]", rule.anchor)}
-            assert named == {(dn, dm) for dn, dm, *_ in rule.terms}, rule.rule_id
-        for rule in IRREP_RULES:
-            [(dn, dm, *_)] = _ACTION_OF[rule.op_name].terms
-            named = re.findall(r"phi\[(?:j([+-][\d/]+),)?mu([+-][\d/]+)?\]", rule.anchor)
-            if (dn, dm) == (0, 0):
-                assert named == [], rule.rule_id
-            else:
-                assert [(offset(dj), offset(dmu)) for dj, dmu in named] == [(F(dn, 2), dm - F(dn, 2))], rule.rule_id
+            copies = reference_pass.TERMS[rule.rule_id]
+            assert [term[:3] for term in rule.terms] == [term[:3] for term in copies], rule.rule_id
+            for (*_, table), (*_, poly) in zip(rule.terms, copies):
+                levels = verifier._levels(table, 25)
+                assert all(levels[n][m] == poly(n, m) for n in range(26) for m in range(n + 1)), rule.rule_id
+            if rule.claim is not None:
+                levels = verifier._levels(rule.claim, 25)
+                assert all(levels[n][m] == reference_pass.claim_at(rule.rule_id, n, m)
+                           for n in range(26) for m in range(n + 1)), rule.rule_id
+        assert any(type(value) is F for level in verifier._levels(_ACTION_OF["J0"].claim, 25) for value in level)
 
-    def test_anchors_name_each_target_and_their_operator(self):
-        # each action anchor names every term's target psi[n+dn,m+dm] as its
-        # terms write it, and its operator; each irrep anchor starts with its operator
-        def target(dn, dm):
-            return f"psi[n{f'{dn:+}' if dn else ''},m{f'{dm:+}' if dm else ''}]"
+    def test_anchors_of_the_irrep_reports_derive_from_the_rule(self, params):
+        # the claim as written, and the target phi_{j',mu'} of the action shift
+        anchors = {r.relation_id: r.anchor for r in check_irrep(params, n_max=1)}
+        assert anchors["irrep.J0"] == "J0 phi = mu phi"
+        assert anchors["irrep.K"] == "K phi = (2*j+1) phi"
+        assert anchors["irrep.J+.sq"] == "J+ phi = sqrt((j-mu)*(j+mu+1)) phi[j,mu+1] (squared values)"
+        assert anchors["irrep.a2-.float"].startswith("a2- phi = sqrt(j-mu) phi[j-1/2,mu+1/2] (direct, normalized")
+        assert anchors["irrep.D-11.sq"] == "D-11 phi = sqrt((j+mu)*(j+mu-1)) phi[j-1,mu-1] (squared values)"
 
-        assert len(ACTION_RULES) == 23 and len(IRREP_RULES) == 14
-        for rule in ACTION_RULES:
-            assert rule.op_name in rule.anchor.split(" = ")[0], rule.rule_id
-            for dn, dm, *_ in rule.terms:
-                assert target(dn, dm) in rule.anchor, (rule.rule_id, dn, dm)
-        for rule in IRREP_RULES:
-            assert rule.anchor.startswith(f"{rule.op_name} phi"), rule.rule_id
+    @pytest.mark.parametrize("text, irrep, refusal", [
+        ("K psi = 1 (n+1)", "", "the term '1 (n+1)' is no"),
+        ("K psi = (n+1) psi[n,m]", "", "the term '(n+1) psi[n,m]' is no"),
+        ("K psi = 1 (n+q) psi[n,m]", "", "'q' in '(n+q)'"),
+        ("K psi = 1 (n+1)/2 psi[n,m]", "", "'(n + 1) / 2' in '(n+1)/2'"),
+        ("K psi = 1 n**2 psi[n,m]", "", "'n ** 2' in 'n**2'"),
+        ("K psi = 1 1.5*n psi[n,m]", "", "'1.5' in '1.5*n'"),
+        ("K psi = 1 (n+1 psi[n,m]", "", "'(' was never closed"),
+        ("K psi = 1 (n+1) psi[n,m]", "n+1", "'n' in 'n+1': an index polynomial takes integers, j, mu,"),
+        ("B- psi = 4*p*q (n-m) psi[n-1,m] + 1/2*q*p^-1 psi[n-1,m-1]", "j", "an irrep claim needs a rule of one term"),
+    ], ids=["no-target", "no-literal", "unknown-symbol", "division", "power", "float", "syntax", "claim-in-n-m",
+            "claim-on-two-terms"])
+    def test_the_parser_refuses_what_is_no_rule(self, text, irrep, refusal):
+        # each refusal is a ValueError naming the rule
+        with pytest.raises(ValueError, match="^action\\.X: " + re.escape(refusal)):
+            verifier.ActionRule("action.X", text, irrep)
 
 
 class TestIrrepSuite:
@@ -648,17 +669,17 @@ def _replace_rule(rules, rule_id, **changes):
     return tuple(replace(r, **changes) if r.rule_id == rule_id else r for r in rules)
 
 
-def _at(rule, n, m):
-    """An irrep rule's claimed value at psi_{n,m}, at j = n/2, mu = m - n/2."""
-    return F(rule.claim(F(n, 2), F(2 * m - n, 2)))
+def _at(rule, n, m, factor=1):
+    """A rule's claimed value at psi_{n,m}, at j = n/2, mu = m - n/2, times ``factor``."""
+    return F(verifier._levels(rule.claim, n)[n][m]) * factor
 
 
-def _four_pass_residual(params, rule, n, m, image):
+def _four_pass_residual(params, rule, n, m, image, factor=1):
     """The direct irrep residual as term-map passes: read the image and the
     run's own target psi in floats, scale each, subtract (the oracle of the
     one-pass residual)."""
     got = image.to_float().scale(sqrt(phi_scale_sq(n, m)))
-    c2 = _at(rule, n, m)
+    c2 = _at(rule, n, m, factor)
     _, n2, m2 = _term(params, rule, n, m)
     if not (0 <= m2 <= n2):
         return verifier.max_or_nan(abs(float(c2)), got.max_magnitude())
@@ -666,23 +687,19 @@ def _four_pass_residual(params, rule, n, m, image):
     return (got - want).max_magnitude() / verifier.max_or_nan(1.0, want.max_magnitude())
 
 
-def _float_residual(point, rule, n, m, image, tol=verifier.DEFAULT_TOL, claim=None):
-    """The .float residual of one step as the pass takes it: its bound from
-    the step's action residual, read directly where that bound exceeds tol."""
+def _float_residual(point, rule, n, m, image, tol=verifier.DEFAULT_TOL, factor=1):
+    """The .float residual of one step as the pass takes it, with the claim
+    times ``factor``: its bound from the step's action residual, read
+    directly where that bound exceeds tol."""
     basis = partial(model.chain_psi, point)
-    rule = rule if claim is None else replace(rule, claim=claim)
     target = _term(point, rule, n, m)
     w, n2, m2 = target
     targets = [(w, basis(n2, m2))] if w and 0 <= m2 <= n2 else []
     image_residual = reference_pass.whole_residual(point.mode, targets, image)
     return verifier._float_ladder_residual(
-        n, m, _at(rule, n, m), target, image_residual, sizes=lambda k, j: verifier._size(basis(k, j)),
+        n, m, _at(rule, n, m, factor), target, image_residual, sizes=lambda k, j: verifier._size(basis(k, j)),
         off_line=lambda k, j: verifier._off_line(basis(k, j), k, j), tol=tol,
         direct=partial(verifier._direct_reading, point, rule.op_name, basis))
-
-
-def _scaled(rule, factor):
-    return lambda j, mu: rule.claim(j, mu) * factor
 
 
 class TestFloatLadderResidual:
@@ -698,12 +715,11 @@ class TestFloatLadderResidual:
         outside, direct = 0, 0
         for rule in LADDERS:
             for factor in (1, 1 + F(1, 10**8)):
-                claim = _scaled(rule, factor)
                 for n in range(7):
                     for m in range(n + 1):
                         image = model.apply(point, rule.op_name, model.chain_psi(point, n, m))
-                        got = _float_residual(point, rule, n, m, image, claim=claim)
-                        want = _four_pass_residual(point, replace(rule, claim=claim), n, m, image)
+                        got = _float_residual(point, rule, n, m, image, factor=factor)
+                        want = _four_pass_residual(point, rule, n, m, image, factor)
                         assert type(got) is float, (rule.rule_id, n, m)
                         if got > verifier.DEFAULT_TOL:
                             assert got.hex() == want.hex(), (rule.rule_id, n, m)
@@ -728,14 +744,13 @@ class TestBoundDesign:
         basis = partial(model.chain_psi, point)
         for rule in LADDERS:
             for factor in (1, 1 + F(1, 10**8)):
-                scaled = replace(rule, claim=_scaled(rule, factor))
                 worst = [0.0, 0.0]
                 for n in range(9):
                     for m in range(n + 1):
                         image = model.apply(point, rule.op_name, basis(n, m))
-                        target, c2 = _term(point, scaled, n, m), _at(scaled, n, m)
+                        target, c2 = _term(point, rule, n, m), _at(rule, n, m, factor)
                         direct = reference_pass.direct_residual(target, n, m, c2, image, basis, point.mode)
-                        bound = _float_residual(point, scaled, n, m, image, tol=float("inf"))
+                        bound = _float_residual(point, rule, n, m, image, tol=float("inf"), factor=factor)
                         assert bound >= direct - 1e-15, (rule.rule_id, factor, n, m)
                         worst = [max(worst[0], bound), max(worst[1], direct)]
                 if factor != 1:
@@ -801,15 +816,14 @@ class TestDerivedChecksCanFail:
         import jordan_osc.verifier as v
 
         # doubled, so still zero at the top of each chain: only in-grid values are wrong
-        monkeypatch.setattr(v, "IRREP_RULES", _replace_rule(
-            v.IRREP_RULES, "irrep.J+", claim=lambda j, mu: 2 * (j - mu) * (j + mu + 1)))
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.J+", irrep="2*(j-mu)*(j+mu+1)"))
         assert _failing(v.check_irrep(params, n_max=3)) == {"irrep.J+.sq", "irrep.J+.float"}
 
     def test_wrong_action_coefficient_fails_action_and_sq(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
         monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(
-            v.ACTION_RULES, "action.a1+", terms=((1, 1, "1", lambda n, m: m + 2),)))
+            v.ACTION_RULES, "action.a1+", anchor="a1+ psi = 1 (m+2) psi[n+1,m+1]"))
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         # the float direct report reads the image, not the action rule
         assert failing == {"action.a1+", "irrep.a1+.sq"}
@@ -872,7 +886,7 @@ class TestDerivedChecksCanFail:
     def test_wrong_eigenvalue_fails_diagonal(self, params, monkeypatch):
         import jordan_osc.verifier as v
 
-        monkeypatch.setattr(v, "IRREP_RULES", _replace_rule(v.IRREP_RULES, "irrep.J0", claim=lambda j, mu: mu + 1))
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.J0", irrep="mu+1"))
         assert _failing(v.run_suites(params, ("actions", "irrep"), n_max=3)) == {"irrep.J0"}
 
 
@@ -1022,10 +1036,24 @@ class TestImagePass:
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
-        first, (dn, dm, literal, _) = _ACTION_OF["B-"].terms
-        assert (dn, dm, literal) == (-1, -1, "1/2*q*p^-1")
-        perturbed = (dn, dm, "1/2000*q*p^-1", lambda n, m: 1001 if (n, m) == (5, 2) else 1000)
-        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.B-", terms=(first, perturbed)))
+        rule = _ACTION_OF["B-"]
+        assert rule.anchor.endswith(" + 1/2*q*p^-1 psi[n-1,m-1]")
+        text = rule.anchor.replace(" + 1/2*q*p^-1 psi", " + 1/2000*q*p^-1 1000 psi")
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.B-", anchor=text))
+        table = replace(rule, anchor=text).terms[1][3]
+        assert table == (1, (((0, 0), 1000),))
+        levels = v._levels
+
+        def perturbed(t, n_max, *mode):
+            # the evaluated 1000 of B-'s second term, 1001 at (5, 2) alone
+            got = levels(t, n_max, *mode)
+            return [[1001 if (t, n, m) == (table, 5, 2) else value for m, value in enumerate(level)]
+                    for n, level in enumerate(got)]
+
+        monkeypatch.setattr(v, "_levels", perturbed)
+        first, (dn, dm, _, _) = reference_pass.TERMS["action.B-"]
+        monkeypatch.setitem(reference_pass.TERMS, "action.B-", (
+            first, (dn, dm, "1/2000*q*p^-1", lambda n, m: 1001 if (n, m) == (5, 2) else 1000)))
         reports = check_actions(P, n_max=7)
         assert _failing(reports) == {"action.B-"}
         assert next(r for r in reports if r.failed).anchor.endswith("[worst at n,m=(5, 2)]")
@@ -1054,21 +1082,22 @@ class TestImagePass:
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
-        # the .sq and .float reports of a ladder rule share its claim at (n, m)
+        # the .sq and .float reports of a ladder rule share its claim at (n, m):
+        # the pass evaluates each claim's table once, for every level at once
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
         calls = Counter()
+        levels = v._levels
 
-        def counted(rule):
-            def claim(j, mu):
-                calls[rule.rule_id, j, mu] += 1
-                return rule.claim(j, mu)
-            return replace(rule, claim=claim)
+        def counted(table, n_max, *mode):
+            calls[table, n_max, *mode] += 1
+            return levels(table, n_max, *mode)
 
-        monkeypatch.setattr(v, "IRREP_RULES", tuple(counted(rule) for rule in v.IRREP_RULES))
+        monkeypatch.setattr(v, "_levels", counted)
         assert all(r.passed for r in v.check_irrep(P, n_max=4))
-        assert len(calls) == len(IRREP_RULES) * 15 and set(calls.values()) == {1}
+        claims = {(rule.claim, 4, P.mode): 1 for rule in ACTION_RULES if rule.claim is not None}
+        assert len(claims) == 14 and {key: calls[key] for key in claims} == claims
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure and pseudo read no image, so the pass builds no psi at
@@ -1082,27 +1111,22 @@ class TestImagePass:
             assert not any(key[0] is model.chain_psi.__wrapped__ for key in keys)
 
     def test_every_irrep_rule_has_an_action_rule(self):
-        # the image pass reads each irrep rule off the images of its
-        # operator's action rule, at that rule's one term
-        assert all(len(_ACTION_OF[rule.op_name].terms) == 1 for rule in IRREP_RULES)
+        # the image pass reads each irrep claim off the images of its rule's
+        # one term, one claim per operator
+        assert sum(rule.claim is not None for rule in ACTION_RULES) == 14
+        assert all(len(rule.terms) == 1 for rule in ACTION_RULES if rule.claim is not None)
         assert len(ACTION_RULES) == len(_ACTION_OF)
 
-    @pytest.mark.parametrize("op_name, why", [
-        ("X", "has no action rule of one term"), ("B-", "has no action rule of one term"),
-        ("J0", "has an irrep rule already"),
-    ], ids=["no-action-rule", "two-term-action-rule", "second-rule-on-one-operator"])
-    def test_malformed_irrep_table_is_refused_before_any_image(self, params, image_counts, monkeypatch, op_name, why):
-        # an irrep rule reads the one term of its operator's action rule: one
-        # naming an operator with no action rule, or with two terms, or one
-        # whose operator another irrep rule reads already, stops the pass
-        # before any operator is conjugated or applied
-        import jordan_osc.verifier as v
-
-        bad = v.IrrepRule("irrep.X", op_name, lambda j, mu: 1, "X phi = phi")
-        monkeypatch.setattr(v, "IRREP_RULES", v.IRREP_RULES + (bad,))
-        refused = rf"irrep rule irrep\.X: {re.escape(op_name)} {why}"
-        with pytest.raises(ValueError, match=refused):
-            v.run_suites(params, ("actions", "irrep"), n_max=3)
+    @pytest.mark.parametrize("text, why", [
+        ("X psi = 1 psi[n,m]", "unknown operator 'X'"),
+        ("B- psi = 4*p*q (n-m) psi[n-1,m] + 1/2*q*p^-1 psi[n-1,m-1]", "an irrep claim needs a rule of one term, not 2"),
+    ], ids=["no-action-rule", "two-term-action-rule"])
+    def test_malformed_irrep_table_is_refused_before_any_image(self, image_counts, text, why):
+        # an irrep claim rides on the one term of its action rule: one on an
+        # operator with no action rule, or on a rule of two terms, is refused
+        # when the rule is built, before any operator is conjugated or applied
+        with pytest.raises(ValueError, match=rf"^action\.X: {re.escape(why)}"):
+            verifier.ActionRule("action.X", text, "1")
         assert not image_counts
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
@@ -1123,30 +1147,19 @@ class TestImagePass:
         assert all(r.passed for r in after)
         assert [(r.relation_id, r.residual) for r in after] == [(r.relation_id, r.residual) for r in before]
 
-    def test_float_claims_are_the_rounded_exact_claims(self, monkeypatch):
-        # a float run evaluates every claim on j = n/2, mu = m - n/2 in floats,
-        # with no Fraction: equal floats are equal bits, but for the sign of a
-        # zero (0.0 * -1.0 is -0.0), which no residual reads (abs, sqrt and a
-        # falsy coefficient treat both alike)
-        import jordan_osc.verifier as v
-
-        seen = []
-
-        def recorded(rule):
-            def recording(j, mu):
-                value = rule.claim(j, mu)
-                seen.append((rule.claim, j, mu, value))
-                return value
-            return replace(rule, claim=recording)
-
-        monkeypatch.setattr(v, "IRREP_RULES", tuple(recorded(r) for r in v.IRREP_RULES))
-        v.check_irrep(Params.from_ab(0.79, 0.23), n_max=24)
-        assert len(seen) == len(IRREP_RULES) * 25 * 26 // 2
-        for claim, j, mu, value in seen:
-            assert type(j) is float and type(mu) is float and type(value) is float
-            n, m = int(2 * j), int(mu + j)
-            assert (j, mu) == (F(n, 2), F(2 * m - n, 2))
-            assert value == float(F(claim(F(n, 2), F(2 * m - n, 2))))
+    def test_float_claims_are_the_rounded_exact_claims(self):
+        # a float run reads every claim at j = n/2, mu = m - n/2 exactly, with
+        # no Fraction: an int where the claim's table has integer coefficients,
+        # and J0's half-integers as the floats that hold them exactly
+        for rule in ACTION_RULES:
+            if rule.claim is None:
+                continue
+            levels = verifier._levels(rule.claim, 24, FLOAT)
+            assert [len(level) for level in levels] == list(range(1, 26))
+            for n, level in enumerate(levels):
+                for m, value in enumerate(level):
+                    assert type(value) is (float if rule.op_name == "J0" else int), (rule.rule_id, n, m)
+                    assert value == reference_pass.claim_at(rule.rule_id, n, m), (rule.rule_id, n, m)
 
     def test_float_point_3_1_passes_the_lowering_d_ladders(self):
         # with the conjugations rounded once from the dyadic twin; built in
@@ -1325,6 +1338,20 @@ class TestRunSuites:
         assert all(i.startswith(verifier.BUILTIN_ID_PREFIXES) for i in builtin)
         assert not any(i.startswith(verifier.BUILTIN_ID_PREFIXES) for i in catalog_ids)
 
+    @pytest.mark.parametrize("n_max", [-1, -25, 2.0, "3", None, True])
+    def test_a_cutoff_that_is_no_int_from_0_is_refused(self, params, n_max):
+        # a negative cutoff reads no level, so every check it reported would
+        # pass unrun: each entry point refuses it, naming it
+        refused = rf"^n_max must be an int >= 0, not {re.escape(repr(n_max))}$"
+        for run in (partial(run_suites, params, ("actions", "irrep")), partial(run_suites, params, ("structure",)),
+                    partial(check_actions, params), partial(check_irrep, params), partial(check_integrals, params)):
+            with pytest.raises(ValueError, match=refused):
+                run(n_max=n_max)
+
+    def test_cutoff_0_reads_level_0(self, params):
+        reports = run_suites(params, ("actions", "irrep", "integrals"), n_max=0)
+        assert len(reports) == 23 + 26 + 5 and all(r.passed for r in reports)
+
     def test_reports_deterministic_modulo_timing(self, params):
         first = run_suites(params, ("pseudo",))
         second = run_suites(params, ("pseudo",))
@@ -1439,7 +1466,7 @@ class TestResidualsKeepNaN:
         # coefficient's distance from the eigenvalue, in that order
         target = (NAN if part == "coefficient" else 5.0, 2, 1)
         image_residual = NAN if part == "image" else 1.0
-        rule = IRREP_RULES[0]
+        rule = _ACTION_OF["J0"]
         assert isnan(verifier._eigenvalue_residual(2, 1, _at(rule, 2, 1), target, image_residual))
 
     @pytest.mark.parametrize("part", ["image", "coefficient"])
@@ -1454,7 +1481,7 @@ class TestResidualsKeepNaN:
         # a scaled image beyond the float range fails its bound, and its
         # direct int / int reading raises, so the residual is no number to compare
         big = Poly2("exact", {(1, 0): F(10**308)})
-        rule = next(r for r in LADDERS if r.rule_id == "irrep.J+")  # J+ phi_{1,0} = phi_{1,1}
+        rule = _ACTION_OF["J+"]  # J+ phi_{1,0} = phi_{1,1}
         c2, target = _at(rule, 1, 0), _term(params, rule, 1, 0)
         monkeypatch.setattr(verifier, "apply", lambda P, name, fn: fn.scale(F(2)))
         direct = partial(verifier._direct_reading, params, "J+", lambda n, m: big)
