@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
 check failed (the report is still written), 2 usage error, or a float-mode
 point whose arithmetic overflows or underflows to a zero divisor (an exact run
-skips the float cross-checks that do).
+skips integrals.oracle where its reading in floats does).
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except (OverflowError, ZeroDivisionError) as exc:
         # only floats overflow, or divide by a product that underflows to 0
-        # (an exact run skips its float cross-checks that do, see verifier),
+        # (an exact run skips integrals.oracle where it does, see verifier),
         # and the exception's own text can be a raw errno tuple (from pow),
         # so a plain reason is printed instead
         if isinstance(exc, ZeroDivisionError) and args.mode == EXACT:

@@ -2,16 +2,16 @@
 pass in ``jordan_osc.verifier``.
 
 Basis-outer, one step per (n, m): every operator is applied to psi_{n,m} by
-name (``model.apply``), and each image op.psi_{n,m} is read whole. Its
-residuals are those of the built polynomials:
-``linear_combination(...).max_magnitude()`` over every monomial of the image
-and its targets, and, for the direct irrep reports, of the image and the
-target read in floats by ``to_float`` at every step, so a reading beyond the
-float range raises ``OverflowError`` there. The reports come from the
-package's own rules, checks and per-step residual functions, but for the
-direct reports, which the package bounds from the action reading and reads
-directly only where that bound fails; so a passing direct report reads at
-most the package's residual, and every other report the same.
+name (``model.apply``), and each image op.psi_{n,m} is read whole, against
+the built difference image - sum c psi_{n',m'}: in exact mode its largest
+magnitude, in float mode its largest magnitude per charge line e - i, each
+over |c| T of the target on that line (T the target's largest coefficient),
+a line without a target reading 1 where it is nonzero. The reports come from
+the package's own rules, checks and per-step residual functions, so every
+report equals the package's.
+
+``direct_reading`` reads op phi_{n,m} - c psi_{n',m'} whole, in floats: the
+quantity that the .float residual bounds, for the tests of that bound.
 
 The pass reads each rule's coefficients from ``TERMS`` and ``CLAIMS``, the
 action terms and irrep claims as functions of (n, m) and (j, mu), keyed by
@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from math import isfinite, sqrt
+from math import sqrt
 
 from jordan_osc import model, verifier
-from jordan_osc.verifier import FLOAT_OVERFLOW, _Check
+from jordan_osc.verifier import _Check
 from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination, max_or_nan
 
 #: rule id -> the terms (dn, dm, literal, poly) of op psi_{n,m} = sum literal
@@ -88,10 +88,26 @@ def whole_residual(mode, targets, image, scale=1):
     return linear_combination(mode, [*((-c, x) for c, x in targets), (scale, image)]).max_magnitude()
 
 
+def step_residual(mode, targets, image):
+    """The residual of one step against its (c, x, charge) targets: exact,
+    whole_residual; float, per charge line e - i of image - sum c x, the
+    line's largest magnitude over |c| T of the target x of that charge, 1 on a
+    line without one, a NaN winning."""
+    if mode == EXACT:
+        return whole_residual(mode, [(c, x) for c, x, _ in targets], image)
+    difference = linear_combination(mode, [*((-c, x) for c, x, _ in targets), (1, image)])
+    lines = {}
+    for (e, i), u in difference.nums.items():
+        lines.setdefault(e - i, []).append(abs(u))
+    scales = {charge: abs(c) * x.max_magnitude() for c, x, charge in targets}
+    return max_or_nan(0.0, *(max_or_nan(*us) / scales.get(charge, max_or_nan(*us))
+                             for charge, us in lines.items() if max_or_nan(*us)))
+
+
 def direct_reading(target, n, m, c2, image, basis):
     """op phi_{n,m} - c psi_{n',m'} in floats, read whole, at a step whose
-    action term is ``target`` (c, n', m'): the reading that direct_residual
-    normalizes."""
+    action term is ``target`` (w, n', m'), c = sqrt(c2) su2_factor(n', m');
+    off the grid, op phi_{n,m} alone."""
     scale = verifier.su2_factor(n, m)
     _, n2, m2 = target
     if not (0 <= m2 <= n2):
@@ -100,38 +116,19 @@ def direct_reading(target, n, m, c2, image, basis):
     return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
 
 
-def direct_residual(target, n, m, c2, image, basis, mode):
-    """The direct report's residual at one step: direct_reading over the
-    target's size, max(1, sqrt(c2) su2_factor(n', m') |psi_{n',m'}|), and off
-    the grid at least |c2|; in an exact run OverflowError where a reading
-    leaves the float range."""
-    reading, size = direct_reading(target, n, m, c2, image, basis), 0.0
-    _, n2, m2 = target
-    if 0 <= m2 <= n2:
-        size = sqrt(c2) * verifier.su2_factor(n2, m2) * float(basis(n2, m2).max_magnitude())
-    else:
-        reading = max_or_nan(abs(float(c2)), reading)
-    if mode == EXACT and not isfinite(reading + size):
-        raise OverflowError("a float reading of the exact image or target leaves the float range")
-    return reading / max_or_nan(1.0, size)
-
-
-def _direct(*args):
-    raise AssertionError("the reference reads each direct step with direct_residual")
-
-
 def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier._image_pass gives them, in the verifier's rule order and with its
     anchors, from the coefficients of TERMS and CLAIMS."""
     basis = cache(partial(model.chain_psi, params))
+    size = lambda n, m: basis(n, m).max_magnitude()  # noqa: E731
     plan = []
     for rule in verifier.ACTION_RULES:
         claim = CLAIMS.get(rule.rule_id) if "irrep" in suites else None
         if claim is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        checks = [] if claim is None else verifier._irrep_checks(params.mode, rule, tol, _direct)
+        checks = [] if claim is None else verifier._irrep_checks(params.mode, rule, tol, size)
         # each literal at the twin, rounded once at a float point
         terms = [(dn, dm, lift(model._scalar(literal, params.twin), params.mode), poly)
                  for dn, dm, literal, poly in TERMS[rule.rule_id]]
@@ -144,16 +141,10 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
                 value = None if claim is None else claim(j, mu)
                 image = model.apply(params, rule.op_name, psi)
-                image_residual = whole_residual(
-                    params.mode, [(c, basis(n2, m2)) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
+                image_residual = step_residual(params.mode, [(c, basis(n2, m2), 2 * m2 - n2)
+                                                             for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
-                    try:
-                        if residual is _direct:
-                            check.add(direct_residual(targets[0], n, m, value, image, basis, params.mode), (n, m))
-                        else:
-                            check.add(residual(n, m, value, targets[0], image_residual), (n, m))
-                    except OverflowError:
-                        check.skip(FLOAT_OVERFLOW)
+                    check.add(residual(n, m, value, targets[0], image_residual), (n, m))
     actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
     return actions, [check.report() for *_, checks in plan for check, _ in checks]

@@ -109,9 +109,12 @@ def test_diff_reports_flags_ids_and_statuses(tmp_path):
     # a verdict flipped
     assert run(old, [entry("a"), entry("b", status="fail", residual="1e-16")]) == (
         1, ["b: status 'pass' -> 'fail'"])
-    # a check vanished, another appeared, or the ids changed order
+    # a check vanished and another appeared
     assert run(old, [entry("a"), entry("c", residual="1e-16")]) == (1, ["b: only in old", "c: only in new"])
-    assert run(old, old[::-1]) == (1, ["the same ids in a different order"])
+    # the same ids in another order: no verdict changed, so only --strict fails
+    reordered = ["the same ids in a different order"]
+    assert run(old, old[::-1]) == (0, reordered)
+    assert run(old, old[::-1], "--strict") == (1, reordered)
 
 
 @pytest.mark.parametrize("content", [None, "", "not json", '{"mode": "exact"}', "[1, 2]"],

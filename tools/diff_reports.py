@@ -39,8 +39,8 @@ def diff(old: dict[str, dict], new: dict[str, dict]) -> tuple[list[str], bool]:
                 lines.append(f"{rid}: {name} {entry[name]!r} -> {new[rid][name]!r}")
                 statuses_differ |= name == "status"
     lines += [f"{rid}: only in new" for rid in new if rid not in old]
-    ids_differ = list(old) != list(new)
-    if ids_differ and old.keys() == new.keys():
+    ids_differ = old.keys() != new.keys()
+    if not ids_differ and list(old) != list(new):  # a reorder changes no verdict: printed, so only --strict fails
         lines.append("the same ids in a different order")
     return lines, ids_differ or statuses_differ
 
