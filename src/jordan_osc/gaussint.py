@@ -8,8 +8,8 @@ for basis functions f = kappa * P * envelope, each given by its chain form P
 in (w, zbar), w = a z + b zbar, as ``chain_psi`` and ``apply`` return it
 (kappa and the envelope are implied by the point, see model). Two independent
 routes are provided: an exact rational route in the chain variables, and a
-numerical route (the oracle), plain-Python tensor-product Gauss-Hermite
-quadrature in (x1, x2) on the (z, zbar) form ``build_psi``, read in floats.
+numerical route (the oracle), a plain-Python real separable Gauss-Hermite
+rule on the (z, zbar) form ``build_psi``, read in floats (see _QuadratureGrid).
 The exact route is authoritative; the oracle exists to catch an error in it.
 
 In the chain variables the squared envelope is exp(-2 w zbar), whose second
@@ -33,7 +33,6 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .model import Params, _per_point, apply, chain_psi
 from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
@@ -84,7 +83,9 @@ def inner_product(params: Params, f: Poly2, g: Poly2) -> Coeff:
 
 
 def minimum_order(f: Poly2, g: Poly2) -> int:
-    """Per-axis Gauss-Hermite order floor for a given integrand pair."""
+    """Per-axis Gauss-Hermite order floor for a given integrand pair: a rule of
+    order N is exact up to degree 2N - 1 per axis on the shifted form (see
+    _QuadratureGrid), where f g has degree at most its total on either axis."""
     return max(32, f.total_degree() + g.total_degree() + 8)
 
 
@@ -135,74 +136,52 @@ def _hermite_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 class _QuadratureGrid:
-    """The tensor-product rule in (x1, x2) of one point (a, b read in floats)
-    and order, and the moments of the squared envelope read from it so far.
+    """The Gauss-Hermite rule of one point (a, b read in floats) and order,
+    and the moments read from it so far.
 
-    The rule is folded by the mirror symmetry of its nodes: the nonnegative
-    nodes, each positive one carrying its mirror's weight too. Under either
-    mirror the phase exp(4 i b x1 x2) keeps its cosine and flips its sine, so
-    the x-moment sum_ij w_i w_j x1^u x2^v exp(...) over the full rule is the
-    folded sum with cos (u, v even) or i sin (u, v odd), and zero otherwise.
-    Each folded row keeps w cos and w sin of the phase as float lists (``sum``
-    is fastest on floats). The x-moments, and the z^p zbar^q moments combined
-    from them, are computed once each, when a call first needs them.
+    x1 = y + i c x2, c = b/(a+b), moves the contour of an entire integrand,
+    Gaussian in the strip, and makes the squared envelope
+    exp(-2(a+b) y^2 - 2 a^2 x2^2/(a+b)), real and separable, with
+    z = y + i(1+c) x2, zbar = y - i(1-c) x2. The rule in t on each axis,
+    y = t/sqrt(2(a+b)), x2 = t sqrt((a+b)/2)/a, makes kappa^2 = 2a/pi times
+    the Jacobian 1/pi. The rule is mirrored, so each axis keeps its squared
+    nodes, the row w_i x_i^(2k) of the last k, and its moments so far.
     """
 
     def __init__(self, a: float, b: float, order: int):
-        s1, s2 = math.sqrt(2 * (a + b)), math.sqrt(2 * (a - b))
         nodes, weights = _hermite_rule(order)
-        half = order // 2
-        folded = [2 * w for w in weights[half:]]
-        if order % 2:
-            folded[0] = weights[half]  # the middle node is its own mirror
-        self.x1 = [x / s1 for x in nodes[half:]]
-        self.x2 = [x / s2 for x in nodes[half:]]
-        # times kappa^2 = 2a/pi, the norm of the two functions, over s1 s2
-        # from the change of variables
-        scale = 2 * a / (math.pi * s1 * s2)
-        self.x1_powers = [[w * scale for w in folded]]  # [u][i]: scale w_i x1_i^u
-        self.x2_powers = [[1.0] * len(folded)]  # [v][j]: x2_j^v
-        phases = [[4 * b * x1 * x2 for x2 in self.x2] for x1 in self.x1]
-        self.rows = (  # [i][j]: w_j cos, w_j sin of the phase at (x1_i, x2_j)
-            [[w * math.cos(t) for w, t in zip(folded, row)] for row in phases],
-            [[w * math.sin(t) for w, t in zip(folded, row)] for row in phases],
-        )
-        self.columns: list[list[float]] = []  # [v][i]: sum_j x2_j^v rows[v % 2][i][j]
-        self.x_moments: dict = {}
+        self.c = b / (a + b)
+        self.axes = [
+            ([(t / math.sqrt(2 * (a + b))) ** 2 for t in nodes], [w / math.pi for w in weights], []),
+            ([(t * math.sqrt((a + b) / 2) / a) ** 2 for t in nodes], list(weights), []),
+        ]
         self.z_moments: dict = {}
 
-    def _x_moment(self, u: int, v: int) -> float:
-        """The folded x1^u x2^v moment, u = v mod 2 (a factor i left out when
-        both are odd)."""
-        value = self.x_moments.get((u, v))
-        if value is None:
-            while len(self.x2_powers) <= v:
-                self.x2_powers.append(list(map(mul, self.x2_powers[-1], self.x2)))
-            while len(self.columns) <= v:
-                powers = self.x2_powers[len(self.columns)]
-                self.columns.append([sum(map(mul, powers, row)) for row in self.rows[len(self.columns) % 2]])
-            while len(self.x1_powers) <= u:
-                self.x1_powers.append(list(map(mul, self.x1_powers[-1], self.x1)))
-            value = self.x_moments[u, v] = sum(map(mul, self.x1_powers[u], self.columns[v]))
-        return value
+    def _axis_moment(self, axis: int, k: int) -> float:
+        """sum_i w_i x_i^(2k) on one axis (the 1/pi on the first)."""
+        squares, row, moments = self.axes[axis]
+        while len(moments) <= k:
+            if moments:
+                row[:] = [r * s for r, s in zip(row, squares)]
+            moments.append(sum(row))
+        return moments[k]
 
     def moment(self, p: int, q: int) -> float:
-        """kappa^2 times the quadrature of z^p zbar^q envelope^2.
-
-        (x1 + i x2)^p (x1 - i x2)^q = sum_v i^v c_v x1^(p+q-v) x2^v with
-        c_v = sum_k C(p,k) C(q,v-k) (-1)^(v-k); the x-moments are real for v
-        even and i times real for v odd, so the moment is real, and zero when
-        p + q is odd.
-        """
+        """kappa^2 times the quadrature of z^p zbar^q envelope^2: z^p zbar^q =
+        sum_kl C(p,k) C(q,l) (1+c)^k (1-c)^l i^k (-i)^l y^(p+q-k-l) x2^(k+l),
+        and only k + l even survives, with sign (-1)^((k+l)/2 + l); so the
+        moment is real, and zero when p + q is odd. As c < 1/2, no term
+        outgrows the moment by more than 3^(p+q)."""
         value = self.z_moments.get((p, q))
         if value is None:
             terms = []
             if not (p + q) % 2:
-                for v in range(p + q + 1):
-                    c = sum(math.comb(p, k) * math.comb(q, v - k) * (-1) ** (v - k)
-                            for k in range(max(0, v - q), min(p, v) + 1))
-                    if c:
-                        terms.append((-1) ** ((v + 1) // 2) * c * self._x_moment(p + q - v, v))
+                for k in range(p + 1):
+                    for l in range(k % 2, q + 1, 2):
+                        sign = -1 if ((k + l) // 2 + l) % 2 else 1
+                        terms.append(sign * math.comb(p, k) * math.comb(q, l) * (1 + self.c) ** k
+                                     * (1 - self.c) ** l * self._axis_moment(0, (p + q - k - l) // 2)
+                                     * self._axis_moment(1, (k + l) // 2))
             value = self.z_moments[p, q] = math.fsum(terms)
         return value
 
@@ -214,13 +193,14 @@ def _quadrature_grid(params: Params, order: int) -> _QuadratureGrid:
 
 def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = None) -> complex:
     """<<f|g>> of two (z, zbar) forms (see build_psi) by tensor-product
-    Gauss-Hermite quadrature on (x1, x2).
+    Gauss-Hermite quadrature.
 
     With z = x1 + i x2 the squared envelope is
-    exp(-2(a+b) x1^2 - 2(a-b) x2^2 + 4 i b x1 x2); the real Gaussian factors
-    become the Hermite weights and the bounded oscillatory factor stays in the
-    integrand. Requires a > b in the point's own arithmetic, and
-    OverflowError where a reading in floats leaves the float range (a, a - b
+    exp(-2(a+b) x1^2 - 2(a-b) x2^2 + 4 i b x1 x2); completing the square in
+    x1 makes it a real Gaussian in each of two shifted coordinates, whose
+    factors become the Hermite weights (see _QuadratureGrid), with nothing
+    left to oscillate. Requires a > b in the point's own arithmetic, and
+    OverflowError where a reading in floats leaves the float range (a, a > b
     or a coefficient, or the estimate). The default order is max(32, total
     degree + 8) per axis and a caller-supplied order below that floor is
     rejected. The grid of each order lives in the point's store (see

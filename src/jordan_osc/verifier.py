@@ -10,7 +10,8 @@ Every identity the model asserts is checked here, grouped into five suites:
                 tolerance checks, read in floats, in both modes),
 * pseudo     -- pseudo-Hermiticity swap(H) == adjoint(H),
 * integrals  -- biorthogonality, Jordan blocks of the pairing, truncated
-                resolution of identity, and the quadrature cross-check.
+                resolution of identity (exact checks at the point's twin, in
+                both modes), and the quadrature cross-check.
 
 The actions and irrep suites are two readings of the same images op.psi_{n,m},
 so one image pass serves both, in the chain variables (w, zbar),
@@ -710,7 +711,7 @@ def check_explicit_forms(params: Params) -> list[Report]:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_test_poly(params: Params, n_max: int, salt: int) -> Poly2:
+def _fixed_test_poly(n_max: int, salt: int) -> Poly2:
     # deterministic full-degree chain form with varied rational coefficients;
     # w = a z + b zbar is an invertible change of variables, so the degree
     # <= n_max polynomials are the same space in either coordinates
@@ -721,39 +722,40 @@ def _fixed_test_poly(params: Params, n_max: int, salt: int) -> Poly2:
             den = (i + j + salt) % 4 + 1
             if num:
                 terms[(i, j)] = Fraction(num, den)
-    return Poly2(params.mode, terms)
+    return Poly2(EXACT, terms)
 
 
-def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
+def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX) -> list[Report]:
     """Biorthogonality (gram blocks are anti-diagonal identities), Jordan form
     of the pairing with H, ground norm, truncated resolution of identity, and
-    the exact-vs-quadrature cross-check (skipped with a note when a <= b)."""
+    the exact-vs-quadrature cross-check (skipped with a note when a <= b).
+    The four pairing claims are exact checks at the point's twin; the oracle
+    reads the point's own basis functions against the twin's pairing."""
     _check_nmax(n_max)
-    mode, span = params.mode, min(n_max, RESOLUTION_DEGREE)
-    gram = _Check("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}", mode, tol)
-    jordan = _Check("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}",
-                    mode, tol)
+    twin, span = params.twin, min(n_max, RESOLUTION_DEGREE)
+    gram = _Check("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}", EXACT)
+    jordan = _Check("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}", EXACT)
     norms = _Check("integrals.norms", f"<<psi00|psi00>> = 1 and <<psi_n0|psi_n0>> = 0 for 1 <= n <= {n_max}",
-                   mode, tol)
+                   EXACT)
     resolution = _Check("integrals.resolution", f"truncated resolution of identity on degree <= {span} functions",
-                        mode, tol)
+                        EXACT)
     oracle = _Check("integrals.oracle", "chain pairing vs Gauss-Hermite on sampled pairs", FLOAT, ORACLE_TOL)
 
     heads = []  # <<psi_n0|psi_n0>> = G[0][0] of level n, for integrals.norms
     with gram:
         for n in range(n_max + 1):
-            block = gram_block(params, n)
+            block = gram_block(twin, n)
             heads.append(block[0][0])
             for m in range(n + 1):
                 # psi_{n,m} lies on charge line 2m - n; a term off it escapes the within-level pairs
-                gram.add(_off_line(chain_psi(params, n, m), n, m), (n, m))
+                gram.add(_off_line(chain_psi(twin, n, m), n, m), (n, m))
                 for mp in range(n + 1):
                     gram.add(abs(block[m][mp] - (1 if m + mp == n else 0)))
 
     with jordan:
         for n in range(n_max + 1):
-            block = h_block(params, n)
-            e_n = energy(params, n)
+            block = h_block(twin, n)
+            e_n = energy(twin, n)
             for k in range(n + 1):
                 for m in range(n + 1):
                     want = e_n if k == m else 1 if m == k + 1 else 0
@@ -766,15 +768,15 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX, tol: float = DE
 
     with resolution:
         for salt in (1, 2):
-            f = _fixed_test_poly(params, span, salt)
-            resolution.add((expand_in_basis(params, f, span) - f).max_magnitude())
+            f = _fixed_test_poly(span, salt)
+            resolution.add((expand_in_basis(twin, f, span) - f).max_magnitude())
 
     with oracle:
         try:
             for n1, m1, n2, m2 in [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]:
                 if n1 > n_max or n2 > n_max:
                     continue
-                exact_val = inner_product(params, chain_psi(params, n1, m1), chain_psi(params, n2, m2))
+                exact_val = inner_product(twin, chain_psi(twin, n1, m1), chain_psi(twin, n2, m2))
                 est = quadrature_oracle(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
                 scale = max(1.0, abs(complex(exact_val)))
                 oracle.add(abs(est - complex(exact_val)) / scale)
@@ -847,5 +849,5 @@ def run_suites(
         elif suite == "pseudo":
             reports.append(check_pseudo_hermiticity(params))
         else:
-            reports += check_integrals(params, cutoffs[suite], tol)
+            reports += check_integrals(params, cutoffs[suite])
     return reports

@@ -56,9 +56,14 @@ def pair_term_by_term(f: Poly2, g: Poly2, moment_of):
                 for (i, j), cf in f.terms.items() for (i2, j2), cg in g.terms.items()), 0)
 
 
+def _evaluate(h: Poly2, z: complex, zb: complex) -> complex:
+    return sum(c * z**i * zb**j for (i, j), c in h.terms.items())
+
+
 def grid_quadrature(P, f: Poly2, g: Poly2, order: int) -> complex:
-    """The oracle's quadrature as written: kappa^2 times the sum over every
-    point of the full tensor-product grid, with no folding and no moments."""
+    """A second rule: kappa^2 times the sum over the full tensor-product grid
+    in (x1, x2), the cross term of the squared envelope kept as the
+    oscillating factor exp(4 i b x1 x2); good while b/a is small."""
     a, b = float(P.a), float(P.b)
     s1, s2 = sqrt(2 * (a + b)), sqrt(2 * (a - b))
     nodes, weights = gaussint._hermite_rule(order)
@@ -67,9 +72,24 @@ def grid_quadrature(P, f: Poly2, g: Poly2, order: int) -> complex:
         for t2, w2 in zip(nodes, weights):
             x1, x2 = t1 / s1, t2 / s2
             z, zb = complex(x1, x2), complex(x1, -x2)
-            fz, gz = (sum(c * z**i * zb**j for (i, j), c in h.terms.items()) for h in (f, g))
-            total += w1 * w2 * fz * gz * cmath.exp(4j * b * x1 * x2)
+            total += w1 * w2 * _evaluate(f, z, zb) * _evaluate(g, z, zb) * cmath.exp(4j * b * x1 * x2)
     return total * 2 * a / (pi * s1 * s2)
+
+
+def shifted_quadrature(P, f: Poly2, g: Poly2, order: int) -> complex:
+    """The oracle's rule as written, with no moments: the sum over every point
+    of the full tensor-product rule on the shifted coordinates, x1 = y + i c x2,
+    c = b/(a+b), y = t1/sqrt(2(a+b)), x2 = t2 sqrt((a+b)/2)/a, over pi."""
+    a, b = float(P.a), float(P.b)
+    c = b / (a + b)
+    nodes, weights = gaussint._hermite_rule(order)
+    total = 0j
+    for t1, w1 in zip(nodes, weights):
+        for t2, w2 in zip(nodes, weights):
+            y, x2 = t1 / sqrt(2 * (a + b)), t2 * sqrt((a + b) / 2) / a
+            z, zb = complex(y, (1 + c) * x2), complex(y, -(1 - c) * x2)
+            total += w1 * w2 * _evaluate(f, z, zb) * _evaluate(g, z, zb)
+    return total / pi
 
 
 def _magnitudes(poly: Poly2) -> Poly2:
@@ -490,15 +510,39 @@ class TestQuadratureOracle:
             worst = max(worst, abs(got - want) / (abs(want) or 1.0))
         assert worst <= 1e-10
 
+    @staticmethod
+    def _cases(P):
+        # odd degrees, a monomial alone and a non-basis polynomial included
+        return [(build_psi(P, 3, 1), build_psi(P, 3, 2)),
+                (build_psi(P, 2, 0), build_psi(P, 3, 1)),
+                (Poly2.monomial(4, 1, 1.0), Poly2.one("float")),
+                (Poly2("float", {(0, 0): 0.5, (2, 1): -1.25, (1, 3): 2.0}), Poly2.monomial(1, 1, 0.75))]
+
     @pytest.mark.parametrize("order", [32, 33])
     def test_matches_the_grid_sum(self, fparams, order):
-        # folding by the mirror symmetry and summing moments reorders the
-        # grid sum only; odd degrees, a monomial alone and a non-basis
-        # polynomial included
-        cases = [(build_psi(fparams, 3, 1), build_psi(fparams, 3, 2)),
-                 (build_psi(fparams, 2, 0), build_psi(fparams, 3, 1)),
-                 (Poly2.monomial(4, 1, 1.0), Poly2.one("float")),
-                 (Poly2("float", {(0, 0): 0.5, (2, 1): -1.25, (1, 3): 2.0}), Poly2.monomial(1, 1, 0.75))]
-        for f, g in cases:
+        # the oscillating grid in (x1, x2) is a second rule, not a reordering
+        # of the oracle's: at b/a = 1/4 its phase is mild and both are exact
+        # to rounding
+        for f, g in self._cases(fparams):
             want = grid_quadrature(fparams, f, g, order)
             assert abs(quadrature_oracle(fparams, f, g, order=order) - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("order", [32, 33])
+    def test_matches_the_shifted_rule_summed_point_by_point(self, order):
+        # the moments reorder the shifted rule's tensor-product sum only: the
+        # signs of the cross terms, and an odd order's middle node, at b/a = 0.98
+        P = Params.from_ab(1.0, 0.98)
+        for f, g in self._cases(P):
+            want = shifted_quadrature(P, f, g, order)
+            assert abs(quadrature_oracle(P, f, g, order=order) - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a, b", [(1.349239253177553, 1.320407942516031), (1, 0.999), (1, 1 - 1e-9)])
+    def test_matches_the_twin_as_b_nears_a(self, a, b):
+        # the five pairs of integrals.oracle: as b nears a the oscillating
+        # cross term of the (x1, x2) grid cancels badly (see grid_quadrature),
+        # while the shifted rule has no phase to lose
+        P = Params.from_ab(a, b)
+        for n1, m1, n2, m2 in [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 3, 1), (2, 1, 2, 1), (3, 2, 3, 1)]:
+            want = complex(inner_product(P.twin, chain_psi(P.twin, n1, m1), chain_psi(P.twin, n2, m2)))
+            got = quadrature_oracle(P, build_psi(P, n1, m1), build_psi(P, n2, m2))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n1, m1, n2, m2)

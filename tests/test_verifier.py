@@ -1,6 +1,7 @@
 """Relation catalog, expression grammar, and the five verification suites."""
 
 import importlib.util
+import random
 import re
 import sys
 from collections import Counter
@@ -1290,13 +1291,29 @@ class TestIntegralSuite:
     @pytest.mark.parametrize("key", [(10, 0), (2, 0), (0, 2)], ids=["w^10", "w^2", "zbar^2"])
     def test_an_off_line_basis_term_fails_gram(self, point, key, monkeypatch):
         # psi_{7,3} lies on charge line -1; a term off it pairs to nothing the
-        # gram, jordan and norms blocks read, so gram reads the line itself
+        # gram, jordan and norms blocks read, so gram reads the line itself.
+        # The pairing claims read the twin's basis (the point itself if
+        # exact), the action suite the point's own: corrupt both stores
         monkeypatch.setattr(model, "_POINTS", {})
-        psi = chain_psi(point, 7, 3)
-        model.point_cache(point)[model.chain_psi.__wrapped__, 7, 3] = psi + Poly2.monomial(*key, lift(1, point.mode))
+        for P in {point.twin, point}:
+            psi = chain_psi(P, 7, 3)
+            model.point_cache(P)[model.chain_psi.__wrapped__, 7, 3] = psi + Poly2.monomial(*key, lift(1, P.mode))
         reports = {r.relation_id: r for r in check_integrals(point, n_max=8)}
         assert reports["integrals.gram"].failed
         assert reports["integrals.gram"].anchor.endswith("[worst at n,m=(7, 3)]")
+        assert any(r.failed for r in check_actions(point, n_max=8))
+
+    def test_float_verdicts_hold_at_random_admissible_points(self):
+        # 60 seeded points over 24 decades of a, b/a up to 0.999: the pairing
+        # claims are exact at the twin, so no verdict follows the size of the
+        # point's numbers, and the oracle's rule keeps no phase to lose as b
+        # nears a
+        rng = random.Random(3)
+        for _ in range(60):
+            a = 10 ** rng.uniform(-12, 12)
+            P = Params.from_ab(a, a * 10 ** rng.uniform(-6, 0) * 0.999)
+            reports = run_suites(P, ("integrals",), 8)
+            assert all(r.passed for r in reports), (P, [(r.relation_id, r.residual) for r in reports if not r.passed])
 
     def test_skipped_report_cannot_pass(self):
         with pytest.raises(ValueError):
