@@ -328,12 +328,12 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"verify": _run_verify, "basis": _run_basis, "matrices": _run_matrices}[args.command]
     try:
         return handler(args)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError):
         # only floats overflow, or divide by a product that underflows to 0
         # (an exact run skips integrals.oracle where it does, see verifier),
-        # and the exception's own text can be a raw errno tuple (from pow),
-        # so a plain reason is printed instead
-        if isinstance(exc, ZeroDivisionError) and args.mode == EXACT:
+        # so in an exact run either is a bug; the exception's own text can be
+        # a raw errno tuple (from pow), so a plain reason is printed instead
+        if args.mode == EXACT:
             raise
         print(f"error: float arithmetic leaves the float range at {_config_from_args(args).params_repr()} "
               "(a value overflows, or underflows to a zero divisor)", file=sys.stderr)

@@ -29,11 +29,11 @@ report anchor (see ActionRule). Its terms' targets lie on distinct charge
 lines, or the rule is refused when it is built, so each line of a part's
 image is one step with one target, kept in one record (``_Line``), and one
 walk reads the image against them (``_read_lines``): no difference
-polynomial is built, nor a Fraction for a step that passes. Exact residuals
-are absolute. A float residual is relative per charge line: the line's
-largest magnitude over |w| T, w the step's action coefficient and T the
-largest coefficient of its target psi_{n',m'}, so it is scale-free; a
-nonzero residue with no target reads 1.
+polynomial is built, nor a Fraction for a step that passes. A residual is
+relative per charge line, in both modes: the line's largest magnitude over
+|w| T, w the step's action coefficient and T the largest coefficient of its
+target psi_{n',m'}, so it is scale-free, and a failing exact report reads the
+same at every point sigma_P relates; a nonzero residue with no target reads 1.
 
 A rule of one term may carry an irrep claim, read off the step's action
 coefficient w: irrep.J0 and irrep.K compare w with the eigenvalue, and the
@@ -376,12 +376,10 @@ def _parse_rule(text: str, irrep: str) -> tuple:
 
 
 @cache
-def _levels(table: tuple, n_max: int, mode: str = EXACT) -> tuple:
+def _levels(table: tuple, n_max: int) -> tuple:
     """p(n, m), m = 0..n, per level n <= n_max of p's table (see _index_poly), by Horner's rule in m: ints
-    where its den is 1 (in either mode), else lifted into ``mode``. Kept: no level depends on the point."""
+    where its den is 1, else Fractions, in both modes. Kept: no level depends on the point."""
     den, nums = table
-    if den == 1 and mode != EXACT:
-        return _levels(table, n_max)
     levels, degree = [], max((k for (_, k), _ in nums), default=0)
     for n in range(n_max + 1):
         cs = [0] * (degree + 1)  # p's coefficients of m^k at n
@@ -390,7 +388,7 @@ def _levels(table: tuple, n_max: int, mode: str = EXACT) -> tuple:
         values = [cs[-1]] * (n + 1)
         for c in cs[-2::-1]:
             values = [v * m + c for m, v in enumerate(values)]
-        levels.append(tuple(values) if den == 1 else tuple(lift(v, mode) / den for v in values))
+        levels.append(tuple(values) if den == 1 else tuple(Fraction(v, den) for v in values))
     return tuple(levels)
 
 
@@ -484,19 +482,17 @@ def _squared_ladder_residual(n, m, c2, target, image_residual):
     return max_or_nan(image_residual, abs(c * c * ratio - c2))
 
 
-def _float_ladder_residual(n, m, c2, target, rho, *, size=None):
+def _float_ladder_residual(n, m, c2, target, rho):
     """op phi_{n,m} = sqrt(c2) phi_{n',m'}, read off the step in floats. With s, s' the su(2) factors
     of (n, m) and (n', m'), w the action coefficient and op psi = w psi' + E, op phi - sqrt(c2) s' psi' =
     s E + (s w - sqrt(c2) s') psi'; over max(|s w|, sqrt(c2) s') T, T the largest coefficient of psi',
     that is at most rho + d, rho = |E| / (|w| T) the step's relative residual and
     d = |s w - sqrt(c2) s'| / max(|s w|, sqrt(c2) s'), and the residual is max(rho, d); off the grid,
-    max(rho, |c2|). A float run passes rho itself; an exact run passes its absolute residual and
-    ``size``, T by (n', m'), and rho is formed exactly where that is nonzero (1 with no target)."""
+    max(rho, |c2|). An exact run's rho, a Fraction, is read in floats, as the largest float beyond
+    the float range; a float run's passes unchanged."""
     w, n2, m2 = target
-    in_grid = 0 <= m2 <= n2
-    if size is not None and rho:  # beyond the float range it reads the largest float
-        rho = float(min(rho / abs(w * size(n2, m2)), float_info.max)) if w and in_grid else 1.0
-    if not in_grid:
+    rho = float(min(rho, float_info.max)) if type(rho) is Fraction else rho
+    if not 0 <= m2 <= n2:
         return max_or_nan(rho, abs(float(c2)))
     sw, c = su2_factor(n, m) * w, sqrt(c2) * su2_factor(n2, m2)
     return max_or_nan(rho, abs(sw - c) / max(abs(sw), c)) if sw or c else rho
@@ -506,10 +502,9 @@ def _offset(x: Fraction) -> str:
     return f"{'+' if x > 0 else '-'}{abs(x)}" if x else ""
 
 
-def _irrep_checks(mode: str, rule: ActionRule, tol: float, size: Callable) -> list:
+def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list:
     """The (report, residual function) of each report of a rule's irrep claim,
-    in report order, each anchored on the claim and the action term's shift;
-    ``size`` gives an exact run's .float the largest coefficient of psi_{n',m'}."""
+    in report order, each anchored on the claim and the action term's shift."""
     (dn, dm, *_), rule_id, op = rule.terms[0], f"irrep.{rule.op_name}", rule.op_name
     if (dn, dm) == (0, 0):
         claim = rule.irrep if rule.irrep.isidentifier() else f"({rule.irrep})"
@@ -517,8 +512,7 @@ def _irrep_checks(mode: str, rule: ActionRule, tol: float, size: Callable) -> li
     anchor = f"{op} phi = sqrt({rule.irrep}) phi[j{_offset(Fraction(dn, 2))},mu{_offset(dm - Fraction(dn, 2))}]"
     squared = [(_Check(f"{rule_id}.sq", f"{anchor} (squared values)", EXACT), _squared_ladder_residual)]
     return (squared if mode == EXACT else []) + [
-        (_Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol),
-         partial(_float_ladder_residual, size=size if mode == EXACT else None))]
+        (_Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol), _float_ladder_residual)]
 
 
 def _charge_parts(op: DiffOp) -> dict:
@@ -556,10 +550,10 @@ def _reads(params: Params, rule: ActionRule, n_max: int) -> list:
 
 
 class _Line:
-    """The record of step m of a level under one charge part: the image and
-    target multipliers a and b (exact: ints, u a - t b; float: a is the
-    line's scale |w| T, T the largest coefficient of psi_{n',m'}, and b the
-    weight w, u - w t), the target line psi_{n',m'}.nums or {}, the running maximum."""
+    """The record of step m of a level under one charge part: the multipliers a and b of the
+    kernel u a - t b, u an image and t a target numerator (exact: the term's den times
+    psi_{n',m'}.den, and its numerator times image.den; float: 1 and the weight w), the
+    target line psi_{n',m'}.nums or {}, the running maximum."""
 
     __slots__ = ("a", "b", "target", "worst")
 
@@ -570,23 +564,21 @@ class _Line:
 
 def _read_lines(image: Poly2, lines: dict) -> None:
     """Read one image into its records' maxima, charge -> _Line: per line the
-    largest magnitude of image - (b / a) target (float: image - b target), as
-    linear_combination then max_magnitude give it, bit for bit. One walk looks
-    each monomial up in its line; a match count finds the target monomials the
-    image lacks; a monomial on no line is skipped. Exact: decided in integers,
-    each maximum over a times image.den."""
-    exact, inums = image.mode == EXACT, image.nums
-    matched = 0
+    largest magnitude of u a - t b over the line's monomials, u of the image and
+    t of the target, as linear_combination then max_magnitude give it, bit for
+    bit (exact: decided in integers). One walk looks each monomial up in its
+    line; a match count finds the target monomials the image lacks; a monomial
+    on no line is skipped."""
+    inums, matched = image.nums, 0
     for key, u in inums.items():
         line = lines.get(key[0] - key[1])
         if line is None:
             continue
         t = line.target.get(key)
         if t is None:
-            v = u * line.a if exact else u
+            v = u * line.a
         else:
-            matched, b = matched + 1, line.b
-            v = u * line.a - t * b if exact else -b * t + u
+            matched, v = matched + 1, u * line.a - t * line.b
         if v and (abs(v) > line.worst or v != v):  # the largest, a NaN winning
             line.worst = abs(v)
     if matched < sum(len(line.target) for line in lines.values()):  # a target monomial the image lacks
@@ -599,12 +591,13 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Cal
     """Per step m of ``level`` (see _level), from its off-line residual ``off[m]``,
     each part's image read against one record per step (_Line): the residual of op
     psi_{n,m} against the rule's terms, and for an ``irrep`` rule the action term (c, n', m').
-    Exact: the absolute residual. Float: each line's over its scale |w| T (T = size(n', m')),
-    so scale-free; a nonzero residue with no target (off[m], or a line without one) reads 1,
+    Each nonzero line maximum over |b| T, T = size(n', m') the target's largest numerator, is
+    the line's largest magnitude over |w| times the target's largest coefficient, so
+    scale-free; a nonzero residue with no target (off[m], or a line without one) reads 1,
     a NaN winning."""
     (source, derivatives), n = level, len(off) - 1
     mode, terms = source.mode, [None] * (n + 1)
-    worst = list(off) if mode == EXACT else [r and r / r for r in off]
+    worst, one = [r and r / r for r in off], lift(1, mode)
     for shift, part, term in reads:
         image = Poly2.zero(mode) if part is None else part.apply_to(source, derivatives)
         lines = {2 * m - n + shift: _Line() for m in range(n + 1)}
@@ -615,14 +608,13 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Cal
                 terms[m] = irrep and (w if den == 1 else Fraction(w, den), n2, m2)
                 if w and 0 <= m2 <= n2:  # a target to read: a zero weight reads nothing, so 0 * inf makes no NaN
                     psi = basis(n2, m2)
-                    line.target = psi.nums
-                    line.a, line.b = (den * psi.den, w * image.den) if mode == EXACT else (abs(w) * size(n2, m2), w)
+                    line.a, line.b, line.target = den * psi.den, w * image.den, psi.nums
         _read_lines(image, lines)
         for m, line in enumerate(lines.values()):  # max_or_nan, inline; a Fraction only for a nonzero exact maximum
-            r = line.worst and (Fraction(line.worst, image.den * line.a) if mode == EXACT
-                                else line.worst / (line.a if line.target else line.worst))
-            if r and (r > worst[m] or r != r):
-                worst[m] = r
+            if line.worst:
+                r = one * line.worst / (abs(line.b) * size(n + dn, m + dm) if line.target else line.worst)
+                if r > worst[m] or r != r:
+                    worst[m] = r
     return worst, terms
 
 
@@ -634,19 +626,19 @@ def _image_pass(
     The images' cost is timed into the action report, or into the first irrep report otherwise."""
     _check_nmax(n_max)
     mode, irrep = params.mode, "irrep" in suites
-    # psi_{n,m} by (n, m), its off-line residual and its largest coefficient T:
+    # psi_{n,m} by (n, m), its off-line residual and its largest numerator T:
     # the pass reads each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
     off_line = cache(lambda n, m: _off_line(basis(n, m), n, m))
-    size = cache(lambda n, m: basis(n, m).max_magnitude())
+    size = cache(lambda n, m: max_or_nan(0, *map(abs, basis(n, m).nums.values())))
     # (action report, the claim's levels, irrep reports, image clock, the rule's reads)
     plan = []
     for rule in ACTION_RULES:
-        claims = _levels(rule.claim, n_max, mode) if irrep and rule.claim is not None else None
+        claims = _levels(rule.claim, n_max) if irrep and rule.claim is not None else None
         if claims is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, mode, tol)
-        checks = [] if claims is None else _irrep_checks(mode, rule, tol, size)
+        checks = [] if claims is None else _irrep_checks(mode, rule, tol)
         plan.append((action, claims, checks, action if "actions" in suites else checks[0][0],
                      _reads(params, rule, n_max)))
     if not plan:
@@ -730,9 +722,15 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX) -> list[Report]
     of the pairing with H, ground norm, truncated resolution of identity, and
     the exact-vs-quadrature cross-check (skipped with a note when a <= b).
     The four pairing claims are exact checks at the point's twin; the oracle
-    reads the point's own basis functions against the twin's pairing."""
+    reads the basis of a float point, or of an exact one dilated to (p/2^j, q/2^j),
+    p q/4^j in (1/4, 2) so that its floats stay in range, against the twin's
+    pairing, which has weight 0, so is the same at both."""
     _check_nmax(n_max)
-    twin, span = params.twin, min(n_max, RESOLUTION_DEGREE)
+    twin, span, near = params.twin, min(n_max, RESOLUTION_DEGREE), params
+    if params.mode == EXACT:
+        pq = params.p * params.q
+        j = (pq.numerator.bit_length() - pq.denominator.bit_length() + 1) // 2
+        near = Params.exact(params.p / Fraction(2) ** j, params.q / Fraction(2) ** j) if j else params
     gram = _Check("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}", EXACT)
     jordan = _Check("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}", EXACT)
     norms = _Check("integrals.norms", f"<<psi00|psi00>> = 1 and <<psi_n0|psi_n0>> = 0 for 1 <= n <= {n_max}",
@@ -777,7 +775,7 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX) -> list[Report]
                 if n1 > n_max or n2 > n_max:
                     continue
                 exact_val = inner_product(twin, chain_psi(twin, n1, m1), chain_psi(twin, n2, m2))
-                est = quadrature_oracle(params, build_psi(params, n1, m1), build_psi(params, n2, m2))
+                est = quadrature_oracle(near, build_psi(near, n1, m1), build_psi(near, n2, m2))
                 scale = max(1.0, abs(complex(exact_val)))
                 oracle.add(abs(est - complex(exact_val)) / scale)
         except OracleUnavailableError:

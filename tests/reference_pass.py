@@ -3,10 +3,10 @@ pass in ``jordan_osc.verifier``.
 
 Basis-outer, one step per (n, m): every operator is applied to psi_{n,m} by
 name (``model.apply``), and each image op.psi_{n,m} is read whole, against
-the built difference image - sum c psi_{n',m'}: in exact mode its largest
-magnitude, in float mode its largest magnitude per charge line e - i, each
-over |c| T of the target on that line (T the target's largest coefficient),
-a line without a target reading 1 where it is nonzero. The reports come from
+the built difference image - sum c psi_{n',m'}, one way in both modes: its
+largest magnitude per charge line e - i, each over |c| T of the target on
+that line (T the target's largest coefficient), a line without a target
+reading 1 where it is nonzero. The reports come from
 the package's own rules, checks and per-step residual functions, so every
 report equals the package's.
 
@@ -27,7 +27,7 @@ from math import sqrt
 
 from jordan_osc import model, verifier
 from jordan_osc.verifier import _Check
-from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination, max_or_nan
+from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination, max_or_nan, zero
 
 #: rule id -> the terms (dn, dm, literal, poly) of op psi_{n,m} = sum literal
 #: poly(n, m) psi_{n+dn,m+dm}
@@ -89,19 +89,17 @@ def whole_residual(mode, targets, image, scale=1):
 
 
 def step_residual(mode, targets, image):
-    """The residual of one step against its (c, x, charge) targets: exact,
-    whole_residual; float, per charge line e - i of image - sum c x, the
-    line's largest magnitude over |c| T of the target x of that charge, 1 on a
-    line without one, a NaN winning."""
-    if mode == EXACT:
-        return whole_residual(mode, [(c, x) for c, x, _ in targets], image)
+    """The residual of one step against its (c, x, charge) targets, in both
+    modes: per charge line e - i of image - sum c x, the line's largest
+    magnitude over |c| T of the target x of that charge, 1 on a line without
+    one, a NaN winning."""
     difference = linear_combination(mode, [*((-c, x) for c, x, _ in targets), (1, image)])
     lines = {}
-    for (e, i), u in difference.nums.items():
+    for (e, i), u in difference.terms.items():
         lines.setdefault(e - i, []).append(abs(u))
     scales = {charge: abs(c) * x.max_magnitude() for c, x, charge in targets}
-    return max_or_nan(0.0, *(max_or_nan(*us) / scales.get(charge, max_or_nan(*us))
-                             for charge, us in lines.items() if max_or_nan(*us)))
+    return max_or_nan(zero(mode), *(max_or_nan(*us) / scales.get(charge, max_or_nan(*us))
+                                    for charge, us in lines.items() if max_or_nan(*us)))
 
 
 def direct_reading(target, n, m, c2, image, basis):
@@ -121,14 +119,13 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
     verifier._image_pass gives them, in the verifier's rule order and with its
     anchors, from the coefficients of TERMS and CLAIMS."""
     basis = cache(partial(model.chain_psi, params))
-    size = lambda n, m: basis(n, m).max_magnitude()  # noqa: E731
     plan = []
     for rule in verifier.ACTION_RULES:
         claim = CLAIMS.get(rule.rule_id) if "irrep" in suites else None
         if claim is None and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        checks = [] if claim is None else verifier._irrep_checks(params.mode, rule, tol, size)
+        checks = [] if claim is None else verifier._irrep_checks(params.mode, rule, tol)
         # each literal at the twin, rounded once at a float point
         terms = [(dn, dm, lift(model._scalar(literal, params.twin), params.mode), poly)
                  for dn, dm, literal, poly in TERMS[rule.rule_id]]

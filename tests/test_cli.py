@@ -421,13 +421,15 @@ def test_float_operator_identities_pass_where_the_basis_leaves_the_float_range(c
     assert all(e["status"] == "pass" and e["residual"] == "0" for e in entries)
 
 
-def test_exact_zero_division_is_not_caught(monkeypatch):
-    # exact arithmetic never underflows, so a zero division there is a bug
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_exact_zero_division_is_not_caught(monkeypatch, error):
+    # exact arithmetic never underflows or overflows, so either error there is
+    # a bug, not a point beyond the float range
     def broken(params, n, m):
-        raise ZeroDivisionError("division by zero")
+        raise error("from exact arithmetic")
 
     monkeypatch.setattr(cli, "build_psi", broken)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(error):
         main(["basis", "--n", "3", "--m", "1"])
 
 
@@ -464,8 +466,9 @@ def test_exact_run_skips_float_checks_that_overflow(capsys, argv, skipped):
 
 
 @pytest.mark.parametrize("p, q, anchor", [
-    # a = 1e-350 > b = 1e-354 exactly, but both read 0.0 in floats
-    ("1e-175", "1e-177", "float cross-check skipped: the point leaves the float range"),
+    # the oracle reads the point at p q / 4^j near 1, where a = 1e400 / 4^j is
+    # still about 1e200, and psi_{3,m}'s coefficient a^3 leaves the float range
+    ("1e200", "1", "float cross-check skipped: the point leaves the float range"),
     ("1", "1", "quadrature cross-check skipped: needs a > b"),
 ])
 def test_oracle_skip_names_its_reason(capsys, p, q, anchor):

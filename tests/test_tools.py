@@ -2,7 +2,7 @@
 every call boundary the benchmark traces still exists, the benchmark's
 coefficient metrics see coefficients, tools/count_lines.py counts every
 module of the package, tools/diff_reports.py flags what moved between two
-reports, tools/bench_log.py appends a benchmark run to its log and prints
+reports, tools/compare_reports.py between two checkouts, tools/bench_log.py appends a benchmark run to its log and prints
 its counts beside its metrics, and the README's library tour runs."""
 
 import importlib.util
@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "gen_relations.py"
 COUNTER = ROOT / "tools" / "count_lines.py"
 DIFF_REPORTS = ROOT / "tools" / "diff_reports.py"
+COMPARE_REPORTS = ROOT / "tools" / "compare_reports.py"
 BENCH_LOG = ROOT / "tools" / "bench_log.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
@@ -131,6 +132,29 @@ def test_diff_reports_exits_two_on_unreadable_report(tmp_path, content):
                               capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith(f"error: cannot read report {bad}") and proc.stderr.count("\n") == 1
+
+
+def test_compare_reports_runs_each_checkout(tmp_path, monkeypatch, capsys):
+    compare = _load("compare_reports", COMPARE_REPORTS)
+    point = ["--mode", "exact", "--p", "3/2", "--q", "2/3", "--nmax", "3", "--suites", "actions"]
+    monkeypatch.setattr(compare, "POINTS", [point])
+    assert compare.main(["--strict", str(ROOT), str(ROOT)]) == 0
+    assert capsys.readouterr().out == ""
+    # a copy whose J+ rule has its literal doubled: the verdict moves
+    copy = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    module = copy / "src" / "jordan_osc" / "verifier.py"
+    text = module.read_text(encoding="utf-8")
+    assert text.count('"J+ psi = 1 (n-m)') == 1
+    module.write_text(text.replace('"J+ psi = 1 (n-m)', '"J+ psi = 2 (n-m)'), encoding="utf-8")
+    assert compare.main([str(ROOT), str(copy)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.startswith(" ".join(point) + ": action.J+: ") for line in lines)
+    assert lines[1].endswith("status 'pass' -> 'fail'") and lines[2].endswith("residual '0' -> '1/2'")
+    # a checkout with no package writes no report
+    assert compare.main([str(ROOT), str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {' '.join(point)}: verify in {tmp_path} exited 1") and err.count("\n") == 1
 
 
 def test_bench_log_appends_one_run(tmp_path, monkeypatch, capsys):

@@ -567,8 +567,8 @@ class TestActionSuite:
     def test_a_target_no_part_reaches_reports_its_size(self, point, request, monkeypatch):
         # J+ has no charge part of shift 0, so nothing of its image meets a
         # psi[n,m] term: action.J+ then reads the size of that target, a^-1
-        # psi_{n,m}, at its largest (exact), or 1 at its first step, relative
-        # to that size (float), as the per-(n, m) pass does
+        # psi_{n,m}, relative to that size, so 1 in both modes, first met at
+        # (0, 0), as the per-(n, m) pass does
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
@@ -580,13 +580,9 @@ class TestActionSuite:
         monkeypatch.setitem(reference_pass.TERMS, "action.J+", terms)
         reports = check_actions(P, n_max=5)
         assert _failing(reports) == {"action.J+"}
-        sizes = {(n, m): chain_psi(P, n, m).max_magnitude() / P.a for n in range(6) for m in range(n + 1)}
-        if P.mode == FLOAT:
-            sizes = dict.fromkeys(sizes, 1.0)
-        worst = max(sizes.values())
         failed = next(r for r in reports if r.failed)
-        assert failed.residual == str(worst) != str(lift(0, P.mode))
-        assert failed.anchor.endswith(f"[worst at n,m={next(at for at, v in sizes.items() if v == worst)}]")
+        assert failed.residual == str(lift(1, P.mode))
+        assert failed.anchor.endswith("[worst at n,m=(0, 0)]")
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
         assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5)[0]))
 
@@ -684,7 +680,6 @@ class TestBoundDesign:
         # c = sqrt(claim) su2_factor(n', m'), over c T (off the grid: as it is)
         # is at most twice the step's .float residual, less rounding
         basis = cache(partial(model.chain_psi, point))
-        size = None if point.mode == FLOAT else (lambda n, m: basis(n, m).max_magnitude())
         for rule in LADDERS:
             images = {(n, m): model.apply(point, rule.op_name, basis(n, m)) for n in range(9) for m in range(n + 1)}
             for factor in (1, 1 + F(1, 10**8)):
@@ -695,7 +690,7 @@ class TestBoundDesign:
                     in_grid = 0 <= m2 <= n2
                     targets = [(w, basis(n2, m2), 2 * m2 - n2)] if w and in_grid else []
                     rho = reference_pass.step_residual(point.mode, targets, image)
-                    got = verifier._float_ladder_residual(n, m, c2, target, rho, size=size)
+                    got = verifier._float_ladder_residual(n, m, c2, target, rho)
                     reading = reference_pass.direct_reading(target, n, m, c2, image, basis)
                     if in_grid:
                         reading /= sqrt(c2) * verifier.su2_factor(n2, m2) * float(basis(n2, m2).max_magnitude())
@@ -753,11 +748,10 @@ class TestRelativeFloatResiduals:
         # irrep.J-.float by as much as at an everyday point
         claim, levels = _ACTION_OF["J-"].claim, verifier._levels
 
-        def scaled(table, n_max, *mode):
-            # a float run's levels of an integer table are its exact ones: scaled there, once
-            got = levels(table, n_max, *mode)
-            return got if table != claim or mode else [[v * (1 + 1e-6) if m == 1 else v for m, v in enumerate(level)]
-                                                       for level in got]
+        def scaled(table, n_max):
+            got = levels(table, n_max)
+            return got if table != claim else [[v * (1 + 1e-6) if m == 1 else v for m, v in enumerate(level)]
+                                               for level in got]
 
         monkeypatch.setattr(verifier, "_levels", scaled)
         reports = {r.relation_id: r for r in check_irrep(Params.from_ab(*ab), n_max=8)}
@@ -773,12 +767,34 @@ class TestRelativeFloatResiduals:
         assert not _failing(run_suites(P, ("actions", "irrep"), n_max=n_max))
 
     def test_an_exact_relative_residual_beyond_the_float_range_reads_the_largest_float(self):
-        # J+ phi_{1,0} = phi_{1,1}, in an exact run with a residual 10^400
-        # times the target's size: no OverflowError, a failing residual
+        # J+ phi_{1,0} = phi_{1,1}, in an exact run with a relative residual
+        # 10^400: no OverflowError, a failing residual; a float run's inf
+        # passes unchanged
         rule = _ACTION_OF["J+"]
         target = _term(Params.exact(1, F(1, 2)), rule, 1, 0)
-        got = verifier._float_ladder_residual(1, 0, _at(rule, 1, 0), target, F(10**400), size=lambda n, m: F(1))
+        got = verifier._float_ladder_residual(1, 0, _at(rule, 1, 0), target, F(10**400))
         assert got == sys.float_info.max
+        assert verifier._float_ladder_residual(1, 0, _at(rule, 1, 0), target, float("inf")) == float("inf")
+
+    def test_a_failing_exact_report_is_the_same_at_every_scale(self, monkeypatch):
+        # sigma_P maps each exact point onto p = q = 1, so a residual relative
+        # per charge line reads the same wherever the point sits: with J+'s
+        # literal doubled and S's middle coefficient -3*b, each failing report
+        # names the same residual at the same (n, m) at four points over 350
+        # decades; absolute residuals moved with the point, and so did the step
+        # they named
+        rules = _replace_rule(ACTION_RULES, "action.J+", anchor=_ACTION_OF["J+"].anchor.replace("= 1 ", "= 2 "))
+        rules = _replace_rule(rules, "action.S", anchor=_ACTION_OF["S"].anchor.replace("-2*b n", "-3*b n"))
+        monkeypatch.setattr(verifier, "ACTION_RULES", rules)
+        points = [Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)), Params.exact(10**50, 10**49),
+                  Params.exact(F(1, 10**175), F(1, 10**177))]
+        runs = [list(map(_strip, run_suites(P, ("actions", "irrep"), 8))) for P in points]
+        assert runs[1:] == runs[:1] * 3
+        failed = {rid: (anchor.rsplit("[", 1)[1], residual) for rid, anchor, _, status, residual in runs[0]
+                  if status == "fail"}
+        assert failed == {"action.S": ("worst at n,m=(1, 0)]", "1/3"), "action.J+": ("worst at n,m=(1, 0)]", "1/2"),
+                          "irrep.J+.sq": ("worst at n,m=(8, 3)]", "60"),
+                          "irrep.J+.float": ("worst at n,m=(3, 2)]", "0.5000000000000001")}
 
 
 def _fraction_squared_ladder_residual(rule, n, m, target, image_residual):
@@ -1044,9 +1060,9 @@ class TestImagePass:
         assert table == (1, (((0, 0), 1000),))
         levels = v._levels
 
-        def perturbed(t, n_max, *mode):
+        def perturbed(t, n_max):
             # the evaluated 1000 of B-'s second term, 1001 at (5, 2) alone
-            got = levels(t, n_max, *mode)
+            got = levels(t, n_max)
             return [[1001 if (t, n, m) == (table, 5, 2) else value for m, value in enumerate(level)]
                     for n, level in enumerate(got)]
 
@@ -1090,14 +1106,16 @@ class TestImagePass:
         calls = Counter()
         levels = v._levels
 
-        def counted(table, n_max, *mode):
-            calls[table, n_max, *mode] += 1
-            return levels(table, n_max, *mode)
+        def counted(table, n_max):
+            calls[table, n_max] += 1
+            return levels(table, n_max)
 
         monkeypatch.setattr(v, "_levels", counted)
         assert all(r.passed for r in v.check_irrep(P, n_max=4))
-        claims = {(rule.claim, 4, P.mode): 1 for rule in ACTION_RULES if rule.claim is not None}
-        assert len(claims) == 14 and {key: calls[key] for key in claims} == claims
+        # in both modes, the one exact table of each claim and of its rule's term
+        rules = [rule for rule in ACTION_RULES if rule.claim is not None]
+        assert len(rules) == 14 and calls == Counter((table, 4) for rule in rules
+                                                     for table in (rule.claim, rule.terms[0][3]))
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure and pseudo read no image, so the pass builds no psi at
@@ -1148,18 +1166,20 @@ class TestImagePass:
         assert [(r.relation_id, r.residual) for r in after] == [(r.relation_id, r.residual) for r in before]
 
     def test_float_claims_are_the_rounded_exact_claims(self):
-        # a float run reads every claim at j = n/2, mu = m - n/2 exactly, with
-        # no Fraction: an int where the claim's table has integer coefficients,
-        # and J0's half-integers as the floats that hold them exactly
+        # both modes read every claim at j = n/2, mu = m - n/2 exactly: an int
+        # where the claim's table has integer coefficients, and J0's
+        # half-integers as Fractions. Each is a float exactly, so a float run's
+        # float - claim rounds as it would with the claim in floats
         for rule in ACTION_RULES:
             if rule.claim is None:
                 continue
-            levels = verifier._levels(rule.claim, 24, FLOAT)
+            levels = verifier._levels(rule.claim, 24)
             assert [len(level) for level in levels] == list(range(1, 26))
             for n, level in enumerate(levels):
                 for m, value in enumerate(level):
-                    assert type(value) is (float if rule.op_name == "J0" else int), (rule.rule_id, n, m)
-                    assert value == reference_pass.claim_at(rule.rule_id, n, m), (rule.rule_id, n, m)
+                    assert type(value) is (F if rule.op_name == "J0" else int), (rule.rule_id, n, m)
+                    assert value == reference_pass.claim_at(rule.rule_id, n, m) == float(value), (rule.rule_id, n, m)
+                    assert 0.1 - value == 0.1 - float(value), (rule.rule_id, n, m)
 
     def test_float_point_3_1_passes_the_lowering_d_ladders(self):
         # with the conjugations rounded once from the dyadic twin; built in
@@ -1171,21 +1191,25 @@ class TestImagePass:
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_each_target_size_read_once(self, point, request, monkeypatch):
         # a psi is the target of up to a dozen steps, and the pass reads its
-        # largest coefficient T once for all of them: a float run for every
-        # line's scale, an exact run for each .float step whose residual is
-        # nonzero, here every step, with each operator's image doubled
+        # largest numerator T (nums.values(), which nothing else of the pass
+        # reads) once for all of them, where a line's maximum is nonzero: here
+        # every line's, with each operator's image doubled
         P = request.getfixturevalue(point)
-        if P.mode == "exact":
-            conjugated = model.conjugated
-            monkeypatch.setattr(model, "conjugated", lambda P, name: conjugated(P, name).scale(2))
+        conjugated = model.conjugated
+        monkeypatch.setattr(model, "conjugated", lambda P, name: conjugated(P, name).scale(2))
         reads = Counter()
-        max_magnitude = Poly2.max_magnitude
 
-        def counted(self):
-            reads[id(self)] += 1
-            return max_magnitude(self)
+        class Counted(dict):
+            def values(self):
+                reads[id(self)] += 1
+                return super().values()
 
-        monkeypatch.setattr(Poly2, "max_magnitude", counted)
+        def counted(P, n, m):
+            psi, out = model.chain_psi(P, n, m), object.__new__(Poly2)
+            out.mode, out.nums, out.den = psi.mode, Counted(psi.nums), psi.den
+            return out
+
+        monkeypatch.setattr(verifier, "chain_psi", counted)
         run_suites(P, ("actions", "irrep"), n_max=6)
         assert len(reads) > 30 and set(reads.values()) == {1}
 
@@ -1247,6 +1271,27 @@ class TestIntegralSuite:
         assert oracle.skipped and oracle.status == "skip" and "skip" in oracle.anchor
         assert not oracle.passed and not oracle.failed
         assert oracle.residual == "n/a"
+
+    @pytest.mark.parametrize("p, q, j", [
+        (1, F(1, 2), 0), (F(3, 2), F(2, 3), 0), (10**50, 10**49, 164), (10**100, 1, 166),
+        (F(1, 10**175), F(1, 10**177), -584),
+    ], ids=["1-1/2", "3/2-2/3", "1e50-1e49", "1e100-1", "1e-175-1e-177"])
+    def test_oracle_reads_an_exact_point_at_unit_scale(self, p, q, j, monkeypatch):
+        # the oracle reads (p/2^j, q/2^j), p q/4^j in (1/4, 2): 2^j's dilation
+        # keeps the pairing, so it runs where the point's own floats leave the
+        # float range; j = 0 at the goldens' points
+        read = set()
+        oracle = verifier.quadrature_oracle
+
+        def recorded(P, *args):
+            read.add(P)
+            return oracle(P, *args)
+
+        monkeypatch.setattr(verifier, "quadrature_oracle", recorded)
+        reports = {r.relation_id: r for r in check_integrals(Params.exact(p, q), n_max=4)}
+        assert read == {Params.exact(p / F(2) ** j, q / F(2) ** j)}
+        assert F(1, 4) < p * q / F(4) ** j < 2
+        assert reports["integrals.oracle"].passed and float(reports["integrals.oracle"].residual) < 1e-14
 
     def test_norms_read_the_gram_blocks(self, params, monkeypatch):
         # integrals.norms takes each <<psi_n0|psi_n0>> from the gram block of
