@@ -544,25 +544,38 @@ def _weight(tree):
 
 
 @_per_point
-def _chain_generators(params: Params) -> tuple[DiffOp, DiffOp, DiffOp]:
-    # the images of z, dz and dzbar under conjugation through the envelope, in
-    # the chain variables (w, zbar), where the envelope is exp(-w zbar):
-    # z -> (w - b zbar)/a, dz -> a (dw - zbar), dzbar -> b dw + dzbar - w - b zbar
-    # (zbar is unchanged); the two derivative images commute
+def _chain_generators(params: Params) -> tuple[DiffOp, ...]:
+    # the images of z, zbar, dz and dzbar under conjugation through the
+    # envelope, in the chain variables (w, zbar), where the envelope is
+    # exp(-w zbar): z -> (w - b zbar)/a, zbar -> zbar, dz -> a (dw - zbar),
+    # dzbar -> b dw + dzbar - w - b zbar; the two derivative images commute
     a, b = params.a, params.b
     mono = DiffOp.monomial
     return (
         mono((1, 0, 0, 0), 1 / a) + mono((0, 1, 0, 0), -b / a),
+        mono((0, 1, 0, 0), 1),
         mono((0, 0, 1, 0), a) + mono((0, 1, 0, 0), -a),
         mono((0, 0, 1, 0), b) + mono((0, 0, 0, 1), 1) + mono((1, 0, 0, 0), -1) + mono((0, 1, 0, 0), -b),
     )
 
 
+def substitute(params: Params, generators, op: DiffOp) -> DiffOp:
+    """op with z, zbar, dz, dzbar replaced by their images ``generators(params)``, four exact DiffOps: each
+    term z^i zbar^j dz^k dzbar^l by the product of the images' powers in that order, kept in the point's
+    store. A homomorphism of the Weyl algebra where the images keep its relations, as the envelope's do."""
+    return DiffOp.linear_combination(EXACT, (
+        (Fraction(v, op.den), _monomial_image(params, generators, key)) for key, v in op.nums.items()))
+
+
 @_per_point
-def _chain_image(params: Params, i: int, k: int, l: int) -> DiffOp:
-    # the image of z^i dz^k dzbar^l (see _chain_generators)
-    z_image, dz_image, dzb_image = _chain_generators(params)
-    return z_image**i * dz_image**k * dzb_image**l
+def _monomial_image(params: Params, generators, key: tuple) -> DiffOp:
+    # the image of the monomial with its last factor taken off, times that
+    # factor's image: each product is built once per point and chart
+    if not any(key):
+        return DiffOp.identity(EXACT)
+    last = max(g for g, e in enumerate(key) if e)
+    rest = (*key[:last], key[last] - 1, *key[last + 1:])
+    return _monomial_image(params, generators, rest) * generators(params)[last]
 
 
 def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
@@ -571,10 +584,7 @@ def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     w^i zbar^j dw^k dzbar^l, and it acts on a basis function's chain form."""
     if params.mode != EXACT or op.mode != EXACT:
         raise ModeMismatchError("exact points and operators only: conjugate at Params.twin, or apply(params, name, fn)")
-    return DiffOp.linear_combination(EXACT, (
-        (1, DiffOp._normalized(EXACT, {(0, j, 0, 0): v}, op.den) * _chain_image(params, i, k, l))
-        for (i, j, k, l), v in op.nums.items()
-    ))
+    return substitute(params, _chain_generators, op)
 
 
 @_per_point

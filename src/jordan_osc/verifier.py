@@ -43,6 +43,16 @@ compares s w with sqrt(claim) s', s and s' the su(2) factors (``su2_factor``,
 the only irrational numbers of an exact run), relatively, and takes the
 step's relative residual with it (see _float_ladder_residual).
 
+An action verdict is derived, read, or read as a fallback. The boson rules action.a1+, a2+, a1-
+and a2- make the basis the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as
+x, y, dx, dy (Schwinger's realization of su(2)). A rule is derived once per process (``_derived``) if
+its operator in that chart (``_fock_generators``) acts on x^m y^(n-m)/m! as its terms say, as
+polynomials in (n, m), so for every n. A pass reads the boson rules at every level; if all four are
+derived and pass, each other derived rule reads only the levels whose targets lie beyond n_max + 1,
+which the boson rules tie to no Fock state (D+11, D+12, D+22 at n = n_max), with image residual 0 at
+its other steps. A refuted rule, and every rule where a boson rule is missing, not derived or
+failing, is read at every level.
+
 The structure suite proves each catalog relation once per process, at
 p = q = 1. Every catalog operator and explicit form is a tree of the prefix
 grammar (see model) over the generators z, zbar, dz, dzbar, which are the
@@ -96,6 +106,7 @@ from .model import (
     EXPLICIT_NAMES,
     _SCALAR_TOKEN,
     Params,
+    _per_point,
     _scalar,
     _weight,
     apply,  # not called here, but kept bound: perfbench/test_perfbench.py asserts verifier.apply is model.apply
@@ -107,6 +118,7 @@ from .model import (
     make_operator,
     parse_expression,
     su2_factor,
+    substitute,
 )
 from .weyl import (
     EXACT,
@@ -114,6 +126,7 @@ from .weyl import (
     DiffOp,
     Poly2,
     adjoint,
+    commutator,
     lift,
     max_or_nan,
     swap_vars,
@@ -446,6 +459,59 @@ ACTION_RULES: tuple[ActionRule, ...] = (
 
 
 # ---------------------------------------------------------------------------
+# the Fock module: action rules derived for every n
+# ---------------------------------------------------------------------------
+
+#: the boson operators, in the order of the Fock module's x, y, dx, dy, whose
+#: keys are those of z, zbar, dz, dzbar (_UNITS): a Fock key (i, j, k, l) reads
+#: a1+^i a2+^j a1-^k a2-^l, normal-ordered, and psi_{n,m} is x^m y^(n-m)/m!
+_BOSONS = ("a1+", "a2+", "a1-", "a2-")
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@_per_point
+def _fock_generators(params: Params) -> tuple | None:
+    """The Fock chart at params (_UNIT): the images of z, zbar, dz, dzbar in x, y, dx, dy, or None unless
+    the a's are linear forms in the generators and the images keep the Weyl relations. A linear form L
+    goes to sum_i [a_i-, L] x_i - [a_i+, L] dx_i: a chart that keeps the relations keeps every bracket,
+    so [dx_i, chart(L)] = [a_i-, L] = [chart(a_i-), chart(L)] for every L, chart(a_i-) = dx_i, and
+    likewise chart(a_i+) = x_i. This inverts the 4x4 matrix of the a's exactly."""
+    bosons, units = [make_operator(params, name) for name in _BOSONS], [DiffOp.monomial(key, 1) for key in _UNITS]
+    if any(key not in _UNITS for op in bosons for key in op.nums):
+        return None
+    images = tuple(DiffOp.linear_combination(EXACT, [  # the bracket with the partner, a1+ with a1- and so on
+        ((1 if t < 2 else -1) * commutator(bosons[(t + 2) % 4], g).terms.get((0, 0, 0, 0), 0), units[t])
+        for t in range(4)]) for g in units)
+    weyl = all(commutator(images[h], images[g]).terms == ({(0, 0, 0, 0): 1} if h == g + 2 else {})
+               for g in range(4) for h in range(g + 1, 4))  # [dz, z] = [dzbar, zbar] = 1, the rest 0
+    return images if weyl else None
+
+
+@cache
+def _derived(rule: ActionRule) -> bool:
+    """Whether the rule holds on the Fock module, so for every n. Its operator at _UNIT in the chart
+    (model.substitute), a sum of c x^i y^j dx^k dy^l, sends x^m y^(n-m)/m! to the sum of c (m-k+1)...(m-k+i)
+    (n-m)(n-m-1)...(n-m-l+1) psi[n+i+j-k-l,m+i-k], each a polynomial in (n, m) that vanishes where dx^k or
+    dy^l meets a lower power; derived iff they sum, per target, to the rule's terms (literal at _UNIT
+    times table) exactly. Rules are weight-checked when built, so this holds at every point (see
+    _proven). Kept per rule, derived at first use."""
+    if _fock_generators(_UNIT) is None:
+        return False
+    n, m, one = _TERM_SYMBOLS["n"], _TERM_SYMBOLS["m"], Poly2.one(EXACT)
+    # target (dn, dm) -> the Fock action minus the rule's term there
+    sums = {(dn, dm): Poly2._normalized(EXACT, dict(nums), den) * -_scalar(literal, _UNIT)
+            for dn, dm, literal, (den, nums) in rule.terms}
+    for (i, j, k, l), c in substitute(_UNIT, _fock_generators, make_operator(_UNIT, rule.op_name)).terms.items():
+        p = Poly2.monomial(0, 0, c)
+        for t in range(i):
+            p *= m + one.scale(t + 1 - k)
+        for t in range(l):
+            p *= n - m - one.scale(t)
+        sums[i + j - k - l, i - k] = sums.get((i + j - k - l, i - k), Poly2.zero(EXACT)) + p
+    return all(p.is_zero() for p in sums.values())
+
+
+# ---------------------------------------------------------------------------
 # the image pass shared by the action and irrep suites
 # ---------------------------------------------------------------------------
 
@@ -539,14 +605,24 @@ def _level(psis: list) -> tuple[Poly2, dict]:
                                             for key, u in psi.nums.items()}, den), {}
 
 
-def _reads(params: Params, rule: ActionRule, n_max: int) -> list:
-    """(shift, op's part of that charge shift or None, the term (dn, dm, numerator, denominator,
-    levels up to n_max) that shifts the charge by 2dm - dn or None) for each shift of op's parts or
-    terms, both read at the twin (see model)."""
-    parts, mode = _charge_parts(model.conjugated(params, rule.op_name)), params.mode
-    terms = {2 * dm - dn: (dn, dm, *to_ints(mode, [lift(_scalar(literal, params.twin), mode)]), _levels(table, n_max))
-             for dn, dm, literal, table in rule.terms}
+def _terms(params: Params, rule: ActionRule, n_max: int) -> dict:
+    """Shift 2dm - dn -> the rule's term (dn, dm, numerator, denominator, levels up to n_max) that
+    shifts the charge by that, its literal read at the twin (see model)."""
+    return {2 * dm - dn: (dn, dm, *to_ints(params.mode, [lift(_scalar(literal, params.twin), params.mode)]),
+                          _levels(table, n_max)) for dn, dm, literal, table in rule.terms}
+
+
+def _reads(params: Params, rule: ActionRule, terms: dict) -> list:
+    """(shift, op's part of that charge shift or None, the term of that shift (see _terms) or None)
+    for each shift of op's parts or terms, op's conjugation read at the twin (see model)."""
+    parts = _charge_parts(model.conjugated(params, rule.op_name))
     return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
+
+
+def _action_terms(term: tuple, n: int) -> list:
+    """The action term (w, n', m') of each step m of level n under a rule's one term (see _terms)."""
+    dn, dm, [num], den, levels = term
+    return [(num * v if den == 1 else Fraction(num * v, den), n + dn, m + dm) for m, v in enumerate(levels[n])]
 
 
 class _Line:
@@ -587,16 +663,15 @@ def _read_lines(image: Poly2, lines: dict) -> None:
                 line.worst = max_or_nan(line.worst, abs(line.target[key] * line.b))
 
 
-def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Callable, irrep: bool) -> tuple:
+def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Callable) -> list:
     """Per step m of ``level`` (see _level), from its off-line residual ``off[m]``,
     each part's image read against one record per step (_Line): the residual of op
-    psi_{n,m} against the rule's terms, and for an ``irrep`` rule the action term (c, n', m').
-    Each nonzero line maximum over |b| T, T = size(n', m') the target's largest numerator, is
-    the line's largest magnitude over |w| times the target's largest coefficient, so
-    scale-free; a nonzero residue with no target (off[m], or a line without one) reads 1,
-    a NaN winning."""
+    psi_{n,m} against the rule's terms. Each nonzero line maximum over |b| T,
+    T = size(n', m') the target's largest numerator, is the line's largest magnitude
+    over |w| times the target's largest coefficient, so scale-free; a nonzero residue
+    with no target (off[m], or a line without one) reads 1, a NaN winning."""
     (source, derivatives), n = level, len(off) - 1
-    mode, terms = source.mode, [None] * (n + 1)
+    mode = source.mode
     worst, one = [r and r / r for r in off], lift(1, mode)
     for shift, part, term in reads:
         image = Poly2.zero(mode) if part is None else part.apply_to(source, derivatives)
@@ -605,7 +680,6 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Cal
             dn, dm, [num], den, levels = term
             for m, (line, value) in enumerate(zip(lines.values(), levels[n])):
                 n2, m2, w = n + dn, m + dm, num * value
-                terms[m] = irrep and (w if den == 1 else Fraction(w, den), n2, m2)
                 if w and 0 <= m2 <= n2:  # a target to read: a zero weight reads nothing, so 0 * inf makes no NaN
                     psi = basis(n2, m2)
                     line.a, line.b, line.target = den * psi.den, w * image.den, psi.nums
@@ -615,15 +689,17 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Cal
                 r = one * line.worst / (abs(line.b) * size(n + dn, m + dm) if line.target else line.worst)
                 if r > worst[m] or r != r:
                     worst[m] = r
-    return worst, terms
+    return worst
 
 
 def _image_pass(
     params: Params, suites: Iterable[str], n_max: int, tol: float
 ) -> tuple[list[Report], list[Report]]:
     """Reports of the actions and irrep suites among ``suites``, each in the
-    order of ACTION_RULES: level-outer, on charge lines (see the module docstring).
-    The images' cost is timed into the action report, or into the first irrep report otherwise."""
+    order of ACTION_RULES: level-outer, on charge lines, the four boson rules
+    first, then each other rule at the levels it reads (see the module
+    docstring). The images' cost is timed into the action report, or into the
+    first irrep report otherwise."""
     _check_nmax(n_max)
     mode, irrep = params.mode, "irrep" in suites
     # psi_{n,m} by (n, m), its off-line residual and its largest numerator T:
@@ -631,44 +707,57 @@ def _image_pass(
     basis = cache(partial(chain_psi, params))
     off_line = cache(lambda n, m: _off_line(basis(n, m), n, m))
     size = cache(lambda n, m: max_or_nan(0, *map(abs, basis(n, m).nums.values())))
-    # (action report, the claim's levels, irrep reports, image clock, the rule's reads)
+    # each level and its off-line residuals, built once for every rule that reads it
+    level = cache(lambda n: (_level([basis(n, m) for m in range(n + 1)]), [off_line(n, m) for m in range(n + 1)]))
+    # (rule, its terms, action report, the claim's levels, irrep reports, image clock, the rule's reads)
     plan = []
     for rule in ACTION_RULES:
         claims = _levels(rule.claim, n_max) if irrep and rule.claim is not None else None
         if claims is None and "actions" not in suites:
             continue
-        action = _Check(rule.rule_id, rule.anchor, mode, tol)
+        action, terms = _Check(rule.rule_id, rule.anchor, mode, tol), _terms(params, rule, n_max)
         checks = [] if claims is None else _irrep_checks(mode, rule, tol)
-        plan.append((action, claims, checks, action if "actions" in suites else checks[0][0],
-                     _reads(params, rule, n_max)))
+        plan.append((rule, terms, action, claims, checks, action if "actions" in suites else checks[0][0],
+                     cache(partial(_reads, params, rule, terms))))  # conjugated at the first level read
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
-    for n in range(n_max + 1):
-        steps = range(n + 1)
-        with plan[0][3]:  # the level is part of the images' cost
-            level, off = _level([basis(n, m) for m in steps]), [off_line(n, m) for m in steps]
-        for action, claims, checks, image_clock, reads in plan:
-            with image_clock:
-                worst, terms = _read_level(reads, level, off, basis, size, claims is not None)
-            for m in steps:
-                action.add(worst[m], (n, m))
-            for check, residual in checks:
-                with check:
-                    for m, claim in enumerate(claims[n]):
-                        check.add(residual(n, m, claim, terms[m], worst[m]), (n, m))
-    actions = [action.report() for action, *_ in plan] if "actions" in suites else []
-    return actions, [check.report() for _, _, checks, *_ in plan for check, _ in checks]
+
+    def read(entries: list, start: Callable) -> None:
+        # each rule's images from level start(rule) up; below it, each step's image residual is 0
+        for n in range(n_max + 1):
+            for rule, terms, action, claims, checks, image_clock, reads in entries:
+                with image_clock:
+                    worst = _read_level(reads(), *level(n), basis, size) if n >= start(rule) else [0] * (n + 1)
+                    steps = claims and _action_terms(next(iter(terms.values())), n)
+                for m in range(n + 1):
+                    action.add(worst[m], (n, m))
+                for check, residual in checks:
+                    with check:
+                        for m, claim in enumerate(claims[n]):
+                            check.add(residual(n, m, claim, steps[m], worst[m]), (n, m))
+
+    bosons = [entry for entry in plan if entry[0].op_name in _BOSONS]
+    if sorted(rule.op_name for rule, *_ in bosons) != sorted(_BOSONS) or not all(_derived(rule) for rule, *_ in bosons):
+        bosons = []  # no chart to the Fock module: every rule reads every level
+    read(bosons, lambda rule: 0)
+    fock = bosons and all(action.report().passed for _, _, action, *_ in bosons)
+    read([entry for entry in plan if not bosons or entry[0].op_name not in _BOSONS],
+         lambda rule: n_max + 2 - max(dn for dn, *_ in rule.terms) if fock and _derived(rule) else 0)
+    actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
+    return actions, [check.report() for *_, checks, _, _ in plan for check, _ in checks]
 
 
 def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """Compare op.psi_{n,m} against the asserted expansion for every action
-    formula and every 0 <= m <= n <= n_max; one report per formula."""
+    formula and every 0 <= m <= n <= n_max; one report per formula. A rule
+    derived on the Fock module reads residual 0 wherever the four boson rules,
+    passing, reach its targets (see the module docstring)."""
     return _image_pass(params, ("actions",), n_max, tol)[0]
 
 
 def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
-    """su(2)/superalgebra coefficients on phi, read off the action images, in
-    the order of ACTION_RULES: a diagonal rule's report, or a ladder rule's exact
+    """su(2)/superalgebra coefficients on phi, read off each step's action term and image residual (see
+    check_actions), in the order of ACTION_RULES: a diagonal rule's report, or a ladder rule's exact
     squared-value report (exact mode only) and its float direct report."""
     return _image_pass(params, ("irrep",), n_max, tol)[1]
 

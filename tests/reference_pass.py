@@ -114,10 +114,12 @@ def direct_reading(target, n, m, c2, image, basis):
     return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
 
 
-def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
+def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=()):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier._image_pass gives them, in the verifier's rule order and with its
-    anchors, from the coefficients of TERMS and CLAIMS."""
+    anchors, from the coefficients of TERMS and CLAIMS. A rule whose id is in
+    ``derived`` reads its image only at the steps with a target beyond level
+    n_max + 1; at every other step its image residual is 0."""
     basis = cache(partial(model.chain_psi, params))
     plan = []
     for rule in verifier.ACTION_RULES:
@@ -137,9 +139,12 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL):
             for rule, terms, action, claim, checks in plan:
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
                 value = None if claim is None else claim(j, mu)
-                image = model.apply(params, rule.op_name, psi)
-                image_residual = step_residual(params.mode, [(c, basis(n2, m2), 2 * m2 - n2)
-                                                             for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
+                if rule.rule_id in derived and all(n2 <= n_max + 1 for _, n2, _ in targets):
+                    image_residual = 0
+                else:
+                    image = model.apply(params, rule.op_name, psi)
+                    image_residual = step_residual(params.mode, [
+                        (c, basis(n2, m2), 2 * m2 - n2) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
                     check.add(residual(n, m, value, targets[0], image_residual), (n, m))

@@ -483,21 +483,23 @@ _EXTREME_FLOAT = ["verify", "--mode", "float", "--a", "1e200", "--b", "1e-200", 
 
 
 def test_nan_residuals_never_pass(capsys, monkeypatch):
-    # a NaN coefficient in the stored float conjugations of J0 and D-12 meets
-    # every image of those operators: each report that reads one fails with a
-    # NaN residual, and no other report sees it
+    # a NaN coefficient in the stored float conjugations of J0, D-12 and a1+
+    # meets every image of those operators: each report that reads one fails
+    # with a NaN residual, and no other report sees it. a1+'s boson rule then
+    # fails, so no rule is taken as derived, and J0 and D-12 are read
     conjugated = model.conjugated
 
     def with_nan(P, name):
         op = conjugated(P, name)
-        return DiffOp._normalized(op.mode, {**op.nums, (0, 0, 0, 0): math.nan}, op.den) if name in ("J0", "D-12") else op
+        return (DiffOp._normalized(op.mode, {**op.nums, (0, 0, 0, 0): math.nan}, op.den)
+                if name in ("J0", "D-12", "a1+") else op)
 
     monkeypatch.setattr(model, "conjugated", with_nan)
     assert main(_EXTREME_FLOAT + ["--suites", "irrep"]) == 1
     reports = json.loads(capsys.readouterr().out)["suites"]
     assert len(reports) == 14
     nan = {r["id"] for r in reports if r["residual"] == "nan"}
-    assert nan == {"irrep.J0", "irrep.D-12.float"}
+    assert nan == {"irrep.J0", "irrep.D-12.float", "irrep.a1+.float"}
     assert {r["status"] for r in reports if r["id"] in nan} == {"fail"}
 
 

@@ -51,6 +51,10 @@ from reference_forms import phi_scale_sq
 F = Fraction
 
 _ACTION_OF = {rule.op_name: rule for rule in ACTION_RULES}
+#: the four boson rules, which tie the basis to the Fock module, and the 19
+#: rules derived from them for every n
+BOSON_RULES = {f"action.{op}" for op in verifier._BOSONS}
+DERIVED = {rule.rule_id for rule in ACTION_RULES} - BOSON_RULES
 #: the rules with an irrep claim whose action term moves (n, m)
 LADDERS = tuple(rule for rule in ACTION_RULES if rule.claim is not None and rule.terms[0][:2] != (0, 0))
 
@@ -237,7 +241,7 @@ class TestExpressionGrammar:
             want = float(F(c) * twin.a ** unit.count("a") * twin.b ** unit.count("b"))
             assert eval_expression(tok, point) == DiffOp.constant(want), tok
         for rule in ACTION_RULES:
-            terms = {shift: term for shift, _, term in verifier._reads(point, rule, 0) if term is not None}
+            terms = verifier._terms(point, rule, 0)
             for dn, dm, literal, _ in rule.terms:
                 assert terms[2 * dm - dn][2:4] == ([float(model._scalar(literal, twin))], 1), (rule.rule_id, literal)
 
@@ -334,10 +338,12 @@ def fresh_process(monkeypatch):
     new process; what the test proves, derives or builds is dropped after it,
     so a definition the test changes leaves nothing behind."""
     verifier._proven.cache_clear()
+    verifier._derived.cache_clear()
     model._token_weight.cache_clear()
     monkeypatch.setattr(model, "_POINTS", {})
     yield
     verifier._proven.cache_clear()
+    verifier._derived.cache_clear()
     model._token_weight.cache_clear()
 
 
@@ -463,6 +469,7 @@ class TestReferencePoint:
         points = _sweep_points(5)
         forward = [_verdicts(check_structure(P) + check_explicit_forms(P)) for P in points]
         verifier._proven.cache_clear()
+        verifier._derived.cache_clear()
         backward = [_verdicts(check_structure(P) + check_explicit_forms(P)) for P in reversed(points)]
         assert forward == backward[::-1]
 
@@ -583,8 +590,12 @@ class TestActionSuite:
         failed = next(r for r in reports if r.failed)
         assert failed.residual == str(lift(1, P.mode))
         assert failed.anchor.endswith("[worst at n,m=(0, 0)]")
+        # the derivation refutes the rule, so it is read; a float point's
+        # derived rules read 0, where a reading gives rounding
+        derived = DERIVED - {"action.J+"} if P.mode == FLOAT else ()
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
-        assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5)[0]))
+        assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5,
+                                                                                       derived=derived)[0]))
 
     def test_each_report_anchor_is_its_rule_text(self, params):
         # a rule is stated once: its text is the data the pass reads and,
@@ -881,8 +892,8 @@ class TestDerivedChecksCanFail:
     # (which generator, which of its terms to drop, the key index that marks an
     # operator term using that generator: z^i zbar^j dz^k dzbar^l)
     @pytest.mark.parametrize("generator, dropped, uses", [
-        (2, (0, 0, 1, 0), 3),  # dzbar -> b dw + dzbar - w - b zbar, without b dw
-        (1, (0, 1, 0, 0), 2),  # dz -> a (dw - zbar), without -a zbar
+        (3, (0, 0, 1, 0), 3),  # dzbar -> b dw + dzbar - w - b zbar, without b dw
+        (2, (0, 1, 0, 0), 2),  # dz -> a (dw - zbar), without -a zbar
         (0, (0, 1, 0, 0), 0),  # z -> (w - b zbar)/a, without -b zbar/a
     ], ids=["dzbar-without-b-dw", "dz-without-zbar", "z-without-zbar"])
     def test_broken_coordinate_map_fails_actions(self, params, monkeypatch, generator, dropped, uses):
@@ -925,16 +936,20 @@ class TestImagePass:
         assert all(rid.startswith("irrep.") for rid, *_ in irrep_alone)
 
     # in both modes the irrep suite reads the action images: one conjugation
-    # per operator, one image per (level, operator, charge part), and no
-    # float rebuild
+    # per operator read, one image per (level read, operator, charge part),
+    # and no float rebuild. The four boson rules read every level; the derived
+    # rules read only the levels whose targets lie beyond n_max + 1, so D+11,
+    # D+12 and D+22 read level n_max, and no other rule is conjugated
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_one_image_per_level_operator_and_charge_part(self, point, request, image_counts):
         P = request.getfixturevalue(point)
         run_suites(P, ("actions", "irrep"), n_max=4)
         counts = dict(image_counts)
-        parts = [verifier._charge_parts(model.conjugated(P, rule.op_name)) for rule in ACTION_RULES]
-        assert sum(map(len, parts)) == 29
-        assert counts == {"conjugate": 23, "apply_to": 29 * 5}
+        parts = {rule.op_name: len(verifier._charge_parts(model.conjugated(P, rule.op_name))) for rule in ACTION_RULES}
+        assert sum(parts.values()) == 29
+        bosons, raising = sum(parts[op] for op in verifier._BOSONS), sum(parts[op] for op in ("D+11", "D+12", "D+22"))
+        assert (bosons, raising) == (4, 3)
+        assert counts == {"conjugate": 4 + 3, "apply_to": bosons * 5 + raising}
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_one_derivative_table_per_level(self, point, request, image_counts, monkeypatch):
@@ -951,7 +966,7 @@ class TestImagePass:
 
         monkeypatch.setattr(DiffOp, "apply_to", recorded)
         run_suites(P, ("actions", "irrep"), n_max=4)
-        assert len(tables) == 5 and image_counts["apply_to"] == 29 * 5
+        assert len(tables) == 5 and image_counts["apply_to"] == 4 * 5 + 3
         levels = [poly for _, poly in tables.values()]
         psis = [[chain_psi(P, n, m) for m in range(n + 1)] for n in range(5)]
         assert levels == [weyl.linear_combination(P.mode, [(1, psi) for psi in level]) for level in psis]
@@ -979,9 +994,13 @@ class TestImagePass:
     def test_reports_equal_the_per_step_reference(self, point, n_max):
         # the stacked pass reports what the per-(n, m) pass reports: ids,
         # anchors, statuses and residuals; no .float report skips, even where
-        # the point's numbers leave the float range
+        # the point's numbers leave the float range. An exact point's derived
+        # rules report what reading them gives, 0; a float point's read 0 where
+        # reading gives rounding, at every step whose targets the boson rules
+        # reach
         got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
-        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max)
+        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max,
+                                         derived=DERIVED if point.mode == FLOAT else ())
         _assert_matches_the_reference(got, want)
         floats = [g for g in got[1] if g.relation_id.endswith(".float")]
         assert len(floats) == 12 and all(g.passed and float(g.residual) <= 1e-15 for g in floats)
@@ -1047,31 +1066,31 @@ class TestImagePass:
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_a_wrong_coefficient_fails_at_its_own_step(self, point, request, monkeypatch):
         # a stacked image carries every step of its level; a relative error of
-        # 1e-3 in B-'s psi[n-1,m-1] coefficient at (5, 2) alone fails
-        # action.B- there, as the per-(n, m) pass sees it, and nothing else
+        # 1e-3 in a2+'s coefficient at (5, 2) alone fails action.a2+ there, as
+        # the per-(n, m) pass sees it, and nothing else. a2+ is a boson rule,
+        # read at every level, and its failure has every other rule read too
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
-        rule = _ACTION_OF["B-"]
-        assert rule.anchor.endswith(" + 1/2*q*p^-1 psi[n-1,m-1]")
-        text = rule.anchor.replace(" + 1/2*q*p^-1 psi", " + 1/2000*q*p^-1 1000 psi")
-        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.B-", anchor=text))
-        table = replace(rule, anchor=text).terms[1][3]
+        rule = _ACTION_OF["a2+"]
+        assert rule.anchor == "a2+ psi = 1 psi[n+1,m]"
+        text = "a2+ psi = 1/1000 1000 psi[n+1,m]"
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.a2+", anchor=text))
+        table = replace(rule, anchor=text).terms[0][3]
         assert table == (1, (((0, 0), 1000),))
         levels = v._levels
 
         def perturbed(t, n_max):
-            # the evaluated 1000 of B-'s second term, 1001 at (5, 2) alone
+            # the evaluated 1000 of a2+'s term, 1001 at (5, 2) alone
             got = levels(t, n_max)
             return [[1001 if (t, n, m) == (table, 5, 2) else value for m, value in enumerate(level)]
                     for n, level in enumerate(got)]
 
         monkeypatch.setattr(v, "_levels", perturbed)
-        first, (dn, dm, _, _) = reference_pass.TERMS["action.B-"]
-        monkeypatch.setitem(reference_pass.TERMS, "action.B-", (
-            first, (dn, dm, "1/2000*q*p^-1", lambda n, m: 1001 if (n, m) == (5, 2) else 1000)))
+        monkeypatch.setitem(reference_pass.TERMS, "action.a2+", (
+            (1, 0, "1/1000", lambda n, m: 1001 if (n, m) == (5, 2) else 1000),))
         reports = check_actions(P, n_max=7)
-        assert _failing(reports) == {"action.B-"}
+        assert _failing(reports) == {"action.a2+"}
         assert next(r for r in reports if r.failed).anchor.endswith("[worst at n,m=(5, 2)]")
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
         assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 7)[0]))
@@ -1226,6 +1245,106 @@ class TestImagePass:
         monkeypatch.setattr(verifier, "chain_psi", counted)
         run_suites(request.getfixturevalue(point), ("actions", "irrep"), n_max=6)
         assert set(reads.values()) == {1} and len(reads) == 45  # up to level 6 + 2
+
+
+#: n(n-1)...(n-24): with it J+'s rule holds at every n <= 24 and fails beyond
+_FALLING_25 = "*".join(["n", *(f"(n-{t})" for t in range(1, 25))])
+
+
+class TestFockDerivation:
+    """The four boson rules tie the basis to the Fock module, psi_{n,m} =
+    x^m y^(n-m)/m!; every other rule is derived there for every n, exactly, and
+    read only where its targets lie beyond what the boson rules reach."""
+
+    def test_the_chart_sends_each_boson_operator_to_its_fock_generator(self, fresh_process):
+        images = verifier._fock_generators(verifier._UNIT)
+        assert images is not None and len(images) == 4
+        for name, key in zip(verifier._BOSONS, verifier._UNITS):
+            op = make_operator(verifier._UNIT, name)
+            assert model.substitute(verifier._UNIT, verifier._fock_generators, op) == DiffOp.monomial(key, 1), name
+
+    def test_every_other_rule_is_derived(self, fresh_process):
+        # the boson rules derive too: the chart sends each to its own x, y, dx
+        # or dy, so their texts state the Fock basis
+        derived = {rule.rule_id for rule in ACTION_RULES if verifier._derived(rule)}
+        assert len(DERIVED) == 19 and derived - BOSON_RULES == DERIVED
+        assert derived == DERIVED | BOSON_RULES
+
+    def test_a_chart_that_breaks_the_weyl_relations_derives_nothing(self, fresh_process, monkeypatch):
+        # a2+ doubled: [a2-, a2+] = 2, so no chart, and no rule derives
+        monkeypatch.setitem(model.DEFINITIONS, "a2+", "smul -4*q*p^-1 A+")
+        assert verifier._fock_generators(verifier._UNIT) is None
+        assert not any(verifier._derived(rule) for rule in ACTION_RULES)
+
+    # J+ doubled; J+ plus a term that vanishes at every n <= 24, which a reading
+    # up to nmax 24 cannot see; D-22 with (n-m)^2 for (n-m)(n-m-1)
+    @pytest.mark.parametrize("op, text, n_max, failing", [
+        ("J+", "J+ psi = 2 (n-m)*(m+1) psi[n,m+1]", 6, {"action.J+", "irrep.J+.sq", "irrep.J+.float"}),
+        ("J+", f"J+ psi = 1 (n-m)*(m+1)+(n-m)*(m+1)*{_FALLING_25} psi[n,m+1]", 24, set()),
+        ("D-22", "D-22 psi = 1 (n-m)*(n-m) psi[n-2,m]", 6, {"action.D-22", "irrep.D-22.sq", "irrep.D-22.float"}),
+    ], ids=["J+-doubled", "J+-degree-27", "D-22-squared"])
+    def test_a_refuted_rule_is_read_at_the_cutoff(self, op, text, n_max, failing, monkeypatch):
+        rule = replace(_ACTION_OF[op], anchor=text)
+        assert not verifier._derived(rule)
+        read = Counter()
+        conjugated = model.conjugated
+
+        def counted(P, name):
+            read[name] += 1
+            return conjugated(P, name)
+
+        monkeypatch.setattr(model, "conjugated", counted)
+        monkeypatch.setattr(verifier, "ACTION_RULES", _replace_rule(ACTION_RULES, rule.rule_id, anchor=text))
+        reports = run_suites(Params.exact(F(3, 2), F(2, 3)), ("actions", "irrep"), n_max)
+        # the refuted rule is conjugated and read, as the boson rules are, and
+        # the three D+ rules, whose targets at n_max lie beyond n_max + 1
+        assert set(read) == {*verifier._BOSONS, "D+11", "D+12", "D+22", op}
+        # a rule's report speaks of n <= n_max only: the degree-27 J+ passes
+        assert _failing(reports) == failing
+
+    def test_boson_rules_of_another_basis_derive_nothing(self, monkeypatch):
+        # psi_{n,m} times 2^n, with boson rules that state that basis: they
+        # pass, but they do not tie it to x^m y^(n-m)/m!, so every rule is
+        # read, and each that moves the level fails
+        monkeypatch.setattr(verifier, "chain_psi", lambda P, n, m: chain_psi(P, n, m).scale(2**n))
+        texts = {"a1+": "1/2 (m+1) psi[n+1,m+1]", "a2+": "1/2 psi[n+1,m]", "a1-": "2 psi[n-1,m-1]",
+                 "a2-": "2 (n-m) psi[n-1,m]"}
+        rules = ACTION_RULES
+        for op, text in texts.items():
+            rules = _replace_rule(rules, f"action.{op}", anchor=f"{op} psi = {text}")
+        monkeypatch.setattr(verifier, "ACTION_RULES", rules)
+        assert not any(verifier._derived(rule) for rule in rules if rule.op_name in texts)
+        moving = {rule.rule_id for rule in rules if rule.terms[0][0] and rule.op_name not in texts}
+        assert len(moving) == 10 and _failing(check_actions(Params.exact(F(3, 2), F(2, 3)), n_max=4)) == moving
+
+    @pytest.mark.parametrize("case", ["basis", "nan", "irrep-alone", "no-a2-"])
+    def test_no_rule_is_derived_unless_the_four_boson_rules_pass(self, case, monkeypatch):
+        # with a boson rule failing or missing every rule is read at every
+        # level, and the reports are the per-step reference's: at an exact
+        # point a corrupted basis fails the rules that read it, and at a float
+        # point a reading gives rounding where a derived rule reads 0
+        suites = ("irrep",) if case == "irrep-alone" else ("actions", "irrep")
+        if case in ("basis", "irrep-alone"):  # psi_{7,3}'s zbar coefficient plus 1 fails a1+ at (6, 2)
+            P = Params.exact(F(3, 2), F(2, 3))
+            monkeypatch.setattr(model, "_POINTS", {})
+            model.point_cache(P)[model.chain_psi.__wrapped__, 7, 3] = chain_psi(P, 7, 3) + Poly2.monomial(0, 1, 1)
+        else:
+            P = Params.from_ab(0.79, 0.23)
+        if case == "nan":
+            conjugated = model.conjugated
+
+            def with_nan(P, name):
+                op = conjugated(P, name)
+                return DiffOp._normalized(op.mode, {**op.nums, (0, 0, 0, 0): float("nan")}, op.den) \
+                    if name == "a1+" else op
+
+            monkeypatch.setattr(model, "conjugated", with_nan)
+        if case == "no-a2-":
+            monkeypatch.setattr(verifier, "ACTION_RULES", tuple(r for r in ACTION_RULES if r.rule_id != "action.a2-"))
+        got = verifier._image_pass(P, suites, 8, verifier.DEFAULT_TOL)
+        _assert_matches_the_reference(got, reference_pass.image_pass(P, suites, 8))
+        failing = _failing(got[0] + got[1])
+        assert (not failing) if case == "no-a2-" else "irrep.a1+.float" in failing
 
 
 class TestPseudoHermiticity:
