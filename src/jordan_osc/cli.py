@@ -118,6 +118,7 @@ def emit_json(result: RunResult) -> str:
                 "anchor": r.anchor,
                 "status": r.status,
                 "residual": r.residual,
+                "how": r.how,
                 "ms": r.ms,
             }
             for r in result.reports
@@ -137,6 +138,7 @@ def parse_json(text: str) -> RunResult:
             residual=entry["residual"],
             ms=entry["ms"],
             skipped=entry["status"] == "skip",
+            how=entry.get("how", "read"),  # a report written before the field
         )
         for entry in payload["suites"]
     )

@@ -35,21 +35,22 @@ relative per charge line, in both modes: the line's largest magnitude over
 target psi_{n',m'}, so it is scale-free, and a failing exact report reads the
 same at every point sigma_P relates; a nonzero residue with no target reads 1.
 
-A rule of one term may carry an irrep claim, read off the step's action
-coefficient w: irrep.J0 and irrep.K compare w with the eigenvalue, and the
-exact irrep.<op>.sq decides w >= 0 and w^2 m!(n'-m')!/((n-m)! m'!) == claim
-in integers. irrep.<op>.float, in both modes, reads no image of its own: it
-compares s w with sqrt(claim) s', s and s' the su(2) factors (``su2_factor``,
-the only irrational numbers of an exact run), relatively, and takes the
-step's relative residual with it (see _float_ladder_residual).
+A rule of one term may carry an irrep claim on its step's action coefficient
+w: irrep.J0 and irrep.K that w is the eigenvalue, the exact irrep.<op>.sq that
+w >= 0 and w^2 m!(n'-m')!/((n-m)! m'!) == claim, and irrep.<op>.float, in both
+modes, the same in floats on phi. A claim proven once as a polynomial identity
+in (n, m) (``_claimed``) makes each of its reports its rule's action report,
+the .float one read in floats; a refuted claim is read per step, from the
+step's action term, image residual and su(2) factors (``su2_factor``).
 
-An action verdict is derived, read, or read as a fallback. The boson rules action.a1+, a2+, a1-
-and a2- make the basis the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as
-x, y, dx, dy (Schwinger's realization of su(2)). A rule is derived once per process (``_derived``) if
-its operator in that chart (``_fock_generators``) acts on x^m y^(n-m)/m! as its terms say, as
-polynomials in (n, m), so for every n. A pass reads the boson rules at every level; if all four are
-derived and pass, each other derived rule reads only the levels whose targets lie beyond n_max + 1,
-which the boson rules tie to no Fock state (D+11, D+12, D+22 at n = n_max), with image residual 0 at
+An action verdict is derived or read. The boson rules action.a1+, a2+, a1- and a2- make the basis
+the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as x, y, dx, dy
+(Schwinger's realization of su(2)). A rule is derived once per process (``_derived``) if its operator
+in that chart (``_fock_generators``) acts on x^m y^(n-m)/m! as its terms say, as polynomials in
+(n, m), so for every n. A pass reads a1+ and a2+ at every level, a1- and a2- at n = 0; if all four
+are derived and pass, the chart's Weyl relations carry a_i- psi_00 = 0 to every psi up to n_max + 1
+raised from psi_00, so a1- and a2- read no other level, and each other derived rule reads only the
+levels whose targets lie beyond n_max + 1 (D+11, D+12, D+22 at n = n_max), with image residual 0 at
 its other steps. A refuted rule, and every rule where a boson rule is missing, not derived or
 failing, is read at every level.
 
@@ -76,6 +77,8 @@ and gives the verdict. Exact mode is authoritative: a pass there means
 residual identically zero. Float mode compares residuals against a tolerance,
 and a NaN residual counts as the worst, so a check that met one fails. A check
 that cannot run at the given point is reported as skipped, never as passed.
+Each report says whether its verdict was derived, proven (a claim or relation
+proven once, for every point) or read (``Report.how``).
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from importlib import resources
-from math import factorial, lcm, sqrt
+from math import factorial, lcm, prod, sqrt
 from sys import float_info
 from typing import Callable, Iterable
 
@@ -106,6 +109,7 @@ from .model import (
     EXPLICIT_NAMES,
     _SCALAR_TOKEN,
     Params,
+    _literal,
     _per_point,
     _scalar,
     _weight,
@@ -157,7 +161,8 @@ FLOAT_OVERFLOW = "float cross-check skipped: the point leaves the float range"
 class Report:
     """Outcome of one verified relation (or one aggregated family).
 
-    A skipped check did not run: it is neither passed nor failed.
+    A skipped check did not run: it is neither passed nor failed. ``how`` is "derived", "proven" or
+    "read" (see the module docstring).
     """
 
     relation_id: str
@@ -167,6 +172,7 @@ class Report:
     residual: str
     ms: float
     skipped: bool = False
+    how: str = "read"
 
     def __post_init__(self) -> None:
         if self.passed and self.skipped:
@@ -201,7 +207,7 @@ class _Check:
     def __init__(self, relation_id: str, anchor: str, mode: str, tol: float = 0.0) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
         self.worst = zero(mode)
-        self.at, self.seconds, self.skipped = None, 0.0, None  # skipped: why, if the check was
+        self.at, self.seconds, self.skipped, self.how = None, 0.0, None, "read"  # skipped: why, if the check was
 
     def __enter__(self) -> None:
         self._start = time.perf_counter()
@@ -224,10 +230,10 @@ class _Check:
     def report(self) -> Report:
         passed = self.worst == 0 if self.mode == EXACT else self.worst <= self.tol
         if self.skipped and passed:
-            return Report(self.relation_id, self.skipped, self.mode, False, "n/a", self.seconds * 1e3, True)
+            return Report(self.relation_id, self.skipped, self.mode, False, "n/a", self.seconds * 1e3, True, self.how)
         anchor = self.anchor if self.at is None else f"{self.anchor} [worst at n,m={self.at}]"
         anchor += f"; {self.skipped}" if self.skipped else ""
-        return Report(self.relation_id, anchor, self.mode, passed, str(self.worst), self.seconds * 1e3)
+        return Report(self.relation_id, anchor, self.mode, passed, str(self.worst), self.seconds * 1e3, how=self.how)
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,9 @@ def _check_equal(check: _Check, params: Params, lhs: str, rhs: str) -> None:
     """lhs == rhs at params into ``check``: nothing to add if it is proven,
     else the residual of exact evaluation at the point's twin."""
     with check:
-        if not _proven(lhs, rhs):
+        if _proven(lhs, rhs):
+            check.how = "proven"
+        else:
             check.add((eval_expression(lhs, params.twin) - eval_expression(rhs, params.twin)).max_magnitude())
 
 
@@ -511,6 +519,29 @@ def _derived(rule: ActionRule) -> bool:
     return all(p.is_zero() for p in sums.values())
 
 
+@cache
+def _claimed(rule: ActionRule, n_max: int) -> bool:
+    """Whether the rule's irrep claim holds at every step, w the term's table times its literal, a number.
+    A diagonal rule: w == claim. A ladder rule to (n+dn, m+dm) = (n', m'): w^2 m!(n'-m')! == claim (n-m)!
+    m'!, each side divided by the factorials the other shares, as polynomials in (n, m), which agree iff
+    they agree at 0 <= m <= n <= D, D their degree; the claim zero where the target leaves the grid; and
+    w >= 0 at every step onto the grid up to n_max. Kept per rule and cutoff, proven at first use."""
+    if rule.claim is None or _literal(rule.terms[0][2])[1]:
+        return False
+    [(dn, dm, literal, table)], e = rule.terms, rule.terms[0][0] - rule.terms[0][1]
+    degree = lambda t: max((i + k for (i, k), _ in t[1]), default=0)
+    top = max(2 * degree(table), degree(rule.claim)) + abs(dm) + abs(e)
+    (num, den), ws, claims = _literal(literal)[0].as_integer_ratio(), _levels(table, top), _levels(rule.claim, top)
+    if (dn, dm) == (0, 0):
+        return all(num * w == claim * den for level, want in zip(ws, claims) for w, claim in zip(level, want))
+    rising = lambda s, d: [prod(range(x + s + 1, x + s + d + 1)) for x in range(top + 1)]  # (x+s+1)...(x+s+d)
+    a, b, c, d = rising(dm, -dm), rising(0, e), rising(0, dm), rising(e, -e)
+    return all((num * ws[n][m]) ** 2 * a[m] * b[n - m] == claims[n][m] * den**2 * c[m] * d[n - m]
+               and (0 <= m + dm <= n + dn or not claims[n][m]) for n in range(top + 1) for m in range(n + 1)) \
+        and all(num * (min if num > 0 else max)(level[max(0, -dm):n + 1 + min(0, e)], default=0) >= 0
+                for n, level in enumerate(_levels(table, n_max)))  # the steps onto the grid
+
+
 # ---------------------------------------------------------------------------
 # the image pass shared by the action and irrep suites
 # ---------------------------------------------------------------------------
@@ -539,13 +570,14 @@ def _squared_ladder_residual(n, m, c2, target, image_residual):
     if not c >= 0:
         # the su(2)-type coefficients are nonnegative (and a NaN is none)
         return max_or_nan(image_residual, abs(c))
-    # c^2 ratio == c2 with ratio = m!(n'-m')!/((n-m)! m'!), decided in
-    # integers; only a failure builds the Fraction residual
-    if (c.numerator ** 2 * factorial(m) * factorial(n2 - m2) * c2.denominator
-            == c2.numerator * c.denominator ** 2 * factorial(n - m) * factorial(m2)):
-        return image_residual
     ratio = Fraction(factorial(m) * factorial(n2 - m2), factorial(n - m) * factorial(m2))
     return max_or_nan(image_residual, abs(c * c * ratio - c2))
+
+
+def _in_floats(rho):
+    """An exact run's residual, a Fraction, in floats, as the largest float beyond the float range; a
+    float run's as it is."""
+    return float(min(rho, float_info.max)) if type(rho) is Fraction else rho
 
 
 def _float_ladder_residual(n, m, c2, target, rho):
@@ -554,10 +586,9 @@ def _float_ladder_residual(n, m, c2, target, rho):
     s E + (s w - sqrt(c2) s') psi'; over max(|s w|, sqrt(c2) s') T, T the largest coefficient of psi',
     that is at most rho + d, rho = |E| / (|w| T) the step's relative residual and
     d = |s w - sqrt(c2) s'| / max(|s w|, sqrt(c2) s'), and the residual is max(rho, d); off the grid,
-    max(rho, |c2|). An exact run's rho, a Fraction, is read in floats, as the largest float beyond
-    the float range; a float run's passes unchanged."""
+    max(rho, |c2|)."""
     w, n2, m2 = target
-    rho = float(min(rho, float_info.max)) if type(rho) is Fraction else rho
+    rho = _in_floats(rho)
     if not 0 <= m2 <= n2:
         return max_or_nan(rho, abs(float(c2)))
     sw, c = su2_factor(n, m) * w, sqrt(c2) * su2_factor(n2, m2)
@@ -696,10 +727,10 @@ def _image_pass(
     params: Params, suites: Iterable[str], n_max: int, tol: float
 ) -> tuple[list[Report], list[Report]]:
     """Reports of the actions and irrep suites among ``suites``, each in the
-    order of ACTION_RULES: level-outer, on charge lines, the four boson rules
-    first, then each other rule at the levels it reads (see the module
-    docstring). The images' cost is timed into the action report, or into the
-    first irrep report otherwise."""
+    order of ACTION_RULES: level-outer, on charge lines, the raising rules
+    first, then the lowering ones, then each other rule at the levels it reads
+    (see the module docstring). The images' cost is timed into the action
+    report, or into the first irrep report otherwise."""
     _check_nmax(n_max)
     mode, irrep = params.mode, "irrep" in suites
     # psi_{n,m} by (n, m), its off-line residual and its largest numerator T:
@@ -709,40 +740,51 @@ def _image_pass(
     size = cache(lambda n, m: max_or_nan(0, *map(abs, basis(n, m).nums.values())))
     # each level and its off-line residuals, built once for every rule that reads it
     level = cache(lambda n: (_level([basis(n, m) for m in range(n + 1)]), [off_line(n, m) for m in range(n + 1)]))
-    # (rule, its terms, action report, the claim's levels, irrep reports, image clock, the rule's reads)
+    # (rule, its terms, action report, claim levels unless proven, irrep reports, image clock, the rule's reads)
     plan = []
     for rule in ACTION_RULES:
-        claims = _levels(rule.claim, n_max) if irrep and rule.claim is not None else None
-        if claims is None and "actions" not in suites:
+        checks = _irrep_checks(mode, rule, tol) if irrep and rule.claim is not None else []
+        if not checks and "actions" not in suites:
             continue
         action, terms = _Check(rule.rule_id, rule.anchor, mode, tol), _terms(params, rule, n_max)
-        checks = [] if claims is None else _irrep_checks(mode, rule, tol)
+        claims = None if not checks or _claimed(rule, n_max) else _levels(rule.claim, n_max)
         plan.append((rule, terms, action, claims, checks, action if "actions" in suites else checks[0][0],
                      cache(partial(_reads, params, rule, terms))))  # conjugated at the first level read
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
 
-    def read(entries: list, start: Callable) -> None:
-        # each rule's images from level start(rule) up; below it, each step's image residual is 0
-        for n in range(n_max + 1):
+    def read(entries: list, levels: range, start: Callable) -> None:
+        # each rule's images at its levels from start(rule) up; below it each step's image residual is 0
+        for n in levels:
             for rule, terms, action, claims, checks, image_clock, reads in entries:
-                with image_clock:
-                    worst = _read_level(reads(), *level(n), basis, size) if n >= start(rule) else [0] * (n + 1)
-                    steps = claims and _action_terms(next(iter(terms.values())), n)
-                for m in range(n + 1):
-                    action.add(worst[m], (n, m))
-                for check, residual in checks:
-                    with check:
-                        for m, claim in enumerate(claims[n]):
-                            check.add(residual(n, m, claim, steps[m], worst[m]), (n, m))
+                if n < start(rule):
+                    worst, action.how = [0] * (n + 1), "derived"
+                else:
+                    with image_clock:
+                        worst = _read_level(reads(), *level(n), basis, size)
+                    for m in range(n + 1):
+                        action.add(worst[m], (n, m))
+                if claims:  # a claim read per step
+                    steps = _action_terms(next(iter(terms.values())), n)
+                    for check, residual in checks:
+                        with check:
+                            for m, claim in enumerate(claims[n]):
+                                check.add(residual(n, m, claim, steps[m], worst[m]), (n, m))
 
-    bosons = [entry for entry in plan if entry[0].op_name in _BOSONS]
-    if sorted(rule.op_name for rule, *_ in bosons) != sorted(_BOSONS) or not all(_derived(rule) for rule, *_ in bosons):
-        bosons = []  # no chart to the Fock module: every rule reads every level
-    read(bosons, lambda rule: 0)
-    fock = bosons and all(action.report().passed for _, _, action, *_ in bosons)
-    read([entry for entry in plan if not bosons or entry[0].op_name not in _BOSONS],
+    bosons = {entry[0].op_name: entry for entry in plan if entry[0].op_name in _BOSONS}
+    if bosons.keys() != set(_BOSONS) or not all(_derived(rule) for rule, *_ in bosons.values()):
+        bosons = {}  # no chart to the Fock module: every rule reads every level
+    raising, lowering = ([bosons[op] for op in ops if bosons] for ops in (_BOSONS[:2], _BOSONS[2:]))
+    read(raising, range(n_max + 1), lambda rule: 0)
+    read(lowering, range(1), lambda rule: 0)
+    fock = bool(bosons) and all(action.report().passed for _, _, action, *_ in raising + lowering)
+    read(lowering, range(1, n_max + 1), lambda rule: n_max + 1 if fock else 0)
+    read([entry for entry in plan if entry[0].op_name not in bosons], range(n_max + 1),
          lambda rule: n_max + 2 - max(dn for dn, *_ in rule.terms) if fock and _derived(rule) else 0)
+    for _, _, action, claims, checks, *_ in plan:
+        for check, _ in checks if claims is None else ():  # a proven claim: each report is the action report
+            check.how = "proven"
+            check.add(_in_floats(action.worst) if check.mode == FLOAT else action.worst, action.at)
     actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
     return actions, [check.report() for *_, checks, _, _ in plan for check, _ in checks]
 
@@ -750,15 +792,15 @@ def _image_pass(
 def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """Compare op.psi_{n,m} against the asserted expansion for every action
     formula and every 0 <= m <= n <= n_max; one report per formula. A rule
-    derived on the Fock module reads residual 0 wherever the four boson rules,
-    passing, reach its targets (see the module docstring)."""
+    derived on the Fock module, a1- and a2- past level 0 among them, reads
+    residual 0 wherever the boson rules reach (see the module docstring)."""
     return _image_pass(params, ("actions",), n_max, tol)[0]
 
 
 def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
-    """su(2)/superalgebra coefficients on phi, read off each step's action term and image residual (see
-    check_actions), in the order of ACTION_RULES: a diagonal rule's report, or a ladder rule's exact
-    squared-value report (exact mode only) and its float direct report."""
+    """su(2)/superalgebra coefficients on phi, in the order of ACTION_RULES: a diagonal rule's report, or
+    a ladder rule's exact squared-value report (exact mode only) and its float direct report, each its
+    rule's action report where the claim is proven (see check_actions), else read off each step."""
     return _image_pass(params, ("irrep",), n_max, tol)[1]
 
 

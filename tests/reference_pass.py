@@ -114,12 +114,15 @@ def direct_reading(target, n, m, c2, image, basis):
     return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
 
 
-def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=()):
+def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refuted=()):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier._image_pass gives them, in the verifier's rule order and with its
     anchors, from the coefficients of TERMS and CLAIMS. A rule whose id is in
     ``derived`` reads its image only at the steps with a target beyond level
-    n_max + 1; at every other step its image residual is 0."""
+    n_max + 1, a1- and a2- only at n = 0; at every other step its image
+    residual is 0. A claim whose rule's id is in ``refuted`` is read per step;
+    every other claim holds, so each of its irrep reports reads the image
+    residual alone, the .float one in floats."""
     basis = cache(partial(model.chain_psi, params))
     plan = []
     for rule in verifier.ACTION_RULES:
@@ -139,7 +142,8 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=()):
             for rule, terms, action, claim, checks in plan:
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
                 value = None if claim is None else claim(j, mu)
-                if rule.rule_id in derived and all(n2 <= n_max + 1 for _, n2, _ in targets):
+                lowering = rule.op_name in ("a1-", "a2-")
+                if rule.rule_id in derived and (n > 0 if lowering else all(n2 <= n_max + 1 for _, n2, _ in targets)):
                     image_residual = 0
                 else:
                     image = model.apply(params, rule.op_name, psi)
@@ -147,6 +151,9 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=()):
                         (c, basis(n2, m2), 2 * m2 - n2) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
-                    check.add(residual(n, m, value, targets[0], image_residual), (n, m))
+                    if rule.rule_id in refuted:
+                        check.add(residual(n, m, value, targets[0], image_residual), (n, m))
+                    else:
+                        check.add(verifier._in_floats(image_residual) if check.mode == FLOAT else image_residual, (n, m))
     actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
     return actions, [check.report() for *_, checks in plan for check, _ in checks]

@@ -178,7 +178,7 @@ class TestVerifyCommand:
         assert set(payload) == {"params", "mode", "n_max", "tol", "cutoffs", "suites"}
         assert payload["params"] == {"p": "1", "q": "1/2"}
         entry = payload["suites"][0]
-        assert set(entry) == {"id", "anchor", "status", "residual", "ms"}
+        assert set(entry) == {"id", "anchor", "status", "residual", "how", "ms"}
         assert entry["status"] == "pass"
         assert isinstance(entry["residual"], str)
 
@@ -187,6 +187,26 @@ class TestVerifyCommand:
         assert code == 0
         result = parse_json(capsys.readouterr().out)
         assert parse_json(emit_json(result)) == result
+
+    def test_how_round_trips_and_prints_in_json_alone(self, capsys):
+        argv = ["verify", "--suites", "structure,actions,pseudo", "--nmax", "3"]
+        assert main(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        hows = {entry["id"]: entry["how"] for entry in json.loads(out)["suites"]}
+        assert (hows["gl2.J0-Jplus"], hows["action.J+"], hows["action.a1+"], hows["pseudo.H"]) == (
+            "proven", "derived", "read", "read")
+        result = parse_json(out)
+        assert [r.how for r in result.reports] == list(hows.values()) and emit_json(result) == out
+        # a report from before the field reads as read
+        payload = json.loads(out)
+        for entry in payload["suites"]:
+            del entry["how"]
+        assert {r.how for r in parse_json(json.dumps(payload)).reports} == {"read"}
+        # text and CSV print no such field
+        for fmt in ("text", "csv"):
+            assert main(argv + ["--format", fmt]) == 0
+            printed = capsys.readouterr().out
+            assert "proven" not in printed and "derived" not in printed
 
     def test_cutoffs_reported_and_round_trip(self, capsys):
         argv = ["verify", "--suites", "pseudo,integrals", "--nmax", "16"]

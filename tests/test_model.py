@@ -431,6 +431,15 @@ class TestFloatConjugation:
             for m in range(n + 1):
                 assert model.su2_factor(n, m).hex() == math.sqrt(phi_scale_sq(n, m)).hex(), (n, m)
 
+    def test_su2_factor_squares_to_its_ratio(self):
+        # a proven claim's .float report reads no su(2) factor, so the factor
+        # is checked here: its square lies within 2 ulp of m!/(n-m)!
+        for n in range(31):
+            for m in range(n + 1):
+                ratio = Fraction(math.factorial(m), math.factorial(n - m))
+                error = abs(Fraction(model.su2_factor(n, m) ** 2) - ratio)
+                assert error <= 2 * Fraction(math.ulp(float(ratio))), (n, m)
+
     @pytest.mark.parametrize("a, b", [(0.79, 0.23), (3.0, 1.0)])
     def test_operators_and_forms_are_the_twins_rounded_once(self, a, b):
         P = Params.from_ab(a, b)

@@ -118,6 +118,23 @@ def test_diff_reports_flags_ids_and_statuses(tmp_path):
     assert run(old, old[::-1], "--strict") == (1, reordered)
 
 
+def test_diff_reports_compares_how_where_both_reports_carry_it(tmp_path):
+    def run(old, new):
+        paths = []
+        for name, entries in (("old.json", old), ("new.json", new)):
+            (tmp_path / name).write_text(json.dumps({"mode": "exact", "suites": entries}))
+            paths.append(str(tmp_path / name))
+        proc = subprocess.run([sys.executable, str(DIFF_REPORTS), "--strict", *paths], capture_output=True, text=True)
+        return proc.returncode, proc.stdout.splitlines()
+
+    entry = {"id": "irrep.J+.sq", "anchor": "x", "status": "pass", "residual": "0", "ms": 1.0}
+    # a report from before the field compares with one that carries it
+    assert run([entry], [{**entry, "how": "proven"}]) == (0, [])
+    # a changed how is no verdict: only --strict fails on it
+    assert run([{**entry, "how": "read"}], [{**entry, "how": "proven"}]) == (
+        1, ["irrep.J+.sq: how 'read' -> 'proven'"])
+
+
 @pytest.mark.parametrize("content", [None, "", "not json", '{"mode": "exact"}', "[1, 2]"],
                          ids=["missing", "empty", "not-json", "no-suites", "not-a-report"])
 def test_diff_reports_exits_two_on_unreadable_report(tmp_path, content):
@@ -140,7 +157,8 @@ def test_compare_reports_runs_each_checkout(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(compare, "POINTS", [point])
     assert compare.main(["--strict", str(ROOT), str(ROOT)]) == 0
     assert capsys.readouterr().out == ""
-    # a copy whose J+ rule has its literal doubled: the verdict moves
+    # a copy whose J+ rule has its literal doubled: the verdict moves, and the
+    # refuted rule is read where it was derived
     copy = tmp_path / "checkout"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
     module = copy / "src" / "jordan_osc" / "verifier.py"
@@ -149,8 +167,9 @@ def test_compare_reports_runs_each_checkout(tmp_path, monkeypatch, capsys):
     module.write_text(text.replace('"J+ psi = 1 (n-m)', '"J+ psi = 2 (n-m)'), encoding="utf-8")
     assert compare.main([str(ROOT), str(copy)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 and all(line.startswith(" ".join(point) + ": action.J+: ") for line in lines)
+    assert len(lines) == 4 and all(line.startswith(" ".join(point) + ": action.J+: ") for line in lines)
     assert lines[1].endswith("status 'pass' -> 'fail'") and lines[2].endswith("residual '0' -> '1/2'")
+    assert lines[3].endswith("how 'derived' -> 'read'")
     # a checkout with no package writes no report
     assert compare.main([str(ROOT), str(tmp_path)]) == 2
     err = capsys.readouterr().err

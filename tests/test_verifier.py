@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial, isnan, sqrt
+from math import factorial, isnan, prod, sqrt
 from pathlib import Path
 
 import pytest
@@ -55,6 +55,8 @@ _ACTION_OF = {rule.op_name: rule for rule in ACTION_RULES}
 #: rules derived from them for every n
 BOSON_RULES = {f"action.{op}" for op in verifier._BOSONS}
 DERIVED = {rule.rule_id for rule in ACTION_RULES} - BOSON_RULES
+#: the boson rules that the raising ones, passing, let the pass read at n = 0 alone
+LOWERING = {"action.a1-", "action.a2-"}
 #: the rules with an irrep claim whose action term moves (n, m)
 LADDERS = tuple(rule for rule in ACTION_RULES if rule.claim is not None and rule.terms[0][:2] != (0, 0))
 
@@ -334,16 +336,18 @@ DECLARED_WEIGHTS = {
 
 @pytest.fixture
 def fresh_process(monkeypatch):
-    """No relation proven, no weight derived and no point store yet, as in a
+    """No relation or claim proven, no weight derived and no point store yet, as in a
     new process; what the test proves, derives or builds is dropped after it,
     so a definition the test changes leaves nothing behind."""
     verifier._proven.cache_clear()
     verifier._derived.cache_clear()
+    verifier._claimed.cache_clear()
     model._token_weight.cache_clear()
     monkeypatch.setattr(model, "_POINTS", {})
     yield
     verifier._proven.cache_clear()
     verifier._derived.cache_clear()
+    verifier._claimed.cache_clear()
     model._token_weight.cache_clear()
 
 
@@ -592,7 +596,7 @@ class TestActionSuite:
         assert failed.anchor.endswith("[worst at n,m=(0, 0)]")
         # the derivation refutes the rule, so it is read; a float point's
         # derived rules read 0, where a reading gives rounding
-        derived = DERIVED - {"action.J+"} if P.mode == FLOAT else ()
+        derived = DERIVED - {"action.J+"} | LOWERING if P.mode == FLOAT else ()
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
         assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5,
                                                                                        derived=derived)[0]))
@@ -677,6 +681,17 @@ def _at(rule, n, m, factor=1):
     return F(verifier._levels(rule.claim, n)[n][m]) * factor
 
 
+#: n(n-1)...(n-24): with it J+'s rule holds at every n <= 24 and fails beyond
+_FALLING_25 = "*".join(["n", *(f"(n-{t})" for t in range(1, 25))])
+#: the same in j = n/2, for a claim
+_FALLING_2J = "*".join(["(2*j)", *(f"(2*j-{t})" for t in range(1, 25))])
+
+
+def _refuted(rule):
+    """``rule`` with its claim times 1 + n(n-1)...(n-24): the same at every step with n <= 24, refuted."""
+    return replace(rule, irrep=f"({rule.irrep})*(1+{_FALLING_2J})")
+
+
 class TestBoundDesign:
     """The .float residual bounds the direct reading of op phi - c phi' over
     c T to a factor 2, so a pass it gives is one that reading gives, and it
@@ -755,16 +770,21 @@ class TestRelativeFloatResiduals:
     @pytest.mark.parametrize("ab", [(1e-10, 1e-11), (0.79, 0.23)], ids=["1e-10-1e-11", "0.79-0.23"])
     def test_a_wrong_claim_fails_at_a_small_target(self, ab, monkeypatch):
         # J- psi_{n,1} = psi_{n,0} = (4pq)^n zbar^n, tiny at (1e-10, 1e-11):
-        # J-'s claim times 1 + 1e-6 at the steps (n, 1) alone fails
-        # irrep.J-.float by as much as at an everyday point
-        claim, levels = _ACTION_OF["J-"].claim, verifier._levels
-
-        def scaled(table, n_max):
-            got = levels(table, n_max)
-            return got if table != claim else [[v * (1 + 1e-6) if m == 1 else v for m, v in enumerate(level)]
-                                               for level in got]
-
-        monkeypatch.setattr(verifier, "_levels", scaled)
+        # J-'s claim times 1 + 1e-6 at the steps (n, 1) alone, n <= 8, fails
+        # irrep.J-.float by as much as at an everyday point. The claim is
+        # perturbed as a polynomial, times 1 + 1e-6 m(m-2)(m-3)...(m-8)/P(1),
+        # so the proof refutes it and the pass reads it per step
+        rule = _ACTION_OF["J-"]
+        den, nums = rule.claim
+        m, one = Poly2.zbar("exact"), Poly2.one("exact")
+        bump = m * prod((m - one * t for t in range(2, 9)), start=one)  # 0 at m = 0, 2..8
+        claim = Poly2("exact", {key: F(c, den) for key, c in nums}) * (one + bump * F(1, 10**6 * -5040))
+        wrong = replace(rule)
+        object.__setattr__(wrong, "claim", (claim.den, tuple(sorted(claim.nums.items()))))
+        assert [F(v) for v in verifier._levels(wrong.claim, 8)[8]] == [
+            v * (1 + F(1, 10**6)) if k == 1 else v for k, v in enumerate(verifier._levels(rule.claim, 8)[8])]
+        assert not verifier._claimed(wrong, 8)
+        monkeypatch.setattr(verifier, "ACTION_RULES", tuple(wrong if r is rule else r for r in ACTION_RULES))
         reports = {r.relation_id: r for r in check_irrep(Params.from_ab(*ab), n_max=8)}
         assert _failing(reports.values()) == {"irrep.J-.float"}
         assert 4.9e-7 < float(reports["irrep.J-.float"].residual) < 5.1e-7
@@ -874,20 +894,20 @@ class TestDerivedChecksCanFail:
         import jordan_osc.verifier as v
 
         # the float basis phi is the exact psi times its su(2) factor: a wrong
-        # factor at (2, 1)
+        # factor at (2, 1). A proven claim's .float report reads no factor, so
+        # J+'s claim is refuted by a term that vanishes at every n <= 24, and
+        # irrep.J+.float, read per step, meets phi[2,1] as op phi[2,1] and as
+        # the target of (2, 0)
         factor = v.su2_factor
 
         def perturbed(n, m):
             return factor(n, m) * (sqrt(1.000001) if (n, m) == (2, 1) else 1)
 
         monkeypatch.setattr(v, "su2_factor", perturbed)
-        failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
-        # exactly the .float reports that read phi[2,1] with a nonzero
-        # coefficient: as the target, from (2,0), (2,2), (1,0), (3,2), (1,1),
-        # (3,1) and (0,0), and as op phi[2,1], under every rule but D-11 and
-        # D-22, which take phi[2,1] off the grid with coefficient 0
-        assert failing == {f"irrep.{op}.float" for op in ("J+", "J-", "a1+", "a1-", "a2+", "a2-",
-                                                           "D+11", "D+12", "D-12", "D+22")}
+        assert not _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
+        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.J+",
+                                                             irrep=_refuted(_ACTION_OF["J+"]).irrep))
+        assert _failing(v.run_suites(params, ("actions", "irrep"), n_max=3)) == {"irrep.J+.float"}
 
     # (which generator, which of its terms to drop, the key index that marks an
     # operator term using that generator: z^i zbar^j dz^k dzbar^l)
@@ -937,9 +957,10 @@ class TestImagePass:
 
     # in both modes the irrep suite reads the action images: one conjugation
     # per operator read, one image per (level read, operator, charge part),
-    # and no float rebuild. The four boson rules read every level; the derived
-    # rules read only the levels whose targets lie beyond n_max + 1, so D+11,
-    # D+12 and D+22 read level n_max, and no other rule is conjugated
+    # and no float rebuild. The raising rules a1+ and a2+ read every level, and
+    # with them passing a1- and a2- read level 0 alone; the derived rules read
+    # only the levels whose targets lie beyond n_max + 1, so D+11, D+12 and
+    # D+22 read level n_max, and no other rule is conjugated
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_one_image_per_level_operator_and_charge_part(self, point, request, image_counts):
         P = request.getfixturevalue(point)
@@ -949,7 +970,7 @@ class TestImagePass:
         assert sum(parts.values()) == 29
         bosons, raising = sum(parts[op] for op in verifier._BOSONS), sum(parts[op] for op in ("D+11", "D+12", "D+22"))
         assert (bosons, raising) == (4, 3)
-        assert counts == {"conjugate": 4 + 3, "apply_to": bosons * 5 + raising}
+        assert counts == {"conjugate": 4 + 3, "apply_to": 2 * 5 + 2 + raising}
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_one_derivative_table_per_level(self, point, request, image_counts, monkeypatch):
@@ -966,7 +987,7 @@ class TestImagePass:
 
         monkeypatch.setattr(DiffOp, "apply_to", recorded)
         run_suites(P, ("actions", "irrep"), n_max=4)
-        assert len(tables) == 5 and image_counts["apply_to"] == 4 * 5 + 3
+        assert len(tables) == 5 and image_counts["apply_to"] == 2 * 5 + 2 + 3
         levels = [poly for _, poly in tables.values()]
         psis = [[chain_psi(P, n, m) for m in range(n + 1)] for n in range(5)]
         assert levels == [weyl.linear_combination(P.mode, [(1, psi) for psi in level]) for level in psis]
@@ -1000,10 +1021,25 @@ class TestImagePass:
         # reach
         got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
         want = reference_pass.image_pass(point, ("actions", "irrep"), n_max,
-                                         derived=DERIVED if point.mode == FLOAT else ())
+                                         derived=DERIVED | LOWERING if point.mode == FLOAT else ())
         _assert_matches_the_reference(got, want)
         floats = [g for g in got[1] if g.relation_id.endswith(".float")]
         assert len(floats) == 12 and all(g.passed and float(g.residual) <= 1e-15 for g in floats)
+
+    @pytest.mark.parametrize("point, n_max", [
+        (Params.exact(F(3, 2), F(2, 3)), 8), (Params.from_ab(0.79, 0.23), 10), (Params.exact(F(10) ** 100, 1), 8),
+    ], ids=["exact-3/2-2/3", "float-0.79-0.23", "exact-1e100-1"])
+    def test_refuted_claims_equal_the_per_step_reference(self, point, n_max, monkeypatch):
+        # each claim times 1 + (2j)(2j-1)...(2j-24), refuted, is read per step
+        # as the reference reads its own claims, equal to these at n <= 24
+        claimed = {rule.rule_id for rule in ACTION_RULES if rule.claim is not None}
+        monkeypatch.setattr(verifier, "ACTION_RULES", tuple(_refuted(rule) if rule.rule_id in claimed else rule
+                                                            for rule in ACTION_RULES))
+        got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
+        assert {r.how for r in got[1]} == {"read"}
+        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max, refuted=claimed,
+                                         derived=DERIVED | LOWERING if point.mode == FLOAT else ())
+        _assert_matches_the_reference(got, want)
 
     # a1+ psi = (m+1) psi[n+1,m+1], a1+ = (2w - dzbar)/2 in the chain
     # variables. A stray w^3 zbar^2 term of a1+'s charge shift puts image
@@ -1117,24 +1153,30 @@ class TestImagePass:
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
-        # the .sq and .float reports of a ladder rule share its claim at (n, m):
-        # the pass evaluates each claim's table once, for every level at once
+        # a proven claim is read per step by no report, so the pass evaluates
+        # only each rule's term table; a refuted claim's table is evaluated
+        # once, for every level at once, and its .sq and .float reports share it
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
-        calls = Counter()
-        levels = v._levels
+        refuted = _replace_rule(ACTION_RULES, "action.J+", irrep=_refuted(_ACTION_OF["J+"]).irrep)
+        for rules in (ACTION_RULES, refuted):
+            monkeypatch.setattr(v, "ACTION_RULES", rules)
+            v.check_irrep(P, n_max=4)  # each claim proven or refuted once, before the count
+            calls = Counter()
+            levels = v._levels
 
-        def counted(table, n_max):
-            calls[table, n_max] += 1
-            return levels(table, n_max)
+            def counted(table, n_max):
+                calls[table, n_max] += 1
+                return levels(table, n_max)
 
-        monkeypatch.setattr(v, "_levels", counted)
-        assert all(r.passed for r in v.check_irrep(P, n_max=4))
-        # in both modes, the one exact table of each claim and of its rule's term
-        rules = [rule for rule in ACTION_RULES if rule.claim is not None]
-        assert len(rules) == 14 and calls == Counter((table, 4) for rule in rules
-                                                     for table in (rule.claim, rule.terms[0][3]))
+            monkeypatch.setattr(v, "_levels", counted)
+            assert all(r.passed for r in v.check_irrep(P, n_max=4))
+            monkeypatch.setattr(v, "_levels", levels)
+            claimed = [rule for rule in rules if rule.claim is not None]
+            read = [rule.claim for rule in claimed if not v._claimed(rule, 4)]
+            assert len(claimed) == 14 and len(read) == (rules is refuted)
+            assert calls == Counter((table, 4) for table in [rule.terms[0][3] for rule in claimed] + read)
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure and pseudo read no image, so the pass builds no psi at
@@ -1247,10 +1289,6 @@ class TestImagePass:
         assert set(reads.values()) == {1} and len(reads) == 45  # up to level 6 + 2
 
 
-#: n(n-1)...(n-24): with it J+'s rule holds at every n <= 24 and fails beyond
-_FALLING_25 = "*".join(["n", *(f"(n-{t})" for t in range(1, 25))])
-
-
 class TestFockDerivation:
     """The four boson rules tie the basis to the Fock module, psi_{n,m} =
     x^m y^(n-m)/m!; every other rule is derived there for every n, exactly, and
@@ -1345,6 +1383,70 @@ class TestFockDerivation:
         _assert_matches_the_reference(got, reference_pass.image_pass(P, suites, 8))
         failing = _failing(got[0] + got[1])
         assert (not failing) if case == "no-a2-" else "irrep.a1+.float" in failing
+
+
+class TestClaimProofs:
+    """Each irrep claim is a polynomial identity in (n, m) on the Fock module: proven once per rule and
+    cutoff, it makes each irrep report of its rule the action report; a refuted claim is read per step."""
+
+    def test_every_shipped_claim_is_proven(self, fresh_process):
+        claimed = [rule for rule in ACTION_RULES if rule.claim is not None]
+        assert len(claimed) == 14 and all(verifier._claimed(rule, 24) for rule in claimed)
+
+    def test_a_claim_wrong_only_beyond_n_24_is_refuted_and_read_per_step(self, params, monkeypatch):
+        # J+'s claim plus (j-mu)(j+mu+1) (2j)(2j-1)...(2j-24), which vanishes
+        # at every step with n <= 24: a reading to nmax 24 cannot see it, the
+        # proof can, so it is read per step, and fails at nmax 25
+        rule = replace(_ACTION_OF["J+"], irrep=f"(j-mu)*(j+mu+1)+(j-mu)*(j+mu+1)*{_FALLING_2J}")
+        assert not verifier._claimed(rule, 24)
+        monkeypatch.setattr(verifier, "ACTION_RULES", tuple(rule if r.op_name == "J+" else r for r in ACTION_RULES))
+        reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=24)}
+        assert not _failing(reports.values()) and reports["irrep.J+.sq"].how == "read"
+        assert _failing(run_suites(params, ("actions", "irrep"), n_max=25)) == {"irrep.J+.sq", "irrep.J+.float"}
+
+    def test_a_negative_literal_is_refuted_by_its_sign_alone(self, params, monkeypatch):
+        # J+ with literal -1 squares to its claim, so only w >= 0 refutes it;
+        # read per step, irrep.J+.sq meets |w| = 12 at (6, 2), where the action
+        # residual, which a proven claim would report, is 2
+        rule = replace(_ACTION_OF["J+"], anchor="J+ psi = -1 (n-m)*(m+1) psi[n,m+1]")
+        assert verifier._claimed(replace(rule, anchor=_ACTION_OF["J+"].anchor), 6)
+        assert not verifier._claimed(rule, 6)
+        monkeypatch.setattr(verifier, "ACTION_RULES", tuple(rule if r.op_name == "J+" else r for r in ACTION_RULES))
+        reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=6)}
+        assert _failing(reports.values()) == {"action.J+", "irrep.J+.sq", "irrep.J+.float"}
+        assert (reports["action.J+"].residual, reports["irrep.J+.sq"].residual) == ("2", "12")
+        assert reports["irrep.J+.sq"].anchor.endswith("[worst at n,m=(6, 2)]")
+
+    def test_a_literal_with_a_factor_is_not_proven(self):
+        # the claim is point-free, so its action coefficient must be too
+        rule = replace(_ACTION_OF["K"], anchor="K psi = 1*a*b^-1*b*a^-1 (n+1) psi[n,m]")
+        assert rule.terms[0][2] != "1" and not verifier._claimed(rule, 6)
+
+
+class TestProvenance:
+    """Each report says how its verdict was reached: "derived", "proven" or "read"."""
+
+    def test_derived(self, params):
+        # the rules whose levels the pass took from the Fock module: the 19
+        # derived ones, and a1- and a2- past level 0
+        reports = run_suites(params, ("actions",), n_max=4)
+        assert {r.relation_id for r in reports if r.how == "derived"} == DERIVED | LOWERING
+        assert {r.relation_id for r in reports if r.how == "read"} == BOSON_RULES - LOWERING
+
+    def test_proven(self, params):
+        # every shipped claim, catalog relation and explicit form
+        reports = run_suites(params, ("structure", "irrep"), n_max=4)
+        assert len(reports) == 133 + 14 + 26 and {r.how for r in reports} == {"proven"}
+
+    def test_read(self, params, monkeypatch):
+        # pseudo.H and the integrals suite are read; a failing boson rule has
+        # every rule read, and its refuted claim read per step
+        assert {r.how for r in run_suites(params, ("pseudo", "integrals"), n_max=4)} == {"read"}
+        monkeypatch.setattr(verifier, "ACTION_RULES", _replace_rule(
+            ACTION_RULES, "action.a1+", anchor="a1+ psi = 1 (m+2) psi[n+1,m+1]"))
+        reports = run_suites(params, ("actions", "irrep"), n_max=4)
+        assert {r.relation_id for r in reports if r.how == "read"} == (
+            {r.rule_id for r in ACTION_RULES} | {"irrep.a1+.sq", "irrep.a1+.float"})
 
 
 class TestPseudoHermiticity:
@@ -1597,12 +1699,16 @@ class TestCheckAccumulator:
 
     def test_a_wrong_factor_fails_every_float_report_at_p_1e100(self, monkeypatch):
         # at p = 1e100, where the images and targets leave the float range, a
-        # wrong su(2) factor at (2, 1) and at (8, 0) fails every .float report
+        # wrong su(2) factor at (2, 1) and at (8, 0) fails every .float report read per step
         # (each reads phi[2,1] or phi[8,0] with a coefficient), by the factor's
         # error, and none skips
         import jordan_osc.verifier as v
 
         P = Params.exact(F(10) ** 100, 1)
+        # a proven claim reads no factor: each ladder claim is refuted by a
+        # term that vanishes at every n <= 24, so it is read per step
+        monkeypatch.setattr(v, "ACTION_RULES", tuple(_refuted(rule) if rule in LADDERS else rule
+                                                     for rule in v.ACTION_RULES))
         assert {r.status for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")} == {"pass"}
         factor = v.su2_factor
         monkeypatch.setattr(v, "su2_factor", lambda n, m: factor(n, m) * (

@@ -13,9 +13,10 @@ and exit 2.
 The points: exact (1, 1/2) at nmax 16 and 24, exact (3/2, 2/3) at nmax 12,
 float (0.79, 0.23), (1, 0.25), (3, 1) and (100, 1) at nmax 24, float
 (1e-10, 1e-11) at nmax 12, all suites; the irrep suite alone at exact (1, 1/2)
-nmax 16 and float (0.79, 0.23) nmax 24, and the actions suite alone at exact
-(3/2, 2/3) nmax 12, selections that read the boson rules' verdicts in their
-own way; and the exact-sweep benchmark's 12 seed-5 points (perfbench/run.py)
+nmax 16, float (0.79, 0.23) nmax 24 and exact (3/2, 2/3) nmax 12, and the
+actions suite alone at exact (3/2, 2/3) nmax 12 and float (0.79, 0.23) nmax
+24, selections where the raising, lowering and mirrored irrep verdicts decide
+alone; and the exact-sweep benchmark's 12 seed-5 points (perfbench/run.py)
 with its suites and cutoff.
 
 Run from anywhere:  python tools/compare_reports.py [--strict] OLD_ROOT NEW_ROOT
@@ -56,7 +57,8 @@ POINTS = [
     _exact("1", "1/2", 16), _exact("1", "1/2", 24), _exact("3/2", "2/3", 12),
     *(_float(a, b, 24) for a, b in (("0.79", "0.23"), ("1", "0.25"), ("3", "1"), ("100", "1"))),
     _float("1e-10", "1e-11", 12),
-    _exact("1", "1/2", 16, "irrep"), _float("0.79", "0.23", 24, "irrep"), _exact("3/2", "2/3", 12, "actions"),
+    _exact("1", "1/2", 16, "irrep"), _float("0.79", "0.23", 24, "irrep"), _exact("3/2", "2/3", 12, "irrep"),
+    _exact("3/2", "2/3", 12, "actions"), _float("0.79", "0.23", 24, "actions"),
     *(_exact(point["p"], point["q"], bench.SWEEP_NMAX, ",".join(bench.SWEEP_SUITES))
       for point in bench.sweep_points(5, bench.SWEEP_POINTS)),
 ]

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Compare two JSON reports of `jordan-osc verify --format json`.
 
-Prints one line per check id whose anchor, status or residual differs, and
-one per id that only one report has; the timing field `ms` is ignored.
+Prints one line per check id whose anchor, status or residual differs, or
+whose `how` differs where both reports carry one (a report from before that
+field still compares), and one per id that only one report has; the timing
+field `ms` is ignored.
 Exits 1 if any id or status differs (a check appeared, vanished or changed
 its verdict), 0 otherwise, so a run whose anchors or residuals moved but
 whose verdicts did not still exits 0. With --strict it exits 1 on any
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import sys
 
-FIELDS = ("anchor", "status", "residual")
+FIELDS = ("anchor", "status", "residual", "how")
 
 
 def load(path: str) -> dict[str, dict]:
@@ -35,7 +37,7 @@ def diff(old: dict[str, dict], new: dict[str, dict]) -> tuple[list[str], bool]:
             lines.append(f"{rid}: only in old")
             continue
         for name in FIELDS:
-            if entry[name] != new[rid][name]:
+            if (name != "how" or name in entry and name in new[rid]) and entry[name] != new[rid][name]:
                 lines.append(f"{rid}: {name} {entry[name]!r} -> {new[rid][name]!r}")
                 statuses_differ |= name == "status"
     lines += [f"{rid}: only in new" for rid in new if rid not in old]
