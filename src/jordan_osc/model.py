@@ -390,7 +390,7 @@ def canonical_name(name: str) -> str:
 def make_operator(params: Params, name: str) -> DiffOp:
     """Catalog operator by name: its definition evaluated at the point, every
     operator the definition names read from a store. Unknown names raise ValueError."""
-    return eval_expression(DEFINITIONS[canonical_name(name)], params)
+    return eval_expression(canonical_name(name), params)
 
 
 def explicit_form(params: Params, name: str) -> DiffOp:
@@ -475,31 +475,38 @@ def _scalar(token: str, params: Params) -> Fraction:
     return value
 
 
-def _evaluate(params: Params, tree) -> DiffOp:
-    """The value of a tree at an exact point. Each subtree below the root is kept
-    in the point's store (``_subtree``), so one that recurs is built once there."""
+def _generators(params: Params) -> tuple[DiffOp, ...]:
+    """The images of z, zbar, dz, dzbar in the chart every definition and form is written in: themselves."""
+    return tuple(DiffOp.monomial(key, 1) for key, _ in GENERATORS.values())
+
+
+def _evaluate(params: Params, generators, tree) -> DiffOp:
+    """The value of a tree at an exact point, z, zbar, dz, dzbar read as their images ``generators(params)``
+    (see substitute), an operator name as its definition's value. Each subtree below the root, a named
+    definition included, is kept in the point's store (``_subtree``), so one that recurs is built once there."""
     if isinstance(tree, str):  # a generator, an operator name or a scalar literal
         if tree in GENERATORS:
-            return DiffOp.monomial(GENERATORS[tree][0], 1)
+            return generators(params)[tuple(GENERATORS).index(tree)]
         if tree in DEFINITIONS or tree in _ALIASES:
-            return make_operator(params, tree)
+            return _subtree(params, generators, parse_expression(DEFINITIONS[canonical_name(tree)]))
         return DiffOp.constant(_scalar(tree, params))
     tok, *args = tree
     if tok == "neg":
-        return -_subtree(params, args[0])
+        return -_subtree(params, generators, args[0])
     if tok == "smul":
-        return _subtree(params, args[1]).scale(_scalar(args[0], params))
-    return _BINARY[tok](_subtree(params, args[0]), _subtree(params, args[1]))
+        return _subtree(params, generators, args[1]).scale(_scalar(args[0], params))
+    return _BINARY[tok](_subtree(params, generators, args[0]), _subtree(params, generators, args[1]))
 
 
 # X in mul X X, or a subtree shared by several forms and relations, is
-# evaluated once per point; a root is not kept (make_operator keeps its own)
+# evaluated once per point and chart; a root is not kept
 _subtree = _per_point(_evaluate)
 _value = _at_twin(_evaluate)
 
 
-def eval_expression(expr: str, params: Params) -> DiffOp:
-    return _value(params, parse_expression(expr))
+def eval_expression(expr: str, params: Params, generators=_generators) -> DiffOp:
+    """expr at params (see _at_twin), with z, zbar, dz, dzbar read as ``generators(params)``."""
+    return _value(params, generators, parse_expression(expr))
 
 
 @cache

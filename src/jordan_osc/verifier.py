@@ -54,22 +54,21 @@ levels whose targets lie beyond n_max + 1 (D+11, D+12, D+22 at n = n_max), with 
 its other steps. A refuted rule, and every rule where a boson rule is missing, not derived or
 failing, is read at every level.
 
-The structure suite proves each catalog relation once per process, at
-p = q = 1. Every catalog operator and explicit form is a tree of the prefix
-grammar (see model) over the generators z, zbar, dz, dzbar, which are the
-same at every point, and scalar literals c*f^k*... in a, b, ab, p, q. The
-Weyl algebra automorphism sigma_P (z -> lambda z, zbar -> mu zbar,
-dz -> dz/lambda, dzbar -> dzbar/mu, lambda = q/a, mu = 1/q) gives each
-generator and factor a weight, and so each tree one (model._weight), derived
-through the definitions of the operators it names: sigma_P(tree at P) =
-p^alpha q^beta (tree at p = q = 1) when the two sides of every add and sub
-have one weight. Such a relation holds at P if and only if it holds at
-p = q = 1, so a homogeneous relation that holds there reports pass with
-residual 0, with nothing built at P; the explicit forms are checked the same
-way. Everything else (an inhomogeneous relation, one that fails at p = q = 1,
-pseudo.H) is evaluated exactly at the point's dyadic twin (``Params.twin``),
-so a failing report keeps its residual. These are exact checks in both
-modes: a float point builds no operator of its own.
+The structure suite proves each catalog relation once per process, at p = q = 1. Every catalog
+operator and explicit form is a tree of the prefix grammar (see model) over the generators z, zbar,
+dz, dzbar, which are the same at every point, and scalar literals c*f^k*... in a, b, ab, p, q. The
+Weyl algebra automorphism sigma_P (z -> lambda z, zbar -> mu zbar, dz -> dz/lambda, dzbar ->
+dzbar/mu, lambda = q/a, mu = 1/q) gives each generator and factor a weight, and so each tree one
+(model._weight), derived through the definitions of the operators it names: sigma_P(tree at P) =
+p^alpha q^beta (tree at p = q = 1) when the two sides of every add and sub have one weight. Such a
+relation holds at P if and only if it holds at p = q = 1, where it is decided over the Fock chart's
+images of z, zbar, dz, dzbar (model._evaluate), in which a catalog operator has 1 to 4 terms: they
+keep the Weyl relations, so the substitution is an algebra homomorphism, injective as the Weyl
+algebra is simple. A homogeneous relation that holds reports pass with residual 0, with nothing
+built at P; the explicit forms are checked the same way. Everything else (an inhomogeneous relation,
+one that fails at p = q = 1, any where there is no chart, pseudo.H) is evaluated exactly at the
+point's dyadic twin (``Params.twin``), so a failing report keeps its residual. These are exact
+checks in both modes: a float point builds no operator of its own.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's
 worst residual and where it sits, times the work done inside ``with check:``,
@@ -122,7 +121,6 @@ from .model import (
     make_operator,
     parse_expression,
     su2_factor,
-    substitute,
 )
 from .weyl import (
     EXACT,
@@ -298,22 +296,46 @@ def load_negative_controls() -> list[RelationSpec]:
 
 
 # ---------------------------------------------------------------------------
-# the unit point: each relation proven once per process
+# the unit point and its Fock chart: each relation proven once per process
 # ---------------------------------------------------------------------------
 
 #: where each homogeneous relation is proven for every exact point
 _UNIT = Params.exact(1, 1)
 
 
+#: the boson operators, in the order of the Fock module's x, y, dx, dy, whose
+#: keys are those of z, zbar, dz, dzbar (_UNITS): a Fock key (i, j, k, l) reads
+#: a1+^i a2+^j a1-^k a2-^l, normal-ordered, and psi_{n,m} is x^m y^(n-m)/m!
+_BOSONS = ("a1+", "a2+", "a1-", "a2-")
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@_per_point
+def _fock_generators(params: Params) -> tuple | None:
+    """The Fock chart at params (_UNIT): the images of z, zbar, dz, dzbar in x, y, dx, dy, or None unless
+    the a's are linear forms in the generators and the images keep the Weyl relations. A linear form L
+    goes to sum_i [a_i-, L] x_i - [a_i+, L] dx_i: a chart that keeps the relations keeps every bracket,
+    so [dx_i, chart(L)] = [a_i-, L] = [chart(a_i-), chart(L)] for every L, chart(a_i-) = dx_i, and
+    likewise chart(a_i+) = x_i. This inverts the 4x4 matrix of the a's exactly."""
+    bosons, units = [make_operator(params, name) for name in _BOSONS], [DiffOp.monomial(key, 1) for key in _UNITS]
+    if any(key not in _UNITS for op in bosons for key in op.nums):
+        return None
+    images = tuple(DiffOp.linear_combination(EXACT, [  # the bracket with the partner, a1+ with a1- and so on
+        ((1 if t < 2 else -1) * commutator(bosons[(t + 2) % 4], g).terms.get((0, 0, 0, 0), 0), units[t])
+        for t in range(4)]) for g in units)
+    weyl = all(commutator(images[h], images[g]).terms == ({(0, 0, 0, 0): 1} if h == g + 2 else {})
+               for g in range(4) for h in range(g + 1, 4))  # [dz, z] = [dzbar, zbar] = 1, the rest 0
+    return images if weyl else None
+
+
 @lru_cache(maxsize=1024)
 def _proven(lhs: str, rhs: str) -> bool:
-    """Whether lhs == rhs is homogeneous (the two sides of every add and sub,
-    in the definitions of the operators it names too, of one weight) and
-    holds at _UNIT, so at every exact point. Text only: kept and shared,
-    like parse_expression."""
-    if _weight(("sub", parse_expression(lhs), parse_expression(rhs))) is None:
+    """Whether lhs == rhs is homogeneous (the two sides of every add and sub, in the definitions of
+    the operators it names too, of one weight) and holds in the Fock chart at _UNIT, so at every exact
+    point; False where there is no chart. Text only: kept and shared, like parse_expression."""
+    if _weight(("sub", parse_expression(lhs), parse_expression(rhs))) is None or _fock_generators(_UNIT) is None:
         return False
-    return (eval_expression(lhs, _UNIT) - eval_expression(rhs, _UNIT)).is_zero()
+    return eval_expression(lhs, _UNIT, _fock_generators) == eval_expression(rhs, _UNIT, _fock_generators)
 
 
 def _check_equal(check: _Check, params: Params, lhs: str, rhs: str) -> None:
@@ -470,35 +492,10 @@ ACTION_RULES: tuple[ActionRule, ...] = (
 # the Fock module: action rules derived for every n
 # ---------------------------------------------------------------------------
 
-#: the boson operators, in the order of the Fock module's x, y, dx, dy, whose
-#: keys are those of z, zbar, dz, dzbar (_UNITS): a Fock key (i, j, k, l) reads
-#: a1+^i a2+^j a1-^k a2-^l, normal-ordered, and psi_{n,m} is x^m y^(n-m)/m!
-_BOSONS = ("a1+", "a2+", "a1-", "a2-")
-_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-@_per_point
-def _fock_generators(params: Params) -> tuple | None:
-    """The Fock chart at params (_UNIT): the images of z, zbar, dz, dzbar in x, y, dx, dy, or None unless
-    the a's are linear forms in the generators and the images keep the Weyl relations. A linear form L
-    goes to sum_i [a_i-, L] x_i - [a_i+, L] dx_i: a chart that keeps the relations keeps every bracket,
-    so [dx_i, chart(L)] = [a_i-, L] = [chart(a_i-), chart(L)] for every L, chart(a_i-) = dx_i, and
-    likewise chart(a_i+) = x_i. This inverts the 4x4 matrix of the a's exactly."""
-    bosons, units = [make_operator(params, name) for name in _BOSONS], [DiffOp.monomial(key, 1) for key in _UNITS]
-    if any(key not in _UNITS for op in bosons for key in op.nums):
-        return None
-    images = tuple(DiffOp.linear_combination(EXACT, [  # the bracket with the partner, a1+ with a1- and so on
-        ((1 if t < 2 else -1) * commutator(bosons[(t + 2) % 4], g).terms.get((0, 0, 0, 0), 0), units[t])
-        for t in range(4)]) for g in units)
-    weyl = all(commutator(images[h], images[g]).terms == ({(0, 0, 0, 0): 1} if h == g + 2 else {})
-               for g in range(4) for h in range(g + 1, 4))  # [dz, z] = [dzbar, zbar] = 1, the rest 0
-    return images if weyl else None
-
-
 @cache
 def _derived(rule: ActionRule) -> bool:
-    """Whether the rule holds on the Fock module, so for every n. Its operator at _UNIT in the chart
-    (model.substitute), a sum of c x^i y^j dx^k dy^l, sends x^m y^(n-m)/m! to the sum of c (m-k+1)...(m-k+i)
+    """Whether the rule holds on the Fock module, so for every n. Its operator's image in the chart at
+    _UNIT, a sum of c x^i y^j dx^k dy^l, sends x^m y^(n-m)/m! to the sum of c (m-k+1)...(m-k+i)
     (n-m)(n-m-1)...(n-m-l+1) psi[n+i+j-k-l,m+i-k], each a polynomial in (n, m) that vanishes where dx^k or
     dy^l meets a lower power; derived iff they sum, per target, to the rule's terms (literal at _UNIT
     times table) exactly. Rules are weight-checked when built, so this holds at every point (see
@@ -509,7 +506,7 @@ def _derived(rule: ActionRule) -> bool:
     # target (dn, dm) -> the Fock action minus the rule's term there
     sums = {(dn, dm): Poly2._normalized(EXACT, dict(nums), den) * -_scalar(literal, _UNIT)
             for dn, dm, literal, (den, nums) in rule.terms}
-    for (i, j, k, l), c in substitute(_UNIT, _fock_generators, make_operator(_UNIT, rule.op_name)).terms.items():
+    for (i, j, k, l), c in eval_expression(rule.op_name, _UNIT, _fock_generators).terms.items():
         p = Poly2.monomial(0, 0, c)
         for t in range(i):
             p *= m + one.scale(t + 1 - k)
@@ -729,8 +726,9 @@ def _image_pass(
     """Reports of the actions and irrep suites among ``suites``, each in the
     order of ACTION_RULES: level-outer, on charge lines, the raising rules
     first, then the lowering ones, then each other rule at the levels it reads
-    (see the module docstring). The images' cost is timed into the action
-    report, or into the first irrep report otherwise."""
+    (see the module docstring). A rule's derivation and images are timed
+    into its action report, or into its first irrep report otherwise, and
+    its claim's proof into its first irrep report."""
     _check_nmax(n_max)
     mode, irrep = params.mode, "irrep" in suites
     # psi_{n,m} by (n, m), its off-line residual and its largest numerator T:
@@ -741,14 +739,19 @@ def _image_pass(
     # each level and its off-line residuals, built once for every rule that reads it
     level = cache(lambda n: (_level([basis(n, m) for m in range(n + 1)]), [off_line(n, m) for m in range(n + 1)]))
     # (rule, its terms, action report, claim levels unless proven, irrep reports, image clock, the rule's reads)
-    plan = []
+    plan, derived = [], {}
     for rule in ACTION_RULES:
         checks = _irrep_checks(mode, rule, tol) if irrep and rule.claim is not None else []
         if not checks and "actions" not in suites:
             continue
-        action, terms = _Check(rule.rule_id, rule.anchor, mode, tol), _terms(params, rule, n_max)
-        claims = None if not checks or _claimed(rule, n_max) else _levels(rule.claim, n_max)
-        plan.append((rule, terms, action, claims, checks, action if "actions" in suites else checks[0][0],
+        action, terms, claims = _Check(rule.rule_id, rule.anchor, mode, tol), _terms(params, rule, n_max), None
+        image_clock = action if "actions" in suites else checks[0][0]
+        with image_clock:
+            derived[rule] = _derived(rule)
+        if checks:
+            with checks[0][0]:
+                claims = None if _claimed(rule, n_max) else _levels(rule.claim, n_max)
+        plan.append((rule, terms, action, claims, checks, image_clock,
                      cache(partial(_reads, params, rule, terms))))  # conjugated at the first level read
     if not plan:
         return [], []  # neither suite asked for: no image feeds a check
@@ -772,7 +775,7 @@ def _image_pass(
                                 check.add(residual(n, m, claim, steps[m], worst[m]), (n, m))
 
     bosons = {entry[0].op_name: entry for entry in plan if entry[0].op_name in _BOSONS}
-    if bosons.keys() != set(_BOSONS) or not all(_derived(rule) for rule, *_ in bosons.values()):
+    if bosons.keys() != set(_BOSONS) or not all(derived[rule] for rule, *_ in bosons.values()):
         bosons = {}  # no chart to the Fock module: every rule reads every level
     raising, lowering = ([bosons[op] for op in ops if bosons] for ops in (_BOSONS[:2], _BOSONS[2:]))
     read(raising, range(n_max + 1), lambda rule: 0)
@@ -780,7 +783,7 @@ def _image_pass(
     fock = bool(bosons) and all(action.report().passed for _, _, action, *_ in raising + lowering)
     read(lowering, range(1, n_max + 1), lambda rule: n_max + 1 if fock else 0)
     read([entry for entry in plan if entry[0].op_name not in bosons], range(n_max + 1),
-         lambda rule: n_max + 2 - max(dn for dn, *_ in rule.terms) if fock and _derived(rule) else 0)
+         lambda rule: n_max + 2 - max(dn for dn, *_ in rule.terms) if fock and derived[rule] else 0)
     for _, _, action, claims, checks, *_ in plan:
         for check, _ in checks if claims is None else ():  # a proven claim: each report is the action report
             check.how = "proven"

@@ -4,6 +4,7 @@ import importlib.util
 import random
 import re
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -336,9 +337,10 @@ DECLARED_WEIGHTS = {
 
 @pytest.fixture
 def fresh_process(monkeypatch):
-    """No relation or claim proven, no weight derived and no point store yet, as in a
-    new process; what the test proves, derives or builds is dropped after it,
-    so a definition the test changes leaves nothing behind."""
+    """No relation or claim proven, no weight derived and no point store yet, so no
+    Fock chart or value in it (_UNIT's store keeps them), as in a new process;
+    what the test proves, derives or builds is dropped after it, so a
+    definition the test changes leaves nothing behind."""
     verifier._proven.cache_clear()
     verifier._derived.cache_clear()
     verifier._claimed.cache_clear()
@@ -355,14 +357,16 @@ CORRUPTED_BY_S = {"block.S-T", "gl2.J0-Jplus", "gl2.embed-Jplus", "sp4.acomm-a2m
 
 
 def _count_products(monkeypatch) -> Counter:
-    """Count every weyl._TermMap._product from now on, under "product", and
-    every evaluation of an expression tree, under "evaluate"."""
+    """Count every weyl._TermMap._product from now on, under "product", the
+    term pairs they multiply, under "pairs", and every evaluation of an
+    expression tree, under "evaluate"."""
     counts = Counter()
     product, evaluate = weyl._TermMap._product, model._evaluate
 
-    def counted(self, *args):
+    def counted(self, other, accumulate):
         counts["product"] += 1
-        return product(self, *args)
+        counts["pairs"] += len(self.nums) * len(other.nums)
+        return product(self, other, accumulate)
 
     def counted_evaluate(*args):
         counts["evaluate"] += 1
@@ -485,17 +489,68 @@ class TestReferencePoint:
                 assert not report.passed and report.residual != "0", (spec.rel_id, P)
         assert all(verifier._proven(s.lhs, s.rhs) for s in load_relations())
 
-    def test_each_unit_operator_built_once(self, fresh_process):
-        # the proofs build the operators at p = q = 1 once; no other point of
-        # the sweep, more than a store holds, builds or stores anything
+    def test_only_the_charts_operators_are_built_at_the_unit_point(self, fresh_process):
+        # the proofs build at p = q = 1, in z, zbar, dz, dzbar, only what the
+        # Fock chart is made of, A+-, B+- and the four bosons, and keep them;
+        # no other point of the sweep, more than a store holds, builds or
+        # stores anything
         points = _sweep_points(5)
         assert len(points) > model._POINTS_MAX
         for P in points:
             check_structure(P)
             check_explicit_forms(P)
         assert list(model._POINTS) == [verifier._UNIT]
-        built = [key[1] for key in model.point_cache(verifier._UNIT) if key[0] is model.make_operator.__wrapped__]
-        assert sorted(built) == sorted(model.CATALOG_NAMES)
+        trees = {key[2] for key in model.point_cache(verifier._UNIT)
+                 if key[:2] == (model._subtree.__wrapped__, model._generators)}
+        built = {name for name, text in model.DEFINITIONS.items() if model.parse_expression(text) in trees}
+        assert built == {"A+", "A-", "B+", "B-", *verifier._BOSONS}
+
+    def test_a_cold_run_multiplies_few_term_pairs(self, fresh_process, monkeypatch):
+        # in the chart each catalog operator has 1-4 terms, against 2-10 in
+        # z, zbar, dz, dzbar: the cold proofs multiply 440 term pairs, where
+        # composing every operator at p = q = 1 multiplied 3,051
+        counts = _count_products(monkeypatch)
+        P = Params.exact(1, F(1, 2))
+        assert {r.how for r in check_structure(P) + check_explicit_forms(P)} == {"proven"}
+        assert 0 < counts["pairs"] <= 600
+
+    def test_the_chart_decides_as_the_unit_point_does(self, fresh_process):
+        # the chart keeps the Weyl relations, so it is an injective
+        # homomorphism, and each side's image is equal iff the sides are at
+        # p = q = 1: the reference is the two sides composed there
+        specs = load_relations() + load_negative_controls() + [INHOMOGENEOUS] + [
+            RelationSpec(f"explicit.{name}", "identity", name, model.EXPLICIT_FORMS[name]) for name in EXPLICIT_NAMES]
+        chart = partial(eval_expression, params=verifier._UNIT, generators=verifier._fock_generators)
+        decided = set()
+        for s in specs:
+            reference = (eval_expression(s.lhs, verifier._UNIT) - eval_expression(s.rhs, verifier._UNIT)).is_zero()
+            homogeneous = model._weight(("sub", model.parse_expression(s.lhs), model.parse_expression(s.rhs)))
+            proven = verifier._proven(s.lhs, s.rhs)
+            assert (chart(s.lhs) == chart(s.rhs)) == reference, s.rel_id
+            assert proven == (homogeneous is not None and reference), s.rel_id
+            decided.add(proven)
+        assert decided == {True, False}
+
+    def test_each_operator_in_the_chart_is_its_substituted_unit_value(self, fresh_process):
+        for name in model.CATALOG_NAMES:
+            op = eval_expression(name, verifier._UNIT, verifier._fock_generators)
+            assert op == model.substitute(verifier._UNIT, verifier._fock_generators, make_operator(verifier._UNIT, name))
+            assert 1 <= len(op.nums) <= 4, name
+
+    def test_with_no_chart_nothing_is_proven(self, fresh_process, monkeypatch):
+        # a2+ doubled: [a2-, a2+] = 2, so no chart; every relation and form is
+        # then evaluated at the point, and reported as direct evaluation there
+        # reads it, a failing one with its residual
+        monkeypatch.setitem(model.DEFINITIONS, "a2+", "smul -4*q*p^-1 A+")
+        P = Params.exact(F(3, 2), F(2, 3))
+        reports = check_structure(P) + check_explicit_forms(P)
+        sides = [(s.rel_id, s.lhs, s.rhs) for s in load_relations()] + [
+            (f"explicit.{name}", name, model.EXPLICIT_FORMS[name]) for name in EXPLICIT_NAMES]
+        assert [r.relation_id for r in reports] == [rel_id for rel_id, *_ in sides]
+        for report, (rel_id, lhs, rhs) in zip(reports, sides):
+            residual = (eval_expression(lhs, P) - eval_expression(rhs, P)).max_magnitude()
+            assert (report.how, report.passed, report.residual) == ("read", residual == 0, str(residual)), rel_id
+        assert {r.passed for r in reports} == {True, False}
 
     def test_no_product_at_a_second_point(self, fresh_process, monkeypatch):
         check_structure(Params.exact(1, F(1, 2)))
@@ -1639,6 +1694,21 @@ class TestRunSuites:
     def test_cutoff_0_reads_level_0(self, params):
         reports = run_suites(params, ("actions", "irrep", "integrals"), n_max=0)
         assert len(reports) == 23 + 26 + 5 and all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("proof, report", [("_derived", "action.J+"), ("_claimed", "irrep.J+.sq")])
+    def test_a_proof_is_timed_into_the_first_report_that_waits_on_it(self, params, monkeypatch, proof, report):
+        # J+'s derivation, or its claim's proof, made to take 20 ms: the time
+        # lands in J+'s action report, or its first irrep report
+        original = getattr(verifier, proof)
+
+        def slow(rule, *args):
+            if rule.op_name == "J+":
+                time.sleep(0.02)
+            return original(rule, *args)
+
+        monkeypatch.setattr(verifier, proof, slow)
+        reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=4)}
+        assert reports[report].ms >= 20
 
     def test_reports_deterministic_modulo_timing(self, params):
         first = run_suites(params, ("pseudo",))
