@@ -13,9 +13,9 @@ Every identity the model asserts is checked here, grouped into five suites:
                 resolution of identity (exact checks at the point's twin, in
                 both modes), and the quadrature cross-check.
 
-The actions and irrep suites are two readings of the same images op.psi_{n,m},
-so one image pass serves both, in the chain variables (w, zbar),
-w = a z + b zbar (see model), level-outer, on charge lines. The charge of
+One image pass reads the images op.psi_{n,m} of the action rules, in the
+chain variables (w, zbar), w = a z + b zbar (see model), level-outer, on
+charge lines. The charge of
 w^e zbar^i is e - i, and every term of psi_{n,m} has charge 2m - n (a term
 off its line fails its step in every check that reads it, and in
 integrals.gram), so the psi of one level sum to one polynomial Lambda_n, with
@@ -35,13 +35,14 @@ relative per charge line, in both modes: the line's largest magnitude over
 target psi_{n',m'}, so it is scale-free, and a failing exact report reads the
 same at every point sigma_P relates; a nonzero residue with no target reads 1.
 
-A rule of one term may carry an irrep claim on its step's action coefficient
-w: irrep.J0 and irrep.K that w is the eigenvalue, the exact irrep.<op>.sq that
-w >= 0 and w^2 m!(n'-m')!/((n-m)! m'!) == claim, and irrep.<op>.float, in both
-modes, the same in floats on phi. A claim proven once as a polynomial identity
-in (n, m) (``_claimed``) makes each of its reports its rule's action report,
-the .float one read in floats; a refuted claim is read per step, from the
-step's action term, image residual and su(2) factors (``su2_factor``).
+A rule of one term may carry an irrep claim, in j and mu, on its step's action
+coefficient w, so its literal must be a number: irrep.J0 and irrep.K that w is
+the eigenvalue, the exact irrep.<op>.sq that w >= 0 and w^2 m!(n'-m')!/((n-m)!
+m'!) == claim, and irrep.<op>.float, in both modes, the same in floats on phi.
+Each irrep report is its rule's action check, the .float one in floats, plus,
+unless the claim is proven once as a polynomial identity in (n, m)
+(``_claimed``), the claim's own discrepancy from w and the su(2) factors
+(``su2_factor``), a table no point enters, kept per process (``_discrepancies``).
 
 An action verdict is derived or read. The boson rules action.a1+, a2+, a1- and a2- make the basis
 the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as x, y, dx, dy
@@ -415,6 +416,8 @@ def _parse_rule(text: str, irrep: str) -> tuple:
         raise ValueError(f"two terms shift the charge 2dm - dn by one amount, {shifts}")
     if irrep and len(terms) != 1:
         raise ValueError(f"an irrep claim needs a rule of one term, not {len(terms)}")
+    if irrep and _literal(terms[0][2])[1]:  # a claim is point-free, so its action coefficient must be too
+        raise ValueError(f"an irrep claim needs a number for its rule's literal, not {terms[0][2]!r}")
     return op_name, tuple(terms), _index_poly(irrep, _CLAIM_SYMBOLS) if irrep else None
 
 
@@ -442,8 +445,8 @@ class ActionRule:
     as zero). ``irrep``, on a rule of one term, claims op phi = claim phi in j and mu if the term keeps
     (n, m), else op phi = sqrt(claim) phi[j+dn/2,mu+dm-dn/2]. Parsed once into op_name, the terms (dn, dm,
     literal, table) and the claim's table or None (see _index_poly), and checked: weight(op) =
-    weight(literal) + (dn - 2 dm, 0) per term, and no two terms shift the charge 2dm - dn by one
-    amount. A fault is a ValueError naming the rule."""
+    weight(literal) + (dn - 2 dm, 0) per term, no two terms shift the charge 2dm - dn by one
+    amount, and a rule with a claim has a number for its literal. A fault is a ValueError naming the rule."""
 
     rule_id: str
     anchor: str
@@ -523,7 +526,7 @@ def _claimed(rule: ActionRule, n_max: int) -> bool:
     m'!, each side divided by the factorials the other shares, as polynomials in (n, m), which agree iff
     they agree at 0 <= m <= n <= D, D their degree; the claim zero where the target leaves the grid; and
     w >= 0 at every step onto the grid up to n_max. Kept per rule and cutoff, proven at first use."""
-    if rule.claim is None or _literal(rule.terms[0][2])[1]:
+    if rule.claim is None:
         return False
     [(dn, dm, literal, table)], e = rule.terms, rule.terms[0][0] - rule.terms[0][1]
     degree = lambda t: max((i + k for (i, k), _ in t[1]), default=0)
@@ -540,73 +543,8 @@ def _claimed(rule: ActionRule, n_max: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the image pass shared by the action and irrep suites
+# the image pass of the action suite
 # ---------------------------------------------------------------------------
-
-
-# Each irrep residual reads one step op.psi_{n,m} of the pass: its arguments
-# are n, m, the rule's claimed value there (at j = n/2, mu = m - n/2,
-# computed once for all reports of the rule), the one action term (c, n', m')
-# of the step, and the image's residual against the action rule.
-
-
-def _eigenvalue_residual(n, m, eigenvalue, target, image_residual):
-    """op psi_{n,m} = c psi_{n,m} holds (the image residual) and c equals the
-    irrep eigenvalue."""
-    return max_or_nan(image_residual, abs(target[0] - eigenvalue))
-
-
-def _squared_ladder_residual(n, m, c2, target, image_residual):
-    """Exact mode: op psi_{n,m} = c psi_{n',m'} holds (the image residual),
-    c >= 0, and, as phi is psi scaled by sqrt(m!/(n-m)!),
-    c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = claim; outside the grid the
-    claim must vanish."""
-    c, n2, m2 = target
-    if not (0 <= m2 <= n2):
-        return max_or_nan(image_residual, abs(c2))
-    if not c >= 0:
-        # the su(2)-type coefficients are nonnegative (and a NaN is none)
-        return max_or_nan(image_residual, abs(c))
-    ratio = Fraction(factorial(m) * factorial(n2 - m2), factorial(n - m) * factorial(m2))
-    return max_or_nan(image_residual, abs(c * c * ratio - c2))
-
-
-def _in_floats(rho):
-    """An exact run's residual, a Fraction, in floats, as the largest float beyond the float range; a
-    float run's as it is."""
-    return float(min(rho, float_info.max)) if type(rho) is Fraction else rho
-
-
-def _float_ladder_residual(n, m, c2, target, rho):
-    """op phi_{n,m} = sqrt(c2) phi_{n',m'}, read off the step in floats. With s, s' the su(2) factors
-    of (n, m) and (n', m'), w the action coefficient and op psi = w psi' + E, op phi - sqrt(c2) s' psi' =
-    s E + (s w - sqrt(c2) s') psi'; over max(|s w|, sqrt(c2) s') T, T the largest coefficient of psi',
-    that is at most rho + d, rho = |E| / (|w| T) the step's relative residual and
-    d = |s w - sqrt(c2) s'| / max(|s w|, sqrt(c2) s'), and the residual is max(rho, d); off the grid,
-    max(rho, |c2|)."""
-    w, n2, m2 = target
-    rho = _in_floats(rho)
-    if not 0 <= m2 <= n2:
-        return max_or_nan(rho, abs(float(c2)))
-    sw, c = su2_factor(n, m) * w, sqrt(c2) * su2_factor(n2, m2)
-    return max_or_nan(rho, abs(sw - c) / max(abs(sw), c)) if sw or c else rho
-
-
-def _offset(x: Fraction) -> str:
-    return f"{'+' if x > 0 else '-'}{abs(x)}" if x else ""
-
-
-def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list:
-    """The (report, residual function) of each report of a rule's irrep claim,
-    in report order, each anchored on the claim and the action term's shift."""
-    (dn, dm, *_), rule_id, op = rule.terms[0], f"irrep.{rule.op_name}", rule.op_name
-    if (dn, dm) == (0, 0):
-        claim = rule.irrep if rule.irrep.isidentifier() else f"({rule.irrep})"
-        return [(_Check(rule_id, f"{op} phi = {claim} phi", mode, tol), _eigenvalue_residual)]
-    anchor = f"{op} phi = sqrt({rule.irrep}) phi[j{_offset(Fraction(dn, 2))},mu{_offset(dm - Fraction(dn, 2))}]"
-    squared = [(_Check(f"{rule_id}.sq", f"{anchor} (squared values)", EXACT), _squared_ladder_residual)]
-    return (squared if mode == EXACT else []) + [
-        (_Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol), _float_ladder_residual)]
 
 
 def _charge_parts(op: DiffOp) -> dict:
@@ -645,12 +583,6 @@ def _reads(params: Params, rule: ActionRule, terms: dict) -> list:
     for each shift of op's parts or terms, op's conjugation read at the twin (see model)."""
     parts = _charge_parts(model.conjugated(params, rule.op_name))
     return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
-
-
-def _action_terms(term: tuple, n: int) -> list:
-    """The action term (w, n', m') of each step m of level n under a rule's one term (see _terms)."""
-    dn, dm, [num], den, levels = term
-    return [(num * v if den == 1 else Fraction(num * v, den), n + dn, m + dm) for m, v in enumerate(levels[n])]
 
 
 class _Line:
@@ -720,17 +652,11 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Cal
     return worst
 
 
-def _image_pass(
-    params: Params, suites: Iterable[str], n_max: int, tol: float
-) -> tuple[list[Report], list[Report]]:
-    """Reports of the actions and irrep suites among ``suites``, each in the
-    order of ACTION_RULES: level-outer, on charge lines, the raising rules
-    first, then the lowering ones, then each other rule at the levels it reads
-    (see the module docstring). A rule's derivation and images are timed
-    into its action report, or into its first irrep report otherwise, and
-    its claim's proof into its first irrep report."""
+def _image_pass(params: Params, rules: list, n_max: int, tol: float) -> list[_Check]:
+    """The action check of each of ``rules``, in their order: level-outer, on charge lines, the raising
+    rules first, then the lowering ones, then each other rule at the levels it reads (see the module
+    docstring). A rule's derivation and images are timed into its check."""
     _check_nmax(n_max)
-    mode, irrep = params.mode, "irrep" in suites
     # psi_{n,m} by (n, m), its off-line residual and its largest numerator T:
     # the pass reads each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
@@ -738,41 +664,24 @@ def _image_pass(
     size = cache(lambda n, m: max_or_nan(0, *map(abs, basis(n, m).nums.values())))
     # each level and its off-line residuals, built once for every rule that reads it
     level = cache(lambda n: (_level([basis(n, m) for m in range(n + 1)]), [off_line(n, m) for m in range(n + 1)]))
-    # (rule, its terms, action report, claim levels unless proven, irrep reports, image clock, the rule's reads)
-    plan, derived = [], {}
-    for rule in ACTION_RULES:
-        checks = _irrep_checks(mode, rule, tol) if irrep and rule.claim is not None else []
-        if not checks and "actions" not in suites:
-            continue
-        action, terms, claims = _Check(rule.rule_id, rule.anchor, mode, tol), _terms(params, rule, n_max), None
-        image_clock = action if "actions" in suites else checks[0][0]
-        with image_clock:
+    plan, derived = [], {}  # (rule, its check, its reads), and whether it is derived
+    for rule in rules:
+        action, terms = _Check(rule.rule_id, rule.anchor, params.mode, tol), _terms(params, rule, n_max)
+        with action:
             derived[rule] = _derived(rule)
-        if checks:
-            with checks[0][0]:
-                claims = None if _claimed(rule, n_max) else _levels(rule.claim, n_max)
-        plan.append((rule, terms, action, claims, checks, image_clock,
-                     cache(partial(_reads, params, rule, terms))))  # conjugated at the first level read
-    if not plan:
-        return [], []  # neither suite asked for: no image feeds a check
+        plan.append((rule, action, cache(partial(_reads, params, rule, terms))))  # conjugated at the first level read
 
     def read(entries: list, levels: range, start: Callable) -> None:
         # each rule's images at its levels from start(rule) up; below it each step's image residual is 0
         for n in levels:
-            for rule, terms, action, claims, checks, image_clock, reads in entries:
+            for rule, action, reads in entries:
                 if n < start(rule):
-                    worst, action.how = [0] * (n + 1), "derived"
-                else:
-                    with image_clock:
-                        worst = _read_level(reads(), *level(n), basis, size)
-                    for m in range(n + 1):
-                        action.add(worst[m], (n, m))
-                if claims:  # a claim read per step
-                    steps = _action_terms(next(iter(terms.values())), n)
-                    for check, residual in checks:
-                        with check:
-                            for m, claim in enumerate(claims[n]):
-                                check.add(residual(n, m, claim, steps[m], worst[m]), (n, m))
+                    action.how = "derived"
+                    continue
+                with action:
+                    worst = _read_level(reads(), *level(n), basis, size)
+                for m in range(n + 1):
+                    action.add(worst[m], (n, m))
 
     bosons = {entry[0].op_name: entry for entry in plan if entry[0].op_name in _BOSONS}
     if bosons.keys() != set(_BOSONS) or not all(derived[rule] for rule, *_ in bosons.values()):
@@ -780,16 +689,11 @@ def _image_pass(
     raising, lowering = ([bosons[op] for op in ops if bosons] for ops in (_BOSONS[:2], _BOSONS[2:]))
     read(raising, range(n_max + 1), lambda rule: 0)
     read(lowering, range(1), lambda rule: 0)
-    fock = bool(bosons) and all(action.report().passed for _, _, action, *_ in raising + lowering)
+    fock = bool(bosons) and all(action.report().passed for _, action, _ in raising + lowering)
     read(lowering, range(1, n_max + 1), lambda rule: n_max + 1 if fock else 0)
     read([entry for entry in plan if entry[0].op_name not in bosons], range(n_max + 1),
          lambda rule: n_max + 2 - max(dn for dn, *_ in rule.terms) if fock and derived[rule] else 0)
-    for _, _, action, claims, checks, *_ in plan:
-        for check, _ in checks if claims is None else ():  # a proven claim: each report is the action report
-            check.how = "proven"
-            check.add(_in_floats(action.worst) if check.mode == FLOAT else action.worst, action.at)
-    actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
-    return actions, [check.report() for *_, checks, _, _ in plan for check, _ in checks]
+    return [action for _, action, _ in plan]
 
 
 def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
@@ -797,14 +701,112 @@ def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAUL
     formula and every 0 <= m <= n <= n_max; one report per formula. A rule
     derived on the Fock module, a1- and a2- past level 0 among them, reads
     residual 0 wherever the boson rules reach (see the module docstring)."""
-    return _image_pass(params, ("actions",), n_max, tol)[0]
+    return run_suites(params, ("actions",), n_max, tol)
+
+
+# ---------------------------------------------------------------------------
+# the irrep suite: each report its rule's action check plus its claim's discrepancy
+# ---------------------------------------------------------------------------
+
+
+# Each claim residual reads one step op.psi_{n,m}: its arguments are n, m, the
+# rule's claimed value there (at j = n/2, mu = m - n/2) and the one action term
+# (w, n', m') of the step. The step's image residual is the action check's.
+
+
+def _eigenvalue_residual(n, m, eigenvalue, target):
+    """The distance of c, in op psi_{n,m} = c psi_{n,m}, from the irrep eigenvalue."""
+    return abs(target[0] - eigenvalue)
+
+
+def _squared_ladder_residual(n, m, c2, target):
+    """Exact mode: in op psi_{n,m} = c psi_{n',m'}, c >= 0 and, as phi is psi scaled by sqrt(m!/(n-m)!),
+    c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = claim; outside the grid the claim must vanish."""
+    c, n2, m2 = target
+    if not (0 <= m2 <= n2):
+        return abs(c2)
+    if not c >= 0:
+        # the su(2)-type coefficients are nonnegative (and a NaN is none)
+        return abs(c)
+    ratio = Fraction(factorial(m) * factorial(n2 - m2), factorial(n - m) * factorial(m2))
+    return abs(c * c * ratio - c2)
+
+
+def _in_floats(rho):
+    """An exact run's residual, a Fraction, in floats, as the largest float beyond the float range; a
+    float run's as it is."""
+    return float(min(rho, float_info.max)) if type(rho) is Fraction else rho
+
+
+def _float_ladder_residual(n, m, c2, target):
+    """op phi_{n,m} = sqrt(c2) phi_{n',m'} in floats. With s, s' the su(2) factors of (n, m), (n', m') and
+    op psi = w psi' + E, op phi - sqrt(c2) s' psi' = s E + (s w - sqrt(c2) s') psi'; over max(|s w|, sqrt(c2)
+    s') T, T the largest coefficient of psi', that is at most rho + d, rho = |E| / (|w| T) the action check's
+    residual at the step and d = |s w - sqrt(c2) s'| / max(|s w|, sqrt(c2) s') this one; off the grid, |c2|."""
+    w, n2, m2 = target
+    if not 0 <= m2 <= n2:
+        return abs(float(c2))
+    sw, c = su2_factor(n, m) * w, sqrt(c2) * su2_factor(n2, m2)
+    return abs(sw - c) / max(abs(sw), c) if sw or c else 0.0
+
+
+def _offset(x: Fraction) -> str:
+    return f"{'+' if x > 0 else '-'}{abs(x)}" if x else ""
+
+
+def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list:
+    """The (report, residual function) of each report of a rule's irrep claim,
+    in report order, each anchored on the claim and the action term's shift."""
+    (dn, dm, *_), rule_id, op = rule.terms[0], f"irrep.{rule.op_name}", rule.op_name
+    if (dn, dm) == (0, 0):
+        claim = rule.irrep if rule.irrep.isidentifier() else f"({rule.irrep})"
+        return [(_Check(rule_id, f"{op} phi = {claim} phi", mode, tol), _eigenvalue_residual)]
+    anchor = f"{op} phi = sqrt({rule.irrep}) phi[j{_offset(Fraction(dn, 2))},mu{_offset(dm - Fraction(dn, 2))}]"
+    squared = [(_Check(f"{rule_id}.sq", f"{anchor} (squared values)", EXACT), _squared_ladder_residual)]
+    return (squared if mode == EXACT else []) + [
+        (_Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol), _float_ladder_residual)]
+
+
+@cache
+def _discrepancies(rule: ActionRule, n_max: int, mode: str) -> tuple:
+    """(worst, (n, m)) of the claim's own residual at the steps up to n_max, per report of _irrep_checks, w
+    the term's table times its literal, a number. No point enters it: kept per rule, cutoff and mode."""
+    [(dn, dm, literal, table)] = rule.terms
+    value, checks, claims = lift(_literal(literal)[0], mode), _irrep_checks(mode, rule, 0.0), _levels(rule.claim, n_max)
+    for n, level in enumerate(_levels(table, n_max)):
+        for m, v in enumerate(level):
+            for check, residual in checks:
+                check.add(residual(n, m, claims[n][m], (value * v, n + dn, m + dm)), (n, m))
+    return tuple((check.worst, check.at) for check, _ in checks)
+
+
+def _irrep_reports(mode: str, rules: list, actions: list, n_max: int, tol: float, timed: bool) -> list[Report]:
+    """The reports of the claims of ``rules`` (see _irrep_checks), each its rule's check in ``actions``,
+    in floats for a .float report, plus the claim's own discrepancy unless it is proven (``_claimed``),
+    added in (n, m) order, so that an earlier step wins a tie as it would read per step. The proof and
+    the discrepancy are timed into the rule's first irrep report, and so are its images where ``timed``."""
+    reports = []
+    for rule, action in zip(rules, actions):
+        if rule.claim is None:
+            continue
+        checks = [check for check, _ in _irrep_checks(mode, rule, tol)]
+        with checks[0]:
+            discrepancies = () if _claimed(rule, n_max) else _discrepancies(rule, n_max, mode)
+        checks[0].seconds += action.seconds if timed else 0.0
+        for k, check in enumerate(checks):
+            check.how = "read" if discrepancies else "proven"
+            image = (_in_floats(action.worst) if check.mode == FLOAT else action.worst, action.at)
+            for residual, at in sorted([image, *discrepancies[k:k + 1]], key=lambda p: (p[1] is None, p[1] or ())):
+                check.add(residual, at)
+        reports += [check.report() for check in checks]
+    return reports
 
 
 def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """su(2)/superalgebra coefficients on phi, in the order of ACTION_RULES: a diagonal rule's report, or
     a ladder rule's exact squared-value report (exact mode only) and its float direct report, each its
-    rule's action report where the claim is proven (see check_actions), else read off each step."""
-    return _image_pass(params, ("irrep",), n_max, tol)[1]
+    rule's action report (see check_actions), plus the claim's own discrepancy unless the claim is proven."""
+    return run_suites(params, ("irrep",), n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -963,11 +965,12 @@ def run_suites(
     relations: Iterable[RelationSpec] | None = None,
 ) -> list[Report]:
     """Reports of the given suites, suite by suite in the given order; the
-    actions and irrep suites share one image pass, and the structure suite
-    checks ``relations`` (default: the shipped catalog)."""
+    irrep suite reads the action checks of one image pass, and the structure
+    suite checks ``relations`` (default: the shipped catalog)."""
     suites = tuple(suites)
     check_suites(suites)
-    action_reports, irrep_reports = _image_pass(params, suites, n_max, tol)
+    rules = [rule for rule in ACTION_RULES if "actions" in suites or "irrep" in suites and rule.claim is not None]
+    actions = _image_pass(params, rules, n_max, tol)
     cutoffs = suite_cutoffs(suites, n_max)
     reports: list[Report] = []
     for suite in suites:
@@ -975,9 +978,9 @@ def run_suites(
             reports += check_structure(params, relations)
             reports += check_explicit_forms(params)
         elif suite == "actions":
-            reports += action_reports
+            reports += [action.report() for action in actions]
         elif suite == "irrep":
-            reports += irrep_reports
+            reports += _irrep_reports(params.mode, rules, actions, n_max, tol, "actions" not in suites)
         elif suite == "pseudo":
             reports.append(check_pseudo_hermiticity(params))
         else:

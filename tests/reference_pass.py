@@ -7,8 +7,9 @@ the built difference image - sum c psi_{n',m'}, one way in both modes: its
 largest magnitude per charge line e - i, each over |c| T of the target on
 that line (T the target's largest coefficient), a line without a target
 reading 1 where it is nonzero. The reports come from
-the package's own rules, checks and per-step residual functions, so every
-report equals the package's.
+the package's own rules, checks and per-step claim residual functions, so
+every report equals the package's, which adds each irrep claim's
+discrepancy to its rule's action check instead of reading it per step.
 
 ``direct_reading`` reads op phi_{n,m} - c psi_{n',m'} whole, in floats: the
 quantity that the .float residual bounds, for the tests of that bound.
@@ -116,13 +117,14 @@ def direct_reading(target, n, m, c2, image, basis):
 
 def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refuted=()):
     """(action reports, irrep reports) of the suites among ``suites``, as
-    verifier._image_pass gives them, in the verifier's rule order and with its
+    verifier.run_suites gives them, in the verifier's rule order and with its
     anchors, from the coefficients of TERMS and CLAIMS. A rule whose id is in
     ``derived`` reads its image only at the steps with a target beyond level
     n_max + 1, a1- and a2- only at n = 0; at every other step its image
-    residual is 0. A claim whose rule's id is in ``refuted`` is read per step;
-    every other claim holds, so each of its irrep reports reads the image
-    residual alone, the .float one in floats."""
+    residual is 0. Each irrep report reads the step's image residual, the
+    .float one in floats; a claim whose rule's id is in ``refuted`` is read
+    per step, the larger of that and the claim's own residual at the step
+    (the verifier's claim residual functions). Every other claim holds."""
     basis = cache(partial(model.chain_psi, params))
     plan = []
     for rule in verifier.ACTION_RULES:
@@ -151,9 +153,9 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refu
                         (c, basis(n2, m2), 2 * m2 - n2) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check, residual in checks:
-                    if rule.rule_id in refuted:
-                        check.add(residual(n, m, value, targets[0], image_residual), (n, m))
-                    else:
-                        check.add(verifier._in_floats(image_residual) if check.mode == FLOAT else image_residual, (n, m))
+                    image = verifier._in_floats(image_residual) if check.mode == FLOAT else image_residual
+                    if rule.rule_id in refuted:  # the larger of the image's and the claim's residual at this step
+                        image = max_or_nan(image, residual(n, m, value, targets[0]))
+                    check.add(image, (n, m))
     actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
     return actions, [check.report() for *_, checks in plan for check, _ in checks]

@@ -192,6 +192,26 @@ def test_bench_log_appends_one_run(tmp_path, monkeypatch, capsys):
     assert len(json.loads(log.read_text())) == 2
 
 
+def test_bench_log_keeps_the_log_when_a_write_fails(tmp_path, monkeypatch):
+    # a write that stops half way, as a full disk or a kill leaves it, fails
+    # the run and leaves the whole earlier log, with no temporary file beside it
+    bench_log = _load("bench_log", BENCH_LOG)
+    monkeypatch.setattr(bench_log, "OUT", tmp_path)
+    log = tmp_path / "BENCH_exact-n16.json"
+    earlier = '[\n{"commit": "earlier", "info": {}, "result": {}}\n]\n'
+    log.write_text(earlier)
+    write_text = Path.write_text
+
+    def interrupted(self, text, *args, **kwargs):
+        write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(OSError, match="No space left"):
+        bench_log.main(["--workload", "exact-n16", "--seed", "1", "--seconds", "1", "--trace", "0", "--tiny"])
+    assert log.read_text() == earlier and list(tmp_path.iterdir()) == [log]
+
+
 def test_bench_log_prints_attempted_and_executions(tmp_path, monkeypatch, capsys):
     # the harness's memory follows the execution count, so the printed line
     # names the counts beside the metrics, as the appended entry holds them

@@ -78,6 +78,12 @@ def _strip(report):
     return report.relation_id, report.anchor, report.mode, report.status, report.residual
 
 
+def _image_reports(point, suites, n_max):
+    """(action reports, irrep reports) of run_suites, as the per-step reference gives them."""
+    reports = run_suites(point, suites, n_max)
+    return [[r for r in reports if r.relation_id.startswith(prefix)] for prefix in ("action.", "irrep.")]
+
+
 def _assert_matches_the_reference(got, want):
     """(action reports, irrep reports) as the per-step reference gives them:
     ids, anchors, modes, statuses and residuals."""
@@ -337,20 +343,17 @@ DECLARED_WEIGHTS = {
 
 @pytest.fixture
 def fresh_process(monkeypatch):
-    """No relation or claim proven, no weight derived and no point store yet, so no
-    Fock chart or value in it (_UNIT's store keeps them), as in a new process;
-    what the test proves, derives or builds is dropped after it, so a
-    definition the test changes leaves nothing behind."""
-    verifier._proven.cache_clear()
-    verifier._derived.cache_clear()
-    verifier._claimed.cache_clear()
-    model._token_weight.cache_clear()
+    """No relation or claim proven, no claim's discrepancy read, no weight derived and no point store
+    yet, so no Fock chart or value in it (_UNIT's store keeps them), as in a new process; what the test
+    proves, derives, reads or builds is dropped after it, so a definition or function the test changes
+    leaves nothing behind."""
+    caches = (verifier._proven, verifier._derived, verifier._claimed, verifier._discrepancies, model._token_weight)
+    for kept in caches:
+        kept.cache_clear()
     monkeypatch.setattr(model, "_POINTS", {})
     yield
-    verifier._proven.cache_clear()
-    verifier._derived.cache_clear()
-    verifier._claimed.cache_clear()
-    model._token_weight.cache_clear()
+    for kept in caches:
+        kept.cache_clear()
 
 
 CORRUPTED_BY_S = {"block.S-T", "gl2.J0-Jplus", "gl2.embed-Jplus", "sp4.acomm-a2m-a1p"}
@@ -359,21 +362,26 @@ CORRUPTED_BY_S = {"block.S-T", "gl2.J0-Jplus", "gl2.embed-Jplus", "sp4.acomm-a2m
 def _count_products(monkeypatch) -> Counter:
     """Count every weyl._TermMap._product from now on, under "product", the
     term pairs they multiply, under "pairs", and every evaluation of an
-    expression tree, under "evaluate"."""
+    expression tree, under "evaluate": a root (model._value) or a subtree
+    (model._subtree, stored or not), the two names model._evaluate is called
+    through."""
     counts = Counter()
-    product, evaluate = weyl._TermMap._product, model._evaluate
+    product = weyl._TermMap._product
 
     def counted(self, other, accumulate):
         counts["product"] += 1
         counts["pairs"] += len(self.nums) * len(other.nums)
         return product(self, other, accumulate)
 
-    def counted_evaluate(*args):
-        counts["evaluate"] += 1
-        return evaluate(*args)
+    def counted_evaluation(evaluate):
+        def evaluation(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
+        return evaluation
 
     monkeypatch.setattr(weyl._TermMap, "_product", counted)
-    monkeypatch.setattr(model, "_evaluate", counted_evaluate)
+    for name in ("_subtree", "_value"):
+        monkeypatch.setattr(model, name, counted_evaluation(getattr(model, name)))
     return counts
 
 
@@ -512,7 +520,7 @@ class TestReferencePoint:
         counts = _count_products(monkeypatch)
         P = Params.exact(1, F(1, 2))
         assert {r.how for r in check_structure(P) + check_explicit_forms(P)} == {"proven"}
-        assert 0 < counts["pairs"] <= 600
+        assert 0 < counts["pairs"] <= 600 and counts["evaluate"] > 0
 
     def test_the_chart_decides_as_the_unit_point_does(self, fresh_process):
         # the chart keeps the Weyl relations, so it is an injective
@@ -747,6 +755,15 @@ def _refuted(rule):
     return replace(rule, irrep=f"({rule.irrep})*(1+{_FALLING_2J})")
 
 
+def _merged_reports(rule, mode, *steps):
+    """The irrep reports of ``rule`` up to n_max 2, as run_suites builds them from an action check that
+    met each (residual, (n, m)) of ``steps``."""
+    action = verifier._Check(rule.rule_id, rule.anchor, mode)
+    for residual, at in steps:
+        action.add(residual, at)
+    return verifier._irrep_reports(mode, [rule], [action], 2, verifier.DEFAULT_TOL, False)
+
+
 class TestBoundDesign:
     """The .float residual bounds the direct reading of op phi - c phi' over
     c T to a factor 2, so a pass it gives is one that reading gives, and it
@@ -771,7 +788,9 @@ class TestBoundDesign:
                     in_grid = 0 <= m2 <= n2
                     targets = [(w, basis(n2, m2), 2 * m2 - n2)] if w and in_grid else []
                     rho = reference_pass.step_residual(point.mode, targets, image)
-                    got = verifier._float_ladder_residual(n, m, c2, target, rho)
+                    # the report's two parts at this step: the image's residual and the claim's
+                    got = verifier.max_or_nan(verifier._in_floats(rho),
+                                              verifier._float_ladder_residual(n, m, c2, target))
                     reading = reference_pass.direct_reading(target, n, m, c2, image, basis)
                     if in_grid:
                         reading /= sqrt(c2) * verifier.su2_factor(n2, m2) * float(basis(n2, m2).max_magnitude())
@@ -853,14 +872,13 @@ class TestRelativeFloatResiduals:
         assert not _failing(run_suites(P, ("actions", "irrep"), n_max=n_max))
 
     def test_an_exact_relative_residual_beyond_the_float_range_reads_the_largest_float(self):
-        # J+ phi_{1,0} = phi_{1,1}, in an exact run with a relative residual
-        # 10^400: no OverflowError, a failing residual; a float run's inf
-        # passes unchanged
+        # J+ phi_{1,0} = phi_{1,1}, in an exact run whose action check met a
+        # relative residual 10^400 there: its .float report reads the largest
+        # float, with no OverflowError, and fails; a float run's inf is kept
         rule = _ACTION_OF["J+"]
-        target = _term(Params.exact(1, F(1, 2)), rule, 1, 0)
-        got = verifier._float_ladder_residual(1, 0, _at(rule, 1, 0), target, F(10**400))
-        assert got == sys.float_info.max
-        assert verifier._float_ladder_residual(1, 0, _at(rule, 1, 0), target, float("inf")) == float("inf")
+        exact = _merged_reports(rule, "exact", (F(10**400), (1, 0)))[-1]
+        assert exact.failed and float(exact.residual) == sys.float_info.max
+        assert _merged_reports(rule, "float", (float("inf"), (1, 0)))[-1].residual == "inf"
 
     def test_a_failing_exact_report_is_the_same_at_every_scale(self, monkeypatch):
         # sigma_P maps each exact point onto p = q = 1, so a residual relative
@@ -883,17 +901,17 @@ class TestRelativeFloatResiduals:
                           "irrep.J+.float": ("worst at n,m=(3, 2)]", "0.5000000000000001")}
 
 
-def _fraction_squared_ladder_residual(rule, n, m, target, image_residual):
+def _fraction_squared_ladder_residual(rule, n, m, target):
     """The squared-value residual in Fractions throughout (the oracle of the
     integer decision)."""
     c2 = _at(rule, n, m)
     c, n2, m2 = target
     if not (0 <= m2 <= n2):
-        return verifier.max_or_nan(image_residual, abs(c2))
+        return abs(c2)
     if c < 0:
-        return verifier.max_or_nan(image_residual, abs(c))
+        return abs(c)
     ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
-    return verifier.max_or_nan(image_residual, abs(c * c * ratio - c2))
+    return abs(c * c * ratio - c2)
 
 
 class TestSquaredLadderResidual:
@@ -901,17 +919,16 @@ class TestSquaredLadderResidual:
     @given(st.sampled_from(LADDERS), st.integers(0, 9).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(0, n))),
            st.sampled_from([1, 1, -1, F(2), F(1, 3), F(-5, 4), 0]),
-           st.sampled_from([F(0), F(1, 7)]),
            st.sampled_from([Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3))]))
-    def test_integer_decision_equals_the_fraction_expression(self, rule, nm, factor, image_residual, point):
+    def test_integer_decision_equals_the_fraction_expression(self, rule, nm, factor, point):
         # the true action term, its coefficient scaled (negated, zeroed)
         n, m = nm
         c, n2, m2 = _term(point, rule, n, m)
         target = (c * factor, n2, m2)
-        got = verifier._squared_ladder_residual(n, m, _at(rule, n, m), target, image_residual)
-        want = _fraction_squared_ladder_residual(rule, n, m, target, image_residual)
+        got = verifier._squared_ladder_residual(n, m, _at(rule, n, m), target)
+        want = _fraction_squared_ladder_residual(rule, n, m, target)
         assert got == want and str(got) == str(want)
-        if factor == 1 and not image_residual:
+        if factor == 1:
             assert got == 0  # the true coefficient passes
 
 
@@ -945,7 +962,7 @@ class TestDerivedChecksCanFail:
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         assert failing == {"action.a1+", "irrep.a1+.sq", "irrep.a1+.float"}
 
-    def test_wrong_float_basis_fails_float_in_exact_run(self, params, monkeypatch):
+    def test_wrong_float_basis_fails_float_in_exact_run(self, params, fresh_process, monkeypatch):
         import jordan_osc.verifier as v
 
         # the float basis phi is the exact psi times its su(2) factor: a wrong
@@ -1074,27 +1091,54 @@ class TestImagePass:
         # rules report what reading them gives, 0; a float point's read 0 where
         # reading gives rounding, at every step whose targets the boson rules
         # reach
-        got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
+        got = _image_reports(point, ("actions", "irrep"), n_max)
         want = reference_pass.image_pass(point, ("actions", "irrep"), n_max,
                                          derived=DERIVED | LOWERING if point.mode == FLOAT else ())
         _assert_matches_the_reference(got, want)
         floats = [g for g in got[1] if g.relation_id.endswith(".float")]
         assert len(floats) == 12 and all(g.passed and float(g.residual) <= 1e-15 for g in floats)
 
-    @pytest.mark.parametrize("point, n_max", [
-        (Params.exact(F(3, 2), F(2, 3)), 8), (Params.from_ab(0.79, 0.23), 10), (Params.exact(F(10) ** 100, 1), 8),
-    ], ids=["exact-3/2-2/3", "float-0.79-0.23", "exact-1e100-1"])
-    def test_refuted_claims_equal_the_per_step_reference(self, point, n_max, monkeypatch):
+    @pytest.mark.parametrize("point, n_max, refute, a1", [
+        (Params.exact(F(3, 2), F(2, 3)), 8, True, False), (Params.from_ab(0.79, 0.23), 10, True, False),
+        (Params.exact(F(10) ** 100, 1), 8, True, False),
+        (Params.exact(F(3, 2), F(2, 3)), 8, False, True), (Params.exact(F(3, 2), F(2, 3)), 8, True, True),
+        (Params.from_ab(0.79, 0.23), 10, False, True), (Params.from_ab(0.79, 0.23), 10, True, True),
+    ], ids=["exact-3/2-2/3", "float-0.79-0.23", "exact-1e100-1", "a1+-exact-3/2-2/3", "a1+-refuted-exact-3/2-2/3",
+            "a1+-float-0.79-0.23", "a1+-refuted-float-0.79-0.23"])
+    def test_refuted_claims_equal_the_per_step_reference(self, point, n_max, refute, a1, monkeypatch):
         # each claim times 1 + (2j)(2j-1)...(2j-24), refuted, is read per step
-        # as the reference reads its own claims, equal to these at n <= 24
-        claimed = {rule.rule_id for rule in ACTION_RULES if rule.claim is not None}
-        monkeypatch.setattr(verifier, "ACTION_RULES", tuple(_refuted(rule) if rule.rule_id in claimed else rule
-                                                            for rule in ACTION_RULES))
-        got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
-        assert {r.how for r in got[1]} == {"read"}
-        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max, refuted=claimed,
-                                         derived=DERIVED | LOWERING if point.mode == FLOAT else ())
+        # as the reference reads its own claims, equal to these at n <= 24.
+        # a1+ written (m+2) fails its rule and its claim, which is read per step
+        # unrefuted, and leaves no rule derived: at (0, 0) the claim's own
+        # residual is 3 and the image's 1/2, so each a1+ irrep report adds two
+        # nonzero parts
+        rules, read = ACTION_RULES, set()
+        if a1:
+            rules = _replace_rule(rules, "action.a1+", anchor="a1+ psi = 1 (m+2) psi[n+1,m+1]")
+            monkeypatch.setitem(reference_pass.TERMS, "action.a1+", ((1, 1, "1", lambda n, m: m + 2),))
+            read.add("action.a1+")
+        if refute:
+            rules = tuple(_refuted(rule) if rule.claim is not None else rule for rule in rules)
+            read |= reference_pass.CLAIMS.keys()
+        monkeypatch.setattr(verifier, "ACTION_RULES", rules)
+        got = _image_reports(point, ("actions", "irrep"), n_max)
+        assert {r.relation_id.split(".")[1] for r in got[1] if r.how == "read"} == {i.split(".")[1] for i in read}
+        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max, refuted=read,
+                                         derived=DERIVED | LOWERING if point.mode == FLOAT and not a1 else ())
         _assert_matches_the_reference(got, want)
+        if a1:
+            rule = next(rule for rule in rules if rule.op_name == "a1+")
+            parts = verifier._discrepancies(rule, n_max, point.mode)
+            assert all(at == (0, 0) and worst for worst, at in parts)
+            assert _failing(got[0]) == {"action.a1+"}
+
+    @pytest.mark.parametrize("at, named", [((1, 0), (1, 0)), ((2, 1), (2, 0))], ids=["image-first", "claim-first"])
+    def test_the_earlier_step_wins_a_tie_of_the_two_parts(self, at, named):
+        # J0 claimed as mu+2*j is off by n, so by 2 from (2, 0) on up to n_max
+        # 2; an image residual 2 at ``at`` ties it, and the report names the
+        # earlier step, as reading per step does
+        [report] = _merged_reports(replace(_ACTION_OF["J0"], irrep="mu+2*j"), "exact", (F(2), at))
+        assert report.residual == "2" and report.anchor.endswith(f"[worst at n,m={named}]")
 
     # a1+ psi = (m+1) psi[n+1,m+1], a1+ = (2w - dzbar)/2 in the chain
     # variables. A stray w^3 zbar^2 term of a1+'s charge shift puts image
@@ -1120,7 +1164,7 @@ class TestImagePass:
         monkeypatch.setattr(model, "conjugated", corrupted)
         image, target = corrupted(point, "a1+").apply_to(chain_psi(point, 3, 1)).nums, chain_psi(point, 4, 2).nums
         assert (image.keys() - target.keys()) if corruption == "stray" else (target.keys() - image.keys())
-        got = verifier._image_pass(point, ("actions", "irrep"), 6, verifier.DEFAULT_TOL)
+        got = _image_reports(point, ("actions", "irrep"), 6)
         want = reference_pass.image_pass(point, ("actions", "irrep"), 6)
         _assert_matches_the_reference(got, want)
         failing = {"action.a1+", "irrep.a1+.float"} | ({"irrep.a1+.sq"} if point.mode == "exact" else set())
@@ -1150,7 +1194,7 @@ class TestImagePass:
         # p = p_num/p_den and q = p q_num/q_den, so a = p^2 > b = q^2 > 0
         p = F(p_num, p_den)
         point = Params.exact(p, p * F(q_num, q_den))
-        got = verifier._image_pass(point, ("actions", "irrep"), n_max, verifier.DEFAULT_TOL)
+        got = _image_reports(point, ("actions", "irrep"), n_max)
         want = reference_pass.image_pass(point, ("actions", "irrep"), n_max)
         _assert_matches_the_reference(got, want)
 
@@ -1209,15 +1253,16 @@ class TestImagePass:
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
         # a proven claim is read per step by no report, so the pass evaluates
-        # only each rule's term table; a refuted claim's table is evaluated
-        # once, for every level at once, and its .sq and .float reports share it
+        # only each rule's term table; a refuted claim's discrepancy is read
+        # once per process and mode, from its term and claim tables evaluated
+        # for every level at once, and its .sq and .float reports share it
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
         refuted = _replace_rule(ACTION_RULES, "action.J+", irrep=_refuted(_ACTION_OF["J+"]).irrep)
         for rules in (ACTION_RULES, refuted):
             monkeypatch.setattr(v, "ACTION_RULES", rules)
-            v.check_irrep(P, n_max=4)  # each claim proven or refuted once, before the count
+            v.check_irrep(P, n_max=4)  # each claim proven or refuted, and read, once, before the count
             calls = Counter()
             levels = v._levels
 
@@ -1227,11 +1272,16 @@ class TestImagePass:
 
             monkeypatch.setattr(v, "_levels", counted)
             assert all(r.passed for r in v.check_irrep(P, n_max=4))
-            monkeypatch.setattr(v, "_levels", levels)
             claimed = [rule for rule in rules if rule.claim is not None]
-            read = [rule.claim for rule in claimed if not v._claimed(rule, 4)]
+            read = [rule for rule in claimed if not v._claimed(rule, 4)]
             assert len(claimed) == 14 and len(read) == (rules is refuted)
-            assert calls == Counter((table, 4) for table in [rule.terms[0][3] for rule in claimed] + read)
+            assert calls == Counter((rule.terms[0][3], 4) for rule in claimed)
+            v._discrepancies.cache_clear()
+            calls.clear()
+            v.check_irrep(P, n_max=4)
+            monkeypatch.setattr(v, "_levels", levels)
+            tables = [rule.terms[0][3] for rule in claimed + read] + [rule.claim for rule in read]
+            assert calls == Counter((table, 4) for table in tables)
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure and pseudo read no image, so the pass builds no psi at
@@ -1434,7 +1484,7 @@ class TestFockDerivation:
             monkeypatch.setattr(model, "conjugated", with_nan)
         if case == "no-a2-":
             monkeypatch.setattr(verifier, "ACTION_RULES", tuple(r for r in ACTION_RULES if r.rule_id != "action.a2-"))
-        got = verifier._image_pass(P, suites, 8, verifier.DEFAULT_TOL)
+        got = _image_reports(P, suites, 8)
         _assert_matches_the_reference(got, reference_pass.image_pass(P, suites, 8))
         failing = _failing(got[0] + got[1])
         assert (not failing) if case == "no-a2-" else "irrep.a1+.float" in failing
@@ -1472,10 +1522,14 @@ class TestClaimProofs:
         assert (reports["action.J+"].residual, reports["irrep.J+.sq"].residual) == ("2", "12")
         assert reports["irrep.J+.sq"].anchor.endswith("[worst at n,m=(6, 2)]")
 
-    def test_a_literal_with_a_factor_is_not_proven(self):
-        # the claim is point-free, so its action coefficient must be too
-        rule = replace(_ACTION_OF["K"], anchor="K psi = 1*a*b^-1*b*a^-1 (n+1) psi[n,m]")
-        assert rule.terms[0][2] != "1" and not verifier._claimed(rule, 6)
+    def test_a_claimed_rule_whose_literal_has_a_factor_is_refused(self):
+        # the claim is point-free, so its action coefficient must be too; the
+        # same rule without a claim is built
+        text = "K psi = 1*a*b^-1*b*a^-1 (n+1) psi[n,m]"
+        with pytest.raises(ValueError, match=r"^action\.K: an irrep claim needs a number for its rule's literal, "
+                                             r"not '1\*a\*b\^-1\*b\*a\^-1'$"):
+            replace(_ACTION_OF["K"], anchor=text)
+        assert verifier.ActionRule("action.K", text).claim is None
 
 
 class TestProvenance:
@@ -1767,7 +1821,7 @@ class TestCheckAccumulator:
         check.skip("why")
         assert (check.report().status, check.report().anchor, check.report().residual) == ("skip", "why", "n/a")
 
-    def test_a_wrong_factor_fails_every_float_report_at_p_1e100(self, monkeypatch):
+    def test_a_wrong_factor_fails_every_float_report_at_p_1e100(self, fresh_process, monkeypatch):
         # at p = 1e100, where the images and targets leave the float range, a
         # wrong su(2) factor at (2, 1) and at (8, 0) fails every .float report read per step
         # (each reads phi[2,1] or phi[8,0] with a coefficient), by the factor's
@@ -1783,6 +1837,7 @@ class TestCheckAccumulator:
         factor = v.su2_factor
         monkeypatch.setattr(v, "su2_factor", lambda n, m: factor(n, m) * (
             sqrt(1.000001) if (n, m) in ((2, 1), (8, 0)) else 1))
+        v._discrepancies.cache_clear()  # each claim's discrepancy is kept per process, and reads the factors
         reports = {r.relation_id: r for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")}
         assert len(reports) == 12
         for rid, r in reports.items():
@@ -1818,20 +1873,25 @@ class TestResidualsKeepNaN:
 
     @pytest.mark.parametrize("part", ["image", "coefficient"])
     def test_eigenvalue_residual(self, part):
-        # J0 psi_{2,1} = 0: the parts are the image residual and the
-        # coefficient's distance from the eigenvalue, in that order
-        target = (NAN if part == "coefficient" else 5.0, 2, 1)
-        image_residual = NAN if part == "image" else 1.0
-        rule = _ACTION_OF["J0"]
-        assert isnan(verifier._eigenvalue_residual(2, 1, _at(rule, 2, 1), target, image_residual))
+        # J0 psi_{2,1} = 0: the parts are the action check's residual and the
+        # coefficient's distance from the eigenvalue. A NaN image residual at
+        # (2, 1) beats the wrong claim mu+1's residual 1 from (0, 0) on
+        rule = replace(_ACTION_OF["J0"], irrep="mu+1")
+        if part == "coefficient":
+            assert isnan(verifier._eigenvalue_residual(2, 1, _at(rule, 2, 1), (NAN, 2, 1)))
+        else:
+            [report] = _merged_reports(rule, "float", (NAN, (2, 1)))
+            assert report.residual == "nan" and report.anchor.endswith("[worst at n,m=(2, 1)]")
 
     @pytest.mark.parametrize("part", ["image", "coefficient"])
     def test_squared_ladder_residual(self, part):
-        # J+ psi_{2,0} targets psi_{2,1}
-        target = (NAN if part == "coefficient" else F(1), 2, 1)
-        image_residual = NAN if part == "image" else F(1)
-        rule = LADDERS[0]
-        assert isnan(verifier._squared_ladder_residual(2, 0, _at(rule, 2, 0), target, image_residual))
+        # J+ psi_{2,0} targets psi_{2,1}; the claim doubled reads 1 from (0, 0) on
+        rule = replace(LADDERS[0], irrep=f"2*({LADDERS[0].irrep})")
+        if part == "coefficient":
+            assert isnan(verifier._squared_ladder_residual(2, 0, _at(rule, 2, 0), (NAN, 2, 1)))
+        else:
+            sq = _merged_reports(rule, "exact", (NAN, (2, 0)))[0]
+            assert sq.relation_id == "irrep.J+.sq" and sq.residual == "nan"
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_float_ladder_residual_off_the_grid(self, fparams, position):
@@ -1844,5 +1904,5 @@ class TestResidualsKeepNaN:
         verifier._read_lines(image, lines)
         image_residual = verifier.max_or_nan(0.0, *(line.worst for line in lines.values()))
         assert isnan(image_residual)
-        assert isnan(verifier._float_ladder_residual(1, 1, _at(rule, 1, 1), _term(fparams, rule, 1, 1),
-                                                     image_residual))
+        [report] = _merged_reports(_refuted(rule), "float", (image_residual, (1, 1)))
+        assert report.residual == "nan"

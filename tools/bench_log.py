@@ -10,6 +10,8 @@ of this repository: "info" and "result" are run.py's last two output lines,
 and "commit" is the checkout's commit as run.py reads it, marked when the
 checkout's src/ holds uncommitted changes. The file is a JSON list, one entry
 per line in run order, so it keeps the performance trajectory across commits.
+The file is rewritten through a sibling temporary file, replaced in one step,
+so a write that stops half way leaves the log as it was.
 It prints the run's metrics with its attempted operations and executions.
 A failed run appends nothing and exits with run.py's code.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -45,6 +48,17 @@ def summary(info: dict, result: dict) -> str:
     return " ".join([*metrics, f"attempted={result['attempted']}", f"executions={info['executions']}"])
 
 
+def write_whole(path: pathlib.Path, text: str) -> None:
+    """Write text to path through a sibling temporary file and os.replace, so that
+    path holds either its old content or text, never a part of it."""
+    temporary = path.with_name(f".{path.name}.partial")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path, default=REPO, help="the source checkout to measure")
@@ -63,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     path = OUT / f"BENCH_{args.workload}.json"
     entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
     entries.append({"commit": commit, "info": info, "result": result})
-    path.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n", encoding="utf-8")
+    write_whole(path, "[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n")
     print(f"appended run {len(entries)} of {args.workload} at {commit} to {path}: {summary(info, result)}")
     return 0
 
