@@ -320,7 +320,13 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
         (-1)^(n-m) (2pq)^(n-2m) (-2)^i C(n-m, i) / e!,    e = i - (n-2m) >= 0,
 
     one term per i from max(0, n-2m) to n-m, at most min(m, n-m) + 1 of them,
-    summed as integers over m!. For n >= 2m this reads
+    summed as integers over m!. The integer c_i = (-2)^i C(k, i) m!/e!, k = n-m,
+    comes from the one before it by the recurrence
+
+        c_{i+1} = c_i (-2)(k-i) / ((i+1)(i+1-(n-2m))),
+
+    an exact division, so no term builds a binomial or a factorial of its own,
+    and each coefficient is the closed form's, bit for bit. For n >= 2m this reads
 
         psi_{n,m} = (-1)^(n-m) (-4pq)^(n-2m) zbar^(n-2m) L_m^(n-2m)(2 w zbar),
 
@@ -338,8 +344,12 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
     except OverflowError:  # float ** int beyond the float range: inf, which the guard below names
         lead = math.inf
     (lead,), den = to_ints(params.mode, [lead])
-    sums = {(i - shift, i): lead * ((-2) ** i * comb(k, i) * (factorial(m) // factorial(i - shift)))
-            for i in range(max(0, shift), k + 1)}
+    i = max(0, shift)
+    c = (-2) ** i * comb(k, i) * (factorial(m) // factorial(i - shift))
+    sums = {(i - shift, i): lead * c}
+    for i in range(i, k):
+        c = c * -2 * (k - i) // ((i + 1) * (i + 1 - shift))
+        sums[i + 1 - shift, i + 1] = lead * c
     if params.mode == FLOAT:
         _check_float_range([lead, *sums.values()], f"psi_{{{n},{m}}} in floats")
     return Poly2._normalized(params.mode, sums, den)

@@ -48,12 +48,17 @@ An action verdict is derived or read. The boson rules action.a1+, a2+, a1- and a
 the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as x, y, dx, dy
 (Schwinger's realization of su(2)). A rule is derived once per process (``_derived``) if its operator
 in that chart (``_fock_generators``) acts on x^m y^(n-m)/m! as its terms say, as polynomials in
-(n, m), so for every n. A pass reads a1+ and a2+ at every level, a1- and a2- at n = 0; if all four
-are derived and pass, the chart's Weyl relations carry a_i- psi_00 = 0 to every psi up to n_max + 1
-raised from psi_00, so a1- and a2- read no other level, and each other derived rule reads only the
-levels whose targets lie beyond n_max + 1 (D+11, D+12, D+22 at n = n_max), with image residual 0 at
-its other steps. A refuted rule, and every rule where a boson rule is missing, not derived or
-failing, is read at every level.
+(n, m), so for every n. A pass reads each basis function once under a raising operator: a2+ on every
+step of levels 0..n_max+1, a1+ on each level's top function psi_{n,n} alone, and a1- and a2- on
+psi_00. If all four are derived, the two raising operators as read commute (``_commute``) and every
+read at n <= n_max passes, these give psi_{n,m} = (a1+)^m (a2+)^(n-m) psi_00/m! up to the reach,
+level n_max + 2, with a_i- psi_00 = 0. The reads at level n_max + 1 only decide the reach: they
+enter no report, which speaks of n <= n_max, and where one fails the reach is n_max + 1. Each
+derived rule then reads only the levels n >= reach + 1 - max dn, whose targets lie beyond the reach,
+with image residual 0 below: a1+ off its top steps, a1- and a2- past n = 0 and every other rule
+read no level, but D+11, D+12 and D+22 read n = n_max where the reach is n_max + 1. A refuted rule,
+and every rule where a boson rule is missing or not derived, the raising operators do not commute or
+a read at n <= n_max fails, is read at every level, each step as a pass that derives nothing reads it.
 
 The structure suite proves each catalog relation once per process, at p = q = 1. Every catalog
 operator and explicit form is a tree of the prefix grammar (see model) over the generators z, zbar,
@@ -578,10 +583,10 @@ def _terms(params: Params, rule: ActionRule, n_max: int) -> dict:
                           _levels(table, n_max)) for dn, dm, literal, table in rule.terms}
 
 
-def _reads(params: Params, rule: ActionRule, terms: dict) -> list:
-    """(shift, op's part of that charge shift or None, the term of that shift (see _terms) or None)
-    for each shift of op's parts or terms, op's conjugation read at the twin (see model)."""
-    parts = _charge_parts(model.conjugated(params, rule.op_name))
+def _reads(params: Params, rule: ActionRule, n_max: int) -> list:
+    """(shift, op's part of that charge shift or None, the term of that shift (see _terms, up to level
+    n_max) or None) for each shift of op's parts or terms, op's conjugation read at the twin (see model)."""
+    parts, terms = _charge_parts(model.conjugated(params, rule.op_name)), _terms(params, rule, n_max)
     return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
 
 
@@ -623,28 +628,27 @@ def _read_lines(image: Poly2, lines: dict) -> None:
                 line.worst = max_or_nan(line.worst, abs(line.target[key] * line.b))
 
 
-def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Callable) -> list:
-    """Per step m of ``level`` (see _level), from its off-line residual ``off[m]``,
-    each part's image read against one record per step (_Line): the residual of op
-    psi_{n,m} against the rule's terms. Each nonzero line maximum over |b| T,
-    T = size(n', m') the target's largest numerator, is the line's largest magnitude
-    over |w| times the target's largest coefficient, so scale-free; a nonzero residue
-    with no target (off[m], or a line without one) reads 1, a NaN winning."""
-    (source, derivatives), n = level, len(off) - 1
-    mode = source.mode
-    worst, one = [r and r / r for r in off], lift(1, mode)
+def _read_level(reads: list, n: int, source: tuple, off: dict, basis: Callable, size: Callable) -> dict:
+    """Per step m of level n in ``off`` (m -> its off-line residual), each part's image of ``source``
+    (Lambda_n, or psi_{n,n} alone, and its derivative table; see _level) read against one record per
+    step (_Line): the residual of op psi_{n,m} against the rule's terms. Each nonzero line maximum over
+    |b| T, T = size(n', m') the target's largest numerator, is the line's largest magnitude over |w|
+    times the target's largest coefficient, so scale-free; a nonzero residue with no target (off[m], or
+    a line without one) reads 1, a NaN winning."""
+    (poly, derivatives), mode = source, source[0].mode
+    worst, one = {m: r and r / r for m, r in off.items()}, lift(1, mode)
     for shift, part, term in reads:
-        image = Poly2.zero(mode) if part is None else part.apply_to(source, derivatives)
-        lines = {2 * m - n + shift: _Line() for m in range(n + 1)}
+        image = Poly2.zero(mode) if part is None else part.apply_to(poly, derivatives)
+        lines = {2 * m - n + shift: _Line() for m in off}
         if term is not None:
             dn, dm, [num], den, levels = term
-            for m, (line, value) in enumerate(zip(lines.values(), levels[n])):
-                n2, m2, w = n + dn, m + dm, num * value
+            for m, line in zip(off, lines.values()):
+                n2, m2, w = n + dn, m + dm, num * levels[n][m]
                 if w and 0 <= m2 <= n2:  # a target to read: a zero weight reads nothing, so 0 * inf makes no NaN
                     psi = basis(n2, m2)
                     line.a, line.b, line.target = den * psi.den, w * image.den, psi.nums
         _read_lines(image, lines)
-        for m, line in enumerate(lines.values()):  # max_or_nan, inline; a Fraction only for a nonzero exact maximum
+        for m, line in zip(off, lines.values()):  # max_or_nan, inline; a Fraction only for a nonzero exact maximum
             if line.worst:
                 r = one * line.worst / (abs(line.b) * size(n + dn, m + dm) if line.target else line.worst)
                 if r > worst[m] or r != r:
@@ -652,55 +656,92 @@ def _read_level(reads: list, level: tuple, off: list, basis: Callable, size: Cal
     return worst
 
 
+def _commute(left: DiffOp, right: DiffOp) -> bool:
+    """Whether [left, right] = 0 exactly, a float coefficient read as the dyadic rational it is; False
+    where one is NaN or infinite."""
+    try:
+        exact = [DiffOp(EXACT, {key: Fraction(c) for key, c in op.terms.items()}) for op in (left, right)]
+    except (ValueError, OverflowError):
+        return False
+    return commutator(*exact).is_zero()
+
+
 def _image_pass(params: Params, rules: list, n_max: int, tol: float) -> list[_Check]:
-    """The action check of each of ``rules``, in their order: level-outer, on charge lines, the raising
-    rules first, then the lowering ones, then each other rule at the levels it reads (see the module
-    docstring). A rule's derivation and images are timed into its check."""
+    """The action check of each of ``rules``, in their order: level-outer, on charge lines, the boson
+    rules' reads first, up to level n_max + 1, then each rule at the levels it reads (see the module
+    docstring). A rule's derivation and images are timed into its check, its terms built at its first read."""
     _check_nmax(n_max)
     # psi_{n,m} by (n, m), its off-line residual and its largest numerator T:
     # the pass reads each at up to a dozen steps, and from the point's store once
     basis = cache(partial(chain_psi, params))
     off_line = cache(lambda n, m: _off_line(basis(n, m), n, m))
     size = cache(lambda n, m: max_or_nan(0, *map(abs, basis(n, m).nums.values())))
-    # each level and its off-line residuals, built once for every rule that reads it
-    level = cache(lambda n: (_level([basis(n, m) for m in range(n + 1)]), [off_line(n, m) for m in range(n + 1)]))
+    # the sources a rule reads at level n, each built once for every rule that reads it: the level,
+    # or its top function psi_{n,n} alone, each with its derivative table and off-line residuals
+    level = cache(lambda n: (_level([basis(n, m) for m in range(n + 1)]),
+                             {m: off_line(n, m) for m in range(n + 1)}))
+    top = cache(lambda n: ((basis(n, n), {}), {n: off_line(n, n)}))
     plan, derived = [], {}  # (rule, its check, its reads), and whether it is derived
     for rule in rules:
-        action, terms = _Check(rule.rule_id, rule.anchor, params.mode, tol), _terms(params, rule, n_max)
+        action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
         with action:
             derived[rule] = _derived(rule)
-        plan.append((rule, action, cache(partial(_reads, params, rule, terms))))  # conjugated at the first level read
+        plan.append((rule, action, cache(partial(_reads, params, rule, n_max + 1))))  # at the rule's first read
 
-    def read(entries: list, levels: range, start: Callable) -> None:
-        # each rule's images at its levels from start(rule) up; below it each step's image residual is 0
-        for n in levels:
-            for rule, action, reads in entries:
-                if n < start(rule):
-                    action.how = "derived"
-                    continue
-                with action:
-                    worst = _read_level(reads(), *level(n), basis, size)
-                for m in range(n + 1):
-                    action.add(worst[m], (n, m))
+    def read(entry: tuple, n: int, source: tuple) -> list:
+        # the (residual, (n, m)) of each step of source, timed into the rule's check
+        with entry[1]:
+            worst = _read_level(entry[2](), n, *source, basis, size)
+        return [(r, (n, m)) for m, r in worst.items()]
 
+    def passes(steps: Iterable) -> bool:
+        check = _Check("", "", params.mode, tol)
+        for residual, at in steps:
+            check.add(residual, at)
+        return check.report().passed
+
+    # the boson rules' reads: a2+ on every step, a1+ on each level's top function, up to level
+    # n_max + 1, and a1- and a2- on psi_00; those at n_max + 1 only decide the reach
     bosons = {entry[0].op_name: entry for entry in plan if entry[0].op_name in _BOSONS}
-    if bosons.keys() != set(_BOSONS) or not all(derived[rule] for rule, *_ in bosons.values()):
-        bosons = {}  # no chart to the Fock module: every rule reads every level
-    raising, lowering = ([bosons[op] for op in ops if bosons] for ops in (_BOSONS[:2], _BOSONS[2:]))
-    read(raising, range(n_max + 1), lambda rule: 0)
-    read(lowering, range(1), lambda rule: 0)
-    fock = bool(bosons) and all(action.report().passed for _, action, _ in raising + lowering)
-    read(lowering, range(1, n_max + 1), lambda rule: n_max + 1 if fock else 0)
-    read([entry for entry in plan if entry[0].op_name not in bosons], range(n_max + 1),
-         lambda rule: n_max + 2 - max(dn for dn, *_ in rule.terms) if fock and derived[rule] else 0)
+    fock = bosons.keys() == set(_BOSONS) and all(derived[rule] for rule, *_ in bosons.values())
+    if fock:  # a1+ off its top steps needs the two raising operators, as read, to commute
+        with bosons["a1+"][1]:
+            fock = _commute(*(model.conjugated(params, op) for op in _BOSONS[:2]))
+    met = {op: [] for op in bosons}  # the (residual, (n, m)) of each step read, in (n, m) order
+    for n in range(n_max + 2 if fock else 0):
+        met["a1+"] += read(bosons["a1+"], n, top(n))
+        met["a2+"] += read(bosons["a2+"], n, level(n))
+    for op in _BOSONS[2:] if fock else ():
+        met[op] += read(bosons[op], 0, top(0))
+    within = {op: [(r, at) for r, at in steps if at[0] <= n_max] for op, steps in met.items()}
+    fock = fock and all(passes(steps) for steps in within.values())
+    reach = n_max + 2 if fock and passes(step for steps in met.values() for step in steps) else n_max + 1
+    for op, steps in within.items() if fock else ():
+        action = bosons[op][1]
+        for residual, at in steps:
+            action.add(residual, at)
+        if len({n for _, (n, _) in steps}) <= n_max:  # a level it did not read: a1- and a2- past n = 0
+            action.how = "derived"
+    # each other rule, or with no Fock module every rule, from its start up; below it each step's
+    # image residual is 0
+    start = lambda rule: reach + 1 - max(dn for dn, *_ in rule.terms) if fock and derived[rule] else 0
+    rest = [entry for entry in plan if not (fock and entry[0].op_name in bosons)]
+    for n in range(n_max + 1):
+        for entry in rest:
+            if n < start(entry[0]):
+                entry[1].how = "derived"
+                continue
+            for residual, at in read(entry, n, level(n)):
+                entry[1].add(residual, at)
     return [action for _, action, _ in plan]
 
 
 def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """Compare op.psi_{n,m} against the asserted expansion for every action
     formula and every 0 <= m <= n <= n_max; one report per formula. A rule
-    derived on the Fock module, a1- and a2- past level 0 among them, reads
-    residual 0 wherever the boson rules reach (see the module docstring)."""
+    derived on the Fock module, a1+ below each level's top step and a1- and
+    a2- past level 0 among them, reads residual 0 wherever the boson rules
+    reach, up to level n_max + 2 (see the module docstring)."""
     return run_suites(params, ("actions",), n_max, tol)
 
 

@@ -115,17 +115,19 @@ def direct_reading(target, n, m, c2, image, basis):
     return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
 
 
-def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refuted=()):
+def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refuted=(), reach=None):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier.run_suites gives them, in the verifier's rule order and with its
     anchors, from the coefficients of TERMS and CLAIMS. A rule whose id is in
     ``derived`` reads its image only at the steps with a target beyond level
-    n_max + 1, a1- and a2- only at n = 0; at every other step its image
-    residual is 0. Each irrep report reads the step's image residual, the
-    .float one in floats; a claim whose rule's id is in ``refuted`` is read
-    per step, the larger of that and the claim's own residual at the step
-    (the verifier's claim residual functions). Every other claim holds."""
+    ``reach`` (default n_max + 2), a1+ only at each level's top step m = n,
+    a1- and a2- only at n = 0; at every other step its image residual is 0.
+    Each irrep report reads the step's image residual, the .float one in
+    floats; a claim whose rule's id is in ``refuted`` is read per step, the
+    larger of that and the claim's own residual at the step (the verifier's
+    claim residual functions). Every other claim holds."""
     basis = cache(partial(model.chain_psi, params))
+    reach = n_max + 2 if reach is None else reach
     plan = []
     for rule in verifier.ACTION_RULES:
         claim = CLAIMS.get(rule.rule_id) if "irrep" in suites else None
@@ -144,8 +146,13 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refu
             for rule, terms, action, claim, checks in plan:
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
                 value = None if claim is None else claim(j, mu)
-                lowering = rule.op_name in ("a1-", "a2-")
-                if rule.rule_id in derived and (n > 0 if lowering else all(n2 <= n_max + 1 for _, n2, _ in targets)):
+                if rule.op_name in ("a1-", "a2-"):
+                    unread = n > 0
+                elif rule.op_name == "a1+":
+                    unread = m < n
+                else:
+                    unread = all(n2 <= reach for _, n2, _ in targets)
+                if rule.rule_id in derived and unread:
                     image_residual = 0
                 else:
                     image = model.apply(params, rule.op_name, psi)

@@ -206,6 +206,25 @@ class TestBasis:
                 want = {key: scale * c for key, c in chain_psi(unit, n, m).terms.items()}
                 assert chain_psi(P, n, m).terms == want, (n, m)
 
+    @pytest.mark.parametrize("P", [Params.exact(1, 1), Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)],
+                             ids=["exact-1-1", "exact-3/2-2/3", "float-0.79-0.23"])
+    def test_the_recurrence_is_the_closed_form_bit_for_bit(self, P):
+        # chain_psi takes each coefficient from the one before it; the closed
+        # form, as it was computed term by term, gives the same ints times the
+        # same lead: the same terms, in the same order, over the same den
+        def closed_form(n, m):
+            k, shift = n - m, n - 2 * m
+            (lead,), den = weyl.to_ints(P.mode, [(-1) ** k * (2 * P.sqrt_ab) ** shift / math.factorial(m)])
+            sums = {(i - shift, i): lead * ((-2) ** i * math.comb(k, i) * (math.factorial(m)
+                                                                          // math.factorial(i - shift)))
+                    for i in range(max(0, shift), k + 1)}
+            return Poly2._normalized(P.mode, sums, den)
+
+        for n in range(31):
+            for m in range(n + 1):
+                got, want = chain_psi(P, n, m), closed_form(n, m)
+                assert (list(got.nums.items()), got.den) == (list(want.nums.items()), want.den), (n, m)
+
     def test_float_construction_tracks_exact(self, params, fparams):
         for n in range(6):
             for m in range(n + 1):

@@ -58,6 +58,9 @@ BOSON_RULES = {f"action.{op}" for op in verifier._BOSONS}
 DERIVED = {rule.rule_id for rule in ACTION_RULES} - BOSON_RULES
 #: the boson rules that the raising ones, passing, let the pass read at n = 0 alone
 LOWERING = {"action.a1-", "action.a2-"}
+#: the rules a float point's pass reads 0 for at some step, where it derives the image: the derived
+#: ones, a1- and a2- past n = 0, and a1+ below each level's top step
+FOCK = DERIVED | LOWERING | {"action.a1+"}
 #: the rules with an irrep claim whose action term moves (n, m)
 LADDERS = tuple(rule for rule in ACTION_RULES if rule.claim is not None and rule.terms[0][:2] != (0, 0))
 
@@ -659,7 +662,7 @@ class TestActionSuite:
         assert failed.anchor.endswith("[worst at n,m=(0, 0)]")
         # the derivation refutes the rule, so it is read; a float point's
         # derived rules read 0, where a reading gives rounding
-        derived = DERIVED - {"action.J+"} | LOWERING if P.mode == FLOAT else ()
+        derived = FOCK - {"action.J+"} if P.mode == FLOAT else ()
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
         assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5,
                                                                                        derived=derived)[0]))
@@ -1028,11 +1031,11 @@ class TestImagePass:
         assert all(rid.startswith("irrep.") for rid, *_ in irrep_alone)
 
     # in both modes the irrep suite reads the action images: one conjugation
-    # per operator read, one image per (level read, operator, charge part),
-    # and no float rebuild. The raising rules a1+ and a2+ read every level, and
-    # with them passing a1- and a2- read level 0 alone; the derived rules read
-    # only the levels whose targets lie beyond n_max + 1, so D+11, D+12 and
-    # D+22 read level n_max, and no other rule is conjugated
+    # per operator read, one image per (source read, operator, charge part),
+    # and no float rebuild. Up to level n_max + 1, a2+ reads every level and
+    # a1+ each level's top function psi_{n,n}; a1- and a2- read psi_00 alone.
+    # They reach level n_max + 2, so no derived rule has a target beyond, and
+    # no other rule is conjugated
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_one_image_per_level_operator_and_charge_part(self, point, request, image_counts):
         P = request.getfixturevalue(point)
@@ -1040,14 +1043,14 @@ class TestImagePass:
         counts = dict(image_counts)
         parts = {rule.op_name: len(verifier._charge_parts(model.conjugated(P, rule.op_name))) for rule in ACTION_RULES}
         assert sum(parts.values()) == 29
-        bosons, raising = sum(parts[op] for op in verifier._BOSONS), sum(parts[op] for op in ("D+11", "D+12", "D+22"))
-        assert (bosons, raising) == (4, 3)
-        assert counts == {"conjugate": 4 + 3, "apply_to": 2 * 5 + 2 + raising}
+        assert sum(parts[op] for op in verifier._BOSONS) == 4
+        assert counts == {"conjugate": 4, "apply_to": 2 * 6 + 2}
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_one_derivative_table_per_level(self, point, request, image_counts, monkeypatch):
         # level-outer: every image of level n reads one table, built for the
-        # level sum_m psi_{n,m}, which no store keeps once the pass is over
+        # level sum_m psi_{n,m} or for its top function psi_{n,n} alone, which
+        # no store keeps once the pass is over
         P = request.getfixturevalue(point)
         tables = {}  # id -> (table, the polynomial it was read for); holding both keeps each id unique
         apply_to = DiffOp.apply_to  # image_counts' counting wrapper
@@ -1059,12 +1062,13 @@ class TestImagePass:
 
         monkeypatch.setattr(DiffOp, "apply_to", recorded)
         run_suites(P, ("actions", "irrep"), n_max=4)
-        assert len(tables) == 5 and image_counts["apply_to"] == 2 * 5 + 2 + 3
+        assert len(tables) == 12 and image_counts["apply_to"] == 2 * 6 + 2
         levels = [poly for _, poly in tables.values()]
-        psis = [[chain_psi(P, n, m) for m in range(n + 1)] for n in range(5)]
-        assert levels == [weyl.linear_combination(P.mode, [(1, psi) for psi in level]) for level in psis]
+        psis = [[chain_psi(P, n, m) for m in range(n + 1)] for n in range(6)]
+        assert levels[1::2] == [weyl.linear_combination(P.mode, [(1, psi) for psi in level]) for level in psis]
+        assert levels[::2] == [level[-1] for level in psis]
         # no two psi of a level share a monomial: each lies on its own charge
-        assert [len(level.nums) for level in levels] == [sum(len(psi.nums) for psi in level) for level in psis]
+        assert [len(level.nums) for level in levels[1::2]] == [sum(len(psi.nums) for psi in level) for level in psis]
         stored = model.point_cache(P).values()  # the conjugations too
         assert not any(value is table for value in stored for table, _ in tables.values())
 
@@ -1093,7 +1097,7 @@ class TestImagePass:
         # reach
         got = _image_reports(point, ("actions", "irrep"), n_max)
         want = reference_pass.image_pass(point, ("actions", "irrep"), n_max,
-                                         derived=DERIVED | LOWERING if point.mode == FLOAT else ())
+                                         derived=FOCK if point.mode == FLOAT else ())
         _assert_matches_the_reference(got, want)
         floats = [g for g in got[1] if g.relation_id.endswith(".float")]
         assert len(floats) == 12 and all(g.passed and float(g.residual) <= 1e-15 for g in floats)
@@ -1124,7 +1128,7 @@ class TestImagePass:
         got = _image_reports(point, ("actions", "irrep"), n_max)
         assert {r.relation_id.split(".")[1] for r in got[1] if r.how == "read"} == {i.split(".")[1] for i in read}
         want = reference_pass.image_pass(point, ("actions", "irrep"), n_max, refuted=read,
-                                         derived=DERIVED | LOWERING if point.mode == FLOAT and not a1 else ())
+                                         derived=FOCK if point.mode == FLOAT and not a1 else ())
         _assert_matches_the_reference(got, want)
         if a1:
             rule = next(rule for rule in rules if rule.op_name == "a1+")
@@ -1253,9 +1257,10 @@ class TestImagePass:
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
         # a proven claim is read per step by no report, so the pass evaluates
-        # only each rule's term table; a refuted claim's discrepancy is read
-        # once per process and mode, from its term and claim tables evaluated
-        # for every level at once, and its .sq and .float reports share it
+        # only the term tables of the rules it reads, the four boson rules, up
+        # to level n_max + 1; a refuted claim's discrepancy is read once per
+        # process and mode, from its term and claim tables evaluated for every
+        # level at once, and its .sq and .float reports share it
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
@@ -1275,13 +1280,14 @@ class TestImagePass:
             claimed = [rule for rule in rules if rule.claim is not None]
             read = [rule for rule in claimed if not v._claimed(rule, 4)]
             assert len(claimed) == 14 and len(read) == (rules is refuted)
-            assert calls == Counter((rule.terms[0][3], 4) for rule in claimed)
+            bosons = Counter((rule.terms[0][3], 5) for rule in claimed if rule.op_name in v._BOSONS)
+            assert sum(bosons.values()) == 4 and calls == bosons
             v._discrepancies.cache_clear()
             calls.clear()
             v.check_irrep(P, n_max=4)
             monkeypatch.setattr(v, "_levels", levels)
-            tables = [rule.terms[0][3] for rule in claimed + read] + [rule.claim for rule in read]
-            assert calls == Counter((table, 4) for table in tables)
+            tables = [rule.terms[0][3] for rule in read] + [rule.claim for rule in read]
+            assert calls == bosons + Counter((table, 4) for table in tables)
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure and pseudo read no image, so the pass builds no psi at
@@ -1439,11 +1445,38 @@ class TestFockDerivation:
         monkeypatch.setattr(model, "conjugated", counted)
         monkeypatch.setattr(verifier, "ACTION_RULES", _replace_rule(ACTION_RULES, rule.rule_id, anchor=text))
         reports = run_suites(Params.exact(F(3, 2), F(2, 3)), ("actions", "irrep"), n_max)
-        # the refuted rule is conjugated and read, as the boson rules are, and
-        # the three D+ rules, whose targets at n_max lie beyond n_max + 1
-        assert set(read) == {*verifier._BOSONS, "D+11", "D+12", "D+22", op}
+        # the refuted rule is conjugated and read, as the boson rules are; the
+        # boson rules reach level n_max + 2, so no derived rule is read
+        assert set(read) == {*verifier._BOSONS, op}
         # a rule's report speaks of n <= n_max only: the degree-27 J+ passes
         assert _failing(reports) == failing
+
+    @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)],
+                             ids=["exact-3/2-2/3", "float-0.79-0.23"])
+    def test_every_basis_function_up_to_the_reach_is_read(self, point, monkeypatch):
+        # psi_{n,m}, n <= n_max + 2, with its lowest coefficient doubled, one
+        # at a time. Up to level n_max + 1 it fails a boson rule's read at
+        # n <= n_max, and every rule is read at every level; at level n_max + 2
+        # it fails a read at n_max + 1, which enters no report, so the reach
+        # falls back to n_max + 1, and the D+ rules that reach it from level
+        # n_max, read there, fail. Each time the reports are the reference's
+        n_max = 3
+        for n in range(n_max + 3):
+            for m in range(n + 1):
+                monkeypatch.setattr(model, "_POINTS", {})
+                psi = chain_psi(point, n, m)
+                key = (max(0, 2 * m - n), max(0, n - 2 * m))
+                model.point_cache(point)[model.chain_psi.__wrapped__, n, m] = psi + Poly2.monomial(*key, psi.terms[key])
+                got = run_suites(point, ("actions",), n_max)
+                beyond = n == n_max + 2
+                want = reference_pass.image_pass(point, ("actions",), n_max, reach=n_max + 1,
+                                                 derived=FOCK if beyond and point.mode == FLOAT else ())[0]
+                assert list(map(_strip, got)) == list(map(_strip, want)), (n, m)
+                failing = _failing(got)
+                assert failing and all(rid.startswith("action.") for rid in failing), (n, m)
+                if beyond:
+                    assert failing == {rule.rule_id for rule in ACTION_RULES if rule.op_name.startswith("D+")
+                                       and 0 <= m - rule.terms[0][1] <= n_max}, (n, m)
 
     def test_boson_rules_of_another_basis_derive_nothing(self, monkeypatch):
         # psi_{n,m} times 2^n, with boson rules that state that basis: they
@@ -1537,7 +1570,8 @@ class TestProvenance:
 
     def test_derived(self, params):
         # the rules whose levels the pass took from the Fock module: the 19
-        # derived ones, and a1- and a2- past level 0
+        # derived ones, and a1- and a2- past level 0; a1+ reads the top step
+        # of every level, and a2+ every step
         reports = run_suites(params, ("actions",), n_max=4)
         assert {r.relation_id for r in reports if r.how == "derived"} == DERIVED | LOWERING
         assert {r.relation_id for r in reports if r.how == "read"} == BOSON_RULES - LOWERING
