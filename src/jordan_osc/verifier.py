@@ -39,13 +39,11 @@ A rule of one term may carry an irrep claim, in j and mu, on its step's action
 coefficient w, so its literal must be a number: irrep.J0 and irrep.K that w is
 the eigenvalue, the exact irrep.<op>.sq that w >= 0 and w^2 m!(n'-m')!/((n-m)!
 m'!) == claim, and irrep.<op>.float, in both modes, the same in floats on phi.
-Each irrep report is its rule's action check, the .float one in floats, plus,
-unless the claim is proven once as a polynomial identity in (n, m)
-(``_claimed``), the claim's own discrepancy from w and the su(2) factors
-(``su2_factor``), a table no point enters, kept per process (``_discrepancies``).
+Each irrep report is its rule's action check, the .float one in floats; the claim
+is decided once, as a polynomial identity in (n, m) (``_claimed``).
 
-An action verdict is derived or read. The boson rules action.a1+, a2+, a1- and a2- make the basis
-the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as x, y, dx, dy
+An action verdict is derived, read or refuted. The boson rules action.a1+, a2+, a1- and a2- make the
+basis the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as x, y, dx, dy
 (Schwinger's realization of su(2)). A rule is derived once per process (``_derived``) if its operator
 in that chart (``_fock_generators``) acts on x^m y^(n-m)/m! as its terms say, as polynomials in
 (n, m), so for every n. A pass reads each basis function once under a raising operator: a2+ on every
@@ -56,9 +54,14 @@ level n_max + 2, with a_i- psi_00 = 0. The reads at level n_max + 1 only decide 
 enter no report, which speaks of n <= n_max, and where one fails the reach is n_max + 1. Each
 derived rule then reads only the levels n >= reach + 1 - max dn, whose targets lie beyond the reach,
 with image residual 0 below: a1+ off its top steps, a1- and a2- past n = 0 and every other rule
-read no level, but D+11, D+12 and D+22 read n = n_max where the reach is n_max + 1. A refuted rule,
-and every rule where a boson rule is missing or not derived, the raising operators do not commute or
-a read at n <= n_max fails, is read at every level, each step as a pass that derives nothing reads it.
+read no level, but D+11, D+12 and D+22 read n = n_max where the reach is n_max + 1. A rule not
+derived, and every rule where a boson rule is missing or not derived, the raising operators do not
+commute or a read at n <= n_max fails, is read at every level, as a pass that derives nothing reads it.
+
+A proof that refutes a rule or claim gives its counterexample: the first (n, m), in level order, where
+the identity fails, and the relative discrepancy of its two exact sides there (``_counterexample``). A
+refuted check fails in both modes: its report is its reading where that fails, else the counterexample,
+whose (n, m) may lie beyond n_max. With no Fock chart no rule is decided; a claim needs no chart.
 
 The structure suite proves each catalog relation once per process, at p = q = 1. Every catalog
 operator and explicit form is a tree of the prefix grammar (see model) over the generators z, zbar,
@@ -83,7 +86,7 @@ residual identically zero. Float mode compares residuals against a tolerance,
 and a NaN residual counts as the worst, so a check that met one fails. A check
 that cannot run at the given point is reported as skipped, never as passed.
 Each report says whether its verdict was derived, proven (a claim or relation
-proven once, for every point) or read (``Report.how``).
+proven once, for every point), read or refuted (``Report.how``).
 """
 
 from __future__ import annotations
@@ -95,8 +98,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from itertools import chain
 from importlib import resources
-from math import factorial, lcm, prod, sqrt
+from math import lcm, prod
 from sys import float_info
 from typing import Callable, Iterable
 
@@ -126,7 +130,6 @@ from .model import (
     eval_expression,
     make_operator,
     parse_expression,
-    su2_factor,
 )
 from .weyl import (
     EXACT,
@@ -159,14 +162,16 @@ ORACLE_TOL = 1e-8
 #: the point leaves the float range: a value read in floats overflows, or (the
 #: oracle's a) underflows to zero; the exact checks still run
 FLOAT_OVERFLOW = "float cross-check skipped: the point leaves the float range"
+#: how a report's verdict was reached (see the module docstring)
+HOWS = ("derived", "proven", "read", "refuted")
 
 
 @dataclass(frozen=True)
 class Report:
     """Outcome of one verified relation (or one aggregated family).
 
-    A skipped check did not run: it is neither passed nor failed. ``how`` is "derived", "proven" or
-    "read" (see the module docstring).
+    A skipped check did not run: it is neither passed nor failed. ``how`` is one of HOWS (see the module
+    docstring); a refuted check fails.
     """
 
     relation_id: str
@@ -179,8 +184,8 @@ class Report:
     how: str = "read"
 
     def __post_init__(self) -> None:
-        if self.passed and self.skipped:
-            raise ValueError("a skipped check cannot pass")
+        if self.how not in HOWS or self.passed and (self.skipped or self.how == "refuted"):
+            raise ValueError(f"how is one of {', '.join(HOWS)}, and no skipped or refuted check passes: {self}")
 
     @property
     def failed(self) -> bool:
@@ -200,13 +205,20 @@ def _check_nmax(n_max) -> None:
         raise ValueError(f"n_max must be an int >= 0, not {n_max!r}")
 
 
+def _in_floats(rho):
+    """An exact run's residual, a Fraction, in floats, as the largest float beyond the float range; a
+    float run's as it is."""
+    return float(min(rho, float_info.max)) if type(rho) is Fraction else rho
+
+
 class _Check:
     """The one builder of a Report: the check's id, anchor and mode, its worst
     residual and the (n, m) where that sits, the time spent inside its
     ``with check:`` blocks, and the verdict (exact: residual == 0, float:
     residual <= tol). A NaN residual beats any number and is kept, so a check
     that met one fails; a zero never replaces the worst. A found failure beats
-    a skip: a skipped check whose residuals so far fail reports the failure."""
+    a skip: a skipped check whose residuals so far fail reports the failure. A
+    refuted check fails: where its residuals pass, it reports the counterexample."""
 
     def __init__(self, relation_id: str, anchor: str, mode: str, tol: float = 0.0) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
@@ -226,18 +238,25 @@ class _Check:
         if residual > self.worst or (residual != residual and self.worst == self.worst):
             self.worst, self.at = residual, at
 
+    def refute(self, discrepancy, at: tuple) -> None:
+        """A proof found the check's identity false at basis index ``at``, by ``discrepancy`` (exact)."""
+        self.how, self.counterexample = "refuted", (_in_floats(discrepancy) if self.mode == FLOAT else discrepancy, at)
+
     def skip(self, why: str) -> None:
         """The check cannot run (any further) here: report it as skipped, with
         ``why`` as its anchor, unless a residual already failed it."""
         self.skipped = why
 
     def report(self) -> Report:
-        passed = self.worst == 0 if self.mode == EXACT else self.worst <= self.tol
+        worst, at, where = self.worst, self.at, "worst"
+        passed = worst == 0 if self.mode == EXACT else worst <= self.tol
+        if passed and self.how == "refuted":  # the counterexample stands in for the reading
+            (worst, at), where, passed = self.counterexample, "refuted", False
         if self.skipped and passed:
             return Report(self.relation_id, self.skipped, self.mode, False, "n/a", self.seconds * 1e3, True, self.how)
-        anchor = self.anchor if self.at is None else f"{self.anchor} [worst at n,m={self.at}]"
+        anchor = self.anchor if at is None else f"{self.anchor} [{where} at n,m={at}]"
         anchor += f"; {self.skipped}" if self.skipped else ""
-        return Report(self.relation_id, anchor, self.mode, passed, str(self.worst), self.seconds * 1e3, how=self.how)
+        return Report(self.relation_id, anchor, self.mode, passed, str(worst), self.seconds * 1e3, how=self.how)
 
 
 @dataclass(frozen=True)
@@ -500,51 +519,73 @@ ACTION_RULES: tuple[ActionRule, ...] = (
 # the Fock module: action rules derived for every n
 # ---------------------------------------------------------------------------
 
+#: _derived's answer where there is no Fock chart to decide in
+_UNDECIDED = "cannot decide"
+
+
+def _counterexample(steps: Iterable) -> tuple | None:
+    """(discrepancy, (n, m)) of the first of ``steps``, each (n, m, left, right) with two exact sides, whose
+    sides differ: |left - right| / max(|left|, |right|), 1 where one side is 0, 2 where only the signs differ."""
+    return next(((Fraction(abs(left - right)) / max(abs(left), abs(right)), (n, m))
+                 for n, m, left, right in steps if left != right), None)
+
+
 @cache
-def _derived(rule: ActionRule) -> bool:
-    """Whether the rule holds on the Fock module, so for every n. Its operator's image in the chart at
-    _UNIT, a sum of c x^i y^j dx^k dy^l, sends x^m y^(n-m)/m! to the sum of c (m-k+1)...(m-k+i)
-    (n-m)(n-m-1)...(n-m-l+1) psi[n+i+j-k-l,m+i-k], each a polynomial in (n, m) that vanishes where dx^k or
-    dy^l meets a lower power; derived iff they sum, per target, to the rule's terms (literal at _UNIT
-    times table) exactly. Rules are weight-checked when built, so this holds at every point (see
-    _proven). Kept per rule, derived at first use."""
+def _derived(rule: ActionRule):
+    """The rule on the Fock module, for every n: None where it holds, _UNDECIDED with no chart, else its
+    counterexample (discrepancy, (n, m)). Its operator in the chart at _UNIT, a sum of c x^i y^j dx^k dy^l,
+    sends x^m y^(n-m)/m! to the sum of c (m-k+1)...(m-k+i) (n-m)(n-m-1)...(n-m-l+1) psi[n+i+j-k-l,m+i-k],
+    which must sum, per target, to the rule's terms (literal at _UNIT times table): polynomials in (n, m)
+    of degree D, equal iff equal on D + 1 levels of steps onto the grid, so at n <= D + |dn| + |dm|; at a
+    step where several targets fail, the first gives the discrepancy. Rules are weight-checked when built,
+    so this holds at every point (see _proven)."""
     if _fock_generators(_UNIT) is None:
-        return False
-    n, m, one = _TERM_SYMBOLS["n"], _TERM_SYMBOLS["m"], Poly2.one(EXACT)
-    # target (dn, dm) -> the Fock action minus the rule's term there
-    sums = {(dn, dm): Poly2._normalized(EXACT, dict(nums), den) * -_scalar(literal, _UNIT)
-            for dn, dm, literal, (den, nums) in rule.terms}
+        return _UNDECIDED
+    n, m, one, zero = _TERM_SYMBOLS["n"], _TERM_SYMBOLS["m"], Poly2.one(EXACT), Poly2.zero(EXACT)
+    # target (dn, dm) -> [the Fock action there, the rule's term]
+    sides = {(dn, dm): [zero, Poly2._normalized(EXACT, dict(nums), den) * _scalar(literal, _UNIT)]
+             for dn, dm, literal, (den, nums) in rule.terms}
     for (i, j, k, l), c in eval_expression(rule.op_name, _UNIT, _fock_generators).terms.items():
         p = Poly2.monomial(0, 0, c)
         for t in range(i):
             p *= m + one.scale(t + 1 - k)
         for t in range(l):
             p *= n - m - one.scale(t)
-        sums[i + j - k - l, i - k] = sums.get((i + j - k - l, i - k), Poly2.zero(EXACT)) + p
-    return all(p.is_zero() for p in sums.values())
+        sides.setdefault((i + j - k - l, i - k), [zero, zero])[0] += p
+    wrong = [(dn, dm, pair) for (dn, dm), pair in sides.items() if pair[0] != pair[1]]
+    top = max((p.total_degree() + abs(dn) + abs(dm) for dn, dm, pair in wrong for p in pair), default=-1)
+    value = lambda p, n, m: Fraction(sum(c * n**i * m**k for (i, k), c in p.nums.items()), p.den)
+    return _counterexample((n, m, *(value(p, n, m) for p in pair)) for n in range(top + 1) for m in range(n + 1)
+                           for dn, dm, pair in wrong if 0 <= m + dm <= n + dn)
 
 
 @cache
-def _claimed(rule: ActionRule, n_max: int) -> bool:
-    """Whether the rule's irrep claim holds at every step, w the term's table times its literal, a number.
-    A diagonal rule: w == claim. A ladder rule to (n+dn, m+dm) = (n', m'): w^2 m!(n'-m')! == claim (n-m)!
-    m'!, each side divided by the factorials the other shares, as polynomials in (n, m), which agree iff
-    they agree at 0 <= m <= n <= D, D their degree; the claim zero where the target leaves the grid; and
-    w >= 0 at every step onto the grid up to n_max. Kept per rule and cutoff, proven at first use."""
-    if rule.claim is None:
-        return False
+def _claimed(rule: ActionRule, n_max: int):
+    """The rule's irrep claim, w its term's table times its literal, a number: None where it holds, else
+    its counterexample (see _derived). A diagonal rule: w == claim. A ladder rule to (n', m'): w^2
+    m!(n'-m')! == claim (n-m)! m'!, each side divided by the factorials the other shares, decided as in
+    _derived, up to level D + max(0, -dm) + max(0, dm - dn); the claim 0 where the target leaves the grid
+    (sides 0 and the claim); and w >= 0 at every step onto the grid up to n_max (sides w and -w)."""
     [(dn, dm, literal, table)], e = rule.terms, rule.terms[0][0] - rule.terms[0][1]
     degree = lambda t: max((i + k for (i, k), _ in t[1]), default=0)
-    top = max(2 * degree(table), degree(rule.claim)) + abs(dm) + abs(e)
-    (num, den), ws, claims = _literal(literal)[0].as_integer_ratio(), _levels(table, top), _levels(rule.claim, top)
-    if (dn, dm) == (0, 0):
-        return all(num * w == claim * den for level, want in zip(ws, claims) for w, claim in zip(level, want))
+    top = max(2 * degree(table), degree(rule.claim)) + abs(dm) + abs(e) + max(0, -dm) + max(0, -e)
+    num, den = _literal(literal)[0].as_integer_ratio()
+    ws, claims = _levels(table, max(top, n_max)), _levels(rule.claim, top)
     rising = lambda s, d: [prod(range(x + s + 1, x + s + d + 1)) for x in range(top + 1)]  # (x+s+1)...(x+s+d)
     a, b, c, d = rising(dm, -dm), rising(0, e), rising(0, dm), rising(e, -e)
-    return all((num * ws[n][m]) ** 2 * a[m] * b[n - m] == claims[n][m] * den**2 * c[m] * d[n - m]
-               and (0 <= m + dm <= n + dn or not claims[n][m]) for n in range(top + 1) for m in range(n + 1)) \
-        and all(num * (min if num > 0 else max)(level[max(0, -dm):n + 1 + min(0, e)], default=0) >= 0
-                for n, level in enumerate(_levels(table, n_max)))  # the steps onto the grid
+
+    def sides(n: int, m: int) -> tuple:
+        w, claim = num * ws[n][m], claims[n][m]
+        if not 0 <= m + dm <= n + dn:
+            return 0, claim
+        if (dn, dm) == (0, 0):
+            return w, claim * den
+        left, right = w * w * a[m] * b[n - m], claim * den**2 * c[m] * d[n - m]
+        return (w, -w) if left == right and w < 0 and n <= n_max else (left, right)
+
+    signs = ((n, m, w, abs(w)) for n in range(top + 1, n_max + 1 if dn or dm else 0)  # beyond, the sign alone
+             for m in range(max(0, -dm), n + 1 + min(0, e)) if (w := num * ws[n][m]) < 0)
+    return _counterexample(chain(((n, m, *sides(n, m)) for n in range(top + 1) for m in range(n + 1)), signs))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +726,10 @@ def _image_pass(params: Params, rules: list, n_max: int, tol: float) -> list[_Ch
     for rule in rules:
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
         with action:
-            derived[rule] = _derived(rule)
+            verdict = _derived(rule)
+        derived[rule] = verdict is None
+        if verdict not in (None, _UNDECIDED):
+            action.refute(*verdict)
         plan.append((rule, action, cache(partial(_reads, params, rule, n_max + 1))))  # at the rule's first read
 
     def read(entry: tuple, n: int, source: tuple) -> list:
@@ -746,99 +790,45 @@ def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAUL
 
 
 # ---------------------------------------------------------------------------
-# the irrep suite: each report its rule's action check plus its claim's discrepancy
+# the irrep suite: each report its rule's action check, its claim proven or refuted
 # ---------------------------------------------------------------------------
-
-
-# Each claim residual reads one step op.psi_{n,m}: its arguments are n, m, the
-# rule's claimed value there (at j = n/2, mu = m - n/2) and the one action term
-# (w, n', m') of the step. The step's image residual is the action check's.
-
-
-def _eigenvalue_residual(n, m, eigenvalue, target):
-    """The distance of c, in op psi_{n,m} = c psi_{n,m}, from the irrep eigenvalue."""
-    return abs(target[0] - eigenvalue)
-
-
-def _squared_ladder_residual(n, m, c2, target):
-    """Exact mode: in op psi_{n,m} = c psi_{n',m'}, c >= 0 and, as phi is psi scaled by sqrt(m!/(n-m)!),
-    c^2 m!(n'-m')!/((n-m)! m'!) equals c2 = claim; outside the grid the claim must vanish."""
-    c, n2, m2 = target
-    if not (0 <= m2 <= n2):
-        return abs(c2)
-    if not c >= 0:
-        # the su(2)-type coefficients are nonnegative (and a NaN is none)
-        return abs(c)
-    ratio = Fraction(factorial(m) * factorial(n2 - m2), factorial(n - m) * factorial(m2))
-    return abs(c * c * ratio - c2)
-
-
-def _in_floats(rho):
-    """An exact run's residual, a Fraction, in floats, as the largest float beyond the float range; a
-    float run's as it is."""
-    return float(min(rho, float_info.max)) if type(rho) is Fraction else rho
-
-
-def _float_ladder_residual(n, m, c2, target):
-    """op phi_{n,m} = sqrt(c2) phi_{n',m'} in floats. With s, s' the su(2) factors of (n, m), (n', m') and
-    op psi = w psi' + E, op phi - sqrt(c2) s' psi' = s E + (s w - sqrt(c2) s') psi'; over max(|s w|, sqrt(c2)
-    s') T, T the largest coefficient of psi', that is at most rho + d, rho = |E| / (|w| T) the action check's
-    residual at the step and d = |s w - sqrt(c2) s'| / max(|s w|, sqrt(c2) s') this one; off the grid, |c2|."""
-    w, n2, m2 = target
-    if not 0 <= m2 <= n2:
-        return abs(float(c2))
-    sw, c = su2_factor(n, m) * w, sqrt(c2) * su2_factor(n2, m2)
-    return abs(sw - c) / max(abs(sw), c) if sw or c else 0.0
 
 
 def _offset(x: Fraction) -> str:
     return f"{'+' if x > 0 else '-'}{abs(x)}" if x else ""
 
 
-def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list:
-    """The (report, residual function) of each report of a rule's irrep claim,
-    in report order, each anchored on the claim and the action term's shift."""
+def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list[_Check]:
+    """The check of each report of a rule's irrep claim, in report order, each
+    anchored on the claim and the action term's shift."""
     (dn, dm, *_), rule_id, op = rule.terms[0], f"irrep.{rule.op_name}", rule.op_name
     if (dn, dm) == (0, 0):
         claim = rule.irrep if rule.irrep.isidentifier() else f"({rule.irrep})"
-        return [(_Check(rule_id, f"{op} phi = {claim} phi", mode, tol), _eigenvalue_residual)]
+        return [_Check(rule_id, f"{op} phi = {claim} phi", mode, tol)]
     anchor = f"{op} phi = sqrt({rule.irrep}) phi[j{_offset(Fraction(dn, 2))},mu{_offset(dm - Fraction(dn, 2))}]"
-    squared = [(_Check(f"{rule_id}.sq", f"{anchor} (squared values)", EXACT), _squared_ladder_residual)]
+    squared = [_Check(f"{rule_id}.sq", f"{anchor} (squared values)", EXACT)]
     return (squared if mode == EXACT else []) + [
-        (_Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol), _float_ladder_residual)]
-
-
-@cache
-def _discrepancies(rule: ActionRule, n_max: int, mode: str) -> tuple:
-    """(worst, (n, m)) of the claim's own residual at the steps up to n_max, per report of _irrep_checks, w
-    the term's table times its literal, a number. No point enters it: kept per rule, cutoff and mode."""
-    [(dn, dm, literal, table)] = rule.terms
-    value, checks, claims = lift(_literal(literal)[0], mode), _irrep_checks(mode, rule, 0.0), _levels(rule.claim, n_max)
-    for n, level in enumerate(_levels(table, n_max)):
-        for m, v in enumerate(level):
-            for check, residual in checks:
-                check.add(residual(n, m, claims[n][m], (value * v, n + dn, m + dm)), (n, m))
-    return tuple((check.worst, check.at) for check, _ in checks)
+        _Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol)]
 
 
 def _irrep_reports(mode: str, rules: list, actions: list, n_max: int, tol: float, timed: bool) -> list[Report]:
-    """The reports of the claims of ``rules`` (see _irrep_checks), each its rule's check in ``actions``,
-    in floats for a .float report, plus the claim's own discrepancy unless it is proven (``_claimed``),
-    added in (n, m) order, so that an earlier step wins a tie as it would read per step. The proof and
-    the discrepancy are timed into the rule's first irrep report, and so are its images where ``timed``."""
+    """The reports of the claims of ``rules`` (see _irrep_checks), each its rule's check in ``actions``, in
+    floats for a .float report, proven or refuted by ``_claimed``. The proof is timed into the rule's first
+    irrep report, and so are its images where ``timed``."""
     reports = []
     for rule, action in zip(rules, actions):
         if rule.claim is None:
             continue
-        checks = [check for check, _ in _irrep_checks(mode, rule, tol)]
+        checks = _irrep_checks(mode, rule, tol)
         with checks[0]:
-            discrepancies = () if _claimed(rule, n_max) else _discrepancies(rule, n_max, mode)
+            counterexample = _claimed(rule, n_max)
         checks[0].seconds += action.seconds if timed else 0.0
-        for k, check in enumerate(checks):
-            check.how = "read" if discrepancies else "proven"
-            image = (_in_floats(action.worst) if check.mode == FLOAT else action.worst, action.at)
-            for residual, at in sorted([image, *discrepancies[k:k + 1]], key=lambda p: (p[1] is None, p[1] or ())):
-                check.add(residual, at)
+        for check in checks:
+            check.add(_in_floats(action.worst) if check.mode == FLOAT else action.worst, action.at)
+            if counterexample:
+                check.refute(*counterexample)
+            else:
+                check.how = "proven"
         reports += [check.report() for check in checks]
     return reports
 
@@ -846,7 +836,7 @@ def _irrep_reports(mode: str, rules: list, actions: list, n_max: int, tol: float
 def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
     """su(2)/superalgebra coefficients on phi, in the order of ACTION_RULES: a diagonal rule's report, or
     a ladder rule's exact squared-value report (exact mode only) and its float direct report, each its
-    rule's action report (see check_actions), plus the claim's own discrepancy unless the claim is proven."""
+    rule's action report (see check_actions), failed by the claim's counterexample where it is refuted."""
     return run_suites(params, ("irrep",), n_max, tol)
 
 

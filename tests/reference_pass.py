@@ -7,17 +7,19 @@ the built difference image - sum c psi_{n',m'}, one way in both modes: its
 largest magnitude per charge line e - i, each over |c| T of the target on
 that line (T the target's largest coefficient), a line without a target
 reading 1 where it is nonzero. The reports come from
-the package's own rules, checks and per-step claim residual functions, so
-every report equals the package's, which adds each irrep claim's
-discrepancy to its rule's action check instead of reading it per step.
+the package's own rules and checks, and each irrep report reads its rule's
+image residual at each step, as the package's does. It is the reference for
+readings, not for refutations: a rule or claim the package refutes fails
+there with its counterexample wherever this reading passes.
 
 ``direct_reading`` reads op phi_{n,m} - c psi_{n',m'} whole, in floats: the
 quantity that the .float residual bounds, for the tests of that bound.
 
-The pass reads each rule's coefficients from ``TERMS`` and ``CLAIMS``, the
-action terms and irrep claims as functions of (n, m) and (j, mu), keyed by
-rule id and written out by hand, not from the verifier's parsed rule texts;
-a test that changes a rule changes its entry here too.
+The pass reads each rule's coefficients from ``TERMS``, the action terms as
+functions of (n, m), and gives an irrep report to each rule in ``CLAIMS``,
+the irrep claims as functions of (j, mu), each keyed by rule id and written
+out by hand, not from the verifier's parsed rule texts; a test that changes a
+rule changes its entry here too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import sqrt
 
 from jordan_osc import model, verifier
 from jordan_osc.verifier import _Check
-from jordan_osc.weyl import EXACT, FLOAT, lift, linear_combination, max_or_nan, zero
+from jordan_osc.weyl import FLOAT, lift, linear_combination, max_or_nan, zero
 
 #: rule id -> the terms (dn, dm, literal, poly) of op psi_{n,m} = sum literal
 #: poly(n, m) psi_{n+dn,m+dm}
@@ -107,45 +109,41 @@ def direct_reading(target, n, m, c2, image, basis):
     """op phi_{n,m} - c psi_{n',m'} in floats, read whole, at a step whose
     action term is ``target`` (w, n', m'), c = sqrt(c2) su2_factor(n', m');
     off the grid, op phi_{n,m} alone."""
-    scale = verifier.su2_factor(n, m)
+    scale = model.su2_factor(n, m)
     _, n2, m2 = target
     if not (0 <= m2 <= n2):
         return whole_residual(FLOAT, [], image.to_float(), scale)
-    c = sqrt(c2) * verifier.su2_factor(n2, m2)
+    c = sqrt(c2) * model.su2_factor(n2, m2)
     return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
 
 
-def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refuted=(), reach=None):
+def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), reach=None):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier.run_suites gives them, in the verifier's rule order and with its
-    anchors, from the coefficients of TERMS and CLAIMS. A rule whose id is in
+    anchors, from the coefficients of TERMS. A rule whose id is in
     ``derived`` reads its image only at the steps with a target beyond level
     ``reach`` (default n_max + 2), a1+ only at each level's top step m = n,
     a1- and a2- only at n = 0; at every other step its image residual is 0.
     Each irrep report reads the step's image residual, the .float one in
-    floats; a claim whose rule's id is in ``refuted`` is read per step, the
-    larger of that and the claim's own residual at the step (the verifier's
-    claim residual functions). Every other claim holds."""
+    floats."""
     basis = cache(partial(model.chain_psi, params))
     reach = n_max + 2 if reach is None else reach
     plan = []
     for rule in verifier.ACTION_RULES:
-        claim = CLAIMS.get(rule.rule_id) if "irrep" in suites else None
-        if claim is None and "actions" not in suites:
+        claimed = "irrep" in suites and rule.rule_id in CLAIMS
+        if not claimed and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        checks = [] if claim is None else verifier._irrep_checks(params.mode, rule, tol)
+        checks = verifier._irrep_checks(params.mode, rule, tol) if claimed else []
         # each literal at the twin, rounded once at a float point
         terms = [(dn, dm, lift(model._scalar(literal, params.twin), params.mode), poly)
                  for dn, dm, literal, poly in TERMS[rule.rule_id]]
-        plan.append((rule, terms, action, claim, checks))
+        plan.append((rule, terms, action, checks))
     for n in range(n_max + 1):
         for m in range(n + 1):
             psi = basis(n, m)
-            j, mu = (Fraction(n, 2), Fraction(2 * m - n, 2)) if params.mode == EXACT else (n / 2, m - n / 2)
-            for rule, terms, action, claim, checks in plan:
+            for rule, terms, action, checks in plan:
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
-                value = None if claim is None else claim(j, mu)
                 if rule.op_name in ("a1-", "a2-"):
                     unread = n > 0
                 elif rule.op_name == "a1+":
@@ -159,10 +157,7 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), refu
                     image_residual = step_residual(params.mode, [
                         (c, basis(n2, m2), 2 * m2 - n2) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
-                for check, residual in checks:
-                    image = verifier._in_floats(image_residual) if check.mode == FLOAT else image_residual
-                    if rule.rule_id in refuted:  # the larger of the image's and the claim's residual at this step
-                        image = max_or_nan(image, residual(n, m, value, targets[0]))
-                    check.add(image, (n, m))
-    actions = [action.report() for _, _, action, *_ in plan] if "actions" in suites else []
-    return actions, [check.report() for *_, checks in plan for check, _ in checks]
+                for check in checks:
+                    check.add(verifier._in_floats(image_residual) if check.mode == FLOAT else image_residual, (n, m))
+    actions = [action.report() for _, _, action, _ in plan] if "actions" in suites else []
+    return actions, [check.report() for *_, checks in plan for check in checks]

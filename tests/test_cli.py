@@ -208,6 +208,21 @@ class TestVerifyCommand:
             printed = capsys.readouterr().out
             assert "proven" not in printed and "derived" not in printed
 
+    def test_a_refuted_entry_round_trips(self, capsys, monkeypatch):
+        # J+ with literal -1 is refuted on the Fock module: its entries fail
+        # with how "refuted", and read back as they were written
+        monkeypatch.setattr(verifier, "ACTION_RULES", tuple(
+            verifier.ActionRule(r.rule_id, r.anchor.replace("= 1 ", "= -1 "), r.irrep) if r.rule_id == "action.J+"
+            else r for r in verifier.ACTION_RULES))
+        assert main(["verify", "--suites", "actions,irrep", "--nmax", "2", "--format", "json"]) == 1
+        out = capsys.readouterr().out
+        entries = {entry["id"]: entry for entry in json.loads(out)["suites"] if entry["how"] == "refuted"}
+        assert entries.keys() == {"action.J+", "irrep.J+.sq", "irrep.J+.float"}
+        assert {entry["status"] for entry in entries.values()} == {"fail"}
+        result = parse_json(out)
+        assert {r.relation_id for r in result.reports if r.how == "refuted"} == entries.keys()
+        assert emit_json(result) == out
+
     def test_cutoffs_reported_and_round_trip(self, capsys):
         argv = ["verify", "--suites", "pseudo,integrals", "--nmax", "16"]
         assert main(argv + ["--format", "json"]) == 0

@@ -158,7 +158,7 @@ def test_compare_reports_runs_each_checkout(tmp_path, monkeypatch, capsys):
     assert compare.main(["--strict", str(ROOT), str(ROOT)]) == 0
     assert capsys.readouterr().out == ""
     # a copy whose J+ rule has its literal doubled: the verdict moves, and the
-    # refuted rule is read where it was derived
+    # rule is refuted, read where it was derived
     copy = tmp_path / "checkout"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
     module = copy / "src" / "jordan_osc" / "verifier.py"
@@ -169,7 +169,7 @@ def test_compare_reports_runs_each_checkout(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and all(line.startswith(" ".join(point) + ": action.J+: ") for line in lines)
     assert lines[1].endswith("status 'pass' -> 'fail'") and lines[2].endswith("residual '0' -> '1/2'")
-    assert lines[3].endswith("how 'derived' -> 'read'")
+    assert lines[3].endswith("how 'derived' -> 'refuted'")
     # a checkout with no package writes no report
     assert compare.main([str(ROOT), str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -346,11 +346,10 @@ DECLARED_WEIGHTS = {
 
 @pytest.fixture
 def fresh_process(monkeypatch):
-    """No relation or claim proven, no claim's discrepancy read, no weight derived and no point store
-    yet, so no Fock chart or value in it (_UNIT's store keeps them), as in a new process; what the test
-    proves, derives, reads or builds is dropped after it, so a definition or function the test changes
-    leaves nothing behind."""
-    caches = (verifier._proven, verifier._derived, verifier._claimed, verifier._discrepancies, model._token_weight)
+    """No relation or claim proven, no weight derived and no point store yet, so no Fock chart or value
+    in it (_UNIT's store keeps them), as in a new process; what the test proves, derives, reads or builds
+    is dropped after it, so a definition or function the test changes leaves nothing behind."""
+    caches = (verifier._proven, verifier._derived, verifier._claimed, model._token_weight)
     for kept in caches:
         kept.cache_clear()
     monkeypatch.setattr(model, "_POINTS", {})
@@ -742,9 +741,9 @@ def _replace_rule(rules, rule_id, **changes):
     return tuple(replace(r, **changes) if r.rule_id == rule_id else r for r in rules)
 
 
-def _at(rule, n, m, factor=1):
-    """A rule's claimed value at psi_{n,m}, at j = n/2, mu = m - n/2, times ``factor``."""
-    return F(verifier._levels(rule.claim, n)[n][m]) * factor
+def _at(rule, n, m):
+    """A rule's claimed value at psi_{n,m}, at j = n/2, mu = m - n/2."""
+    return F(verifier._levels(rule.claim, n)[n][m])
 
 
 #: n(n-1)...(n-24): with it J+'s rule holds at every n <= 24 and fails beyond
@@ -768,41 +767,37 @@ def _merged_reports(rule, mode, *steps):
 
 
 class TestBoundDesign:
-    """The .float residual bounds the direct reading of op phi - c phi' over
-    c T to a factor 2, so a pass it gives is one that reading gives, and it
-    sees a wrong claim however small the target; the benchmark's points pass."""
+    """With a claim that holds, the .float residual, its rule's action residual
+    read in floats, bounds the direct reading of op phi - c phi' over c T to a
+    factor 2, so a pass it gives is one that reading gives; the benchmark's
+    points pass."""
 
     @pytest.mark.parametrize("point", [
         Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23), Params.from_ab(1e-10, 1e-11),
     ], ids=["exact-3/2-2/3", "float-0.79-0.23", "float-1e-10-1e-11"])
     def test_the_bound_is_at_least_the_direct_reading(self, point):
-        # at every ladder step with n <= 8, with the true claim and the claim
-        # times 1 + 1e-8: the reference's direct reading of |op phi - c phi'|,
-        # c = sqrt(claim) su2_factor(n', m'), over c T (off the grid: as it is)
-        # is at most twice the step's .float residual, less rounding
+        # at every ladder step with n <= 8, with the true claim: the
+        # reference's direct reading of |op phi - c phi'|, c = sqrt(claim)
+        # su2_factor(n', m'), over c T (off the grid: as it is) is at most
+        # twice the step's action residual in floats, less rounding. A claim
+        # that does not hold is refuted, and fails whatever its reading
         basis = cache(partial(model.chain_psi, point))
         for rule in LADDERS:
-            images = {(n, m): model.apply(point, rule.op_name, basis(n, m)) for n in range(9) for m in range(n + 1)}
-            for factor in (1, 1 + F(1, 10**8)):
-                worst = 0.0
-                for (n, m), image in images.items():
-                    target, c2 = _term(point, rule, n, m), _at(rule, n, m, factor)
+            worst = 0.0
+            for n in range(9):
+                for m in range(n + 1):
+                    image = model.apply(point, rule.op_name, basis(n, m))
+                    target, c2 = _term(point, rule, n, m), _at(rule, n, m)
                     w, n2, m2 = target
                     in_grid = 0 <= m2 <= n2
                     targets = [(w, basis(n2, m2), 2 * m2 - n2)] if w and in_grid else []
-                    rho = reference_pass.step_residual(point.mode, targets, image)
-                    # the report's two parts at this step: the image's residual and the claim's
-                    got = verifier.max_or_nan(verifier._in_floats(rho),
-                                              verifier._float_ladder_residual(n, m, c2, target))
+                    got = verifier._in_floats(reference_pass.step_residual(point.mode, targets, image))
                     reading = reference_pass.direct_reading(target, n, m, c2, image, basis)
                     if in_grid:
-                        reading /= sqrt(c2) * verifier.su2_factor(n2, m2) * float(basis(n2, m2).max_magnitude())
-                    assert reading <= 2 * got + 1e-15, (rule.rule_id, factor, n, m)
+                        reading /= sqrt(c2) * model.su2_factor(n2, m2) * float(basis(n2, m2).max_magnitude())
+                    assert reading <= 2 * got + 1e-15, (rule.rule_id, n, m)
                     worst = max(worst, got)
-                if factor != 1:
-                    assert 4e-9 < worst < 6e-9, rule.rule_id
-                else:
-                    assert worst <= 1e-15, rule.rule_id
+            assert worst <= 1e-15, rule.rule_id
 
     @pytest.mark.parametrize("point, n_max", [(Params.exact(1, F(1, 2)), 16), (Params.from_ab(0.79, 0.23), 24)],
                              ids=["exact-1-1/2-n16", "float-0.79-0.23-n24"])
@@ -850,7 +845,8 @@ class TestRelativeFloatResiduals:
         # J-'s claim times 1 + 1e-6 at the steps (n, 1) alone, n <= 8, fails
         # irrep.J-.float by as much as at an everyday point. The claim is
         # perturbed as a polynomial, times 1 + 1e-6 m(m-2)(m-3)...(m-8)/P(1),
-        # so the proof refutes it and the pass reads it per step
+        # so the proof refutes it at (1, 1), by the squared values' relative
+        # discrepancy 1e-6 / (1 + 1e-6), which no point enters
         rule = _ACTION_OF["J-"]
         den, nums = rule.claim
         m, one = Poly2.zbar("exact"), Poly2.one("exact")
@@ -860,11 +856,12 @@ class TestRelativeFloatResiduals:
         object.__setattr__(wrong, "claim", (claim.den, tuple(sorted(claim.nums.items()))))
         assert [F(v) for v in verifier._levels(wrong.claim, 8)[8]] == [
             v * (1 + F(1, 10**6)) if k == 1 else v for k, v in enumerate(verifier._levels(rule.claim, 8)[8])]
-        assert not verifier._claimed(wrong, 8)
+        assert verifier._claimed(wrong, 8) == (F(1, 10**6 + 1), (1, 1))
         monkeypatch.setattr(verifier, "ACTION_RULES", tuple(wrong if r is rule else r for r in ACTION_RULES))
         reports = {r.relation_id: r for r in check_irrep(Params.from_ab(*ab), n_max=8)}
         assert _failing(reports.values()) == {"irrep.J-.float"}
-        assert 4.9e-7 < float(reports["irrep.J-.float"].residual) < 5.1e-7
+        assert float(reports["irrep.J-.float"].residual) == 1 / (10**6 + 1)
+        assert reports["irrep.J-.float"].anchor.endswith("[refuted at n,m=(1, 1)]")
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.floats(-12, 12), st.floats(-6, 0), st.integers(0, 6))
@@ -889,7 +886,8 @@ class TestRelativeFloatResiduals:
         # literal doubled and S's middle coefficient -3*b, each failing report
         # names the same residual at the same (n, m) at four points over 350
         # decades; absolute residuals moved with the point, and so did the step
-        # they named
+        # they named. The J+ claim is refuted, and its reports are the failing
+        # reading
         rules = _replace_rule(ACTION_RULES, "action.J+", anchor=_ACTION_OF["J+"].anchor.replace("= 1 ", "= 2 "))
         rules = _replace_rule(rules, "action.S", anchor=_ACTION_OF["S"].anchor.replace("-2*b n", "-3*b n"))
         monkeypatch.setattr(verifier, "ACTION_RULES", rules)
@@ -900,39 +898,36 @@ class TestRelativeFloatResiduals:
         failed = {rid: (anchor.rsplit("[", 1)[1], residual) for rid, anchor, _, status, residual in runs[0]
                   if status == "fail"}
         assert failed == {"action.S": ("worst at n,m=(1, 0)]", "1/3"), "action.J+": ("worst at n,m=(1, 0)]", "1/2"),
-                          "irrep.J+.sq": ("worst at n,m=(8, 3)]", "60"),
-                          "irrep.J+.float": ("worst at n,m=(3, 2)]", "0.5000000000000001")}
+                          "irrep.J+.sq": ("worst at n,m=(1, 0)]", "1/2"),
+                          "irrep.J+.float": ("worst at n,m=(1, 0)]", "0.5")}
 
 
-def _fraction_squared_ladder_residual(rule, n, m, target):
-    """The squared-value residual in Fractions throughout (the oracle of the
-    integer decision)."""
-    c2 = _at(rule, n, m)
-    c, n2, m2 = target
-    if not (0 <= m2 <= n2):
-        return abs(c2)
-    if c < 0:
-        return abs(c)
-    ratio = phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
-    return abs(c * c * ratio - c2)
+def _fraction_ladder_sides(rule, n, m, factor):
+    """The two sides of a ladder claim at psi_{n,m}, in Fractions throughout (the oracle of the integer
+    decision), its action coefficient c times ``factor``: c^2 phi_scale_sq(n, m)/phi_scale_sq(n', m') and
+    the claim; 0 and the claim off the grid; c and -c where the squares agree but c < 0."""
+    c, n2, m2 = _term(verifier._UNIT, rule, n, m)
+    c, c2 = c * factor, _at(rule, n, m)
+    if not 0 <= m2 <= n2:
+        return 0, c2
+    left = c * c * phi_scale_sq(n, m) / phi_scale_sq(n2, m2)
+    return (c, -c) if left == c2 and c < 0 else (left, c2)
 
 
 class TestSquaredLadderResidual:
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(LADDERS), st.integers(0, 9).flatmap(
-               lambda n: st.tuples(st.just(n), st.integers(0, n))),
-           st.sampled_from([1, 1, -1, F(2), F(1, 3), F(-5, 4), 0]),
-           st.sampled_from([Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3))]))
-    def test_integer_decision_equals_the_fraction_expression(self, rule, nm, factor, point):
-        # the true action term, its coefficient scaled (negated, zeroed)
-        n, m = nm
-        c, n2, m2 = _term(point, rule, n, m)
-        target = (c * factor, n2, m2)
-        got = verifier._squared_ladder_residual(n, m, _at(rule, n, m), target)
-        want = _fraction_squared_ladder_residual(rule, n, m, target)
-        assert got == want and str(got) == str(want)
-        if factor == 1:
-            assert got == 0  # the true coefficient passes
+    def test_integer_decision_equals_the_fraction_expression(self):
+        # each ladder rule with its literal scaled (negated): the proof, in
+        # ints, names the first step where the sides in Fractions differ, and
+        # their relative discrepancy there; the true coefficient holds
+        for rule in LADDERS:
+            literal = rule.terms[0][2]
+            for factor in (1, -1, F(2), F(1, 3), F(-5, 4)):
+                scaled = replace(rule, anchor=rule.anchor.replace(f" = {literal} ", f" = {F(literal) * factor} "))
+                steps = [(n, m, *_fraction_ladder_sides(rule, n, m, factor)) for n in range(12) for m in range(n + 1)]
+                want = next(((abs(left - right) / max(abs(left), abs(right)), (n, m))
+                             for n, m, left, right in steps if left != right), None)
+                assert verifier._claimed(scaled, 12) == want, (rule.rule_id, factor)
+                assert (want is None) == (factor == 1), (rule.rule_id, factor)
 
 
 class TestDerivedChecksCanFail:
@@ -964,25 +959,6 @@ class TestDerivedChecksCanFail:
             conjugated(P, name).scale(2) if name == "a1+" else conjugated(P, name)))
         failing = _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
         assert failing == {"action.a1+", "irrep.a1+.sq", "irrep.a1+.float"}
-
-    def test_wrong_float_basis_fails_float_in_exact_run(self, params, fresh_process, monkeypatch):
-        import jordan_osc.verifier as v
-
-        # the float basis phi is the exact psi times its su(2) factor: a wrong
-        # factor at (2, 1). A proven claim's .float report reads no factor, so
-        # J+'s claim is refuted by a term that vanishes at every n <= 24, and
-        # irrep.J+.float, read per step, meets phi[2,1] as op phi[2,1] and as
-        # the target of (2, 0)
-        factor = v.su2_factor
-
-        def perturbed(n, m):
-            return factor(n, m) * (sqrt(1.000001) if (n, m) == (2, 1) else 1)
-
-        monkeypatch.setattr(v, "su2_factor", perturbed)
-        assert not _failing(v.run_suites(params, ("actions", "irrep"), n_max=3))
-        monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.J+",
-                                                             irrep=_refuted(_ACTION_OF["J+"]).irrep))
-        assert _failing(v.run_suites(params, ("actions", "irrep"), n_max=3)) == {"irrep.J+.float"}
 
     # (which generator, which of its terms to drop, the key index that marks an
     # operator term using that generator: z^i zbar^j dz^k dzbar^l)
@@ -1109,40 +1085,38 @@ class TestImagePass:
         (Params.from_ab(0.79, 0.23), 10, False, True), (Params.from_ab(0.79, 0.23), 10, True, True),
     ], ids=["exact-3/2-2/3", "float-0.79-0.23", "exact-1e100-1", "a1+-exact-3/2-2/3", "a1+-refuted-exact-3/2-2/3",
             "a1+-float-0.79-0.23", "a1+-refuted-float-0.79-0.23"])
-    def test_refuted_claims_equal_the_per_step_reference(self, point, n_max, refute, a1, monkeypatch):
-        # each claim times 1 + (2j)(2j-1)...(2j-24), refuted, is read per step
-        # as the reference reads its own claims, equal to these at n <= 24.
-        # a1+ written (m+2) fails its rule and its claim, which is read per step
-        # unrefuted, and leaves no rule derived: at (0, 0) the claim's own
-        # residual is 3 and the image's 1/2, so each a1+ irrep report adds two
-        # nonzero parts
-        rules, read = ACTION_RULES, set()
+    def test_a_refuted_claim_always_fails(self, point, n_max, refute, a1, monkeypatch):
+        # each claim times 1 + (2j)(2j-1)...(2j-24), refuted at (25, 0) or
+        # (25, 1), as no reading up to nmax 24 can see; a1+ written (m+2)
+        # fails its rule and its claim, refuted at (0, 0), and leaves no rule
+        # derived. Each refuted report fails: where the per-step reference's
+        # reading fails, it is that reading, else the counterexample
+        rules = ACTION_RULES
         if a1:
             rules = _replace_rule(rules, "action.a1+", anchor="a1+ psi = 1 (m+2) psi[n+1,m+1]")
             monkeypatch.setitem(reference_pass.TERMS, "action.a1+", ((1, 1, "1", lambda n, m: m + 2),))
-            read.add("action.a1+")
         if refute:
             rules = tuple(_refuted(rule) if rule.claim is not None else rule for rule in rules)
-            read |= reference_pass.CLAIMS.keys()
         monkeypatch.setattr(verifier, "ACTION_RULES", rules)
         got = _image_reports(point, ("actions", "irrep"), n_max)
-        assert {r.relation_id.split(".")[1] for r in got[1] if r.how == "read"} == {i.split(".")[1] for i in read}
-        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max, refuted=read,
+        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max,
                                          derived=FOCK if point.mode == FLOAT and not a1 else ())
-        _assert_matches_the_reference(got, want)
+        proofs = {f"irrep.{rule.op_name}": verifier._claimed(rule, n_max) for rule in rules if rule.claim is not None}
+        proofs["action.a1+"] = verifier._derived(next(rule for rule in rules if rule.op_name == "a1+"))
+        assert [g.relation_id for g in got[0] + got[1]] == [w.relation_id for w in want[0] + want[1]]
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            proof = proofs.get(g.relation_id.removesuffix(".sq").removesuffix(".float"))
+            assert (g.how == "refuted") == (proof is not None), g.relation_id
+            if proof is None or w.failed:
+                assert _strip(g) == _strip(w), g.relation_id
+                continue
+            discrepancy, at = proof
+            assert g.failed and at[0] == 25, g.relation_id  # the reading fails wherever a1+ is written (m+2)
+            assert g.anchor == f"{w.anchor.rsplit(' [', 1)[0]} [refuted at n,m={at}]", g.relation_id
+            assert g.residual == str(verifier._in_floats(discrepancy) if g.mode == FLOAT else discrepancy)
+        assert {r.relation_id for r in got[0] if r.failed} == ({"action.a1+"} if a1 else set())
         if a1:
-            rule = next(rule for rule in rules if rule.op_name == "a1+")
-            parts = verifier._discrepancies(rule, n_max, point.mode)
-            assert all(at == (0, 0) and worst for worst, at in parts)
-            assert _failing(got[0]) == {"action.a1+"}
-
-    @pytest.mark.parametrize("at, named", [((1, 0), (1, 0)), ((2, 1), (2, 0))], ids=["image-first", "claim-first"])
-    def test_the_earlier_step_wins_a_tie_of_the_two_parts(self, at, named):
-        # J0 claimed as mu+2*j is off by n, so by 2 from (2, 0) on up to n_max
-        # 2; an image residual 2 at ``at`` ties it, and the report names the
-        # earlier step, as reading per step does
-        [report] = _merged_reports(replace(_ACTION_OF["J0"], irrep="mu+2*j"), "exact", (F(2), at))
-        assert report.residual == "2" and report.anchor.endswith(f"[worst at n,m={named}]")
+            assert proofs["action.a1+"][1] == proofs["irrep.a1+"][1] == (0, 0)
 
     # a1+ psi = (m+1) psi[n+1,m+1], a1+ = (2w - dzbar)/2 in the chain
     # variables. A stray w^3 zbar^2 term of a1+'s charge shift puts image
@@ -1256,38 +1230,26 @@ class TestImagePass:
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
-        # a proven claim is read per step by no report, so the pass evaluates
-        # only the term tables of the rules it reads, the four boson rules, up
-        # to level n_max + 1; a refuted claim's discrepancy is read once per
-        # process and mode, from its term and claim tables evaluated for every
-        # level at once, and its .sq and .float reports share it
+        # a claim is proven once per process, and read per step by no report,
+        # so the pass evaluates only the term tables of the rules it reads, the
+        # four boson rules, up to level n_max + 1
         import jordan_osc.verifier as v
 
         P = request.getfixturevalue(point)
-        refuted = _replace_rule(ACTION_RULES, "action.J+", irrep=_refuted(_ACTION_OF["J+"]).irrep)
-        for rules in (ACTION_RULES, refuted):
-            monkeypatch.setattr(v, "ACTION_RULES", rules)
-            v.check_irrep(P, n_max=4)  # each claim proven or refuted, and read, once, before the count
-            calls = Counter()
-            levels = v._levels
+        v.check_irrep(P, n_max=4)  # each claim proven once, before the count
+        calls = Counter()
+        levels = v._levels
 
-            def counted(table, n_max):
-                calls[table, n_max] += 1
-                return levels(table, n_max)
+        def counted(table, n_max):
+            calls[table, n_max] += 1
+            return levels(table, n_max)
 
-            monkeypatch.setattr(v, "_levels", counted)
-            assert all(r.passed for r in v.check_irrep(P, n_max=4))
-            claimed = [rule for rule in rules if rule.claim is not None]
-            read = [rule for rule in claimed if not v._claimed(rule, 4)]
-            assert len(claimed) == 14 and len(read) == (rules is refuted)
-            bosons = Counter((rule.terms[0][3], 5) for rule in claimed if rule.op_name in v._BOSONS)
-            assert sum(bosons.values()) == 4 and calls == bosons
-            v._discrepancies.cache_clear()
-            calls.clear()
-            v.check_irrep(P, n_max=4)
-            monkeypatch.setattr(v, "_levels", levels)
-            tables = [rule.terms[0][3] for rule in read] + [rule.claim for rule in read]
-            assert calls == bosons + Counter((table, 4) for table in tables)
+        monkeypatch.setattr(v, "_levels", counted)
+        assert all(r.passed for r in v.check_irrep(P, n_max=4))
+        claimed = [rule for rule in ACTION_RULES if rule.claim is not None]
+        assert len(claimed) == 14 and all(v._claimed(rule, 4) is None for rule in claimed)
+        bosons = Counter((rule.terms[0][3], 5) for rule in claimed if rule.op_name in v._BOSONS)
+        assert sum(bosons.values()) == 4 and calls == bosons
 
     def test_no_basis_function_without_actions_or_irrep(self, monkeypatch):
         # structure and pseudo read no image, so the pass builds no psi at
@@ -1415,26 +1377,34 @@ class TestFockDerivation:
     def test_every_other_rule_is_derived(self, fresh_process):
         # the boson rules derive too: the chart sends each to its own x, y, dx
         # or dy, so their texts state the Fock basis
-        derived = {rule.rule_id for rule in ACTION_RULES if verifier._derived(rule)}
+        derived = {rule.rule_id for rule in ACTION_RULES if verifier._derived(rule) is None}
         assert len(DERIVED) == 19 and derived - BOSON_RULES == DERIVED
         assert derived == DERIVED | BOSON_RULES
 
     def test_a_chart_that_breaks_the_weyl_relations_derives_nothing(self, fresh_process, monkeypatch):
-        # a2+ doubled: [a2-, a2+] = 2, so no chart, and no rule derives
+        # a2+ doubled: [a2-, a2+] = 2, so no chart, and no rule is derived or
+        # refuted; a claim needs no chart, so each is still decided: the
+        # shipped ones hold, and J+'s doubled is refuted at (1, 0)
         monkeypatch.setitem(model.DEFINITIONS, "a2+", "smul -4*q*p^-1 A+")
         assert verifier._fock_generators(verifier._UNIT) is None
-        assert not any(verifier._derived(rule) for rule in ACTION_RULES)
+        assert all(verifier._derived(rule) is verifier._UNDECIDED for rule in ACTION_RULES)
+        assert all(verifier._claimed(rule, 8) is None for rule in ACTION_RULES if rule.claim is not None)
+        doubled = replace(_ACTION_OF["J+"], irrep=f"2*({_ACTION_OF['J+'].irrep})")
+        assert verifier._claimed(doubled, 8) == (F(1, 2), (1, 0))
 
     # J+ doubled; J+ plus a term that vanishes at every n <= 24, which a reading
-    # up to nmax 24 cannot see; D-22 with (n-m)^2 for (n-m)(n-m-1)
-    @pytest.mark.parametrize("op, text, n_max, failing", [
-        ("J+", "J+ psi = 2 (n-m)*(m+1) psi[n,m+1]", 6, {"action.J+", "irrep.J+.sq", "irrep.J+.float"}),
-        ("J+", f"J+ psi = 1 (n-m)*(m+1)+(n-m)*(m+1)*{_FALLING_25} psi[n,m+1]", 24, set()),
-        ("D-22", "D-22 psi = 1 (n-m)*(n-m) psi[n-2,m]", 6, {"action.D-22", "irrep.D-22.sq", "irrep.D-22.float"}),
+    # up to nmax 24 cannot see; D-22 with (n-m)^2 for (n-m)(n-m-1), which
+    # differs first at (1, 0), whose target leaves the grid, so it is refuted
+    # at (2, 0)
+    @pytest.mark.parametrize("op, text, n_max, refuted", [
+        ("J+", "J+ psi = 2 (n-m)*(m+1) psi[n,m+1]", 6, (F(1, 2), (1, 0))),
+        ("J+", f"J+ psi = 1 (n-m)*(m+1)+(n-m)*(m+1)*{_FALLING_25} psi[n,m+1]", 24,
+         (1 - F(1, factorial(25) + 1), (25, 0))),
+        ("D-22", "D-22 psi = 1 (n-m)*(n-m) psi[n-2,m]", 6, (F(1, 2), (2, 0))),
     ], ids=["J+-doubled", "J+-degree-27", "D-22-squared"])
-    def test_a_refuted_rule_is_read_at_the_cutoff(self, op, text, n_max, failing, monkeypatch):
+    def test_a_refuted_rule_is_read_at_the_cutoff(self, op, text, n_max, refuted, monkeypatch):
         rule = replace(_ACTION_OF[op], anchor=text)
-        assert not verifier._derived(rule)
+        assert verifier._derived(rule) == refuted
         read = Counter()
         conjugated = model.conjugated
 
@@ -1448,8 +1418,13 @@ class TestFockDerivation:
         # the refuted rule is conjugated and read, as the boson rules are; the
         # boson rules reach level n_max + 2, so no derived rule is read
         assert set(read) == {*verifier._BOSONS, op}
-        # a rule's report speaks of n <= n_max only: the degree-27 J+ passes
-        assert _failing(reports) == failing
+        # the rule and its claim fail; the degree-27 J+, whose reading passes,
+        # names its counterexample beyond n_max
+        reports = {r.relation_id: r for r in reports if r.failed}
+        assert reports.keys() == {f"action.{op}", f"irrep.{op}.sq", f"irrep.{op}.float"}
+        assert {r.how for r in reports.values()} == {"refuted"}
+        where = "worst" if n_max == 6 else "refuted"
+        assert reports[f"action.{op}"].anchor.endswith(f"[{where} at n,m={refuted[1]}]")
 
     @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)],
                              ids=["exact-3/2-2/3", "float-0.79-0.23"])
@@ -1479,9 +1454,10 @@ class TestFockDerivation:
                                        and 0 <= m - rule.terms[0][1] <= n_max}, (n, m)
 
     def test_boson_rules_of_another_basis_derive_nothing(self, monkeypatch):
-        # psi_{n,m} times 2^n, with boson rules that state that basis: they
-        # pass, but they do not tie it to x^m y^(n-m)/m!, so every rule is
-        # read, and each that moves the level fails
+        # psi_{n,m} times 2^n, with boson rules that state that basis: their
+        # readings pass, but they do not tie it to x^m y^(n-m)/m!, so every
+        # rule is read, and each that moves the level fails; the four are
+        # refuted on the Fock module, so they fail too
         monkeypatch.setattr(verifier, "chain_psi", lambda P, n, m: chain_psi(P, n, m).scale(2**n))
         texts = {"a1+": "1/2 (m+1) psi[n+1,m+1]", "a2+": "1/2 psi[n+1,m]", "a1-": "2 psi[n-1,m-1]",
                  "a2-": "2 (n-m) psi[n-1,m]"}
@@ -1489,16 +1465,21 @@ class TestFockDerivation:
         for op, text in texts.items():
             rules = _replace_rule(rules, f"action.{op}", anchor=f"{op} psi = {text}")
         monkeypatch.setattr(verifier, "ACTION_RULES", rules)
-        assert not any(verifier._derived(rule) for rule in rules if rule.op_name in texts)
+        bosons = [rule for rule in rules if rule.op_name in texts]
+        assert [verifier._derived(rule)[1] for rule in bosons] == [(0, 0), (1, 1), (0, 0), (1, 0)]
         moving = {rule.rule_id for rule in rules if rule.terms[0][0] and rule.op_name not in texts}
-        assert len(moving) == 10 and _failing(check_actions(Params.exact(F(3, 2), F(2, 3)), n_max=4)) == moving
+        reports = check_actions(Params.exact(F(3, 2), F(2, 3)), n_max=4)
+        assert len(moving) == 10 and _failing(reports) == moving | {rule.rule_id for rule in bosons}
+        assert {r.how for r in reports if r.relation_id in BOSON_RULES} == {"refuted"}
 
-    @pytest.mark.parametrize("case", ["basis", "nan", "irrep-alone", "no-a2-"])
-    def test_no_rule_is_derived_unless_the_four_boson_rules_pass(self, case, monkeypatch):
-        # with a boson rule failing or missing every rule is read at every
-        # level, and the reports are the per-step reference's: at an exact
-        # point a corrupted basis fails the rules that read it, and at a float
-        # point a reading gives rounding where a derived rule reads 0
+    @pytest.mark.parametrize("case", ["basis", "nan", "irrep-alone", "no-a2-", "nonlinear"])
+    def test_no_rule_is_derived_unless_the_four_boson_rules_pass(self, case, fresh_process, monkeypatch):
+        # with a boson rule failing or missing, or no Fock chart, every rule
+        # is read at every level, none is refuted, and the reports are the
+        # per-step reference's: at an exact point a corrupted basis fails the
+        # rules that read it, and at a float point a reading gives rounding
+        # where a derived rule reads 0. a2+ plus p z dz, of a2+'s weight, is
+        # no linear form, so there is no chart and no rule is decided
         suites = ("irrep",) if case == "irrep-alone" else ("actions", "irrep")
         if case in ("basis", "irrep-alone"):  # psi_{7,3}'s zbar coefficient plus 1 fails a1+ at (6, 2)
             P = Params.exact(F(3, 2), F(2, 3))
@@ -1517,43 +1498,59 @@ class TestFockDerivation:
             monkeypatch.setattr(model, "conjugated", with_nan)
         if case == "no-a2-":
             monkeypatch.setattr(verifier, "ACTION_RULES", tuple(r for r in ACTION_RULES if r.rule_id != "action.a2-"))
+        if case == "nonlinear":
+            monkeypatch.setitem(model.DEFINITIONS, "a2+", f"add {model.DEFINITIONS['a2+']} smul 1*p mul z dz")
+            assert verifier._fock_generators(verifier._UNIT) is None
         got = _image_reports(P, suites, 8)
         _assert_matches_the_reference(got, reference_pass.image_pass(P, suites, 8))
+        assert "refuted" not in {r.how for r in got[0] + got[1]}
         failing = _failing(got[0] + got[1])
-        assert (not failing) if case == "no-a2-" else "irrep.a1+.float" in failing
+        assert (not failing) if case == "no-a2-" else ("irrep.a2+.float" if case == "nonlinear" else
+                                                       "irrep.a1+.float") in failing
 
 
 class TestClaimProofs:
     """Each irrep claim is a polynomial identity in (n, m) on the Fock module: proven once per rule and
-    cutoff, it makes each irrep report of its rule the action report; a refuted claim is read per step."""
+    cutoff, it makes each irrep report of its rule the action report; a refuted claim fails."""
 
     def test_every_shipped_claim_is_proven(self, fresh_process):
         claimed = [rule for rule in ACTION_RULES if rule.claim is not None]
-        assert len(claimed) == 14 and all(verifier._claimed(rule, 24) for rule in claimed)
+        assert len(claimed) == 14 and all(verifier._claimed(rule, 24) is None for rule in claimed)
 
-    def test_a_claim_wrong_only_beyond_n_24_is_refuted_and_read_per_step(self, params, monkeypatch):
+    def test_a_claim_wrong_only_beyond_n_24_fails_as_refuted(self, params, monkeypatch):
         # J+'s claim plus (j-mu)(j+mu+1) (2j)(2j-1)...(2j-24), which vanishes
         # at every step with n <= 24: a reading to nmax 24 cannot see it, the
-        # proof can, so it is read per step, and fails at nmax 25
+        # proof can, so both irrep reports fail there, naming (25, 0)
         rule = replace(_ACTION_OF["J+"], irrep=f"(j-mu)*(j+mu+1)+(j-mu)*(j+mu+1)*{_FALLING_2J}")
-        assert not verifier._claimed(rule, 24)
+        assert verifier._claimed(rule, 24) == (1 - F(1, factorial(25) + 1), (25, 0))
         monkeypatch.setattr(verifier, "ACTION_RULES", tuple(rule if r.op_name == "J+" else r for r in ACTION_RULES))
         reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=24)}
-        assert not _failing(reports.values()) and reports["irrep.J+.sq"].how == "read"
-        assert _failing(run_suites(params, ("actions", "irrep"), n_max=25)) == {"irrep.J+.sq", "irrep.J+.float"}
+        assert _failing(reports.values()) == {"irrep.J+.sq", "irrep.J+.float"}
+        for rid in ("irrep.J+.sq", "irrep.J+.float"):
+            assert reports[rid].how == "refuted" and reports[rid].anchor.endswith("[refuted at n,m=(25, 0)]")
+        assert reports["irrep.J+.float"].residual == "1.0"
 
     def test_a_negative_literal_is_refuted_by_its_sign_alone(self, params, monkeypatch):
-        # J+ with literal -1 squares to its claim, so only w >= 0 refutes it;
-        # read per step, irrep.J+.sq meets |w| = 12 at (6, 2), where the action
-        # residual, which a proven claim would report, is 2
+        # J+ with literal -1 squares to its claim, so only w >= 0 refutes it,
+        # at (1, 0), by the sides w and -w; its reading fails, so each report
+        # is the action residual, 2
         rule = replace(_ACTION_OF["J+"], anchor="J+ psi = -1 (n-m)*(m+1) psi[n,m+1]")
-        assert verifier._claimed(replace(rule, anchor=_ACTION_OF["J+"].anchor), 6)
-        assert not verifier._claimed(rule, 6)
+        assert verifier._claimed(replace(rule, anchor=_ACTION_OF["J+"].anchor), 6) is None
+        assert verifier._claimed(rule, 6) == (2, (1, 0))
         monkeypatch.setattr(verifier, "ACTION_RULES", tuple(rule if r.op_name == "J+" else r for r in ACTION_RULES))
         reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=6)}
         assert _failing(reports.values()) == {"action.J+", "irrep.J+.sq", "irrep.J+.float"}
-        assert (reports["action.J+"].residual, reports["irrep.J+.sq"].residual) == ("2", "12")
-        assert reports["irrep.J+.sq"].anchor.endswith("[worst at n,m=(6, 2)]")
+        assert (reports["action.J+"].residual, reports["irrep.J+.sq"].residual) == ("2", "2")
+        assert reports["irrep.J+.sq"].anchor.endswith("[worst at n,m=(1, 0)]")
+
+    def test_the_sign_is_read_up_to_the_cutoff_beyond_the_identitys_levels(self):
+        # J+ times 12 - n, its claim times (12 - 2j)^2: the squared identity
+        # holds, decided up to level 9, and w < 0 first at (13, 0), which the
+        # sign scan reaches where the cutoff does
+        rule = verifier.ActionRule("action.J+", "J+ psi = 1 (n-m)*(m+1)*(12-n) psi[n,m+1]",
+                                   "(j-mu)*(j+mu+1)*(12-2*j)*(12-2*j)")
+        assert verifier._claimed(rule, 24) == (2, (13, 0))
+        assert verifier._claimed(rule, 12) is None
 
     def test_a_claimed_rule_whose_literal_has_a_factor_is_refused(self):
         # the claim is point-free, so its action coefficient must be too; the
@@ -1566,7 +1563,7 @@ class TestClaimProofs:
 
 
 class TestProvenance:
-    """Each report says how its verdict was reached: "derived", "proven" or "read"."""
+    """Each report says how its verdict was reached: "derived", "proven", "read" or "refuted"."""
 
     def test_derived(self, params):
         # the rules whose levels the pass took from the Fock module: the 19
@@ -1582,14 +1579,15 @@ class TestProvenance:
         assert len(reports) == 133 + 14 + 26 and {r.how for r in reports} == {"proven"}
 
     def test_read(self, params, monkeypatch):
-        # pseudo.H and the integrals suite are read; a failing boson rule has
-        # every rule read, and its refuted claim read per step
+        # pseudo.H and the integrals suite are read; a refuted boson rule has
+        # every other rule read, and it and its claim are refuted
         assert {r.how for r in run_suites(params, ("pseudo", "integrals"), n_max=4)} == {"read"}
         monkeypatch.setattr(verifier, "ACTION_RULES", _replace_rule(
             ACTION_RULES, "action.a1+", anchor="a1+ psi = 1 (m+2) psi[n+1,m+1]"))
         reports = run_suites(params, ("actions", "irrep"), n_max=4)
-        assert {r.relation_id for r in reports if r.how == "read"} == (
-            {r.rule_id for r in ACTION_RULES} | {"irrep.a1+.sq", "irrep.a1+.float"})
+        hows = {r.relation_id: r.how for r in reports}
+        assert {rid for rid, how in hows.items() if how == "read"} == {r.rule_id for r in ACTION_RULES} - {"action.a1+"}
+        assert {rid for rid, how in hows.items() if how == "refuted"} == {"action.a1+", "irrep.a1+.sq", "irrep.a1+.float"}
 
 
 class TestPseudoHermiticity:
@@ -1728,6 +1726,17 @@ class TestIntegralSuite:
         with pytest.raises(ValueError):
             Report("x", "x", "exact", True, "0", 0.0, skipped=True)
 
+    def test_refuted_report_cannot_pass(self):
+        # a refuted check fails, whatever its residual
+        with pytest.raises(ValueError, match="no skipped or refuted check passes"):
+            Report("x", "x", "exact", True, "0", 0.0, how="refuted")
+        assert Report("x", "x", "float", False, "1e-20", 0.0, how="refuted").failed
+
+    @pytest.mark.parametrize("how", ["", "Read", "counterexample", None])
+    def test_a_how_outside_the_four_is_refused(self, how):
+        with pytest.raises(ValueError, match="how is one of derived, proven, read, refuted"):
+            Report("x", "x", "exact", False, "1", 0.0, how=how)
+
 
 class TestRunSuites:
     def test_full_run(self, params):
@@ -1856,28 +1865,21 @@ class TestCheckAccumulator:
         assert (check.report().status, check.report().anchor, check.report().residual) == ("skip", "why", "n/a")
 
     def test_a_wrong_factor_fails_every_float_report_at_p_1e100(self, fresh_process, monkeypatch):
-        # at p = 1e100, where the images and targets leave the float range, a
-        # wrong su(2) factor at (2, 1) and at (8, 0) fails every .float report read per step
-        # (each reads phi[2,1] or phi[8,0] with a coefficient), by the factor's
-        # error, and none skips
+        # at p = 1e100, where the images and targets leave the float range,
+        # each ladder claim times a wrong factor 1 + (2j)(2j-1)...(2j-24),
+        # which a reading up to n 24 cannot see, fails every .float report by
+        # its counterexample at level 25, read in floats, and none skips
         import jordan_osc.verifier as v
 
         P = Params.exact(F(10) ** 100, 1)
-        # a proven claim reads no factor: each ladder claim is refuted by a
-        # term that vanishes at every n <= 24, so it is read per step
         monkeypatch.setattr(v, "ACTION_RULES", tuple(_refuted(rule) if rule in LADDERS else rule
                                                      for rule in v.ACTION_RULES))
-        assert {r.status for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")} == {"pass"}
-        factor = v.su2_factor
-        monkeypatch.setattr(v, "su2_factor", lambda n, m: factor(n, m) * (
-            sqrt(1.000001) if (n, m) in ((2, 1), (8, 0)) else 1))
-        v._discrepancies.cache_clear()  # each claim's discrepancy is kept per process, and reads the factors
         reports = {r.relation_id: r for r in v.check_irrep(P, n_max=8) if r.relation_id.endswith(".float")}
         assert len(reports) == 12
         for rid, r in reports.items():
-            assert r.failed and 4e-7 < float(r.residual) < 6e-7, rid
+            assert r.failed and r.how == "refuted" and float(r.residual) == 1.0, rid
             assert r.anchor.startswith(rid[len("irrep."):-len(".float")] + " phi = "), rid
-            assert v.FLOAT_OVERFLOW not in r.anchor, rid
+            assert "[refuted at n,m=(25, " in r.anchor and v.FLOAT_OVERFLOW not in r.anchor, rid
 
     def test_verdict_by_mode(self):
         from jordan_osc.verifier import _Check
@@ -1905,32 +1907,26 @@ class TestResidualsKeepNaN:
         coeffs = _with_nan([1.0, -2.0], position)
         assert isnan(Poly2(FLOAT, {(i, 0): c for i, c in enumerate(coeffs)}).max_magnitude())
 
-    @pytest.mark.parametrize("part", ["image", "coefficient"])
+    @pytest.mark.parametrize("part", ["image"])
     def test_eigenvalue_residual(self, part):
-        # J0 psi_{2,1} = 0: the parts are the action check's residual and the
-        # coefficient's distance from the eigenvalue. A NaN image residual at
-        # (2, 1) beats the wrong claim mu+1's residual 1 from (0, 0) on
+        # J0 psi_{2,1} = 0, with the wrong claim mu+1, refuted at (0, 0): a
+        # NaN image residual at (2, 1) fails the reading, so the report is it
         rule = replace(_ACTION_OF["J0"], irrep="mu+1")
-        if part == "coefficient":
-            assert isnan(verifier._eigenvalue_residual(2, 1, _at(rule, 2, 1), (NAN, 2, 1)))
-        else:
-            [report] = _merged_reports(rule, "float", (NAN, (2, 1)))
-            assert report.residual == "nan" and report.anchor.endswith("[worst at n,m=(2, 1)]")
+        [report] = _merged_reports(rule, "float", (NAN, (2, 1)))
+        assert report.residual == "nan" and report.anchor.endswith("[worst at n,m=(2, 1)]")
 
-    @pytest.mark.parametrize("part", ["image", "coefficient"])
+    @pytest.mark.parametrize("part", ["image"])
     def test_squared_ladder_residual(self, part):
-        # J+ psi_{2,0} targets psi_{2,1}; the claim doubled reads 1 from (0, 0) on
+        # J+ psi_{2,0} targets psi_{2,1}; the claim doubled is refuted at (1, 0)
         rule = replace(LADDERS[0], irrep=f"2*({LADDERS[0].irrep})")
-        if part == "coefficient":
-            assert isnan(verifier._squared_ladder_residual(2, 0, _at(rule, 2, 0), (NAN, 2, 1)))
-        else:
-            sq = _merged_reports(rule, "exact", (NAN, (2, 0)))[0]
-            assert sq.relation_id == "irrep.J+.sq" and sq.residual == "nan"
+        sq = _merged_reports(rule, "exact", (NAN, (2, 0)))[0]
+        assert sq.relation_id == "irrep.J+.sq" and sq.residual == "nan"
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_float_ladder_residual_off_the_grid(self, fparams, position):
         # J+ phi_{1,1} should vanish (its target lies off the grid), so the
-        # residual is at least the step's residual
+        # residual is at least the step's residual, NaN; the claim refuted
+        # beyond n 24 leaves that reading the report
         coeffs = _with_nan([1e-20, 2e-20], position)
         image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
         rule = LADDERS[0]
