@@ -6,7 +6,7 @@ reduced (Gaussian-envelope-free) form, and machine-verifies the full catalog
 of algebraic relations, operator actions, representation coefficients, and
 bilinear-pairing identities, either exactly (coefficients are ``Fraction``s)
 or in floating point (coefficients are ``float``s). ``DEFAULT_TOL`` is the
-tolerance of a float verdict, the default of ``verify --tol``.
+tolerance of an irrep.*.float verdict, the default of ``verify --tol``.
 """
 
 from .gaussint import (

@@ -7,9 +7,9 @@ Subcommands:
 * matrices -- print the pairing and Hamiltonian blocks at level n
 
 Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
-check failed (the report is still written), 2 usage error, or a float-mode
-point whose arithmetic overflows or underflows to a zero divisor (an exact run
-skips integrals.oracle where its reading in floats does).
+check failed (the report is still written), 2 usage error, or ``basis`` or
+``matrices`` at a float-mode point whose arithmetic overflows or underflows to
+a zero divisor (``verify`` reads a float point exactly, see verifier).
 """
 
 from __future__ import annotations
@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(verify)
     verify.add_argument("--nmax", type=int, default=None,
                         help=f"basis cutoff, 1..{NMAX_RANGE[1]} (default: ${ENV_NMAX} or {DEFAULT_NMAX})")
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help=f"relative tolerance of the irrep.*.float checks only (default: {DEFAULT_TOL})")
     verify.add_argument("--suites", default="all",
                         help="comma list from: " + ",".join(SUITES) + " (or 'all')")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -331,11 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except (OverflowError, ZeroDivisionError):
-        # only floats overflow, or divide by a product that underflows to 0
-        # (an exact run skips integrals.oracle where it does, see verifier),
-        # so in an exact run either is a bug; the exception's own text can be
-        # a raw errno tuple (from pow), so a plain reason is printed instead
-        if args.mode == EXACT:
+        # only a float basis overflows, or divides by a product that
+        # underflows to 0, and only basis and matrices build one (verify
+        # skips integrals.oracle where its floats do, see verifier), so in an
+        # exact run or in verify either is a bug; the exception's own text can
+        # be a raw errno tuple (from pow), so a plain reason is printed instead
+        if args.mode == EXACT or args.command == "verify":
             raise
         print(f"error: float arithmetic leaves the float range at {_config_from_args(args).params_repr()} "
               "(a value overflows, or underflows to a zero divisor)", file=sys.stderr)

@@ -46,8 +46,9 @@ weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
 build directly. Every basis function psi, operator and catalog conjugation
 (``conjugated``, read by ``apply`` and by the image pass) of a point lives in
 one store per point (``point_cache``), kept for the last few points only; phi
-is not stored. A ``Params`` computes its hash, twin and scalar views once. An
-exact run builds nothing in floats.
+is not stored. A ``Params`` computes its hash, twin and scalar views once.
+``verify`` builds nothing in floats but the oracle's reading (see verifier):
+a float point's own basis is for ``basis``, ``matrices`` and the library.
 """
 
 from __future__ import annotations
@@ -320,8 +321,10 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
         (-1)^(n-m) (2pq)^(n-2m) (-2)^i C(n-m, i) / e!,    e = i - (n-2m) >= 0,
 
     one term per i from max(0, n-2m) to n-m, at most min(m, n-m) + 1 of them,
-    summed as integers over m!. The integer c_i = (-2)^i C(k, i) m!/e!, k = n-m,
-    comes from the one before it by the recurrence
+    summed as integers over m!, at an exact point over m! times the
+    denominator of (2pq)^(n-2m), which is built in ints. The integer
+    c_i = (-2)^i C(k, i) m!/e!, k = n-m, comes from the one before it by the
+    recurrence
 
         c_{i+1} = c_i (-2)(k-i) / ((i+1)(i+1-(n-2m))),
 
@@ -332,18 +335,21 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
 
     with L the associated Laguerre polynomial, as for the two-dimensional
     real oscillator; the head psi_{n,0} is (4pq)^n zbar^n. The point enters
-    only through (pq)^(n-2m): chain_psi at P is (pq)^(n-2m) times chain_psi
-    at p = q = 1. It equals the paper's associated-function sum, whose n! and
-    (8ab)^n cancel (tests/reference_forms.py). In float mode OverflowError
-    where the leading factor (2pq)^(n-2m)/m! or a coefficient leaves the
-    float range."""
+    only through (pq)^(n-2m), psi_{n,m}'s grading (``_psi_weight``). It
+    equals the paper's associated-function sum, whose n! and (8ab)^n cancel
+    (tests/reference_forms.py). In float mode OverflowError where the leading
+    factor (2pq)^(n-2m)/m! or a coefficient leaves the float range."""
     _check_index(n, m)
     k, shift = n - m, n - 2 * m  # e = i - shift
-    try:
-        lead = (-1) ** k * (2 * params.sqrt_ab) ** shift / factorial(m)
-    except OverflowError:  # float ** int beyond the float range: inf, which the guard below names
-        lead = math.inf
-    (lead,), den = to_ints(params.mode, [lead])
+    if params.mode == EXACT:  # (2pq)^shift is (num/den)^|shift|, reduced with the sums
+        num, den = params.sqrt_ab.as_integer_ratio()
+        num, den = (2 * num, den) if shift >= 0 else (den, 2 * num)
+        lead, den = (-1) ** k * num ** abs(shift), den ** abs(shift) * factorial(m)
+    else:
+        try:
+            lead, den = (-1) ** k * (2 * params.sqrt_ab) ** shift / factorial(m), 1
+        except OverflowError:  # float ** int beyond the float range: inf, which the guard below names
+            lead, den = math.inf, 1
     i = max(0, shift)
     c = (-2) ** i * comb(k, i) * (factorial(m) // factorial(i - shift))
     sums = {(i - shift, i): lead * c}
@@ -530,6 +536,12 @@ def _token_weight(token: str):
         return _ANY_WEIGHT
     return (sum(k * _FACTORS[view][0] for view, k in factors),
             sum(k * _FACTORS[view][1] for view, k in factors))
+
+
+def _psi_weight(n: int, m: int) -> tuple[int, int]:
+    """psi_{n,m}'s weight under sigma_P (w -> q w, zbar -> zbar/q), as _weight gives an operator's: its term
+    w^e zbar^i at P is (pq)^(i-e) times the term at p = q = 1, and i - e = n - 2m."""
+    return n - 2 * m, 0
 
 
 def _weight(tree):

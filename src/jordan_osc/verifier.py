@@ -6,87 +6,77 @@ Every identity the model asserts is checked here, grouped into five suites:
                 shipped relation catalog (data, not code),
 * actions    -- operator actions on the basis functions psi_{n,m},
 * irrep      -- su(2)/superalgebra ladder coefficients on the rescaled
-                functions phi (squared-value checks in exact mode, relative
-                tolerance checks, read in floats, in both modes),
+                functions phi (squared values, exact mode only, and relative
+                residuals read in floats),
 * pseudo     -- pseudo-Hermiticity swap(H) == adjoint(H),
 * integrals  -- biorthogonality, Jordan blocks of the pairing, truncated
                 resolution of identity (exact checks at the point's twin, in
                 both modes), and the quadrature cross-check.
 
-One image pass reads the images op.psi_{n,m} of the action rules, in the
-chain variables (w, zbar), w = a z + b zbar (see model), level-outer, on
-charge lines. The charge of
-w^e zbar^i is e - i, and every term of psi_{n,m} has charge 2m - n (a term
-off its line fails its step in every check that reads it, and in
-integrals.gram), so the psi of one level sum to one polynomial Lambda_n, with
-one derivative table. A term w^i zbar^j dw^k dzbar^l of an operator
-(``model.conjugated``) shifts the charge by i - j - k + l, so each operator
-is split into parts of one shift each, and a part's image of Lambda_n holds
-each op psi_{n,m} on its own line.
+The structure suite proves each catalog relation once per process, at p = q = 1 (``_UNIT``). Every
+catalog operator and explicit form is a tree of the prefix grammar (see model) over the generators z,
+zbar, dz, dzbar and scalar literals c*f^k*... in a, b, ab, p, q. The Weyl algebra automorphism sigma_P
+(z -> lambda z, zbar -> mu zbar, dz -> dz/lambda, dzbar -> dzbar/mu, lambda = q/a, mu = 1/q) gives each
+generator and factor a weight, and so each tree one (model._weight), derived through the definitions
+of the operators it names: sigma_P(tree at P) = p^alpha q^beta (tree at p = q = 1) when the two sides
+of every add and sub have one weight. Such a relation holds at P if and only if it holds at _UNIT,
+where it is decided over the Fock chart's images of z, zbar, dz, dzbar (model._evaluate), in which a
+catalog operator has 1 to 4 terms: they keep the Weyl relations, so the substitution is an injective
+algebra homomorphism. A homogeneous relation that holds reports pass with residual 0; the explicit
+forms are checked the same way. Everything else (an inhomogeneous relation, one that fails at _UNIT,
+any where there is no chart, pseudo.H) is evaluated exactly at the point's dyadic twin
+(``Params.twin``), so a failing report keeps its residual, in both modes.
 
-Each action rule (``ACTION_RULES``) is one line of text, its data and its
-report anchor (see ActionRule). Its terms' targets lie on distinct charge
-lines, or the rule is refused when it is built, so each line of a part's
-image is one step with one target, kept in one record (``_Line``), and one
-walk reads the image against them (``_read_lines``): no difference
-polynomial is built, nor a Fraction for a step that passes. A residual is
-relative per charge line, in both modes: the line's largest magnitude over
-|w| T, w the step's action coefficient and T the largest coefficient of its
-target psi_{n',m'}, so it is scale-free, and a failing exact report reads the
-same at every point sigma_P relates; a nonzero residue with no target reads 1.
+The action and irrep suites read one image pass, run exactly at _UNIT once per process, rule set and
+cutoff (``_image_pass``). Every action rule is weight-checked when it is built and psi_{n,m} has weight
+(n - 2m, 0) (model._psi_weight), and each residual is relative per charge line, so the pass's reports
+are every point's. An exact point reports them as they are; a float point keeps each action verdict,
+exact, its residual read in floats, and its irrep.*.float reports, as an exact run's, read the same
+residuals in floats against the tolerance. So verify builds no float basis.
 
-A rule of one term may carry an irrep claim, in j and mu, on its step's action
-coefficient w, so its literal must be a number: irrep.J0 and irrep.K that w is
-the eigenvalue, the exact irrep.<op>.sq that w >= 0 and w^2 m!(n'-m')!/((n-m)!
-m'!) == claim, and irrep.<op>.float, in both modes, the same in floats on phi.
-Each irrep report is its rule's action check, the .float one in floats; the claim
-is decided once, as a polynomial identity in (n, m) (``_claimed``).
+The pass reads the images op.psi_{n,m} in the chain variables (w, zbar), w = a z + b zbar (see model),
+level-outer, on charge lines. The charge of w^e zbar^i is e - i, and every term of psi_{n,m} has charge
+2m - n (a term off its line fails its step in every check that reads it, and in integrals.gram), so the
+psi of one level sum to one polynomial Lambda_n, with one derivative table. A term w^i zbar^j dw^k
+dzbar^l of an operator (``model.conjugated``) shifts the charge by i - j - k + l, so each operator is
+split into parts of one shift each, and a part's image of Lambda_n holds each op psi_{n,m} on its own
+line. Each action rule (``ACTION_RULES``) is one line of text, its data and its report anchor (see
+ActionRule). Its terms' targets lie on distinct charge lines, or the rule is refused when it is built,
+so each line of a part's image is one step with one target, kept in one record (``_Line``), and one
+walk reads the image against them (``_read_lines``), in integers. A residual is the line's largest
+magnitude over |w| T, w the step's action coefficient and T the largest coefficient of its target
+psi_{n',m'}, so it is scale-free; a nonzero residue with no target reads 1.
+
+A rule of one term may carry an irrep claim, in j and mu, on its step's action coefficient w, so its
+literal must be a number: irrep.J0 and irrep.K that w is the eigenvalue, irrep.<op>.sq that w >= 0 and
+w^2 m!(n'-m')!/((n-m)! m'!) == claim, and irrep.<op>.float the same in floats on phi. Each irrep report
+is its rule's action check, the .float one in floats; the claim is decided once, as a polynomial
+identity in (n, m) (``_claimed``).
 
 An action verdict is derived, read or refuted. The boson rules action.a1+, a2+, a1- and a2- make the
 basis the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as x, y, dx, dy
 (Schwinger's realization of su(2)). A rule is derived once per process (``_derived``) if its operator
 in that chart (``_fock_generators``) acts on x^m y^(n-m)/m! as its terms say, as polynomials in
-(n, m), so for every n. A pass reads each basis function once under a raising operator: a2+ on every
+(n, m), so for every n. The pass reads each basis function once under a raising operator: a2+ on every
 step of levels 0..n_max+1, a1+ on each level's top function psi_{n,n} alone, and a1- and a2- on
-psi_00. If all four are derived, the two raising operators as read commute (``_commute``) and every
+psi_00. If all four are derived, the four bosons as read keep the Weyl relations (``_weyl``) and every
 read at n <= n_max passes, these give psi_{n,m} = (a1+)^m (a2+)^(n-m) psi_00/m! up to the reach,
 level n_max + 2, with a_i- psi_00 = 0. The reads at level n_max + 1 only decide the reach: they
 enter no report, which speaks of n <= n_max, and where one fails the reach is n_max + 1. Each
 derived rule then reads only the levels n >= reach + 1 - max dn, whose targets lie beyond the reach,
 with image residual 0 below: a1+ off its top steps, a1- and a2- past n = 0 and every other rule
-read no level, but D+11, D+12 and D+22 read n = n_max where the reach is n_max + 1. A rule not
-derived, and every rule where a boson rule is missing or not derived, the raising operators do not
-commute or a read at n <= n_max fails, is read at every level, as a pass that derives nothing reads it.
+read no level, but D+11, D+12 and D+22 read n = n_max where the reach is n_max + 1. Otherwise every
+rule is read at every level. A proof that refutes a rule or claim gives its counterexample, the first
+(n, m), in level order, where the identity fails, and the relative discrepancy of its two exact sides
+there (``_counterexample``): a refuted check fails, its report its reading where that fails, else the
+counterexample, whose (n, m) may lie beyond n_max. With no Fock chart no rule is decided.
 
-A proof that refutes a rule or claim gives its counterexample: the first (n, m), in level order, where
-the identity fails, and the relative discrepancy of its two exact sides there (``_counterexample``). A
-refuted check fails in both modes: its report is its reading where that fails, else the counterexample,
-whose (n, m) may lie beyond n_max. With no Fock chart no rule is decided; a claim needs no chart.
-
-The structure suite proves each catalog relation once per process, at p = q = 1. Every catalog
-operator and explicit form is a tree of the prefix grammar (see model) over the generators z, zbar,
-dz, dzbar, which are the same at every point, and scalar literals c*f^k*... in a, b, ab, p, q. The
-Weyl algebra automorphism sigma_P (z -> lambda z, zbar -> mu zbar, dz -> dz/lambda, dzbar ->
-dzbar/mu, lambda = q/a, mu = 1/q) gives each generator and factor a weight, and so each tree one
-(model._weight), derived through the definitions of the operators it names: sigma_P(tree at P) =
-p^alpha q^beta (tree at p = q = 1) when the two sides of every add and sub have one weight. Such a
-relation holds at P if and only if it holds at p = q = 1, where it is decided over the Fock chart's
-images of z, zbar, dz, dzbar (model._evaluate), in which a catalog operator has 1 to 4 terms: they
-keep the Weyl relations, so the substitution is an algebra homomorphism, injective as the Weyl
-algebra is simple. A homogeneous relation that holds reports pass with residual 0, with nothing
-built at P; the explicit forms are checked the same way. Everything else (an inhomogeneous relation,
-one that fails at p = q = 1, any where there is no chart, pseudo.H) is evaluated exactly at the
-point's dyadic twin (``Params.twin``), so a failing report keeps its residual. These are exact
-checks in both modes: a float point builds no operator of its own.
-
-Every report is built by one accumulator, ``_Check``: it keeps the check's
-worst residual and where it sits, times the work done inside ``with check:``,
-and gives the verdict. Exact mode is authoritative: a pass there means
-residual identically zero. Float mode compares residuals against a tolerance,
-and a NaN residual counts as the worst, so a check that met one fails. A check
-that cannot run at the given point is reported as skipped, never as passed.
-Each report says whether its verdict was derived, proven (a claim or relation
-proven once, for every point), read or refuted (``Report.how``).
+Every report is built by one accumulator, ``_Check``: it keeps the check's worst residual and where it
+sits, times the work inside ``with check:``, and gives the verdict. Exact mode is authoritative: a pass
+means residual identically zero. A float check (irrep.*.float, integrals.oracle) compares its residual
+against a tolerance, a NaN counting as the worst. A check that cannot run at the given point is
+reported as skipped, never as passed. Each report says whether its verdict was derived, proven (a
+claim or relation proven once, for every point), read or refuted (``Report.how``).
 """
 
 from __future__ import annotations
@@ -138,10 +128,7 @@ from .weyl import (
     Poly2,
     adjoint,
     commutator,
-    lift,
-    max_or_nan,
     swap_vars,
-    to_ints,
     zero,
 )
 
@@ -206,9 +193,8 @@ def _check_nmax(n_max) -> None:
 
 
 def _in_floats(rho):
-    """An exact run's residual, a Fraction, in floats, as the largest float beyond the float range; a
-    float run's as it is."""
-    return float(min(rho, float_info.max)) if type(rho) is Fraction else rho
+    """An exact residual in floats, as the largest float beyond the float range; a float as it is."""
+    return rho if type(rho) is float else float(min(rho, float_info.max))
 
 
 class _Check:
@@ -222,7 +208,7 @@ class _Check:
 
     def __init__(self, relation_id: str, anchor: str, mode: str, tol: float = 0.0) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
-        self.worst = zero(mode)
+        self.worst, self.counterexample = zero(mode), None
         self.at, self.seconds, self.skipped, self.how = None, 0.0, None, "read"  # skipped: why, if the check was
 
     def __enter__(self) -> None:
@@ -240,23 +226,26 @@ class _Check:
 
     def refute(self, discrepancy, at: tuple) -> None:
         """A proof found the check's identity false at basis index ``at``, by ``discrepancy`` (exact)."""
-        self.how, self.counterexample = "refuted", (_in_floats(discrepancy) if self.mode == FLOAT else discrepancy, at)
+        self.how, self.counterexample = "refuted", (discrepancy, at)
 
     def skip(self, why: str) -> None:
         """The check cannot run (any further) here: report it as skipped, with
         ``why`` as its anchor, unless a residual already failed it."""
         self.skipped = why
 
-    def report(self) -> Report:
-        worst, at, where = self.worst, self.at, "worst"
+    def report(self, mode: str | None = None) -> Report:
+        """The report, in ``mode`` (the check's own by default): an exact check reported in floats keeps its
+        verdict, its residual read in floats (_in_floats)."""
+        worst, at, where, mode = self.worst, self.at, "worst", mode or self.mode
         passed = worst == 0 if self.mode == EXACT else worst <= self.tol
         if passed and self.how == "refuted":  # the counterexample stands in for the reading
             (worst, at), where, passed = self.counterexample, "refuted", False
         if self.skipped and passed:
-            return Report(self.relation_id, self.skipped, self.mode, False, "n/a", self.seconds * 1e3, True, self.how)
+            return Report(self.relation_id, self.skipped, mode, False, "n/a", self.seconds * 1e3, True, self.how)
         anchor = self.anchor if at is None else f"{self.anchor} [{where} at n,m={at}]"
         anchor += f"; {self.skipped}" if self.skipped else ""
-        return Report(self.relation_id, anchor, self.mode, passed, str(worst), self.seconds * 1e3, how=self.how)
+        residual = _in_floats(worst) if mode == FLOAT else worst
+        return Report(self.relation_id, anchor, mode, passed, str(residual), self.seconds * 1e3, how=self.how)
 
 
 @dataclass(frozen=True)
@@ -589,7 +578,7 @@ def _claimed(rule: ActionRule, n_max: int):
 
 
 # ---------------------------------------------------------------------------
-# the image pass of the action suite
+# the image pass of the action suite, once per process at _UNIT
 # ---------------------------------------------------------------------------
 
 
@@ -606,36 +595,35 @@ def _charge_parts(op: DiffOp) -> dict:
 
 def _off_line(psi: Poly2, n: int, m: int):
     """The largest coefficient magnitude of psi_{n,m} off its line 2m - n; the int 0 if none."""
-    off = [abs(u) for (e, i), u in psi.nums.items() if e - i != 2 * m - n]
-    return max_or_nan(*off) / lift(psi.den, psi.mode) if off else 0
+    off = max((abs(u) for (e, i), u in psi.nums.items() if e - i != 2 * m - n), default=0)
+    return Fraction(off, psi.den) if off else 0
 
 
 def _level(psis: list) -> tuple[Poly2, dict]:
     """Lambda_n, the sum of psi_{n,m}, m = 0..n, over one denominator, and its derivative table."""
     den = lcm(*(psi.den for psi in psis))
-    return Poly2._normalized(psis[0].mode, {key: u * (den // psi.den) for psi in psis
-                                            for key, u in psi.nums.items()}, den), {}
+    return Poly2._normalized(EXACT, {key: u * (den // psi.den) for psi in psis for key, u in psi.nums.items()},
+                             den), {}
 
 
-def _terms(params: Params, rule: ActionRule, n_max: int) -> dict:
+def _terms(rule: ActionRule, n_max: int) -> dict:
     """Shift 2dm - dn -> the rule's term (dn, dm, numerator, denominator, levels up to n_max) that
-    shifts the charge by that, its literal read at the twin (see model)."""
-    return {2 * dm - dn: (dn, dm, *to_ints(params.mode, [lift(_scalar(literal, params.twin), params.mode)]),
-                          _levels(table, n_max)) for dn, dm, literal, table in rule.terms}
+    shifts the charge by that, its literal read at _UNIT."""
+    return {2 * dm - dn: (dn, dm, *_scalar(literal, _UNIT).as_integer_ratio(), _levels(table, n_max))
+            for dn, dm, literal, table in rule.terms}
 
 
-def _reads(params: Params, rule: ActionRule, n_max: int) -> list:
+def _reads(rule: ActionRule, n_max: int) -> list:
     """(shift, op's part of that charge shift or None, the term of that shift (see _terms, up to level
-    n_max) or None) for each shift of op's parts or terms, op's conjugation read at the twin (see model)."""
-    parts, terms = _charge_parts(model.conjugated(params, rule.op_name)), _terms(params, rule, n_max)
+    n_max) or None) for each shift of op's parts or terms, op's conjugation read at _UNIT (see model)."""
+    parts, terms = _charge_parts(model.conjugated(_UNIT, rule.op_name)), _terms(rule, n_max)
     return [(shift, parts.get(shift), terms.get(shift)) for shift in parts.keys() | terms]
 
 
 class _Line:
     """The record of step m of a level under one charge part: the multipliers a and b of the
-    kernel u a - t b, u an image and t a target numerator (exact: the term's den times
-    psi_{n',m'}.den, and its numerator times image.den; float: 1 and the weight w), the
-    target line psi_{n',m'}.nums or {}, the running maximum."""
+    kernel u a - t b, u an image and t a target numerator (a the term's den times psi_{n',m'}.den,
+    b its numerator times image.den), the target line psi_{n',m'}.nums or {}, the running maximum."""
 
     __slots__ = ("a", "b", "target", "worst")
 
@@ -647,10 +635,9 @@ class _Line:
 def _read_lines(image: Poly2, lines: dict) -> None:
     """Read one image into its records' maxima, charge -> _Line: per line the
     largest magnitude of u a - t b over the line's monomials, u of the image and
-    t of the target, as linear_combination then max_magnitude give it, bit for
-    bit (exact: decided in integers). One walk looks each monomial up in its
-    line; a match count finds the target monomials the image lacks; a monomial
-    on no line is skipped."""
+    t of the target, as linear_combination then max_magnitude give it, in
+    integers. One walk looks each monomial up in its line; a match count finds
+    the target monomials the image lacks; a monomial on no line is skipped."""
     inums, matched = image.nums, 0
     for key, u in inums.items():
         line = lines.get(key[0] - key[1])
@@ -658,15 +645,15 @@ def _read_lines(image: Poly2, lines: dict) -> None:
             continue
         t = line.target.get(key)
         if t is None:
-            v = u * line.a
+            v = abs(u * line.a)
         else:
-            matched, v = matched + 1, u * line.a - t * line.b
-        if v and (abs(v) > line.worst or v != v):  # the largest, a NaN winning
-            line.worst = abs(v)
+            matched, v = matched + 1, abs(u * line.a - t * line.b)
+        if v > line.worst:
+            line.worst = v
     if matched < sum(len(line.target) for line in lines.values()):  # a target monomial the image lacks
         for line in lines.values():
             for key in line.target.keys() - inums.keys():
-                line.worst = max_or_nan(line.worst, abs(line.target[key] * line.b))
+                line.worst = max(line.worst, abs(line.target[key] * line.b))
 
 
 def _read_level(reads: list, n: int, source: tuple, off: dict, basis: Callable, size: Callable) -> dict:
@@ -675,48 +662,44 @@ def _read_level(reads: list, n: int, source: tuple, off: dict, basis: Callable, 
     step (_Line): the residual of op psi_{n,m} against the rule's terms. Each nonzero line maximum over
     |b| T, T = size(n', m') the target's largest numerator, is the line's largest magnitude over |w|
     times the target's largest coefficient, so scale-free; a nonzero residue with no target (off[m], or
-    a line without one) reads 1, a NaN winning."""
-    (poly, derivatives), mode = source, source[0].mode
-    worst, one = {m: r and r / r for m, r in off.items()}, lift(1, mode)
+    a line without one) reads 1."""
+    poly, derivatives = source
+    worst = {m: 1 if r else 0 for m, r in off.items()}
     for shift, part, term in reads:
-        image = Poly2.zero(mode) if part is None else part.apply_to(poly, derivatives)
+        image = Poly2.zero(EXACT) if part is None else part.apply_to(poly, derivatives)
         lines = {2 * m - n + shift: _Line() for m in off}
         if term is not None:
-            dn, dm, [num], den, levels = term
+            dn, dm, num, den, levels = term
             for m, line in zip(off, lines.values()):
                 n2, m2, w = n + dn, m + dm, num * levels[n][m]
-                if w and 0 <= m2 <= n2:  # a target to read: a zero weight reads nothing, so 0 * inf makes no NaN
+                if w and 0 <= m2 <= n2:  # a target to read
                     psi = basis(n2, m2)
                     line.a, line.b, line.target = den * psi.den, w * image.den, psi.nums
         _read_lines(image, lines)
-        for m, line in zip(off, lines.values()):  # max_or_nan, inline; a Fraction only for a nonzero exact maximum
+        for m, line in zip(off, lines.values()):  # a Fraction only for a nonzero maximum
             if line.worst:
-                r = one * line.worst / (abs(line.b) * size(n + dn, m + dm) if line.target else line.worst)
-                if r > worst[m] or r != r:
-                    worst[m] = r
+                r = Fraction(line.worst, abs(line.b) * size(n + dn, m + dm)) if line.target else 1
+                worst[m] = max(worst[m], r)
     return worst
 
 
-def _commute(left: DiffOp, right: DiffOp) -> bool:
-    """Whether [left, right] = 0 exactly, a float coefficient read as the dyadic rational it is; False
-    where one is NaN or infinite."""
-    try:
-        exact = [DiffOp(EXACT, {key: Fraction(c) for key, c in op.terms.items()}) for op in (left, right)]
-    except (ValueError, OverflowError):
-        return False
-    return commutator(*exact).is_zero()
+def _weyl(ops) -> bool:
+    """Whether four operators, in the order of x, y, dx, dy (or of z, zbar, dz, dzbar, or of _BOSONS) keep
+    the Weyl relations exactly: [ops[2], ops[0]] = [ops[3], ops[1]] = 1, every other bracket 0."""
+    return all(commutator(ops[h], ops[g]).terms == ({(0, 0, 0, 0): 1} if h == g + 2 else {})
+               for g in range(4) for h in range(g + 1, 4))
 
 
-def _image_pass(params: Params, rules: list, n_max: int, tol: float) -> list[_Check]:
-    """The action check of each of ``rules``, in their order: level-outer, on charge lines, the boson
-    rules' reads first, up to level n_max + 1, then each rule at the levels it reads (see the module
-    docstring). A rule's derivation and images are timed into its check, its terms built at its first read."""
-    _check_nmax(n_max)
+@cache
+def _image_pass(rules: tuple, n_max: int) -> tuple:
+    """The action check of each of ``rules``, in their order, as (worst, at, how, counterexample), read
+    exactly at _UNIT: the boson rules' reads first, up to level n_max + 1, then each rule at the levels
+    it reads (see the module docstring). Kept per rules and cutoff: it is every point's."""
     # psi_{n,m} by (n, m), its off-line residual and its largest numerator T:
-    # the pass reads each at up to a dozen steps, and from the point's store once
-    basis = cache(partial(chain_psi, params))
+    # the pass reads each at up to a dozen steps, and from _UNIT's store once
+    basis = cache(partial(chain_psi, _UNIT))
     off_line = cache(lambda n, m: _off_line(basis(n, m), n, m))
-    size = cache(lambda n, m: max_or_nan(0, *map(abs, basis(n, m).nums.values())))
+    size = cache(lambda n, m: max(map(abs, basis(n, m).nums.values()), default=0))
     # the sources a rule reads at level n, each built once for every rule that reads it: the level,
     # or its top function psi_{n,n} alone, each with its derivative table and off-line residuals
     level = cache(lambda n: (_level([basis(n, m) for m in range(n + 1)]),
@@ -724,33 +707,22 @@ def _image_pass(params: Params, rules: list, n_max: int, tol: float) -> list[_Ch
     top = cache(lambda n: ((basis(n, n), {}), {n: off_line(n, n)}))
     plan, derived = [], {}  # (rule, its check, its reads), and whether it is derived
     for rule in rules:
-        action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
-        with action:
-            verdict = _derived(rule)
+        action, verdict = _Check(rule.rule_id, rule.anchor, EXACT), _derived(rule)
         derived[rule] = verdict is None
         if verdict not in (None, _UNDECIDED):
             action.refute(*verdict)
-        plan.append((rule, action, cache(partial(_reads, params, rule, n_max + 1))))  # at the rule's first read
+        plan.append((rule, action, cache(partial(_reads, rule, n_max + 1))))  # at the rule's first read
 
     def read(entry: tuple, n: int, source: tuple) -> list:
-        # the (residual, (n, m)) of each step of source, timed into the rule's check
-        with entry[1]:
-            worst = _read_level(entry[2](), n, *source, basis, size)
-        return [(r, (n, m)) for m, r in worst.items()]
-
-    def passes(steps: Iterable) -> bool:
-        check = _Check("", "", params.mode, tol)
-        for residual, at in steps:
-            check.add(residual, at)
-        return check.report().passed
+        # the (residual, (n, m)) of each step of source
+        return [(r, (n, m)) for m, r in _read_level(entry[2](), n, *source, basis, size).items()]
 
     # the boson rules' reads: a2+ on every step, a1+ on each level's top function, up to level
-    # n_max + 1, and a1- and a2- on psi_00; those at n_max + 1 only decide the reach
+    # n_max + 1, and a1- and a2- on psi_00; those at n_max + 1 only decide the reach. a1+ off its
+    # top steps, and a1- and a2- past psi_00, need the four bosons, as read, to keep the Weyl relations
     bosons = {entry[0].op_name: entry for entry in plan if entry[0].op_name in _BOSONS}
-    fock = bosons.keys() == set(_BOSONS) and all(derived[rule] for rule, *_ in bosons.values())
-    if fock:  # a1+ off its top steps needs the two raising operators, as read, to commute
-        with bosons["a1+"][1]:
-            fock = _commute(*(model.conjugated(params, op) for op in _BOSONS[:2]))
+    fock = (bosons.keys() == set(_BOSONS) and all(derived[rule] for rule, *_ in bosons.values())
+            and _weyl([model.conjugated(_UNIT, op) for op in _BOSONS]))
     met = {op: [] for op in bosons}  # the (residual, (n, m)) of each step read, in (n, m) order
     for n in range(n_max + 2 if fock else 0):
         met["a1+"] += read(bosons["a1+"], n, top(n))
@@ -758,8 +730,8 @@ def _image_pass(params: Params, rules: list, n_max: int, tol: float) -> list[_Ch
     for op in _BOSONS[2:] if fock else ():
         met[op] += read(bosons[op], 0, top(0))
     within = {op: [(r, at) for r, at in steps if at[0] <= n_max] for op, steps in met.items()}
-    fock = fock and all(passes(steps) for steps in within.values())
-    reach = n_max + 2 if fock and passes(step for steps in met.values() for step in steps) else n_max + 1
+    fock = fock and not any(r for steps in within.values() for r, _ in steps)
+    reach = n_max + 2 if fock and not any(r for steps in met.values() for r, _ in steps) else n_max + 1
     for op, steps in within.items() if fock else ():
         action = bosons[op][1]
         for residual, at in steps:
@@ -777,7 +749,19 @@ def _image_pass(params: Params, rules: list, n_max: int, tol: float) -> list[_Ch
                 continue
             for residual, at in read(entry, n, level(n)):
                 entry[1].add(residual, at)
-    return [action for _, action, _ in plan]
+    return tuple((action.worst, action.at, action.how, action.counterexample) for _, action, _ in plan)
+
+
+def _action_reports(mode: str, rules: tuple, readings: tuple, seconds: float) -> list[Report]:
+    """The action report of each of ``rules`` from its reading (see _image_pass), in ``mode``, the first
+    timed with ``seconds``, the pass's time."""
+    reports = []
+    for rule, reading in zip(rules, readings):
+        action = _Check(rule.rule_id, rule.anchor, EXACT)
+        action.worst, action.at, action.how, action.counterexample = reading
+        action.seconds, seconds = seconds, 0.0
+        reports.append(action.report(mode))
+    return reports
 
 
 def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
@@ -811,20 +795,20 @@ def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list[_Check]:
         _Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol)]
 
 
-def _irrep_reports(mode: str, rules: list, actions: list, n_max: int, tol: float, timed: bool) -> list[Report]:
-    """The reports of the claims of ``rules`` (see _irrep_checks), each its rule's check in ``actions``, in
-    floats for a .float report, proven or refuted by ``_claimed``. The proof is timed into the rule's first
-    irrep report, and so are its images where ``timed``."""
+def _irrep_reports(mode: str, rules: tuple, readings: tuple, n_max: int, tol: float, seconds: float) -> list[Report]:
+    """The reports of the claims of ``rules`` (see _irrep_checks), each its rule's reading in ``readings``
+    (see _image_pass), in floats for a .float report, proven or refuted by ``_claimed``. The proof is timed
+    into the rule's first irrep report, and ``seconds``, the pass's time, into the first of all."""
     reports = []
-    for rule, action in zip(rules, actions):
+    for rule, (worst, at, *_) in zip(rules, readings):
         if rule.claim is None:
             continue
         checks = _irrep_checks(mode, rule, tol)
         with checks[0]:
             counterexample = _claimed(rule, n_max)
-        checks[0].seconds += action.seconds if timed else 0.0
+        checks[0].seconds, seconds = checks[0].seconds + seconds, 0.0
         for check in checks:
-            check.add(_in_floats(action.worst) if check.mode == FLOAT else action.worst, action.at)
+            check.add(_in_floats(worst) if check.mode == FLOAT else worst, at)
             if counterexample:
                 check.refute(*counterexample)
             else:
@@ -889,15 +873,14 @@ def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX) -> list[Report]
     of the pairing with H, ground norm, truncated resolution of identity, and
     the exact-vs-quadrature cross-check (skipped with a note when a <= b).
     The four pairing claims are exact checks at the point's twin; the oracle
-    reads the basis of a float point, or of an exact one dilated to (p/2^j, q/2^j),
-    p q/4^j in (1/4, 2) so that its floats stay in range, against the twin's
+    reads the basis of the twin dilated to (p/2^j, q/2^j), p q/4^j in (1/4, 2)
+    so that its floats stay in range, in both modes, against the twin's
     pairing, which has weight 0, so is the same at both."""
     _check_nmax(n_max)
-    twin, span, near = params.twin, min(n_max, RESOLUTION_DEGREE), params
-    if params.mode == EXACT:
-        pq = params.p * params.q
-        j = (pq.numerator.bit_length() - pq.denominator.bit_length() + 1) // 2
-        near = Params.exact(params.p / Fraction(2) ** j, params.q / Fraction(2) ** j) if j else params
+    twin, span = params.twin, min(n_max, RESOLUTION_DEGREE)
+    pq = twin.p * twin.q
+    j = (pq.numerator.bit_length() - pq.denominator.bit_length() + 1) // 2
+    near = Params.exact(twin.p / Fraction(2) ** j, twin.q / Fraction(2) ** j) if j else twin
     gram = _Check("integrals.gram", f"gram blocks equal anti-diagonal identity, n <= {n_max}", EXACT)
     jordan = _Check("integrals.jordan", f"<<psi|H psi>> blocks equal E_n I + superdiagonal, n <= {n_max}", EXACT)
     norms = _Check("integrals.norms", f"<<psi00|psi00>> = 1 and <<psi_n0|psi_n0>> = 0 for 1 <= n <= {n_max}",
@@ -995,13 +978,16 @@ def run_suites(
     tol: float = DEFAULT_TOL,
     relations: Iterable[RelationSpec] | None = None,
 ) -> list[Report]:
-    """Reports of the given suites, suite by suite in the given order; the
-    irrep suite reads the action checks of one image pass, and the structure
+    """Reports of the given suites, suite by suite in the given order; the action and irrep suites read
+    the one image pass (see _image_pass), timed into the first report that waits on it, and the structure
     suite checks ``relations`` (default: the shipped catalog)."""
     suites = tuple(suites)
     check_suites(suites)
-    rules = [rule for rule in ACTION_RULES if "actions" in suites or "irrep" in suites and rule.claim is not None]
-    actions = _image_pass(params, rules, n_max, tol)
+    _check_nmax(n_max)
+    rules = tuple(ACTION_RULES) if "actions" in suites or "irrep" in suites else ()
+    start = time.perf_counter()
+    readings = _image_pass(rules, n_max)
+    seconds = time.perf_counter() - start
     cutoffs = suite_cutoffs(suites, n_max)
     reports: list[Report] = []
     for suite in suites:
@@ -1009,9 +995,11 @@ def run_suites(
             reports += check_structure(params, relations)
             reports += check_explicit_forms(params)
         elif suite == "actions":
-            reports += [action.report() for action in actions]
+            reports += _action_reports(params.mode, rules, readings, seconds)
+            seconds = 0.0
         elif suite == "irrep":
-            reports += _irrep_reports(params.mode, rules, actions, n_max, tol, "actions" not in suites)
+            reports += _irrep_reports(params.mode, rules, readings, n_max, tol, seconds)
+            seconds = 0.0
         elif suite == "pseudo":
             reports.append(check_pseudo_hermiticity(params))
         else:

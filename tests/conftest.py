@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import jordan_osc.model
+import jordan_osc.verifier
 from jordan_osc import EXACT, DiffOp, Params, Poly2
 
 
@@ -15,6 +16,16 @@ def close(x, y, tol: float) -> bool:
     states its tolerance here."""
     mine, theirs = x.terms, y.terms
     return all(abs(mine.get(k, 0) - theirs.get(k, 0)) <= tol for k in mine.keys() | theirs.keys())
+
+
+@pytest.fixture(autouse=True)
+def cold_image_pass():
+    """The image pass is kept per process, per rules and cutoff (verifier._image_pass), and reads
+    functions a test may replace or a store it may corrupt: each test starts with none kept, and
+    what it kept is dropped after it."""
+    jordan_osc.verifier._image_pass.cache_clear()
+    yield
+    jordan_osc.verifier._image_pass.cache_clear()
 
 
 @pytest.fixture(scope="session")

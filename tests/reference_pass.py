@@ -2,13 +2,16 @@
 pass in ``jordan_osc.verifier``.
 
 Basis-outer, one step per (n, m): every operator is applied to psi_{n,m} by
-name (``model.apply``), and each image op.psi_{n,m} is read whole, against
-the built difference image - sum c psi_{n',m'}, one way in both modes: its
-largest magnitude per charge line e - i, each over |c| T of the target on
-that line (T the target's largest coefficient), a line without a target
-reading 1 where it is nonzero. The reports come from
-the package's own rules and checks, and each irrep report reads its rule's
-image residual at each step, as the package's does. It is the reference for
+name (``model.apply``), and each image op.psi_{n,m} is read whole, exactly, at
+the point's dyadic twin (or at a point the caller names), against the built
+difference image - sum c psi_{n',m'}: its largest magnitude per charge line
+e - i, each over |c| T of the target on that line (T the target's largest
+coefficient), a line without a target reading 1 where it is nonzero. By the
+grading under sigma_P (see verifier) a twin's reports are the unit pass's, so
+they are every point's: the action reports keep their exact verdicts and, at a
+float point, read their residuals in floats. The reports come from the
+package's own rules and checks, and each irrep report reads its rule's image
+residual at each step, as the package's does. It is the reference for
 readings, not for refutations: a rule or claim the package refutes fails
 there with its counterexample wherever this reading passes.
 
@@ -30,7 +33,7 @@ from math import sqrt
 
 from jordan_osc import model, verifier
 from jordan_osc.verifier import _Check
-from jordan_osc.weyl import FLOAT, lift, linear_combination, max_or_nan, zero
+from jordan_osc.weyl import EXACT, FLOAT, linear_combination, max_or_nan, zero
 
 #: rule id -> the terms (dn, dm, literal, poly) of op psi_{n,m} = sum literal
 #: poly(n, m) psi_{n+dn,m+dm}
@@ -117,47 +120,34 @@ def direct_reading(target, n, m, c2, image, basis):
     return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
 
 
-def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, derived=(), reach=None):
+def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, at=None):
     """(action reports, irrep reports) of the suites among ``suites``, as
-    verifier.run_suites gives them, in the verifier's rule order and with its
-    anchors, from the coefficients of TERMS. A rule whose id is in
-    ``derived`` reads its image only at the steps with a target beyond level
-    ``reach`` (default n_max + 2), a1+ only at each level's top step m = n,
-    a1- and a2- only at n = 0; at every other step its image residual is 0.
-    Each irrep report reads the step's image residual, the .float one in
-    floats."""
-    basis = cache(partial(model.chain_psi, params))
-    reach = n_max + 2 if reach is None else reach
+    verifier.run_suites gives them at ``params``, in the verifier's rule order
+    and with its anchors, from the coefficients of TERMS, every step read
+    exactly at ``at`` (default: the point's twin). Each action report is in
+    the point's mode with its exact verdict; each irrep report reads the
+    step's image residual, the .float one in floats."""
+    at = params.twin if at is None else at
+    basis = cache(partial(model.chain_psi, at))
     plan = []
     for rule in verifier.ACTION_RULES:
         claimed = "irrep" in suites and rule.rule_id in CLAIMS
         if not claimed and "actions" not in suites:
             continue
-        action = _Check(rule.rule_id, rule.anchor, params.mode, tol)
+        action = _Check(rule.rule_id, rule.anchor, EXACT)
         checks = verifier._irrep_checks(params.mode, rule, tol) if claimed else []
-        # each literal at the twin, rounded once at a float point
-        terms = [(dn, dm, lift(model._scalar(literal, params.twin), params.mode), poly)
-                 for dn, dm, literal, poly in TERMS[rule.rule_id]]
+        terms = [(dn, dm, model._scalar(literal, at), poly) for dn, dm, literal, poly in TERMS[rule.rule_id]]
         plan.append((rule, terms, action, checks))
     for n in range(n_max + 1):
         for m in range(n + 1):
             psi = basis(n, m)
             for rule, terms, action, checks in plan:
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
-                if rule.op_name in ("a1-", "a2-"):
-                    unread = n > 0
-                elif rule.op_name == "a1+":
-                    unread = m < n
-                else:
-                    unread = all(n2 <= reach for _, n2, _ in targets)
-                if rule.rule_id in derived and unread:
-                    image_residual = 0
-                else:
-                    image = model.apply(params, rule.op_name, psi)
-                    image_residual = step_residual(params.mode, [
-                        (c, basis(n2, m2), 2 * m2 - n2) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
+                image = model.apply(at, rule.op_name, psi)
+                image_residual = step_residual(EXACT, [
+                    (c, basis(n2, m2), 2 * m2 - n2) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check in checks:
                     check.add(verifier._in_floats(image_residual) if check.mode == FLOAT else image_residual, (n, m))
-    actions = [action.report() for _, _, action, _ in plan] if "actions" in suites else []
+    actions = [action.report(params.mode) for _, _, action, _ in plan] if "actions" in suites else []
     return actions, [check.report() for *_, checks in plan for check in checks]

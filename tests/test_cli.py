@@ -407,8 +407,6 @@ class TestEmitters:
 @pytest.mark.parametrize("argv", [
     ["basis", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3", "--m", "1"],
     ["matrices", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3"],
-    # the structure suite alone passes here, the full run still overflows
-    ["verify", "--mode", "float", "--a", "1e120", "--b", "1e119", "--nmax", "2"],
 ])
 def test_float_overflow_exits_two(capsys, argv):
     assert main(argv) == 2
@@ -421,13 +419,12 @@ def test_float_overflow_exits_two(capsys, argv):
     assert line.endswith("(a value overflows, or underflows to a zero divisor)")
 
 
+# the ids keep their numbers: argv0 and argv1 were verify rows, now in test_verify_passes_at_every_float_point
 @pytest.mark.parametrize("argv", [
-    ["verify", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--nmax", "24", "--suites", "actions"],
-    ["verify", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--nmax", "3"],
     ["basis", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--n", "3", "--m", "1"],
     ["basis", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--n", "24", "--m", "1"],
     ["matrices", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--n", "3"],
-])
+], ids=["argv2", "argv3", "argv4"])
 def test_float_underflow_exits_two(capsys, argv):
     # the leading factor (2pq)^(n-2m)/m! of a basis function overflows or
     # underflows, a power of b in its (z, zbar) form underflows, or a product
@@ -439,6 +436,34 @@ def test_float_underflow_exits_two(capsys, argv):
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: float arithmetic leaves the float range at {{'a': {float(argv[4])!r}, 'b': ")
     assert line.endswith("(a value overflows, or underflows to a zero divisor)")
+
+
+#: the float points (a, b) where verify exited 2 until it read every point exactly, at its twin and at
+#: p = q = 1, and ordinary ones: every check passes at each, with no float basis built
+VERIFIED_FLOAT_POINTS = [("0.79", "0.23"), ("1", "0.25"), ("3", "1"), ("1e15", "1e14"), ("1", "1e-30"),
+                         ("1e-20", "1e-21"), ("1e100", "1e99"), ("1e300", "1e299"), ("1e-300", "1e-301"),
+                         ("1e120", "1e119"), ("1e-200", "1e-201")]
+
+
+@pytest.mark.parametrize("a, b", VERIFIED_FLOAT_POINTS, ids=["-".join(point) for point in VERIFIED_FLOAT_POINTS])
+def test_verify_passes_at_every_float_point(capsys, a, b):
+    argv = ["verify", "--mode", "float", "--a", a, "--b", b, "--nmax", "24", "--suites", "all", "--format", "json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = json.loads(captured.out)["suites"]
+    assert len(reports) == 190 and {r["status"] for r in reports} == {"pass"}
+
+
+def test_a_float_verify_that_raises_is_a_bug(monkeypatch):
+    # a float verify builds no float basis, so an OverflowError or
+    # ZeroDivisionError there propagates, as in an exact run
+    def broken(*args):
+        raise OverflowError("from a float verify")
+
+    monkeypatch.setattr(cli, "run_suites", broken)
+    with pytest.raises(OverflowError, match="from a float verify"):
+        main(["verify", "--mode", "float", "--a", "1", "--b", "0.25"])
 
 
 @pytest.mark.parametrize("a, b, nmax", [("1e120", "1e119", "2"), ("1e-200", "1e-201", "3"), ("1e300", "1e299", "2")])
@@ -518,29 +543,30 @@ _EXTREME_FLOAT = ["verify", "--mode", "float", "--a", "1e200", "--b", "1e-200", 
 
 
 def test_nan_residuals_never_pass(capsys, monkeypatch):
-    # a NaN coefficient in the stored float conjugations of J0, D-12 and a1+
-    # meets every image of those operators: each report that reads one fails
-    # with a NaN residual, and no other report sees it. a1+'s boson rule then
-    # fails, so no rule is taken as derived, and J0 and D-12 are read
+    # a NaN in the point's own float conjugations of J0, D-12 and a1+ reaches
+    # no report: the irrep suite reads the exact pass at p = q = 1. The one
+    # reading in floats left, the quadrature oracle's, fails integrals.oracle
+    # with a NaN residual where its estimate is NaN, and no other report sees it
     conjugated = model.conjugated
 
     def with_nan(P, name):
         op = conjugated(P, name)
         return (DiffOp._normalized(op.mode, {**op.nums, (0, 0, 0, 0): math.nan}, op.den)
-                if name in ("J0", "D-12", "a1+") else op)
+                if P.mode == "float" and name in ("J0", "D-12", "a1+") else op)
 
     monkeypatch.setattr(model, "conjugated", with_nan)
-    assert main(_EXTREME_FLOAT + ["--suites", "irrep"]) == 1
+    monkeypatch.setattr(verifier, "quadrature_oracle", lambda *args: complex(math.nan, 0))
+    assert main(_EXTREME_FLOAT + ["--suites", "irrep,integrals"]) == 1
     reports = json.loads(capsys.readouterr().out)["suites"]
-    assert len(reports) == 14
-    nan = {r["id"] for r in reports if r["residual"] == "nan"}
-    assert nan == {"irrep.J0", "irrep.D-12.float", "irrep.a1+.float"}
-    assert {r["status"] for r in reports if r["id"] in nan} == {"fail"}
+    assert len(reports) == 14 + 5
+    assert {r["id"]: (r["status"], r["residual"]) for r in reports if r["status"] != "pass"} == {
+        "integrals.oracle": ("fail", "nan")}
 
 
 def test_extreme_float_point_passes_the_irrep_suite(capsys):
-    # its conjugations are rounded from the exact ones, so no inf - inf leaves
-    # a NaN in them (built in floats, irrep.J0 and irrep.D-12.float read NaN here)
+    # the irrep suite reads the exact pass at p = q = 1, so no inf - inf
+    # leaves a NaN (with operators built in floats, irrep.J0 and
+    # irrep.D-12.float read NaN here)
     assert main(_EXTREME_FLOAT + ["--suites", "irrep"]) == 0
     reports = json.loads(capsys.readouterr().out)["suites"]
     assert len(reports) == 14 and {r["status"] for r in reports} == {"pass"}

@@ -1,12 +1,16 @@
-"""Mutants of the shipped action rules: each wrong irrep claim or action rule
-fails, in both modes, however far beyond the cutoff it is first wrong.
+"""Mutants of the shipped action rules and of the bosons the image pass reads:
+each wrong irrep claim, action rule or boson fails, in both modes, however far
+beyond the cutoff it is first wrong and however small the error.
 
-The mutants are built from the text of ``verifier.ACTION_RULES``, not from a
-hand-written list: each claim plus 1 and times 2, and J+'s rule with its
-literal negated (wrong by its sign alone), with a term that vanishes at every
-n <= 24, and with its literal times 1 + 1e-11 (under the float tolerance).
-A refuted report reads "refuted"; where its reading passes, its anchor names
-the counterexample, the first (n, m) where the proof finds the identity false.
+The rule mutants are built from the text of ``verifier.ACTION_RULES``, not
+from a hand-written list: each claim plus 1 and times 2, and J+'s rule with
+its literal negated (wrong by its sign alone), with a term that vanishes at
+every n <= 24, and with its literal times 1 + 1e-11 (under the float
+tolerance). A refuted report reads "refuted"; where its reading passes, its
+anchor names the counterexample, the first (n, m) where the proof finds the
+identity false. The boson mutants change the conjugated operator the pass
+reads at p = q = 1 for every point (``verifier._UNIT``): each of the four times
+1 + 10^-12, and a1- and a2- plus w dw, which still sends psi_00 to 0.
 """
 
 from dataclasses import replace
@@ -14,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_osc import FLOAT, Params, run_suites, verifier
+from jordan_osc import FLOAT, DiffOp, Params, model, run_suites, verifier
 
 #: n(n-1)...(n-24): zero at every level a cutoff up to 24 reads
 FALLING_25 = "*".join(["n", *(f"(n-{t})" for t in range(1, 25))])
@@ -71,12 +75,38 @@ def test_every_mutant_fails_its_reports_as_refuted(point, monkeypatch):
 @pytest.mark.parametrize("n_max", [6, 24])
 def test_a_rule_a_reading_cannot_refute_names_its_counterexample(point, name, at, n_max, monkeypatch):
     # beyond-24 reads as the shipped rule up to n 24, and 1e-11 passes a
-    # float reading, so each report whose reading passes names where the
-    # proof refutes the rule, or its claim; an exact reading of 1e-11 fails
+    # reading in floats, so each report whose reading passes names where the
+    # proof refutes the rule, or its claim; the exact reading of 1e-11, which
+    # action.J+ reports at a float point too, fails
     rule = _jplus_mutants()[name]
     failing = _failing(monkeypatch, point, rule, n_max)
     assert failing.keys() == {"action.J+"} | _irrep_ids(rule, point.mode)
     counterexamples = {rid for rid, r in failing.items() if r.anchor.endswith(f"[refuted at n,m={at}]")}
     read = {rid for rid, r in failing.items() if "[worst at n,m=" in r.anchor}
     assert counterexamples | read == failing.keys() and {r.how for r in failing.values()} == {"refuted"}
-    assert read == ({"action.J+", "irrep.J+.sq"} if (name, point.mode) == ("1e-11", "exact") else set())
+    assert read == (failing.keys() - {"irrep.J+.float"} if name == "1e-11" else set())
+
+
+def _boson_mutants() -> dict:
+    """name -> (boson, its conjugated operator at _UNIT changed): each of the four times 1 + 10^-12, as a
+    Fraction, and a1- and a2- plus w dw."""
+    scaled = lambda x: x.scale(Fraction(10**12 + 1, 10**12))  # noqa: E731
+    stray = lambda x: x + DiffOp.monomial((1, 0, 1, 0), 1)  # noqa: E731
+    return {**{f"{op} times 1+1e-12": (op, scaled) for op in verifier._BOSONS},
+            **{f"{op} plus w dw": (op, stray) for op in ("a1-", "a2-")}}
+
+
+@pytest.mark.parametrize("point", POINTS, ids=["exact-3/2-2/3", "float-0.79-0.23"])
+@pytest.mark.parametrize("n_max", [6, 24])
+def test_every_boson_mutant_fails_its_action_report(point, n_max, monkeypatch):
+    # however small, an error in what the pass reads fails exactly at every
+    # point, a float one too: the pass is exact, at p = q = 1
+    conjugated, missed = model.conjugated, []
+    for name, (boson, change) in _boson_mutants().items():
+        monkeypatch.setattr(model, "conjugated", lambda P, op, boson=boson, change=change: (
+            change(conjugated(P, op)) if (op, P) == (boson, verifier._UNIT) else conjugated(P, op)))
+        verifier._image_pass.cache_clear()
+        failing = {r.relation_id for r in run_suites(point, ("actions", "irrep"), n_max) if r.failed}
+        if f"action.{boson}" not in failing:
+            missed.append((name, sorted(failing)))
+    assert len(_boson_mutants()) == 6 and not missed

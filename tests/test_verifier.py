@@ -58,16 +58,14 @@ BOSON_RULES = {f"action.{op}" for op in verifier._BOSONS}
 DERIVED = {rule.rule_id for rule in ACTION_RULES} - BOSON_RULES
 #: the boson rules that the raising ones, passing, let the pass read at n = 0 alone
 LOWERING = {"action.a1-", "action.a2-"}
-#: the rules a float point's pass reads 0 for at some step, where it derives the image: the derived
-#: ones, a1- and a2- past n = 0, and a1+ below each level's top step
-FOCK = DERIVED | LOWERING | {"action.a1+"}
 #: the rules with an irrep claim whose action term moves (n, m)
 LADDERS = tuple(rule for rule in ACTION_RULES if rule.claim is not None and rule.terms[0][:2] != (0, 0))
 
 #: (a, b) of float points, from everyday to where a basis function or a float
 #: operator leaves the float range; (p, q) of exact ones
 FLOAT_POINTS = [(0.79, 0.23), (1.0, 0.25), (3.0, 1.0), (100.0, 1.0), (1e-10, 1e-11), (1e-200, 1e-201),
-                (1e120, 1e119), (1e300, 1e299)]
+                (1e120, 1e119), (1e300, 1e299), (1e15, 1e14), (1.0, 1e-30), (1e-20, 1e-21), (1e100, 1e99),
+                (1e-300, 1e-301)]
 EXACT_POINTS = [(1, F(1, 2)), (F(3, 2), F(2, 3)), (10**50, 1)]
 
 
@@ -242,7 +240,7 @@ class TestExpressionGrammar:
     def test_catalog_literals_keep_their_float_bits(self, point):
         # every literal of the shipped catalogs, and of the form c*ab they do
         # not use, is c times a^i times b^j at the twin, rounded once at the
-        # float point; so is each action term's literal, as the image pass reads it
+        # float point
         tokens = {tok for spec in load_relations() + load_negative_controls()
                   for side in (spec.lhs, spec.rhs) for tok in side.split() if model._SCALAR_TOKEN.fullmatch(tok)}
         tokens |= {"8*ab", "-3/7*ab"}
@@ -252,10 +250,6 @@ class TestExpressionGrammar:
             c, _, unit = tok.partition("*")
             want = float(F(c) * twin.a ** unit.count("a") * twin.b ** unit.count("b"))
             assert eval_expression(tok, point) == DiffOp.constant(want), tok
-        for rule in ACTION_RULES:
-            terms = verifier._terms(point, rule, 0)
-            for dn, dm, literal, _ in rule.terms:
-                assert terms[2 * dm - dn][2:4] == ([float(model._scalar(literal, twin))], 1), (rule.rule_id, literal)
 
 
 class TestStructureSuite:
@@ -659,12 +653,9 @@ class TestActionSuite:
         failed = next(r for r in reports if r.failed)
         assert failed.residual == str(lift(1, P.mode))
         assert failed.anchor.endswith("[worst at n,m=(0, 0)]")
-        # the derivation refutes the rule, so it is read; a float point's
-        # derived rules read 0, where a reading gives rounding
-        derived = FOCK - {"action.J+"} if P.mode == FLOAT else ()
+        # the derivation refutes the rule, so it is read
         strip = lambda r: (r.relation_id, r.anchor, r.status, r.residual)  # noqa: E731
-        assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5,
-                                                                                       derived=derived)[0]))
+        assert list(map(strip, reports)) == list(map(strip, reference_pass.image_pass(P, ("actions",), 5)[0]))
 
     def test_each_report_anchor_is_its_rule_text(self, params):
         # a rule is stated once: its text is the data the pass reads and,
@@ -763,7 +754,7 @@ def _merged_reports(rule, mode, *steps):
     action = verifier._Check(rule.rule_id, rule.anchor, mode)
     for residual, at in steps:
         action.add(residual, at)
-    return verifier._irrep_reports(mode, [rule], [action], 2, verifier.DEFAULT_TOL, False)
+    return verifier._irrep_reports(mode, [rule], [(action.worst, action.at)], 2, verifier.DEFAULT_TOL, 0.0)
 
 
 class TestBoundDesign:
@@ -993,6 +984,40 @@ class TestDerivedChecksCanFail:
         assert _failing(v.run_suites(params, ("actions", "irrep"), n_max=3)) == {"irrep.J0"}
 
 
+#: three exact points, one the twin of the float point (0.79, 0.23)
+GRADED_POINTS = [Params.exact(F(3, 2), F(2, 3)), Params.exact(F(10**50, 7), F(3, 10**20)),
+                 Params.from_ab(0.79, 0.23).twin]
+
+
+class TestGrading:
+    """sigma_P (w -> q w, zbar -> zbar/q, dw -> dw/q, dzbar -> q dzbar in the chain variables) maps each
+    basis function and conjugated operator at P onto p = q = 1 times p^alpha q^beta, (alpha, beta) its
+    weight: what lets one image pass at p = q = 1 serve every point."""
+
+    @pytest.mark.parametrize("P", GRADED_POINTS, ids=["3/2-2/3", "1e50/7-3e-20", "twin-0.79-0.23"])
+    def test_each_basis_function_is_the_unit_one_graded(self, P):
+        # the term w^e zbar^i of psi_{n,m} at P is p^alpha q^(beta + i - e)
+        # times the term at p = q = 1, (alpha, beta) psi_{n,m}'s weight: (pq)^(i-e)
+        for n in range(13):
+            for m in range(n + 1):
+                alpha, beta = model._psi_weight(n, m)
+                unit, psi = chain_psi(verifier._UNIT, n, m).terms, chain_psi(P, n, m).terms
+                assert psi.keys() == unit.keys(), (n, m)
+                for (e, i), c in psi.items():
+                    assert c == P.p ** alpha * P.q ** (beta + i - e) * unit[e, i] == (P.p * P.q) ** (i - e) * unit[e, i]
+
+    @pytest.mark.parametrize("P", GRADED_POINTS, ids=["3/2-2/3", "1e50/7-3e-20", "twin-0.79-0.23"])
+    def test_each_conjugated_operator_is_the_unit_one_graded(self, P):
+        # the term w^i zbar^j dw^k dzbar^l of op at P is p^alpha q^(beta - i + j + k - l) times the
+        # term at p = q = 1, (alpha, beta) op's weight
+        for name in model.CATALOG_NAMES:
+            alpha, beta = model._weight(name)
+            unit, op = model.conjugated(verifier._UNIT, name).terms, model.conjugated(P, name).terms
+            assert op.keys() == unit.keys(), name
+            assert all(c == P.p ** alpha * P.q ** (beta - i + j + k - l) * unit[i, j, k, l]
+                       for (i, j, k, l), c in op.items()), name
+
+
 class TestImagePass:
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_suites_agree_however_requested(self, point, request):
@@ -1006,9 +1031,9 @@ class TestImagePass:
         assert together[n_actions:] == irrep_alone
         assert all(rid.startswith("irrep.") for rid, *_ in irrep_alone)
 
-    # in both modes the irrep suite reads the action images: one conjugation
-    # per operator read, one image per (source read, operator, charge part),
-    # and no float rebuild. Up to level n_max + 1, a2+ reads every level and
+    # in both modes the irrep suite reads the action images of the one pass
+    # at p = q = 1: one conjugation per operator read, one image per (source
+    # read, operator, charge part). Up to level n_max + 1, a2+ reads every level and
     # a1+ each level's top function psi_{n,n}; a1- and a2- read psi_00 alone.
     # They reach level n_max + 2, so no derived rule has a target beyond, and
     # no other rule is conjugated
@@ -1025,9 +1050,9 @@ class TestImagePass:
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_one_derivative_table_per_level(self, point, request, image_counts, monkeypatch):
         # level-outer: every image of level n reads one table, built for the
-        # level sum_m psi_{n,m} or for its top function psi_{n,n} alone, which
-        # no store keeps once the pass is over
-        P = request.getfixturevalue(point)
+        # level sum_m psi_{n,m} or for its top function psi_{n,n} alone, at
+        # p = q = 1, which no store keeps once the pass is over
+        P, unit = request.getfixturevalue(point), verifier._UNIT
         tables = {}  # id -> (table, the polynomial it was read for); holding both keeps each id unique
         apply_to = DiffOp.apply_to  # image_counts' counting wrapper
 
@@ -1040,12 +1065,14 @@ class TestImagePass:
         run_suites(P, ("actions", "irrep"), n_max=4)
         assert len(tables) == 12 and image_counts["apply_to"] == 2 * 6 + 2
         levels = [poly for _, poly in tables.values()]
-        psis = [[chain_psi(P, n, m) for m in range(n + 1)] for n in range(6)]
-        assert levels[1::2] == [weyl.linear_combination(P.mode, [(1, psi) for psi in level]) for level in psis]
+        psis = [[chain_psi(unit, n, m) for m in range(n + 1)] for n in range(6)]
+        assert levels[1::2] == [weyl.linear_combination("exact", [(1, psi) for psi in level]) for level in psis]
         assert levels[::2] == [level[-1] for level in psis]
         # no two psi of a level share a monomial: each lies on its own charge
         assert [len(level.nums) for level in levels[1::2]] == [sum(len(psi.nums) for psi in level) for level in psis]
-        stored = model.point_cache(P).values()  # the conjugations too
+        assert P not in model._POINTS or not any(key[0] is model.chain_psi.__wrapped__
+                                                 for key in model._POINTS[P] if isinstance(key, tuple))
+        stored = model.point_cache(unit).values()  # the conjugations too
         assert not any(value is table for value in stored for table, _ in tables.values())
 
     def test_charge_parts_sum_to_the_operator(self, params):
@@ -1065,18 +1092,15 @@ class TestImagePass:
     ], ids=["exact-1-1/2", "exact-3/2-2/3", "float-0.79-0.23", "float-1-0.25", "float-3-1", "float-100-1",
             "exact-1e100-1"])
     def test_reports_equal_the_per_step_reference(self, point, n_max):
-        # the stacked pass reports what the per-(n, m) pass reports: ids,
-        # anchors, statuses and residuals; no .float report skips, even where
-        # the point's numbers leave the float range. An exact point's derived
-        # rules report what reading them gives, 0; a float point's read 0 where
-        # reading gives rounding, at every step whose targets the boson rules
-        # reach
+        # the stacked pass at p = q = 1 reports what the per-(n, m) pass
+        # reads at the point's twin: ids, anchors, statuses and residuals, a
+        # float point's in floats. A derived rule reports what reading it
+        # gives, 0, every residual is 0, and no .float report skips, even
+        # where the point's numbers leave the float range
         got = _image_reports(point, ("actions", "irrep"), n_max)
-        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max,
-                                         derived=FOCK if point.mode == FLOAT else ())
-        _assert_matches_the_reference(got, want)
-        floats = [g for g in got[1] if g.relation_id.endswith(".float")]
-        assert len(floats) == 12 and all(g.passed and float(g.residual) <= 1e-15 for g in floats)
+        _assert_matches_the_reference(got, reference_pass.image_pass(point, ("actions", "irrep"), n_max))
+        assert all(float(g.residual) == 0 for g in got[0] + got[1])
+        assert len([g for g in got[1] if g.relation_id.endswith(".float")]) == 12
 
     @pytest.mark.parametrize("point, n_max, refute, a1", [
         (Params.exact(F(3, 2), F(2, 3)), 8, True, False), (Params.from_ab(0.79, 0.23), 10, True, False),
@@ -1099,8 +1123,7 @@ class TestImagePass:
             rules = tuple(_refuted(rule) if rule.claim is not None else rule for rule in rules)
         monkeypatch.setattr(verifier, "ACTION_RULES", rules)
         got = _image_reports(point, ("actions", "irrep"), n_max)
-        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max,
-                                         derived=FOCK if point.mode == FLOAT and not a1 else ())
+        want = reference_pass.image_pass(point, ("actions", "irrep"), n_max)
         proofs = {f"irrep.{rule.op_name}": verifier._claimed(rule, n_max) for rule in rules if rule.claim is not None}
         proofs["action.a1+"] = verifier._derived(next(rule for rule in rules if rule.op_name == "a1+"))
         assert [g.relation_id for g in got[0] + got[1]] == [w.relation_id for w in want[0] + want[1]]
@@ -1118,32 +1141,33 @@ class TestImagePass:
         if a1:
             assert proofs["action.a1+"][1] == proofs["irrep.a1+"][1] == (0, 0)
 
-    # a1+ psi = (m+1) psi[n+1,m+1], a1+ = (2w - dzbar)/2 in the chain
-    # variables. A stray w^3 zbar^2 term of a1+'s charge shift puts image
-    # monomials on the target's lines above the target's degree; without its
-    # dzbar term the image of psi_{3,1}, w psi_{3,1}, lacks the constant of
-    # psi_{4,2}. At p = 10^100 too, where the images leave the float range,
-    # the .float steps read the exact residual, and nothing skips
+    # a1+ psi = (m+1) psi[n+1,m+1], a1+ = (2w - dzbar)/4 in the chain
+    # variables at p = q = 1, where the pass reads it for every point. A stray
+    # w^3 zbar^2 term of a1+'s charge shift there puts image monomials on the
+    # target's lines above the target's degree; without its dzbar term the
+    # image of psi_{3,1}, w psi_{3,1}/2, lacks the constant of psi_{4,2}. Each
+    # point, p = 10^100 too, reports the per-step reference's reading at
+    # p = q = 1, a float point's in floats, and nothing skips
     @pytest.mark.parametrize("point", [
         Params.exact(1, F(1, 2)), Params.from_ab(1.0, 0.25), Params.exact(F(10) ** 100, 1),
     ], ids=["exact-1-1/2", "float-1-0.25", "exact-1e100-1"])
     @pytest.mark.parametrize("corruption", ["stray", "missing"])
     def test_a_failing_reading_equals_the_reference(self, point, corruption, monkeypatch):
-        conjugated = model.conjugated
+        unit, conjugated = verifier._UNIT, model.conjugated
 
         def corrupted(P, name):
             op = conjugated(P, name)
-            if name != "a1+":
+            if (name, P) != ("a1+", unit):
                 return op
             if corruption == "stray":
-                return op + DiffOp.monomial((3, 2, 0, 0), lift(F(1, 1000), P.mode))
+                return op + DiffOp.monomial((3, 2, 0, 0), F(1, 1000))
             return DiffOp._normalized(op.mode, {key: v for key, v in op.nums.items() if key != (0, 0, 0, 1)}, op.den)
 
         monkeypatch.setattr(model, "conjugated", corrupted)
-        image, target = corrupted(point, "a1+").apply_to(chain_psi(point, 3, 1)).nums, chain_psi(point, 4, 2).nums
+        image, target = corrupted(unit, "a1+").apply_to(chain_psi(unit, 3, 1)).nums, chain_psi(unit, 4, 2).nums
         assert (image.keys() - target.keys()) if corruption == "stray" else (target.keys() - image.keys())
         got = _image_reports(point, ("actions", "irrep"), 6)
-        want = reference_pass.image_pass(point, ("actions", "irrep"), 6)
+        want = reference_pass.image_pass(point, ("actions", "irrep"), 6, at=unit)
         _assert_matches_the_reference(got, want)
         failing = {"action.a1+", "irrep.a1+.float"} | ({"irrep.a1+.sq"} if point.mode == "exact" else set())
         assert {r.relation_id for r in got[0] + got[1] if r.failed} == failing
@@ -1156,12 +1180,13 @@ class TestImagePass:
     @pytest.mark.parametrize("key", [(10, 0), (2, 0), (0, 2), (1, 1)], ids=["w^10", "w^2", "zbar^2", "w*zbar"])
     def test_an_off_line_basis_term_fails_as_the_reference(self, point, key, monkeypatch):
         # the image of such a term meets no step's line; the step of its psi
-        # fails every action and irrep check that reads its level instead
+        # fails every action and irrep check that reads its level instead. The
+        # pass reads psi at p = q = 1 for every point: the term is put there
+        unit = verifier._UNIT
         monkeypatch.setattr(model, "_POINTS", {})
-        psi = chain_psi(point, 3, 1)
-        model.point_cache(point)[model.chain_psi.__wrapped__, 3, 1] = psi + Poly2.monomial(*key, lift(1, point.mode))
+        model.point_cache(unit)[model.chain_psi.__wrapped__, 3, 1] = chain_psi(unit, 3, 1) + Poly2.monomial(*key, 1)
         got = verifier.run_suites(point, ("actions", "irrep"), 5)
-        want = reference_pass.image_pass(point, ("actions", "irrep"), 5)
+        want = reference_pass.image_pass(point, ("actions", "irrep"), 5, at=unit)
         assert _failing(got) == _failing(want[0] + want[1]) == {r.relation_id for r in got}
         assert len(got) == (49 if point.mode == "exact" else 37)
 
@@ -1228,6 +1253,31 @@ class TestImagePass:
         assert built == {"exact": 1}
         assert all(r.passed for r in reports) and len(reports) == 202
 
+    def test_a_float_run_builds_no_float_basis(self, monkeypatch):
+        # every suite reads a float point exactly, at its twin or at p = q = 1,
+        # and the oracle reads the dilated twin, so nothing is built in floats
+        # that could leave the float range
+        def refused(*args):
+            raise AssertionError("a float basis was built")
+
+        monkeypatch.setattr(model, "_POINTS", {})
+        monkeypatch.setattr(model, "_check_float_range", refused)
+        reports = run_suites(Params.from_ab(0.79, 0.23), SUITES, n_max=8)
+        assert all(r.passed for r in reports) and len(reports) == 190
+
+    def test_a_second_point_reads_no_image(self, image_counts, monkeypatch):
+        # the pass is kept per rules and cutoff: at a second point, exact or
+        # float, the action and irrep suites conjugate, apply and read nothing
+        assert all(r.passed for r in run_suites(Params.exact(1, F(1, 2)), ("actions", "irrep"), 8))
+        assert image_counts["apply_to"] > 0
+        image_counts.clear()
+        conjugated, calls = model.conjugated, Counter()
+        monkeypatch.setattr(model, "conjugated", lambda P, name: calls.update([name]) or conjugated(P, name))
+        for P in (Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)):
+            assert all(r.passed for r in run_suites(P, ("actions", "irrep"), 8))
+            assert all(r.passed for r in run_suites(P, ("irrep",), 8))
+        assert not image_counts and not calls
+
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_coeff_sq_evaluated_once_per_step(self, point, request, monkeypatch):
         # a claim is proven once per process, and read per step by no report,
@@ -1237,6 +1287,7 @@ class TestImagePass:
 
         P = request.getfixturevalue(point)
         v.check_irrep(P, n_max=4)  # each claim proven once, before the count
+        v._image_pass.cache_clear()  # and the pass run anew
         calls = Counter()
         levels = v._levels
 
@@ -1392,6 +1443,25 @@ class TestFockDerivation:
         doubled = replace(_ACTION_OF["J+"], irrep=f"2*({_ACTION_OF['J+'].irrep})")
         assert verifier._claimed(doubled, 8) == (F(1, 2), (1, 0))
 
+    @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)],
+                             ids=["exact-3/2-2/3", "float-0.79-0.23"])
+    def test_the_bosons_as_read_keep_every_weyl_relation(self, point, monkeypatch):
+        # a1- plus w dw, at p = q = 1 where the pass reads it for every point,
+        # still sends psi_00 to 0, the one function a1- is read on where the
+        # Fock module holds, but [a1-, a1+] = 1 + w/2 and [a1-, a2+] = 2 dw:
+        # no rule is derived, every rule is read at every level, and
+        # action.a1- fails
+        unit, conjugated = verifier._UNIT, model.conjugated
+        monkeypatch.setattr(model, "conjugated", lambda P, name: conjugated(P, name) + DiffOp.monomial(
+            (1, 0, 1, 0), 1) if (name, P) == ("a1-", unit) else conjugated(P, name))
+        bosons = [model.conjugated(unit, name) for name in verifier._BOSONS]  # a1+, a2+, a1-, a2-
+        assert weyl.commutator(bosons[2], bosons[0]) == DiffOp.monomial((0, 0, 0, 0), 1) + DiffOp.monomial(
+            (1, 0, 0, 0), F(1, 2))
+        assert weyl.commutator(bosons[2], bosons[1]) == DiffOp.monomial((0, 0, 1, 0), 2)
+        assert not verifier._weyl(bosons) and verifier._weyl([conjugated(unit, name) for name in verifier._BOSONS])
+        reports = run_suites(point, ("actions",), 6)
+        assert _failing(reports) == {"action.a1-"} and "derived" not in {r.how for r in reports}
+
     # J+ doubled; J+ plus a term that vanishes at every n <= 24, which a reading
     # up to nmax 24 cannot see; D-22 with (n-m)^2 for (n-m)(n-m-1), which
     # differs first at (1, 0), whose target leaves the grid, so it is refuted
@@ -1429,23 +1499,24 @@ class TestFockDerivation:
     @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)],
                              ids=["exact-3/2-2/3", "float-0.79-0.23"])
     def test_every_basis_function_up_to_the_reach_is_read(self, point, monkeypatch):
-        # psi_{n,m}, n <= n_max + 2, with its lowest coefficient doubled, one
-        # at a time. Up to level n_max + 1 it fails a boson rule's read at
-        # n <= n_max, and every rule is read at every level; at level n_max + 2
-        # it fails a read at n_max + 1, which enters no report, so the reach
-        # falls back to n_max + 1, and the D+ rules that reach it from level
-        # n_max, read there, fail. Each time the reports are the reference's
-        n_max = 3
+        # psi_{n,m} at p = q = 1, where the pass reads it for every point,
+        # n <= n_max + 2, with its lowest coefficient doubled, one at a time.
+        # Up to level n_max + 1 it fails a boson rule's read at n <= n_max, and
+        # every rule is read at every level; at level n_max + 2 it fails a read
+        # at n_max + 1, which enters no report, so the reach falls back to
+        # n_max + 1, and the D+ rules that reach it from level n_max, read
+        # there, fail. Each time the reports are the reference's there
+        n_max, unit = 3, verifier._UNIT
         for n in range(n_max + 3):
             for m in range(n + 1):
                 monkeypatch.setattr(model, "_POINTS", {})
-                psi = chain_psi(point, n, m)
+                verifier._image_pass.cache_clear()
+                psi = chain_psi(unit, n, m)
                 key = (max(0, 2 * m - n), max(0, n - 2 * m))
-                model.point_cache(point)[model.chain_psi.__wrapped__, n, m] = psi + Poly2.monomial(*key, psi.terms[key])
+                model.point_cache(unit)[model.chain_psi.__wrapped__, n, m] = psi + Poly2.monomial(*key, psi.terms[key])
                 got = run_suites(point, ("actions",), n_max)
                 beyond = n == n_max + 2
-                want = reference_pass.image_pass(point, ("actions",), n_max, reach=n_max + 1,
-                                                 derived=FOCK if beyond and point.mode == FLOAT else ())[0]
+                want = reference_pass.image_pass(point, ("actions",), n_max, at=unit)[0]
                 assert list(map(_strip, got)) == list(map(_strip, want)), (n, m)
                 failing = _failing(got)
                 assert failing and all(rid.startswith("action.") for rid in failing), (n, m)
@@ -1472,37 +1543,30 @@ class TestFockDerivation:
         assert len(moving) == 10 and _failing(reports) == moving | {rule.rule_id for rule in bosons}
         assert {r.how for r in reports if r.relation_id in BOSON_RULES} == {"refuted"}
 
-    @pytest.mark.parametrize("case", ["basis", "nan", "irrep-alone", "no-a2-", "nonlinear"])
+    @pytest.mark.parametrize("case", ["basis", "a1", "irrep-alone", "no-a2-", "nonlinear"])
     def test_no_rule_is_derived_unless_the_four_boson_rules_pass(self, case, fresh_process, monkeypatch):
         # with a boson rule failing or missing, or no Fock chart, every rule
         # is read at every level, none is refuted, and the reports are the
-        # per-step reference's: at an exact point a corrupted basis fails the
-        # rules that read it, and at a float point a reading gives rounding
-        # where a derived rule reads 0. a2+ plus p z dz, of a2+'s weight, is
-        # no linear form, so there is no chart and no rule is decided
+        # per-step reference's: a corrupted basis or (case a1) a1+ plus 1/1000,
+        # at p = q = 1, where the pass reads them for every point, fails the
+        # rules that read them. a2+ plus p z dz, of a2+'s weight, is no linear
+        # form, so there is no chart and no rule is decided
         suites = ("irrep",) if case == "irrep-alone" else ("actions", "irrep")
+        unit, conjugated = verifier._UNIT, model.conjugated
+        P = Params.exact(F(3, 2), F(2, 3)) if case in ("basis", "irrep-alone") else Params.from_ab(0.79, 0.23)
         if case in ("basis", "irrep-alone"):  # psi_{7,3}'s zbar coefficient plus 1 fails a1+ at (6, 2)
-            P = Params.exact(F(3, 2), F(2, 3))
             monkeypatch.setattr(model, "_POINTS", {})
-            model.point_cache(P)[model.chain_psi.__wrapped__, 7, 3] = chain_psi(P, 7, 3) + Poly2.monomial(0, 1, 1)
-        else:
-            P = Params.from_ab(0.79, 0.23)
-        if case == "nan":
-            conjugated = model.conjugated
-
-            def with_nan(P, name):
-                op = conjugated(P, name)
-                return DiffOp._normalized(op.mode, {**op.nums, (0, 0, 0, 0): float("nan")}, op.den) \
-                    if name == "a1+" else op
-
-            monkeypatch.setattr(model, "conjugated", with_nan)
+            model.point_cache(unit)[model.chain_psi.__wrapped__, 7, 3] = chain_psi(unit, 7, 3) + Poly2.monomial(0, 1, 1)
+        if case == "a1":
+            monkeypatch.setattr(model, "conjugated", lambda P, name: conjugated(P, name) + DiffOp.constant(F(1, 1000))
+                                if (name, P) == ("a1+", unit) else conjugated(P, name))
         if case == "no-a2-":
             monkeypatch.setattr(verifier, "ACTION_RULES", tuple(r for r in ACTION_RULES if r.rule_id != "action.a2-"))
         if case == "nonlinear":
             monkeypatch.setitem(model.DEFINITIONS, "a2+", f"add {model.DEFINITIONS['a2+']} smul 1*p mul z dz")
             assert verifier._fock_generators(verifier._UNIT) is None
         got = _image_reports(P, suites, 8)
-        _assert_matches_the_reference(got, reference_pass.image_pass(P, suites, 8))
+        _assert_matches_the_reference(got, reference_pass.image_pass(P, suites, 8, at=unit))
         assert "refuted" not in {r.how for r in got[0] + got[1]}
         failing = _failing(got[0] + got[1])
         assert (not failing) if case == "no-a2-" else ("irrep.a2+.float" if case == "nonlinear" else
@@ -1700,11 +1764,10 @@ class TestIntegralSuite:
         # psi_{7,3} lies on charge line -1; a term off it pairs to nothing the
         # gram, jordan and norms blocks read, so gram reads the line itself.
         # The pairing claims read the twin's basis (the point itself if
-        # exact), the action suite the point's own: corrupt both stores
+        # exact), the action suite the basis at p = q = 1: corrupt both stores
         monkeypatch.setattr(model, "_POINTS", {})
-        for P in {point.twin, point}:
-            psi = chain_psi(P, 7, 3)
-            model.point_cache(P)[model.chain_psi.__wrapped__, 7, 3] = psi + Poly2.monomial(*key, lift(1, P.mode))
+        for P in (point.twin, verifier._UNIT):
+            model.point_cache(P)[model.chain_psi.__wrapped__, 7, 3] = chain_psi(P, 7, 3) + Poly2.monomial(*key, 1)
         reports = {r.relation_id: r for r in check_integrals(point, n_max=8)}
         assert reports["integrals.gram"].failed
         assert reports["integrals.gram"].anchor.endswith("[worst at n,m=(7, 3)]")
@@ -1794,8 +1857,10 @@ class TestRunSuites:
 
     @pytest.mark.parametrize("proof, report", [("_derived", "action.J+"), ("_claimed", "irrep.J+.sq")])
     def test_a_proof_is_timed_into_the_first_report_that_waits_on_it(self, params, monkeypatch, proof, report):
-        # J+'s derivation, or its claim's proof, made to take 20 ms: the time
-        # lands in J+'s action report, or its first irrep report
+        # J+'s derivation, or its claim's proof, made to take 20 ms, with J+'s
+        # rule first: the time lands in J+'s action report, the first report
+        # that waits on the image pass, or in J+'s first irrep report. The
+        # pass is kept, so a second point's run waits on no derivation
         original = getattr(verifier, proof)
 
         def slow(rule, *args):
@@ -1804,8 +1869,13 @@ class TestRunSuites:
             return original(rule, *args)
 
         monkeypatch.setattr(verifier, proof, slow)
+        first = (_ACTION_OF["J+"], *(r for r in ACTION_RULES if r.op_name != "J+"))
+        monkeypatch.setattr(verifier, "ACTION_RULES", first)
         reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=4)}
         assert reports[report].ms >= 20
+        if proof == "_derived":
+            again = {r.relation_id: r for r in run_suites(Params.exact(F(3, 2), F(2, 3)), ("actions", "irrep"), 4)}
+            assert again[report].ms < 20
 
     def test_reports_deterministic_modulo_timing(self, params):
         first = run_suites(params, ("pseudo",))
@@ -1921,18 +1991,3 @@ class TestResidualsKeepNaN:
         rule = replace(LADDERS[0], irrep=f"2*({LADDERS[0].irrep})")
         sq = _merged_reports(rule, "exact", (NAN, (2, 0)))[0]
         assert sq.relation_id == "irrep.J+.sq" and sq.residual == "nan"
-
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_float_ladder_residual_off_the_grid(self, fparams, position):
-        # J+ phi_{1,1} should vanish (its target lies off the grid), so the
-        # residual is at least the step's residual, NaN; the claim refuted
-        # beyond n 24 leaves that reading the report
-        coeffs = _with_nan([1e-20, 2e-20], position)
-        image = Poly2(FLOAT, {(i, 1): c for i, c in enumerate(coeffs)})
-        rule = LADDERS[0]
-        lines = {charge: verifier._Line() for charge in (-1, 0, 1)}
-        verifier._read_lines(image, lines)
-        image_residual = verifier.max_or_nan(0.0, *(line.worst for line in lines.values()))
-        assert isnan(image_residual)
-        [report] = _merged_reports(_refuted(rule), "float", (image_residual, (1, 1)))
-        assert report.residual == "nan"
