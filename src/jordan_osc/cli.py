@@ -15,14 +15,15 @@ a zero divisor (``verify`` reads a float point exactly, see verifier).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from decimal import Context, Decimal
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .gaussint import gram_block, h_block
 from .model import Params, build_psi
@@ -38,10 +39,7 @@ FORMATS = ("json", "csv", "text")
 PARAM_DEFAULTS = {EXACT: {"p": Fraction(1), "q": Fraction(1, 2)}, FLOAT: {"a": 1.0, "b": 0.25}}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for one verify run."""
-
+class _RunConfigFields(NamedTuple):
     mode: str = EXACT
     p: Fraction | None = PARAM_DEFAULTS[EXACT]["p"]
     q: Fraction | None = PARAM_DEFAULTS[EXACT]["q"]
@@ -53,21 +51,29 @@ class RunConfig:
     fmt: str = "text"
     catalog: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.mode not in (EXACT, FLOAT):
+
+class RunConfig(_RunConfigFields):
+    """Validated inputs for one verify run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        config = super().__new__(cls, *args, **kwargs)
+        if config.mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-        if not (NMAX_RANGE[0] <= self.n_max <= NMAX_RANGE[1]):
+        if not (NMAX_RANGE[0] <= config.n_max <= NMAX_RANGE[1]):
             raise ValueError(f"n_max must lie in [{NMAX_RANGE[0]}, {NMAX_RANGE[1]}]")
-        if not (0 < self.tol <= TOL_MAX):
+        if not (0 < config.tol <= TOL_MAX):
             raise ValueError(f"tol must lie in (0, {TOL_MAX}]")
-        if self.fmt not in FORMATS:
+        if config.fmt not in FORMATS:
             raise ValueError(f"format must be one of {', '.join(FORMATS)}")
-        check_suites(self.suites)
-        if self.mode == EXACT:
-            if self.p is None or self.q is None:
+        check_suites(config.suites)
+        if config.mode == EXACT:
+            if config.p is None or config.q is None:
                 raise ValueError("exact mode needs rational --p and --q")
-        elif self.a is None or self.b is None:
+        elif config.a is None or config.b is None:
             raise ValueError("float mode needs --a and --b")
+        return config
 
     def params(self) -> Params:
         if self.mode == EXACT:
@@ -84,15 +90,14 @@ class RunConfig:
         return {"a": self.a, "b": self.b, "p": params.p, "q": params.q}
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     params: dict
     mode: str
     n_max: int
     tol: float
-    reports: tuple[Report, ...] = field(default_factory=tuple)
-    #: suite -> the basis cutoff it ran at (see verifier.suite_cutoffs)
-    cutoffs: dict = field(default_factory=dict)
+    reports: tuple[Report, ...] = ()
+    #: suite -> the basis cutoff it ran at (see verifier.suite_cutoffs); by default none, read-only
+    cutoffs: Mapping[str, int | None] = MappingProxyType({})
 
     @property
     def passed(self) -> bool:
@@ -111,7 +116,7 @@ def emit_json(result: RunResult) -> str:
         "mode": result.mode,
         "n_max": result.n_max,
         "tol": result.tol,
-        "cutoffs": result.cutoffs,
+        "cutoffs": dict(result.cutoffs),
         "suites": [
             {
                 "id": r.relation_id,
@@ -154,6 +159,8 @@ def _shown(residual: str) -> str:
 
 
 def emit_csv(result: RunResult) -> str:
+    import csv  # imported here, its only use, so no other run loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["id", "anchor", "status", "residual", "ms"])

@@ -57,7 +57,6 @@ import math
 import operator
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, wraps
 from math import comb, factorial
@@ -148,27 +147,31 @@ EXPLICIT_NAMES = tuple(EXPLICIT_FORMS)
 _ALIASES = {"D+21": "D+12", "D-21": "D-12"}
 
 
-@dataclass(frozen=True)
 class Params:
-    """Model parameters, stored through their square roots p = sqrt(a), q = sqrt(b)."""
+    """Model parameters, stored through their square roots p = sqrt(a), q = sqrt(b); two points are
+    equal, and hash alike, when their mode, p and q are."""
 
-    mode: str
-    p: Coeff
-    q: Coeff
-
-    def __post_init__(self):
-        for name in ("p", "q"):  # so that every view of them is a coefficient
-            object.__setattr__(self, name, lift(getattr(self, name), self.mode))
-        if self.mode == FLOAT and not (math.isfinite(self.p) and math.isfinite(self.q)):
+    def __init__(self, mode: str, p: Coeff, q: Coeff) -> None:
+        # lifted, so that every view of them is a coefficient
+        self.mode, self.p, self.q = mode, lift(p, mode), lift(q, mode)
+        if mode == FLOAT and not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise ValueError("parameters must be finite")
         if not (self.p > 0 and self.q > 0):
             raise ValueError("parameters require a > 0 and b > 0")
         # every per-point cache lookup hashes the point, so hash it once; the
         # mode enters as a bool, not a str, so the hash survives pickling
-        object.__setattr__(self, "_hash", hash((self.mode == EXACT, self.p, self.q)))
+        self._hash = hash((mode == EXACT, self.p, self.q))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mode, self.p, self.q) == (other.mode, other.p, other.q)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Params(mode={self.mode!r}, p={self.p!r}, q={self.q!r})"
 
     # ---- constructors ----
     @staticmethod

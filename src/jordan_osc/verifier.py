@@ -51,7 +51,8 @@ A rule of one term may carry an irrep claim, in j and mu, on its step's action c
 literal must be a number: irrep.J0 and irrep.K that w is the eigenvalue, irrep.<op>.sq that w >= 0 and
 w^2 m!(n'-m')!/((n-m)! m'!) == claim, and irrep.<op>.float the same in floats on phi. Each irrep report
 is its rule's action check, the .float one in floats; the claim is decided once, as a polynomial
-identity in (n, m) (``_claimed``).
+identity in (n, m) (``_claimed``). The sign w >= 0 is proven where the expansion of w in binomials
+of the steps has no negative coefficient; else it is read up to n_max, and the reports say "read".
 
 An action verdict is derived, read or refuted. The boson rules action.a1+, a2+, a1- and a2- make the
 basis the two-boson Fock module, psi_{n,m} = x^m y^(n-m)/m! with the a's acting as x, y, dx, dy
@@ -85,14 +86,13 @@ import ast
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import chain
 from importlib import resources
 from math import lcm, prod
 from sys import float_info
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import model
 from .gaussint import (
@@ -153,14 +153,7 @@ FLOAT_OVERFLOW = "float cross-check skipped: the point leaves the float range"
 HOWS = ("derived", "proven", "read", "refuted")
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of one verified relation (or one aggregated family).
-
-    A skipped check did not run: it is neither passed nor failed. ``how`` is one of HOWS (see the module
-    docstring); a refuted check fails.
-    """
-
+class _ReportFields(NamedTuple):
     relation_id: str
     anchor: str
     mode: str
@@ -170,9 +163,21 @@ class Report:
     skipped: bool = False
     how: str = "read"
 
-    def __post_init__(self) -> None:
-        if self.how not in HOWS or self.passed and (self.skipped or self.how == "refuted"):
-            raise ValueError(f"how is one of {', '.join(HOWS)}, and no skipped or refuted check passes: {self}")
+
+class Report(_ReportFields):
+    """Outcome of one verified relation (or one aggregated family).
+
+    A skipped check did not run: it is neither passed nor failed. ``how`` is one of HOWS (see the module
+    docstring); a refuted check fails.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Report":
+        report = super().__new__(cls, *args, **kwargs)
+        if report.how not in HOWS or report.passed and (report.skipped or report.how == "refuted"):
+            raise ValueError(f"how is one of {', '.join(HOWS)}, and no skipped or refuted check passes: {report}")
+        return report
 
     @property
     def failed(self) -> bool:
@@ -248,8 +253,7 @@ class _Check:
         return Report(self.relation_id, anchor, mode, passed, str(residual), self.seconds * 1e3, how=self.how)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
+class RelationSpec(NamedTuple):
     """One catalog line: a named relation lhs == rhs in the prefix grammar."""
 
     rel_id: str
@@ -451,7 +455,6 @@ def _levels(table: tuple, n_max: int) -> tuple:
     return tuple(levels)
 
 
-@dataclass(frozen=True)
 class ActionRule:
     """op psi_{n,m}, 0 <= m <= n, as text "op psi = term + term ...", a term "literal [polynomial]
     psi[n+dn,m+dm]" (the polynomial 1 if left out, written without spaces; a target off the grid reads
@@ -459,22 +462,29 @@ class ActionRule:
     (n, m), else op phi = sqrt(claim) phi[j+dn/2,mu+dm-dn/2]. Parsed once into op_name, the terms (dn, dm,
     literal, table) and the claim's table or None (see _index_poly), and checked: weight(op) =
     weight(literal) + (dn - 2 dm, 0) per term, no two terms shift the charge 2dm - dn by one
-    amount, and a rule with a claim has a number for its literal. A fault is a ValueError naming the rule."""
+    amount, and a rule with a claim has a number for its literal. A fault is a ValueError naming the rule.
+    Two rules are equal where their six fields are; a rule hashes its text."""
 
-    rule_id: str
-    anchor: str
-    irrep: str = ""
-    op_name: str = field(init=False)
-    terms: tuple = field(init=False)
-    claim: tuple | None = field(init=False)
+    _FIELDS = ("rule_id", "anchor", "irrep", "op_name", "terms", "claim")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rule_id: str, anchor: str, irrep: str = "") -> None:
+        self.rule_id, self.anchor, self.irrep = rule_id, anchor, irrep
         try:
-            parsed = _parse_rule(self.anchor, self.irrep)
+            self.op_name, self.terms, self.claim = _parse_rule(anchor, irrep)
         except (ValueError, SyntaxError) as exc:  # a SyntaxError from ast.parse
-            raise ValueError(f"{self.rule_id}: {exc}") from None
-        for name, value in zip(("op_name", "terms", "claim"), parsed):
-            object.__setattr__(self, name, value)
+            raise ValueError(f"{rule_id}: {exc}") from None
+
+    def _key(self) -> tuple:
+        return self.rule_id, self.anchor, self.irrep, self.op_name, self.terms, self.claim
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:  # the other fields are parsed from the text; a str caches its hash
+        return hash((self.rule_id, self.anchor, self.irrep))
+
+    def __repr__(self) -> str:
+        return f"ActionRule({', '.join(f'{name}={value!r}' for name, value in zip(self._FIELDS, self._key()))})"
 
 
 ACTION_RULES: tuple[ActionRule, ...] = (
@@ -508,7 +518,8 @@ ACTION_RULES: tuple[ActionRule, ...] = (
 # the Fock module: action rules derived for every n
 # ---------------------------------------------------------------------------
 
-#: _derived's answer where there is no Fock chart to decide in
+#: the answer of _derived where there is no Fock chart to decide in, and of _claimed where a sign
+#: holds up to the cutoff but no certificate shows it for every n
 _UNDECIDED = "cannot decide"
 
 
@@ -548,16 +559,33 @@ def _derived(rule: ActionRule):
                            for dn, dm, pair in wrong if 0 <= m + dm <= n + dn)
 
 
+def _nonnegative(corner: list) -> bool:
+    """Whether every coefficient c_ik = Delta_s^i Delta_t^k w(0, 0) of w(s, t) = sum c_ik C(s, i) C(t, k),
+    w a polynomial of degree D read on the corner s, t = 0..D (``corner[s][t]``), is >= 0: a certificate
+    that w >= 0 at all integers s, t >= 0, where every C(s, i) C(t, k) is."""
+    def differences(xs: list) -> list:  # x_0, Delta x_0, ..., Delta^D x_0
+        out = []
+        while xs:
+            out.append(xs[0])
+            xs = [y - x for x, y in zip(xs, xs[1:])]
+        return out
+
+    return all(c >= 0 for column in zip(*map(differences, corner)) for c in differences(list(column)))
+
+
 @cache
 def _claimed(rule: ActionRule, n_max: int):
     """The rule's irrep claim, w its term's table times its literal, a number: None where it holds, else
-    its counterexample (see _derived). A diagonal rule: w == claim. A ladder rule to (n', m'): w^2
-    m!(n'-m')! == claim (n-m)! m'!, each side divided by the factorials the other shares, decided as in
-    _derived, up to level D + max(0, -dm) + max(0, dm - dn); the claim 0 where the target leaves the grid
-    (sides 0 and the claim); and w >= 0 at every step onto the grid up to n_max (sides w and -w)."""
+    its counterexample (see _derived), or _UNDECIDED where w >= 0 is read up to n_max alone. A diagonal
+    rule: w == claim. A ladder rule to (n', m'): w^2 m!(n'-m')! == claim (n-m)! m'!, each side divided
+    by the factorials the other shares, decided as in _derived, up to level D + s0 + t0; the claim 0
+    where the target leaves the grid (sides 0 and the claim); and w >= 0 at every step onto the grid,
+    s = m - s0 >= 0 and t = n - m - t0 >= 0, s0 = max(0, -dm), t0 = max(0, dm - dn): read up to n_max
+    (sides w and -w), and for every n where w, a polynomial in (s, t), is certified (_nonnegative)."""
     [(dn, dm, literal, table)], e = rule.terms, rule.terms[0][0] - rule.terms[0][1]
+    s0, t0 = max(0, -dm), max(0, -e)
     degree = lambda t: max((i + k for (i, k), _ in t[1]), default=0)
-    top = max(2 * degree(table), degree(rule.claim)) + abs(dm) + abs(e) + max(0, -dm) + max(0, -e)
+    top = max(2 * degree(table), degree(rule.claim)) + abs(dm) + abs(e) + s0 + t0
     num, den = _literal(literal)[0].as_integer_ratio()
     ws, claims = _levels(table, max(top, n_max)), _levels(rule.claim, top)
     rising = lambda s, d: [prod(range(x + s + 1, x + s + d + 1)) for x in range(top + 1)]  # (x+s+1)...(x+s+d)
@@ -573,8 +601,11 @@ def _claimed(rule: ActionRule, n_max: int):
         return (w, -w) if left == right and w < 0 and n <= n_max else (left, right)
 
     signs = ((n, m, w, abs(w)) for n in range(top + 1, n_max + 1 if dn or dm else 0)  # beyond, the sign alone
-             for m in range(max(0, -dm), n + 1 + min(0, e)) if (w := num * ws[n][m]) < 0)
-    return _counterexample(chain(((n, m, *sides(n, m)) for n in range(top + 1) for m in range(n + 1)), signs))
+             for m in range(s0, n + 1 - t0) if (w := num * ws[n][m]) < 0)
+    found = _counterexample(chain(((n, m, *sides(n, m)) for n in range(top + 1) for m in range(n + 1)), signs))
+    span = range(degree(table) + 1)  # the corner s, t <= D lies within the levels up to top
+    corner = [[num * ws[s + t + s0 + t0][s + s0] for t in span] for s in span]
+    return found if found or (dn, dm) == (0, 0) or _nonnegative(corner) else _UNDECIDED
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +828,7 @@ def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list[_Check]:
 
 def _irrep_reports(mode: str, rules: tuple, readings: tuple, n_max: int, tol: float, seconds: float) -> list[Report]:
     """The reports of the claims of ``rules`` (see _irrep_checks), each its rule's reading in ``readings``
-    (see _image_pass), in floats for a .float report, proven or refuted by ``_claimed``. The proof is timed
+    (see _image_pass), in floats for a .float report, proven, read or refuted by ``_claimed``. The proof is timed
     into the rule's first irrep report, and ``seconds``, the pass's time, into the first of all."""
     reports = []
     for rule, (worst, at, *_) in zip(rules, readings):
@@ -805,14 +836,14 @@ def _irrep_reports(mode: str, rules: tuple, readings: tuple, n_max: int, tol: fl
             continue
         checks = _irrep_checks(mode, rule, tol)
         with checks[0]:
-            counterexample = _claimed(rule, n_max)
+            verdict = _claimed(rule, n_max)
         checks[0].seconds, seconds = checks[0].seconds + seconds, 0.0
         for check in checks:
             check.add(_in_floats(worst) if check.mode == FLOAT else worst, at)
-            if counterexample:
-                check.refute(*counterexample)
-            else:
+            if verdict is None:
                 check.how = "proven"
+            elif verdict != _UNDECIDED:
+                check.refute(*verdict)
         reports += [check.report() for check in checks]
     return reports
 

@@ -106,6 +106,13 @@ class TestParams:
     def test_exact_point_is_its_own_twin(self, params):
         assert params.twin is params
 
+    @pytest.mark.parametrize("a, b", [(0.79, 0.23), (1e-200, 1e-201)])
+    def test_twin_equals_the_exact_point_of_its_p_and_q(self, a, b):
+        P = Params.from_ab(a, b)
+        exact = Params.exact(P.p, P.q)
+        assert P.twin == exact and hash(P.twin) == hash(exact) and P.twin is not exact
+        assert P.twin != P and repr(exact) == f"Params(mode='exact', p={F(P.p)!r}, q={F(P.q)!r})"
+
     @pytest.mark.parametrize("make", [lambda: Params.exact(F(5, 3), F(2, 7)), lambda: Params.from_ab(0.79, 0.23)],
                              ids=["exact", "float"])
     def test_scalar_views_computed_once(self, make):
@@ -318,6 +325,13 @@ class TestPointCache:
         assert model.point_cache(Params.from_ab(0.79, 0.23)) is model.point_cache(Params.from_ab(0.79, 0.23))
         assert build_psi(params, 4, 1) is build_psi(Params.exact(1, F(1, 2)), 4, 1)
         assert make_operator(params, "J+") is make_operator(params, "J+")
+
+    def test_the_unit_point_built_anew_is_the_verifiers(self):
+        # equal and hashed alike, so it reads the one store of p = q = 1
+        unit = Params.exact(1, 1)
+        assert unit == verifier._UNIT and hash(unit) == hash(verifier._UNIT) and unit is not verifier._UNIT
+        assert model.point_cache(unit) is model.point_cache(verifier._UNIT)
+        assert chain_psi(unit, 3, 1) is chain_psi(verifier._UNIT, 3, 1)
 
     def test_hash_agrees_with_equality(self):
         assert hash(Params.exact(1, F(1, 2))) == hash(Params.exact("1", "1/2"))

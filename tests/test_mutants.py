@@ -13,12 +13,12 @@ reads at p = q = 1 for every point (``verifier._UNIT``): each of the four times
 1 + 10^-12, and a1- and a2- plus w dw, which still sends psi_00 to 0.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from jordan_osc import FLOAT, DiffOp, Params, model, run_suites, verifier
+from jordan_osc.verifier import ActionRule
 
 #: n(n-1)...(n-24): zero at every level a cutoff up to 24 reads
 FALLING_25 = "*".join(["n", *(f"(n-{t})" for t in range(1, 25))])
@@ -28,7 +28,7 @@ SHIPPED = verifier.ACTION_RULES
 
 def _claim_mutants() -> list:
     """(name, rule) of each claim plus 1 and times 2."""
-    return [(f"{rule.rule_id} claim {how}", replace(rule, irrep=text.format(rule.irrep)))
+    return [(f"{rule.rule_id} claim {how}", ActionRule(rule.rule_id, rule.anchor, text.format(rule.irrep)))
             for rule in SHIPPED if rule.claim is not None
             for how, text in (("+1", "({})+1"), ("*2", "2*({})"))]
 
@@ -42,7 +42,7 @@ def _jplus_mutants() -> dict:
     texts = {"negated": f"{-Fraction(literal)} {poly}",
              "beyond-24": f"{literal} {poly}+{poly}*{FALLING_25}",
              "1e-11": f"{Fraction(literal) * Fraction(10**11 + 1, 10**11)} {poly}"}
-    return {name: replace(rule, anchor=f"{op} psi = {text} {target}") for name, text in texts.items()}
+    return {name: ActionRule(rule.rule_id, f"{op} psi = {text} {target}", rule.irrep) for name, text in texts.items()}
 
 
 def _irrep_ids(rule, mode: str) -> set:

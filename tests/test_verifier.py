@@ -6,7 +6,6 @@ import re
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
 from math import factorial, isnan, prod, sqrt
@@ -43,6 +42,7 @@ from jordan_osc import (
     swap_vars,
 )
 from jordan_osc import gaussint, model, verifier, weyl
+from jordan_osc.verifier import ActionRule
 from jordan_osc.weyl import lift, to_ints
 from jordan_osc.verifier import SUITES, suite_cutoffs
 
@@ -624,14 +624,14 @@ class TestActionSuite:
         assert rule.anchor.startswith("B- psi = 4*p*q (n-m) psi[n-1,m] + ")
         text = rule.anchor.replace("4*p*q (n-m) psi[n-1,m]", term)
         with pytest.raises(ValueError, match=r"action\.B-: the term .* has weight .*, the operator \(0, 1\)"):
-            replace(rule, anchor=text)
+            ActionRule(rule.rule_id, text, rule.irrep)
 
     def test_two_terms_of_one_charge_shift_are_refused(self):
         # J+ psi[n,m+1] and a psi[n+2,m+2] term both shift the charge by 2, so
         # one charge part of J+ would meet two targets
         rule = _ACTION_OF["J+"]
         with pytest.raises(ValueError, match=r"action\.J\+: two terms shift the charge 2dm - dn by one amount"):
-            replace(rule, anchor=rule.anchor + " + 1 psi[n+2,m+2]", irrep="")
+            ActionRule(rule.rule_id, rule.anchor + " + 1 psi[n+2,m+2]")
 
     @pytest.mark.parametrize("point", ["params", "fparams"])
     def test_a_target_no_part_reaches_reports_its_size(self, point, request, monkeypatch):
@@ -729,7 +729,8 @@ def _failing(reports):
 
 def _replace_rule(rules, rule_id, **changes):
     assert any(r.rule_id == rule_id for r in rules)
-    return tuple(replace(r, **changes) if r.rule_id == rule_id else r for r in rules)
+    return tuple(ActionRule(r.rule_id, changes.get("anchor", r.anchor), changes.get("irrep", r.irrep))
+                 if r.rule_id == rule_id else r for r in rules)
 
 
 def _at(rule, n, m):
@@ -745,7 +746,7 @@ _FALLING_2J = "*".join(["(2*j)", *(f"(2*j-{t})" for t in range(1, 25))])
 
 def _refuted(rule):
     """``rule`` with its claim times 1 + n(n-1)...(n-24): the same at every step with n <= 24, refuted."""
-    return replace(rule, irrep=f"({rule.irrep})*(1+{_FALLING_2J})")
+    return ActionRule(rule.rule_id, rule.anchor, f"({rule.irrep})*(1+{_FALLING_2J})")
 
 
 def _merged_reports(rule, mode, *steps):
@@ -805,7 +806,7 @@ def _scaled_term(rule, k, factor=F(10**8 + 1, 10**8)):
     """``rule`` with its k-th term's coefficient table times ``factor``."""
     dn, dm, literal, (den, nums) = rule.terms[k]
     table = (den * factor.denominator, tuple((key, c * factor.numerator) for key, c in nums))
-    scaled = replace(rule)
+    scaled = ActionRule(rule.rule_id, rule.anchor, rule.irrep)
     object.__setattr__(scaled, "terms", rule.terms[:k] + ((dn, dm, literal, table),) + rule.terms[k + 1:])
     return scaled
 
@@ -843,7 +844,7 @@ class TestRelativeFloatResiduals:
         m, one = Poly2.zbar("exact"), Poly2.one("exact")
         bump = m * prod((m - one * t for t in range(2, 9)), start=one)  # 0 at m = 0, 2..8
         claim = Poly2("exact", {key: F(c, den) for key, c in nums}) * (one + bump * F(1, 10**6 * -5040))
-        wrong = replace(rule)
+        wrong = ActionRule(rule.rule_id, rule.anchor, rule.irrep)
         object.__setattr__(wrong, "claim", (claim.den, tuple(sorted(claim.nums.items()))))
         assert [F(v) for v in verifier._levels(wrong.claim, 8)[8]] == [
             v * (1 + F(1, 10**6)) if k == 1 else v for k, v in enumerate(verifier._levels(rule.claim, 8)[8])]
@@ -913,7 +914,8 @@ class TestSquaredLadderResidual:
         for rule in LADDERS:
             literal = rule.terms[0][2]
             for factor in (1, -1, F(2), F(1, 3), F(-5, 4)):
-                scaled = replace(rule, anchor=rule.anchor.replace(f" = {literal} ", f" = {F(literal) * factor} "))
+                text = rule.anchor.replace(f" = {literal} ", f" = {F(literal) * factor} ")
+                scaled = ActionRule(rule.rule_id, text, rule.irrep)
                 steps = [(n, m, *_fraction_ladder_sides(rule, n, m, factor)) for n in range(12) for m in range(n + 1)]
                 want = next(((abs(left - right) / max(abs(left), abs(right)), (n, m))
                              for n, m, left, right in steps if left != right), None)
@@ -1214,7 +1216,7 @@ class TestImagePass:
         assert rule.anchor == "a2+ psi = 1 psi[n+1,m]"
         text = "a2+ psi = 1/1000 1000 psi[n+1,m]"
         monkeypatch.setattr(v, "ACTION_RULES", _replace_rule(v.ACTION_RULES, "action.a2+", anchor=text))
-        table = replace(rule, anchor=text).terms[0][3]
+        table = ActionRule(rule.rule_id, text, rule.irrep).terms[0][3]
         assert table == (1, (((0, 0), 1000),))
         levels = v._levels
 
@@ -1237,16 +1239,16 @@ class TestImagePass:
         # the .float reports and the quadrature oracle read the run's own exact
         # objects in floats: no float point, so no float basis, and no phi
         built = Counter()
-        post_init = Params.__post_init__
+        init = Params.__init__
 
-        def counted(self):
-            built[self.mode] += 1
-            post_init(self)
+        def counted(self, mode, p, q):
+            built[mode] += 1
+            init(self, mode, p, q)
 
         def refused(*args):
             raise AssertionError("an exact run built phi")
 
-        monkeypatch.setattr(Params, "__post_init__", counted)
+        monkeypatch.setattr(Params, "__init__", counted)
         monkeypatch.setattr(model, "build_phi", refused)
         P = Params.exact(F(5, 3), F(2, 7))
         reports = run_suites(P, SUITES, n_max=4)
@@ -1425,6 +1427,15 @@ class TestFockDerivation:
             op = make_operator(verifier._UNIT, name)
             assert model.substitute(verifier._UNIT, verifier._fock_generators, op) == DiffOp.monomial(key, 1), name
 
+    def test_rules_built_from_one_text_are_one_rule(self, fresh_process):
+        # equal and hashed alike, so the per-process proofs read them once
+        rule = _ACTION_OF["J+"]
+        twin = ActionRule(rule.rule_id, rule.anchor, rule.irrep)
+        assert twin == rule and hash(twin) == hash(rule) and twin is not rule and repr(twin) == repr(rule)
+        assert ActionRule(rule.rule_id, rule.anchor) != rule  # the same action, no claim
+        assert verifier._derived(rule) is None and verifier._derived(twin) is None
+        assert verifier._derived.cache_info()[:2] == (1, 1)  # one hit, one miss
+
     def test_every_other_rule_is_derived(self, fresh_process):
         # the boson rules derive too: the chart sends each to its own x, y, dx
         # or dy, so their texts state the Fock basis
@@ -1440,7 +1451,8 @@ class TestFockDerivation:
         assert verifier._fock_generators(verifier._UNIT) is None
         assert all(verifier._derived(rule) is verifier._UNDECIDED for rule in ACTION_RULES)
         assert all(verifier._claimed(rule, 8) is None for rule in ACTION_RULES if rule.claim is not None)
-        doubled = replace(_ACTION_OF["J+"], irrep=f"2*({_ACTION_OF['J+'].irrep})")
+        rule = _ACTION_OF["J+"]
+        doubled = ActionRule(rule.rule_id, rule.anchor, f"2*({rule.irrep})")
         assert verifier._claimed(doubled, 8) == (F(1, 2), (1, 0))
 
     @pytest.mark.parametrize("point", [Params.exact(F(3, 2), F(2, 3)), Params.from_ab(0.79, 0.23)],
@@ -1473,7 +1485,7 @@ class TestFockDerivation:
         ("D-22", "D-22 psi = 1 (n-m)*(n-m) psi[n-2,m]", 6, (F(1, 2), (2, 0))),
     ], ids=["J+-doubled", "J+-degree-27", "D-22-squared"])
     def test_a_refuted_rule_is_read_at_the_cutoff(self, op, text, n_max, refuted, monkeypatch):
-        rule = replace(_ACTION_OF[op], anchor=text)
+        rule = ActionRule(_ACTION_OF[op].rule_id, text, _ACTION_OF[op].irrep)
         assert verifier._derived(rule) == refuted
         read = Counter()
         conjugated = model.conjugated
@@ -1585,7 +1597,7 @@ class TestClaimProofs:
         # J+'s claim plus (j-mu)(j+mu+1) (2j)(2j-1)...(2j-24), which vanishes
         # at every step with n <= 24: a reading to nmax 24 cannot see it, the
         # proof can, so both irrep reports fail there, naming (25, 0)
-        rule = replace(_ACTION_OF["J+"], irrep=f"(j-mu)*(j+mu+1)+(j-mu)*(j+mu+1)*{_FALLING_2J}")
+        rule = ActionRule("action.J+", _ACTION_OF["J+"].anchor, f"(j-mu)*(j+mu+1)+(j-mu)*(j+mu+1)*{_FALLING_2J}")
         assert verifier._claimed(rule, 24) == (1 - F(1, factorial(25) + 1), (25, 0))
         monkeypatch.setattr(verifier, "ACTION_RULES", tuple(rule if r.op_name == "J+" else r for r in ACTION_RULES))
         reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=24)}
@@ -1598,8 +1610,8 @@ class TestClaimProofs:
         # J+ with literal -1 squares to its claim, so only w >= 0 refutes it,
         # at (1, 0), by the sides w and -w; its reading fails, so each report
         # is the action residual, 2
-        rule = replace(_ACTION_OF["J+"], anchor="J+ psi = -1 (n-m)*(m+1) psi[n,m+1]")
-        assert verifier._claimed(replace(rule, anchor=_ACTION_OF["J+"].anchor), 6) is None
+        rule = ActionRule("action.J+", "J+ psi = -1 (n-m)*(m+1) psi[n,m+1]", _ACTION_OF["J+"].irrep)
+        assert verifier._claimed(ActionRule(rule.rule_id, _ACTION_OF["J+"].anchor, rule.irrep), 6) is None
         assert verifier._claimed(rule, 6) == (2, (1, 0))
         monkeypatch.setattr(verifier, "ACTION_RULES", tuple(rule if r.op_name == "J+" else r for r in ACTION_RULES))
         reports = {r.relation_id: r for r in run_suites(params, ("actions", "irrep"), n_max=6)}
@@ -1610,11 +1622,34 @@ class TestClaimProofs:
     def test_the_sign_is_read_up_to_the_cutoff_beyond_the_identitys_levels(self):
         # J+ times 12 - n, its claim times (12 - 2j)^2: the squared identity
         # holds, decided up to level 9, and w < 0 first at (13, 0), which the
-        # sign scan reaches where the cutoff does
+        # sign scan reaches where the cutoff does; below, w >= 0 is read, not
+        # proven, as no certificate shows it for every n
         rule = verifier.ActionRule("action.J+", "J+ psi = 1 (n-m)*(m+1)*(12-n) psi[n,m+1]",
                                    "(j-mu)*(j+mu+1)*(12-2*j)*(12-2*j)")
         assert verifier._claimed(rule, 24) == (2, (13, 0))
-        assert verifier._claimed(rule, 12) is None
+        assert verifier._claimed(rule, 12) is verifier._UNDECIDED
+
+    def test_every_shipped_sign_is_certified(self):
+        # at n_max 0 no sign is read beyond level 0: each claim holds by its
+        # identity and its certificate alone
+        assert all(verifier._claimed(rule, 0) is None for rule in ACTION_RULES if rule.claim is not None)
+
+    @pytest.mark.parametrize("n_max, how", [(24, "read"), (40, "refuted")])
+    def test_a_sign_negative_only_beyond_the_cutoff_is_read(self, params, monkeypatch, n_max, how):
+        # J+ times 30 - n, its claim times (30 - 2j)^2: the squared identity
+        # holds for every n and w >= 0 up to n = 30, so at n_max 24 the claim
+        # is read, not proven, and at n_max 40 refuted at (31, 0); the reports
+        # fail either way, as J+'s action is no longer what the rule says
+        rule = ActionRule("action.J+", "J+ psi = 1 (n-m)*(m+1)*(30-n) psi[n,m+1]",
+                          "(j-mu)*(j+mu+1)*(30-2*j)*(30-2*j)")
+        # w at m = s, n = s + t + 1 on the corner s, t <= 3; J+'s own w, (t + 1)(s + 1), is certified
+        assert not verifier._nonnegative([[(t + 1) * (s + 1) * (29 - s - t) for t in range(4)] for s in range(4)])
+        assert verifier._nonnegative([[(t + 1) * (s + 1) for t in range(3)] for s in range(3)])
+        monkeypatch.setattr(verifier, "ACTION_RULES", (rule,))
+        reports = run_suites(params, ("irrep",), n_max)
+        assert [(r.relation_id, r.how, r.passed) for r in reports] == [
+            ("irrep.J+.sq", how, False), ("irrep.J+.float", how, False)]
+        assert verifier._claimed(rule, n_max) == (verifier._UNDECIDED if n_max == 24 else (2, (31, 0)))
 
     def test_a_claimed_rule_whose_literal_has_a_factor_is_refused(self):
         # the claim is point-free, so its action coefficient must be too; the
@@ -1622,7 +1657,7 @@ class TestClaimProofs:
         text = "K psi = 1*a*b^-1*b*a^-1 (n+1) psi[n,m]"
         with pytest.raises(ValueError, match=r"^action\.K: an irrep claim needs a number for its rule's literal, "
                                              r"not '1\*a\*b\^-1\*b\*a\^-1'$"):
-            replace(_ACTION_OF["K"], anchor=text)
+            ActionRule("action.K", text, _ACTION_OF["K"].irrep)
         assert verifier.ActionRule("action.K", text).claim is None
 
 
@@ -1981,13 +2016,13 @@ class TestResidualsKeepNaN:
     def test_eigenvalue_residual(self, part):
         # J0 psi_{2,1} = 0, with the wrong claim mu+1, refuted at (0, 0): a
         # NaN image residual at (2, 1) fails the reading, so the report is it
-        rule = replace(_ACTION_OF["J0"], irrep="mu+1")
+        rule = ActionRule("action.J0", _ACTION_OF["J0"].anchor, "mu+1")
         [report] = _merged_reports(rule, "float", (NAN, (2, 1)))
         assert report.residual == "nan" and report.anchor.endswith("[worst at n,m=(2, 1)]")
 
     @pytest.mark.parametrize("part", ["image"])
     def test_squared_ladder_residual(self, part):
         # J+ psi_{2,0} targets psi_{2,1}; the claim doubled is refuted at (1, 0)
-        rule = replace(LADDERS[0], irrep=f"2*({LADDERS[0].irrep})")
+        rule = ActionRule(LADDERS[0].rule_id, LADDERS[0].anchor, f"2*({LADDERS[0].irrep})")
         sq = _merged_reports(rule, "exact", (NAN, (2, 0)))[0]
         assert sq.relation_id == "irrep.J+.sq" and sq.residual == "nan"

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the benchmark once and append its outcome to BENCH_<workload>.json.
 
-Byte-compiles the src/ of a source checkout (--root, default this
-repository) with `python -m compileall -q`, so that no timed execution
-compiles the package, then runs the checkout's own perfbench/run.py there,
-passing every other argument through, and appends
+Deletes the bytecode caches (__pycache__) under the src/ of a source
+checkout (--root, default this repository) and runs the checkout's own
+perfbench/run.py there with PYTHONDONTWRITEBYTECODE=1, passing every other
+argument through: every timed process then compiles the package, as in a
+fresh checkout, so its setup_s includes compiling. It appends
 one entry {"commit", "info", "result"} to BENCH_<workload>.json at the root
 of this repository: "info" and "result" are run.py's last two output lines,
 and "commit" is the checkout's commit as run.py reads it, marked when the
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -65,9 +67,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     args, passed = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
     root = args.root.resolve()
-    subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")], check=True)
+    for cache in list((root / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
     proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload, *passed],
-                          cwd=root, capture_output=True, text=True)
+                          cwd=root, capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return proc.returncode
