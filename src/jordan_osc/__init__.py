@@ -4,9 +4,11 @@ The package builds the model's ladder operators and symmetry algebra inside
 the Weyl algebra of (z, zbar), constructs the Jordan-block basis functions in
 reduced (Gaussian-envelope-free) form, and machine-verifies the full catalog
 of algebraic relations, operator actions, representation coefficients, and
-bilinear-pairing identities, either exactly (coefficients are ``Fraction``s)
-or in floating point (coefficients are ``float``s). ``DEFAULT_TOL`` is the
-tolerance of an irrep.*.float verdict, the default of ``verify --tol``.
+bilinear-pairing identities. Every coefficient is a ``Fraction`` and every
+verdict but the quadrature cross-check's is exact: a float point (``mode``
+``float``, as ``Params.from_ab`` builds one) is read as its dyadic twin, and
+floats appear only where a residual or a coefficient is printed, or where the
+quadrature oracle integrates.
 """
 
 from .gaussint import (
@@ -21,6 +23,7 @@ from .gaussint import (
 )
 from .model import (
     CATALOG_NAMES,
+    EXACT,
     EXPLICIT_NAMES,
     Params,
     apply,
@@ -36,7 +39,6 @@ from .model import (
 )
 from .verifier import (
     ACTION_RULES,
-    DEFAULT_TOL,
     SUITES,
     RelationSpec,
     Report,
@@ -53,10 +55,7 @@ from .verifier import (
     run_suites,
 )
 from .weyl import (
-    EXACT,
-    FLOAT,
     DiffOp,
-    ModeMismatchError,
     Poly2,
     adjoint,
     anticommutator,
@@ -71,12 +70,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTION_RULES",
     "CATALOG_NAMES",
-    "DEFAULT_TOL",
     "DiffOp",
     "EXACT",
     "EXPLICIT_NAMES",
-    "FLOAT",
-    "ModeMismatchError",
     "OracleUnavailableError",
     "Params",
     "Poly2",

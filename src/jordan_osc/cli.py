@@ -8,8 +8,11 @@ Subcommands:
 
 Exit codes: 0 no check failed (skipped checks do not count), 1 at least one
 check failed (the report is still written), 2 usage error, or ``basis`` or
-``matrices`` at a float-mode point whose arithmetic overflows or underflows to
-a zero divisor (``verify`` reads a float point exactly, see verifier).
+``matrices`` at a float-mode point where a coefficient to print leaves the
+float range. Every value is computed exactly, at a float point at its dyadic
+twin (see model); ``basis`` and ``matrices`` print float(c) of each exact c
+there, and a nonzero c whose float overflows, or underflows to zero or to a
+subnormal, is out of range.
 """
 
 from __future__ import annotations
@@ -22,18 +25,16 @@ import sys
 from collections.abc import Mapping
 from decimal import Context, Decimal
 from fractions import Fraction
+from sys import float_info
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .gaussint import gram_block, h_block
-from .model import Params, build_psi
-from .verifier import (DEFAULT_NMAX, DEFAULT_TOL, SUITES, Report, check_suites, load_relations, run_suites,
-                       suite_cutoffs)
-from .weyl import EXACT, FLOAT
+from .model import EXACT, FLOAT, Params, build_psi
+from .verifier import DEFAULT_NMAX, SUITES, Report, check_suites, load_relations, run_suites, suite_cutoffs
 
 ENV_NMAX = "JORDAN_OSC_NMAX"
 NMAX_RANGE = (1, 24)
-TOL_MAX = 1e-4
 FORMATS = ("json", "csv", "text")
 #: parameter point for flags left unset, per mode (a = 1, b = 1/4 in both)
 PARAM_DEFAULTS = {EXACT: {"p": Fraction(1), "q": Fraction(1, 2)}, FLOAT: {"a": 1.0, "b": 0.25}}
@@ -46,7 +47,6 @@ class _RunConfigFields(NamedTuple):
     a: float | None = None
     b: float | None = None
     n_max: int = DEFAULT_NMAX
-    tol: float = DEFAULT_TOL
     suites: tuple[str, ...] = SUITES
     fmt: str = "text"
     catalog: str | None = None
@@ -63,8 +63,6 @@ class RunConfig(_RunConfigFields):
             raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
         if not (NMAX_RANGE[0] <= config.n_max <= NMAX_RANGE[1]):
             raise ValueError(f"n_max must lie in [{NMAX_RANGE[0]}, {NMAX_RANGE[1]}]")
-        if not (0 < config.tol <= TOL_MAX):
-            raise ValueError(f"tol must lie in (0, {TOL_MAX}]")
         if config.fmt not in FORMATS:
             raise ValueError(f"format must be one of {', '.join(FORMATS)}")
         check_suites(config.suites)
@@ -94,7 +92,6 @@ class RunResult(NamedTuple):
     params: dict
     mode: str
     n_max: int
-    tol: float
     reports: tuple[Report, ...] = ()
     #: suite -> the basis cutoff it ran at (see verifier.suite_cutoffs); by default none, read-only
     cutoffs: Mapping[str, int | None] = MappingProxyType({})
@@ -115,7 +112,6 @@ def emit_json(result: RunResult) -> str:
         "params": result.params,
         "mode": result.mode,
         "n_max": result.n_max,
-        "tol": result.tol,
         "cutoffs": dict(result.cutoffs),
         "suites": [
             {
@@ -147,7 +143,7 @@ def parse_json(text: str) -> RunResult:
         )
         for entry in payload["suites"]
     )
-    return RunResult(payload["params"], payload["mode"], payload["n_max"], payload["tol"], reports,
+    return RunResult(payload["params"], payload["mode"], payload["n_max"], reports,
                      payload.get("cutoffs", {}))
 
 
@@ -171,7 +167,7 @@ def emit_csv(result: RunResult) -> str:
 
 def emit_text(result: RunResult) -> str:
     lines = [
-        f"mode={result.mode} params={result.params} n_max={result.n_max} tol={result.tol}",
+        f"mode={result.mode} params={result.params} n_max={result.n_max}",
         "cutoffs: " + " ".join(f"{suite}={'none' if c is None else c}" for suite, c in result.cutoffs.items()),
     ]
     width = max((len(r.relation_id) for r in result.reports), default=0)
@@ -226,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(verify)
     verify.add_argument("--nmax", type=int, default=None,
                         help=f"basis cutoff, 1..{NMAX_RANGE[1]} (default: ${ENV_NMAX} or {DEFAULT_NMAX})")
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help=f"relative tolerance of the irrep.*.float checks only (default: {DEFAULT_TOL})")
     verify.add_argument("--suites", default="all",
                         help="comma list from: " + ",".join(SUITES) + " (or 'all')")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -261,8 +255,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         return RunConfig(mode=args.mode, **point)
     suites = SUITES if args.suites == "all" else tuple(s.strip() for s in args.suites.split(","))
     n_max = args.nmax if args.nmax is not None else _default_nmax()
-    return RunConfig(mode=args.mode, **point, n_max=n_max,
-                     tol=args.tol, suites=suites, fmt=args.fmt, catalog=args.catalog)
+    return RunConfig(mode=args.mode, **point, n_max=n_max, suites=suites, fmt=args.fmt, catalog=args.catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +276,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = run_suites(params, config.suites, config.n_max, config.tol, relations)
-    result = RunResult(config.params_repr(), config.mode, config.n_max, config.tol, tuple(reports),
+    reports = run_suites(params, config.suites, config.n_max, relations)
+    result = RunResult(config.params_repr(), config.mode, config.n_max, tuple(reports),
                        suite_cutoffs(config.suites, config.n_max))
     rendered = EMITTERS[config.fmt](result)
     if args.out is None:
@@ -297,6 +290,17 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
+def _printed(params: Params, c: Fraction):
+    """c as basis and matrices print it: itself at an exact point, else float(c), OverflowError where a
+    nonzero c overflows, or underflows to zero or to a subnormal, and so loses its relative precision."""
+    if params.mode == EXACT:
+        return c
+    x = float(c)  # OverflowError beyond the float range
+    if c and abs(x) < float_info.min:
+        raise OverflowError(f"{c} leaves the float range")
+    return x
+
+
 def _run_basis(args: argparse.Namespace) -> int:
     try:
         params = _config_from_args(args).params()
@@ -306,9 +310,10 @@ def _run_basis(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows = [(i, j, _printed(params, c)) for (i, j), c in fn.sorted_terms()]  # each read before any prints
     print(f"psi[{args.n},{args.m}] = kappa * P(z, zbar) * exp(-a*z*zbar - b*zbar^2)")
     print("kappa = sqrt(2a/pi); the reduced polynomial P is")
-    for (i, j), coeff in fn.sorted_terms():
+    for i, j, coeff in rows:
         print(f"  z^{i} zbar^{j}: {coeff}")
     return 0
 
@@ -321,8 +326,8 @@ def _run_matrices(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    gram = gram_block(params, args.n)
-    ham = h_block(params, args.n)
+    gram = [[_printed(params, c) for c in row] for row in gram_block(params, args.n)]
+    ham = [[_printed(params, c) for c in row] for row in h_block(params, args.n)]
     print(f"pairing block <<psi[{args.n},k] | psi[{args.n},m]>>, rows k = 0..{args.n}:")
     for row in gram:
         print("  [" + ", ".join(map(str, row)) + "]")
@@ -338,12 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"verify": _run_verify, "basis": _run_basis, "matrices": _run_matrices}[args.command]
     try:
         return handler(args)
-    except (OverflowError, ZeroDivisionError):
-        # only a float basis overflows, or divides by a product that
-        # underflows to 0, and only basis and matrices build one (verify
-        # skips integrals.oracle where its floats do, see verifier), so in an
-        # exact run or in verify either is a bug; the exception's own text can
-        # be a raw errno tuple (from pow), so a plain reason is printed instead
+    except OverflowError:
+        # only basis and matrices print exact values in floats (verify skips
+        # integrals.oracle where its floats leave the range, see verifier), so
+        # in an exact run or in verify it is a bug
         if args.mode == EXACT or args.command == "verify":
             raise
         print(f"error: float arithmetic leaves the float range at {_config_from_args(args).params_repr()} "

@@ -9,7 +9,8 @@ in (w, zbar), w = a z + b zbar, as ``chain_psi`` and ``apply`` return it
 (kappa and the envelope are implied by the point, see model). Two independent
 routes are provided: an exact rational route in the chain variables, and a
 numerical route (the oracle), a plain-Python real separable Gauss-Hermite
-rule on the (z, zbar) form ``build_psi``, read in floats (see _QuadratureGrid).
+rule on the (z, zbar) form ``build_psi``, each coefficient rounded once to a
+float (see _QuadratureGrid).
 The exact route is authoritative; the oracle exists to catch an error in it.
 
 In the chain variables the squared envelope is exp(-2 w zbar), whose second
@@ -19,8 +20,8 @@ are. Each function carries one factor kappa = sqrt(2a/pi), so the pairing is
 the plain scalar sum(...) with no pi, and no moment table is needed: a term
 pair w^e zbar^i, w^e' zbar^i' contributes u u' s!/2^s when
 e + e' = i + i' = s, and nothing otherwise. The weights s!/2^s are integers
-over one power of two (floats over 1 in float mode), and the pairing sums
-them with the numerators of f and g in integers, dividing once. Every term
+over one power of two, and the pairing sums them with the numerators of f and
+g in integers, dividing once. Every term
 of psi_{n,m} has e - i = 2m - n, so two functions of one level pair to zero
 unless m + m' = n, found from one lookup. The pairing is symmetric term by
 term, so gram_block computes the entries with m <= m' and mirrors them.
@@ -35,30 +36,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .model import Params, _per_point, apply, chain_psi
-from .weyl import Coeff, Poly2, join_modes, lift, linear_combination, to_ints, zero
+from .weyl import Poly2, linear_combination, to_ints
 
 
 class OracleUnavailableError(RuntimeError):
     """The quadrature oracle needs a > b for a convergent real-space measure."""
 
 
-def moment(params: Params, p_deg: int, q_deg: int) -> Coeff:
+def moment(params: Params, p_deg: int, q_deg: int) -> Fraction:
     """integral w^p zbar^q envelope^2 in units of pi/(2a): p!/2^p if p == q,
     else zero (see the module docstring); the same at every point."""
     if p_deg != q_deg or p_deg < 0:
-        return zero(params.mode)
-    return lift(Fraction(math.factorial(p_deg), 2**p_deg), params.mode)
+        return Fraction(0)
+    return Fraction(math.factorial(p_deg), 2**p_deg)
 
 
 @lru_cache(maxsize=None)
-def _chain_weights(mode: str, top: int) -> tuple[tuple, int]:
-    """(weights, den): weights[s] / den = s!/2^s for s <= top, as integers over
-    one denominator (floats over 1 in float mode)."""
-    weights, den = to_ints(mode, [lift(Fraction(math.factorial(s), 2**s), mode) for s in range(top + 1)])
+def _chain_weights(top: int) -> tuple[tuple, int]:
+    """(weights, den): weights[s] / den = s!/2^s for s <= top, as integers over one denominator."""
+    weights, den = to_ints([Fraction(math.factorial(s), 2**s) for s in range(top + 1)])
     return tuple(weights), den
 
 
-def inner_product(params: Params, f: Poly2, g: Poly2) -> Coeff:
+def inner_product(params: Params, f: Poly2, g: Poly2) -> Fraction:
     """<<f|g>> of two chain forms as a plain coefficient (bilinear, symmetric;
     no conjugation).
 
@@ -66,12 +66,11 @@ def inner_product(params: Params, f: Poly2, g: Poly2) -> Coeff:
     u u' s!/2^s when e + e' = i + i' = s, that is when e' - i' = i - e; g's
     terms are grouped by e' - i', so each term of f reads only its partners.
     """
-    mode = join_modes(params, f, g)
     partners: dict = {}
     for (e, i), u in g.nums.items():
         partners.setdefault(e - i, []).append((e, u))
     top = max((e for e, _ in f.nums), default=0) + max((e for e, _ in g.nums), default=0)
-    weights, weight_den = _chain_weights(mode, top)
+    weights, weight_den = _chain_weights(top)
     total = 0
     for (e, i), uf in f.nums.items():
         partial = 0
@@ -79,7 +78,7 @@ def inner_product(params: Params, f: Poly2, g: Poly2) -> Coeff:
             partial += ug * weights[e + e2]
         if partial:
             total += uf * partial
-    return total / lift(f.den * g.den * weight_den, mode)
+    return Fraction(total, f.den * g.den * weight_den)
 
 
 def minimum_order(f: Poly2, g: Poly2) -> int:
@@ -193,19 +192,20 @@ def _quadrature_grid(params: Params, order: int) -> _QuadratureGrid:
 
 def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = None) -> complex:
     """<<f|g>> of two (z, zbar) forms (see build_psi) by tensor-product
-    Gauss-Hermite quadrature.
+    Gauss-Hermite quadrature, at the point's twin.
 
     With z = x1 + i x2 the squared envelope is
     exp(-2(a+b) x1^2 - 2(a-b) x2^2 + 4 i b x1 x2); completing the square in
     x1 makes it a real Gaussian in each of two shifted coordinates, whose
     factors become the Hermite weights (see _QuadratureGrid), with nothing
-    left to oscillate. Requires a > b in the point's own arithmetic, and
-    OverflowError where a reading in floats leaves the float range (a, a > b
-    or a coefficient, or the estimate). The default order is max(32, total
+    left to oscillate. Requires a > b, and OverflowError where a reading in
+    floats leaves the float range (a, a > b, a coefficient, each rounded
+    once as v / den, or the estimate). The default order is max(32, total
     degree + 8) per axis and a caller-supplied order below that floor is
     rejected. The grid of each order lives in the point's store (see
     _QuadratureGrid), and the pairing sums the terms of f g against its moments.
     """
+    params = params.twin
     if not params.a > params.b:
         raise OracleUnavailableError(f"quadrature needs a > b, got a={params.a}, b={params.b}")
     a, b = float(params.a), float(params.b)
@@ -217,9 +217,10 @@ def quadrature_oracle(params: Params, f: Poly2, g: Poly2, order: int | None = No
     elif order < floor:
         raise ValueError(f"order {order} is below the degree-dependent minimum {floor}")
     grid = _quadrature_grid(params, order)
-    g_terms = g.to_float().nums.items()
+    g_terms = [(key, v / g.den) for key, v in g.nums.items()]  # int / int rounds once, as float(Fraction)
     product: dict = defaultdict(int)
-    for (p, q), cf in f.to_float().nums.items():
+    for (p, q), v in f.nums.items():
+        cf = v / f.den
         for (p2, q2), cg in g_terms:
             product[p + p2, q + q2] += cf * cg
     estimate = complex(sum(c * grid.moment(p, q) for (p, q), c in product.items()))
@@ -263,7 +264,7 @@ def expand_in_basis(params: Params, f: Poly2, n_max: int) -> Poly2:
     """Truncated resolution of identity on a chain form: sum over n <= n_max of
     <<psi_{n,n-m}|f>> psi_{n,m}, in chain form; reproduces any f in the span
     of those levels."""
-    return linear_combination(params.mode, (
+    return linear_combination((
         (inner_product(params, chain_psi(params, n, n - m), f), chain_psi(params, n, m))
         for n in range(n_max + 1)
         for m in range(n + 1)

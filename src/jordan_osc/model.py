@@ -32,23 +32,25 @@ operator names, and neg, smul, add, sub, mul, comm, acomm. ``make_operator``
 evaluates a definition at a point, reading the operators it names from the
 point's store; ``explicit_form`` evaluates a form, which names no catalog
 operator. The weight of a tree under the scaling automorphism sigma_P (see
-verifier) is derived from the trees (``_weight``), never declared.
+verifier) is derived from the trees (``_weight``), never declared. The
+tables are read-only, so an edit in place raises rather than go unseen by
+the weights and proofs kept per process.
 
-In exact mode a = p^2, b = q^2 for positive rationals p, q, so sqrt(ab),
+At an exact point a = p^2, b = q^2 for positive rationals p, q, so sqrt(ab),
 sqrt(a/b) and sqrt(b/a) are rational and every coefficient is a ``Fraction``.
-An operator is composed at exact points only: a float point's operators,
-forms and conjugations are its dyadic twin's (``Params.twin``, the same p, q
-read as rationals), rounded once (``_at_twin``); the twin also decides its
-operator identities (see verifier).
+A float point is its dyadic twin (``Params.twin``, the same p, q read as
+rationals): every basis function, operator, form, conjugation and energy at
+a float point is its twin's, exact, so the twin decides its identities too
+(see verifier). Floats are left to the edges, where a value is printed (cli,
+verifier's residuals) or integrated by quadrature (gaussint's oracle).
 
 Polynomials and operators store integer numerators over one denominator (see
 weyl), which ``chain_psi``, ``from_chain`` and ``conjugate_through_envelope``
 build directly. Every basis function psi, operator and catalog conjugation
 (``conjugated``, read by ``apply`` and by the image pass) of a point lives in
 one store per point (``point_cache``), kept for the last few points only; phi
-is not stored. A ``Params`` computes its hash, twin and scalar views once.
-``verify`` builds nothing in floats but the oracle's reading (see verifier):
-a float point's own basis is for ``basis``, ``matrices`` and the library.
+is not stored; a float point shares its twin's store. A ``Params`` computes
+its hash, twin and scalar views once.
 """
 
 from __future__ import annotations
@@ -60,28 +62,22 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, wraps
 from math import comb, factorial
-from sys import float_info
+from types import MappingProxyType
 
-from .weyl import (
-    EXACT,
-    FLOAT,
-    Coeff,
-    DiffOp,
-    ModeMismatchError,
-    Poly2,
-    anticommutator,
-    commutator,
-    join_modes,
-    lift,
-    to_ints,
-)
+from .weyl import DiffOp, Poly2, anticommutator, commutator, lift, to_ints
+
+#: the two kinds of parameter point: exact (p, q Fractions) and float (p, q floats, read as their twin)
+EXACT = "exact"
+FLOAT = "float"
 
 #: the definition of each catalog operator in the prefix grammar (see
 #: parse_expression); D+21/D-21 are accepted as aliases. H, A+/-, B+/- are
 #: written in the generators z, zbar, dz, dzbar, every composite name (R, S,
 #: T, U, the gl(2) and boson generators, E_ij, D+/-_ij) in those by products
-#: and linear combinations, never hand-expanded
-DEFINITIONS = {
+#: and linear combinations, never hand-expanded. Read-only, as are EXPLICIT_FORMS,
+#: GENERATORS and _FACTORS: the weights and proofs drawn from them are kept per
+#: process, where an edit in place would go unseen
+DEFINITIONS = MappingProxyType({
     "H": "add add smul -4 mul dz dzbar smul 4*a^2 mul z zbar smul 8*ab mul zbar zbar",
     "A+": "add dz smul -1*a zbar",
     "A-": "add dz smul 1*a zbar",
@@ -110,7 +106,7 @@ DEFINITIONS = {
     "D-11": "smul 1/2 acomm a1- a1-",
     "D-12": "smul 1/2 acomm a1- a2-",
     "D-22": "smul 1/2 acomm a2- a2-",
-}
+})
 CATALOG_NAMES = tuple(DEFINITIONS)
 
 # first-order pieces of the explicit forms: X = b dz - a dzbar, and
@@ -121,7 +117,7 @@ _W = "add smul 1*a z smul 1*b zbar"
 #: the independently transcribed explicit z/zbar form of the 14 superalgebra
 #: generators, in the generators only: no form names a catalog operator, so
 #: agreement with the catalog is a genuine cross-check
-EXPLICIT_FORMS = {
+EXPLICIT_FORMS = MappingProxyType({
     "a1+": f"smul 1/4*p^-3*q^-1 add {_X} smul 1*a {_W}",
     "a1-": "smul 2*q*p^-1 add dz smul 1*a zbar",
     "a2+": "smul -2*q*p^-1 add dz smul -1*a zbar",
@@ -141,19 +137,24 @@ EXPLICIT_FORMS = {
             " smul -1*a^2 mul z dz smul -1*a^2 mul zbar dzbar smul -1*a^3 mul z zbar smul -1*a^2*b mul zbar zbar"
             " -1*a^2",
     "D-22": f"smul 1/16*a^-3*b^-1 add add mul {_X} {_X} smul -2*a mul {_W} {_X} smul 1*a^2 mul {_W} {_W}",
-}
+})
 EXPLICIT_NAMES = tuple(EXPLICIT_FORMS)
 
 _ALIASES = {"D+21": "D+12", "D-21": "D-12"}
 
 
 class Params:
-    """Model parameters, stored through their square roots p = sqrt(a), q = sqrt(b); two points are
-    equal, and hash alike, when their mode, p and q are."""
+    """Model parameters, stored through their square roots p = sqrt(a), q = sqrt(b): Fractions at an
+    exact point (a float is refused, TypeError), floats at a float point; two points are equal, and hash
+    alike, when their mode, p and q are."""
 
-    def __init__(self, mode: str, p: Coeff, q: Coeff) -> None:
-        # lifted, so that every view of them is a coefficient
-        self.mode, self.p, self.q = mode, lift(p, mode), lift(q, mode)
+    def __init__(self, mode: str, p, q) -> None:
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}, not {mode!r}")
+        if mode == FLOAT and not all(isinstance(x, (int, float, Fraction)) for x in (p, q)):
+            raise TypeError(f"cannot read {p!r}, {q!r} as float parameters")
+        # read once, so that every view of them has one type
+        self.mode, self.p, self.q = mode, *((lift(p), lift(q)) if mode == EXACT else (float(p), float(q)))
         if mode == FLOAT and not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise ValueError("parameters must be finite")
         if not (self.p > 0 and self.q > 0):
@@ -196,21 +197,21 @@ class Params:
 
     @cached_property
     def twin(self) -> "Params":
-        """The same p, q read as Fractions (a finite float is a dyadic rational); an exact point itself."""
+        """The same p, q read as Fractions (a finite float is a dyadic rational); an exact point itself.
+        Every basis function, operator and scalar the model builds at a float point is its twin's."""
         return self if self.mode == EXACT else Params.exact(self.p, self.q)
 
-    # ---- coefficient views (Fraction in exact mode, float in float mode),
-    # each computed on first read and kept on the point ----
+    # ---- scalar views, in the type of p and q, each computed on first read and kept ----
     @cached_property
-    def a(self) -> Coeff:
+    def a(self) -> Fraction | float:
         return self.p * self.p
 
     @cached_property
-    def b(self) -> Coeff:
+    def b(self) -> Fraction | float:
         return self.q * self.q
 
     @cached_property
-    def sqrt_ab(self) -> Coeff:
+    def sqrt_ab(self) -> Fraction | float:
         return self.p * self.q
 
 
@@ -225,9 +226,10 @@ _POINTS_MAX = 4
 
 def point_cache(params: Params) -> dict:
     """The store of everything fixed once the parameter point is: basis
-    functions, operators and the quadrature grids (see gaussint). Only the
-    last few points keep a store, so memory stays bounded over a sweep of
-    points."""
+    functions, operators and the quadrature grids (see gaussint); a float
+    point's is its twin's. Only the last few points keep a store, so memory
+    stays bounded over a sweep of points."""
+    params = params.twin
     cache = _POINTS.get(params)
     if cache is None:
         if len(_POINTS) >= _POINTS_MAX:
@@ -237,11 +239,11 @@ def point_cache(params: Params) -> dict:
 
 
 def _per_point(fn):
-    """Keep fn(params, *args) in the store of params."""
+    """fn(params.twin, *args), kept in the store of the twin."""
 
     @wraps(fn)
     def cached(params: Params, *args):
-        key = (fn, *args)
+        params, key = params.twin, (fn, *args)
         try:
             return _POINTS[params][key]
         except KeyError:
@@ -250,17 +252,6 @@ def _per_point(fn):
         return value
 
     return cached
-
-
-def _at_twin(fn):
-    """fn(params, *args) at an exact point; at a float point, fn at its twin rounded once (``to_float``)."""
-    # the exact terms, each coefficient rounded: no residue where exact terms cancel
-
-    @wraps(fn)
-    def value(params: Params, *args):
-        return fn(params, *args) if params.mode == EXACT else fn(params.twin, *args).to_float()
-
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +264,19 @@ def _check_index(n: int, m: int) -> None:
         raise ValueError(f"need integers 0 <= m <= n, got n={n!r}, m={m!r}")
 
 
-def _check_float_range(values, what: str) -> None:
-    """OverflowError unless every float of ``values`` is finite and normal:
-    a value that overflows, or underflows to a subnormal or to zero, has lost
-    its relative precision."""
-    if not all(float_info.min <= abs(v) < math.inf for v in values):
-        raise OverflowError(f"{what} leaves the float range")
-
-
 def from_chain(params: Params, g: Poly2) -> Poly2:
-    """The polynomial g(w, zbar), w = a z + b zbar, written in (z, zbar).
+    """The polynomial g(w, zbar), w = a z + b zbar, written in (z, zbar) at the point's twin.
 
     Each w^e zbar^i expands binomially into C(e,t) a^t b^(e-t) z^t zbar^(i+e-t),
     summed as integers over g's denominator times d^E, with a = A/d and
-    b = B/d over one denominator d (in float mode A, B are the floats and
-    d = 1) and E the largest power of w. The numerators C(e,t) A^t B^(e-t)
-    of w^e come row by row from Pascal's rule, so a float overflows to inf
-    where float ** int would raise. In float mode OverflowError where a term
-    of some power of w up to w^E, a term of some w^e times its coefficient, or
-    a coefficient of the result leaves the float range: no term is lost to
-    underflow or read off a subnormal, and none is infinite.
+    b = B/d over one denominator d and E the largest power of w. The
+    numerators C(e,t) A^t B^(e-t) of w^e come row by row from Pascal's rule.
     """
-    mode = join_modes(params, g)
     top = max((e for e, _ in g.nums), default=0)
     if not top:
         return g  # no power of w: the same polynomial in both coordinates
-    (a, b), d = to_ints(params.mode, [params.a, params.b])
+    twin = params.twin
+    (a, b), d = to_ints([twin.a, twin.b])
     rows = [[1]]
     while len(rows) <= top:
         last = rows[-1]
@@ -308,12 +286,7 @@ def from_chain(params: Params, g: Poly2) -> Poly2:
         weight, degree = u * d ** (top - e), i + e
         for t, c in enumerate(rows[e]):
             sums[t, degree - t] += weight * c
-    out = Poly2._normalized(mode, sums, g.den * d**top)
-    if mode == FLOAT:  # d = 1, so each weight * c is u * c
-        products = (u * c for (e, _), u in g.nums.items() for c in rows[e])
-        _check_float_range([*(c for row in rows for c in row), *products, *out.nums.values()],
-                           "a chain form in (z, zbar) in floats")
-    return out
+    return Poly2._normalized(sums, g.den * d**top)
 
 
 @_per_point
@@ -324,8 +297,8 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
         (-1)^(n-m) (2pq)^(n-2m) (-2)^i C(n-m, i) / e!,    e = i - (n-2m) >= 0,
 
     one term per i from max(0, n-2m) to n-m, at most min(m, n-m) + 1 of them,
-    summed as integers over m!, at an exact point over m! times the
-    denominator of (2pq)^(n-2m), which is built in ints. The integer
+    summed as integers over m! times the denominator of (2pq)^(n-2m), which
+    is built in ints. The integer
     c_i = (-2)^i C(k, i) m!/e!, k = n-m, comes from the one before it by the
     recurrence
 
@@ -340,57 +313,40 @@ def chain_psi(params: Params, n: int, m: int) -> Poly2:
     real oscillator; the head psi_{n,0} is (4pq)^n zbar^n. The point enters
     only through (pq)^(n-2m), psi_{n,m}'s grading (``_psi_weight``). It
     equals the paper's associated-function sum, whose n! and (8ab)^n cancel
-    (tests/reference_forms.py). In float mode OverflowError where the leading
-    factor (2pq)^(n-2m)/m! or a coefficient leaves the float range."""
+    (tests/reference_forms.py)."""
     _check_index(n, m)
     k, shift = n - m, n - 2 * m  # e = i - shift
-    if params.mode == EXACT:  # (2pq)^shift is (num/den)^|shift|, reduced with the sums
-        num, den = params.sqrt_ab.as_integer_ratio()
-        num, den = (2 * num, den) if shift >= 0 else (den, 2 * num)
-        lead, den = (-1) ** k * num ** abs(shift), den ** abs(shift) * factorial(m)
-    else:
-        try:
-            lead, den = (-1) ** k * (2 * params.sqrt_ab) ** shift / factorial(m), 1
-        except OverflowError:  # float ** int beyond the float range: inf, which the guard below names
-            lead, den = math.inf, 1
+    # (2pq)^shift is (num/den)^|shift|, reduced with the sums
+    num, den = params.sqrt_ab.as_integer_ratio()
+    num, den = (2 * num, den) if shift >= 0 else (den, 2 * num)
+    lead, den = (-1) ** k * num ** abs(shift), den ** abs(shift) * factorial(m)
     i = max(0, shift)
     c = (-2) ** i * comb(k, i) * (factorial(m) // factorial(i - shift))
     sums = {(i - shift, i): lead * c}
     for i in range(i, k):
         c = c * -2 * (k - i) // ((i + 1) * (i + 1 - shift))
         sums[i + 1 - shift, i + 1] = lead * c
-    if params.mode == FLOAT:
-        _check_float_range([lead, *sums.values()], f"psi_{{{n},{m}}} in floats")
-    return Poly2._normalized(params.mode, sums, den)
+    return Poly2._normalized(sums, den)
 
 
 @_per_point
 def build_psi(params: Params, n: int, m: int) -> Poly2:
-    """Basis function psi_{n,m} in (z, zbar), for the pairing and for printing:
-    ``from_chain`` of ``chain_psi``, so in float mode OverflowError where a
-    term leaves the float range."""
+    """Basis function psi_{n,m} in (z, zbar), for the oracle and for printing: ``from_chain`` of ``chain_psi``."""
     return from_chain(params, chain_psi(params, n, m))
 
 
-@cache
-def su2_factor(n: int, m: int) -> float:
-    """The su(2) rescaling sqrt(m!/(n-m)!) of phi relative to psi, in floats,
-    with no Fraction: int / int rounds as float(Fraction(m!, (n-m)!)) does."""
-    return math.sqrt(factorial(m) / factorial(n - m))
+def build_phi(params: Params, n: int, m: int) -> dict:
+    """The su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m}, j = n/2, mu = m - n/2, in the
+    chain variables (w, zbar): key -> its coefficient in floats, the square root of the exact
+    c^2 m!/(n-m)! read in floats, signed as c (the square root is irrational in general). No package
+    code calls it; the benchmark traces it by name."""
+    scale = Fraction(factorial(m), factorial(n - m))
+    return {key: math.copysign(math.sqrt(c * c * scale), c) for key, c in chain_psi(params, n, m).terms.items()}
 
 
-def build_phi(params: Params, n: int, m: int) -> Poly2:
-    """su(2)-normalized function phi = sqrt(m!/(n-m)!) psi_{n,m} with j = n/2,
-    mu = m - n/2, in the chain variables (w, zbar). Float mode only: the
-    square root is irrational in general."""
-    if params.mode != FLOAT:
-        raise ModeMismatchError(f"build_phi needs float parameters, got {params.mode!r}")
-    return chain_psi(params, n, m).scale(su2_factor(n, m))
-
-
-def energy(params: Params, n: int) -> Coeff:
-    """Level-n eigenvalue E_n = 4a(n+1)."""
-    return 4 * (n + 1) * params.a
+def energy(params: Params, n: int) -> Fraction:
+    """Level-n eigenvalue E_n = 4a(n+1), at the point's twin."""
+    return 4 * (n + 1) * params.twin.a
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +384,11 @@ def explicit_form(params: Params, name: str) -> DiffOp:
 #: and its weight (alpha, beta) under the scaling automorphism sigma_P,
 #: z -> lambda z, zbar -> mu zbar, dz -> dz / lambda, dzbar -> dzbar / mu with
 #: lambda = q/a, mu = 1/q
-GENERATORS = {"z": ((1, 0, 0, 0), (-2, 1)), "zbar": ((0, 1, 0, 0), (0, -1)),
-              "dz": ((0, 0, 1, 0), (2, -1)), "dzbar": ((0, 0, 0, 1), (0, 1))}
+GENERATORS = MappingProxyType({"z": ((1, 0, 0, 0), (-2, 1)), "zbar": ((0, 1, 0, 0), (0, -1)),
+                               "dz": ((0, 0, 1, 0), (2, -1)), "dzbar": ((0, 0, 0, 1), (0, 1))})
 #: the factors f of a scalar literal c*f^k*..., ab being a times b, each with
 #: its weight (a = p^2, b = q^2); c is a rational, k an integer (1 if left out)
-_FACTORS = {"a": (2, 0), "b": (0, 2), "p": (1, 0), "q": (0, 1)}
+_FACTORS = MappingProxyType({"a": (2, 0), "b": (0, 2), "p": (1, 0), "q": (0, 1)})
 _FACTOR = re.compile(r"\*(ab|[abpq])(?:\^([+-]?\d+))?")
 _SCALAR_TOKEN = re.compile(rf"[+-]?\d+(?:/0*[1-9]\d*)?(?:{_FACTOR.pattern})*")
 #: the binary operations of the prefix grammar
@@ -500,7 +456,7 @@ def _generators(params: Params) -> tuple[DiffOp, ...]:
 
 
 def _evaluate(params: Params, generators, tree) -> DiffOp:
-    """The value of a tree at an exact point, z, zbar, dz, dzbar read as their images ``generators(params)``
+    """The value of a tree at the point's twin, z, zbar, dz, dzbar read as their images ``generators(params)``
     (see substitute), an operator name as its definition's value. Each subtree below the root, a named
     definition included, is kept in the point's store (``_subtree``), so one that recurs is built once there."""
     if isinstance(tree, str):  # a generator, an operator name or a scalar literal
@@ -520,12 +476,11 @@ def _evaluate(params: Params, generators, tree) -> DiffOp:
 # X in mul X X, or a subtree shared by several forms and relations, is
 # evaluated once per point and chart; a root is not kept
 _subtree = _per_point(_evaluate)
-_value = _at_twin(_evaluate)
 
 
 def eval_expression(expr: str, params: Params, generators=_generators) -> DiffOp:
-    """expr at params (see _at_twin), with z, zbar, dz, dzbar read as ``generators(params)``."""
-    return _value(params, generators, parse_expression(expr))
+    """expr at the point's twin, with z, zbar, dz, dzbar read as ``generators(params)``."""
+    return _evaluate(params.twin, generators, parse_expression(expr))
 
 
 @cache
@@ -595,7 +550,7 @@ def substitute(params: Params, generators, op: DiffOp) -> DiffOp:
     """op with z, zbar, dz, dzbar replaced by their images ``generators(params)``, four exact DiffOps: each
     term z^i zbar^j dz^k dzbar^l by the product of the images' powers in that order, kept in the point's
     store. A homomorphism of the Weyl algebra where the images keep its relations, as the envelope's do."""
-    return DiffOp.linear_combination(EXACT, (
+    return DiffOp.linear_combination((
         (Fraction(v, op.den), _monomial_image(params, generators, key)) for key, v in op.nums.items()))
 
 
@@ -604,7 +559,7 @@ def _monomial_image(params: Params, generators, key: tuple) -> DiffOp:
     # the image of the monomial with its last factor taken off, times that
     # factor's image: each product is built once per point and chart
     if not any(key):
-        return DiffOp.identity(EXACT)
+        return DiffOp.identity()
     last = max(g for g, e in enumerate(key) if e)
     rest = (*key[:last], key[last] - 1, *key[last + 1:])
     return _monomial_image(params, generators, rest) * generators(params)[last]
@@ -613,22 +568,19 @@ def _monomial_image(params: Params, generators, key: tuple) -> DiffOp:
 def conjugate_through_envelope(params: Params, op: DiffOp) -> DiffOp:
     """exp(a z zbar + b zbar^2) . op . exp(-a z zbar - b zbar^2) as a DiffOp in
     the chain variables (w, zbar), w = a z + b zbar: its keys (i, j, k, l) read
-    w^i zbar^j dw^k dzbar^l, and it acts on a basis function's chain form."""
-    if params.mode != EXACT or op.mode != EXACT:
-        raise ModeMismatchError("exact points and operators only: conjugate at Params.twin, or apply(params, name, fn)")
-    return substitute(params, _chain_generators, op)
+    w^i zbar^j dw^k dzbar^l, and it acts on a basis function's chain form. At the point's twin."""
+    return substitute(params.twin, _chain_generators, op)
 
 
 @_per_point
-@_at_twin
 def conjugated(params: Params, name: str) -> DiffOp:
-    """The envelope conjugation of catalog operator ``name`` (see _at_twin)."""
+    """The envelope conjugation of catalog operator ``name``."""
     return conjugate_through_envelope(params, make_operator(params, name))
 
 
 def apply(params: Params, op: str | DiffOp, fn: Poly2) -> Poly2:
     """Act with an operator, a catalog name (conjugated once per point, see
-    conjugated) or, at an exact point, any DiffOp (conjugated anew), on the
+    conjugated) or any DiffOp (conjugated anew), on the
     basis function whose chain form is fn (see chain_psi); the image is in
     chain form too. The envelope is never materialized: the conjugated
     operator, in (w, zbar), acts on fn."""

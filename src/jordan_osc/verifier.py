@@ -6,8 +6,8 @@ Every identity the model asserts is checked here, grouped into five suites:
                 shipped relation catalog (data, not code),
 * actions    -- operator actions on the basis functions psi_{n,m},
 * irrep      -- su(2)/superalgebra ladder coefficients on the rescaled
-                functions phi (squared values, exact mode only, and relative
-                residuals read in floats),
+                functions phi (squared values, exact mode only, and the same
+                relative residuals shown in floats),
 * pseudo     -- pseudo-Hermiticity swap(H) == adjoint(H),
 * integrals  -- biorthogonality, Jordan blocks of the pairing, truncated
                 resolution of identity (exact checks at the point's twin, in
@@ -30,9 +30,8 @@ any where there is no chart, pseudo.H) is evaluated exactly at the point's dyadi
 The action and irrep suites read one image pass, run exactly at _UNIT once per process, rule set and
 cutoff (``_image_pass``). Every action rule is weight-checked when it is built and psi_{n,m} has weight
 (n - 2m, 0) (model._psi_weight), and each residual is relative per charge line, so the pass's reports
-are every point's. An exact point reports them as they are; a float point keeps each action verdict,
-exact, its residual read in floats, and its irrep.*.float reports, as an exact run's, read the same
-residuals in floats against the tolerance. So verify builds no float basis.
+are every point's. An exact point reports them as they are; a float point keeps each verdict, exact,
+its residual shown in floats, as every irrep.*.float report shows it. So verify builds no float basis.
 
 The pass reads the images op.psi_{n,m} in the chain variables (w, zbar), w = a z + b zbar (see model),
 level-outer, on charge lines. The charge of w^e zbar^i is e - i, and every term of psi_{n,m} has charge
@@ -50,7 +49,7 @@ psi_{n',m'}, so it is scale-free; a nonzero residue with no target reads 1.
 A rule of one term may carry an irrep claim, in j and mu, on its step's action coefficient w, so its
 literal must be a number: irrep.J0 and irrep.K that w is the eigenvalue, irrep.<op>.sq that w >= 0 and
 w^2 m!(n'-m')!/((n-m)! m'!) == claim, and irrep.<op>.float the same in floats on phi. Each irrep report
-is its rule's action check, the .float one in floats; the claim is decided once, as a polynomial
+is its rule's action check, the .float one shown in floats; the claim is decided once, as a polynomial
 identity in (n, m) (``_claimed``). The sign w >= 0 is proven where the expansion of w in binomials
 of the steps has no negative coefficient; else it is read up to n_max, and the reports say "read".
 
@@ -73,9 +72,9 @@ there (``_counterexample``): a refuted check fails, its report its reading where
 counterexample, whose (n, m) may lie beyond n_max. With no Fock chart no rule is decided.
 
 Every report is built by one accumulator, ``_Check``: it keeps the check's worst residual and where it
-sits, times the work inside ``with check:``, and gives the verdict. Exact mode is authoritative: a pass
-means residual identically zero. A float check (irrep.*.float, integrals.oracle) compares its residual
-against a tolerance, a NaN counting as the worst. A check that cannot run at the given point is
+sits, times the work inside ``with check:``, and gives the verdict: a pass means residual identically
+zero, at every point, for every check but one. integrals.oracle, the float cross-check, compares its
+residual against ORACLE_TOL, a NaN counting as the worst. A check that cannot run at the given point is
 reported as skipped, never as passed. Each report says whether its verdict was derived, proven (a
 claim or relation proven once, for every point), read or refuted (``Report.how``).
 """
@@ -104,8 +103,10 @@ from .gaussint import (
     quadrature_oracle,
 )
 from .model import (
+    EXACT,
     EXPLICIT_FORMS,
     EXPLICIT_NAMES,
+    FLOAT,
     _SCALAR_TOKEN,
     Params,
     _literal,
@@ -121,18 +122,8 @@ from .model import (
     make_operator,
     parse_expression,
 )
-from .weyl import (
-    EXACT,
-    FLOAT,
-    DiffOp,
-    Poly2,
-    adjoint,
-    commutator,
-    swap_vars,
-    zero,
-)
+from .weyl import DiffOp, Poly2, adjoint, commutator, swap_vars
 
-DEFAULT_TOL = 1e-10
 DEFAULT_NMAX = 10
 SUITES = ("structure", "actions", "irrep", "pseudo", "integrals")
 #: the kinds a catalog relation may declare
@@ -143,7 +134,7 @@ BUILTIN_ID_PREFIXES = ("explicit.", "pseudo.", "action.", "irrep.", "integrals."
 #: resolution check at degree min(n_max, RESOLUTION_DEGREE)
 INTEGRALS_NMAX = 8
 RESOLUTION_DEGREE = 5
-#: the relative tolerance of integrals.oracle, the quadrature cross-check
+#: the relative tolerance of integrals.oracle, the quadrature cross-check: the package's only tolerance
 ORACLE_TOL = 1e-8
 #: the anchor of integrals.oracle, the quadrature cross-check, skipped because
 #: the point leaves the float range: a value read in floats overflows, or (the
@@ -203,17 +194,16 @@ def _in_floats(rho):
 
 
 class _Check:
-    """The one builder of a Report: the check's id, anchor and mode, its worst
-    residual and the (n, m) where that sits, the time spent inside its
-    ``with check:`` blocks, and the verdict (exact: residual == 0, float:
-    residual <= tol). A NaN residual beats any number and is kept, so a check
-    that met one fails; a zero never replaces the worst. A found failure beats
-    a skip: a skipped check whose residuals so far fail reports the failure. A
-    refuted check fails: where its residuals pass, it reports the counterexample."""
+    """The one builder of a Report: the check's id, anchor and mode (FLOAT: its residual shown in
+    floats), its worst residual and the (n, m) where that sits, the time spent inside its ``with check:``
+    blocks, and the verdict, residual <= tol: with the default tol 0, residual == 0. A NaN residual beats
+    any number and is kept, so a check that met one fails; a zero never replaces the worst. A found
+    failure beats a skip: a skipped check whose residuals so far fail reports the failure. A refuted
+    check fails: where its residuals pass, it reports the counterexample."""
 
-    def __init__(self, relation_id: str, anchor: str, mode: str, tol: float = 0.0) -> None:
+    def __init__(self, relation_id: str, anchor: str, mode: str, tol: float = 0) -> None:
         self.relation_id, self.anchor, self.mode, self.tol = relation_id, anchor, mode, tol
-        self.worst, self.counterexample = zero(mode), None
+        self.worst, self.counterexample = 0, None
         self.at, self.seconds, self.skipped, self.how = None, 0.0, None, "read"  # skipped: why, if the check was
 
     def __enter__(self) -> None:
@@ -239,10 +229,10 @@ class _Check:
         self.skipped = why
 
     def report(self, mode: str | None = None) -> Report:
-        """The report, in ``mode`` (the check's own by default): an exact check reported in floats keeps its
-        verdict, its residual read in floats (_in_floats)."""
+        """The report, in ``mode`` (the check's own by default): in FLOAT its residual shown in floats
+        (_in_floats), its verdict the same."""
         worst, at, where, mode = self.worst, self.at, "worst", mode or self.mode
-        passed = worst == 0 if self.mode == EXACT else worst <= self.tol
+        passed = worst <= self.tol  # exact: a Fraction compares with a float exactly; False for a NaN
         if passed and self.how == "refuted":  # the counterexample stands in for the reading
             (worst, at), where, passed = self.counterexample, "refuted", False
         if self.skipped and passed:
@@ -338,7 +328,7 @@ def _fock_generators(params: Params) -> tuple | None:
     bosons, units = [make_operator(params, name) for name in _BOSONS], [DiffOp.monomial(key, 1) for key in _UNITS]
     if any(key not in _UNITS for op in bosons for key in op.nums):
         return None
-    images = tuple(DiffOp.linear_combination(EXACT, [  # the bracket with the partner, a1+ with a1- and so on
+    images = tuple(DiffOp.linear_combination([  # the bracket with the partner, a1+ with a1- and so on
         ((1 if t < 2 else -1) * commutator(bosons[(t + 2) % 4], g).terms.get((0, 0, 0, 0), 0), units[t])
         for t in range(4)]) for g in units)
     weyl = all(commutator(images[h], images[g]).terms == ({(0, 0, 0, 0): 1} if h == g + 2 else {})
@@ -363,7 +353,7 @@ def _check_equal(check: _Check, params: Params, lhs: str, rhs: str) -> None:
         if _proven(lhs, rhs):
             check.how = "proven"
         else:
-            check.add((eval_expression(lhs, params.twin) - eval_expression(rhs, params.twin)).max_magnitude())
+            check.add((eval_expression(lhs, params) - eval_expression(rhs, params)).max_magnitude())
 
 
 def check_relation(params: Params, spec: RelationSpec) -> Report:
@@ -388,8 +378,8 @@ def check_structure(params: Params, relations: Iterable[RelationSpec] | None = N
 
 #: the symbols of an index polynomial, as polynomials in (n, m): an action
 #: term's are n and m, an irrep claim's j = n/2 and mu = m - n/2
-_TERM_SYMBOLS = {"n": Poly2.z(EXACT), "m": Poly2.zbar(EXACT)}
-_CLAIM_SYMBOLS = {"j": Poly2.z(EXACT) * Fraction(1, 2), "mu": Poly2.zbar(EXACT) - Poly2.z(EXACT) * Fraction(1, 2)}
+_TERM_SYMBOLS = {"n": Poly2.z(), "m": Poly2.zbar()}
+_CLAIM_SYMBOLS = {"j": Poly2.z() * Fraction(1, 2), "mu": Poly2.zbar() - Poly2.z() * Fraction(1, 2)}
 _ARITHMETIC = {ast.Add: Poly2.__add__, ast.Sub: Poly2.__sub__, ast.Mult: Poly2.__mul__}
 #: a rule's term: a scalar literal, an optional index polynomial, the target
 _TERM = re.compile(r"(\S+)(?: (.+?))? psi\[n([+-]\d+)?,m([+-]\d+)?\]")
@@ -541,9 +531,9 @@ def _derived(rule: ActionRule):
     so this holds at every point (see _proven)."""
     if _fock_generators(_UNIT) is None:
         return _UNDECIDED
-    n, m, one, zero = _TERM_SYMBOLS["n"], _TERM_SYMBOLS["m"], Poly2.one(EXACT), Poly2.zero(EXACT)
+    n, m, one, zero = _TERM_SYMBOLS["n"], _TERM_SYMBOLS["m"], Poly2.one(), Poly2.zero()
     # target (dn, dm) -> [the Fock action there, the rule's term]
-    sides = {(dn, dm): [zero, Poly2._normalized(EXACT, dict(nums), den) * _scalar(literal, _UNIT)]
+    sides = {(dn, dm): [zero, Poly2._normalized(dict(nums), den) * _scalar(literal, _UNIT)]
              for dn, dm, literal, (den, nums) in rule.terms}
     for (i, j, k, l), c in eval_expression(rule.op_name, _UNIT, _fock_generators).terms.items():
         p = Poly2.monomial(0, 0, c)
@@ -621,7 +611,7 @@ def _charge_parts(op: DiffOp) -> dict:
     for key, v in op.nums.items():
         i, j, k, l = key
         parts.setdefault(i - j - k + l, {})[key] = v
-    return {shift: DiffOp._normalized(op.mode, nums, op.den) for shift, nums in parts.items()}
+    return {shift: DiffOp._normalized(nums, op.den) for shift, nums in parts.items()}
 
 
 def _off_line(psi: Poly2, n: int, m: int):
@@ -633,7 +623,7 @@ def _off_line(psi: Poly2, n: int, m: int):
 def _level(psis: list) -> tuple[Poly2, dict]:
     """Lambda_n, the sum of psi_{n,m}, m = 0..n, over one denominator, and its derivative table."""
     den = lcm(*(psi.den for psi in psis))
-    return Poly2._normalized(EXACT, {key: u * (den // psi.den) for psi in psis for key, u in psi.nums.items()},
+    return Poly2._normalized({key: u * (den // psi.den) for psi in psis for key, u in psi.nums.items()},
                              den), {}
 
 
@@ -697,7 +687,7 @@ def _read_level(reads: list, n: int, source: tuple, off: dict, basis: Callable, 
     poly, derivatives = source
     worst = {m: 1 if r else 0 for m, r in off.items()}
     for shift, part, term in reads:
-        image = Poly2.zero(EXACT) if part is None else part.apply_to(poly, derivatives)
+        image = Poly2.zero() if part is None else part.apply_to(poly, derivatives)
         lines = {2 * m - n + shift: _Line() for m in off}
         if term is not None:
             dn, dm, num, den, levels = term
@@ -795,13 +785,13 @@ def _action_reports(mode: str, rules: tuple, readings: tuple, seconds: float) ->
     return reports
 
 
-def check_actions(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
+def check_actions(params: Params, n_max: int = DEFAULT_NMAX) -> list[Report]:
     """Compare op.psi_{n,m} against the asserted expansion for every action
     formula and every 0 <= m <= n <= n_max; one report per formula. A rule
     derived on the Fock module, a1+ below each level's top step and a1- and
     a2- past level 0 among them, reads residual 0 wherever the boson rules
     reach, up to level n_max + 2 (see the module docstring)."""
-    return run_suites(params, ("actions",), n_max, tol)
+    return run_suites(params, ("actions",), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -813,33 +803,34 @@ def _offset(x: Fraction) -> str:
     return f"{'+' if x > 0 else '-'}{abs(x)}" if x else ""
 
 
-def _irrep_checks(mode: str, rule: ActionRule, tol: float) -> list[_Check]:
+def _irrep_checks(mode: str, rule: ActionRule) -> list[_Check]:
     """The check of each report of a rule's irrep claim, in report order, each
-    anchored on the claim and the action term's shift."""
+    anchored on the claim and the action term's shift. Each verdict is
+    exact; a FLOAT check only shows its residual in floats."""
     (dn, dm, *_), rule_id, op = rule.terms[0], f"irrep.{rule.op_name}", rule.op_name
     if (dn, dm) == (0, 0):
         claim = rule.irrep if rule.irrep.isidentifier() else f"({rule.irrep})"
-        return [_Check(rule_id, f"{op} phi = {claim} phi", mode, tol)]
+        return [_Check(rule_id, f"{op} phi = {claim} phi", mode)]
     anchor = f"{op} phi = sqrt({rule.irrep}) phi[j{_offset(Fraction(dn, 2))},mu{_offset(dm - Fraction(dn, 2))}]"
     squared = [_Check(f"{rule_id}.sq", f"{anchor} (squared values)", EXACT)]
     return (squared if mode == EXACT else []) + [
-        _Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT, tol)]
+        _Check(f"{rule_id}.float", f"{anchor} (in floats, relative residual)", FLOAT)]
 
 
-def _irrep_reports(mode: str, rules: tuple, readings: tuple, n_max: int, tol: float, seconds: float) -> list[Report]:
+def _irrep_reports(mode: str, rules: tuple, readings: tuple, n_max: int, seconds: float) -> list[Report]:
     """The reports of the claims of ``rules`` (see _irrep_checks), each its rule's reading in ``readings``
-    (see _image_pass), in floats for a .float report, proven, read or refuted by ``_claimed``. The proof is timed
+    (see _image_pass), proven, read or refuted by ``_claimed``. The proof is timed
     into the rule's first irrep report, and ``seconds``, the pass's time, into the first of all."""
     reports = []
     for rule, (worst, at, *_) in zip(rules, readings):
         if rule.claim is None:
             continue
-        checks = _irrep_checks(mode, rule, tol)
+        checks = _irrep_checks(mode, rule)
         with checks[0]:
             verdict = _claimed(rule, n_max)
         checks[0].seconds, seconds = checks[0].seconds + seconds, 0.0
         for check in checks:
-            check.add(_in_floats(worst) if check.mode == FLOAT else worst, at)
+            check.add(worst, at)
             if verdict is None:
                 check.how = "proven"
             elif verdict != _UNDECIDED:
@@ -848,11 +839,12 @@ def _irrep_reports(mode: str, rules: tuple, readings: tuple, n_max: int, tol: fl
     return reports
 
 
-def check_irrep(params: Params, n_max: int = DEFAULT_NMAX, tol: float = DEFAULT_TOL) -> list[Report]:
+def check_irrep(params: Params, n_max: int = DEFAULT_NMAX) -> list[Report]:
     """su(2)/superalgebra coefficients on phi, in the order of ACTION_RULES: a diagonal rule's report, or
-    a ladder rule's exact squared-value report (exact mode only) and its float direct report, each its
-    rule's action report (see check_actions), failed by the claim's counterexample where it is refuted."""
-    return run_suites(params, ("irrep",), n_max, tol)
+    a ladder rule's exact squared-value report (exact mode only) and its direct report, shown in floats,
+    each its rule's action report (see check_actions), failed by the claim's counterexample where it is
+    refuted."""
+    return run_suites(params, ("irrep",), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +856,7 @@ def check_pseudo_hermiticity(params: Params) -> Report:
     """swap_vars(H) == adjoint(H) at the point's twin: H is Hermitian up to the z <-> zbar swap."""
     check = _Check("pseudo.H", "swap_vars(H) == adjoint(H)", EXACT)
     with check:
-        ham = make_operator(params.twin, "H")
+        ham = make_operator(params, "H")
         check.add((swap_vars(ham) - adjoint(ham)).max_magnitude())
     return check.report()
 
@@ -896,7 +888,7 @@ def _fixed_test_poly(n_max: int, salt: int) -> Poly2:
             den = (i + j + salt) % 4 + 1
             if num:
                 terms[(i, j)] = Fraction(num, den)
-    return Poly2(EXACT, terms)
+    return Poly2(terms)
 
 
 def check_integrals(params: Params, n_max: int = INTEGRALS_NMAX) -> list[Report]:
@@ -1006,7 +998,6 @@ def run_suites(
     params: Params,
     suites: Iterable[str],
     n_max: int = DEFAULT_NMAX,
-    tol: float = DEFAULT_TOL,
     relations: Iterable[RelationSpec] | None = None,
 ) -> list[Report]:
     """Reports of the given suites, suite by suite in the given order; the action and irrep suites read
@@ -1029,7 +1020,7 @@ def run_suites(
             reports += _action_reports(params.mode, rules, readings, seconds)
             seconds = 0.0
         elif suite == "irrep":
-            reports += _irrep_reports(params.mode, rules, readings, n_max, tol, seconds)
+            reports += _irrep_reports(params.mode, rules, readings, n_max, seconds)
             seconds = 0.0
         elif suite == "pseudo":
             reports.append(check_pseudo_hermiticity(params))

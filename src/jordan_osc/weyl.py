@@ -1,24 +1,22 @@
 """Exact arithmetic for the Weyl algebra in two commuting formal variables.
 
-Values come in two coefficient modes sharing one arithmetic contract:
-``exact`` coefficients are ``Fraction``s, for which every identity checked by
-the verification suites is decidable, and ``float`` coefficients are
-``float`` doubles. Every coefficient is real, as every coefficient of the
-model in (z, zbar) is. ``lift`` coerces a number into a mode (ints lift into
-either) and refuses to let a float into exact mode. Equality is one bitwise
-rule in both modes; a verdict that needs a tolerance reads a residual's size
-instead (see verifier).
+Every coefficient is a rational, read as a ``Fraction``, so every identity
+checked by the verification suites is decidable; and every coefficient is
+real, as every coefficient of the model in (z, zbar) is. ``lift`` reads an int
+or a ``Fraction`` as a coefficient and refuses anything else, a float
+included (TypeError): a float point reaches this module only through its
+exact dyadic twin (see model).
 
 A term map stores its coefficients once: integer numerators ``nums`` over one
-positive denominator ``den`` (in float mode, the floats over 1), canonical
-with no zero and ``gcd(den, *nums) == 1``, so equality is equality of
-both. Every kernel sums integers and builds its result with the one
-normalizing constructor ``_normalized``, reducing once per result, never per
-term, in one loop for both modes: ``linear_combination`` (behind ``+``, ``-``,
-negation and ``scale``), ``_product`` (both ``*`` and ``commutator``),
-``adjoint``, ``apply_to`` (whose table of derivatives several operators can
-share), ``swap_vars`` and ``to_float``. ``.terms`` (key -> ``Fraction`` or
-``float``) is derived on demand for readers such as printing; no kernel reads it.
+positive denominator ``den``, canonical with no zero and
+``gcd(den, *nums) == 1``, so equality is equality of both. Every kernel sums
+integers and builds its result with the one normalizing constructor
+``_normalized``, reducing once per result, never per term:
+``linear_combination`` (behind ``+``, ``-``, negation and ``scale``),
+``_product`` (both ``*`` and ``commutator``), ``adjoint``, ``apply_to`` (whose
+table of derivatives several operators can share) and ``swap_vars``.
+``.terms`` (key -> ``Fraction``) is derived on demand for readers such as
+printing; no kernel reads it.
 
 Two layers build on the coefficients:
 
@@ -38,67 +36,16 @@ from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
 
-EXACT = "exact"
-FLOAT = "float"
 
-#: a coefficient: Fraction in exact mode, float in float mode
-Coeff = Fraction | float
-
-
-class ModeMismatchError(ValueError):
-    """Raised when exact and float values meet in a single operation."""
-
-
-def join_modes(first, *rest) -> str:
-    for other in rest:
-        if other.mode != first.mode:
-            raise ModeMismatchError(f"cannot combine {first.mode!r} and {other.mode!r} values")
-    return first.mode
-
-
-def max_or_nan(first, *rest):
-    """The largest of the arguments, or a NaN if any of them is one (a plain
-    ``max`` keeps a NaN only when it comes first)."""
-    for value in rest:
-        if value > first or value != value:
-            first = value
-    return first
-
-
-# ---------------------------------------------------------------------------
-# coefficients
-# ---------------------------------------------------------------------------
-
-
-def lift(value, mode: str) -> Coeff:
-    """Coerce a number into the coefficient type of ``mode``.
-
-    Ints and Fractions lift into either mode; floats only into float mode (an
-    inexact value must not enter an exact computation). Any other number is
-    no coefficient: TypeError.
-    """
+def lift(value) -> Fraction:
+    """An int or a Fraction as a coefficient; any other value, a float included, is none: TypeError."""
     if isinstance(value, (int, Fraction)):
-        # a Fraction is immutable, so exact mode passes one through uncopied
-        return (value if type(value) is Fraction else Fraction(value)) if mode == EXACT else float(value)
-    if isinstance(value, float):
-        if mode == EXACT:
-            raise ModeMismatchError("cannot lift an inexact value into exact mode")
-        return value
+        return value if type(value) is Fraction else Fraction(value)  # a Fraction is immutable: not copied
     raise TypeError(f"cannot interpret {value!r} as a coefficient")
 
 
-def zero(mode: str) -> Coeff:
-    return lift(0, mode)
-
-
-def one(mode: str) -> Coeff:
-    return lift(1, mode)
-
-
-def to_ints(mode: str, values: list) -> tuple[list, int]:
-    """(numerators, common denominator) of ``values``; (values, 1) in float mode."""
-    if mode != EXACT:
-        return values, 1
+def to_ints(values: list) -> tuple[list, int]:
+    """(numerators, common denominator) of ints and Fractions."""
     den = lcm(*(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
 
@@ -109,57 +56,53 @@ def to_ints(mode: str, values: list) -> tuple[list, int]:
 
 
 class _TermMap:
-    """Sparse map from exponent tuples to nonzero coefficients of one mode,
-    stored as ``nums`` (key -> int numerator; the float coefficient in float
-    mode) over ``den`` (a positive int; 1 in float mode).
+    """Sparse map from exponent tuples to nonzero rational coefficients,
+    stored as ``nums`` (key -> int numerator) over ``den`` (a positive int).
 
-    ``cls(mode, terms)`` takes a dict of coefficients; kernels pass their
-    integer sums to ``_normalized``. Instances are treated as immutable.
+    ``cls(terms)`` takes a dict of coefficients; kernels pass their integer
+    sums to ``_normalized``. Instances are treated as immutable.
     """
 
-    __slots__ = ("mode", "nums", "den", "__weakref__")
+    __slots__ = ("nums", "den", "__weakref__")
 
     _ARITY = 0  # length of the exponent tuples
     _NAMES = ("z", "zb", "dz", "dzb")
 
-    def __new__(cls, mode: str, terms: dict):
-        nums, den = to_ints(mode, [lift(c, mode) for c in terms.values()])
-        return cls._normalized(mode, dict(zip(terms, nums)), den)
+    def __new__(cls, terms: dict):
+        nums, den = to_ints([lift(c) for c in terms.values()])
+        return cls._normalized(dict(zip(terms, nums)), den)
 
     @classmethod
-    def _normalized(cls, mode: str, sums: dict, den: int):
+    def _normalized(cls, sums: dict, den: int):
         """The map of ``sums`` (key -> numerator) over ``den`` in canonical form:
-        zeros dropped, and in exact mode numerators and den divided by their gcd."""
+        zeros dropped, numerators and den divided by their gcd."""
         out = object.__new__(cls)
         nums = {key: v for key, v in sums.items() if v}
-        if mode == EXACT:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                nums = {key: v // g for key, v in nums.items()}
-                den //= g
-        out.mode, out.nums, out.den = mode, nums, den
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {key: v // g for key, v in nums.items()}
+            den //= g
+        out.nums, out.den = nums, den
         return out
 
     @classmethod
-    def zero(cls, mode: str):
-        return cls(mode, {})
+    def zero(cls):
+        return cls({})
 
     @classmethod
     def _single(cls, key: tuple, coeff):
-        # the coefficient's type picks the mode: a float makes a float map
         if any(e < 0 for e in key):
             raise ValueError("exponents must be nonnegative")
-        return cls(FLOAT if isinstance(coeff, float) else EXACT, {key: coeff})
+        return cls({key: coeff})
 
     @classmethod
-    def linear_combination(cls, mode: str, pairs):
+    def linear_combination(cls, pairs):
         """sum c * x over the (c, x) pairs with c != 0, over one denominator."""
         parts = []
         for c, x in pairs:
-            if x.mode != mode:
-                raise ModeMismatchError(f"cannot combine {mode!r} and {x.mode!r} values")
-            # an int is its own numerator in either mode (+ and - pass 1 and -1)
-            (c_num,), c_den = ([c], 1) if isinstance(c, int) else to_ints(mode, [lift(c, mode)])
+            if type(c) is not int:  # an int is its own numerator (+ and - pass 1 and -1)
+                c = lift(c)
+            c_num, c_den = c.numerator, c.denominator
             if c_num:
                 parts.append((c_num, c_den, x.nums, x.den))
         common = lcm(*(c_den * den for _, c_den, _, den in parts))
@@ -171,37 +114,36 @@ class _TermMap:
                 continue
             for key, u in nums.items():
                 sums[key] = sums.get(key, 0) + factor * u
-        return cls._normalized(mode, sums, common)
+        return cls._normalized(sums, common)
 
     def __add__(self, other):
-        return self.linear_combination(self.mode, ((1, self), (1, other)))
+        return self.linear_combination(((1, self), (1, other)))
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self.linear_combination(self.mode, ((1, self), (-1, other)))
+        return self.linear_combination(((1, self), (-1, other)))
 
     def scale(self, value):
-        return self.linear_combination(self.mode, ((value, self),))
+        return self.linear_combination(((value, self),))
 
     __rmul__ = scale
 
     def _product(self, other, accumulate):
         """The product kernel: ``accumulate(sums, key1, key2, u1 * u2)`` for each
         pair of terms, over the product of the two denominators."""
-        mode = join_modes(self, other)
         nums2 = other.nums
         sums: dict = {}
         for key1, u1 in self.nums.items():
             for key2, u2 in nums2.items():
                 accumulate(sums, key1, key2, u1 * u2)
-        return self._normalized(mode, sums, self.den * other.den)
+        return self._normalized(sums, self.den * other.den)
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not supported")
-        out = self._single((0,) * self._ARITY, one(self.mode))
+        out = self._single((0,) * self._ARITY, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -209,33 +151,24 @@ class _TermMap:
     # ---- inspection ----
     @property
     def terms(self) -> dict:
-        """key -> coefficient, derived from ``nums`` and ``den``."""
-        if self.mode != EXACT:
-            return self.nums
+        """key -> Fraction, derived from ``nums`` and ``den``."""
         return {key: Fraction(v, self.den) for key, v in self.nums.items()}
 
     def is_zero(self) -> bool:
         return not self.nums
 
-    def sorted_terms(self) -> list[tuple[tuple, Coeff]]:
+    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self.terms.items())  # the keys are distinct, so no coefficients are compared
 
-    def max_magnitude(self) -> Coeff:
-        """The largest coefficient magnitude (zero if there is none), or a NaN
-        if any coefficient is one."""
-        return max_or_nan(0, *map(abs, self.nums.values())) / lift(self.den, self.mode)
-
-    def to_float(self):
-        if self.mode == FLOAT:
-            return self
-        # int / int rounds exactly like float(Fraction)
-        return self._normalized(FLOAT, {k: v / self.den for k, v in self.nums.items()}, 1)
+    def max_magnitude(self) -> Fraction:
+        """The largest coefficient magnitude, zero if there is none."""
+        return Fraction(max(map(abs, self.nums.values()), default=0), self.den)
 
     def __eq__(self, other) -> bool:
-        """The same mode and the same stored form: bitwise in float mode too."""
+        """The same stored form."""
         if type(other) is not type(self):
             return NotImplemented
-        return self.mode == other.mode and self.den == other.den and self.nums == other.nums
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
@@ -277,16 +210,16 @@ class Poly2(_TermMap):
         return Poly2._single((deg_z, deg_zbar), coeff)
 
     @staticmethod
-    def one(mode: str) -> "Poly2":
-        return Poly2.monomial(0, 0, one(mode))
+    def one() -> "Poly2":
+        return Poly2.monomial(0, 0, 1)
 
     @staticmethod
-    def z(mode: str) -> "Poly2":
-        return Poly2.monomial(1, 0, one(mode))
+    def z() -> "Poly2":
+        return Poly2.monomial(1, 0, 1)
 
     @staticmethod
-    def zbar(mode: str) -> "Poly2":
-        return Poly2.monomial(0, 1, one(mode))
+    def zbar() -> "Poly2":
+        return Poly2.monomial(0, 1, 1)
 
     # the polynomial itself; only the benchmark probe coeff_mul_ns
     # (perfbench/worker.py), which reads build_psi(...).poly.terms, uses it
@@ -338,28 +271,28 @@ class DiffOp(_TermMap):
         return DiffOp._single(key, coeff)
 
     @staticmethod
-    def identity(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 0, 0, 0), one(mode))
+    def identity() -> "DiffOp":
+        return DiffOp.monomial((0, 0, 0, 0), 1)
 
     @staticmethod
     def constant(coeff) -> "DiffOp":
         return DiffOp.monomial((0, 0, 0, 0), coeff)
 
     @staticmethod
-    def z(mode: str) -> "DiffOp":
-        return DiffOp.monomial((1, 0, 0, 0), one(mode))
+    def z() -> "DiffOp":
+        return DiffOp.monomial((1, 0, 0, 0), 1)
 
     @staticmethod
-    def zbar(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 1, 0, 0), one(mode))
+    def zbar() -> "DiffOp":
+        return DiffOp.monomial((0, 1, 0, 0), 1)
 
     @staticmethod
-    def dz(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 0, 1, 0), one(mode))
+    def dz() -> "DiffOp":
+        return DiffOp.monomial((0, 0, 1, 0), 1)
 
     @staticmethod
-    def dzbar(mode: str) -> "DiffOp":
-        return DiffOp.monomial((0, 0, 0, 1), one(mode))
+    def dzbar() -> "DiffOp":
+        return DiffOp.monomial((0, 0, 0, 1), 1)
 
     # ---- composition ----
     def __mul__(self, other):
@@ -373,7 +306,6 @@ class DiffOp(_TermMap):
         zbar^pb with pz >= k, pb >= l], in term order; an order is filled on
         first use, so a table passed to every operator applied to poly is built
         once for all of them (and one is made here if none is given)."""
-        mode = join_modes(self, poly)
         derivatives = {} if derivatives is None else derivatives
         sums: dict = defaultdict(int)
         for (i, j, k, l), c in self.nums.items():
@@ -383,7 +315,7 @@ class DiffOp(_TermMap):
                                             for (pz, pb), u in poly.nums.items() if pz >= k and pb >= l]
             for dz, db, u, w in rows:
                 sums[dz + i, db + j] += c * u * w
-        return Poly2._normalized(mode, sums, self.den * poly.den)
+        return Poly2._normalized(sums, self.den * poly.den)
 
 
 #: sum c * poly over (c, poly) pairs, the linear kernel for polynomials
@@ -427,9 +359,9 @@ def adjoint(op: DiffOp) -> DiffOp:
         sign = -1 if (k + l) % 2 else 1
         # (z^i zb^j dz^k dzb^l)^† = (-dz)^l (-dzb)^k z^j zb^i
         _accumulate_product(sums, (0, 0, l, k), (j, i, 0, 0), u * sign)
-    return DiffOp._normalized(op.mode, sums, op.den)
+    return DiffOp._normalized(sums, op.den)
 
 
 def swap_vars(op: DiffOp) -> DiffOp:
     """The substitution z <-> zbar, dz <-> dzbar (coefficients untouched)."""
-    return DiffOp._normalized(op.mode, {(j, i, l, k): v for (i, j, k, l), v in op.nums.items()}, op.den)
+    return DiffOp._normalized({(j, i, l, k): v for (i, j, k, l), v in op.nums.items()}, op.den)

@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 
 import jordan_osc.model
 import jordan_osc.verifier
-from jordan_osc import EXACT, DiffOp, Params, Poly2
-
-
-def close(x, y, tol: float) -> bool:
-    """Whether two term maps agree term by term within ``tol``. Equality of
-    term maps is bitwise, so a test comparing two roundings of one value
-    states its tolerance here."""
-    mine, theirs = x.terms, y.terms
-    return all(abs(mine.get(k, 0) - theirs.get(k, 0)) <= tol for k in mine.keys() | theirs.keys())
+from jordan_osc import DiffOp, Params, Poly2
 
 
 @pytest.fixture(autouse=True)
@@ -96,7 +88,7 @@ _term_keys = st.tuples(
 @st.composite
 def diff_ops(draw, coeffs=small_fractions):
     terms = draw(st.dictionaries(_term_keys, coeffs, min_size=0, max_size=3))
-    out = DiffOp.zero(EXACT)
+    out = DiffOp.zero()
     for key, coeff in terms.items():
         out = out + DiffOp.monomial(key, coeff)
     return out
@@ -106,7 +98,7 @@ def diff_ops(draw, coeffs=small_fractions):
 def polys(draw, coeffs=small_fractions):
     terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                  coeffs, min_size=0, max_size=4))
-    out = Poly2.zero(EXACT)
+    out = Poly2.zero()
     for (i, j), coeff in terms.items():
         out = out + Poly2.monomial(i, j, coeff)
     return out

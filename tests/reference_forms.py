@@ -5,8 +5,8 @@ chain variables (w, zbar), term by term with the normalization c_n, whose
 n! and (8ab)^n cancel in the closed form ``model.chain_psi`` builds;
 ``pochhammer`` and ``alpha_coeffs`` are its factors, and ``psi_series``
 writes it in (z, zbar). ``phi_scale_sq`` is the squared su(2) rescaling
-m!/(n-m)! of phi relative to psi as a ``Fraction``, which
-``model.su2_factor`` reads in floats without building it.
+m!/(n-m)! of phi relative to psi as a ``Fraction``, whose square root
+``model.build_phi`` reads in floats. Each is the point's twin's.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ def chain_series(params: Params, n: int, m: int) -> Poly2:
     starts at i = max(0, n-2m): one term w^e zbar^i per i.
     """
     _check_index(n, m)
-    k = n - m
+    params, k = params.twin, n - m
     alphas = alpha_coeffs(k)
     sums = {(2 * m - n + i, i): alphas[i] * pochhammer(2 * m - n + i + 1, 2 * n - 2 * m - i)
             for i in range(max(0, n - 2 * m), k + 1)}
     c_n = (4 * params.sqrt_ab) ** n / ((8 * params.a * params.b) ** n * factorial(n))
-    (front,), den = to_ints(params.mode, [c_n * (2 * params.a * params.b) ** k])
-    return Poly2._normalized(params.mode, {key: front * v for key, v in sums.items()}, den)
+    (front,), den = to_ints([c_n * (2 * params.a * params.b) ** k])
+    return Poly2._normalized({key: front * v for key, v in sums.items()}, den)
 
 
 def psi_series(params: Params, n: int, m: int) -> Poly2:

@@ -8,8 +8,8 @@ difference image - sum c psi_{n',m'}: its largest magnitude per charge line
 e - i, each over |c| T of the target on that line (T the target's largest
 coefficient), a line without a target reading 1 where it is nonzero. By the
 grading under sigma_P (see verifier) a twin's reports are the unit pass's, so
-they are every point's: the action reports keep their exact verdicts and, at a
-float point, read their residuals in floats. The reports come from the
+they are every point's: every report keeps its exact verdict and, at a float
+point or in a .float report, shows its residual in floats. The reports come from the
 package's own rules and checks, and each irrep report reads its rule's image
 residual at each step, as the package's does. It is the reference for
 readings, not for refutations: a rule or claim the package refutes fails
@@ -32,8 +32,11 @@ from functools import cache, partial
 from math import sqrt
 
 from jordan_osc import model, verifier
+from jordan_osc.model import EXACT
 from jordan_osc.verifier import _Check
-from jordan_osc.weyl import EXACT, FLOAT, linear_combination, max_or_nan, zero
+from jordan_osc.weyl import linear_combination
+
+from reference_forms import phi_scale_sq
 
 #: rule id -> the terms (dn, dm, literal, poly) of op psi_{n,m} = sum literal
 #: poly(n, m) psi_{n+dn,m+dm}
@@ -89,44 +92,40 @@ def claim_at(rule_id, n, m):
     return Fraction(CLAIMS[rule_id](Fraction(n, 2), Fraction(2 * m - n, 2)))
 
 
-def whole_residual(mode, targets, image, scale=1):
-    """The largest magnitude of sum (-c) x + scale * image over every monomial."""
-    return linear_combination(mode, [*((-c, x) for c, x in targets), (scale, image)]).max_magnitude()
-
-
-def step_residual(mode, targets, image):
-    """The residual of one step against its (c, x, charge) targets, in both
-    modes: per charge line e - i of image - sum c x, the line's largest
-    magnitude over |c| T of the target x of that charge, 1 on a line without
-    one, a NaN winning."""
-    difference = linear_combination(mode, [*((-c, x) for c, x, _ in targets), (1, image)])
+def step_residual(targets, image):
+    """The residual of one step against its (c, x, charge) targets: per charge
+    line e - i of image - sum c x, the line's largest magnitude over |c| T of
+    the target x of that charge, 1 on a line without one."""
+    difference = linear_combination([*((-c, x) for c, x, _ in targets), (1, image)])
     lines = {}
     for (e, i), u in difference.terms.items():
         lines.setdefault(e - i, []).append(abs(u))
     scales = {charge: abs(c) * x.max_magnitude() for c, x, charge in targets}
-    return max_or_nan(zero(mode), *(max_or_nan(*us) / scales.get(charge, max_or_nan(*us))
-                                    for charge, us in lines.items() if max_or_nan(*us)))
+    return max((max(us) / scales.get(charge, max(us)) for charge, us in lines.items()), default=0)
 
 
 def direct_reading(target, n, m, c2, image, basis):
     """op phi_{n,m} - c psi_{n',m'} in floats, read whole, at a step whose
-    action term is ``target`` (w, n', m'), c = sqrt(c2) su2_factor(n', m');
-    off the grid, op phi_{n,m} alone."""
-    scale = model.su2_factor(n, m)
+    action term is ``target`` (w, n', m'): each exact coefficient read in
+    floats, times the su(2) factor sqrt(m!/(n-m)!) of its function in floats,
+    c = sqrt(c2); off the grid, op phi_{n,m} alone."""
+    scale = sqrt(phi_scale_sq(n, m))
     _, n2, m2 = target
-    if not (0 <= m2 <= n2):
-        return whole_residual(FLOAT, [], image.to_float(), scale)
-    c = sqrt(c2) * model.su2_factor(n2, m2)
-    return whole_residual(FLOAT, [(c, basis(n2, m2).to_float())], image.to_float(), scale)
+    terms = {key: scale * float(u) for key, u in image.terms.items()}
+    if 0 <= m2 <= n2:
+        c = sqrt(c2) * sqrt(phi_scale_sq(n2, m2))
+        for key, u in basis(n2, m2).terms.items():
+            terms[key] = terms.get(key, 0.0) - c * float(u)
+    return max(map(abs, terms.values()), default=0.0)
 
 
-def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, at=None):
+def image_pass(params, suites, n_max, at=None):
     """(action reports, irrep reports) of the suites among ``suites``, as
     verifier.run_suites gives them at ``params``, in the verifier's rule order
     and with its anchors, from the coefficients of TERMS, every step read
     exactly at ``at`` (default: the point's twin). Each action report is in
     the point's mode with its exact verdict; each irrep report reads the
-    step's image residual, the .float one in floats."""
+    step's image residual, exactly, the .float one shown in floats."""
     at = params.twin if at is None else at
     basis = cache(partial(model.chain_psi, at))
     plan = []
@@ -135,7 +134,7 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, at=None):
         if not claimed and "actions" not in suites:
             continue
         action = _Check(rule.rule_id, rule.anchor, EXACT)
-        checks = verifier._irrep_checks(params.mode, rule, tol) if claimed else []
+        checks = verifier._irrep_checks(params.mode, rule) if claimed else []
         terms = [(dn, dm, model._scalar(literal, at), poly) for dn, dm, literal, poly in TERMS[rule.rule_id]]
         plan.append((rule, terms, action, checks))
     for n in range(n_max + 1):
@@ -144,10 +143,10 @@ def image_pass(params, suites, n_max, tol=verifier.DEFAULT_TOL, at=None):
             for rule, terms, action, checks in plan:
                 targets = [(c * poly(n, m), n + dn, m + dm) for dn, dm, c, poly in terms]
                 image = model.apply(at, rule.op_name, psi)
-                image_residual = step_residual(EXACT, [
+                image_residual = step_residual([
                     (c, basis(n2, m2), 2 * m2 - n2) for c, n2, m2 in targets if c and 0 <= m2 <= n2], image)
                 action.add(image_residual, (n, m))
                 for check in checks:
-                    check.add(verifier._in_floats(image_residual) if check.mode == FLOAT else image_residual, (n, m))
+                    check.add(image_residual, (n, m))
     actions = [action.report(params.mode) for _, _, action, _ in plan] if "actions" in suites else []
     return actions, [check.report() for *_, checks in plan for check in checks]

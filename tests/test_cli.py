@@ -28,9 +28,12 @@ class TestRunConfig:
         config = RunConfig()
         assert config.params().a == 1
 
-    def test_exported_tolerance_is_the_tol_default(self):
-        # one default tolerance: the package's is the one a float verdict uses
-        assert jordan_osc.DEFAULT_TOL == RunConfig().tol == cli.build_parser().parse_args(["verify"]).tol == 1e-10
+    def test_no_tolerance_is_exported_or_configured(self):
+        # every verdict but the quadrature oracle's is exact, and the oracle's
+        # tolerance is its own: no tolerance is exported, configured or parsed
+        assert not hasattr(jordan_osc, "DEFAULT_TOL") and not hasattr(verifier, "DEFAULT_TOL")
+        assert "tol" not in RunConfig._fields and not hasattr(cli.build_parser().parse_args(["verify"]), "tol")
+        assert verifier.ORACLE_TOL == 1e-8
 
     def test_nmax_bounds(self):
         with pytest.raises(ValueError):
@@ -40,11 +43,10 @@ class TestRunConfig:
         RunConfig(n_max=24)
 
     def test_tol_bounds(self):
-        with pytest.raises(ValueError):
-            RunConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(tol=1e-3)
-        RunConfig(tol=1e-4)
+        # no tolerance to bound: a run takes none
+        for tol in (0.0, 1e-10, 1e-4):
+            with pytest.raises(TypeError):
+                RunConfig(tol=tol)
 
     def test_suites_validated(self):
         with pytest.raises(ValueError):
@@ -110,7 +112,11 @@ class TestVerifyCommand:
         assert "n_max" in capsys.readouterr().err
 
     def test_exit_two_on_bad_tol(self, capsys):
-        assert main(["verify", "--tol", "1", "--suites", "pseudo"]) == 2
+        # --tol is no option: argparse refuses it, as a usage error
+        for tol in ("1", "1e-10"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["verify", "--tol", tol, "--suites", "pseudo"])
+            assert exit_.value.code == 2 and "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_exit_two_on_bad_suite(self, capsys):
         assert main(["verify", "--suites", "bogus"]) == 2
@@ -175,7 +181,7 @@ class TestVerifyCommand:
         code = main(["verify", "--suites", "pseudo", "--format", "json", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"params", "mode", "n_max", "tol", "cutoffs", "suites"}
+        assert set(payload) == {"params", "mode", "n_max", "cutoffs", "suites"}
         assert payload["params"] == {"p": "1", "q": "1/2"}
         entry = payload["suites"][0]
         assert set(entry) == {"id", "anchor", "status", "residual", "how", "ms"}
@@ -290,6 +296,17 @@ class TestBasisCommand:
         assert "z^1 zbar^0: 1.0" in out and "z^0 zbar^1: 0.25" in out
         assert "j)" not in out
 
+    @pytest.mark.parametrize("a, b", [("0.79", "0.23"), ("1", "0.25"), ("3", "1")])
+    def test_float_rows_print_the_twins_exact_coefficients(self, capsys, a, b):
+        # each row of a float point's basis function is float(c) of the twin's
+        # exact coefficient c, every coefficient rounded once
+        twin = model.Params.from_ab(float(a), float(b)).twin
+        for n in range(13):
+            for m in range(n + 1):
+                assert main(["basis", "--mode", "float", "--a", a, "--b", b, "--n", str(n), "--m", str(m)]) == 0
+                rows = capsys.readouterr().out.splitlines()[2:]
+                assert rows == [f"  z^{i} zbar^{j}: {float(c)}" for (i, j), c in model.build_psi(twin, n, m).sorted_terms()]
+
 
 class TestMatricesCommand:
     def test_level_one(self, capsys):
@@ -365,13 +382,13 @@ class TestSkippedChecks:
     def test_skip_does_not_hide_a_failure(self):
         skip = Report("s", "s", "exact", False, "n/a", 0.0, skipped=True)
         fail = Report("f", "f", "exact", False, "1", 0.0)
-        assert RunResult({}, "exact", 2, 1e-10, (skip,)).passed
-        assert not RunResult({}, "exact", 2, 1e-10, (skip, fail)).passed
+        assert RunResult({}, "exact", 2, (skip,)).passed
+        assert not RunResult({}, "exact", 2, (skip, fail)).passed
 
 
 class TestEmitters:
     def test_text_summarizes(self):
-        result = RunResult({"p": "1", "q": "1/2"}, "exact", 4, 1e-10, ())
+        result = RunResult({"p": "1", "q": "1/2"}, "exact", 4, ())
         text = emit_text(result)
         assert "0 failed" in text
 
@@ -404,9 +421,11 @@ class TestEmitters:
         assert outputs["text"].count("residual=0  (") == len(residuals) - 1 == 14
 
 
+# argv1 was matrices at (1e200, 1e199), n 3: its exact blocks print in floats now
+# (see test_matrices_print_where_float_blocks_left_the_range); at a = 1e307, E_4 = 20a overflows
 @pytest.mark.parametrize("argv", [
     ["basis", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3", "--m", "1"],
-    ["matrices", "--mode", "float", "--a", "1e200", "--b", "1e199", "--n", "3"],
+    ["matrices", "--mode", "float", "--a", "1e307", "--b", "1e306", "--n", "4"],
 ])
 def test_float_overflow_exits_two(capsys, argv):
     assert main(argv) == 2
@@ -419,23 +438,37 @@ def test_float_overflow_exits_two(capsys, argv):
     assert line.endswith("(a value overflows, or underflows to a zero divisor)")
 
 
-# the ids keep their numbers: argv0 and argv1 were verify rows, now in test_verify_passes_at_every_float_point
+# the ids keep their numbers: argv0 and argv1 were verify rows, now in
+# test_verify_passes_at_every_float_point; argv4 was matrices at (1e-200, 1e-201), n 3, whose exact blocks
+# print in floats now (see test_matrices_print_where_float_blocks_left_the_range)
 @pytest.mark.parametrize("argv", [
     ["basis", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--n", "3", "--m", "1"],
     ["basis", "--mode", "float", "--a", "1e-20", "--b", "1e-21", "--n", "24", "--m", "1"],
-    ["matrices", "--mode", "float", "--a", "1e-200", "--b", "1e-201", "--n", "3"],
+    ["matrices", "--mode", "float", "--a", "1e-310", "--b", "1e-311", "--n", "3"],
 ], ids=["argv2", "argv3", "argv4"])
 def test_float_underflow_exits_two(capsys, argv):
-    # the leading factor (2pq)^(n-2m)/m! of a basis function overflows or
-    # underflows, a power of b in its (z, zbar) form underflows, or a product
-    # such as 16ab underflows to a zero divisor: the overflow contract, not a
-    # crash with exit 1
+    # each value is exact, at the twin; a nonzero one that reads as a subnormal
+    # or as zero in floats, a coefficient of the basis function or the energy
+    # E_3 = 16a in the Hamiltonian block, is out of range: the overflow
+    # contract, not a crash with exit 1
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: float arithmetic leaves the float range at {{'a': {float(argv[4])!r}, 'b': ")
     assert line.endswith("(a value overflows, or underflows to a zero divisor)")
+
+
+@pytest.mark.parametrize("a, b, energy", [("1e200", "1e199", "1.6e+201"), ("1e-200", "1e-201", "1.6e-199")])
+def test_matrices_print_where_float_blocks_left_the_range(capsys, a, b, energy):
+    # the pairing block is the anti-diagonal identity at every point, and the
+    # Hamiltonian block E_3 I plus the superdiagonal: exact at the twin, each
+    # entry in range once read in floats, where a float basis overflowed or
+    # divided by a product that underflowed to zero
+    assert main(["matrices", "--mode", "float", "--a", a, "--b", b, "--n", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == "  [0.0, 0.0, 0.0, 1.0]" and rows[4] == "  [1.0, 0.0, 0.0, 0.0]"
+    assert rows[6] == f"  [{energy}, 1.0, 0.0, 0.0]" and rows[9] == f"  [0.0, 0.0, 0.0, {energy}]"
 
 
 #: the float points (a, b) where verify exited 2 until it read every point exactly, at its twin and at

@@ -10,9 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordan_osc import (
-    EXACT,
-    FLOAT,
-    ModeMismatchError,
     OracleUnavailableError,
     Params,
     Poly2,
@@ -23,7 +20,6 @@ from jordan_osc import (
     gram_block,
     h_block,
     inner_product,
-    lift,
     minimum_order,
     model,
     moment,
@@ -92,13 +88,9 @@ def shifted_quadrature(P, f: Poly2, g: Poly2, order: int) -> complex:
     return total / pi
 
 
-def _magnitudes(poly: Poly2) -> Poly2:
-    return Poly2(poly.mode, {key: abs(c) for key, c in poly.terms.items()})
-
-
 def z_in_chain(P) -> Poly2:
     """z = (w - b zbar)/a as a chain form."""
-    return Poly2(P.mode, {(1, 0): 1 / P.a, (0, 1): -P.b / P.a})
+    return Poly2({(1, 0): 1 / P.a, (0, 1): -P.b / P.a})
 
 
 # exact points with unequal denominators in a and b
@@ -146,20 +138,20 @@ FROZEN_MOMENTS = {
 
 class TestMoments:
     def test_frozen_table(self, params):
-        one = Poly2.one(EXACT)
+        one = Poly2.one()
         for (p, q), want in FROZEN_MOMENTS.items():
             assert zz_moment(params, p, q) == F(want), (p, q)
-            monomial = z_in_chain(params) ** p * Poly2.zbar(EXACT) ** q
+            monomial = z_in_chain(params) ** p * Poly2.zbar() ** q
             assert inner_product(params, monomial, one) == F(want), (p, q)
 
     def test_chain_moments(self):
-        # p!/2^p on the diagonal, zero off it, the same at every point and in both modes
+        # p!/2^p on the diagonal, zero off it, the same Fraction at every point
         for P in (Params.exact(1, F(1, 2)), Params.exact(F(5, 3), F(3, 4)), Params.from_ab(0.79, 0.23)):
             for p in range(8):
                 for q in range(8):
-                    want = lift(F(factorial(p), 2**p) if p == q else 0, P.mode)
                     got = moment(P, p, q)
-                    assert got == want and type(got) is type(want), (P, p, q)
+                    assert got == F(factorial(p), 2**p) if p == q else got == 0, (P, p, q)
+                    assert type(got) is Fraction, (P, p, q)
 
     def test_base_cases(self, params):
         assert moment(params, 0, 0) == F(1)
@@ -218,7 +210,7 @@ class TestMoments:
         assert len(model._POINTS) <= model._POINTS_MAX
         assert not any("moments" in cache for cache in model._POINTS.values())
         # the weights s!/2^s are one shared integer table over a power of two
-        weights, den = gaussint._chain_weights(EXACT, 12)
+        weights, den = gaussint._chain_weights(12)
         assert all(type(v) is int for v in weights) and type(den) is int
         assert [F(v, den) for v in weights] == [F(factorial(s), 2**s) for s in range(13)]
 
@@ -259,8 +251,6 @@ class TestInnerProduct:
         # oracle: multiply out f*g, then pair each product term with its moment
         want = sum((c * moment(P, i, j) for (i, j), c in (f * g).terms.items()), F(0))
         assert inner_product(P, f, g) == want
-        got = inner_product(Params(FLOAT, P.p, P.q), f.to_float(), g.to_float())
-        assert abs(got - complex(want)) <= 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(exact_points, polys(mixed_fractions), polys(mixed_fractions))
@@ -268,12 +258,6 @@ class TestInnerProduct:
         want = pair_term_by_term(f, g, lambda p, q: moment(P, p, q))
         got = inner_product(P, f, g)
         assert type(got) is Fraction and got == want
-        fP, ff, fg = Params(FLOAT, P.p, P.q), f.to_float(), g.to_float()
-        fwant = pair_term_by_term(ff, fg, lambda p, q: moment(fP, p, q))
-        # the sum of magnitudes bounds the rounding of either loop
-        scale = pair_term_by_term(_magnitudes(ff), _magnitudes(fg), lambda p, q: abs(moment(fP, p, q)))
-        fgot = inner_product(fP, ff, fg)
-        assert type(fgot) is float and abs(fgot - fwant) <= 1e-12 * max(1.0, scale)
 
     @settings(max_examples=50, deadline=None)
     @given(exact_points, polys(mixed_fractions), polys(mixed_fractions))
@@ -282,13 +266,6 @@ class TestInnerProduct:
         want = zz_inner_product(P, from_chain(P, f), from_chain(P, g))
         got = inner_product(P, f, g)
         assert type(got) is Fraction and got == want
-        fP, ff, fg = Params(FLOAT, P.p, P.q), f.to_float(), g.to_float()
-        fwant = zz_inner_product(fP, from_chain(fP, ff), from_chain(fP, fg))
-        # from_chain of the magnitudes bounds every expanded coefficient (a, b > 0)
-        scale = pair_term_by_term(from_chain(fP, _magnitudes(ff)), from_chain(fP, _magnitudes(fg)),
-                                  lambda p, q: abs(zz_moment(fP, p, q)))
-        fgot = inner_product(fP, ff, fg)
-        assert type(fgot) is float and abs(fgot - fwant) <= 1e-12 * max(1.0, scale)
 
     @settings(max_examples=30, deadline=None)
     @given(exact_points, polys(mixed_fractions), polys(mixed_fractions), polys(mixed_fractions))
@@ -298,12 +275,13 @@ class TestInnerProduct:
         got = inner_product(P, f, combo)
         assert type(got) is Fraction and got == 0
 
-    def test_rejects_mixed_modes(self, params):
+    def test_rejects_mixed_modes(self, params, fparams):
+        # no float reaches the pairing: it is refused where a polynomial is
+        # built, and a float point pairs as its twin
         f = chain_psi(params, 2, 1)
-        with pytest.raises(ModeMismatchError):
-            inner_product(params, f, f.to_float())
-        with pytest.raises(ModeMismatchError):
-            inner_product(Params(FLOAT, params.p, params.q), f, f)
+        with pytest.raises(TypeError):
+            inner_product(params, f, f.scale(0.5))
+        assert inner_product(fparams, f, chain_psi(fparams, 2, 1)) == inner_product(params, f, f) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(polys(), polys())
@@ -358,7 +336,7 @@ class TestBlocks:
         for n in range(5):
             for m in range(n + 1):
                 chain_psi(params, n, m)  # built and cached before counting
-        f = Poly2(EXACT, {(0, 0): F(2, 3), (1, 2): F(-1), (3, 0): F(1, 5)})
+        f = Poly2({(0, 0): F(2, 3), (1, 2): F(-1), (3, 0): F(1, 5)})
         poly_products.clear()
         gram_block(params, 4)
         h_block(params, 4)
@@ -388,7 +366,7 @@ class TestResolutionOfIdentity:
             (3, 0): F(1, 5),
             (2, 2): F(7),
         }
-        f = Poly2(EXACT, terms)
+        f = Poly2(terms)
         assert expand_in_basis(params, f, 4) == f
 
 
@@ -401,15 +379,15 @@ class TestQuadratureOracle:
 
     def test_matches_moment(self, params, fparams):
         # pairing z against zbar samples the (z, zbar) moment I(1,1) = 1/(2a) = 1/2 here
-        f = Poly2.z("float")
-        g = Poly2.zbar("float")
+        f = Poly2.z()
+        g = Poly2.zbar()
         assert quadrature_oracle(fparams, f, g) == pytest.approx(0.5, abs=1e-12)
         assert zz_moment(params, 1, 1) == F(1, 2)
         # while z against z samples I(2,0) = -b/a^2 = -1/4
         assert quadrature_oracle(fparams, f, f) == pytest.approx(-0.25, abs=1e-12)
         assert zz_moment(params, 2, 0) == F(-1, 4)
         # and w = a z + b zbar samples the chain moments <w zbar> = 1/2, <w w> = 0
-        w = Poly2("float", {(1, 0): fparams.a, (0, 1): fparams.b})
+        w = Poly2({(1, 0): params.a, (0, 1): params.b})
         assert quadrature_oracle(fparams, w, g) == pytest.approx(float(moment(params, 1, 1)), abs=1e-12)
         assert quadrature_oracle(fparams, w, w) == pytest.approx(float(moment(params, 2, 0)), abs=1e-12)
 
@@ -424,14 +402,14 @@ class TestQuadratureOracle:
 
     def test_requires_a_greater_than_b(self):
         P = Params.from_ab(0.25, 1.0)
-        f = Poly2.one("float")
+        f = Poly2.one()
         with pytest.raises(OracleUnavailableError):
             quadrature_oracle(P, f, f)
 
     def test_decides_a_greater_than_b_exactly(self):
         # a = 1e-350 > b = 1e-354 exactly: the point is fine, its float reading
         # is not (both read 0.0), and neither is a > b that reads a == b
-        f = Poly2.one("exact")
+        f = Poly2.one()
         for p, q in ((F(1, 10**175), F(1, 10**177)), (1 + F(1, 2**60), 1)):
             with pytest.raises(OverflowError):
                 quadrature_oracle(Params.exact(p, q), f, f)
@@ -446,8 +424,9 @@ class TestQuadratureOracle:
             quadrature_oracle(P, build_psi(P, 2, 0), build_psi(P, 3, 1))
 
     def test_reads_an_exact_basis_as_the_float_one(self, params, fparams):
+        # a float point's basis is the exact one, its twin's
         f, g = build_psi(params, 2, 1), build_psi(params, 3, 1)
-        assert quadrature_oracle(params, f, g) == quadrature_oracle(fparams, f.to_float(), g.to_float())
+        assert build_psi(fparams, 2, 1) is f and quadrature_oracle(params, f, g) == quadrature_oracle(fparams, f, g)
 
     def test_order_floor_enforced(self, fparams):
         f = build_psi(fparams, 2, 1)
@@ -496,7 +475,7 @@ class TestQuadratureOracle:
     def test_precision_floor_on_criterion_7_inputs(self, params, fparams):
         # the inputs of acceptance criterion 7: every (z, zbar) moment with
         # p + q <= 12, and 20 seeded basis pairs with n <= 8
-        cases = [(complex(zz_moment(params, p, q)), Poly2.monomial(p, q, 1.0), Poly2.one("float"))
+        cases = [(complex(zz_moment(params, p, q)), Poly2.monomial(p, q, 1), Poly2.one())
                  for p in range(13) for q in range(13 - p)]
         rng = random.Random(7)
         for _ in range(20):
@@ -515,8 +494,8 @@ class TestQuadratureOracle:
         # odd degrees, a monomial alone and a non-basis polynomial included
         return [(build_psi(P, 3, 1), build_psi(P, 3, 2)),
                 (build_psi(P, 2, 0), build_psi(P, 3, 1)),
-                (Poly2.monomial(4, 1, 1.0), Poly2.one("float")),
-                (Poly2("float", {(0, 0): 0.5, (2, 1): -1.25, (1, 3): 2.0}), Poly2.monomial(1, 1, 0.75))]
+                (Poly2.monomial(4, 1, 1), Poly2.one()),
+                (Poly2({(0, 0): F(1, 2), (2, 1): F(-5, 4), (1, 3): 2}), Poly2.monomial(1, 1, F(3, 4)))]
 
     @pytest.mark.parametrize("order", [32, 33])
     def test_matches_the_grid_sum(self, fparams, order):

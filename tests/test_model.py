@@ -17,9 +17,7 @@ from jordan_osc import (
     CATALOG_NAMES,
     EXACT,
     EXPLICIT_NAMES,
-    FLOAT,
     DiffOp,
-    ModeMismatchError,
     Params,
     SUITES,
     Poly2,
@@ -41,7 +39,7 @@ from jordan_osc import (
     run_suites,
 )
 
-from conftest import close, diff_ops, polys
+from conftest import diff_ops, polys
 from reference_forms import alpha_coeffs, chain_series, phi_scale_sq, pochhammer, psi_series
 
 F = Fraction
@@ -82,7 +80,7 @@ class TestParams:
         # omega1 = 2, omega2 = 1: lam = sqrt(5/2), g = 3/2, a = lam/2 > b = g/(4 lam) > 0
         P = Params.from_frequencies(2.0, 1.0)
         lam, g = math.sqrt(2.5), 1.5
-        assert P.mode == FLOAT and P.a > P.b > 0
+        assert P.mode == "float" and P.a > P.b > 0
         assert (P.a, P.b) == (pytest.approx(lam / 2, rel=1e-15), pytest.approx(g / (4 * lam), rel=1e-15))
         reports = run_suites(P, ("structure", "pseudo", "integrals"), 8)
         assert len(reports) == 153 and all(r.passed for r in reports)
@@ -132,8 +130,13 @@ class TestParams:
     def test_parameters_are_coefficients_of_their_mode(self):
         assert type(Params("float", 1, 2).p) is float and type(Params("float", 1, 2).sqrt_ab) is float
         assert type(Params("exact", 1, 2).q) is Fraction
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(TypeError):
             Params("exact", 0.5, 1)
+        with pytest.raises(ValueError, match="mode"):
+            Params("decimal", 1, 2)
+        for p in ("0.5", 0.5j):
+            with pytest.raises(TypeError):
+                Params("float", p, 1)
 
 
 class TestCombinatorics:
@@ -161,7 +164,7 @@ CLOSED_FORM_IDS = ["1-1/2", "3/2-2/3", "7/3-1/5"]
 
 class TestBasis:
     def test_ground_state(self, params):
-        assert build_psi(params, 0, 0) == Poly2.one(EXACT)
+        assert build_psi(params, 0, 0) == Poly2.one()
 
     def test_chain_top_is_simple(self, params):
         # psi_{1,1} = z + (b/a) ... at a=1, b=1/4: z + zbar/4
@@ -177,11 +180,13 @@ class TestBasis:
             assert len(fn.terms) == 1
 
     def test_coefficient_types(self, params, fparams):
-        # one plain number type per mode, stored directly in the term map
-        assert all(type(c) is Fraction for c in build_psi(params, 4, 2).terms.values())
-        assert all(type(c) is float for c in build_psi(fparams, 4, 2).terms.values())
-        assert all(type(c) is Fraction for c in make_operator(params, "J+").terms.values())
-        assert all(type(c) is float for c in make_operator(fparams, "J+").terms.values())
+        # one number type at every point: a float point's basis and operators are its twin's
+        for P in (params, fparams):
+            assert all(type(c) is Fraction for c in build_psi(P, 4, 2).terms.values())
+            assert all(type(c) is Fraction for c in make_operator(P, "J+").terms.values())
+        assert fparams.twin == params
+        assert build_psi(fparams, 4, 2) is build_psi(params, 4, 2)
+        assert make_operator(fparams, "J+") is make_operator(params, "J+")
 
     def test_series_matches_chain_head(self, params):
         # the general double-sum construction must reproduce the closed-form
@@ -221,11 +226,11 @@ class TestBasis:
         # same lead: the same terms, in the same order, over the same den
         def closed_form(n, m):
             k, shift = n - m, n - 2 * m
-            (lead,), den = weyl.to_ints(P.mode, [(-1) ** k * (2 * P.sqrt_ab) ** shift / math.factorial(m)])
+            (lead,), den = weyl.to_ints([(-1) ** k * (2 * P.twin.sqrt_ab) ** shift / math.factorial(m)])
             sums = {(i - shift, i): lead * ((-2) ** i * math.comb(k, i) * (math.factorial(m)
                                                                           // math.factorial(i - shift)))
                     for i in range(max(0, shift), k + 1)}
-            return Poly2._normalized(P.mode, sums, den)
+            return Poly2._normalized(sums, den)
 
         for n in range(31):
             for m in range(n + 1):
@@ -233,11 +238,10 @@ class TestBasis:
                 assert (list(got.nums.items()), got.den) == (list(want.nums.items()), want.den), (n, m)
 
     def test_float_construction_tracks_exact(self, params, fparams):
+        # exactly: a float point's basis is its twin's, from one store
         for n in range(6):
             for m in range(n + 1):
-                exact_fn = build_psi(params, n, m).to_float()
-                float_fn = build_psi(fparams, n, m)
-                assert close(float_fn, exact_fn, 1e-9)
+                assert build_psi(fparams, n, m) is build_psi(params, n, m)
 
     def test_invalid_index_rejected(self, params):
         with pytest.raises(ValueError):
@@ -246,25 +250,9 @@ class TestBasis:
             build_psi(params, -1, 0)
 
 
-def _raises_or_matches_twin(build, P, n, m) -> bool:
-    """True if build(P, n, m) raises OverflowError; otherwise it must have the
-    exact terms of the dyadic twin, the same p, q read as rationals, each
-    coefficient within 1e-13 relative."""
-    try:
-        got = build(P, n, m).terms
-    except OverflowError:
-        return True
-    want = build(Params.exact(F(P.p), F(P.q)), n, m).terms
-    assert got.keys() == want.keys(), (build.__name__, n, m)
-    for key, c in got.items():
-        assert math.isfinite(c) and abs(F(c) / want[key] - 1) <= 1e-13, (build.__name__, n, m, key, c)
-    return False
-
-
-#: float points a > b > 0 from 1e-300 to 1e300; a basis built at the first two
-#: lost terms or digits to the paper's normalization (8ab)^n n!, and at the next
-#: four the expansion of w meets a subnormal power of b, which a guard on the
-#: finished coefficients alone would miss
+#: float points a > b > 0 from 1e-300 to 1e300; a float basis built at the
+#: first two lost terms or digits to the paper's normalization (8ab)^n n!, and
+#: at the next four the expansion of w met a subnormal power of b
 FLOAT_RANGE_POINTS = [(1e10, 1e9), (1e-10, 1e-11), (1e-12, 1e-13), (1e-12, 1e-19), (1e-18, 1e-19), (1e-45, 1e-46),
                       (0.79, 0.23), (1e-20, 1e-21), (1e20, 1e13), (1e-200, 1e-201), (1e200, 1e199),
                       (1e-300, 1e-301), (1e300, 1e299)]
@@ -272,13 +260,13 @@ FLOAT_RANGE_POINTS = [(1e10, 1e9), (1e-10, 1e-11), (1e-12, 1e-13), (1e-12, 1e-19
 
 @pytest.mark.parametrize("a, b", FLOAT_RANGE_POINTS, ids=[f"{a:g}-{b:g}" for a, b in FLOAT_RANGE_POINTS])
 def test_float_basis_is_never_silently_wrong(a, b):
-    # every chain_psi and build_psi up to the CLI's largest cutoff raises
-    # OverflowError or holds the exact terms to rounding
+    # every chain_psi and build_psi up to the CLI's largest cutoff is the dyadic
+    # twin's, exact: none leaves a range, loses a term or rounds
     P = Params.from_ab(a, b)
-    raised = [(build.__name__, n, m) for n in range(25) for m in range(n + 1) for build in (chain_psi, build_psi)
-              if _raises_or_matches_twin(build, P, n, m)]
-    if 1e-10 <= b < a <= 1e10:
-        assert raised == []
+    twin = Params.exact(F(P.p), F(P.q))
+    for n in range(25):
+        for m in range(n + 1):
+            assert build_psi(P, n, m) is build_psi(twin, n, m) and chain_psi(P, n, m) is chain_psi(twin, n, m)
 
 
 class TestPhi:
@@ -288,13 +276,14 @@ class TestPhi:
         assert phi_scale_sq(7, 4) == 4
 
     def test_float_always_folds(self, fparams):
-        want = chain_psi(fparams, 3, 1).scale(math.sqrt(0.5))
-        assert close(build_phi(fparams, 3, 1), want, 1e-12)
+        # phi's chain-form coefficients in floats: sqrt(m!/(n-m)!) times the twin's exact ones
+        got, want = build_phi(fparams, 3, 1), chain_psi(fparams, 3, 1).terms
+        assert got.keys() == want.keys() and {type(v) for v in got.values()} == {float}
+        assert all(abs(got[key] - math.sqrt(0.5) * c) <= 1e-12 for key, c in want.items())
 
-    def test_exact_params_rejected(self, params):
-        # sqrt(m!/(n-m)!) is irrational in general, so phi exists in float mode only
-        with pytest.raises(ModeMismatchError):
-            build_phi(params, 7, 4)
+    def test_every_point_folds_at_its_twin(self, params, fparams):
+        # sqrt(m!/(n-m)!) is irrational in general, so phi is read in floats at an exact point too
+        assert build_phi(params, 7, 4) == build_phi(fparams, 7, 4)
 
 
 class TestPointCache:
@@ -320,9 +309,11 @@ class TestPointCache:
         assert rebuilt == first and rebuilt is not first
 
     def test_equal_params_share_a_cache(self, params):
-        assert model.point_cache(Params(FLOAT, params.p, params.q)) is model.point_cache(Params.from_ab(1.0, 0.25))
+        assert model.point_cache(Params("float", params.p, params.q)) is model.point_cache(Params.from_ab(1.0, 0.25))
         assert model.point_cache(Params.exact("3/2", "2/3")) is model.point_cache(Params.exact(F(3, 2), F(2, 3)))
         assert model.point_cache(Params.from_ab(0.79, 0.23)) is model.point_cache(Params.from_ab(0.79, 0.23))
+        # a float point's store is its twin's
+        assert model.point_cache(Params.from_ab(1.0, 0.25)) is model.point_cache(params)
         assert build_psi(params, 4, 1) is build_psi(Params.exact(1, F(1, 2)), 4, 1)
         assert make_operator(params, "J+") is make_operator(params, "J+")
 
@@ -364,7 +355,7 @@ class TestCatalog:
 
     def test_lowering_operator_form(self, params):
         # A- = dz + a zbar at a=1
-        want = DiffOp.dz(EXACT) + DiffOp.zbar(EXACT)
+        want = DiffOp.dz() + DiffOp.zbar()
         assert make_operator(params, "A-") == want
 
     def test_hamiltonian_form(self, params):
@@ -394,6 +385,14 @@ class TestCatalog:
     def test_catalog_matches_explicit_forms(self, params, name):
         assert make_operator(params, name) == explicit_form(params, name)
 
+    def test_the_catalog_is_read_only(self):
+        # the weights, proofs and image pass drawn from the tables are kept per
+        # process, so an edit in place would go unseen: it raises instead
+        for table in (model.DEFINITIONS, model.EXPLICIT_FORMS, model.GENERATORS, model._FACTORS):
+            with pytest.raises(TypeError):
+                table["A+"] = "add dz smul -1*b zbar"
+        assert model.DEFINITIONS["A+"] == "add dz smul -1*a zbar" and "A+" not in model.GENERATORS
+
     def test_catalog_complete(self, params):
         for name in CATALOG_NAMES:
             assert not make_operator(params, name).is_zero()
@@ -404,26 +403,26 @@ class TestEnvelopeConjugation:
     # and DiffOp.dz stand for w and dw there; at a = 1, b = 1/4
     def test_shifted_derivatives(self, params):
         # dz -> a (dw - zbar)
-        got = conjugate_through_envelope(params, DiffOp.dz(EXACT))
-        want = DiffOp.dz(EXACT) - DiffOp.zbar(EXACT)
+        got = conjugate_through_envelope(params, DiffOp.dz())
+        want = DiffOp.dz() - DiffOp.zbar()
         assert got == want
         # dzbar -> b dw + dzbar - w - b zbar
-        got = conjugate_through_envelope(params, DiffOp.dzbar(EXACT))
+        got = conjugate_through_envelope(params, DiffOp.dzbar())
         want = (
-            DiffOp.dz(EXACT).scale(F(1, 4))
-            + DiffOp.dzbar(EXACT)
-            - DiffOp.z(EXACT)
-            - DiffOp.zbar(EXACT).scale(F(1, 4))
+            DiffOp.dz().scale(F(1, 4))
+            + DiffOp.dzbar()
+            - DiffOp.z()
+            - DiffOp.zbar().scale(F(1, 4))
         )
         assert got == want
 
     def test_multiplication_ops_unchanged(self, params):
         # the envelope commutes with multiplication operators; only the
         # change of variables z -> (w - b zbar)/a acts on them
-        op = DiffOp.zbar(EXACT) * DiffOp.zbar(EXACT)
+        op = DiffOp.zbar() * DiffOp.zbar()
         assert conjugate_through_envelope(params, op) == op
-        op = DiffOp.z(EXACT) * DiffOp.zbar(EXACT)
-        want = (DiffOp.z(EXACT) - DiffOp.zbar(EXACT).scale(F(1, 4))) * DiffOp.zbar(EXACT)
+        op = DiffOp.z() * DiffOp.zbar()
+        want = (DiffOp.z() - DiffOp.zbar().scale(F(1, 4))) * DiffOp.zbar()
         assert conjugate_through_envelope(params, op) == want
 
     def test_homomorphism(self, params):
@@ -435,21 +434,19 @@ class TestEnvelopeConjugation:
 
 
 class TestFloatConjugation:
-    """A float point's operators, explicit forms and catalog conjugations are
-    read from its dyadic twin, the same p, q as exact rationals: the exact
-    terms, each coefficient rounded once. No operator is composed in floats."""
+    """A float point's operators, explicit forms, catalog conjugations and
+    images are its dyadic twin's, the same p, q as exact rationals, read from
+    the twin's store: no operator is composed, and nothing rounded, in floats."""
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(1e-3, 1e3), ratio=st.floats(1e-3, 0.999))
     def test_rounded_once_from_the_dyadic_twin(self, a, ratio):
+        # now not rounded at all: the twin's exact terms, from the twin's store
         P = Params.from_ab(a, a * ratio)
         twin = Params.exact(F(P.p), F(P.q))
         for name in CATALOG_NAMES:
-            exact = conjugate_through_envelope(twin, make_operator(twin, name))
-            got = model.conjugated(P, name)
-            assert got.mode == "float" and got.nums.keys() == exact.nums.keys(), name
-            assert [got.nums[key].hex() for key in exact.nums] == [float(F(u, exact.den)).hex()
-                                                                 for u in exact.nums.values()], name
+            assert model.conjugated(P, name) is model.conjugated(twin, name), name
+            assert model.conjugated(P, name) == conjugate_through_envelope(twin, make_operator(twin, name)), name
 
     def test_action_operators_hold_the_exact_terms(self):
         # the 23 action operators' conjugations hold the exact terms, no
@@ -460,64 +457,63 @@ class TestFloatConjugation:
         assert sum(len(model.conjugated(P, name).nums) for name in names) == 61
 
     def test_su2_factor_is_the_rounded_root(self):
+        # phi's coefficient v, at p = q = 1 where each psi coefficient c is an
+        # integer over m!, is the root of c^2 m!/(n-m)! in floats: within one
+        # ulp of it, as (v - ulp)^2 <= c^2 m!/(n-m)! <= (v + ulp)^2 shows exactly
         for n in range(25):
             for m in range(n + 1):
-                assert model.su2_factor(n, m).hex() == math.sqrt(phi_scale_sq(n, m)).hex(), (n, m)
+                squares = {key: c * c * phi_scale_sq(n, m) for key, c in chain_psi(verifier._UNIT, n, m).terms.items()}
+                for key, v in build_phi(verifier._UNIT, n, m).items():
+                    ulp, root = Fraction(math.ulp(v)), abs(Fraction(v))
+                    assert (root - ulp) ** 2 <= squares[key] <= (root + ulp) ** 2, (n, m, key)
 
     def test_su2_factor_squares_to_its_ratio(self):
         # a proven claim's .float report reads no su(2) factor, so the factor
-        # is checked here: its square lies within 2 ulp of m!/(n-m)!
+        # is checked here: phi_{n,0}'s one coefficient, sqrt(16^n/n!) at
+        # p = q = 1, squares to within 4 ulp of 16^n/n!
         for n in range(31):
-            for m in range(n + 1):
-                ratio = Fraction(math.factorial(m), math.factorial(n - m))
-                error = abs(Fraction(model.su2_factor(n, m) ** 2) - ratio)
-                assert error <= 2 * Fraction(math.ulp(float(ratio))), (n, m)
-
+            [v] = build_phi(verifier._UNIT, n, 0).values()
+            ratio = Fraction(16**n, math.factorial(n))
+            assert abs(Fraction(v) ** 2 - ratio) <= 4 * Fraction(math.ulp(float(ratio))), n
     @pytest.mark.parametrize("a, b", [(0.79, 0.23), (3.0, 1.0)])
     def test_operators_and_forms_are_the_twins_rounded_once(self, a, b):
+        # now not rounded at all: the twin's, exact
         P = Params.from_ab(a, b)
         assert (len(CATALOG_NAMES), len(EXPLICIT_NAMES)) == (27, 14)
         for name in CATALOG_NAMES:
-            assert make_operator(P, name) == make_operator(P.twin, name).to_float(), name
+            assert make_operator(P, name) is make_operator(P.twin, name), name
         for name in EXPLICIT_NAMES:
-            assert explicit_form(P, name) == explicit_form(P.twin, name).to_float(), name
+            assert explicit_form(P, name) == explicit_form(P.twin, name), name
 
     def test_a_float_point_composes_no_operator_in_floats(self, monkeypatch):
-        # every operator product, adjoint, swap, conjugation generator and
-        # literal read refuses a float operand or point; a float run of every
-        # suite, and every float operator, form and conjugation, still completes
-        def refuse(owner, name, mode_of):
-            original = getattr(owner, name)
+        # the conjugation generators and every literal read refuse a float
+        # point; a float run of every suite, and every operator, form and
+        # conjugation at a float point, still completes, each exact
+        def refuse(name):
+            original = getattr(model, name)
 
             def refusing(*args):
-                if mode_of(*args) == FLOAT:
-                    raise AssertionError(f"{name} met a float operand or point")
+                if any(isinstance(arg, Params) and arg.mode == "float" for arg in args):
+                    raise AssertionError(f"{name} met a float point")
                 return original(*args)
 
-            for module in [owner] if isinstance(owner, type) else [weyl, model, verifier, gaussint]:
+            for module in (model, verifier, gaussint):
                 if vars(module).get(name) is original:
                     monkeypatch.setattr(module, name, refusing)
 
         monkeypatch.setattr(model, "_POINTS", {})
-        refuse(weyl._TermMap, "_product", lambda x, *_: x.mode)
-        refuse(weyl, "adjoint", lambda op: op.mode)
-        refuse(weyl, "swap_vars", lambda op: op.mode)
-        refuse(model, "_chain_generators", lambda params: params.mode)
-        refuse(model, "_scalar", lambda token, params: params.mode)
+        for name in ("_chain_generators", "_scalar", "_generators", "_evaluate", "_monomial_image", "substitute"):
+            refuse(name)
         P = Params.from_ab(0.79, 0.23)
         assert len(run_suites(P, SUITES, 6)) == 190
-        for name in CATALOG_NAMES:
-            assert make_operator(P, name).mode == model.conjugated(P, name).mode == FLOAT
-        assert {explicit_form(P, name).mode for name in EXPLICIT_NAMES} == {FLOAT}
+        objects = [make_operator(P, name) for name in CATALOG_NAMES] + [model.conjugated(P, name) for name in CATALOG_NAMES]
+        objects += [explicit_form(P, name) for name in EXPLICIT_NAMES]
+        assert {type(c) for x in objects for c in x.terms.values()} == {Fraction}
 
-    def test_an_operator_given_as_such_needs_an_exact_point(self, params, fparams):
-        op, fn = make_operator(fparams, "H"), chain_psi(fparams, 2, 1)
-        calls = [lambda: conjugate_through_envelope(fparams, op), lambda: apply(fparams, op, fn),
-                 lambda: conjugate_through_envelope(params, op)]
-        for call in calls:
-            with pytest.raises(ModeMismatchError, match=r"Params\.twin, or apply\(params, name, fn\)"):
-                call()
-        assert apply(fparams, "H", fn) == apply(fparams.twin, "H", chain_psi(fparams.twin, 2, 1)).to_float()
+    def test_an_operator_given_as_such_is_conjugated_at_the_twin(self, params, fparams):
+        op, fn = make_operator(params, "H").scale(F(2)), chain_psi(params, 2, 1)
+        assert conjugate_through_envelope(fparams, op) == conjugate_through_envelope(params, op)
+        assert apply(fparams, op, fn) == apply(params, op, fn) == apply(fparams, "H", fn).scale(2)
 
 
 class TestApply:
@@ -545,14 +541,14 @@ class TestApply:
         assert apply(params, x + y, fn) == apply(params, x, fn) + apply(params, y, fn)
 
     def test_reuses_conjugations_of_recent_operators(self, params, fparams, image_counts):
-        # a catalog name is conjugated once per point (the float point's at its
-        # dyadic twin) and kept in the point's store
+        # a catalog name is conjugated once per point and kept in the point's
+        # store, which a float point shares with its dyadic twin
         for m in range(3):
             fn = build_psi(params, 2, m)
             apply(params, "H", fn)
             apply(params, "J0", fn)
             apply(fparams, "H", build_psi(fparams, 2, m))
-        assert image_counts == {"conjugate": 3, "apply_to": 9}
+        assert image_counts == {"conjugate": 2, "apply_to": 9}
 
     def test_new_operator_is_conjugated_anew(self, params):
         H = make_operator(params, "H")
@@ -577,9 +573,9 @@ def _zzbar_conjugate(P, op):
     """The conjugation through the envelope in (z, zbar), with no change of
     variables: dz -> dz - a zbar, dzbar -> dzbar - a z - 2b zbar (the oracle
     of the chain form)."""
-    dz = DiffOp.dz(P.mode) + DiffOp.monomial((0, 1, 0, 0), -P.a)
-    dzb = DiffOp.dzbar(P.mode) + DiffOp.monomial((1, 0, 0, 0), -P.a) + DiffOp.monomial((0, 1, 0, 0), -2 * P.b)
-    out = DiffOp.zero(P.mode)
+    dz = DiffOp.dz() + DiffOp.monomial((0, 1, 0, 0), -P.a)
+    dzb = DiffOp.dzbar() + DiffOp.monomial((1, 0, 0, 0), -P.a) + DiffOp.monomial((0, 1, 0, 0), -2 * P.b)
+    out = DiffOp.zero()
     for (i, j, k, l), c in op.terms.items():
         out = out + DiffOp.monomial((i, j, 0, 0), c) * dz**k * dzb**l
     return out
@@ -587,28 +583,21 @@ def _zzbar_conjugate(P, op):
 
 def _substitute_w(P, g):
     """g(w, zbar) with w = a z + b zbar multiplied out by Poly2 products (the
-    oracle of from_chain)."""
+    oracle of from_chain), at the point's twin."""
+    P = P.twin
     w = Poly2.monomial(1, 0, P.a) + Poly2.monomial(0, 1, P.b)
-    out = Poly2.zero(P.mode)
+    out = Poly2.zero()
     for (e, i), c in g.terms.items():
         out = out + w**e * Poly2.monomial(0, i, c)
     return out
 
 
-def _same(x, y):
-    # exact: equal; float: equal up to rounding relative to the larger of
-    # 1 and the sizes of the two results
-    if x.mode == EXACT:
-        return x == y
-    return (x - y).max_magnitude() <= 1e-12 * max(1.0, x.max_magnitude(), y.max_magnitude())
-
-
 # zb dz^2 dzb^2 + z zb^2 dz^2 + z^2 dz^2 dzb, whose commutator with itself is
 # zero (in floats at the point 9/4, 4/9 it once left a rounding residue)
 _ZERO_COMMUTATOR = sum((DiffOp.monomial(key, F(1)) for key in ((0, 1, 2, 2), (1, 2, 2, 0), (2, 0, 2, 1))),
-                               DiffOp.zero(EXACT))
+                               DiffOp.zero())
 CHAIN_POINTS = [Params.exact(1, F(1, 2)), Params.exact(F(3, 2), F(2, 3)),
-                Params.from_ab(0.79, 0.23), Params(FLOAT, F(3, 2), F(2, 3))]
+                Params.from_ab(0.79, 0.23), Params("float", F(3, 2), F(2, 3))]
 CHAIN_IDS = ["exact-1-1/2", "exact-3/2-2/3", "float-0.79-0.23", "float-9/4-4/9"]
 
 
@@ -616,8 +605,7 @@ class TestChainCoordinates:
     """The image pass runs in the chain variables (w, zbar), w = a z + b zbar:
     the change of variables is exact, so it changes no identity."""
 
-    # an operator is composed at exact points only (a float point's is its
-    # twin's, rounded once), so these two run at the exact points
+    # a float point's operators are its twin's, so these two run at the exact points
     @pytest.mark.parametrize("P", CHAIN_POINTS[:2], ids=CHAIN_IDS[:2])
     @settings(max_examples=25, deadline=None)
     @given(x=diff_ops(), y=diff_ops())
@@ -639,9 +627,7 @@ class TestChainCoordinates:
     @settings(max_examples=25, deadline=None)
     @given(g=polys())
     def test_from_chain_substitutes_w(self, P, g):
-        if P.mode != EXACT:
-            g = g.to_float()
-        assert _same(from_chain(P, g), _substitute_w(P, g))
+        assert from_chain(P, g) == _substitute_w(P, g)
 
     @pytest.mark.parametrize("P", CHAIN_POINTS[:2], ids=CHAIN_IDS[:2])
     def test_chain_basis_is_the_series(self, P):
@@ -652,37 +638,31 @@ class TestChainCoordinates:
                 assert from_chain(P, chain) == psi_series(P, n, m) == build_psi(P, n, m)
                 assert from_chain(P, chain) == _substitute_w(P, chain)
 
-    def test_from_chain_overflows_to_inf(self):
-        # the powers of w come from Pascal's rule, so a float overflows to inf
-        # where a ** 2 would raise with no word of where; the float guard then
-        # names the range
-        P = Params.from_ab(1e200, 1e199)
-        with pytest.raises(OverflowError, match="^a chain form in \\(z, zbar\\) in floats leaves the float range$"):
-            from_chain(P, Poly2.monomial(2, 0, 1.0))  # w^2 = a^2 z^2 + 2ab z zbar + b^2 zbar^2
-
     @pytest.mark.parametrize("a, b, n, m", [(1e-18, 1e-19, 20, 18), (1e-15, 1e-16, 22, 21)])
     def test_from_chain_loses_no_term_to_underflow(self, a, b, n, m):
-        # here a term of the expansion underflows to zero: from_chain raises
-        # rather than drop it, and so does build_psi, which reads it
+        # here a term of the expansion in floats underflowed to zero; the
+        # expansion is the twin's, exact, and has every term
         P = Params.from_ab(a, b)
         chain = chain_psi(P, n, m)
-        for build in (lambda: from_chain(P, chain), lambda: build_psi(P, n, m)):
-            with pytest.raises(OverflowError, match="leaves the float range"):
-                build()
-        # the same expansion at the dyadic twin has every term
-        twin = from_chain(Params.exact(F(P.p), F(P.q)), chain_psi(Params.exact(F(P.p), F(P.q)), n, m))
-        assert len(twin.nums) == sum(e + 1 for e, _ in chain.nums)
+        assert from_chain(P, chain) == build_psi(P, n, m) == from_chain(P.twin, chain_psi(P.twin, n, m))
+        assert len(build_psi(P, n, m).nums) == sum(e + 1 for e, _ in chain.nums)
 
-    def test_chain_psi_names_the_float_range(self):
-        # (2pq)^(n-2m) = (2pq)^-24 overflows at this point: chain_psi raises its
-        # own OverflowError, not float ** int's
-        with pytest.raises(OverflowError, match="^psi_\\{24,24\\} in floats leaves the float range$"):
-            chain_psi(Params.from_ab(1e-20, 1e-21), 24, 24)
+    def test_from_chain_overflows_nothing(self):
+        # w^2 = a^2 z^2 + 2ab z zbar + b^2 zbar^2 overflowed in floats here;
+        # the twin's expansion is exact
+        P = Params.from_ab(1e200, 1e199)
+        assert from_chain(P, Poly2.monomial(2, 0, 1)).terms == {
+            (2, 0): P.twin.a ** 2, (1, 1): 2 * P.twin.a * P.twin.b, (0, 2): P.twin.b ** 2}
+
+    def test_chain_psi_leaves_no_float_range(self):
+        # (2pq)^(n-2m) = (2pq)^-24 overflowed in floats here; the twin's is exact
+        P = Params.from_ab(1e-20, 1e-21)
+        assert chain_psi(P, 24, 24).terms[24, 0] == (2 * P.twin.sqrt_ab) ** -24 / math.factorial(24)
 
     def test_catalog_conjugations_agree_with_z_zbar(self):
         # every catalog operator, applied to a full polynomial of degree 6
         P = Params.exact(F(3, 2), F(2, 3))
-        g = Poly2(EXACT, {(i, j): F(i + 2 * j + 1, j + 1) for i in range(4) for j in range(4 - i)})
+        g = Poly2({(i, j): F(i + 2 * j + 1, j + 1) for i in range(4) for j in range(4 - i)})
         for name in CATALOG_NAMES:
             op = make_operator(P, name)
             assert from_chain(P, apply(P, op, g)) == _zzbar_conjugate(P, op).apply_to(from_chain(P, g)), name
@@ -690,8 +670,11 @@ class TestChainCoordinates:
 
 @pytest.mark.parametrize("a, b", [(0.79, 0.23), (3.0, 1.0)])
 def test_float_coefficients_are_floats(a, b):
-    # one number type per mode: whatever float mode builds holds floats only
+    # what a float point holds of its own is floats: p, q and their views, and
+    # phi in floats; every polynomial, operator, pairing, moment and energy
+    # the model builds there is its twin's, in Fractions
     P = Params.from_ab(a, b)
+    assert {type(x) for x in (P.p, P.q, P.a, P.b, P.sqrt_ab, *build_phi(P, 3, 1).values())} == {float}
     ops = [make_operator(P, name) for name in CATALOG_NAMES] + [explicit_form(P, name) for name in EXPLICIT_NAMES]
     objects = ops + [model.conjugated(P, name) for name in CATALOG_NAMES]
     objects += [build_psi(P, n, m) for n in range(9) for m in range(n + 1)]
@@ -699,8 +682,8 @@ def test_float_coefficients_are_floats(a, b):
     coeffs = [c for obj in objects for c in obj.terms.values()]
     coeffs += [c for n in range(5) for block in (gram_block(P, n), h_block(P, n)) for row in block for c in row]
     coeffs += [moment(P, p, q) for p in range(12) for q in range(12)]
-    coeffs += [P.a, P.b, P.sqrt_ab, energy(P, 3)]
-    assert {type(c) for c in coeffs} == {float}
+    coeffs += [energy(P, 3)]
+    assert {type(c) for c in coeffs} == {Fraction}
 
 
 @pytest.mark.parametrize("P", [Params.exact(1, F(1, 2)), Params.from_ab(1.0, 0.25)], ids=["exact", "float"])
@@ -708,8 +691,6 @@ def test_basis_functions_are_poly2(P):
     # a basis function is its polynomial P: kappa and the envelope are implied by the point
     psi, chain = build_psi(P, 3, 2), chain_psi(P, 3, 2)
     results = [psi_series(P, 3, 2), psi, chain, apply(P, "H", chain), expand_in_basis(P, psi, 3)]
-    if P.mode == "float":
-        results.append(build_phi(P, 3, 2))
     assert [type(x) for x in results] == [Poly2] * len(results)
     # and no wrapper type around it is left in the package or the model
     assert [name for name in {**vars(jordan_osc), **vars(model)} if name.endswith("Fn")] == []

@@ -5,19 +5,20 @@ beyond the cutoff it is first wrong and however small the error.
 The rule mutants are built from the text of ``verifier.ACTION_RULES``, not
 from a hand-written list: each claim plus 1 and times 2, and J+'s rule with
 its literal negated (wrong by its sign alone), with a term that vanishes at
-every n <= 24, and with its literal times 1 + 1e-11 (under the float
-tolerance). A refuted report reads "refuted"; where its reading passes, its
-anchor names the counterexample, the first (n, m) where the proof finds the
-identity false. The boson mutants change the conjugated operator the pass
-reads at p = q = 1 for every point (``verifier._UNIT``): each of the four times
-1 + 10^-12, and a1- and a2- plus w dw, which still sends psi_00 to 0.
+every n <= 24, and with its literal times 1 + 1e-11 (which a reading in
+floats under a tolerance of 1e-10 once passed). A refuted report reads
+"refuted"; where its reading passes, its anchor names the counterexample, the
+first (n, m) where the proof finds the identity false. The boson mutants
+change the conjugated operator the pass reads at p = q = 1 for every point
+(``verifier._UNIT``): each of the four times 1 + 10^-12, and a1- and a2- plus
+w dw, which still sends psi_00 to 0.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from jordan_osc import FLOAT, DiffOp, Params, model, run_suites, verifier
+from jordan_osc import EXACT, DiffOp, Params, model, run_suites, verifier
 from jordan_osc.verifier import ActionRule
 
 #: n(n-1)...(n-24): zero at every level a cutoff up to 24 reads
@@ -48,7 +49,7 @@ def _jplus_mutants() -> dict:
 def _irrep_ids(rule, mode: str) -> set:
     if rule.terms[0][:2] == (0, 0):
         return {f"irrep.{rule.op_name}"}
-    return {f"irrep.{rule.op_name}.float"} | ({f"irrep.{rule.op_name}.sq"} if mode != FLOAT else set())
+    return {f"irrep.{rule.op_name}.float"} | ({f"irrep.{rule.op_name}.sq"} if mode == EXACT else set())
 
 
 def _failing(monkeypatch, point, rule, n_max) -> dict:
@@ -74,17 +75,16 @@ def test_every_mutant_fails_its_reports_as_refuted(point, monkeypatch):
 @pytest.mark.parametrize("name, at", [("beyond-24", (25, 0)), ("1e-11", (1, 0))])
 @pytest.mark.parametrize("n_max", [6, 24])
 def test_a_rule_a_reading_cannot_refute_names_its_counterexample(point, name, at, n_max, monkeypatch):
-    # beyond-24 reads as the shipped rule up to n 24, and 1e-11 passes a
-    # reading in floats, so each report whose reading passes names where the
-    # proof refutes the rule, or its claim; the exact reading of 1e-11, which
-    # action.J+ reports at a float point too, fails
+    # beyond-24 reads as the shipped rule up to n 24, so each report names where
+    # the proof refutes the rule, or its claim; the exact reading of 1e-11
+    # fails, so each of its reports, the .float one too, names its worst step
     rule = _jplus_mutants()[name]
     failing = _failing(monkeypatch, point, rule, n_max)
     assert failing.keys() == {"action.J+"} | _irrep_ids(rule, point.mode)
     counterexamples = {rid for rid, r in failing.items() if r.anchor.endswith(f"[refuted at n,m={at}]")}
     read = {rid for rid, r in failing.items() if "[worst at n,m=" in r.anchor}
     assert counterexamples | read == failing.keys() and {r.how for r in failing.values()} == {"refuted"}
-    assert read == (failing.keys() - {"irrep.J+.float"} if name == "1e-11" else set())
+    assert read == (failing.keys() if name == "1e-11" else set())
 
 
 def _boson_mutants() -> dict:
@@ -110,3 +110,18 @@ def test_every_boson_mutant_fails_its_action_report(point, n_max, monkeypatch):
         if f"action.{boson}" not in failing:
             missed.append((name, sorted(failing)))
     assert len(_boson_mutants()) == 6 and not missed
+
+
+@pytest.mark.parametrize("point, n_max", [(Params.from_ab(0.79, 0.23), 24), (Params.exact(1, Fraction(1, 2)), 6)],
+                         ids=["float-0.79-0.23-n24", "exact-1-1/2-n6"])
+def test_a_boson_error_below_any_float_tolerance_fails_its_float_irrep_report(point, n_max, monkeypatch):
+    # a2+'s conjugation at p = q = 1 times 1 + 10^-12: irrep.a2+.float takes the exact verdict of its
+    # reading, as action.a2+ does, and shows the same residual, 1e-12, in floats
+    boson, change = _boson_mutants()["a2+ times 1+1e-12"]
+    conjugated = model.conjugated
+    monkeypatch.setattr(model, "conjugated", lambda P, op: (
+        change(conjugated(P, op)) if (op, P) == (boson, verifier._UNIT) else conjugated(P, op)))
+    reports = {r.relation_id: r for r in run_suites(point, ("actions", "irrep"), n_max)}
+    for rid in ("action.a2+", "irrep.a2+.float"):
+        assert reports[rid].failed, rid
+        assert float(Fraction(reports[rid].residual)) == pytest.approx(1e-12, rel=1e-9), (rid, reports[rid].residual)

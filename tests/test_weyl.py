@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jordan_osc
 from jordan_osc import (
     EXACT,
-    FLOAT,
     DiffOp,
-    ModeMismatchError,
     Params,
     Poly2,
     adjoint,
@@ -21,17 +20,17 @@ from jordan_osc import (
     linear_combination,
     swap_vars,
 )
-from jordan_osc import verifier
+from jordan_osc import model, verifier, weyl
 
-from conftest import close, diff_ops, mixed_fractions, polys, small_fractions
+from conftest import diff_ops, mixed_fractions, polys, small_fractions
 
 F = Fraction
 
 
 class TestCoefficients:
     def test_exact_arithmetic(self):
-        x = Poly2.one(EXACT).scale(F(1, 2))
-        y = Poly2.one(EXACT).scale(-2)
+        x = Poly2.one().scale(F(1, 2))
+        y = Poly2.one().scale(-2)
         assert (x + y).terms.get((0, 0), 0) == F(-3, 2)
         assert (x * y).terms.get((0, 0), 0) == -1
         assert (x - x).is_zero()
@@ -39,34 +38,37 @@ class TestCoefficients:
         assert all(type(c) is Fraction for c in (x * y).terms.values())
 
     def test_lifting_ints_into_exact(self):
-        assert lift(3, EXACT) == 3 and type(lift(3, EXACT)) is Fraction
-        assert lift(F(1, 2), FLOAT) == 0.5 and type(lift(F(1, 2), FLOAT)) is float
-        assert DiffOp.identity(EXACT).scale(2) == DiffOp.constant(F(2))
+        assert lift(3) == 3 and type(lift(3)) is Fraction
+        assert DiffOp.identity().scale(2) == DiffOp.constant(F(2))
 
     def test_float_never_lifts_into_exact(self):
-        with pytest.raises(ModeMismatchError):
-            lift(0.5, EXACT)
-        with pytest.raises(ModeMismatchError):
-            Poly2.z(EXACT).scale(0.5)
-        with pytest.raises(ModeMismatchError):
-            Params(EXACT, 1, 0.5)
+        # a float is no coefficient: a float point reaches weyl only through
+        # its exact twin (model.Params.twin)
+        for make in (lambda: lift(0.5), lambda: Poly2.z().scale(0.5), lambda: Poly2.monomial(0, 0, 0.5),
+                     lambda: Poly2({(0, 0): 0.5}), lambda: Params(EXACT, 1, 0.5)):
+            with pytest.raises(TypeError):
+                make()
 
     def test_float_equality_is_bitwise(self):
-        # one rule in both modes (the same mode, den and nums), so equality is
-        # transitive: a 1e-12 tolerance made 1 == 1 + 5e-13 == 1 + 1e-12 but
-        # 1 != 1 + 1e-12
-        for unit in (Poly2.z(FLOAT), DiffOp.dz(FLOAT)):
-            triple = [unit.scale(c) for c in (1.0, 1.0 + 5e-13, 1.0 + 1e-12)]
+        # one rule, the same den and nums, so equality is transitive: a 1e-12
+        # tolerance made 1 == 1 + 5e-13 == 1 + 1e-12 but 1 != 1 + 1e-12
+        for unit in (Poly2.z(), DiffOp.dz()):
+            triple = [unit.scale(c) for c in (F(1), 1 + F(5, 10**13), 1 + F(1, 10**12))]
             assert [[u == v for v in triple] for u in triple] == [[i == j for j in range(3)] for i in range(3)]
-            assert unit.scale(2.0) == unit + unit and unit != unit.scale(1.0 + 1e-15)
-        assert Poly2.z(FLOAT) != Poly2.z(EXACT) and DiffOp.dz(EXACT) != DiffOp.dz(FLOAT)
+            assert unit.scale(2) == unit + unit and unit != unit.scale(1 + F(1, 10**15))
+        assert Poly2.z() != Poly2.zbar() and DiffOp.dz() != DiffOp.dzbar()
+
+    def test_weyl_has_one_coefficient_type(self):
+        # no second coefficient type, and none of the names that served one
+        assert not [name for name in ("FLOAT", "to_float", "join_modes", "ModeMismatchError") if hasattr(weyl, name)]
+        assert weyl._TermMap.__slots__ == ("nums", "den", "__weakref__")
+        assert not {"FLOAT", "DEFAULT_TOL", "ModeMismatchError"} & set(jordan_osc.__all__)
 
     def test_complex_is_no_coefficient(self):
-        for mode in (EXACT, FLOAT):
-            with pytest.raises(TypeError):
-                lift(1j, mode)
-            with pytest.raises(TypeError):
-                DiffOp.z(mode).scale(1j)
+        with pytest.raises(TypeError):
+            lift(1j)
+        with pytest.raises(TypeError):
+            DiffOp.z().scale(1j)
         with pytest.raises(TypeError):
             DiffOp.monomial((1, 0, 0, 0), 1j)
         with pytest.raises(TypeError):
@@ -76,31 +78,31 @@ class TestCoefficients:
 class TestPoly2:
     def test_product(self):
         # (a z + b zbar)^2 at a=1, b=1/4
-        lin = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 4))
+        lin = Poly2.z() + Poly2.zbar().scale(F(1, 4))
         sq = lin * lin
         assert sq.terms.get((2, 0), 0) == 1
         assert sq.terms.get((1, 1), 0) == F(1, 2)
         assert sq.terms.get((0, 2), 0) == F(1, 16)
 
     def test_zero_collapse(self):
-        p = Poly2.z(EXACT) - Poly2.z(EXACT)
+        p = Poly2.z() - Poly2.z()
         assert p.is_zero()
         assert p.terms == {}
 
     def test_total_degree(self):
-        p = Poly2.z(EXACT) * Poly2.zbar(EXACT) ** 3
+        p = Poly2.z() * Poly2.zbar() ** 3
         assert p.total_degree() == 4
 
 
 class TestDiffOp:
     def test_normal_ordering_dz_z(self):
         # dz . z = z dz + 1
-        dz, z = DiffOp.dz(EXACT), DiffOp.z(EXACT)
-        assert dz * z == z * dz + DiffOp.identity(EXACT)
+        dz, z = DiffOp.dz(), DiffOp.z()
+        assert dz * z == z * dz + DiffOp.identity()
 
     def test_normal_ordering_higher(self):
         # dz^2 . z^2 = z^2 dz^2 + 4 z dz + 2
-        dz, z = DiffOp.dz(EXACT), DiffOp.z(EXACT)
+        dz, z = DiffOp.dz(), DiffOp.z()
         got = (dz * dz) * (z * z)
         want = (
             z * z * dz * dz
@@ -110,40 +112,40 @@ class TestDiffOp:
         assert got == want
 
     def test_variables_commute(self):
-        dz, zbar = DiffOp.dz(EXACT), DiffOp.zbar(EXACT)
+        dz, zbar = DiffOp.dz(), DiffOp.zbar()
         assert commutator(dz, zbar).is_zero()
-        assert commutator(DiffOp.dzbar(EXACT), DiffOp.z(EXACT)).is_zero()
+        assert commutator(DiffOp.dzbar(), DiffOp.z()).is_zero()
 
     def test_apply_to(self):
-        dz = DiffOp.dz(EXACT)
-        p = Poly2.z(EXACT) ** 3
-        assert dz.apply_to(p) == (Poly2.z(EXACT) ** 2).scale(3)
+        dz = DiffOp.dz()
+        p = Poly2.z() ** 3
+        assert dz.apply_to(p) == (Poly2.z() ** 2).scale(3)
 
     def test_apply_composition_consistent(self):
         # (L M) f == L (M f) for a mixed operator
-        lop = DiffOp.z(EXACT) * DiffOp.dzbar(EXACT) + DiffOp.dz(EXACT)
-        mop = DiffOp.zbar(EXACT) * DiffOp.dz(EXACT)
-        f = (Poly2.z(EXACT) + Poly2.zbar(EXACT)) ** 3
+        lop = DiffOp.z() * DiffOp.dzbar() + DiffOp.dz()
+        mop = DiffOp.zbar() * DiffOp.dz()
+        f = (Poly2.z() + Poly2.zbar()) ** 3
         assert (lop * mop).apply_to(f) == lop.apply_to(mop.apply_to(f))
 
     def test_adjoint_of_plain_monomial(self):
         # (z dzbar)^dagger = -dz zbar = -(zbar dz + [dz, zbar]) = -zbar dz
-        got = adjoint(DiffOp.z(EXACT) * DiffOp.dzbar(EXACT))
-        assert got == -(DiffOp.zbar(EXACT) * DiffOp.dz(EXACT))
+        got = adjoint(DiffOp.z() * DiffOp.dzbar())
+        assert got == -(DiffOp.zbar() * DiffOp.dz())
 
     def test_adjoint_conjugates_coefficients(self):
         # every coefficient is real, its own conjugate: (c z)^dagger = c zbar
-        for mode, c in ((EXACT, F(-3, 4)), (FLOAT, -0.75), (FLOAT, 2.5)):
-            assert adjoint(DiffOp.z(mode).scale(c)) == DiffOp.zbar(mode).scale(c)
+        for c in (F(-3, 4), F(5, 2)):
+            assert adjoint(DiffOp.z().scale(c)) == DiffOp.zbar().scale(c)
 
     def test_swap_vars(self):
-        op = DiffOp.z(EXACT) * DiffOp.dzbar(EXACT) ** 2
-        assert swap_vars(op) == DiffOp.zbar(EXACT) * DiffOp.dz(EXACT) ** 2
+        op = DiffOp.z() * DiffOp.dzbar() ** 2
+        assert swap_vars(op) == DiffOp.zbar() * DiffOp.dz() ** 2
         assert swap_vars(swap_vars(op)) == op
 
     def test_float_mode_mixing_rejected(self):
-        with pytest.raises(ModeMismatchError):
-            DiffOp.z(EXACT) + DiffOp.z(FLOAT)
+        with pytest.raises(TypeError):
+            DiffOp.z() + DiffOp.z().scale(0.5)
 
 
 class TestAlgebraLaws:
@@ -161,8 +163,6 @@ class TestAlgebraLaws:
     @given(diff_ops(), diff_ops())
     def test_commutator_is_difference_of_products(self, x, y):
         assert commutator(x, y) == x * y - y * x
-        xf, yf = x.to_float(), y.to_float()
-        assert close(commutator(xf, yf), xf * yf - yf * xf, 1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(diff_ops(), diff_ops(), diff_ops())
@@ -200,30 +200,36 @@ class TestAlgebraLaws:
         assert anticommutator(x, y) == anticommutator(y, x)
 
 
-
 class TestFloatMirrorsExact:
-    """to_float is a homomorphism up to rounding: both coefficient types run
-    one code path."""
+    """A float point computes at its exact dyadic twin: an operator applied or
+    conjugated there is the twin's, and conjugation keeps every algebra law."""
+
+    POINT = Params.from_ab(0.79, 0.23)
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops(), diff_ops())
     def test_product(self, x, y):
-        assert close((x * y).to_float(), x.to_float() * y.to_float(), 1e-12)
+        conj = lambda op: model.conjugate_through_envelope(self.POINT, op)  # noqa: E731
+        assert conj(x * y) == conj(x) * conj(y)
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops())
     def test_adjoint(self, x):
-        assert close(adjoint(x).to_float(), adjoint(x.to_float()), 1e-12)
+        twin = self.POINT.twin
+        assert model.conjugate_through_envelope(self.POINT, adjoint(x)) == model.conjugate_through_envelope(
+            twin, adjoint(x))
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops(), diff_ops())
     def test_commutator(self, x, y):
-        assert close(commutator(x, y).to_float(), commutator(x.to_float(), y.to_float()), 1e-12)
+        conj = lambda op: model.conjugate_through_envelope(self.POINT, op)  # noqa: E731
+        assert conj(commutator(x, y)) == commutator(conj(x), conj(y))
 
     @settings(max_examples=30, deadline=None)
     @given(diff_ops(), polys())
     def test_apply_to(self, x, f):
-        assert close(x.apply_to(f).to_float(), x.to_float().apply_to(f.to_float()), 1e-12)
+        assert model.apply(self.POINT, x, f) == model.apply(self.POINT.twin, x, f)
+
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +332,8 @@ def _stored_exactly(x) -> bool:
 
 
 def _canonical(x) -> bool:
-    # the one stored form: nonzero numerators over a positive den (floats over
-    # 1 in float mode), reduced as a whole, with .terms derived from it
-    if x.mode == FLOAT:
-        return x.den == 1 and all(type(v) is float and v for v in x.nums.values()) and x.terms == x.nums
+    # the one stored form: nonzero numerators over a positive den, reduced as
+    # a whole, with .terms derived from it
     return (all(type(v) is int and v for v in x.nums.values()) and x.den > 0
             and gcd(x.den, *x.nums.values()) == 1
             and x.den == lcm(*(c.denominator for c in x.terms.values()))
@@ -340,7 +344,7 @@ def _canonical(x) -> bool:
 def homogeneous_polys(draw):
     degree = draw(st.integers(0, 4))
     coeffs = draw(st.lists(mixed_fractions, min_size=degree + 1, max_size=degree + 1))
-    return degree, Poly2(EXACT, {(i, degree - i): c for i, c in enumerate(coeffs) if c})
+    return degree, Poly2({(i, degree - i): c for i, c in enumerate(coeffs) if c})
 
 
 _poly_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), mixed_fractions, max_size=5)
@@ -355,34 +359,34 @@ class TestOneRepresentation:
     """Every map stores nonzero int numerators over one reduced denominator."""
 
     def test_coefficients_are_never_read_as_numerators(self):
-        x = Poly2(EXACT, {(0, 0): F(1, 2), (1, 0): F(2, 3), (2, 0): F(0)})
+        x = Poly2({(0, 0): F(1, 2), (1, 0): F(2, 3), (2, 0): F(0)})
         assert (x.nums, x.den) == ({(0, 0): 3, (1, 0): 4}, 6)
-        assert DiffOp(EXACT, {(0, 0, 1, 0): F(3, 2)}).terms == {(0, 0, 1, 0): F(3, 2)}
-        with pytest.raises(ModeMismatchError):
-            Poly2(EXACT, {(0, 0): 0.5})
+        assert DiffOp({(0, 0, 1, 0): F(3, 2)}).terms == {(0, 0, 1, 0): F(3, 2)}
+        with pytest.raises(TypeError):
+            Poly2({(0, 0): 0.5})
 
     @settings(max_examples=80, deadline=None)
     @given(_poly_terms, _poly_terms, mixed_fractions)
     def test_poly_maps_are_canonical(self, terms, other, c):
-        x, y = Poly2(EXACT, terms), Poly2(EXACT, other)
+        x, y = Poly2(terms), Poly2(other)
         assert x.terms == _nonzero(terms) and y.terms == _nonzero(other)
         assert gcd(x.den, *x.nums.values()) == 1
         assert x.den == lcm(*(v.denominator for v in _nonzero(terms).values()))
-        for got in (x + y, x - y, -x, x.scale(c), c * x, x * y, x**2, x.to_float(),
-                    linear_combination(EXACT, [(c, x), (-1, y)])):
+        for got in (x + y, x - y, -x, x.scale(c), c * x, x * y, x**2,
+                    linear_combination([(c, x), (-1, y)])):
             assert _canonical(got)
         # equal maps built by different routes are stored alike
-        for route in (x + y - y, -(-x), x * Poly2.one(EXACT), x.scale(3).scale(F(1, 3)),
-                      linear_combination(EXACT, [(c, x), (1, x), (-c, x)])):
+        for route in (x + y - y, -(-x), x * Poly2.one(), x.scale(3).scale(F(1, 3)),
+                      linear_combination([(c, x), (1, x), (-c, x)])):
             assert route == x and (route.nums, route.den) == (x.nums, x.den)
 
     @settings(max_examples=60, deadline=None)
     @given(_op_terms, _op_terms, _poly_terms)
     def test_op_maps_are_canonical(self, terms, other, poly_terms):
-        x, y, f = DiffOp(EXACT, terms), DiffOp(EXACT, other), Poly2(EXACT, poly_terms)
+        x, y, f = DiffOp(terms), DiffOp(other), Poly2(poly_terms)
         assert x.terms == _nonzero(terms)
         for got in (x * y, commutator(x, y), anticommutator(x, y), adjoint(x), swap_vars(x),
-                    x.apply_to(f), x.to_float()):
+                    x.apply_to(f)):
             assert _canonical(got)
         for route in (x + y - y, swap_vars(swap_vars(x)), adjoint(adjoint(x))):
             assert route == x and (route.nums, route.den) == (x.nums, x.den)
@@ -391,12 +395,10 @@ class TestOneRepresentation:
 
 class TestIntegerKernels:
     def test_integer_view(self):
-        p = Poly2(EXACT, {(0, 0): F(1, 6), (1, 0): F(-3, 4), (0, 2): F(5)})
+        p = Poly2({(0, 0): F(1, 6), (1, 0): F(-3, 4), (0, 2): F(5)})
         assert p.den == 12 and p.nums == {(0, 0): 2, (1, 0): -9, (0, 2): 60}
-        assert _canonical(p) and _canonical(Poly2.zero(EXACT))
-        assert (Poly2.zero(EXACT).nums, Poly2.zero(EXACT).den) == ({}, 1)
-        f = p.to_float()
-        assert f.den == 1 and f.nums == {k: float(c) for k, c in p.terms.items()} and _canonical(f)
+        assert _canonical(p) and _canonical(Poly2.zero())
+        assert (Poly2.zero().nums, Poly2.zero().den) == ({}, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(diff_ops(mixed_fractions), polys(mixed_fractions))
@@ -404,26 +406,20 @@ class TestIntegerKernels:
         got = x.apply_to(f)
         assert got.terms == oracle_apply_to(x, f)
         assert _stored_exactly(got)
-        fx, ff = x.to_float(), f.to_float()
-        assert close(fx.apply_to(ff), Poly2(FLOAT, oracle_apply_to(fx, ff)), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(diff_ops(mixed_fractions), min_size=1, max_size=4), polys(mixed_fractions))
     def test_shared_derivative_table_changes_no_image(self, ops, f):
         # one table filled and read by several operators gives each operator
         # what its own apply_to gives: the same numerators in the same key
-        # order over the same den, in both modes (floats bit for bit)
-        for mode_ops, g in ((ops, f), ([x.to_float() for x in ops], f.to_float())):
-            table: dict = {}
-            for x in mode_ops:
-                shared, own = x.apply_to(g, table), x.apply_to(g)
-                assert list(shared.nums.items()) == list(own.nums.items()) and shared.den == own.den
-                if g.mode == EXACT:
-                    assert shared.terms == oracle_apply_to(x, g)
-                else:
-                    assert close(shared, Poly2(FLOAT, oracle_apply_to(x, g)), 1e-12)
-            # every order the operators read, and only those, is in the table
-            assert set(table) == {(k, l) for x in mode_ops for (_, _, k, l) in x.nums}
+        # order over the same den
+        table: dict = {}
+        for x in ops:
+            shared, own = x.apply_to(f, table), x.apply_to(f)
+            assert list(shared.nums.items()) == list(own.nums.items()) and shared.den == own.den
+            assert shared.terms == oracle_apply_to(x, f)
+        # every order the operators read, and only those, is in the table
+        assert set(table) == {(k, l) for x in ops for (_, _, k, l) in x.nums}
 
     @settings(max_examples=40, deadline=None)
     @given(homogeneous_polys(), mixed_fractions)
@@ -434,32 +430,28 @@ class TestIntegerKernels:
         euler = (DiffOp.monomial((1, 0, 1, 0), c) + DiffOp.monomial((0, 1, 0, 1), c)
                  + DiffOp.constant(-degree * c))
         assert euler.apply_to(f).terms == {} == oracle_apply_to(euler, f)
-        assert close(euler.to_float().apply_to(f.to_float()), Poly2.zero(FLOAT), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_fractions, polys(mixed_fractions), mixed_fractions, polys(mixed_fractions))
     def test_linear_combination_matches_fraction_loop(self, c1, f, c2, g):
         # the third pair takes the first one back out
         pairs = [(c1, f), (c2, g), (-c1, f)]
-        got = linear_combination(EXACT, pairs)
+        got = linear_combination(pairs)
         assert got.terms == oracle_linear_combination(pairs) == g.scale(c2).terms
         assert _stored_exactly(got)
-        fpairs = [(float(c), p.to_float()) for c, p in pairs]
-        assert close(got.to_float(), linear_combination(FLOAT, fpairs), 1e-12)
-        assert close(linear_combination(FLOAT, fpairs), Poly2(FLOAT, oracle_linear_combination(fpairs)), 1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_fractions, polys(mixed_fractions), polys(mixed_fractions))
     def test_linear_combination_cancels_to_zero(self, c, f, g):
         pairs = [(c, f), (c, g), (-c, f + g), (0, f)]
-        assert linear_combination(EXACT, pairs).terms == {} == oracle_linear_combination(pairs)
-        assert linear_combination(EXACT, []).terms == {}
+        assert linear_combination(pairs).terms == {} == oracle_linear_combination(pairs)
+        assert linear_combination([]).terms == {}
 
     def test_common_denominator_is_reduced_once(self):
         # 1/6 z + 1/10 z - 4/15 z = 0: the sum runs over lcm(6, 10, 15) = 30
-        z = Poly2.z(EXACT)
-        assert linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z), (F(-4, 15), z)]).is_zero()
-        got = linear_combination(EXACT, [(F(1, 6), z), (F(1, 10), z)])
+        z = Poly2.z()
+        assert linear_combination([(F(1, 6), z), (F(1, 10), z), (F(-4, 15), z)]).is_zero()
+        got = linear_combination([(F(1, 6), z), (F(1, 10), z)])
         assert got.terms == {(1, 0): F(4, 15)} and (got.nums, got.den) == ({(1, 0): 4}, 15)
 
     @settings(max_examples=60, deadline=None)
@@ -470,10 +462,6 @@ class TestIntegerKernels:
             assert got.terms == want
             assert _stored_exactly(got) and _canonical(got)
         assert (x - x).terms == {} and (x + y - y).terms == x.terms
-        fx, fy = x.to_float(), y.to_float()
-        assert (fx + fy).terms == oracle_add(fx, fy)
-        assert (fx - fy).terms == oracle_add(fx, fy, -1)
-        assert _canonical(fx + fy)
 
     @settings(max_examples=60, deadline=None)
     @given(polys(mixed_fractions), polys(mixed_fractions))
@@ -484,12 +472,9 @@ class TestIntegerKernels:
             assert got.terms == want
             assert _stored_exactly(got) and _canonical(got)
         assert ((f + g) * (f - g)).terms == (f * f - g * g).terms
-        ff, fg = f.to_float(), g.to_float()
-        assert (ff * fg).terms == oracle_poly_product(ff, fg)
-        assert _canonical(ff * fg)
 
     def test_poly_product_cancels_cross_terms(self):
-        z, zb = Poly2.z(EXACT).scale(F(1, 6)), Poly2.zbar(EXACT).scale(F(3, 10))
+        z, zb = Poly2.z().scale(F(1, 6)), Poly2.zbar().scale(F(3, 10))
         got = (z + zb) * (z - zb)
         assert got.terms == {(2, 0): F(1, 36), (0, 2): F(-9, 100)} == oracle_poly_product(z + zb, z - zb)
 
@@ -499,15 +484,12 @@ class TestIntegerKernels:
         got = x * y
         assert got.terms == oracle_op_product(x, y)
         assert _stored_exactly(got) and _canonical(got)
-        fx, fy = x.to_float(), y.to_float()
-        assert (fx * fy).terms == oracle_op_product(fx, fy)
-        assert _canonical(fx * fy)
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_fractions)
     def test_op_product_cancels_to_zero(self, c):
         # (dz + c z)(dz - c z) = dz^2 - c^2 z^2 - c: the z dz terms cancel
-        dz, z = DiffOp.dz(EXACT), DiffOp.z(EXACT).scale(c)
+        dz, z = DiffOp.dz(), DiffOp.z().scale(c)
         got = (dz + z) * (dz - z)
         want = {(0, 0, 2, 0): F(1), (2, 0, 0, 0): -c * c, (0, 0, 0, 0): -c}
         assert got.terms == {k: v for k, v in want.items() if v} == oracle_op_product(dz + z, dz - z)
@@ -523,9 +505,6 @@ class TestIntegerKernels:
         # every contraction cancels against the other order
         for zero in (commutator(x, x), commutator(x, x * x)):
             assert zero.terms == {} and _canonical(zero)
-        fx, fy = x.to_float(), y.to_float()
-        assert commutator(fx, fy).terms == oracle_commutator(fx, fy)
-        assert _canonical(commutator(fx, fy))
 
     @settings(max_examples=60, deadline=None)
     @given(diff_ops(mixed_fractions), mixed_fractions)
@@ -536,22 +515,14 @@ class TestIntegerKernels:
         # (c z dz + c)^† = -c zb dzb - c + c: the constant cancels in the kernel
         op = DiffOp.monomial((1, 0, 1, 0), c) + DiffOp.constant(c)
         assert adjoint(op).terms == oracle_adjoint(op) == ({(0, 1, 0, 1): -c} if c else {})
-        fx = x.to_float()
-        assert adjoint(fx).terms == oracle_adjoint(fx)
-        assert _canonical(adjoint(fx))
 
     def test_kernels_reject_mixed_modes(self):
-        f = Poly2.z(EXACT) + Poly2.zbar(EXACT).scale(F(1, 3))
-        with pytest.raises(ModeMismatchError):
-            DiffOp.dz(EXACT).apply_to(f.to_float())
-        with pytest.raises(ModeMismatchError):
-            DiffOp.dz(FLOAT).apply_to(f)
-        with pytest.raises(ModeMismatchError):
-            linear_combination(EXACT, [(1, f), (1, f.to_float())])
-        with pytest.raises(ModeMismatchError):
-            linear_combination(FLOAT, [(1.0, f)])
-        with pytest.raises(ModeMismatchError):
-            linear_combination(EXACT, [(0.5, f)])
+        # no kernel takes a float: a float coefficient, or a float scale, is refused
+        f = Poly2.z() + Poly2.zbar().scale(F(1, 3))
+        for call in (lambda: linear_combination([(1, f), (0.5, f)]), lambda: f.scale(0.5), lambda: 0.5 * f,
+                     lambda: DiffOp.dz().scale(1.0), lambda: Poly2({(1, 0): 1.0})):
+            with pytest.raises(TypeError):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +535,10 @@ CHARGES = range(-3, 4)  # the keys run over 0..3
 
 
 def _line(x, charge):
-    return Poly2._normalized(x.mode, {(i, j): u for (i, j), u in x.nums.items() if i - j == charge}, x.den)
+    return Poly2._normalized({(i, j): u for (i, j), u in x.nums.items() if i - j == charge}, x.den)
 
 
-def _combined_magnitude(mode, image, target, weights):
+def _combined_magnitude(image, target, weights):
     # the oracle: on each charge of the image or of a weighted target line,
     # build image - c * target (c its weight, dropped if zero) and read its
     # largest coefficient; a zero is left out
@@ -576,7 +547,7 @@ def _combined_magnitude(mode, image, target, weights):
     for charge in charges:
         c = weights.get(charge)
         pairs = [(-c, _line(target, charge))] if c else []
-        v = linear_combination(mode, [*pairs, (1, _line(image, charge))])
+        v = linear_combination([*pairs, (1, _line(image, charge))])
         out[charge] = v.max_magnitude()
     return {charge: v for charge, v in out.items() if v}
 
@@ -605,7 +576,7 @@ def exact_lines(draw):
     target, stray = draw(polys(mixed_fractions)), draw(polys(mixed_fractions))
     nums = draw(st.dictionaries(st.sampled_from(CHARGES), st.integers(-4, 4), max_size=7))
     den = draw(st.sampled_from([1, 3, 4]))
-    weighted = linear_combination(EXACT, [(F(nums.get(c, 0), den), _line(target, c)) for c in CHARGES])
+    weighted = linear_combination([(F(nums.get(c, 0), den), _line(target, c)) for c in CHARGES])
     image = draw(st.sampled_from([weighted + stray, weighted, stray]))
     return image, target, nums, den
 
@@ -615,7 +586,7 @@ class TestResidualMagnitude:
     @given(exact_lines())
     def test_exact_equals_the_built_combination(self, lines):
         image, target, nums, den = lines
-        want = _combined_magnitude(EXACT, image, target, {c: F(w, den) for c, w in nums.items()})
+        want = _combined_magnitude(image, target, {c: F(w, den) for c, w in nums.items()})
         got = line_residuals(image, target, nums, den)
         assert all(type(v) is Fraction for v in got.values())
         assert got == want
@@ -626,26 +597,26 @@ class TestResidualMagnitude:
         # the image is exactly the weighted target: every monomial is matched,
         # and no residual is built
         _, target, nums, den = lines
-        weighted = linear_combination(EXACT, [(F(nums.get(c, 0), den), _line(target, c)) for c in CHARGES])
+        weighted = linear_combination([(F(nums.get(c, 0), den), _line(target, c)) for c in CHARGES])
         assert line_residuals(weighted, target, nums, den) == {}
-        assert line_residuals(Poly2.zero(EXACT), Poly2.zero(EXACT), nums, den) == {}
+        assert line_residuals(Poly2.zero(), Poly2.zero(), nums, den) == {}
         # a zero weight drops its target line
         assert line_residuals(weighted, target, dict.fromkeys(nums, 0)) == _combined_magnitude(
-            EXACT, weighted, target, {})
+            weighted, target, {})
 
     def test_an_exact_reading_beyond_the_float_range_stays_exact(self):
-        # to_float raises there; the exact walk reads integers
-        huge = Poly2(EXACT, {(2, 0): F(10**400), (0, 2): F(-(10**400)), (1, 1): F(1, 3)})
+        # a float of its coefficients raises there; the exact walk reads integers
+        huge = Poly2({(2, 0): F(10**400), (0, 2): F(-(10**400)), (1, 1): F(1, 3)})
         with pytest.raises(OverflowError):
-            huge.to_float()
-        assert line_residuals(huge, Poly2.zero(EXACT), {}) == {2: F(10**400), -2: F(10**400), 0: F(1, 3)}
+            float(huge.max_magnitude())
+        assert line_residuals(huge, Poly2.zero(), {}) == {2: F(10**400), -2: F(10**400), 0: F(1, 3)}
         assert line_residuals(huge, huge, {2: 1}) == {-2: F(10**400), 0: F(1, 3)}
 
     def test_a_zero_target_adds_nothing(self):
         # a zero weight drops its target, as in the built combination: the
         # image is read alone, however large the target
-        huge = Poly2(EXACT, {(1, 0): F(10**400), (2, 2): F(-(10**400))})
-        image = Poly2(EXACT, {(1, 0): F(5), (2, 2): F(-7, 3)})
+        huge = Poly2({(1, 0): F(10**400), (2, 2): F(-(10**400))})
+        image = Poly2({(1, 0): F(5), (2, 2): F(-7, 3)})
         assert line_residuals(image, huge, {1: 0, 0: 0}) == {1: 5, 0: F(7, 3)} == _combined_magnitude(
-            EXACT, image, huge, {})
-        assert line_residuals(Poly2.zero(EXACT), Poly2.zero(EXACT), {}) == {}
+            image, huge, {})
+        assert line_residuals(Poly2.zero(), Poly2.zero(), {}) == {}
